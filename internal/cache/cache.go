@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 
+	"argo/internal/racetag"
 	"argo/internal/sim"
 )
 
@@ -46,20 +47,21 @@ func (s State) String() string {
 
 // Slot holds one cached page. Access only while holding the line lock.
 type Slot struct {
-	Page    int // global page number, or -1
-	St      State
-	Data    []byte   // page content (lazily allocated)
-	Twin    []byte   // pristine copy for diffing; non-nil only while Dirty
-	ReadyAt sim.Time // virtual time at which the content became available
-	WBTries int      // writeback attempts lost so far (Corvus fault identity)
+	Page int // global page number, or -1
+	St   State
+	// published is set by FillTLB once some thread's TLB entry holds Data: a
+	// lock-free reader validating a stale entry may from then on issue a
+	// speculative (always discarded) load into the buffer. PrepareRefill is
+	// its one reader (see tlb.go, pillar 2).
+	published bool
+	Data      []byte   // page content (lazily allocated, recycled across refills)
+	Twin      []byte   // pristine copy for diffing; non-nil only while Dirty
+	ReadyAt   sim.Time // virtual time at which the content became available
+	WBTries   int      // writeback attempts lost so far (Corvus fault identity)
 
-	// DataPage is the page whose bytes the Data buffer holds. It survives
-	// Invalidate (which keeps Data) so a conflict refill can tell whether it
-	// may refill in place or must allocate a fresh buffer: a Lynx fast-path
-	// reader validating a stale TLB entry may still issue speculative loads
-	// into the old buffer, so its bytes must never be rebound to a
-	// different page (see tlb.go).
-	DataPage int
+	// twinBuf is the slot's twin buffer, allocated at its first write miss
+	// and kept across DropTwin and Invalidate; Twin aliases it while Dirty.
+	twinBuf []byte
 }
 
 // Cache is one node's page cache.
@@ -84,9 +86,13 @@ type Cache struct {
 	// the interconnect at a time.
 	FetchGate sim.Resource
 
-	wbMu  sync.Mutex
-	wbCap int
-	wbQ   []int // FIFO of page numbers; may contain stale entries
+	// The write buffer is a fixed ring of wbCap+1 page numbers (one spare so
+	// a push can land before the overflow victim pops); entries may be stale.
+	wbMu   sync.Mutex
+	wbCap  int
+	wbRing []int
+	wbHead int // index of the oldest entry
+	wbLen  int
 
 	// Occupied-line tracking: fences sweep only lines that ever held a
 	// page since the last sweep found them empty. usedSet is guarded by
@@ -114,10 +120,10 @@ func New(node, pageSize, lines, pagesPerLine, wbCapacity int) *Cache {
 		lineSync:     make([]LineSync, lines),
 		slots:        make([]Slot, lines*pagesPerLine),
 		wbCap:        wbCapacity,
+		wbRing:       make([]int, wbCapacity+1),
 	}
 	for i := range c.slots {
 		c.slots[i].Page = -1
-		c.slots[i].DataPage = -1
 	}
 	c.usedSet = make([]bool, lines)
 	return c
@@ -141,10 +147,10 @@ func (c *Cache) MarkLineUsed(l int) {
 // held, and retires lines the sweep leaves empty. Fences use this instead
 // of ForEachLine so their cost scales with the resident set, not with the
 // cache geometry.
-func (c *Cache) ForEachUsedLine(fn func(l int, slots []*Slot)) {
+func (c *Cache) ForEachUsedLine(fn func(l int, slots []Slot)) {
 	for _, l := range c.UsedLines() {
 		c.lineLocks[l].Lock()
-		fn(l, c.SlotsOfLine(l))
+		fn(l, c.LineSlots(l))
 		c.RetireLineIfEmpty(l)
 		c.lineLocks[l].Unlock()
 	}
@@ -220,34 +226,37 @@ func (c *Cache) LineSlots(l int) []Slot {
 	return c.slots[l*c.PagesPerLine : (l+1)*c.PagesPerLine]
 }
 
-// SlotsOfLine returns mutable pointers to the slots of line l.
-func (c *Cache) SlotsOfLine(l int) []*Slot {
-	out := make([]*Slot, c.PagesPerLine)
-	for i := 0; i < c.PagesPerLine; i++ {
-		out[i] = &c.slots[l*c.PagesPerLine+i]
-	}
-	return out
-}
-
-// EnsureData makes sure the slot has a data buffer, allocating lazily.
-func (c *Cache) EnsureData(s *Slot) {
-	if s.Data == nil {
+// PrepareRefill gives s a Data buffer the caller may overwrite with any
+// page's content. The caller holds the line lock and has bumped the line
+// generation. The slot's existing buffer is reused in place — whichever page
+// it last held — so a steady-state miss allocates nothing. The one exception
+// is a race-detector build refilling a published buffer: the speculative load
+// a stale TLB entry may still issue into it is discarded by the seqlock
+// re-check, but the detector would report it against the refill's plain
+// stores, so there the stale entries keep the old buffer and the refill gets
+// a fresh one (see tlb.go, pillar 2).
+func (c *Cache) PrepareRefill(s *Slot) {
+	if s.Data == nil || (racetag.Enabled && s.published) {
 		s.Data = make([]byte, c.PageSize)
+		s.published = false
 	}
 }
 
 // EnsureTwin snapshots the slot's current data into its twin buffer.
 func (c *Cache) EnsureTwin(s *Slot) {
-	if s.Twin == nil {
-		s.Twin = make([]byte, c.PageSize)
+	if s.twinBuf == nil {
+		s.twinBuf = make([]byte, c.PageSize)
 	}
+	s.Twin = s.twinBuf
 	copy(s.Twin, s.Data)
 }
 
-// DropTwin releases the twin (after a writeback made the page clean).
+// DropTwin retires the twin (after a writeback made the page clean). The
+// buffer stays with the slot for its next write miss.
 func (s *Slot) DropTwin() { s.Twin = nil }
 
-// Invalidate empties the slot.
+// Invalidate empties the slot. The Data and twin buffers stay with it for the
+// next refill and write miss.
 func (s *Slot) Invalidate() {
 	s.Page = -1
 	s.St = Invalid
@@ -261,13 +270,39 @@ func (s *Slot) Invalidate() {
 func (c *Cache) WBPush(page int) (victim int, evict bool) {
 	c.wbMu.Lock()
 	defer c.wbMu.Unlock()
-	c.wbQ = append(c.wbQ, page)
-	if len(c.wbQ) > c.wbCap {
-		victim = c.wbQ[0]
-		c.wbQ = c.wbQ[1:]
+	c.wbRing[c.wbIndex(c.wbLen)] = page
+	c.wbLen++
+	if c.wbLen > c.wbCap {
+		victim = c.wbRing[c.wbHead]
+		c.wbHead = c.wbIndex(1)
+		c.wbLen--
 		return victim, true
 	}
 	return 0, false
+}
+
+// wbIndex returns the ring index of the i-th oldest entry (0 <= i <= wbCap).
+// The caller holds wbMu.
+func (c *Cache) wbIndex(i int) int {
+	i += c.wbHead
+	if i >= len(c.wbRing) {
+		i -= len(c.wbRing)
+	}
+	return i
+}
+
+// wbTakeLocked removes and returns the k oldest entries in FIFO order, or
+// nil when k is zero. The caller holds wbMu and guarantees k <= wbLen.
+func (c *Cache) wbTakeLocked(k int) []int {
+	if k == 0 {
+		return nil
+	}
+	out := make([]int, k)
+	n := copy(out, c.wbRing[c.wbHead:])
+	copy(out[n:], c.wbRing)
+	c.wbHead = c.wbIndex(k)
+	c.wbLen -= k
+	return out
 }
 
 // WBDrain empties the write buffer and returns its contents in FIFO order.
@@ -275,8 +310,7 @@ func (c *Cache) WBPush(page int) (victim int, evict bool) {
 // the caller skips pages that are no longer dirty.
 func (c *Cache) WBDrain() []int {
 	c.wbMu.Lock()
-	q := c.wbQ
-	c.wbQ = nil
+	q := c.wbTakeLocked(c.wbLen)
 	c.wbMu.Unlock()
 	if c.MX != nil {
 		c.MX.WBDrainPages.Record(c.Node, int64(len(q)))
@@ -290,8 +324,8 @@ func (c *Cache) WBDrain() []int {
 // drain-size metric, not a copy of the page numbers.
 func (c *Cache) WBClear() int {
 	c.wbMu.Lock()
-	n := len(c.wbQ)
-	c.wbQ = c.wbQ[:0]
+	n := c.wbLen
+	c.wbHead, c.wbLen = 0, 0
 	c.wbMu.Unlock()
 	if c.MX != nil {
 		c.MX.WBDrainPages.Record(c.Node, int64(n))
@@ -307,22 +341,20 @@ func (c *Cache) WBClear() int {
 func (c *Cache) WBTake(max int) []int {
 	c.wbMu.Lock()
 	defer c.wbMu.Unlock()
-	if max <= 0 || len(c.wbQ) == 0 {
+	if max <= 0 {
 		return nil
 	}
-	if max > len(c.wbQ) {
-		max = len(c.wbQ)
+	if max > c.wbLen {
+		max = c.wbLen
 	}
-	out := append([]int(nil), c.wbQ[:max]...)
-	c.wbQ = c.wbQ[max:]
-	return out
+	return c.wbTakeLocked(max)
 }
 
 // WBLen returns the current number of (possibly stale) entries.
 func (c *Cache) WBLen() int {
 	c.wbMu.Lock()
 	defer c.wbMu.Unlock()
-	return len(c.wbQ)
+	return c.wbLen
 }
 
 // WBCapacity returns the configured write-buffer capacity in pages.
@@ -330,10 +362,10 @@ func (c *Cache) WBCapacity() int { return c.wbCap }
 
 // ForEachLine runs fn for every line index with that line's lock held.
 // Used by the fence sweeps.
-func (c *Cache) ForEachLine(fn func(l int, slots []*Slot)) {
+func (c *Cache) ForEachLine(fn func(l int, slots []Slot)) {
 	for l := 0; l < c.Lines; l++ {
 		c.lineLocks[l].Lock()
-		fn(l, c.SlotsOfLine(l))
+		fn(l, c.LineSlots(l))
 		c.lineLocks[l].Unlock()
 	}
 }
@@ -351,7 +383,7 @@ func (c *Cache) Reset() {
 		c.lineLocks[l].Unlock()
 	}
 	c.wbMu.Lock()
-	c.wbQ = nil
+	c.wbHead, c.wbLen = 0, 0
 	c.wbMu.Unlock()
 	c.FetchGate.Reset()
 }

@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"argo/internal/racetag"
 )
 
 func testCache() *Cache { return New(0, 4096, 8, 4, 16) }
@@ -44,11 +47,11 @@ func TestInvalidGeometryPanics(t *testing.T) {
 	New(0, 4096, 0, 4, 16)
 }
 
-func TestEnsureDataAndTwin(t *testing.T) {
+func TestPrepareRefillAndTwin(t *testing.T) {
 	c := testCache()
 	c.LockLine(0)
 	s := c.SlotFor(0)
-	c.EnsureData(s)
+	c.PrepareRefill(s)
 	if len(s.Data) != 4096 {
 		t.Fatal("data buffer wrong size")
 	}
@@ -61,11 +64,57 @@ func TestEnsureDataAndTwin(t *testing.T) {
 	if s.Twin[5] != 42 {
 		t.Fatal("twin aliases data")
 	}
+	twin := &s.Twin[0]
 	s.DropTwin()
 	if s.Twin != nil {
 		t.Fatal("twin not dropped")
 	}
+	// The next write miss snapshots into the same buffer: nothing is handed
+	// to the GC between a downgrade and the page's next write miss, and an
+	// invalidation in between does not lose the buffer either.
+	s.Invalidate()
+	c.EnsureTwin(s)
+	if &s.Twin[0] != twin || s.Twin[5] != 43 {
+		t.Fatal("twin buffer not recycled as a fresh snapshot")
+	}
 	c.UnlockLine(0)
+}
+
+// TestPrepareRefillRecyclesBuffer pins the published-bit rule: a buffer no
+// TLB entry has captured is refilled in place in every build; a published one
+// is refilled in place too, except under the race detector, where the stale
+// entries keep it and the refill gets a fresh, unpublished buffer.
+func TestPrepareRefillRecyclesBuffer(t *testing.T) {
+	c := testCache()
+	c.LockLine(0)
+	defer c.UnlockLine(0)
+	s := c.SlotFor(0)
+	c.PrepareRefill(s)
+	buf := &s.Data[0]
+	s.Invalidate()
+	s.Page = 32 // a conflicting page rebinds the unpublished buffer
+	c.PrepareRefill(s)
+	if &s.Data[0] != buf {
+		t.Fatal("unpublished buffer not reused in place")
+	}
+	s.St = Clean
+	tb := NewTLB()
+	c.FillTLB(tb, 0, s)
+	if !s.published {
+		t.Fatal("FillTLB did not mark the buffer published")
+	}
+	s.Invalidate()
+	s.Page = 0
+	c.PrepareRefill(s)
+	if fresh := &s.Data[0] != buf; fresh != racetag.Enabled {
+		t.Fatalf("published buffer replaced = %v, want %v (race build = %v)", fresh, racetag.Enabled, racetag.Enabled)
+	}
+	if racetag.Enabled && s.published {
+		t.Fatal("fresh buffer still marked published")
+	}
+	if &tb.Entry(32).Data[0] != buf {
+		t.Fatal("stale TLB entry lost its buffer")
+	}
 }
 
 func TestWriteBufferFIFO(t *testing.T) {
@@ -138,7 +187,7 @@ func TestWBEvictionProperty(t *testing.T) {
 func TestForEachLineVisitsAll(t *testing.T) {
 	c := testCache()
 	count := 0
-	c.ForEachLine(func(l int, slots []*Slot) {
+	c.ForEachLine(func(l int, slots []Slot) {
 		count += len(slots)
 	})
 	if count != 8*4 {
@@ -152,7 +201,7 @@ func TestReset(t *testing.T) {
 	s := c.SlotFor(1)
 	s.Page = 1
 	s.St = Dirty
-	c.EnsureData(s)
+	c.PrepareRefill(s)
 	c.EnsureTwin(s)
 	s.ReadyAt = 99
 	c.UnlockLine(0)
@@ -178,7 +227,7 @@ func TestStateString(t *testing.T) {
 func TestUsedLineTracking(t *testing.T) {
 	c := testCache()
 	seen := 0
-	c.ForEachUsedLine(func(l int, slots []*Slot) { seen++ })
+	c.ForEachUsedLine(func(l int, slots []Slot) { seen++ })
 	if seen != 0 {
 		t.Fatalf("fresh cache has %d used lines", seen)
 	}
@@ -188,25 +237,25 @@ func TestUsedLineTracking(t *testing.T) {
 		s := c.SlotFor(l * c.PagesPerLine)
 		s.Page = l * c.PagesPerLine
 		s.St = Clean
-		c.EnsureData(s)
+		c.PrepareRefill(s)
 		c.MarkLineUsed(l)
 		c.UnlockLine(l)
 	}
 	var visited []int
-	c.ForEachUsedLine(func(l int, slots []*Slot) { visited = append(visited, l) })
+	c.ForEachUsedLine(func(l int, slots []Slot) { visited = append(visited, l) })
 	if len(visited) != 2 {
 		t.Fatalf("visited %v, want lines 1 and 3", visited)
 	}
 	// Empty line 1 during a sweep: it must be retired.
-	c.ForEachUsedLine(func(l int, slots []*Slot) {
+	c.ForEachUsedLine(func(l int, slots []Slot) {
 		if l == 1 {
-			for _, s := range slots {
-				s.Invalidate()
+			for i := range slots {
+				slots[i].Invalidate()
 			}
 		}
 	})
 	visited = nil
-	c.ForEachUsedLine(func(l int, slots []*Slot) { visited = append(visited, l) })
+	c.ForEachUsedLine(func(l int, slots []Slot) { visited = append(visited, l) })
 	if len(visited) != 1 || visited[0] != 3 {
 		t.Fatalf("after retirement visited %v, want [3]", visited)
 	}
@@ -219,7 +268,7 @@ func TestUsedLineTracking(t *testing.T) {
 	c.MarkLineUsed(1) // idempotent
 	c.UnlockLine(1)
 	visited = nil
-	c.ForEachUsedLine(func(l int, slots []*Slot) { visited = append(visited, l) })
+	c.ForEachUsedLine(func(l int, slots []Slot) { visited = append(visited, l) })
 	if len(visited) != 2 {
 		t.Fatalf("after re-mark visited %v", visited)
 	}
@@ -269,11 +318,72 @@ func TestWBClearAndTake(t *testing.T) {
 	}
 }
 
+// TestWBRingWrapAround drives the fixed ring through many wraps with every
+// operation interleaved and checks it against a plain slice FIFO, including
+// the overflow victims' order and stale (duplicate) entries.
+func TestWBRingWrapAround(t *testing.T) {
+	const capacity = 5
+	c := New(0, 4096, 8, 2, capacity)
+	var model []int
+	same := func(op string, got, want []int) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s = %v, want %v", op, got, want)
+		}
+	}
+	for step := 0; step < 400; step++ {
+		page := step % 7 // repeats: the buffer holds duplicates like stale entries
+		victim, evict := c.WBPush(page)
+		model = append(model, page)
+		if len(model) > capacity {
+			if !evict || victim != model[0] {
+				t.Fatalf("step %d: overflow victim = %d (%v), want %d", step, victim, evict, model[0])
+			}
+			model = model[1:]
+		} else if evict {
+			t.Fatalf("step %d: eviction below capacity", step)
+		}
+		switch {
+		case step%11 == 10:
+			k := step % 4
+			want := model
+			if k < len(want) {
+				want = want[:k]
+			}
+			same("WBTake", c.WBTake(k), want)
+			model = model[len(want):]
+		case step%37 == 36:
+			same("WBDrain", c.WBDrain(), model)
+			model = nil
+		case step%53 == 52:
+			if n := c.WBClear(); n != len(model) {
+				t.Fatalf("WBClear = %d, want %d", n, len(model))
+			}
+			model = nil
+		}
+		if c.WBLen() != len(model) {
+			t.Fatalf("step %d: WBLen = %d, want %d", step, c.WBLen(), len(model))
+		}
+	}
+	same("final WBDrain", c.WBDrain(), model)
+	if c.WBDrain() != nil {
+		t.Fatal("WBDrain of an empty buffer returned entries")
+	}
+}
+
+func TestWBPushZeroAlloc(t *testing.T) {
+	c := New(0, 4096, 8, 2, 4)
+	page := 0
+	if a := testing.AllocsPerRun(100, func() { c.WBPush(page); page++ }); a != 0 {
+		t.Fatalf("WBPush allocated %.1f times per call, want 0", a)
+	}
+}
+
 func TestUsedLinesSnapshotAndRetire(t *testing.T) {
 	c := New(0, 4096, 8, 2, 64)
 	for _, l := range []int{3, 1} {
 		c.LockLine(l)
-		s := c.SlotsOfLine(l)[0]
+		s := &c.LineSlots(l)[0]
 		s.Page = l * c.PagesPerLine
 		s.St = Clean
 		c.MarkLineUsed(l)
@@ -284,7 +394,7 @@ func TestUsedLinesSnapshotAndRetire(t *testing.T) {
 	}
 	// Retire line 3 after emptying it; the snapshot compacts.
 	c.LockLine(3)
-	c.SlotsOfLine(3)[0].Invalidate()
+	c.LineSlots(3)[0].Invalidate()
 	c.RetireLineIfEmpty(3)
 	c.UnlockLine(3)
 	c.CompactUsedList()

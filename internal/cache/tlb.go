@@ -17,17 +17,38 @@ package cache
 //     only ever protected protocol metadata for such accesses.
 //  2. Generation counter. Readers load the generation, load the word, and
 //     load the generation again (all atomics); mutators bump the generation
-//     before touching anything. A torn observation is impossible: the only
-//     lock-free writes into a live buffer are word-atomic, and a buffer is
-//     never re-bound to a different page (Slot.DataPage), so even a
-//     speculative load through a stale entry reads bytes of the page the
-//     entry named.
+//     before touching anything. Only a load bracketed by two equal
+//     generations is ever returned, and for such a load no refill store can
+//     have reached the buffer: Gen.Add is a full barrier that precedes the
+//     first refill store, so a load that observed one would also observe the
+//     bumped generation at its re-check.
+//
+//     That is what lets a refill be a plain memmove into the slot's existing
+//     buffer, whichever page it held before (PrepareRefill). The published
+//     bit, set by FillTLB under the line lock, separates two cases. A buffer
+//     no TLB entry has ever captured cannot be loaded from lock-free, so
+//     refilling or rebinding it in place needs no argument at all. A
+//     published buffer may still receive the speculative load of a reader
+//     that validated Gen just before the bump; that load races the memmove,
+//     and it is harmless: an aligned word read observes some value that was
+//     written to the word (the Go memory model's guarantee for word-sized
+//     reads — no invented value, no fault), the entry's slice keeps the old
+//     buffer reachable, and the re-check discards whatever was read. So
+//     ordinary builds refill and rebind published buffers in place too. A
+//     race-detector build does the one thing differently: it leaves a
+//     published buffer to the stale entries and refills a fresh one, so the
+//     detector never sees the discarded load beside a plain store. Nothing
+//     else depends on the build.
 //  3. Active-writer drain. A fast-path dirty write announces itself on the
 //     line's Act counter before validating and retracts after storing.
 //     BumpLineGen spins until Act is zero after bumping, so by the time a
 //     fence (or eviction) reads the buffer for its diff, every fast store
 //     that validated against the old generation has landed and is
-//     happens-before-visible. No release consistency write can be lost.
+//     happens-before-visible. No release consistency write can be lost. The
+//     same drain fences fast-path writers off a recycled buffer: a store
+//     through a stale entry either completed before BumpLineGen returned —
+//     before the refill's first byte — or fails its validation and never
+//     happens, so no stale store can land in a rebound buffer.
 //
 // The virtual-time cost model is unchanged by construction: a fast-path hit
 // performs exactly the clock advances, hit counters and metric increments of
@@ -89,7 +110,7 @@ type TLBEntry struct {
 	G       uint64 // line generation at fill time
 	Dirty   bool   // slot was Dirty at fill time (enables the write fast path)
 	ReadyAt sim.Time
-	Data    []byte // the slot's buffer (stable: never re-bound to another page)
+	Data    []byte // the slot's buffer at fill time (may since hold another page; Gen tells)
 	Sync    *LineSync
 }
 
@@ -137,6 +158,7 @@ func (c *Cache) FillTLB(tb *TLB, l int, s *Slot) {
 	if c.PageSize&7 != 0 || !WordAligned(s.Data) {
 		return
 	}
+	s.published = true
 	*tb.Entry(s.Page) = TLBEntry{
 		Page:    s.Page,
 		G:       c.lineSync[l].Gen.Load(),

@@ -72,8 +72,7 @@ func TestFillTLBGuards(t *testing.T) {
 	// Valid slot: published with the line's current generation and state.
 	s.Page = 5
 	s.St = Dirty
-	c.EnsureData(s)
-	s.DataPage = 5
+	c.PrepareRefill(s)
 	FillTLB()
 	e := tb.Entry(5)
 	if e.Page != 5 || !e.Dirty || e.Sync != c.Sync(l) || e.G != c.LineGen(l) {

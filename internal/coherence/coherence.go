@@ -31,10 +31,11 @@
 package coherence
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -543,7 +544,7 @@ func (n *Node) writeMissLocked(p *sim.Proc, s *cache.Slot) (victim int, evict bo
 // holds the line lock.
 func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 	base := n.Cache.LineBase(page)
-	slots := n.Cache.SlotsOfLine(l)
+	slots := n.Cache.LineSlots(l)
 
 	// The refill mutates slot state and (via conflict eviction) reads slot
 	// data for diffs: invalidate the line's TLB entries and drain fast-path
@@ -551,10 +552,14 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 	n.Cache.BumpLineGen(l)
 
 	t0 := p.Now()
-	var regs []fabric.AtomicItem
+	// Scratch for the common line widths lives on the stack; wider lines
+	// spill to the heap through append.
+	var regsBuf [8]fabric.AtomicItem
+	var fetchedBuf [8]*cache.Slot
+	regs, fetched := regsBuf[:0], fetchedBuf[:0]
 	pages := make(map[int]int, 4)
-	var fetched []*cache.Slot
-	for i, s := range slots {
+	for i := range slots {
+		s := &slots[i]
 		want := base + i
 		if want >= n.Space.NPages {
 			break
@@ -574,14 +579,7 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 		}
 		s.Invalidate()
 		s.Page = want
-		if s.Data != nil && s.DataPage != want {
-			// Never rebind a buffer to a different page: a stale TLB entry
-			// of the old page may still issue speculative (discarded) loads
-			// into it, which must keep reading bytes of that page.
-			s.Data = nil
-		}
-		n.Cache.EnsureData(s)
-		s.DataPage = want
+		n.Cache.PrepareRefill(s)
 
 		home := n.Space.HomeOf(want)
 		// The line's registrations and page transfers are independent
@@ -619,17 +617,11 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 	}
 	n.registerBurst(p, regs)
 	n.Fab.LineFetch(p, pages, n.Cache.PageSize, uint64(base))
-	words := n.Cache.PageSize&7 == 0
 	for _, s := range fetched {
-		if words && cache.WordAligned(s.Data) {
-			// Word-atomic refill: concurrent lock-free readers validating
-			// stale TLB entries may load from this buffer (and discard the
-			// value on the generation mismatch); atomic stores keep that
-			// overlap race-free.
-			n.Space.ReadPageWords(s.Page, s.Data)
-		} else {
-			n.Space.ReadPage(s.Page, s.Data)
-		}
+		// A plain memmove into the recycled buffer: the generation bump
+		// above already fenced off every lock-free reader and writer (see
+		// cache/tlb.go, pillars 2 and 3).
+		n.Space.ReadPage(s.Page, s.Data)
 		s.St = cache.Clean
 		s.ReadyAt = p.Now()
 	}
@@ -654,11 +646,13 @@ func (n *Node) registerBurst(p *sim.Proc, items []fabric.AtomicItem) {
 	if len(items) == 0 {
 		return
 	}
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].Home != items[b].Home {
-			return items[a].Home < items[b].Home
+	// By (home, page). slices.SortFunc, unlike sort.Slice, allocates neither
+	// a reflect swapper nor a closure — this runs on every miss.
+	slices.SortFunc(items, func(a, b fabric.AtomicItem) int {
+		if c := cmp.Compare(a.Home, b.Home); c != 0 {
+			return c
 		}
-		return items[a].Key < items[b].Key
+		return cmp.Compare(a.Key, b.Key)
 	})
 	for pass := 0; ; pass++ {
 		failed := n.Fab.AtomicBurst(p, items)
@@ -829,9 +823,10 @@ func ShouldSelfInvalidate(m Mode, e directory.Entry, self int) bool {
 // reset at the end of a program's initialization phase, and by decay-style
 // adaptive reclassification. The caller must have quiesced all threads.
 func (n *Node) ResetForPhase() {
-	n.Cache.ForEachUsedLine(func(l int, slots []*cache.Slot) {
+	n.Cache.ForEachUsedLine(func(l int, slots []cache.Slot) {
 		n.Cache.BumpLineGen(l)
-		for _, s := range slots {
+		for i := range slots {
+			s := &slots[i]
 			if s.Page >= 0 && s.St == cache.Dirty {
 				// Diff against the twin so concurrent dirty copies of the
 				// same page on other nodes (false sharing during the init

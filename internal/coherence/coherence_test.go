@@ -21,6 +21,12 @@ type rig struct {
 
 func newRig(t *testing.T, opt Options) *rig {
 	t.Helper()
+	return newRigGeom(t, opt, 8, 2, 16)
+}
+
+// newRigGeom is newRig with the per-node cache geometry chosen by the test.
+func newRigGeom(t *testing.T, opt Options, lines, perLine, wbPages int) *rig {
+	t.Helper()
 	topo := sim.Topology{Nodes: 2, Sockets: 1, CoresPerSocket: 2}
 	fab := fabric.MustNew(topo, fabric.DefaultParams())
 	space := mem.NewSpace(2, 64*4096, 4096, mem.Interleaved)
@@ -33,7 +39,7 @@ func newRig(t *testing.T, opt Options) *rig {
 	}
 	r := &rig{fab: fab, space: space, dir: dir}
 	for n := 0; n < 2; n++ {
-		c := cache.New(n, 4096, 8, 2, 16)
+		c := cache.New(n, 4096, lines, perLine, wbPages)
 		r.nodes = append(r.nodes, NewNode(n, fab, space, dir, c, opt))
 		r.procs = append(r.procs, &sim.Proc{Node: n})
 	}

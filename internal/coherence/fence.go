@@ -242,7 +242,9 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, out *siShard) {
 	var refs []ref
 	for _, l := range lines {
 		n.Cache.LockLine(l)
-		for _, s := range n.Cache.SlotsOfLine(l) {
+		slots := n.Cache.LineSlots(l)
+		for i := range slots {
+			s := &slots[i]
 			if s.Page < 0 || s.St == cache.Invalid {
 				continue
 			}
@@ -343,7 +345,9 @@ func (n *Node) sdSweepShard(wp *sim.Proc, lines []int) []burstItem {
 	var items []burstItem
 	for _, l := range lines {
 		n.Cache.LockLine(l)
-		for _, s := range n.Cache.SlotsOfLine(l) {
+		slots := n.Cache.LineSlots(l)
+		for i := range slots {
+			s := &slots[i]
 			if s.Page < 0 || s.St != cache.Dirty {
 				continue
 			}

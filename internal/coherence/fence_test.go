@@ -175,6 +175,9 @@ func TestEagerDrainerDowngradesInBackground(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		n.pokeDrainer() // belt and braces against a missed wakeup in the test
 	}
+	// An empty buffer only means the last batch was claimed: wait for the
+	// drainer to finish writing it home before reading home memory.
+	n.StopDrainer()
 	for _, pg := range pages {
 		if got, want := r.space.HomeBytes(pg)[0], byte(pg%251)+1; got != want {
 			t.Fatalf("page %d home byte = %d, want %d", pg, got, want)

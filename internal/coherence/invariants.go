@@ -21,11 +21,12 @@ import (
 //     (classification only moves forward; caches may lag, never lead).
 func (n *Node) CheckInvariants() error {
 	var err error
-	n.Cache.ForEachLine(func(l int, slots []*cache.Slot) {
+	n.Cache.ForEachLine(func(l int, slots []cache.Slot) {
 		if err != nil {
 			return
 		}
-		for i, s := range slots {
+		for i := range slots {
+			s := &slots[i]
 			if s.Page < 0 || s.St == cache.Invalid {
 				continue
 			}
@@ -77,8 +78,9 @@ func (n *Node) CheckQuiesced() error {
 		return err
 	}
 	var err error
-	n.Cache.ForEachLine(func(l int, slots []*cache.Slot) {
-		for _, s := range slots {
+	n.Cache.ForEachLine(func(l int, slots []cache.Slot) {
+		for i := range slots {
+			s := &slots[i]
 			if err == nil && s.Page >= 0 && s.St == cache.Dirty {
 				err = fmt.Errorf("node %d: page %d still dirty after downgrade fence", n.ID, s.Page)
 			}

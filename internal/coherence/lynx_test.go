@@ -11,6 +11,7 @@ import (
 	"argo/internal/directory"
 	"argo/internal/fabric"
 	"argo/internal/mem"
+	"argo/internal/racetag"
 	"argo/internal/sim"
 )
 
@@ -211,6 +212,192 @@ func TestTinyPageSizeStaysOnLockedPath(t *testing.T) {
 	for i := 0; i < cache.TLBSize; i++ {
 		if e := tb.Entry(i); e.Page >= 0 {
 			t.Fatalf("TLB filled (page %d) despite sub-word page size", e.Page)
+		}
+	}
+}
+
+// The three steady-state miss cycles below must not allocate: the Data buffer
+// is refilled (or rebound to the conflicting page) in place although a TLB
+// entry has published it, the twin buffer stays with the slot, and the miss
+// path's scratch lives on the stack. A race-detector build deliberately
+// refills published buffers out of place (cache.PrepareRefill), so the
+// guarantee is an ordinary-build one.
+
+func skipAllocTestUnderRace(t *testing.T) {
+	t.Helper()
+	if racetag.Enabled {
+		t.Skip("a -race build refills published buffers out of place, by design")
+	}
+}
+
+// TestAllocFreeInvalidateRemiss: a line is self-invalidated (the per-line
+// action of the SI sweep — the fence's own bookkeeping slices are not the
+// miss path) and read-missed again.
+func TestAllocFreeInvalidateRemiss(t *testing.T) {
+	skipAllocTestUnderRace(t)
+	r, tbs := wordRig(t, Options{Mode: ModePS3})
+	n, p, tb := r.nodes[0], r.procs[0], tbs[0]
+	addr := mem.Addr(3 * 4096) // homed on node 1: a remote line fetch
+	binary.LittleEndian.PutUint64(r.space.HomeBytes(3), 77)
+	l := n.Cache.LineOf(3)
+	cycle := func() {
+		n.Cache.LockLine(l)
+		n.Cache.BumpLineGen(l)
+		slots := n.Cache.LineSlots(l)
+		for i := range slots {
+			slots[i].Invalidate()
+		}
+		n.Cache.UnlockLine(l)
+		if got := n.ReadWord(p, tb, addr); got != 77 {
+			t.Fatalf("re-miss read %d, want 77", got)
+		}
+	}
+	cycle()
+	misses := r.fab.NodeStats(0).ReadMisses.Load()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("SI-invalidate + re-miss allocated %.1f times per cycle, want 0", a)
+	}
+	if got := r.fab.NodeStats(0).ReadMisses.Load() - misses; got != 101 {
+		t.Fatalf("cycle made %d read misses in 101 runs: not the path under test", got)
+	}
+}
+
+// TestAllocFreeWriteMissDowngradeCycle: with a one-page write buffer two
+// pages take turns — every store is a write miss (twin, registration check,
+// write-buffer push) whose overflow downgrades the other page (diff against
+// the twin, posted write, twin retired).
+func TestAllocFreeWriteMissDowngradeCycle(t *testing.T) {
+	skipAllocTestUnderRace(t)
+	r := newRigGeom(t, Options{Mode: ModePS3}, 8, 2, 1)
+	n, p, tb := r.nodes[0], r.procs[0], cache.NewTLB()
+	a, b := mem.Addr(3*4096), mem.Addr(5*4096) // different lines, remote homes
+	v := uint64(0)
+	cycle := func() {
+		v++
+		n.WriteWord(p, tb, a, v)
+		n.WriteWord(p, tb, b, v)
+	}
+	cycle()
+	wm, wb := r.fab.NodeStats(0).WriteMisses.Load(), r.fab.NodeStats(0).Writebacks.Load()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("write miss + downgrade allocated %.1f times per cycle, want 0", got)
+	}
+	if dm, db := r.fab.NodeStats(0).WriteMisses.Load()-wm, r.fab.NodeStats(0).Writebacks.Load()-wb; dm != 202 || db != 202 {
+		t.Fatalf("101 cycles made %d write misses and %d writebacks, want 202 each", dm, db)
+	}
+	n.SDFence(p)
+	if got := binary.LittleEndian.Uint64(r.space.HomeBytes(3)); got != v {
+		t.Fatalf("home of page 3 = %d, want %d", got, v)
+	}
+}
+
+// TestAllocFreeConflictEvictRefill: in a one-line cache two conflicting pages
+// take turns — every store evicts the other page dirty (forced writeback),
+// rebinds the slot's published buffer to the new page and refills it.
+func TestAllocFreeConflictEvictRefill(t *testing.T) {
+	skipAllocTestUnderRace(t)
+	r := newRigGeom(t, Options{Mode: ModePS3}, 1, 2, 16)
+	n, p, tb := r.nodes[0], r.procs[0], cache.NewTLB()
+	a, b := mem.Addr(1*4096), mem.Addr(3*4096) // both map to slot 1 of line 0
+	v := uint64(0)
+	cycle := func() {
+		v++
+		n.WriteWord(p, tb, a, v)
+		n.WriteWord(p, tb, b+8, v)
+	}
+	cycle()
+	rm := r.fab.NodeStats(0).ReadMisses.Load()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("conflict eviction + refill allocated %.1f times per cycle, want 0", got)
+	}
+	if d := r.fab.NodeStats(0).ReadMisses.Load() - rm; d != 202 {
+		t.Fatalf("101 cycles made %d misses, want 202", d)
+	}
+	n.SDFence(p)
+	if ga, gb := binary.LittleEndian.Uint64(r.space.HomeBytes(1)), binary.LittleEndian.Uint64(r.space.HomeBytes(3)[8:]); ga != v || gb != v {
+		t.Fatalf("home = %d, %d, want %d (store lost across a recycled buffer)", ga, gb, v)
+	}
+}
+
+// TestSeqlockConflictRefillHammer is the soundness test of in-place refill:
+// reader threads spin on words of page P while another thread of the node
+// keeps forcing P↔Q conflict refills through the one slot both map to, so
+// the buffer the readers' TLB entries point into is rebound to Q over and
+// over. Every word of a page carries that page's number, so a read served
+// from the wrong page's bytes — a speculative load that escaped the seqlock
+// re-check — is recognizable. Run with -cpu 1,2,4; under -race the same test
+// checks that the discarded loads stay invisible to the detector.
+func TestSeqlockConflictRefillHammer(t *testing.T) {
+	r := newRigGeom(t, Options{Mode: ModePS3}, 1, 1, 4)
+	const pageP, pageQ = 3, 5
+	word := func(page, i int) uint64 { return uint64(page)<<32 | uint64(i) }
+	for _, pg := range []int{pageP, pageQ} {
+		home := r.space.HomeBytes(pg)
+		for i := 0; i < 512; i++ {
+			binary.LittleEndian.PutUint64(home[8*i:], word(pg, i))
+		}
+	}
+	n := r.nodes[0]
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p := &sim.Proc{Node: 0}
+			tb := cache.NewTLB()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w := (i * 7) & 511
+				if got := n.ReadWord(p, tb, mem.Addr(pageP*4096+8*w)); got != word(pageP, w) {
+					t.Errorf("reader %d: word %d of page %d read %#x, want %#x", g, w, pageP, got, word(pageP, w))
+					return
+				}
+				if i&15 == 15 {
+					runtime.Gosched() // let the thrasher in on 1-CPU hosts
+				}
+			}
+		}(g)
+	}
+
+	p := &sim.Proc{Node: 0}
+	tb := cache.NewTLB()
+	var buf [8]byte
+	for i := 0; i < 4000 && !t.Failed(); i++ {
+		w := (i * 13) & 511
+		addr := mem.Addr(pageQ*4096 + 8*w)
+		switch i & 3 {
+		case 0: // bulk path: refills without publishing the buffer
+			n.ReadAt(p, addr, buf[:])
+			if got := binary.LittleEndian.Uint64(buf[:]); got != word(pageQ, w) {
+				t.Fatalf("thrasher: bulk read %#x, want %#x", got, word(pageQ, w))
+			}
+		case 1: // dirty the page (same value) so its eviction runs the twin/diff path
+			n.WriteWord(p, tb, addr, word(pageQ, w))
+		default:
+			if got := n.ReadWord(p, tb, addr); got != word(pageQ, w) {
+				t.Fatalf("thrasher: read %#x, want %#x", got, word(pageQ, w))
+			}
+		}
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	n.SDFence(p)
+	for _, pg := range []int{pageP, pageQ} {
+		home := r.space.HomeBytes(pg)
+		for i := 0; i < 512; i++ {
+			if got := binary.LittleEndian.Uint64(home[8*i:]); got != word(pg, i) {
+				t.Fatalf("home word %d of page %d = %#x, want %#x", i, pg, got, word(pg, i))
+			}
 		}
 	}
 }

@@ -53,6 +53,11 @@ func TestDSMCohortPrefersLocal(t *testing.T) {
 	slot := c.AllocI64(1)
 	l := NewDSMCohortLock(c)
 	c.Run(4, func(th *core.Thread) {
+		// Contend from a common start: the whole loop is a millisecond of
+		// host time, so on a loaded host the first goroutines launched could
+		// otherwise finish before the rest exist, and threads that run alone
+		// hand over remotely every time.
+		th.Barrier()
 		for k := 0; k < 100; k++ {
 			l.Lock(th)
 			th.SetI64(slot, 0, th.GetI64(slot, 0)+1)

@@ -19,7 +19,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Addr is a byte offset into the global address space.
@@ -172,26 +171,6 @@ func (s *Space) ResetAlloc() { s.cursor.Store(0) }
 func (s *Space) ReadPage(p int, dst []byte) {
 	s.locks[p].RLock()
 	copy(dst, s.pages[p])
-	s.locks[p].RUnlock()
-}
-
-// ReadPageWords is ReadPage with the destination stores performed as
-// aligned 8-byte atomics. Cache refills use it when the Lynx lock-free read
-// path is possible for the slot: a fast-path reader may load a word of the
-// destination buffer concurrently (it discards the value after its seqlock
-// generation check fails), and atomic stores keep that benign overlap
-// race-detector-clean. dst must be 8-byte aligned with len(dst)%8 == 0; the
-// caller falls back to ReadPage otherwise.
-func (s *Space) ReadPageWords(p int, dst []byte) {
-	s.locks[p].RLock()
-	src := s.pages[p]
-	n := len(src)
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i+8 <= n; i += 8 {
-		atomic.StoreUint64((*uint64)(unsafe.Pointer(&dst[i])), binary.LittleEndian.Uint64(src[i:]))
-	}
 	s.locks[p].RUnlock()
 }
 

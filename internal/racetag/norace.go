@@ -1,0 +1,12 @@
+//go:build !race
+
+// Package racetag exposes, as a build-tagged constant, whether the binary was
+// built with the race detector. Its one production reader is the page cache's
+// refill decision (cache.PrepareRefill): a refill overwrites a buffer that a
+// lock-free reader may still load from speculatively — sound, because the
+// seqlock re-check discards the value, but a data race the detector would
+// report — so a -race build hands the refill a fresh buffer instead.
+package racetag
+
+// Enabled reports whether the binary was built with the race detector.
+const Enabled = false

@@ -3,31 +3,48 @@
 // decision. These tests run the deterministic workloads twice, with the
 // TLB enabled (default) and disabled (Config.NoAccessTLB), and require
 // bit-identical reports; plus a zero-allocation guarantee on scalar hits.
+// The tiny-cache variants repeat the A/B where the miss path does the work:
+// a working set twice the cache, so buffers are refilled and rebound in
+// place under the readers' TLB entries all run long.
 package argo_test
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"argo"
+	"argo/internal/coherence"
 	"argo/internal/core"
 	"argo/internal/fault"
+	"argo/internal/mem"
 	"argo/internal/workloads/drf"
 	"argo/internal/workloads/lu"
 )
 
-// withTLBDisabled runs fn with every cluster forced onto the locked-only
-// access path, restoring the default afterwards.
-func withTLBDisabled(t *testing.T, fn func()) {
+// luChaosSpec is the perf ledger's lu_chaos plan (benchmark/workloads.go).
+const luChaosSpec = "crash=0.03,crashrestart=on,partition=0.05,partdur=2,drop=0.01,seed=42"
+
+// withConfig runs fn with mutate applied to every cluster's Config,
+// restoring the previous hook afterwards.
+func withConfig(t *testing.T, mutate func(*core.Config), fn func()) {
 	t.Helper()
 	prev := core.ConfigHook
 	core.ConfigHook = func(cfg *core.Config) {
 		if prev != nil {
 			prev(cfg)
 		}
-		cfg.NoAccessTLB = true
+		mutate(cfg)
 	}
 	defer func() { core.ConfigHook = prev }()
 	fn()
+}
+
+// withTLBDisabled runs fn with every cluster forced onto the locked-only
+// access path, restoring the default afterwards.
+func withTLBDisabled(t *testing.T, fn func()) {
+	t.Helper()
+	withConfig(t, func(cfg *core.Config) { cfg.NoAccessTLB = true }, fn)
 }
 
 func TestScalarHitZeroAlloc(t *testing.T) {
@@ -135,5 +152,85 @@ func TestReplayIdenticalChaosLU(t *testing.T) {
 	if on.Digest != off.Digest || on.Epoch != off.Epoch || on.Deaths != off.Deaths ||
 		on.Partitions != off.Partitions || on.History != off.History {
 		t.Fatalf("TLB changed chaos LU:\n on: %+v\noff: %+v", on, off)
+	}
+}
+
+// TestLynxReplayIdenticalTinyCacheDRF runs the ledger's drf_scatter geometry —
+// every page multi-writer, 256 pages through a 128-page cache of 2-page
+// lines, a 64-page write buffer — with the TLB on and off, fault-free and
+// under the lu_chaos plan. Which thread first touches a page is a host race
+// on this program, so its makespan is not replayable (drf/chaos.go); what
+// must be bit-identical is the final memory, and every run must pass the
+// program's own per-read checks and the cache invariants.
+func TestLynxReplayIdenticalTinyCacheDRF(t *testing.T) {
+	plan, err := fault.ParsePlan(luChaosSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := drf.Params{
+		Seed: 5, Nodes: 4, TPN: 4, Elements: 131072, Epochs: 2, Reads: 512,
+		PageSize: 4096, CacheLine: 64, PerLine: 2, WBPages: 64,
+		Mode: coherence.ModePS3, Policy: mem.Interleaved,
+	}
+	var digests []uint64
+	for _, faults := range []*fault.Plan{nil, &plan} {
+		pr.Faults = faults
+		on, err := drf.RunReport(pr)
+		if err != nil {
+			t.Fatalf("TLB on, faults %v: %v", faults != nil, err)
+		}
+		var off drf.Report
+		withTLBDisabled(t, func() { off, err = drf.RunReport(pr) })
+		if err != nil {
+			t.Fatalf("TLB off, faults %v: %v", faults != nil, err)
+		}
+		if faults != nil && (on.Faults.Drops == 0 || off.Faults.Drops == 0) {
+			t.Fatalf("chaos plan injected nothing: on %+v, off %+v", on.Faults, off.Faults)
+		}
+		digests = append(digests, on.Digest, off.Digest)
+	}
+	for _, d := range digests[1:] {
+		if d != digests[0] {
+			t.Fatalf("final memory differs across TLB on/off x fault-free/chaos: %016x", digests)
+		}
+	}
+}
+
+// TestLynxReplayIdenticalTinyCacheChaosLU is TestReplayIdenticalChaosLU with the
+// same tiny cache under a matrix twice its size, and the ledger's lu_chaos
+// plan: crash-restarts, partitions and drops land on a cache that conflict-
+// evicts and refills in place throughout.
+func TestLynxReplayIdenticalTinyCacheChaosLU(t *testing.T) {
+	plan, err := fault.ParsePlan(luChaosSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := lu.CrashParams{Params: lu.Params{N: 384, Block: 32}, Nodes: 6, Faults: &plan}
+	var on, off lu.CrashReport
+	withConfig(t, func(cfg *core.Config) {
+		cfg.CacheLines, cfg.PagesPerLine, cfg.WriteBufferPages = 64, 2, 64
+	}, func() {
+		if on, err = lu.RunCrash(p); err != nil {
+			t.Fatal(err)
+		}
+		withTLBDisabled(t, func() { off, err = lu.RunCrash(p) })
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if on.Deaths == 0 {
+		t.Fatalf("plan killed nobody: %+v", on)
+	}
+	// Two crashes of one episode enter the history in host arrival order
+	// (this plan has such a pair; see benchmark/README.md, Fingerprints), so
+	// the decisions are compared as a multiset.
+	decisions := func(h string) string {
+		ds := strings.Fields(h)
+		sort.Strings(ds)
+		return strings.Join(ds, " ")
+	}
+	if on.Digest != off.Digest || on.Epoch != off.Epoch || on.Deaths != off.Deaths ||
+		on.Partitions != off.Partitions || decisions(on.History) != decisions(off.History) {
+		t.Fatalf("TLB changed tiny-cache chaos LU:\n on: %+v\noff: %+v", on, off)
 	}
 }
