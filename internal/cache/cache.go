@@ -148,7 +148,7 @@ func (c *Cache) MarkLineUsed(l int) {
 // of ForEachLine so their cost scales with the resident set, not with the
 // cache geometry.
 func (c *Cache) ForEachUsedLine(fn func(l int, slots []Slot)) {
-	for _, l := range c.UsedLines() {
+	for _, l := range c.AppendUsedLines(nil) {
 		c.lineLocks[l].Lock()
 		fn(l, c.LineSlots(l))
 		c.RetireLineIfEmpty(l)
@@ -157,14 +157,15 @@ func (c *Cache) ForEachUsedLine(fn func(l int, slots []Slot)) {
 	c.CompactUsedList()
 }
 
-// UsedLines returns a snapshot of the occupied line indices in first-use
-// order. Parallel fence sweeps shard it across workers and lock each line
-// themselves.
-func (c *Cache) UsedLines() []int {
+// AppendUsedLines appends the occupied line indices, in first-use order, to
+// buf and returns it — a snapshot in the caller's buffer, so a fence that
+// keeps one allocates nothing. Fence sweeps shard the snapshot across
+// workers and lock each line themselves.
+func (c *Cache) AppendUsedLines(buf []int) []int {
 	c.usedMu.Lock()
-	out := append([]int(nil), c.usedList...)
+	buf = append(buf, c.usedList...)
 	c.usedMu.Unlock()
-	return out
+	return buf
 }
 
 // RetireLineIfEmpty clears line l's used flag if no slot holds a valid page.

@@ -389,8 +389,15 @@ func TestUsedLinesSnapshotAndRetire(t *testing.T) {
 		c.MarkLineUsed(l)
 		c.UnlockLine(l)
 	}
-	if got := c.UsedLines(); len(got) != 2 || got[0] != 3 || got[1] != 1 {
-		t.Fatalf("UsedLines = %v, want [3 1] (first-use order)", got)
+	if got := c.AppendUsedLines(nil); len(got) != 2 || got[0] != 3 || got[1] != 1 {
+		t.Fatalf("AppendUsedLines = %v, want [3 1] (first-use order)", got)
+	}
+	// It appends to the caller's buffer: what is there stays, and a buffer
+	// with room is filled in place.
+	buf := make([]int, 1, 8)
+	buf[0] = 42
+	if got := c.AppendUsedLines(buf); len(got) != 3 || got[0] != 42 || got[1] != 3 || got[2] != 1 || &got[0] != &buf[0] {
+		t.Fatalf("AppendUsedLines(buf) = %v, want [42 3 1] in buf's own storage", got)
 	}
 	// Retire line 3 after emptying it; the snapshot compacts.
 	c.LockLine(3)
@@ -398,15 +405,15 @@ func TestUsedLinesSnapshotAndRetire(t *testing.T) {
 	c.RetireLineIfEmpty(3)
 	c.UnlockLine(3)
 	c.CompactUsedList()
-	if got := c.UsedLines(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("UsedLines after retire = %v, want [1]", got)
+	if got := c.AppendUsedLines(nil); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("AppendUsedLines after retire = %v, want [1]", got)
 	}
 	// A non-empty line does not retire.
 	c.LockLine(1)
 	c.RetireLineIfEmpty(1)
 	c.UnlockLine(1)
 	c.CompactUsedList()
-	if got := c.UsedLines(); len(got) != 1 {
+	if got := c.AppendUsedLines(nil); len(got) != 1 {
 		t.Fatalf("occupied line retired: %v", got)
 	}
 }

@@ -29,9 +29,13 @@ package coherence
 // was safe from the fencing thread: the line lock pins the slot, the home
 // page lock orders the apply, and DRF guarantees no remote reader consumes
 // the bytes before the fence (and the release it implements) completes.
+//
+// None of this allocates in steady state: every slice a fence needs lives in
+// a fenceScratch record taken from a pool on entry and returned on exit.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"argo/internal/cache"
@@ -64,39 +68,78 @@ func (n *Node) sweepWorkers(nl int) int {
 	return w
 }
 
-// parallelSweep runs shard(w, wp, lines) over nw strided shards of lines,
-// each on a clone of p's clock, and max-combines the worker clocks back into
-// p. Shard w gets lines[w], lines[w+nw], … — deterministic regardless of the
-// host. With one worker the shard runs inline on p itself. Workers must do
-// only local work (line-locked cache transitions, home-memory applies, clock
-// advances): anything that orders against other nodes' clocks — NIC
-// occupancy, posted writes — belongs to the burst phase on p, or replay
-// determinism is lost.
-func (n *Node) parallelSweep(p *sim.Proc, lines []int, nw int, shard func(w int, wp *sim.Proc, lines []int)) {
+// fenceScratch holds the slices one fence — or one worker of a parallel
+// sweep — works in, so that a steady-state fence allocates nothing. The
+// fencing thread takes a record from fenceScratchPool when the fence starts
+// and owns it until the fence returns; a parallel sweep takes one more per
+// worker, which the worker owns until the fencing thread has merged its
+// results after the join. Records go back to the pool with their slices'
+// capacity intact and their contents dead: every user reslices to [:0].
+type fenceScratch struct {
+	lines   []int             // used-line snapshot (a worker: its strided share)
+	refs    []siRef           // SI sweep: resident pages, in line order
+	pages   []int             // SI sweep: CachedMany input
+	entries []directory.Entry // SI sweep: CachedMany output
+	items   []burstItem       // downgrades awaiting the burst
+	post    []fabric.PostItem // postBurst: the pass being posted
+	retry   []fabric.PostItem // postBurst: the failed remainder of that pass
+
+	inv, kept int64    // SI sweep: pages invalidated / exempted
+	proc      sim.Proc // a parallel sweep worker's clone of the fencing clock
+}
+
+var fenceScratchPool = sync.Pool{New: func() any { return new(fenceScratch) }}
+
+// getFenceScratch returns a scratch record with an empty downgrade list and
+// zero SI counts; the other slices are resliced by whoever fills them.
+func getFenceScratch() *fenceScratch {
+	sc := fenceScratchPool.Get().(*fenceScratch)
+	sc.items = sc.items[:0]
+	sc.inv, sc.kept = 0, 0
+	return sc
+}
+
+// sweep runs shard over the used lines snapshotted in sc.lines and leaves the
+// collected downgrades (and the SI counts) in sc. Up to sweepWorkers strided
+// shards run concurrently — shard w gets lines[w], lines[w+nw], …,
+// deterministic regardless of the host — each in its own scratch record and
+// on a clone of p's clock; the clones max-combine back into p and the results
+// are merged in worker order. With one worker the shard runs inline on p and
+// sc. Workers must do only local work (line-locked cache transitions,
+// home-memory applies, clock advances): anything that orders against other
+// nodes' clocks — NIC occupancy, posted writes — belongs to the burst phase
+// on p, or replay determinism is lost.
+func (n *Node) sweep(p *sim.Proc, sc *fenceScratch, shard func(n *Node, wp *sim.Proc, lines []int, sc *fenceScratch)) {
+	nw := n.sweepWorkers(len(sc.lines))
 	if nw == 1 {
-		shard(0, p, lines)
+		shard(n, p, sc.lines, sc)
 		return
 	}
-	procs := make([]*sim.Proc, nw)
+	workers := make([]*fenceScratch, nw)
 	var wg sync.WaitGroup
 	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		wp := &sim.Proc{Node: p.Node, Socket: p.Socket, Core: p.Core}
-		wp.SetNow(p.Now())
-		procs[w] = wp
-		sub := make([]int, 0, (len(lines)-w+nw-1)/nw)
-		for i := w; i < len(lines); i += nw {
-			sub = append(sub, lines[i])
+	for w := range workers {
+		ws := getFenceScratch()
+		workers[w] = ws
+		ws.proc = sim.Proc{Node: p.Node, Socket: p.Socket, Core: p.Core}
+		ws.proc.SetNow(p.Now())
+		ws.lines = ws.lines[:0]
+		for i := w; i < len(sc.lines); i += nw {
+			ws.lines = append(ws.lines, sc.lines[i])
 		}
-		go func(w int, wp *sim.Proc, sub []int) {
+		go func() {
 			defer wg.Done()
-			shard(w, wp, sub)
-		}(w, wp, sub)
+			shard(n, &ws.proc, ws.lines, ws)
+		}()
 	}
 	wg.Wait()
-	for _, wp := range procs {
-		p.AdvanceTo(wp.Now())
-		p.Hits += wp.Hits
+	for _, ws := range workers {
+		p.AdvanceTo(ws.proc.Now())
+		p.Hits += ws.proc.Hits
+		sc.items = append(sc.items, ws.items...)
+		sc.inv += ws.inv
+		sc.kept += ws.kept
+		fenceScratchPool.Put(ws)
 	}
 }
 
@@ -147,17 +190,18 @@ func (n *Node) downgradeSlotLocked(wp *sim.Proc, s *cache.Slot) burstItem {
 // postBurst posts the sweep's downgrades home-grouped and loops the failed
 // remainder through detection, backoff and reissue until delivered. Runs on
 // the fencing thread's clock only.
-func (n *Node) postBurst(p *sim.Proc, items []burstItem) {
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].home != items[j].home {
-			return items[i].home < items[j].home
+func (n *Node) postBurst(p *sim.Proc, sc *fenceScratch) {
+	items := sc.items
+	slices.SortFunc(items, func(a, b burstItem) int {
+		if c := cmp.Compare(a.home, b.home); c != 0 {
+			return c
 		}
-		return items[i].page < items[j].page
+		return cmp.Compare(a.page, b.page)
 	})
-	post := make([]fabric.PostItem, len(items))
+	post, spare := sc.post[:0], sc.retry
 	homes := 0
 	for i, it := range items {
-		post[i] = fabric.PostItem{Home: it.home, Bytes: it.tx, Key: uint64(it.page), Attempt: it.attempt}
+		post = append(post, fabric.PostItem{Home: it.home, Bytes: it.tx, Key: uint64(it.page), Attempt: it.attempt})
 		if i == 0 || it.home != items[i-1].home {
 			homes++
 		}
@@ -170,17 +214,18 @@ func (n *Node) postBurst(p *sim.Proc, items []burstItem) {
 	for pass := 0; ; pass++ {
 		failed := n.Fab.PostWriteBurst(p, post)
 		if len(failed) == 0 {
+			sc.post, sc.retry = post, spare // keep whatever capacity they grew
 			return
 		}
-		retry := make([]fabric.PostItem, 0, len(failed))
+		spare = spare[:0]
 		for _, idx := range failed {
 			it := post[idx]
 			it.Attempt++
 			n.ev(p, trace.EvWBRetry, int(it.Key), int64(it.Attempt))
-			retry = append(retry, it)
+			spare = append(spare, it)
 		}
 		n.wbRetryPenalty(p, len(failed), pass)
-		post = retry
+		post, spare = spare, post
 	}
 }
 
@@ -188,10 +233,10 @@ func (n *Node) postBurst(p *sim.Proc, items []burstItem) {
 // SI fence
 // ---------------------------------------------------------------------------
 
-// siShard accumulates one sweep worker's results.
-type siShard struct {
-	items     []burstItem
-	inv, kept int64
+// siRef is one resident page an SI sweep snapshotted under its line lock.
+type siRef struct {
+	s          *cache.Slot
+	line, page int
 }
 
 // SIFence self-invalidates the node's page cache: every cached page that the
@@ -202,23 +247,15 @@ type siShard struct {
 func (n *Node) SIFence(p *sim.Proc) {
 	n.St.SIFences.Add(1)
 	t0 := p.Now()
-	lines := n.Cache.UsedLines()
-	nw := n.sweepWorkers(len(lines))
-	shards := make([]siShard, nw)
-	n.parallelSweep(p, lines, nw, func(w int, wp *sim.Proc, sub []int) {
-		n.siSweepShard(wp, sub, &shards[w])
-	})
+	sc := getFenceScratch()
+	sc.lines = n.Cache.AppendUsedLines(sc.lines[:0])
+	n.sweep(p, sc, (*Node).siSweepShard)
 	n.Cache.CompactUsedList()
-	var items []burstItem
-	var inv, kept int64
-	for i := range shards {
-		items = append(items, shards[i].items...)
-		inv += shards[i].inv
-		kept += shards[i].kept
+	if len(sc.items) > 0 {
+		n.postBurst(p, sc)
 	}
-	if len(items) > 0 {
-		n.postBurst(p, items)
-	}
+	inv, kept := sc.inv, sc.kept
+	fenceScratchPool.Put(sc)
 	n.spanFrom(p, t0, span.SISweep, inv)
 	n.evDur(p, trace.EvSIFence, -1, inv, p.Now()-t0)
 	if n.MX != nil {
@@ -234,12 +271,8 @@ func (n *Node) SIFence(p *sim.Proc) {
 // resident pages, batch the classification lookups with one CachedMany, then
 // invalidate (downgrading first where dirty) the pages the classification
 // cannot exempt.
-func (n *Node) siSweepShard(wp *sim.Proc, lines []int, out *siShard) {
-	type ref struct {
-		s          *cache.Slot
-		line, page int
-	}
-	var refs []ref
+func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
+	refs, pages := sc.refs[:0], sc.pages[:0]
 	for _, l := range lines {
 		n.Cache.LockLine(l)
 		slots := n.Cache.LineSlots(l)
@@ -249,18 +282,17 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, out *siShard) {
 				continue
 			}
 			wp.Advance(n.Opt.FencePerPage)
-			refs = append(refs, ref{s, l, s.Page})
+			refs = append(refs, siRef{s, l, s.Page})
+			pages = append(pages, s.Page)
 		}
 		n.Cache.UnlockLine(l)
 	}
+	sc.refs, sc.pages = refs, pages
 	if len(refs) == 0 {
 		return
 	}
-	pages := make([]int, len(refs))
-	for i, r := range refs {
-		pages[i] = r.page
-	}
-	entries := make([]directory.Entry, len(refs))
+	entries := slices.Grow(sc.entries[:0], len(refs))[:len(refs)]
+	sc.entries = entries
 	n.Dir.CachedMany(n.ID, pages, entries)
 	for i := 0; i < len(refs); {
 		l := refs[i].line
@@ -274,7 +306,7 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, out *siShard) {
 			if !ShouldSelfInvalidate(n.Opt.Mode, entries[i], n.ID) {
 				n.St.SIFiltered.Add(1)
 				n.ev(wp, trace.EvKeep, s.Page, 0)
-				out.kept++
+				sc.kept++
 				continue
 			}
 			if !bumped {
@@ -285,7 +317,7 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, out *siShard) {
 				bumped = true
 			}
 			if s.St == cache.Dirty {
-				out.items = append(out.items, n.downgradeSlotLocked(wp, s))
+				sc.items = append(sc.items, n.downgradeSlotLocked(wp, s))
 			}
 			n.ev(wp, trace.EvInvalidate, s.Page, 0)
 			if n.MX != nil {
@@ -293,11 +325,13 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, out *siShard) {
 			}
 			s.Invalidate()
 			n.St.SelfInvalidations.Add(1)
-			out.inv++
+			sc.inv++
 		}
 		n.Cache.RetireLineIfEmpty(l)
 		n.Cache.UnlockLine(l)
 	}
+	// A pooled record must not pin this cluster's cache once the run is over.
+	clear(refs)
 }
 
 // ---------------------------------------------------------------------------
@@ -315,25 +349,20 @@ func (n *Node) SDFence(p *sim.Proc) {
 	if n.MX != nil {
 		n.MX.DrainResiduePages.Record(n.ID, int64(n.Cache.WBLen()))
 	}
-	lines := n.Cache.UsedLines()
-	nw := n.sweepWorkers(len(lines))
-	shards := make([][]burstItem, nw)
-	n.parallelSweep(p, lines, nw, func(w int, wp *sim.Proc, sub []int) {
-		shards[w] = n.sdSweepShard(wp, sub)
-	})
+	sc := getFenceScratch()
+	sc.lines = n.Cache.AppendUsedLines(sc.lines[:0])
+	n.sweep(p, sc, (*Node).sdSweepShard)
 	n.Cache.WBClear()
-	var items []burstItem
-	for _, s := range shards {
-		items = append(items, s...)
-	}
-	if len(items) > 0 {
-		n.postBurst(p, items)
+	downgraded := int64(len(sc.items))
+	if downgraded > 0 {
+		n.postBurst(p, sc)
 		// Wait for the last posted downgrade to land before the fence
 		// completes (the flush that makes the writes globally visible).
 		p.Advance(n.Fab.P.RemoteLatency)
 	}
-	n.spanFrom(p, t0, span.SDBurst, int64(len(items)))
-	n.evDur(p, trace.EvSDFence, -1, int64(len(items)), p.Now()-t0)
+	fenceScratchPool.Put(sc)
+	n.spanFrom(p, t0, span.SDBurst, downgraded)
+	n.evDur(p, trace.EvSDFence, -1, downgraded, p.Now()-t0)
 	if n.MX != nil {
 		n.MX.SDFenceNs.Record(n.ID, p.Now()-t0)
 	}
@@ -341,8 +370,7 @@ func (n *Node) SDFence(p *sim.Proc) {
 
 // sdSweepShard sweeps one worker's share of the used lines, downgrading
 // every dirty page (checkpointing private ones in the naive P/S mode).
-func (n *Node) sdSweepShard(wp *sim.Proc, lines []int) []burstItem {
-	var items []burstItem
+func (n *Node) sdSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 	for _, l := range lines {
 		n.Cache.LockLine(l)
 		slots := n.Cache.LineSlots(l)
@@ -358,11 +386,10 @@ func (n *Node) sdSweepShard(wp *sim.Proc, lines []int) []burstItem {
 					continue
 				}
 			}
-			items = append(items, n.downgradeSlotLocked(wp, s))
+			sc.items = append(sc.items, n.downgradeSlotLocked(wp, s))
 		}
 		n.Cache.UnlockLine(l)
 	}
-	return items
 }
 
 // ---------------------------------------------------------------------------

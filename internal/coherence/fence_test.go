@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"argo/internal/fault"
 	"argo/internal/mem"
 	"argo/internal/sim"
+	"argo/internal/stats"
 )
 
 // bigRig builds a 4-node rig with enough cache lines that the parallel
@@ -79,41 +82,122 @@ func TestSDFenceBurstMultiHome(t *testing.T) {
 	}
 }
 
+// A sweep sharded over four workers (300 used lines) must leave exactly what
+// the serial sweep leaves — every counter, every home byte — over several
+// SD/SI fence pairs, so that worker scratch records come back out of the pool
+// carrying an earlier fence's contents. Its virtual cost is by design not the
+// serial one (worker clocks max-combine instead of adding up): it must not
+// exceed it, and must repeat bit for bit.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	pages := manyPages(300)
-	run := func(workers int) (sim.Time, sim.Time, [][]byte) {
+	type outcome struct {
+		fences []sim.Time // SD, SI, SD, SI, …
+		stats  stats.Snapshot
+		home   [][]byte
+	}
+	run := func(workers int) outcome {
 		r := bigRig(t, Options{Mode: ModePS3, FenceWorkers: workers}, nil)
-		dirtyMany(r, pages)
-		t0 := r.procs[0].Now()
-		r.nodes[0].SDFence(r.procs[0])
-		sd := r.procs[0].Now() - t0
-		// Dirty again, then SI: the fence downgrades and invalidates.
-		dirtyMany(r, pages)
-		t1 := r.procs[0].Now()
-		r.nodes[0].SIFence(r.procs[0])
-		si := r.procs[0].Now() - t1
-		var mem [][]byte
+		// Node 1 writes every third page first: for node 0 those are
+		// multi-writer pages its SI fence must downgrade and drop, the rest
+		// stay private and are kept.
+		for i, pg := range pages {
+			if i%3 == 0 {
+				r.write64(1, mem.Addr(pg*4096+8), 9)
+			}
+		}
+		r.nodes[1].SDFence(r.procs[1])
+		n, p := r.nodes[0], r.procs[0]
+		var o outcome
+		timed := func(fence func(*sim.Proc)) {
+			t0 := p.Now()
+			fence(p)
+			o.fences = append(o.fences, p.Now()-t0)
+		}
+		for cycle := 0; cycle < 3; cycle++ {
+			for _, pg := range pages {
+				r.write64(0, mem.Addr(pg*4096), byte(pg%199)+byte(2*cycle)+1)
+			}
+			timed(n.SDFence)
+			for _, pg := range pages {
+				r.write64(0, mem.Addr(pg*4096), byte(pg%199)+byte(2*cycle)+2)
+			}
+			timed(n.SIFence)
+		}
+		n.SDFence(p) // the kept private pages are still dirty
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		o.stats = r.fab.NodeStats(0).Snapshot()
 		for _, pg := range pages {
-			mem = append(mem, append([]byte(nil), r.space.HomeBytes(pg)[:8]...))
+			o.home = append(o.home, append([]byte(nil), r.space.HomeBytes(pg)...))
 		}
-		return sd, si, mem
+		return o
 	}
-	sd1, si1, mem1 := run(1)
-	sd4, si4, mem4 := run(4)
-	// The parallel sweep models a multithreaded fence: its virtual cost is
-	// the max over workers, so it must be at most the serial cost — and
-	// bit-identical across repeated runs (host scheduling must not leak in).
-	if sd4 > sd1 || si4 > si1 {
-		t.Fatalf("parallel sweep slower than serial: SD %d vs %d, SI %d vs %d", sd4, sd1, si4, si1)
+	serial, par, again := run(1), run(4), run(4)
+	if serial.stats != par.stats {
+		t.Fatalf("counters differ between worker counts:\nserial   %+v\nparallel %+v", serial.stats, par.stats)
 	}
-	sd4b, si4b, mem4b := run(4)
-	if sd4 != sd4b || si4 != si4b {
-		t.Fatalf("parallel fence time not deterministic: SD %d vs %d, SI %d vs %d", sd4, sd4b, si4, si4b)
+	if serial.stats.SelfInvalidations != 3*100 || serial.stats.SIFiltered != 3*200 {
+		t.Fatalf("test vacuous: %d invalidated, %d kept, want 300 and 600", serial.stats.SelfInvalidations, serial.stats.SIFiltered)
 	}
-	for i := range mem1 {
-		if string(mem1[i]) != string(mem4[i]) || string(mem4[i]) != string(mem4b[i]) {
-			t.Fatalf("page %d home bytes differ between worker counts", pages[i])
+	for i := range pages {
+		if !bytes.Equal(serial.home[i], par.home[i]) {
+			t.Fatalf("page %d home image differs between worker counts", pages[i])
 		}
+		if want := byte(pages[i]%199) + 6; par.home[i][0] != want || (i%3 == 0) != (par.home[i][8] == 9) {
+			t.Fatalf("page %d home = %d/%d, want %d and node 1's byte kept", pages[i], par.home[i][0], par.home[i][8], want)
+		}
+	}
+	for i := range par.fences {
+		if par.fences[i] > serial.fences[i] {
+			t.Fatalf("fence %d: parallel sweep cost %d, serial %d", i, par.fences[i], serial.fences[i])
+		}
+		if par.fences[i] != again.fences[i] {
+			t.Fatalf("fence %d: parallel cost not deterministic: %d vs %d", i, par.fences[i], again.fences[i])
+		}
+	}
+	if par.stats != again.stats {
+		t.Fatal("parallel counters not deterministic")
+	}
+}
+
+// TestAllocFreeFencePair: the steady-state release/acquire cycle of a lock
+// hand-off — store, SD fence (diff, burst), SI fence (classify, downgrade
+// what the SD fence's successor dirtied, invalidate) — allocates nothing on
+// the inline sweep: every slice comes from the pooled fence scratch. Page 3
+// is multi-writer (dropped by every SI fence, re-missed by the next store),
+// page 5 and the two prefetched line neighbours 2 and 4 are private (kept;
+// 5 is downgraded by every SD fence).
+func TestAllocFreeFencePair(t *testing.T) {
+	skipAllocTestUnderRace(t)
+	r := newRigGeom(t, Options{Mode: ModePS3}, 8, 2, 16)
+	r.write64(1, 3*4096+8, 9)
+	r.nodes[1].SDFence(r.procs[1])
+	n, p, tb := r.nodes[0], r.procs[0], cache.NewTLB()
+	v := uint64(0)
+	cycle := func() {
+		v++
+		n.WriteWord(p, tb, 3*4096, v)
+		n.WriteWord(p, tb, 5*4096, v)
+		n.SDFence(p)
+		n.WriteWord(p, tb, 3*4096+16, v)
+		n.SIFence(p)
+	}
+	cycle()
+	before := r.fab.NodeStats(0).Snapshot()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("write + SD fence + SI fence allocated %.1f times per cycle, want 0", a)
+	}
+	d := r.fab.NodeStats(0).Snapshot().Sub(before)
+	if d.Writebacks != 3*101 || d.SelfInvalidations != 101 || d.SIFiltered != 3*101 || d.ReadMisses != 101 {
+		t.Fatalf("101 cycles made %d writebacks, %d invalidations, %d kept, %d read misses: not the path under test", d.Writebacks, d.SelfInvalidations, d.SIFiltered, d.ReadMisses)
+	}
+	home := r.space.HomeBytes(3)
+	if a, b := binary.LittleEndian.Uint64(home), binary.LittleEndian.Uint64(home[16:]); a != v || b != v || home[8] != 9 {
+		t.Fatalf("home of page 3 = %d, %d, byte 8 = %d; want %d, %d, 9", a, b, home[8], v, v)
+	}
+	if got := binary.LittleEndian.Uint64(r.space.HomeBytes(5)); got != v {
+		t.Fatalf("home of page 5 = %d, want %d", got, v)
 	}
 }
 

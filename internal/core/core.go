@@ -623,7 +623,8 @@ func (t *Thread) InitDone() {
 // Zero-cost initialization (outside the measured parallel section)
 // ---------------------------------------------------------------------------
 
-// InitBytes writes src directly into home memory starting at a.
+// InitBytes writes src directly into home memory starting at a, allocating
+// the pages it touches (mem: home memory materialises on first write).
 func (c *Cluster) InitBytes(a mem.Addr, src []byte) {
 	ps := c.Space.PageSize
 	for len(src) > 0 {
@@ -649,7 +650,7 @@ func (c *Cluster) dumpBytes(a mem.Addr, dst []byte) {
 		if seg > len(dst) {
 			seg = len(dst)
 		}
-		copy(dst[:seg], c.Space.HomeBytes(page)[off:off+seg])
+		c.Space.ReadPageAt(page, off, dst[:seg])
 		dst = dst[seg:]
 		a += mem.Addr(seg)
 	}
@@ -659,7 +660,7 @@ func (c *Cluster) dumpBytes(a mem.Addr, dst []byte) {
 // helpers
 // ---------------------------------------------------------------------------
 
-var scratchPool = sync.Pool{New: func() any { return make([]byte, 0, 1<<16) }}
+var scratchPool = sync.Pool{New: func() any { return make([]byte, 0, bulkChunk) }}
 
 func scratch(n int) []byte {
 	b := scratchPool.Get().([]byte)
@@ -670,19 +671,3 @@ func scratch(n int) []byte {
 }
 
 func putScratch(b []byte) { scratchPool.Put(b[:0]) } //nolint:staticcheck // slice header boxing is fine here
-
-func leU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLeU64(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}

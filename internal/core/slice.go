@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 
 	"argo/internal/mem"
@@ -60,6 +61,55 @@ func fromBits[T Element](b uint64) T {
 	}
 }
 
+// encodeLE stores len(dst)/8 elements of src in dst in their memory
+// representation, little-endian 8-byte words. The type switch is on the whole
+// slice, once per call; each loop body compiles to one load and one store
+// (the three-index reslice proves the word in bounds), so a bulk transfer
+// costs a small multiple of a copy on any byte order.
+func encodeLE[T Element](dst []byte, src []T) {
+	n := len(dst) / 8
+	dst = dst[:n*8]
+	switch v := any(src).(type) {
+	case []float64:
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint64(dst[i*8:i*8+8:i*8+8], math.Float64bits(x))
+		}
+	case []int64:
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint64(dst[i*8:i*8+8:i*8+8], uint64(x))
+		}
+	case []uint64:
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint64(dst[i*8:i*8+8:i*8+8], x)
+		}
+	}
+}
+
+// decodeLE is the inverse of encodeLE: it loads len(src)/8 elements into dst.
+func decodeLE[T Element](dst []T, src []byte) {
+	n := len(src) / 8
+	src = src[:n*8]
+	switch v := any(dst).(type) {
+	case []float64:
+		for i := range v[:n] {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8 : i*8+8 : i*8+8]))
+		}
+	case []int64:
+		for i := range v[:n] {
+			v[i] = int64(binary.LittleEndian.Uint64(src[i*8 : i*8+8 : i*8+8]))
+		}
+	case []uint64:
+		for i := range v[:n] {
+			v[i] = binary.LittleEndian.Uint64(src[i*8 : i*8+8 : i*8+8])
+		}
+	}
+}
+
+// bulkChunk is how many bytes InitSlice and DumpSlice convert at a time: the
+// staging buffer (scratchPool's) stays cache-resident between the conversion
+// and the copy to or from home memory, whatever the page geometry.
+const bulkChunk = 1 << 16
+
 // AllocSlice reserves a global array of n elements on its own pages.
 func AllocSlice[T Element](c *Cluster, n int) Slice[T] {
 	return Slice[T]{Base: c.AllocPages(int64(n) * 8), Len: n}
@@ -85,18 +135,12 @@ func ReadRange[T Element](t *Thread, s Slice[T], lo, hi int, dst []T) {
 	if t.Coh.Cache.PageSize&7 != 0 {
 		raw := scratch(n * 8)
 		t.Coh.ReadAt(t.P, s.At(lo), raw)
-		for i := 0; i < n; i++ {
-			dst[i] = fromBits[T](leU64(raw[i*8:]))
-		}
+		decodeLE(dst, raw)
 		putScratch(raw)
 		return
 	}
 	t.Coh.ReadSegs(t.P, s.At(lo), n*8, func(off int, data []byte) {
-		e := off / 8
-		for i := 0; i+8 <= len(data); i += 8 {
-			dst[e] = fromBits[T](leU64(data[i:]))
-			e++
-		}
+		decodeLE(dst[off/8:], data)
 	})
 }
 
@@ -105,19 +149,13 @@ func ReadRange[T Element](t *Thread, s Slice[T], lo, hi int, dst []T) {
 func WriteRange[T Element](t *Thread, s Slice[T], lo int, src []T) {
 	if t.Coh.Cache.PageSize&7 != 0 {
 		raw := scratch(len(src) * 8)
-		for i, v := range src {
-			putLeU64(raw[i*8:], toBits(v))
-		}
+		encodeLE(raw, src)
 		t.Coh.WriteAt(t.P, s.At(lo), raw)
 		putScratch(raw)
 		return
 	}
 	t.Coh.WriteSegs(t.P, s.At(lo), len(src)*8, func(off int, data []byte) {
-		e := off / 8
-		for i := 0; i+8 <= len(data); i += 8 {
-			putLeU64(data[i:], toBits(src[e]))
-			e++
-		}
+		encodeLE(data, src[off/8:])
 	})
 }
 
@@ -125,22 +163,26 @@ func WriteRange[T Element](t *Thread, s Slice[T], lo int, src []T) {
 // and no virtual cost: the paper excludes initialization from measurement
 // and resets classification after it.
 func InitSlice[T Element](c *Cluster, s Slice[T], vals []T) {
-	raw := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		putLeU64(raw[i*8:], toBits(v))
+	raw := scratch(min(len(vals)*8, bulkChunk))
+	for e := 0; e < len(vals); e += len(raw) / 8 {
+		k := min(len(vals)-e, len(raw)/8)
+		encodeLE(raw[:k*8], vals[e:])
+		c.InitBytes(s.At(e), raw[:k*8])
 	}
-	c.InitBytes(s.Base, raw)
+	putScratch(raw)
 }
 
 // DumpSlice reads the home-memory truth of s after all threads have
 // quiesced (verification helper; zero cost, no protocol activity).
 func DumpSlice[T Element](c *Cluster, s Slice[T]) []T {
-	raw := make([]byte, s.Len*8)
-	c.dumpBytes(s.Base, raw)
 	out := make([]T, s.Len)
-	for i := range out {
-		out[i] = fromBits[T](leU64(raw[i*8:]))
+	raw := scratch(min(s.Len*8, bulkChunk))
+	for e := 0; e < s.Len; e += len(raw) / 8 {
+		k := min(s.Len-e, len(raw)/8)
+		c.dumpBytes(s.At(e), raw[:k*8])
+		decodeLE(out[e:], raw[:k*8])
 	}
+	putScratch(raw)
 	return out
 }
 

@@ -18,7 +18,6 @@ package directory
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -209,45 +208,30 @@ func (d *Directory) Cached(node, page int) Entry {
 	return e
 }
 
-// CachedMany fills out[i] with node's cached entry of pages[i], taking each
-// involved stripe lock once instead of once per page: the indices are sorted
-// by stripe (stably, so the fill order is deterministic) and each stripe's
-// pages are copied under one lock acquisition. Fence sweeps use it to batch
-// their classification lookups. out must be at least len(pages) long;
-// duplicate pages are allowed.
+// CachedMany fills out[i] with node's cached entry of pages[i], in input
+// order, holding a stripe lock across every run of consecutive pages that
+// share it instead of releasing and retaking it per page. Fence sweeps use it
+// to batch their classification lookups. It allocates nothing. out must be at
+// least len(pages) long; duplicate pages are allowed.
 func (d *Directory) CachedMany(node int, pages []int, out []Entry) {
-	k := len(pages)
-	if k == 0 {
-		return
-	}
-	if k <= 2 {
-		for i, pg := range pages {
-			out[i] = d.Cached(node, pg)
-		}
-		return
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return pages[idx[a]]%stripeCount < pages[idx[b]]%stripeCount
-	})
 	cached := d.caches[node]
 	scrub := d.hasDead.Load()
-	for i := 0; i < k; {
-		s := pages[idx[i]] % stripeCount
-		mu := &d.stripes[s]
-		mu.Lock()
-		for i < k && pages[idx[i]]%stripeCount == s {
-			pg := pages[idx[i]]
-			if scrub {
-				cached[pg].R.AndNot(d.dead)
-				cached[pg].W.AndNot(d.dead)
+	var mu *sync.Mutex
+	for i, pg := range pages {
+		if m := d.lock(pg); m != mu {
+			if mu != nil {
+				mu.Unlock()
 			}
-			out[idx[i]] = cached[pg]
-			i++
+			mu = m
+			mu.Lock()
 		}
+		if scrub {
+			cached[pg].R.AndNot(d.dead)
+			cached[pg].W.AndNot(d.dead)
+		}
+		out[i] = cached[pg]
+	}
+	if mu != nil {
 		mu.Unlock()
 	}
 }

@@ -303,21 +303,32 @@ func TestCachedManyMatchesCached(t *testing.T) {
 			d.RegisterWriter(p, pg, 1)
 		}
 	}
-	// Mixed stripes, unsorted, with duplicates and unregistered pages.
-	pages := []int{21, 0, 21, 1024, 7, 2048 + 21, 5, 14, 0}
+	// Mixed stripes, unsorted, with duplicates, unregistered pages, and a run
+	// of consecutive pages that share one stripe (0, 1024, 2048: one lock
+	// hold) between pages that do not.
+	pages := []int{21, 0, 1024, 2048, 21, 1024, 7, 2048 + 21, 5, 14, 0}
 	out := make([]Entry, len(pages))
+	check := func(when string) {
+		t.Helper()
+		d.CachedMany(0, pages, out)
+		for i, pg := range pages {
+			if want := d.Cached(0, pg); out[i] != want {
+				t.Fatalf("%s: CachedMany[%d] (page %d) = %+v, want %+v", when, i, pg, out[i], want)
+			}
+		}
+	}
+	check("all alive")
+	// An excised writer is scrubbed from the batch exactly as Cached scrubs it.
+	d.SetDead(1)
 	d.CachedMany(0, pages, out)
 	for i, pg := range pages {
-		if want := d.Cached(0, pg); out[i] != want {
-			t.Fatalf("CachedMany[%d] (page %d) = %+v, want %+v", i, pg, out[i], want)
+		if out[i].W.Has(1) || out[i].R.Has(1) {
+			t.Fatalf("CachedMany[%d] (page %d) still names the dead node: %+v", i, pg, out[i])
 		}
 	}
-	// Small batches take the per-page path; empty is a no-op.
-	d.CachedMany(0, pages[:2], out[:2])
-	for i, pg := range pages[:2] {
-		if want := d.Cached(0, pg); out[i] != want {
-			t.Fatalf("small CachedMany[%d] = %+v, want %+v", i, out[i], want)
-		}
+	check("node 1 dead")
+	d.CachedMany(0, nil, nil) // empty is a no-op
+	if a := testing.AllocsPerRun(100, func() { d.CachedMany(0, pages, out) }); a != 0 {
+		t.Fatalf("CachedMany allocated %.1f times per call, want 0", a)
 	}
-	d.CachedMany(0, nil, nil)
 }

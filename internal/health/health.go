@@ -48,7 +48,9 @@
 package health
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -595,10 +597,32 @@ func (d *Detector) History() []Transition {
 	return append([]Transition{}, d.history...)
 }
 
+// canonicalHistory returns the transition history with every run of
+// concurrent transitions — same kind, same episode, same resulting epoch:
+// the crashes of one episode — ordered by node. Such transitions are recorded
+// by whichever node's thread reaches the safe point first on the host, so
+// their recording order is not part of what replays. (Excisions, rejoins and
+// heals each land on their own epoch, in the order the barrier serializes.)
+func (d *Detector) canonicalHistory() []Transition {
+	h := d.History()
+	concurrent := func(a, b Transition) bool {
+		return a.Kind == b.Kind && a.Episode == b.Episode && a.Epoch == b.Epoch
+	}
+	for i := 0; i < len(h); {
+		j := i + 1
+		for j < len(h) && concurrent(h[i], h[j]) {
+			j++
+		}
+		slices.SortFunc(h[i:j], func(a, b Transition) int { return cmp.Compare(a.Node, b.Node) })
+		i = j
+	}
+	return h
+}
+
 // HistoryString renders the transition history canonically (for replay
 // equality checks: two same-seed runs must produce identical strings).
 func (d *Detector) HistoryString() string {
-	h := d.History()
+	h := d.canonicalHistory()
 	parts := make([]string, len(h))
 	for i, t := range h {
 		parts[i] = t.String()
@@ -611,7 +635,7 @@ func (d *Detector) HistoryString() string {
 // the decision sequence is a pure function of the fault schedule, while
 // transition times inherit the scheduling jitter of saturated NICs.
 func (d *Detector) DecisionHistoryString() string {
-	h := d.History()
+	h := d.canonicalHistory()
 	parts := make([]string, len(h))
 	for i, t := range h {
 		parts[i] = t.Decision()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"argo/internal/fault"
+	"argo/internal/sim"
 )
 
 func det(nodes int, seed int64) *Detector {
@@ -145,5 +146,29 @@ func TestTransitionLifecycle(t *testing.T) {
 	}
 	if strings.Count(dec, "(") != strings.Count(h, "(") {
 		t.Fatalf("decision history dropped transitions:\n  full %q\n  decision %q", h, dec)
+	}
+}
+
+// Two crashes of one episode are recorded by whichever node's thread reaches
+// the safe point first on the host; both renderings must come out the same
+// whichever way round that was, while the excisions that follow — each on its
+// own epoch — keep the order the barrier gave them.
+func TestHistoryRenderingIgnoresRecordingOrderOfConcurrentCrashes(t *testing.T) {
+	render := func(first, second int) (string, string) {
+		d := det(5, 1)
+		d.Kill(first, sim.Time(100+first), 2) // LU's crash times differ by NIC jitter
+		d.Kill(second, sim.Time(100+second), 2)
+		d.Excise(4, 200, 2)
+		d.Excise(1, 200, 2)
+		d.Kill(3, 300, 5)
+		return d.HistoryString(), d.DecisionHistoryString()
+	}
+	h1, d1 := render(1, 4)
+	h2, d2 := render(4, 1)
+	if h1 != h2 || d1 != d2 {
+		t.Fatalf("rendering depends on recording order:\n  %q\n  %q\n  %q\n  %q", h1, h2, d1, d2)
+	}
+	if want := "ep0:crash(n1)@e2 ep0:crash(n4)@e2 ep1:excise(n4)@e2 ep2:excise(n1)@e2 ep2:crash(n3)@e5"; d1 != want {
+		t.Fatalf("decision history %q, want %q", d1, want)
 	}
 }

@@ -6,13 +6,22 @@ import (
 )
 
 // FuzzDiffMerge feeds arbitrary base/update byte patterns through the
-// twin/diff machinery and checks the merge matches a direct overwrite of
-// the changed bytes.
+// twin/diff machinery. Against a home that equals the twin the merge must
+// reproduce the update; against a home holding a third pattern (other nodes'
+// bytes — false sharing) it must match the byte-wise reference exactly, in
+// wire size and in every byte written or left alone. The seeds put runs on
+// word and chunk edges and leave the length off both.
 func FuzzDiffMerge(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4}, []byte{1, 9, 3, 4})
-	f.Add([]byte{}, []byte{})
-	f.Add(bytes.Repeat([]byte{7}, 100), bytes.Repeat([]byte{7}, 100))
-	f.Fuzz(func(t *testing.T, base, update []byte) {
+	f.Add([]byte{1, 2, 3, 4}, []byte{1, 9, 3, 4}, byte(0))
+	f.Add([]byte{}, []byte{}, byte(0))
+	f.Add(bytes.Repeat([]byte{7}, 100), bytes.Repeat([]byte{7}, 100), byte(1))
+	edge := bytes.Repeat([]byte{7}, 3*diffChunk+13)
+	for _, i := range []int{0, 7, 8, diffChunk - 1, diffChunk, 2*diffChunk - 8, 2 * diffChunk, 3*diffChunk + 12} {
+		edge[i] = 9
+	}
+	f.Add(bytes.Repeat([]byte{7}, 3*diffChunk+13), edge, byte(0xA5))
+	f.Add(bytes.Repeat([]byte{7}, 2*diffChunk+5), bytes.Repeat([]byte{8}, 2*diffChunk+5), byte(0x5A))
+	f.Fuzz(func(t *testing.T, base, update []byte, fill byte) {
 		n := len(base)
 		if len(update) < n {
 			n = len(update)
@@ -21,11 +30,9 @@ func FuzzDiffMerge(f *testing.F) {
 			return
 		}
 		base, update = base[:n], update[:n]
-		s := NewSpace(1, int64(n), n2pow(n), Interleaved)
+		s := NewSpace(1, 2*int64(n2pow(n)), n2pow(n), Interleaved)
 		// Home starts as base; a cached copy with twin=base gets the
 		// update written into it, then diffs back.
-		home0 := make([]byte, n)
-		copy(home0, base)
 		copy(s.HomeBytes(0), base)
 		tx := s.ApplyDiff(0, update, base)
 		if !bytes.Equal(s.HomeBytes(0)[:n], update) {
@@ -41,6 +48,26 @@ func FuzzDiffMerge(f *testing.F) {
 		}
 		if DiffSize(update, base) != tx {
 			t.Fatal("DiffSize disagrees with ApplyDiff")
+		}
+		// Page 1's home belongs to somebody else wherever the diff is silent.
+		want := bytes.Repeat([]byte{fill}, n)
+		if ref := refDiffRuns(want, update, base); ref != tx {
+			t.Fatalf("wire size %d, byte-wise reference %d", tx, ref)
+		}
+		home := s.HomeBytes(1)
+		for i := range home {
+			home[i] = fill
+		}
+		if got := s.ApplyDiff(1, update, base); got != tx {
+			t.Fatalf("same diff sized %d against another home, %d before", got, tx)
+		}
+		if !bytes.Equal(home[:n], want) {
+			t.Fatalf("merge into a foreign home diverged from the reference:\nbase   %v\nupdate %v\nhome   %v\nwant   %v", base, update, home[:n], want)
+		}
+		for i := n; i < len(home); i++ {
+			if home[i] != fill {
+				t.Fatalf("byte %d past the diffed range clobbered", i)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -109,6 +110,108 @@ func TestReadWritePage(t *testing.T) {
 	s.ReadPage(3, dst)
 	if !bytes.Equal(src, dst) {
 		t.Fatal("page round trip corrupted data")
+	}
+}
+
+// A page nobody has written reads as zeros — whole or in part — and reading
+// it does not allocate it.
+func TestHomeNeverWrittenReadsZeros(t *testing.T) {
+	s := NewSpace(2, 8*4096, 4096, Interleaved)
+	dst := bytes.Repeat([]byte{0xFF}, 4096)
+	s.ReadPage(5, dst)
+	if !bytes.Equal(dst, make([]byte, 4096)) {
+		t.Fatal("never-written page did not read as zeros")
+	}
+	part := bytes.Repeat([]byte{0xFF}, 100)
+	s.ReadPageAt(5, 4000, part[:96])
+	if !bytes.Equal(part[:96], make([]byte, 96)) || part[96] != 0xFF {
+		t.Fatalf("partial read of a never-written page: %v", part)
+	}
+	if s.pages[5] != nil {
+		t.Fatal("reading a page materialised it")
+	}
+}
+
+// Each of the four writers allocates exactly the page it touches, zeroed
+// under whatever it does not write.
+func TestHomeFirstWriteMaterialises(t *testing.T) {
+	data := make([]byte, 4096)
+	twin := make([]byte, 4096)
+	data[9] = 3
+	writers := map[string]func(s *Space, p int){
+		"WritePageFull": func(s *Space, p int) { s.WritePageFull(p, data) },
+		"ApplyDiff":     func(s *Space, p int) { s.ApplyDiff(p, data, twin) },
+		"Writeback":     func(s *Space, p int) { s.Writeback(p, data, twin, nil) },
+		"HomeBytes":     func(s *Space, p int) { s.HomeBytes(p)[9] = 3 },
+	}
+	for name, write := range writers {
+		t.Run(name, func(t *testing.T) {
+			s := NewSpace(2, 8*4096, 4096, Interleaved)
+			write(s, 3)
+			for p := range s.pages {
+				if (s.pages[p] != nil) != (p == 3) {
+					t.Fatalf("page %d allocated = %v after a write to page 3", p, s.pages[p] != nil)
+				}
+			}
+			got := make([]byte, 4096)
+			s.ReadPage(3, got)
+			if !bytes.Equal(got, data) {
+				t.Fatal("first write lost or page not zero-filled around it")
+			}
+			if h := s.HomeBytes(3); len(h) != 4096 || &h[0] != &s.HomeBytes(3)[0] {
+				t.Fatal("HomeBytes is not the page's one backing slice")
+			}
+			s.ReadPageAt(3, 8, got[:4])
+			if got[1] != 3 {
+				t.Fatalf("ReadPageAt(3, 8) = %v, want byte 1 = 3", got[:4])
+			}
+		})
+	}
+}
+
+// Concurrent first ApplyDiffs and ReadPages of one never-written page: the
+// allocation happens once, under the page's write lock; every diff lands, and
+// a reader sees each byte either still zero or already final. Run under
+// -race.
+func TestHomeConcurrentFirstTouch(t *testing.T) {
+	const writers, readers = 8, 4
+	for round := 0; round < 50; round++ {
+		s := NewSpace(1, 4096, 4096, Interleaved)
+		twin := make([]byte, 4096)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				data := make([]byte, 4096)
+				for i := w; i < 4096; i += writers { // interleaved bytes: every word is shared
+					data[i] = byte(w + 1)
+				}
+				s.ApplyDiff(0, data, twin)
+			}()
+		}
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dst := make([]byte, 4096)
+				for k := 0; k < 4; k++ {
+					s.ReadPage(0, dst)
+					for i, b := range dst {
+						if b != 0 && b != byte(i%writers+1) {
+							t.Errorf("byte %d read as %d", i, b)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for i, b := range s.HomeBytes(0) {
+			if b != byte(i%writers+1) {
+				t.Fatalf("round %d: byte %d = %d after all diffs, want %d", round, i, b, i%writers+1)
+			}
+		}
 	}
 }
 
@@ -261,30 +364,55 @@ func refDiffRuns(home, data, twin []byte) int {
 	return tx
 }
 
-// Directed cases the word-wise scan must get exactly right: empty diffs,
-// full-page diffs, and runs whose boundaries straddle 8-byte word edges, at
-// lengths that are not multiples of the word size.
-func TestDiffWordWiseDirected(t *testing.T) {
+// Directed cases the scan must get exactly right: empty diffs, full-page
+// diffs, runs that start and end on every byte offset of a word, runs that
+// straddle word and chunk edges, a run that ends flush with a chunk followed
+// by a skipped chunk and a run that opens the next one (the carry must not
+// leak across the skip and merge their headers), and lengths that are a
+// multiple of neither the word nor the chunk. Home starts as a third pattern:
+// whatever the diff does not name must survive (false sharing).
+func TestDiffScanDirected(t *testing.T) {
 	type run struct{ lo, hi int }
-	cases := []struct {
+	type tcase struct {
 		name string
 		n    int
 		runs []run
-	}{
+	}
+	const c = diffChunk
+	cases := []tcase{
 		{"empty", 4096, nil},
 		{"full-page", 4096, []run{{0, 4096}}},
 		{"single-byte-at-0", 64, []run{{0, 1}}},
 		{"single-byte-at-end", 64, []run{{63, 64}}},
-		{"run-ends-at-word-edge", 64, []run{{3, 8}}},
-		{"run-starts-at-word-edge", 64, []run{{8, 13}}},
-		{"run-straddles-word-edge", 64, []run{{6, 10}}},
 		{"adjacent-runs-one-gap", 64, []run{{4, 7}, {8, 12}}},
+		{"adjacent-words-one-gap-each", 64, []run{{8, 15}, {16, 23}, {24, 31}}},
 		{"whole-word-run", 64, []run{{16, 24}}},
 		{"tail-shorter-than-word", 13, []run{{9, 13}}},
 		{"tiny-page", 5, []run{{1, 4}}},
 		{"one-byte-page-diff", 1, []run{{0, 1}}},
 		{"one-byte-page-equal", 1, nil},
 		{"zero-length", 0, nil},
+		{"run-fills-chunk", 4 * c, []run{{c, 2 * c}}},
+		{"run-ends-at-chunk-edge", 4 * c, []run{{c + 5, 2 * c}}},
+		{"run-starts-at-chunk-edge", 4 * c, []run{{2 * c, 2*c + 3}}},
+		{"run-straddles-chunk-edge", 4 * c, []run{{2*c - 3, 2*c + 3}}},
+		{"run-spans-whole-chunk-and-more", 4 * c, []run{{c - 9, 3*c + 9}}},
+		{"carry-across-skipped-chunk", 4 * c, []run{{c - 8, c}, {2 * c, 2*c + 8}}},
+		{"carry-across-equal-word", 64, []run{{0, 8}, {16, 24}}},
+		{"byte-runs-either-side-of-chunk-edge", 4 * c, []run{{c - 1, c}, {c + 1, c + 2}}},
+		{"chunk-plus-words-plus-bytes", c + 21, []run{{c - 2, c + 2}, {c + 14, c + 21}}},
+		{"tail-run-joins-chunk-run", c + 21, []run{{c - 16, c + 21}}},
+		{"tail-only-words-and-bytes", c - 3, []run{{0, 1}, {7, 9}, {c - 4, c - 3}}},
+		{"streak-then-mixed-word", 4 * c, []run{{8, 43}}},
+		{"streak-to-chunk-end-then-streak", 4 * c, []run{{c - 24, c + 24}}},
+	}
+	// Every (start, end) pair over two words, at a chunk edge and inside one.
+	for _, base := range []int{c - 8, 40} {
+		for lo := 0; lo < 8; lo++ {
+			for hi := lo + 1; hi <= 16; hi++ {
+				cases = append(cases, tcase{fmt.Sprintf("word-offsets-%d+%d-%d", base, lo, hi), 2 * c, []run{{base + lo, base + hi}}})
+			}
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -302,65 +430,78 @@ func TestDiffWordWiseDirected(t *testing.T) {
 			if got := DiffSize(data, twin); got != want {
 				t.Fatalf("DiffSize = %d, want %d", got, want)
 			}
-			homeA := make([]byte, tc.n)
-			homeB := make([]byte, tc.n)
-			for i := range homeA {
-				homeA[i] = 0xA5
-				homeB[i] = 0xA5
-			}
+			homeA := bytes.Repeat([]byte{0xA5}, tc.n)
+			homeB := bytes.Repeat([]byte{0xA5}, tc.n)
 			refDiffRuns(homeA, data, twin)
-			if got := applyDiffLocked(homeB, data, twin); got != want {
-				t.Fatalf("applyDiffLocked tx = %d, want %d", got, want)
+			if got := diffScan(homeB, data, twin); got != want {
+				t.Fatalf("diffScan tx = %d, want %d", got, want)
 			}
 			if !bytes.Equal(homeA, homeB) {
-				t.Fatalf("word-wise apply diverged from byte-wise reference")
+				t.Fatalf("apply diverged from byte-wise reference")
 			}
 		})
 	}
 }
 
-// Property: on random page/twin pairs of random (word-unaligned) lengths the
-// word-wise DiffSize and ApplyDiff agree with the byte-wise reference — same
-// wire size, same bytes written, same bytes left untouched.
-func TestDiffWordWiseMatchesReference(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(300) // includes 0 and sub-word lengths
-		twin := make([]byte, n)
-		rng.Read(twin)
-		data := append([]byte(nil), twin...)
-		switch rng.Intn(4) {
-		case 0: // leave identical
-		case 1: // change everything
-			for i := range data {
-				data[i] ^= 0xFF
+// randomDiffPair returns a twin and a data page of a random length — up to a
+// few chunks, rarely a multiple of the chunk or the word — that differ in one
+// of the shapes real pages take: nothing, everything, scattered runs with
+// unchanged bytes sprinkled inside them (mixed words), or every word changed
+// in its low bytes only (what a float update leaves behind).
+func randomDiffPair(rng *rand.Rand) (data, twin []byte) {
+	n := rng.Intn(5*diffChunk + 1) // includes 0 and sub-word lengths
+	twin = make([]byte, n)
+	rng.Read(twin)
+	data = append([]byte(nil), twin...)
+	switch rng.Intn(5) {
+	case 0: // leave identical
+	case 1: // change everything
+		for i := range data {
+			data[i] ^= 0xFF
+		}
+	case 2: // low bytes of every word
+		for i := range data {
+			if i%8 < 1+rng.Intn(7) {
+				data[i] ^= byte(rng.Intn(255) + 1)
 			}
-		default: // sprinkle random runs
-			for k := 0; k < rng.Intn(10); k++ {
-				lo := rng.Intn(n + 1)
-				hi := lo + rng.Intn(17)
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
+		}
+	default: // sprinkle runs, some longer than a chunk
+		for k := 0; k < rng.Intn(10); k++ {
+			lo := rng.Intn(n + 1)
+			hi := lo + rng.Intn(17)
+			if rng.Intn(4) == 0 {
+				hi = lo + rng.Intn(2*diffChunk)
+			}
+			for i := lo; i < hi && i < n; i++ {
+				if rng.Intn(8) > 0 {
 					data[i] ^= byte(rng.Intn(255) + 1)
 				}
 			}
 		}
-		homeRef := make([]byte, n)
-		homeGot := make([]byte, n)
+	}
+	return data, twin
+}
+
+// Property: on random page/twin pairs DiffSize and the applying scan agree
+// with the byte-wise reference — same wire size, same bytes written, and,
+// home being a third random pattern, the same bytes left untouched.
+func TestDiffScanMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		data, twin := randomDiffPair(rng)
+		homeRef := make([]byte, len(data))
 		rng.Read(homeRef)
-		copy(homeGot, homeRef)
+		homeGot := append([]byte(nil), homeRef...)
 		want := refDiffRuns(homeRef, data, twin)
 		if DiffSize(data, twin) != want {
 			return false
 		}
-		if applyDiffLocked(homeGot, data, twin) != want {
+		if diffScan(homeGot, data, twin) != want {
 			return false
 		}
 		return bytes.Equal(homeRef, homeGot)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

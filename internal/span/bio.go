@@ -11,10 +11,10 @@ import (
 // BioEntry is one moment in a page's biography: a classification transition
 // or an SI filter decision.
 type BioEntry struct {
-	T    int64       `json:"t"`
-	Node int         `json:"node"`
-	Kind trace.Kind  `json:"kind"`
-	Arg  int64       `json:"arg"`
+	T    int64      `json:"t"`
+	Node int        `json:"node"`
+	Kind trace.Kind `json:"kind"`
+	Arg  int64      `json:"arg"`
 }
 
 // Biography is the lifetime story of one page: how its Pyxis classification

@@ -251,8 +251,8 @@ func TestBiographies(t *testing.T) {
 		{T: 10, Node: 0, Kind: trace.EvClassTransition, Page: 5, Arg: trace.ClassNWtoSW},
 		{T: 20, Node: 1, Kind: trace.EvInvalidate, Page: 5},
 		{T: 30, Node: 1, Kind: trace.EvKeep, Page: 5},
-		{T: 40, Node: 0, Kind: trace.EvReadMiss, Page: 5},  // not biographical
-		{T: 50, Node: 0, Kind: trace.EvSIFence, Page: -1},  // no page
+		{T: 40, Node: 0, Kind: trace.EvReadMiss, Page: 5}, // not biographical
+		{T: 50, Node: 0, Kind: trace.EvSIFence, Page: -1}, // no page
 		{T: 15, Node: 2, Kind: trace.EvInvalidate, Page: 2},
 	}
 	bios := Biographies(evs)

@@ -231,4 +231,3 @@ func RunFlagsReport(pr Params) (Report, error) {
 		return rep, nil
 	}
 }
-
