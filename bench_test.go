@@ -12,7 +12,6 @@ import (
 	"argo"
 	"argo/internal/harness"
 	"argo/internal/mem"
-	"argo/internal/microbench"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -49,23 +48,56 @@ func benchCluster(b *testing.B, nodes int) *argo.Cluster {
 	return argo.MustNewCluster(cfg)
 }
 
-// The hot-path micro-benchmarks below share their bodies with
-// `argo-bench -benchjson` (internal/microbench) so the interactive
-// `go test -bench` numbers and the CI BENCH_lynx.json artifact come from
-// the same code.
+// onRank0 runs body on rank 0 of a launch of c with one thread per node.
+func onRank0(c *argo.Cluster, body func(t *argo.Thread)) {
+	c.Run(1, func(t *argo.Thread) {
+		if t.Rank == 0 {
+			body(t)
+		}
+	})
+}
 
 // BenchmarkPageCacheHit measures the host-side cost of a cache-hitting
-// 8-byte DSM read (the per-access overhead this simulator adds over a real
-// mprotect-based DSM, where hits are free).
-func BenchmarkPageCacheHit(b *testing.B) { microbench.PageCacheHit(b) }
+// 8-byte DSM read of one resident page (the per-access overhead this
+// simulator adds over a real mprotect-based DSM, where hits are free).
+func BenchmarkPageCacheHit(b *testing.B) {
+	c := benchCluster(b, 1)
+	xs := c.AllocF64(512)
+	b.ResetTimer()
+	onRank0(c, func(t *argo.Thread) {
+		for i := 0; i < b.N; i++ {
+			t.GetF64(xs, i&511)
+		}
+	})
+}
 
 // BenchmarkGetF64 measures scalar reads striding across a 64-page working
-// set (the access-TLB working-set case).
-func BenchmarkGetF64(b *testing.B) { microbench.GetF64Stride(b) }
+// set (the access-TLB working-set case: every access hits another entry).
+func BenchmarkGetF64(b *testing.B) {
+	c := benchCluster(b, 1)
+	xs := c.AllocF64(1 << 15)
+	mask := xs.Len - 1
+	b.ResetTimer()
+	onRank0(c, func(t *argo.Thread) {
+		for i := 0; i < b.N; i++ {
+			t.GetF64(xs, (i*17)&mask)
+		}
+	})
+}
 
 // BenchmarkSetF64 measures scalar writes striding across a 64-page working
 // set (dirty hits on the lock-free write path after one miss per page).
-func BenchmarkSetF64(b *testing.B) { microbench.SetF64Stride(b) }
+func BenchmarkSetF64(b *testing.B) {
+	c := benchCluster(b, 1)
+	xs := c.AllocF64(1 << 15)
+	mask := xs.Len - 1
+	b.ResetTimer()
+	onRank0(c, func(t *argo.Thread) {
+		for i := 0; i < b.N; i++ {
+			t.SetF64(xs, (i*17)&mask, float64(i))
+		}
+	})
+}
 
 // BenchmarkPageFault measures a cold page fetch (miss, line fetch,
 // directory registration) end to end.
@@ -76,10 +108,7 @@ func BenchmarkPageFault(b *testing.B) {
 	c := argo.MustNewCluster(cfg)
 	xs := c.AllocF64(32 << 20 / 8)
 	b.ResetTimer()
-	c.Run(1, func(t *argo.Thread) {
-		if t.Rank != 0 {
-			return
-		}
+	onRank0(c, func(t *argo.Thread) {
 		stride := 4096 / 8 * int(int64(cfg.PagesPerLine)) // one demand miss per line
 		for i := 0; i < b.N; i++ {
 			t.GetF64(xs, (i*stride)%(xs.Len-1))
@@ -87,11 +116,35 @@ func BenchmarkPageFault(b *testing.B) {
 	})
 }
 
-// BenchmarkSIFence measures the fence sweep over a populated cache.
-func BenchmarkSIFence(b *testing.B) { microbench.SIFence(b) }
+// BenchmarkSIFence measures the acquire-fence sweep over a populated cache.
+func BenchmarkSIFence(b *testing.B) {
+	c := benchCluster(b, 2)
+	xs := c.AllocF64(1 << 16)
+	b.ResetTimer()
+	onRank0(c, func(t *argo.Thread) {
+		for i := 0; i < xs.Len; i += 512 {
+			t.GetF64(xs, i)
+		}
+		for i := 0; i < b.N; i++ {
+			t.AcquireFence()
+		}
+	})
+}
 
 // BenchmarkBulkRead measures streaming bulk reads through the page cache.
-func BenchmarkBulkRead(b *testing.B) { microbench.BulkRead(b) }
+func BenchmarkBulkRead(b *testing.B) {
+	c := benchCluster(b, 2)
+	const n = 1 << 15
+	xs := c.AllocF64(n)
+	buf := make([]float64, n)
+	b.SetBytes(n * 8)
+	b.ResetTimer()
+	onRank0(c, func(t *argo.Thread) {
+		for i := 0; i < b.N; i++ {
+			t.ReadF64s(xs, 0, n, buf)
+		}
+	})
+}
 
 // BenchmarkHierBarrier measures the full hierarchical barrier.
 func BenchmarkHierBarrier(b *testing.B) {
@@ -159,7 +212,21 @@ func BenchmarkDiff(b *testing.B) {
 // BenchmarkDiffApply measures diff application for a sparsely-changed page
 // (32-byte runs every 256 bytes — the word-wise scan's favourable case,
 // where most of the page is skipped 8 bytes at a time).
-func BenchmarkDiffApply(b *testing.B) { microbench.DiffApply(b) }
+func BenchmarkDiffApply(b *testing.B) {
+	base := make([]byte, 4096)
+	data := make([]byte, 4096)
+	for i := 0; i < len(data); i += 256 {
+		for j := i; j < i+32; j++ {
+			data[j] = byte(j + 1)
+		}
+	}
+	s := memSpaceForBench()
+	b.SetBytes(4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ApplyDiff(0, data, base)
+	}
+}
 
 // BenchmarkSDFence measures a release fence over a spread dirty set: one
 // dirty page per touched line, homes interleaved across 4 nodes — the case
@@ -168,10 +235,7 @@ func BenchmarkSDFence(b *testing.B) {
 	c := benchCluster(b, 4)
 	xs := c.AllocF64(1 << 16)
 	b.ResetTimer()
-	c.Run(1, func(t *argo.Thread) {
-		if t.Rank != 0 {
-			return
-		}
+	onRank0(c, func(t *argo.Thread) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < xs.Len; j += 512 {
 				t.SetF64(xs, j, float64(i+j))

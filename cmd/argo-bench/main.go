@@ -20,10 +20,8 @@
 // (Perfetto) JSON timeline.
 //
 // Host profiling: -cpuprofile/-memprofile write pprof profiles of the run
-// itself (the simulator's host-side cost, not virtual time). -benchjson runs
-// the hot-path micro-benchmark suite (page-cache hit, scalar get/set, bulk
-// read, SI fence, diff apply) and writes machine-readable rows; with no
-// experiment arguments it writes the file and exits.
+// itself (the simulator's host-side cost, not virtual time). The hot paths'
+// host costs are measured by the perf ledger (`bash benchmark/run.sh`).
 package main
 
 import (
@@ -39,7 +37,6 @@ import (
 	"argo/internal/fault"
 	"argo/internal/harness"
 	"argo/internal/metrics"
-	"argo/internal/microbench"
 	"argo/internal/span"
 	"argo/internal/trace"
 )
@@ -58,7 +55,6 @@ func main() {
 	eagerDrain := flag.Int("eagerdrain", 0, "start an eager write-buffer drainer per node with this low-water mark in pages (0 = off)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after a final GC) to this file")
-	benchJSON := flag.String("benchjson", "", "run the hot-path micro-benchmark suite and write machine-readable rows to this file (with no experiment args, exit after writing)")
 	flag.Parse()
 
 	if *list {
@@ -143,20 +139,7 @@ func main() {
 		defer func() { core.SpanHook = nil }()
 	}
 
-	if *benchJSON != "" {
-		fmt.Printf("running hot-path micro-benchmarks...\n")
-		rows := microbench.Rows()
-		for _, r := range rows {
-			fmt.Printf("  %-24s %12d %12.2f ns/op\n", r.Name, r.Iters, r.NsPerOp)
-		}
-		writeFile(*benchJSON, func(w io.Writer) error { return microbench.WriteJSON(w, rows) })
-		fmt.Printf("benchmark rows written to %s\n", *benchJSON)
-	}
-
 	ids := flag.Args()
-	if len(ids) == 0 && *benchJSON != "" {
-		return // micro suite only; skip the full experiment sweep
-	}
 	if len(ids) == 0 {
 		for _, e := range harness.All() {
 			ids = append(ids, e.ID)

@@ -98,7 +98,7 @@ func TestPrepareRefillRecyclesBuffer(t *testing.T) {
 		t.Fatal("unpublished buffer not reused in place")
 	}
 	s.St = Clean
-	tb := NewTLB()
+	tb := c.NewTLB(1)
 	c.FillTLB(tb, 0, s)
 	if !s.published {
 		t.Fatal("FillTLB did not mark the buffer published")
@@ -112,7 +112,7 @@ func TestPrepareRefillRecyclesBuffer(t *testing.T) {
 	if racetag.Enabled && s.published {
 		t.Fatal("fresh buffer still marked published")
 	}
-	if &tb.Entry(32).Data[0] != buf {
+	if (*byte)(tb.Entry(32).Base) != buf {
 		t.Fatal("stale TLB entry lost its buffer")
 	}
 }

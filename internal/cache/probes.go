@@ -6,7 +6,9 @@ import "argo/internal/metrics"
 // evictions are labeled counters on one family; the write-buffer drain size
 // is a histogram (how much work an SD fence has left is exactly what the
 // FIFO write buffer exists to bound). Cache.MX is nil unless metrics are
-// attached; hot paths pay one nil check.
+// attached; the miss and fence paths pay one nil check. Hits is published in
+// batches, at fences and at the end of a launch, from the threads' own hit
+// counts (coherence.Node.PublishHits) — a hit itself touches no probe.
 type Probes struct {
 	Hits      *metrics.Counter
 	Misses    *metrics.Counter

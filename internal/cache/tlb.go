@@ -32,7 +32,7 @@ package cache
 //     that validated Gen just before the bump; that load races the memmove,
 //     and it is harmless: an aligned word read observes some value that was
 //     written to the word (the Go memory model's guarantee for word-sized
-//     reads — no invented value, no fault), the entry's slice keeps the old
+//     reads — no invented value, no fault), the entry's Base keeps the old
 //     buffer reachable, and the re-check discards whatever was read. So
 //     ordinary builds refill and rebind published buffers in place too. A
 //     race-detector build does the one thing differently: it leaves a
@@ -50,11 +50,44 @@ package cache
 //     before the refill's first byte — or fails its validation and never
 //     happens, so no stale store can land in a rebound buffer.
 //
-// The virtual-time cost model is unchanged by construction: a fast-path hit
-// performs exactly the clock advances, hit counters and metric increments of
-// a locked hit, and anything else falls back to the locked slow path.
+//     The store itself is a plain store. Everything that reads the word from
+//     another goroutine is ordered behind the Act release that follows it:
+//     the diff and the refill run after BumpLineGen has seen Act at zero, and
+//     any other thread's access of the same word is separated from it by an
+//     application synchronization point (DRF), which is a host-level
+//     happens-before edge as well. The one reader that is not ordered is a
+//     speculative Load of the same word by another thread, and that is an
+//     application data race, which pillar 1 excludes. An atomic store would buy nothing and costs a third locked
+//     instruction per hit (Go compiles it to XCHG).
+//
+// What a hit touches. Load and Store read the TLB header (page shift, page
+// mask and the CacheHit cost, all copied in when the TLB is built), the
+// direct-mapped entry, the line's LineSync, the data word and the thread's
+// Proc — and nothing else: no Node, Space, Cache, Fabric or Probes. The
+// coherence layer is entered only when they report a miss.
+//
+// The virtual-time cost model is unchanged by construction: a hit performs
+// exactly the clock advance and hit count of a locked hit. A locked hit also
+// does p.AdvanceTo(slot.ReadyAt); a TLB hit has no such step, and needs none,
+// because it could never fire. An entry is private to one thread and is only
+// written by FillTLB, on the locked path, after that same thread has done
+// p.AdvanceTo(s.ReadyAt) under the line lock — so at fill time the thread's
+// clock is already at or past the slot's ReadyAt. ReadyAt changes only in a
+// refill, which bumps the generation first and so kills the entry. And an
+// application thread's clock never runs backwards: Advance rejects negative
+// steps, AdvanceTo only moves forward, SetNow is called only on the fence
+// workers' private clones, and every Run builds fresh Procs and fresh TLBs.
+// Hence now >= ReadyAt on every later hit through the entry, which is why an
+// entry carries no ReadyAt at all.
+//
+// The Argoscope hit counter is not bumped per hit either. Proc.Hits is the
+// per-hit count; the coherence layer publishes its growth to the cache's
+// probe at the thread's fences and core does so once more when a Run ends
+// (coherence.Node.PublishHits), so the counter's total after a Run is what
+// per-hit increments would have produced.
 
 import (
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"unsafe"
@@ -85,7 +118,7 @@ func (c *Cache) BumpLineGen(l int) {
 	ls := &c.lineSync[l]
 	ls.Gen.Add(1)
 	// A fast-path writer holds Act only across one validation and one
-	// atomic store — no locks, no waiting — so this drains in nanoseconds;
+	// store — no locks, no waiting — so this drains in nanoseconds;
 	// the yield guards against a preempted writer on an oversubscribed host.
 	for spin := 0; ls.Act.Load() != 0; spin++ {
 		if spin&63 == 63 {
@@ -106,26 +139,34 @@ const TLBSize = 256
 // copies made under the line lock at fill time; Sync is the live per-line
 // seqlock state they are validated against.
 type TLBEntry struct {
-	Page    int    // global page number, or -1
-	G       uint64 // line generation at fill time
-	Dirty   bool   // slot was Dirty at fill time (enables the write fast path)
-	ReadyAt sim.Time
-	Data    []byte // the slot's buffer at fill time (may since hold another page; Gen tells)
-	Sync    *LineSync
+	Page  int            // global page number, or -1
+	G     uint64         // line generation at fill time
+	Base  unsafe.Pointer // the slot's buffer at fill time (may since hold another page; Gen tells)
+	Sync  *LineSync
+	Dirty bool // slot was Dirty at fill time (enables the write fast path)
 }
 
 // TLB is one thread's access-translation cache. It must only be used by the
-// thread that owns it.
+// thread that owns it. A nil *TLB is valid and never hits.
 type TLB struct {
+	// Fixed when the TLB is built, so a hit reads nothing outside it.
+	shift uint     // log2 of the page size; used as shift&63, which spares the oversized-shift check
+	mask  int64    // page size - 1
+	hit   sim.Time // virtual cost of one hit (the fabric's CacheHit)
+
 	e [TLBSize]TLBEntry
 }
 
-// NewTLB returns an empty TLB (all entries vacant).
-func NewTLB() *TLB {
-	t := &TLB{}
-	for i := range t.e {
-		t.e[i].Page = -1
+// NewTLB returns an empty TLB for this cache's page geometry whose hits cost
+// hit virtual nanoseconds each. Word-granular lock-free access needs whole
+// words inside one page; for a page size that is not a multiple of 8 there is
+// no TLB (nil), which confines every access to the locked path.
+func (c *Cache) NewTLB(hit sim.Time) *TLB {
+	if c.PageSize&7 != 0 {
+		return nil
 	}
+	t := &TLB{shift: uint(bits.TrailingZeros(uint(c.PageSize))), mask: int64(c.PageSize - 1), hit: hit}
+	t.Flush()
 	return t
 }
 
@@ -140,31 +181,87 @@ func (t *TLB) Flush() {
 	}
 }
 
+// Load is the read fast path: it returns the little-endian word at the
+// 8-byte-aligned global address addr if the thread holds a valid entry for
+// its page, charging p one hit. Two generation loads bracket one atomic word
+// load (seqlock); ok is false — and p untouched — when the access has to take
+// the coherence layer's locked path.
+func (t *TLB) Load(p *sim.Proc, addr int64) (v uint64, ok bool) {
+	if t == nil || addr&7 != 0 {
+		return 0, false
+	}
+	page := int(addr >> (t.shift & 63))
+	e := &t.e[page&(TLBSize-1)]
+	if e.Page != page {
+		return 0, false
+	}
+	g := e.Sync.Gen.Load()
+	if g != e.G {
+		return 0, false
+	}
+	v = atomic.LoadUint64((*uint64)(unsafe.Add(e.Base, addr&t.mask)))
+	if e.Sync.Gen.Load() != g {
+		return 0, false
+	}
+	// Validated hit: the generation was stable across the load, so v is the
+	// page content a locked hit would have copied.
+	p.Hits++
+	p.Advance(t.hit)
+	return v, true
+}
+
+// Store is the write fast path: it stores v at the 8-byte-aligned global
+// address addr if the thread holds a valid entry for its page that was filled
+// while the page was dirty — the write-miss protocol (twin, registration,
+// write buffer) was already paid, so a locked hit would do nothing more. The
+// thread announces itself on the line's active-writer counter, validates the
+// generation, and stores; it reports false, with p untouched, otherwise.
+func (t *TLB) Store(p *sim.Proc, addr int64, v uint64) bool {
+	if t == nil || addr&7 != 0 {
+		return false
+	}
+	page := int(addr >> (t.shift & 63))
+	e := &t.e[page&(TLBSize-1)]
+	if e.Page != page || !e.Dirty {
+		return false
+	}
+	sy := e.Sync
+	sy.Act.Add(1)
+	if sy.Gen.Load() != e.G {
+		sy.Act.Add(-1)
+		return false
+	}
+	// Validated: any later downgrade bumps the generation and then drains
+	// Act, so this store is diffed before the page turns clean — the write
+	// cannot be lost. A plain store: see pillar 3.
+	*(*uint64)(unsafe.Add(e.Base, addr&t.mask)) = v
+	sy.Act.Add(-1)
+	p.Hits++
+	p.Advance(t.hit)
+	return true
+}
+
 // WordAligned reports whether b starts on an 8-byte boundary (the fast path
-// uses word atomics through unsafe pointers, which require alignment).
+// accesses whole words through unsafe pointers, which requires alignment).
 func WordAligned(b []byte) bool {
 	return len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))&7 == 0
 }
 
 // FillTLB publishes slot s of line l into tb after a locked access, so the
 // thread's next accesses to the page can validate lock-free. The caller must
-// hold l's line lock. Slots whose geometry cannot support word-atomic access
-// (page size not a multiple of 8, or an unaligned buffer) are never
-// published, which confines every later access to the locked path.
+// hold l's line lock, and the calling thread's clock must already be at or
+// past s.ReadyAt (the locked paths' p.AdvanceTo(s.ReadyAt) — the entry keeps
+// no ReadyAt of its own). A slot with an unaligned buffer is never published.
 func (c *Cache) FillTLB(tb *TLB, l int, s *Slot) {
-	if tb == nil || s.Page < 0 || s.St == Invalid || s.Data == nil {
-		return
-	}
-	if c.PageSize&7 != 0 || !WordAligned(s.Data) {
+	if tb == nil || s.Page < 0 || s.St == Invalid || !WordAligned(s.Data) {
 		return
 	}
 	s.published = true
 	*tb.Entry(s.Page) = TLBEntry{
-		Page:    s.Page,
-		G:       c.lineSync[l].Gen.Load(),
-		Dirty:   s.St == Dirty,
-		ReadyAt: s.ReadyAt,
-		Data:    s.Data,
-		Sync:    &c.lineSync[l],
+		Page:  s.Page,
+		G:     c.lineSync[l].Gen.Load(),
+		Base:  unsafe.Pointer(&s.Data[0]),
+		Sync:  &c.lineSync[l],
+		Dirty: s.St == Dirty,
 	}
 }

@@ -1,11 +1,14 @@
 package cache
 
 import (
+	"encoding/binary"
 	"testing"
+
+	"argo/internal/sim"
 )
 
 func TestTLBEntryMappingAndFlush(t *testing.T) {
-	tb := NewTLB()
+	tb := New(0, 4096, 4, 2, 16).NewTLB(1)
 	for i := 0; i < TLBSize; i++ {
 		if tb.Entry(i).Page != -1 {
 			t.Fatalf("fresh TLB entry %d not empty", i)
@@ -58,7 +61,7 @@ func TestBumpLineGenIncrementsAndDrains(t *testing.T) {
 
 func TestFillTLBGuards(t *testing.T) {
 	c := New(0, 4096, 4, 2, 16)
-	tb := NewTLB()
+	tb := c.NewTLB(1)
 
 	// Invalid slot: never published.
 	l := c.LineOf(5)
@@ -105,5 +108,67 @@ func TestWordAligned(t *testing.T) {
 	}
 	if WordAligned(nil) {
 		t.Fatal("empty slice reported aligned")
+	}
+}
+
+// TestTLBLoadStore drives the two fast-path methods directly: what counts as
+// a hit, that a hit charges the proc exactly one hit and the built-in cost,
+// and that every kind of miss leaves the proc untouched for the locked path.
+func TestTLBLoadStore(t *testing.T) {
+	const hit = 7
+	c := New(0, 4096, 4, 2, 16)
+	if tiny := New(0, 4, 4, 2, 16).NewTLB(hit); tiny != nil {
+		t.Fatal("a page size that is not a multiple of 8 got a TLB")
+	}
+	tb, p := c.NewTLB(hit), &sim.Proc{}
+	l, s := c.LineOf(5), c.SlotFor(5)
+	s.Page, s.St = 5, Clean
+	c.PrepareRefill(s)
+	binary.LittleEndian.PutUint64(s.Data[16:], 77)
+	addr := int64(5*4096 + 16)
+
+	untouched := func(what string) {
+		t.Helper()
+		if p.Now() != 0 || p.Hits != 0 {
+			t.Fatalf("%s moved the proc: now %d, hits %d", what, p.Now(), p.Hits)
+		}
+	}
+	if _, ok := tb.Load(p, addr); ok {
+		t.Fatal("Load hit a vacant entry")
+	}
+	if _, ok := (*TLB)(nil).Load(p, addr); ok || (*TLB)(nil).Store(p, addr, 1) {
+		t.Fatal("a nil TLB hit")
+	}
+	c.FillTLB(tb, l, s)
+	if _, ok := tb.Load(p, addr+1); ok {
+		t.Fatal("Load hit an unaligned address")
+	}
+	if tb.Store(p, addr, 1) {
+		t.Fatal("Store hit an entry filled while the page was clean")
+	}
+	untouched("a miss")
+
+	if v, ok := tb.Load(p, addr); !ok || v != 77 {
+		t.Fatalf("Load = %d, %v, want 77, true", v, ok)
+	}
+	if p.Now() != hit || p.Hits != 1 {
+		t.Fatalf("read hit charged now %d, hits %d, want %d, 1", p.Now(), p.Hits, hit)
+	}
+	s.St = Dirty
+	c.FillTLB(tb, l, s)
+	if !tb.Store(p, addr, 78) || binary.LittleEndian.Uint64(s.Data[16:]) != 78 {
+		t.Fatal("Store missed a dirty entry, or stored elsewhere")
+	}
+	if p.Now() != 2*hit || p.Hits != 2 || c.Sync(l).Act.Load() != 0 {
+		t.Fatalf("write hit left now %d, hits %d, Act %d, want %d, 2, 0", p.Now(), p.Hits, c.Sync(l).Act.Load(), 2*hit)
+	}
+
+	// A bump makes both paths miss, and Store retracts its announcement.
+	c.BumpLineGen(l)
+	if _, ok := tb.Load(p, addr); ok || tb.Store(p, addr, 79) {
+		t.Fatal("a stale entry hit")
+	}
+	if p.Now() != 2*hit || p.Hits != 2 || c.Sync(l).Act.Load() != 0 || binary.LittleEndian.Uint64(s.Data[16:]) != 78 {
+		t.Fatal("a stale-entry miss moved the proc, stored, or left Act raised")
 	}
 }

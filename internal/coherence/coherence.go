@@ -36,8 +36,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync/atomic"
-	"unsafe"
 
 	"argo/internal/cache"
 	"argo/internal/directory"
@@ -231,9 +229,6 @@ func (n *Node) ReadSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int,
 			s = n.Cache.SlotFor(page)
 		} else {
 			p.Hits++
-			if n.MX != nil {
-				n.Cache.MX.Hits.Inc()
-			}
 		}
 		p.AdvanceTo(s.ReadyAt)
 		p.Advance(n.accessCost(seg))
@@ -271,9 +266,6 @@ func (n *Node) WriteSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int
 			s = n.Cache.SlotFor(page)
 		} else {
 			p.Hits++
-			if n.MX != nil {
-				n.Cache.MX.Hits.Inc()
-			}
 		}
 		p.AdvanceTo(s.ReadyAt)
 
@@ -315,42 +307,30 @@ func (n *Node) maybeYield(p *sim.Proc) {
 	runtime.Gosched()
 }
 
-// wordable reports whether word-granular access at addr can use the Lynx
-// fast path and the word-locked slow path: an aligned address, a TLB to
-// consult, and a page geometry that keeps whole words inside one page.
-func (n *Node) wordable(tb *cache.TLB, addr mem.Addr) bool {
-	return tb != nil && addr&7 == 0 && n.Cache.PageSize&7 == 0
+// NewTLB builds the Lynx access-translation cache of one thread running on
+// this node: the node's page geometry and hit cost are copied into it, so the
+// thread's resident accesses (cache.TLB.Load and Store) never come here.
+func (n *Node) NewTLB() *cache.TLB { return n.Cache.NewTLB(n.Fab.P.CacheHit) }
+
+// PublishHits adds the hits p has counted since its last publication to the
+// Argoscope hit counter. Hits are counted per access in Proc.Hits only; the
+// fences publish them, and core.Cluster.RunSeeded once more at the end of a
+// launch, so the counter is exact whenever a thread is between intervals.
+func (n *Node) PublishHits(p *sim.Proc) {
+	if n.MX != nil {
+		n.Cache.MX.Hits.Add(p.TakeHits())
+	}
 }
 
 // ReadWord reads the little-endian 64-bit word at addr through the page
-// cache. On a TLB hit it runs lock-free: two generation loads bracket one
-// atomic word load (seqlock), with the exact accounting of a locked hit —
-// anything else falls back to the line-locked path, which refills tb.
+// cache on behalf of a thread whose TLB tb (possibly nil) missed: the
+// line-locked path, which refills tb, or the byte path for an address no TLB
+// can serve. Accounting is that of cache.TLB.Load on a hit.
 func (n *Node) ReadWord(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 {
-	if !n.wordable(tb, addr) {
+	if tb == nil || addr&7 != 0 {
 		var b [8]byte
 		n.ReadAt(p, addr, b[:])
 		return binary.LittleEndian.Uint64(b[:])
-	}
-	page := n.Space.PageOf(addr)
-	e := tb.Entry(page)
-	if e.Page == page {
-		g := e.Sync.Gen.Load()
-		if g == e.G {
-			off := int(addr) & (n.Cache.PageSize - 1)
-			v := atomic.LoadUint64((*uint64)(unsafe.Pointer(&e.Data[off])))
-			if e.Sync.Gen.Load() == g {
-				// Validated hit: the generation was stable across the load,
-				// so v is the page content a locked hit would have copied.
-				p.Hits++
-				if n.MX != nil {
-					n.Cache.MX.Hits.Inc()
-				}
-				p.AdvanceTo(e.ReadyAt)
-				p.Advance(n.Fab.P.CacheHit)
-				return v
-			}
-		}
 	}
 	return n.readWordLocked(p, tb, addr)
 }
@@ -375,9 +355,6 @@ func (n *Node) readWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 
 		s = n.Cache.SlotFor(page)
 	} else {
 		p.Hits++
-		if n.MX != nil {
-			n.Cache.MX.Hits.Inc()
-		}
 	}
 	p.AdvanceTo(s.ReadyAt)
 	p.Advance(n.Fab.P.CacheHit)
@@ -388,39 +365,14 @@ func (n *Node) readWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 
 }
 
 // WriteWord writes the little-endian 64-bit word v at addr through the page
-// cache. A dirty-page TLB hit runs lock-free: the thread announces itself on
-// the line's active-writer counter, validates the generation, and stores the
-// word atomically — the write-miss protocol (twin, registration, write
-// buffer) was already paid when the page turned dirty, so a locked hit would
-// have done nothing more. Everything else falls back to the locked path.
+// cache on behalf of a thread whose TLB tb (possibly nil) missed — the page
+// is not resident, not dirty yet, or the entry went stale. See ReadWord.
 func (n *Node) WriteWord(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint64) {
-	if !n.wordable(tb, addr) {
+	if tb == nil || addr&7 != 0 {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], v)
 		n.WriteAt(p, addr, b[:])
 		return
-	}
-	page := n.Space.PageOf(addr)
-	e := tb.Entry(page)
-	if e.Page == page && e.Dirty && e.Sync.Gen.Load() == e.G {
-		sy := e.Sync
-		sy.Act.Add(1)
-		if sy.Gen.Load() == e.G {
-			// Validated: any later downgrade bumps the generation and then
-			// drains Act, so this store is diffed before the page turns
-			// clean — the write cannot be lost.
-			off := int(addr) & (n.Cache.PageSize - 1)
-			atomic.StoreUint64((*uint64)(unsafe.Pointer(&e.Data[off])), v)
-			sy.Act.Add(-1)
-			p.Hits++
-			if n.MX != nil {
-				n.Cache.MX.Hits.Inc()
-			}
-			p.AdvanceTo(e.ReadyAt)
-			p.Advance(n.Fab.P.CacheHit)
-			return
-		}
-		sy.Act.Add(-1)
 	}
 	n.writeWordLocked(p, tb, addr, v)
 }
@@ -444,9 +396,6 @@ func (n *Node) writeWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint
 		s = n.Cache.SlotFor(page)
 	} else {
 		p.Hits++
-		if n.MX != nil {
-			n.Cache.MX.Hits.Inc()
-		}
 	}
 	p.AdvanceTo(s.ReadyAt)
 

@@ -246,6 +246,7 @@ type siRef struct {
 // across used lines; the downgrades travel as one home-grouped burst.
 func (n *Node) SIFence(p *sim.Proc) {
 	n.St.SIFences.Add(1)
+	n.PublishHits(p)
 	t0 := p.Now()
 	sc := getFenceScratch()
 	sc.lines = n.Cache.AppendUsedLines(sc.lines[:0])
@@ -345,6 +346,7 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 // burst, and lost posts are reissued from the burst loop.
 func (n *Node) SDFence(p *sim.Proc) {
 	n.St.SDFences.Add(1)
+	n.PublishHits(p)
 	t0 := p.Now()
 	if n.MX != nil {
 		n.MX.DrainResiduePages.Record(n.ID, int64(n.Cache.WBLen()))

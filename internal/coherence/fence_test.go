@@ -173,14 +173,15 @@ func TestAllocFreeFencePair(t *testing.T) {
 	r := newRigGeom(t, Options{Mode: ModePS3}, 8, 2, 16)
 	r.write64(1, 3*4096+8, 9)
 	r.nodes[1].SDFence(r.procs[1])
-	n, p, tb := r.nodes[0], r.procs[0], cache.NewTLB()
+	n, p := r.nodes[0], r.procs[0]
+	tb := n.NewTLB()
 	v := uint64(0)
 	cycle := func() {
 		v++
-		n.WriteWord(p, tb, 3*4096, v)
-		n.WriteWord(p, tb, 5*4096, v)
+		writeWord(n, p, tb, 3*4096, v)
+		writeWord(n, p, tb, 5*4096, v)
 		n.SDFence(p)
-		n.WriteWord(p, tb, 3*4096+16, v)
+		writeWord(n, p, tb, 3*4096+16, v)
 		n.SIFence(p)
 	}
 	cycle()

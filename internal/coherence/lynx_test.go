@@ -20,24 +20,39 @@ import (
 func wordRig(t *testing.T, opt Options) (*rig, []*cache.TLB) {
 	t.Helper()
 	r := newRig(t, opt)
-	return r, []*cache.TLB{cache.NewTLB(), cache.NewTLB()}
+	return r, []*cache.TLB{r.nodes[0].NewTLB(), r.nodes[1].NewTLB()}
+}
+
+// readWord and writeWord are a thread's scalar accessors (core.Thread.ReadU64
+// and WriteU64): the TLB alone on a hit, the node's locked path otherwise.
+func readWord(n *Node, p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 {
+	if v, ok := tb.Load(p, addr); ok {
+		return v
+	}
+	return n.ReadWord(p, tb, addr)
+}
+
+func writeWord(n *Node, p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint64) {
+	if !tb.Store(p, addr, v) {
+		n.WriteWord(p, tb, addr, v)
+	}
 }
 
 func TestWordHitTakesFastPath(t *testing.T) {
 	r, tbs := wordRig(t, Options{Mode: ModePS3})
 	addr := mem.Addr(3 * 4096)
 	binary.LittleEndian.PutUint64(r.space.HomeBytes(3), 77)
-	if got := r.nodes[0].ReadWord(r.procs[0], tbs[0], addr); got != 77 {
+	if got := readWord(r.nodes[0], r.procs[0], tbs[0], addr); got != 77 {
 		t.Fatalf("first read = %d, want 77", got)
 	}
 	// The miss filled the TLB: the entry must be live and the next read a
 	// counted hit.
 	e := tbs[0].Entry(3)
-	if e.Page != 3 || e.Data == nil {
+	if e.Page != 3 || e.Base == nil {
 		t.Fatalf("TLB not filled after miss: %+v", e)
 	}
 	hits := r.procs[0].Hits
-	if got := r.nodes[0].ReadWord(r.procs[0], tbs[0], addr); got != 77 {
+	if got := readWord(r.nodes[0], r.procs[0], tbs[0], addr); got != 77 {
 		t.Fatalf("second read = %d, want 77", got)
 	}
 	if r.procs[0].Hits != hits+1 {
@@ -50,18 +65,18 @@ func TestWriteHitRequiresDirtyEntry(t *testing.T) {
 	addr := mem.Addr(5 * 4096)
 	// A read fills a clean entry; the first write must still run the full
 	// write-miss protocol (twin + registration), then flip the entry dirty.
-	r.nodes[0].ReadWord(r.procs[0], tbs[0], addr)
+	readWord(r.nodes[0], r.procs[0], tbs[0], addr)
 	if e := tbs[0].Entry(5); e.Dirty {
 		t.Fatal("clean read marked TLB entry dirty")
 	}
-	r.nodes[0].WriteWord(r.procs[0], tbs[0], addr, 11)
+	writeWord(r.nodes[0], r.procs[0], tbs[0], addr, 11)
 	if e := tbs[0].Entry(5); !e.Dirty {
 		t.Fatal("write miss did not mark TLB entry dirty")
 	}
 	if !r.dir.Home(5).W.Has(0) {
 		t.Fatal("writer not registered at the directory")
 	}
-	r.nodes[0].WriteWord(r.procs[0], tbs[0], addr, 12)
+	writeWord(r.nodes[0], r.procs[0], tbs[0], addr, 12)
 	r.nodes[0].SDFence(r.procs[0])
 	if got := binary.LittleEndian.Uint64(r.space.HomeBytes(5)); got != 12 {
 		t.Fatalf("home after fence = %d, want 12", got)
@@ -71,15 +86,15 @@ func TestWriteHitRequiresDirtyEntry(t *testing.T) {
 func TestTLBStaleAfterSIFence(t *testing.T) {
 	r, tbs := wordRig(t, Options{Mode: ModePS3})
 	addr := mem.Addr(7 * 4096)
-	if got := r.nodes[0].ReadWord(r.procs[0], tbs[0], addr); got != 0 {
+	if got := readWord(r.nodes[0], r.procs[0], tbs[0], addr); got != 0 {
 		t.Fatalf("initial read = %d, want 0", got)
 	}
 	// Another node writes and releases; after the acquire fence the stale
 	// TLB entry must not serve the old value.
-	r.nodes[1].WriteWord(r.procs[1], tbs[1], addr, 42)
+	writeWord(r.nodes[1], r.procs[1], tbs[1], addr, 42)
 	r.nodes[1].SDFence(r.procs[1])
 	r.nodes[0].SIFence(r.procs[0])
-	if got := r.nodes[0].ReadWord(r.procs[0], tbs[0], addr); got != 42 {
+	if got := readWord(r.nodes[0], r.procs[0], tbs[0], addr); got != 42 {
 		t.Fatalf("read after SI fence = %d, want 42 (stale TLB served)", got)
 	}
 }
@@ -87,12 +102,12 @@ func TestTLBStaleAfterSIFence(t *testing.T) {
 func TestTLBStaleAfterSDFenceDowngrade(t *testing.T) {
 	r, tbs := wordRig(t, Options{Mode: ModePS3})
 	addr := mem.Addr(4 * 4096)
-	r.nodes[0].WriteWord(r.procs[0], tbs[0], addr, 1)
+	writeWord(r.nodes[0], r.procs[0], tbs[0], addr, 1)
 	r.nodes[0].SDFence(r.procs[0]) // downgrade: page is clean, gen bumped
 	// The dirty TLB entry is stale now: this write must re-run the
 	// write-miss protocol (fresh twin), not sneak past it, or the value
 	// would never be diffed home.
-	r.nodes[0].WriteWord(r.procs[0], tbs[0], addr, 2)
+	writeWord(r.nodes[0], r.procs[0], tbs[0], addr, 2)
 	r.nodes[0].SDFence(r.procs[0])
 	if got := binary.LittleEndian.Uint64(r.space.HomeBytes(4)); got != 2 {
 		t.Fatalf("home = %d, want 2 (write lost after downgrade)", got)
@@ -102,14 +117,14 @@ func TestTLBStaleAfterSDFenceDowngrade(t *testing.T) {
 func TestTLBStaleAfterConflictEviction(t *testing.T) {
 	r, tbs := wordRig(t, Options{Mode: ModePS3})
 	// The rig cache has 8 lines x 2 pages: pages 0 and 16 conflict.
-	r.nodes[0].WriteWord(r.procs[0], tbs[0], 0, 1)
-	r.nodes[0].ReadWord(r.procs[0], tbs[0], mem.Addr(16*4096)) // evicts page 0 (writeback)
+	writeWord(r.nodes[0], r.procs[0], tbs[0], 0, 1)
+	readWord(r.nodes[0], r.procs[0], tbs[0], mem.Addr(16*4096)) // evicts page 0 (writeback)
 	if got := binary.LittleEndian.Uint64(r.space.HomeBytes(0)); got != 1 {
 		t.Fatalf("eviction writeback lost: home = %d, want 1", got)
 	}
 	// Page 0's TLB entry is stale (gen bumped by the refetch); the write
 	// must fall back and redo the miss protocol.
-	r.nodes[0].WriteWord(r.procs[0], tbs[0], 0, 2)
+	writeWord(r.nodes[0], r.procs[0], tbs[0], 0, 2)
 	r.nodes[0].SDFence(r.procs[0])
 	if got := binary.LittleEndian.Uint64(r.space.HomeBytes(0)); got != 2 {
 		t.Fatalf("home = %d, want 2 (write lost after eviction)", got)
@@ -119,12 +134,12 @@ func TestTLBStaleAfterConflictEviction(t *testing.T) {
 func TestTLBStaleAfterCrashWipe(t *testing.T) {
 	r, tbs := wordRig(t, Options{Mode: ModePS3})
 	addr := mem.Addr(6 * 4096)
-	if got := r.nodes[0].ReadWord(r.procs[0], tbs[0], addr); got != 0 {
+	if got := readWord(r.nodes[0], r.procs[0], tbs[0], addr); got != 0 {
 		t.Fatalf("initial read = %d, want 0", got)
 	}
 	binary.LittleEndian.PutUint64(r.space.HomeBytes(6), 99)
 	r.nodes[0].CrashWipe()
-	if got := r.nodes[0].ReadWord(r.procs[0], tbs[0], addr); got != 99 {
+	if got := readWord(r.nodes[0], r.procs[0], tbs[0], addr); got != 99 {
 		t.Fatalf("read after crash wipe = %d, want 99 (stale TLB survived the wipe)", got)
 	}
 }
@@ -151,14 +166,14 @@ func TestTLBSeqlockConcurrentSameLine(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			p := &sim.Proc{Node: 0}
-			tb := cache.NewTLB()
+			tb := r.nodes[0].NewTLB()
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if got := r.nodes[0].ReadWord(p, tb, rdAddr); got != sentinel {
+				if got := readWord(r.nodes[0], p, tb, rdAddr); got != sentinel {
 					bad.Add(1)
 					return
 				}
@@ -170,14 +185,14 @@ func TestTLBSeqlockConcurrentSameLine(t *testing.T) {
 	}
 
 	wp := &sim.Proc{Node: 0}
-	wtb := cache.NewTLB()
+	wtb := r.nodes[0].NewTLB()
 	var last uint64
 	for i := 0; i < 128; i++ {
 		// A locked write-miss re-dirties the page, then a burst of fast
 		// dirty-path stores, then a fence downgrades and bumps the gen.
 		for j := 0; j < 8; j++ {
 			last = uint64(i*8 + j + 1)
-			r.nodes[0].WriteWord(wp, wtb, wrAddr, last)
+			writeWord(r.nodes[0], wp, wtb, wrAddr, last)
 		}
 		r.nodes[0].SDFence(wp)
 		if i%16 == 0 {
@@ -204,15 +219,13 @@ func TestTinyPageSizeStaysOnLockedPath(t *testing.T) {
 	dir := directory.New(fab, space.NPages, space.HomeOf)
 	n := NewNode(0, fab, space, dir, cache.New(0, 4, 8, 2, 16), DefaultOptions())
 	p := &sim.Proc{Node: 0}
-	tb := cache.NewTLB()
-	n.WriteWord(p, tb, 8, 1234)
-	if got := n.ReadWord(p, tb, 8); got != 1234 {
-		t.Fatalf("tiny-geometry read = %d, want 1234", got)
+	tb := n.NewTLB()
+	if tb != nil {
+		t.Fatal("a sub-word page size got a TLB")
 	}
-	for i := 0; i < cache.TLBSize; i++ {
-		if e := tb.Entry(i); e.Page >= 0 {
-			t.Fatalf("TLB filled (page %d) despite sub-word page size", e.Page)
-		}
+	writeWord(n, p, tb, 8, 1234)
+	if got := readWord(n, p, tb, 8); got != 1234 {
+		t.Fatalf("tiny-geometry read = %d, want 1234", got)
 	}
 }
 
@@ -248,7 +261,7 @@ func TestAllocFreeInvalidateRemiss(t *testing.T) {
 			slots[i].Invalidate()
 		}
 		n.Cache.UnlockLine(l)
-		if got := n.ReadWord(p, tb, addr); got != 77 {
+		if got := readWord(n, p, tb, addr); got != 77 {
 			t.Fatalf("re-miss read %d, want 77", got)
 		}
 	}
@@ -269,13 +282,14 @@ func TestAllocFreeInvalidateRemiss(t *testing.T) {
 func TestAllocFreeWriteMissDowngradeCycle(t *testing.T) {
 	skipAllocTestUnderRace(t)
 	r := newRigGeom(t, Options{Mode: ModePS3}, 8, 2, 1)
-	n, p, tb := r.nodes[0], r.procs[0], cache.NewTLB()
+	n, p := r.nodes[0], r.procs[0]
+	tb := n.NewTLB()
 	a, b := mem.Addr(3*4096), mem.Addr(5*4096) // different lines, remote homes
 	v := uint64(0)
 	cycle := func() {
 		v++
-		n.WriteWord(p, tb, a, v)
-		n.WriteWord(p, tb, b, v)
+		writeWord(n, p, tb, a, v)
+		writeWord(n, p, tb, b, v)
 	}
 	cycle()
 	wm, wb := r.fab.NodeStats(0).WriteMisses.Load(), r.fab.NodeStats(0).Writebacks.Load()
@@ -297,13 +311,14 @@ func TestAllocFreeWriteMissDowngradeCycle(t *testing.T) {
 func TestAllocFreeConflictEvictRefill(t *testing.T) {
 	skipAllocTestUnderRace(t)
 	r := newRigGeom(t, Options{Mode: ModePS3}, 1, 2, 16)
-	n, p, tb := r.nodes[0], r.procs[0], cache.NewTLB()
+	n, p := r.nodes[0], r.procs[0]
+	tb := n.NewTLB()
 	a, b := mem.Addr(1*4096), mem.Addr(3*4096) // both map to slot 1 of line 0
 	v := uint64(0)
 	cycle := func() {
 		v++
-		n.WriteWord(p, tb, a, v)
-		n.WriteWord(p, tb, b+8, v)
+		writeWord(n, p, tb, a, v)
+		writeWord(n, p, tb, b+8, v)
 	}
 	cycle()
 	rm := r.fab.NodeStats(0).ReadMisses.Load()
@@ -346,7 +361,7 @@ func TestSeqlockConflictRefillHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			p := &sim.Proc{Node: 0}
-			tb := cache.NewTLB()
+			tb := r.nodes[0].NewTLB()
 			for i := g; ; i++ {
 				select {
 				case <-stop:
@@ -354,7 +369,7 @@ func TestSeqlockConflictRefillHammer(t *testing.T) {
 				default:
 				}
 				w := (i * 7) & 511
-				if got := n.ReadWord(p, tb, mem.Addr(pageP*4096+8*w)); got != word(pageP, w) {
+				if got := readWord(n, p, tb, mem.Addr(pageP*4096+8*w)); got != word(pageP, w) {
 					t.Errorf("reader %d: word %d of page %d read %#x, want %#x", g, w, pageP, got, word(pageP, w))
 					return
 				}
@@ -366,7 +381,7 @@ func TestSeqlockConflictRefillHammer(t *testing.T) {
 	}
 
 	p := &sim.Proc{Node: 0}
-	tb := cache.NewTLB()
+	tb := r.nodes[0].NewTLB()
 	var buf [8]byte
 	for i := 0; i < 4000 && !t.Failed(); i++ {
 		w := (i * 13) & 511
@@ -378,9 +393,9 @@ func TestSeqlockConflictRefillHammer(t *testing.T) {
 				t.Fatalf("thrasher: bulk read %#x, want %#x", got, word(pageQ, w))
 			}
 		case 1: // dirty the page (same value) so its eviction runs the twin/diff path
-			n.WriteWord(p, tb, addr, word(pageQ, w))
+			writeWord(n, p, tb, addr, word(pageQ, w))
 		default:
-			if got := n.ReadWord(p, tb, addr); got != word(pageQ, w) {
+			if got := readWord(n, p, tb, addr); got != word(pageQ, w) {
 				t.Fatalf("thrasher: read %#x, want %#x", got, word(pageQ, w))
 			}
 		}
@@ -399,5 +414,104 @@ func TestSeqlockConflictRefillHammer(t *testing.T) {
 				t.Fatalf("home word %d of page %d = %#x, want %#x", i, pg, got, word(pg, i))
 			}
 		}
+	}
+}
+
+// TestTLBHitNeverBehindReadyAt pins the argument that lets a TLB entry drop
+// its ReadyAt (cache/tlb.go): thread B first touches a page that thread A
+// fetched at a much later virtual time. B's entry is filled on the locked
+// path, after B's clock was pulled up to the slot's ReadyAt — so B's next
+// access, a TLB hit with no ReadyAt step at all, costs exactly one CacheHit.
+func TestTLBHitNeverBehindReadyAt(t *testing.T) {
+	r, _ := wordRig(t, Options{Mode: ModePS3})
+	n := r.nodes[0]
+	addr := mem.Addr(3 * 4096)
+	a, b := &sim.Proc{Node: 0}, &sim.Proc{Node: 0, Core: 1}
+	tba, tbb := n.NewTLB(), n.NewTLB()
+
+	a.Advance(1_000_000)
+	readWord(n, a, tba, addr) // A's miss: the slot is ready well after B's now
+	n.Cache.LockLine(n.Cache.LineOf(3))
+	readyAt := n.Cache.SlotFor(3).ReadyAt
+	n.Cache.UnlockLine(n.Cache.LineOf(3))
+	if readyAt < 1_000_000 {
+		t.Fatalf("slot ReadyAt = %d, want A's fetch time (>= 1000000)", readyAt)
+	}
+
+	readWord(n, b, tbb, addr) // B's locked hit fills B's entry
+	if tbb.Entry(3).Page != 3 {
+		t.Fatal("B's locked hit did not fill its TLB")
+	}
+	if b.Now() < readyAt {
+		t.Fatalf("B's clock %d is behind the slot's ReadyAt %d after the fill", b.Now(), readyAt)
+	}
+	before, hits := b.Now(), b.Hits
+	readWord(n, b, tbb, addr)
+	if got := b.Now() - before; got != r.fab.P.CacheHit || b.Hits != hits+1 {
+		t.Fatalf("TLB hit advanced B by %d (hits +%d), want exactly CacheHit = %d and one hit",
+			got, b.Hits-hits, r.fab.P.CacheHit)
+	}
+}
+
+// TestFastStoreFenceHammer is the soundness test of the write fast path's
+// plain store: four writers store round after round into disjoint words of
+// one page while another thread of the node runs SD fences back to back, so
+// downgrades (generation bump, Act drain, diff, twin dropped) keep landing
+// between validated stores. A store that slipped past a drain would sit in
+// both the data and the next twin and never be diffed, so after every round's
+// closing fence each word at home must carry that round's value. Run with
+// -cpu 1,2,4; under -race the same test checks that the plain stores are
+// ordered against the diff's reads and the refills.
+func TestFastStoreFenceHammer(t *testing.T) {
+	r, _ := wordRig(t, Options{Mode: ModePS3})
+	n := r.nodes[0]
+	const page, writers, words, rounds = 9, 4, 512, 150
+	value := func(round, w int) uint64 { return uint64(round+1)<<16 | uint64(w) }
+
+	procs := make([]*sim.Proc, writers)
+	tlbs := make([]*cache.TLB, writers)
+	for g := range procs {
+		procs[g], tlbs[g] = &sim.Proc{Node: 0, Core: g}, n.NewTLB()
+	}
+	fp := &sim.Proc{Node: 0}
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		var running atomic.Int32
+		running.Store(writers)
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				defer running.Add(-1)
+				for w := g; w < words; w += writers {
+					writeWord(n, procs[g], tlbs[g], mem.Addr(page*4096+8*w), value(round, w))
+					if w&63 == g {
+						runtime.Gosched() // let the fencer in on 1-CPU hosts
+					}
+				}
+			}(g)
+		}
+		for running.Load() > 0 {
+			n.SDFence(fp)
+			runtime.Gosched()
+		}
+		wg.Wait()
+		n.SDFence(fp)
+		home := r.space.HomeBytes(page)
+		for w := 0; w < words; w++ {
+			if got := binary.LittleEndian.Uint64(home[8*w:]); got != value(round, w) {
+				t.Fatalf("round %d: home word %d = %#x, want %#x (fast-path store lost)", round, w, got, value(round, w))
+			}
+		}
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	var fast int64
+	for _, p := range procs {
+		fast += p.Hits
+	}
+	if fast == 0 {
+		t.Fatal("no store ever hit: the write fast path was not under test")
 	}
 }

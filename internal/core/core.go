@@ -455,8 +455,8 @@ type Thread struct {
 	SyncEpoch int64
 
 	// tlb is the Lynx per-thread access-translation cache (nil when
-	// Config.NoAccessTLB): scalar accesses that hit in it skip the line
-	// mutex entirely. Like the Thread itself it is single-goroutine.
+	// Config.NoAccessTLB): scalar accesses that hit in it never reach Coh.
+	// Like the Thread itself it is single-goroutine.
 	tlb *cache.TLB
 }
 
@@ -490,7 +490,7 @@ func (c *Cluster) RunSeeded(threadsPerNode int, seed int64, body func(t *Thread)
 				Rng: rand.New(rand.NewSource(seed + int64(r)*1_000_003)),
 			}
 			if !c.Cfg.NoAccessTLB {
-				threads[r].tlb = cache.NewTLB()
+				threads[r].tlb = c.Nodes[node].NewTLB()
 			}
 			procs[r] = p
 		}
@@ -524,6 +524,7 @@ func (c *Cluster) RunSeeded(threadsPerNode int, seed int64, body func(t *Thread)
 	}
 	for _, p := range procs {
 		c.hits.Add(p.Hits)
+		c.Nodes[p.Node].PublishHits(p) // what the thread counted since its last fence
 	}
 	c.SR.NoteMakespan(int64(makespan))
 	return makespan
@@ -543,17 +544,22 @@ func (t *Thread) ReadBytes(a mem.Addr, dst []byte) { t.Coh.ReadAt(t.P, a, dst) }
 // WriteBytes writes src to global address a.
 func (t *Thread) WriteBytes(a mem.Addr, src []byte) { t.Coh.WriteAt(t.P, a, src) }
 
-// ReadU64 reads a little-endian 64-bit word at a. Lynx hits (a valid TLB
-// entry for the page) load the word straight from the cached page without
-// taking the line lock or bouncing through a scratch buffer.
+// ReadU64 reads a little-endian 64-bit word at a. A Lynx hit (a valid TLB
+// entry for the page) is served by the thread's TLB alone, straight from the
+// cached page; only a miss enters the coherence layer.
 func (t *Thread) ReadU64(a mem.Addr) uint64 {
+	if v, ok := t.tlb.Load(t.P, a); ok {
+		return v
+	}
 	return t.Coh.ReadWord(t.P, t.tlb, a)
 }
 
-// WriteU64 writes a little-endian 64-bit word at a (zero-copy on Lynx
-// dirty-page hits, see ReadU64).
+// WriteU64 writes a little-endian 64-bit word at a (by the TLB alone on a
+// Lynx dirty-page hit, see ReadU64).
 func (t *Thread) WriteU64(a mem.Addr, v uint64) {
-	t.Coh.WriteWord(t.P, t.tlb, a, v)
+	if !t.tlb.Store(t.P, a, v) {
+		t.Coh.WriteWord(t.P, t.tlb, a, v)
+	}
 }
 
 // ReadI64 reads an int64 at a.

@@ -108,3 +108,50 @@ func TestMetricsHookInjection(t *testing.T) {
 		t.Fatal("shared suite accumulated nothing across clusters")
 	}
 }
+
+// TestHitsProbeMatchesProcHits: hits are counted per access in Proc.Hits only
+// and published to the Argoscope counter at fences and at the end of a Run, so
+// after a Run the counter must equal the hits the threads counted — including
+// those after a thread's last fence — and attaching metrics must not change
+// how many there are.
+func TestHitsProbeMatchesProcHits(t *testing.T) {
+	const block = 16 * 512 // 16 pages = 4 whole lines per node: no line is shared
+	run := func(ms *metrics.Suite) int64 {
+		c := MustNewCluster(testConfig(2))
+		if ms != nil {
+			c.AttachMetrics(ms)
+		}
+		xs := c.AllocF64(2 * block)
+		buf := make([][]float64, 2)
+		c.Run(1, func(th *Thread) {
+			lo := th.Node * block
+			for i := lo; i < lo+block; i++ {
+				th.SetF64(xs, i, float64(i))
+			}
+			th.ReleaseFence()
+			th.AcquireFence()
+			for i := lo; i < lo+block; i += 3 {
+				th.GetF64(xs, i)
+			}
+			buf[th.Node] = make([]float64, block)
+			th.ReadF64s(xs, lo, lo+block, buf[th.Node])
+			th.ReleaseFence()
+			for k := 0; k < 100; k++ { // after the last fence: published when the Run ends
+				th.GetF64(xs, lo+k)
+			}
+		})
+		return c.Hits()
+	}
+	ms := metrics.NewSuite()
+	attached, detached := run(ms), run(nil)
+	var counter int64
+	for _, cs := range ms.Reg.Dump().Counters {
+		if cs.Name == "argo_cache_events_total" && cs.Labels["event"] == "hit" {
+			counter += cs.Value
+		}
+	}
+	if attached < 2*block || counter != attached || detached != attached {
+		t.Fatalf("hit counter %d, Proc.Hits attached %d, detached %d: want all equal and at least %d",
+			counter, attached, detached, 2*block)
+	}
+}

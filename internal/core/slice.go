@@ -187,7 +187,8 @@ func DumpSlice[T Element](c *Cluster, s Slice[T]) []T {
 }
 
 // ---------------------------------------------------------------------------
-// Pre-generics accessors (thin wrappers; methods cannot be generic)
+// Pre-generics accessors (methods cannot be generic). The scalar ones convert
+// directly — the generic Get/Set box through any on every access.
 // ---------------------------------------------------------------------------
 
 // AllocF64 reserves a global float64 array of n elements on its own pages.
@@ -197,10 +198,10 @@ func (c *Cluster) AllocF64(n int) F64Slice { return AllocSlice[float64](c, n) }
 func (c *Cluster) AllocI64(n int) I64Slice { return AllocSlice[int64](c, n) }
 
 // GetF64 reads element i.
-func (t *Thread) GetF64(s F64Slice, i int) float64 { return Get(t, s, i) }
+func (t *Thread) GetF64(s F64Slice, i int) float64 { return math.Float64frombits(t.ReadU64(s.At(i))) }
 
 // SetF64 writes element i.
-func (t *Thread) SetF64(s F64Slice, i int, v float64) { Set(t, s, i, v) }
+func (t *Thread) SetF64(s F64Slice, i int, v float64) { t.WriteU64(s.At(i), math.Float64bits(v)) }
 
 // ReadF64s bulk-reads elements [lo,hi) into dst (len(dst) >= hi-lo).
 func (t *Thread) ReadF64s(s F64Slice, lo, hi int, dst []float64) { ReadRange(t, s, lo, hi, dst) }
@@ -209,10 +210,10 @@ func (t *Thread) ReadF64s(s F64Slice, lo, hi int, dst []float64) { ReadRange(t, 
 func (t *Thread) WriteF64s(s F64Slice, lo int, src []float64) { WriteRange(t, s, lo, src) }
 
 // GetI64 reads element i.
-func (t *Thread) GetI64(s I64Slice, i int) int64 { return Get(t, s, i) }
+func (t *Thread) GetI64(s I64Slice, i int) int64 { return int64(t.ReadU64(s.At(i))) }
 
 // SetI64 writes element i.
-func (t *Thread) SetI64(s I64Slice, i int, v int64) { Set(t, s, i, v) }
+func (t *Thread) SetI64(s I64Slice, i int, v int64) { t.WriteU64(s.At(i), uint64(v)) }
 
 // ReadI64s bulk-reads elements [lo,hi) into dst.
 func (t *Thread) ReadI64s(s I64Slice, lo, hi int, dst []int64) { ReadRange(t, s, lo, hi, dst) }

@@ -130,35 +130,60 @@ func TestCohortPrefersLocalHandover(t *testing.T) {
 	}
 }
 
+// streakMeter measures the longest run of consecutive same-socket acquisitions
+// made while the other socket was queued at the lock. A streak is only unfair
+// then: before the other socket's threads have started and after they have
+// finished, any run length is legitimate. Whether a waiter is queued has to be
+// read from the lock's own queue — a count kept outside the lock does not do,
+// because a thread can sit in the lock's unfair host mutex for a millisecond
+// while counted as waiting. Call acquired inside the critical section.
+type streakMeter struct{ max, cur, last int }
+
+func (m *streakMeter) acquired(socket int, otherSocketQueued bool) {
+	switch {
+	case !otherSocketQueued:
+		m.cur, m.last = 0, -1
+	case socket == m.last:
+		m.cur++
+	default:
+		m.cur, m.last = 1, socket
+	}
+	m.max = max(m.max, m.cur)
+}
+
+// check fails t unless the sockets competed and no streak went far past limit.
+func (m *streakMeter) check(t *testing.T, limit int) {
+	t.Helper()
+	if m.max == 0 {
+		t.Fatal("the two sockets never competed for the lock")
+	}
+	if m.max > 3*limit {
+		t.Fatalf("socket streak %d far exceeds the limit %d", m.max, limit)
+	}
+}
+
 func TestCohortBatchLimitBoundsUnfairness(t *testing.T) {
 	f := testFab()
 	l := NewCohortLock(f, 2)
 	l.BatchLimit = 4
 	topo := sim.Topology{Nodes: 1, Sockets: 2, CoresPerSocket: 4}
 	const iters = 100
-	var maxStreak, streak int
-	lastSocket := -1
+	var m streakMeter
+	var start sync.WaitGroup // all eight threads compete from the first acquisition
+	start.Add(8)
 	g := sim.NewGroup(procs(topo, 8))
 	g.Run(func(i int, p *sim.Proc) {
+		start.Done()
+		start.Wait()
 		for k := 0; k < iters; k++ {
 			l.Lock(p)
-			if p.Socket == lastSocket {
-				streak++
-			} else {
-				streak = 1
-				lastSocket = p.Socket
-			}
-			if streak > maxStreak {
-				maxStreak = streak
-			}
+			m.acquired(p.Socket, l.global.hasWaiters())
 			l.Unlock(p)
 		}
 	})
 	// A socket may slightly exceed the limit when it reacquires the free
 	// global lock, but unbounded streaks mean the limit is broken.
-	if maxStreak > 3*l.BatchLimit {
-		t.Fatalf("socket streak %d far exceeds batch limit %d", maxStreak, l.BatchLimit)
-	}
+	m.check(t, l.BatchLimit)
 }
 
 func TestQDAllSectionsExecuteExactlyOnce(t *testing.T) {

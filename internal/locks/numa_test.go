@@ -2,6 +2,7 @@ package locks
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"argo/internal/fabric"
@@ -40,27 +41,23 @@ func TestHBOStreakBounded(t *testing.T) {
 	l := NewHBOLock(f)
 	l.MaxStreak = 4
 	topo := sim.Topology{Nodes: 1, Sockets: 2, CoresPerSocket: 4}
-	var maxStreak, streak, lastSocket int
-	lastSocket = -1
+	var m streakMeter
+	var start sync.WaitGroup // all eight threads compete from the first acquisition
+	start.Add(8)
 	g := sim.NewGroup(procs(topo, 8))
 	g.Run(func(i int, p *sim.Proc) {
+		start.Done()
+		start.Wait()
 		for k := 0; k < 150; k++ {
 			l.Lock(p)
-			if p.Socket == lastSocket {
-				streak++
-			} else {
-				streak = 1
-				lastSocket = p.Socket
-			}
-			if streak > maxStreak {
-				maxStreak = streak
-			}
+			l.mu.Lock()
+			queued := len(l.waiters[1-p.Socket]) > 0
+			l.mu.Unlock()
+			m.acquired(p.Socket, queued)
 			l.Unlock(p)
 		}
 	})
-	if maxStreak > 3*l.MaxStreak {
-		t.Fatalf("HBO streak %d far exceeds MaxStreak %d", maxStreak, l.MaxStreak)
-	}
+	m.check(t, l.MaxStreak)
 }
 
 func TestHCLHServesSocketBatches(t *testing.T) {

@@ -37,6 +37,8 @@ type Proc struct {
 	// Hits is a hot-path counter (page-cache hits) kept thread-local to
 	// avoid cache-line contention; aggregate it at the end of a run.
 	Hits int64
+	// hitsTaken is the part of Hits TakeHits has already handed out.
+	hitsTaken int64
 
 	// Opens counts write-miss page opens (host-side only; the coherence
 	// layer uses it to pace its scheduler-yield cadence).
@@ -53,6 +55,14 @@ func (p *Proc) Advance(d Time) {
 		panic(fmt.Sprintf("sim: negative advance %d", d))
 	}
 	p.now += d
+}
+
+// TakeHits returns the growth of Hits since the previous call, for a caller
+// that publishes hit counts in batches instead of per access.
+func (p *Proc) TakeHits() int64 {
+	d := p.Hits - p.hitsTaken
+	p.hitsTaken = p.Hits
+	return d
 }
 
 // AdvanceTo moves the clock to t if t is later than now (max-combining).

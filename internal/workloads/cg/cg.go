@@ -43,49 +43,67 @@ type Sparse struct {
 	Val    []float64
 }
 
-// BuildMatrix generates the deterministic SPD input matrix.
+// BuildMatrix generates the deterministic SPD input matrix: PerRow/2 random
+// symmetric off-diagonal pairs per row, then a dominant diagonal. The CSR
+// arrays are built in place by replaying the generator twice — once to size
+// every row, once to fill it — so nothing is grown or copied. Within a row the
+// diagonal comes first and the entries follow in generation order.
 func BuildMatrix(p Params) *Sparse {
 	n := p.N
-	// Collect symmetric off-diagonal entries deterministically.
-	type ent struct {
-		j int32
-		v float64
-	}
-	rows := make([][]ent, n)
-	seed := uint64(88172645463325252)
-	next := func() uint64 {
-		seed ^= seed << 13
-		seed ^= seed >> 7
-		seed ^= seed << 17
-		return seed
-	}
 	per := p.PerRow / 2
-	for i := 0; i < n; i++ {
-		for k := 0; k < per; k++ {
-			j := int(next() % uint64(n))
-			if j == i {
-				continue
+	// pairs replays the xorshift stream and calls emit for every symmetric
+	// off-diagonal pair (i, j, v). A draw that lands on the diagonal is
+	// skipped before its value is drawn.
+	pairs := func(emit func(i, j int, v float64)) {
+		seed := uint64(88172645463325252)
+		next := func() uint64 {
+			seed ^= seed << 13
+			seed ^= seed >> 7
+			seed ^= seed << 17
+			return seed
+		}
+		for i := 0; i < n; i++ {
+			for k := 0; k < per; k++ {
+				j := int(next() % uint64(n))
+				if j == i {
+					continue
+				}
+				emit(i, j, float64(next()%2000)/1000.0-1.0)
 			}
-			v := float64(next()%2000)/1000.0 - 1.0
-			rows[i] = append(rows[i], ent{int32(j), v})
-			rows[j] = append(rows[j], ent{int32(i), v})
 		}
 	}
-	s := &Sparse{N: n}
-	s.RowPtr = make([]int32, n+1)
+
+	s := &Sparse{N: n, RowPtr: make([]int32, n+1)}
+	pairs(func(i, j int, _ float64) {
+		s.RowPtr[i+1]++
+		s.RowPtr[j+1]++
+	})
+	for i := 0; i < n; i++ {
+		s.RowPtr[i+1] += s.RowPtr[i] + 1 // the row's entries, and its diagonal
+	}
+	nnz := int(s.RowPtr[n])
+	s.ColIdx = make([]int32, nnz)
+	s.Val = make([]float64, nnz)
+
+	fill := make([]int32, n) // next free position of each row
+	for i := range fill {
+		fill[i] = s.RowPtr[i] + 1
+	}
+	put := func(i, j int, v float64) {
+		s.ColIdx[fill[i]], s.Val[fill[i]] = int32(j), v
+		fill[i]++
+	}
+	pairs(func(i, j int, v float64) {
+		put(i, j, v)
+		put(j, i, v)
+	})
 	for i := 0; i < n; i++ {
 		// Diagonal dominance makes the matrix SPD.
 		diag := 1.0
-		for _, e := range rows[i] {
-			diag += math.Abs(e.v)
+		for k := s.RowPtr[i] + 1; k < s.RowPtr[i+1]; k++ {
+			diag += math.Abs(s.Val[k])
 		}
-		s.ColIdx = append(s.ColIdx, int32(i))
-		s.Val = append(s.Val, diag)
-		for _, e := range rows[i] {
-			s.ColIdx = append(s.ColIdx, e.j)
-			s.Val = append(s.Val, e.v)
-		}
-		s.RowPtr[i+1] = int32(len(s.Val))
+		s.ColIdx[s.RowPtr[i]], s.Val[s.RowPtr[i]] = int32(i), diag
 	}
 	return s
 }
@@ -246,7 +264,9 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 		r := make([]float64, cnt)
 		x := make([]float64, cnt)
 		q := make([]float64, cnt)
-		dfull := make([]float64, n)
+		d := make([]float64, cnt) // own block of the direction vector
+		upd := make([]float64, cnt)
+		all := make([]float64, nt)
 		pdotLocal := func(a, bb []float64) float64 {
 			var s float64
 			for i := range a {
@@ -255,7 +275,6 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 			return s
 		}
 		readParts := func(slot int) float64 {
-			all := make([]float64, nt)
 			th.ReadF64s(gparts, slot*nt, slot*nt+nt, all)
 			var s float64
 			for _, v := range all {
@@ -269,7 +288,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 		rho := readParts(0)
 		for it := 0; it < p.Iters; it++ {
 			// Own block of d, used by the dot products and updates below.
-			th.ReadF64s(gd, lo, hi, dfull[lo:hi])
+			th.ReadF64s(gd, lo, hi, d)
 			// The sparse matvec reads the direction vector element-wise
 			// through the page cache, exactly as the Pthreads original
 			// reads a shared array; pages fault in on demand.
@@ -284,7 +303,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 			}
 			th.Compute(sim.Time(flops) * FlopCost)
 			th.WriteF64s(gq, lo, q)
-			th.WriteF64(gparts.At(nt+th.Rank), pdotLocal(dfull[lo:hi], q))
+			th.WriteF64(gparts.At(nt+th.Rank), pdotLocal(d, q))
 			th.Barrier()
 			dq := readParts(1)
 			alpha := rho / dq
@@ -292,7 +311,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 			th.ReadF64s(gr, lo, hi, r)
 			th.ReadF64s(gq, lo, hi, q)
 			for i := 0; i < cnt; i++ {
-				x[i] += alpha * dfull[lo+i]
+				x[i] += alpha * d[i]
 				r[i] -= alpha * q[i]
 			}
 			th.WriteF64s(gx, lo, x)
@@ -302,9 +321,8 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 			rhoNew := readParts(0)
 			beta := rhoNew / rho
 			rho = rhoNew
-			upd := make([]float64, cnt)
 			for i := 0; i < cnt; i++ {
-				upd[i] = r[i] + beta*dfull[lo+i]
+				upd[i] = r[i] + beta*d[i]
 			}
 			th.WriteF64s(gd, lo, upd)
 			th.Barrier()
@@ -342,6 +360,7 @@ func RunUPC(nodes, rpn int, p Params) wload.Result {
 		q := make([]float64, cnt)
 		copy(r, b[lo:hi])
 		dfull := make([]float64, n)
+		upd := make([]float64, cnt)
 		var rhoPart float64
 		for i := 0; i < cnt; i++ {
 			rhoPart += r[i] * r[i]
@@ -375,7 +394,6 @@ func RunUPC(nodes, rpn int, p Params) wload.Result {
 			rhoNew := w.AllreduceSum(r0, rhoNewPart)
 			beta := rhoNew / rho
 			rho = rhoNew
-			upd := make([]float64, cnt)
 			for i := 0; i < cnt; i++ {
 				upd[i] = r[i] + beta*dfull[lo+i]
 			}

@@ -2,6 +2,7 @@ package cg
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"argo/internal/workloads/wload"
@@ -96,5 +97,80 @@ func TestArgoSharedVectorMigrates(t *testing.T) {
 	}
 	if r.Stats.Writebacks == 0 {
 		t.Fatal("no downgrades recorded")
+	}
+}
+
+// buildMatrixOracle is the builder BuildMatrix replaced: per-row appends,
+// then one growing append per CSR array. Kept as the reference the two-pass
+// builder must reproduce bit for bit.
+func buildMatrixOracle(p Params) *Sparse {
+	n := p.N
+	type ent struct {
+		j int32
+		v float64
+	}
+	rows := make([][]ent, n)
+	seed := uint64(88172645463325252)
+	next := func() uint64 {
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		return seed
+	}
+	per := p.PerRow / 2
+	for i := 0; i < n; i++ {
+		for k := 0; k < per; k++ {
+			j := int(next() % uint64(n))
+			if j == i {
+				continue
+			}
+			v := float64(next()%2000)/1000.0 - 1.0
+			rows[i] = append(rows[i], ent{int32(j), v})
+			rows[j] = append(rows[j], ent{int32(i), v})
+		}
+	}
+	s := &Sparse{N: n}
+	s.RowPtr = make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		diag := 1.0
+		for _, e := range rows[i] {
+			diag += math.Abs(e.v)
+		}
+		s.ColIdx = append(s.ColIdx, int32(i))
+		s.Val = append(s.Val, diag)
+		for _, e := range rows[i] {
+			s.ColIdx = append(s.ColIdx, e.j)
+			s.Val = append(s.Val, e.v)
+		}
+		s.RowPtr[i+1] = int32(len(s.Val))
+	}
+	return s
+}
+
+func TestBuildMatrixMatchesOracle(t *testing.T) {
+	for _, n := range []int{1, 7, 2048, 65536} {
+		for _, perRow := range []int{2, 8, 32} {
+			p := Params{N: n, PerRow: perRow}
+			got, want := BuildMatrix(p), buildMatrixOracle(p)
+			if got.N != want.N || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+				t.Fatalf("N=%d PerRow=%d: CSR structure differs from the oracle", n, perRow)
+			}
+			if len(got.Val) != len(want.Val) {
+				t.Fatalf("N=%d PerRow=%d: %d values, want %d", n, perRow, len(got.Val), len(want.Val))
+			}
+			for k := range want.Val {
+				if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+					t.Fatalf("N=%d PerRow=%d: Val[%d] = %v, want %v", n, perRow, k, got.Val[k], want.Val[k])
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkBuildMatrix(b *testing.B) {
+	p := Params{N: 65536, PerRow: 32}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		BuildMatrix(p)
 	}
 }

@@ -9,6 +9,7 @@
 package argo_test
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -18,8 +19,11 @@ import (
 	"argo/internal/core"
 	"argo/internal/fault"
 	"argo/internal/mem"
+	"argo/internal/racetag"
+	"argo/internal/workloads/cg"
 	"argo/internal/workloads/drf"
 	"argo/internal/workloads/lu"
+	"argo/internal/workloads/wload"
 )
 
 // luChaosSpec is the perf ledger's lu_chaos plan (benchmark/workloads.go).
@@ -47,21 +51,30 @@ func withTLBDisabled(t *testing.T, fn func()) {
 	withConfig(t, func(cfg *core.Config) { cfg.NoAccessTLB = true }, fn)
 }
 
-func TestScalarHitZeroAlloc(t *testing.T) {
+// TestAllocFreeScalarHits: read hits and dirty-write hits through the four
+// typed scalar accessors allocate nothing (the generic Get/Set they used to
+// forward to boxed every value through any).
+func TestAllocFreeScalarHits(t *testing.T) {
+	if racetag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	cfg := argo.DefaultConfig(1)
 	cfg.MemoryBytes = 1 << 20
 	c := argo.MustNewCluster(cfg)
-	xs := c.AllocF64(512)
+	xs, ks := c.AllocF64(512), c.AllocI64(512)
 	var allocs float64
 	c.Run(1, func(th *argo.Thread) {
-		th.SetF64(xs, 0, 1) // warm: page resident and dirty, TLB filled
+		th.SetF64(xs, 0, 1) // warm: pages resident and dirty, TLB filled
+		th.SetI64(ks, 0, 1)
 		allocs = testing.AllocsPerRun(200, func() {
 			v := th.GetF64(xs, 0)
 			th.SetF64(xs, 1, v+1)
+			k := th.GetI64(ks, 0)
+			th.SetI64(ks, 1, k+1)
 		})
 	})
 	if allocs != 0 {
-		t.Fatalf("scalar hit allocated %.1f times per op, want 0", allocs)
+		t.Fatalf("scalar hits allocated %.1f times per op, want 0", allocs)
 	}
 }
 
@@ -152,6 +165,30 @@ func TestReplayIdenticalChaosLU(t *testing.T) {
 	if on.Digest != off.Digest || on.Epoch != off.Epoch || on.Deaths != off.Deaths ||
 		on.Partitions != off.Partitions || on.History != off.History {
 		t.Fatalf("TLB changed chaos LU:\n on: %+v\noff: %+v", on, off)
+	}
+}
+
+// TestLynxReplayIdenticalCG is the A/B on the scalar gather the TLB exists
+// for: a small CG, whose sparse matvec reads the direction vector one GetF64
+// at a time, must report the same checksum bits whether its hits are served
+// by the TLB or by the locked path — and, on one thread, the same makespan to
+// the nanosecond. (With more threads which of them fetches a shared page is a
+// host race, so there the makespan is not replayable even between two runs of
+// one path.)
+func TestLynxReplayIdenticalCG(t *testing.T) {
+	p := cg.Params{N: 2048, PerRow: 8, Iters: 2}
+	ref := wload.Checksum(cg.Serial(p))
+	for _, g := range []struct{ nodes, tpn int }{{1, 1}, {2, 2}} {
+		on := cg.RunArgo(argo.DefaultConfig(g.nodes), p, g.tpn)
+		var off wload.Result
+		withTLBDisabled(t, func() { off = cg.RunArgo(argo.DefaultConfig(g.nodes), p, g.tpn) })
+		if math.Float64bits(on.Check) != math.Float64bits(off.Check) || (g.nodes*g.tpn == 1 && on.Time != off.Time) {
+			t.Fatalf("TLB changed CG on %dx%d:\n on: makespan %d check %v\noff: makespan %d check %v",
+				g.nodes, g.tpn, on.Time, on.Check, off.Time, off.Check)
+		}
+		if math.Abs(on.Check-ref) > 1e-6*math.Max(1, math.Abs(ref)) {
+			t.Fatalf("CG checksum %v on %dx%d, serial reference %v", on.Check, g.nodes, g.tpn, ref)
+		}
 	}
 }
 
