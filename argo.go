@@ -36,6 +36,15 @@
 //
 // All simulated time is in virtual nanoseconds; cluster.Run returns the
 // makespan of the launch.
+//
+// # One door
+//
+// A Config describes a cluster completely — geometry, protocol, cost model,
+// the fault plan (Config.Faults) and the observers (Config.Tracer,
+// Config.Metrics, Config.Spans) — and NewCluster is the one place that builds
+// it: observers are wired into every layer before NewCluster returns, so any
+// lock, flag or barrier built afterwards reports into them. The With*
+// options are spellings of those fields for callers composing a stock config.
 package argo
 
 import (
@@ -76,7 +85,7 @@ type (
 	// for critical-path attribution (see WithSpans and internal/span).
 	SpanRecorder = span.Recorder
 	// FaultPlan describes a deterministic fault-injection campaign
-	// (see WithFaultPlan and ParseFaultPlan).
+	// (see Config.Faults, WithChaos and ParseFaultPlan).
 	FaultPlan = fault.Plan
 	// CrashSignal is the panic value a thread of a crash-stopped node
 	// unwinds with at its barrier safe point (Cygnus). The SPMD runner
@@ -105,8 +114,8 @@ func DefaultFaultPlan(seed int64) FaultPlan { return fault.DefaultPlan(seed) }
 func ParseFaultPlan(spec string) (FaultPlan, error) { return fault.ParsePlan(spec) }
 
 // ChaosBuilder is the fluent fault-plan builder (see fault.NewBuilder);
-// terminate a chain with Plan or MustPlan and pass the result to
-// WithFaultPlan, or skip the builder entirely with WithChaos(spec).
+// terminate a chain with Plan or MustPlan and point Config.Faults at the
+// result, or skip the builder entirely with WithChaos(spec).
 type ChaosBuilder = fault.Builder
 
 // NewChaosPlan starts a fluent chaos-plan chain from the default plan:
@@ -114,69 +123,64 @@ type ChaosBuilder = fault.Builder
 //	plan := argo.NewChaosPlan(42).Crash(0.03).Partition(0.05, 2).MustPlan()
 func NewChaosPlan(seed int64) *ChaosBuilder { return fault.NewBuilder(seed) }
 
-// NewMetrics creates an empty Argoscope suite to pass to WithMetrics.
+// NewMetrics creates an empty Argoscope suite for Config.Metrics.
 func NewMetrics() *Metrics { return metrics.NewSuite() }
 
 // NewTracer creates a protocol-event tracer keeping at most limit events
-// per node (0 means the default cap) to pass to WithTracer.
+// per node (0 means the default cap) for Config.Tracer.
 func NewTracer(limit int) *Tracer { return trace.New(limit) }
 
 // NewSpanRecorder creates a Pictor span recorder keeping at most limit
-// records per node (0 means the default cap) to pass to WithSpans.
+// records per node (0 means the default cap) for Config.Spans.
 func NewSpanRecorder(limit int) *SpanRecorder { return span.NewRecorder(limit) }
 
-// Option configures a Cluster at construction time (see NewCluster).
+// Option adjusts the Config (or the default barrier) a cluster is built
+// from; NewCluster applies options in order on top of its cfg argument.
 type Option func(*clusterOptions)
 
 type clusterOptions struct {
-	net      *FabricParams
-	tracer   *Tracer
-	metrics  *Metrics
-	spans    *SpanRecorder
-	faults   *FaultPlan
-	barrier  BarrierFactory
-	chaosErr error
+	cfg     Config
+	barrier BarrierFactory
+	err     error // a malformed WithChaos spec
 }
 
-// WithFabricParams overrides the interconnect cost model of the cluster
-// (equivalent to setting Config.Net, but composable with a stock config).
+// WithFabricParams sets Config.Net, the interconnect cost model.
 func WithFabricParams(p FabricParams) Option {
-	return func(o *clusterOptions) { o.net = &p }
+	return func(o *clusterOptions) { o.cfg.Net = p }
 }
 
-// WithTracer attaches a protocol-event tracer to every node of the cluster.
+// WithTracer sets Config.Tracer: t receives every node's protocol events.
 func WithTracer(t *Tracer) Option {
-	return func(o *clusterOptions) { o.tracer = t }
+	return func(o *clusterOptions) { o.cfg.Tracer = t }
 }
 
-// WithMetrics attaches an Argoscope suite to every layer of the cluster.
-// Attaching at construction time (rather than via the deprecated
-// AttachMetrics) guarantees locks and barriers built later see the suite.
+// WithMetrics sets Config.Metrics: every layer of the cluster, and every
+// lock, flag and barrier built over it later, reports into ms.
 func WithMetrics(ms *Metrics) Option {
-	return func(o *clusterOptions) { o.metrics = ms }
+	return func(o *clusterOptions) { o.cfg.Metrics = ms }
 }
 
-// WithSpans attaches a Pictor span recorder to every layer of the cluster.
-// Probes are nil-checked and off by default: a cluster built without this
-// option runs bit-identically to one that never heard of Pictor.
+// WithSpans sets Config.Spans. Probes are nil-checked and off by default: a
+// cluster built without a recorder runs bit-identically to one that never
+// heard of Pictor.
 func WithSpans(sr *SpanRecorder) Option {
-	return func(o *clusterOptions) { o.spans = sr }
+	return func(o *clusterOptions) { o.cfg.Spans = sr }
 }
 
-// WithChaos arms the whole chaos stack — transient Corvus faults, Cygnus
-// crash-stops, Cygnus II partial partitions and safe-point arming — from
-// one composable spec string:
+// WithChaos sets Config.Faults from one composable spec string, arming the
+// whole chaos stack — transient Corvus faults, Cygnus crash-stops and
+// crash-restarts, Cygnus II partial partitions and safe-point arming:
 //
-//	argo.WithChaos("crash=0.03,partition=0.05,partdur=2,crashpoints=lock+flag,seed=42")
+//	argo.WithChaos("crash=0.03,crashrestart=on,partition=0.05,partdur=2,crashpoints=lock+flag,seed=42")
 //
 // The spec syntax is fault.ParsePlan's; an empty spec is a no-op. The
 // injected schedule is a pure function of the plan's seed and each
 // operation's coordinates, so the same spec replays bit-identically. A
 // malformed spec surfaces as an error from NewCluster (options cannot fail
-// in place). Programmatic callers can build the plan fluently instead:
+// in place). Programmatic callers build the plan and set the field instead:
 //
-//	plan := fault.NewBuilder(42).Crash(0.03).Partition(0.05, 2).MustPlan()
-//	argo.WithFaultPlan(plan)
+//	plan := argo.NewChaosPlan(42).Crash(0.03).Partition(0.05, 2).MustPlan()
+//	cfg.Faults = &plan
 func WithChaos(spec string) Option {
 	return func(o *clusterOptions) {
 		if spec == "" {
@@ -184,22 +188,11 @@ func WithChaos(spec string) Option {
 		}
 		p, err := fault.ParsePlan(spec)
 		if err != nil {
-			o.chaosErr = err
+			o.err = err
 			return
 		}
-		o.faults = &p
+		o.cfg.Faults = &p
 	}
-}
-
-// WithFaultPlan arms the Corvus fault injector with plan. The injected
-// schedule is a pure function of the plan's seed and each operation's
-// coordinates, so the same plan replays identically.
-//
-// Deprecated: prefer WithChaos (spec string) or build plan with
-// fault.NewBuilder; this option remains as a thin programmatic escape
-// hatch and will not be removed.
-func WithFaultPlan(plan FaultPlan) Option {
-	return func(o *clusterOptions) { o.faults = &plan }
 }
 
 // WithBarrier overrides the default-barrier factory (the hierarchical Vela
@@ -208,67 +201,24 @@ func WithBarrier(f BarrierFactory) Option {
 	return func(o *clusterOptions) { o.barrier = f }
 }
 
-// WithCrashFaults arms Cygnus crash-stop node failures: at every barrier
-// episode each node crashes with probability rate (a pure function of the
-// fault seed, so runs replay bit-exactly). With restart, a crashed node
-// loses its volatile state, sits out one failure-detection timeout and
-// rejoins the membership at the same barrier. Composes with WithFaultPlan:
-// options apply in order, and this one only touches the plan's crash knobs
-// (starting from the default plan when none is set).
-//
-// Deprecated: prefer WithChaos("crash=RATE" or "crash=RATE,restart=true"),
-// which carries every chaos knob in one spec; this wrapper remains for
-// compatibility.
-func WithCrashFaults(rate float64, restart bool) Option {
-	return func(o *clusterOptions) {
-		if o.faults == nil {
-			p := fault.DefaultPlan(0)
-			o.faults = &p
-		}
-		o.faults.Crash = rate
-		o.faults.CrashRestart = restart
-	}
-}
-
-// NewCluster builds a cluster with Vela's hierarchical barrier installed as
-// the default barrier, then applies the options in order. Invalid
+// NewCluster builds the cluster cfg describes, with the options applied to
+// it in order and Vela's hierarchical barrier as the default barrier. Invalid
 // configurations (non-positive node counts, negative geometry, bad fault
 // plans, inconsistent fabric parameters) surface as errors; MustNewCluster
 // is the only panicking entry point.
 func NewCluster(cfg Config, opts ...Option) (*Cluster, error) {
-	var o clusterOptions
+	o := clusterOptions{cfg: cfg, barrier: vela.DefaultBarrier}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.chaosErr != nil {
-		return nil, o.chaosErr
+	if o.err != nil {
+		return nil, o.err
 	}
-	if o.net != nil {
-		cfg.Net = *o.net
-	}
-	if o.faults != nil {
-		cfg.Faults = o.faults
-	}
-	c, err := core.NewCluster(cfg)
+	c, err := core.NewCluster(o.cfg)
 	if err != nil {
 		return nil, err
 	}
-	if o.barrier != nil {
-		c.BarrierFactory = o.barrier
-	} else {
-		c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-			return vela.NewHierBarrier(c, tpn)
-		}
-	}
-	if o.tracer != nil {
-		c.AttachTracer(o.tracer)
-	}
-	if o.metrics != nil {
-		c.AttachMetrics(o.metrics)
-	}
-	if o.spans != nil {
-		c.AttachSpans(o.spans)
-	}
+	c.BarrierFactory = o.barrier
 	return c, nil
 }
 

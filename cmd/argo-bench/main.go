@@ -29,12 +29,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
-	"argo/internal/core"
-	"argo/internal/fault"
+	"argo/internal/cli"
 	"argo/internal/harness"
 	"argo/internal/metrics"
 	"argo/internal/span"
@@ -48,96 +45,34 @@ func main() {
 	promOut := flag.String("prom-out", "", "write the accumulated metrics as Prometheus exposition text to this file")
 	traceOut := flag.String("trace-out", "", "attach the protocol tracer and write a Perfetto JSON timeline to this file (with -critpath, causal flow arrows are included)")
 	critpath := flag.String("critpath", "", "attach the Pictor span recorder and write the critical-path report to this file (best with a single experiment)")
-	chaos := flag.String("chaos", "", "unified chaos spec applied to every cluster, e.g. drop=0.01,crash=0.02,partition=0.1,seed=42 (most experiments are not crash/partition-tolerant; see the 'crash' experiment)")
-	faults := flag.String("faults", "", "deprecated alias for -chaos")
-	crash := flag.Float64("crash", 0, "deprecated: Cygnus crash rate merged into the chaos plan; prefer crash= inside -chaos")
-	crashRestart := flag.Bool("crash-restart", false, "deprecated: crashed nodes rejoin instead of staying dead (with -crash); prefer restart=true inside -chaos")
-	eagerDrain := flag.Int("eagerdrain", 0, "start an eager write-buffer drainer per node with this low-water mark in pages (0 = off)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after a final GC) to this file")
+	chaos := cli.ChaosFlag("unified chaos spec applied to every cluster, e.g. drop=0.01,crash=0.02,partition=0.1,seed=42 (most experiments are not crash/partition-tolerant; see the 'crash' experiment)")
+	prof := cli.ProfileFlags()
 	flag.Parse()
 
 	if *list {
-		for _, e := range harness.All() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
-		}
+		cli.PrintExperiments(os.Stdout, "")
 		return
 	}
+	defer prof.Start()()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "argo-bench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "argo-bench:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Printf("cpu profile written to %s\n", *cpuProfile)
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			runtime.GC()
-			writeFile(*memProfile, pprof.WriteHeapProfile)
-			fmt.Printf("heap profile written to %s\n", *memProfile)
-		}()
-	}
-
-	spec := *chaos
-	if spec == "" {
-		spec = *faults // deprecated alias
-	}
-	if spec != "" || *crash > 0 {
-		plan := fault.DefaultPlan(0)
-		if spec != "" {
-			var err error
-			if plan, err = fault.ParsePlan(spec); err != nil {
-				fmt.Fprintln(os.Stderr, "argo-bench:", err)
-				os.Exit(2)
-			}
-		}
-		if *crash > 0 {
-			plan.Crash = *crash
-			plan.CrashRestart = *crashRestart
-		}
-		if err := plan.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "argo-bench:", err)
-			os.Exit(2)
-		}
+	plan := chaos.Plan()
+	if plan != nil {
 		fmt.Printf("fault injection armed: %s\n", plan.String())
-		core.DefaultFaultPlan = &plan
-		defer func() { core.DefaultFaultPlan = nil }()
 	}
-
-	if *eagerDrain > 0 {
-		low := *eagerDrain
-		core.ConfigHook = func(cfg *core.Config) { cfg.EagerDrainPages = low }
-		defer func() { core.ConfigHook = nil }()
-	}
-
 	var ms *metrics.Suite
 	if *metricsOut != "" || *promOut != "" {
 		ms = metrics.NewSuite()
-		core.MetricsHook = func(c *core.Cluster) { c.AttachMetrics(ms) }
-		defer func() { core.MetricsHook = nil }()
 	}
 	var tr *trace.Tracer
 	if *traceOut != "" {
 		tr = trace.New(0)
-		core.TraceHook = func(c *core.Cluster) { c.AttachTracer(tr) }
-		defer func() { core.TraceHook = nil }()
 	}
 	var sr *span.Recorder
 	if *critpath != "" {
 		sr = span.NewRecorder(0)
-		core.SpanHook = func(c *core.Cluster) { c.AttachSpans(sr) }
-		defer func() { core.SpanHook = nil }()
 	}
+	// The experiments build their clusters themselves.
+	cli.HookConfigs(ms, tr, sr, plan)
 
 	ids := flag.Args()
 	if len(ids) == 0 {
@@ -148,8 +83,7 @@ func main() {
 	for _, id := range ids {
 		e, ok := harness.Lookup(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "argo-bench: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
+			cli.Usagef("unknown experiment %q (try -list)", id)
 		}
 		fmt.Printf("\n######## %s — %s\n", e.ID, e.Title)
 		start := time.Now()
@@ -157,46 +91,30 @@ func main() {
 		fmt.Printf("[%s done in %v wall time]\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 
-	if ms != nil {
-		if *metricsOut != "" {
-			writeFile(*metricsOut, ms.WriteJSON)
-			fmt.Printf("\nmetrics dump written to %s\n", *metricsOut)
-		}
-		if *promOut != "" {
-			writeFile(*promOut, ms.Reg.WritePrometheus)
-			fmt.Printf("prometheus exposition written to %s\n", *promOut)
-		}
+	if *metricsOut != "" {
+		cli.WriteFile(*metricsOut, ms.WriteJSON)
+		fmt.Printf("\nmetrics dump written to %s\n", *metricsOut)
+	}
+	if *promOut != "" {
+		cli.WriteFile(*promOut, ms.Reg.WritePrometheus)
+		fmt.Printf("prometheus exposition written to %s\n", *promOut)
 	}
 	var flows []trace.Flow
 	if sr != nil {
 		recs := sr.Records()
 		rep, err := span.Analyze(recs, sr.Makespan())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "argo-bench:", err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		flows = span.Flows(recs)
-		writeFile(*critpath, func(w io.Writer) error { return span.WriteReport(w, rep, 10) })
+		cli.WriteFile(*critpath, func(w io.Writer) error { return span.WriteReport(w, rep, 10) })
 		fmt.Printf("critical-path report written to %s\n", *critpath)
 	}
 	if tr != nil {
 		if d := tr.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr, "argo-bench: %d trace events dropped (per-node buffer limit)\n", d)
 		}
-		writeFile(*traceOut, func(w io.Writer) error { return tr.WritePerfettoFlows(w, flows) })
+		cli.WriteFile(*traceOut, func(w io.Writer) error { return tr.WritePerfettoFlows(w, flows) })
 		fmt.Printf("perfetto timeline written to %s\n", *traceOut)
-	}
-}
-
-func writeFile(path string, write func(w io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "argo-bench:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		fmt.Fprintln(os.Stderr, "argo-bench:", err)
-		os.Exit(1)
 	}
 }

@@ -17,50 +17,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"argo/internal/core"
+	"argo/internal/cli"
 	"argo/internal/span"
 	"argo/internal/trace"
-	"argo/internal/workloads/blackscholes"
-	"argo/internal/workloads/cg"
-	"argo/internal/workloads/ep"
-	"argo/internal/workloads/lu"
-	"argo/internal/workloads/mm"
-	"argo/internal/workloads/nbody"
-	"argo/internal/workloads/wload"
 )
 
-var benches = map[string]func(cfg core.Config, tpn int) wload.Result{
-	"blackscholes": func(cfg core.Config, tpn int) wload.Result {
-		return blackscholes.RunArgo(cfg, blackscholes.Params{Options: 16384, Iters: 3}, tpn)
-	},
-	"cg": func(cfg core.Config, tpn int) wload.Result {
-		return cg.RunArgo(cfg, cg.Params{N: 2048, PerRow: 12, Iters: 4}, tpn)
-	},
-	"ep": func(cfg core.Config, tpn int) wload.Result {
-		return ep.RunArgo(cfg, ep.Params{Chunks: 512, PairsPerChunk: 128}, tpn)
-	},
-	"lu": func(cfg core.Config, tpn int) wload.Result {
-		return lu.RunArgo(cfg, lu.Params{N: 96, Block: 16}, tpn)
-	},
-	"mm": func(cfg core.Config, tpn int) wload.Result {
-		return mm.RunArgo(cfg, mm.Params{N: 64}, tpn)
-	},
-	"nbody": func(cfg core.Config, tpn int) wload.Result {
-		return nbody.RunArgo(cfg, nbody.Params{Bodies: 384, Steps: 3}, tpn)
-	},
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "argo-critpath:", err)
-	os.Exit(1)
-}
-
 func main() {
-	bench := flag.String("bench", "lu", "benchmark: blackscholes|cg|ep|lu|mm|nbody")
-	nodes := flag.Int("nodes", 4, "cluster nodes")
-	tpn := flag.Int("tpn", 4, "threads per node")
+	bench := cli.BenchFlags(cli.Kernels, "lu", 4)
 	k := flag.Int("k", 10, "show the K longest critical-path segments")
 	pages := flag.Int("pages", 0, "show biographies of the N busiest pages (0 = off)")
 	in := flag.String("in", "", "analyze a span log written by -spans-out instead of running a benchmark")
@@ -72,45 +38,30 @@ func main() {
 		recs     []span.Record
 		makespan int64
 		tr       *trace.Tracer
-		sr       *span.Recorder
 	)
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fail(err)
+			cli.Fatal(err)
 		}
 		log, err := span.ReadJSON(f)
 		f.Close()
 		if err != nil {
-			fail(err)
+			cli.Fatal(err)
 		}
 		recs, makespan = log.Records, log.Makespan
 		fmt.Printf("%s: %.3f virtual ms, %d span records\n",
 			*in, float64(makespan)/1e6, len(recs))
 	} else {
-		run, ok := benches[*bench]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "argo-critpath: unknown benchmark %q\n", *bench)
-			os.Exit(2)
-		}
-		if *nodes <= 0 || *tpn <= 0 {
-			fmt.Fprintf(os.Stderr, "argo-critpath: -nodes and -tpn must be positive (got %d, %d)\n", *nodes, *tpn)
-			os.Exit(2)
-		}
-		sr = span.NewRecorder(0)
+		run := bench.Runner()
+		sr := span.NewRecorder(0)
 		tr = trace.New(0)
-		cfg := wload.ArgoConfig(*nodes, 64<<20)
-		cfg.Net = wload.Net()
-		// The workload builds its cluster itself; the hooks hand it the
-		// recorder and tracer before any thread runs.
-		core.SpanHook = func(c *core.Cluster) { c.AttachSpans(sr) }
-		core.TraceHook = func(c *core.Cluster) { c.AttachTracer(tr) }
-		defer func() { core.SpanHook, core.TraceHook = nil, nil }()
-
-		r := run(cfg, *tpn)
+		cfg := bench.Config()
+		cfg.Spans, cfg.Tracer = sr, tr
+		r := run(cfg, *bench.TPN)
 		recs, makespan = sr.Records(), sr.Makespan()
 		fmt.Printf("%s on %d×%d: %.3f virtual ms, %d span records\n",
-			*bench, *nodes, *tpn, float64(r.Time)/1e6, len(recs))
+			*bench.Name, *bench.Nodes, *bench.TPN, float64(r.Time)/1e6, len(recs))
 		if d := sr.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr, "argo-critpath: %d span records dropped (per-node buffer limit)\n", d)
 		}
@@ -118,52 +69,37 @@ func main() {
 
 	rep, err := span.Analyze(recs, makespan)
 	if err != nil {
-		fail(err)
+		cli.Fatal(err)
 	}
 	if rep.MatchedEdges == 0 {
-		fail(fmt.Errorf("edge set is empty: no sub record found a causal pub"))
+		cli.Fatal(fmt.Errorf("edge set is empty: no sub record found a causal pub"))
 	}
 	// Causality check: every matched edge must point backward in time. The
 	// recorder can only produce such edges; a violation means a corrupted
 	// span log.
 	for _, fl := range span.Flows(recs) {
 		if fl.FromT > fl.ToT {
-			fail(fmt.Errorf("non-causal edge %s: pub at %d after sub at %d", fl.Name, fl.FromT, fl.ToT))
+			cli.Fatal(fmt.Errorf("non-causal edge %s: pub at %d after sub at %d", fl.Name, fl.FromT, fl.ToT))
 		}
 	}
 
 	fmt.Println()
 	if err := span.WriteReport(os.Stdout, rep, *k); err != nil {
-		fail(err)
+		cli.Fatal(err)
 	}
 
 	if *pages > 0 && tr != nil {
 		bios := span.Biographies(tr.Events())
 		fmt.Println()
 		if err := span.WriteBiographies(os.Stdout, bios, *pages); err != nil {
-			fail(err)
+			cli.Fatal(err)
 		}
 	}
 
 	if *spansOut != "" {
-		f, err := os.Create(*spansOut)
-		if err != nil {
-			fail(err)
-		}
-		werr := error(nil)
-		if sr != nil {
-			werr = sr.WriteJSON(f)
-		} else {
-			werr = span.WriteLog(f, span.Log{Makespan: makespan, Records: recs})
-		}
-		if werr == nil {
-			werr = f.Close()
-		} else {
-			f.Close()
-		}
-		if werr != nil {
-			fail(werr)
-		}
+		cli.WriteFile(*spansOut, func(w io.Writer) error {
+			return span.WriteLog(w, span.Log{Makespan: makespan, Records: recs})
+		})
 		fmt.Printf("\nspan log written to %s\n", *spansOut)
 	}
 
@@ -171,17 +107,7 @@ func main() {
 		if tr == nil {
 			tr = trace.New(0)
 		}
-		f, err := os.Create(*perfetto)
-		if err != nil {
-			fail(err)
-		}
-		werr := tr.WritePerfettoFlows(f, span.Flows(recs))
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fail(werr)
-		}
+		cli.WriteFile(*perfetto, func(w io.Writer) error { return tr.WritePerfettoFlows(w, span.Flows(recs)) })
 		fmt.Printf("perfetto trace with flow arrows written to %s\n", *perfetto)
 	}
 }

@@ -5,10 +5,11 @@ package main
 
 import (
 	"fmt"
+	"os"
 
+	"argo/internal/cli"
 	"argo/internal/core"
 	"argo/internal/fabric"
-	"argo/internal/harness"
 )
 
 func main() {
@@ -36,7 +37,5 @@ func main() {
 	fmt.Printf("  local copy:         %d ns/KB\n", p.MemCopyPerKB)
 
 	fmt.Println("\nExperiments (argo-bench <id>)")
-	for _, e := range harness.All() {
-		fmt.Printf("  %-8s %s\n", e.ID, e.Title)
-	}
+	cli.PrintExperiments(os.Stdout, "  ")
 }

@@ -16,8 +16,7 @@
 //
 //	argo-stress -n 50 -seed 42 -chaos drop=0.01,stall=5us,seed=42
 //
-// A crash or partition rate in the spec (or the deprecated -crash flag)
-// additionally sweeps Cygnus crash-stop and crash-restart node failures
+// A crash or partition rate in the spec additionally sweeps Cygnus crash-stop and crash-restart node failures
 // over the crash-tolerant ring workload under the full spec, asserting that
 // survivors repair the dead nodes' shards to the bit-exact fault-free
 // answer and that crash schedules, membership-epoch histories and makespans
@@ -37,20 +36,19 @@
 //
 // -digests prints one "answers-digest:" line per program (the final home
 // memory's FNV-64a). At a fixed -seed these lines are comparable across
-// invocations — with and without -faults — so a diff proves bit-identical
+// invocations — with and without -chaos — so a diff proves bit-identical
 // answers end to end.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
-	"argo/internal/core"
+	"argo/internal/cli"
 	"argo/internal/fault"
 	"argo/internal/span"
 	"argo/internal/workloads/drf"
@@ -78,77 +76,34 @@ func main() {
 	n := flag.Int("n", 100, "number of random programs")
 	seed := flag.Int64("seed", 0, "base seed (0: derive from time)")
 	verbose := flag.Bool("v", false, "print every program's parameters")
-	chaosSpec := flag.String("chaos", "", "unified chaos spec, e.g. drop=0.01,crash=0.02,partition=0.1,partdur=2,crashpoints=lock+flag,seed=42 (enables chaos mode)")
-	faults := flag.String("faults", "", "deprecated alias for -chaos (transient rates only by convention)")
-	crash := flag.Float64("crash", 0, "deprecated: Cygnus crash rate; prefer crash= inside -chaos")
+	chaosFlag := cli.ChaosFlag("unified chaos spec, e.g. drop=0.01,crash=0.02,partition=0.1,partdur=2,crashpoints=lock+flag,seed=42 (enables chaos mode)")
 	digests := flag.Bool("digests", false, "print one answers-digest line per program")
 	critpath := flag.String("critpath", "", "attach the Pictor span recorder to every program and write the accumulated critical-path report to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after a final GC) to this file")
+	prof := cli.ProfileFlags()
 	flag.Parse()
 
 	if *seed == 0 {
 		*seed = time.Now().UnixNano()
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "argo-stress:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "argo-stress:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Printf("cpu profile written to %s\n", *cpuProfile)
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			runtime.GC()
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "argo-stress:", err)
-				return
-			}
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "argo-stress:", err)
-			}
-			f.Close()
-			fmt.Printf("heap profile written to %s\n", *memProfile)
-		}()
-	}
+	defer prof.Start()()
 	var sr *span.Recorder
 	if *critpath != "" {
 		sr = span.NewRecorder(0)
-		core.SpanHook = func(c *core.Cluster) { c.AttachSpans(sr) }
-		defer func() { core.SpanHook = nil }()
+		// The programs build their clusters from their own parameters, fault
+		// plans included; the hook hands each of those configs the recorder.
+		cli.HookConfigs(nil, nil, sr, nil)
 	}
-	spec := *chaosSpec
-	if spec == "" {
-		spec = *faults // deprecated alias
-	}
+	spec := *chaosFlag.Spec
 	var plan fault.Plan
 	chaos := spec != ""
 	if chaos {
-		var err error
-		if plan, err = fault.ParsePlan(spec); err != nil {
-			fmt.Fprintln(os.Stderr, "argo-stress:", err)
-			os.Exit(2)
-		}
+		plan = *chaosFlag.Plan()
 	}
-	// The crash rate comes from the spec, with the deprecated flag taking
-	// precedence when set. The full plan (crash, partition, safe points)
-	// runs only on the crash-tolerant planner workloads below: random DRF
-	// programs are neither crash- nor partition-tolerant (a dead writer's
-	// epoch is simply gone), so their sweeps see the transient rates alone.
+	// The full plan (crash, partition, safe points) runs only on the
+	// crash-tolerant planner workloads below: random DRF programs are
+	// neither crash- nor partition-tolerant (a dead writer's epoch is simply
+	// gone), so their sweeps see the transient rates alone.
 	crashRate := plan.Crash
-	if *crash > 0 {
-		crashRate = *crash
-	}
 	luPlan := plan
 	plan.Crash = 0
 	plan.Partition = 0
@@ -165,9 +120,6 @@ func main() {
 		for _, s := range []float64{0.5, 1, 2} {
 			for _, restart := range []bool{false, true} {
 				p := luPlan
-				if !chaos {
-					p = fault.DefaultPlan(*seed)
-				}
 				p.Crash = crashRate * s
 				if p.Crash > 1 {
 					p.Crash = 1
@@ -189,9 +141,6 @@ func main() {
 		// Chaos LU: mid-factorization crash-stops, crash-restarts and healing
 		// partial partitions under the full spec, on the repair-planner LU.
 		p := luPlan
-		if !chaos {
-			p = fault.DefaultPlan(*seed)
-		}
 		p.Crash = crashRate
 		fmt.Printf("argo-stress: chaos LU, crash=%g restart=%v partition=%g partdur=%d (seed %d)\n",
 			p.Crash, p.CrashRestart, p.Partition, p.PartitionDur, *seed)
@@ -284,22 +233,9 @@ func main() {
 		// than profiling one workload.
 		rep, err := span.Analyze(sr.Records(), sr.Makespan())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "argo-stress:", err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
-		f, err := os.Create(*critpath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "argo-stress:", err)
-			os.Exit(1)
-		}
-		werr := span.WriteReport(f, rep, 10)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "argo-stress:", werr)
-			os.Exit(1)
-		}
+		cli.WriteFile(*critpath, func(w io.Writer) error { return span.WriteReport(w, rep, 10) })
 		fmt.Printf("critical-path report written to %s\n", *critpath)
 	}
 }

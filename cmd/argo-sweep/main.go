@@ -16,40 +16,13 @@ import (
 	"fmt"
 	"os"
 
+	"argo/internal/cli"
 	"argo/internal/coherence"
 	"argo/internal/core"
 	"argo/internal/harness"
 	"argo/internal/mem"
 	"argo/internal/sim"
-	"argo/internal/workloads/blackscholes"
-	"argo/internal/workloads/cg"
-	"argo/internal/workloads/ep"
-	"argo/internal/workloads/lu"
-	"argo/internal/workloads/mm"
-	"argo/internal/workloads/nbody"
-	"argo/internal/workloads/wload"
 )
-
-var benches = map[string]func(cfg core.Config, tpn int) wload.Result{
-	"blackscholes": func(cfg core.Config, tpn int) wload.Result {
-		return blackscholes.RunArgo(cfg, blackscholes.Params{Options: 32768, Iters: 3}, tpn)
-	},
-	"cg": func(cfg core.Config, tpn int) wload.Result {
-		return cg.RunArgo(cfg, cg.Params{N: 4096, PerRow: 12, Iters: 4}, tpn)
-	},
-	"ep": func(cfg core.Config, tpn int) wload.Result {
-		return ep.RunArgo(cfg, ep.Params{Chunks: 1024, PairsPerChunk: 128}, tpn)
-	},
-	"lu": func(cfg core.Config, tpn int) wload.Result {
-		return lu.RunArgo(cfg, lu.Params{N: 96, Block: 16}, tpn)
-	},
-	"mm": func(cfg core.Config, tpn int) wload.Result {
-		return mm.RunArgo(cfg, mm.Params{N: 96}, tpn)
-	},
-	"nbody": func(cfg core.Config, tpn int) wload.Result {
-		return nbody.RunArgo(cfg, nbody.Params{Bodies: 512, Steps: 3}, tpn)
-	},
-}
 
 type variant struct {
 	label string
@@ -114,47 +87,32 @@ var knobs = map[string][]variant{
 }
 
 func main() {
-	bench := flag.String("bench", "mm", "benchmark: blackscholes|cg|ep|lu|mm|nbody")
+	bench := cli.BenchFlags(cli.SweepKernels, "mm", 8)
 	knob := flag.String("knob", "prefetch", "knob to sweep: prefetch|policy|mode|swdiff|decay|latency|bandwidth|writebuffer|pagesize")
-	nodes := flag.Int("nodes", 4, "cluster nodes")
-	tpn := flag.Int("tpn", 8, "threads per node")
 	list := flag.Bool("list", false, "list benchmarks and knobs")
 	flag.Parse()
 
 	if *list {
-		fmt.Print("benchmarks:")
-		for b := range benches {
-			fmt.Printf(" %s", b)
-		}
-		fmt.Print("\nknobs:")
+		fmt.Printf("benchmarks: %s\nknobs:", cli.Names(cli.SweepKernels, " "))
 		for k := range knobs {
 			fmt.Printf(" %s", k)
 		}
 		fmt.Println()
 		return
 	}
-	run, ok := benches[*bench]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "argo-sweep: unknown benchmark %q\n", *bench)
-		os.Exit(2)
-	}
+	run := bench.Runner()
 	vs, ok := knobs[*knob]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "argo-sweep: unknown knob %q\n", *knob)
-		os.Exit(2)
-	}
-	if *nodes <= 0 || *tpn <= 0 {
-		fmt.Fprintf(os.Stderr, "argo-sweep: -nodes and -tpn must be positive (got %d, %d)\n", *nodes, *tpn)
-		os.Exit(2)
+		cli.Usagef("unknown knob %q", *knob)
 	}
 
 	headers := []string{*knob, "time (ms)", "read-misses", "writebacks", "self-inv", "SI-filtered", "bytes-sent"}
 	var rows [][]string
 	var base sim.Time
 	for i, v := range vs {
-		cfg := wload.ArgoConfig(*nodes, 64<<20)
+		cfg := bench.Config()
 		v.apply(&cfg)
-		r := run(cfg, *tpn)
+		r := run(cfg, *bench.TPN)
 		if i == 0 {
 			base = r.Time
 		}
@@ -168,5 +126,5 @@ func main() {
 			fmt.Sprintf("%d", r.Stats.BytesSent),
 		})
 	}
-	harness.Table(os.Stdout, fmt.Sprintf("%s: sweep of %s (%d nodes × %d threads)", *bench, *knob, *nodes, *tpn), headers, rows)
+	harness.Table(os.Stdout, fmt.Sprintf("%s: sweep of %s (%d nodes × %d threads)", *bench.Name, *knob, *bench.Nodes, *bench.TPN), headers, rows)
 }

@@ -13,110 +13,31 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"strings"
 
-	"argo/internal/core"
-	"argo/internal/fault"
+	"argo/internal/cli"
 	"argo/internal/metrics"
-	"argo/internal/workloads/blackscholes"
-	"argo/internal/workloads/cg"
-	"argo/internal/workloads/ep"
-	"argo/internal/workloads/lu"
-	"argo/internal/workloads/mm"
-	"argo/internal/workloads/nbody"
-	"argo/internal/workloads/pqbench"
-	"argo/internal/workloads/wload"
 )
 
-// Benches return the virtual run time in ns. The pq-* entries exercise the
-// lock layer; the rest are the barrier-synchronized application kernels.
-var benches = map[string]func(cfg core.Config, tpn int) int64{
-	"blackscholes": func(cfg core.Config, tpn int) int64 {
-		return int64(blackscholes.RunArgo(cfg, blackscholes.Params{Options: 16384, Iters: 3}, tpn).Time)
-	},
-	"cg": func(cfg core.Config, tpn int) int64 {
-		return int64(cg.RunArgo(cfg, cg.Params{N: 2048, PerRow: 12, Iters: 4}, tpn).Time)
-	},
-	"ep": func(cfg core.Config, tpn int) int64 {
-		return int64(ep.RunArgo(cfg, ep.Params{Chunks: 512, PairsPerChunk: 128}, tpn).Time)
-	},
-	"lu": func(cfg core.Config, tpn int) int64 {
-		return int64(lu.RunArgo(cfg, lu.Params{N: 96, Block: 16}, tpn).Time)
-	},
-	"mm": func(cfg core.Config, tpn int) int64 {
-		return int64(mm.RunArgo(cfg, mm.Params{N: 64}, tpn).Time)
-	},
-	"nbody": func(cfg core.Config, tpn int) int64 {
-		return int64(nbody.RunArgo(cfg, nbody.Params{Bodies: 384, Steps: 3}, tpn).Time)
-	},
-	"pq-hqdl": func(cfg core.Config, tpn int) int64 {
-		return int64(pqbench.RunDSM(pqbench.DSMHQDL, cfg, tpn, pqbench.DefaultParams()).Time)
-	},
-	"pq-cohort": func(cfg core.Config, tpn int) int64 {
-		return int64(pqbench.RunDSM(pqbench.DSMCohort, cfg, tpn, pqbench.DefaultParams()).Time)
-	},
-	"pq-mutex": func(cfg core.Config, tpn int) int64 {
-		return int64(pqbench.RunDSM(pqbench.DSMMutex, cfg, tpn, pqbench.DefaultParams()).Time)
-	},
-}
-
-func benchNames() string {
-	names := make([]string, 0, len(benches))
-	for n := range benches {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, "|")
-}
-
 func main() {
-	bench := flag.String("bench", "nbody", "benchmark: "+benchNames())
-	nodes := flag.Int("nodes", 4, "cluster nodes")
-	tpn := flag.Int("tpn", 4, "threads per node")
+	// The pq-* kernels exercise the lock layer; the rest are the
+	// barrier-synchronized application kernels.
+	bench := cli.BenchFlags(cli.TopKernels, "nbody", 4)
 	top := flag.Int("top", 10, "rows per hot-spot table")
 	jsonOut := flag.String("json", "", "write the full metrics dump (metrics.json) to this file")
 	promOut := flag.String("prom", "", "write the Prometheus exposition to this file")
-	chaos := flag.String("chaos", "", "unified chaos spec, e.g. drop=0.01,stall=5us,seed=42")
-	faults := flag.String("faults", "", "deprecated alias for -chaos")
+	chaos := cli.ChaosFlag("unified chaos spec, e.g. drop=0.01,stall=5us,seed=42")
 	flag.Parse()
 
-	run, ok := benches[*bench]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "argo-top: unknown benchmark %q (want %s)\n", *bench, benchNames())
-		os.Exit(2)
-	}
-	if *nodes <= 0 || *tpn <= 0 {
-		fmt.Fprintf(os.Stderr, "argo-top: -nodes and -tpn must be positive (got %d, %d)\n", *nodes, *tpn)
-		os.Exit(2)
-	}
-
-	spec := *chaos
-	if spec == "" {
-		spec = *faults // deprecated alias
-	}
-	if spec != "" {
-		plan, err := fault.ParsePlan(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "argo-top:", err)
-			os.Exit(2)
-		}
-		core.DefaultFaultPlan = &plan
-		defer func() { core.DefaultFaultPlan = nil }()
-	}
-
+	run := bench.Runner()
 	ms := metrics.NewSuite()
-	cfg := wload.ArgoConfig(*nodes, 64<<20)
-	cfg.Net = wload.Net()
-	// The workload builds the cluster itself; the hook hands every new
-	// cluster the shared suite before any thread runs.
-	core.MetricsHook = func(c *core.Cluster) { c.AttachMetrics(ms) }
-	defer func() { core.MetricsHook = nil }()
+	cfg := bench.Config()
+	cfg.Metrics = ms
+	cfg.Faults = chaos.Plan()
 
-	t := run(cfg, *tpn)
-	fmt.Printf("%s on %d×%d: %.3f virtual ms\n", *bench, *nodes, *tpn, float64(t)/1e6)
+	r := run(cfg, *bench.TPN)
+	fmt.Printf("%s on %d×%d: %.3f virtual ms\n", *bench.Name, *bench.Nodes, *bench.TPN, float64(r.Time)/1e6)
 
 	if pages := ms.Pages.TopK(*top, metrics.TotalPageActivity); len(pages) > 0 {
 		fmt.Printf("\nhot pages (top %d by protocol events):\n", len(pages))
@@ -163,11 +84,11 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		writeFile(*jsonOut, ms.WriteJSON)
+		cli.WriteFile(*jsonOut, ms.WriteJSON)
 		fmt.Printf("\nmetrics dump written to %s\n", *jsonOut)
 	}
 	if *promOut != "" {
-		writeFile(*promOut, ms.Reg.WritePrometheus)
+		cli.WriteFile(*promOut, ms.Reg.WritePrometheus)
 		fmt.Printf("prometheus exposition written to %s\n", *promOut)
 	}
 }
@@ -186,17 +107,4 @@ func seriesName(name string, labels map[string]string) string {
 		parts = append(parts, fmt.Sprintf("%s=%s", k, labels[k]))
 	}
 	return name + "{" + strings.Join(parts, ",") + "}"
-}
-
-func writeFile(path string, write func(w io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "argo-top:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		fmt.Fprintln(os.Stderr, "argo-top:", err)
-		os.Exit(1)
-	}
 }

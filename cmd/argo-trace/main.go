@@ -14,89 +14,37 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
-	"argo/internal/core"
+	"argo/internal/cli"
 	"argo/internal/trace"
-	"argo/internal/workloads/blackscholes"
-	"argo/internal/workloads/cg"
-	"argo/internal/workloads/ep"
-	"argo/internal/workloads/lu"
-	"argo/internal/workloads/mm"
-	"argo/internal/workloads/nbody"
-	"argo/internal/workloads/wload"
 )
 
-// traced wraps a workload so the tracer can be attached to the cluster it
-// builds; the workload runners construct their own clusters, so we rebuild
-// the small harness here with an injection hook.
-var benches = map[string]func(cfg core.Config, tpn int) wload.Result{
-	"blackscholes": func(cfg core.Config, tpn int) wload.Result {
-		return blackscholes.RunArgo(cfg, blackscholes.Params{Options: 16384, Iters: 3}, tpn)
-	},
-	"cg": func(cfg core.Config, tpn int) wload.Result {
-		return cg.RunArgo(cfg, cg.Params{N: 2048, PerRow: 12, Iters: 4}, tpn)
-	},
-	"ep": func(cfg core.Config, tpn int) wload.Result {
-		return ep.RunArgo(cfg, ep.Params{Chunks: 512, PairsPerChunk: 128}, tpn)
-	},
-	"lu": func(cfg core.Config, tpn int) wload.Result {
-		return lu.RunArgo(cfg, lu.Params{N: 96, Block: 16}, tpn)
-	},
-	"mm": func(cfg core.Config, tpn int) wload.Result {
-		return mm.RunArgo(cfg, mm.Params{N: 64}, tpn)
-	},
-	"nbody": func(cfg core.Config, tpn int) wload.Result {
-		return nbody.RunArgo(cfg, nbody.Params{Bodies: 384, Steps: 3}, tpn)
-	},
-}
-
 func main() {
-	bench := flag.String("bench", "nbody", "benchmark: blackscholes|cg|ep|lu|mm|nbody")
-	nodes := flag.Int("nodes", 4, "cluster nodes")
-	tpn := flag.Int("tpn", 4, "threads per node")
-	csv := flag.String("csv", "", "write the full event stream as CSV to this file (same as -format csv -out)")
+	bench := cli.BenchFlags(cli.Kernels, "nbody", 4)
 	format := flag.String("format", "csv", "event stream encoding for -out: csv|perfetto")
 	out := flag.String("out", "", "write the full event stream to this file")
 	top := flag.Int("top", 10, "show the N hottest pages")
 	flag.Parse()
 
-	run, ok := benches[*bench]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "argo-trace: unknown benchmark %q\n", *bench)
-		os.Exit(2)
-	}
-	if *nodes <= 0 || *tpn <= 0 {
-		fmt.Fprintf(os.Stderr, "argo-trace: -nodes and -tpn must be positive (got %d, %d)\n", *nodes, *tpn)
-		os.Exit(2)
-	}
+	run := bench.Runner()
+	tr := trace.New(0)
 	// Validate the output encoding before spending minutes on the run.
-	path := *out
-	write := map[string]func(*trace.Tracer, *os.File) error{
-		"csv":      func(t *trace.Tracer, f *os.File) error { return t.WriteCSV(f) },
-		"perfetto": func(t *trace.Tracer, f *os.File) error { return t.WritePerfetto(f) },
+	write := map[string]func(io.Writer) error{
+		"csv":      tr.WriteCSV,
+		"perfetto": tr.WritePerfetto,
 	}[*format]
 	if write == nil {
-		fmt.Fprintf(os.Stderr, "argo-trace: unknown format %q (want csv|perfetto)\n", *format)
-		os.Exit(2)
-	}
-	if *csv != "" { // legacy spelling of -format csv -out FILE
-		path = *csv
-		write = func(t *trace.Tracer, f *os.File) error { return t.WriteCSV(f) }
+		cli.Usagef("unknown format %q (want csv|perfetto)", *format)
 	}
 
-	tr := trace.New(0)
-	cfg := wload.ArgoConfig(*nodes, 64<<20)
-	// The workload builds the cluster itself; intercept through the
-	// barrier factory, which receives the cluster before any thread runs.
-	cfg.Net = wload.Net()
-	core.TraceHook = func(c *core.Cluster) { c.AttachTracer(tr) }
-	defer func() { core.TraceHook = nil }()
-
-	r := run(cfg, *tpn)
+	cfg := bench.Config()
+	cfg.Tracer = tr
+	r := run(cfg, *bench.TPN)
 	fmt.Printf("%s on %d×%d: %.3f virtual ms, %d events\n",
-		*bench, *nodes, *tpn, float64(r.Time)/1e6, tr.Len())
+		*bench.Name, *bench.Nodes, *bench.TPN, float64(r.Time)/1e6, tr.Len())
 	if d := tr.Dropped(); d > 0 {
 		fmt.Fprintf(os.Stderr, "argo-trace: %d events dropped (per-node buffer limit); raise trace.New's limit for a complete stream\n", d)
 	}
@@ -135,17 +83,8 @@ func main() {
 		}
 	}
 
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "argo-trace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := write(tr, f); err != nil {
-			fmt.Fprintln(os.Stderr, "argo-trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nfull event stream written to %s\n", path)
+	if *out != "" {
+		cli.WriteFile(*out, write)
+		fmt.Printf("\nfull event stream written to %s\n", *out)
 	}
 }

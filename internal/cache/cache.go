@@ -292,26 +292,18 @@ func (c *Cache) wbIndex(i int) int {
 	return i
 }
 
-// wbTakeLocked removes and returns the k oldest entries in FIFO order, or
-// nil when k is zero. The caller holds wbMu and guarantees k <= wbLen.
-func (c *Cache) wbTakeLocked(k int) []int {
-	if k == 0 {
-		return nil
-	}
-	out := make([]int, k)
-	n := copy(out, c.wbRing[c.wbHead:])
-	copy(out[n:], c.wbRing)
-	c.wbHead = c.wbIndex(k)
-	c.wbLen -= k
-	return out
-}
-
-// WBDrain empties the write buffer and returns its contents in FIFO order.
-// Entries may be stale (the page was already written back by an eviction);
-// the caller skips pages that are no longer dirty.
+// WBDrain empties the write buffer and returns its contents in FIFO order
+// (nil when empty). Entries may be stale (the page was already written back
+// by an eviction); the caller skips pages that are no longer dirty.
 func (c *Cache) WBDrain() []int {
 	c.wbMu.Lock()
-	q := c.wbTakeLocked(c.wbLen)
+	var q []int
+	if c.wbLen > 0 {
+		q = make([]int, c.wbLen)
+		n := copy(q, c.wbRing[c.wbHead:])
+		copy(q[n:], c.wbRing)
+		c.wbHead, c.wbLen = 0, 0
+	}
 	c.wbMu.Unlock()
 	if c.MX != nil {
 		c.MX.WBDrainPages.Record(c.Node, int64(len(q)))
@@ -332,23 +324,6 @@ func (c *Cache) WBClear() int {
 		c.MX.WBDrainPages.Record(c.Node, int64(n))
 	}
 	return n
-}
-
-// WBTake removes and returns up to max of the oldest write-buffer entries
-// (FIFO order), or nil when the buffer is empty. The eager background
-// drainer uses it to work in bounded batches without claiming the whole
-// queue, so a concurrent fence still sees whatever the drainer has not
-// reached.
-func (c *Cache) WBTake(max int) []int {
-	c.wbMu.Lock()
-	defer c.wbMu.Unlock()
-	if max <= 0 {
-		return nil
-	}
-	if max > c.wbLen {
-		max = c.wbLen
-	}
-	return c.wbTakeLocked(max)
 }
 
 // WBLen returns the current number of (possibly stale) entries.

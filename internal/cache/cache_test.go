@@ -285,22 +285,16 @@ func TestLineSlotsView(t *testing.T) {
 	c.UnlockLine(2)
 }
 
-func TestWBClearAndTake(t *testing.T) {
+func TestWBClearAndDrain(t *testing.T) {
 	c := New(0, 4096, 8, 2, 64)
 	for i := 0; i < 5; i++ {
 		c.WBPush(i)
 	}
-	if got := c.WBTake(2); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("WBTake(2) = %v, want [0 1]", got)
+	if got := c.WBDrain(); !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("WBDrain = %v, want [0 1 2 3 4]", got)
 	}
-	if got := c.WBLen(); got != 3 {
-		t.Fatalf("len after take = %d, want 3", got)
-	}
-	if got := c.WBTake(10); len(got) != 3 || got[0] != 2 {
-		t.Fatalf("WBTake(10) = %v, want [2 3 4]", got)
-	}
-	if c.WBTake(1) != nil {
-		t.Fatal("WBTake on empty buffer returned entries")
+	if c.WBDrain() != nil {
+		t.Fatal("WBDrain on empty buffer returned entries")
 	}
 	for i := 10; i < 14; i++ {
 		c.WBPush(i)
@@ -313,8 +307,8 @@ func TestWBClearAndTake(t *testing.T) {
 	}
 	// The cleared buffer keeps working FIFO.
 	c.WBPush(42)
-	if got := c.WBTake(1); len(got) != 1 || got[0] != 42 {
-		t.Fatalf("push after clear: WBTake = %v, want [42]", got)
+	if got := c.WBDrain(); !slices.Equal(got, []int{42}) {
+		t.Fatalf("push after clear: WBDrain = %v, want [42]", got)
 	}
 }
 
@@ -344,14 +338,6 @@ func TestWBRingWrapAround(t *testing.T) {
 			t.Fatalf("step %d: eviction below capacity", step)
 		}
 		switch {
-		case step%11 == 10:
-			k := step % 4
-			want := model
-			if k < len(want) {
-				want = want[:k]
-			}
-			same("WBTake", c.WBTake(k), want)
-			model = model[len(want):]
 		case step%37 == 36:
 			same("WBDrain", c.WBDrain(), model)
 			model = nil

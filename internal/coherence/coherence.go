@@ -95,17 +95,11 @@ type Options struct {
 	// derived from the host's CPU count, so virtual-time results are
 	// machine-independent. Values below 1 mean serial sweeps.
 	FenceWorkers int
-	// YieldEvery thins the host-scheduler yield at write-miss page opens
-	// to every Kth open per thread. Values of 1 or below yield at every
-	// open (the historical behaviour); larger values trade interleaving
-	// fidelity on few-CPU hosts for streaming-write throughput. Host-side
-	// only: no virtual-time effect.
-	YieldEvery int
 }
 
 // DefaultOptions returns Argo's default protocol configuration.
 func DefaultOptions() Options {
-	return Options{Mode: ModePS3, FencePerPage: 10, CheckpointPageCost: 3000, FenceWorkers: 4, YieldEvery: 1}
+	return Options{Mode: ModePS3, FencePerPage: 10, CheckpointPageCost: 3000, FenceWorkers: 4}
 }
 
 // Node is the per-node coherence agent: it owns the node's page cache and
@@ -131,12 +125,6 @@ type Node struct {
 	// SR, when non-nil, receives Pictor lane spans for fence episodes
 	// (package span). Same nil-check discipline as the tracer.
 	SR *span.Recorder
-
-	// drain is the optional eager write-buffer drainer (fence.go). Set by
-	// StartDrainer before the workload threads start and cleared by
-	// StopDrainer after they finish, so the threads' reads of it never
-	// race the transitions.
-	drain *drainer
 }
 
 // ev records one trace event with the recording thread's track identity
@@ -219,14 +207,7 @@ func (n *Node) ReadSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int,
 		n.Cache.LockLine(l)
 		s := n.Cache.SlotFor(page)
 		if s.Page != page || s.St == cache.Invalid {
-			n.St.ReadMisses.Add(1)
-			n.ev(p, trace.EvReadMiss, page, 0)
-			if n.MX != nil {
-				n.Cache.MX.Misses.Inc()
-				n.MX.Pages.ReadMiss(page)
-			}
-			n.fetchLineLocked(p, l, page)
-			s = n.Cache.SlotFor(page)
+			s = n.missLocked(p, l, page)
 		} else {
 			p.Hits++
 		}
@@ -257,13 +238,7 @@ func (n *Node) WriteSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int
 		n.Cache.LockLine(l)
 		s := n.Cache.SlotFor(page)
 		if s.Page != page || s.St == cache.Invalid {
-			n.St.ReadMisses.Add(1) // write-allocate: fetch the page first
-			if n.MX != nil {
-				n.Cache.MX.Misses.Inc()
-				n.MX.Pages.ReadMiss(page)
-			}
-			n.fetchLineLocked(p, l, page)
-			s = n.Cache.SlotFor(page)
+			s = n.missLocked(p, l, page) // write-allocate: fetch the page first
 		} else {
 			p.Hits++
 		}
@@ -284,7 +259,7 @@ func (n *Node) WriteSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int
 			n.WritebackIfDirty(p, victim)
 		}
 		if miss {
-			n.maybeYield(p)
+			maybeYield()
 		}
 		done += seg
 		addr += mem.Addr(seg)
@@ -295,17 +270,8 @@ func (n *Node) WriteSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int
 // streams of a node's threads interleave as they would under preemptive
 // scheduling (on few-CPU hosts simulated threads otherwise run their whole
 // loops back to back and the write buffer never sees concurrent streams).
-// No semantic effect. Options.YieldEvery thins it to every Kth page open,
-// so streaming writes stop paying a scheduler yield per fresh page.
-func (n *Node) maybeYield(p *sim.Proc) {
-	if k := n.Opt.YieldEvery; k > 1 {
-		p.Opens++
-		if p.Opens%int64(k) != 0 {
-			return
-		}
-	}
-	runtime.Gosched()
-}
+// No semantic effect.
+func maybeYield() { runtime.Gosched() }
 
 // NewTLB builds the Lynx access-translation cache of one thread running on
 // this node: the node's page geometry and hit cost are copied into it, so the
@@ -345,14 +311,7 @@ func (n *Node) readWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 
 	n.Cache.LockLine(l)
 	s := n.Cache.SlotFor(page)
 	if s.Page != page || s.St == cache.Invalid {
-		n.St.ReadMisses.Add(1)
-		n.ev(p, trace.EvReadMiss, page, 0)
-		if n.MX != nil {
-			n.Cache.MX.Misses.Inc()
-			n.MX.Pages.ReadMiss(page)
-		}
-		n.fetchLineLocked(p, l, page)
-		s = n.Cache.SlotFor(page)
+		s = n.missLocked(p, l, page)
 	} else {
 		p.Hits++
 	}
@@ -387,13 +346,7 @@ func (n *Node) writeWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint
 	n.Cache.LockLine(l)
 	s := n.Cache.SlotFor(page)
 	if s.Page != page || s.St == cache.Invalid {
-		n.St.ReadMisses.Add(1) // write-allocate: fetch the page first
-		if n.MX != nil {
-			n.Cache.MX.Misses.Inc()
-			n.MX.Pages.ReadMiss(page)
-		}
-		n.fetchLineLocked(p, l, page)
-		s = n.Cache.SlotFor(page)
+		s = n.missLocked(p, l, page) // write-allocate: fetch the page first
 	} else {
 		p.Hits++
 	}
@@ -413,7 +366,7 @@ func (n *Node) writeWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint
 		n.WritebackIfDirty(p, victim)
 	}
 	if miss {
-		n.maybeYield(p)
+		maybeYield()
 	}
 }
 
@@ -483,9 +436,23 @@ func (n *Node) writeMissLocked(p *sim.Proc, s *cache.Slot) (victim int, evict bo
 	if n.Opt.Mode == ModePS && cached.R.Count() <= 1 {
 		return -1, false
 	}
-	victim, evict = n.Cache.WBPush(page)
-	n.pokeDrainer()
-	return victim, evict
+	return n.Cache.WBPush(page)
+}
+
+// missLocked is the one miss prologue of the read and write paths, run only
+// when page is not resident: count the miss (a write-allocate miss fetches the
+// page first, so it is a read miss too), report it to the tracer and the
+// metrics suite, refill the line and return the page's slot. The caller holds
+// the line lock.
+func (n *Node) missLocked(p *sim.Proc, l, page int) *cache.Slot {
+	n.St.ReadMisses.Add(1)
+	n.ev(p, trace.EvReadMiss, page, 0)
+	if n.MX != nil {
+		n.Cache.MX.Misses.Inc()
+		n.MX.Pages.ReadMiss(page)
+	}
+	n.fetchLineLocked(p, l, page)
+	return n.Cache.SlotFor(page)
 }
 
 // fetchLineLocked services a miss on page by fetching its whole aligned
@@ -764,8 +731,7 @@ func ShouldSelfInvalidate(m Mode, e directory.Entry, self int) bool {
 }
 
 // The SI and SD fence implementations live in fence.go (the Lyra fence
-// pipeline: parallel host-side sweeps, home-grouped burst downgrades, and
-// the optional eager background drainer).
+// pipeline: parallel host-side sweeps and home-grouped burst downgrades).
 
 // ResetForPhase drops all cached state (after flushing it home so no data is
 // lost) without charging virtual time. Used by the collective classification

@@ -393,93 +393,3 @@ func (n *Node) sdSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 		n.Cache.UnlockLine(l)
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Eager background drainer
-// ---------------------------------------------------------------------------
-
-// drainBatch bounds how many write-buffer entries the drainer claims at
-// once, so a concurrent fence still sees whatever it has not reached.
-const drainBatch = 32
-
-// drainer is a node's optional eager write-buffer drainer: a background
-// goroutine that downgrades dirty pages whenever the write buffer grows past
-// its low-water mark, so SD fences arrive with bounded residual work. It
-// runs on its own virtual clock and uses the same line-locked
-// downgrade-until-delivered path as a write-buffer overflow, which composes
-// safely with concurrent fences (whoever locks the line first downgrades;
-// the other sees a clean page and skips). Because the interleaving of
-// drainer and thread posts depends on host scheduling, enabling the drainer
-// trades bit-exact replay determinism for shorter fences.
-type drainer struct {
-	p    *sim.Proc
-	low  int
-	wake chan struct{}
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartDrainer launches the eager drainer with low-water mark low (pages) on
-// virtual clock wp. Call before the workload threads start; pair with
-// StopDrainer after they finish.
-func (n *Node) StartDrainer(wp *sim.Proc, low int) {
-	if n.drain != nil {
-		return
-	}
-	d := &drainer{
-		p:    wp,
-		low:  low,
-		wake: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	n.drain = d
-	go n.drainLoop(d)
-}
-
-// StopDrainer stops the drainer and waits for it to finish its current
-// batch. Remaining write-buffer entries are left for the next fence.
-func (n *Node) StopDrainer() {
-	d := n.drain
-	if d == nil {
-		return
-	}
-	close(d.stop)
-	<-d.done
-	n.drain = nil
-}
-
-// pokeDrainer nudges the drainer after a write-buffer push (non-blocking).
-func (n *Node) pokeDrainer() {
-	if d := n.drain; d != nil {
-		select {
-		case d.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-func (n *Node) drainLoop(d *drainer) {
-	defer close(d.done)
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-d.wake:
-		}
-		for n.Cache.WBLen() > d.low {
-			select {
-			case <-d.stop:
-				return
-			default:
-			}
-			batch := n.Cache.WBTake(drainBatch)
-			if len(batch) == 0 {
-				break
-			}
-			for _, page := range batch {
-				n.WritebackIfDirty(d.p, page)
-			}
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
-	"time"
 
 	"argo/internal/cache"
 	"argo/internal/directory"
@@ -241,36 +240,6 @@ func TestSIFenceBurstDowngradesDoomedDirty(t *testing.T) {
 		t.Fatal("SI fence kept pages in mode S")
 	}
 	if err := r.nodes[0].CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEagerDrainerDowngradesInBackground(t *testing.T) {
-	r := bigRig(t, Options{Mode: ModePS3}, nil)
-	n := r.nodes[0]
-	n.StartDrainer(&sim.Proc{Node: 0}, 0)
-	defer n.StopDrainer()
-	pages := manyPages(100)
-	dirtyMany(r, pages)
-	deadline := time.Now().Add(5 * time.Second)
-	for n.Cache.WBLen() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("drainer stuck with %d buffered pages", n.Cache.WBLen())
-		}
-		time.Sleep(time.Millisecond)
-		n.pokeDrainer() // belt and braces against a missed wakeup in the test
-	}
-	// An empty buffer only means the last batch was claimed: wait for the
-	// drainer to finish writing it home before reading home memory.
-	n.StopDrainer()
-	for _, pg := range pages {
-		if got, want := r.space.HomeBytes(pg)[0], byte(pg%251)+1; got != want {
-			t.Fatalf("page %d home byte = %d, want %d", pg, got, want)
-		}
-	}
-	// The fence after a full drain finds clean pages only.
-	r.nodes[0].SDFence(r.procs[0])
-	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,8 +19,7 @@ type Probes struct {
 
 	// Lyra fence-pipeline series: per-burst size in pages and distinct
 	// homes (how much the home-grouped batching amortizes), and the write
-	// buffer's residue when a fence begins (how much work the eager
-	// background drainer left on the critical path).
+	// buffer's residue when a fence begins.
 	BurstPages        *metrics.Histogram
 	BurstHomes        *metrics.Histogram
 	DrainResiduePages *metrics.Histogram

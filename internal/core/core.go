@@ -51,13 +51,6 @@ type Config struct {
 	Mode           coherence.Mode
 	SWDiffSuppress bool
 	DecayEpochs    int // if >0, reset classification every that many default-barrier episodes
-	// EagerDrainPages, when positive, starts one eager write-buffer drainer
-	// per node (see coherence.StartDrainer): a background agent that
-	// downgrades dirty pages whenever the write buffer grows past this many
-	// entries, so SD fences arrive with bounded residual work. Zero (the
-	// default) keeps all downgrades on the fence path, which preserves
-	// bit-exact replay determinism.
-	EagerDrainPages int
 	// Paranoia makes every barrier episode verify the protocol's
 	// structural invariants on every node (tests and debugging; the sweep
 	// is host-time only).
@@ -68,21 +61,23 @@ type Config struct {
 	// accounting exactly); the switch exists for A/B regression tests and
 	// for diagnosing suspected fast-path issues.
 	NoAccessTLB bool
-	// WriteYieldEvery thins the host-scheduler yield a thread pays at each
-	// write-miss page open to every Kth open (see coherence.Options
-	// YieldEvery). Zero or one yields at every open — the historical
-	// behaviour, which maximizes write-stream interleaving on few-CPU
-	// hosts. Host-side only: no virtual-time effect.
-	WriteYieldEvery int
 
 	// Interconnect cost model.
 	Net fabric.Params
 
 	// Faults, when non-nil, is the Corvus fault-injection plan applied to
-	// the cluster's fabric (see package fault). Nil means fault-free; the
-	// DefaultFaultPlan hook can supply a plan for internally built
-	// clusters.
+	// the cluster's fabric (see package fault). Nil means fault-free.
 	Faults *fault.Plan
+
+	// Observers. NewCluster wires each non-nil one into every layer — the
+	// fabric, the failure detector, each coherence agent and page cache —
+	// before it returns, so locks, flags and barriers built over the
+	// cluster always report into them. Several clusters may share one
+	// observer (series are keyed by name+labels and accumulate). A nil
+	// observer costs one nil check per probe site.
+	Tracer  *trace.Tracer  // protocol events (package trace)
+	Metrics *metrics.Suite // Argoscope histograms, counters, hot spots
+	Spans   *span.Recorder // Pictor causal spans and happens-before edges
 }
 
 // DefaultConfig returns the configuration used as the evaluation baseline:
@@ -128,8 +123,6 @@ func (c *Config) Validate() error {
 		{"PagesPerLine", int64(c.PagesPerLine)},
 		{"WriteBufferPages", int64(c.WriteBufferPages)},
 		{"DecayEpochs", int64(c.DecayEpochs)},
-		{"EagerDrainPages", int64(c.EagerDrainPages)},
-		{"WriteYieldEvery", int64(c.WriteYieldEvery)},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("core: %s must not be negative, got %d", f.name, f.v)
@@ -198,9 +191,9 @@ type Cluster struct {
 	// assignment is deprecated outside internal packages.
 	BarrierFactory func(c *Cluster, threadsPerNode int) BarrierWaiter
 
-	// MX, when non-nil, is the Argoscope observability suite every layer
-	// of this cluster reports into (see AttachMetrics). Locks and
-	// barriers built over this cluster read it at construction time.
+	// MX is Cfg.Metrics: the Argoscope suite every layer of this cluster
+	// reports into, or nil. Locks and barriers built over this cluster
+	// read it at construction time.
 	MX *metrics.Suite
 
 	// FI is the Corvus fault injector built from Cfg.Faults (nil when
@@ -212,10 +205,8 @@ type Cluster struct {
 	// fault plan carries a crash rate or a crash was scripted.
 	Health *health.Detector
 
-	// SR, when non-nil, is the Pictor causal span recorder every layer of
-	// this cluster reports happens-before edges into (see AttachSpans).
-	// Locks and barriers built over this cluster read it at construction
-	// time.
+	// SR is Cfg.Spans: the Pictor span recorder every layer of this
+	// cluster reports happens-before edges into, or nil. Read like MX.
 	SR *span.Recorder
 
 	runMu    sync.Mutex
@@ -242,7 +233,8 @@ func (c *Cluster) NextSpanKey() uint64 { return c.spanKeys.Add(1) }
 // FaultStats returns the injector's event counters (zero when fault-free).
 func (c *Cluster) FaultStats() fault.Snapshot { return c.FI.Snapshot() }
 
-// NewCluster builds a cluster from cfg.
+// NewCluster builds a cluster from cfg, observers and fault plan included:
+// everything that describes a cluster travels in the Config.
 func NewCluster(cfg Config) (*Cluster, error) {
 	if ConfigHook != nil {
 		ConfigHook(&cfg)
@@ -258,73 +250,52 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building fabric: %w", err)
 	}
-	plan := cfg.Faults
-	if plan == nil {
-		plan = DefaultFaultPlan
-	}
 	var fi *fault.Injector
-	if plan != nil {
-		fi = fault.NewInjector(*plan)
+	hpl := fault.DefaultPlan(0)
+	if cfg.Faults != nil {
+		hpl = *cfg.Faults
+		fi = fault.NewInjector(hpl)
 		fab.SetFaults(fi)
 	}
 	space := mem.NewSpace(cfg.Nodes, cfg.MemoryBytes, cfg.PageSize, cfg.Policy)
 	dir := directory.New(fab, space.NPages, space.HomeOf)
-	hpl := fault.DefaultPlan(0)
-	if plan != nil {
-		hpl = *plan
-	}
 	det := health.New(cfg.Nodes, hpl, fi)
 	cl := &Cluster{Cfg: cfg, Topo: topo, Fab: fab, Space: space, Dir: dir, FI: fi, Health: det}
 	opt := coherence.DefaultOptions()
 	opt.Mode = cfg.Mode
 	opt.SWDiffSuppress = cfg.SWDiffSuppress
-	if cfg.WriteYieldEvery > 0 {
-		opt.YieldEvery = cfg.WriteYieldEvery
-	}
 	for n := 0; n < cfg.Nodes; n++ {
 		pc := cache.New(n, cfg.PageSize, cfg.CacheLines, cfg.PagesPerLine, cfg.WriteBufferPages)
 		cl.Nodes = append(cl.Nodes, coherence.NewNode(n, fab, space, dir, pc, opt))
 	}
-	if TraceHook != nil {
-		TraceHook(cl)
-	}
-	if MetricsHook != nil {
-		MetricsHook(cl)
-	}
-	if SpanHook != nil {
-		SpanHook(cl)
-	}
+	cl.wireObservers()
 	return cl, nil
 }
 
+// wireObservers hands the observers of c.Cfg to every layer of the cluster.
+func (c *Cluster) wireObservers() {
+	tr, ms, sr := c.Cfg.Tracer, c.Cfg.Metrics, c.Cfg.Spans
+	c.MX, c.SR = ms, sr
+	c.Fab.SR, c.Health.SR = sr, sr
+	if ms != nil {
+		c.Fab.MX = fabric.NewProbes(ms.Reg)
+		c.Health.MX = health.NewProbes(ms.Reg)
+	}
+	for _, n := range c.Nodes {
+		n.Trc, n.SR = tr, sr
+		if ms != nil {
+			n.MX = coherence.NewProbes(ms.Reg, ms.Pages)
+			n.Cache.MX = cache.NewProbes(ms.Reg)
+		}
+	}
+}
+
 // ConfigHook, when non-nil, is invoked with every Config before validation
-// in NewCluster. Tooling (the -eagerdrain flag of argo-bench) uses it to
-// adjust clusters that workload runners construct internally. Not for
-// concurrent mutation.
+// in NewCluster: the one seam through which tooling (argo-bench, argo-stress)
+// and A/B tests reach the clusters that harness experiments and workload
+// parameter structs build internally — to set observers, a default fault
+// plan or a reference-path switch. Not for concurrent mutation.
 var ConfigHook func(*Config)
-
-// TraceHook, when non-nil, is invoked with every newly built Cluster.
-// Tooling (cmd/argo-trace) uses it to attach a tracer to clusters that
-// workload runners construct internally. Not for concurrent mutation.
-var TraceHook func(*Cluster)
-
-// MetricsHook, when non-nil, is invoked with every newly built Cluster.
-// Tooling (cmd/argo-bench, cmd/argo-top) uses it to attach one metrics
-// suite to clusters that workload runners construct internally. Not for
-// concurrent mutation.
-var MetricsHook func(*Cluster)
-
-// SpanHook, when non-nil, is invoked with every newly built Cluster.
-// Tooling (cmd/argo-critpath, the -critpath flags) uses it to attach one
-// Pictor span recorder to clusters that workload runners construct
-// internally. Not for concurrent mutation.
-var SpanHook func(*Cluster)
-
-// DefaultFaultPlan, when non-nil, is the Corvus plan applied to every
-// cluster whose Config carries no explicit Faults plan. Tooling (-faults
-// flags of argo-bench and argo-top) uses it to inject faults into clusters
-// that workload runners construct internally. Not for concurrent mutation.
-var DefaultFaultPlan *fault.Plan
 
 // MustNewCluster is NewCluster that panics on error (tests, examples).
 func MustNewCluster(cfg Config) *Cluster {
@@ -367,60 +338,6 @@ func (c *Cluster) Hits() int64 { return c.hits.Load() }
 // NextEpoch advances and returns the default-barrier episode counter; the
 // Vela barrier uses it to drive decay-style classification resets.
 func (c *Cluster) NextEpoch() int64 { return c.epochs.Add(1) }
-
-// AttachTracer connects a protocol event tracer to every node (pass nil to
-// detach). Tracing adds one nil-check to hot paths when detached.
-//
-// Deprecated: pass argo.WithTracer to NewCluster instead; post-hoc
-// attachment cannot reach objects built before the call. Kept for existing
-// callers and for detaching (nil).
-func (c *Cluster) AttachTracer(t *trace.Tracer) {
-	for _, n := range c.Nodes {
-		n.Trc = t
-	}
-}
-
-// AttachMetrics connects an Argoscope suite to every layer of the cluster:
-// the fabric, each coherence agent and each page cache get probes resolved
-// in the suite's registry (pass nil to detach). Metric series are keyed by
-// name+labels, so several clusters can share one suite and accumulate.
-// Locks and barriers pick the suite up from Cluster.MX when constructed, so
-// attach before building them. Disabled cost is one nil check per hot path.
-//
-// Deprecated: pass argo.WithMetrics to NewCluster instead, which removes
-// the attach-before-building-locks ordering hazard. Kept for existing
-// callers and for detaching (nil).
-func (c *Cluster) AttachMetrics(ms *metrics.Suite) {
-	c.MX = ms
-	if ms == nil {
-		c.Fab.MX = nil
-		for _, n := range c.Nodes {
-			n.MX = nil
-			n.Cache.MX = nil
-		}
-		return
-	}
-	c.Fab.MX = fabric.NewProbes(ms.Reg)
-	c.Health.MX = health.NewProbes(ms.Reg)
-	for _, n := range c.Nodes {
-		n.MX = coherence.NewProbes(ms.Reg, ms.Pages)
-		n.Cache.MX = cache.NewProbes(ms.Reg)
-	}
-}
-
-// AttachSpans connects a Pictor span recorder to every layer of the
-// cluster: the fabric, the failure detector and each coherence agent get
-// the same recorder (pass nil to detach). Locks and barriers pick the
-// recorder up from Cluster.SR when constructed, so attach before building
-// them. Disabled cost is one nil check per probe site.
-func (c *Cluster) AttachSpans(r *span.Recorder) {
-	c.SR = r
-	c.Fab.SR = r
-	c.Health.SR = r
-	for _, n := range c.Nodes {
-		n.SR = r
-	}
-}
 
 // CheckInvariants verifies the protocol's structural invariants on every
 // node (see coherence.Node.CheckInvariants). Intended after a quiesce.
@@ -495,14 +412,6 @@ func (c *Cluster) RunSeeded(threadsPerNode int, seed int64, body func(t *Thread)
 			procs[r] = p
 		}
 	}
-	// The eager drainers run on their own virtual clocks (extra "cores"
-	// past the worker threads); their work is off the makespan by design —
-	// it models background NIC usage between synchronization points.
-	if c.Cfg.EagerDrainPages > 0 {
-		for node, n := range c.Nodes {
-			n.StartDrainer(c.Topo.NewProc(node, threadsPerNode), c.Cfg.EagerDrainPages)
-		}
-	}
 	g := sim.NewGroup(procs)
 	makespan := g.Run(func(i int, p *sim.Proc) {
 		// A crash-stopped thread unwinds with a CrashSignal panic; the
@@ -517,11 +426,6 @@ func (c *Cluster) RunSeeded(threadsPerNode int, seed int64, body func(t *Thread)
 		}()
 		body(threads[i])
 	})
-	if c.Cfg.EagerDrainPages > 0 {
-		for _, n := range c.Nodes {
-			n.StopDrainer()
-		}
-	}
 	for _, p := range procs {
 		c.hits.Add(p.Hits)
 		c.Nodes[p.Node].PublishHits(p) // what the thread counted since its last fence

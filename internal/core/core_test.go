@@ -301,40 +301,3 @@ func TestClusterAllocAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEagerDrainRunLifecycle(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.EagerDrainPages = 4
-	c := MustNewCluster(cfg)
-	xs := c.AllocF64(2048)
-	// Two back-to-back runs: drainers must start, drain concurrently with
-	// the threads, and stop cleanly each time.
-	for run := 0; run < 2; run++ {
-		c.Run(2, func(th *Thread) {
-			lo, hi := th.Rank*512, (th.Rank+1)*512
-			for i := lo; i < hi; i++ {
-				th.SetF64(xs, i, float64(i))
-			}
-			th.ReleaseFence()
-			for i := lo; i < hi; i++ {
-				if th.GetF64(xs, i) != float64(i) {
-					panic("value lost under eager drain")
-				}
-			}
-		})
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-	}
-	got := c.DumpF64(xs)
-	for i, v := range got {
-		if v != float64(i) {
-			t.Fatalf("xs[%d] = %v after drained runs", i, v)
-		}
-	}
-	bad := testConfig(2)
-	bad.EagerDrainPages = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative EagerDrainPages validated")
-	}
-}

@@ -9,15 +9,16 @@ import (
 	"argo/internal/metrics"
 )
 
-// TestAttachMetricsWiring runs a small cross-node workload with a metrics
-// suite attached and checks each instrumented layer produced data: fabric
+// TestConfigMetricsWiring runs a small cross-node workload with a metrics
+// suite in the Config and checks each instrumented layer produced data: fabric
 // op histograms/counters, fence histograms, cache hit/miss counters, and
 // page attribution. (Lock and barrier probes are exercised by their own
 // packages' tests; they build on the same suite.)
-func TestAttachMetricsWiring(t *testing.T) {
+func TestConfigMetricsWiring(t *testing.T) {
 	ms := metrics.NewSuite()
-	c := MustNewCluster(testConfig(2))
-	c.AttachMetrics(ms)
+	cfg := testConfig(2)
+	cfg.Metrics = ms
+	c := MustNewCluster(cfg)
 
 	xs := c.AllocF64(4096) // spans pages homed on both nodes
 	c.Run(1, func(th *Thread) {
@@ -76,37 +77,6 @@ func TestAttachMetricsWiring(t *testing.T) {
 	if !strings.Contains(buf.String(), "# TYPE argo_fabric_op_ns summary") {
 		t.Error("prometheus exposition missing fabric histogram family")
 	}
-
-	// Detaching must clear every probe pointer again.
-	c.AttachMetrics(nil)
-	if c.MX != nil || c.Fab.MX != nil || c.Nodes[0].MX != nil || c.Nodes[0].Cache.MX != nil {
-		t.Error("AttachMetrics(nil) left probes attached")
-	}
-}
-
-// TestMetricsHookInjection mirrors the argo-top/argo-bench flow: the hook
-// attaches one shared suite to every cluster built while it is set.
-func TestMetricsHookInjection(t *testing.T) {
-	ms := metrics.NewSuite()
-	MetricsHook = func(c *Cluster) { c.AttachMetrics(ms) }
-	defer func() { MetricsHook = nil }()
-
-	for i := 0; i < 2; i++ {
-		c := MustNewCluster(testConfig(2))
-		if c.MX != ms {
-			t.Fatal("hook did not attach the suite")
-		}
-		xs := c.AllocF64(1024)
-		c.Run(1, func(th *Thread) {
-			for i := 0; i < xs.Len; i++ {
-				th.SetF64(xs, i, 1)
-			}
-			th.Coh.SDFence(th.P)
-		})
-	}
-	if n := ms.Reg.Dump(); len(n.Counters) == 0 {
-		t.Fatal("shared suite accumulated nothing across clusters")
-	}
 }
 
 // TestHitsProbeMatchesProcHits: hits are counted per access in Proc.Hits only
@@ -117,10 +87,9 @@ func TestMetricsHookInjection(t *testing.T) {
 func TestHitsProbeMatchesProcHits(t *testing.T) {
 	const block = 16 * 512 // 16 pages = 4 whole lines per node: no line is shared
 	run := func(ms *metrics.Suite) int64 {
-		c := MustNewCluster(testConfig(2))
-		if ms != nil {
-			c.AttachMetrics(ms)
-		}
+		cfg := testConfig(2)
+		cfg.Metrics = ms
+		c := MustNewCluster(cfg)
 		xs := c.AllocF64(2 * block)
 		buf := make([][]float64, 2)
 		c.Run(1, func(th *Thread) {

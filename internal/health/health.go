@@ -451,9 +451,10 @@ func (d *Detector) OnHeal(fn func(node int, at sim.Time)) {
 }
 
 // Kill crash-stops node at virtual time at during barrier episode ep. It
-// returns true for the first kill of that (node, episode) — the caller that
-// wins performs the volatile-state wipe. Idempotent per episode so every
-// thread of a crashing node may call it.
+// returns true for the first kill of that (node, episode) and is a no-op
+// for a repeat. The member barrier calls it once per death, from the node's
+// last crash check-in with the latest of its threads' check-in clocks, so
+// the stamp replays with the seed however many threads the node runs.
 func (d *Detector) Kill(node int, at sim.Time, ep int64) bool {
 	d.mu.Lock()
 	if d.diedEp[node] == ep {

@@ -22,13 +22,11 @@ func crashLockCluster(nodes int) (*core.Cluster, *metrics.Suite) {
 	cfg.MemoryBytes = 4 << 20
 	plan := fault.DefaultPlan(1)
 	cfg.Faults = &plan
-	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-		return vela.NewHierBarrier(c, tpn)
-	}
-	c.Health.ScheduleCrash(0, 1<<30, false) // arm, never fires
 	ms := metrics.NewSuite()
-	c.AttachMetrics(ms)
+	cfg.Metrics = ms
+	c := core.MustNewCluster(cfg)
+	c.BarrierFactory = vela.DefaultBarrier
+	c.Health.ScheduleCrash(0, 1<<30, false) // arm, never fires
 	return c, ms
 }
 
@@ -182,15 +180,11 @@ func TestTicketLockHolderCrashAtUnlockSafePoint(t *testing.T) {
 	plan := fault.DefaultPlan(1)
 	plan.CrashPoints = fault.SafeLock
 	cfg.Faults = &plan
+	ms, tr := metrics.NewSuite(), trace.New(0)
+	cfg.Metrics, cfg.Tracer = ms, tr
 	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-		return vela.NewHierBarrier(c, tpn)
-	}
+	c.BarrierFactory = vela.DefaultBarrier
 	c.Health.ScheduleCrash(1, 2, false)
-	ms := metrics.NewSuite()
-	c.AttachMetrics(ms)
-	tr := trace.New(0)
-	c.AttachTracer(tr)
 	l := NewGlobalTicketLock(c, 0)
 
 	var acquired atomic.Int64

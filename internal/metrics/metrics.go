@@ -198,8 +198,8 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	return h
 }
 
-// Suite bundles the registry with the hot-spot profiles; it is what gets
-// attached to a cluster (core.Cluster.AttachMetrics).
+// Suite bundles the registry with the hot-spot profiles; it is what a
+// cluster reports into (core.Config.Metrics).
 type Suite struct {
 	Reg   *Registry
 	Pages *PageProfile

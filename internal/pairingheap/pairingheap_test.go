@@ -100,9 +100,7 @@ func dsmCluster() *core.Cluster {
 	cfg := core.DefaultConfig(2)
 	cfg.MemoryBytes = 4 << 20
 	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-		return vela.NewHierBarrier(c, tpn)
-	}
+	c.BarrierFactory = vela.DefaultBarrier
 	return c
 }
 

@@ -39,10 +39,6 @@ type Proc struct {
 	Hits int64
 	// hitsTaken is the part of Hits TakeHits has already handed out.
 	hitsTaken int64
-
-	// Opens counts write-miss page opens (host-side only; the coherence
-	// layer uses it to pace its scheduler-yield cadence).
-	Opens int64
 }
 
 // Now returns the Proc's current virtual time.

@@ -19,8 +19,8 @@ import (
 func ringReport(t *testing.T, plan *fault.Plan) *span.Report {
 	t.Helper()
 	sr := span.NewRecorder(0)
-	core.SpanHook = func(c *core.Cluster) { c.AttachSpans(sr) }
-	defer func() { core.SpanHook = nil }()
+	core.ConfigHook = func(cfg *core.Config) { cfg.Spans = sr }
+	defer func() { core.ConfigHook = nil }()
 	pr := drf.DefaultRing(4)
 	pr.Faults = plan
 	if _, err := drf.RunRing(pr); err != nil {
@@ -71,8 +71,8 @@ func TestReplayDeterminismFaults(t *testing.T) {
 func crashReport(t *testing.T) (*span.Report, int) {
 	t.Helper()
 	sr := span.NewRecorder(0)
-	core.SpanHook = func(c *core.Cluster) { c.AttachSpans(sr) }
-	defer func() { core.SpanHook = nil }()
+	core.ConfigHook = func(cfg *core.Config) { cfg.Spans = sr }
+	defer func() { core.ConfigHook = nil }()
 	plan := fault.DefaultPlan(7)
 	plan.Crash = 0.2
 	plan.CrashRestart = true
@@ -116,12 +116,10 @@ func histCount(d metrics.DumpJSON, name string) int64 {
 func TestWaitHistogramsRecorded(t *testing.T) {
 	cfg := core.DefaultConfig(3)
 	cfg.MemoryBytes = 4 << 20
-	c := core.MustNewCluster(cfg)
 	ms := metrics.NewSuite()
-	c.AttachMetrics(ms)
-	c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-		return vela.NewHierBarrier(c, tpn)
-	}
+	cfg.Metrics = ms
+	c := core.MustNewCluster(cfg)
+	c.BarrierFactory = vela.DefaultBarrier
 	slot := c.AllocI64(1)
 	l := locks.NewDSMMutex(c, 0)
 	c.Run(2, func(th *core.Thread) {

@@ -47,6 +47,13 @@ type crashKey struct {
 	node int
 }
 
+// crashCheckIns is a dying node's crash check-in tally for one episode: how
+// many of its threads have checked in, and the latest of their clocks.
+type crashCheckIns struct {
+	n  int
+	at sim.Time
+}
+
 type epState struct {
 	arrived  int      // surviving representatives that have arrived
 	observed int      // threads of restarting nodes parked for this episode
@@ -76,7 +83,7 @@ type memberBarrier struct {
 	members []bool // current membership view (crash-restart keeps the slot)
 	done    int64  // highest fully-completed sub=0 episode
 	eps     map[epKey]*epState
-	crashed map[crashKey]int // per-(episode,node) crash check-in count
+	crashed map[crashKey]crashCheckIns
 }
 
 func newMemberBarrier(c *core.Cluster, tpn int, cost sim.Time) *memberBarrier {
@@ -87,7 +94,7 @@ func newMemberBarrier(c *core.Cluster, tpn int, cost sim.Time) *memberBarrier {
 		tpn:     tpn,
 		members: make([]bool, c.Cfg.Nodes),
 		eps:     map[epKey]*epState{},
-		crashed: map[crashKey]int{},
+		crashed: map[crashKey]crashCheckIns{},
 	}
 	for i := range m.members {
 		m.members[i] = true
@@ -232,29 +239,34 @@ func (m *memberBarrier) crashPoint(t *core.Thread, ep int64) bool {
 	panic(health.CrashSignal{Node: t.Node, Episode: ep})
 }
 
-// killCheckIn kills the thread's node for episode ep (idempotent) and
-// counts this thread's crash check-in. The node's last checking thread
-// performs the volatile-state wipe and records the EvCrash event, tagged
-// with the safe-point kind that delivered its own check-in.
-func (m *memberBarrier) killCheckIn(t *core.Thread, ep int64, kind int64) (last bool) {
-	m.det.Kill(t.Node, t.P.Now(), ep)
+// killCheckIn counts this thread's crash check-in for episode ep. The
+// node's last checking thread kills the node, performs the volatile-state
+// wipe and records the EvCrash event, tagged with the safe-point kind that
+// delivered its own check-in. The death is stamped with the latest of the
+// node's check-in clocks — a function of the seeded run, where the clock of
+// whichever sibling the host happened to run first is not.
+func (m *memberBarrier) killCheckIn(t *core.Thread, ep int64, kind int64) {
 	// The page cache is shared by the node's threads, so the wipe waits for
 	// the node's last thread: until then a sibling may still be running its
 	// epoch tail, and yanking lines under it would make cache hit/miss
 	// sequences depend on the host schedule.
 	m.mu.Lock()
 	ck := crashKey{ep, t.Node}
-	m.crashed[ck]++
-	last = m.crashed[ck] == m.tpn
+	in := m.crashed[ck]
+	in.n++
+	if now := t.P.Now(); now > in.at {
+		in.at = now
+	}
+	m.crashed[ck] = in
 	m.mu.Unlock()
-	if last {
+	if in.n == m.tpn {
+		m.det.Kill(t.Node, in.at, ep)
 		t.Coh.CrashWipe()
 		t.Coh.Trc.Record(trace.Event{
-			T: t.P.Now(), Node: t.Node, Tid: trace.TidOf(t.P.Socket, t.P.Core),
+			T: in.at, Node: t.Node, Tid: trace.TidOf(t.P.Socket, t.P.Core),
 			Kind: trace.EvCrash, Page: -1, Arg: trace.CrashArg(ep, kind),
 		})
 	}
-	return last
 }
 
 // safePoint delivers a pending crash verdict at a non-barrier safe point

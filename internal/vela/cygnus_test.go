@@ -14,26 +14,27 @@ import (
 
 // crashCluster builds a cluster whose default plan carries recovery knobs
 // (timeout, backoff) so scripted crashes have a detection timeout to charge.
-func crashCluster(nodes int) *core.Cluster {
+func crashCluster(nodes int) *core.Cluster { return crashClusterMX(nodes, nil) }
+
+// crashClusterMX is crashCluster reporting into the metrics suite ms.
+func crashClusterMX(nodes int, ms *metrics.Suite) *core.Cluster {
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = 4 << 20
 	plan := fault.DefaultPlan(1)
 	cfg.Faults = &plan
+	cfg.Metrics = ms
 	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-		return NewHierBarrier(c, tpn)
-	}
+	c.BarrierFactory = DefaultBarrier
 	return c
 }
 
 func TestCrashStopSurvivorsReconfigure(t *testing.T) {
 	const nodes, tpn, episodes = 4, 2, 6
-	c := crashCluster(nodes)
+	ms := metrics.NewSuite()
+	c := crashClusterMX(nodes, ms)
 	// Node 0 dies at episode 3: this also exercises leader failover (the
 	// decay/reset duties move to the lowest surviving member).
 	c.Health.ScheduleCrash(0, 3, false)
-	ms := metrics.NewSuite()
-	c.AttachMetrics(ms)
 
 	var survived atomic.Int64
 	var preCrash, postCrash [nodes * tpn]sim.Time
@@ -171,9 +172,7 @@ func TestCrashScheduleDeterminism(t *testing.T) {
 		plan.CrashRestart = true
 		cfg.Faults = &plan
 		c := core.MustNewCluster(cfg)
-		c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-			return NewHierBarrier(c, tpn)
-		}
+		c.BarrierFactory = DefaultBarrier
 		ms := c.Run(2, func(th *core.Thread) {
 			for e := 0; e < 8; e++ {
 				th.Compute(int64(100 * (th.Rank + 1)))
@@ -218,10 +217,9 @@ func TestFaultFreeBarrierUnchangedWhenUnarmed(t *testing.T) {
 // never moves, and the epoch bumps exactly once (the heal).
 func TestPartitionSuspectHealCycle(t *testing.T) {
 	const nodes, tpn, episodes = 3, 2, 6
-	c := crashCluster(nodes)
-	c.Health.SchedulePartition([]int{2}, 2, 2)
 	ms := metrics.NewSuite()
-	c.AttachMetrics(ms)
+	c := crashClusterMX(nodes, ms)
+	c.Health.SchedulePartition([]int{2}, 2, 2)
 
 	var finished atomic.Int64
 	var clocks [nodes * tpn]sim.Time
@@ -309,9 +307,7 @@ func TestPartitionScheduleDeterminism(t *testing.T) {
 		plan.PartitionCut = 2
 		cfg.Faults = &plan
 		c := core.MustNewCluster(cfg)
-		c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-			return NewHierBarrier(c, tpn)
-		}
+		c.BarrierFactory = DefaultBarrier
 		ms := c.Run(2, func(th *core.Thread) {
 			for e := 0; e < 8; e++ {
 				th.Compute(int64(100 * (th.Rank + 1)))
@@ -343,13 +339,11 @@ func TestCrashAtFlagSafePoint(t *testing.T) {
 	plan := fault.DefaultPlan(1)
 	plan.CrashPoints = fault.SafeFlag
 	cfg.Faults = &plan
-	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-		return NewHierBarrier(c, tpn)
-	}
-	c.Health.ScheduleCrash(2, 1, false)
 	tr := trace.New(0)
-	c.AttachTracer(tr)
+	cfg.Tracer = tr
+	c := core.MustNewCluster(cfg)
+	c.BarrierFactory = DefaultBarrier
+	c.Health.ScheduleCrash(2, 1, false)
 	f := NewFlag(c, 0)
 
 	var got atomic.Int64
@@ -532,9 +526,7 @@ func TestOneWayCutScheduleDeterminism(t *testing.T) {
 		plan.PartitionFrom, plan.PartitionTo = 1, 3
 		cfg.Faults = &plan
 		c := core.MustNewCluster(cfg)
-		c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-			return NewHierBarrier(c, tpn)
-		}
+		c.BarrierFactory = DefaultBarrier
 		ms := c.Run(2, func(th *core.Thread) {
 			for e := 0; e < 8; e++ {
 				th.Compute(int64(100 * (th.Rank + 1)))

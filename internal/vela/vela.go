@@ -87,6 +87,12 @@ type HierBarrier struct {
 	resets   atomic.Int64
 }
 
+// DefaultBarrier is the default-barrier factory of every cluster
+// (core.Cluster.BarrierFactory): one hierarchical barrier per launch.
+func DefaultBarrier(c *core.Cluster, threadsPerNode int) core.BarrierWaiter {
+	return NewHierBarrier(c, threadsPerNode)
+}
+
 // NewHierBarrier builds the default barrier for a launch of threadsPerNode
 // threads on every node of c.
 func NewHierBarrier(c *core.Cluster, threadsPerNode int) *HierBarrier {

@@ -11,9 +11,7 @@ func cluster(nodes int) *core.Cluster {
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = 4 << 20
 	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-		return NewHierBarrier(c, tpn)
-	}
+	c.BarrierFactory = DefaultBarrier
 	return c
 }
 

@@ -222,8 +222,8 @@ func TestPlanCrashRingIdlesThroughPartitions(t *testing.T) {
 func TestCrashRingCriticalPathDeterminism(t *testing.T) {
 	run := func() *span.Report {
 		sr := span.NewRecorder(0)
-		core.SpanHook = func(c *core.Cluster) { c.AttachSpans(sr) }
-		defer func() { core.SpanHook = nil }()
+		core.ConfigHook = func(cfg *core.Config) { cfg.Spans = sr }
+		defer func() { core.ConfigHook = nil }()
 		p := crashPlan(23, 0.06, true)
 		p.Partition = 0.1
 		p.PartitionDur = 1

@@ -12,11 +12,11 @@ import (
 	"math"
 	"math/bits"
 
+	"argo"
 	"argo/internal/core"
 	"argo/internal/fabric"
 	"argo/internal/sim"
 	"argo/internal/stats"
-	"argo/internal/vela"
 )
 
 // Net returns the evaluation cost model (one source of truth for every
@@ -39,14 +39,9 @@ func ArgoConfig(nodes int, memBytes int64) core.Config {
 	return cfg
 }
 
-// MustCluster builds a cluster with the Vela hierarchical barrier wired in.
-func MustCluster(cfg core.Config) *core.Cluster {
-	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-		return vela.NewHierBarrier(c, tpn)
-	}
-	return c
-}
+// MustCluster builds the cluster cfg describes through the public
+// constructor (default barrier included) and panics on an invalid config.
+func MustCluster(cfg core.Config) *core.Cluster { return argo.MustNewCluster(cfg) }
 
 // Result is the outcome of one workload run.
 type Result struct {

@@ -16,8 +16,11 @@ func TestNewClusterReturnsErrors(t *testing.T) {
 	}{
 		{"zero nodes", argo.Config{}, nil},
 		{"negative memory", argo.Config{Nodes: 2, MemoryBytes: -1}, nil},
-		{"bad fault plan", argo.DefaultConfig(2),
-			[]argo.Option{argo.WithFaultPlan(argo.FaultPlan{Drop: 2})}},
+		{"bad fault plan", func() argo.Config {
+			cfg := argo.DefaultConfig(2)
+			cfg.Faults = &argo.FaultPlan{Drop: 2}
+			return cfg
+		}(), nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -53,13 +56,13 @@ func TestOptionsCompose(t *testing.T) {
 
 	plan := argo.DefaultFaultPlan(42)
 	plan.Drop = 0.01
+	cfg.Faults = &plan
 
 	barrierBuilt := false
 	c, err := argo.NewCluster(cfg,
 		argo.WithFabricParams(net),
 		argo.WithMetrics(ms),
 		argo.WithTracer(tr),
-		argo.WithFaultPlan(plan),
 		argo.WithBarrier(func(c *argo.Cluster, tpn int) argo.Barrier {
 			barrierBuilt = true
 			return nopBarrier{}
@@ -75,7 +78,7 @@ func TestOptionsCompose(t *testing.T) {
 		t.Fatal("WithMetrics not applied")
 	}
 	if c.FI == nil {
-		t.Fatal("WithFaultPlan did not build an injector")
+		t.Fatal("cfg.Faults did not build an injector")
 	}
 	c.Run(1, func(th *argo.Thread) { th.Barrier() })
 	if !barrierBuilt {
@@ -88,7 +91,7 @@ type nopBarrier struct{}
 func (nopBarrier) Wait(t *argo.Thread) {}
 
 // WithChaos is the one-stop chaos option: a spec string arms the same
-// injector WithFaultPlan would, a bad spec surfaces as a NewCluster error
+// injector cfg.Faults would, a bad spec surfaces as a NewCluster error
 // (not a panic), and the fluent builder produces plans identical to the
 // parsed spec form.
 func TestWithChaos(t *testing.T) {
@@ -115,7 +118,8 @@ func TestWithChaos(t *testing.T) {
 	if built != parsed {
 		t.Fatalf("builder plan %+v != parsed plan %+v", built, parsed)
 	}
-	if _, err := argo.NewCluster(cfg, argo.WithFaultPlan(built)); err != nil {
+	cfg.Faults = &built
+	if _, err := argo.NewCluster(cfg); err != nil {
 		t.Fatalf("builder plan rejected by NewCluster: %v", err)
 	}
 }
