@@ -87,6 +87,7 @@ package cache
 // per-hit increments would have produced.
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"runtime"
 	"sync/atomic"
@@ -94,6 +95,20 @@ import (
 
 	"argo/internal/sim"
 )
+
+// Global memory is little-endian 8-byte words (the locked paths and the byte
+// accessors read it with encoding/binary), while Load and Store below — and
+// core's bulk views of typed slices — access the same words in host order. The
+// two agree on little-endian hosts only, so the simulator refuses to start on
+// any other: one check, here, for every package above the page cache.
+func init() {
+	if !hostLittleEndian() {
+		panic("argo: little-endian hosts only: the page cache reads global memory's little-endian words with native loads")
+	}
+}
+
+// hostLittleEndian reports whether the host stores a word's low byte first.
+func hostLittleEndian() bool { return binary.NativeEndian.Uint16([]byte{1, 0}) == 1 }
 
 // LineSync is the seqlock state of one cache line, padded so neighbouring
 // lines' counters do not false-share.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -170,5 +171,28 @@ func TestTLBLoadStore(t *testing.T) {
 	}
 	if p.Now() != 2*hit || p.Hits != 2 || c.Sync(l).Act.Load() != 0 || binary.LittleEndian.Uint64(s.Data[16:]) != 78 {
 		t.Fatal("a stale-entry miss moved the proc, stored, or left Act raised")
+	}
+}
+
+// TestLittleEndianHostOnly is the byte-order contract in one place: a word the
+// locked path decodes with encoding/binary must be the word the TLB loads and
+// stores natively, byte for byte. On a big-endian host the package's init
+// panics with the same reason before any test runs; this test names it should
+// that guard ever be loosened.
+func TestLittleEndianHostOnly(t *testing.T) {
+	const msg = "argo runs on little-endian hosts only: the TLB's native word access and the locked path's binary.LittleEndian decoding disagree"
+	c := New(0, 4096, 4, 2, 16)
+	tb, p := c.NewTLB(1), &sim.Proc{}
+	l, s := c.LineOf(3), c.SlotFor(3)
+	s.Page, s.St = 3, Dirty
+	c.PrepareRefill(s)
+	copy(s.Data[8:], []byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x88})
+	c.FillTLB(tb, l, s)
+	addr := int64(3*4096 + 8)
+	if v, ok := tb.Load(p, addr); !ok || v != binary.LittleEndian.Uint64(s.Data[8:]) {
+		t.Fatalf("%s (Load = %#x, %v; bytes decode to %#x)", msg, v, ok, binary.LittleEndian.Uint64(s.Data[8:]))
+	}
+	if !tb.Store(p, addr+8, 0x8807060504030201) || !bytes.Equal(s.Data[16:24], s.Data[8:16]) {
+		t.Fatalf("%s (Store wrote % x)", msg, s.Data[16:24])
 	}
 }

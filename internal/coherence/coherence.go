@@ -472,8 +472,8 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 	// spill to the heap through append.
 	var regsBuf [8]fabric.AtomicItem
 	var fetchedBuf [8]*cache.Slot
-	regs, fetched := regsBuf[:0], fetchedBuf[:0]
-	pages := make(map[int]int, 4)
+	var homesBuf [8]fabric.HomePages
+	regs, fetched, homes := regsBuf[:0], fetchedBuf[:0], homesBuf[:0]
 	for i := range slots {
 		s := &slots[i]
 		want := base + i
@@ -517,7 +517,7 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 				n.MX.Pages.Notify(want)
 			}
 		}
-		pages[home]++
+		homes = countHomePage(homes, home)
 		fetched = append(fetched, s)
 	}
 	if len(fetched) == 0 {
@@ -532,7 +532,7 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 		regs = append(regs, fabric.AtomicItem{Home: n.Space.HomeOf(pg), Key: uint64(pg)})
 	}
 	n.registerBurst(p, regs)
-	n.Fab.LineFetch(p, pages, n.Cache.PageSize, uint64(base))
+	n.Fab.FetchLine(p, homes, n.Cache.PageSize, uint64(base))
 	for _, s := range fetched {
 		// A plain memmove into the recycled buffer: the generation bump
 		// above already fenced off every lock-free reader and writer (see
@@ -549,6 +549,23 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 	// Only one in-flight fetch per node (the prototype's MPI passive-RMA
 	// limitation): serialize the span of this fetch on the node gate.
 	n.Cache.FetchGate.OccupyAt(p, t0, p.Now()-t0)
+}
+
+// countHomePage adds one page transfer from home to a line fetch's per-home
+// tally, which it keeps in ascending home order (what Fabric.FetchLine takes).
+func countHomePage(homes []fabric.HomePages, home int) []fabric.HomePages {
+	i := 0
+	for i < len(homes) && homes[i].Home < home {
+		i++
+	}
+	if i < len(homes) && homes[i].Home == home {
+		homes[i].Pages++
+		return homes
+	}
+	homes = append(homes, fabric.HomePages{})
+	copy(homes[i+1:], homes[i:])
+	homes[i] = fabric.HomePages{Home: home, Pages: 1}
+	return homes
 }
 
 // registerBurst delivers a line fetch's Pyxis fetch-and-or registrations as

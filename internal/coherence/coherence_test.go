@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"slices"
 	"testing"
 
 	"argo/internal/cache"
@@ -310,5 +311,19 @@ func TestModeStrings(t *testing.T) {
 	}
 	if Mode(9).String() != "Mode(9)" {
 		t.Fatal("unknown mode name wrong")
+	}
+}
+
+// A line's per-home page tally comes out in ascending home order whatever
+// order the line's pages name their homes in, one entry per home.
+func TestCountHomePageKeepsAscendingHomes(t *testing.T) {
+	var buf [8]fabric.HomePages
+	homes := buf[:0]
+	for _, h := range []int{5, 2, 7, 2, 0, 5, 5} {
+		homes = countHomePage(homes, h)
+	}
+	want := []fabric.HomePages{{Home: 0, Pages: 1}, {Home: 2, Pages: 2}, {Home: 5, Pages: 3}, {Home: 7, Pages: 1}}
+	if !slices.Equal(homes, want) {
+		t.Fatalf("tally %v, want %v", homes, want)
 	}
 }

@@ -565,19 +565,3 @@ func (c *Cluster) dumpBytes(a mem.Addr, dst []byte) {
 		a += mem.Addr(seg)
 	}
 }
-
-// ---------------------------------------------------------------------------
-// helpers
-// ---------------------------------------------------------------------------
-
-var scratchPool = sync.Pool{New: func() any { return make([]byte, 0, bulkChunk) }}
-
-func scratch(n int) []byte {
-	b := scratchPool.Get().([]byte)
-	if cap(b) < n {
-		b = make([]byte, n)
-	}
-	return b[:n]
-}
-
-func putScratch(b []byte) { scratchPool.Put(b[:0]) } //nolint:staticcheck // slice header boxing is fine here

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"math"
+	"unsafe"
 
 	"argo/internal/mem"
 )
@@ -61,54 +61,14 @@ func fromBits[T Element](b uint64) T {
 	}
 }
 
-// encodeLE stores len(dst)/8 elements of src in dst in their memory
-// representation, little-endian 8-byte words. The type switch is on the whole
-// slice, once per call; each loop body compiles to one load and one store
-// (the three-index reslice proves the word in bounds), so a bulk transfer
-// costs a small multiple of a copy on any byte order.
-func encodeLE[T Element](dst []byte, src []T) {
-	n := len(dst) / 8
-	dst = dst[:n*8]
-	switch v := any(src).(type) {
-	case []float64:
-		for i, x := range v[:n] {
-			binary.LittleEndian.PutUint64(dst[i*8:i*8+8:i*8+8], math.Float64bits(x))
-		}
-	case []int64:
-		for i, x := range v[:n] {
-			binary.LittleEndian.PutUint64(dst[i*8:i*8+8:i*8+8], uint64(x))
-		}
-	case []uint64:
-		for i, x := range v[:n] {
-			binary.LittleEndian.PutUint64(dst[i*8:i*8+8:i*8+8], x)
-		}
-	}
+// wordBytes views v's elements as the bytes they occupy in this process.
+// Global memory holds little-endian 8-byte words and the host is little-endian
+// (package cache refuses to start otherwise, and its TLB loads and stores the
+// same words natively), so the view is already v's memory representation: a
+// bulk transfer is a copy to or from it, one memmove per page segment.
+func wordBytes[T Element](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8)
 }
-
-// decodeLE is the inverse of encodeLE: it loads len(src)/8 elements into dst.
-func decodeLE[T Element](dst []T, src []byte) {
-	n := len(src) / 8
-	src = src[:n*8]
-	switch v := any(dst).(type) {
-	case []float64:
-		for i := range v[:n] {
-			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8 : i*8+8 : i*8+8]))
-		}
-	case []int64:
-		for i := range v[:n] {
-			v[i] = int64(binary.LittleEndian.Uint64(src[i*8 : i*8+8 : i*8+8]))
-		}
-	case []uint64:
-		for i := range v[:n] {
-			v[i] = binary.LittleEndian.Uint64(src[i*8 : i*8+8 : i*8+8])
-		}
-	}
-}
-
-// bulkChunk is how many bytes InitSlice and DumpSlice convert at a time: the
-// staging buffer (scratchPool's) stays cache-resident between the conversion
-// and the copy to or from home memory, whatever the page geometry.
-const bulkChunk = 1 << 16
 
 // AllocSlice reserves a global array of n elements on its own pages.
 func AllocSlice[T Element](c *Cluster, n int) Slice[T] {
@@ -125,64 +85,30 @@ func Set[T Element](t *Thread, s Slice[T], i int, v T) {
 	t.WriteU64(s.At(i), toBits(v))
 }
 
-// ReadRange bulk-reads elements [lo,hi) into dst (len(dst) >= hi-lo),
-// decoding in place per page segment — no intermediate copy of the whole
-// range. Slices are 8-byte aligned (Alloc guarantees it), so page segments
-// land on element boundaries whenever the page size is a multiple of 8; the
-// rare degenerate geometry falls back to the scratch-buffer path.
+// ReadRange bulk-reads elements [lo,hi) into dst (len(dst) >= hi-lo), page
+// segment by page segment straight out of the cache.
 func ReadRange[T Element](t *Thread, s Slice[T], lo, hi int, dst []T) {
-	n := hi - lo
-	if t.Coh.Cache.PageSize&7 != 0 {
-		raw := scratch(n * 8)
-		t.Coh.ReadAt(t.P, s.At(lo), raw)
-		decodeLE(dst, raw)
-		putScratch(raw)
-		return
-	}
-	t.Coh.ReadSegs(t.P, s.At(lo), n*8, func(off int, data []byte) {
-		decodeLE(dst[off/8:], data)
-	})
+	t.Coh.ReadAt(t.P, s.At(lo), wordBytes(dst[:hi-lo]))
 }
 
-// WriteRange bulk-writes src to elements [lo, lo+len(src)), encoding in
-// place per page segment (see ReadRange for the geometry fallback).
+// WriteRange bulk-writes src to elements [lo, lo+len(src)), page segment by
+// page segment straight into the cache.
 func WriteRange[T Element](t *Thread, s Slice[T], lo int, src []T) {
-	if t.Coh.Cache.PageSize&7 != 0 {
-		raw := scratch(len(src) * 8)
-		encodeLE(raw, src)
-		t.Coh.WriteAt(t.P, s.At(lo), raw)
-		putScratch(raw)
-		return
-	}
-	t.Coh.WriteSegs(t.P, s.At(lo), len(src)*8, func(off int, data []byte) {
-		encodeLE(data, src[off/8:])
-	})
+	t.Coh.WriteAt(t.P, s.At(lo), wordBytes(src))
 }
 
 // InitSlice writes vals directly into home memory with no protocol activity
 // and no virtual cost: the paper excludes initialization from measurement
 // and resets classification after it.
 func InitSlice[T Element](c *Cluster, s Slice[T], vals []T) {
-	raw := scratch(min(len(vals)*8, bulkChunk))
-	for e := 0; e < len(vals); e += len(raw) / 8 {
-		k := min(len(vals)-e, len(raw)/8)
-		encodeLE(raw[:k*8], vals[e:])
-		c.InitBytes(s.At(e), raw[:k*8])
-	}
-	putScratch(raw)
+	c.InitBytes(s.Base, wordBytes(vals))
 }
 
 // DumpSlice reads the home-memory truth of s after all threads have
 // quiesced (verification helper; zero cost, no protocol activity).
 func DumpSlice[T Element](c *Cluster, s Slice[T]) []T {
 	out := make([]T, s.Len)
-	raw := scratch(min(s.Len*8, bulkChunk))
-	for e := 0; e < s.Len; e += len(raw) / 8 {
-		k := min(s.Len-e, len(raw)/8)
-		c.dumpBytes(s.At(e), raw[:k*8])
-		decodeLE(out[e:], raw[:k*8])
-	}
-	putScratch(raw)
+	c.dumpBytes(s.Base, wordBytes(out))
 	return out
 }
 

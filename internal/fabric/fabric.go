@@ -26,7 +26,9 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"argo/internal/fault"
@@ -363,25 +365,44 @@ func (f *Fabric) TryRemoteWrite(p *sim.Proc, home, n int, key uint64, attempt in
 	return true
 }
 
-// LineFetch charges for one cache-line fetch (Argo's prefetching): the
+// HomePages counts a line fetch's page transfers from one home node.
+type HomePages struct{ Home, Pages int }
+
+// LineFetch is FetchLine for a caller that holds the per-home page counts as
+// a map (pages[h] transfers from home h): the perf ledger's unit-cost driver.
+// The miss path tallies in order and calls FetchLine itself.
+func (f *Fabric) LineFetch(p *sim.Proc, pages map[int]int, bytesEach int, key uint64) {
+	var buf [8]HomePages
+	homes := buf[:0]
+	for h, c := range pages {
+		homes = append(homes, HomePages{h, c})
+	}
+	slices.SortFunc(homes, func(a, b HomePages) int { return cmp.Compare(a.Home, b.Home) })
+	f.FetchLine(p, homes, bytesEach, key)
+}
+
+// FetchLine charges for one cache-line fetch (Argo's prefetching): the
 // page transfers of the line's pages are independent one-sided reads, so
 // the implementation posts them together. The line's Pyxis registrations
 // travel separately as an AtomicBurst (the coherence layer issues it just
 // before the fetch); here the whole transfer burst shares one request and
 // one response latency, at each involved home the NIC serializes that
-// home's share, and distinct homes overlap. pages[h] counts page transfers
-// from home h. key is the line's base page; the fault target is the
-// smallest remote home involved (deterministic regardless of map order),
-// and a dropped burst is reissued whole after timeout + backoff.
-func (f *Fabric) LineFetch(p *sim.Proc, pages map[int]int, bytesEach int, key uint64) {
-	// Local work first: loopback page copies.
-	if c := pages[p.Node]; c > 0 {
-		p.Advance(f.P.DRAMLatency + f.P.CopyCost(c*bytesEach))
-	}
+// home's share, and distinct homes overlap. homes lists each involved home
+// once, in ascending order, and NICs are charged and spans emitted in that
+// order. key is the line's base page; the fault target is the smallest
+// remote home involved, and a dropped burst is reissued whole after
+// timeout + backoff.
+func (f *Fabric) FetchLine(p *sim.Proc, homes []HomePages, bytesEach int, key uint64) {
 	target := -1
-	for h := range pages {
-		if h != p.Node && (target < 0 || h < target) {
-			target = h
+	for _, hp := range homes {
+		switch {
+		case hp.Home == p.Node:
+			// Local work first: loopback page copies.
+			if hp.Pages > 0 {
+				p.Advance(f.P.DRAMLatency + f.P.CopyCost(hp.Pages*bytesEach))
+			}
+		case target < 0:
+			target = hp.Home
 		}
 	}
 	if target < 0 {
@@ -423,14 +444,15 @@ func (f *Fabric) LineFetch(p *sim.Proc, pages map[int]int, bytesEach int, key ui
 		}
 		f.spanFrom(p, arrival, span.NIC, int64(h))
 	}
-	for h, c := range pages {
-		if h == p.Node {
+	for _, hp := range homes {
+		if hp.Home == p.Node {
 			continue
 		}
-		occupy(h, sim.Time(c)*wire)
-		f.account(p.Node, h, c*bytesEach)
-		f.nodes[h].BytesSent.Add(int64(c * bytesEach))
-		f.nodes[p.Node].BytesReceived.Add(int64(c * bytesEach))
+		n := hp.Pages * bytesEach
+		occupy(hp.Home, sim.Time(hp.Pages)*wire)
+		f.account(p.Node, hp.Home, n)
+		f.nodes[hp.Home].BytesSent.Add(int64(n))
+		f.nodes[p.Node].BytesReceived.Add(int64(n))
 	}
 	p.Advance(f.P.RemoteLatency)
 	if attempt > 0 {
@@ -520,7 +542,7 @@ type PostItem struct {
 }
 
 // PostWriteBurst posts a fence's collected downgrades as per-home pipelined
-// bursts (the downgrade-side symmetric of LineFetch). Items must be grouped
+// bursts (the downgrade-side symmetric of FetchLine). Items must be grouped
 // by home (the coherence layer sorts by home, then page, which also keeps
 // the issue order deterministic). The cost model per remote home: the issuer
 // pays one PostOverhead for the home's descriptor chain instead of one per

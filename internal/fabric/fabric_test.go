@@ -1,10 +1,12 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 
 	"argo/internal/fault"
 	"argo/internal/sim"
+	"argo/internal/span"
 )
 
 func testTopo() sim.Topology {
@@ -153,6 +155,41 @@ func TestLineFetchAllLocal(t *testing.T) {
 	f.LineFetch(p, map[int]int{1: 2}, 4096, 0)
 	if p.Now() >= f.P.RemoteLatency {
 		t.Fatal("all-local line fetch paid network latency")
+	}
+}
+
+// FetchLine charges NICs and paints their spans home by home in the order
+// given (ascending), so the span log of a fetch is the same on every run; the
+// map adapter sorts its way to the same call.
+func TestFetchLineHomeOrderAndMapAdapter(t *testing.T) {
+	run := func(fetch func(f *Fabric, p *sim.Proc)) (sim.Time, []span.Record) {
+		f := MustNew(testTopo(), DefaultParams())
+		f.SR = span.NewRecorder(0)
+		p := &sim.Proc{Node: 2}
+		fetch(f, p)
+		var nic []span.Record
+		for _, r := range f.SR.Records() {
+			if r.Cat == span.NIC {
+				nic = append(nic, r)
+			}
+		}
+		return p.Now(), nic
+	}
+	// Home 3 has the longest share, so spans painted in ascending home order
+	// end at non-decreasing times and the canonical sort keeps that order.
+	want, wantNIC := run(func(f *Fabric, p *sim.Proc) {
+		f.FetchLine(p, []HomePages{{0, 1}, {1, 2}, {2, 1}, {3, 4}}, 4096, 8)
+	})
+	if len(wantNIC) != 3 || wantNIC[0].Arg != 0 || wantNIC[1].Arg != 1 || wantNIC[2].Arg != 3 {
+		t.Fatalf("NIC spans %+v, want one per remote home 0, 1, 3 in that order", wantNIC)
+	}
+	for i := 0; i < 20; i++ { // map iteration order is random per range
+		got, gotNIC := run(func(f *Fabric, p *sim.Proc) {
+			f.LineFetch(p, map[int]int{3: 4, 1: 2, 0: 1, 2: 1}, 4096, 8)
+		})
+		if got != want || !slices.Equal(gotNIC, wantNIC) {
+			t.Fatalf("LineFetch(map): t=%d spans %+v, FetchLine: t=%d spans %+v", got, gotNIC, want, wantNIC)
+		}
 	}
 }
 

@@ -39,14 +39,26 @@ func Matrix(n int) []float64 {
 	return a
 }
 
+// The block kernels below walk row slices cut to one common length, which
+// lets the compiler drop every bounds check from the inner loops. None of
+// them reorders arithmetic: each element sees the same rounded operations in
+// the same order as the textbook triple loops (kept as references in
+// kernels_test.go), so results are bit-identical — the ledger pins LU's
+// checksum bits.
+
+// row returns row i of a b×b block, with capacity clipped to the row.
+func row(a []float64, i, b int) []float64 { return a[i*b : i*b+b : i*b+b] }
+
 // factorDiag factors a b×b block in place (L unit lower / U upper).
 func factorDiag(a []float64, b int) {
 	for k := 0; k < b; k++ {
+		ak := row(a, k, b)
 		for i := k + 1; i < b; i++ {
-			a[i*b+k] /= a[k*b+k]
-			lik := a[i*b+k]
-			for j := k + 1; j < b; j++ {
-				a[i*b+j] -= lik * a[k*b+j]
+			ai := row(a, i, b)[:len(ak)]
+			ai[k] /= ak[k]
+			lik := ai[k]
+			for j := k + 1; j < len(ak); j++ {
+				ai[j] -= lik * ak[j]
 			}
 		}
 	}
@@ -55,38 +67,57 @@ func factorDiag(a []float64, b int) {
 // solveRow computes blk = L(diag)^{-1} · blk (unit lower triangular solve).
 func solveRow(diag, blk []float64, b int) {
 	for k := 0; k < b; k++ {
+		bk := row(blk, k, b)
 		for i := k + 1; i < b; i++ {
 			lik := diag[i*b+k]
-			for j := 0; j < b; j++ {
-				blk[i*b+j] -= lik * blk[k*b+j]
+			bi := row(blk, i, b)[:len(bk)]
+			for j, x := range bk {
+				bi[j] -= lik * x
 			}
 		}
 	}
 }
 
-// solveCol computes blk = blk · U(diag)^{-1} (upper triangular solve).
+// solveCol computes blk = blk · U(diag)^{-1} (upper triangular solve). The
+// rows of blk are independent, so it runs row-major: element (i,j) still
+// takes its updates for k = 0..j-1 in order and is then divided by U(j,j).
 func solveCol(diag, blk []float64, b int) {
-	for k := 0; k < b; k++ {
-		ukk := diag[k*b+k]
-		for i := 0; i < b; i++ {
-			blk[i*b+k] /= ukk
-		}
-		for j := k + 1; j < b; j++ {
-			ukj := diag[k*b+j]
-			for i := 0; i < b; i++ {
-				blk[i*b+j] -= blk[i*b+k] * ukj
+	for i := 0; i < b; i++ {
+		bi := row(blk, i, b)
+		for k := range bi {
+			dk := row(diag, k, b)[:len(bi)]
+			bi[k] /= dk[k]
+			x := bi[k]
+			for j := k + 1; j < len(bi); j++ {
+				bi[j] -= x * dk[j]
 			}
 		}
 	}
 }
 
-// mulSub computes c -= a·bb for b×b blocks.
+// mulSub computes c -= a·bb for b×b blocks. k advances four at a time with
+// c(i,j) held in a register across the four updates, applied in ascending k
+// — the order of the one-at-a-time loop, which finishes the k%4 remainder.
 func mulSub(c, a, bb []float64, b int) {
 	for i := 0; i < b; i++ {
-		for k := 0; k < b; k++ {
-			aik := a[i*b+k]
-			for j := 0; j < b; j++ {
-				c[i*b+j] -= aik * bb[k*b+j]
+		ci, ai := row(c, i, b), row(a, i, b)
+		k := 0
+		for ; k+4 <= len(ai); k += 4 {
+			a0, a1, a2, a3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
+			b0, b1 := row(bb, k, b)[:len(ci)], row(bb, k+1, b)[:len(ci)]
+			b2, b3 := row(bb, k+2, b)[:len(ci)], row(bb, k+3, b)[:len(ci)]
+			for j, v := range ci {
+				v -= a0 * b0[j]
+				v -= a1 * b1[j]
+				v -= a2 * b2[j]
+				v -= a3 * b3[j]
+				ci[j] = v
+			}
+		}
+		for ; k < len(ai); k++ {
+			aik, bk := ai[k], row(bb, k, b)[:len(ci)]
+			for j, x := range bk {
+				ci[j] -= aik * x
 			}
 		}
 	}
