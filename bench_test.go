@@ -6,6 +6,7 @@
 package argo_test
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -243,6 +244,37 @@ func BenchmarkSDFence(b *testing.B) {
 			t.ReleaseFence()
 		}
 	})
+}
+
+// BenchmarkNewCluster measures building a cluster of the evaluation
+// geometry (64 MB, 4096 four-page lines per node): what a sweep pays per
+// data point before any work is done.
+func BenchmarkNewCluster(b *testing.B) {
+	for _, nodes := range []int{4, 32, 128} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				argo.MustNewCluster(argo.DefaultConfig(nodes))
+			}
+		})
+	}
+}
+
+// BenchmarkLaunchEmpty measures a Run whose threads do nothing, on a
+// four-node cluster that has done work before: reset, barrier, 16 threads.
+func BenchmarkLaunchEmpty(b *testing.B) {
+	c := argo.MustNewCluster(argo.DefaultConfig(4))
+	xs := c.AllocF64(1 << 16)
+	c.Run(4, func(t *argo.Thread) {
+		for i := t.Rank; i < xs.Len; i += t.NT {
+			t.SetF64(xs, i, 1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Run(4, func(*argo.Thread) {})
+	}
 }
 
 func memSpaceForBench() *mem.Space {

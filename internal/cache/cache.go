@@ -17,6 +17,7 @@ import (
 
 	"argo/internal/racetag"
 	"argo/internal/sim"
+	"argo/internal/sparse"
 )
 
 // State is the local state of a cached page.
@@ -64,6 +65,27 @@ type Slot struct {
 	twinBuf []byte
 }
 
+// Line is everything the cache keeps per line. Its seqlock state sits apart,
+// in a padded array of the chunk's own: lock-free readers poll Gen while lock
+// holders write the mutex, and a LineSync inside the record shared a 128-byte
+// prefetch pair with that mutex (DESIGN § 16 has the measurement).
+//
+// LockLine is the only way to a Line, so whoever has one holds its lock —
+// which everything that takes a *Line requires — until Unlock.
+type Line struct {
+	mu    sync.Mutex
+	idx   int       // the line's index in the cache
+	used  bool      // on the used list; written under mu and usedMu
+	sy    *LineSync // in the chunk's LineSync array
+	slots []Slot    // PagesPerLine slots, carved from the chunk's slot array
+}
+
+// Slots returns the line's slots.
+func (ln *Line) Slots() []Slot { return ln.slots }
+
+// Unlock releases the line lock.
+func (ln *Line) Unlock() { ln.mu.Unlock() }
+
 // Cache is one node's page cache.
 type Cache struct {
 	Node         int
@@ -77,9 +99,7 @@ type Cache struct {
 	// recording; hot paths pay a nil check.
 	MX *Probes
 
-	lineLocks []sync.Mutex
-	lineSync  []LineSync // per-line seqlock state for the Lynx fast path
-	slots     []Slot     // Lines * PagesPerLine
+	lines sparse.Array[Line]
 
 	// FetchGate serializes page fetches of this node in virtual time,
 	// modeling the prototype's MPI limitation that only one thread can use
@@ -95,10 +115,10 @@ type Cache struct {
 	wbLen  int
 
 	// Occupied-line tracking: fences sweep only lines that ever held a
-	// page since the last sweep found them empty. usedSet is guarded by
-	// usedMu; the lock order is line lock → usedMu.
+	// page since the last sweep found them empty. A line's used flag is
+	// written under its line lock and usedMu (in that order), so either lock
+	// makes it stable to read.
 	usedMu   sync.Mutex
-	usedSet  []bool
 	usedList []int
 }
 
@@ -116,45 +136,33 @@ func New(node, pageSize, lines, pagesPerLine, wbCapacity int) *Cache {
 		PageSize:     pageSize,
 		Lines:        lines,
 		PagesPerLine: pagesPerLine,
-		lineLocks:    make([]sync.Mutex, lines),
-		lineSync:     make([]LineSync, lines),
-		slots:        make([]Slot, lines*pagesPerLine),
 		wbCap:        wbCapacity,
 		wbRing:       make([]int, wbCapacity+1),
 	}
-	for i := range c.slots {
-		c.slots[i].Page = -1
-	}
-	c.usedSet = make([]bool, lines)
+	c.lines = sparse.Make(lines, func(base int, chunk []Line) {
+		syncs := make([]LineSync, len(chunk))
+		slots := make([]Slot, len(chunk)*pagesPerLine)
+		for i := range slots {
+			slots[i].Page = -1
+		}
+		for i := range chunk {
+			chunk[i].idx = base + i
+			chunk[i].sy = &syncs[i]
+			chunk[i].slots = slots[i*pagesPerLine : (i+1)*pagesPerLine : (i+1)*pagesPerLine]
+		}
+	})
 	return c
 }
 
-// MarkLineUsed records that line l holds at least one page; the caller must
-// hold l's line lock.
-func (c *Cache) MarkLineUsed(l int) {
-	if c.usedSet[l] { // stable while the line lock is held
+// MarkLineUsed records that ln holds at least one page.
+func (c *Cache) MarkLineUsed(ln *Line) {
+	if ln.used {
 		return
 	}
 	c.usedMu.Lock()
-	if !c.usedSet[l] {
-		c.usedSet[l] = true
-		c.usedList = append(c.usedList, l)
-	}
+	ln.used = true
+	c.usedList = append(c.usedList, ln.idx)
 	c.usedMu.Unlock()
-}
-
-// ForEachUsedLine runs fn for every occupied line with that line's lock
-// held, and retires lines the sweep leaves empty. Fences use this instead
-// of ForEachLine so their cost scales with the resident set, not with the
-// cache geometry.
-func (c *Cache) ForEachUsedLine(fn func(l int, slots []Slot)) {
-	for _, l := range c.AppendUsedLines(nil) {
-		c.lineLocks[l].Lock()
-		fn(l, c.LineSlots(l))
-		c.RetireLineIfEmpty(l)
-		c.lineLocks[l].Unlock()
-	}
-	c.CompactUsedList()
 }
 
 // AppendUsedLines appends the occupied line indices, in first-use order, to
@@ -168,17 +176,19 @@ func (c *Cache) AppendUsedLines(buf []int) []int {
 	return buf
 }
 
-// RetireLineIfEmpty clears line l's used flag if no slot holds a valid page.
-// The caller must hold l's line lock (lock order: line lock → usedMu).
-func (c *Cache) RetireLineIfEmpty(l int) {
-	for i := 0; i < c.PagesPerLine; i++ {
-		s := &c.slots[l*c.PagesPerLine+i]
-		if s.Page >= 0 && s.St != Invalid {
+// RetireLineIfEmpty clears ln's used flag if no slot holds a valid page
+// (lock order: line lock → usedMu).
+func (c *Cache) RetireLineIfEmpty(ln *Line) {
+	if !ln.used {
+		return
+	}
+	for i := range ln.slots {
+		if s := &ln.slots[i]; s.Page >= 0 && s.St != Invalid {
 			return
 		}
 	}
 	c.usedMu.Lock()
-	c.usedSet[l] = false
+	ln.used = false
 	c.usedMu.Unlock()
 }
 
@@ -189,7 +199,7 @@ func (c *Cache) CompactUsedList() {
 	c.usedMu.Lock()
 	kept := c.usedList[:0]
 	for _, l := range c.usedList {
-		if c.usedSet[l] {
+		if c.lines.Peek(l).used { // a listed line was locked once, so it exists
 			kept = append(kept, l)
 		}
 	}
@@ -209,23 +219,20 @@ func (c *Cache) LineBase(page int) int {
 	return page - page%c.PagesPerLine
 }
 
-// LockLine acquires the lock of line l.
-func (c *Cache) LockLine(l int) { c.lineLocks[l].Lock() }
-
-// UnlockLine releases the lock of line l.
-func (c *Cache) UnlockLine(l int) { c.lineLocks[l].Unlock() }
-
-// SlotFor returns the slot that page maps to. The line lock must be held;
-// the slot may currently hold a different page (conflict) or none.
-func (c *Cache) SlotFor(page int) *Slot {
-	l := c.LineOf(page)
-	return &c.slots[l*c.PagesPerLine+page%c.PagesPerLine]
+// LockLine acquires the lock of line l and returns the line, which the caller
+// releases with Unlock. This is where a line comes into being.
+func (c *Cache) LockLine(l int) *Line {
+	ln := c.lines.Peek(l)
+	if ln == nil {
+		ln = c.lines.At(l)
+	}
+	ln.mu.Lock()
+	return ln
 }
 
-// LineSlots returns the slots of line l (the line lock must be held).
-func (c *Cache) LineSlots(l int) []Slot {
-	return c.slots[l*c.PagesPerLine : (l+1)*c.PagesPerLine]
-}
+// SlotOf returns the slot of ln — the locked line LineOf(page) — that page
+// maps to; the slot may currently hold a different page (conflict) or none.
+func (c *Cache) SlotOf(ln *Line, page int) *Slot { return &ln.slots[page%c.PagesPerLine] }
 
 // PrepareRefill gives s a Data buffer the caller may overwrite with any
 // page's content. The caller holds the line lock and has bumped the line
@@ -292,25 +299,6 @@ func (c *Cache) wbIndex(i int) int {
 	return i
 }
 
-// WBDrain empties the write buffer and returns its contents in FIFO order
-// (nil when empty). Entries may be stale (the page was already written back
-// by an eviction); the caller skips pages that are no longer dirty.
-func (c *Cache) WBDrain() []int {
-	c.wbMu.Lock()
-	var q []int
-	if c.wbLen > 0 {
-		q = make([]int, c.wbLen)
-		n := copy(q, c.wbRing[c.wbHead:])
-		copy(q[n:], c.wbRing)
-		c.wbHead, c.wbLen = 0, 0
-	}
-	c.wbMu.Unlock()
-	if c.MX != nil {
-		c.MX.WBDrainPages.Record(c.Node, int64(len(q)))
-	}
-	return q
-}
-
 // WBClear empties the write buffer without materializing its contents and
 // returns how many (possibly stale) entries it held. SD fences use it: they
 // sweep the cache directly, so they only need the queue reset and the
@@ -336,28 +324,56 @@ func (c *Cache) WBLen() int {
 // WBCapacity returns the configured write-buffer capacity in pages.
 func (c *Cache) WBCapacity() int { return c.wbCap }
 
-// ForEachLine runs fn for every line index with that line's lock held.
-// Used by the fence sweeps.
+// ForEachLine runs fn, with the line's lock held, for every line that has
+// ever been touched — a superset of the lines that hold a page. Lines of
+// chunks nobody has touched are empty by construction and are not visited.
 func (c *Cache) ForEachLine(fn func(l int, slots []Slot)) {
-	for l := 0; l < c.Lines; l++ {
-		c.lineLocks[l].Lock()
-		fn(l, c.LineSlots(l))
-		c.lineLocks[l].Unlock()
-	}
+	c.lines.Chunks(func(base int, chunk []Line) {
+		for i := range chunk {
+			ln := &chunk[i]
+			ln.mu.Lock()
+			fn(base+i, ln.slots)
+			ln.mu.Unlock()
+		}
+	})
 }
 
-// Reset invalidates every slot and clears the write buffer (collective
-// reinitialization between measurement phases, and Cygnus crash wipes).
-func (c *Cache) Reset() {
-	for l := 0; l < c.Lines; l++ {
-		c.lineLocks[l].Lock()
-		c.BumpLineGen(l)
-		for i := 0; i < c.PagesPerLine; i++ {
-			c.slots[l*c.PagesPerLine+i].Invalidate()
-			c.slots[l*c.PagesPerLine+i].ReadyAt = 0
-		}
-		c.lineLocks[l].Unlock()
+// ForEachUsedLine runs fn for every occupied line with that line's lock held,
+// and retires the lines fn leaves empty — a fence sweep without the sharding,
+// whose cost scales with the resident set, not with the cache geometry.
+func (c *Cache) ForEachUsedLine(fn func(ln *Line)) {
+	for _, l := range c.AppendUsedLines(nil) {
+		ln := c.LockLine(l)
+		fn(ln)
+		c.RetireLineIfEmpty(ln)
+		ln.Unlock()
 	}
+	c.CompactUsedList()
+}
+
+// InvalidateAll empties the cache in one pass over the occupied lines — any
+// other line holds only invalid slots: bump the generation, hand each dirty
+// slot to flush (when non-nil) while its data and twin are still there, and
+// invalidate. It leaves the used list empty. The write buffer and the fetch
+// gate are the caller's to clear.
+func (c *Cache) InvalidateAll(flush func(s *Slot)) {
+	c.ForEachUsedLine(func(ln *Line) {
+		ln.BumpGen()
+		for i := range ln.slots {
+			s := &ln.slots[i]
+			if flush != nil && s.Page >= 0 && s.St == Dirty {
+				flush(s)
+			}
+			s.Invalidate()
+			s.ReadyAt = 0
+		}
+	})
+}
+
+// Reset drops every cached page unflushed and clears the write buffer and the
+// fetch gate (Cygnus crash wipes: the volatile state a node loses).
+func (c *Cache) Reset() {
+	c.InvalidateAll(nil)
 	c.wbMu.Lock()
 	c.wbHead, c.wbLen = 0, 0
 	c.wbMu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"argo/internal/racetag"
 )
@@ -24,16 +25,33 @@ func TestGeometry(t *testing.T) {
 	}
 }
 
+// The seqlock states of a chunk's lines are a padded array of their own: 64
+// bytes apart, 64-byte aligned, away from the line mutexes.
+func TestLineSyncLayout(t *testing.T) {
+	c := New(0, 4096, 100, 2, 16)
+	for _, l := range []int{0, 1, 63, 64, 99} {
+		ln := c.LockLine(l)
+		defer ln.Unlock()
+		sy := uintptr(unsafe.Pointer(ln.sy))
+		if sy%64 != 0 {
+			t.Fatalf("line %d: LineSync at %#x is not 64-byte aligned", l, sy)
+		}
+		if l%64 != 0 && sy-uintptr(unsafe.Pointer(c.lines.At(l-1).sy)) != 64 {
+			t.Fatalf("line %d: LineSync is not 64 bytes after line %d's", l, l-1)
+		}
+	}
+}
+
 func TestSlotForDistinctWithinLine(t *testing.T) {
 	c := testCache()
-	c.LockLine(0)
-	defer c.UnlockLine(0)
-	s0 := c.SlotFor(0)
-	s1 := c.SlotFor(1)
+	ln := c.LockLine(0)
+	defer ln.Unlock()
+	s0 := c.SlotOf(ln, 0)
+	s1 := c.SlotOf(ln, 1)
 	if s0 == s1 {
 		t.Fatal("pages of one line share a slot")
 	}
-	if got := c.SlotFor(32); got != s0 {
+	if got := c.SlotOf(ln, 32); got != s0 {
 		t.Fatal("conflicting page does not map to the same slot")
 	}
 }
@@ -49,8 +67,8 @@ func TestInvalidGeometryPanics(t *testing.T) {
 
 func TestPrepareRefillAndTwin(t *testing.T) {
 	c := testCache()
-	c.LockLine(0)
-	s := c.SlotFor(0)
+	ln := c.LockLine(0)
+	s := c.SlotOf(ln, 0)
 	c.PrepareRefill(s)
 	if len(s.Data) != 4096 {
 		t.Fatal("data buffer wrong size")
@@ -77,7 +95,7 @@ func TestPrepareRefillAndTwin(t *testing.T) {
 	if &s.Twin[0] != twin || s.Twin[5] != 43 {
 		t.Fatal("twin buffer not recycled as a fresh snapshot")
 	}
-	c.UnlockLine(0)
+	ln.Unlock()
 }
 
 // TestPrepareRefillRecyclesBuffer pins the published-bit rule: a buffer no
@@ -86,9 +104,9 @@ func TestPrepareRefillAndTwin(t *testing.T) {
 // entries keep it and the refill gets a fresh, unpublished buffer.
 func TestPrepareRefillRecyclesBuffer(t *testing.T) {
 	c := testCache()
-	c.LockLine(0)
-	defer c.UnlockLine(0)
-	s := c.SlotFor(0)
+	ln := c.LockLine(0)
+	defer ln.Unlock()
+	s := c.SlotOf(ln, 0)
 	c.PrepareRefill(s)
 	buf := &s.Data[0]
 	s.Invalidate()
@@ -99,7 +117,7 @@ func TestPrepareRefillRecyclesBuffer(t *testing.T) {
 	}
 	s.St = Clean
 	tb := c.NewTLB(1)
-	c.FillTLB(tb, 0, s)
+	ln.FillTLB(tb, s)
 	if !s.published {
 		t.Fatal("FillTLB did not mark the buffer published")
 	}
@@ -184,37 +202,86 @@ func TestWBEvictionProperty(t *testing.T) {
 	}
 }
 
-func TestForEachLineVisitsAll(t *testing.T) {
-	c := testCache()
-	count := 0
-	c.ForEachLine(func(l int, slots []Slot) {
-		count += len(slots)
-	})
-	if count != 8*4 {
-		t.Fatalf("visited %d slots, want 32", count)
+// ForEachLine visits the lines of every chunk somebody has touched — all of
+// them, holding a page or not — and no line of an untouched chunk.
+func TestForEachLineVisitsTouched(t *testing.T) {
+	c := New(0, 4096, 200, 4, 16)
+	visit := func() (lines []int) {
+		c.ForEachLine(func(l int, slots []Slot) {
+			if len(slots) != 4 {
+				t.Fatalf("line %d has %d slots", l, len(slots))
+			}
+			lines = append(lines, l)
+		})
+		return lines
+	}
+	if got := visit(); got != nil {
+		t.Fatalf("fresh cache visited lines %v", got)
+	}
+	c.LockLine(70).Unlock()
+	c.LockLine(199).Unlock()
+	var want []int
+	for l := 64; l < 128; l++ {
+		want = append(want, l)
+	}
+	for l := 192; l < 200; l++ {
+		want = append(want, l)
+	}
+	if got := visit(); !slices.Equal(got, want) {
+		t.Fatalf("visited %v, want the lines of chunks 1 and 3", got)
 	}
 }
 
 func TestReset(t *testing.T) {
 	c := testCache()
-	c.LockLine(0)
-	s := c.SlotFor(1)
+	ln := c.LockLine(0)
+	s := c.SlotOf(ln, 1)
 	s.Page = 1
 	s.St = Dirty
 	c.PrepareRefill(s)
 	c.EnsureTwin(s)
 	s.ReadyAt = 99
-	c.UnlockLine(0)
+	c.MarkLineUsed(ln) // as every fill does: Reset walks the occupied lines
+	ln.Unlock()
 	c.WBPush(1)
 	c.Reset()
-	c.LockLine(0)
-	s = c.SlotFor(1)
+	ln = c.LockLine(0)
+	s = c.SlotOf(ln, 1)
 	if s.Page != -1 || s.St != Invalid || s.Twin != nil || s.ReadyAt != 0 {
 		t.Fatalf("reset left state: %+v", s)
 	}
-	c.UnlockLine(0)
+	ln.Unlock()
 	if c.WBLen() != 0 {
 		t.Fatal("reset left write-buffer entries")
+	}
+}
+
+// Reset empties the used list with the lines: a fence after a crash wipe or a
+// relaunch must not snapshot (and lock) lines that hold nothing.
+func TestResetClearsUsedTracking(t *testing.T) {
+	c := New(0, 4096, 200, 2, 16)
+	touched := []int{3, 70, 71, 199}
+	for _, l := range touched {
+		ln := c.LockLine(l)
+		s := &ln.Slots()[0]
+		s.Page, s.St = l*c.PagesPerLine, Clean
+		c.MarkLineUsed(ln)
+		ln.Unlock()
+	}
+	if got := c.AppendUsedLines(nil); !slices.Equal(got, touched) {
+		t.Fatalf("used lines %v, want %v", got, touched)
+	}
+	c.Reset()
+	if got := c.AppendUsedLines(nil); len(got) != 0 {
+		t.Fatalf("Reset left used lines %v", got)
+	}
+	// A line filled after the reset is tracked again, once.
+	ln := c.LockLine(70)
+	ln.Slots()[0].Page, ln.Slots()[0].St = 140, Clean
+	c.MarkLineUsed(ln)
+	ln.Unlock()
+	if got := c.AppendUsedLines(nil); !slices.Equal(got, []int{70}) {
+		t.Fatalf("used lines after refill %v, want [70]", got)
 	}
 }
 
@@ -227,48 +294,48 @@ func TestStateString(t *testing.T) {
 func TestUsedLineTracking(t *testing.T) {
 	c := testCache()
 	seen := 0
-	c.ForEachUsedLine(func(l int, slots []Slot) { seen++ })
+	c.ForEachUsedLine(func(*Line) { seen++ })
 	if seen != 0 {
 		t.Fatalf("fresh cache has %d used lines", seen)
 	}
 	// Populate lines 1 and 3.
 	for _, l := range []int{1, 3} {
-		c.LockLine(l)
-		s := c.SlotFor(l * c.PagesPerLine)
+		ln := c.LockLine(l)
+		s := c.SlotOf(ln, l*c.PagesPerLine)
 		s.Page = l * c.PagesPerLine
 		s.St = Clean
 		c.PrepareRefill(s)
-		c.MarkLineUsed(l)
-		c.UnlockLine(l)
+		c.MarkLineUsed(ln)
+		ln.Unlock()
 	}
 	var visited []int
-	c.ForEachUsedLine(func(l int, slots []Slot) { visited = append(visited, l) })
+	c.ForEachUsedLine(func(ln *Line) { visited = append(visited, ln.idx) })
 	if len(visited) != 2 {
 		t.Fatalf("visited %v, want lines 1 and 3", visited)
 	}
 	// Empty line 1 during a sweep: it must be retired.
-	c.ForEachUsedLine(func(l int, slots []Slot) {
-		if l == 1 {
-			for i := range slots {
-				slots[i].Invalidate()
+	c.ForEachUsedLine(func(ln *Line) {
+		if ln.idx == 1 {
+			for i := range ln.slots {
+				ln.slots[i].Invalidate()
 			}
 		}
 	})
 	visited = nil
-	c.ForEachUsedLine(func(l int, slots []Slot) { visited = append(visited, l) })
+	c.ForEachUsedLine(func(ln *Line) { visited = append(visited, ln.idx) })
 	if len(visited) != 1 || visited[0] != 3 {
 		t.Fatalf("after retirement visited %v, want [3]", visited)
 	}
 	// Re-marking a retired line brings it back exactly once.
-	c.LockLine(1)
-	s := c.SlotFor(c.PagesPerLine)
+	ln := c.LockLine(1)
+	s := c.SlotOf(ln, c.PagesPerLine)
 	s.Page = c.PagesPerLine
 	s.St = Clean
-	c.MarkLineUsed(1)
-	c.MarkLineUsed(1) // idempotent
-	c.UnlockLine(1)
+	c.MarkLineUsed(ln)
+	c.MarkLineUsed(ln) // idempotent
+	ln.Unlock()
 	visited = nil
-	c.ForEachUsedLine(func(l int, slots []Slot) { visited = append(visited, l) })
+	c.ForEachUsedLine(func(ln *Line) { visited = append(visited, ln.idx) })
 	if len(visited) != 2 {
 		t.Fatalf("after re-mark visited %v", visited)
 	}
@@ -276,13 +343,13 @@ func TestUsedLineTracking(t *testing.T) {
 
 func TestLineSlotsView(t *testing.T) {
 	c := testCache()
-	c.LockLine(2)
-	c.SlotFor(2 * c.PagesPerLine).Page = 2 * c.PagesPerLine
-	view := c.LineSlots(2)
+	ln := c.LockLine(2)
+	c.SlotOf(ln, 2*c.PagesPerLine).Page = 2 * c.PagesPerLine
+	view := ln.Slots()
 	if len(view) != c.PagesPerLine || view[0].Page != 2*c.PagesPerLine {
-		t.Fatalf("LineSlots view wrong: %+v", view[0])
+		t.Fatalf("Slots view wrong: %+v", view[0])
 	}
-	c.UnlockLine(2)
+	ln.Unlock()
 }
 
 func TestWBClearAndDrain(t *testing.T) {
@@ -368,12 +435,12 @@ func TestWBPushZeroAlloc(t *testing.T) {
 func TestUsedLinesSnapshotAndRetire(t *testing.T) {
 	c := New(0, 4096, 8, 2, 64)
 	for _, l := range []int{3, 1} {
-		c.LockLine(l)
-		s := &c.LineSlots(l)[0]
+		ln := c.LockLine(l)
+		s := &ln.Slots()[0]
 		s.Page = l * c.PagesPerLine
 		s.St = Clean
-		c.MarkLineUsed(l)
-		c.UnlockLine(l)
+		c.MarkLineUsed(ln)
+		ln.Unlock()
 	}
 	if got := c.AppendUsedLines(nil); len(got) != 2 || got[0] != 3 || got[1] != 1 {
 		t.Fatalf("AppendUsedLines = %v, want [3 1] (first-use order)", got)
@@ -386,18 +453,18 @@ func TestUsedLinesSnapshotAndRetire(t *testing.T) {
 		t.Fatalf("AppendUsedLines(buf) = %v, want [42 3 1] in buf's own storage", got)
 	}
 	// Retire line 3 after emptying it; the snapshot compacts.
-	c.LockLine(3)
-	c.LineSlots(3)[0].Invalidate()
-	c.RetireLineIfEmpty(3)
-	c.UnlockLine(3)
+	ln := c.LockLine(3)
+	ln.Slots()[0].Invalidate()
+	c.RetireLineIfEmpty(ln)
+	ln.Unlock()
 	c.CompactUsedList()
 	if got := c.AppendUsedLines(nil); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("AppendUsedLines after retire = %v, want [1]", got)
 	}
 	// A non-empty line does not retire.
-	c.LockLine(1)
-	c.RetireLineIfEmpty(1)
-	c.UnlockLine(1)
+	ln = c.LockLine(1)
+	c.RetireLineIfEmpty(ln)
+	ln.Unlock()
 	c.CompactUsedList()
 	if got := c.AppendUsedLines(nil); len(got) != 1 {
 		t.Fatalf("occupied line retired: %v", got)

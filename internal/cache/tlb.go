@@ -41,18 +41,18 @@ package cache
 //     else depends on the build.
 //  3. Active-writer drain. A fast-path dirty write announces itself on the
 //     line's Act counter before validating and retracts after storing.
-//     BumpLineGen spins until Act is zero after bumping, so by the time a
+//     BumpGen spins until Act is zero after bumping, so by the time a
 //     fence (or eviction) reads the buffer for its diff, every fast store
 //     that validated against the old generation has landed and is
 //     happens-before-visible. No release consistency write can be lost. The
 //     same drain fences fast-path writers off a recycled buffer: a store
-//     through a stale entry either completed before BumpLineGen returned —
+//     through a stale entry either completed before BumpGen returned —
 //     before the refill's first byte — or fails its validation and never
 //     happens, so no stale store can land in a rebound buffer.
 //
 //     The store itself is a plain store. Everything that reads the word from
 //     another goroutine is ordered behind the Act release that follows it:
-//     the diff and the refill run after BumpLineGen has seen Act at zero, and
+//     the diff and the refill run after BumpGen has seen Act at zero, and
 //     any other thread's access of the same word is separated from it by an
 //     application synchronization point (DRF), which is a host-level
 //     happens-before edge as well. The one reader that is not ordered is a
@@ -122,15 +122,12 @@ type LineSync struct {
 	_   [48]byte
 }
 
-// Sync returns line l's seqlock state (TLB fills cache the pointer).
-func (c *Cache) Sync(l int) *LineSync { return &c.lineSync[l] }
-
-// BumpLineGen invalidates all TLB entries of line l and waits out any
-// fast-path writer that validated against the old generation. The caller
-// must hold l's line lock and call this before mutating slot state or
-// reading slot data for a diff. Double bumps are harmless (monotonic).
-func (c *Cache) BumpLineGen(l int) {
-	ls := &c.lineSync[l]
+// BumpGen invalidates all TLB entries of the line and waits out any fast-path
+// writer that validated against the old generation. Call it before mutating
+// slot state or reading slot data for a diff. Double bumps are harmless
+// (monotonic).
+func (ln *Line) BumpGen() {
+	ls := ln.sy
 	ls.Gen.Add(1)
 	// A fast-path writer holds Act only across one validation and one
 	// store — no locks, no waiting — so this drains in nanoseconds;
@@ -142,8 +139,13 @@ func (c *Cache) BumpLineGen(l int) {
 	}
 }
 
-// LineGen returns line l's current generation (tests).
-func (c *Cache) LineGen(l int) uint64 { return c.lineSync[l].Gen.Load() }
+// LineGen returns line l's current generation, lock or no lock (tests).
+func (c *Cache) LineGen(l int) uint64 {
+	if ln := c.lines.Peek(l); ln != nil {
+		return ln.sy.Gen.Load()
+	}
+	return 0
+}
 
 // TLBSize is the number of direct-mapped entries per thread. A power of two;
 // 256 entries cover 1 MB of 4 KB pages, comfortably more than the working
@@ -262,21 +264,21 @@ func WordAligned(b []byte) bool {
 	return len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))&7 == 0
 }
 
-// FillTLB publishes slot s of line l into tb after a locked access, so the
-// thread's next accesses to the page can validate lock-free. The caller must
-// hold l's line lock, and the calling thread's clock must already be at or
-// past s.ReadyAt (the locked paths' p.AdvanceTo(s.ReadyAt) — the entry keeps
-// no ReadyAt of its own). A slot with an unaligned buffer is never published.
-func (c *Cache) FillTLB(tb *TLB, l int, s *Slot) {
+// FillTLB publishes slot s of the line into tb after a locked access, so the
+// thread's next accesses to the page can validate lock-free. The calling
+// thread's clock must already be at or past s.ReadyAt (the locked paths'
+// p.AdvanceTo(s.ReadyAt) — the entry keeps no ReadyAt of its own). A slot with
+// an unaligned buffer is never published.
+func (ln *Line) FillTLB(tb *TLB, s *Slot) {
 	if tb == nil || s.Page < 0 || s.St == Invalid || !WordAligned(s.Data) {
 		return
 	}
 	s.published = true
 	*tb.Entry(s.Page) = TLBEntry{
 		Page:  s.Page,
-		G:     c.lineSync[l].Gen.Load(),
+		G:     ln.sy.Gen.Load(),
 		Base:  unsafe.Pointer(&s.Data[0]),
-		Sync:  &c.lineSync[l],
+		Sync:  ln.sy,
 		Dirty: s.St == Dirty,
 	}
 }

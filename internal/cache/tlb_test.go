@@ -31,8 +31,10 @@ func TestTLBEntryMappingAndFlush(t *testing.T) {
 
 func TestBumpLineGenIncrementsAndDrains(t *testing.T) {
 	c := New(0, 4096, 4, 2, 16)
+	ln := c.LockLine(1)
+	defer ln.Unlock()
 	g0 := c.LineGen(1)
-	c.BumpLineGen(1)
+	ln.BumpGen()
 	if g := c.LineGen(1); g != g0+1 {
 		t.Fatalf("gen after bump = %d, want %d", g, g0+1)
 	}
@@ -41,16 +43,16 @@ func TestBumpLineGenIncrementsAndDrains(t *testing.T) {
 	}
 	// With an in-flight fast store registered, the bump must not return
 	// until the presence counter drains.
-	sy := c.Sync(1)
+	sy := ln.sy
 	sy.Act.Add(1)
 	done := make(chan struct{})
 	go func() {
-		c.BumpLineGen(1)
+		ln.BumpGen()
 		close(done)
 	}()
 	select {
 	case <-done:
-		t.Fatal("BumpLineGen returned with Act > 0")
+		t.Fatal("BumpGen returned with Act > 0")
 	default:
 	}
 	sy.Act.Add(-1)
@@ -66,8 +68,9 @@ func TestFillTLBGuards(t *testing.T) {
 
 	// Invalid slot: never published.
 	l := c.LineOf(5)
-	s := c.SlotFor(5)
-	FillTLB := func() { c.FillTLB(tb, l, s) }
+	ln := c.LockLine(l)
+	s := c.SlotOf(ln, 5)
+	FillTLB := func() { ln.FillTLB(tb, s) }
 	FillTLB()
 	if tb.Entry(5).Page != -1 {
 		t.Fatal("invalid slot published to TLB")
@@ -77,18 +80,20 @@ func TestFillTLBGuards(t *testing.T) {
 	s.Page = 5
 	s.St = Dirty
 	c.PrepareRefill(s)
+	c.MarkLineUsed(ln)
 	FillTLB()
 	e := tb.Entry(5)
-	if e.Page != 5 || !e.Dirty || e.Sync != c.Sync(l) || e.G != c.LineGen(l) {
+	if e.Page != 5 || !e.Dirty || e.Sync != ln.sy || e.G != c.LineGen(l) {
 		t.Fatalf("bad TLB fill: %+v", e)
 	}
 
 	// Nil TLB (disabled, or a non-thread internal access): no-op.
-	c.FillTLB(nil, l, s)
+	ln.FillTLB(nil, s)
 
-	// Reset wipes slots and advances every line's generation, so published
-	// entries fail validation afterwards.
+	// Reset wipes slots and advances every occupied line's generation, so
+	// published entries fail validation afterwards.
 	g := c.LineGen(l)
+	ln.Unlock()
 	c.Reset()
 	if c.LineGen(l) != g+1 {
 		t.Fatalf("Reset did not bump line gen: %d -> %d", g, c.LineGen(l))
@@ -122,7 +127,9 @@ func TestTLBLoadStore(t *testing.T) {
 		t.Fatal("a page size that is not a multiple of 8 got a TLB")
 	}
 	tb, p := c.NewTLB(hit), &sim.Proc{}
-	l, s := c.LineOf(5), c.SlotFor(5)
+	ln := c.LockLine(c.LineOf(5))
+	defer ln.Unlock()
+	s := c.SlotOf(ln, 5)
 	s.Page, s.St = 5, Clean
 	c.PrepareRefill(s)
 	binary.LittleEndian.PutUint64(s.Data[16:], 77)
@@ -140,7 +147,7 @@ func TestTLBLoadStore(t *testing.T) {
 	if _, ok := (*TLB)(nil).Load(p, addr); ok || (*TLB)(nil).Store(p, addr, 1) {
 		t.Fatal("a nil TLB hit")
 	}
-	c.FillTLB(tb, l, s)
+	ln.FillTLB(tb, s)
 	if _, ok := tb.Load(p, addr+1); ok {
 		t.Fatal("Load hit an unaligned address")
 	}
@@ -156,20 +163,20 @@ func TestTLBLoadStore(t *testing.T) {
 		t.Fatalf("read hit charged now %d, hits %d, want %d, 1", p.Now(), p.Hits, hit)
 	}
 	s.St = Dirty
-	c.FillTLB(tb, l, s)
+	ln.FillTLB(tb, s)
 	if !tb.Store(p, addr, 78) || binary.LittleEndian.Uint64(s.Data[16:]) != 78 {
 		t.Fatal("Store missed a dirty entry, or stored elsewhere")
 	}
-	if p.Now() != 2*hit || p.Hits != 2 || c.Sync(l).Act.Load() != 0 {
-		t.Fatalf("write hit left now %d, hits %d, Act %d, want %d, 2, 0", p.Now(), p.Hits, c.Sync(l).Act.Load(), 2*hit)
+	if p.Now() != 2*hit || p.Hits != 2 || ln.sy.Act.Load() != 0 {
+		t.Fatalf("write hit left now %d, hits %d, Act %d, want %d, 2, 0", p.Now(), p.Hits, ln.sy.Act.Load(), 2*hit)
 	}
 
 	// A bump makes both paths miss, and Store retracts its announcement.
-	c.BumpLineGen(l)
+	ln.BumpGen()
 	if _, ok := tb.Load(p, addr); ok || tb.Store(p, addr, 79) {
 		t.Fatal("a stale entry hit")
 	}
-	if p.Now() != 2*hit || p.Hits != 2 || c.Sync(l).Act.Load() != 0 || binary.LittleEndian.Uint64(s.Data[16:]) != 78 {
+	if p.Now() != 2*hit || p.Hits != 2 || ln.sy.Act.Load() != 0 || binary.LittleEndian.Uint64(s.Data[16:]) != 78 {
 		t.Fatal("a stale-entry miss moved the proc, stored, or left Act raised")
 	}
 }
@@ -183,11 +190,13 @@ func TestLittleEndianHostOnly(t *testing.T) {
 	const msg = "argo runs on little-endian hosts only: the TLB's native word access and the locked path's binary.LittleEndian decoding disagree"
 	c := New(0, 4096, 4, 2, 16)
 	tb, p := c.NewTLB(1), &sim.Proc{}
-	l, s := c.LineOf(3), c.SlotFor(3)
+	ln := c.LockLine(c.LineOf(3))
+	defer ln.Unlock()
+	s := c.SlotOf(ln, 3)
 	s.Page, s.St = 3, Dirty
 	c.PrepareRefill(s)
 	copy(s.Data[8:], []byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x88})
-	c.FillTLB(tb, l, s)
+	ln.FillTLB(tb, s)
 	addr := int64(3*4096 + 8)
 	if v, ok := tb.Load(p, addr); !ok || v != binary.LittleEndian.Uint64(s.Data[8:]) {
 		t.Fatalf("%s (Load = %#x, %v; bytes decode to %#x)", msg, v, ok, binary.LittleEndian.Uint64(s.Data[8:]))

@@ -203,18 +203,17 @@ func (n *Node) ReadSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int,
 		if seg > nbytes-done {
 			seg = nbytes - done
 		}
-		l := n.Cache.LineOf(page)
-		n.Cache.LockLine(l)
-		s := n.Cache.SlotFor(page)
+		ln := n.Cache.LockLine(n.Cache.LineOf(page))
+		s := n.Cache.SlotOf(ln, page)
 		if s.Page != page || s.St == cache.Invalid {
-			s = n.missLocked(p, l, page)
+			s = n.missLocked(p, ln, page)
 		} else {
 			p.Hits++
 		}
 		p.AdvanceTo(s.ReadyAt)
 		p.Advance(n.accessCost(seg))
 		fn(done, s.Data[off:off+seg])
-		n.Cache.UnlockLine(l)
+		ln.Unlock()
 		done += seg
 		addr += mem.Addr(seg)
 	}
@@ -234,11 +233,10 @@ func (n *Node) WriteSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int
 		if seg > nbytes-done {
 			seg = nbytes - done
 		}
-		l := n.Cache.LineOf(page)
-		n.Cache.LockLine(l)
-		s := n.Cache.SlotFor(page)
+		ln := n.Cache.LockLine(n.Cache.LineOf(page))
+		s := n.Cache.SlotOf(ln, page)
 		if s.Page != page || s.St == cache.Invalid {
-			s = n.missLocked(p, l, page) // write-allocate: fetch the page first
+			s = n.missLocked(p, ln, page) // write-allocate: fetch the page first
 		} else {
 			p.Hits++
 		}
@@ -251,7 +249,7 @@ func (n *Node) WriteSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int
 		}
 		p.Advance(n.accessCost(seg))
 		fn(done, s.Data[off:off+seg])
-		n.Cache.UnlockLine(l)
+		ln.Unlock()
 
 		if evict {
 			// Write-buffer overflow: downgrade the oldest dirty page. Done
@@ -307,19 +305,18 @@ func (n *Node) ReadWord(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 {
 func (n *Node) readWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 {
 	page := n.Space.PageOf(addr)
 	off := int(addr) & (n.Cache.PageSize - 1)
-	l := n.Cache.LineOf(page)
-	n.Cache.LockLine(l)
-	s := n.Cache.SlotFor(page)
+	ln := n.Cache.LockLine(n.Cache.LineOf(page))
+	s := n.Cache.SlotOf(ln, page)
 	if s.Page != page || s.St == cache.Invalid {
-		s = n.missLocked(p, l, page)
+		s = n.missLocked(p, ln, page)
 	} else {
 		p.Hits++
 	}
 	p.AdvanceTo(s.ReadyAt)
 	p.Advance(n.Fab.P.CacheHit)
 	v := binary.LittleEndian.Uint64(s.Data[off:])
-	n.Cache.FillTLB(tb, l, s)
-	n.Cache.UnlockLine(l)
+	ln.FillTLB(tb, s)
+	ln.Unlock()
 	return v
 }
 
@@ -342,11 +339,10 @@ func (n *Node) WriteWord(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint64) {
 func (n *Node) writeWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint64) {
 	page := n.Space.PageOf(addr)
 	off := int(addr) & (n.Cache.PageSize - 1)
-	l := n.Cache.LineOf(page)
-	n.Cache.LockLine(l)
-	s := n.Cache.SlotFor(page)
+	ln := n.Cache.LockLine(n.Cache.LineOf(page))
+	s := n.Cache.SlotOf(ln, page)
 	if s.Page != page || s.St == cache.Invalid {
-		s = n.missLocked(p, l, page) // write-allocate: fetch the page first
+		s = n.missLocked(p, ln, page) // write-allocate: fetch the page first
 	} else {
 		p.Hits++
 	}
@@ -359,8 +355,8 @@ func (n *Node) writeWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint
 	}
 	p.Advance(n.Fab.P.CacheHit)
 	binary.LittleEndian.PutUint64(s.Data[off:], v)
-	n.Cache.FillTLB(tb, l, s)
-	n.Cache.UnlockLine(l)
+	ln.FillTLB(tb, s)
+	ln.Unlock()
 
 	if evict {
 		n.WritebackIfDirty(p, victim)
@@ -442,30 +438,29 @@ func (n *Node) writeMissLocked(p *sim.Proc, s *cache.Slot) (victim int, evict bo
 // missLocked is the one miss prologue of the read and write paths, run only
 // when page is not resident: count the miss (a write-allocate miss fetches the
 // page first, so it is a read miss too), report it to the tracer and the
-// metrics suite, refill the line and return the page's slot. The caller holds
-// the line lock.
-func (n *Node) missLocked(p *sim.Proc, l, page int) *cache.Slot {
+// metrics suite, refill the line and return the page's slot. ln is page's line.
+func (n *Node) missLocked(p *sim.Proc, ln *cache.Line, page int) *cache.Slot {
 	n.St.ReadMisses.Add(1)
 	n.ev(p, trace.EvReadMiss, page, 0)
 	if n.MX != nil {
 		n.Cache.MX.Misses.Inc()
 		n.MX.Pages.ReadMiss(page)
 	}
-	n.fetchLineLocked(p, l, page)
-	return n.Cache.SlotFor(page)
+	n.fetchLineLocked(p, ln, page)
+	return n.Cache.SlotOf(ln, page)
 }
 
 // fetchLineLocked services a miss on page by fetching its whole aligned
-// cache line (prefetching), evicting any conflicting residents. The caller
-// holds the line lock.
-func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
+// cache line (prefetching), evicting any conflicting residents. ln is page's
+// line.
+func (n *Node) fetchLineLocked(p *sim.Proc, ln *cache.Line, page int) {
 	base := n.Cache.LineBase(page)
-	slots := n.Cache.LineSlots(l)
+	slots := ln.Slots()
 
 	// The refill mutates slot state and (via conflict eviction) reads slot
 	// data for diffs: invalidate the line's TLB entries and drain fast-path
 	// writers before touching anything.
-	n.Cache.BumpLineGen(l)
+	ln.BumpGen()
 
 	t0 := p.Now()
 	// Scratch for the common line widths lives on the stack; wider lines
@@ -487,7 +482,7 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 			// Conflict eviction of a dirty page: downgrade it first. The
 			// slot is about to be reused, so loss detection cannot wait
 			// for the next fence — the downgrade is forced through here.
-			n.writebackUntilDelivered(p, s)
+			n.writebackUntilDelivered(p, ln, s)
 		}
 		if s.Page >= 0 && s.St != cache.Invalid && n.MX != nil {
 			n.Cache.MX.Evictions.Inc()
@@ -523,7 +518,7 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 	if len(fetched) == 0 {
 		return
 	}
-	n.Cache.MarkLineUsed(l)
+	n.Cache.MarkLineUsed(ln)
 	if len(regs) == 0 {
 		// Re-fetching already-registered pages still refreshes the local
 		// directory-cache view with one atomic (§3.3: a node's view is
@@ -623,13 +618,12 @@ func (n *Node) CrashWipe() {
 // The caller (write-buffer overflow) promised the downgrade happens now, so
 // a lost post is detected and reissued inline rather than at the next fence.
 func (n *Node) WritebackIfDirty(p *sim.Proc, page int) {
-	l := n.Cache.LineOf(page)
-	n.Cache.LockLine(l)
-	s := n.Cache.SlotFor(page)
+	ln := n.Cache.LockLine(n.Cache.LineOf(page))
+	s := n.Cache.SlotOf(ln, page)
 	if s.Page == page && s.St == cache.Dirty {
-		n.writebackUntilDelivered(p, s)
+		n.writebackUntilDelivered(p, ln, s)
 	}
-	n.Cache.UnlockLine(l)
+	ln.Unlock()
 }
 
 // writebackSlotLocked transmits a dirty page to its home and, if the posted
@@ -644,14 +638,14 @@ func (n *Node) WritebackIfDirty(p *sim.Proc, page int) {
 // injector's escalation guarantee bounds the reissues. The home-side diff
 // application is idempotent (same diff against the same twin), so reissuing
 // is safe; under DRF nobody else writes the same bytes between attempts.
-func (n *Node) writebackSlotLocked(p *sim.Proc, s *cache.Slot) bool {
+func (n *Node) writebackSlotLocked(p *sim.Proc, ln *cache.Line, s *cache.Slot) bool {
 	page := s.Page
 	home := n.Space.HomeOf(page)
 
 	// The page is about to turn clean and its data is about to be read for
 	// the diff: invalidate TLB entries and drain fast-path writers so every
 	// store that validated against the old generation is included.
-	n.Cache.BumpLineGen(n.Cache.LineOf(page))
+	ln.BumpGen()
 
 	var preferFull func() bool
 	if n.Opt.SWDiffSuppress && n.Opt.Mode == ModePS3 {
@@ -698,8 +692,8 @@ func (n *Node) wbRetryPenalty(p *sim.Proc, failed, pass int) {
 // writebackUntilDelivered forces a downgrade through, paying detection and
 // backoff inline. Used where the slot is immediately reused (conflict
 // eviction) or delivery was promised (write-buffer overflow).
-func (n *Node) writebackUntilDelivered(p *sim.Proc, s *cache.Slot) {
-	for pass := 0; !n.writebackSlotLocked(p, s); pass++ {
+func (n *Node) writebackUntilDelivered(p *sim.Proc, ln *cache.Line, s *cache.Slot) {
+	for pass := 0; !n.writebackSlotLocked(p, ln, s); pass++ {
 		n.wbRetryPenalty(p, 1, pass)
 	}
 }
@@ -710,8 +704,8 @@ func (n *Node) writebackUntilDelivered(p *sim.Proc, s *cache.Slot) {
 // without an active agent. The wire transfer is not charged here — on the
 // paper's naive scheme the data would move only when a consumer pulls it,
 // and the consumer pays a full page fetch either way.
-func (n *Node) checkpointSlotLocked(p *sim.Proc, s *cache.Slot) {
-	n.Cache.BumpLineGen(n.Cache.LineOf(s.Page)) // Dirty→Clean: drain fast writers
+func (n *Node) checkpointSlotLocked(p *sim.Proc, ln *cache.Line, s *cache.Slot) {
+	ln.BumpGen() // Dirty→Clean: drain fast writers
 	p.Advance(n.Opt.CheckpointPageCost + n.Fab.P.CopyCost(n.Cache.PageSize))
 	n.St.Checkpoints.Add(1)
 	n.ev(p, trace.EvCheckpoint, s.Page, 0)
@@ -752,22 +746,15 @@ func ShouldSelfInvalidate(m Mode, e directory.Entry, self int) bool {
 
 // ResetForPhase drops all cached state (after flushing it home so no data is
 // lost) without charging virtual time. Used by the collective classification
-// reset at the end of a program's initialization phase, and by decay-style
-// adaptive reclassification. The caller must have quiesced all threads.
+// reset at the end of a program's initialization phase, by decay-style
+// adaptive reclassification and between the Runs of a cluster. The caller
+// must have quiesced all threads.
 func (n *Node) ResetForPhase() {
-	n.Cache.ForEachUsedLine(func(l int, slots []cache.Slot) {
-		n.Cache.BumpLineGen(l)
-		for i := range slots {
-			s := &slots[i]
-			if s.Page >= 0 && s.St == cache.Dirty {
-				// Diff against the twin so concurrent dirty copies of the
-				// same page on other nodes (false sharing during the init
-				// phase) are not clobbered.
-				n.Space.ApplyDiff(s.Page, s.Data, s.Twin)
-			}
-			s.Invalidate()
-			s.ReadyAt = 0
-		}
+	n.Cache.InvalidateAll(func(s *cache.Slot) {
+		// Diff against the twin so concurrent dirty copies of the same page
+		// on other nodes (false sharing during the init phase) are not
+		// clobbered.
+		n.Space.ApplyDiff(s.Page, s.Data, s.Twin)
 	})
 	n.Cache.WBClear()
 }

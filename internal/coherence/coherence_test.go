@@ -103,12 +103,12 @@ func TestWriteMissCreatesTwinAndRegisters(t *testing.T) {
 	}
 	n := r.nodes[0]
 	l := n.Cache.LineOf(5)
-	n.Cache.LockLine(l)
-	s := n.Cache.SlotFor(5)
+	ln := n.Cache.LockLine(l)
+	s := n.Cache.SlotOf(ln, 5)
 	if s.St != cache.Dirty || s.Twin == nil {
 		t.Fatalf("write miss state: %v twin=%v", s.St, s.Twin != nil)
 	}
-	n.Cache.UnlockLine(l)
+	ln.Unlock()
 	// Second write to the same page: no second registration or twin.
 	dirOps := r.fab.NodeStats(0).DirOps.Load()
 	r.write64(0, 5*4096+16, 10)

@@ -156,12 +156,12 @@ type burstItem struct {
 // memory and marking the slot clean — and returns the burst item that will
 // pay for the wire transfer. The caller holds the line lock. This is
 // writebackSlotLocked with the posted write split off into the fence's burst.
-func (n *Node) downgradeSlotLocked(wp *sim.Proc, s *cache.Slot) burstItem {
+func (n *Node) downgradeSlotLocked(wp *sim.Proc, ln *cache.Line, s *cache.Slot) burstItem {
 	page := s.Page
 	// Dirty→Clean: invalidate the line's TLB entries and drain lock-free
 	// writers before the diff reads the data, so no fast-path store that
 	// validated against the old generation can be missed (see cache/tlb.go).
-	n.Cache.BumpLineGen(n.Cache.LineOf(page))
+	ln.BumpGen()
 	var preferFull func() bool
 	if n.Opt.SWDiffSuppress && n.Opt.Mode == ModePS3 {
 		preferFull = func() bool {
@@ -275,8 +275,8 @@ func (n *Node) SIFence(p *sim.Proc) {
 func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 	refs, pages := sc.refs[:0], sc.pages[:0]
 	for _, l := range lines {
-		n.Cache.LockLine(l)
-		slots := n.Cache.LineSlots(l)
+		ln := n.Cache.LockLine(l)
+		slots := ln.Slots()
 		for i := range slots {
 			s := &slots[i]
 			if s.Page < 0 || s.St == cache.Invalid {
@@ -286,7 +286,7 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 			refs = append(refs, siRef{s, l, s.Page})
 			pages = append(pages, s.Page)
 		}
-		n.Cache.UnlockLine(l)
+		ln.Unlock()
 	}
 	sc.refs, sc.pages = refs, pages
 	if len(refs) == 0 {
@@ -298,7 +298,7 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 	for i := 0; i < len(refs); {
 		l := refs[i].line
 		bumped := false
-		n.Cache.LockLine(l)
+		ln := n.Cache.LockLine(l)
 		for ; i < len(refs) && refs[i].line == l; i++ {
 			s := refs[i].s
 			if s.Page != refs[i].page || s.St == cache.Invalid {
@@ -314,11 +314,11 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 				// Lazy per-line TLB shoot-down: only lines that actually
 				// invalidate something pay the generation bump, so exempted
 				// (kept) pages keep their fast-path entries across the fence.
-				n.Cache.BumpLineGen(l)
+				ln.BumpGen()
 				bumped = true
 			}
 			if s.St == cache.Dirty {
-				sc.items = append(sc.items, n.downgradeSlotLocked(wp, s))
+				sc.items = append(sc.items, n.downgradeSlotLocked(wp, ln, s))
 			}
 			n.ev(wp, trace.EvInvalidate, s.Page, 0)
 			if n.MX != nil {
@@ -328,8 +328,8 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 			n.St.SelfInvalidations.Add(1)
 			sc.inv++
 		}
-		n.Cache.RetireLineIfEmpty(l)
-		n.Cache.UnlockLine(l)
+		n.Cache.RetireLineIfEmpty(ln)
+		ln.Unlock()
 	}
 	// A pooled record must not pin this cluster's cache once the run is over.
 	clear(refs)
@@ -374,8 +374,8 @@ func (n *Node) SDFence(p *sim.Proc) {
 // every dirty page (checkpointing private ones in the naive P/S mode).
 func (n *Node) sdSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 	for _, l := range lines {
-		n.Cache.LockLine(l)
-		slots := n.Cache.LineSlots(l)
+		ln := n.Cache.LockLine(l)
+		slots := ln.Slots()
 		for i := range slots {
 			s := &slots[i]
 			if s.Page < 0 || s.St != cache.Dirty {
@@ -384,12 +384,12 @@ func (n *Node) sdSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 			if n.Opt.Mode == ModePS {
 				e := n.Dir.Cached(n.ID, s.Page)
 				if e.R.Count() <= 1 {
-					n.checkpointSlotLocked(wp, s)
+					n.checkpointSlotLocked(wp, ln, s)
 					continue
 				}
 			}
-			sc.items = append(sc.items, n.downgradeSlotLocked(wp, s))
+			sc.items = append(sc.items, n.downgradeSlotLocked(wp, ln, s))
 		}
-		n.Cache.UnlockLine(l)
+		ln.Unlock()
 	}
 }

@@ -258,3 +258,38 @@ func TestSweepWorkersBounds(t *testing.T) {
 		t.Fatalf("FenceWorkers=0 must sweep serially, got %d", got)
 	}
 }
+
+// After a crash wipe or a phase reset the used list is as empty as the cache:
+// the next fences sweep nothing and lock no line. The test holds the lock of
+// every line the node had filled, so a fence that still snapshotted one of
+// them would never return.
+func TestFenceAfterWipeLocksNoLine(t *testing.T) {
+	for name, wipe := range map[string]func(n *Node){
+		"CrashWipe":     (*Node).CrashWipe,
+		"ResetForPhase": (*Node).ResetForPhase,
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newRigGeom(t, Options{Mode: ModeS}, 32, 2, 16)
+			n := r.nodes[0]
+			for pg := 0; pg < 40; pg += 3 {
+				r.write64(0, mem.Addr(pg)*4096, 1)
+			}
+			filled := n.Cache.AppendUsedLines(nil)
+			if len(filled) < 10 {
+				t.Fatalf("only %d lines filled", len(filled))
+			}
+			wipe(n)
+			if left := n.Cache.AppendUsedLines(nil); len(left) != 0 {
+				t.Fatalf("used lines after the wipe: %v", left)
+			}
+			for _, l := range filled {
+				defer n.Cache.LockLine(l).Unlock()
+			}
+			n.SIFence(r.procs[0])
+			n.SDFence(r.procs[0])
+			if inv := r.fab.NodeStats(0).SelfInvalidations.Load(); inv != 0 {
+				t.Fatalf("fence after the wipe invalidated %d pages", inv)
+			}
+		})
+	}
+}

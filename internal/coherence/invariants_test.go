@@ -34,9 +34,9 @@ func TestInvariantsDetectMissingTwin(t *testing.T) {
 	r.write64(0, 0, 1)
 	n := r.nodes[0]
 	l := n.Cache.LineOf(0)
-	n.Cache.LockLine(l)
-	n.Cache.SlotFor(0).Twin = nil // corrupt: dirty without a twin
-	n.Cache.UnlockLine(l)
+	ln := n.Cache.LockLine(l)
+	n.Cache.SlotOf(ln, 0).Twin = nil // corrupt: dirty without a twin
+	ln.Unlock()
 	err := n.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "twin") {
 		t.Fatalf("missing twin not detected: %v", err)
@@ -47,9 +47,9 @@ func TestInvariantsDetectWrongSlot(t *testing.T) {
 	r := newRig(t, Options{Mode: ModePS3})
 	r.read64(0, 0)
 	n := r.nodes[0]
-	n.Cache.LockLine(0)
-	n.Cache.SlotFor(0).Page = 5 // corrupt: tag points elsewhere
-	n.Cache.UnlockLine(0)
+	ln := n.Cache.LockLine(0)
+	n.Cache.SlotOf(ln, 0).Page = 5 // corrupt: tag points elsewhere
+	ln.Unlock()
 	if err := n.CheckInvariants(); err == nil {
 		t.Fatal("wrong-slot corruption not detected")
 	}
@@ -59,11 +59,11 @@ func TestInvariantsDetectUnregisteredDirtyWriter(t *testing.T) {
 	r := newRig(t, Options{Mode: ModePS3})
 	r.read64(0, 0)
 	n := r.nodes[0]
-	n.Cache.LockLine(0)
-	s := n.Cache.SlotFor(0)
+	ln := n.Cache.LockLine(0)
+	s := n.Cache.SlotOf(ln, 0)
 	s.St = cache.Dirty // corrupt: dirty without write-miss protocol
 	n.Cache.EnsureTwin(s)
-	n.Cache.UnlockLine(0)
+	ln.Unlock()
 	err := n.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "writer registration") {
 		t.Fatalf("unregistered writer not detected: %v", err)

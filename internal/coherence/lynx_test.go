@@ -254,13 +254,13 @@ func TestAllocFreeInvalidateRemiss(t *testing.T) {
 	binary.LittleEndian.PutUint64(r.space.HomeBytes(3), 77)
 	l := n.Cache.LineOf(3)
 	cycle := func() {
-		n.Cache.LockLine(l)
-		n.Cache.BumpLineGen(l)
-		slots := n.Cache.LineSlots(l)
+		ln := n.Cache.LockLine(l)
+		ln.BumpGen()
+		slots := ln.Slots()
 		for i := range slots {
 			slots[i].Invalidate()
 		}
-		n.Cache.UnlockLine(l)
+		ln.Unlock()
 		if got := readWord(n, p, tb, addr); got != 77 {
 			t.Fatalf("re-miss read %d, want 77", got)
 		}
@@ -431,9 +431,9 @@ func TestTLBHitNeverBehindReadyAt(t *testing.T) {
 
 	a.Advance(1_000_000)
 	readWord(n, a, tba, addr) // A's miss: the slot is ready well after B's now
-	n.Cache.LockLine(n.Cache.LineOf(3))
-	readyAt := n.Cache.SlotFor(3).ReadyAt
-	n.Cache.UnlockLine(n.Cache.LineOf(3))
+	ln := n.Cache.LockLine(n.Cache.LineOf(3))
+	readyAt := n.Cache.SlotOf(ln, 3).ReadyAt
+	ln.Unlock()
 	if readyAt < 1_000_000 {
 		t.Fatalf("slot ReadyAt = %d, want A's fetch time (>= 1000000)", readyAt)
 	}

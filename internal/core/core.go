@@ -320,7 +320,7 @@ func (c *Cluster) ResetVirtualState() {
 	c.Fab.ClearCut()
 	for _, n := range c.Nodes {
 		n.ResetForPhase()
-		n.Cache.Reset()
+		n.Cache.FetchGate.Reset()
 	}
 	c.Dir.Reset()
 	c.Dir.ClearDead()

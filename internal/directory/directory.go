@@ -23,6 +23,7 @@ import (
 
 	"argo/internal/fabric"
 	"argo/internal/sim"
+	"argo/internal/sparse"
 )
 
 // Entry is one directory entry: the readers and writers full-maps of a page.
@@ -84,15 +85,17 @@ func (e Entry) Classify() Classification {
 const stripeCount = 1024
 
 // Directory is the Pyxis instance of one cluster: home-truth entries for
-// every global page plus each node's passive directory cache.
+// every global page plus each node's passive directory cache. Both exist
+// only for pages somebody has registered on (or been notified of); an entry
+// that does not exist yet reads as the zero Entry, which is what it would hold.
 type Directory struct {
 	fab    *fabric.Fabric
 	npages int
 	homeOf func(page int) int
 
 	stripes [stripeCount]sync.Mutex
-	entries []Entry   // home truth, indexed by global page
-	caches  [][]Entry // [node][page] cached copies
+	entries sparse.Array[Entry]   // home truth, indexed by global page
+	caches  []sparse.Array[Entry] // [node][page] cached copies
 
 	// Cygnus dead-node mask: bits of excised members, cleared lazily from
 	// the full-maps at classification lookups instead of by an eager sweep
@@ -112,11 +115,11 @@ func New(fab *fabric.Fabric, npages int, homeOf func(int) int) *Directory {
 		fab:     fab,
 		npages:  npages,
 		homeOf:  homeOf,
-		entries: make([]Entry, npages),
-		caches:  make([][]Entry, fab.Topo.Nodes),
+		entries: sparse.Make[Entry](npages, nil),
+		caches:  make([]sparse.Array[Entry], fab.Topo.Nodes),
 	}
 	for n := range d.caches {
-		d.caches[n] = make([]Entry, npages)
+		d.caches[n] = sparse.Make[Entry](npages, nil)
 	}
 	return d
 }
@@ -127,8 +130,7 @@ func (d *Directory) lock(page int) *sync.Mutex { return &d.stripes[page%stripeCo
 // fetch-and-or, refreshes node's cached copy, and returns the entry as it
 // was *before* the update — the caller detects transitions from it.
 func (d *Directory) RegisterReader(p *sim.Proc, page, node int) Entry {
-	d.fab.RemoteAtomic(p, d.homeOf(page), uint64(page))
-	return d.registerReader(page, node)
+	return d.register(p, page, node, false)
 }
 
 // RegisterReaderBatched is RegisterReader without the network charge: when
@@ -136,28 +138,47 @@ func (d *Directory) RegisterReader(p *sim.Proc, page, node int) Entry {
 // the registrations travel as one batched one-sided operation and only the
 // first page of each home pays the round trip.
 func (d *Directory) RegisterReaderBatched(page, node int) Entry {
-	return d.registerReader(page, node)
+	return d.register(nil, page, node, false)
 }
 
-// scrubLocked lazily clears excised nodes' bits from page's home truth.
-// The caller must hold page's stripe lock. Returns the scrubbed entry.
-// This is Cygnus's lazy full-map repair: dead bits rot in place and are
-// erased the next time the page's classification is consulted, so excision
-// costs nothing on pages nobody touches again.
-func (d *Directory) scrubLocked(page int) Entry {
+// scrubLocked lazily clears excised nodes' bits from e, an entry of a page
+// whose stripe lock the caller holds. This is Cygnus's lazy full-map repair:
+// dead bits rot in place and are erased the next time the page's
+// classification is consulted, so excision costs nothing on pages nobody
+// touches again.
+func (d *Directory) scrubLocked(e *Entry) {
 	if d.hasDead.Load() {
-		d.entries[page].R.AndNot(d.dead)
-		d.entries[page].W.AndNot(d.dead)
+		e.R.AndNot(d.dead)
+		e.W.AndNot(d.dead)
 	}
-	return d.entries[page]
 }
 
-func (d *Directory) registerReader(page, node int) Entry {
+// register is the one body behind the three Register methods, which inline
+// into their callers: charge the fetch-and-or to p (nil: it travels in a batch
+// somebody else pays for), deposit node in page's readers map, and in its
+// writers map too when write is set, refresh node's cached copy and return the
+// prior entry.
+func (d *Directory) register(p *sim.Proc, page, node int, write bool) Entry {
+	if p != nil {
+		d.fab.RemoteAtomic(p, d.homeOf(page), uint64(page))
+	}
 	mu := d.lock(page)
 	mu.Lock()
-	old := d.scrubLocked(page)
-	d.entries[page].R.Set(node)
-	d.caches[node][page] = d.entries[page]
+	e := d.entries.Peek(page)
+	if e == nil {
+		e = d.entries.At(page)
+	}
+	d.scrubLocked(e)
+	old := *e
+	e.R.Set(node)
+	if write {
+		e.W.Set(node)
+	}
+	ce := d.caches[node].Peek(page)
+	if ce == nil {
+		ce = d.caches[node].At(page)
+	}
+	*ce = *e
 	mu.Unlock()
 	return old
 }
@@ -166,15 +187,7 @@ func (d *Directory) registerReader(page, node int) Entry {
 // since a writer always holds a copy), refreshes node's cached copy, and
 // returns the prior entry.
 func (d *Directory) RegisterWriter(p *sim.Proc, page, node int) Entry {
-	d.fab.RemoteAtomic(p, d.homeOf(page), uint64(page))
-	mu := d.lock(page)
-	mu.Lock()
-	old := d.scrubLocked(page)
-	d.entries[page].R.Set(node)
-	d.entries[page].W.Set(node)
-	d.caches[node][page] = d.entries[page]
-	mu.Unlock()
-	return old
+	return d.register(p, page, node, true)
 }
 
 // Notify remotely updates target's cached copy of page's entry with the
@@ -189,23 +202,30 @@ func (d *Directory) Notify(p *sim.Proc, page, target int) {
 	d.fab.NodeStats(p.Node).DirNotifies.Add(1)
 	mu := d.lock(page)
 	mu.Lock()
-	d.caches[target][page] = d.entries[page]
+	*d.caches[target].At(page) = *d.entries.At(page)
 	mu.Unlock()
 }
 
 // Cached returns node's current cached copy of page's entry. Reading the
 // local directory cache costs nothing on the network.
 func (d *Directory) Cached(node, page int) Entry {
+	return d.lookup(&d.caches[node], page)
+}
+
+// lookup returns the scrubbed value of page's entry in a, or the zero Entry —
+// without taking the stripe lock — if nobody has touched its chunk: a lookup
+// that finds nothing is one that ran before the first registration.
+func (d *Directory) lookup(a *sparse.Array[Entry], page int) Entry {
+	e := a.Peek(page)
+	if e == nil {
+		return Entry{}
+	}
 	mu := d.lock(page)
 	mu.Lock()
-	e := d.caches[node][page]
-	if d.hasDead.Load() {
-		e.R.AndNot(d.dead)
-		e.W.AndNot(d.dead)
-		d.caches[node][page] = e
-	}
+	d.scrubLocked(e)
+	v := *e
 	mu.Unlock()
-	return e
+	return v
 }
 
 // CachedMany fills out[i] with node's cached entry of pages[i], in input
@@ -214,10 +234,17 @@ func (d *Directory) Cached(node, page int) Entry {
 // to batch their classification lookups. It allocates nothing. out must be at
 // least len(pages) long; duplicate pages are allowed.
 func (d *Directory) CachedMany(node int, pages []int, out []Entry) {
+	// A copy, which shares the chunks: its fields stay in registers across
+	// the stores to out.
 	cached := d.caches[node]
 	scrub := d.hasDead.Load()
 	var mu *sync.Mutex
 	for i, pg := range pages {
+		e := cached.Peek(pg)
+		if e == nil {
+			out[i] = Entry{}
+			continue
+		}
 		if m := d.lock(pg); m != mu {
 			if mu != nil {
 				mu.Unlock()
@@ -225,11 +252,11 @@ func (d *Directory) CachedMany(node int, pages []int, out []Entry) {
 			mu = m
 			mu.Lock()
 		}
-		if scrub {
-			cached[pg].R.AndNot(d.dead)
-			cached[pg].W.AndNot(d.dead)
+		if scrub { // scrubLocked with the flag read once per batch
+			e.R.AndNot(d.dead)
+			e.W.AndNot(d.dead)
 		}
-		out[i] = cached[pg]
+		out[i] = *e
 	}
 	if mu != nil {
 		mu.Unlock()
@@ -237,13 +264,7 @@ func (d *Directory) CachedMany(node int, pages []int, out []Entry) {
 }
 
 // Home returns the home truth for page (tests and debug output).
-func (d *Directory) Home(page int) Entry {
-	mu := d.lock(page)
-	mu.Lock()
-	e := d.scrubLocked(page)
-	mu.Unlock()
-	return e
-}
+func (d *Directory) Home(page int) Entry { return d.lookup(&d.entries, page) }
 
 // SetDead marks node as excised: its bits are scrubbed lazily from the
 // full-maps at subsequent classification lookups. Takes every stripe so
@@ -266,13 +287,13 @@ func (d *Directory) ClearCache(node int) {
 	for i := 0; i < stripeCount; i++ {
 		d.stripes[i].Lock()
 	}
-	for i := range d.caches[node] {
-		d.caches[node][i] = Entry{}
-	}
+	d.caches[node].Chunks(clearChunk)
 	for i := 0; i < stripeCount; i++ {
 		d.stripes[i].Unlock()
 	}
 }
+
+func clearChunk(_ int, chunk []Entry) { clear(chunk) }
 
 // ClearDeadBit removes node from the dead-node mask (crash-restart: the
 // node rejoins and its fresh registrations must survive scrubbing). Any
@@ -305,21 +326,17 @@ func (d *Directory) ClearDead() {
 // NPages returns the number of pages tracked.
 func (d *Directory) NPages() int { return d.npages }
 
-// Reset clears every entry and every cached copy. The paper resets the
-// full-maps at the end of the initialization phase so that initialization
-// writes do not pollute the classification; the caller must have quiesced
-// all simulated threads (a global barrier) first.
+// Reset clears every entry and every cached copy that exists. The paper
+// resets the full-maps at the end of the initialization phase so that
+// initialization writes do not pollute the classification; the caller must
+// have quiesced all simulated threads (a global barrier) first.
 func (d *Directory) Reset() {
 	for i := 0; i < stripeCount; i++ {
 		d.stripes[i].Lock()
 	}
-	for i := range d.entries {
-		d.entries[i] = Entry{}
-	}
+	d.entries.Chunks(clearChunk)
 	for n := range d.caches {
-		for i := range d.caches[n] {
-			d.caches[n][i] = Entry{}
-		}
+		d.caches[n].Chunks(clearChunk)
 	}
 	for i := 0; i < stripeCount; i++ {
 		d.stripes[i].Unlock()

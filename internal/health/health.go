@@ -74,9 +74,9 @@ func (c CrashSignal) Error() string {
 	return fmt.Sprintf("health: node %d crash-stopped at barrier episode %d", c.Node, c.Episode)
 }
 
-// State is a node's position in the suspect→dead→excised lifecycle.
-// The timed phases (suspect vs dead) are derived from the crash timestamp
-// and the detection timeout — see Detector.StateAt.
+// State is a node's position in the suspect→dead→excised lifecycle. Suspect
+// and dead are one stored state (Crashed): what separates them is the
+// detection timeout the survivors wait out before they excise.
 type State int
 
 const (
@@ -180,12 +180,10 @@ type Detector struct {
 
 	mu        sync.Mutex
 	state     []State
-	diedAt    []sim.Time
 	diedEp    []int64 // episode of the last Kill, for idempotence
 	epoch     atomic.Int64
 	live      atomic.Int64
 	history   []Transition
-	onDeath   []func(node int, at sim.Time)
 	onExcise  []func(node int, at sim.Time)
 	onSuspect []func(node int, at sim.Time)
 	onHeal    []func(node int, at sim.Time)
@@ -228,7 +226,6 @@ func New(nodes int, plan fault.Plan, fi *fault.Injector) *Detector {
 		nodes:    nodes,
 		plan:     plan.Normalized(),
 		state:    make([]State, nodes),
-		diedAt:   make([]sim.Time, nodes),
 		diedEp:   make([]int64, nodes),
 		scripted: map[int]scriptedCrash{},
 		hb:       make([]int64, nodes),
@@ -391,42 +388,10 @@ func (d *Detector) Live() []int {
 // Epoch returns the current membership epoch (0 until the first excision).
 func (d *Detector) Epoch() int64 { return d.epoch.Load() }
 
-// StateAt classifies node as seen by a survivor at virtual time t: alive,
-// "suspect" (crashed less than one detection timeout ago), "dead" (crashed
-// at least Timeout ago) or "excised".
-func (d *Detector) StateAt(node int, t sim.Time) string {
-	d.mu.Lock()
-	s, at := d.state[node], d.diedAt[node]
-	d.mu.Unlock()
-	switch s {
-	case Alive:
-		return "alive"
-	case Excised:
-		return "excised"
-	case Partitioned:
-		// Indistinguishable from an undetected crash on the majority side.
-		return "suspect"
-	default:
-		if t < at+d.plan.Timeout {
-			return "suspect"
-		}
-		return "dead"
-	}
-}
-
-// OnDeath registers a callback invoked (outside the detector lock) when a
-// node is killed. Recovery layers — the global lock's lease expiry, the
-// flag's waiter unwind — hook here.
-func (d *Detector) OnDeath(fn func(node int, at sim.Time)) {
-	d.mu.Lock()
-	d.onDeath = append(d.onDeath, fn)
-	d.mu.Unlock()
-}
-
 // OnExcise registers a callback invoked (outside the detector lock) when a
-// dead node is excised from the membership. Unlike OnDeath — which fires at
-// the kill, while sibling threads of the dead node may still be running
-// their epoch tails — excision guarantees the dead node is fully stopped.
+// dead node is excised from the membership. Unlike the kill — during which
+// sibling threads of the dead node may still be running their epoch tails —
+// excision guarantees the dead node is fully stopped.
 func (d *Detector) OnExcise(fn func(node int, at sim.Time)) {
 	d.mu.Lock()
 	d.onExcise = append(d.onExcise, fn)
@@ -466,22 +431,17 @@ func (d *Detector) Kill(node int, at sim.Time, ep int64) bool {
 		return false
 	}
 	d.state[node] = Crashed
-	d.diedAt[node] = at
 	d.diedEp[node] = ep
 	d.live.Add(-1)
 	d.history = append(d.history, Transition{
 		Epoch: d.epoch.Load(), Node: node, Kind: "crash", Episode: ep, At: at,
 	})
-	cbs := append([]func(int, sim.Time){}, d.onDeath...)
 	d.mu.Unlock()
 	d.fi.NoteCrash()
 	d.SR.Pub(node, 0, int64(at), span.Crash, uint64(ep), int64(node))
 	if d.MX != nil {
 		d.MX.Crashes.Inc()
 		d.MX.LiveNodes.Set(d.live.Load())
-	}
-	for _, fn := range cbs {
-		fn(node, at)
 	}
 	return true
 }
@@ -659,12 +619,11 @@ func (d *Detector) DeathsAt(members []int, ep int64) []int {
 
 // Reset returns the detector to the all-alive, epoch-zero state (between
 // seeded runs of one cluster). Scripted crashes persist so a replayed run
-// repeats them; OnDeath hooks persist with the structures they guard.
+// repeats them; callbacks persist with the structures they guard.
 func (d *Detector) Reset() {
 	d.mu.Lock()
 	for i := range d.state {
 		d.state[i] = Alive
-		d.diedAt[i] = 0
 		d.diedEp[i] = -1
 		d.hb[i] = 0
 	}

@@ -14,8 +14,10 @@
 // first WritePageFull, Writeback, ApplyDiff or HomeBytes of a page allocates
 // it zeroed under the page's write lock, and a page nobody has written reads
 // as zeros without ever being allocated — a run pays for the home memory it
-// touches, not for the capacity it reserved. All costs are charged through
-// the fabric by the callers (cache/coherence layers).
+// touches, not for the capacity it reserved. The page table itself (lock and
+// slice header per page) appears the same way, sparse.ChunkLen pages at a time
+// at the first write into the chunk. All costs are charged through the fabric
+// by the callers (cache/coherence layers).
 package mem
 
 import (
@@ -25,6 +27,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"argo/internal/sparse"
 )
 
 // Addr is a byte offset into the global address space.
@@ -60,10 +64,15 @@ type Space struct {
 
 	pageShift uint // log2(PageSize); PageSize is a power of two
 
-	pages    [][]byte       // per global page; nil until first written, guarded by locks[p]
-	locks    []sync.RWMutex // per global page
-	cursor   atomic.Int64   // bump allocator
+	pages    sparse.Array[page] // per global page
+	cursor   atomic.Int64       // bump allocator
 	capacity int64
+}
+
+// page is one home page: its lock and its content, nil until first written.
+type page struct {
+	mu   sync.RWMutex
+	data []byte
 }
 
 // NewSpace creates a global address space of totalBytes bytes (rounded up to
@@ -85,8 +94,7 @@ func NewSpace(nodes int, totalBytes int64, pageSize int, policy Policy) *Space {
 		Nodes:     nodes,
 		Policy:    policy,
 		pageShift: uint(bits.TrailingZeros(uint(pageSize))),
-		pages:     make([][]byte, np),
-		locks:     make([]sync.RWMutex, np),
+		pages:     sparse.Make[page](np, nil),
 		capacity:  int64(np) * int64(pageSize),
 	}
 	return s
@@ -156,15 +164,17 @@ func (s *Space) Used() int64 { return s.cursor.Load() }
 // ResetAlloc rewinds the allocator. Only for harnesses reusing a space.
 func (s *Space) ResetAlloc() { s.cursor.Store(0) }
 
-// homeLocked returns page p's backing storage, allocating it zeroed at the
-// page's first write. The caller holds locks[p] exclusively.
-func (s *Space) homeLocked(p int) []byte {
-	h := s.pages[p]
-	if h == nil {
-		h = make([]byte, s.PageSize)
-		s.pages[p] = h
+// lockHome write-locks page p and returns it with its backing storage, which
+// is allocated zeroed at the page's first write. The caller unlocks pg.mu.
+func (s *Space) lockHome(p int) (pg *page, home []byte) {
+	if pg = s.pages.Peek(p); pg == nil {
+		pg = s.pages.At(p)
 	}
-	return h
+	pg.mu.Lock()
+	if pg.data == nil {
+		pg.data = make([]byte, s.PageSize)
+	}
+	return pg, pg.data
 }
 
 // ReadPage copies page p's home content into dst (len(dst) == PageSize).
@@ -172,23 +182,30 @@ func (s *Space) ReadPage(p int, dst []byte) { s.ReadPageAt(p, 0, dst) }
 
 // ReadPageAt copies len(dst) bytes of page p's home content starting at byte
 // off into dst. A page nobody has written yet reads as zeros and stays
-// unallocated.
+// unallocated; where not even its table entry exists there is no lock to take
+// either — zeros are the page as it was before any write, and a reader that
+// synchronised with a writer (DRF) finds the entry that writer published.
 func (s *Space) ReadPageAt(p, off int, dst []byte) {
-	s.locks[p].RLock()
-	if h := s.pages[p]; h != nil {
-		copy(dst, h[off:])
+	pg := s.pages.Peek(p)
+	if pg == nil {
+		clear(dst)
+		return
+	}
+	pg.mu.RLock()
+	if pg.data != nil {
+		copy(dst, pg.data[off:])
 	} else {
 		clear(dst)
 	}
-	s.locks[p].RUnlock()
+	pg.mu.RUnlock()
 }
 
 // WritePageFull overwrites page p's home content with src. Used for
 // initialization and for the single-writer full-page downgrade optimization.
 func (s *Space) WritePageFull(p int, src []byte) {
-	s.locks[p].Lock()
-	copy(s.homeLocked(p), src)
-	s.locks[p].Unlock()
+	pg, home := s.lockHome(p)
+	copy(home, src)
+	pg.mu.Unlock()
 }
 
 // Writeback downgrades a dirty cached page to its home. While holding the
@@ -198,9 +215,8 @@ func (s *Space) WritePageFull(p int, src []byte) {
 // registration), otherwise only the bytes differing from twin are applied.
 // It returns the number of bytes transmitted and which path was taken.
 func (s *Space) Writeback(p int, data, twin []byte, preferFull func() bool) (tx int, full bool) {
-	s.locks[p].Lock()
-	defer s.locks[p].Unlock()
-	home := s.homeLocked(p)
+	pg, home := s.lockHome(p)
+	defer pg.mu.Unlock()
 	if preferFull != nil && preferFull() {
 		copy(home, data)
 		return len(data), true
@@ -372,9 +388,9 @@ func diffTail(h, d, t []byte, carry uint64) int {
 // that would travel on the wire: the changed bytes plus an 8-byte run header
 // per contiguous changed run (the diff encoding of Keleher et al.).
 func (s *Space) ApplyDiff(p int, data, twin []byte) int {
-	s.locks[p].Lock()
-	tx := diffScan(s.homeLocked(p), data, twin)
-	s.locks[p].Unlock()
+	pg, home := s.lockHome(p)
+	tx := diffScan(home, data, twin)
+	pg.mu.Unlock()
 	return tx
 }
 
@@ -389,8 +405,7 @@ func DiffSize(data, twin []byte) int {
 // zero-cost initialization and for building verification snapshots: the
 // returned slice may only be used while all simulated threads are quiesced.
 func (s *Space) HomeBytes(p int) []byte {
-	s.locks[p].Lock()
-	h := s.homeLocked(p)
-	s.locks[p].Unlock()
-	return h
+	pg, home := s.lockHome(p)
+	pg.mu.Unlock()
+	return home
 }
