@@ -36,6 +36,38 @@ func Example() {
 	// Output: sum: 999000
 }
 
+// ExampleThread_GatherF64 reads a shared vector through an index list, the
+// access pattern of a sparse matrix-vector product: one call per CSR row
+// instead of one GetF64 per nonzero, with the same values, hits, misses and
+// virtual time.
+func ExampleThread_GatherF64() {
+	cfg := argo.DefaultConfig(2)
+	cfg.MemoryBytes = 4 << 20
+	cluster := argo.MustNewCluster(cfg)
+
+	xs := cluster.AllocF64(4096)
+	vals := make([]float64, xs.Len)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	cluster.InitF64(xs, vals)
+
+	// Row 0 of a sparse matrix: column indices and coefficients.
+	cols, coef := []int32{7, 2048, 7, 4095}, []float64{1, 0.5, -1, 2}
+	cluster.Run(1, func(t *argo.Thread) {
+		row := make([]float64, len(cols)) // reusable scratch, one row long
+		t.GatherF64(xs, cols, row)
+		dot := 0.0
+		for k, v := range coef {
+			dot += v * row[k]
+		}
+		if t.Rank == 0 {
+			fmt.Println("row:", row, "dot:", dot)
+		}
+	})
+	// Output: row: [7 2048 7 4095] dot: 9214
+}
+
 // ExampleHQDL shows queue delegation: critical sections are shipped to a
 // helper thread instead of moving the lock (and the data) to each caller.
 func ExampleHQDL() {

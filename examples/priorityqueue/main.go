@@ -50,7 +50,7 @@ func run(useHQDL bool) (opsPerUs float64, siFences int64) {
 		}
 		t.InitDone()
 		for k := 0; k < opsPerThread; k++ {
-			priority := t.Rng.Int63n(1 << 20)
+			priority := t.Rand().Int63n(1 << 20)
 			if k%2 == 0 {
 				if hqdl != nil {
 					hqdl.Delegate(t, func(h *argo.Thread) { heap.Insert(h, priority) })

@@ -60,14 +60,15 @@ package cache
 //     application data race, which pillar 1 excludes. An atomic store would buy nothing and costs a third locked
 //     instruction per hit (Go compiles it to XCHG).
 //
-// What a hit touches. Load and Store read the TLB header (page shift, page
-// mask and the CacheHit cost, all copied in when the TLB is built), the
+// What a hit touches. Load, Gather and Store read the TLB header (page shift,
+// page mask and the CacheHit cost, all copied in when the TLB is built), the
 // direct-mapped entry, the line's LineSync, the data word and the thread's
 // Proc — and nothing else: no Node, Space, Cache, Fabric or Probes. The
 // coherence layer is entered only when they report a miss.
 //
 // The virtual-time cost model is unchanged by construction: a hit performs
-// exactly the clock advance and hit count of a locked hit. A locked hit also
+// exactly the clock advance and hit count of a locked hit (Gather adds up a
+// run's and charges them when the run ends). A locked hit also
 // does p.AdvanceTo(slot.ReadyAt); a TLB hit has no such step, and needs none,
 // because it could never fire. An entry is private to one thread and is only
 // written by FillTLB, on the locked path, after that same thread has done
@@ -88,6 +89,7 @@ package cache
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"runtime"
 	"sync/atomic"
@@ -198,33 +200,64 @@ func (t *TLB) Flush() {
 	}
 }
 
+// load is the validated word load Load and Gather share: the direct-mapped
+// probe and the seqlock — two generation loads bracketing one atomic word
+// load — for the 8-byte-aligned global address addr. When ok, the generation
+// was stable across the load, so v is the page content a locked hit would
+// have copied; ok is false when the thread holds no valid entry for addr's
+// page. The caller charges the hit.
+func (t *TLB) load(addr int64) (v uint64, ok bool) {
+	page := int(addr >> (t.shift & 63))
+	e := &t.e[page&(TLBSize-1)]
+	if e.Page == page {
+		if g := e.Sync.Gen.Load(); g == e.G {
+			v = atomic.LoadUint64((*uint64)(unsafe.Add(e.Base, addr&t.mask)))
+			if e.Sync.Gen.Load() == g {
+				return v, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // Load is the read fast path: it returns the little-endian word at the
 // 8-byte-aligned global address addr if the thread holds a valid entry for
-// its page, charging p one hit. Two generation loads bracket one atomic word
-// load (seqlock); ok is false — and p untouched — when the access has to take
-// the coherence layer's locked path.
+// its page, charging p one hit. ok is false — and p untouched — when the
+// access has to take the coherence layer's locked path.
 func (t *TLB) Load(p *sim.Proc, addr int64) (v uint64, ok bool) {
 	if t == nil || addr&7 != 0 {
 		return 0, false
 	}
-	page := int(addr >> (t.shift & 63))
-	e := &t.e[page&(TLBSize-1)]
-	if e.Page != page {
-		return 0, false
+	if v, ok = t.load(addr); ok {
+		p.Hits++
+		p.Advance(t.hit)
+		return v, true
 	}
-	g := e.Sync.Gen.Load()
-	if g != e.G {
-		return 0, false
+	return 0, false
+}
+
+// Gather is the run form of Load: for each idx[k] in order it loads the word
+// at base+8*idx[k] exactly as Load would and stores it in dst[k]
+// (len(dst) >= len(idx)), stops at the first element that does not validate,
+// and only then charges p the n hits it served, in one step. It returns n;
+// dst[n:] is not written. Hits only add to a clock nothing else reads before
+// the run ends, so p is where n Loads would have left it.
+func (t *TLB) Gather(p *sim.Proc, base int64, idx []int32, dst []float64) int {
+	if t == nil || base&7 != 0 {
+		return 0
 	}
-	v = atomic.LoadUint64((*uint64)(unsafe.Add(e.Base, addr&t.mask)))
-	if e.Sync.Gen.Load() != g {
-		return 0, false
+	dst = dst[:len(idx)]
+	n := 0
+	for ; n < len(idx); n++ {
+		v, ok := t.load(base + int64(idx[n])*8)
+		if !ok {
+			break
+		}
+		dst[n] = math.Float64frombits(v)
 	}
-	// Validated hit: the generation was stable across the load, so v is the
-	// page content a locked hit would have copied.
-	p.Hits++
-	p.Advance(t.hit)
-	return v, true
+	p.Hits += int64(n)
+	p.Advance(sim.Time(n) * t.hit)
+	return n
 }
 
 // Store is the write fast path: it stores v at the 8-byte-aligned global

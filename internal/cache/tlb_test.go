@@ -3,6 +3,8 @@ package cache
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"math/rand"
 	"testing"
 
 	"argo/internal/sim"
@@ -179,6 +181,64 @@ func TestTLBLoadStore(t *testing.T) {
 	if p.Now() != 2*hit || p.Hits != 2 || ln.sy.Act.Load() != 0 || binary.LittleEndian.Uint64(s.Data[16:]) != 78 {
 		t.Fatal("a stale-entry miss moved the proc, stored, or left Act raised")
 	}
+
+	// Gather is Load in runs: it serves idx in order up to the first element
+	// Load would miss, leaves p where that many Loads leave it, and writes
+	// nothing behind the stop. Page 5 is resident, page 6 is not, and word i
+	// of page 5 holds i.
+	for i := 0; i < 512; i++ {
+		binary.LittleEndian.PutUint64(s.Data[8*i:], uint64(i))
+	}
+	ln.FillTLB(tb, s)
+	const mark = -1.5
+	gather := func(what string, tb *TLB, base int64, idx []int32, want int) {
+		t.Helper()
+		dst := make([]float64, len(idx)+1)
+		for k := range dst {
+			dst[k] = mark
+		}
+		gp, lp := &sim.Proc{}, &sim.Proc{}
+		n := tb.Gather(gp, base, idx, dst)
+		if n != want {
+			t.Fatalf("%s: Gather served %d of %d, want %d", what, n, len(idx), want)
+		}
+		for k, i := range idx[:n] {
+			v, ok := tb.Load(lp, base+8*int64(i))
+			if !ok || math.Float64bits(dst[k]) != v || v != uint64(i) {
+				t.Fatalf("%s: dst[%d] = %#x, Load = %#x, %v, want %#x", what, k, math.Float64bits(dst[k]), v, ok, uint64(i))
+			}
+		}
+		if gp.Hits != lp.Hits || gp.Now() != lp.Now() || gp.Hits != int64(n) || gp.Now() != sim.Time(n)*hit {
+			t.Fatalf("%s: Gather left hits %d, now %d; %d Loads leave %d, %d", what, gp.Hits, gp.Now(), n, lp.Hits, lp.Now())
+		}
+		for k := n; k < len(dst); k++ {
+			if dst[k] != mark {
+				t.Fatalf("%s: dst[%d] written behind the stop at %d", what, k, n)
+			}
+		}
+	}
+	base := int64(5 * 4096)
+	gather("full run", tb, base, []int32{3, 511, 0, 3, 200}, 5)
+	gather("empty list", tb, base, nil, 0)
+	gather("foreign page", tb, base, []int32{1, 2, 512, 3}, 2)
+	gather("foreign page first", tb, base, []int32{-1, 2}, 0)
+	gather("nil TLB", nil, base, []int32{1, 2}, 0)
+	gather("unaligned base", tb, base+4, []int32{1, 2}, 0)
+	ln.BumpGen()
+	gather("stale generation", tb, base, []int32{1, 2}, 0)
+	// A generation that goes stale inside a run: page 7, in another line
+	// (and another TLB entry), is filled and then bumped.
+	ln7 := c.LockLine(c.LineOf(7))
+	defer ln7.Unlock()
+	s7 := c.SlotOf(ln7, 7)
+	s7.Page, s7.St = 7, Clean
+	c.PrepareRefill(s7)
+	binary.LittleEndian.PutUint64(s7.Data, 1024) // index 1024 from page 5's base
+	ln.FillTLB(tb, s)
+	ln7.FillTLB(tb, s7)
+	gather("two pages", tb, base, []int32{1, 1024, 2}, 3)
+	ln7.BumpGen()
+	gather("stale generation mid-run", tb, base, []int32{1, 2, 1024, 3}, 2)
 }
 
 // TestLittleEndianHostOnly is the byte-order contract in one place: a word the
@@ -204,4 +264,64 @@ func TestLittleEndianHostOnly(t *testing.T) {
 	if !tb.Store(p, addr+8, 0x8807060504030201) || !bytes.Equal(s.Data[16:24], s.Data[8:16]) {
 		t.Fatalf("%s (Store wrote % x)", msg, s.Data[16:24])
 	}
+}
+
+// benchGatherRig is CG's row shape at the ledger size: 128 resident pages (a
+// 65536-element vector) behind one TLB, and 256 lists of 32 random indices.
+func benchGatherRig(b *testing.B) (*TLB, [][]int32) {
+	const pages = 128
+	c := New(0, 4096, pages/2, 2, 16)
+	tb := c.NewTLB(1)
+	for pg := 0; pg < pages; pg++ {
+		ln := c.LockLine(c.LineOf(pg))
+		s := c.SlotOf(ln, pg)
+		s.Page, s.St = pg, Clean
+		c.PrepareRefill(s)
+		ln.FillTLB(tb, s)
+		ln.Unlock()
+	}
+	rng := rand.New(rand.NewSource(1))
+	lists := make([][]int32, 256)
+	for i := range lists {
+		lists[i] = make([]int32, 32)
+		for k := range lists[i] {
+			lists[i][k] = int32(rng.Intn(pages * 512))
+		}
+	}
+	return tb, lists
+}
+
+var benchSink float64
+
+// BenchmarkTLBLoad is the scalar form of BenchmarkTLBGather: one Load per
+// index. Both report ns per gathered word.
+func BenchmarkTLBLoad(b *testing.B) {
+	tb, lists := benchGatherRig(b)
+	p, dst := &sim.Proc{}, make([]float64, 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, j := range lists[i&255] {
+			v, _ := tb.Load(p, int64(j)*8)
+			dst[k] = math.Float64frombits(v)
+		}
+	}
+	benchSink = dst[0]
+	if p.Hits != int64(b.N)*32 {
+		b.Fatalf("%d hits in %d lists of 32", p.Hits, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/word")
+}
+
+func BenchmarkTLBGather(b *testing.B) {
+	tb, lists := benchGatherRig(b)
+	p, dst := &sim.Proc{}, make([]float64, 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb.Gather(p, 0, lists[i&255], dst)
+	}
+	benchSink = dst[0]
+	if p.Hits != int64(b.N)*32 {
+		b.Fatalf("%d hits in %d lists of 32", p.Hits, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/word")
 }

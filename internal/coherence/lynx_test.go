@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"encoding/binary"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,6 +36,17 @@ func readWord(n *Node, p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 {
 func writeWord(n *Node, p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint64) {
 	if !tb.Store(p, addr, v) {
 		n.WriteWord(p, tb, addr, v)
+	}
+}
+
+// gatherWords is a thread's indexed read (core.Thread.GatherF64): runs of TLB
+// hits, the node's locked path for the element each run stops at.
+func gatherWords(n *Node, p *sim.Proc, tb *cache.TLB, base mem.Addr, idx []int32, dst []float64) {
+	for i := 0; i < len(idx); i++ {
+		i += tb.Gather(p, base, idx[i:], dst[i:])
+		if i < len(idx) {
+			dst[i] = math.Float64frombits(n.ReadWord(p, tb, base+mem.Addr(idx[i])*8))
+		}
 	}
 }
 
@@ -340,8 +352,10 @@ func TestAllocFreeConflictEvictRefill(t *testing.T) {
 // the buffer the readers' TLB entries point into is rebound to Q over and
 // over. Every word of a page carries that page's number, so a read served
 // from the wrong page's bytes — a speculative load that escaped the seqlock
-// re-check — is recognizable. Run with -cpu 1,2,4; under -race the same test
-// checks that the discarded loads stay invisible to the detector.
+// re-check — is recognizable. A third reader gathers 16 words of P per call,
+// so rebinds also land inside runs of hits. Run with -cpu 1,2,4; under -race
+// the same test checks that the discarded loads stay invisible to the
+// detector.
 func TestSeqlockConflictRefillHammer(t *testing.T) {
 	r := newRigGeom(t, Options{Mode: ModePS3}, 1, 1, 4)
 	const pageP, pageQ = 3, 5
@@ -379,6 +393,32 @@ func TestSeqlockConflictRefillHammer(t *testing.T) {
 			}
 		}(g)
 	}
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		p := &sim.Proc{Node: 0}
+		tb := r.nodes[0].NewTLB()
+		idx, dst := make([]int32, 16), make([]float64, 16)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for k := range idx {
+				idx[k] = int32((i*16 + k) * 11 & 511)
+			}
+			gatherWords(n, p, tb, pageP*4096, idx, dst)
+			for k, w := range idx {
+				if got := math.Float64bits(dst[k]); got != word(pageP, int(w)) {
+					t.Errorf("gatherer: word %d of page %d read %#x, want %#x", w, pageP, got, word(pageP, int(w)))
+					return
+				}
+			}
+			runtime.Gosched() // let the thrasher in on 1-CPU hosts
+		}
+	}()
 
 	p := &sim.Proc{Node: 0}
 	tb := r.nodes[0].NewTLB()

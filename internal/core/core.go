@@ -363,7 +363,6 @@ type Thread struct {
 	C   *Cluster
 	Coh *coherence.Node
 	Bar BarrierWaiter
-	Rng *rand.Rand
 
 	// SyncEpoch counts the barrier episodes this thread has entered (the
 	// Vela barrier bumps it at episode entry). Under the SPMD model every
@@ -375,6 +374,22 @@ type Thread struct {
 	// Config.NoAccessTLB): scalar accesses that hit in it never reach Coh.
 	// Like the Thread itself it is single-goroutine.
 	tlb *cache.TLB
+
+	// rng is the thread's random source, built by its first Rand call from
+	// the launch's seed base.
+	rng  *rand.Rand
+	seed int64
+}
+
+// Rand returns the thread's private random source, seeded from the launch's
+// seed base (RunSeeded) and the thread's rank. It is built on first use:
+// seeding a source costs more than the rest of launching a thread, and few
+// programs draw from it.
+func (t *Thread) Rand() *rand.Rand {
+	if t.rng == nil {
+		t.rng = rand.New(rand.NewSource(t.seed + int64(t.Rank)*1_000_003))
+	}
+	return t.rng
 }
 
 // Run launches threadsPerNode simulated threads on every node, runs body on
@@ -403,8 +418,7 @@ func (c *Cluster) RunSeeded(threadsPerNode int, seed int64, body func(t *Thread)
 			p := c.Topo.NewProc(node, l)
 			threads[r] = &Thread{
 				Rank: r, Node: node, Local: l, NT: nt, TPN: threadsPerNode,
-				P: p, C: c, Coh: c.Nodes[node], Bar: bar,
-				Rng: rand.New(rand.NewSource(seed + int64(r)*1_000_003)),
+				P: p, C: c, Coh: c.Nodes[node], Bar: bar, seed: seed,
 			}
 			if !c.Cfg.NoAccessTLB {
 				threads[r].tlb = c.Nodes[node].NewTLB()

@@ -129,6 +129,22 @@ func (t *Thread) GetF64(s F64Slice, i int) float64 { return math.Float64frombits
 // SetF64 writes element i.
 func (t *Thread) SetF64(s F64Slice, i int, v float64) { t.WriteU64(s.At(i), math.Float64bits(v)) }
 
+// GatherF64 reads element idx[k] of s into dst[k] for every k, in order
+// (len(dst) >= len(idx)): an indexed read for the access pattern a range
+// cannot describe. It is len(idx) GetF64 calls — the same hits and misses in
+// the same order, the same counters, the same clock at every miss — served in
+// runs: the TLB validates hit after hit in one call and charges them together
+// (cache.TLB.Gather), the element a run stops at takes the miss path, which
+// refills the TLB, and the next run resumes behind it.
+func (t *Thread) GatherF64(s F64Slice, idx []int32, dst []float64) {
+	for i := 0; i < len(idx); i++ {
+		i += t.tlb.Gather(t.P, s.Base, idx[i:], dst[i:])
+		if i < len(idx) { // the run stopped at i: a miss
+			dst[i] = math.Float64frombits(t.Coh.ReadWord(t.P, t.tlb, s.At(int(idx[i]))))
+		}
+	}
+}
+
 // ReadF64s bulk-reads elements [lo,hi) into dst (len(dst) >= hi-lo).
 func (t *Thread) ReadF64s(s F64Slice, lo, hi int, dst []float64) { ReadRange(t, s, lo, hi, dst) }
 

@@ -131,6 +131,15 @@ func (s *Sparse) spmvRows(q, p []float64, lo, hi int) int {
 	return flops
 }
 
+// maxRow returns the length of the longest of rows [lo,hi).
+func (s *Sparse) maxRow(lo, hi int) int {
+	m := 0
+	for i := lo; i < hi; i++ {
+		m = max(m, int(s.RowPtr[i+1]-s.RowPtr[i]))
+	}
+	return m
+}
+
 // Serial runs the reference CG and returns the solution vector.
 func Serial(p Params) []float64 {
 	s := BuildMatrix(p)
@@ -235,18 +244,45 @@ func RunLocal(p Params, threads int) wload.Result {
 	return wload.Result{System: "local", Nodes: 1, Threads: threads, Time: t, Check: check}
 }
 
+// spmvGather computes q = (A·d)[lo:hi] on a DSM thread and returns the real
+// flop count. It reads the direction vector gd element-wise through the page
+// cache, as the Pthreads original reads a shared array (pages fault in on
+// demand), a row per call: GatherF64 is one GetF64 per nonzero, in order,
+// into row, a scratch at least as long as the longest row.
+func (s *Sparse) spmvGather(th *core.Thread, gd core.F64Slice, q, row []float64, lo, hi int) int {
+	for i := lo; i < hi; i++ {
+		a, b := s.RowPtr[i], s.RowPtr[i+1]
+		val := s.Val[a:b]
+		g := row[:len(val)] // same length: no bounds check in the loop below
+		th.GatherF64(gd, s.ColIdx[a:b], g)
+		var acc float64
+		for k, v := range val {
+			acc += v * g[k]
+		}
+		q[i-lo] = acc
+	}
+	return int(s.RowPtr[hi] - s.RowPtr[lo])
+}
+
 // RunArgo runs CG on the DSM: p (the direction vector) lives in global
 // memory and migrates every iteration; dot products go through small
 // shared partial-sum pages.
 func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
+	return runArgo(cfg, p, tpn, (*Sparse).spmvGather)
+}
+
+// runArgo is RunArgo over the given sparse matvec (the tests keep the scalar
+// one as the reference).
+func runArgo(cfg core.Config, p Params, tpn int, spmv func(s *Sparse, th *core.Thread, gd core.F64Slice, q, row []float64, lo, hi int) int) wload.Result {
 	sm := BuildMatrix(p)
 	n := p.N
-	need := int64(n*8*2) + 1<<20
+	nt := cfg.Nodes * tpn
+	// Four vectors and the partial sums; the slack absorbs their page rounding.
+	need := int64(4*n+2*nt)*8 + 1<<20
 	if cfg.MemoryBytes < need {
 		cfg.MemoryBytes = need
 	}
 	c := wload.MustCluster(cfg)
-	nt := cfg.Nodes * tpn
 	gd := c.AllocF64(n) // direction vector (shared, rewritten per iter)
 	gr := c.AllocF64(n) // residual   (block-private pages)
 	gx := c.AllocF64(n) // solution   (block-private pages)
@@ -267,6 +303,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 		d := make([]float64, cnt) // own block of the direction vector
 		upd := make([]float64, cnt)
 		all := make([]float64, nt)
+		row := make([]float64, sm.maxRow(lo, hi)) // one row of gathered d
 		pdotLocal := func(a, bb []float64) float64 {
 			var s float64
 			for i := range a {
@@ -289,18 +326,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 		for it := 0; it < p.Iters; it++ {
 			// Own block of d, used by the dot products and updates below.
 			th.ReadF64s(gd, lo, hi, d)
-			// The sparse matvec reads the direction vector element-wise
-			// through the page cache, exactly as the Pthreads original
-			// reads a shared array; pages fault in on demand.
-			flops := 0
-			for i := lo; i < hi; i++ {
-				var acc float64
-				for k := sm.RowPtr[i]; k < sm.RowPtr[i+1]; k++ {
-					acc += sm.Val[k] * th.GetF64(gd, int(sm.ColIdx[k]))
-				}
-				q[i-lo] = acc
-				flops += int(sm.RowPtr[i+1] - sm.RowPtr[i])
-			}
+			flops := spmv(sm, th, gd, q, row, lo, hi)
 			th.Compute(sim.Time(flops) * FlopCost)
 			th.WriteF64s(gq, lo, q)
 			th.WriteF64(gparts.At(nt+th.Rank), pdotLocal(d, q))

@@ -1,10 +1,15 @@
 package cg
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"slices"
+	"strconv"
 	"testing"
 
+	"argo/internal/core"
+	"argo/internal/racetag"
 	"argo/internal/workloads/wload"
 )
 
@@ -164,6 +169,80 @@ func TestBuildMatrixMatchesOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunArgoSizesItsOwnMemory: RunArgo grows a too-small MemoryBytes to what
+// it allocates — four vectors and the partial sums, not two vectors.
+func TestRunArgoSizesItsOwnMemory(t *testing.T) {
+	p := Params{N: 131072, PerRow: 4, Iters: 1}
+	want := wload.Checksum(Serial(p))
+	if r := RunArgo(wload.ArgoConfig(2, 1<<20), p, 1); !approx(r.Check, want, 1e-6) {
+		t.Fatalf("argo check %v != serial %v", r.Check, want)
+	}
+}
+
+// spmvScalar is the sparse matvec spmvGather replaced: one GetF64 per nonzero.
+// Kept as the reference the row-at-a-time gather must reproduce bit for bit.
+func (s *Sparse) spmvScalar(th *core.Thread, gd core.F64Slice, q, _ []float64, lo, hi int) int {
+	flops := 0
+	for i := lo; i < hi; i++ {
+		var acc float64
+		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
+			acc += s.Val[k] * th.GetF64(gd, int(s.ColIdx[k]))
+		}
+		q[i-lo] = acc
+		flops += int(s.RowPtr[i+1] - s.RowPtr[i])
+	}
+	return flops
+}
+
+// Operands whose product needs more than 53 bits: x·y = 1 + 2⁻²⁹ + 2⁻⁶⁰, so
+// x*y + z is nonzero only on a build that contracts it into one rounding
+// (arm64, GOAMD64=v3; see lu's fusesMulAdd). Variables, so the compiler cannot
+// fold the arithmetic exactly.
+var fuseX, fuseY, fuseZ = 1 + 0x1p-30, 1 + 0x1p-30, -(1 + 0x1p-29)
+
+// TestSpMVGatherBitIdentical: RunArgo over GatherF64 is RunArgo over GetF64 —
+// the same checksum bits, and on one thread (where nothing depends on host
+// arrival order) the same counters and the same makespan to the nanosecond.
+// The ledger's cg_gather run must carry exactly the checksum bits
+// benchmark/fingerprints.json pins.
+func TestSpMVGatherBitIdentical(t *testing.T) {
+	p := Params{N: 2048, PerRow: 8, Iters: 3}
+	for _, g := range []struct{ nodes, tpn int }{{1, 1}, {2, 2}} {
+		cfg := wload.ArgoConfig(g.nodes, 16<<20)
+		got, want := RunArgo(cfg, p, g.tpn), runArgo(cfg, p, g.tpn, (*Sparse).spmvScalar)
+		if math.Float64bits(got.Check) != math.Float64bits(want.Check) {
+			t.Fatalf("%dx%d: gather check %x, scalar %x", g.nodes, g.tpn, math.Float64bits(got.Check), math.Float64bits(want.Check))
+		}
+		if g.nodes*g.tpn == 1 && (got.Time != want.Time || got.Stats != want.Stats) {
+			t.Fatalf("1x1: gather makespan %d stats %+v\nscalar makespan %d stats %+v", got.Time, got.Stats, want.Time, want.Stats)
+		}
+	}
+
+	if testing.Short() || racetag.Enabled || fuseX*fuseY+fuseZ != 0 {
+		t.Log("ledger check skipped: -short, -race (50x the time for the same bits), or this build fuses multiply-add and the ledger pins the bits of an unfused (default amd64) build")
+		return
+	}
+	raw, err := os.ReadFile("../../../benchmark/fingerprints.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins struct {
+		Fixed map[string]map[string]string `json:"fixed"`
+	}
+	if err := json.Unmarshal(raw, &pins); err != nil {
+		t.Fatal(err)
+	}
+	want := pins.Fixed["cg_gather"]["checksum_bits"]
+	if want == "" {
+		t.Fatal("fingerprints.json pins no cg_gather checksum_bits")
+	}
+	// benchmark/workloads.go, prepareCG: 4 nodes of 4 threads, 64 MB.
+	r := RunArgo(wload.ArgoConfig(4, 64<<20), Params{N: 65536, PerRow: 32, Iters: 32}, 4)
+	if got := strconv.FormatUint(math.Float64bits(r.Check), 16); got != want {
+		t.Fatalf("cg_gather checksum bits %s, ledger pins %s", got, want)
 	}
 }
 

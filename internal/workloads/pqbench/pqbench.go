@@ -188,6 +188,7 @@ func RunDSM(kind DSMLockKind, cfg core.Config, tpn int, p Params) Result {
 	}
 
 	t := c.Run(tpn, func(th *core.Thread) {
+		rng := th.Rand() // seeded here, not in the race for the lock behind InitDone
 		// Preload from thread 0 before everyone starts.
 		if th.Rank == 0 {
 			for i := 0; i < p.Preload; i++ {
@@ -195,7 +196,6 @@ func RunDSM(kind DSMLockKind, cfg core.Config, tpn int, p Params) Result {
 			}
 		}
 		th.InitDone()
-		rng := th.Rng
 		arr := make([]int64, 64)
 		for k := 0; k < p.OpsPerThread; k++ {
 			localWork(th.P, rng, arr, p.WorkUnits)

@@ -9,7 +9,9 @@
 package argo_test
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,6 +22,8 @@ import (
 	"argo/internal/fault"
 	"argo/internal/mem"
 	"argo/internal/racetag"
+	"argo/internal/sim"
+	"argo/internal/stats"
 	"argo/internal/workloads/cg"
 	"argo/internal/workloads/drf"
 	"argo/internal/workloads/lu"
@@ -53,7 +57,8 @@ func withTLBDisabled(t *testing.T, fn func()) {
 
 // TestAllocFreeScalarHits: read hits and dirty-write hits through the four
 // typed scalar accessors allocate nothing (the generic Get/Set they used to
-// forward to boxed every value through any).
+// forward to boxed every value through any), and neither does a gather over
+// resident pages.
 func TestAllocFreeScalarHits(t *testing.T) {
 	if racetag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -66,11 +71,13 @@ func TestAllocFreeScalarHits(t *testing.T) {
 	c.Run(1, func(th *argo.Thread) {
 		th.SetF64(xs, 0, 1) // warm: pages resident and dirty, TLB filled
 		th.SetI64(ks, 0, 1)
+		idx, dst := []int32{0, 1, 511, 1}, make([]float64, 4)
 		allocs = testing.AllocsPerRun(200, func() {
 			v := th.GetF64(xs, 0)
 			th.SetF64(xs, 1, v+1)
 			k := th.GetI64(ks, 0)
 			th.SetI64(ks, 1, k+1)
+			th.GatherF64(xs, idx, dst)
 		})
 	})
 	if allocs != 0 {
@@ -188,6 +195,123 @@ func TestLynxReplayIdenticalCG(t *testing.T) {
 		}
 		if math.Abs(on.Check-ref) > 1e-6*math.Max(1, math.Abs(ref)) {
 			t.Fatalf("CG checksum %v on %dx%d, serial reference %v", on.Check, g.nodes, g.tpn, ref)
+		}
+	}
+}
+
+// gatherRun is what one run of gatherProgram reports.
+type gatherRun struct {
+	vals     [][]float64 // per rank, every value read, in program order
+	stats    stats.Snapshot
+	hits     int64
+	makespan sim.Time
+}
+
+// gatherProgram is the one seeded program of TestLynxGatherReplayIdentical:
+// the owners rewrite their blocks of an array twice the size of a node's page
+// cache, and between barriers every thread reads seeded index lists of 1 to 48
+// elements all over it — with one GatherF64 per list, or one GetF64 per
+// element. Lists span resident, evicted and invalidated pages, so runs of
+// hits stop at misses throughout.
+func gatherProgram(t *testing.T, cfg core.Config, tpn int, gather bool) gatherRun {
+	t.Helper()
+	const pages, rounds, reads = 64, 3, 2048
+	cfg.CacheLines, cfg.PagesPerLine, cfg.MemoryBytes = 16, 2, 1<<20
+	c := argo.MustNewCluster(cfg)
+	n, nt := pages*c.Cfg.PageSize/8, cfg.Nodes*tpn
+	xs := c.AllocF64(n)
+	value := func(round, i int) float64 { return float64(round*n + i) }
+	out := gatherRun{vals: make([][]float64, nt)}
+	wrong := make([]int, nt)
+	out.makespan = c.RunSeeded(tpn, 7, func(th *argo.Thread) {
+		lo, hi := wload.BlockRange(n, nt, th.Rank)
+		blk := make([]float64, hi-lo)
+		idx, dst := make([]int32, 48), make([]float64, 48)
+		for round := 0; round < rounds; round++ {
+			for i := range blk {
+				blk[i] = value(round, lo+i)
+			}
+			th.WriteF64s(xs, lo, blk)
+			th.Barrier()
+			for done := 0; done < reads; done += len(idx) {
+				idx = idx[:1+th.Rand().Intn(cap(idx))]
+				for k := range idx {
+					idx[k] = int32(th.Rand().Intn(n))
+				}
+				if gather {
+					th.GatherF64(xs, idx, dst)
+				} else {
+					for k, i := range idx {
+						dst[k] = th.GetF64(xs, int(i))
+					}
+				}
+				for k, i := range idx {
+					if dst[k] != value(round, int(i)) {
+						wrong[th.Rank]++
+					}
+				}
+				out.vals[th.Rank] = append(out.vals[th.Rank], dst[:len(idx)]...)
+			}
+			th.Barrier()
+		}
+	})
+	for rank, w := range wrong {
+		if w != 0 {
+			t.Fatalf("gather %v: rank %d read %d stale or foreign values", gather, rank, w)
+		}
+	}
+	out.stats, out.hits = c.Stats(), c.Hits()
+	return out
+}
+
+// TestLynxGatherReplayIdentical: GatherF64 is len(idx) GetF64 calls. In every
+// classification mode, with the TLB and without it, the two forms of
+// gatherProgram read the same values; on one thread they also leave the same
+// counters, the same hit count and the same makespan to the nanosecond. On
+// 2x2 — fault-free and under a chaos plan — which thread of a node faults a
+// page first is a host race (see TestLynxReplayIdenticalCG), so there the
+// comparison is the values and the counters that repeat exactly run to run,
+// the ones benchmark/fingerprints.json pins.
+func TestLynxGatherReplayIdentical(t *testing.T) {
+	plan, err := fault.ParsePlan("drop=0.02,delay=0.05,jitter=2us,seed=42")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := func(s stats.Snapshot) [5]int64 {
+		return [5]int64{s.WriteMisses, s.Writebacks, s.WritebackBytes, s.SIFences, s.SDFences}
+	}
+	for _, mode := range []coherence.Mode{coherence.ModeS, coherence.ModePS, coherence.ModePS3} {
+		for _, g := range []struct {
+			nodes, tpn int
+			faults     *fault.Plan
+		}{{1, 1, nil}, {2, 2, nil}, {2, 2, &plan}} {
+			var ref gatherRun
+			for i, v := range []struct{ gather, noTLB bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+				cfg := argo.DefaultConfig(g.nodes)
+				cfg.Mode, cfg.Faults, cfg.NoAccessTLB = mode, g.faults, v.noTLB
+				got := gatherProgram(t, cfg, g.tpn, v.gather)
+				what := fmt.Sprintf("mode %v, %dx%d, faults %v: gather %v, NoAccessTLB %v", mode, g.nodes, g.tpn, g.faults != nil, v.gather, v.noTLB)
+				if i == 0 {
+					ref = got
+					if g.nodes*g.tpn == 1 && (ref.hits == 0 || ref.stats.ReadMisses == 0) {
+						t.Fatalf("%s: %d hits, %d read misses: the program does not mix them", what, ref.hits, ref.stats.ReadMisses)
+					}
+					continue
+				}
+				for rank := range ref.vals {
+					if !slices.Equal(got.vals[rank], ref.vals[rank]) {
+						t.Fatalf("%s: rank %d read other values than the scalar TLB run", what, rank)
+					}
+				}
+				if g.nodes*g.tpn == 1 {
+					if got.stats != ref.stats || got.hits != ref.hits || got.makespan != ref.makespan {
+						t.Fatalf("%s:\n got: makespan %d hits %d %+v\nwant: makespan %d hits %d %+v",
+							what, got.makespan, got.hits, got.stats, ref.makespan, ref.hits, ref.stats)
+					}
+				} else if pinned(got.stats) != pinned(ref.stats) {
+					t.Fatalf("%s: write misses, writebacks, writeback bytes, SI fences, SD fences %v, want %v", what, pinned(got.stats), pinned(ref.stats))
+				}
+			}
 		}
 	}
 }
