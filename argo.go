@@ -40,11 +40,11 @@
 // # One door
 //
 // A Config describes a cluster completely — geometry, protocol, cost model,
-// the fault plan (Config.Faults) and the observers (Config.Tracer,
-// Config.Metrics, Config.Spans) — and NewCluster is the one place that builds
-// it: observers are wired into every layer before NewCluster returns, so any
-// lock, flag or barrier built afterwards reports into them. The With*
-// options are spellings of those fields for callers composing a stock config.
+// the fault plan (Config.Faults) and the observers (Config.Observers) — and
+// NewCluster is the one place that builds it: the probe spine over the
+// observers is handed to every layer before NewCluster returns, so any lock,
+// flag or barrier built afterwards reports into them. The With* options are
+// spellings of those fields for callers composing a stock config.
 package argo
 
 import (
@@ -53,6 +53,7 @@ import (
 	"argo/internal/fault"
 	"argo/internal/health"
 	"argo/internal/metrics"
+	"argo/internal/probe"
 	"argo/internal/span"
 	"argo/internal/trace"
 	"argo/internal/vela"
@@ -123,15 +124,16 @@ type ChaosBuilder = fault.Builder
 //	plan := argo.NewChaosPlan(42).Crash(0.03).Partition(0.05, 2).MustPlan()
 func NewChaosPlan(seed int64) *ChaosBuilder { return fault.NewBuilder(seed) }
 
-// NewMetrics creates an empty Argoscope suite for Config.Metrics.
+// NewMetrics creates an empty Argoscope suite; like the tracer and the span
+// recorder it is attached by appending it to Config.Observers.
 func NewMetrics() *Metrics { return metrics.NewSuite() }
 
 // NewTracer creates a protocol-event tracer keeping at most limit events
-// per node (0 means the default cap) for Config.Tracer.
+// per node (0 means the default cap).
 func NewTracer(limit int) *Tracer { return trace.New(limit) }
 
 // NewSpanRecorder creates a Pictor span recorder keeping at most limit
-// records per node (0 means the default cap) for Config.Spans.
+// records per node (0 means the default cap).
 func NewSpanRecorder(limit int) *SpanRecorder { return span.NewRecorder(limit) }
 
 // Option adjusts the Config (or the default barrier) a cluster is built
@@ -149,23 +151,28 @@ func WithFabricParams(p FabricParams) Option {
 	return func(o *clusterOptions) { o.cfg.Net = p }
 }
 
-// WithTracer sets Config.Tracer: t receives every node's protocol events.
-func WithTracer(t *Tracer) Option {
-	return func(o *clusterOptions) { o.cfg.Tracer = t }
+// observe appends sink s to Config.Observers if there is one (ok).
+func observe(s probe.Sink, ok bool) Option {
+	return func(o *clusterOptions) {
+		if ok {
+			o.cfg.Observers = append(o.cfg.Observers, s)
+		}
+	}
 }
 
-// WithMetrics sets Config.Metrics: every layer of the cluster, and every
-// lock, flag and barrier built over it later, reports into ms.
-func WithMetrics(ms *Metrics) Option {
-	return func(o *clusterOptions) { o.cfg.Metrics = ms }
-}
+// WithTracer appends t to Config.Observers (nil: nothing): t keeps every
+// node's protocol events.
+func WithTracer(t *Tracer) Option { return observe(t, t != nil) }
 
-// WithSpans sets Config.Spans. Probes are nil-checked and off by default: a
-// cluster built without a recorder runs bit-identically to one that never
-// heard of Pictor.
-func WithSpans(sr *SpanRecorder) Option {
-	return func(o *clusterOptions) { o.cfg.Spans = sr }
-}
+// WithMetrics appends ms to Config.Observers (nil: nothing): every layer of
+// the cluster, and every lock, flag and barrier built over it later, feeds
+// its series.
+func WithMetrics(ms *Metrics) Option { return observe(ms, ms != nil) }
+
+// WithSpans appends sr to Config.Observers (nil: nothing). Emission sites are
+// nil-checked and off by default: a cluster built without observers runs
+// bit-identically to one that never heard of them.
+func WithSpans(sr *SpanRecorder) Option { return observe(sr, sr != nil) }
 
 // WithChaos sets Config.Faults from one composable spec string, arming the
 // whole chaos stack — transient Corvus faults, Cygnus crash-stops and

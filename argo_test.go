@@ -9,6 +9,7 @@ import (
 	"argo"
 	"argo/internal/coherence"
 	"argo/internal/mem"
+	"argo/internal/probe"
 	"argo/internal/trace"
 )
 
@@ -497,13 +498,13 @@ func TestTracerCapturesProtocol(t *testing.T) {
 		th.Barrier()
 	})
 	sum := tr.Summary()
-	if sum[trace.EvWriteMiss] == 0 || sum[trace.EvLineFetch] == 0 {
+	if sum[probe.WriteMiss] == 0 || sum[probe.LineFetch] == 0 {
 		t.Fatalf("missing miss events: %v", sum)
 	}
-	if sum[trace.EvWriteback] == 0 {
+	if sum[probe.Writeback] == 0 {
 		t.Fatalf("missing writebacks: %v", sum)
 	}
-	if sum[trace.EvSIFence] == 0 || sum[trace.EvSDFence] == 0 {
+	if sum[probe.SIFence] == 0 || sum[probe.SDFence] == 0 {
 		t.Fatalf("missing fences: %v", sum)
 	}
 	// Virtual timestamps must be non-decreasing in the merged stream.
@@ -515,7 +516,7 @@ func TestTracerCapturesProtocol(t *testing.T) {
 	}
 	// The trace agrees with the counter: write-allocate misses (node 0's
 	// stores) are read misses in both.
-	if got, want := int64(sum[trace.EvReadMiss]), c.Stats().ReadMisses; got != want || want == 0 {
+	if got, want := int64(sum[probe.ReadMiss]), c.Stats().ReadMisses; got != want || want == 0 {
 		t.Fatalf("trace counted %d read misses, stats %d", got, want)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"argo/internal/cli"
 	"argo/internal/harness"
 	"argo/internal/metrics"
+	"argo/internal/probe"
 	"argo/internal/span"
 	"argo/internal/trace"
 )
@@ -59,20 +60,20 @@ func main() {
 	if plan != nil {
 		fmt.Printf("fault injection armed: %s\n", plan.String())
 	}
-	var ms *metrics.Suite
+	// The experiments build their clusters themselves; only the observers a
+	// flag asks for are attached.
+	ms, tr, sr := metrics.NewSuite(), trace.New(0), span.NewRecorder(0)
+	var obs []probe.Sink
 	if *metricsOut != "" || *promOut != "" {
-		ms = metrics.NewSuite()
+		obs = append(obs, ms)
 	}
-	var tr *trace.Tracer
 	if *traceOut != "" {
-		tr = trace.New(0)
+		obs = append(obs, tr)
 	}
-	var sr *span.Recorder
 	if *critpath != "" {
-		sr = span.NewRecorder(0)
+		obs = append(obs, sr)
 	}
-	// The experiments build their clusters themselves.
-	cli.HookConfigs(ms, tr, sr, plan)
+	cli.HookConfigs(obs, plan)
 
 	ids := flag.Args()
 	if len(ids) == 0 {
@@ -100,7 +101,7 @@ func main() {
 		fmt.Printf("prometheus exposition written to %s\n", *promOut)
 	}
 	var flows []trace.Flow
-	if sr != nil {
+	if *critpath != "" {
 		recs := sr.Records()
 		rep, err := span.Analyze(recs, sr.Makespan())
 		if err != nil {
@@ -110,7 +111,7 @@ func main() {
 		cli.WriteFile(*critpath, func(w io.Writer) error { return span.WriteReport(w, rep, 10) })
 		fmt.Printf("critical-path report written to %s\n", *critpath)
 	}
-	if tr != nil {
+	if *traceOut != "" {
 		if d := tr.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr, "argo-bench: %d trace events dropped (per-node buffer limit)\n", d)
 		}

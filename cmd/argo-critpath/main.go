@@ -57,7 +57,7 @@ func main() {
 		sr := span.NewRecorder(0)
 		tr = trace.New(0)
 		cfg := bench.Config()
-		cfg.Spans, cfg.Tracer = sr, tr
+		cfg.Observers = append(cfg.Observers, sr, tr)
 		r := run(cfg, *bench.TPN)
 		recs, makespan = sr.Records(), sr.Makespan()
 		fmt.Printf("%s on %d×%d: %.3f virtual ms, %d span records\n",

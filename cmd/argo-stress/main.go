@@ -50,6 +50,7 @@ import (
 
 	"argo/internal/cli"
 	"argo/internal/fault"
+	"argo/internal/probe"
 	"argo/internal/span"
 	"argo/internal/workloads/drf"
 	"argo/internal/workloads/lu"
@@ -91,7 +92,7 @@ func main() {
 		sr = span.NewRecorder(0)
 		// The programs build their clusters from their own parameters, fault
 		// plans included; the hook hands each of those configs the recorder.
-		cli.HookConfigs(nil, nil, sr, nil)
+		cli.HookConfigs([]probe.Sink{sr}, nil)
 	}
 	spec := *chaosFlag.Spec
 	var plan fault.Plan

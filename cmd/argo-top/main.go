@@ -33,7 +33,7 @@ func main() {
 	run := bench.Runner()
 	ms := metrics.NewSuite()
 	cfg := bench.Config()
-	cfg.Metrics = ms
+	cfg.Observers = append(cfg.Observers, ms)
 	cfg.Faults = chaos.Plan()
 
 	r := run(cfg, *bench.TPN)

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"argo/internal/cli"
+	"argo/internal/probe"
 	"argo/internal/trace"
 )
 
@@ -41,7 +42,7 @@ func main() {
 	}
 
 	cfg := bench.Config()
-	cfg.Tracer = tr
+	cfg.Observers = append(cfg.Observers, tr)
 	r := run(cfg, *bench.TPN)
 	fmt.Printf("%s on %d×%d: %.3f virtual ms, %d events\n",
 		*bench.Name, *bench.Nodes, *bench.TPN, float64(r.Time)/1e6, tr.Len())
@@ -51,7 +52,7 @@ func main() {
 
 	fmt.Println("\nevent counts:")
 	sum := tr.Summary()
-	kinds := make([]trace.Kind, 0, len(sum))
+	kinds := make([]probe.Kind, 0, len(sum))
 	for k := range sum {
 		kinds = append(kinds, k)
 	}
@@ -63,7 +64,7 @@ func main() {
 	// Hottest pages by invalidation count (migratory data shows up here).
 	hot := map[int]int{}
 	for _, e := range tr.Events() {
-		if e.Kind == trace.EvInvalidate {
+		if e.Kind == probe.Invalidate {
 			hot[e.Page]++
 		}
 	}

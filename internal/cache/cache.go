@@ -93,12 +93,6 @@ type Cache struct {
 	Lines        int
 	PagesPerLine int
 
-	// MX, when non-nil, receives hit/miss/eviction counts and the
-	// write-buffer drain distribution (package metrics). The coherence
-	// layer, which drives all cache transitions, does most of the
-	// recording; hot paths pay a nil check.
-	MX *Probes
-
 	lines sparse.Array[Line]
 
 	// FetchGate serializes page fetches of this node in virtual time,
@@ -308,9 +302,6 @@ func (c *Cache) WBClear() int {
 	n := c.wbLen
 	c.wbHead, c.wbLen = 0, 0
 	c.wbMu.Unlock()
-	if c.MX != nil {
-		c.MX.WBDrainPages.Record(c.Node, int64(n))
-	}
 	return n
 }
 

@@ -15,15 +15,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 
 	"argo/internal/core"
 	"argo/internal/fault"
 	"argo/internal/harness"
-	"argo/internal/metrics"
-	"argo/internal/span"
-	"argo/internal/trace"
+	"argo/internal/probe"
 	"argo/internal/workloads/blackscholes"
 	"argo/internal/workloads/cg"
 	"argo/internal/workloads/ep"
@@ -151,12 +150,11 @@ func (c *Chaos) Plan() *fault.Plan {
 
 // HookConfigs installs the process's one core.ConfigHook, for the tools whose
 // clusters are built out of their sight (harness experiments, workload
-// parameter structs): every Config built from now on reports into the given
-// observers (nil: none), and runs under plan unless it carries a fault plan of
-// its own.
-func HookConfigs(ms *metrics.Suite, tr *trace.Tracer, sr *span.Recorder, plan *fault.Plan) {
+// parameter structs): every Config built from now on also reports into obs,
+// and runs under plan unless it carries a fault plan of its own.
+func HookConfigs(obs []probe.Sink, plan *fault.Plan) {
 	core.ConfigHook = func(cfg *core.Config) {
-		cfg.Metrics, cfg.Tracer, cfg.Spans = ms, tr, sr
+		cfg.Observers = slices.Concat(cfg.Observers, obs)
 		if cfg.Faults == nil {
 			cfg.Faults = plan
 		}

@@ -8,6 +8,7 @@ import (
 	"argo/internal/fault"
 	"argo/internal/harness"
 	"argo/internal/metrics"
+	"argo/internal/probe"
 )
 
 func counterSum(ms *metrics.Suite, name string) int64 {
@@ -30,7 +31,7 @@ func TestHookConfigsSingleSeam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	HookConfigs(ms, nil, nil, &def)
+	HookConfigs([]probe.Sink{ms}, &def)
 	defer func() { core.ConfigHook = nil }()
 
 	e, ok := harness.Lookup("fig12")
@@ -52,8 +53,8 @@ func TestHookConfigsSingleSeam(t *testing.T) {
 	if c.Cfg.Faults != &own {
 		t.Fatal("the hook's default plan replaced an explicit cfg.Faults")
 	}
-	if c.MX != ms {
-		t.Fatal("the hook's suite did not reach a directly built cluster")
+	if obs := c.Cfg.Observers; len(obs) != 1 || obs[0] != ms || c.Obs == nil {
+		t.Fatalf("the hook's suite did not reach a directly built cluster: observers %v", obs)
 	}
 }
 

@@ -42,10 +42,9 @@ import (
 	"argo/internal/fabric"
 	"argo/internal/fault"
 	"argo/internal/mem"
+	"argo/internal/probe"
 	"argo/internal/sim"
-	"argo/internal/span"
 	"argo/internal/stats"
-	"argo/internal/trace"
 )
 
 // Mode selects the data classification used to filter self-invalidation.
@@ -113,45 +112,11 @@ type Node struct {
 	Opt   Options
 	St    *stats.Node
 
-	// Trc, when non-nil, receives one event per protocol action
-	// (package trace). The hot paths pay a nil check.
-	Trc *trace.Tracer
-
-	// MX, when non-nil, receives fence latency samples, SI filter
-	// effectiveness and per-page attribution (package metrics). Same
-	// nil-check discipline as the tracer.
-	MX *Probes
-
-	// SR, when non-nil, receives Pictor lane spans for fence episodes
-	// (package span). Same nil-check discipline as the tracer.
-	SR *span.Recorder
-}
-
-// ev records one trace event with the recording thread's track identity
-// (one more nil check than Tracer.Record, saving the Event construction
-// when tracing is off).
-func (n *Node) ev(p *sim.Proc, k trace.Kind, page int, arg int64) {
-	if n.Trc == nil {
-		return
-	}
-	n.Trc.Record(trace.Event{T: p.Now(), Node: n.ID, Tid: trace.TidOf(p.Socket, p.Core), Kind: k, Page: page, Arg: arg})
-}
-
-// evDur records a trace event spanning dur virtual nanoseconds ending now
-// (fences render as duration slices in the Perfetto timeline).
-func (n *Node) evDur(p *sim.Proc, k trace.Kind, page int, arg int64, dur sim.Time) {
-	if n.Trc == nil {
-		return
-	}
-	n.Trc.Record(trace.Event{T: p.Now(), Node: n.ID, Tid: trace.TidOf(p.Socket, p.Core), Kind: k, Page: page, Arg: arg, Dur: dur})
-}
-
-// spanFrom paints [t0, now] of the fencing thread's lane with cat.
-func (n *Node) spanFrom(p *sim.Proc, t0 sim.Time, cat span.Category, arg int64) {
-	if n.SR == nil {
-		return
-	}
-	n.SR.Span(n.ID, trace.TidOf(p.Socket, p.Core), int64(t0), int64(p.Now()), cat, arg)
+	// Obs, when non-nil, hears of every protocol action of this node — each
+	// miss, fetch, downgrade, classification step, eviction, fence and
+	// write-buffer drain, and the threads' published hit counts — on the lane
+	// of the thread that performed it. The page cache itself reports nothing.
+	Obs *probe.Spine
 }
 
 // NewNode creates the coherence agent of node id.
@@ -276,13 +241,14 @@ func maybeYield() { runtime.Gosched() }
 // thread's resident accesses (cache.TLB.Load and Store) never come here.
 func (n *Node) NewTLB() *cache.TLB { return n.Cache.NewTLB(n.Fab.P.CacheHit) }
 
-// PublishHits adds the hits p has counted since its last publication to the
-// Argoscope hit counter. Hits are counted per access in Proc.Hits only; the
+// PublishHits reports the hits p has counted since its last publication.
+// Hits are counted per access in Proc.Hits only — a hit reaches no probe; the
 // fences publish them, and core.Cluster.RunSeeded once more at the end of a
-// launch, so the counter is exact whenever a thread is between intervals.
+// launch, so an observer's hit count is exact whenever a thread is between
+// intervals.
 func (n *Node) PublishHits(p *sim.Proc) {
-	if n.MX != nil {
-		n.Cache.MX.Hits.Add(p.TakeHits())
+	if n.Obs != nil {
+		n.Obs.Since(p, p.Now(), probe.Hits, p.TakeHits(), 0)
 	}
 }
 
@@ -385,10 +351,7 @@ func (n *Node) accessCost(nbytes int) sim.Time {
 func (n *Node) writeMissLocked(p *sim.Proc, s *cache.Slot) (victim int, evict bool) {
 	n.St.WriteMisses.Add(1)
 	page := s.Page
-	n.ev(p, trace.EvWriteMiss, page, 0)
-	if n.MX != nil {
-		n.MX.Pages.WriteMiss(page)
-	}
+	n.Obs.Page(p, probe.WriteMiss, page, 0)
 
 	// Twin creation: a local page copy (the paper's "checkpointing for
 	// diffs happens only on a write miss").
@@ -402,25 +365,19 @@ func (n *Node) writeMissLocked(p *sim.Proc, s *cache.Slot) (victim int, evict bo
 		case old.W.Empty():
 			// NW→SW: every node caching the page believed it read-only
 			// and must learn there is now a writer.
-			n.ev(p, trace.EvClassTransition, page, trace.ClassNWtoSW)
+			n.Obs.Page(p, probe.ClassTransition, page, probe.ClassNWtoSW)
 			old.R.ForEach(func(r int) {
 				if r != n.ID {
 					n.Dir.Notify(p, page, r)
-					n.ev(p, trace.EvNotify, page, int64(r))
-					if n.MX != nil {
-						n.MX.Pages.Notify(page)
-					}
+					n.Obs.Page(p, probe.Notify, page, int64(r))
 				}
 			})
 		case old.W.Count() == 1 && !old.W.Has(n.ID):
 			// SW→MW: only the previous single writer cares; for everyone
 			// else SW (someone else) and MW are equivalent.
-			n.ev(p, trace.EvClassTransition, page, trace.ClassSWtoMW)
+			n.Obs.Page(p, probe.ClassTransition, page, probe.ClassSWtoMW)
 			n.Dir.Notify(p, page, old.W.First())
-			n.ev(p, trace.EvNotify, page, int64(old.W.First()))
-			if n.MX != nil {
-				n.MX.Pages.Notify(page)
-			}
+			n.Obs.Page(p, probe.Notify, page, int64(old.W.First()))
 		}
 	}
 
@@ -436,16 +393,12 @@ func (n *Node) writeMissLocked(p *sim.Proc, s *cache.Slot) (victim int, evict bo
 }
 
 // missLocked is the one miss prologue of the read and write paths, run only
-// when page is not resident: count the miss (a write-allocate miss fetches the
-// page first, so it is a read miss too), report it to the tracer and the
-// metrics suite, refill the line and return the page's slot. ln is page's line.
+// when page is not resident: count and report the miss (a write-allocate miss
+// fetches the page first, so it is a read miss too), refill the line and
+// return the page's slot. ln is page's line.
 func (n *Node) missLocked(p *sim.Proc, ln *cache.Line, page int) *cache.Slot {
 	n.St.ReadMisses.Add(1)
-	n.ev(p, trace.EvReadMiss, page, 0)
-	if n.MX != nil {
-		n.Cache.MX.Misses.Inc()
-		n.MX.Pages.ReadMiss(page)
-	}
+	n.Obs.Page(p, probe.ReadMiss, page, 0)
 	n.fetchLineLocked(p, ln, page)
 	return n.Cache.SlotOf(ln, page)
 }
@@ -484,9 +437,8 @@ func (n *Node) fetchLineLocked(p *sim.Proc, ln *cache.Line, page int) {
 			// for the next fence — the downgrade is forced through here.
 			n.writebackUntilDelivered(p, ln, s)
 		}
-		if s.Page >= 0 && s.St != cache.Invalid && n.MX != nil {
-			n.Cache.MX.Evictions.Inc()
-			n.MX.Pages.Evict(s.Page)
+		if s.Page >= 0 && s.St != cache.Invalid {
+			n.Obs.Page(p, probe.Evict, s.Page, 0)
 		}
 		s.Invalidate()
 		s.Page = want
@@ -505,12 +457,9 @@ func (n *Node) fetchLineLocked(p *sim.Proc, ln *cache.Line, page int) {
 			// P→S: the private owner must learn it now shares the page.
 			// Its own dirty data is already at the home (private pages
 			// self-downgrade in P/S3; in other modes everything does).
-			n.ev(p, trace.EvClassTransition, want, trace.ClassPtoS)
+			n.Obs.Page(p, probe.ClassTransition, want, probe.ClassPtoS)
 			n.Dir.Notify(p, want, old.R.First())
-			n.ev(p, trace.EvNotify, want, int64(old.R.First()))
-			if n.MX != nil {
-				n.MX.Pages.Notify(want)
-			}
+			n.Obs.Page(p, probe.Notify, want, int64(old.R.First()))
 		}
 		homes = countHomePage(homes, home)
 		fetched = append(fetched, s)
@@ -540,7 +489,7 @@ func (n *Node) fetchLineLocked(p *sim.Proc, ln *cache.Line, page int) {
 	if len(fetched) > 1 {
 		n.St.PrefetchedPages.Add(int64(len(fetched) - 1))
 	}
-	n.ev(p, trace.EvLineFetch, base, int64(len(fetched)))
+	n.Obs.Page(p, probe.LineFetch, base, int64(len(fetched)))
 	// Only one in-flight fetch per node (the prototype's MPI passive-RMA
 	// limitation): serialize the span of this fetch on the node gate.
 	n.Cache.FetchGate.OccupyAt(p, t0, p.Now()-t0)
@@ -663,15 +612,12 @@ func (n *Node) writebackSlotLocked(p *sim.Proc, ln *cache.Line, s *cache.Slot) b
 	// other; fences wait for outstanding completions once, at the end.
 	if !n.Fab.PostWrite(p, home, tx, uint64(page), s.WBTries) {
 		s.WBTries++
-		n.ev(p, trace.EvWBRetry, page, int64(s.WBTries))
+		n.Obs.Page(p, probe.WBRetry, page, int64(s.WBTries))
 		return false
 	}
 	n.St.Writebacks.Add(1)
 	n.St.WritebackBytes.Add(int64(tx))
-	n.ev(p, trace.EvWriteback, page, int64(tx))
-	if n.MX != nil {
-		n.MX.Pages.Writeback(page)
-	}
+	n.Obs.Page(p, probe.Writeback, page, int64(tx))
 	s.St = cache.Clean
 	s.WBTries = 0
 	s.DropTwin()
@@ -708,7 +654,7 @@ func (n *Node) checkpointSlotLocked(p *sim.Proc, ln *cache.Line, s *cache.Slot) 
 	ln.BumpGen() // Dirty→Clean: drain fast writers
 	p.Advance(n.Opt.CheckpointPageCost + n.Fab.P.CopyCost(n.Cache.PageSize))
 	n.St.Checkpoints.Add(1)
-	n.ev(p, trace.EvCheckpoint, s.Page, 0)
+	n.Obs.Page(p, probe.Checkpoint, s.Page, 0)
 	n.Space.WritePageFull(s.Page, s.Data)
 	s.St = cache.Clean
 	s.DropTwin()
@@ -756,5 +702,13 @@ func (n *Node) ResetForPhase() {
 		// clobbered.
 		n.Space.ApplyDiff(s.Page, s.Data, s.Twin)
 	})
-	n.Cache.WBClear()
+	n.clearWB()
+}
+
+// clearWB empties the write buffer and reports how many entries that dropped
+// (how much work an SD fence has left is what the FIFO buffer exists to bound).
+func (n *Node) clearWB() {
+	if k := n.Cache.WBClear(); n.Obs != nil {
+		n.Obs.Emit(probe.Event{Kind: probe.WBDrain, Node: n.ID, Arg: int64(k)})
+	}
 }

@@ -41,9 +41,8 @@ import (
 	"argo/internal/cache"
 	"argo/internal/directory"
 	"argo/internal/fabric"
+	"argo/internal/probe"
 	"argo/internal/sim"
-	"argo/internal/span"
-	"argo/internal/trace"
 )
 
 // fenceShardMin is the minimum number of used lines per sweep worker. Below
@@ -176,10 +175,7 @@ func (n *Node) downgradeSlotLocked(wp *sim.Proc, ln *cache.Line, s *cache.Slot) 
 	}
 	n.St.Writebacks.Add(1)
 	n.St.WritebackBytes.Add(int64(tx))
-	n.ev(wp, trace.EvWriteback, page, int64(tx))
-	if n.MX != nil {
-		n.MX.Pages.Writeback(page)
-	}
+	n.Obs.Page(wp, probe.Writeback, page, int64(tx))
 	it := burstItem{page: page, home: n.Space.HomeOf(page), tx: tx, attempt: s.WBTries}
 	s.St = cache.Clean
 	s.WBTries = 0
@@ -206,11 +202,7 @@ func (n *Node) postBurst(p *sim.Proc, sc *fenceScratch) {
 			homes++
 		}
 	}
-	n.ev(p, trace.EvWBBurst, -1, int64(len(items))<<8|int64(homes))
-	if n.MX != nil {
-		n.MX.BurstPages.Record(n.ID, int64(len(items)))
-		n.MX.BurstHomes.Record(n.ID, int64(homes))
-	}
+	n.Obs.Since(p, p.Now(), probe.WBBurst, int64(len(items)), int64(homes))
 	for pass := 0; ; pass++ {
 		failed := n.Fab.PostWriteBurst(p, post)
 		if len(failed) == 0 {
@@ -221,7 +213,7 @@ func (n *Node) postBurst(p *sim.Proc, sc *fenceScratch) {
 		for _, idx := range failed {
 			it := post[idx]
 			it.Attempt++
-			n.ev(p, trace.EvWBRetry, int(it.Key), int64(it.Attempt))
+			n.Obs.Page(p, probe.WBRetry, int(it.Key), int64(it.Attempt))
 			spare = append(spare, it)
 		}
 		n.wbRetryPenalty(p, len(failed), pass)
@@ -257,15 +249,7 @@ func (n *Node) SIFence(p *sim.Proc) {
 	}
 	inv, kept := sc.inv, sc.kept
 	fenceScratchPool.Put(sc)
-	n.spanFrom(p, t0, span.SISweep, inv)
-	n.evDur(p, trace.EvSIFence, -1, inv, p.Now()-t0)
-	if n.MX != nil {
-		n.MX.SIFenceNs.Record(n.ID, p.Now()-t0)
-		n.MX.SIInvPerFence.Record(n.ID, inv)
-		n.MX.SIKeptPerFence.Record(n.ID, kept)
-		n.MX.PagesInvalidated.Add(inv)
-		n.MX.PagesKept.Add(kept)
-	}
+	n.Obs.Since(p, t0, probe.SIFence, inv, kept)
 }
 
 // siSweepShard sweeps one worker's share of the used lines: snapshot the
@@ -306,7 +290,7 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 			}
 			if !ShouldSelfInvalidate(n.Opt.Mode, entries[i], n.ID) {
 				n.St.SIFiltered.Add(1)
-				n.ev(wp, trace.EvKeep, s.Page, 0)
+				n.Obs.Page(wp, probe.Keep, s.Page, 0)
 				sc.kept++
 				continue
 			}
@@ -320,10 +304,7 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 			if s.St == cache.Dirty {
 				sc.items = append(sc.items, n.downgradeSlotLocked(wp, ln, s))
 			}
-			n.ev(wp, trace.EvInvalidate, s.Page, 0)
-			if n.MX != nil {
-				n.MX.Pages.Invalidate(s.Page)
-			}
+			n.Obs.Page(wp, probe.Invalidate, s.Page, 0)
 			s.Invalidate()
 			n.St.SelfInvalidations.Add(1)
 			sc.inv++
@@ -348,13 +329,14 @@ func (n *Node) SDFence(p *sim.Proc) {
 	n.St.SDFences.Add(1)
 	n.PublishHits(p)
 	t0 := p.Now()
-	if n.MX != nil {
-		n.MX.DrainResiduePages.Record(n.ID, int64(n.Cache.WBLen()))
+	var residue int64 // what the write buffer left for this fence to do
+	if n.Obs != nil {
+		residue = int64(n.Cache.WBLen())
 	}
 	sc := getFenceScratch()
 	sc.lines = n.Cache.AppendUsedLines(sc.lines[:0])
 	n.sweep(p, sc, (*Node).sdSweepShard)
-	n.Cache.WBClear()
+	n.clearWB()
 	downgraded := int64(len(sc.items))
 	if downgraded > 0 {
 		n.postBurst(p, sc)
@@ -363,11 +345,7 @@ func (n *Node) SDFence(p *sim.Proc) {
 		p.Advance(n.Fab.P.RemoteLatency)
 	}
 	fenceScratchPool.Put(sc)
-	n.spanFrom(p, t0, span.SDBurst, downgraded)
-	n.evDur(p, trace.EvSDFence, -1, downgraded, p.Now()-t0)
-	if n.MX != nil {
-		n.MX.SDFenceNs.Record(n.ID, p.Now()-t0)
-	}
+	n.Obs.Since(p, t0, probe.SDFence, downgraded, residue)
 }
 
 // sdSweepShard sweeps one worker's share of the used lines, downgrading

@@ -21,11 +21,9 @@ import (
 	"argo/internal/fault"
 	"argo/internal/health"
 	"argo/internal/mem"
-	"argo/internal/metrics"
+	"argo/internal/probe"
 	"argo/internal/sim"
-	"argo/internal/span"
 	"argo/internal/stats"
-	"argo/internal/trace"
 )
 
 // Config describes a simulated Argo cluster.
@@ -69,15 +67,14 @@ type Config struct {
 	// the cluster's fabric (see package fault). Nil means fault-free.
 	Faults *fault.Plan
 
-	// Observers. NewCluster wires each non-nil one into every layer — the
-	// fabric, the failure detector, each coherence agent and page cache —
-	// before it returns, so locks, flags and barriers built over the
-	// cluster always report into them. Several clusters may share one
-	// observer (series are keyed by name+labels and accumulate). A nil
-	// observer costs one nil check per probe site.
-	Tracer  *trace.Tracer  // protocol events (package trace)
-	Metrics *metrics.Suite // Argoscope histograms, counters, hot spots
-	Spans   *span.Recorder // Pictor causal spans and happens-before edges
+	// Observers are the sinks of the cluster's probe spine: a trace.Tracer
+	// (protocol events), a metrics.Suite (Argoscope histograms, counters, hot
+	// spots), a span.Recorder (Pictor spans and happens-before edges), or
+	// anything else with an Observe method. NewCluster hands the spine to
+	// every layer before it returns, so locks, flags and barriers built later
+	// report too. Clusters may share an observer. With none, every emission
+	// site costs one nil check.
+	Observers []probe.Sink
 }
 
 // DefaultConfig returns the configuration used as the evaluation baseline:
@@ -191,10 +188,10 @@ type Cluster struct {
 	// assignment is deprecated outside internal packages.
 	BarrierFactory func(c *Cluster, threadsPerNode int) BarrierWaiter
 
-	// MX is Cfg.Metrics: the Argoscope suite every layer of this cluster
-	// reports into, or nil. Locks and barriers built over this cluster
-	// read it at construction time.
-	MX *metrics.Suite
+	// Obs fans every layer's events out to Cfg.Observers; nil when there
+	// are none. Locks, flags and barriers built over this cluster emit into
+	// it too.
+	Obs *probe.Spine
 
 	// FI is the Corvus fault injector built from Cfg.Faults (nil when
 	// fault-free). It is shared with the fabric.
@@ -204,10 +201,6 @@ type Cluster struct {
 	// constructed; Health.Armed() is false (one atomic load) unless the
 	// fault plan carries a crash rate or a crash was scripted.
 	Health *health.Detector
-
-	// SR is Cfg.Spans: the Pictor span recorder every layer of this
-	// cluster reports happens-before edges into, or nil. Read like MX.
-	SR *span.Recorder
 
 	runMu    sync.Mutex
 	hits     atomic.Int64
@@ -223,8 +216,8 @@ type Cluster struct {
 // deterministic fault replay.
 func (c *Cluster) NextSyncKey() uint64 { return c.syncKeys.Add(1) }
 
-// NextSpanKey hands out a cluster-unique edge key for the Pictor span layer
-// (barrier instances and the like). It is deliberately a separate counter
+// NextSpanKey hands out a cluster-unique edge key for observers (barrier
+// instances and the like). It is deliberately a separate counter
 // from NextSyncKey: sharing the fault-identity counter would shift every
 // lock's Corvus identity whenever a barrier is built, breaking seeded
 // fault replay.
@@ -272,21 +265,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return cl, nil
 }
 
-// wireObservers hands the observers of c.Cfg to every layer of the cluster.
+// wireObservers builds the spine over c.Cfg.Observers and hands it to every
+// layer of the cluster.
 func (c *Cluster) wireObservers() {
-	tr, ms, sr := c.Cfg.Tracer, c.Cfg.Metrics, c.Cfg.Spans
-	c.MX, c.SR = ms, sr
-	c.Fab.SR, c.Health.SR = sr, sr
-	if ms != nil {
-		c.Fab.MX = fabric.NewProbes(ms.Reg)
-		c.Health.MX = health.NewProbes(ms.Reg)
-	}
+	c.Obs = probe.NewSpine(c.Cfg.Observers)
+	c.Fab.Obs, c.Health.Obs = c.Obs, c.Obs
 	for _, n := range c.Nodes {
-		n.Trc, n.SR = tr, sr
-		if ms != nil {
-			n.MX = coherence.NewProbes(ms.Reg, ms.Pages)
-			n.Cache.MX = cache.NewProbes(ms.Reg)
-		}
+		n.Obs = c.Obs
 	}
 }
 
@@ -444,7 +429,9 @@ func (c *Cluster) RunSeeded(threadsPerNode int, seed int64, body func(t *Thread)
 		c.hits.Add(p.Hits)
 		c.Nodes[p.Node].PublishHits(p) // what the thread counted since its last fence
 	}
-	c.SR.NoteMakespan(int64(makespan))
+	if c.Obs != nil {
+		c.Obs.Emit(probe.Event{Kind: probe.RunEnd, Start: makespan, T: makespan})
+	}
 	return makespan
 }
 

@@ -10,14 +10,14 @@ import (
 )
 
 // TestConfigMetricsWiring runs a small cross-node workload with a metrics
-// suite in the Config and checks each instrumented layer produced data: fabric
+// suite among the Config's observers and checks each instrumented layer produced data: fabric
 // op histograms/counters, fence histograms, cache hit/miss counters, and
 // page attribution. (Lock and barrier probes are exercised by their own
 // packages' tests; they build on the same suite.)
 func TestConfigMetricsWiring(t *testing.T) {
 	ms := metrics.NewSuite()
 	cfg := testConfig(2)
-	cfg.Metrics = ms
+	cfg.Observers = append(cfg.Observers, ms)
 	c := MustNewCluster(cfg)
 
 	xs := c.AllocF64(4096) // spans pages homed on both nodes
@@ -88,7 +88,9 @@ func TestHitsProbeMatchesProcHits(t *testing.T) {
 	const block = 16 * 512 // 16 pages = 4 whole lines per node: no line is shared
 	run := func(ms *metrics.Suite) int64 {
 		cfg := testConfig(2)
-		cfg.Metrics = ms
+		if ms != nil {
+			cfg.Observers = append(cfg.Observers, ms)
+		}
 		c := MustNewCluster(cfg)
 		xs := c.AllocF64(2 * block)
 		buf := make([][]float64, 2)

@@ -32,10 +32,9 @@ import (
 	"sync/atomic"
 
 	"argo/internal/fault"
+	"argo/internal/probe"
 	"argo/internal/sim"
-	"argo/internal/span"
 	"argo/internal/stats"
-	"argo/internal/trace"
 )
 
 // Params is the interconnect and memory-hierarchy cost model. All times are
@@ -120,18 +119,14 @@ type Fabric struct {
 	P    Params
 	Topo sim.Topology
 
-	// MX, when non-nil, receives a latency sample and an op count for
-	// every remote operation (package metrics). Hot paths pay a nil check.
-	MX *Probes
+	// Obs, when non-nil, hears of every remote operation (issue to completion
+	// on the issuer's lane), of the narrower target-NIC occupancy inside it,
+	// and of every injected fault, backoff and reissue. Loopback emits nothing.
+	Obs *probe.Spine
 
 	// FI, when non-nil, injects faults into remote operations. A nil
 	// injector is the fault-free fast path (one pointer test per op).
 	FI *fault.Injector
-
-	// SR, when non-nil, receives Pictor lane spans for every remote
-	// operation: a Remote span over the whole op and narrower NIC spans
-	// over target-NIC occupancy. Hot paths pay a nil check.
-	SR *span.Recorder
 
 	nics  []sim.Resource // per-node NIC DMA engines
 	nodes []*stats.Node
@@ -193,12 +188,13 @@ func (f *Fabric) Severed(a, b int) bool {
 	return c.iso[a] != c.iso[b]
 }
 
-// spanFrom paints [t0, now] of the issuing thread's lane with cat.
-func (f *Fabric) spanFrom(p *sim.Proc, t0 sim.Time, cat span.Category, arg int64) {
-	if f.SR == nil {
-		return
+// draw is the verdict on one attempt of an operation of class cl from p to
+// home: the injector's, or — across the cut — the zero one, delivering nothing.
+func (f *Fabric) draw(p *sim.Proc, cl fault.Class, home int, key uint64, attempt int) (v fault.Verdict) {
+	if !f.Severed(p.Node, home) {
+		v = f.FI.Draw(p.Node, cl, home, key, attempt)
 	}
-	f.SR.Span(p.Node, trace.TidOf(p.Socket, p.Core), int64(t0), int64(p.Now()), cat, arg)
+	return v
 }
 
 // New creates a fabric for the given topology and cost model, with one
@@ -265,7 +261,14 @@ func (f *Fabric) occupyNIC(p *sim.Proc, n int, wire sim.Time) {
 	} else {
 		p.Advance(wire)
 	}
-	f.spanFrom(p, t0, span.NIC, int64(n))
+	f.Obs.Since(p, t0, probe.NIC, int64(n), 0)
+}
+
+// done completes a single remote operation p issued at t0: one network
+// transaction, and the op's event (arg names its target).
+func (f *Fabric) done(p *sim.Proc, t0 sim.Time, op probe.Kind, arg int64) {
+	f.nodes[p.Node].Messages.Add(1)
+	f.Obs.Since(p, t0, op, arg, 0)
 }
 
 // RemoteRead charges for an RDMA read of n bytes homed at node home, issued
@@ -281,13 +284,7 @@ func (f *Fabric) RemoteRead(p *sim.Proc, home, n int, key uint64) {
 	t0 := p.Now()
 	attempt := 0
 	for {
-		if f.Severed(p.Node, home) {
-			f.lost(p, fault.ClassRead)
-			f.Backoff(p, attempt)
-			attempt++
-			continue
-		}
-		v := f.FI.Draw(p.Node, fault.ClassRead, home, key, attempt)
+		v := f.draw(p, fault.ClassRead, home, key, attempt)
 		if v.Deliver {
 			f.noteInjected(p, v)
 			p.Advance(f.P.RemoteLatency + v.Delay) // request reaches the home NIC
@@ -299,17 +296,10 @@ func (f *Fabric) RemoteRead(p *sim.Proc, home, n int, key uint64) {
 		f.Backoff(p, attempt)
 		attempt++
 	}
-	if attempt > 0 {
-		f.recordRecovery(p, fault.ClassRead, p.Now()-t0)
-	}
-	f.account(p.Node, home, n)
+	f.recovered(p, t0, fault.ClassRead, attempt)
 	f.nodes[home].BytesSent.Add(int64(n))
 	f.nodes[p.Node].BytesReceived.Add(int64(n))
-	f.spanFrom(p, t0, span.Remote, int64(home))
-	if f.MX != nil {
-		f.MX.ReadNs.Record(p.Node, p.Now()-t0)
-		f.MX.ReadOps.Inc()
-	}
+	f.done(p, t0, probe.OpRead, int64(home))
 }
 
 // RemoteWrite charges for an RDMA write of n bytes to node home, issued by
@@ -327,9 +317,7 @@ func (f *Fabric) RemoteWrite(p *sim.Proc, home, n int, key uint64) {
 		f.Backoff(p, attempt)
 		attempt++
 	}
-	if attempt > 0 {
-		f.recordRecovery(p, fault.ClassWrite, p.Now()-t0)
-	}
+	f.recovered(p, t0, fault.ClassWrite, attempt)
 }
 
 // TryRemoteWrite issues one attempt of a synchronous remote write and
@@ -341,11 +329,7 @@ func (f *Fabric) TryRemoteWrite(p *sim.Proc, home, n int, key uint64, attempt in
 		p.Advance(f.P.DRAMLatency + f.P.CopyCost(n))
 		return true
 	}
-	if f.Severed(p.Node, home) {
-		f.lost(p, fault.ClassWrite)
-		return false
-	}
-	v := f.FI.Draw(p.Node, fault.ClassWrite, home, key, attempt)
+	v := f.draw(p, fault.ClassWrite, home, key, attempt)
 	if !v.Deliver {
 		f.lost(p, fault.ClassWrite)
 		return false
@@ -354,14 +338,9 @@ func (f *Fabric) TryRemoteWrite(p *sim.Proc, home, n int, key uint64, attempt in
 	f.noteInjected(p, v)
 	p.Advance(f.P.RemoteLatency + v.Delay)
 	f.occupyNIC(p, home, f.P.TransferCost(n)+v.Stall)
-	f.account(p.Node, home, n)
 	f.nodes[p.Node].BytesSent.Add(int64(n))
 	f.nodes[home].BytesReceived.Add(int64(n))
-	f.spanFrom(p, t0, span.Remote, int64(home))
-	if f.MX != nil {
-		f.MX.WriteNs.Record(p.Node, p.Now()-t0)
-		f.MX.WriteOps.Inc()
-	}
+	f.done(p, t0, probe.OpWrite, int64(home))
 	return true
 }
 
@@ -412,13 +391,7 @@ func (f *Fabric) FetchLine(p *sim.Proc, homes []HomePages, bytesEach int, key ui
 	attempt := 0
 	var v fault.Verdict
 	for {
-		if f.Severed(p.Node, target) {
-			f.lost(p, fault.ClassFetch)
-			f.Backoff(p, attempt)
-			attempt++
-			continue
-		}
-		v = f.FI.Draw(p.Node, fault.ClassFetch, target, key, attempt)
+		v = f.draw(p, fault.ClassFetch, target, key, attempt)
 		if v.Deliver {
 			break
 		}
@@ -442,7 +415,7 @@ func (f *Fabric) FetchLine(p *sim.Proc, homes []HomePages, bytesEach int, key ui
 		} else {
 			p.AdvanceTo(arrival + service)
 		}
-		f.spanFrom(p, arrival, span.NIC, int64(h))
+		f.Obs.Since(p, arrival, probe.NIC, int64(h), 0)
 	}
 	for _, hp := range homes {
 		if hp.Home == p.Node {
@@ -450,19 +423,13 @@ func (f *Fabric) FetchLine(p *sim.Proc, homes []HomePages, bytesEach int, key ui
 		}
 		n := hp.Pages * bytesEach
 		occupy(hp.Home, sim.Time(hp.Pages)*wire)
-		f.account(p.Node, hp.Home, n)
+		f.nodes[p.Node].Messages.Add(1)
 		f.nodes[hp.Home].BytesSent.Add(int64(n))
 		f.nodes[p.Node].BytesReceived.Add(int64(n))
 	}
 	p.Advance(f.P.RemoteLatency)
-	if attempt > 0 {
-		f.recordRecovery(p, fault.ClassFetch, p.Now()-tRemote)
-	}
-	f.spanFrom(p, tRemote, span.Remote, int64(key))
-	if f.MX != nil {
-		f.MX.FetchNs.Record(p.Node, p.Now()-tRemote)
-		f.MX.FetchOps.Inc()
-	}
+	f.recovered(p, tRemote, fault.ClassFetch, attempt)
+	f.Obs.Since(p, tRemote, probe.OpFetch, int64(key), 0)
 }
 
 // RemoteWritePosted charges for a posted one-sided write of n bytes to
@@ -476,13 +443,11 @@ func (f *Fabric) RemoteWritePosted(p *sim.Proc, home, n int, key uint64) {
 	attempt := 0
 	for !f.PostWrite(p, home, n, key, attempt) {
 		p.Advance(f.FI.Plan().Timeout) // the flush notices the missing completion
-		f.retried(p, fault.ClassPost)
+		f.CountRetries(p, fault.ClassPost, 1)
 		f.Backoff(p, attempt)
 		attempt++
 	}
-	if attempt > 0 {
-		f.recordRecovery(p, fault.ClassPost, p.Now()-t0)
-	}
+	f.recovered(p, t0, fault.ClassPost, attempt)
 }
 
 // PostWrite posts one attempt of a fire-and-forget one-sided write and
@@ -495,37 +460,21 @@ func (f *Fabric) PostWrite(p *sim.Proc, home, n int, key uint64, attempt int) bo
 		p.Advance(f.P.DRAMLatency + f.P.CopyCost(n))
 		return true
 	}
-	if f.Severed(p.Node, home) {
-		// The descriptor posts but the write cannot cross the cut.
-		p.Advance(f.P.PostOverhead)
-		f.nodes[p.Node].FaultsInjected.Add(1)
-		if f.MX != nil {
-			f.MX.InjectedDrops.Inc()
-		}
-		return false
-	}
 	t0 := p.Now()
-	v := f.FI.Draw(p.Node, fault.ClassPost, home, key, attempt)
+	// A write that cannot cross the cut still posts its descriptor.
+	v := f.draw(p, fault.ClassPost, home, key, attempt)
 	p.Advance(f.P.PostOverhead + v.Delay)
 	if !v.Deliver {
 		// The descriptor was injected but the write vanished: no NIC
 		// occupancy at the target, no bytes delivered.
-		f.nodes[p.Node].FaultsInjected.Add(1)
-		if f.MX != nil {
-			f.MX.InjectedDrops.Inc()
-		}
+		f.injected(p, probe.FaultDrop)
 		return false
 	}
 	f.noteInjected(p, v)
 	f.occupyNIC(p, home, f.P.TransferCost(n)+v.Stall)
-	f.account(p.Node, home, n)
 	f.nodes[p.Node].BytesSent.Add(int64(n))
 	f.nodes[home].BytesReceived.Add(int64(n))
-	f.spanFrom(p, t0, span.Remote, int64(home))
-	if f.MX != nil {
-		f.MX.PostNs.Record(p.Node, p.Now()-t0)
-		f.MX.PostOps.Inc()
-	}
+	f.done(p, t0, probe.OpPost, int64(home))
 	return true
 }
 
@@ -597,22 +546,14 @@ func (f *Fabric) PostWriteBurst(p *sim.Proc, items []PostItem) (failed []int) {
 		severed := f.Severed(p.Node, h)
 		for ; i < len(items) && items[i].Home == h; i++ {
 			it := items[i]
-			if severed {
-				f.nodes[p.Node].FaultsInjected.Add(1)
-				if f.MX != nil {
-					f.MX.InjectedDrops.Inc()
-				}
-				failed = append(failed, i)
-				continue
+			var v fault.Verdict // across the cut: the zero verdict, as in draw
+			if !severed {
+				v = f.FI.Draw(p.Node, fault.ClassPost, h, it.Key, it.Attempt)
 			}
-			v := f.FI.Draw(p.Node, fault.ClassPost, h, it.Key, it.Attempt)
 			if !v.Deliver {
 				// The write vanished in flight: no NIC occupancy at the
 				// target, no bytes delivered (same accounting as PostWrite).
-				f.nodes[p.Node].FaultsInjected.Add(1)
-				if f.MX != nil {
-					f.MX.InjectedDrops.Inc()
-				}
+				f.injected(p, probe.FaultDrop)
 				failed = append(failed, i)
 				continue
 			}
@@ -621,7 +562,7 @@ func (f *Fabric) PostWriteBurst(p *sim.Proc, items []PostItem) (failed []int) {
 				delayMax = v.Delay
 			}
 			service += f.P.TransferCost(it.Bytes) + v.Stall
-			f.account(p.Node, h, it.Bytes)
+			f.nodes[p.Node].Messages.Add(1)
 			f.nodes[p.Node].BytesSent.Add(int64(it.Bytes))
 			f.nodes[h].BytesReceived.Add(int64(it.Bytes))
 			sent++
@@ -637,14 +578,10 @@ func (f *Fabric) PostWriteBurst(p *sim.Proc, items []PostItem) (failed []int) {
 		} else {
 			p.AdvanceTo(tPost + delayMax + service)
 		}
-		f.spanFrom(p, nicFrom, span.NIC, int64(h))
+		f.Obs.Since(p, nicFrom, probe.NIC, int64(h), 0)
 	}
 	if delivered > 0 {
-		f.spanFrom(p, t0, span.SDBurst, int64(delivered))
-		if f.MX != nil {
-			f.MX.BurstNs.Record(p.Node, p.Now()-t0)
-			f.MX.BurstOps.Inc()
-		}
+		f.Obs.Since(p, t0, probe.OpPostBurst, int64(delivered), 0)
 	}
 	return failed
 }
@@ -710,20 +647,12 @@ func (f *Fabric) AtomicBurst(p *sim.Proc, items []AtomicItem) (failed []int) {
 		severed := f.Severed(p.Node, h)
 		for ; i < len(items) && items[i].Home == h; i++ {
 			it := items[i]
-			if severed {
-				f.nodes[p.Node].FaultsInjected.Add(1)
-				if f.MX != nil {
-					f.MX.InjectedDrops.Inc()
-				}
-				failed = append(failed, i)
-				continue
+			var v fault.Verdict // across the cut: the zero verdict, as in draw
+			if !severed {
+				v = f.FI.Draw(p.Node, fault.ClassAtomic, h, it.Key, it.Attempt)
 			}
-			v := f.FI.Draw(p.Node, fault.ClassAtomic, h, it.Key, it.Attempt)
 			if !v.Deliver {
-				f.nodes[p.Node].FaultsInjected.Add(1)
-				if f.MX != nil {
-					f.MX.InjectedDrops.Inc()
-				}
+				f.injected(p, probe.FaultDrop)
 				failed = append(failed, i)
 				continue
 			}
@@ -732,7 +661,7 @@ func (f *Fabric) AtomicBurst(p *sim.Proc, items []AtomicItem) (failed []int) {
 				delayMax = v.Delay
 			}
 			service += f.P.DirService + v.Stall
-			f.account(p.Node, h, 16)
+			f.nodes[p.Node].Messages.Add(1)
 			f.nodes[p.Node].DirOps.Add(1)
 			if v.AtomicFail {
 				// Reached the NIC but the OR did not take effect.
@@ -749,16 +678,12 @@ func (f *Fabric) AtomicBurst(p *sim.Proc, items []AtomicItem) (failed []int) {
 			} else {
 				p.AdvanceTo(tPost + delayMax + service)
 			}
-			f.spanFrom(p, nicFrom, span.NIC, int64(h))
+			f.Obs.Since(p, nicFrom, probe.NIC, int64(h), 0)
 		}
 		delivered += sent
 	}
 	if delivered > 0 {
-		f.spanFrom(p, t0, span.Remote, int64(delivered))
-		if f.MX != nil {
-			f.MX.RegNs.Record(p.Node, p.Now()-t0)
-			f.MX.RegOps.Inc()
-		}
+		f.Obs.Since(p, t0, probe.OpRegBurst, int64(delivered), 0)
 	}
 	return failed
 }
@@ -778,9 +703,7 @@ func (f *Fabric) RemoteAtomic(p *sim.Proc, home int, key uint64) {
 		f.Backoff(p, attempt)
 		attempt++
 	}
-	if attempt > 0 {
-		f.recordRecovery(p, fault.ClassAtomic, p.Now()-t0)
-	}
+	f.recovered(p, t0, fault.ClassAtomic, attempt)
 }
 
 // TryRemoteAtomic issues one attempt of a remote atomic and reports whether
@@ -794,11 +717,7 @@ func (f *Fabric) TryRemoteAtomic(p *sim.Proc, home int, key uint64, attempt int)
 		p.Advance(f.P.DRAMLatency)
 		return true
 	}
-	if f.Severed(p.Node, home) {
-		f.lost(p, fault.ClassAtomic)
-		return false
-	}
-	v := f.FI.Draw(p.Node, fault.ClassAtomic, home, key, attempt)
+	v := f.draw(p, fault.ClassAtomic, home, key, attempt)
 	if !v.Deliver {
 		f.lost(p, fault.ClassAtomic)
 		return false
@@ -808,24 +727,13 @@ func (f *Fabric) TryRemoteAtomic(p *sim.Proc, home int, key uint64, attempt int)
 	p.Advance(f.P.RemoteLatency + v.Delay)
 	f.occupyNIC(p, home, f.P.DirService+v.Stall)
 	p.Advance(f.P.RemoteLatency)
-	f.account(p.Node, home, 16)
 	f.nodes[p.Node].DirOps.Add(1)
-	f.spanFrom(p, t0, span.Remote, int64(home))
-	if f.MX != nil {
-		f.MX.AtomicNs.Record(p.Node, p.Now()-t0)
-		f.MX.AtomicOps.Inc()
-	}
+	f.done(p, t0, probe.OpAtomic, int64(home))
 	if v.AtomicFail {
-		f.retried(p, fault.ClassAtomic)
+		f.CountRetries(p, fault.ClassAtomic, 1)
 		return false
 	}
 	return true
-}
-
-// account records one network transaction of n payload bytes between nodes.
-func (f *Fabric) account(from, to, n int) {
-	f.nodes[from].Messages.Add(1)
-	_ = to
 }
 
 // IntraNodeAccess charges the cost of one shared-memory access between two

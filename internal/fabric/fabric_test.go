@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"argo/internal/fault"
+	"argo/internal/probe"
 	"argo/internal/sim"
 	"argo/internal/span"
 )
@@ -164,11 +165,12 @@ func TestLineFetchAllLocal(t *testing.T) {
 func TestFetchLineHomeOrderAndMapAdapter(t *testing.T) {
 	run := func(fetch func(f *Fabric, p *sim.Proc)) (sim.Time, []span.Record) {
 		f := MustNew(testTopo(), DefaultParams())
-		f.SR = span.NewRecorder(0)
+		sr := span.NewRecorder(0)
+		f.Obs = probe.NewSpine([]probe.Sink{sr})
 		p := &sim.Proc{Node: 2}
 		fetch(f, p)
 		var nic []span.Record
-		for _, r := range f.SR.Records() {
+		for _, r := range sr.Records() {
 			if r.Cat == span.NIC {
 				nic = append(nic, r)
 			}

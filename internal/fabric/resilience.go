@@ -4,8 +4,8 @@ import (
 	"math/bits"
 
 	"argo/internal/fault"
+	"argo/internal/probe"
 	"argo/internal/sim"
-	"argo/internal/span"
 )
 
 // This file holds the requester-side recovery machinery shared by the
@@ -20,7 +20,7 @@ func (f *Fabric) Backoff(p *sim.Proc, attempt int) {
 	b := f.backoffDelay(attempt)
 	t0 := p.Now()
 	p.Advance(b)
-	f.spanFrom(p, t0, span.Backoff, int64(attempt))
+	f.Obs.Since(p, t0, probe.Backoff, int64(attempt), 0)
 	f.nodes[p.Node].FaultBackoffNs.Add(int64(b))
 }
 
@@ -54,36 +54,30 @@ func (f *Fabric) DetectTimeout() sim.Time { return f.FI.Plan().Timeout }
 func (f *Fabric) lost(p *sim.Proc, cl fault.Class) {
 	t0 := p.Now()
 	p.Advance(f.FI.Plan().Timeout)
-	f.spanFrom(p, t0, span.Backoff, int64(cl))
 	st := f.nodes[p.Node]
 	st.FaultsInjected.Add(1)
 	st.FaultRetries.Add(1)
-	if f.MX != nil {
-		f.MX.FaultRetries[cl].Inc()
-		f.MX.InjectedDrops.Inc()
-	}
+	f.Obs.Since(p, t0, probe.OpLost, int64(cl), 0)
 }
 
-// retried counts one reissue that was not caused by a drop (transient
-// atomic failure, writeback reissue from a flush).
-func (f *Fabric) retried(p *sim.Proc, cl fault.Class) {
-	f.nodes[p.Node].FaultRetries.Add(1)
-	if f.MX != nil {
-		f.MX.FaultRetries[cl].Inc()
-	}
-}
-
-// CountRetries exposes retried to protocol layers that reissue through
-// single-attempt primitives (the SD/SI fence writeback loops), counting k
-// reissues at once.
+// CountRetries counts k reissues that were not caused by a drop seen by lost
+// (transient atomic failure, writeback reissue from a flush). Exported for
+// protocol layers that reissue through single-attempt primitives (the SD/SI
+// fence writeback loops).
 func (f *Fabric) CountRetries(p *sim.Proc, cl fault.Class, k int) {
 	if k <= 0 {
 		return
 	}
 	f.nodes[p.Node].FaultRetries.Add(int64(k))
-	if f.MX != nil {
-		f.MX.FaultRetries[cl].Add(int64(k))
-	}
+	f.Obs.Since(p, p.Now(), probe.Retry, int64(cl), int64(k))
+}
+
+// injected counts one fault delivered to an operation of p. A posted write or
+// burst item that vanished is counted here and nowhere else: nobody waits out
+// a timeout for it, the caller's fence finds out.
+func (f *Fabric) injected(p *sim.Proc, code int64) {
+	f.nodes[p.Node].FaultsInjected.Add(1)
+	f.Obs.Since(p, p.Now(), probe.Fault, code, 0)
 }
 
 // noteInjected records delivered-but-faulty verdicts (delay, stall,
@@ -93,31 +87,21 @@ func (f *Fabric) noteInjected(p *sim.Proc, v fault.Verdict) {
 	if f.FI == nil || (v.Delay == 0 && v.Stall == 0 && !v.AtomicFail) {
 		return
 	}
-	st := f.nodes[p.Node]
 	if v.Delay > 0 {
-		st.FaultsInjected.Add(1)
-		if f.MX != nil {
-			f.MX.InjectedDelays.Inc()
-		}
+		f.injected(p, probe.FaultDelay)
 	}
 	if v.Stall > 0 {
-		st.FaultsInjected.Add(1)
-		if f.MX != nil {
-			f.MX.InjectedStalls.Inc()
-		}
+		f.injected(p, probe.FaultStall)
 	}
 	if v.AtomicFail {
-		st.FaultsInjected.Add(1)
-		if f.MX != nil {
-			f.MX.InjectedAtomicFails.Inc()
-		}
+		f.injected(p, probe.FaultAtomicFail)
 	}
 }
 
-// recordRecovery feeds the per-class recovery-latency histogram: the time
-// from the first issue of a faulted operation to its successful completion.
-func (f *Fabric) recordRecovery(p *sim.Proc, cl fault.Class, d sim.Time) {
-	if f.MX != nil {
-		f.MX.RecoveryNs[cl].Record(p.Node, d)
+// recovered reports an operation of class cl that p first issued at t0 and
+// that succeeded only now, after reissues.
+func (f *Fabric) recovered(p *sim.Proc, t0 sim.Time, cl fault.Class, reissues int) {
+	if reissues > 0 {
+		f.Obs.Since(p, t0, probe.Recovered, int64(cl), 0)
 	}
 }

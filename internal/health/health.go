@@ -57,9 +57,8 @@ import (
 	"sync/atomic"
 
 	"argo/internal/fault"
-	"argo/internal/metrics"
+	"argo/internal/probe"
 	"argo/internal/sim"
-	"argo/internal/span"
 )
 
 // CrashSignal is the panic value a simulated thread raises when its node
@@ -132,35 +131,6 @@ func (t Transition) Decision() string {
 	return fmt.Sprintf("ep%d:%s(n%d)@e%d", t.Epoch, t.Kind, t.Node, t.Episode)
 }
 
-// Probes holds the Argoscope instruments of the detector. Nil when the
-// cluster has no metrics suite.
-type Probes struct {
-	Epoch      *metrics.Gauge
-	LiveNodes  *metrics.Gauge
-	Heartbeats *metrics.Counter
-	Crashes    *metrics.Counter
-	Excisions  *metrics.Counter
-	Rejoins    *metrics.Counter
-	Suspects   *metrics.Counter
-	Heals      *metrics.Counter
-}
-
-// NewProbes registers the argo_health_* / argo_crash_* instruments.
-func NewProbes(r *metrics.Registry) *Probes {
-	const evHelp = "Cygnus crash, excision and rejoin events"
-	const partHelp = "Cygnus partition suspect and heal events"
-	return &Probes{
-		Epoch:      r.Gauge("argo_health_epoch", "Current membership epoch"),
-		LiveNodes:  r.Gauge("argo_health_live_nodes", "Nodes currently alive"),
-		Heartbeats: r.Counter("argo_health_heartbeats_total", "Heartbeat counters published to home slots"),
-		Crashes:    r.Counter("argo_crash_events_total", evHelp, metrics.L("event", "crash")),
-		Excisions:  r.Counter("argo_crash_events_total", evHelp, metrics.L("event", "excise")),
-		Rejoins:    r.Counter("argo_crash_events_total", evHelp, metrics.L("event", "rejoin")),
-		Suspects:   r.Counter("argo_partition_events_total", partHelp, metrics.L("event", "suspect")),
-		Heals:      r.Counter("argo_partition_events_total", partHelp, metrics.L("event", "heal")),
-	}
-}
-
 // Detector is the cluster's failure detector and membership view. One
 // instance per core.Cluster, always constructed (the fault-free fast path
 // is Armed() == false, one atomic load).
@@ -168,13 +138,10 @@ type Detector struct {
 	nodes int
 	plan  fault.Plan // normalized; Crash* and Timeout drive verdicts
 
-	// MX, when non-nil, receives event counts and the epoch gauge.
-	MX *Probes
-
-	// SR, when non-nil, receives one Crash pub per kill: the source
-	// endpoint of the causal edge from a node's death to the survivors'
-	// reconfiguration wait (package span).
-	SR *span.Recorder
+	// Obs, when non-nil, hears of every membership transition and of the
+	// view (epoch, live nodes) it leaves. A Crash is the source endpoint of
+	// the causal edge to the survivors' reconfiguration wait.
+	Obs *probe.Spine
 
 	armedScript atomic.Bool // true once a crash has been scripted
 
@@ -415,12 +382,22 @@ func (d *Detector) OnHeal(fn func(node int, at sim.Time)) {
 	d.mu.Unlock()
 }
 
-// Kill crash-stops node at virtual time at during barrier episode ep. It
+// report emits one membership transition of node and the view it leaves.
+func (d *Detector) report(k probe.Kind, node int, at sim.Time, ep, aux int64) {
+	if d.Obs == nil {
+		return
+	}
+	d.Obs.Emit(probe.Event{Kind: k, Node: node, Start: at, T: at, Key: uint64(ep), Arg: int64(node), Aux: aux})
+	d.Obs.Emit(probe.Event{Kind: probe.Membership, Start: at, T: at, Arg: d.epoch.Load(), Aux: d.live.Load()})
+}
+
+// Kill crash-stops node at virtual time at during barrier episode ep, the
+// verdict having fired at safe point point (a probe.CrashAt* code). It
 // returns true for the first kill of that (node, episode) and is a no-op
 // for a repeat. The member barrier calls it once per death, from the node's
 // last crash check-in with the latest of its threads' check-in clocks, so
 // the stamp replays with the seed however many threads the node runs.
-func (d *Detector) Kill(node int, at sim.Time, ep int64) bool {
+func (d *Detector) Kill(node int, at sim.Time, ep, point int64) bool {
 	d.mu.Lock()
 	if d.diedEp[node] == ep {
 		d.mu.Unlock()
@@ -438,11 +415,7 @@ func (d *Detector) Kill(node int, at sim.Time, ep int64) bool {
 	})
 	d.mu.Unlock()
 	d.fi.NoteCrash()
-	d.SR.Pub(node, 0, int64(at), span.Crash, uint64(ep), int64(node))
-	if d.MX != nil {
-		d.MX.Crashes.Inc()
-		d.MX.LiveNodes.Set(d.live.Load())
-	}
+	d.report(probe.Crash, node, at, ep, point)
 	return true
 }
 
@@ -459,10 +432,7 @@ func (d *Detector) Excise(node int, at sim.Time, ep int64) {
 	})
 	cbs := append([]func(int, sim.Time){}, d.onExcise...)
 	d.mu.Unlock()
-	if d.MX != nil {
-		d.MX.Excisions.Inc()
-		d.MX.Epoch.Set(e)
-	}
+	d.report(probe.Excise, node, at, ep, 0)
 	for _, fn := range cbs {
 		fn(node, at)
 	}
@@ -478,11 +448,7 @@ func (d *Detector) Rejoin(node int, at sim.Time, ep int64) {
 		Epoch: e, Node: node, Kind: "rejoin", Episode: ep, At: at,
 	})
 	d.mu.Unlock()
-	if d.MX != nil {
-		d.MX.Rejoins.Inc()
-		d.MX.Epoch.Set(e)
-		d.MX.LiveNodes.Set(d.live.Load())
-	}
+	d.report(probe.Rejoin, node, at, ep, 0)
 }
 
 // Suspect marks node as suspect-via-partition at virtual time at during
@@ -501,9 +467,7 @@ func (d *Detector) Suspect(node int, at sim.Time, ep int64) {
 	})
 	cbs := append([]func(int, sim.Time){}, d.onSuspect...)
 	d.mu.Unlock()
-	if d.MX != nil {
-		d.MX.Suspects.Inc()
-	}
+	d.report(probe.Suspect, node, at, ep, 0)
 	for _, fn := range cbs {
 		fn(node, at)
 	}
@@ -525,10 +489,7 @@ func (d *Detector) Heal(node int, at sim.Time, ep int64) {
 	})
 	cbs := append([]func(int, sim.Time){}, d.onHeal...)
 	d.mu.Unlock()
-	if d.MX != nil {
-		d.MX.Heals.Inc()
-		d.MX.Epoch.Set(e)
-	}
+	d.report(probe.Heal, node, at, ep, 0)
 	for _, fn := range cbs {
 		fn(node, at)
 	}
@@ -539,8 +500,8 @@ func (d *Detector) Heartbeat(node int) {
 	d.mu.Lock()
 	d.hb[node]++
 	d.mu.Unlock()
-	if d.MX != nil {
-		d.MX.Heartbeats.Inc()
+	if d.Obs != nil {
+		d.Obs.Emit(probe.Event{Kind: probe.Heartbeat, Node: node})
 	}
 }
 
@@ -631,8 +592,7 @@ func (d *Detector) Reset() {
 	d.live.Store(int64(d.nodes))
 	d.history = nil
 	d.mu.Unlock()
-	if d.MX != nil {
-		d.MX.Epoch.Set(0)
-		d.MX.LiveNodes.Set(int64(d.nodes))
+	if d.Obs != nil {
+		d.Obs.Emit(probe.Event{Kind: probe.Membership, Aux: int64(d.nodes)})
 	}
 }

@@ -100,10 +100,10 @@ func TestCutAtOneWayPlan(t *testing.T) {
 // looks like a membership change.
 func TestTransitionLifecycle(t *testing.T) {
 	d := det(3, 1)
-	if !d.Kill(1, 100, 2) {
+	if !d.Kill(1, 100, 2, 0) {
 		t.Fatal("first Kill lost the wipe race with nobody else running")
 	}
-	if d.Kill(1, 100, 2) {
+	if d.Kill(1, 100, 2, 0) {
 		t.Fatal("second Kill of the same (node, episode) won the wipe again")
 	}
 	if d.Alive(1) || d.LiveCount() != 2 {
@@ -156,11 +156,11 @@ func TestTransitionLifecycle(t *testing.T) {
 func TestHistoryRenderingIgnoresRecordingOrderOfConcurrentCrashes(t *testing.T) {
 	render := func(first, second int) (string, string) {
 		d := det(5, 1)
-		d.Kill(first, sim.Time(100+first), 2) // LU's crash times differ by NIC jitter
-		d.Kill(second, sim.Time(100+second), 2)
+		d.Kill(first, sim.Time(100+first), 2, 0) // LU's crash times differ by NIC jitter
+		d.Kill(second, sim.Time(100+second), 2, 0)
 		d.Excise(4, 200, 2)
 		d.Excise(1, 200, 2)
-		d.Kill(3, 300, 5)
+		d.Kill(3, 300, 5, 0)
 		return d.HistoryString(), d.DecisionHistoryString()
 	}
 	h1, d1 := render(1, 4)

@@ -10,6 +10,7 @@ import (
 	"argo/internal/core"
 	"argo/internal/fault"
 	"argo/internal/metrics"
+	"argo/internal/probe"
 	"argo/internal/trace"
 	"argo/internal/vela"
 )
@@ -23,7 +24,7 @@ func crashLockCluster(nodes int) (*core.Cluster, *metrics.Suite) {
 	plan := fault.DefaultPlan(1)
 	cfg.Faults = &plan
 	ms := metrics.NewSuite()
-	cfg.Metrics = ms
+	cfg.Observers = append(cfg.Observers, ms)
 	c := core.MustNewCluster(cfg)
 	c.BarrierFactory = vela.DefaultBarrier
 	c.Health.ScheduleCrash(0, 1<<30, false) // arm, never fires
@@ -60,7 +61,7 @@ func TestTicketLockDeadHolderExcised(t *testing.T) {
 	c.Run(1, func(th *core.Thread) {
 		if th.Node == 1 {
 			l.Lock(th)
-			c.Health.Kill(1, th.P.Now(), 1)
+			c.Health.Kill(1, th.P.Now(), 1, probe.CrashAtBarrier)
 			return // dies holding the lock: no Unlock
 		}
 		// Survivors: wait until the doomed node holds the lock, then queue.
@@ -113,7 +114,7 @@ func TestTicketLockDeadWaiterPruned(t *testing.T) {
 			}
 			l.mu.Unlock()
 			if queued == 1 {
-				c.Health.Kill(1, 10_000, 1)
+				c.Health.Kill(1, 10_000, 1, probe.CrashAtBarrier)
 				c.Health.Excise(1, 10_000+c.Health.Timeout(), 1)
 				release.Store(true)
 				return
@@ -181,7 +182,7 @@ func TestTicketLockHolderCrashAtUnlockSafePoint(t *testing.T) {
 	plan.CrashPoints = fault.SafeLock
 	cfg.Faults = &plan
 	ms, tr := metrics.NewSuite(), trace.New(0)
-	cfg.Metrics, cfg.Tracer = ms, tr
+	cfg.Observers = append(cfg.Observers, ms, tr)
 	c := core.MustNewCluster(cfg)
 	c.BarrierFactory = vela.DefaultBarrier
 	c.Health.ScheduleCrash(1, 2, false)
@@ -231,18 +232,18 @@ func TestTicketLockHolderCrashAtUnlockSafePoint(t *testing.T) {
 	// The crash event is tagged with the lock safe point, not the barrier.
 	found := false
 	for _, ev := range tr.Events() {
-		if ev.Kind == trace.EvCrash {
+		if ev.Kind == probe.Crash {
 			found = true
-			if trace.CrashArgKind(ev.Arg) != trace.CrashAtLock {
-				t.Fatalf("EvCrash kind %s, want lock", trace.CrashKindName(trace.CrashArgKind(ev.Arg)))
+			if ev.Aux != probe.CrashAtLock {
+				t.Fatalf("crash at safe point %s, want lock", trace.CrashKindName(ev.Aux))
 			}
-			if trace.CrashArgEpisode(ev.Arg) != 2 {
-				t.Fatalf("EvCrash episode %d, want 2", trace.CrashArgEpisode(ev.Arg))
+			if ev.Key != 2 {
+				t.Fatalf("crash in episode %d, want 2", ev.Key)
 			}
 		}
 	}
 	if !found {
-		t.Fatal("no EvCrash event recorded")
+		t.Fatal("no crash event recorded")
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -7,65 +7,9 @@ import (
 	"argo/internal/core"
 	"argo/internal/fault"
 	"argo/internal/health"
-	"argo/internal/metrics"
+	"argo/internal/probe"
 	"argo/internal/sim"
-	"argo/internal/span"
-	"argo/internal/trace"
 )
-
-// spanTid returns the Pictor lane id of a thread's proc.
-func spanTid(p *sim.Proc) int { return trace.TidOf(p.Socket, p.Core) }
-
-// dsmLockMX bundles the Argoscope instruments of one DSM lock instance:
-// the acquire-latency histogram (ticket + handover + SI fence — the full
-// cost a critical section pays before it can start), an acquire counter
-// labeled by algorithm, and the per-instance contention profile entry for
-// argo-top. Locks built on a cluster without metrics hold nil and pay one
-// nil check per operation.
-type dsmLockMX struct {
-	acquireNs *metrics.Histogram
-	waitNs    *metrics.Histogram
-	acquires  *metrics.Counter
-	stat      *metrics.LockStat
-}
-
-func newDSMLockMX(c *core.Cluster, kind string) *dsmLockMX {
-	if c.MX == nil {
-		return nil
-	}
-	return &dsmLockMX{
-		acquireNs: c.MX.Reg.Histogram("argo_lock_acquire_ns",
-			"Virtual latency from lock call to critical-section entry (incl. acquire fence)",
-			metrics.L("lock", kind)),
-		waitNs: c.MX.Reg.Histogram("argo_lock_wait_ns",
-			"Virtual wait from lock call to lock-word ownership (ticket + queue, excl. acquire fence)",
-			metrics.L("lock", kind)),
-		acquires: c.MX.Reg.Counter("argo_lock_acquires_total",
-			"Lock acquisitions", metrics.L("lock", kind)),
-		stat: c.MX.Locks.Register(kind),
-	}
-}
-
-// waited records the pure lock-word wait of one acquisition that started at
-// t0, before the acquire fence runs; called once lock ownership is won.
-func (m *dsmLockMX) waited(t *core.Thread, t0 sim.Time) {
-	if m == nil {
-		return
-	}
-	m.waitNs.Record(t.Node, t.P.Now()-t0)
-}
-
-// acquired records one acquisition that started at t0; called while the
-// lock is held.
-func (m *dsmLockMX) acquired(t *core.Thread, t0 sim.Time) {
-	if m == nil {
-		return
-	}
-	w := t.P.Now() - t0
-	m.acquireNs.Record(t.Node, w)
-	m.acquires.Inc()
-	m.stat.Acquired(w)
-}
 
 // DSMLock is a mutual-exclusion lock for threads anywhere in the cluster.
 // Implementations apply Carina's fence discipline themselves: SI on acquire,
@@ -119,13 +63,7 @@ type glWaiter struct {
 type GlobalTicketLock struct {
 	c    *core.Cluster
 	home int
-	key  uint64 // fault identity of the ticket/grant words
-
-	// retries counts acquisition reissues under injected faults; nil
-	// without a metrics suite. excisions counts dead-holder lease
-	// recoveries.
-	retries   *metrics.Counter
-	excisions *metrics.Counter
+	key  uint64 // fault identity of the ticket/grant words, and the lock's name to observers
 
 	mu      sync.Mutex
 	locked  bool
@@ -146,12 +84,6 @@ type GlobalTicketLock struct {
 // schedule run after run.
 func NewGlobalTicketLock(c *core.Cluster, home int) *GlobalTicketLock {
 	l := &GlobalTicketLock{c: c, home: home, key: c.NextSyncKey(), holder: -1}
-	if c.MX != nil {
-		l.retries = c.MX.Reg.Counter("argo_lock_retries_total",
-			"Lock-word operation reissues under injected faults", metrics.L("lock", "ticket"))
-		l.excisions = c.MX.Reg.Counter("argo_crash_lock_excisions_total",
-			"Dead lock holders excised via lease recovery")
-	}
 	if c.Health != nil && c.Health.Armed() {
 		c.Health.OnExcise(l.onExcise)
 		c.Health.OnSuspect(l.onSuspect)
@@ -204,11 +136,11 @@ func (l *GlobalTicketLock) expireLease(node int, at sim.Time) {
 		if at > l.freeAt {
 			l.freeAt = at
 		}
-		if sr := l.c.SR; sr != nil {
+		if obs := l.c.Obs; obs != nil {
 			// The expired lease is the causal source of the excision grant:
-			// publish it on the stale holder's lane at the moment the lock
-			// frees.
-			sr.Pub(node, 0, int64(l.freeAt), span.Excise, l.key, int64(node))
+			// it is reported on the stale holder's lane at the moment the
+			// lock frees.
+			obs.Emit(probe.Event{Kind: probe.LeaseExpired, Node: node, Start: l.freeAt, T: l.freeAt, Key: l.key, Arg: int64(node)})
 		}
 		l.holder = -1
 		if len(l.waiters) > 0 {
@@ -228,35 +160,10 @@ func (l *GlobalTicketLock) expireLease(node int, at sim.Time) {
 }
 
 // payExcision charges the grantee the remote CAS that swings the lock word
-// past a dead holder and records the recovery.
+// past a dead holder and reports the recovery.
 func (l *GlobalTicketLock) payExcision(t *core.Thread, dead int) {
 	l.c.Fab.RemoteAtomic(t.P, l.home, l.key)
-	if l.excisions != nil {
-		l.excisions.Inc()
-	}
-	t.Coh.Trc.Record(trace.Event{
-		T: t.P.Now(), Node: t.Node, Tid: trace.TidOf(t.P.Socket, t.P.Core),
-		Kind: trace.EvExcise, Page: -1, Arg: int64(dead),
-	})
-}
-
-// countRetries records n acquisition reissues (no-op without metrics).
-func (l *GlobalTicketLock) countRetries(n int) {
-	if n > 0 && l.retries != nil {
-		l.retries.Add(int64(n))
-	}
-}
-
-// noteWait paints [t0, now] of the acquirer's lane with cat and records the
-// causal edge (kind, l.key) that ended the wait. Nil-recorder safe.
-func (l *GlobalTicketLock) noteWait(t *core.Thread, t0 sim.Time, kind span.EdgeKind, cat span.Category) {
-	sr := l.c.SR
-	if sr == nil {
-		return
-	}
-	tid := spanTid(t.P)
-	sr.Span(t.Node, tid, int64(t0), int64(t.P.Now()), cat, int64(l.key))
-	sr.Sub(t.Node, tid, int64(t.P.Now()), kind, l.key, cat)
+	l.c.Obs.Sync(t.P, t.P.Now(), probe.LockExcision, l.key, int64(dead), 0)
 }
 
 // Lock takes a ticket (one remote atomic) and waits for the grant. The
@@ -276,7 +183,9 @@ func (l *GlobalTicketLock) Lock(t *core.Thread) {
 		l.c.Fab.Backoff(t.P, attempt)
 		attempt++
 	}
-	l.countRetries(attempt)
+	if attempt > 0 {
+		l.c.Obs.Sync(t.P, t.P.Now(), probe.LockRetries, l.key, int64(attempt), 0)
+	}
 	l.mu.Lock()
 	if !l.locked {
 		l.locked = true
@@ -286,12 +195,14 @@ func (l *GlobalTicketLock) Lock(t *core.Thread) {
 		waited := l.freeAt > t.P.Now()
 		t.P.AdvanceTo(l.freeAt)
 		l.mu.Unlock()
+		// A wait is reported with the causal edge that ended it: the expired
+		// lease, or the previous holder's release.
 		switch {
 		case excise:
 			l.payExcision(t, dead)
-			l.noteWait(t, t0, span.Excise, span.Recovery)
+			l.c.Obs.Sync(t.P, t0, probe.TicketRecover, l.key, int64(l.key), 0)
 		case waited:
-			l.noteWait(t, t0, span.Handoff, span.LockWait)
+			l.c.Obs.Sync(t.P, t0, probe.TicketWait, l.key, int64(l.key), 0)
 		}
 		// Yield so contenders arrive and queue while the section runs
 		// (interleaving aid for few-CPU hosts; no semantic effect).
@@ -310,16 +221,14 @@ func (l *GlobalTicketLock) Lock(t *core.Thread) {
 	l.holder = t.Node
 	t.P.AdvanceTo(l.freeAt)
 	l.mu.Unlock()
+	won := probe.TicketWait
 	if w.excise {
 		l.payExcision(t, w.dead)
+		won = probe.TicketRecover
 	}
 	// The winning poll that observes the grant.
 	l.c.Fab.RemoteRead(t.P, l.home, 8, l.key)
-	if w.excise {
-		l.noteWait(t, t0, span.Excise, span.Recovery)
-	} else {
-		l.noteWait(t, t0, span.Handoff, span.LockWait)
-	}
+	l.c.Obs.Sync(t.P, t0, won, l.key, int64(l.key), 0)
 	runtime.Gosched()
 }
 
@@ -352,7 +261,9 @@ func (l *GlobalTicketLock) Unlock(t *core.Thread) {
 		l.c.Fab.Backoff(t.P, attempt)
 		attempt++
 	}
-	l.countRetries(attempt)
+	if attempt > 0 {
+		l.c.Obs.Sync(t.P, t.P.Now(), probe.LockRetries, l.key, int64(attempt), 0)
+	}
 	l.mu.Lock()
 	if l.holder != t.Node {
 		// Stale release: our lease was expired while we were fenced
@@ -361,9 +272,7 @@ func (l *GlobalTicketLock) Unlock(t *core.Thread) {
 		l.mu.Unlock()
 		return
 	}
-	if sr := l.c.SR; sr != nil {
-		sr.Pub(t.Node, spanTid(t.P), int64(t.P.Now()), span.Handoff, l.key, 0)
-	}
+	l.c.Obs.Sync(t.P, t.P.Now(), probe.TicketRelease, l.key, 0, 0)
 	l.freeAt = t.P.Now()
 	l.holder = -1
 	if len(l.waiters) == 0 {
@@ -382,18 +291,29 @@ func (l *GlobalTicketLock) Unlock(t *core.Thread) {
 // Fenced DSM locks
 // ---------------------------------------------------------------------------
 
+// newFencedTicket builds the ticket lock under a fenced DSM lock and
+// announces the lock — a probe.Lock* algorithm, named by the ticket word's
+// key — to the cluster's observers, who then hear of each acquisition (call
+// to critical-section entry) and each release (time held, fence included).
+func newFencedTicket(c *core.Cluster, home int, algo int64) *GlobalTicketLock {
+	g := NewGlobalTicketLock(c, home)
+	if c.Obs != nil {
+		c.Obs.Emit(probe.Event{Kind: probe.LockNew, Key: g.key, Arg: algo})
+	}
+	return g
+}
+
 // DSMMutex is the straightforward port of a mutex to Argo: a global ticket
 // lock with an SI fence on every acquire and an SD fence on every release.
 // Every critical section pays both fences plus the misses the SI causes.
 type DSMMutex struct {
 	g      *GlobalTicketLock
-	mx     *dsmLockMX
 	heldAt sim.Time // written and read only while holding the lock
 }
 
 // NewDSMMutex creates a fenced global mutex homed at node home.
 func NewDSMMutex(c *core.Cluster, home int) *DSMMutex {
-	return &DSMMutex{g: NewGlobalTicketLock(c, home), mx: newDSMLockMX(c, "dsm-mutex")}
+	return &DSMMutex{g: newFencedTicket(c, home, probe.LockMutex)}
 }
 
 var _ DSMLock = (*DSMMutex)(nil)
@@ -402,20 +322,16 @@ var _ DSMLock = (*DSMMutex)(nil)
 func (l *DSMMutex) Lock(t *core.Thread) {
 	t0 := t.P.Now()
 	l.g.Lock(t)
-	l.mx.waited(t, t0)
+	owned := t.P.Now()
 	t.Coh.SIFence(t.P)
-	if l.mx != nil {
-		l.mx.acquired(t, t0)
-		l.heldAt = t.P.Now()
-	}
+	l.heldAt = t.P.Now()
+	l.g.c.Obs.Sync(t.P, t0, probe.LockAcquire, l.g.key, probe.LockMutex, owned-t0)
 }
 
 // Unlock self-downgrades the caller's node and releases.
 func (l *DSMMutex) Unlock(t *core.Thread) {
 	t.Coh.SDFence(t.P)
-	if l.mx != nil {
-		l.mx.stat.Released(t.P.Now() - l.heldAt)
-	}
+	l.g.c.Obs.Sync(t.P, l.heldAt, probe.LockRelease, l.g.key, 0, 0)
 	l.g.Unlock(t)
 }
 
@@ -429,7 +345,6 @@ type DSMCohortLock struct {
 	c      *core.Cluster
 	global *GlobalTicketLock
 	nodes  []*cohortSocket
-	mx     *dsmLockMX
 	heldAt sim.Time // written and read only while holding the lock
 
 	// BatchLimit bounds consecutive local handovers.
@@ -440,8 +355,7 @@ type DSMCohortLock struct {
 func NewDSMCohortLock(c *core.Cluster) *DSMCohortLock {
 	l := &DSMCohortLock{
 		c:          c,
-		global:     NewGlobalTicketLock(c, 0),
-		mx:         newDSMLockMX(c, "cohort"),
+		global:     newFencedTicket(c, 0, probe.LockCohort),
 		BatchLimit: 64,
 	}
 	for i := 0; i < c.Cfg.Nodes; i++ {
@@ -464,34 +378,25 @@ func (l *DSMCohortLock) Lock(t *core.Thread) {
 		s.ownsGlobal = true
 		s.batch = 0
 	}
-	l.mx.waited(t, t0)
+	owned := t.P.Now()
 	t.Coh.SIFence(t.P)
-	if l.mx != nil {
-		l.mx.acquired(t, t0)
-		l.heldAt = t.P.Now()
-	}
+	l.heldAt = t.P.Now()
+	l.c.Obs.Sync(t.P, t0, probe.LockAcquire, l.global.key, probe.LockCohort, owned-t0)
 }
 
 // Unlock self-downgrades and hands over, preferring a waiter on this node.
 func (l *DSMCohortLock) Unlock(t *core.Thread) {
 	t.Coh.SDFence(t.P)
-	if l.mx != nil {
-		l.mx.stat.Released(t.P.Now() - l.heldAt)
-	}
 	s := l.nodes[t.Node]
 	s.batch++
 	if s.local.hasWaiters() && s.batch < l.BatchLimit {
 		l.c.Fab.NodeStats(t.Node).LockHandoversLocal.Add(1)
-		if l.mx != nil {
-			l.mx.stat.Local.Add(1)
-		}
+		l.c.Obs.Sync(t.P, l.heldAt, probe.LockRelease, l.global.key, 1, 0)
 		s.local.unlock(t.P)
 		return
 	}
 	l.c.Fab.NodeStats(t.Node).LockHandoversRemote.Add(1)
-	if l.mx != nil {
-		l.mx.stat.Remote.Add(1)
-	}
+	l.c.Obs.Sync(t.P, l.heldAt, probe.LockRelease, l.global.key, 0, 1)
 	s.ownsGlobal = false
 	l.global.Unlock(t)
 	s.local.unlock(t.P)

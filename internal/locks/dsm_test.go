@@ -1,9 +1,11 @@
 package locks
 
 import (
+	"sync"
 	"testing"
 
 	"argo/internal/core"
+	"argo/internal/probe"
 	"argo/internal/vela"
 )
 
@@ -110,10 +112,30 @@ func TestHQDLDetachedSectionsAllExecute(t *testing.T) {
 	}
 }
 
+// kindTally is a probe sink counting events, and summing their Arg, by kind.
+type kindTally struct {
+	mu     sync.Mutex
+	n, arg [probe.NumKinds]int64
+}
+
+func (k *kindTally) Observe(e probe.Event) {
+	k.mu.Lock()
+	k.n[e.Kind]++
+	k.arg[e.Kind] += e.Arg
+	k.mu.Unlock()
+}
+
 func TestHQDLBatchesFences(t *testing.T) {
-	// HQDL must fence per batch, not per section: with heavy delegation the
-	// SI-fence count stays well below the section count.
-	c := dsmCluster(2)
+	// HQDL must fence per batch, not per section. How many sections a batch
+	// collects depends on how the host schedules the delegators (the ratio is
+	// TestHQDLFencesLessThanDSMMutex's business); what holds on every
+	// schedule is that each helper batch pays exactly one SI and one SD fence
+	// and that the batches together ran every section.
+	var seen kindTally
+	cfg := core.DefaultConfig(2)
+	cfg.MemoryBytes = 4 << 20
+	cfg.Observers = append(cfg.Observers, &seen)
+	c := core.MustNewCluster(cfg)
 	slot := c.AllocI64(1)
 	l := NewHQDLock(c)
 	const tpn, iters = 4, 100
@@ -124,10 +146,16 @@ func TestHQDLBatchesFences(t *testing.T) {
 			})
 		}
 	})
-	s := c.Stats()
 	sections := int64(2 * tpn * iters)
-	if s.SIFences*4 > sections {
-		t.Fatalf("HQDL fenced too often: %d SI fences for %d sections", s.SIFences, sections)
+	batches := seen.n[probe.HQDLBatch]
+	if si, sd := seen.n[probe.SIFence], seen.n[probe.SDFence]; si != batches || sd != batches || batches == 0 {
+		t.Fatalf("%d helper batches paid %d SI and %d SD fences, want one of each per batch", batches, si, sd)
+	}
+	if s := c.Stats(); s.SIFences != batches || s.SDFences != batches {
+		t.Fatalf("stats count %d SI and %d SD fences, the spine %d batches", s.SIFences, s.SDFences, batches)
+	}
+	if got := seen.arg[probe.HQDLBatch]; got != sections {
+		t.Fatalf("the batches ran %d sections, want %d", got, sections)
 	}
 	if got := c.DumpI64(slot)[0]; got != sections {
 		t.Fatalf("counter = %d, want %d", got, sections)

@@ -6,9 +6,8 @@ import (
 	"sync/atomic"
 
 	"argo/internal/core"
-	"argo/internal/metrics"
+	"argo/internal/probe"
 	"argo/internal/sim"
-	"argo/internal/span"
 )
 
 // HQDLock is Vela's hierarchical queue delegation lock (§4.2 of the paper).
@@ -29,15 +28,11 @@ type HQDLock struct {
 	c      *core.Cluster
 	global *GlobalTicketLock
 	nodes  []*nodeQueue
-	mx     *dsmLockMX
-	// batchSections samples how many critical sections each helper batch
-	// executed under one global acquisition (own + delegated) — the lever
-	// that amortizes the two fences. Nil when metrics are off.
-	batchSections *metrics.Histogram
 
-	// seq numbers delegation entries for Pictor's Delegate/DelegateDone
-	// edges. Per-entry keys are needed because concurrent delegators share
-	// one queue; the counter is span-only so it never shifts the fault
+	// seq numbers delegation entries for the causal edges observers draw
+	// from an enqueue to its execution and back to the delegator's wait.
+	// Per-entry keys are needed because concurrent delegators share one
+	// queue; the counter is probe-only so it never shifts the fault
 	// identities NextSyncKey hands out.
 	seq atomic.Uint64
 
@@ -61,7 +56,7 @@ type hqEntry struct {
 	section func(h *core.Thread)
 	enqAt   sim.Time
 	done    chan sim.Time
-	key     uint64 // Pictor edge key; zero when spans are off
+	key     uint64 // edge key for observers; zero when none are attached
 }
 
 // Delegating is the DSM delegation interface (HQDLock implements it).
@@ -75,15 +70,10 @@ type Delegating interface {
 func NewHQDLock(c *core.Cluster) *HQDLock {
 	l := &HQDLock{
 		c:           c,
-		global:      NewGlobalTicketLock(c, 0),
-		mx:          newDSMLockMX(c, "hqdl"),
+		global:      newFencedTicket(c, 0, probe.LockHQDL),
 		BatchLimit:  128,
 		EnqueueCost: c.Fab.P.LocalLatency,
 		DequeueCost: c.Fab.P.LocalLatency,
-	}
-	if c.MX != nil {
-		l.batchSections = c.MX.Reg.Histogram("argo_hqdl_batch_sections",
-			"Critical sections executed per helper batch (one global acquire + fence pair)")
 	}
 	for i := 0; i < c.Cfg.Nodes; i++ {
 		l.nodes = append(l.nodes, &nodeQueue{})
@@ -130,9 +120,9 @@ func (l *HQDLock) delegate(t *core.Thread, section func(h *core.Thread), wait bo
 		}
 		if nq.qOpen && len(nq.queue) < l.BatchLimit {
 			e := hqEntry{section: section, enqAt: t.P.Now() + l.EnqueueCost}
-			if sr := l.c.SR; sr != nil {
+			if obs := l.c.Obs; obs != nil {
 				e.key = l.global.key<<32 | l.seq.Add(1)
-				sr.Pub(t.Node, spanTid(t.P), int64(e.enqAt), span.Delegate, e.key, 0)
+				obs.Emit(probe.Event{Kind: probe.Delegate, Node: t.Node, Tid: probe.TidOf(t.P.Socket, t.P.Core), Start: e.enqAt, T: e.enqAt, Key: e.key})
 			}
 			if wait {
 				e.done = make(chan sim.Time, 1)
@@ -144,11 +134,7 @@ func (l *HQDLock) delegate(t *core.Thread, section func(h *core.Thread), wait bo
 				return func(t *core.Thread) {
 					t0 := t.P.Now()
 					t.P.AdvanceTo(<-e.done)
-					if sr := l.c.SR; sr != nil {
-						tid := spanTid(t.P)
-						sr.Span(t.Node, tid, int64(t0), int64(t.P.Now()), span.LockWait, int64(e.key))
-						sr.Sub(t.Node, tid, int64(t.P.Now()), span.DelegateDone, e.key, span.LockWait)
-					}
+					l.c.Obs.Sync(t.P, t0, probe.DelegateWait, e.key, int64(e.key), 0)
 				}
 			}
 			return nil
@@ -163,10 +149,10 @@ func (l *HQDLock) runHelper(t *core.Thread, nq *nodeQueue, own func(h *core.Thre
 	// self-invalidate once for the whole batch.
 	t0 := t.P.Now()
 	l.global.Lock(t)
-	l.mx.waited(t, t0)
+	owned := t.P.Now()
 	t.Coh.SIFence(t.P)
-	l.mx.acquired(t, t0)
 	heldAt := t.P.Now()
+	l.c.Obs.Sync(t.P, t0, probe.LockAcquire, l.global.key, probe.LockHQDL, owned-t0)
 
 	own(t)
 	sections := 1
@@ -196,12 +182,11 @@ func (l *HQDLock) runHelper(t *core.Thread, nq *nodeQueue, own func(h *core.Thre
 	}
 
 	// One self-downgrade publishes the whole batch, then the global lock
-	// moves on.
+	// moves on. The batch size — own plus delegated sections under one global
+	// acquisition — is the lever that amortizes the two fences.
 	t.Coh.SDFence(t.P)
-	if l.mx != nil {
-		l.mx.stat.Released(t.P.Now() - heldAt)
-		l.batchSections.Record(t.Node, int64(sections))
-	}
+	l.c.Obs.Sync(t.P, heldAt, probe.LockRelease, l.global.key, 0, 0)
+	l.c.Obs.Sync(t.P, t.P.Now(), probe.HQDLBatch, l.global.key, int64(sections), 0)
 	l.global.Unlock(t)
 
 	nq.mu.Lock()
@@ -213,17 +198,10 @@ func (l *HQDLock) runHelper(t *core.Thread, nq *nodeQueue, own func(h *core.Thre
 func (l *HQDLock) execute(t *core.Thread, e hqEntry) {
 	t.P.Advance(l.DequeueCost)
 	t.P.AdvanceTo(e.enqAt)
-	if sr := l.c.SR; sr != nil {
-		sr.Sub(t.Node, spanTid(t.P), int64(t.P.Now()), span.Delegate, e.key, span.LockWait)
-	}
+	l.c.Obs.Sync(t.P, t.P.Now(), probe.DelegateRun, e.key, 0, 0)
 	e.section(t)
 	l.c.Fab.NodeStats(t.Node).DelegatedSections.Add(1)
-	if l.mx != nil {
-		l.mx.stat.Delegated.Add(1)
-	}
-	if sr := l.c.SR; sr != nil {
-		sr.Pub(t.Node, spanTid(t.P), int64(t.P.Now()), span.DelegateDone, e.key, 0)
-	}
+	l.c.Obs.Sync(t.P, t.P.Now(), probe.DelegateDone, e.key, 0, int64(l.global.key))
 	if e.done != nil {
 		e.done <- t.P.Now()
 	}

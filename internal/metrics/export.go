@@ -141,7 +141,7 @@ type DumpJSON struct {
 	Counters   []ScalarJSON   `json:"counters"`
 	Gauges     []ScalarJSON   `json:"gauges"`
 	Histograms []HistJSON     `json:"histograms"`
-	HotPages   []PageStatView `json:"hot_pages,omitempty"`
+	HotPages   []PageStat     `json:"hot_pages,omitempty"`
 	HotLocks   []LockStatView `json:"hot_locks,omitempty"`
 }
 

@@ -120,9 +120,6 @@ type HistSnapshot struct {
 // Snapshot merges all shards into one snapshot.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var out HistSnapshot
-	if h == nil {
-		return out
-	}
 	for i := range h.shards {
 		out.Merge(h.shardSnapshot(i))
 	}

@@ -4,8 +4,8 @@
 // Pages are attributed on protocol events only (misses, writebacks,
 // invalidations, classification notifies, evictions) — never on cache hits —
 // so the profile's cost is proportional to protocol traffic, which is
-// exactly the traffic worth profiling. Lock stats are atomic fields bumped
-// by the lock implementations.
+// exactly the traffic worth profiling. Lock stats are atomic fields. Both are
+// fed by Suite.Observe.
 package metrics
 
 import (
@@ -17,28 +17,17 @@ import (
 
 // PageStat accumulates protocol events for one page.
 type PageStat struct {
-	Page          int
-	ReadMisses    int64
-	WriteMisses   int64
-	Writebacks    int64
-	Invalidations int64
-	Notifies      int64 // classification churn (P→S, NW→SW, SW→MW)
-	Evictions     int64
-}
-
-// PageStatView is the JSON/report form of a PageStat.
-type PageStatView struct {
 	Page          int   `json:"page"`
 	ReadMisses    int64 `json:"read_misses"`
 	WriteMisses   int64 `json:"write_misses"`
 	Writebacks    int64 `json:"writebacks"`
 	Invalidations int64 `json:"invalidations"`
-	Notifies      int64 `json:"notifies"`
+	Notifies      int64 `json:"notifies"` // classification churn (P→S, NW→SW, SW→MW)
 	Evictions     int64 `json:"evictions"`
 }
 
 // TotalPageActivity is the default top-K ranking: all events summed.
-func TotalPageActivity(s PageStatView) int64 {
+func TotalPageActivity(s PageStat) int64 {
 	return s.ReadMisses + s.WriteMisses + s.Writebacks + s.Invalidations + s.Notifies + s.Evictions
 }
 
@@ -89,27 +78,20 @@ func (pp *PageProfile) Evict(page int) { pp.bump(page, func(s *PageStat) { s.Evi
 
 // Len returns the number of distinct pages seen.
 func (pp *PageProfile) Len() int {
-	if pp == nil {
-		return 0
-	}
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	return len(pp.m)
 }
 
 // TopK returns the k highest-scoring pages, descending (ties by page).
-func (pp *PageProfile) TopK(k int, score func(PageStatView) int64) []PageStatView {
-	if pp == nil || k <= 0 {
+func (pp *PageProfile) TopK(k int, score func(PageStat) int64) []PageStat {
+	if k <= 0 {
 		return nil
 	}
 	pp.mu.Lock()
-	views := make([]PageStatView, 0, len(pp.m))
+	views := make([]PageStat, 0, len(pp.m))
 	for _, s := range pp.m {
-		views = append(views, PageStatView{
-			Page: s.Page, ReadMisses: s.ReadMisses, WriteMisses: s.WriteMisses,
-			Writebacks: s.Writebacks, Invalidations: s.Invalidations,
-			Notifies: s.Notifies, Evictions: s.Evictions,
-		})
+		views = append(views, *s)
 	}
 	pp.mu.Unlock()
 	sort.Slice(views, func(i, j int) bool {
@@ -125,9 +107,8 @@ func (pp *PageProfile) TopK(k int, score func(PageStatView) int64) []PageStatVie
 	return views
 }
 
-// LockStat accumulates contention statistics for one lock instance. All
-// fields are atomics bumped by the lock implementation; a nil *LockStat
-// ignores updates (locks created without metrics hold nil).
+// LockStat accumulates contention statistics for one lock instance, in
+// atomics; a nil *LockStat ignores updates.
 type LockStat struct {
 	Name      string
 	Acquires  atomic.Int64
@@ -182,12 +163,8 @@ func NewLockProfile() *LockProfile {
 }
 
 // Register creates a LockStat named kind (suffixed #n to keep instances
-// distinct). Nil-safe: a nil profile returns a nil stat, which ignores
-// updates.
+// distinct).
 func (lp *LockProfile) Register(kind string) *LockStat {
-	if lp == nil {
-		return nil
-	}
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
 	n := lp.seq[kind]
@@ -199,7 +176,7 @@ func (lp *LockProfile) Register(kind string) *LockStat {
 
 // TopK returns the k highest-scoring locks, descending (ties by name).
 func (lp *LockProfile) TopK(k int, score func(LockStatView) int64) []LockStatView {
-	if lp == nil || k <= 0 {
+	if k <= 0 {
 		return nil
 	}
 	lp.mu.Lock()

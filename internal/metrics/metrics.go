@@ -3,11 +3,12 @@
 // Prometheus exposition text and as JSON, plus hot-spot profiles (top-K
 // pages and locks) for the protocol layers.
 //
-// Everything is designed around the same discipline as package trace: the
-// instrumented hot paths hold probe pointers that are nil when observability
-// is off, so the disabled cost is one nil check. When enabled, recording is
-// atomic adds on sharded state — no locks on any path a simulated thread
-// takes.
+// A Suite is a sink of package probe: the protocol layers emit facts and
+// series.go — the one place that knows series names, help strings and labels
+// — says which facts feed which series. Observability that is off costs the
+// emitters one nil check; when it is on, recording is atomic adds on sharded
+// state — no locks on any path a simulated thread takes, the hot-spot
+// profiles' apart.
 package metrics
 
 import (
@@ -27,7 +28,8 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(k, v string) Label { return Label{Key: k, Val: v} }
 
-// Counter is a monotonically increasing labeled counter. Nil-safe.
+// Counter is a monotonically increasing labeled counter; a nil one ignores
+// updates.
 type Counter struct {
 	name   string
 	labels []Label
@@ -49,14 +51,9 @@ func (c *Counter) Add(d int64) {
 }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
+func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a labeled value that can go up and down. Nil-safe.
+// Gauge is a labeled value that can go up and down; a nil one ignores updates.
 type Gauge struct {
 	name   string
 	labels []Label
@@ -70,20 +67,8 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adds d.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
 // Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
 type metricKind int
 
@@ -196,17 +181,4 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 		r.hists[k] = h
 	}
 	return h
-}
-
-// Suite bundles the registry with the hot-spot profiles; it is what a
-// cluster reports into (core.Config.Metrics).
-type Suite struct {
-	Reg   *Registry
-	Pages *PageProfile
-	Locks *LockProfile
-}
-
-// NewSuite creates an empty observability suite.
-func NewSuite() *Suite {
-	return &Suite{Reg: NewRegistry(), Pages: NewPageProfile(), Locks: NewLockProfile()}
 }

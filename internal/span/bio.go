@@ -5,7 +5,7 @@ import (
 	"io"
 	"sort"
 
-	"argo/internal/trace"
+	"argo/internal/probe"
 )
 
 // BioEntry is one moment in a page's biography: a classification transition
@@ -13,7 +13,7 @@ import (
 type BioEntry struct {
 	T    int64      `json:"t"`
 	Node int        `json:"node"`
-	Kind trace.Kind `json:"kind"`
+	Kind probe.Kind `json:"kind"`
 	Arg  int64      `json:"arg"`
 }
 
@@ -27,30 +27,27 @@ type Biography struct {
 	Kept        int        `json:"kept"`
 }
 
-// classArgName names an EvClassTransition Arg code.
+// classArgName names a ClassTransition Arg code.
 func classArgName(arg int64) string {
 	switch arg {
-	case trace.ClassNWtoSW:
+	case probe.ClassNWtoSW:
 		return "NW→SW"
-	case trace.ClassSWtoMW:
+	case probe.ClassSWtoMW:
 		return "SW→MW"
-	case trace.ClassPtoS:
+	case probe.ClassPtoS:
 		return "P→S"
 	}
 	return fmt.Sprintf("class(%d)", arg)
 }
 
 // Biographies joins the trace's per-page classification and SI filter
-// events (EvClassTransition, EvInvalidate, EvKeep) into one story per
+// events (ClassTransition, Invalidate, Keep) into one story per
 // page, sorted by page number.
-func Biographies(events []trace.Event) []Biography {
+func Biographies(events []probe.Event) []Biography {
 	byPage := map[int]*Biography{}
 	for _, e := range events {
-		if e.Page < 0 {
-			continue
-		}
 		switch e.Kind {
-		case trace.EvClassTransition, trace.EvInvalidate, trace.EvKeep:
+		case probe.ClassTransition, probe.Invalidate, probe.Keep:
 		default:
 			continue
 		}
@@ -61,11 +58,11 @@ func Biographies(events []trace.Event) []Biography {
 		}
 		b.Entries = append(b.Entries, BioEntry{T: e.T, Node: e.Node, Kind: e.Kind, Arg: e.Arg})
 		switch e.Kind {
-		case trace.EvClassTransition:
+		case probe.ClassTransition:
 			b.Transitions++
-		case trace.EvInvalidate:
+		case probe.Invalidate:
 			b.Invalidated++
-		case trace.EvKeep:
+		case probe.Keep:
 			b.Kept++
 		}
 	}
@@ -107,7 +104,7 @@ func WriteBiographies(w io.Writer, bios []Biography, max int) error {
 		}
 		for _, e := range b.Entries {
 			detail := ""
-			if e.Kind == trace.EvClassTransition {
+			if e.Kind == probe.ClassTransition {
 				detail = " " + classArgName(e.Arg)
 			}
 			if _, err := fmt.Fprintf(w, "  %12d n%-3d %s%s\n", e.T, e.Node, e.Kind, detail); err != nil {

@@ -19,7 +19,7 @@ import (
 func ringReport(t *testing.T, plan *fault.Plan) *span.Report {
 	t.Helper()
 	sr := span.NewRecorder(0)
-	core.ConfigHook = func(cfg *core.Config) { cfg.Spans = sr }
+	core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, sr) }
 	defer func() { core.ConfigHook = nil }()
 	pr := drf.DefaultRing(4)
 	pr.Faults = plan
@@ -71,7 +71,7 @@ func TestReplayDeterminismFaults(t *testing.T) {
 func crashReport(t *testing.T) (*span.Report, int) {
 	t.Helper()
 	sr := span.NewRecorder(0)
-	core.ConfigHook = func(cfg *core.Config) { cfg.Spans = sr }
+	core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, sr) }
 	defer func() { core.ConfigHook = nil }()
 	plan := fault.DefaultPlan(7)
 	plan.Crash = 0.2
@@ -117,7 +117,7 @@ func TestWaitHistogramsRecorded(t *testing.T) {
 	cfg := core.DefaultConfig(3)
 	cfg.MemoryBytes = 4 << 20
 	ms := metrics.NewSuite()
-	cfg.Metrics = ms
+	cfg.Observers = append(cfg.Observers, ms)
 	c := core.MustNewCluster(cfg)
 	c.BarrierFactory = vela.DefaultBarrier
 	slot := c.AllocI64(1)

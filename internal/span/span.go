@@ -18,16 +18,18 @@
 //     not after it, which at a barrier selects exactly the serialization
 //     point (the last arrival).
 //
-// Probes follow the Argoscope discipline: every layer holds a *Recorder
-// that is nil unless attached, and a nil Recorder ignores all calls, so
-// runs without a recorder stay bit-identical. Records are buffered per
-// node; analysis canonically re-sorts them, so the record multiset — not
-// the host interleaving — determines the result.
+// A Recorder is a sink of package probe: the protocol layers emit facts, and
+// the tables below say which kinds paint a lane and which are the endpoints
+// of an edge. Runs without a recorder among their observers stay
+// bit-identical. Records are buffered per node; analysis canonically re-sorts
+// them, so the record multiset — not the host interleaving — determines the
+// result.
 package span
 
 import (
-	"sort"
-	"sync"
+	"sync/atomic"
+
+	"argo/internal/probe"
 )
 
 // Category classifies where a nanosecond of lane time went.
@@ -142,19 +144,64 @@ type Record struct {
 	Arg int64 `json:"a,omitempty"`
 }
 
-// Recorder collects records from all nodes of a cluster. The zero value is
-// not usable; a nil *Recorder ignores all calls (probes are nil-check-only).
-type Recorder struct {
-	mu       sync.Mutex
-	lanes    map[int]*rlane
-	limit    int
-	makespan int64
+// Order places r in the canonical order of a span log: T, Node, Tid, Type,
+// Kind, Key, Start, Cat, Arg.
+func (r Record) Order() probe.Order {
+	return probe.Order{r.T, int64(r.Node), int64(r.Tid), int64(r.Type), int64(r.Kind), int64(r.Key), r.Start, int64(r.Cat), r.Arg}
 }
 
-type rlane struct {
-	mu    sync.Mutex
-	recs  []Record
-	drops int
+// SortRecords sorts recs into the canonical order used by Records.
+func SortRecords(recs []Record) { probe.Sort(recs) }
+
+// view is Pictor's projection of one probe kind. A fact that took virtual
+// time paints its thread's lane with cat over [Start, T), Arg riding along;
+// a fact that is one end of a causal edge becomes a pub or a sub of (edge,
+// Event.Key), a sub attributing the interval its edge covers to cat. Kinds
+// with the zero view are not Pictor's.
+type view struct {
+	cat  Category
+	end  RecType // RPub or RSub; RSpan: not an edge endpoint
+	edge EdgeKind
+}
+
+var views = [probe.NumKinds]view{
+	probe.NIC:         {cat: NIC},
+	probe.OpRead:      {cat: Remote},
+	probe.OpWrite:     {cat: Remote},
+	probe.OpPost:      {cat: Remote},
+	probe.OpFetch:     {cat: Remote},
+	probe.OpAtomic:    {cat: Remote},
+	probe.OpRegBurst:  {cat: Remote},
+	probe.OpPostBurst: {cat: SDBurst},
+	probe.SDFence:     {cat: SDBurst},
+	probe.SIFence:     {cat: SISweep},
+	probe.Backoff:     {cat: Backoff},
+	probe.OpLost:      {cat: Backoff},
+	probe.CutWait:     {cat: Recovery},
+
+	probe.TicketRelease: {end: RPub, edge: Handoff},
+	probe.TicketWait:    {cat: LockWait, end: RSub, edge: Handoff},
+	probe.LeaseExpired:  {end: RPub, edge: Excise},
+	probe.TicketRecover: {cat: Recovery, end: RSub, edge: Excise},
+	probe.Delegate:      {end: RPub, edge: Delegate},
+	probe.DelegateRun:   {cat: LockWait, end: RSub, edge: Delegate}, // an instant: attributes, never paints
+	probe.DelegateDone:  {end: RPub, edge: DelegateDone},
+	probe.DelegateWait:  {cat: LockWait, end: RSub, edge: DelegateDone},
+	probe.ArriveLocal:   {end: RPub, edge: BarrierLocal},
+	probe.DepartLocal:   {cat: BarrierWait, end: RSub, edge: BarrierLocal},
+	probe.ArriveGlobal:  {end: RPub, edge: Barrier},
+	probe.DepartGlobal:  {cat: BarrierWait, end: RSub, edge: Barrier},
+	probe.ArriveFinal:   {end: RPub, edge: BarrierFinal},
+	probe.DepartFinal:   {cat: BarrierWait, end: RSub, edge: BarrierFinal},
+	probe.Crash:         {end: RPub, edge: Crash},
+	probe.CrashWait:     {cat: Recovery, end: RSub, edge: Crash},
+}
+
+// Recorder collects records from all nodes of the clusters it observes. The
+// zero value is not usable; a nil *Recorder holds nothing and ignores events.
+type Recorder struct {
+	buf      *probe.Lanes[Record]
+	makespan atomic.Int64
 }
 
 // NewRecorder creates a recorder keeping at most limit records per node
@@ -163,72 +210,40 @@ func NewRecorder(limit int) *Recorder {
 	if limit <= 0 {
 		limit = 1 << 21
 	}
-	return &Recorder{lanes: map[int]*rlane{}, limit: limit}
+	return &Recorder{buf: probe.NewLanes[Record](limit)}
 }
 
-func (r *Recorder) lane(node int) *rlane {
-	r.mu.Lock()
-	l, ok := r.lanes[node]
-	if !ok {
-		l = &rlane{}
-		r.lanes[node] = l
+func (r *Recorder) lanes() *probe.Lanes[Record] {
+	if r == nil {
+		return nil
 	}
-	r.mu.Unlock()
-	return l
+	return r.buf
 }
 
-func (r *Recorder) record(rec Record) {
-	l := r.lane(rec.Node)
-	l.mu.Lock()
-	if len(l.recs) < r.limit {
-		l.recs = append(l.recs, rec)
-	} else {
-		l.drops++
-	}
-	l.mu.Unlock()
-}
-
-// Span paints [start, end) of lane (node, tid) with cat. Empty or inverted
-// intervals are ignored.
-func (r *Recorder) Span(node, tid int, start, end int64, cat Category, arg int64) {
-	if r == nil || end <= start {
-		return
-	}
-	if start < 0 {
-		start = 0
-	}
-	r.record(Record{Type: RSpan, Node: node, Tid: tid, T: end, Start: start, Cat: cat, Arg: arg})
-}
-
-// Pub records the source endpoint of a (kind, key) edge at time t.
-func (r *Recorder) Pub(node, tid int, t int64, kind EdgeKind, key uint64, arg int64) {
+// Observe projects e through views (probe.Sink): a span if the kind paints
+// and the interval is not empty or inverted (a start before 0 is clamped), a
+// pub or a sub if it is an edge endpoint. A launch's end leaves its makespan,
+// to which analysis extends the critical path; the largest one is kept.
+func (r *Recorder) Observe(e probe.Event) {
 	if r == nil {
 		return
 	}
-	r.record(Record{Type: RPub, Node: node, Tid: tid, T: t, Kind: kind, Key: key, Arg: arg})
-}
-
-// Sub records the sink endpoint of a (kind, key) edge at time t. cat is the
-// wait category the edge's covered interval is attributed to when the
-// critical path takes this edge.
-func (r *Recorder) Sub(node, tid int, t int64, kind EdgeKind, key uint64, cat Category) {
-	if r == nil {
+	if e.Kind == probe.RunEnd {
+		for m := r.makespan.Load(); e.T > m && !r.makespan.CompareAndSwap(m, e.T); {
+			m = r.makespan.Load()
+		}
 		return
 	}
-	r.record(Record{Type: RSub, Node: node, Tid: tid, T: t, Kind: kind, Key: key, Cat: cat})
-}
-
-// NoteMakespan remembers the largest makespan reported for this recorder's
-// runs; analysis extends the critical path to it.
-func (r *Recorder) NoteMakespan(m int64) {
-	if r == nil {
-		return
+	v := views[e.Kind]
+	if v.cat != Compute && e.T > e.Start {
+		r.buf.Append(e.Node, Record{Type: RSpan, Node: e.Node, Tid: e.Tid, T: e.T, Start: max(e.Start, 0), Cat: v.cat, Arg: e.Arg})
 	}
-	r.mu.Lock()
-	if m > r.makespan {
-		r.makespan = m
+	switch v.end {
+	case RPub:
+		r.buf.Append(e.Node, Record{Type: RPub, Node: e.Node, Tid: e.Tid, T: e.T, Kind: v.edge, Key: e.Key, Arg: e.Arg})
+	case RSub:
+		r.buf.Append(e.Node, Record{Type: RSub, Node: e.Node, Tid: e.Tid, T: e.T, Kind: v.edge, Key: e.Key, Cat: v.cat})
 	}
-	r.mu.Unlock()
 }
 
 // Makespan returns the largest makespan noted so far.
@@ -236,115 +251,26 @@ func (r *Recorder) Makespan() int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.makespan
+	return r.makespan.Load()
 }
 
-// Records returns all records in the canonical order: sorted by (T, Node,
-// Tid, Type, Kind, Key, Start, Cat, Arg). Within one thread the append
-// order is already virtual-time order; the canonical sort makes the result
-// independent of how the host interleaved different threads' appends.
-func (r *Recorder) Records() []Record {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	lanes := make([]*rlane, 0, len(r.lanes))
-	for _, l := range r.lanes {
-		lanes = append(lanes, l)
-	}
-	r.mu.Unlock()
-	var out []Record
-	for _, l := range lanes {
-		l.mu.Lock()
-		out = append(out, l.recs...)
-		l.mu.Unlock()
-	}
-	SortRecords(out)
-	return out
-}
-
-// SortRecords sorts recs into the canonical order used by Records.
-func SortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Tid != b.Tid {
-			return a.Tid < b.Tid
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Key != b.Key {
-			return a.Key < b.Key
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Cat != b.Cat {
-			return a.Cat < b.Cat
-		}
-		return a.Arg < b.Arg
-	})
-}
+// Records returns all records in the canonical order of Record.Order. Within
+// one thread the append order is already virtual-time order; the canonical
+// sort makes the result independent of how the host interleaved different
+// threads' appends.
+func (r *Recorder) Records() []Record { return r.lanes().Sorted() }
 
 // Len reports the total number of buffered records.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	lanes := make([]*rlane, 0, len(r.lanes))
-	for _, l := range r.lanes {
-		lanes = append(lanes, l)
-	}
-	r.mu.Unlock()
-	n := 0
-	for _, l := range lanes {
-		l.mu.Lock()
-		n += len(l.recs)
-		l.mu.Unlock()
-	}
-	return n
-}
+func (r *Recorder) Len() int { return r.lanes().Len() }
 
 // Dropped reports how many records were discarded due to the per-node limit.
-func (r *Recorder) Dropped() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, l := range r.lanes {
-		l.mu.Lock()
-		n += l.drops
-		l.mu.Unlock()
-	}
-	return n
-}
+func (r *Recorder) Dropped() int { return r.lanes().Dropped() }
 
 // Reset discards all records and the noted makespan.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	for _, l := range r.lanes {
-		l.mu.Lock()
-		l.recs = nil
-		l.drops = 0
-		l.mu.Unlock()
-	}
-	r.makespan = 0
-	r.mu.Unlock()
+	r.buf.Reset()
+	r.makespan.Store(0)
 }

@@ -6,15 +6,32 @@ import (
 	"strings"
 	"testing"
 
-	"argo/internal/trace"
+	"argo/internal/probe"
 )
+
+// The events these tests feed a recorder, named for what its projection makes
+// of them: a remote read paints [start, end) Remote, a ticket release is a
+// Handoff pub, the end of a ticket wait (here an instant: it paints nothing)
+// a Handoff sub attributing to LockWait, a launch's end leaves the makespan.
+func remote(node, tid int, start, end, arg int64) probe.Event {
+	return probe.Event{Kind: probe.OpRead, Node: node, Tid: tid, Start: start, T: end, Arg: arg}
+}
+func handoffPub(node, tid int, t int64, key uint64) probe.Event {
+	return probe.Event{Kind: probe.TicketRelease, Node: node, Tid: tid, Start: t, T: t, Key: key}
+}
+func handoffSub(node, tid int, t int64, key uint64) probe.Event {
+	return probe.Event{Kind: probe.TicketWait, Node: node, Tid: tid, Start: t, T: t, Key: key}
+}
+func runEnd(makespan int64) probe.Event {
+	return probe.Event{Kind: probe.RunEnd, Start: makespan, T: makespan}
+}
 
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
-	r.Span(0, 0, 0, 10, Remote, 0)
-	r.Pub(0, 0, 5, Handoff, 1, 0)
-	r.Sub(0, 0, 7, Handoff, 1, LockWait)
-	r.NoteMakespan(100)
+	r.Observe(remote(0, 0, 0, 10, 0))
+	r.Observe(handoffPub(0, 0, 5, 1))
+	r.Observe(handoffSub(0, 0, 7, 1))
+	r.Observe(runEnd(100))
 	if r.Records() != nil || r.Len() != 0 || r.Dropped() != 0 || r.Makespan() != 0 {
 		t.Fatal("nil recorder misbehaved")
 	}
@@ -24,7 +41,7 @@ func TestNilRecorderSafe(t *testing.T) {
 func TestRecorderLimitAndReset(t *testing.T) {
 	r := NewRecorder(2)
 	for i := 0; i < 5; i++ {
-		r.Span(0, 0, int64(i), int64(i+1), Remote, 0)
+		r.Observe(remote(0, 0, int64(i), int64(i+1), 0))
 	}
 	if r.Len() != 2 || r.Dropped() != 3 {
 		t.Fatalf("len=%d dropped=%d, want 2/3", r.Len(), r.Dropped())
@@ -37,9 +54,9 @@ func TestRecorderLimitAndReset(t *testing.T) {
 
 func TestSpanIgnoresEmptyAndClamps(t *testing.T) {
 	r := NewRecorder(0)
-	r.Span(0, 0, 10, 10, Remote, 0) // empty
-	r.Span(0, 0, 10, 5, Remote, 0)  // inverted
-	r.Span(0, 0, -5, 5, Remote, 0)  // clamped to 0
+	r.Observe(remote(0, 0, 10, 10, 0)) // empty
+	r.Observe(remote(0, 0, 10, 5, 0))  // inverted
+	r.Observe(remote(0, 0, -5, 5, 0))  // clamped to 0
 	recs := r.Records()
 	if len(recs) != 1 || recs[0].Start != 0 || recs[0].T != 5 {
 		t.Fatalf("records = %+v", recs)
@@ -79,11 +96,11 @@ func TestPaintGapsAreCompute(t *testing.T) {
 // works until the makespan at 100.
 func twoLaneHandoff() []Record {
 	r := NewRecorder(0)
-	r.Span(0, 0, 0, 50, Remote, 0)
-	r.Pub(0, 0, 50, Handoff, 7, 0)
-	r.Sub(1, 0, 80, Handoff, 7, LockWait)
-	r.Span(1, 0, 80, 100, Remote, 0)
-	r.NoteMakespan(100)
+	r.Observe(remote(0, 0, 0, 50, 0))
+	r.Observe(handoffPub(0, 0, 50, 7))
+	r.Observe(handoffSub(1, 0, 80, 7))
+	r.Observe(remote(1, 0, 80, 100, 0))
+	r.Observe(runEnd(100))
 	return r.Records()
 }
 
@@ -157,8 +174,7 @@ func TestDigestSensitivity(t *testing.T) {
 
 func TestAnalyzeUnmatchedSub(t *testing.T) {
 	r := NewRecorder(0)
-	r.Span(0, 0, 0, 40, Compute, 0)
-	r.Sub(0, 0, 30, Handoff, 99, LockWait) // no pub anywhere
+	r.Observe(handoffSub(0, 0, 30, 99)) // no pub anywhere
 	rep, err := Analyze(r.Records(), 40)
 	if err != nil {
 		t.Fatal(err)
@@ -181,9 +197,8 @@ func TestAnalyzeSelfEdgeTerminates(t *testing.T) {
 	// A sub whose only pub is at the same instant must be skipped, or the
 	// backward walk would loop forever.
 	r := NewRecorder(0)
-	r.Pub(0, 0, 50, Barrier, 1, 0)
-	r.Sub(0, 0, 50, Barrier, 1, BarrierWait)
-	r.Span(0, 0, 0, 60, Compute, 0)
+	r.Observe(probe.Event{Kind: probe.ArriveGlobal, Start: 50, T: 50, Key: 1})
+	r.Observe(probe.Event{Kind: probe.DepartGlobal, Start: 50, T: 50, Key: 1})
 	rep, err := Analyze(r.Records(), 60)
 	if err != nil {
 		t.Fatal(err)
@@ -210,10 +225,10 @@ func TestFlows(t *testing.T) {
 
 func TestIORoundTrip(t *testing.T) {
 	r := NewRecorder(0)
-	r.Span(0, 0, 0, 50, Remote, 3)
-	r.Pub(0, 0, 50, Handoff, 7, 0)
-	r.Sub(1, 2, 80, Handoff, 7, LockWait)
-	r.NoteMakespan(90)
+	r.Observe(remote(0, 0, 0, 50, 3))
+	r.Observe(handoffPub(0, 0, 50, 7))
+	r.Observe(handoffSub(1, 2, 80, 7))
+	r.Observe(runEnd(90))
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -247,13 +262,13 @@ func TestNames(t *testing.T) {
 }
 
 func TestBiographies(t *testing.T) {
-	evs := []trace.Event{
-		{T: 10, Node: 0, Kind: trace.EvClassTransition, Page: 5, Arg: trace.ClassNWtoSW},
-		{T: 20, Node: 1, Kind: trace.EvInvalidate, Page: 5},
-		{T: 30, Node: 1, Kind: trace.EvKeep, Page: 5},
-		{T: 40, Node: 0, Kind: trace.EvReadMiss, Page: 5}, // not biographical
-		{T: 50, Node: 0, Kind: trace.EvSIFence, Page: -1}, // no page
-		{T: 15, Node: 2, Kind: trace.EvInvalidate, Page: 2},
+	evs := []probe.Event{
+		{T: 10, Node: 0, Kind: probe.ClassTransition, Page: 5, Arg: probe.ClassNWtoSW},
+		{T: 20, Node: 1, Kind: probe.Invalidate, Page: 5},
+		{T: 30, Node: 1, Kind: probe.Keep, Page: 5},
+		{T: 40, Node: 0, Kind: probe.ReadMiss, Page: 5}, // not biographical
+		{T: 50, Node: 0, Kind: probe.SIFence},           // no page
+		{T: 15, Node: 2, Kind: probe.Invalidate, Page: 2},
 	}
 	bios := Biographies(evs)
 	if len(bios) != 2 || bios[0].Page != 2 || bios[1].Page != 5 {
@@ -285,6 +300,33 @@ func TestWriteReport(t *testing.T) {
 	for _, want := range []string{"digest", "lock-wait", "Δ 0", "edge handoff"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// Every edge kind has a kind that publishes it and a kind that subscribes to
+// it (an edge with one end can never match), every subscriber names the wait
+// category its edge attributes, and only endpoints carry an edge.
+func TestViewsPairEveryEdge(t *testing.T) {
+	var pubs, subs [numEdgeKinds]int
+	for k, v := range views {
+		switch v.end {
+		case RPub:
+			pubs[v.edge]++
+		case RSub:
+			subs[v.edge]++
+			if v.cat == Compute {
+				t.Errorf("%s subscribes to %s but attributes to no wait category", probe.Kind(k), v.edge)
+			}
+		default:
+			if v.edge != 0 {
+				t.Errorf("%s names edge %s but is not an endpoint", probe.Kind(k), v.edge)
+			}
+		}
+	}
+	for e := EdgeKind(0); e < numEdgeKinds; e++ {
+		if pubs[e] == 0 || subs[e] == 0 {
+			t.Errorf("edge %s: %d publishing kinds, %d subscribing kinds", e, pubs[e], subs[e])
 		}
 	}
 }

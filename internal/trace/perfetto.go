@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"argo/internal/probe"
 )
 
 // perfettoEvent is one entry of the traceEvents array. Timestamps are in
@@ -94,7 +96,7 @@ func (t *Tracer) WritePerfettoFlows(w io.Writer, flows []Flow) error {
 		return trackIDs[i].tid < trackIDs[j].tid
 	})
 	for _, tr := range trackIDs {
-		s, c := DecodeTid(tr.tid)
+		s, c := probe.DecodeTid(tr.tid)
 		out = append(out, perfettoEvent{
 			Name: "thread_name", Ph: "M", Pid: tr.pid, Tid: tr.tid,
 			Args: map[string]any{"name": fmt.Sprintf("socket %d core %d", s, c)},
@@ -111,10 +113,10 @@ func (t *Tracer) WritePerfettoFlows(w io.Writer, flows []Flow) error {
 		if e.Page >= 0 {
 			pe.Args["page"] = e.Page
 		}
-		if e.Dur > 0 {
+		if e.Dur() > 0 {
 			pe.Ph = "X"
-			pe.Ts = usOf(e.T - e.Dur) // Event.T is the end of the span
-			pe.Dur = usOf(e.Dur)
+			pe.Ts = usOf(e.Start)
+			pe.Dur = usOf(e.Dur())
 		} else {
 			pe.Ph = "i"
 			pe.Ts = usOf(e.T)

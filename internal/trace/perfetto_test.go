@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"argo/internal/probe"
 )
 
 func TestTidRoundTrip(t *testing.T) {
 	for _, c := range []struct{ socket, core int }{{0, 0}, {1, 2}, {3, 0}, {7, 65535}} {
-		s, co := DecodeTid(TidOf(c.socket, c.core))
+		s, co := probe.DecodeTid(probe.TidOf(c.socket, c.core))
 		if s != c.socket || co != c.core {
 			t.Fatalf("TidOf(%d,%d) round-trips to (%d,%d)", c.socket, c.core, s, co)
 		}
@@ -17,8 +19,8 @@ func TestTidRoundTrip(t *testing.T) {
 
 func TestWritePerfetto(t *testing.T) {
 	tr := New(0)
-	tr.Record(Event{T: 5000, Node: 0, Tid: TidOf(1, 2), Kind: EvReadMiss, Page: 3, Arg: 1})
-	tr.Record(Event{T: 9000, Node: 1, Tid: TidOf(0, 0), Kind: EvSIFence, Page: -1, Arg: 4, Dur: 2000})
+	tr.Observe(probe.Event{Start: 5000, T: 5000, Node: 0, Tid: probe.TidOf(1, 2), Kind: probe.ReadMiss, Page: 3, Arg: 1})
+	tr.Observe(probe.Event{Start: 7000, T: 9000, Node: 1, Tid: probe.TidOf(0, 0), Kind: probe.SIFence, Arg: 4})
 
 	var buf bytes.Buffer
 	if err := tr.WritePerfetto(&buf); err != nil {
@@ -44,7 +46,7 @@ func TestWritePerfetto(t *testing.T) {
 				procs++
 			case "thread_name":
 				threads++
-				if e["pid"] == 0.0 && e["tid"] == float64(TidOf(1, 2)) {
+				if e["pid"] == 0.0 && e["tid"] == float64(probe.TidOf(1, 2)) {
 					args := e["args"].(map[string]any)
 					if args["name"] != "socket 1 core 2" {
 						t.Errorf("thread_name = %v", args["name"])
@@ -83,9 +85,9 @@ func TestWritePerfetto(t *testing.T) {
 func TestSummaryMatchesEvents(t *testing.T) {
 	tr := New(0)
 	for i := 0; i < 50; i++ {
-		tr.Record(Event{T: int64(i), Node: i % 3, Kind: Kind(i % int(numKinds)), Page: -1})
+		tr.Observe(probe.Event{Start: int64(i), T: int64(i), Node: i % 3, Kind: probe.Kind(i % int(probe.NumKinds))})
 	}
-	want := map[Kind]int{}
+	want := map[probe.Kind]int{}
 	for _, e := range tr.Events() {
 		want[e.Kind]++
 	}
@@ -98,7 +100,7 @@ func TestSummaryMatchesEvents(t *testing.T) {
 			t.Errorf("kind %v: %d, want %d", k, got[k], n)
 		}
 	}
-	if tr.Len() != 50 {
-		t.Errorf("Len = %d", tr.Len())
+	if tr.Len() != len(tr.Events()) || tr.Len() == 0 || tr.Len() >= 50 {
+		t.Errorf("Len = %d: want the traced kinds' share of 50 events", tr.Len())
 	}
 }

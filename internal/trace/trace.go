@@ -1,85 +1,34 @@
-// Package trace records protocol events — misses, fetches, writebacks,
-// fences, classification transitions, lock handovers — with virtual
-// timestamps, for debugging protocol behaviour and for post-mortem
-// analysis of benchmark runs (what the paper does with aggregate counters,
-// but per event).
+// Package trace is the protocol-event sink of package probe: it keeps the
+// page-level facts — misses, fetches, writebacks, fences, classification
+// transitions, crashes and excisions — with their virtual timestamps, for
+// debugging protocol behaviour and for post-mortem analysis of benchmark runs
+// (what the paper does with aggregate counters, but per event).
 //
-// Tracing is off unless a Tracer is attached; the hot paths pay one nil
-// check. Events are buffered per node to avoid cross-node contention and
-// merged on demand.
+// Tracing is off unless a Tracer is among a cluster's observers. Events are
+// buffered per node to avoid cross-node contention and merged on demand, in
+// an order that is a function of the run alone.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
+
+	"argo/internal/probe"
 )
 
-// Kind classifies an event.
-type Kind uint8
-
-// Event kinds, in rough protocol order.
-const (
-	EvReadMiss Kind = iota
-	EvWriteMiss
-	EvLineFetch
-	EvWriteback
-	EvCheckpoint
-	EvSIFence
-	EvSDFence
-	EvInvalidate
-	EvKeep // page retained across an SI fence by classification
-	EvNotify
-	EvClassTransition
-	EvBarrier
-	EvLockAcquire
-	EvLockRelease
-	EvDelegate
-	EvWBRetry // a posted writeback was lost; Arg is the reissue count so far
-	EvWBBurst // a fence posted its downgrades as one burst; Arg packs pages<<8|homes
-	EvCrash   // a node crash-stopped at a safe point; Arg is CrashArg(episode, kind)
-	EvExcise  // membership dropped a dead node (or a lock excised/fenced its holder); Arg is the node
-	numKinds
-)
-
-var kindNames = [numKinds]string{
-	"read-miss", "write-miss", "line-fetch", "writeback", "checkpoint",
-	"si-fence", "sd-fence", "invalidate", "keep", "notify",
-	"class-transition", "barrier", "lock-acquire", "lock-release", "delegate",
-	"wb-retry", "wb-burst", "crash", "excise",
+// traced marks the kinds the trace keeps; the rest of the stream belongs to
+// the other sinks.
+var traced = [probe.NumKinds]bool{
+	probe.ReadMiss: true, probe.WriteMiss: true, probe.LineFetch: true, probe.Writeback: true,
+	probe.Checkpoint: true, probe.SIFence: true, probe.SDFence: true, probe.Invalidate: true,
+	probe.Keep: true, probe.Notify: true, probe.ClassTransition: true, probe.WBRetry: true,
+	probe.WBBurst: true, probe.Crash: true, probe.Excise: true,
 }
-
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-// Arg codes for EvClassTransition, naming the Pyxis classification step a
-// page took.
-const (
-	ClassNWtoSW int64 = 1 // first writer: not-written → single-writer
-	ClassSWtoMW int64 = 2 // second writer: single-writer → multiple-writer
-	ClassPtoS   int64 = 3 // second reader: private → shared
-)
-
-// Safe-point kinds for EvCrash, naming where the crash verdict fired.
-// EvCrash.Arg packs the barrier episode and the kind — use CrashArg to
-// build it and CrashArgEpisode/CrashArgKind to take it apart. (Before
-// Cygnus II the Arg was the bare episode; barrier crashes, kind 0, decode
-// identically either way.)
-const (
-	CrashAtBarrier int64 = iota // barrier entry (always armed)
-	CrashAtLock                 // ticket-lock acquire/release (crashpoints=lock)
-	CrashAtFlag                 // flag wait/signal (crashpoints=flag)
-)
 
 var crashKindNames = [...]string{"barrier", "lock", "flag"}
 
-// CrashKindName renders a safe-point kind ("barrier", "lock", "flag").
+// CrashKindName renders a probe.CrashAt* safe point ("barrier", "lock", "flag").
 func CrashKindName(kind int64) string {
 	if kind >= 0 && kind < int64(len(crashKindNames)) {
 		return crashKindNames[kind]
@@ -87,42 +36,15 @@ func CrashKindName(kind int64) string {
 	return fmt.Sprintf("kind(%d)", kind)
 }
 
-// CrashArg packs an EvCrash Arg from the barrier episode the crash is
-// charged to and the safe-point kind that delivered it.
-func CrashArg(episode, kind int64) int64 { return episode<<2 | kind }
-
-// CrashArgEpisode extracts the barrier episode from an EvCrash Arg.
-func CrashArgEpisode(arg int64) int64 { return arg >> 2 }
-
-// CrashArgKind extracts the safe-point kind from an EvCrash Arg.
-func CrashArgKind(arg int64) int64 { return arg & 3 }
-
-// Event is one protocol action.
-type Event struct {
-	T    int64 // virtual time (ns); for events with Dur > 0 this is the end
-	Node int
-	Tid  int // recording thread's track id (TidOf), 0 if unknown
-	Kind Kind
-	Page int   // page involved, or -1
-	Arg  int64 // kind-specific: bytes written back, pages invalidated, target node…
-	Dur  int64 // duration (ns) for span events (fences); 0 for instants
-}
-
-// TidOf packs a (socket, core) coordinate into a stable per-node track id
-// for timeline exporters. DecodeTid reverses it.
-func TidOf(socket, core int) int { return socket<<16 | core&0xffff }
-
-// DecodeTid splits a TidOf-packed track id back into (socket, core).
-func DecodeTid(tid int) (socket, core int) { return tid >> 16, tid & 0xffff }
-
-func (e Event) String() string {
+// Format renders one event of Events as a line of the text trace.
+func Format(e probe.Event) string {
 	var dur string
-	if e.Dur > 0 {
-		dur = fmt.Sprintf(" dur=%d", e.Dur)
+	if e.Dur() > 0 {
+		dur = fmt.Sprintf(" dur=%d", e.Dur())
 	}
-	if e.Kind == EvCrash {
+	if e.Kind == probe.Crash {
 		return fmt.Sprintf("%12d n%-3d %-16s episode=%-4d point=%s%s",
-			e.T, e.Node, e.Kind, CrashArgEpisode(e.Arg), CrashKindName(CrashArgKind(e.Arg)), dur)
+			e.T, e.Node, e.Kind, e.Key, CrashKindName(e.Aux), dur)
 	}
 	if e.Page >= 0 {
 		return fmt.Sprintf("%12d n%-3d %-16s page=%-6d arg=%d%s", e.T, e.Node, e.Kind, e.Page, e.Arg, dur)
@@ -130,18 +52,9 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12d n%-3d %-16s arg=%d%s", e.T, e.Node, e.Kind, e.Arg, dur)
 }
 
-// Tracer collects events from all nodes of a cluster.
-type Tracer struct {
-	mu    sync.Mutex
-	lanes map[int]*lane
-	limit int
-}
-
-type lane struct {
-	mu     sync.Mutex
-	events []Event
-	drops  int
-}
+// Tracer collects events from all nodes of the clusters it observes. A nil
+// *Tracer holds nothing and ignores events.
+type Tracer probe.Lanes[probe.Event]
 
 // New creates a tracer that keeps at most limit events per node
 // (0 means 1<<20).
@@ -149,145 +62,58 @@ func New(limit int) *Tracer {
 	if limit <= 0 {
 		limit = 1 << 20
 	}
-	return &Tracer{lanes: map[int]*lane{}, limit: limit}
+	return (*Tracer)(probe.NewLanes[probe.Event](limit))
 }
 
-func (t *Tracer) lane(node int) *lane {
-	t.mu.Lock()
-	l, ok := t.lanes[node]
-	if !ok {
-		l = &lane{}
-		t.lanes[node] = l
+func (t *Tracer) lanes() *probe.Lanes[probe.Event] { return (*probe.Lanes[probe.Event])(t) }
+
+// Observe keeps e if it is one of the trace's kinds (probe.Sink), in the
+// trace's shape: Page is -1 for a fact about no page and Arg the one number
+// the trace shows — bytes written back, pages invalidated, target node…; a
+// burst packs pages<<8|homes, a crash episode<<2|safe point. A lock's excision
+// of a dead holder is traced under the same name as the membership's.
+func (t *Tracer) Observe(e probe.Event) {
+	switch e.Kind {
+	case probe.LockExcision:
+		e.Kind = probe.Excise
+	case probe.WBBurst:
+		e.Arg = e.Arg<<8 | e.Aux
+	case probe.Crash:
+		e.Arg = int64(e.Key)<<2 | e.Aux
 	}
-	t.mu.Unlock()
-	return l
+	if !e.Kind.Paged() {
+		e.Page = -1
+	}
+	if traced[e.Kind] {
+		t.lanes().Append(e.Node, e)
+	}
 }
 
-// Record appends an event. Safe for concurrent use; events of one node are
-// recorded in real order (which is also virtual order per thread).
-func (t *Tracer) Record(e Event) {
-	if t == nil {
-		return
-	}
-	l := t.lane(e.Node)
-	l.mu.Lock()
-	if len(l.events) < t.limit {
-		l.events = append(l.events, e)
-	} else {
-		l.drops++
-	}
-	l.mu.Unlock()
-}
-
-// Events returns all recorded events merged and sorted by virtual time
-// (ties by node, then kind).
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	lanes := make([]*lane, 0, len(t.lanes))
-	for _, l := range t.lanes {
-		lanes = append(lanes, l)
-	}
-	t.mu.Unlock()
-	var out []Event
-	for _, l := range lanes {
-		l.mu.Lock()
-		out = append(out, l.events...)
-		l.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Kind < b.Kind
-	})
-	return out
-}
+// Events returns all recorded events merged into the canonical order of
+// probe.Sort: by virtual time, ties by node, thread, kind and content.
+func (t *Tracer) Events() []probe.Event { return t.lanes().Sorted() }
 
 // Dropped reports how many events were discarded due to the per-node limit.
-func (t *Tracer) Dropped() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, l := range t.lanes {
-		l.mu.Lock()
-		n += l.drops
-		l.mu.Unlock()
-	}
-	return n
-}
+func (t *Tracer) Dropped() int { return t.lanes().Dropped() }
 
 // Reset discards all recorded events.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	for _, l := range t.lanes {
-		l.mu.Lock()
-		l.events = nil
-		l.drops = 0
-		l.mu.Unlock()
-	}
-	t.mu.Unlock()
-}
-
-// Summary aggregates event counts by kind. It counts each lane in place
-// under the lane lock — no copy, no merge-sort of the full trace.
-func (t *Tracer) Summary() map[Kind]int {
-	out := map[Kind]int{}
-	if t == nil {
-		return out
-	}
-	t.mu.Lock()
-	lanes := make([]*lane, 0, len(t.lanes))
-	for _, l := range t.lanes {
-		lanes = append(lanes, l)
-	}
-	t.mu.Unlock()
-	for _, l := range lanes {
-		l.mu.Lock()
-		for _, e := range l.events {
-			out[e.Kind]++
-		}
-		l.mu.Unlock()
-	}
-	return out
-}
+func (t *Tracer) Reset() { t.lanes().Reset() }
 
 // Len reports the total number of buffered events (cheaper than Events).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	lanes := make([]*lane, 0, len(t.lanes))
-	for _, l := range t.lanes {
-		lanes = append(lanes, l)
-	}
-	t.mu.Unlock()
-	n := 0
-	for _, l := range lanes {
-		l.mu.Lock()
-		n += len(l.events)
-		l.mu.Unlock()
-	}
-	return n
+func (t *Tracer) Len() int { return t.lanes().Len() }
+
+// Summary aggregates event counts by kind, counting each lane in place — no
+// copy, no merge-sort of the full trace.
+func (t *Tracer) Summary() map[probe.Kind]int {
+	out := map[probe.Kind]int{}
+	t.lanes().Each(func(e probe.Event) { out[e.Kind]++ })
+	return out
 }
 
 // WriteText dumps the merged trace, one event per line.
 func (t *Tracer) WriteText(w io.Writer) error {
 	for _, e := range t.Events() {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
+		if _, err := fmt.Fprintln(w, Format(e)); err != nil {
 			return err
 		}
 	}
@@ -302,7 +128,7 @@ func (t *Tracer) WriteCSV(w io.Writer) error {
 	var b strings.Builder
 	for _, e := range t.Events() {
 		b.Reset()
-		fmt.Fprintf(&b, "%d,%d,%s,%d,%d,%d\n", e.T, e.Node, e.Kind, e.Page, e.Arg, e.Dur)
+		fmt.Fprintf(&b, "%d,%d,%s,%d,%d,%d\n", e.T, e.Node, e.Kind, e.Page, e.Arg, e.Dur())
 		if _, err := io.WriteString(w, b.String()); err != nil {
 			return err
 		}

@@ -28,9 +28,8 @@ import (
 	"argo/internal/core"
 	"argo/internal/fault"
 	"argo/internal/health"
+	"argo/internal/probe"
 	"argo/internal/sim"
-	"argo/internal/span"
-	"argo/internal/trace"
 )
 
 // hbKeyBase tags heartbeat publishes in the fabric's fault-identity space,
@@ -65,7 +64,7 @@ type epState struct {
 
 	complete bool
 	release  sim.Time
-	recov    sim.Time // failure-detection tail folded into release (Pictor)
+	recov    sim.Time // failure-detection tail folded into release (reported as recovery)
 	orOut    bool
 }
 
@@ -225,7 +224,7 @@ func (m *memberBarrier) crashPoint(t *core.Thread, ep int64) bool {
 		}
 		return false
 	}
-	m.killCheckIn(t, ep, trace.CrashAtBarrier)
+	m.killCheckIn(t, ep, probe.CrashAtBarrier)
 	if restart {
 		m.observe(t.P, ep)
 		return true
@@ -240,9 +239,9 @@ func (m *memberBarrier) crashPoint(t *core.Thread, ep int64) bool {
 }
 
 // killCheckIn counts this thread's crash check-in for episode ep. The
-// node's last checking thread kills the node, performs the volatile-state
-// wipe and records the EvCrash event, tagged with the safe-point kind that
-// delivered its own check-in. The death is stamped with the latest of the
+// node's last checking thread kills the node — tagging the crash with the
+// safe-point kind that delivered its own check-in — and performs the
+// volatile-state wipe. The death is stamped with the latest of the
 // node's check-in clocks — a function of the seeded run, where the clock of
 // whichever sibling the host happened to run first is not.
 func (m *memberBarrier) killCheckIn(t *core.Thread, ep int64, kind int64) {
@@ -260,12 +259,8 @@ func (m *memberBarrier) killCheckIn(t *core.Thread, ep int64, kind int64) {
 	m.crashed[ck] = in
 	m.mu.Unlock()
 	if in.n == m.tpn {
-		m.det.Kill(t.Node, in.at, ep)
+		m.det.Kill(t.Node, in.at, ep, kind)
 		t.Coh.CrashWipe()
-		t.Coh.Trc.Record(trace.Event{
-			T: in.at, Node: t.Node, Tid: trace.TidOf(t.P.Socket, t.P.Core),
-			Kind: trace.EvCrash, Page: -1, Arg: trace.CrashArg(ep, kind),
-		})
 	}
 }
 
@@ -286,9 +281,9 @@ func (m *memberBarrier) safePoint(t *core.Thread, pt fault.SafePoint) {
 	if !dies || restart {
 		return
 	}
-	kind := trace.CrashAtLock
+	kind := probe.CrashAtLock
 	if pt == fault.SafeFlag {
-		kind = trace.CrashAtFlag
+		kind = probe.CrashAtFlag
 	}
 	m.killCheckIn(t, ep, kind)
 	m.mu.Lock()
@@ -325,13 +320,9 @@ func (m *memberBarrier) rendezvous(p *sim.Proc, ep int64, sub int, vote bool) bo
 	m.mu.Unlock()
 	p.AdvanceTo(rel)
 	if recov > 0 {
-		if sr := m.c.SR; sr != nil {
-			// The detection tail of a crash episode: paint it Recovery and
-			// join it to the kill-time publish on the corpse's lane.
-			tid := tidOf(p)
-			sr.Span(p.Node, tid, int64(rel-recov), int64(rel), span.Recovery, ep)
-			sr.Sub(p.Node, tid, int64(rel), span.Crash, uint64(ep), span.Recovery)
-		}
+		// The detection tail of a crash episode is recovery time, caused by
+		// the episode's kills on the corpses' lanes.
+		m.c.Obs.Sync(p, rel-recov, probe.CrashWait, uint64(ep), ep, 0)
 	}
 	return out
 }
@@ -378,12 +369,8 @@ func (m *memberBarrier) observe(p *sim.Proc, ep int64) {
 	}
 	m.mu.Unlock()
 	p.AdvanceTo(wake)
-	if sr := m.c.SR; sr != nil {
-		// Reboot downtime of a restarting node is pure recovery time.
-		tid := tidOf(p)
-		sr.Span(p.Node, tid, int64(rel), int64(p.Now()), span.Recovery, ep)
-		sr.Sub(p.Node, tid, int64(p.Now()), span.Crash, uint64(ep), span.Recovery)
-	}
+	// Reboot downtime of a restarting node is pure recovery time.
+	m.c.Obs.Sync(p, rel, probe.CrashWait, uint64(ep), ep, 0)
 }
 
 // observePartition parks an isolated node's thread until the majority
@@ -405,12 +392,9 @@ func (m *memberBarrier) observePartition(p *sim.Proc, ep int64) {
 	m.mu.Unlock()
 	p.AdvanceTo(rel)
 	if recov > 0 {
-		if sr := m.c.SR; sr != nil {
-			// The minority waits out the same detection tail as the
-			// survivors; paint it Recovery on their lanes too.
-			tid := tidOf(p)
-			sr.Span(p.Node, tid, int64(rel-recov), int64(rel), span.Recovery, ep)
-		}
+		// The minority waits out the same detection tail as the survivors:
+		// recovery time on their lanes too.
+		m.c.Obs.Since(p, rel-recov, probe.CutWait, ep, 0)
 	}
 }
 
@@ -448,9 +432,6 @@ func (m *memberBarrier) maybeComplete(ep int64, st *epState) {
 		// Every survivor is parked here, so wiping the dead node's
 		// directory cache cannot race an in-flight Notify.
 		m.c.Dir.ClearCache(dn)
-		m.c.Nodes[dn].Trc.Record(trace.Event{
-			T: release, Node: dn, Kind: trace.EvExcise, Page: -1, Arg: int64(dn),
-		})
 		if restart {
 			m.det.Rejoin(dn, release, ep)
 			m.c.Dir.ClearDeadBit(dn)

@@ -8,6 +8,7 @@ import (
 	"argo/internal/core"
 	"argo/internal/fault"
 	"argo/internal/metrics"
+	"argo/internal/probe"
 	"argo/internal/sim"
 	"argo/internal/trace"
 )
@@ -22,7 +23,9 @@ func crashClusterMX(nodes int, ms *metrics.Suite) *core.Cluster {
 	cfg.MemoryBytes = 4 << 20
 	plan := fault.DefaultPlan(1)
 	cfg.Faults = &plan
-	cfg.Metrics = ms
+	if ms != nil {
+		cfg.Observers = append(cfg.Observers, ms)
+	}
 	c := core.MustNewCluster(cfg)
 	c.BarrierFactory = DefaultBarrier
 	return c
@@ -340,7 +343,7 @@ func TestCrashAtFlagSafePoint(t *testing.T) {
 	plan.CrashPoints = fault.SafeFlag
 	cfg.Faults = &plan
 	tr := trace.New(0)
-	cfg.Tracer = tr
+	cfg.Observers = append(cfg.Observers, tr)
 	c := core.MustNewCluster(cfg)
 	c.BarrierFactory = DefaultBarrier
 	c.Health.ScheduleCrash(2, 1, false)
@@ -373,15 +376,15 @@ func TestCrashAtFlagSafePoint(t *testing.T) {
 	}
 	found := false
 	for _, ev := range tr.Events() {
-		if ev.Kind == trace.EvCrash {
+		if ev.Kind == probe.Crash {
 			found = true
-			if trace.CrashArgKind(ev.Arg) != trace.CrashAtFlag {
-				t.Fatalf("EvCrash kind %s, want flag", trace.CrashKindName(trace.CrashArgKind(ev.Arg)))
+			if ev.Aux != probe.CrashAtFlag {
+				t.Fatalf("crash at safe point %s, want flag", trace.CrashKindName(ev.Aux))
 			}
 		}
 	}
 	if !found {
-		t.Fatal("no EvCrash event recorded")
+		t.Fatal("no crash event recorded")
 	}
 }
 

@@ -16,48 +16,9 @@ import (
 
 	"argo/internal/core"
 	"argo/internal/fault"
-	"argo/internal/metrics"
+	"argo/internal/probe"
 	"argo/internal/sim"
-	"argo/internal/span"
-	"argo/internal/trace"
 )
-
-// tidOf returns the Pictor lane id of a proc.
-func tidOf(p *sim.Proc) int { return trace.TidOf(p.Socket, p.Core) }
-
-// barrierMX holds the Argoscope instruments of a hierarchical barrier:
-// phase-latency histograms (the local rendezvous every thread pays, the
-// representative's SD + global + SI leg, and the whole episode end to end)
-// plus episode/reset counters. Nil when the cluster has no metrics suite.
-type barrierMX struct {
-	localNs   *metrics.Histogram
-	repNs     *metrics.Histogram
-	episodeNs *metrics.Histogram
-	waitNs    *metrics.Histogram
-	episodes  *metrics.Counter
-	resets    *metrics.Counter
-}
-
-func newBarrierMX(c *core.Cluster) *barrierMX {
-	if c.MX == nil {
-		return nil
-	}
-	r := c.MX.Reg
-	const phaseHelp = "Virtual time a thread spends in one hierarchical-barrier phase"
-	return &barrierMX{
-		localNs:   r.Histogram("argo_barrier_phase_ns", phaseHelp, metrics.L("phase", "local")),
-		repNs:     r.Histogram("argo_barrier_phase_ns", phaseHelp, metrics.L("phase", "representative")),
-		episodeNs: r.Histogram("argo_barrier_phase_ns", phaseHelp, metrics.L("phase", "episode")),
-		waitNs: r.Histogram("argo_barrier_wait_ns",
-			"Virtual time a thread spends waiting at barrier rendezvous per episode (excl. fences)"),
-		episodes: r.Counter("argo_barrier_events_total",
-			"Barrier episodes completed and classification resets performed",
-			metrics.L("event", "episode")),
-		resets: r.Counter("argo_barrier_events_total",
-			"Barrier episodes completed and classification resets performed",
-			metrics.L("event", "reset")),
-	}
-}
 
 // HierBarrier is the hierarchical DSM barrier. It also doubles as the
 // cluster's phase-reset collective (classification reset after program
@@ -73,10 +34,9 @@ type HierBarrier struct {
 	localCost  sim.Time
 	globalCost sim.Time
 
-	mx *barrierMX
-
-	// inst is this barrier's Pictor key-space instance (span-only; does not
-	// consume sync keys, so fault identities are unchanged by tracing).
+	// inst is this barrier's instance in the key space of its rendezvous
+	// events (probe-only; does not consume sync keys, so fault identities are
+	// unchanged by observing).
 	inst uint64
 
 	// mem replaces the fixed-count global barrier when crash faults are
@@ -100,7 +60,6 @@ func NewHierBarrier(c *core.Cluster, threadsPerNode int) *HierBarrier {
 		c:      c,
 		tpn:    threadsPerNode,
 		global: sim.NewBarrier(c.Cfg.Nodes),
-		mx:     newBarrierMX(c),
 		inst:   c.NextSpanKey(),
 	}
 	for n := 0; n < c.Cfg.Nodes; n++ {
@@ -131,34 +90,24 @@ func (b *HierBarrier) Wait(t *core.Thread) { b.wait(t, false) }
 // classification.
 func (b *HierBarrier) WaitAndReset(t *core.Thread) { b.wait(t, true) }
 
-// bkey packs one rendezvous identity for Pictor's barrier edges: the
-// barrier instance, the meeting point (node-local barriers use node+1,
-// the global rendezvous 0, the reset re-rendezvous 255), and the episode.
-// Every participant publishes at arrival and subscribes at release, so a
-// release edge joins to the last arrival — the causal source of the wake.
-func (b *HierBarrier) bkey(point int, ep uint64) uint64 {
-	return b.inst<<32 | uint64(point)<<24 | ep&0xffffff
-}
-
-// meet runs one rendezvous leg with Pictor pub/sub bracketing and returns
-// the wait duration.
-func (b *HierBarrier) meet(t *core.Thread, kind span.EdgeKind, point int, ep uint64, wait func()) sim.Time {
-	sr := b.c.SR
+// meet runs one rendezvous leg and returns the wait duration. The leg is
+// reported as an arrival (arrive is one of probe.ArriveLocal, ArriveGlobal,
+// ArriveFinal) and the departure that follows it in the kind order, both
+// keyed by the rendezvous identity: the barrier instance, the meeting point
+// (node-local barriers use node+1, the global rendezvous 0, the reset
+// re-rendezvous 255) and the episode. Every participant arrives and departs,
+// so a departure joins to the last arrival — the causal source of the wake.
+func (b *HierBarrier) meet(t *core.Thread, arrive probe.Kind, point int, ep uint64, wait func()) sim.Time {
+	key := b.inst<<32 | uint64(point)<<24 | ep&0xffffff
 	a0 := t.P.Now()
-	if sr != nil {
-		sr.Pub(t.Node, tidOf(t.P), int64(a0), kind, b.bkey(point, ep), 0)
-	}
+	b.c.Obs.Sync(t.P, a0, arrive, key, 0, 0)
 	wait()
-	if sr != nil {
-		tid := tidOf(t.P)
-		sr.Span(t.Node, tid, int64(a0), int64(t.P.Now()), span.BarrierWait, int64(ep))
-		sr.Sub(t.Node, tid, int64(t.P.Now()), kind, b.bkey(point, ep), span.BarrierWait)
-	}
+	b.c.Obs.Sync(t.P, a0, arrive+1, key, int64(ep), 0)
 	return t.P.Now() - a0
 }
 
 func (b *HierBarrier) wait(t *core.Thread, forceReset bool) {
-	// The episode counter keys Pictor's barrier edges and, under Cygnus,
+	// The episode counter keys the barrier's rendezvous events and, under Cygnus,
 	// names the crash safe point; it advances whether or not faults are
 	// armed (nothing outside crash handling reads it, so fault-free runs
 	// stay bit-identical).
@@ -174,10 +123,7 @@ func (b *HierBarrier) wait(t *core.Thread, forceReset bool) {
 	n := t.Node
 	ep := uint64(t.SyncEpoch)
 	t0 := t.P.Now()
-	waited := b.meet(t, span.BarrierLocal, n+1, ep, func() { b.local[n].Wait(t.P, b.localCost) })
-	if b.mx != nil {
-		b.mx.localNs.Record(n, t.P.Now()-t0)
-	}
+	waited := b.meet(t, probe.ArriveLocal, n+1, ep, func() { b.local[n].Wait(t.P, b.localCost) })
 	if t.Local == 0 {
 		// Node representative: downgrade, rendezvous, (maybe reset),
 		// invalidate. The reset decision travels with the rendezvous so
@@ -190,11 +136,10 @@ func (b *HierBarrier) wait(t *core.Thread, forceReset bool) {
 		}
 		t.Coh.SDFence(t.P)
 		want := forceReset
+		var counted, wiped int64 // the leader's: it counts the episode and wipes the directory
 		if leader {
+			counted = 1
 			ep := b.episodes.Add(1)
-			if b.mx != nil {
-				b.mx.episodes.Inc()
-			}
 			if d := b.c.Cfg.DecayEpochs; d > 0 && ep%int64(d) == 0 {
 				want = true
 			}
@@ -205,7 +150,7 @@ func (b *HierBarrier) wait(t *core.Thread, forceReset bool) {
 			}
 		}
 		var reset bool
-		waited += b.meet(t, span.Barrier, 0, ep, func() {
+		waited += b.meet(t, probe.ArriveGlobal, 0, ep, func() {
 			if b.mem != nil {
 				reset = b.mem.rendezvous(t.P, t.SyncEpoch, 0, want)
 			} else {
@@ -217,13 +162,11 @@ func (b *HierBarrier) wait(t *core.Thread, forceReset bool) {
 			if leader {
 				b.c.Dir.Reset()
 				b.resets.Add(1)
-				if b.mx != nil {
-					b.mx.resets.Inc()
-				}
+				wiped = 1
 			}
 			// Second rendezvous: nobody may re-register pages while the
 			// directory wipe is in progress on the leader.
-			waited += b.meet(t, span.Barrier, 255, ep, func() {
+			waited += b.meet(t, probe.ArriveGlobal, 255, ep, func() {
 				if b.mem != nil {
 					b.mem.rendezvous(t.P, t.SyncEpoch, 1, false)
 				} else {
@@ -233,15 +176,10 @@ func (b *HierBarrier) wait(t *core.Thread, forceReset bool) {
 		} else {
 			t.Coh.SIFence(t.P)
 		}
-		if b.mx != nil {
-			b.mx.repNs.Record(n, t.P.Now()-r0)
-		}
+		b.c.Obs.Since(t.P, r0, probe.BarrierRep, counted, wiped)
 	}
-	waited += b.meet(t, span.BarrierFinal, n+1, ep, func() { b.final[n].Wait(t.P, b.localCost) })
-	if b.mx != nil {
-		b.mx.waitNs.Record(n, waited)
-		b.mx.episodeNs.Record(n, t.P.Now()-t0)
-	}
+	waited += b.meet(t, probe.ArriveFinal, n+1, ep, func() { b.final[n].Wait(t.P, b.localCost) })
+	b.c.Obs.Since(t.P, t0, probe.BarrierEpisode, waited, 0)
 }
 
 // Members returns the barrier's current membership view in ascending node

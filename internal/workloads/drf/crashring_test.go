@@ -222,7 +222,7 @@ func TestPlanCrashRingIdlesThroughPartitions(t *testing.T) {
 func TestCrashRingCriticalPathDeterminism(t *testing.T) {
 	run := func() *span.Report {
 		sr := span.NewRecorder(0)
-		core.ConfigHook = func(cfg *core.Config) { cfg.Spans = sr }
+		core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, sr) }
 		defer func() { core.ConfigHook = nil }()
 		p := crashPlan(23, 0.06, true)
 		p.Partition = 0.1

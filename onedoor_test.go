@@ -8,7 +8,7 @@ import (
 	"argo"
 	"argo/internal/locks"
 	"argo/internal/metrics"
-	"argo/internal/trace"
+	"argo/internal/probe"
 	"argo/internal/workloads/wload"
 )
 
@@ -37,7 +37,7 @@ func turnsProgram(c *argo.Cluster) {
 func TestOneDoorEquivalence(t *testing.T) {
 	type observed struct {
 		metrics []byte
-		trace   map[trace.Kind]int
+		trace   map[probe.Kind]int
 		spans   int
 	}
 	observe := func(build func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) *argo.Cluster) observed {
@@ -52,7 +52,7 @@ func TestOneDoorEquivalence(t *testing.T) {
 		return observed{buf.Bytes(), tr.Summary(), len(sr.Records())}
 	}
 	withFields := func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) argo.Config {
-		cfg.Metrics, cfg.Tracer, cfg.Spans = ms, tr, sr
+		cfg.Observers = append(cfg.Observers, ms, tr, sr)
 		return cfg
 	}
 	options := observe(func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) *argo.Cluster {
@@ -64,7 +64,7 @@ func TestOneDoorEquivalence(t *testing.T) {
 	runner := observe(func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) *argo.Cluster {
 		return wload.MustCluster(withFields(cfg, ms, tr, sr)) // what every workload runner calls
 	})
-	if options.spans == 0 || options.trace[trace.EvSDFence] == 0 || !bytes.Contains(options.metrics, []byte("argo_lock_acquires_total")) {
+	if options.spans == 0 || options.trace[probe.SDFence] == 0 || !bytes.Contains(options.metrics, []byte("argo_lock_acquires_total")) {
 		t.Fatalf("observers saw too little: %d spans, trace %v", options.spans, options.trace)
 	}
 	for name, got := range map[string]observed{"Config fields": fields, "workload runner": runner} {
@@ -81,13 +81,13 @@ func TestOneDoorEquivalence(t *testing.T) {
 }
 
 // TestObserversReachLaterSyncObjects: observers are wired when NewCluster
-// returns, so a DSM lock and a flag built afterwards report into cfg.Metrics
-// with no further call (the old attach-before-building-locks hazard).
+// returns, so a DSM lock and a flag built afterwards report into
+// cfg.Observers with no further call (the old attach-before-building-locks hazard).
 func TestObserversReachLaterSyncObjects(t *testing.T) {
 	ms := argo.NewMetrics()
 	cfg := argo.DefaultConfig(2)
 	cfg.MemoryBytes = 4 << 20
-	cfg.Metrics = ms
+	cfg.Observers = append(cfg.Observers, ms)
 	c := argo.MustNewCluster(cfg)
 
 	l := locks.NewDSMMutex(c, 0)

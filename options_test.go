@@ -74,8 +74,8 @@ func TestOptionsCompose(t *testing.T) {
 	if c.Cfg.Net.RemoteLatency != 12345 {
 		t.Fatal("WithFabricParams not applied")
 	}
-	if c.MX != ms {
-		t.Fatal("WithMetrics not applied")
+	if obs := c.Cfg.Observers; len(obs) != 2 || obs[0] != ms || obs[1] != tr || c.Obs == nil {
+		t.Fatalf("WithMetrics and WithTracer not applied: observers %v", obs)
 	}
 	if c.FI == nil {
 		t.Fatal("cfg.Faults did not build an injector")
