@@ -15,6 +15,13 @@ import (
 	"argo/internal/vela"
 )
 
+// queued reports how many acquirers are parked behind the holder.
+func (l *GlobalTicketLock) queued() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.waiters.Len()
+}
+
 // crashLockCluster builds a crash-armed cluster (scripted crash far beyond
 // the test's episodes, just to arm the detector) with a metrics suite so
 // lock excisions are counted.
@@ -48,9 +55,8 @@ func TestTicketLockDeadHolderExcised(t *testing.T) {
 		for {
 			l.mu.Lock()
 			holderDead := l.locked && l.holder == 1 && !c.Health.Alive(1)
-			queued := len(l.waiters)
 			l.mu.Unlock()
-			if holderDead && queued == nodes-1 {
+			if holderDead && l.queued() == nodes-1 {
 				c.Health.Excise(1, 50_000+c.Health.Timeout(), 1)
 				return
 			}
@@ -89,9 +95,9 @@ func TestTicketLockDeadHolderExcised(t *testing.T) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.locked || l.holder != -1 || len(l.waiters) != 0 {
+	if l.locked || l.holder != -1 || l.waiters.Len() != 0 {
 		t.Fatalf("lock not clean after recovery: locked=%v holder=%d waiters=%d",
-			l.locked, l.holder, len(l.waiters))
+			l.locked, l.holder, l.waiters.Len())
 	}
 }
 
@@ -105,15 +111,8 @@ func TestTicketLockDeadWaiterPruned(t *testing.T) {
 	var doomedRan, release atomic.Bool
 	go func() {
 		for {
-			l.mu.Lock()
-			queued := 0
-			for _, w := range l.waiters {
-				if w.node == 1 {
-					queued++
-				}
-			}
-			l.mu.Unlock()
-			if queued == 1 {
+			// Only node 1 can be parked yet: node 0 queues after the release.
+			if l.queued() == 1 {
 				c.Health.Kill(1, 10_000, 1, probe.CrashAtBarrier)
 				c.Health.Excise(1, 10_000+c.Health.Timeout(), 1)
 				release.Store(true)
@@ -163,8 +162,73 @@ func TestTicketLockDeadWaiterPruned(t *testing.T) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.locked || len(l.waiters) != 0 {
-		t.Fatalf("lock not clean after pruning: locked=%v waiters=%d", l.locked, len(l.waiters))
+	if l.locked || l.waiters.Len() != 0 {
+		t.Fatalf("lock not clean after pruning: locked=%v waiters=%d", l.locked, l.waiters.Len())
+	}
+}
+
+// TestTicketLockPrunedWaiterReused: the waiter node 1 parks on is a recycled
+// one (it served a hand-off before); it is pruned by the excision, recycled
+// again by the unwinding thread, and then serves node 0 — whose grant must be
+// an ordinary one: no stale prune, no excision to pay.
+func TestTicketLockPrunedWaiterReused(t *testing.T) {
+	c, ms := crashLockCluster(3)
+	l := NewGlobalTicketLock(c, 0)
+
+	var warmed, unwound, excised, doomedRan, survivorRan atomic.Bool
+	spin := func(until func() bool) {
+		for !until() {
+			runtime.Gosched()
+		}
+	}
+	heldBy2 := func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.holder == 2
+	}
+	onePark := func() bool { return l.queued() == 1 }
+	c.Run(1, func(th *core.Thread) {
+		switch th.Node {
+		case 2:
+			l.Lock(th)
+			spin(onePark)
+			l.Unlock(th) // an ordinary hand-off to node 1 warms the pool
+			spin(warmed.Load)
+			l.Lock(th)
+			spin(onePark) // node 1 again, on its recycled waiter
+			c.Health.Kill(1, th.P.Now(), 1, probe.CrashAtBarrier)
+			c.Health.Excise(1, th.P.Now()+c.Health.Timeout(), 1)
+			spin(unwound.Load) // the pruned waiter is back in the pool
+			excised.Store(true)
+			spin(onePark) // node 0, on the waiter node 1 left behind
+			l.Unlock(th)
+		case 1:
+			defer unwound.Store(true)
+			spin(heldBy2)
+			l.Lock(th)
+			l.Unlock(th)
+			warmed.Store(true)
+			spin(heldBy2)
+			l.Lock(th) // pruned: unwinds via CrashSignal
+			doomedRan.Store(true)
+		case 0:
+			spin(excised.Load)
+			l.Lock(th)
+			survivorRan.Store(true)
+			l.Unlock(th)
+		}
+	})
+
+	if doomedRan.Load() || !survivorRan.Load() {
+		t.Fatalf("pruned waiter ran: %v, later acquirer ran: %v", doomedRan.Load(), survivorRan.Load())
+	}
+	if exc := ms.Reg.Counter("argo_crash_lock_excisions_total", "").Value(); exc != 0 {
+		t.Fatalf("argo_crash_lock_excisions_total = %d: a reused waiter remembered an excision", exc)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.locked || l.holder != -1 || l.waiters.Len() != 0 {
+		t.Fatalf("lock not clean: locked=%v holder=%d waiters=%d", l.locked, l.holder, l.waiters.Len())
 	}
 }
 
@@ -197,10 +261,7 @@ func TestTicketLockHolderCrashAtUnlockSafePoint(t *testing.T) {
 			// Wait until every survivor is parked in the queue, then die at
 			// the release safe point.
 			for {
-				l.mu.Lock()
-				queued := len(l.waiters)
-				l.mu.Unlock()
-				if queued == nodes-1 {
+				if l.queued() == nodes-1 {
 					break
 				}
 				runtime.Gosched()
@@ -247,9 +308,9 @@ func TestTicketLockHolderCrashAtUnlockSafePoint(t *testing.T) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.locked || l.holder != -1 || len(l.waiters) != 0 {
+	if l.locked || l.holder != -1 || l.waiters.Len() != 0 {
 		t.Fatalf("lock not clean after recovery: locked=%v holder=%d waiters=%d",
-			l.locked, l.holder, len(l.waiters))
+			l.locked, l.holder, l.waiters.Len())
 	}
 }
 
@@ -271,9 +332,8 @@ func TestTicketLockPartitionedHolderFenced(t *testing.T) {
 		for {
 			l.mu.Lock()
 			holder := l.holder
-			queued := len(l.waiters)
 			l.mu.Unlock()
-			if holder == 1 && queued == nodes-1 {
+			if holder == 1 && l.queued() == nodes-1 {
 				c.Health.Suspect(1, 20_000, 1)
 				fenced.Store(true)
 				break
@@ -344,8 +404,8 @@ func TestTicketLockPartitionedHolderFenced(t *testing.T) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.locked || l.holder != -1 || len(l.waiters) != 0 {
+	if l.locked || l.holder != -1 || l.waiters.Len() != 0 {
 		t.Fatalf("lock not clean after heal: locked=%v holder=%d waiters=%d",
-			l.locked, l.holder, len(l.waiters))
+			l.locked, l.holder, l.waiters.Len())
 	}
 }

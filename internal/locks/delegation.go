@@ -1,0 +1,159 @@
+package locks
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"argo/internal/fabric"
+	"argo/internal/probe"
+	"argo/internal/sim"
+)
+
+// delegQueue is the delegation queue of QD locking, the one mechanism under
+// QDLock (one queue, H = *sim.Proc) and HQDLock (one per node, H =
+// *core.Thread): whoever finds the queue free becomes the helper, opens it,
+// runs its own section and then those other threads put in the ring meanwhile.
+//
+// The ring is the QD paper's fixed-size delegation buffer, BatchLimit
+// entries long, and BatchLimit bounds two things, neither of them the batch:
+// how many sections may be queued at once (a delegator that finds the ring
+// full spins) and how many the helper dequeues before it closes the queue.
+// What is still queued at the close runs too — its delegators may have
+// detached — so one opening executes up to 2·BatchLimit+1 sections.
+//
+// The ring, like every field below mu, is touched only under mu: written by
+// delegators while open is set, emptied by the helper before it clears held —
+// the one moment a changed BatchLimit resizes it. A warm queue allocates
+// nothing: waited sections complete through recycled slots.
+type delegQueue[H any] struct {
+	fab *fabric.Fabric
+
+	// obs hears of every entry's enqueue, run, completion and wait under
+	// an edge key made of key and seq; nil (QD always) runs the queue bare.
+	obs *probe.Spine
+	key uint64
+	seq *atomic.Uint64
+
+	mu      sync.Mutex
+	held    bool
+	open    bool
+	ring    []delegEntry[H]
+	head, n int
+	h       holder
+	idle    []*delegSlot
+}
+
+type delegEntry[H any] struct {
+	section func(h H)
+	enqAt   sim.Time
+	done    *delegSlot // nil when detached
+	key     uint64     // edge key for observers; zero when none are attached
+}
+
+// delegSlot carries one waited section's completion time from the helper to
+// its delegator, who puts the slot back in the queue's pool once it has it.
+type delegSlot struct {
+	at  chan sim.Time // capacity 1: the helper never blocks on a late waiter
+	key uint64
+}
+
+// delegate hands section to the current helper, at the lock's EnqueueCost,
+// and returns the slot to await when wait is set. A caller that finds the
+// queue free becomes the helper instead, of a ring limit (the lock's
+// BatchLimit) long: it runs section itself through serve, then calls release.
+func (q *delegQueue[H]) delegate(p *sim.Proc, section func(h H), wait bool, limit int, enq sim.Time) (s *delegSlot, helper bool) {
+	for {
+		q.mu.Lock()
+		if !q.held {
+			q.held, q.open = true, true
+			if n := max(limit, 0); n != len(q.ring) {
+				q.ring, q.head = make([]delegEntry[H], n), 0
+			}
+			q.h.acquired(p, q.fab)
+			q.mu.Unlock()
+			return nil, true
+		}
+		if q.open && q.n < len(q.ring) {
+			e := delegEntry[H]{section: section, enqAt: p.Now() + enq}
+			if q.obs != nil {
+				e.key = q.key<<32 | q.seq.Add(1)
+				q.obs.Emit(probe.Event{Kind: probe.Delegate, Node: p.Node, Tid: probe.TidOf(p.Socket, p.Core), Start: e.enqAt, T: e.enqAt, Key: e.key})
+			}
+			if wait {
+				if n := len(q.idle); n > 0 {
+					e.done, q.idle = q.idle[n-1], q.idle[:n-1]
+				} else {
+					e.done = &delegSlot{at: make(chan sim.Time, 1)}
+				}
+				e.done.key = e.key
+			}
+			q.ring[(q.head+q.n)%len(q.ring)] = e
+			q.n++
+			q.mu.Unlock()
+			p.Advance(enq)
+			return e.done, false
+		}
+		// Queue closed or full: spin and retry (the helper will release
+		// the queue soon and someone becomes the next helper).
+		q.mu.Unlock()
+		runtime.Gosched()
+	}
+}
+
+// await blocks until the section behind s has run and advances p to its
+// completion time. A slot nobody awaits is garbage, not a leak in the pool.
+func (q *delegQueue[H]) await(p *sim.Proc, s *delegSlot) {
+	t0 := p.Now()
+	p.AdvanceTo(<-s.at)
+	q.obs.Sync(p, t0, probe.DelegateWait, s.key, int64(s.key), 0)
+	q.mu.Lock()
+	q.idle = append(q.idle, s)
+	q.mu.Unlock()
+}
+
+// serve is the helper's turn: its own section, then the ring's, each at the
+// lock's DequeueCost. When the ring runs dry or BatchLimit sections have been
+// dequeued the queue closes; what it holds then still runs. Returns the count.
+func (q *delegQueue[H]) serve(h H, p *sim.Proc, own func(h H), deq sim.Time) int {
+	own(h)
+	sections := 1
+	for open := true; ; sections++ {
+		if open {
+			// Yield before each queue inspection so delegators get a chance
+			// to enqueue while the helper is "busy" (few-CPU interleaving).
+			runtime.Gosched()
+		}
+		q.mu.Lock()
+		if open && (q.n == 0 || sections > len(q.ring)) {
+			open, q.open = false, false
+		}
+		if q.n == 0 {
+			q.mu.Unlock()
+			return sections
+		}
+		e := q.ring[q.head]
+		q.ring[q.head] = delegEntry[H]{} // the ring must not keep the section's captures alive
+		q.head = (q.head + 1) % len(q.ring)
+		q.n--
+		q.mu.Unlock()
+		p.Advance(deq)
+		p.AdvanceTo(e.enqAt)
+		q.obs.Sync(p, p.Now(), probe.DelegateRun, e.key, 0, 0)
+		e.section(h)
+		q.fab.NodeStats(p.Node).DelegatedSections.Add(1)
+		q.obs.Sync(p, p.Now(), probe.DelegateDone, e.key, 0, int64(q.key))
+		if e.done != nil {
+			e.done.at <- p.Now()
+		}
+	}
+}
+
+// release ends the helper's turn: the next thread to find the queue free
+// becomes the next helper.
+func (q *delegQueue[H]) release(p *sim.Proc) {
+	q.mu.Lock()
+	q.held = false
+	q.h.released(p)
+	q.mu.Unlock()
+}

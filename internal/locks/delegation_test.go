@@ -1,0 +1,336 @@
+package locks
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"argo/internal/core"
+	"argo/internal/racetag"
+	"argo/internal/sim"
+)
+
+// skipAllocTestUnderRace: the detector's own bookkeeping allocates.
+func skipAllocTestUnderRace(t *testing.T) {
+	t.Helper()
+	if racetag.Enabled {
+		t.Skip("allocation counts are measured without the race detector")
+	}
+}
+
+// pair keeps a lock contended: every thread but 0 runs op in a loop until
+// thread 0, which measures the same op, is done.
+type pair struct{ stop atomic.Bool }
+
+// partner runs the loop and reports true on every thread but 0.
+func (s *pair) partner(id int, op func()) bool {
+	if id == 0 {
+		return false
+	}
+	for !s.stop.Load() {
+		op()
+	}
+	return true
+}
+
+// steadyAllocs measures a warmed-up op on thread 0 of a pair:
+// testing.AllocsPerRun counts the whole process, so an allocation on either
+// side of a hand-off shows.
+type steadyAllocs struct {
+	pair
+	allocs    float64
+	delegated int64 // growth of the delegated-sections count while measuring
+}
+
+func (s *steadyAllocs) run(id int, op func(), delegated func() int64) {
+	if s.partner(id, op) {
+		return
+	}
+	for i := 0; i < 100; i++ {
+		op()
+	}
+	s.delegated = -delegated()
+	s.allocs = testing.AllocsPerRun(300, op)
+	s.delegated += delegated()
+	s.stop.Store(true)
+}
+
+func noDelegation() int64 { return 0 }
+
+// passage is one lock passage of a two-thread ping-pong: the holder releases
+// only once the other thread is parked behind it, so every acquisition after
+// the first takes the parked path and every release hands over.
+func (s *steadyAllocs) passage(lock, unlock func(), parked func() bool) func() {
+	return func() {
+		lock()
+		for !parked() && !s.stop.Load() {
+			runtime.Gosched()
+		}
+		unlock()
+	}
+}
+
+func TestAllocFreeTicketHandoff(t *testing.T) {
+	skipAllocTestUnderRace(t)
+	c := dsmCluster(2)
+	l := NewGlobalTicketLock(c, 0)
+	var s steadyAllocs
+	c.Run(1, func(th *core.Thread) {
+		s.run(th.Node, s.passage(func() { l.Lock(th) }, func() { l.Unlock(th) }, func() bool { return l.queued() == 1 }), noDelegation)
+	})
+	if s.allocs != 0 {
+		t.Fatalf("a contended GlobalTicketLock hand-off allocated %.1f times, want 0", s.allocs)
+	}
+}
+
+func TestAllocFreeFIFOHandoff(t *testing.T) {
+	skipAllocTestUnderRace(t)
+	l := NewMCSLock(testFab())
+	var s steadyAllocs
+	sim.NewGroup(procs(sim.Topology{Nodes: 1, Sockets: 1, CoresPerSocket: 2}, 2)).Run(func(i int, p *sim.Proc) {
+		s.run(i, s.passage(func() { l.Lock(p) }, func() { l.Unlock(p) }, l.c.hasWaiters), noDelegation)
+	})
+	if s.allocs != 0 {
+		t.Fatalf("a contended fifoCore hand-off allocated %.1f times, want 0", s.allocs)
+	}
+}
+
+// TestAllocFreeQDDelegation: detached and waited delegations between two
+// threads, closure hoisted out of the loop, allocate nothing once the ring
+// and the completion slots exist.
+func TestAllocFreeQDDelegation(t *testing.T) {
+	skipAllocTestUnderRace(t)
+	f := testFab()
+	l := NewQDLock(f)
+	var s steadyAllocs
+	sim.NewGroup(procs(sim.Topology{Nodes: 1, Sockets: 1, CoresPerSocket: 2}, 2)).Run(func(i int, p *sim.Proc) {
+		section := func(h *sim.Proc) { h.Advance(5) }
+		s.run(i, func() {
+			l.Delegate(p, section)
+			l.DelegateWait(p, section)
+		}, f.NodeStats(0).DelegatedSections.Load)
+	})
+	if s.allocs != 0 {
+		t.Fatalf("steady-state QD delegation allocated %.1f times per Delegate+DelegateWait, want 0", s.allocs)
+	}
+	if s.delegated == 0 {
+		t.Fatal("no section was delegated while measuring: not the path under test")
+	}
+}
+
+func TestAllocFreeHQDLDelegation(t *testing.T) {
+	skipAllocTestUnderRace(t)
+	c := dsmCluster(1)
+	l := NewHQDLock(c)
+	var s steadyAllocs
+	c.Run(2, func(th *core.Thread) {
+		section := func(h *core.Thread) { h.P.Advance(5) }
+		s.run(th.Rank, func() {
+			l.Delegate(th, section)
+			l.DelegateWait(th, section)
+		}, c.Fab.NodeStats(0).DelegatedSections.Load)
+	})
+	if s.allocs != 0 {
+		t.Fatalf("steady-state HQDL delegation allocated %.1f times per Delegate+DelegateWait, want 0", s.allocs)
+	}
+	if s.delegated == 0 {
+		t.Fatal("no section was delegated while measuring: not the path under test")
+	}
+}
+
+// TestDelegationRingWrapsAcrossOpenings: one lock, its BatchLimit changed
+// between runs (the ring follows while the queue is closed), many openings
+// each: every section runs exactly once and each thread's sections run in
+// the order it issued them, whatever the ring's length and wherever its head
+// stood when an opening began.
+func TestDelegationRingWrapsAcrossOpenings(t *testing.T) {
+	l := NewQDLock(testFab())
+	topo := sim.Topology{Nodes: 1, Sockets: 2, CoresPerSocket: 4}
+	const workers, iters = 8, 300
+	for _, limit := range []int{128, 1, 3, 2} {
+		l.BatchLimit = limit
+		var last [workers]int // serialized by the lock
+		executed := 0
+		sim.NewGroup(procs(topo, workers)).Run(func(i int, p *sim.Proc) {
+			for k := 1; k <= iters; k++ {
+				k := k
+				section := func(h *sim.Proc) {
+					if last[i] != k-1 {
+						t.Errorf("BatchLimit %d: thread %d's section %d ran after its section %d", limit, i, k, last[i])
+					}
+					last[i] = k
+					executed++
+				}
+				if k%3 == 0 {
+					l.DelegateWait(p, section)
+					if last[i] != k {
+						t.Errorf("BatchLimit %d: DelegateWait returned before thread %d's section %d ran", limit, i, k)
+					}
+				} else {
+					l.Delegate(p, section)
+				}
+			}
+		})
+		if executed != workers*iters {
+			t.Fatalf("BatchLimit %d: %d sections ran, want %d", limit, executed, workers*iters)
+		}
+		if got := len(l.q.ring); got != limit || l.q.n != 0 || l.q.held {
+			t.Fatalf("BatchLimit %d: ring of %d with %d queued, held=%v", limit, got, l.q.n, l.q.held)
+		}
+	}
+}
+
+// TestBatchLimitBoundsRingNotBatch pins what BatchLimit bounds (see
+// delegQueue): the ring's length and the dequeues before the close, so an
+// opening whose ring is kept full runs own + BatchLimit dequeued +
+// BatchLimit left at the close. The first helper's own section and every
+// section it runs hold it until the detached delegators have refilled the
+// ring.
+func TestBatchLimitBoundsRingNotBatch(t *testing.T) {
+	const limit, delegators = 4, 12
+	l := NewQDLock(testFab())
+	l.BatchLimit = limit
+	topo := sim.Topology{Nodes: 1, Sockets: 4, CoresPerSocket: 4}
+	h0 := topo.NewProc(0, 0)
+	ringFullOrClosed := func() bool {
+		l.q.mu.Lock()
+		defer l.q.mu.Unlock()
+		return !l.q.open || l.q.n == limit
+	}
+	onFirstHelper := 0
+	section := func(h *sim.Proc) {
+		if h == h0 {
+			onFirstHelper++
+			for !ringFullOrClosed() {
+				runtime.Gosched()
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	l.Delegate(h0, func(h *sim.Proc) {
+		for i := 1; i <= delegators; i++ {
+			wg.Add(1)
+			go func(p *sim.Proc) {
+				defer wg.Done()
+				l.Delegate(p, section)
+			}(topo.NewProc(0, i))
+		}
+		section(h)
+	})
+	wg.Wait()
+	if onFirstHelper != 2*limit+1 {
+		t.Fatalf("the first opening ran %d sections, want 2·BatchLimit+1 = %d", onFirstHelper, 2*limit+1)
+	}
+}
+
+// TestDelegateAsyncOutOfOrderAndAbandoned: one thread holds three waits at
+// once, redeems the third, then the first, and never the second. Each wait
+// delivers its own section's completion time; the abandoned slot is simply
+// not recycled — the helper did not block on it and the pool does not miss
+// it.
+func TestDelegateAsyncOutOfOrderAndAbandoned(t *testing.T) {
+	l := NewQDLock(testFab())
+	topo := sim.Topology{Nodes: 1, Sockets: 1, CoresPerSocket: 4}
+	helper, p := topo.NewProc(0, 0), topo.NewProc(0, 1)
+	var queued atomic.Int32
+	var doneAt [3]sim.Time
+	helped := make(chan struct{})
+	go func() {
+		l.Delegate(helper, func(h *sim.Proc) {
+			for queued.Load() < 3 { // hold the queue open until all three are in
+				runtime.Gosched()
+			}
+		})
+		close(helped)
+	}()
+	for {
+		l.q.mu.Lock()
+		open := l.q.open
+		l.q.mu.Unlock()
+		if open {
+			break
+		}
+		runtime.Gosched()
+	}
+	var waits [3]func(*sim.Proc)
+	for i := range waits {
+		i := i
+		waits[i] = l.DelegateAsync(p, func(h *sim.Proc) {
+			h.Advance(1000)
+			doneAt[i] = h.Now()
+		})
+		if waits[i] == nil {
+			t.Fatalf("section %d ran inline although the queue was open", i)
+		}
+		queued.Add(1)
+	}
+	<-helped // all three have run: the helper never waits for a waiter
+	waits[2](p)
+	if p.Now() != doneAt[2] {
+		t.Fatalf("wait 2 left the clock at %d, want its section's completion %d", p.Now(), doneAt[2])
+	}
+	waits[0](p) // completed earlier: max-combining leaves the clock alone
+	if p.Now() != doneAt[2] || doneAt[0] >= doneAt[2] {
+		t.Fatalf("wait 0 moved the clock to %d (sections done at %v)", p.Now(), doneAt)
+	}
+	if got := len(l.q.idle); got != 2 {
+		t.Fatalf("%d slots back in the pool, want 2 (the abandoned one stays out)", got)
+	}
+	ran := false
+	l.DelegateWait(p, func(h *sim.Proc) { ran = true })
+	if !ran || l.q.held {
+		t.Fatalf("the lock is not usable after an abandoned wait: ran=%v held=%v", ran, l.q.held)
+	}
+}
+
+func BenchmarkQDDelegate(b *testing.B) {
+	l := NewQDLock(testFab())
+	var s pair
+	sim.NewGroup(procs(sim.Topology{Nodes: 1, Sockets: 1, CoresPerSocket: 2}, 2)).Run(func(i int, p *sim.Proc) {
+		section := func(h *sim.Proc) { h.Advance(5) }
+		s.bench(b, i, func() {
+			l.Delegate(p, section)
+			l.DelegateWait(p, section)
+		})
+	})
+}
+
+func BenchmarkHQDLDelegate(b *testing.B) {
+	c := dsmCluster(1)
+	l := NewHQDLock(c)
+	var s pair
+	c.Run(2, func(th *core.Thread) {
+		section := func(h *core.Thread) { h.P.Advance(5) }
+		s.bench(b, th.Rank, func() {
+			l.Delegate(th, section)
+			l.DelegateWait(th, section)
+		})
+	})
+}
+
+func BenchmarkTicketHandoff(b *testing.B) {
+	c := dsmCluster(2)
+	l := NewGlobalTicketLock(c, 0)
+	var s pair
+	c.Run(1, func(th *core.Thread) {
+		s.bench(b, th.Node, func() {
+			l.Lock(th)
+			l.Unlock(th)
+		})
+	})
+}
+
+// bench times op on thread 0 of a pair.
+func (s *pair) bench(b *testing.B, id int, op func()) {
+	if s.partner(id, op) {
+		return
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	s.stop.Store(true)
+}

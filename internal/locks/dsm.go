@@ -24,19 +24,6 @@ type DSMLock interface {
 // Global ticket lock (no fences — building block)
 // ---------------------------------------------------------------------------
 
-// glWaiter is one parked acquirer of a GlobalTicketLock. The grantor marks
-// the handover before closing the channel: granted=false means the waiter's
-// node was excised while parked and the thread must unwind; excise=true
-// means the grant came from expiring a dead holder's lease, and the grantee
-// pays the compare-and-swap that swings the lock word past the corpse.
-type glWaiter struct {
-	ch      chan struct{}
-	node    int
-	granted bool
-	excise  bool
-	dead    int // the excised holder, when excise is set
-}
-
 // GlobalTicketLock is a FIFO spin lock whose word lives at one home node and
 // is manipulated purely with one-sided operations: fetch-and-increment to
 // take a ticket, remote polling until the grant counter matches. It carries
@@ -67,8 +54,8 @@ type GlobalTicketLock struct {
 
 	mu      sync.Mutex
 	locked  bool
-	holder  int // node whose thread holds the lock; -1 when free
-	waiters []*glWaiter
+	holder  int           // node whose thread holds the lock; -1 when free
+	waiters sim.WaitQueue // tagged by node; the grantor fills in the sim.Grant
 	freeAt  sim.Time
 
 	// pendingExcise marks a dead-holder recovery that found no queued
@@ -96,20 +83,8 @@ func NewGlobalTicketLock(c *core.Cluster, home int) *GlobalTicketLock {
 // a lease held by the corpse is expired and handed to the head waiter.
 func (l *GlobalTicketLock) onExcise(node int, at sim.Time) {
 	l.mu.Lock()
-	var drop []*glWaiter
-	kept := l.waiters[:0]
-	for _, w := range l.waiters {
-		if w.node == node {
-			drop = append(drop, w)
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	l.waiters = kept
+	l.waiters.Prune(node)
 	l.mu.Unlock()
-	for _, w := range drop {
-		close(w.ch)
-	}
 	l.expireLease(node, at)
 }
 
@@ -131,7 +106,7 @@ func (l *GlobalTicketLock) onSuspect(node int, at sim.Time) {
 // node does not hold the lease.
 func (l *GlobalTicketLock) expireLease(node int, at sim.Time) {
 	l.mu.Lock()
-	var grant *glWaiter
+	var grant *sim.Waiter
 	if l.locked && l.holder == node {
 		if at > l.freeAt {
 			l.freeAt = at
@@ -143,10 +118,8 @@ func (l *GlobalTicketLock) expireLease(node int, at sim.Time) {
 			obs.Emit(probe.Event{Kind: probe.LeaseExpired, Node: node, Start: l.freeAt, T: l.freeAt, Key: l.key, Arg: int64(node)})
 		}
 		l.holder = -1
-		if len(l.waiters) > 0 {
-			grant = l.waiters[0]
-			l.waiters = l.waiters[1:]
-			grant.granted, grant.excise, grant.dead = true, true, node
+		if grant = l.waiters.Pop(); grant != nil {
+			grant.Grant = sim.Grant{Granted: true, Excise: true, Dead: node}
 		} else {
 			l.locked = false
 			l.pendingExcise = true
@@ -154,9 +127,7 @@ func (l *GlobalTicketLock) expireLease(node int, at sim.Time) {
 		}
 	}
 	l.mu.Unlock()
-	if grant != nil {
-		close(grant.ch)
-	}
+	grant.Wake()
 }
 
 // payExcision charges the grantee the remote CAS that swings the lock word
@@ -187,48 +158,36 @@ func (l *GlobalTicketLock) Lock(t *core.Thread) {
 		l.c.Obs.Sync(t.P, t.P.Now(), probe.LockRetries, l.key, int64(attempt), 0)
 	}
 	l.mu.Lock()
-	if !l.locked {
-		l.locked = true
-		l.holder = t.Node
-		excise, dead := l.pendingExcise, l.pendingDead
-		l.pendingExcise = false
-		waited := l.freeAt > t.P.Now()
-		t.P.AdvanceTo(l.freeAt)
-		l.mu.Unlock()
-		// A wait is reported with the causal edge that ended it: the expired
-		// lease, or the previous holder's release.
-		switch {
-		case excise:
-			l.payExcision(t, dead)
-			l.c.Obs.Sync(t.P, t0, probe.TicketRecover, l.key, int64(l.key), 0)
-		case waited:
-			l.c.Obs.Sync(t.P, t0, probe.TicketWait, l.key, int64(l.key), 0)
-		}
-		// Yield so contenders arrive and queue while the section runs
-		// (interleaving aid for few-CPU hosts; no semantic effect).
-		runtime.Gosched()
-		return
-	}
-	w := &glWaiter{ch: make(chan struct{}), node: t.Node}
-	l.waiters = append(l.waiters, w)
-	l.mu.Unlock()
-	<-w.ch
-	if !w.granted {
+	// A free lock may carry the excision a recovery with no waiter left pending.
+	g := sim.Grant{Granted: true, Excise: l.pendingExcise, Dead: l.pendingDead}
+	parked := l.locked
+	if !parked {
+		l.locked, l.pendingExcise = true, false
+	} else if g = l.waiters.Park(&l.mu, t.Node); !g.Granted {
 		// Pruned: our node was excised while we were parked.
+		l.mu.Unlock()
 		panic(health.CrashSignal{Node: t.Node, Episode: t.SyncEpoch})
 	}
-	l.mu.Lock()
 	l.holder = t.Node
+	waited := parked || l.freeAt > t.P.Now()
 	t.P.AdvanceTo(l.freeAt)
 	l.mu.Unlock()
+	// A wait is reported with the causal edge that ended it: the expired
+	// lease, or the previous holder's release.
 	won := probe.TicketWait
-	if w.excise {
-		l.payExcision(t, w.dead)
+	if g.Excise {
+		l.payExcision(t, g.Dead)
 		won = probe.TicketRecover
 	}
-	// The winning poll that observes the grant.
-	l.c.Fab.RemoteRead(t.P, l.home, 8, l.key)
-	l.c.Obs.Sync(t.P, t0, won, l.key, int64(l.key), 0)
+	if parked {
+		// The winning poll that observes the grant.
+		l.c.Fab.RemoteRead(t.P, l.home, 8, l.key)
+	}
+	if waited || g.Excise {
+		l.c.Obs.Sync(t.P, t0, won, l.key, int64(l.key), 0)
+	}
+	// Yield so contenders arrive and queue while the section runs
+	// (interleaving aid for few-CPU hosts; no semantic effect).
 	runtime.Gosched()
 }
 
@@ -275,16 +234,12 @@ func (l *GlobalTicketLock) Unlock(t *core.Thread) {
 	l.c.Obs.Sync(t.P, t.P.Now(), probe.TicketRelease, l.key, 0, 0)
 	l.freeAt = t.P.Now()
 	l.holder = -1
-	if len(l.waiters) == 0 {
-		l.locked = false
-		l.mu.Unlock()
-		return
+	next := l.waiters.Pop()
+	if l.locked = next != nil; l.locked {
+		next.Granted = true
 	}
-	next := l.waiters[0]
-	l.waiters = l.waiters[1:]
-	next.granted = true
 	l.mu.Unlock()
-	close(next.ch)
+	next.Wake()
 }
 
 // ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ func TestMCSIsFIFO(t *testing.T) {
 		// Wait until waiter i is actually queued before starting i+1.
 		for {
 			l.c.mu.Lock()
-			n := len(l.c.waiters)
+			n := l.c.waiters.Len()
 			l.c.mu.Unlock()
 			if n == i {
 				break

@@ -65,7 +65,7 @@ type fifoCore struct {
 
 	mu      sync.Mutex
 	locked  bool
-	waiters []chan struct{}
+	waiters sim.WaitQueue
 	h       holder
 
 	enqCost sim.Time // atomic swap/append on the shared tail
@@ -78,46 +78,34 @@ func (l *fifoCore) lock(p *sim.Proc) {
 		l.locked = true
 		l.h.acquired(p, l.fab)
 		p.Advance(l.enqCost)
-		l.mu.Unlock()
-		// Yield so contenders can arrive and queue while the critical
-		// section "executes" (see PthreadMutex.Lock).
-		runtime.Gosched()
-		return
+	} else {
+		p.Advance(l.enqCost)
+		l.waiters.Park(&l.mu, 0)
+		// The releaser left h untouched for us; charge serialization+handover.
+		l.h.acquired(p, l.fab)
+		p.Advance(l.hoCost)
 	}
-	ch := make(chan struct{})
-	l.waiters = append(l.waiters, ch)
 	l.mu.Unlock()
-	p.Advance(l.enqCost)
-	<-ch
-	// The releaser left h untouched for us; charge serialization+handover.
-	l.mu.Lock()
-	l.h.acquired(p, l.fab)
-	p.Advance(l.hoCost)
-	l.mu.Unlock()
+	// Yield so contenders can arrive and queue while the critical
+	// section "executes" (see PthreadMutex.Lock).
 	runtime.Gosched()
 }
 
 func (l *fifoCore) unlock(p *sim.Proc) {
 	l.mu.Lock()
 	l.h.released(p)
-	if len(l.waiters) == 0 {
-		l.locked = false
-		l.mu.Unlock()
-		return
-	}
-	next := l.waiters[0]
-	l.waiters = l.waiters[1:]
+	next := l.waiters.Pop()
+	l.locked = next != nil
 	l.mu.Unlock()
-	close(next)
+	next.Wake()
 }
 
 // hasWaiters reports whether threads are queued (used by the cohort lock's
 // pass-locally decision).
 func (l *fifoCore) hasWaiters() bool {
 	l.mu.Lock()
-	n := len(l.waiters)
-	l.mu.Unlock()
-	return n > 0
+	defer l.mu.Unlock()
+	return l.waiters.Len() > 0
 }
 
 // MCSLock is the Mellor-Crummey/Scott queue lock: FIFO handover, each

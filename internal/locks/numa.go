@@ -8,6 +8,18 @@ import (
 	"argo/internal/sim"
 )
 
+// socketQueues holds one parked-waiter FIFO per socket, made on first use.
+type socketQueues map[int]*sim.WaitQueue
+
+func (m socketQueues) of(sock int) *sim.WaitQueue {
+	q := m[sock]
+	if q == nil {
+		q = new(sim.WaitQueue)
+		m[sock] = q
+	}
+	return q
+}
+
 // HBOLock is the Hierarchical Back-Off lock of Radović and Hagersten
 // (HPCA 2003), cited in §2.2: a test-and-set lock whose waiters back off
 // more gently when the holder is on their own NUMA domain, so the lock
@@ -20,8 +32,8 @@ type HBOLock struct {
 	mu      sync.Mutex
 	locked  bool
 	h       holder
-	waiters map[int][]chan struct{} // per socket, FIFO
-	order   []int                   // round-robin over sockets with waiters
+	waiters socketQueues // per socket, FIFO
+	order   []int        // round-robin over sockets with waiters
 	streak  int
 
 	// MaxStreak bounds consecutive same-socket handovers.
@@ -35,7 +47,7 @@ type HBOLock struct {
 func NewHBOLock(f *fabric.Fabric) *HBOLock {
 	return &HBOLock{
 		fab:           f,
-		waiters:       map[int][]chan struct{}{},
+		waiters:       socketQueues{},
 		MaxStreak:     32,
 		RemoteBackoff: 2 * f.P.SocketLatency,
 	}
@@ -44,22 +56,16 @@ func NewHBOLock(f *fabric.Fabric) *HBOLock {
 // Lock acquires the lock; same-socket waiters are favoured.
 func (l *HBOLock) Lock(p *sim.Proc) {
 	l.mu.Lock()
-	if !l.locked {
-		l.locked = true
-		l.h.acquired(p, l.fab)
-		l.mu.Unlock()
-		runtime.Gosched()
-		return
+	crossed := false
+	if l.locked {
+		q := l.waiters.of(p.Socket)
+		if q.Len() == 0 {
+			l.order = append(l.order, p.Socket)
+		}
+		q.Park(&l.mu, p.Socket)
+		crossed = l.h.valid && l.h.socket != p.Socket
 	}
-	ch := make(chan struct{})
-	if len(l.waiters[p.Socket]) == 0 {
-		l.order = append(l.order, p.Socket)
-	}
-	l.waiters[p.Socket] = append(l.waiters[p.Socket], ch)
-	l.mu.Unlock()
-	<-ch
-	l.mu.Lock()
-	crossed := l.h.valid && l.h.socket != p.Socket
+	l.locked = true
 	l.h.acquired(p, l.fab)
 	if crossed {
 		p.Advance(l.RemoteBackoff)
@@ -73,15 +79,13 @@ func (l *HBOLock) Lock(p *sim.Proc) {
 func (l *HBOLock) Unlock(p *sim.Proc) {
 	l.mu.Lock()
 	l.h.released(p)
-	var next chan struct{}
+	var next *sim.Waiter
 	pick := func(sock int) bool {
-		q := l.waiters[sock]
-		if len(q) == 0 {
+		q := l.waiters.of(sock)
+		if next = q.Pop(); next == nil {
 			return false
 		}
-		next = q[0]
-		l.waiters[sock] = q[1:]
-		if len(l.waiters[sock]) == 0 {
+		if q.Len() == 0 {
 			for i, s := range l.order {
 				if s == sock {
 					l.order = append(l.order[:i], l.order[i+1:]...)
@@ -110,13 +114,9 @@ func (l *HBOLock) Unlock(p *sim.Proc) {
 			l.fab.NodeStats(p.Node).LockHandoversRemote.Add(1)
 		}
 	}
-	if next == nil {
-		l.locked = false
-		l.mu.Unlock()
-		return
-	}
+	l.locked = next != nil
 	l.mu.Unlock()
-	close(next)
+	next.Wake()
 }
 
 // HCLHLock is the hierarchical CLH lock of Luchangco, Nussbaum and Shavit
@@ -129,34 +129,27 @@ type HCLHLock struct {
 	mu     sync.Mutex
 	locked bool
 	h      holder
-	local  map[int][]chan struct{} // accumulating per-socket queues
-	batch  []chan struct{}         // the batch currently being served
-	splice []int                   // FIFO of sockets awaiting splice
+	local  socketQueues   // accumulating per-socket queues
+	batch  *sim.WaitQueue // the batch currently being served
+	splice []int          // FIFO of sockets awaiting splice
 }
 
 // NewHCLHLock creates an HCLH lock over fabric f.
 func NewHCLHLock(f *fabric.Fabric) *HCLHLock {
-	return &HCLHLock{fab: f, local: map[int][]chan struct{}{}}
+	return &HCLHLock{fab: f, local: socketQueues{}, batch: new(sim.WaitQueue)}
 }
 
 // Lock enqueues on the caller's socket queue and waits for its batch.
 func (l *HCLHLock) Lock(p *sim.Proc) {
 	l.mu.Lock()
-	if !l.locked {
-		l.locked = true
-		l.h.acquired(p, l.fab)
-		l.mu.Unlock()
-		runtime.Gosched()
-		return
+	if l.locked {
+		q := l.local.of(p.Socket)
+		if q.Len() == 0 {
+			l.splice = append(l.splice, p.Socket)
+		}
+		q.Park(&l.mu, p.Socket)
 	}
-	ch := make(chan struct{})
-	if len(l.local[p.Socket]) == 0 {
-		l.splice = append(l.splice, p.Socket)
-	}
-	l.local[p.Socket] = append(l.local[p.Socket], ch)
-	l.mu.Unlock()
-	<-ch
-	l.mu.Lock()
+	l.locked = true
 	l.h.acquired(p, l.fab)
 	l.mu.Unlock()
 	runtime.Gosched()
@@ -167,23 +160,18 @@ func (l *HCLHLock) Lock(p *sim.Proc) {
 func (l *HCLHLock) Unlock(p *sim.Proc) {
 	l.mu.Lock()
 	l.h.released(p)
-	if len(l.batch) == 0 && len(l.splice) > 0 {
-		// Splice the oldest waiting socket's entire queue as the new batch.
+	if l.batch.Len() == 0 && len(l.splice) > 0 {
+		// Splice the oldest waiting socket's entire queue as the new batch;
+		// the drained one, pool and all, becomes that socket's next queue.
 		sock := l.splice[0]
 		l.splice = l.splice[1:]
-		l.batch = l.local[sock]
-		delete(l.local, sock)
+		l.batch, l.local[sock] = l.local[sock], l.batch
 		l.fab.NodeStats(p.Node).LockHandoversRemote.Add(1)
-	} else if len(l.batch) > 0 {
+	} else if l.batch.Len() > 0 {
 		l.fab.NodeStats(p.Node).LockHandoversLocal.Add(1)
 	}
-	if len(l.batch) == 0 {
-		l.locked = false
-		l.mu.Unlock()
-		return
-	}
-	next := l.batch[0]
-	l.batch = l.batch[1:]
+	next := l.batch.Pop()
+	l.locked = next != nil
 	l.mu.Unlock()
-	close(next)
+	next.Wake()
 }

@@ -51,7 +51,7 @@ func TestHBOStreakBounded(t *testing.T) {
 		for k := 0; k < 150; k++ {
 			l.Lock(p)
 			l.mu.Lock()
-			queued := len(l.waiters[1-p.Socket]) > 0
+			queued := l.waiters.of(1-p.Socket).Len() > 0
 			l.mu.Unlock()
 			m.acquired(p.Socket, queued)
 			l.Unlock(p)

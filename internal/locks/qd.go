@@ -1,9 +1,6 @@
 package locks
 
 import (
-	"runtime"
-	"sync"
-
 	"argo/internal/fabric"
 	"argo/internal/sim"
 )
@@ -17,15 +14,9 @@ import (
 // sections need no result detach immediately after delegating (Delegate);
 // threads that need the result wait for it (DelegateWait).
 type QDLock struct {
-	fab *fabric.Fabric
+	q delegQueue[*sim.Proc]
 
-	mu    sync.Mutex
-	held  bool
-	qOpen bool
-	queue []qdEntry
-	h     holder
-
-	// BatchLimit caps how many sections the queue accepts per opening.
+	// BatchLimit is the delegation ring's length (bounds: delegQueue).
 	BatchLimit int
 	// EnqueueCost is the delegator's cost to publish a section (a CAS and
 	// a cache-line push toward the helper).
@@ -34,16 +25,10 @@ type QDLock struct {
 	DequeueCost sim.Time
 }
 
-type qdEntry struct {
-	section func(h *sim.Proc)
-	enqAt   sim.Time
-	done    chan sim.Time // nil when detached
-}
-
 // NewQDLock creates a QD lock over fabric f.
 func NewQDLock(f *fabric.Fabric) *QDLock {
 	return &QDLock{
-		fab:         f,
+		q:           delegQueue[*sim.Proc]{fab: f},
 		BatchLimit:  128,
 		EnqueueCost: f.P.LocalLatency,
 		DequeueCost: f.P.LocalLatency,
@@ -61,8 +46,8 @@ func (l *QDLock) Delegate(p *sim.Proc, section func(h *sim.Proc)) {
 // DelegateWait submits section and blocks until it has executed; the
 // caller's clock is advanced to the section's completion time.
 func (l *QDLock) DelegateWait(p *sim.Proc, section func(h *sim.Proc)) {
-	if w := l.delegate(p, section, true); w != nil {
-		w(p)
+	if s := l.delegate(p, section, true); s != nil {
+		l.q.await(p, s)
 	}
 }
 
@@ -73,81 +58,18 @@ func (l *QDLock) DelegateWait(p *sim.Proc, section func(h *sim.Proc)) {
 // The returned wait may be nil when the caller itself became the helper
 // and the section has already executed.
 func (l *QDLock) DelegateAsync(p *sim.Proc, section func(h *sim.Proc)) func(p *sim.Proc) {
-	return l.delegate(p, section, true)
+	s := l.delegate(p, section, true)
+	if s == nil {
+		return nil
+	}
+	return func(p *sim.Proc) { l.q.await(p, s) }
 }
 
-func (l *QDLock) delegate(p *sim.Proc, section func(h *sim.Proc), wait bool) func(p *sim.Proc) {
-	for {
-		l.mu.Lock()
-		if !l.held {
-			// Become the helper.
-			l.held = true
-			l.qOpen = true
-			l.h.acquired(p, l.fab)
-			l.mu.Unlock()
-			l.runHelper(p, section)
-			return nil
-		}
-		if l.qOpen && len(l.queue) < l.BatchLimit {
-			e := qdEntry{section: section, enqAt: p.Now() + l.EnqueueCost}
-			if wait {
-				e.done = make(chan sim.Time, 1)
-			}
-			l.queue = append(l.queue, e)
-			l.mu.Unlock()
-			p.Advance(l.EnqueueCost)
-			if wait {
-				return func(p *sim.Proc) { p.AdvanceTo(<-e.done) }
-			}
-			return nil
-		}
-		// Queue closed or full: spin and retry (the helper will release
-		// the lock word soon and someone becomes the next helper).
-		l.mu.Unlock()
-		runtime.Gosched()
+func (l *QDLock) delegate(p *sim.Proc, section func(h *sim.Proc), wait bool) *delegSlot {
+	s, helper := l.q.delegate(p, section, wait, l.BatchLimit, l.EnqueueCost)
+	if helper {
+		l.q.serve(p, p, section, l.DequeueCost)
+		l.q.release(p)
 	}
-}
-
-// runHelper executes the helper's own section, then drains the delegation
-// queue. When the queue runs dry or the batch limit is reached it is
-// closed; sections that were accepted before the close still execute (their
-// delegators may have detached), and then the lock word is released.
-func (l *QDLock) runHelper(p *sim.Proc, own func(h *sim.Proc)) {
-	own(p)
-	count := 0
-	for {
-		// Yield before each queue inspection so delegators get a chance
-		// to enqueue while the helper is "busy" (few-CPU interleaving).
-		runtime.Gosched()
-		l.mu.Lock()
-		if len(l.queue) == 0 || count >= l.BatchLimit {
-			rest := l.queue
-			l.queue = nil
-			l.qOpen = false
-			l.mu.Unlock()
-			for _, e := range rest {
-				l.execute(p, e)
-			}
-			l.mu.Lock()
-			l.held = false
-			l.h.released(p)
-			l.mu.Unlock()
-			return
-		}
-		e := l.queue[0]
-		l.queue = l.queue[1:]
-		l.mu.Unlock()
-		l.execute(p, e)
-		count++
-	}
-}
-
-func (l *QDLock) execute(p *sim.Proc, e qdEntry) {
-	p.Advance(l.DequeueCost)
-	p.AdvanceTo(e.enqAt)
-	e.section(p)
-	l.fab.NodeStats(p.Node).DelegatedSections.Add(1)
-	if e.done != nil {
-		e.done <- p.Now()
-	}
+	return s
 }

@@ -19,6 +19,7 @@ type DSMHeap struct {
 	meta  core.I64Slice // [root, size, freeHead, next, cap]
 	nodes core.I64Slice // cap * 3: key, child, sibling
 	cap   int
+	pairs []int64 // mergePairs' scratch: the heap is only touched under its lock
 }
 
 const (
@@ -128,7 +129,7 @@ func (h *DSMHeap) mergePairs(t *core.Thread, first int64) int64 {
 	if first == nilRef {
 		return nilRef
 	}
-	var pairs []int64
+	pairs := h.pairs[:0]
 	for first != nilRef {
 		a := first
 		b := h.sibling(t, a)
@@ -146,5 +147,6 @@ func (h *DSMHeap) mergePairs(t *core.Thread, first int64) int64 {
 	for i := len(pairs) - 2; i >= 0; i-- {
 		root = h.meld(t, root, pairs[i])
 	}
+	h.pairs = pairs
 	return root
 }

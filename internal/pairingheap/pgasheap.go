@@ -15,6 +15,7 @@ type PGASHeap struct {
 	meta  *pgas.SharedI64 // [root, size, freeHead, next, cap]
 	nodes *pgas.SharedI64 // cap * 3: key, child, sibling
 	cap   int
+	pairs []int64 // mergePairs' scratch: the heap is only touched under its lock
 }
 
 // NewPGASHeap allocates a heap with room for capacity elements in w's
@@ -110,7 +111,7 @@ func (h *PGASHeap) mergePairs(r *pgas.Rank, first int64) int64 {
 	if first == nilRef {
 		return nilRef
 	}
-	var pairs []int64
+	pairs := h.pairs[:0]
 	for first != nilRef {
 		a := first
 		b := h.sibling(r, a)
@@ -128,5 +129,6 @@ func (h *PGASHeap) mergePairs(r *pgas.Rank, first int64) int64 {
 	for i := len(pairs) - 2; i >= 0; i-- {
 		root = h.meld(r, root, pairs[i])
 	}
+	h.pairs = pairs
 	return root
 }

@@ -20,7 +20,7 @@ type Lock struct {
 
 	mu      sync.Mutex
 	locked  bool
-	waiters []chan struct{}
+	waiters sim.WaitQueue
 	freeAt  sim.Time
 }
 
@@ -34,21 +34,16 @@ func (w *World) NewLock(owner int) *Lock {
 func (l *Lock) Lock(r *Rank) {
 	l.w.Fab.RemoteAtomic(r.P, l.home, l.key)
 	l.mu.Lock()
-	if !l.locked {
-		l.locked = true
-		r.P.AdvanceTo(l.freeAt)
-		l.mu.Unlock()
-		runtime.Gosched()
-		return
+	parked := l.locked
+	if parked {
+		l.waiters.Park(&l.mu, 0)
 	}
-	ch := make(chan struct{})
-	l.waiters = append(l.waiters, ch)
-	l.mu.Unlock()
-	<-ch
-	l.mu.Lock()
+	l.locked = true
 	r.P.AdvanceTo(l.freeAt)
 	l.mu.Unlock()
-	l.w.Fab.RemoteRead(r.P, l.home, 8, l.key)
+	if parked {
+		l.w.Fab.RemoteRead(r.P, l.home, 8, l.key)
+	}
 	runtime.Gosched()
 }
 
@@ -57,13 +52,8 @@ func (l *Lock) Unlock(r *Rank) {
 	l.w.Fab.RemoteWrite(r.P, l.home, 8, l.key)
 	l.mu.Lock()
 	l.freeAt = r.P.Now()
-	if len(l.waiters) == 0 {
-		l.locked = false
-		l.mu.Unlock()
-		return
-	}
-	next := l.waiters[0]
-	l.waiters = l.waiters[1:]
+	next := l.waiters.Pop()
+	l.locked = next != nil
 	l.mu.Unlock()
-	close(next)
+	next.Wake()
 }

@@ -1,9 +1,12 @@
 package pgas
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"argo/internal/fabric"
+	"argo/internal/racetag"
 	"argo/internal/sim"
 )
 
@@ -234,4 +237,47 @@ func TestSharedI64(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAllocFreeLockHandoff: two ranks pass a upc_lock back and forth, each
+// releasing only once the other is parked behind it, so every passage after
+// the first parks and every release hands over — on recycled waiters
+// (sim.WaitQueue), allocating nothing.
+func TestAllocFreeLockHandoff(t *testing.T) {
+	if racetag.Enabled {
+		t.Skip("allocation counts are measured without the race detector")
+	}
+	w := world(2, 1)
+	l := w.NewLock(0)
+	var stop atomic.Bool
+	var allocs float64
+	w.Run(func(r *Rank) {
+		passage := func() {
+			l.Lock(r)
+			for !stop.Load() {
+				l.mu.Lock()
+				parked := l.waiters.Len()
+				l.mu.Unlock()
+				if parked == 1 {
+					break
+				}
+				runtime.Gosched()
+			}
+			l.Unlock(r)
+		}
+		if r.ID != 0 {
+			for !stop.Load() {
+				passage()
+			}
+			return
+		}
+		for i := 0; i < 50; i++ {
+			passage()
+		}
+		allocs = testing.AllocsPerRun(200, passage)
+		stop.Store(true)
+	})
+	if allocs != 0 {
+		t.Fatalf("a contended pgas.Lock hand-off allocated %.1f times, want 0", allocs)
+	}
 }

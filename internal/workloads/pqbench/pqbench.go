@@ -65,11 +65,13 @@ func mkResult(lock string, threads, nodes int, ops int64, t sim.Time) Result {
 	return r
 }
 
-// localWork performs w work units for thread state arr and charges p.
+// localWork performs w work units for thread state arr and charges p. Each
+// index is what rng.Intn(64) returns, bit for bit and one source draw each,
+// without the four calls Intn makes on the way to that draw.
 func localWork(p *sim.Proc, rng *rand.Rand, arr []int64, w int) {
 	for u := 0; u < w; u++ {
-		arr[rng.Intn(64)]++
-		arr[rng.Intn(64)]--
+		arr[int(rng.Int63()>>32)&63]++
+		arr[int(rng.Int63()>>32)&63]--
 	}
 	p.Advance(sim.Time(w) * WorkUnitCost)
 }
@@ -248,11 +250,7 @@ func RunUPC(nodes, rpn int, p Params) Result {
 		rng := rand.New(rand.NewSource(int64(r.ID)*2654435761 + 977))
 		arr := make([]int64, 64)
 		for k := 0; k < p.OpsPerThread; k++ {
-			for u := 0; u < p.WorkUnits; u++ {
-				arr[rng.Intn(64)]++
-				arr[rng.Intn(64)]--
-			}
-			r.Compute(sim.Time(p.WorkUnits) * WorkUnitCost)
+			localWork(r.P, rng, arr, p.WorkUnits)
 			l.Lock(r)
 			if rng.Intn(2) == 0 {
 				heap.Insert(r, rng.Int63n(1<<20))

@@ -1,8 +1,10 @@
 package pqbench
 
 import (
+	"math/rand"
 	"testing"
 
+	"argo/internal/sim"
 	"argo/internal/workloads/wload"
 )
 
@@ -75,5 +77,40 @@ func TestHQDLBeatsCohortOnDSM(t *testing.T) {
 	}
 	if hq.SIFences >= co.SIFences {
 		t.Fatalf("HQDL fences (%d) not fewer than cohort fences (%d)", hq.SIFences, co.SIFences)
+	}
+}
+
+// TestLocalWorkStreamUnchanged: localWork's index draws are rng.Intn(64)
+// draw for draw — same array contents, same virtual charge, and the
+// generator left in the same state, so the keys and the insert/extract mix
+// drawn after it are the ones the Intn loop produced.
+func TestLocalWorkStreamUnchanged(t *testing.T) {
+	const units = 250_000 // two draws each: half a million index draws per seed
+	for _, seed := range []int64{1, 12345, 2654435761*15 + 12345} {
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		gotArr, wantArr := make([]int64, 64), make([]int64, 64)
+		p := &sim.Proc{}
+		localWork(p, got, gotArr, units)
+		for u := 0; u < units; u++ {
+			wantArr[want.Intn(64)]++
+			wantArr[want.Intn(64)]--
+		}
+		for i := range wantArr {
+			if gotArr[i] != wantArr[i] {
+				t.Fatalf("seed %d: arr[%d] = %d, the Intn(64) loop leaves %d", seed, i, gotArr[i], wantArr[i])
+			}
+		}
+		if p.Now() != units*WorkUnitCost {
+			t.Fatalf("seed %d: charged %d ns, want %d", seed, p.Now(), units*WorkUnitCost)
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d: generator state diverged: next draw %d, want %d", seed, g, w)
+		}
+		// The expression itself, one draw at a time.
+		for d := 0; d < 1_000_000; d++ {
+			if g, w := int(got.Int63()>>32)&63, want.Intn(64); g != w {
+				t.Fatalf("seed %d: draw %d = %d, Intn(64) = %d", seed, d, g, w)
+			}
+		}
 	}
 }
