@@ -126,7 +126,7 @@ func main() {
 					p.Crash = 1
 				}
 				p.CrashRestart = restart
-				rep, err := drf.ReplayCrashCheck(drf.DefaultRing(6), p)
+				rep, err := drf.ReplayCheck(drf.DefaultRing(6), p)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "\nCRASH FAIL at rate x%g restart=%v: %v\n", s, restart, err)
 					fmt.Fprintf(os.Stderr, "reproduce with: argo-stress -seed %d -chaos '%s'\n", *seed, p.String())
@@ -145,7 +145,7 @@ func main() {
 		p.Crash = crashRate
 		fmt.Printf("argo-stress: chaos LU, crash=%g restart=%v partition=%g partdur=%d (seed %d)\n",
 			p.Crash, p.CrashRestart, p.Partition, p.PartitionDur, *seed)
-		rep, err := lu.ReplayCrashCheck(lu.DefaultCrashParams(), p)
+		rep, err := lu.ReplayCheck(lu.DefaultCrashParams(), p)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "\nCHAOS LU FAIL: %v\n", err)
 			fmt.Fprintf(os.Stderr, "reproduce with: argo-stress -n 0 -seed %d -chaos '%s'\n", *seed, p.String())

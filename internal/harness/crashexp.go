@@ -26,7 +26,7 @@ func crashExp(w io.Writer, quick bool) {
 		pr = drf.RingParams{Nodes: 6, PerNode: 512, Epochs: 4, PageSize: 1024}
 		rates = []float64{0.05}
 	}
-	base, err := drf.RunRingCrash(pr)
+	base, err := drf.RunRing(pr)
 	if err != nil {
 		fmt.Fprintf(w, "crash: fault-free baseline failed: %v\n", err)
 		return
@@ -42,7 +42,7 @@ func crashExp(w io.Writer, quick bool) {
 			plan.Crash = rate
 			plan.CrashRestart = mode.restart
 			plan.CrashMinEpoch = 1
-			rep, err := drf.ReplayCrashCheck(pr, plan)
+			rep, err := drf.ReplayCheck(pr, plan)
 			if err != nil {
 				rows = append(rows, []string{mode.name, fmt.Sprintf("%g", rate),
 					"-", "-", "-", "FAIL: " + err.Error()})

@@ -565,19 +565,6 @@ func (d *Detector) DecisionHistoryString() string {
 	return strings.Join(parts, " ")
 }
 
-// DeathsAt returns the sorted live members that crash at episode ep —
-// the reconfiguration the barrier applies when the episode completes.
-func (d *Detector) DeathsAt(members []int, ep int64) []int {
-	var out []int
-	for _, m := range members {
-		if dies, _ := d.DiesAt(m, ep); dies {
-			out = append(out, m)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Reset returns the detector to the all-alive, epoch-zero state (between
 // seeded runs of one cluster). Scripted crashes persist so a replayed run
 // repeats them; callbacks persist with the structures they guard.

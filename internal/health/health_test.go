@@ -32,8 +32,8 @@ func TestScheduledCrashVerdicts(t *testing.T) {
 	if dies, _ := d.DiesAt(2, 3); !dies {
 		t.Fatal("scripted crash lost across Reset")
 	}
-	if got := d.DeathsAt([]int{0, 1, 2, 3}, 3); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("DeathsAt = %v, want [2]", got)
+	if got := d.Fate(2, 3); got != Restarts {
+		t.Fatalf("Fate(2,3) = %v, want Restarts", got)
 	}
 }
 
@@ -170,5 +170,60 @@ func TestHistoryRenderingIgnoresRecordingOrderOfConcurrentCrashes(t *testing.T) 
 	}
 	if want := "ep0:crash(n1)@e2 ep0:crash(n4)@e2 ep1:excise(n4)@e2 ep2:excise(n1)@e2 ep2:crash(n3)@e5"; d1 != want {
 		t.Fatalf("decision history %q, want %q", d1, want)
+	}
+}
+
+// Fate is the one place the verdicts combine: crash wins over isolation, and
+// a restart is told apart from a stop.
+func TestFateCrashWinsOverIsolation(t *testing.T) {
+	d := det(5, 1)
+	d.SchedulePartition([]int{1, 2, 3}, 2, 1)
+	d.ScheduleCrash(2, 2, false)
+	d.ScheduleCrash(3, 2, true)
+	d.ScheduleCrash(4, 2, true)
+	for n, want := range []Fate{Lives, Parked, Stops, Restarts, Restarts} {
+		if got := d.Fate(n, 2); got != want {
+			t.Errorf("Fate(%d, 2) = %v, want %v", n, got, want)
+		}
+		if got := d.Fate(n, 3); got != Lives {
+			t.Errorf("Fate(%d, 3) = %v, want Lives", n, got)
+		}
+	}
+}
+
+// A walk holds the membership the barrier will: a restart keeps its slot, a
+// stop leaves at its death episode, a cut removes nobody — and a window
+// stays a window when the node it isolates is already gone.
+func TestWalkMembership(t *testing.T) {
+	d := det(4, 1)
+	d.ScheduleCrash(1, 1, true)
+	d.ScheduleCrash(3, 2, false)
+	d.SchedulePartition([]int{3}, 2, 3) // episodes 2-4; node 3 dies at the first
+
+	w := d.NewWalk()
+	all := []int{0, 1, 2, 3}
+	if w.Episode() != 0 || !reflect.DeepEqual(w.Members(), all) || w.InWindow() {
+		t.Fatalf("fresh walk: episode %d, members %v, in window %v", w.Episode(), w.Members(), w.InWindow())
+	}
+	if died, left := w.Step(); !reflect.DeepEqual(died, []int{1}) || left != nil || !reflect.DeepEqual(w.Members(), all) {
+		t.Fatalf("episode 1: died %v left %v members %v, want the restart to keep its slot", died, left, w.Members())
+	}
+	if !w.InWindow() || !reflect.DeepEqual(w.Parked(), []int{3}) {
+		t.Fatalf("before episode 2: in window %v, parked %v", w.InWindow(), w.Parked())
+	}
+	before := w.Members()
+	if died, left := w.Step(); !reflect.DeepEqual(died, []int{3}) || !reflect.DeepEqual(left, []int{3}) {
+		t.Fatalf("episode 2: died %v left %v, want node 3 to stop inside its own cut", died, left)
+	}
+	if !reflect.DeepEqual(w.Members(), []int{0, 1, 2}) || !reflect.DeepEqual(before, all) {
+		t.Fatalf("after episode 2: members %v, earlier view %v (must not be edited)", w.Members(), before)
+	}
+	if !w.InWindow() || w.Parked() != nil {
+		t.Fatalf("before episode 3: in window %v, parked %v, want a window that parks no member", w.InWindow(), w.Parked())
+	}
+	w.Step()
+	w.Step()
+	if w.Episode() != 4 || w.InWindow() {
+		t.Fatalf("episode %d, in window %v, want the window closed after 4", w.Episode(), w.InWindow())
 	}
 }

@@ -14,16 +14,17 @@ import (
 	"argo/internal/workloads/drf"
 )
 
-// ringReport runs the schedule-independent ring workload once with a fresh
-// span recorder attached and returns the critical-path report.
-func ringReport(t *testing.T, plan *fault.Plan) *span.Report {
+// ringReport runs the ring workload once with a fresh span recorder attached
+// and returns the critical-path report and the run's death count.
+func ringReport(t *testing.T, nodes int, plan *fault.Plan) (*span.Report, int) {
 	t.Helper()
 	sr := span.NewRecorder(0)
 	core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, sr) }
 	defer func() { core.ConfigHook = nil }()
-	pr := drf.DefaultRing(4)
+	pr := drf.DefaultRing(nodes)
 	pr.Faults = plan
-	if _, err := drf.RunRing(pr); err != nil {
+	run, err := drf.RunRing(pr)
+	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := span.Analyze(sr.Records(), sr.Makespan())
@@ -33,12 +34,12 @@ func ringReport(t *testing.T, plan *fault.Plan) *span.Report {
 	if rep.MatchedEdges == 0 {
 		t.Fatal("ring run produced no matched edges")
 	}
-	return rep
+	return rep, run.Deaths
 }
 
 func TestReplayDeterminismFaultFree(t *testing.T) {
-	a := ringReport(t, nil)
-	b := ringReport(t, nil)
+	a, _ := ringReport(t, 4, nil)
+	b, _ := ringReport(t, 4, nil)
 	if a.Digest() != b.Digest() {
 		t.Fatalf("fault-free critical paths diverged: %016x vs %016x", a.Digest(), b.Digest())
 	}
@@ -55,43 +56,23 @@ func TestReplayDeterminismFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ringReport(t, &plan)
-	b := ringReport(t, &plan)
+	a, _ := ringReport(t, 4, &plan)
+	b, _ := ringReport(t, 4, &plan)
 	if a.Digest() != b.Digest() {
 		t.Fatalf("faulty critical paths diverged: %016x vs %016x", a.Digest(), b.Digest())
 	}
-	free := ringReport(t, nil)
+	free, _ := ringReport(t, 4, nil)
 	if a.Digest() == free.Digest() {
 		t.Fatal("fault injection left the critical path untouched (suspicious)")
 	}
 }
 
-// crashReport runs the crash-tolerant ring with a Cygnus crash plan and a
-// fresh recorder, returning the report and the death count.
-func crashReport(t *testing.T) (*span.Report, int) {
-	t.Helper()
-	sr := span.NewRecorder(0)
-	core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, sr) }
-	defer func() { core.ConfigHook = nil }()
+func TestReplayDeterminismCrash(t *testing.T) {
 	plan := fault.DefaultPlan(7)
 	plan.Crash = 0.2
 	plan.CrashRestart = true
-	pr := drf.DefaultRing(6)
-	pr.Faults = &plan
-	crep, err := drf.RunRingCrash(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := span.Analyze(sr.Records(), sr.Makespan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep, crep.Deaths
-}
-
-func TestReplayDeterminismCrash(t *testing.T) {
-	a, deathsA := crashReport(t)
-	b, deathsB := crashReport(t)
+	a, deathsA := ringReport(t, 6, &plan)
+	b, deathsB := ringReport(t, 6, &plan)
 	if deathsA != deathsB {
 		t.Fatalf("crash schedules diverged: %d vs %d deaths", deathsA, deathsB)
 	}

@@ -23,6 +23,7 @@
 package vela
 
 import (
+	"slices"
 	"sync"
 
 	"argo/internal/core"
@@ -79,8 +80,7 @@ type memberBarrier struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	members []bool // current membership view (crash-restart keeps the slot)
-	done    int64  // highest fully-completed sub=0 episode
+	walk    *health.Walk // membership view; stands past the highest fully-completed sub=0 episode
 	eps     map[epKey]*epState
 	crashed map[crashKey]crashCheckIns
 }
@@ -91,12 +91,9 @@ func newMemberBarrier(c *core.Cluster, tpn int, cost sim.Time) *memberBarrier {
 		det:     c.Health,
 		cost:    cost,
 		tpn:     tpn,
-		members: make([]bool, c.Cfg.Nodes),
+		walk:    c.Health.NewWalk(),
 		eps:     map[epKey]*epState{},
 		crashed: map[crashKey]crashCheckIns{},
-	}
-	for i := range m.members {
-		m.members[i] = true
 	}
 	m.cond = sync.NewCond(&m.mu)
 	// Bootstrap: if a partition already covers episode 1 there is no prior
@@ -135,46 +132,16 @@ func (m *memberBarrier) state(k epKey) *epState {
 	return st
 }
 
-// memberList returns the current members in ascending order. Caller holds mu.
-func (m *memberBarrier) memberList() []int {
-	out := make([]int, 0, len(m.members))
-	for n, ok := range m.members {
-		if ok {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// isolatedMembers returns the current members on the minority side of the
-// partition active at episode ep, ascending. Caller holds mu.
-func (m *memberBarrier) isolatedMembers(ep int64) []int {
-	var out []int
-	for _, n := range m.det.PartitionAt(ep) {
-		if n < len(m.members) && m.members[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // leaderAt returns the lowest member that survives episode ep on the
 // majority side of any active cut. The leader takes over node 0's duties
 // (decay vote, directory reset) once node 0 dies or is isolated.
 func (m *memberBarrier) leaderAt(ep int64) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for n, ok := range m.members {
-		if !ok {
-			continue
+	for _, n := range m.walk.Members() {
+		if m.det.Fate(n, ep) == health.Lives {
+			return n
 		}
-		if dies, _ := m.det.DiesAt(n, ep); dies {
-			continue
-		}
-		if m.det.IsolatedAt(n, ep) {
-			continue
-		}
-		return n
 	}
 	return -1
 }
@@ -182,20 +149,15 @@ func (m *memberBarrier) leaderAt(ep int64) int {
 // expectations returns, for episode ep over the current membership, the
 // number of surviving representatives, restart observers, crash-stop
 // check-ins and partition observers required for completion. Caller holds
-// mu. A node that both dies and is isolated counts as dying — crash wins,
-// matching crashPoint's check order.
+// mu.
 func (m *memberBarrier) expectations(ep int64) (arrive, observe, stop, parted int) {
-	for n, ok := range m.members {
-		if !ok {
-			continue
-		}
-		dies, restart := m.det.DiesAt(n, ep)
-		switch {
-		case dies && restart:
+	for _, n := range m.walk.Members() {
+		switch m.det.Fate(n, ep) {
+		case health.Restarts:
 			observe += m.tpn
-		case dies:
+		case health.Stops:
 			stop += m.tpn
-		case m.det.IsolatedAt(n, ep):
+		case health.Parked:
 			parted += m.tpn
 		default:
 			arrive++
@@ -209,27 +171,31 @@ func (m *memberBarrier) expectations(ep int64) (arrive, observe, stop, parted in
 // (the caller skips the episode body); it panics with health.CrashSignal
 // for a crash-stop; it returns false for a live, connected thread.
 func (m *memberBarrier) crashPoint(t *core.Thread, ep int64) bool {
-	dies, restart := m.det.DiesAt(t.Node, ep)
-	if !dies {
-		if m.det.IsolatedAt(t.Node, ep) {
-			// Minority side of the cut: alive but unreachable. Park until
-			// the majority completes the episode (checked before the Alive
-			// test — an isolated node is Partitioned, not dead).
-			m.observePartition(t.P, ep)
-			return true
-		}
-		if !m.det.Alive(t.Node) {
-			// Killed out-of-band (scripted mid-episode kill in tests).
-			panic(health.CrashSignal{Node: t.Node, Episode: ep})
-		}
-		return false
-	}
-	m.killCheckIn(t, ep, probe.CrashAtBarrier)
-	if restart {
+	switch m.det.Fate(t.Node, ep) {
+	case health.Parked:
+		// Minority side of the cut: alive but unreachable. Park until
+		// the majority completes the episode (checked before the Alive
+		// test — an isolated node is Partitioned, not dead).
+		m.observePartition(t.P, ep)
+		return true
+	case health.Restarts:
+		m.killCheckIn(t, ep, probe.CrashAtBarrier)
 		m.observe(t.P, ep)
 		return true
+	case health.Stops:
+		m.stop(t, ep, probe.CrashAtBarrier) // unwinds
 	}
-	// Crash-stop: check in so the episode can complete, then unwind.
+	if !m.det.Alive(t.Node) {
+		// Killed out-of-band (scripted mid-episode kill in tests).
+		panic(health.CrashSignal{Node: t.Node, Episode: ep})
+	}
+	return false
+}
+
+// stop delivers a crash-stop verdict: the thread checks in so the episode
+// can complete without it, then unwinds.
+func (m *memberBarrier) stop(t *core.Thread, ep int64, kind int64) {
+	m.killCheckIn(t, ep, kind)
 	m.mu.Lock()
 	st := m.state(epKey{ep, 0})
 	st.stopped++
@@ -277,21 +243,14 @@ func (m *memberBarrier) safePoint(t *core.Thread, pt fault.SafePoint) {
 		return
 	}
 	ep := t.SyncEpoch + 1 // the episode the current interval ends at
-	dies, restart := m.det.DiesAt(t.Node, ep)
-	if !dies || restart {
+	if m.det.Fate(t.Node, ep) != health.Stops {
 		return
 	}
 	kind := probe.CrashAtLock
 	if pt == fault.SafeFlag {
 		kind = probe.CrashAtFlag
 	}
-	m.killCheckIn(t, ep, kind)
-	m.mu.Lock()
-	st := m.state(epKey{ep, 0})
-	st.stopped++
-	m.maybeComplete(ep, st)
-	m.mu.Unlock()
-	panic(health.CrashSignal{Node: t.Node, Episode: ep})
+	m.stop(t, ep, kind)
 }
 
 // rendezvous is the surviving representatives' global barrier for episode ep.
@@ -409,15 +368,22 @@ func (m *memberBarrier) observePartition(p *sim.Proc, ep int64) {
 // parked while it happens — which is what keeps membership-epoch histories
 // bit-identical across same-seed runs.
 func (m *memberBarrier) maybeComplete(ep int64, st *epState) {
-	if st.complete || ep != m.done+1 {
+	if st.complete || ep != m.walk.Episode()+1 {
 		return
 	}
 	arrive, observe, stop, parted := m.expectations(ep)
 	if st.arrived != arrive || st.observed != observe || st.stopped != stop || st.parted != parted {
 		return
 	}
-	deaths := m.det.DeathsAt(m.memberList(), ep)
-	iso := m.isolatedMembers(ep)
+	iso := m.walk.Parked()
+	deaths, left := m.walk.Step() // the view now stands past ep
+	if arrive == 0 {
+		// Nobody survives to time the release, so the dying time it
+		// themselves: an excision must not be stamped before its own crash.
+		for _, dn := range deaths {
+			st.maxT = max(st.maxT, m.crashed[crashKey{ep, dn}].at)
+		}
+	}
 	release := st.maxT + m.cost
 	if len(deaths) > 0 || len(iso) > 0 {
 		// Survivors wait out one failure-detection timeout before they
@@ -426,33 +392,23 @@ func (m *memberBarrier) maybeComplete(ep int64, st *epState) {
 		release += st.recov
 	}
 	for _, dn := range deaths {
-		_, restart := m.det.DiesAt(dn, ep)
 		m.det.Excise(dn, release, ep)
 		m.c.Dir.SetDead(dn)
 		// Every survivor is parked here, so wiping the dead node's
 		// directory cache cannot race an in-flight Notify.
 		m.c.Dir.ClearCache(dn)
-		if restart {
+		if !slices.Contains(left, dn) {
 			m.det.Rejoin(dn, release, ep)
 			m.c.Dir.ClearDeadBit(dn)
-		} else {
-			m.members[dn] = false
 		}
 	}
 	// Partition transitions for the next episode: heal members whose cut
 	// clears, suspect members newly isolated, and swap the fabric cut —
 	// all while everyone is parked, so episode ep+1 begins with a
 	// deterministic reachability view.
-	next := m.isolatedMembers(ep + 1)
+	next := m.walk.Parked()
 	for _, n := range iso {
-		healed := true
-		for _, nn := range next {
-			if nn == n {
-				healed = false
-				break
-			}
-		}
-		if healed {
+		if !slices.Contains(next, n) {
 			m.det.Heal(n, release, ep)
 		}
 	}
@@ -473,7 +429,6 @@ func (m *memberBarrier) maybeComplete(ep int64, st *epState) {
 	st.release = release
 	st.orOut = st.or
 	st.complete = true
-	m.done = ep
 	// Pre-size the post-reset rendezvous for the survivors of this episode.
 	m.state(epKey{ep, 1}).expected = st.arrived
 	m.cond.Broadcast()
@@ -505,5 +460,5 @@ func (m *memberBarrier) heartbeat(t *core.Thread, ep int64) {
 func (m *memberBarrier) Members() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.memberList()
+	return slices.Clone(m.walk.Members())
 }

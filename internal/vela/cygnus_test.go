@@ -1,6 +1,7 @@
 package vela
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -548,5 +549,72 @@ func TestOneWayCutScheduleDeterminism(t *testing.T) {
 	}
 	if h1 != h2 || ms1 != ms2 {
 		t.Fatalf("one-way cut schedule not deterministic:\n  run1 %d %q\n  run2 %d %q", ms1, h1, ms2, h2)
+	}
+}
+
+// The planner's walk and the runtime's are one: a health.Walk stepped by hand
+// holds, after every episode of a run with a crash-stop, a crash-restart, a
+// symmetric cut and a one-way cut, exactly the members the live member
+// barrier reports.
+func TestWalkStepsBesideMemberBarrier(t *testing.T) {
+	const nodes, tpn, episodes = 6, 2, 9
+	c := crashCluster(nodes)
+	c.Health.ScheduleCrash(4, 2, false)
+	c.Health.ScheduleCrash(2, 4, true)
+	c.Health.ScheduleCrash(5, 6, false) // inside node 1's cut: crash wins, and strikes
+	c.Health.SchedulePartition([]int{1, 5}, 5, 2)
+	c.Health.ScheduleOneWayCut(3, 0, 8, 1)
+
+	// Node 0 lives through every episode unparked, so its thread is back from
+	// barrier e before anything of episode e+1 can complete.
+	var seen [episodes][]int
+	c.Run(tpn, func(th *core.Thread) {
+		for e := 0; e < episodes; e++ {
+			th.Barrier()
+			if th.Rank == 0 {
+				seen[e] = th.Bar.(*HierBarrier).Members()
+			}
+		}
+	})
+	walk := c.Health.NewWalk()
+	for e := range seen {
+		walk.Step()
+		if !slices.Equal(seen[e], walk.Members()) {
+			t.Fatalf("after episode %d the barrier holds %v, the walk %v", e+1, seen[e], walk.Members())
+		}
+	}
+	if want := []int{0, 1, 2, 3}; !slices.Equal(walk.Members(), want) {
+		t.Fatalf("final members %v, want %v (restart keeps its slot, cuts remove nobody)", walk.Members(), want)
+	}
+}
+
+// An episode at which every member crash-stops has no arrival to time its
+// release; the excisions are then stamped from the deaths themselves, never
+// before them.
+func TestExciseNeverPredatesItsCrash(t *testing.T) {
+	const nodes = 3
+	c := crashCluster(nodes)
+	for n := 0; n < nodes; n++ {
+		c.Health.ScheduleCrash(n, 2, false)
+	}
+	c.Run(2, func(th *core.Thread) {
+		th.Compute(int64(50_000 * (th.Rank + 1)))
+		th.Barrier()
+		th.Barrier()
+		t.Errorf("thread %d outlived a total loss", th.Rank)
+	})
+	crashed := map[int]sim.Time{}
+	for _, tr := range c.Health.History() {
+		switch tr.Kind {
+		case "crash":
+			crashed[tr.Node] = tr.At
+		case "excise":
+			if at, ok := crashed[tr.Node]; !ok || tr.At < at {
+				t.Fatalf("%v stamped before its crash (t%d, recorded %v): %s", tr, at, ok, c.Health.HistoryString())
+			}
+		}
+	}
+	if len(crashed) != nodes || c.Health.Epoch() != nodes {
+		t.Fatalf("want %d crashes and excisions: %s", nodes, c.Health.HistoryString())
 	}
 }

@@ -13,159 +13,33 @@ package drf
 // Random programs do not all qualify: concurrent first-touches race on the
 // Pyxis classification (by design; classification affects performance,
 // never answers), and NIC arbitration resolves genuine saturation in real
-// arrival order (see sim.Resource). RunRing therefore provides a program
-// that is schedule-independent by construction — one thread per node, each
-// memory block homed where it is served, and in every phase each NIC has
-// exactly one remote client — and ReplayCheck asserts bit-exact replay of
-// makespan, digest and schedule on it.
+// arrival order (see sim.Resource). The ring (ring.go) is the program that
+// is schedule-independent by construction, and ReplayCheck asserts bit-exact
+// replay of makespan, digest and schedule on it.
 
 import (
 	"fmt"
 
-	"argo/internal/core"
 	"argo/internal/fault"
-	"argo/internal/mem"
-	"argo/internal/workloads/wload"
+	"argo/internal/recovery"
 )
 
 // RunChaos runs one program once fault-free and twice under plan, and
 // checks recovery soundness: all three runs pass every coherence check and
-// produce bit-identical final home memory. The returned Report is the
-// first faulty run's.
+// produce bit-identical final home memory (the answer is all of a random
+// program's Report that replays). The returned Report is the first faulty
+// run's.
 func RunChaos(pr Params, plan fault.Plan) (Report, error) {
 	run := RunReport
 	if pr.UseFlags {
 		run = RunFlagsReport
 	}
-	pr.Faults = nil
-	base, err := run(pr)
+	rep, err := recovery.Replay(func(p *fault.Plan) (Report, error) {
+		pr.Faults = p
+		return run(pr)
+	}, plan, func(r Report) uint64 { return r.Digest }, func(r Report) Report { return Report{Digest: r.Digest} })
 	if err != nil {
-		return base, fmt.Errorf("fault-free baseline: %w", err)
-	}
-	pr.Faults = &plan
-	f1, err := run(pr)
-	if err != nil {
-		return f1, fmt.Errorf("faulty run (%s): %w", plan.String(), err)
-	}
-	if f1.Digest != base.Digest {
-		return f1, fmt.Errorf("faulty run (%s) diverged: digest %016x, fault-free %016x (params %+v)",
-			plan.String(), f1.Digest, base.Digest, pr)
-	}
-	f2, err := run(pr)
-	if err != nil {
-		return f1, fmt.Errorf("faulty replay (%s): %w", plan.String(), err)
-	}
-	if f2.Digest != f1.Digest {
-		return f1, fmt.Errorf("faulty replay answer diverged under %s: digest %016x vs %016x (params %+v)",
-			plan.String(), f1.Digest, f2.Digest, pr)
-	}
-	return f1, nil
-}
-
-// RingParams shapes a deterministic ring program (see RunRing).
-type RingParams struct {
-	Nodes    int
-	PerNode  int // elements per node block
-	Epochs   int
-	PageSize int
-
-	Faults *fault.Plan
-}
-
-// DefaultRing returns a ring program that exercises remote fetches,
-// writebacks, registrations and notifications on every epoch.
-func DefaultRing(nodes int) RingParams {
-	return RingParams{Nodes: nodes, PerNode: 2048, Epochs: 6, PageSize: 1024}
-}
-
-// RunRing executes a schedule-independent ring program: global memory is
-// split into one block per node, homed at that node (blocked policy, block
-// size chosen to align). In each epoch, node i (one thread per node)
-// writes every element of block (i+1) mod N, all nodes meet at a barrier,
-// and node i reads back block (i+2) mod N — written the same epoch by node
-// i+1 — verifying every value. Each phase gives every NIC exactly one
-// remote client and each page exactly one registering node, so the
-// protocol's operation multiset, and with it the injected fault schedule
-// and the virtual makespan, are bit-reproducible run over run.
-func RunRing(pr RingParams) (Report, error) {
-	if pr.Nodes < 3 {
-		return Report{}, fmt.Errorf("drf: ring needs >= 3 nodes, got %d", pr.Nodes)
-	}
-	bytesPerNode := int64(pr.PerNode) * 8
-	if bytesPerNode%int64(pr.PageSize) != 0 {
-		return Report{}, fmt.Errorf("drf: ring block (%d B) must be page-multiple (%d B)", bytesPerNode, pr.PageSize)
-	}
-	cfg := core.DefaultConfig(pr.Nodes)
-	// Exactly one block per node: with the blocked home policy, block i is
-	// homed at node i.
-	cfg.MemoryBytes = int64(pr.Nodes) * bytesPerNode
-	cfg.PageSize = pr.PageSize
-	cfg.Policy = mem.Blocked
-	cfg.Net = wload.Net()
-	cfg.Faults = pr.Faults
-	c := wload.MustCluster(cfg)
-	xs := c.AllocI64(pr.Nodes * pr.PerNode)
-	val := func(e, i int) int64 { return int64(e)*1_000_000 + int64(i)*37 + 11 }
-
-	errCh := make(chan error, pr.Nodes)
-	makespan := c.Run(1, func(th *core.Thread) {
-		wr := (th.Node + 1) % pr.Nodes
-		rd := (th.Node + 2) % pr.Nodes
-		for e := 0; e < pr.Epochs; e++ {
-			for i := wr * pr.PerNode; i < (wr+1)*pr.PerNode; i++ {
-				th.SetI64(xs, i, val(e, i))
-			}
-			th.Barrier()
-			for i := rd * pr.PerNode; i < (rd+1)*pr.PerNode; i++ {
-				if got := th.GetI64(xs, i); got != val(e, i) {
-					select {
-					case errCh <- fmt.Errorf("ring epoch %d: node %d read xs[%d]=%d, want %d", e, th.Node, i, got, val(e, i)):
-					default:
-					}
-					return
-				}
-			}
-			th.Barrier()
-		}
-	})
-	rep := Report{Makespan: makespan, Digest: digestI64(c.DumpI64(xs)), Faults: c.FaultStats()}
-	select {
-	case err := <-errCh:
-		return rep, err
-	default:
-	}
-	if err := c.CheckInvariants(); err != nil {
-		return rep, err
+		return rep, fmt.Errorf("%w (params %+v)", err, pr)
 	}
 	return rep, nil
-}
-
-// ReplayCheck runs the ring program once fault-free and twice under plan,
-// and asserts Corvus's determinism guarantee in full: the two faulty runs
-// agree bit-exactly on makespan, answer digest and injected schedule, and
-// both produce the fault-free answer.
-func ReplayCheck(pr RingParams, plan fault.Plan) (Report, error) {
-	pr.Faults = nil
-	base, err := RunRing(pr)
-	if err != nil {
-		return base, fmt.Errorf("ring baseline: %w", err)
-	}
-	pr.Faults = &plan
-	f1, err := RunRing(pr)
-	if err != nil {
-		return f1, fmt.Errorf("ring faulty run (%s): %w", plan.String(), err)
-	}
-	if f1.Digest != base.Digest {
-		return f1, fmt.Errorf("ring run (%s) diverged from fault-free: digest %016x vs %016x",
-			plan.String(), f1.Digest, base.Digest)
-	}
-	f2, err := RunRing(pr)
-	if err != nil {
-		return f1, fmt.Errorf("ring faulty replay (%s): %w", plan.String(), err)
-	}
-	if f1 != f2 {
-		return f1, fmt.Errorf("ring replay not deterministic under %s: run1 {makespan %d, digest %016x, faults %+v}, run2 {makespan %d, digest %016x, faults %+v}",
-			plan.String(), f1.Makespan, f1.Digest, f1.Faults, f2.Makespan, f2.Digest, f2.Faults)
-	}
-	return f1, nil
 }

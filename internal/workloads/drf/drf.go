@@ -19,7 +19,6 @@ package drf
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 
 	"argo/internal/coherence"
@@ -64,18 +63,11 @@ type Report struct {
 	Faults   fault.Snapshot
 }
 
-func digestI64(xs []int64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range xs {
-		u := uint64(v)
-		for i := 0; i < 8; i++ {
-			b[i] = byte(u >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	return h.Sum64()
-}
+// digestBasis starts Report.Digest: the FNV-1a 64-bit offset basis.
+const digestBasis = 14695981039346656037
+
+// val is the value element i holds once epoch e has been written.
+func val(e, i int) int64 { return int64(e)*1_000_000 + int64(i)*37 + 11 }
 
 // Random draws a parameter set from rng.
 func Random(rng *rand.Rand) Params {
@@ -130,7 +122,6 @@ func RunReport(pr Params) (Report, error) {
 			owner[e][i] = rng.Intn(nt)
 		}
 	}
-	val := func(e, i int) int64 { return int64(e)*1_000_000 + int64(i)*37 + 11 }
 
 	errCh := make(chan error, nt)
 	report := func(err error) {
@@ -141,26 +132,29 @@ func RunReport(pr Params) (Report, error) {
 	}
 	makespan := c.Run(pr.TPN, func(th *core.Thread) {
 		myRng := rand.New(rand.NewSource(pr.Seed ^ int64(th.Rank)*0x9E3779B9))
+		// A thread that has seen a stale value stops working but keeps
+		// attending the barriers: its peers wait on a fixed count.
+		failed := false
 		for e := 0; e < pr.Epochs; e++ {
-			for i := 0; i < pr.Elements; i++ {
+			for i := 0; i < pr.Elements && !failed; i++ {
 				if owner[e][i] == th.Rank {
 					th.SetI64(xs, i, val(e, i))
 				}
 			}
 			th.Barrier()
-			for k := 0; k < pr.Reads; k++ {
+			for k := 0; k < pr.Reads && !failed; k++ {
 				i := myRng.Intn(pr.Elements)
 				if got := th.GetI64(xs, i); got != val(e, i) {
 					report(fmt.Errorf("epoch %d: thread %d read xs[%d]=%d, want %d (params %+v)",
 						e, th.Rank, i, got, val(e, i), pr))
-					return
+					failed = true
 				}
 			}
 			th.Barrier()
 		}
 	})
 	final := c.DumpI64(xs)
-	rep := Report{Makespan: makespan, Digest: digestI64(final), Faults: c.FaultStats()}
+	rep := Report{Makespan: makespan, Digest: wload.Digest(digestBasis, final), Faults: c.FaultStats()}
 	select {
 	case err := <-errCh:
 		return rep, err
@@ -223,7 +217,7 @@ func RunFlagsReport(pr Params) (Report, error) {
 			}
 		}
 	})
-	rep := Report{Makespan: makespan, Digest: digestI64(c.DumpI64(xs)), Faults: c.FaultStats()}
+	rep := Report{Makespan: makespan, Digest: wload.Digest(digestBasis, c.DumpI64(xs)), Faults: c.FaultStats()}
 	select {
 	case err := <-errCh:
 		return rep, err

@@ -8,6 +8,7 @@ import (
 	"argo/internal/core"
 	"argo/internal/fault"
 	"argo/internal/health"
+	"argo/internal/recovery"
 	"argo/internal/span"
 )
 
@@ -26,7 +27,7 @@ func crashPlan(seed int64, rate float64, restart bool) fault.Plan {
 func TestCrashRingReplayCheck(t *testing.T) {
 	pr := RingParams{Nodes: 6, PerNode: 512, Epochs: 5, PageSize: 1024}
 	for _, restart := range []bool{false, true} {
-		rep, err := ReplayCrashCheck(pr, crashPlan(42, 0.05, restart))
+		rep, err := ReplayCheck(pr, crashPlan(42, 0.05, restart))
 		if err != nil {
 			t.Fatalf("restart=%v: %v", restart, err)
 		}
@@ -50,7 +51,7 @@ func TestCrashRingWithTransientFaults(t *testing.T) {
 	p.Crash = 0.04
 	p.CrashRestart = false
 	p.CrashMinEpoch = 1
-	rep, err := ReplayCrashCheck(RingParams{Nodes: 5, PerNode: 512, Epochs: 4, PageSize: 1024}, p)
+	rep, err := ReplayCheck(RingParams{Nodes: 5, PerNode: 512, Epochs: 4, PageSize: 1024}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,40 +63,36 @@ func TestCrashRingWithTransientFaults(t *testing.T) {
 	}
 }
 
-// The host-side planner mirrors the runtime membership exactly: a detector
-// with a scripted crash yields repair phases covering precisely the dead
-// writer's blocks, and a crash-stop removes the node from later phases.
+// The ring's table under the walk: a detector with a scripted crash yields a
+// repair body covering precisely the dead writer's blocks, and a crash-stop
+// removes the node from later bodies.
 func TestPlanCrashRingMirrorsSchedule(t *testing.T) {
 	const nodes, epochs = 4, 3
 	det := health.New(nodes, fault.DefaultPlan(1), nil)
 	// Node 2 crash-stops at the barrier after epoch 0's write phase (episode 1).
 	det.ScheduleCrash(2, 1, false)
 
-	phases, err := planCrashRing(det, nodes, epochs)
+	script, err := recovery.Plan(det, ringTable(nodes, epochs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Block b is written by node b+1, so node 2 owned block 1; the first
-	// repair phase must rewrite exactly that block, and the writer role
+	// Block b is written by node b+1, so node 2 owned block 1; the body after
+	// the crash episode must rewrite exactly that block, and the writer role
 	// collapses onto block 1's verifier, node 3.
-	if phases[0].kind != phaseWrite {
-		t.Fatalf("phase 0 kind = %d, want write", phases[0].kind)
+	if script[0].Repair || len(script[0].Assign) != nodes || script[0].Assign[2][0].verify {
+		t.Fatalf("body 0 = %+v, want the write phase", script[0])
 	}
-	if phases[1].kind != phaseRepair {
-		t.Fatalf("phase after the crash episode is kind %d, want repair", phases[1].kind)
+	if !script[1].Repair {
+		t.Fatalf("body after the crash episode is %+v, want a repair", script[1])
 	}
-	if blocks := phases[1].assign[3]; len(blocks) != 1 || blocks[0] != 1 {
-		t.Fatalf("repair assignment %v, want block 1 repaired by node 3", phases[1].assign)
+	want := map[int][]ringTask{3: {{epoch: 0, block: 1}}}
+	if !reflect.DeepEqual(script[1].Assign, want) {
+		t.Fatalf("repair assignment %v, want block 1 repaired by node 3", script[1].Assign)
 	}
-	for n, blocks := range phases[1].assign {
-		if n != 3 && len(blocks) > 0 {
-			t.Fatalf("unexpected repair work for node %d: %v", n, blocks)
-		}
-	}
-	// Node 2 never appears in any later phase.
-	for i, ph := range phases[1:] {
-		if blocks, ok := ph.assign[2]; ok && len(blocks) > 0 {
-			t.Fatalf("phase %d still assigns dead node 2 blocks %v", i+1, blocks)
+	// Node 2 never appears in any later body.
+	for i, body := range script[1:] {
+		if tasks := body.Assign[2]; len(tasks) > 0 {
+			t.Fatalf("body %d still assigns dead node 2 tasks %v", i+1, tasks)
 		}
 	}
 }
@@ -107,7 +104,7 @@ func TestPlanCrashRingRejectsTotalLoss(t *testing.T) {
 	for n := 0; n < nodes; n++ {
 		det.ScheduleCrash(n, 1, false)
 	}
-	if _, err := planCrashRing(det, nodes, 2); err == nil {
+	if _, err := recovery.Plan(det, ringTable(nodes, 2)); err == nil {
 		t.Fatal("planner accepted a schedule that kills every node")
 	}
 }
@@ -121,7 +118,7 @@ func TestCrashRingReplayPartitions(t *testing.T) {
 	p := fault.DefaultPlan(9)
 	p.Partition = 0.2
 	p.PartitionDur = 2
-	rep, err := ReplayCrashCheck(RingParams{Nodes: 5, PerNode: 512, Epochs: 5, PageSize: 1024}, p)
+	rep, err := ReplayCheck(RingParams{Nodes: 5, PerNode: 512, Epochs: 5, PageSize: 1024}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +144,7 @@ func TestCrashRingReplayOneWayCut(t *testing.T) {
 	p.PartitionDur = 2
 	p.PartitionOneWay = true
 	p.PartitionFrom, p.PartitionTo = 2, 4
-	rep, err := ReplayCrashCheck(RingParams{Nodes: 5, PerNode: 512, Epochs: 5, PageSize: 1024}, p)
+	rep, err := ReplayCheck(RingParams{Nodes: 5, PerNode: 512, Epochs: 5, PageSize: 1024}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +163,13 @@ func TestCrashRingReplayOneWayCut(t *testing.T) {
 }
 
 // Crash-restarts and partitions under one ring plan: the restart rendezvous
-// and the idle walk compose, and the full CrashReport — timestamps included
+// and the idle walk compose, and the full RingReport — timestamps included
 // — replays bit-exactly.
 func TestCrashRingReplayRestartPartitionMixed(t *testing.T) {
 	p := crashPlan(17, 0.05, true)
 	p.Partition = 0.12
 	p.PartitionDur = 1
-	rep, err := ReplayCrashCheck(RingParams{Nodes: 6, PerNode: 512, Epochs: 5, PageSize: 1024}, p)
+	rep, err := ReplayCheck(RingParams{Nodes: 6, PerNode: 512, Epochs: 5, PageSize: 1024}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,37 +178,28 @@ func TestCrashRingReplayRestartPartitionMixed(t *testing.T) {
 	}
 }
 
-// The planner's partition walk mirrors the runtime rule exactly: every
-// phase whose ending barrier episode lies inside a partition window is an
-// idle phase with no assignment, and work resumes at the first whole
+// Every body whose ending barrier episode lies inside a partition window is
+// an idle body with no assignment, and work resumes at the first whole
 // episode after the heal.
 func TestPlanCrashRingIdlesThroughPartitions(t *testing.T) {
 	const nodes, epochs = 4, 3
 	det := health.New(nodes, fault.DefaultPlan(1), nil)
 	det.SchedulePartition([]int{3}, 2, 2) // covers episodes 2 and 3
 	det.ScheduleOneWayCut(1, 0, 6, 1)     // covers episode 6
+	window := map[int]bool{2: true, 3: true, 6: true}
 
-	phases, err := planCrashRing(det, nodes, epochs)
+	script, err := recovery.Plan(det, ringTable(nodes, epochs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	idles := 0
-	for i, ph := range phases {
-		ep := int64(i + 1) // phase i ends at barrier episode i+1
-		if parked := det.PartitionAt(ep); len(parked) > 0 {
-			if ph.kind != phaseIdle {
-				t.Fatalf("phase %d ends at partitioned episode %d but has kind %d", i, ep, ph.kind)
-			}
-			if len(ph.assign) != 0 {
-				t.Fatalf("idle phase %d carries assignments: %v", i, ph.assign)
-			}
-			idles++
-		} else if ph.kind == phaseIdle {
-			t.Fatalf("phase %d idles outside any partition window", i)
-		}
+	if len(script) != 2*epochs+len(window) {
+		t.Fatalf("%d bodies, want %d phases + %d idle", len(script), 2*epochs, len(window))
 	}
-	if idles != 3 {
-		t.Fatalf("%d idle phases, want 3 (two symmetric + one one-way episode)", idles)
+	for i, body := range script {
+		// Body i ends at barrier episode i+1.
+		if idle := body.Assign == nil; idle != window[i+1] {
+			t.Fatalf("body %d ends at episode %d (in a window: %v) with assignment %v", i, i+1, window[i+1], body.Assign)
+		}
 	}
 }
 
@@ -229,7 +217,7 @@ func TestCrashRingCriticalPathDeterminism(t *testing.T) {
 		p.PartitionDur = 1
 		p.PartitionOneWay = true
 		p.PartitionFrom, p.PartitionTo = 1, 3
-		rep, err := RunRingCrash(RingParams{Nodes: 5, PerNode: 512, Epochs: 5, PageSize: 1024, Faults: &p})
+		rep, err := RunRing(RingParams{Nodes: 5, PerNode: 512, Epochs: 5, PageSize: 1024, Faults: &p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,206 @@
+package drf
+
+import (
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+
+	"argo/internal/fault"
+	"argo/internal/health"
+	"argo/internal/recovery"
+)
+
+var updateScripts = flag.Bool("update-scripts", false, "rewrite testdata/ring_scripts.txt from this run")
+
+// scriptKinds is the fault matrix of the script golden: every crash and
+// partition shape alone and stacked, plus a cell of scripted schedules
+// (ScheduleCrash, SchedulePartition, ScheduleOneWayCut drawn from the seed).
+// lu/script_golden_test.go runs the same matrix over LU's table.
+var scriptKinds = []struct{ name, spec string }{
+	{"stop", "crash=0.06,crashminepoch=1"},
+	{"restart", "crash=0.06,crashrestart=on,crashminepoch=1"},
+	{"part", "partition=0.15,partdur=2"},
+	{"cut", "partition=0.15,partdur=2,partcut=1>2"},
+	{"stop+part", "crash=0.06,crashminepoch=1,partition=0.15,partdur=2"},
+	{"stop+cut", "crash=0.06,crashminepoch=1,partition=0.15,partdur=2,partcut=1>2"},
+	{"restart+part", "crash=0.06,crashrestart=on,crashminepoch=1,partition=0.15,partdur=2"},
+	{"restart+cut", "crash=0.06,crashrestart=on,crashminepoch=1,partition=0.15,partdur=2,partcut=1>2"},
+	{"scripted", ""},
+}
+
+const scriptSeedLo, scriptSeedHi = 101, 150
+
+func scriptDetector(t *testing.T, spec string, seed int64, nodes int, episodes int64) *health.Detector {
+	t.Helper()
+	if spec != "" {
+		plan, err := fault.ParsePlan(fmt.Sprintf("%s,seed=%d", spec, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return health.New(nodes, plan, nil)
+	}
+	det := health.New(nodes, fault.DefaultPlan(seed), nil)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 1 + rng.Intn(2); i > 0; i-- {
+		det.ScheduleCrash(rng.Intn(nodes), 1+rng.Int63n(episodes), rng.Intn(2) == 0)
+	}
+	det.SchedulePartition([]int{rng.Intn(nodes)}, 1+rng.Int63n(episodes), 1+rng.Int63n(3))
+	from := rng.Intn(nodes)
+	det.ScheduleOneWayCut(from, (from+1+rng.Intn(nodes-1))%nodes, 1+rng.Int63n(episodes), 1+rng.Int63n(2))
+	return det
+}
+
+// scriptLine is one script's golden line: its seed, then either the body
+// count and the FNV-32a of its rendered bodies (one line each; the text
+// itself would be two megabytes) or the reason it was rejected — the part of
+// the error text that does not name a workload or an episode.
+func scriptLine(seed int64, bodies []string, err error) string {
+	if err != nil {
+		reason := err.Error()
+		for _, r := range []string{"every node is dead", "not converging"} {
+			if strings.Contains(reason, r) {
+				reason = r
+			}
+		}
+		return fmt.Sprintf("%d ! %s", seed, reason)
+	}
+	h := fnv.New32a()
+	for _, b := range bodies {
+		fmt.Fprintln(h, b)
+	}
+	return fmt.Sprintf("%d %d %08x", seed, len(bodies), h.Sum32())
+}
+
+// renderScript renders one line per body — label, then each working node's
+// task list in order — after checking, against a walk of its own, that no
+// body deals work to a node the membership has lost.
+func renderScript[T any](t *testing.T, det *health.Detector, script []recovery.Body[T], label func(recovery.Body[T]) string, task func(T) string) []string {
+	t.Helper()
+	var out []string
+	walk := det.NewWalk()
+	for i, body := range script {
+		var b strings.Builder
+		b.WriteString(label(body))
+		for _, n := range walk.Members() {
+			if len(body.Assign[n]) == 0 {
+				continue
+			}
+			var ts []string
+			for _, x := range body.Assign[n] {
+				ts = append(ts, task(x))
+			}
+			fmt.Fprintf(&b, " %d:%s", n, strings.Join(ts, ","))
+		}
+		for n, ts := range body.Assign {
+			if !slices.Contains(walk.Members(), n) || len(ts) == 0 {
+				t.Fatalf("body %d deals %d tasks to node %d; members are %v", i, len(ts), n, walk.Members())
+			}
+		}
+		out = append(out, b.String())
+		walk.Step()
+	}
+	return out
+}
+
+// checkScripts compares the rendered matrix with the golden file line by
+// line, or rewrites the file under -update-scripts.
+func checkScripts(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateScripts {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	if len(gl) != len(wl) {
+		t.Fatalf("%s has %d lines, this run rendered %d", path, len(wl), len(gl))
+	}
+	header := ""
+	for i := range gl {
+		if strings.HasPrefix(gl[i], "#") {
+			header = gl[i]
+		}
+		if gl[i] != wl[i] {
+			t.Errorf("%s line %d (%s):\n  got  %s\n  want %s", path, i+1, header, gl[i], wl[i])
+		}
+	}
+}
+
+var ringShapes = []struct{ nodes, epochs int }{{3, 3}, {4, 4}, {5, 5}, {6, 5}, {8, 6}}
+
+// totalLossInIdle lists the four schedules of the matrix on which the parent
+// commit's ring planner went on after the last survivors died inside a
+// partition idle walk (episodes 20 and 23) and dealt the final verify to node
+// -1. The golden was generated on that commit without them;
+// TestRingRejectsTotalLossInIdleWalk pins what they are now.
+var totalLossInIdle = []string{"n5e5 stop+part 102", "n5e5 stop+cut 102", "n6e5 stop+part 102", "n6e5 stop+cut 102"}
+
+func ringScript(t *testing.T, det *health.Detector, nodes, epochs int) ([]string, error) {
+	script, err := recovery.Plan(det, ringTable(nodes, epochs))
+	if err != nil {
+		return nil, err
+	}
+	return renderScript(t, det, script, func(b recovery.Body[ringTask]) string {
+		for _, ts := range b.Assign {
+			switch {
+			case b.Repair:
+				return fmt.Sprintf("repair e%d", ts[0].epoch)
+			case ts[0].verify:
+				return fmt.Sprintf("verify e%d", ts[0].epoch)
+			default:
+				return fmt.Sprintf("write e%d", ts[0].epoch)
+			}
+		}
+		return "idle"
+	}, func(x ringTask) string { return fmt.Sprint(x.block) }), nil
+}
+
+// TestRingScriptGolden pins every script the ring's task table yields over
+// the fault matrix against testdata/ring_scripts.txt, generated on the commit
+// before package recovery existed by rendering that commit's ring planner the
+// same way.
+func TestRingScriptGolden(t *testing.T) {
+	var b strings.Builder
+	for _, sh := range ringShapes {
+		for _, k := range scriptKinds {
+			cell := fmt.Sprintf("n%de%d %s", sh.nodes, sh.epochs, k.name)
+			fmt.Fprintf(&b, "# %s\n", cell)
+			for seed := int64(scriptSeedLo); seed <= scriptSeedHi; seed++ {
+				if slices.Contains(totalLossInIdle, fmt.Sprintf("%s %d", cell, seed)) {
+					continue
+				}
+				bodies, err := ringScript(t, scriptDetector(t, k.spec, seed, sh.nodes, int64(2*sh.epochs)), sh.nodes, sh.epochs)
+				b.WriteString(scriptLine(seed, bodies, err) + "\n")
+			}
+		}
+	}
+	checkScripts(t, "testdata/ring_scripts.txt", b.String())
+}
+
+// A schedule that kills the last survivor during a partition idle walk is a
+// total loss like any other and is rejected at planning time: the four
+// schedules of totalLossInIdle, end to end.
+func TestRingRejectsTotalLossInIdleWalk(t *testing.T) {
+	for _, cut := range []string{"", ",partcut=1>2"} {
+		for _, nodes := range []int{5, 6} {
+			plan, err := fault.ParsePlan("crash=0.06,crashminepoch=1,partition=0.15,partdur=2,seed=102" + cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = RunRing(RingParams{Nodes: nodes, PerNode: 512, Epochs: 5, PageSize: 1024, Faults: &plan})
+			if err == nil || !strings.Contains(err.Error(), "every node is dead") {
+				t.Errorf("%d nodes under %s: err = %v, want a total-loss rejection", nodes, plan, err)
+			}
+		}
+	}
+}

@@ -1,47 +1,32 @@
 package lu
 
-// Crash-tolerant LU (Cygnus II): the blocked factorization of lu.go,
-// restructured the way drf/crashring.go restructures the ring so that
-// crash-stop node failures and partial network partitions at barrier safe
-// points never cost an answer.
+// Crash-tolerant LU (Cygnus II): the blocked factorization of lu.go as a
+// recovery task table, so that crash-stop and crash-restart node failures
+// and partial network partitions at barrier safe points never cost an
+// answer. The script — program phases (diagonal, perimeter or interior of
+// some step k), repairs of the kernels a freshly dead owner lost,
+// classification resets and idle bodies — comes from recovery.Plan; this
+// file says what the kernels are and why LU's table is shaped as it is.
 //
-// The planner exploits the same property as planCrashRing: crash verdicts
-// and partition spans are pure functions of (fault seed, episode), so
-// health.Detector.DiesAt and Detector.PartitionAt can be evaluated
-// host-side before the run. planCrashLU walks the program's barrier
-// episodes in order, mirrors exactly the membership view the member-aware
-// barrier will hold at runtime, and emits one body per episode: a program
-// phase (diagonal, perimeter or interior of some step k), a repair phase
-// that re-runs the kernels a freshly dead owner lost, a classification
-// reset, or an idle body. Threads just execute their slice of each body;
-// the barrier after it is where crashes and partition transitions strike.
+// Three rules keep the run both correct and bit-exact across replays, and
+// each is one line of the table:
 //
-// Three rules keep the run both correct and bit-exact across replays:
-//
-//   - Lost kernels re-run from home truth. A node dying at the barrier
-//     after a phase never drained its write buffer (the crash wipes it
-//     before the SD fence), so home memory still holds every output block
-//     at its exact pre-phase value and every input block at its fenced,
-//     durable value. Re-running the kernel — even the non-idempotent
-//     in-place ones — reproduces bit-identical results. Repairers can
-//     themselves die, so repair loops until a round survives.
+//   - Lost kernels re-run from home truth (every phase is Losable). A node
+//     dying at the barrier after a phase never drained its write buffer, so
+//     home memory still holds every output block at its exact pre-phase
+//     value and every input block at its fenced, durable value. Re-running
+//     the kernel — even the non-idempotent in-place ones — reproduces
+//     bit-identical results.
 //
 //   - Every crash is followed by a classification reset at the first
-//     fully-attended episode. A dead owner's blocks get new writers, and a
-//     writer handover under live co-holders would make Pyxis notify
-//     deliveries race host-side fence sweeps (the hazard crashring's
-//     static-collapse geometry avoids; LU's wide sharing cannot collapse).
-//     The reset — flush, drop, clear full-maps, performed while every
-//     thread is parked — reduces the handover to a first touch on virgin
-//     classification. It is deferred past partition windows because only a
-//     barrier every member attends resets every cache.
+//     fully-attended episode (Reset). A dead owner's blocks get new writers
+//     — tasks are dealt round-robin over whoever is live — and a writer
+//     handover under live co-holders would make Pyxis notify deliveries race
+//     host-side fence sweeps (the hazard the ring's static-collapse geometry
+//     avoids; LU's wide sharing cannot collapse).
 //
-//   - Partitioned episodes idle, cluster-wide. The planner schedules no
-//     work for any body b with PartitionAt(b) non-empty: the minority
-//     diverts at the barrier (skipping its fences), and idling both sides
-//     makes the skipped fences vacuous — the minority's last work body was
-//     fenced at its last attended barrier, and nobody writes anything the
-//     other side could miss until after the heal.
+//   - Partitioned episodes idle, cluster-wide: the planner's rule for every
+//     workload.
 //
 // Crash-restart (Cygnus III) rides the same rules: a dying-and-restarting
 // node keeps its membership slot, its lost kernels join the repair queue,
@@ -50,19 +35,15 @@ package lu
 // restart plans — a rejoiner re-registering its reads concurrently with
 // the survivors' reset rendezvous — are closed at runtime by the restart
 // rendezvous (vela.memberBarrier.observe): when a reset is in flight, the
-// rejoiner is admitted only after the post-reset rendezvous completes. A
-// reset episode at which every attending member dies-and-restarts fires no
-// reset (nobody arrives to vote), and the planner needs no special case:
-// any death re-arms pendingReset, so the reset is re-emitted.
+// rejoiner is admitted only after the post-reset rendezvous completes.
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
 
 	"argo/internal/core"
 	"argo/internal/fault"
-	"argo/internal/health"
+	"argo/internal/recovery"
 	"argo/internal/sim"
 	"argo/internal/workloads/wload"
 )
@@ -82,13 +63,11 @@ type luTask struct {
 	kind, k, i, j int
 }
 
-// luBody is one barrier-delimited body: per live node, the kernels it
-// runs. An empty assign is an idle body; reset marks the barrier ending
-// the body as a cluster-wide classification reset.
-type luBody struct {
-	reset  bool
-	assign map[int][]luTask
-}
+// digestBasis starts CrashReport.Digest. It is FNV-1a's offset basis short of
+// its last digit — a slip as old as this file — and stays, because the
+// ledger's lu_chaos digest fingerprint and every recorded chaos-LU digest were
+// taken with it.
+const digestBasis = 1469598103934665603
 
 // CrashParams sizes the crash-tolerant factorization.
 type CrashParams struct {
@@ -119,140 +98,42 @@ type CrashReport struct {
 	History    string // membership decision history (no timestamps)
 }
 
-// program returns the 3·nb phase task lists of the factorization, in
-// episode order (diagonal, perimeter, interior per step).
-func program(nb int) [][]luTask {
-	var phases [][]luTask
+// crashTable is the factorization as a task table: 3·nb losable phases in
+// episode order (diagonal, perimeter, interior per step), dealt round-robin
+// over the live set in task order, repaired in (k, i, j) order, with a
+// classification reset after every death.
+func crashTable(nb int) recovery.Table[luTask] {
+	tab := recovery.Table[luTask]{
+		Assign: func(tasks []luTask, live []int) map[int][]luTask {
+			asg := map[int][]luTask{}
+			for idx, task := range tasks {
+				n := live[idx%len(live)]
+				asg[n] = append(asg[n], task)
+			}
+			return asg
+		},
+		Order: func(x, y luTask) int {
+			return cmp.Or(cmp.Compare(x.k, y.k), cmp.Compare(x.i, y.i), cmp.Compare(x.j, y.j))
+		},
+		Reset: true,
+	}
 	for k := 0; k < nb; k++ {
-		phases = append(phases, []luTask{{kind: taskDiag, k: k, i: k, j: k}})
-		var perim []luTask
+		diag := []luTask{{kind: taskDiag, k: k, i: k, j: k}}
+		var perim, inner []luTask
 		for j := k + 1; j < nb; j++ {
 			perim = append(perim, luTask{kind: taskRow, k: k, i: k, j: j})
 		}
 		for i := k + 1; i < nb; i++ {
 			perim = append(perim, luTask{kind: taskCol, k: k, i: i, j: k})
-		}
-		phases = append(phases, perim)
-		var inner []luTask
-		for i := k + 1; i < nb; i++ {
 			for j := k + 1; j < nb; j++ {
 				inner = append(inner, luTask{kind: taskInner, k: k, i: i, j: j})
 			}
 		}
-		phases = append(phases, inner)
-	}
-	return phases
-}
-
-// planCrashLU precomputes the body script for a detector's fault schedule.
-// It mirrors, episode by episode, the membership updates the member-aware
-// barrier performs at runtime, and fails if the live set ever empties or
-// the schedule never lets the program finish.
-func planCrashLU(det *health.Detector, nodes, nb int) ([]luBody, error) {
-	members := make([]bool, nodes)
-	for n := range members {
-		members[n] = true
-	}
-	liveCount := nodes
-	phases := program(nb)
-
-	var bodies []luBody
-	ep := int64(0)
-	var pending []luTask // kernels lost to a death, awaiting repair
-	pendingReset := false
-
-	// assign deals tasks round-robin over the live set, in task order — a
-	// pure function of (tasks, membership), so every run with the same
-	// fault schedule builds the same script.
-	assign := func(tasks []luTask) map[int][]luTask {
-		live := make([]int, 0, liveCount)
-		for n, ok := range members {
-			if ok {
-				live = append(live, n)
-			}
-		}
-		asg := map[int][]luTask{}
-		for idx, task := range tasks {
-			n := live[idx%len(live)]
-			asg[n] = append(asg[n], task)
-		}
-		return asg
-	}
-	// emit appends one body and advances past its barrier: kernels
-	// assigned to a node dying at that episode are returned to the repair
-	// queue (the crash wipes its write buffer before the SD fence),
-	// crash-stop members leave the view, and restarting members keep their
-	// slot — they rejoin within the same episode, with wiped caches, and
-	// pick up repair work like any survivor.
-	emit := func(b luBody) {
-		bodies = append(bodies, b)
-		ep++
-		for n := 0; n < nodes; n++ {
-			if !members[n] {
-				continue
-			}
-			dies, restart := det.DiesAt(n, ep)
-			if !dies {
-				continue
-			}
-			pending = append(pending, b.assign[n]...)
-			pendingReset = true
-			if !restart {
-				members[n] = false
-				liveCount--
-			}
-		}
-		sort.Slice(pending, func(a, b int) bool {
-			x, y := pending[a], pending[b]
-			if x.k != y.k {
-				return x.k < y.k
-			}
-			if x.i != y.i {
-				return x.i < y.i
-			}
-			return x.j < y.j
-		})
-	}
-
-	limit := 1000 + 10*len(phases)
-	for idx := 0; idx < len(phases) || len(pending) > 0 || pendingReset; {
-		if len(bodies) > limit {
-			return nil, fmt.Errorf("lu: crash plan not converging after %d bodies (episode %d)", len(bodies), ep)
-		}
-		if liveCount == 0 {
-			return nil, fmt.Errorf("lu: crash plan episode %d: every node is dead", ep)
-		}
-		switch {
-		case len(det.PartitionAt(ep+1)) > 0:
-			// Partition window: everyone idles so the minority's skipped
-			// fences have nothing to fence.
-			emit(luBody{})
-		case pendingReset:
-			pendingReset = false
-			emit(luBody{reset: true})
-		case len(pending) > 0:
-			tasks := pending
-			pending = nil
-			emit(luBody{assign: assign(tasks)})
-		default:
-			emit(luBody{assign: assign(phases[idx])})
-			idx++
+		for _, tasks := range [][]luTask{diag, perim, inner} {
+			tab.Phases = append(tab.Phases, recovery.Phase[luTask]{Tasks: tasks, Losable: true})
 		}
 	}
-	return bodies, nil
-}
-
-// digestF64 folds a float64 image into an order-sensitive FNV-1a digest.
-func digestF64(xs []float64) uint64 {
-	h := uint64(1469598103934665603)
-	for _, v := range xs {
-		b := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			h ^= (b >> s) & 0xff
-			h *= 1099511628211
-		}
-	}
-	return h
+	return tab
 }
 
 // RunCrash executes the crash-tolerant factorization under p.Faults
@@ -276,15 +157,15 @@ func RunCrash(p CrashParams) (CrashReport, error) {
 	cfg.Net = wload.Net()
 	cfg.Faults = p.Faults
 	c := wload.MustCluster(cfg)
-	bodies, err := planCrashLU(c.Health, p.Nodes, nb)
+	script, err := recovery.Plan(c.Health, crashTable(nb))
 	if err != nil {
-		return CrashReport{}, err
+		return CrashReport{}, fmt.Errorf("lu: crash plan: %w", err)
 	}
 	ga := c.AllocF64(n * n)
 	c.InitF64(ga, Matrix(n))
 	blockCost := sim.Time(b) * sim.Time(b) * sim.Time(b) * FlopCost
 
-	makespan := c.Run(1, func(th *core.Thread) {
+	makespan, out, err := recovery.Run(c, script, func(th *core.Thread) func(luTask) error {
 		get := func(dst []float64, bi, bj int) {
 			for r := 0; r < b; r++ {
 				off := (bi*b+r)*n + bj*b
@@ -300,105 +181,64 @@ func RunCrash(p CrashParams) (CrashReport, error) {
 		diag := make([]float64, b*b)
 		blk := make([]float64, b*b)
 		left := make([]float64, b*b)
-		for _, bd := range bodies {
-			for _, task := range bd.assign[th.Node] {
-				switch task.kind {
-				case taskDiag:
-					get(diag, task.k, task.k)
-					factorDiag(diag, b)
-					put(task.k, task.k, diag)
-					th.Compute(blockCost / 3)
-				case taskRow:
-					get(diag, task.k, task.k)
-					get(blk, task.i, task.j)
-					solveRow(diag, blk, b)
-					put(task.i, task.j, blk)
-					th.Compute(blockCost / 2)
-				case taskCol:
-					get(diag, task.k, task.k)
-					get(blk, task.i, task.j)
-					solveCol(diag, blk, b)
-					put(task.i, task.j, blk)
-					th.Compute(blockCost / 2)
-				case taskInner:
-					get(left, task.i, task.k)
-					get(diag, task.k, task.j)
-					get(blk, task.i, task.j)
-					mulSub(blk, left, diag, b)
-					put(task.i, task.j, blk)
-					th.Compute(blockCost)
-				}
+		return func(task luTask) error {
+			switch task.kind {
+			case taskDiag:
+				get(diag, task.k, task.k)
+				factorDiag(diag, b)
+				put(task.k, task.k, diag)
+				th.Compute(blockCost / 3)
+			case taskRow:
+				get(diag, task.k, task.k)
+				get(blk, task.i, task.j)
+				solveRow(diag, blk, b)
+				put(task.i, task.j, blk)
+				th.Compute(blockCost / 2)
+			case taskCol:
+				get(diag, task.k, task.k)
+				get(blk, task.i, task.j)
+				solveCol(diag, blk, b)
+				put(task.i, task.j, blk)
+				th.Compute(blockCost / 2)
+			case taskInner:
+				get(left, task.i, task.k)
+				get(diag, task.k, task.j)
+				get(blk, task.i, task.j)
+				mulSub(blk, left, diag, b)
+				put(task.i, task.j, blk)
+				th.Compute(blockCost)
 			}
-			// The barrier after each body is the safe point: crash-stops
-			// unwind here, partition transitions are decided here.
-			if bd.reset {
-				th.InitDone()
-			} else {
-				th.Barrier()
-			}
+			return nil
 		}
 	})
-	deaths, parts := 0, 0
-	for _, tr := range c.Health.History() {
-		switch tr.Kind {
-		case "crash":
-			deaths++
-		case "suspect":
-			parts++
-		}
-	}
-	rep := CrashReport{
+	return CrashReport{
 		Makespan:   makespan,
-		Digest:     digestF64(c.DumpF64(ga)),
-		Epoch:      c.Health.Epoch(),
-		Deaths:     deaths,
-		Partitions: parts,
-		History:    c.Health.DecisionHistoryString(),
-	}
-	if err := c.CheckInvariants(); err != nil {
-		return rep, err
-	}
-	return rep, nil
+		Digest:     wload.Digest(digestBasis, c.DumpF64(ga)),
+		Epoch:      out.Epoch,
+		Deaths:     out.Deaths,
+		Partitions: out.Suspects,
+		History:    out.Decisions,
+	}, err
 }
 
-// ReplayCrashCheck runs the crash-tolerant LU once fault-free and twice
-// under plan, asserting Cygnus II's guarantees: both chaotic runs produce
-// the fault-free matrix image (recovery across crashes AND partitions),
-// and they agree bit-exactly on membership epoch, death and suspect
-// counts, and the complete membership decision history (deterministic
-// replay of every heal-vs-excise verdict).
+// ReplayCheck asserts Cygnus II's guarantees on the factorization (see
+// recovery.Replay): both chaotic runs produce the fault-free matrix image
+// (recovery across crashes AND partitions), and they agree bit-exactly on
+// membership epoch, death and suspect counts, and the complete membership
+// decision history (deterministic replay of every heal-vs-excise verdict).
 //
 // Makespan is deliberately NOT part of the replay equality. Unlike the
-// DRF crash ring — whose collapse geometry gives every NIC at most one
-// client, making virtual times schedule-independent — LU's wide sharing
-// saturates home NICs, and sim.Resource arbitrates saturated servers in
-// host arrival order. Decisions stay exact because verdicts are pure
-// functions of (seed, node, episode) serialized at the member barrier.
-func ReplayCrashCheck(p CrashParams, plan fault.Plan) (CrashReport, error) {
-	p.Faults = nil
-	base, err := RunCrash(p)
-	if err != nil {
-		return base, fmt.Errorf("crash lu baseline: %w", err)
-	}
-	p.Faults = &plan
-	f1, err := RunCrash(p)
-	if err != nil {
-		return f1, fmt.Errorf("crash lu chaotic run (%s): %w", plan.String(), err)
-	}
-	if f1.Digest != base.Digest {
-		return f1, fmt.Errorf("crash lu run (%s) diverged from fault-free: digest %016x vs %016x",
-			plan.String(), f1.Digest, base.Digest)
-	}
-	f2, err := RunCrash(p)
-	if err != nil {
-		return f1, fmt.Errorf("crash lu chaotic replay (%s): %w", plan.String(), err)
-	}
-	if f1.Digest != f2.Digest || f1.Epoch != f2.Epoch ||
-		f1.Deaths != f2.Deaths || f1.Partitions != f2.Partitions ||
-		f1.History != f2.History {
-		return f1, fmt.Errorf("crash lu replay not deterministic under %s: run1 {digest %016x, epoch %d, deaths %d, suspects %d, history %q}, run2 {digest %016x, epoch %d, deaths %d, suspects %d, history %q}",
-			plan.String(), f1.Digest, f1.Epoch, f1.Deaths, f1.Partitions, f1.History,
-			f2.Digest, f2.Epoch, f2.Deaths, f2.Partitions, f2.History)
-	}
-	return f1, nil
+// DRF ring — whose collapse geometry gives every NIC at most one client,
+// making virtual times schedule-independent — LU's wide sharing saturates
+// home NICs, and sim.Resource arbitrates saturated servers in host arrival
+// order. Decisions stay exact because verdicts are pure functions of
+// (seed, node, episode) serialized at the member barrier.
+func ReplayCheck(p CrashParams, plan fault.Plan) (CrashReport, error) {
+	return recovery.Replay(func(f *fault.Plan) (CrashReport, error) {
+		p.Faults = f
+		return RunCrash(p)
+	}, plan, func(r CrashReport) uint64 { return r.Digest }, func(r CrashReport) CrashReport {
+		r.Makespan = 0
+		return r
+	})
 }

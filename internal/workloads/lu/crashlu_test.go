@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"argo/internal/fault"
+	"argo/internal/workloads/wload"
 )
 
 // The fault-free crash-tolerant program is still the factorization: its
@@ -15,7 +16,7 @@ func TestCrashLUFaultFreeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := digestF64(Serial(p.Params)); rep.Digest != want {
+	if want := wload.Digest(digestBasis, Serial(p.Params)); rep.Digest != want {
 		t.Fatalf("fault-free crash LU digest %016x, serial reference %016x", rep.Digest, want)
 	}
 	if rep.Deaths != 0 || rep.Partitions != 0 || rep.Epoch != 0 {
@@ -27,7 +28,7 @@ func TestCrashLUFaultFreeMatchesSerial(t *testing.T) {
 // fault-free matrix, and same-seed replays agree on everything.
 func TestCrashLUReplayCrashes(t *testing.T) {
 	plan := fault.NewBuilder(20150615).Crash(0.06).MinEpoch(1).MustPlan()
-	rep, err := ReplayCrashCheck(DefaultCrashParams(), plan)
+	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestCrashLUReplayCrashes(t *testing.T) {
 // without excision, and the matrix still matches fault-free bit for bit.
 func TestCrashLUReplayPartitions(t *testing.T) {
 	plan := fault.NewBuilder(7).Partition(0.15, 2).MustPlan()
-	rep, err := ReplayCrashCheck(DefaultCrashParams(), plan)
+	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestCrashLUReplayPartitions(t *testing.T) {
 // at the membership barrier and stay bit-identical across replays.
 func TestCrashLUReplayMixed(t *testing.T) {
 	plan := fault.NewBuilder(11).Crash(0.05).MinEpoch(1).Partition(0.12, 1).MustPlan()
-	rep, err := ReplayCrashCheck(DefaultCrashParams(), plan)
+	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestCrashLUReplayMixed(t *testing.T) {
 // same-seed runs agree on digests and the full decision history.
 func TestCrashLUReplayRestarts(t *testing.T) {
 	plan := fault.NewBuilder(20150615).Crash(0.06).Restart().MinEpoch(1).MustPlan()
-	rep, err := ReplayCrashCheck(DefaultCrashParams(), plan)
+	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestCrashLUReplayOneWayCut(t *testing.T) {
 	plan := fault.NewBuilder(7).Partition(0.15, 2).MustPlan()
 	plan.PartitionOneWay = true
 	plan.PartitionFrom, plan.PartitionTo = 1, 4
-	rep, err := ReplayCrashCheck(DefaultCrashParams(), plan)
+	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestCrashLUReplayRestartOneWayMixed(t *testing.T) {
 		Partition(0.1, 1).MustPlan()
 	plan.PartitionOneWay = true
 	plan.PartitionFrom, plan.PartitionTo = 2, 0
-	rep, err := ReplayCrashCheck(DefaultCrashParams(), plan)
+	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

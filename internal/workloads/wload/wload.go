@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"argo"
 	"argo/internal/core"
@@ -149,6 +150,21 @@ func Checksum(xs []float64) float64 {
 		s += v * float64(i%97+1)
 	}
 	return s
+}
+
+// Digest folds a dumped array into an order-sensitive FNV-1a, started from
+// basis, over the little-endian bytes of its 64-bit words — on the
+// little-endian hosts the simulator runs on (package cache refuses to start
+// otherwise), the bytes the slice already occupies. The basis is the
+// caller's because the committed digests were not all started from the same
+// one (see lu.digestBasis).
+func Digest[T core.Element](basis uint64, xs []T) uint64 {
+	h := basis
+	for _, b := range unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*8) {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
 }
 
 func min(a, b int) int {

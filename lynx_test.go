@@ -85,22 +85,28 @@ func TestAllocFreeScalarHits(t *testing.T) {
 	}
 }
 
-func TestReplayIdenticalFaultFreeRing(t *testing.T) {
-	on, err := drf.RunRing(drf.DefaultRing(4))
+// ringTLBOnOff runs the ring with the TLB on and off: the whole report —
+// makespan, digest, injected schedule, membership outcome — must not notice.
+func ringTLBOnOff(t *testing.T, pr drf.RingParams) {
+	t.Helper()
+	on, err := drf.RunRing(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var off drf.Report
+	var off drf.RingReport
 	withTLBDisabled(t, func() {
-		off, err = drf.RunRing(drf.DefaultRing(4))
+		off, err = drf.RunRing(pr)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Makespan != off.Makespan || on.Digest != off.Digest {
-		t.Fatalf("TLB changed the fault-free ring: makespan %d vs %d, digest %016x vs %016x",
-			on.Makespan, off.Makespan, on.Digest, off.Digest)
+	if on != off {
+		t.Fatalf("TLB changed the ring:\n on: %+v\noff: %+v", on, off)
 	}
+}
+
+func TestReplayIdenticalFaultFreeRing(t *testing.T) {
+	ringTLBOnOff(t, drf.DefaultRing(4))
 }
 
 func TestReplayIdenticalUnderCorvus(t *testing.T) {
@@ -110,21 +116,7 @@ func TestReplayIdenticalUnderCorvus(t *testing.T) {
 	}
 	pr := drf.DefaultRing(4)
 	pr.Faults = &plan
-	on, err := drf.RunRing(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var off drf.Report
-	withTLBDisabled(t, func() {
-		off, err = drf.RunRing(pr)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Makespan != off.Makespan || on.Digest != off.Digest || on.Faults != off.Faults {
-		t.Fatalf("TLB changed the faulty ring: makespan %d vs %d, digest %016x vs %016x, faults %+v vs %+v",
-			on.Makespan, off.Makespan, on.Digest, off.Digest, on.Faults, off.Faults)
-	}
+	ringTLBOnOff(t, pr)
 }
 
 func TestReplayIdenticalUnderCrashes(t *testing.T) {
@@ -133,20 +125,7 @@ func TestReplayIdenticalUnderCrashes(t *testing.T) {
 	plan.CrashRestart = true
 	pr := drf.DefaultRing(6)
 	pr.Faults = &plan
-	on, err := drf.RunRingCrash(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var off drf.CrashReport
-	withTLBDisabled(t, func() {
-		off, err = drf.RunRingCrash(pr)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on != off {
-		t.Fatalf("TLB changed the crash ring:\n on: %+v\noff: %+v", on, off)
-	}
+	ringTLBOnOff(t, pr)
 }
 
 func TestReplayIdenticalChaosLU(t *testing.T) {

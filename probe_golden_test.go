@@ -41,7 +41,7 @@ func goldenRing(t *testing.T, spec string) {
 	}
 	pr := drf.DefaultRing(4)
 	pr.Faults = &plan
-	if _, err := drf.RunRingCrash(pr); err != nil {
+	if _, err := drf.RunRing(pr); err != nil {
 		t.Fatalf("ring under %s: %v", spec, err)
 	}
 }
