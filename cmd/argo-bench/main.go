@@ -10,7 +10,8 @@
 // follow the paper: table1, fig1, fig7, fig8, fig9, fig10, fig11, fig12,
 // fig13a … fig13f. -quick shrinks inputs and fewer sweep points for a fast
 // smoke run (CI); the full run regenerates the shapes reported in
-// EXPERIMENTS.md.
+// EXPERIMENTS.md. A cell whose answer fails its check prints as BADCHECK, is
+// named on standard error (figure, system, scale) and makes the exit status 1.
 //
 // Observability (Argoscope): -metrics-out accumulates every simulated
 // cluster's latency histograms, counters and hot-spot profiles across the
@@ -54,7 +55,7 @@ func main() {
 		cli.PrintExperiments(os.Stdout, "")
 		return
 	}
-	defer prof.Start()()
+	stopProfiles := prof.Start()
 
 	plan := chaos.Plan()
 	if plan != nil {
@@ -81,6 +82,9 @@ func main() {
 			ids = append(ids, e.ID)
 		}
 	}
+	// A wrong answer does not stop the remaining experiments; it is named on
+	// standard error and fails the command once the artifacts are written.
+	failed := false
 	for _, id := range ids {
 		e, ok := harness.Lookup(id)
 		if !ok {
@@ -88,7 +92,10 @@ func main() {
 		}
 		fmt.Printf("\n######## %s — %s\n", e.ID, e.Title)
 		start := time.Now()
-		e.Run(os.Stdout, *quick)
+		if err := e.Run(os.Stdout, *quick); err != nil {
+			fmt.Fprintf(os.Stderr, "argo-bench: %s: %v\n", e.ID, err)
+			failed = true
+		}
 		fmt.Printf("[%s done in %v wall time]\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 
@@ -117,5 +124,9 @@ func main() {
 		}
 		cli.WriteFile(*traceOut, func(w io.Writer) error { return tr.WritePerfettoFlows(w, flows) })
 		fmt.Printf("perfetto timeline written to %s\n", *traceOut)
+	}
+	stopProfiles()
+	if failed {
+		os.Exit(1)
 	}
 }

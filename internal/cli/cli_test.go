@@ -38,7 +38,9 @@ func TestHookConfigsSingleSeam(t *testing.T) {
 	if !ok {
 		t.Fatal("fig12 not registered")
 	}
-	e.Run(io.Discard, true)
+	if err := e.Run(io.Discard, true); err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"argo_fabric_ops_total", "argo_lock_acquires_total", "argo_fault_injected_total"} {
 		if counterSum(ms, name) == 0 {
 			t.Errorf("%s: nothing reached the hooked suite from the experiment's clusters", name)

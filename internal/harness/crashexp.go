@@ -19,7 +19,7 @@ func init() {
 	register("crash", "Cygnus: crash-stop/restart recovery on the deterministic ring", crashExp)
 }
 
-func crashExp(w io.Writer, quick bool) {
+func crashExp(w io.Writer, quick bool) error {
 	pr := drf.RingParams{Nodes: 8, PerNode: 2048, Epochs: 6, PageSize: 1024}
 	rates := []float64{0.01, 0.03, 0.06}
 	if quick {
@@ -28,11 +28,11 @@ func crashExp(w io.Writer, quick bool) {
 	}
 	base, err := drf.RunRing(pr)
 	if err != nil {
-		fmt.Fprintf(w, "crash: fault-free baseline failed: %v\n", err)
-		return
+		return fmt.Errorf("fault-free baseline: %w", err)
 	}
 
 	var rows [][]string
+	var bad badCells
 	for _, mode := range []struct {
 		name    string
 		restart bool
@@ -46,6 +46,7 @@ func crashExp(w io.Writer, quick bool) {
 			if err != nil {
 				rows = append(rows, []string{mode.name, fmt.Sprintf("%g", rate),
 					"-", "-", "-", "FAIL: " + err.Error()})
+				bad = append(bad, fmt.Sprintf("%s at rate %g", mode.name, rate))
 				continue
 			}
 			overhead := 100 * float64(rep.Makespan-base.Makespan) / float64(base.Makespan)
@@ -64,4 +65,5 @@ func crashExp(w io.Writer, quick bool) {
 		[]string{"mode", "rate", "deaths", "epochs", "makespan(ns)", "vs fault-free"}, rows)
 	fmt.Fprintf(w, "fault-free makespan %d ns; every cell ran 1 fault-free + 2 crashy runs and verified digests and schedules match\n",
 		base.Makespan)
+	return bad.err()
 }

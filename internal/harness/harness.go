@@ -16,17 +16,51 @@ import (
 	"strings"
 )
 
-// Experiment is one reproducible table or figure.
+// Experiment is one reproducible table or figure. Run prints it and returns
+// an error naming every cell whose answer failed its check: the table shows
+// such a cell as BADCHECK (or FAIL), which nobody skimming fourteen figures is
+// sure to see, so the caller is told as well.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(w io.Writer, quick bool)
+	Run   func(w io.Writer, quick bool) error
 }
 
 var registry = map[string]Experiment{}
 
-func register(id, title string, run func(w io.Writer, quick bool)) {
+func register(id, title string, run func(w io.Writer, quick bool) error) {
 	registry[id] = Experiment{ID: id, Title: title, Run: run}
+}
+
+// unchecked adapts an experiment that computes no answer it could check.
+func unchecked(run func(w io.Writer, quick bool)) func(io.Writer, bool) error {
+	return func(w io.Writer, quick bool) error {
+		run(w, quick)
+		return nil
+	}
+}
+
+// badCells collects the cells of one experiment whose answer is not the
+// reference answer.
+type badCells []string
+
+// cell returns text, or BADCHECK — recording which system at which scale —
+// when got is not the reference answer ref.
+func (b *badCells) cell(text string, got, ref float64, system, scale string) string {
+	if got == ref || closeEnough(got, ref) {
+		return text
+	}
+	*b = append(*b, system+" at "+scale)
+	return "BADCHECK"
+}
+
+// err is nil when every cell passed, and otherwise counts and names the bad
+// ones.
+func (b badCells) err() error {
+	if len(b) == 0 {
+		return nil
+	}
+	return fmt.Errorf("bad checks (%d): %s", len(b), strings.Join(b, ", "))
 }
 
 // Lookup returns the experiment registered under id.

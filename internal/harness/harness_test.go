@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"argo/internal/workloads/wload"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -178,5 +180,41 @@ func TestFig12Shape(t *testing.T) {
 	last := rows[len(rows)-1]
 	if last[2] <= last[4] {
 		t.Errorf("HQDL %v not above UPC %v at max nodes", last[2], last[4])
+	}
+}
+
+// A runner whose answer is wrong must not hide in the table: its cell reads
+// BADCHECK and the printer's error names the system and the scale, which is
+// what argo-bench prints before it exits non-zero.
+func TestScalingTableReportsBadChecks(t *testing.T) {
+	serial := wload.Result{System: "serial", Threads: 1, Time: 1000, Check: 42}
+	right := func(int) wload.Result { return wload.Result{Time: 500, Check: 42 + 1e-9} }
+	corrupt := func(n int) wload.Result {
+		r := right(n)
+		if n == 4 {
+			r.Check = 43
+		}
+		return r
+	}
+	var b strings.Builder
+	err := scalingTable(&b, "T", serial, []int{2, 4}, []int{1, 4}, []runner{
+		{"Argo", "argo", right},
+		{"UPC", "upc", corrupt},
+		{"OpenMP", "local", corrupt},
+	})
+	if got := strings.Count(b.String(), "BADCHECK"); got != 2 {
+		t.Fatalf("table shows %d BADCHECK cells, want 2:\n%s", got, b.String())
+	}
+	if err == nil {
+		t.Fatal("two bad cells and no error")
+	}
+	for _, want := range []string{"bad checks (2)", "UPC at 4 nodes, 60 threads", "OpenMP at 1 nodes, 4 threads"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+	b.Reset()
+	if err := scalingTable(&b, "T", serial, []int{2, 4}, []int{1}, []runner{{"Argo", "argo", right}}); err != nil || strings.Contains(b.String(), "BADCHECK") {
+		t.Fatalf("a table of right answers reports %v:\n%s", err, b.String())
 	}
 }

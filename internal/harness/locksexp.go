@@ -9,9 +9,9 @@ import (
 )
 
 func init() {
-	register("fig11", "Figure 11: single-node lock throughput (QD vs Cohort vs Pthreads mutex)", fig11)
-	register("fig11x", "Extension: all seven lock algorithms on one machine", fig11x)
-	register("fig12", "Figure 12: DSM lock throughput (Argo HQDL vs Cohort)", fig12)
+	register("fig11", "Figure 11: single-node lock throughput (QD vs Cohort vs Pthreads mutex)", unchecked(fig11))
+	register("fig11x", "Extension: all seven lock algorithms on one machine", unchecked(fig11x))
+	register("fig12", "Figure 12: DSM lock throughput (Argo HQDL vs Cohort)", unchecked(fig12))
 }
 
 // fig11 reproduces the single-machine priority-queue throughput curves.

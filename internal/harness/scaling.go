@@ -34,47 +34,42 @@ type runner struct {
 }
 
 // scalingTable prints speedup-vs-scale series, all normalized to the serial
-// (1-thread) run.
-func scalingTable(w io.Writer, title string, serial wload.Result, nodeCounts []int, localThreads []int, rs []runner) {
+// (1-thread) run, and returns the cells whose answer is not the serial one.
+func scalingTable(w io.Writer, title string, serial wload.Result, nodeCounts []int, localThreads []int, rs []runner) error {
 	headers := []string{"Nodes", "Threads"}
 	for _, r := range rs {
 		headers = append(headers, r.label)
 	}
 	var rows [][]string
+	var bad badCells
+	// line runs the single-machine runners (which scale over threads) or the
+	// others (over nodes) at one scale.
+	line := func(local bool, nodes, threads int) {
+		scale := nodes
+		if local {
+			scale = threads
+		}
+		row := []string{d(int64(nodes)), d(int64(threads))}
+		for _, r := range rs {
+			if (r.kind == "local") != local {
+				row = append(row, "")
+				continue
+			}
+			res := r.run(scale)
+			row = append(row, bad.cell(f2(res.Speedup(serial)), res.Check, serial.Check,
+				r.label, fmt.Sprintf("%d nodes, %d threads", nodes, threads)))
+		}
+		rows = append(rows, row)
+	}
 	// Single-machine baselines first: one row per thread count.
 	for _, t := range localThreads {
-		row := []string{"1", d(int64(t))}
-		for _, r := range rs {
-			if r.kind != "local" {
-				row = append(row, "")
-				continue
-			}
-			res := r.run(t)
-			if res.Check != serial.Check && !closeEnough(res.Check, serial.Check) {
-				row = append(row, "BADCHECK")
-			} else {
-				row = append(row, f2(res.Speedup(serial)))
-			}
-		}
-		rows = append(rows, row)
+		line(true, 1, t)
 	}
 	for _, n := range nodeCounts {
-		row := []string{d(int64(n)), d(int64(n * scalingTPN))}
-		for _, r := range rs {
-			if r.kind == "local" {
-				row = append(row, "")
-				continue
-			}
-			res := r.run(n)
-			if res.Check != serial.Check && !closeEnough(res.Check, serial.Check) {
-				row = append(row, "BADCHECK")
-			} else {
-				row = append(row, f2(res.Speedup(serial)))
-			}
-		}
-		rows = append(rows, row)
+		line(false, n, n*scalingTPN)
 	}
 	Table(w, title+fmt.Sprintf(" — speedup over serial (%.3f virtual ms)", float64(serial.Time)/1e6), headers, rows)
+	return bad.err()
 }
 
 func closeEnough(a, b float64) bool {
@@ -114,13 +109,13 @@ func threadsFor(quick bool) []int {
 	return []int{1, 2, 4, 8, 16}
 }
 
-func fig13a(w io.Writer, quick bool) {
+func fig13a(w io.Writer, quick bool) error {
 	p := lu.DefaultParams()
 	if quick {
 		p = lu.Params{N: 96, Block: 16}
 	}
 	serial := lu.RunSerial(p)
-	scalingTable(w, "SPLASH-2 LU", serial, nodesFor(quick, 8), threadsFor(quick), []runner{
+	return scalingTable(w, "SPLASH-2 LU", serial, nodesFor(quick, 8), threadsFor(quick), []runner{
 		{"Argo", "argo", func(n int) wload.Result {
 			return lu.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN)
 		}},
@@ -128,13 +123,13 @@ func fig13a(w io.Writer, quick bool) {
 	})
 }
 
-func fig13b(w io.Writer, quick bool) {
+func fig13b(w io.Writer, quick bool) error {
 	p := nbody.DefaultParams()
 	if quick {
 		p = nbody.Params{Bodies: 512, Steps: 2}
 	}
 	serial := nbody.RunSerial(p)
-	scalingTable(w, "N-body", serial, nodesFor(quick, 32), threadsFor(quick), []runner{
+	return scalingTable(w, "N-body", serial, nodesFor(quick, 32), threadsFor(quick), []runner{
 		{"Argo", "argo", func(n int) wload.Result {
 			return nbody.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN)
 		}},
@@ -143,13 +138,13 @@ func fig13b(w io.Writer, quick bool) {
 	})
 }
 
-func fig13c(w io.Writer, quick bool) {
+func fig13c(w io.Writer, quick bool) error {
 	p := blackscholes.DefaultParams()
 	if quick {
 		p = blackscholes.Params{Options: 16384, Iters: 2}
 	}
 	serial := blackscholes.RunSerial(p)
-	scalingTable(w, "PARSEC blackscholes", serial, nodesFor(quick, 64), threadsFor(quick), []runner{
+	return scalingTable(w, "PARSEC blackscholes", serial, nodesFor(quick, 64), threadsFor(quick), []runner{
 		{"Argo", "argo", func(n int) wload.Result {
 			return blackscholes.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN)
 		}},
@@ -158,41 +153,54 @@ func fig13c(w io.Writer, quick bool) {
 	})
 }
 
-func fig13d(w io.Writer, quick bool) {
+func fig13d(w io.Writer, quick bool) error {
 	small, large := mm.SmallParams(), mm.LargeParams()
 	if quick {
 		small, large = mm.Params{N: 48}, mm.Params{N: 96}
 	}
-	serialS := mm.RunSerial(small)
-	serialL := mm.RunSerial(large)
-	nodes := nodesFor(quick, 32)
+	nodes, threads := nodesFor(quick, 32), threadsFor(quick)
+	var bad badCells
+	// series runs every cell of one input before the other input is touched,
+	// so each input's operands are generated once (mm keeps the last).
+	series := func(p mm.Params, tag string) (local, argo, mpi []string) {
+		serial := mm.RunSerial(p)
+		cell := func(res wload.Result, system string, nodes int) string {
+			return bad.cell(f2(res.Speedup(serial)), res.Check, serial.Check,
+				system+tag, fmt.Sprintf("%d nodes, %d threads", nodes, res.Threads))
+		}
+		for _, t := range threads {
+			local = append(local, cell(mm.RunLocal(p, t), "Pthread", 1))
+		}
+		for _, n := range nodes {
+			argo = append(argo, cell(mm.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN), "Argo", n))
+			mpi = append(mpi, cell(mm.RunMPI(n, 16, p), "MPI", n))
+		}
+		return
+	}
+	localL, argoL, mpiL := series(large, "-L")
+	localS, argoS, mpiS := series(small, "-S")
 	headers := []string{"Nodes", "Threads",
 		"Argo-L", "MPI-L", "Argo-S", "MPI-S"}
 	var rows [][]string
-	for _, t := range threadsFor(quick) {
-		rows = append(rows, []string{"1", d(int64(t)),
-			"", "", f2(mm.RunLocal(large, t).Speedup(serialL)), f2(mm.RunLocal(small, t).Speedup(serialS))})
+	for i, t := range threads {
+		rows = append(rows, []string{"1", d(int64(t)), "", "", localL[i], localS[i]})
 	}
-	for _, n := range nodes {
-		rows = append(rows, []string{d(int64(n)), d(int64(n * scalingTPN)),
-			f2(mm.RunArgo(wload.ArgoConfig(n, 64<<20), large, scalingTPN).Speedup(serialL)),
-			f2(mm.RunMPI(n, 16, large).Speedup(serialL)),
-			f2(mm.RunArgo(wload.ArgoConfig(n, 64<<20), small, scalingTPN).Speedup(serialS)),
-			f2(mm.RunMPI(n, 16, small).Speedup(serialS)),
-		})
+	for i, n := range nodes {
+		rows = append(rows, []string{d(int64(n)), d(int64(n * scalingTPN)), argoL[i], mpiL[i], argoS[i], mpiS[i]})
 	}
 	Table(w, fmt.Sprintf("Matrix Multiply %d² (L) and %d² (S) — speedup over serial", large.N, small.N), headers, rows)
 	fmt.Fprintln(w, "Pthread columns (rows with empty Argo/MPI cells) are per-thread-count baselines")
 	fmt.Fprintln(w, "of the small (Argo-S column) and large (Argo-L column) inputs respectively.")
+	return bad.err()
 }
 
-func fig13e(w io.Writer, quick bool) {
+func fig13e(w io.Writer, quick bool) error {
 	p := ep.DefaultParams()
 	if quick {
 		p = ep.Params{Chunks: 1024, PairsPerChunk: 128}
 	}
 	serial := ep.RunSerial(p)
-	scalingTable(w, "NAS EP", serial, nodesFor(quick, 64), threadsFor(quick), []runner{
+	return scalingTable(w, "NAS EP", serial, nodesFor(quick, 64), threadsFor(quick), []runner{
 		{"Argo", "argo", func(n int) wload.Result {
 			return ep.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN)
 		}},
@@ -201,13 +209,13 @@ func fig13e(w io.Writer, quick bool) {
 	})
 }
 
-func fig13f(w io.Writer, quick bool) {
+func fig13f(w io.Writer, quick bool) error {
 	p := cg.DefaultParams()
 	if quick {
 		p = cg.Params{N: 2048, PerRow: 12, Iters: 4}
 	}
 	serial := cg.RunSerial(p)
-	scalingTable(w, "NAS CG", serial, nodesFor(quick, 32), threadsFor(quick), []runner{
+	return scalingTable(w, "NAS CG", serial, nodesFor(quick, 32), threadsFor(quick), []runner{
 		{"Argo", "argo", func(n int) wload.Result {
 			return cg.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN)
 		}},

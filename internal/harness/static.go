@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	register("table1", "Table 1: SI/SD actions per classification, derived from the live protocol", table1)
-	register("fig1", "Figure 1: technology trends normalized to CPU cycles", fig1)
+	register("table1", "Table 1: SI/SD actions per classification, derived from the live protocol", unchecked(table1))
+	register("fig1", "Figure 1: technology trends normalized to CPU cycles", unchecked(fig1))
 }
 
 // table1 prints Table 1 of the paper. Rather than restating the table, it

@@ -18,7 +18,7 @@ import (
 )
 
 func init() {
-	register("fig7", "Figure 7: read bandwidth, Argo cache-line fetch vs raw one-sided RMA", fig7)
+	register("fig7", "Figure 7: read bandwidth, Argo cache-line fetch vs raw one-sided RMA", unchecked(fig7))
 	register("fig8", "Figure 8: classification impact (S, P/S, P/S3) on execution time", fig8)
 	register("fig9", "Figure 9: runtime vs write-buffer size", fig9)
 	register("fig10", "Figure 10: writebacks vs write-buffer size", fig10)
@@ -87,43 +87,42 @@ func fig7(w io.Writer, quick bool) {
 // sweepBench is one of the six benchmarks of Figures 8-10, with the paper's
 // chosen write-buffer size and sweep-scale inputs.
 type sweepBench struct {
-	name string
-	wb   int // write-buffer pages chosen in §5.2
-	run  func(cfg core.Config, tpn int) wload.Result
+	name   string
+	wb     int // write-buffer pages chosen in §5.2
+	run    func(cfg core.Config, tpn int) wload.Result
+	serial func() wload.Result // the same input on one thread: the reference answer
 }
 
 func sweepBenches(quick bool) []sweepBench {
-	scale := 1
+	scale, luN, mmN := 1, 96, 192
 	if quick {
-		scale = 4
+		scale, luN, mmN = 4, 64, 48
 	}
+	bsP := blackscholes.Params{Options: 32768 / scale, Iters: 3}
+	cgP := cg.Params{N: 4096 / scale, PerRow: 12, Iters: 4}
+	epP := ep.Params{Chunks: 1024 / scale, PairsPerChunk: 128}
+	luP := lu.Params{N: luN, Block: 16}
+	mmP := mm.Params{N: mmN}
+	nbP := nbody.Params{Bodies: 512 / scale, Steps: 3}
 	return []sweepBench{
-		{"Blackscholes", 8192, func(cfg core.Config, tpn int) wload.Result {
-			return blackscholes.RunArgo(cfg, blackscholes.Params{Options: 32768 / scale, Iters: 3}, tpn)
-		}},
-		{"CG", 256, func(cfg core.Config, tpn int) wload.Result {
-			return cg.RunArgo(cfg, cg.Params{N: 4096 / scale, PerRow: 12, Iters: 4}, tpn)
-		}},
-		{"EP", 32, func(cfg core.Config, tpn int) wload.Result {
-			return ep.RunArgo(cfg, ep.Params{Chunks: 1024 / scale, PairsPerChunk: 128}, tpn)
-		}},
-		{"LU", 8192, func(cfg core.Config, tpn int) wload.Result {
-			n := 96
-			if quick {
-				n = 64
-			}
-			return lu.RunArgo(cfg, lu.Params{N: n, Block: 16}, tpn)
-		}},
-		{"MM", 128, func(cfg core.Config, tpn int) wload.Result {
-			n := 192
-			if quick {
-				n = 48
-			}
-			return mm.RunArgo(cfg, mm.Params{N: n}, tpn)
-		}},
-		{"Nbody", 8192, func(cfg core.Config, tpn int) wload.Result {
-			return nbody.RunArgo(cfg, nbody.Params{Bodies: 512 / scale, Steps: 3}, tpn)
-		}},
+		{"Blackscholes", 8192,
+			func(cfg core.Config, tpn int) wload.Result { return blackscholes.RunArgo(cfg, bsP, tpn) },
+			func() wload.Result { return blackscholes.RunSerial(bsP) }},
+		{"CG", 256,
+			func(cfg core.Config, tpn int) wload.Result { return cg.RunArgo(cfg, cgP, tpn) },
+			func() wload.Result { return cg.RunSerial(cgP) }},
+		{"EP", 32,
+			func(cfg core.Config, tpn int) wload.Result { return ep.RunArgo(cfg, epP, tpn) },
+			func() wload.Result { return ep.RunSerial(epP) }},
+		{"LU", 8192,
+			func(cfg core.Config, tpn int) wload.Result { return lu.RunArgo(cfg, luP, tpn) },
+			func() wload.Result { return lu.RunSerial(luP) }},
+		{"MM", 128,
+			func(cfg core.Config, tpn int) wload.Result { return mm.RunArgo(cfg, mmP, tpn) },
+			func() wload.Result { return mm.RunSerial(mmP) }},
+		{"Nbody", 8192,
+			func(cfg core.Config, tpn int) wload.Result { return nbody.RunArgo(cfg, nbP, tpn) },
+			func() wload.Result { return nbody.RunSerial(nbP) }},
 	}
 }
 
@@ -135,7 +134,7 @@ func sweepConfig(quick bool) (nodes, tpn int) {
 }
 
 // fig8 compares the three classification modes, normalized to S.
-func fig8(w io.Writer, quick bool) {
+func fig8(w io.Writer, quick bool) error {
 	nodes, tpn := sweepConfig(quick)
 	modes := []coherenceMode{
 		{"S", coherence.ModeS},
@@ -143,21 +142,23 @@ func fig8(w io.Writer, quick bool) {
 		{"PS3", coherence.ModePS3},
 	}
 	var rows [][]string
+	var bad badCells
 	avg := make([]float64, len(modes))
 	benches := sweepBenches(quick)
 	for _, b := range benches {
-		times := make([]sim.Time, len(modes))
+		ref := b.serial().Check
+		res := make([]wload.Result, len(modes))
 		for mi, m := range modes {
 			cfg := wload.ArgoConfig(nodes, 64<<20)
 			cfg.WriteBufferPages = b.wb
 			cfg.Mode = m.mode
-			times[mi] = b.run(cfg, tpn).Time
+			res[mi] = b.run(cfg, tpn)
 		}
 		row := []string{b.name}
-		for mi, t := range times {
-			norm := float64(t) / float64(times[0])
+		for mi, r := range res {
+			norm := float64(r.Time) / float64(res[0].Time)
 			avg[mi] += norm
-			row = append(row, f3(norm))
+			row = append(row, bad.cell(f3(norm), r.Check, ref, b.name, fmt.Sprintf("mode %s, %d nodes", modes[mi].name, nodes)))
 		}
 		rows = append(rows, row)
 	}
@@ -168,6 +169,7 @@ func fig8(w io.Writer, quick bool) {
 	rows = append(rows, row)
 	Table(w, fmt.Sprintf("Execution time normalized to S (%d nodes, %d threads/node)", nodes, tpn),
 		[]string{"Benchmark", "S", "PS", "PS3"}, rows)
+	return bad.err()
 }
 
 type coherenceMode struct {
@@ -182,51 +184,37 @@ func wbSizes(quick bool) []int {
 	return []int{8, 32, 128, 512, 2048, 8192, 32768}
 }
 
-func runWBSweep(quick bool) (sizes []int, names []string, times [][]sim.Time, wbacks [][]int64) {
+// wbSweep runs every benchmark at every write-buffer size and prints one
+// table of what show makes of each run, a row per size.
+func wbSweep(w io.Writer, quick bool, title string, show func(wload.Result) string) error {
 	nodes, tpn := sweepConfig(quick)
-	sizes = wbSizes(quick)
-	benches := sweepBenches(quick)
-	times = make([][]sim.Time, len(benches))
-	wbacks = make([][]int64, len(benches))
-	for bi, b := range benches {
-		names = append(names, b.name)
-		for _, wb := range sizes {
+	sizes := wbSizes(quick)
+	headers := []string{"WB pages"}
+	rows := make([][]string, len(sizes))
+	for si, wb := range sizes {
+		rows[si] = []string{d(int64(wb))}
+	}
+	var bad badCells
+	for _, b := range sweepBenches(quick) {
+		headers = append(headers, b.name)
+		ref := b.serial().Check
+		for si, wb := range sizes {
 			cfg := wload.ArgoConfig(nodes, 64<<20)
 			cfg.WriteBufferPages = wb
 			r := b.run(cfg, tpn)
-			times[bi] = append(times[bi], r.Time)
-			wbacks[bi] = append(wbacks[bi], r.Stats.Writebacks)
+			rows[si] = append(rows[si], bad.cell(show(r), r.Check, ref, b.name, fmt.Sprintf("%d write-buffer pages, %d nodes", wb, nodes)))
 		}
 	}
-	return
+	Table(w, title, headers, rows)
+	return bad.err()
 }
 
-func fig9(w io.Writer, quick bool) {
-	sizes, names, times, _ := runWBSweep(quick)
-	headers := []string{"WB pages"}
-	headers = append(headers, names...)
-	var rows [][]string
-	for si, wb := range sizes {
-		row := []string{d(int64(wb))}
-		for bi := range names {
-			row = append(row, f2(float64(times[bi][si])/1e6))
-		}
-		rows = append(rows, row)
-	}
-	Table(w, "Runtime (virtual ms) vs write-buffer size", headers, rows)
+func fig9(w io.Writer, quick bool) error {
+	return wbSweep(w, quick, "Runtime (virtual ms) vs write-buffer size",
+		func(r wload.Result) string { return f2(float64(r.Time) / 1e6) })
 }
 
-func fig10(w io.Writer, quick bool) {
-	sizes, names, _, wbacks := runWBSweep(quick)
-	headers := []string{"WB pages"}
-	headers = append(headers, names...)
-	var rows [][]string
-	for si, wb := range sizes {
-		row := []string{d(int64(wb))}
-		for bi := range names {
-			row = append(row, d(wbacks[bi][si]))
-		}
-		rows = append(rows, row)
-	}
-	Table(w, "Writebacks vs write-buffer size", headers, rows)
+func fig10(w io.Writer, quick bool) error {
+	return wbSweep(w, quick, "Writebacks vs write-buffer size",
+		func(r wload.Result) string { return d(r.Stats.Writebacks) })
 }

@@ -143,3 +143,19 @@ func TestArenaRandomProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkArenaAllocFree measures the dynamic allocator's host-side cost (no
+// ledger row covers the arena).
+func BenchmarkArenaAllocFree(b *testing.B) {
+	a := NewArena(NewSpace(1, 16<<20, 4096, Interleaved), 8<<20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, err := a.Alloc(256, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Free(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -43,6 +43,24 @@ func Input(i int) (s, k, r, v, t float64) {
 	return
 }
 
+// tables holds the option table of the last option count asked for
+// (wload.Memo), shared by every runner, sweep point and repetition.
+var tables wload.Memo[int, []float64]
+
+// table returns options 0..n-1 in the layout of the PARSEC original's array of
+// structs, [S, K, r, v, T, price] per option with the price still zero. It is
+// immutable: runners read it or copy it into the memory they price in.
+func table(n int) []float64 {
+	return tables.Get(n, func(n int) []float64 {
+		tab := make([]float64, n*6)
+		for i := 0; i < n; i++ {
+			o := tab[i*6 : i*6+6]
+			o[0], o[1], o[2], o[3], o[4] = Input(i)
+		}
+		return tab
+	})
+}
+
 // Price computes the Black-Scholes price of a European call.
 func Price(s, k, r, v, t float64) float64 {
 	d1 := (math.Log(s/k) + (r+v*v/2)*t) / (v * math.Sqrt(t))
@@ -68,11 +86,13 @@ func RunSerial(p Params) wload.Result { return RunLocal(p, 1) }
 func RunLocal(p Params, threads int) wload.Result {
 	m := wload.NewLocalMachine(wload.Net())
 	out := make([]float64, p.Options)
+	tab := table(p.Options)
 	t := m.Run(threads, func(lc *wload.LocalCtx) {
 		lo, hi := wload.BlockRange(p.Options, threads, lc.ID)
 		for it := 0; it < p.Iters; it++ {
 			for i := lo; i < hi; i++ {
-				out[i] = Price(Input(i))
+				o := tab[i*6 : i*6+6]
+				out[i] = Price(o[0], o[1], o[2], o[3], o[4])
 			}
 			lc.Compute(sim.Time(hi-lo) * OpCost)
 			lc.Barrier()
@@ -95,12 +115,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 	}
 	c := wload.MustCluster(cfg)
 	data := c.AllocF64(n * 6)
-	init := make([]float64, n*6)
-	for i := 0; i < n; i++ {
-		s, k, r, v, t := Input(i)
-		init[i*6], init[i*6+1], init[i*6+2], init[i*6+3], init[i*6+4] = s, k, r, v, t
-	}
-	c.InitF64(data, init)
+	c.InitF64(data, table(n))
 
 	nt := cfg.Nodes * tpn
 	time := c.Run(tpn, func(th *core.Thread) {
@@ -143,9 +158,10 @@ func RunMPI(nodes, rpn int, p Params) wload.Result {
 			for a := 0; a < 5; a++ {
 				root[a] = make([]float64, padded)
 			}
-			for i := 0; i < p.Options; i++ {
-				s, k, rr, v, tt := Input(i)
-				root[0][i], root[1][i], root[2][i], root[3][i], root[4][i] = s, k, rr, v, tt
+			for i, tab := 0, table(p.Options); i < p.Options; i++ {
+				for a := range root {
+					root[a][i] = tab[i*6+a]
+				}
 			}
 		}
 		var mine [5][]float64

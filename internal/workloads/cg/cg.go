@@ -43,12 +43,27 @@ type Sparse struct {
 	Val    []float64
 }
 
-// BuildMatrix generates the deterministic SPD input matrix: PerRow/2 random
-// symmetric off-diagonal pairs per row, then a dominant diagonal. The CSR
-// arrays are built in place by replaying the generator twice — once to size
-// every row, once to fill it — so nothing is grown or copied. Within a row the
-// diagonal comes first and the entries follow in generation order.
+// The generated inputs of the last parameter set asked for (wload.Memo): every
+// runner family, sweep point and repetition of one figure shares them.
+var (
+	matrices wload.Memo[Params, *Sparse]
+	rhss     wload.Memo[int, []float64]
+)
+
+// BuildMatrix returns the deterministic SPD input matrix of p. The matrix is
+// built once per (N, PerRow) and shared: it is immutable, and every runner
+// only reads it.
 func BuildMatrix(p Params) *Sparse {
+	p.Iters = 0 // the matrix does not depend on it
+	return matrices.Get(p, buildMatrix)
+}
+
+// buildMatrix generates PerRow/2 random symmetric off-diagonal pairs per row,
+// then a dominant diagonal. The CSR arrays are built in place by replaying the
+// generator twice — once to size every row, once to fill it — so nothing is
+// grown or copied. Within a row the diagonal comes first and the entries
+// follow in generation order.
+func buildMatrix(p Params) *Sparse {
 	n := p.N
 	per := p.PerRow / 2
 	// pairs replays the xorshift stream and calls emit for every symmetric
@@ -108,8 +123,11 @@ func BuildMatrix(p Params) *Sparse {
 	return s
 }
 
-// RHS returns the deterministic right-hand side.
-func RHS(n int) []float64 {
+// RHS returns the deterministic right-hand side, shared and immutable like
+// the matrix: callers copy it before they update it.
+func RHS(n int) []float64 { return rhss.Get(n, buildRHS) }
+
+func buildRHS(n int) []float64 {
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = math.Sin(float64(i) * 0.001)
@@ -288,8 +306,9 @@ func runArgo(cfg core.Config, p Params, tpn int, spmv func(s *Sparse, th *core.T
 	gx := c.AllocF64(n) // solution   (block-private pages)
 	gq := c.AllocF64(n) // A·d        (block-private pages)
 	gparts := c.AllocF64(2 * nt)
-	c.InitF64(gd, RHS(n))
-	c.InitF64(gr, RHS(n))
+	b := RHS(n)
+	c.InitF64(gd, b)
+	c.InitF64(gr, b)
 
 	time := c.Run(tpn, func(th *core.Thread) {
 		lo, hi := wload.BlockRange(n, nt, th.Rank)
@@ -372,11 +391,11 @@ func RunUPC(nodes, rpn int, p Params) wload.Result {
 	gx := w.NewSharedF64(n)
 	var check float64
 	flop := sim.Time(math.Round(float64(FlopCost) * UPCFlopFactor))
+	b := RHS(n)
 
 	t := w.Run(func(r0 *pgas.Rank) {
 		lo, hi := gd.BlockRange(r0.ID)
 		cnt := hi - lo
-		b := RHS(n)
 		// Initialize own block of d.
 		gd.PutBlock(r0, lo, b[lo:hi])
 		r0.Barrier()

@@ -1,11 +1,14 @@
 package cg
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"math"
 	"os"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
 	"argo/internal/core"
@@ -246,10 +249,79 @@ func TestSpMVGatherBitIdentical(t *testing.T) {
 	}
 }
 
+// inputDigest is an FNV-1a of every byte of the shared inputs of p.
+func inputDigest(p Params) uint64 {
+	s, h := BuildMatrix(p), fnv.New64a()
+	for _, arr := range []any{s.RowPtr, s.ColIdx, s.Val, RHS(p.N)} {
+		if err := binary.Write(h, binary.LittleEndian, arr); err != nil {
+			panic(err)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestRunnersOnlyReadSharedInputs: the matrix and the right-hand side are
+// built once and handed to every runner family, so none of them may write a
+// byte of either — and what they share is still the oracle's matrix.
+func TestRunnersOnlyReadSharedInputs(t *testing.T) {
+	p := testParams()
+	sm, b, want := BuildMatrix(p), RHS(p.N), inputDigest(p)
+	for _, family := range []struct {
+		name string
+		run  func()
+	}{
+		{"Serial", func() { Serial(p) }},
+		{"RunLocal", func() { RunLocal(p, 4) }},
+		{"RunArgo", func() { RunArgo(wload.ArgoConfig(2, 16<<20), p, 2) }},
+		{"RunUPC", func() { RunUPC(2, 2, p) }},
+	} {
+		family.run()
+		if BuildMatrix(p) != sm || &RHS(p.N)[0] != &b[0] {
+			t.Fatalf("%s: the inputs were rebuilt for parameters that did not change", family.name)
+		}
+		if got := inputDigest(p); got != want {
+			t.Fatalf("%s wrote to the shared inputs: digest %016x, was %016x", family.name, got, want)
+		}
+	}
+	q := p
+	q.Iters++ // the matrix does not depend on the iteration count
+	if BuildMatrix(q) != sm {
+		t.Fatal("a different iteration count rebuilt the matrix")
+	}
+	ref := buildMatrixOracle(p)
+	if !slices.Equal(sm.RowPtr, ref.RowPtr) || !slices.Equal(sm.ColIdx, ref.ColIdx) || !slices.Equal(sm.Val, ref.Val) {
+		t.Fatal("the shared matrix is not the oracle's")
+	}
+}
+
+// TestRunnerFamiliesShareInputsConcurrently runs three runner families at once
+// on one memoised input; under -race (CI runs this package with it) a write to
+// the shared arrays by any of them is a reported race with the others' reads.
+func TestRunnerFamiliesShareInputsConcurrently(t *testing.T) {
+	p := testParams()
+	want := wload.Checksum(Serial(p))
+	var wg sync.WaitGroup
+	for _, run := range []func() wload.Result{
+		func() wload.Result { return RunLocal(p, 2) },
+		func() wload.Result { return RunArgo(wload.ArgoConfig(2, 16<<20), p, 2) },
+		func() wload.Result { return RunUPC(2, 2, p) },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if r := run(); !approx(r.Check, want, 1e-6) {
+				t.Errorf("%s check %v != serial %v", r.System, r.Check, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkBuildMatrix times the generator itself (BuildMatrix is a memo hit).
 func BenchmarkBuildMatrix(b *testing.B) {
 	p := Params{N: 65536, PerRow: 32}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		BuildMatrix(p)
+		buildMatrix(p)
 	}
 }

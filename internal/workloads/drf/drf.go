@@ -19,6 +19,7 @@ package drf
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"argo/internal/coherence"
@@ -99,6 +100,10 @@ func Run(pr Params) error {
 
 // RunReport is Run returning the run's Report alongside the verdict.
 func RunReport(pr Params) (Report, error) {
+	nt := pr.Nodes * pr.TPN
+	if nt > math.MaxUint16 {
+		return Report{}, fmt.Errorf("drf: %d threads do not fit the owner table's 16-bit ranks", nt)
+	}
 	cfg := core.DefaultConfig(pr.Nodes)
 	cfg.MemoryBytes = int64(pr.Elements*8) + 1<<20
 	cfg.PageSize = pr.PageSize
@@ -112,16 +117,8 @@ func RunReport(pr Params) (Report, error) {
 	cfg.Faults = pr.Faults
 	c := wload.MustCluster(cfg)
 
-	nt := pr.Nodes * pr.TPN
 	xs := c.AllocI64(pr.Elements)
-	rng := rand.New(rand.NewSource(pr.Seed))
-	owner := make([][]int, pr.Epochs)
-	for e := range owner {
-		owner[e] = make([]int, pr.Elements)
-		for i := range owner[e] {
-			owner[e][i] = rng.Intn(nt)
-		}
-	}
+	owner := ownerTable(pr, nt)
 
 	errCh := make(chan error, nt)
 	report := func(err error) {
@@ -135,9 +132,11 @@ func RunReport(pr Params) (Report, error) {
 		// A thread that has seen a stale value stops working but keeps
 		// attending the barriers: its peers wait on a fixed count.
 		failed := false
+		rank := uint16(th.Rank)
 		for e := 0; e < pr.Epochs; e++ {
-			for i := 0; i < pr.Elements && !failed; i++ {
-				if owner[e][i] == th.Rank {
+			row := owner[e*pr.Elements : (e+1)*pr.Elements]
+			for i := 0; i < len(row) && !failed; i++ {
+				if row[i] == rank {
 					th.SetI64(xs, i, val(e, i))
 				}
 			}
@@ -170,6 +169,19 @@ func RunReport(pr Params) (Report, error) {
 		return rep, fmt.Errorf("%v (params %+v)", err, pr)
 	}
 	return rep, nil
+}
+
+// ownerTable draws the program: entry e*Elements+i is the rank, of nt, that
+// writes element i in epoch e. The table is a function of the seed, so no two
+// repetitions of a seeded workload share it and it is not memoised; it is kept
+// as the 16-bit ranks it holds.
+func ownerTable(pr Params, nt int) []uint16 {
+	rng := rand.New(rand.NewSource(pr.Seed))
+	owner := make([]uint16, pr.Epochs*pr.Elements)
+	for k := range owner {
+		owner[k] = uint16(rng.Intn(nt))
+	}
+	return owner
 }
 
 // RunFlags executes a producer-consumer chain synchronized with Vela flags

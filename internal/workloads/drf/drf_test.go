@@ -1,11 +1,14 @@
 package drf
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"argo/internal/coherence"
+	"argo/internal/core"
 	"argo/internal/mem"
+	"argo/internal/workloads/wload"
 )
 
 func TestRandomProgramsPass(t *testing.T) {
@@ -66,5 +69,127 @@ func TestRandomParamsInRange(t *testing.T) {
 		if pr.PageSize&(pr.PageSize-1) != 0 {
 			t.Fatalf("page size not a power of two: %+v", pr)
 		}
+	}
+}
+
+// ownersOracle is the owner table RunReport drew before it kept 16-bit ranks:
+// one []int per epoch, from the same stream in the same order.
+func ownersOracle(pr Params, nt int) [][]int {
+	rng := rand.New(rand.NewSource(pr.Seed))
+	owner := make([][]int, pr.Epochs)
+	for e := range owner {
+		owner[e] = make([]int, pr.Elements)
+		for i := range owner[e] {
+			owner[e][i] = rng.Intn(nt)
+		}
+	}
+	return owner
+}
+
+// runReportOracle is RunReport's program over ownersOracle's table, kept as
+// the reference the compact table must reproduce.
+func runReportOracle(pr Params) (Report, error) {
+	cfg := core.DefaultConfig(pr.Nodes)
+	cfg.MemoryBytes = int64(pr.Elements*8) + 1<<20
+	cfg.PageSize = pr.PageSize
+	cfg.CacheLines = pr.CacheLine
+	cfg.PagesPerLine = pr.PerLine
+	cfg.WriteBufferPages = pr.WBPages
+	cfg.Mode = pr.Mode
+	cfg.Policy = pr.Policy
+	cfg.SWDiffSuppress = pr.Suppress
+	cfg.Net = wload.Net()
+	cfg.Faults = pr.Faults
+	c := wload.MustCluster(cfg)
+	xs := c.AllocI64(pr.Elements)
+	owner := ownersOracle(pr, pr.Nodes*pr.TPN)
+	errCh := make(chan error, 1)
+	makespan := c.Run(pr.TPN, func(th *core.Thread) {
+		myRng := rand.New(rand.NewSource(pr.Seed ^ int64(th.Rank)*0x9E3779B9))
+		for e := 0; e < pr.Epochs; e++ {
+			for i := 0; i < pr.Elements; i++ {
+				if owner[e][i] == th.Rank {
+					th.SetI64(xs, i, val(e, i))
+				}
+			}
+			th.Barrier()
+			for k := 0; k < pr.Reads; k++ {
+				i := myRng.Intn(pr.Elements)
+				if got := th.GetI64(xs, i); got != val(e, i) {
+					select {
+					case errCh <- fmt.Errorf("epoch %d: thread %d read xs[%d]=%d", e, th.Rank, i, got):
+					default:
+					}
+				}
+			}
+			th.Barrier()
+		}
+	})
+	rep := Report{Makespan: makespan, Digest: wload.Digest(digestBasis, c.DumpI64(xs)), Faults: c.FaultStats()}
+	select {
+	case err := <-errCh:
+		return rep, err
+	default:
+		return rep, nil
+	}
+}
+
+// TestCompactOwnerTableIsTheSameProgram: with the owner table held as 16-bit
+// ranks, every rank still writes exactly the elements the []int table gave it,
+// and the run is the same run — the same final memory on a full cluster, and
+// on one thread, where nothing depends on host arrival order, the same
+// makespan to the nanosecond.
+func TestCompactOwnerTableIsTheSameProgram(t *testing.T) {
+	for _, seed := range []int64{1, 99, 20150615} {
+		pr := Params{
+			Seed: seed, Nodes: 3, TPN: 2, Elements: 1536, Epochs: 4, Reads: 64,
+			PageSize: 512, CacheLine: 8, PerLine: 2, WBPages: 16,
+			Mode: coherence.ModePS3, Policy: mem.Interleaved,
+		}
+		nt := pr.Nodes * pr.TPN
+		got, want := ownerTable(pr, nt), ownersOracle(pr, nt)
+		writes := make([]int, nt)
+		for e := range want {
+			for i, rank := range want[e] {
+				if int(got[e*pr.Elements+i]) != rank {
+					t.Fatalf("seed %d: epoch %d element %d is written by rank %d, the []int table says %d", seed, e, i, got[e*pr.Elements+i], rank)
+				}
+				writes[rank]++
+			}
+		}
+		for rank, n := range writes {
+			if n == 0 {
+				t.Fatalf("seed %d: rank %d writes nothing — the test proves little", seed, rank)
+			}
+		}
+
+		rep, err := RunReport(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := runReportOracle(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Digest != ref.Digest || rep.Faults != ref.Faults {
+			t.Fatalf("seed %d: report %+v, the []int program's %+v", seed, rep, ref)
+		}
+
+		pr.Nodes, pr.TPN = 1, 1
+		if rep, err = RunReport(pr); err != nil {
+			t.Fatal(err)
+		}
+		if ref, err = runReportOracle(pr); err != nil {
+			t.Fatal(err)
+		}
+		if rep != ref {
+			t.Fatalf("seed %d on one thread: report %+v, the []int program's %+v", seed, rep, ref)
+		}
+	}
+}
+
+func TestRejectsMoreRanksThanTheOwnerTableHolds(t *testing.T) {
+	if _, err := RunReport(Params{Nodes: 128, TPN: 512}); err == nil {
+		t.Fatal("65 536 threads accepted: their ranks do not fit 16 bits")
 	}
 }

@@ -162,7 +162,7 @@ func RunCrash(p CrashParams) (CrashReport, error) {
 		return CrashReport{}, fmt.Errorf("lu: crash plan: %w", err)
 	}
 	ga := c.AllocF64(n * n)
-	c.InitF64(ga, Matrix(n))
+	c.InitF64(ga, input(n))
 	blockCost := sim.Time(b) * sim.Time(b) * sim.Time(b) * FlopCost
 
 	makespan, out, err := recovery.Run(c, script, func(th *core.Thread) func(luTask) error {

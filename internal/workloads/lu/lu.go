@@ -27,8 +27,19 @@ func DefaultParams() Params { return Params{N: 384, Block: 32} }
 // FlopCost is the modeled cost of one multiply-add in the block kernels.
 const FlopCost sim.Time = 6
 
-// Matrix returns the deterministic, diagonally dominant input matrix.
-func Matrix(n int) []float64 {
+// matrices holds the input of the last dimension asked for (wload.Memo),
+// shared by every runner, sweep point and repetition of that size.
+var matrices wload.Memo[int, []float64]
+
+// input returns the shared input matrix. It is immutable: RunArgo and RunCrash
+// only copy it into home memory.
+func input(n int) []float64 { return matrices.Get(n, buildMatrix) }
+
+// Matrix returns the deterministic, diagonally dominant input matrix, as a
+// copy the caller owns: Serial and RunLocal factor it in place.
+func Matrix(n int) []float64 { return append([]float64(nil), input(n)...) }
+
+func buildMatrix(n int) []float64 {
 	a := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -267,7 +278,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 	}
 	c := wload.MustCluster(cfg)
 	ga := c.AllocF64(n * n)
-	c.InitF64(ga, Matrix(n))
+	c.InitF64(ga, input(n))
 
 	nt := cfg.Nodes * tpn
 	owner := func(bi, bj int) int { return (bi*nb + bj) % nt }

@@ -53,6 +53,19 @@ func Serial(p Params) []float64 {
 	return c
 }
 
+// operands holds A and B of the last dimension asked for (wload.Memo), shared
+// by every runner, sweep point and repetition of that size.
+var operands wload.Memo[int, [2][]float64]
+
+// inputs returns the operand matrices A and B. They are immutable: every
+// runner reads them or copies them into the memory it multiplies in.
+func inputs(n int) (a, b []float64) {
+	ab := operands.Get(n, func(n int) [2][]float64 {
+		return [2][]float64{makeMatrix(0, n), makeMatrix(1, n)}
+	})
+	return ab[0], ab[1]
+}
+
 func makeMatrix(which, n int) []float64 {
 	m := make([]float64, n*n)
 	for i := 0; i < n; i++ {
@@ -85,8 +98,7 @@ func RunSerial(p Params) wload.Result { return RunLocal(p, 1) }
 func RunLocal(p Params, threads int) wload.Result {
 	n := p.N
 	m := wload.NewLocalMachine(wload.Net())
-	a := makeMatrix(0, n)
-	b := makeMatrix(1, n)
+	a, b := inputs(n)
 	c := make([]float64, n*n)
 	t := m.Run(threads, func(lc *wload.LocalCtx) {
 		lo, hi := wload.BlockRange(n, threads, lc.ID)
@@ -108,8 +120,9 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 	ga := c.AllocF64(n * n)
 	gb := c.AllocF64(n * n)
 	gc := c.AllocF64(n * n)
-	c.InitF64(ga, makeMatrix(0, n))
-	c.InitF64(gb, makeMatrix(1, n))
+	a, b := inputs(n)
+	c.InitF64(ga, a)
+	c.InitF64(gb, b)
 
 	nt := cfg.Nodes * tpn
 	time := c.Run(tpn, func(th *core.Thread) {
@@ -162,20 +175,17 @@ func RunMPI(nodes, rpn int, p Params) wload.Result {
 	var check float64
 	flop := sim.Time(math.Round(float64(FlopCost) * MPIFlopFactor))
 	t := w.Run(func(r *mpi.Rank) {
-		var a, b []float64
-		if r.ID == 0 {
-			a = make([]float64, chunk*size)
-			copy(a, makeMatrix(0, n))
-			b = makeMatrix(1, n)
-		}
-		mine := r.Scatter(0, a, chunk)
+		var apad, bpad []float64
 		// Large-message broadcast of B: scatter + ring allgather.
 		bchunk := (n*n + size - 1) / size
-		var bpad []float64
 		if r.ID == 0 {
+			a, b := inputs(n)
+			apad = make([]float64, chunk*size)
+			copy(apad, a)
 			bpad = make([]float64, bchunk*size)
 			copy(bpad, b)
 		}
+		mine := r.Scatter(0, apad, chunk)
 		bpart := r.Scatter(0, bpad, bchunk)
 		ball := r.AllgatherRing(bpart)[: n*n : n*n]
 

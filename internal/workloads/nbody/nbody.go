@@ -8,6 +8,7 @@ package nbody
 
 import (
 	"math"
+	"slices"
 
 	"argo/internal/core"
 	"argo/internal/mpi"
@@ -41,6 +42,25 @@ func InitBody(i int) (px, py, vx, vy, mass float64) {
 	vy = f(0.4503599627) - 0.5
 	mass = 0.5 + f(0.9127652351)
 	return
+}
+
+// bodies is the initial state of a body count, one array per field.
+type bodies struct{ px, py, vx, vy, mass []float64 }
+
+// initial holds the initial state of the last body count asked for
+// (wload.Memo), shared by every runner, sweep point and repetition.
+var initial wload.Memo[int, *bodies]
+
+// initialState returns bodies 0..n-1 as InitBody gives them. The arrays are
+// immutable: a runner copies the ones it advances.
+func initialState(n int) *bodies {
+	return initial.Get(n, func(n int) *bodies {
+		b := &bodies{make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)}
+		for i := 0; i < n; i++ {
+			b.px[i], b.py[i], b.vx[i], b.vy[i], b.mass[i] = InitBody(i)
+		}
+		return b
+	})
 }
 
 // forcesFor accumulates the force on bodies [lo,hi) from all bodies.
@@ -98,14 +118,9 @@ func RunSerial(p Params) wload.Result { return RunLocal(p, 1) }
 func RunLocal(p Params, threads int) wload.Result {
 	n := p.Bodies
 	m := wload.NewLocalMachine(wload.Net())
-	px := make([]float64, n)
-	py := make([]float64, n)
-	vx := make([]float64, n)
-	vy := make([]float64, n)
-	mass := make([]float64, n)
-	for i := 0; i < n; i++ {
-		px[i], py[i], vx[i], vy[i], mass[i] = InitBody(i)
-	}
+	in := initialState(n)
+	px, py, mass := slices.Clone(in.px), slices.Clone(in.py), in.mass
+	vx, vy := slices.Clone(in.vx), slices.Clone(in.vy)
 	t := m.Run(threads, func(lc *wload.LocalCtx) {
 		lo, hi := wload.BlockRange(n, threads, lc.ID)
 		fx := make([]float64, hi-lo)
@@ -135,21 +150,12 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 	gvx := c.AllocF64(n)
 	gvy := c.AllocF64(n)
 	gm := c.AllocF64(n)
-	{
-		px := make([]float64, n)
-		py := make([]float64, n)
-		vx := make([]float64, n)
-		vy := make([]float64, n)
-		mass := make([]float64, n)
-		for i := 0; i < n; i++ {
-			px[i], py[i], vx[i], vy[i], mass[i] = InitBody(i)
-		}
-		c.InitF64(gpx, px)
-		c.InitF64(gpy, py)
-		c.InitF64(gvx, vx)
-		c.InitF64(gvy, vy)
-		c.InitF64(gm, mass)
-	}
+	in := initialState(n)
+	c.InitF64(gpx, in.px)
+	c.InitF64(gpy, in.py)
+	c.InitF64(gvx, in.vx)
+	c.InitF64(gvy, in.vy)
+	c.InitF64(gm, in.mass)
 
 	nt := cfg.Nodes * tpn
 	time := c.Run(tpn, func(th *core.Thread) {
@@ -201,6 +207,7 @@ func RunMPI(nodes, rpn int, p Params) wload.Result {
 	w := mpi.NewWorld(wload.NewFabric(nodes), rpn)
 	size := w.Size
 	per := (n + size - 1) / size
+	in := initialState(n)
 	var check float64
 	t := w.Run(func(r *mpi.Rank) {
 		lo := r.ID * per
@@ -212,24 +219,16 @@ func RunMPI(nodes, rpn int, p Params) wload.Result {
 			lo = hi
 		}
 		cnt := hi - lo
-		// Everyone generates all initial state deterministically (free).
+		// Everyone starts from all the initial state (deterministic, free).
 		px := make([]float64, per*size)
 		py := make([]float64, per*size)
-		mass := make([]float64, per*size)
-		vx := make([]float64, cnt)
-		vy := make([]float64, cnt)
-		for i := 0; i < n; i++ {
-			var vvx, vvy float64
-			px[i], py[i], vvx, vvy, mass[i] = InitBody(i)
-			if i >= lo && i < hi {
-				vx[i-lo] = vvx
-				vy[i-lo] = vvy
-			}
-		}
+		copy(px, in.px)
+		copy(py, in.py)
+		vx, vy := slices.Clone(in.vx[lo:hi]), slices.Clone(in.vy[lo:hi])
 		fx := make([]float64, cnt)
 		fy := make([]float64, cnt)
 		for s := 0; s < p.Steps; s++ {
-			forcesFor(fx, fy, px[:n], py[:n], mass[:n], lo, hi)
+			forcesFor(fx, fy, px[:n], py[:n], in.mass, lo, hi)
 			r.Compute(sim.Time(cnt) * sim.Time(n) * InterCost)
 			for i := 0; i < cnt; i++ {
 				vx[i] += dt * fx[i]

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 	"unsafe"
 
 	"argo"
@@ -114,6 +115,32 @@ func (m *LocalMachine) Run(threads int, body func(lc *LocalCtx)) sim.Time {
 	return g.Run(func(i int, p *sim.Proc) { body(ctxs[i]) })
 }
 
+// Memo holds the one value last built for a key. The workload packages keep
+// their generated inputs in one each, so that an input is built once per
+// parameter set and shared, read-only, by every runner family, sweep point and
+// repetition that asks for the same parameters — a runner call is then the
+// simulated run and nothing else (DESIGN §20). It holds a single entry, which
+// bounds a generator's memory at one input: a new key replaces the old value.
+type Memo[K comparable, V any] struct {
+	mu    sync.Mutex
+	valid bool
+	key   K
+	val   V
+}
+
+// Get returns build(k), calling build only when k is not the key of the
+// previous call. Concurrent callers of one key wait for the one build, so
+// build must not call Get on the same Memo. Every caller is handed the same
+// value and must not write to it.
+func (m *Memo[K, V]) Get(k K, build func(K) V) V {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.valid || m.key != k {
+		m.val, m.key, m.valid = build(k), k, true
+	}
+	return m.val
+}
+
 // BlockRange splits n items over parts workers and returns worker id's
 // [lo,hi) contiguous share.
 func BlockRange(n, parts, id int) (lo, hi int) {
@@ -128,15 +155,20 @@ func BlockRange(n, parts, id int) (lo, hi int) {
 }
 
 // MaxAbsDiff returns the largest absolute element difference of two equal-
-// length slices.
+// length slices. A NaN facing a number is infinitely far from it: NaN compares
+// false with everything, so it would otherwise never raise the maximum and a
+// result full of NaNs would be "0 away" from its reference.
 func MaxAbsDiff(a, b []float64) float64 {
 	if len(a) != len(b) {
 		return math.Inf(1)
 	}
 	var m float64
 	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
+		switch d := math.Abs(a[i] - b[i]); {
+		case d > m:
 			m = d
+		case math.IsNaN(a[i]) != math.IsNaN(b[i]):
+			return math.Inf(1)
 		}
 	}
 	return m

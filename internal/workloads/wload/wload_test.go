@@ -3,6 +3,7 @@ package wload
 import (
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -47,6 +48,69 @@ func TestMaxAbsDiff(t *testing.T) {
 	if d := MaxAbsDiff([]float64{1}, []float64{1, 2}); !math.IsInf(d, 1) {
 		t.Fatal("length mismatch should be infinite")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	if d := MaxAbsDiff([]float64{1, nan}, []float64{1, 2}); !math.IsInf(d, 1) {
+		t.Fatalf("NaN against a number is %v away, should be infinite", d)
+	}
+	if d := MaxAbsDiff([]float64{1, 2}, []float64{nan, 2}); !math.IsInf(d, 1) {
+		t.Fatalf("a number against NaN is %v away, should be infinite", d)
+	}
+	if d := MaxAbsDiff([]float64{nan, inf, 3}, []float64{nan, inf, 3.25}); d != 0.25 {
+		t.Fatalf("equal NaNs and infinities should not count: diff = %v", d)
+	}
+}
+
+// A Memo builds once per key, hands every caller the same value, allocates
+// nothing on a hit, and replaces its one entry when the key changes.
+func TestMemo(t *testing.T) {
+	var m Memo[int, []int]
+	builds := 0
+	build := func(n int) []int {
+		builds++
+		return make([]int, n)
+	}
+	a, b := m.Get(3, build), m.Get(3, build)
+	if builds != 1 || len(a) != 3 || &a[0] != &b[0] {
+		t.Fatalf("same key: %d builds, values shared = %v", builds, &a[0] == &b[0])
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Get(3, build) }); allocs != 0 {
+		t.Fatalf("a hit allocates %v times", allocs)
+	}
+	if c := m.Get(5, build); builds != 2 || len(c) != 5 {
+		t.Fatalf("new key: %d builds, len %d", builds, len(c))
+	}
+	if d := m.Get(3, build); builds != 3 || len(d) != 3 || &d[0] == &a[0] {
+		t.Fatalf("single entry: key 3 after key 5 took %d builds", builds)
+	}
+}
+
+// Concurrent Gets of two keys each get their own key's value, never the one
+// the other key just replaced it with.
+func TestMemoConcurrentKeys(t *testing.T) {
+	var m Memo[int, []int]
+	build := func(n int) []int {
+		v := make([]int, 8)
+		for i := range v {
+			v[i] = n
+		}
+		return v
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(key int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				for _, x := range m.Get(key, build) {
+					if x != key {
+						t.Errorf("Get(%d) returned the value built for %d", key, x)
+						return
+					}
+				}
+			}
+		}(1 + g%2)
+	}
+	wg.Wait()
 }
 
 func TestResultSpeedupAndString(t *testing.T) {
