@@ -114,16 +114,6 @@ func DefaultFaultPlan(seed int64) FaultPlan { return fault.DefaultPlan(seed) }
 // "drop=0.01,stall=5us,seed=42" (see fault.ParsePlan for the full syntax).
 func ParseFaultPlan(spec string) (FaultPlan, error) { return fault.ParsePlan(spec) }
 
-// ChaosBuilder is the fluent fault-plan builder (see fault.NewBuilder);
-// terminate a chain with Plan or MustPlan and point Config.Faults at the
-// result, or skip the builder entirely with WithChaos(spec).
-type ChaosBuilder = fault.Builder
-
-// NewChaosPlan starts a fluent chaos-plan chain from the default plan:
-//
-//	plan := argo.NewChaosPlan(42).Crash(0.03).Partition(0.05, 2).MustPlan()
-func NewChaosPlan(seed int64) *ChaosBuilder { return fault.NewBuilder(seed) }
-
 // NewMetrics creates an empty Argoscope suite; like the tracer and the span
 // recorder it is attached by appending it to Config.Observers.
 func NewMetrics() *Metrics { return metrics.NewSuite() }
@@ -184,9 +174,11 @@ func WithSpans(sr *SpanRecorder) Option { return observe(sr, sr != nil) }
 // injected schedule is a pure function of the plan's seed and each
 // operation's coordinates, so the same spec replays bit-identically. A
 // malformed spec surfaces as an error from NewCluster (options cannot fail
-// in place). Programmatic callers build the plan and set the field instead:
+// in place). Programmatic callers set the plan's fields and point the config
+// at it instead:
 //
-//	plan := argo.NewChaosPlan(42).Crash(0.03).Partition(0.05, 2).MustPlan()
+//	plan := argo.DefaultFaultPlan(42)
+//	plan.Crash, plan.Partition, plan.PartitionDur = 0.03, 0.05, 2
 //	cfg.Faults = &plan
 func WithChaos(spec string) Option {
 	return func(o *clusterOptions) {

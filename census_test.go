@@ -1,8 +1,18 @@
 package argo_test
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -152,4 +162,331 @@ func orNone(names []string) string {
 		return "—"
 	}
 	return strings.Join(names, ", ")
+}
+
+// modulePackages type-checks every package of the module from source —
+// non-test files only — and returns them by import path with their use
+// records. The module's own imports resolve through this loader, the standard
+// library through the stdlib "source" importer; nothing is downloaded.
+type modulePackages struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*types.Package
+	info map[string]*types.Info
+}
+
+func (m *modulePackages) Import(path string) (*types.Package, error) {
+	if path != "argo" && !strings.HasPrefix(path, "argo/") {
+		return m.std.Import(path)
+	}
+	if p := m.pkgs[path]; p != nil {
+		return p, nil
+	}
+	dir := "." + strings.TrimPrefix(path, "argo")
+	parsed, err := parser.ParseDir(m.fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, p := range parsed {
+		for name, f := range p.Files {
+			// Build-tagged twins (internal/racetag) declare the same names;
+			// the census reads the production build.
+			if match, _ := build.Default.MatchFile(dir, filepath.Base(name)); match {
+				files = append(files, f)
+			}
+		}
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path], m.info[path] = pkg, info
+	return pkg, nil
+}
+
+// loadModule loads every directory of the module that holds non-test Go.
+func loadModule(t *testing.T) *modulePackages {
+	fset := token.NewFileSet()
+	m := &modulePackages{fset: fset, std: importer.ForCompiler(fset, "source", nil),
+		pkgs: map[string]*types.Package{}, info: map[string]*types.Info{}}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if src, _ := filepath.Glob(filepath.Join(path, "*.go")); len(src) == 0 {
+			return nil
+		}
+		if _, err := m.Import(filepath.ToSlash(filepath.Join("argo", path))); err != nil {
+			var none *build.NoGoError
+			if !errors.As(err, &none) {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// exportedName renders an object as DESIGN §21 and testdata/exports_kept.txt
+// spell it: "internal/mem.Space.PageBase", "internal/fabric.IntraNodeAccess".
+func exportedName(obj types.Object) string {
+	name := obj.Name()
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			name = receiverName(recv).Name() + "." + name
+		}
+	}
+	return strings.TrimPrefix(obj.Pkg().Path(), "argo/") + "." + name
+}
+
+// markNamed marks every named type t is built from as used by package path
+// and returns those it marked for the first time.
+func markNamed(t types.Type, path string, used map[types.Object]bool) (fresh []types.Object) {
+	mark := func(ts ...types.Type) {
+		for _, t := range ts {
+			fresh = append(fresh, markNamed(t, path, used)...)
+		}
+	}
+	switch t := t.(type) {
+	case *types.Named:
+		if obj := t.Origin().Obj(); obj.Pkg() != nil && obj.Pkg().Path() != path && !used[obj] {
+			used[obj] = true
+			fresh = append(fresh, obj)
+		}
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			mark(t.TypeArgs().At(i))
+		}
+	case *types.Pointer:
+		mark(t.Elem())
+	case *types.Slice:
+		mark(t.Elem())
+	case *types.Array:
+		mark(t.Elem())
+	case *types.Chan:
+		mark(t.Elem())
+	case *types.Map:
+		mark(t.Key(), t.Elem())
+	case *types.Signature:
+		for _, tuple := range []*types.Tuple{t.Params(), t.Results()} {
+			for i := 0; i < tuple.Len(); i++ {
+				mark(tuple.At(i).Type())
+			}
+		}
+	}
+	return fresh
+}
+
+// reach extends used to what a user of the names already in it can get hold
+// of without spelling it: the types in the signature of a used function, in
+// the exported fields of a used struct and behind a used variable or
+// constant — closed transitively — and then the members of every used enum
+// (constants of a used named type), which are how a value of it is read.
+func reach(m *modulePackages, used map[types.Object]bool) {
+	var work []types.Object
+	for obj := range used {
+		work = append(work, obj)
+	}
+	for len(work) > 0 {
+		obj := work[len(work)-1]
+		work = work[:len(work)-1]
+		t := obj.Type()
+		if tn, ok := obj.(*types.TypeName); ok {
+			t = tn.Type().Underlying()
+		}
+		if st, ok := t.(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i).Exported() {
+					work = append(work, markNamed(st.Field(i).Type(), "", used)...)
+				}
+			}
+			continue
+		}
+		work = append(work, markNamed(t, "", used)...)
+	}
+	for _, pkg := range m.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			if c, ok := pkg.Scope().Lookup(name).(*types.Const); ok {
+				if n, ok := c.Type().(*types.Named); ok && n.Obj().Pkg() == pkg && used[n.Obj()] {
+					used[c] = true
+				}
+			}
+		}
+	}
+}
+
+// receiverName returns the named type a method is declared on (every
+// receiver in this module is a named type or a pointer to one).
+func receiverName(recv *types.Var) *types.TypeName {
+	rt := recv.Type()
+	if p, ok := rt.(*types.Pointer); ok {
+		rt = p.Elem()
+	}
+	return rt.(*types.Named).Origin().Obj()
+}
+
+// implementsSome reports whether fn is a method some interface asks of its
+// receiver: such a method is called through the interface, never by name.
+func implementsSome(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	rt := receiverName(recv).Type()
+	if types.IsInterface(rt) {
+		return true
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() && (types.Implements(rt, it) || types.Implements(types.NewPointer(rt), it)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestOrphanExports keeps DESIGN §21 true: every exported function, method,
+// type, variable and constant under internal/ has a non-test user outside its
+// own package, is a method an interface asks for, or is a kept row of the
+// census — one "path.Symbol — reason" line in testdata/exports_kept.txt. A
+// kept line whose symbol has gained a user or vanished fails too, so the file
+// cannot outlive its reasons. (Struct fields are data layout, read by
+// reflection and JSON as well as by name, and are not counted.)
+func TestOrphanExports(t *testing.T) {
+	if !*census {
+		t.Skip("type-checks the module and the standard-library packages it imports from source: give -census")
+	}
+	m := loadModule(t)
+
+	// Interfaces a method may serve: every one the module declares, plus the
+	// standard library's that its types implement.
+	var ifaces []*types.Interface
+	for _, src := range []struct{ pkg, name string }{
+		{"fmt", "Stringer"}, {"sync", "Locker"}, {"sort", "Interface"}, {"container/heap", "Interface"},
+		{"io", "Writer"}, {"flag", "Value"}, {"encoding/json", "Marshaler"},
+	} {
+		p, err := m.std.Import(src.pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ifaces = append(ifaces, p.Scope().Lookup(src.name).Type().Underlying().(*types.Interface))
+	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, pkg := range m.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+	}
+
+	// A name is used where another package spells it; a type also where
+	// another package holds a value of it (cli.BenchFlags returns a *Bench
+	// nobody names) or can reach one through what it uses (reach); and a
+	// method of a type the root package aliases is the library's public
+	// surface whether or not an example calls it.
+	used := map[types.Object]bool{}
+	public := map[*types.TypeName]bool{}
+	for path, info := range m.info {
+		for _, obj := range info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+			}
+			if obj.Pkg() == nil || obj.Pkg().Path() == path {
+				continue
+			}
+			used[obj] = true
+			if tn, ok := obj.(*types.TypeName); ok && path == "argo" {
+				public[tn] = true
+			}
+		}
+		for _, tv := range info.Types {
+			markNamed(tv.Type, path, used)
+		}
+	}
+	reach(m, used)
+	// orphansOf lists the exported names nothing in used reaches.
+	orphansOf := func(used map[types.Object]bool) map[string]types.Object {
+		orphans := map[string]types.Object{}
+		for path, info := range m.info {
+			if !strings.HasPrefix(path, "argo/internal/") {
+				continue
+			}
+			for id, obj := range info.Defs {
+				if obj == nil || !id.IsExported() || used[obj] {
+					continue
+				}
+				if fn, ok := obj.(*types.Func); ok {
+					// A method counts when its type is exported, no interface
+					// asks for it and the library does not expose it.
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil && (!receiverName(recv).Exported() || public[receiverName(recv)]) {
+						continue
+					}
+					if implementsSome(fn, ifaces) {
+						continue
+					}
+				} else if obj.Parent() != obj.Pkg().Scope() {
+					continue // a field, a local, a method of an interface type
+				}
+				// An alias is the type it names: pgas.SharedF64 is held
+				// wherever a Shared[float64] is.
+				if tn, ok := obj.(*types.TypeName); ok && tn.IsAlias() {
+					if n, ok := tn.Type().(*types.Named); ok && used[n.Origin().Obj()] {
+						continue
+					}
+				}
+				orphans[exportedName(obj)] = obj
+			}
+		}
+		return orphans
+	}
+	orphans := orphansOf(used)
+
+	kept := map[string]bool{}
+	data, err := os.ReadFile("testdata/exports_kept.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, reason, ok := strings.Cut(line, " — ")
+		if !ok || strings.TrimSpace(reason) == "" {
+			t.Errorf("exports_kept.txt: %q is not a \"path.Symbol — reason\" line", line)
+			continue
+		}
+		kept[name] = true
+		if orphans[name] == nil {
+			t.Errorf("exports_kept.txt: %s has gained a non-test user outside its package or no longer exists: drop the line", name)
+		}
+	}
+	// A kept name is needed by its row's reason; what it hands out (the type
+	// a kept test accessor returns) is needed with it.
+	for name := range kept {
+		if obj := orphans[name]; obj != nil {
+			used[obj] = true
+		}
+	}
+	reach(m, used)
+	var names []string
+	for name := range orphansOf(used) {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Errorf("%s: exported, and nothing outside its package but tests uses it — delete it, unexport it, or give it a row in DESIGN §21 and testdata/exports_kept.txt", name)
+	}
 }

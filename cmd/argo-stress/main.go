@@ -43,15 +43,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"time"
 
 	"argo/internal/cli"
 	"argo/internal/fault"
-	"argo/internal/probe"
-	"argo/internal/span"
 	"argo/internal/workloads/drf"
 	"argo/internal/workloads/lu"
 )
@@ -79,7 +76,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print every program's parameters")
 	chaosFlag := cli.ChaosFlag("unified chaos spec, e.g. drop=0.01,crash=0.02,partition=0.1,partdur=2,crashpoints=lock+flag,seed=42 (enables chaos mode)")
 	digests := flag.Bool("digests", false, "print one answers-digest line per program")
-	critpath := flag.String("critpath", "", "attach the Pictor span recorder to every program and write the accumulated critical-path report to this file")
+	views := cli.ViewFlags(false)
 	prof := cli.ProfileFlags()
 	flag.Parse()
 
@@ -87,13 +84,9 @@ func main() {
 		*seed = time.Now().UnixNano()
 	}
 	defer prof.Start()()
-	var sr *span.Recorder
-	if *critpath != "" {
-		sr = span.NewRecorder(0)
-		// The programs build their clusters from their own parameters, fault
-		// plans included; the hook hands each of those configs the recorder.
-		cli.HookConfigs([]probe.Sink{sr}, nil)
-	}
+	// The programs build their clusters from their own parameters, fault
+	// plans included; the hook hands each of those configs the view sinks.
+	cli.HookConfigs(views.Sinks(), nil)
 	spec := *chaosFlag.Spec
 	var plan fault.Plan
 	chaos := spec != ""
@@ -228,15 +221,10 @@ func main() {
 		fmt.Printf("all %d programs verified in %v\n", *n, time.Since(start).Round(time.Millisecond))
 	}
 
-	if sr != nil {
-		// The report superimposes every program run above (virtual clocks
-		// all start at zero); it exercises the analyzer under stress rather
-		// than profiling one workload.
-		rep, err := span.Analyze(sr.Records(), sr.Makespan())
-		if err != nil {
-			cli.Fatal(err)
-		}
-		cli.WriteFile(*critpath, func(w io.Writer) error { return span.WriteReport(w, rep, 10) })
-		fmt.Printf("critical-path report written to %s\n", *critpath)
+	// The views superimpose every program run above (virtual clocks all start
+	// at zero): they exercise the analyzers under stress rather than profiling
+	// one workload.
+	if err := views.Render(os.Stdout); err != nil {
+		cli.Fatal(err)
 	}
 }

@@ -312,9 +312,6 @@ func (c *Cache) WBLen() int {
 	return c.wbLen
 }
 
-// WBCapacity returns the configured write-buffer capacity in pages.
-func (c *Cache) WBCapacity() int { return c.wbCap }
-
 // ForEachLine runs fn, with the line's lock held, for every line that has
 // ever been touched — a superset of the lines that hold a page. Lines of
 // chunks nobody has touched are empty by construction and are not visited.
@@ -329,10 +326,10 @@ func (c *Cache) ForEachLine(fn func(l int, slots []Slot)) {
 	})
 }
 
-// ForEachUsedLine runs fn for every occupied line with that line's lock held,
+// forEachUsedLine runs fn for every occupied line with that line's lock held,
 // and retires the lines fn leaves empty — a fence sweep without the sharding,
 // whose cost scales with the resident set, not with the cache geometry.
-func (c *Cache) ForEachUsedLine(fn func(ln *Line)) {
+func (c *Cache) forEachUsedLine(fn func(ln *Line)) {
 	for _, l := range c.AppendUsedLines(nil) {
 		ln := c.LockLine(l)
 		fn(ln)
@@ -348,7 +345,7 @@ func (c *Cache) ForEachUsedLine(fn func(ln *Line)) {
 // invalidate. It leaves the used list empty. The write buffer and the fetch
 // gate are the caller's to clear.
 func (c *Cache) InvalidateAll(flush func(s *Slot)) {
-	c.ForEachUsedLine(func(ln *Line) {
+	c.forEachUsedLine(func(ln *Line) {
 		ln.BumpGen()
 		for i := range ln.slots {
 			s := &ln.slots[i]

@@ -167,8 +167,8 @@ func TestWriteBufferFIFO(t *testing.T) {
 
 func TestWBCapacityClamp(t *testing.T) {
 	c := New(0, 4096, 2, 1, 0)
-	if c.WBCapacity() != 1 {
-		t.Fatalf("zero capacity not clamped: %d", c.WBCapacity())
+	if c.wbCap != 1 {
+		t.Fatalf("zero capacity not clamped: %d", c.wbCap)
 	}
 }
 
@@ -294,7 +294,7 @@ func TestStateString(t *testing.T) {
 func TestUsedLineTracking(t *testing.T) {
 	c := testCache()
 	seen := 0
-	c.ForEachUsedLine(func(*Line) { seen++ })
+	c.forEachUsedLine(func(*Line) { seen++ })
 	if seen != 0 {
 		t.Fatalf("fresh cache has %d used lines", seen)
 	}
@@ -309,12 +309,12 @@ func TestUsedLineTracking(t *testing.T) {
 		ln.Unlock()
 	}
 	var visited []int
-	c.ForEachUsedLine(func(ln *Line) { visited = append(visited, ln.idx) })
+	c.forEachUsedLine(func(ln *Line) { visited = append(visited, ln.idx) })
 	if len(visited) != 2 {
 		t.Fatalf("visited %v, want lines 1 and 3", visited)
 	}
 	// Empty line 1 during a sweep: it must be retired.
-	c.ForEachUsedLine(func(ln *Line) {
+	c.forEachUsedLine(func(ln *Line) {
 		if ln.idx == 1 {
 			for i := range ln.slots {
 				ln.slots[i].Invalidate()
@@ -322,7 +322,7 @@ func TestUsedLineTracking(t *testing.T) {
 		}
 	})
 	visited = nil
-	c.ForEachUsedLine(func(ln *Line) { visited = append(visited, ln.idx) })
+	c.forEachUsedLine(func(ln *Line) { visited = append(visited, ln.idx) })
 	if len(visited) != 1 || visited[0] != 3 {
 		t.Fatalf("after retirement visited %v, want [3]", visited)
 	}
@@ -335,7 +335,7 @@ func TestUsedLineTracking(t *testing.T) {
 	c.MarkLineUsed(ln) // idempotent
 	ln.Unlock()
 	visited = nil
-	c.ForEachUsedLine(func(ln *Line) { visited = append(visited, ln.idx) })
+	c.forEachUsedLine(func(ln *Line) { visited = append(visited, ln.idx) })
 	if len(visited) != 2 {
 		t.Fatalf("after re-mark visited %v", visited)
 	}

@@ -149,8 +149,8 @@ func TestMatchesDenseLines(t *testing.T) {
 			if seen[l] != locked[l/64] {
 				t.Fatalf("%+v: line %d exists = %v, its chunk was locked = %v", g, l, seen[l], locked[l/64])
 			}
-			if seen[l] && c.LineGen(l) != m.gen[l] {
-				t.Fatalf("%+v: line %d at generation %d, want %d", g, l, c.LineGen(l), m.gen[l])
+			if seen[l] && c.lineGen(l) != m.gen[l] {
+				t.Fatalf("%+v: line %d at generation %d, want %d", g, l, c.lineGen(l), m.gen[l])
 			}
 		}
 	}

@@ -141,18 +141,18 @@ func (ln *Line) BumpGen() {
 	}
 }
 
-// LineGen returns line l's current generation, lock or no lock (tests).
-func (c *Cache) LineGen(l int) uint64 {
+// lineGen returns line l's current generation, lock or no lock (tests).
+func (c *Cache) lineGen(l int) uint64 {
 	if ln := c.lines.Peek(l); ln != nil {
 		return ln.sy.Gen.Load()
 	}
 	return 0
 }
 
-// TLBSize is the number of direct-mapped entries per thread. A power of two;
+// tlbSize is the number of direct-mapped entries per thread. A power of two;
 // 256 entries cover 1 MB of 4 KB pages, comfortably more than the working
 // set between two synchronization points for the paper's workloads.
-const TLBSize = 256
+const tlbSize = 256
 
 // TLBEntry caches the translation of one page. All fields are thread-local
 // copies made under the line lock at fill time; Sync is the live per-line
@@ -173,7 +173,7 @@ type TLB struct {
 	mask  int64    // page size - 1
 	hit   sim.Time // virtual cost of one hit (the fabric's CacheHit)
 
-	e [TLBSize]TLBEntry
+	e [tlbSize]TLBEntry
 }
 
 // NewTLB returns an empty TLB for this cache's page geometry whose hits cost
@@ -185,16 +185,16 @@ func (c *Cache) NewTLB(hit sim.Time) *TLB {
 		return nil
 	}
 	t := &TLB{shift: uint(bits.TrailingZeros(uint(c.PageSize))), mask: int64(c.PageSize - 1), hit: hit}
-	t.Flush()
+	t.flush()
 	return t
 }
 
 // Entry returns the direct-mapped entry page falls into.
-func (t *TLB) Entry(page int) *TLBEntry { return &t.e[page&(TLBSize-1)] }
+func (t *TLB) Entry(page int) *TLBEntry { return &t.e[page&(tlbSize-1)] }
 
-// Flush vacates every entry (tests and harnesses; protocol transitions
+// flush vacates every entry (tests and harnesses; protocol transitions
 // invalidate through the generation counter instead).
-func (t *TLB) Flush() {
+func (t *TLB) flush() {
 	for i := range t.e {
 		t.e[i] = TLBEntry{Page: -1}
 	}
@@ -208,7 +208,7 @@ func (t *TLB) Flush() {
 // page. The caller charges the hit.
 func (t *TLB) load(addr int64) (v uint64, ok bool) {
 	page := int(addr >> (t.shift & 63))
-	e := &t.e[page&(TLBSize-1)]
+	e := &t.e[page&(tlbSize-1)]
 	if e.Page == page {
 		if g := e.Sync.Gen.Load(); g == e.G {
 			v = atomic.LoadUint64((*uint64)(unsafe.Add(e.Base, addr&t.mask)))
@@ -271,7 +271,7 @@ func (t *TLB) Store(p *sim.Proc, addr int64, v uint64) bool {
 		return false
 	}
 	page := int(addr >> (t.shift & 63))
-	e := &t.e[page&(TLBSize-1)]
+	e := &t.e[page&(tlbSize-1)]
 	if e.Page != page || !e.Dirty {
 		return false
 	}
@@ -291,9 +291,9 @@ func (t *TLB) Store(p *sim.Proc, addr int64, v uint64) bool {
 	return true
 }
 
-// WordAligned reports whether b starts on an 8-byte boundary (the fast path
+// wordAligned reports whether b starts on an 8-byte boundary (the fast path
 // accesses whole words through unsafe pointers, which requires alignment).
-func WordAligned(b []byte) bool {
+func wordAligned(b []byte) bool {
 	return len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))&7 == 0
 }
 
@@ -303,7 +303,7 @@ func WordAligned(b []byte) bool {
 // p.AdvanceTo(s.ReadyAt) — the entry keeps no ReadyAt of its own). A slot with
 // an unaligned buffer is never published.
 func (ln *Line) FillTLB(tb *TLB, s *Slot) {
-	if tb == nil || s.Page < 0 || s.St == Invalid || !WordAligned(s.Data) {
+	if tb == nil || s.Page < 0 || s.St == Invalid || !wordAligned(s.Data) {
 		return
 	}
 	s.published = true

@@ -12,20 +12,20 @@ import (
 
 func TestTLBEntryMappingAndFlush(t *testing.T) {
 	tb := New(0, 4096, 4, 2, 16).NewTLB(1)
-	for i := 0; i < TLBSize; i++ {
+	for i := 0; i < tlbSize; i++ {
 		if tb.Entry(i).Page != -1 {
 			t.Fatalf("fresh TLB entry %d not empty", i)
 		}
 	}
 	// Pages that alias the same direct-mapped set share one entry.
-	if tb.Entry(3) != tb.Entry(3+TLBSize) {
+	if tb.Entry(3) != tb.Entry(3+tlbSize) {
 		t.Fatal("aliasing pages map to different entries")
 	}
 	if tb.Entry(3) == tb.Entry(4) {
 		t.Fatal("distinct sets share an entry")
 	}
 	tb.Entry(3).Page = 3
-	tb.Flush()
+	tb.flush()
 	if tb.Entry(3).Page != -1 {
 		t.Fatal("Flush left a live entry")
 	}
@@ -35,12 +35,12 @@ func TestBumpLineGenIncrementsAndDrains(t *testing.T) {
 	c := New(0, 4096, 4, 2, 16)
 	ln := c.LockLine(1)
 	defer ln.Unlock()
-	g0 := c.LineGen(1)
+	g0 := c.lineGen(1)
 	ln.BumpGen()
-	if g := c.LineGen(1); g != g0+1 {
+	if g := c.lineGen(1); g != g0+1 {
 		t.Fatalf("gen after bump = %d, want %d", g, g0+1)
 	}
-	if c.LineGen(2) != 0 {
+	if c.lineGen(2) != 0 {
 		t.Fatal("bump leaked to another line")
 	}
 	// With an in-flight fast store registered, the bump must not return
@@ -59,7 +59,7 @@ func TestBumpLineGenIncrementsAndDrains(t *testing.T) {
 	}
 	sy.Act.Add(-1)
 	<-done
-	if g := c.LineGen(1); g != g0+2 {
+	if g := c.lineGen(1); g != g0+2 {
 		t.Fatalf("gen after drained bump = %d, want %d", g, g0+2)
 	}
 }
@@ -85,7 +85,7 @@ func TestFillTLBGuards(t *testing.T) {
 	c.MarkLineUsed(ln)
 	FillTLB()
 	e := tb.Entry(5)
-	if e.Page != 5 || !e.Dirty || e.Sync != ln.sy || e.G != c.LineGen(l) {
+	if e.Page != 5 || !e.Dirty || e.Sync != ln.sy || e.G != c.lineGen(l) {
 		t.Fatalf("bad TLB fill: %+v", e)
 	}
 
@@ -94,11 +94,11 @@ func TestFillTLBGuards(t *testing.T) {
 
 	// Reset wipes slots and advances every occupied line's generation, so
 	// published entries fail validation afterwards.
-	g := c.LineGen(l)
+	g := c.lineGen(l)
 	ln.Unlock()
 	c.Reset()
-	if c.LineGen(l) != g+1 {
-		t.Fatalf("Reset did not bump line gen: %d -> %d", g, c.LineGen(l))
+	if c.lineGen(l) != g+1 {
+		t.Fatalf("Reset did not bump line gen: %d -> %d", g, c.lineGen(l))
 	}
 	if e.Sync.Gen.Load() == e.G {
 		t.Fatal("published entry still validates after Reset")
@@ -108,13 +108,13 @@ func TestFillTLBGuards(t *testing.T) {
 func TestWordAligned(t *testing.T) {
 	b := make([]byte, 64)
 	// make([]byte) is 8-byte aligned on all supported platforms.
-	if !WordAligned(b) {
+	if !wordAligned(b) {
 		t.Fatal("fresh allocation not word-aligned")
 	}
-	if WordAligned(b[1:]) {
+	if wordAligned(b[1:]) {
 		t.Fatal("offset slice reported aligned")
 	}
-	if WordAligned(nil) {
+	if wordAligned(nil) {
 		t.Fatal("empty slice reported aligned")
 	}
 }

@@ -1,8 +1,9 @@
 // Package cli holds what the cmd tools would otherwise each re-declare: the
 // kernel table behind -bench, the -bench/-nodes/-tpn flag block with its
-// validation, the -chaos flag, the -cpuprofile/-memprofile pair, the config
-// hook that carries observers and chaos into internally built clusters, and
-// the small output helpers. Every failure exits the process with the tool's name
+// validation, the -chaos flag, the view flags with the views they render
+// (views.go), the -cpuprofile/-memprofile pair, the config hook that carries
+// observers and chaos into internally built clusters, and the small output
+// helpers. Every failure exits the process with the tool's name
 // in front of the message: 2 for a bad command line, 1 for a failed run.
 package cli
 
@@ -10,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,7 +21,6 @@ import (
 
 	"argo/internal/core"
 	"argo/internal/fault"
-	"argo/internal/harness"
 	"argo/internal/probe"
 	"argo/internal/workloads/blackscholes"
 	"argo/internal/workloads/cg"
@@ -68,21 +67,19 @@ func pqKernel(kind pqbench.DSMLockKind) Runner {
 }
 
 // The kernel tables. Kernels holds the six barrier-synchronized application
-// kernels at the inputs argo-top, argo-trace and argo-critpath profile;
-// SweepKernels the same six at argo-sweep's larger inputs (a knob's effect
-// needs a working set that outgrows one cache line set); TopKernels adds the
-// three lock-layer rows only argo-top reports (their Result carries Time
-// alone).
+// kernels at the inputs argo-scope profiles, plus the three lock-layer rows
+// (their Result carries Time alone); SweepKernels the six at argo-sweep's
+// larger inputs (a knob's effect needs a working set that outgrows one cache
+// line set).
 var (
-	Kernels      = kernelTable(16384, 2048, 512, 64, 384)
-	SweepKernels = kernelTable(32768, 4096, 1024, 96, 512)
-	TopKernels   = func() map[string]Runner {
-		t := maps.Clone(Kernels)
+	Kernels = func() map[string]Runner {
+		t := kernelTable(16384, 2048, 512, 64, 384)
 		t["pq-hqdl"] = pqKernel(pqbench.DSMHQDL)
 		t["pq-cohort"] = pqKernel(pqbench.DSMCohort)
 		t["pq-mutex"] = pqKernel(pqbench.DSMMutex)
 		return t
 	}()
+	SweepKernels = kernelTable(32768, 4096, 1024, 96, 512)
 )
 
 // Names returns the table's kernel names, sorted and joined with sep.
@@ -153,6 +150,9 @@ func (c *Chaos) Plan() *fault.Plan {
 // parameter structs): every Config built from now on also reports into obs,
 // and runs under plan unless it carries a fault plan of its own.
 func HookConfigs(obs []probe.Sink, plan *fault.Plan) {
+	if len(obs) == 0 && plan == nil {
+		return // nothing to carry: the clusters are built as if no tool were there
+	}
 	core.ConfigHook = func(cfg *core.Config) {
 		cfg.Observers = slices.Concat(cfg.Observers, obs)
 		if cfg.Faults == nil {
@@ -197,33 +197,26 @@ func (p *Profiles) Start() (stop func()) {
 		}
 		if *p.mem != "" {
 			runtime.GC()
-			WriteFile(*p.mem, pprof.WriteHeapProfile)
+			if err := writeFile(*p.mem, pprof.WriteHeapProfile); err != nil {
+				Fatal(err)
+			}
 			fmt.Printf("heap profile written to %s\n", *p.mem)
 		}
 	}
 }
 
-// WriteFile creates path and fills it through write, exiting with status 1
-// if any step — create, write, close — fails.
-func WriteFile(path string, write func(w io.Writer) error) {
+// writeFile creates path and fills it through write; the first failure of
+// create, write and close is the error.
+func writeFile(path string, write func(w io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		Fatal(err)
+		return err
 	}
 	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		Fatal(err)
-	}
-}
-
-// PrintExperiments lists the argo-bench experiment catalog, one per line.
-func PrintExperiments(w io.Writer, indent string) {
-	for _, e := range harness.All() {
-		fmt.Fprintf(w, "%s%-8s %s\n", indent, e.ID, e.Title)
-	}
+	return err
 }
 
 func tool() string { return filepath.Base(os.Args[0]) }

@@ -62,13 +62,10 @@ func TestHookConfigsSingleSeam(t *testing.T) {
 
 func TestKernelTables(t *testing.T) {
 	const six = "blackscholes|cg|ep|lu|mm|nbody"
-	if got := Names(Kernels, "|"); got != six {
-		t.Fatalf("Kernels = %s", got)
-	}
 	if got := Names(SweepKernels, "|"); got != six {
 		t.Fatalf("SweepKernels = %s", got)
 	}
-	if got := Names(TopKernels, "|"); got != six+"|pq-cohort|pq-hqdl|pq-mutex" {
-		t.Fatalf("TopKernels = %s", got)
+	if got := Names(Kernels, "|"); got != six+"|pq-cohort|pq-hqdl|pq-mutex" {
+		t.Fatalf("Kernels = %s", got)
 	}
 }

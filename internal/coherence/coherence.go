@@ -139,7 +139,7 @@ func NewNode(id int, fab *fabric.Fabric, space *mem.Space, dir *directory.Direct
 // ReadAt copies len(dst) bytes at global address addr into dst through the
 // page cache, faulting pages in as needed.
 func (n *Node) ReadAt(p *sim.Proc, addr mem.Addr, dst []byte) {
-	n.ReadSegs(p, addr, len(dst), func(off int, data []byte) {
+	n.readSegs(p, addr, len(dst), func(off int, data []byte) {
 		copy(dst[off:], data)
 	})
 }
@@ -147,19 +147,19 @@ func (n *Node) ReadAt(p *sim.Proc, addr mem.Addr, dst []byte) {
 // WriteAt writes src to global address addr through the page cache,
 // faulting and write-missing pages as needed.
 func (n *Node) WriteAt(p *sim.Proc, addr mem.Addr, src []byte) {
-	n.WriteSegs(p, addr, len(src), func(off int, data []byte) {
+	n.writeSegs(p, addr, len(src), func(off int, data []byte) {
 		copy(data, src[off:])
 	})
 }
 
-// ReadSegs walks the page segments of [addr, addr+nbytes) and hands each
+// readSegs walks the page segments of [addr, addr+nbytes) and hands each
 // segment's in-cache bytes to fn under the line lock, faulting pages in as
 // needed. off is the segment's offset into the logical range. fn must only
 // read the bytes and must not retain the slice. Accounting (hit counters,
 // ReadyAt and access-cost advances) is exactly that of ReadAt — ReadAt is
 // this with a copy — but callers that can decode in place skip the bounce
 // through an intermediate buffer.
-func (n *Node) ReadSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int, data []byte)) {
+func (n *Node) readSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int, data []byte)) {
 	ps := n.Space.PageSize
 	for done := 0; done < nbytes; {
 		page := n.Space.PageOf(addr)
@@ -184,12 +184,12 @@ func (n *Node) ReadSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int,
 	}
 }
 
-// WriteSegs walks the page segments of [addr, addr+nbytes) and hands each
+// writeSegs walks the page segments of [addr, addr+nbytes) and hands each
 // segment's in-cache bytes to fn under the line lock for in-place encoding,
 // faulting and write-missing pages as needed. off is the segment's offset
 // into the logical range; fn must fill the whole slice. Accounting is
 // exactly that of WriteAt (which is this with a copy).
-func (n *Node) WriteSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int, data []byte)) {
+func (n *Node) writeSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int, data []byte)) {
 	ps := n.Space.PageSize
 	for done := 0; done < nbytes; {
 		page := n.Space.PageOf(addr)
@@ -219,7 +219,7 @@ func (n *Node) WriteSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int
 		if evict {
 			// Write-buffer overflow: downgrade the oldest dirty page. Done
 			// after releasing the current line lock to keep lock order safe.
-			n.WritebackIfDirty(p, victim)
+			n.writebackIfDirty(p, victim)
 		}
 		if miss {
 			maybeYield()
@@ -325,7 +325,7 @@ func (n *Node) writeWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint
 	ln.Unlock()
 
 	if evict {
-		n.WritebackIfDirty(p, victim)
+		n.writebackIfDirty(p, victim)
 	}
 	if miss {
 		maybeYield()
@@ -563,10 +563,10 @@ func (n *Node) CrashWipe() {
 // Downgrade (writeback)
 // ---------------------------------------------------------------------------
 
-// WritebackIfDirty downgrades page to its home if it is still cached dirty.
+// writebackIfDirty downgrades page to its home if it is still cached dirty.
 // The caller (write-buffer overflow) promised the downgrade happens now, so
 // a lost post is detected and reissued inline rather than at the next fence.
-func (n *Node) WritebackIfDirty(p *sim.Proc, page int) {
+func (n *Node) writebackIfDirty(p *sim.Proc, page int) {
 	ln := n.Cache.LockLine(n.Cache.LineOf(page))
 	s := n.Cache.SlotOf(ln, page)
 	if s.Page == page && s.St == cache.Dirty {

@@ -18,12 +18,12 @@ func bulkRoundTrip[T Element](t *testing.T, g bulkGeom, gen func(i int) T, bits 
 	cfg.PageSize, cfg.MemoryBytes = g.pageSize, int64(g.n)*8+4096
 	c := MustNewCluster(cfg)
 	n, lo, span := g.n, g.lo, g.span
-	s := AllocSlice[T](c, n)
+	s := allocSlice[T](c, n)
 	vals := make([]T, n)
 	for i := range vals {
 		vals[i] = gen(i)
 	}
-	InitSlice(c, s, vals)
+	initSlice(c, s, vals)
 	for _, i := range []int{0, 1, n / 2, n - 1} {
 		var raw [8]byte
 		c.dumpBytes(s.At(i), raw[:])
@@ -36,25 +36,25 @@ func bulkRoundTrip[T Element](t *testing.T, g bulkGeom, gen func(i int) T, bits 
 			return
 		}
 		dst := make([]T, span)
-		ReadRange(th, s, lo, lo+span, dst)
+		readRange(th, s, lo, lo+span, dst)
 		for i, v := range dst {
-			if bits(v) != bits(vals[lo+i]) || bits(v) != bits(Get(th, s, lo+i)) {
+			if bits(v) != bits(vals[lo+i]) || bits(v) != th.ReadU64(s.At(lo+i)) {
 				panic("ReadRange disagrees with InitSlice or the scalar read")
 			}
 		}
 		for i := range dst {
 			dst[i] = gen(lo + i + 7)
 		}
-		WriteRange(th, s, lo, dst)
+		writeRange(th, s, lo, dst)
 		for i, v := range dst {
-			if bits(Get(th, s, lo+i)) != bits(v) {
+			if th.ReadU64(s.At(lo+i)) != bits(v) {
 				panic("scalar read disagrees with WriteRange")
 			}
 		}
-		Set(th, s, lo-1, gen(-1))
+		th.WriteU64(s.At(lo-1), bits(gen(-1)))
 		th.ReleaseFence()
 	})
-	got := DumpSlice(c, s)
+	got := dumpSlice(c, s)
 	for i := range got {
 		want := vals[i]
 		switch {
@@ -174,7 +174,7 @@ func TestBulkIOEmptyRanges(t *testing.T) {
 	if makespan != 0 || c.Stats().ReadMisses != 0 || c.Stats().WriteMisses != 0 {
 		t.Fatalf("empty transfers cost %d ns, %d read and %d write misses", makespan, c.Stats().ReadMisses, c.Stats().WriteMisses)
 	}
-	if got := DumpSlice(c, Slice[float64]{Base: xs.Base}); len(got) != 0 {
+	if got := dumpSlice(c, Slice[float64]{Base: xs.Base}); len(got) != 0 {
 		t.Fatalf("DumpSlice of an empty view returned %d elements", len(got))
 	}
 }

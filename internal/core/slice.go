@@ -36,31 +36,6 @@ type I64Slice = Slice[int64]
 // U64Slice is a view of n uint64 values in global memory.
 type U64Slice = Slice[uint64]
 
-// toBits converts an element to its 8-byte memory representation.
-func toBits[T Element](v T) uint64 {
-	switch x := any(v).(type) {
-	case float64:
-		return math.Float64bits(x)
-	case int64:
-		return uint64(x)
-	default:
-		return any(v).(uint64)
-	}
-}
-
-// fromBits is the inverse of toBits.
-func fromBits[T Element](b uint64) T {
-	var zero T
-	switch any(zero).(type) {
-	case float64:
-		return any(math.Float64frombits(b)).(T)
-	case int64:
-		return any(int64(b)).(T)
-	default:
-		return any(b).(T)
-	}
-}
-
 // wordBytes views v's elements as the bytes they occupy in this process.
 // Global memory holds little-endian 8-byte words and the host is little-endian
 // (package cache refuses to start otherwise, and its TLB loads and stores the
@@ -70,43 +45,33 @@ func wordBytes[T Element](v []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8)
 }
 
-// AllocSlice reserves a global array of n elements on its own pages.
-func AllocSlice[T Element](c *Cluster, n int) Slice[T] {
+// allocSlice reserves a global array of n elements on its own pages.
+func allocSlice[T Element](c *Cluster, n int) Slice[T] {
 	return Slice[T]{Base: c.AllocPages(int64(n) * 8), Len: n}
 }
 
-// Get reads element i of s through the coherence protocol.
-func Get[T Element](t *Thread, s Slice[T], i int) T {
-	return fromBits[T](t.ReadU64(s.At(i)))
-}
-
-// Set writes element i of s through the coherence protocol.
-func Set[T Element](t *Thread, s Slice[T], i int, v T) {
-	t.WriteU64(s.At(i), toBits(v))
-}
-
-// ReadRange bulk-reads elements [lo,hi) into dst (len(dst) >= hi-lo), page
+// readRange bulk-reads elements [lo,hi) into dst (len(dst) >= hi-lo), page
 // segment by page segment straight out of the cache.
-func ReadRange[T Element](t *Thread, s Slice[T], lo, hi int, dst []T) {
+func readRange[T Element](t *Thread, s Slice[T], lo, hi int, dst []T) {
 	t.Coh.ReadAt(t.P, s.At(lo), wordBytes(dst[:hi-lo]))
 }
 
-// WriteRange bulk-writes src to elements [lo, lo+len(src)), page segment by
+// writeRange bulk-writes src to elements [lo, lo+len(src)), page segment by
 // page segment straight into the cache.
-func WriteRange[T Element](t *Thread, s Slice[T], lo int, src []T) {
+func writeRange[T Element](t *Thread, s Slice[T], lo int, src []T) {
 	t.Coh.WriteAt(t.P, s.At(lo), wordBytes(src))
 }
 
-// InitSlice writes vals directly into home memory with no protocol activity
+// initSlice writes vals directly into home memory with no protocol activity
 // and no virtual cost: the paper excludes initialization from measurement
 // and resets classification after it.
-func InitSlice[T Element](c *Cluster, s Slice[T], vals []T) {
+func initSlice[T Element](c *Cluster, s Slice[T], vals []T) {
 	c.InitBytes(s.Base, wordBytes(vals))
 }
 
-// DumpSlice reads the home-memory truth of s after all threads have
+// dumpSlice reads the home-memory truth of s after all threads have
 // quiesced (verification helper; zero cost, no protocol activity).
-func DumpSlice[T Element](c *Cluster, s Slice[T]) []T {
+func dumpSlice[T Element](c *Cluster, s Slice[T]) []T {
 	out := make([]T, s.Len)
 	c.dumpBytes(s.Base, wordBytes(out))
 	return out
@@ -114,14 +79,14 @@ func DumpSlice[T Element](c *Cluster, s Slice[T]) []T {
 
 // ---------------------------------------------------------------------------
 // Pre-generics accessors (methods cannot be generic). The scalar ones convert
-// directly — the generic Get/Set box through any on every access.
+// directly.
 // ---------------------------------------------------------------------------
 
 // AllocF64 reserves a global float64 array of n elements on its own pages.
-func (c *Cluster) AllocF64(n int) F64Slice { return AllocSlice[float64](c, n) }
+func (c *Cluster) AllocF64(n int) F64Slice { return allocSlice[float64](c, n) }
 
 // AllocI64 reserves a global int64 array of n elements on its own pages.
-func (c *Cluster) AllocI64(n int) I64Slice { return AllocSlice[int64](c, n) }
+func (c *Cluster) AllocI64(n int) I64Slice { return allocSlice[int64](c, n) }
 
 // GetF64 reads element i.
 func (t *Thread) GetF64(s F64Slice, i int) float64 { return math.Float64frombits(t.ReadU64(s.At(i))) }
@@ -146,10 +111,10 @@ func (t *Thread) GatherF64(s F64Slice, idx []int32, dst []float64) {
 }
 
 // ReadF64s bulk-reads elements [lo,hi) into dst (len(dst) >= hi-lo).
-func (t *Thread) ReadF64s(s F64Slice, lo, hi int, dst []float64) { ReadRange(t, s, lo, hi, dst) }
+func (t *Thread) ReadF64s(s F64Slice, lo, hi int, dst []float64) { readRange(t, s, lo, hi, dst) }
 
 // WriteF64s bulk-writes src to elements [lo, lo+len(src)).
-func (t *Thread) WriteF64s(s F64Slice, lo int, src []float64) { WriteRange(t, s, lo, src) }
+func (t *Thread) WriteF64s(s F64Slice, lo int, src []float64) { writeRange(t, s, lo, src) }
 
 // GetI64 reads element i.
 func (t *Thread) GetI64(s I64Slice, i int) int64 { return int64(t.ReadU64(s.At(i))) }
@@ -158,19 +123,19 @@ func (t *Thread) GetI64(s I64Slice, i int) int64 { return int64(t.ReadU64(s.At(i
 func (t *Thread) SetI64(s I64Slice, i int, v int64) { t.WriteU64(s.At(i), uint64(v)) }
 
 // ReadI64s bulk-reads elements [lo,hi) into dst.
-func (t *Thread) ReadI64s(s I64Slice, lo, hi int, dst []int64) { ReadRange(t, s, lo, hi, dst) }
+func (t *Thread) ReadI64s(s I64Slice, lo, hi int, dst []int64) { readRange(t, s, lo, hi, dst) }
 
 // WriteI64s bulk-writes src to elements [lo, lo+len(src)).
-func (t *Thread) WriteI64s(s I64Slice, lo int, src []int64) { WriteRange(t, s, lo, src) }
+func (t *Thread) WriteI64s(s I64Slice, lo int, src []int64) { writeRange(t, s, lo, src) }
 
 // InitF64 writes vals directly into home memory (see InitSlice).
-func (c *Cluster) InitF64(s F64Slice, vals []float64) { InitSlice(c, s, vals) }
+func (c *Cluster) InitF64(s F64Slice, vals []float64) { initSlice(c, s, vals) }
 
 // InitI64 writes vals directly into home memory (see InitSlice).
-func (c *Cluster) InitI64(s I64Slice, vals []int64) { InitSlice(c, s, vals) }
+func (c *Cluster) InitI64(s I64Slice, vals []int64) { initSlice(c, s, vals) }
 
 // DumpF64 reads the home-memory truth of s (see DumpSlice).
-func (c *Cluster) DumpF64(s F64Slice) []float64 { return DumpSlice(c, s) }
+func (c *Cluster) DumpF64(s F64Slice) []float64 { return dumpSlice(c, s) }
 
 // DumpI64 reads the home-memory truth of s (see DumpSlice).
-func (c *Cluster) DumpI64(s I64Slice) []int64 { return DumpSlice(c, s) }
+func (c *Cluster) DumpI64(s I64Slice) []int64 { return dumpSlice(c, s) }

@@ -16,11 +16,11 @@ type Bitmap [2]uint64
 // Set marks node n in the map.
 func (b *Bitmap) Set(n int) { b[n>>6] |= 1 << (uint(n) & 63) }
 
-// Clear removes node n from the map.
-func (b *Bitmap) Clear(n int) { b[n>>6] &^= 1 << (uint(n) & 63) }
+// unset removes node n from the map.
+func (b *Bitmap) unset(n int) { b[n>>6] &^= 1 << (uint(n) & 63) }
 
-// AndNot removes every node of m from the map (dead-node scrubbing).
-func (b *Bitmap) AndNot(m Bitmap) { b[0] &^= m[0]; b[1] &^= m[1] }
+// andNot removes every node of m from the map (dead-node scrubbing).
+func (b *Bitmap) andNot(m Bitmap) { b[0] &^= m[0]; b[1] &^= m[1] }
 
 // Has reports whether node n is in the map.
 func (b Bitmap) Has(n int) bool { return b[n>>6]&(1<<(uint(n)&63)) != 0 }

@@ -148,8 +148,8 @@ func (d *Directory) RegisterReaderBatched(page, node int) Entry {
 // touches again.
 func (d *Directory) scrubLocked(e *Entry) {
 	if d.hasDead.Load() {
-		e.R.AndNot(d.dead)
-		e.W.AndNot(d.dead)
+		e.R.andNot(d.dead)
+		e.W.andNot(d.dead)
 	}
 }
 
@@ -253,8 +253,8 @@ func (d *Directory) CachedMany(node int, pages []int, out []Entry) {
 			mu.Lock()
 		}
 		if scrub { // scrubLocked with the flag read once per batch
-			e.R.AndNot(d.dead)
-			e.W.AndNot(d.dead)
+			e.R.andNot(d.dead)
+			e.W.andNot(d.dead)
 		}
 		out[i] = *e
 	}
@@ -303,7 +303,7 @@ func (d *Directory) ClearDeadBit(node int) {
 	for i := 0; i < stripeCount; i++ {
 		d.stripes[i].Lock()
 	}
-	d.dead.Clear(node)
+	d.dead.unset(node)
 	d.hasDead.Store(!d.dead.Empty())
 	for i := 0; i < stripeCount; i++ {
 		d.stripes[i].Unlock()
@@ -322,9 +322,6 @@ func (d *Directory) ClearDead() {
 		d.stripes[i].Unlock()
 	}
 }
-
-// NPages returns the number of pages tracked.
-func (d *Directory) NPages() int { return d.npages }
 
 // Reset clears every entry and every cached copy that exists. The paper
 // resets the full-maps at the end of the initialization phase so that

@@ -39,7 +39,7 @@ func TestBitmapBasics(t *testing.T) {
 	if b.First() != 0 {
 		t.Fatalf("First = %d, want 0", b.First())
 	}
-	b.Clear(0)
+	b.unset(0)
 	if b.First() != 63 {
 		t.Fatalf("First = %d, want 63", b.First())
 	}
@@ -87,7 +87,7 @@ func TestBitmapSetClearProperty(t *testing.T) {
 			if !b.Has(id) {
 				return false
 			}
-			b.Clear(id)
+			b.unset(id)
 		}
 		return b.Empty()
 	}

@@ -25,8 +25,8 @@ func newDense(nodes, npages int) *denseDir {
 }
 
 func (d *denseDir) scrub(e *Entry) {
-	e.R.AndNot(d.dead)
-	e.W.AndNot(d.dead)
+	e.R.andNot(d.dead)
+	e.W.andNot(d.dead)
 }
 
 func (d *denseDir) register(page, node int, write bool) Entry {
@@ -129,7 +129,7 @@ func TestMatchesDenseDirectory(t *testing.T) {
 				ref.dead.Set(node)
 			case op < 95:
 				d.ClearDeadBit(node)
-				ref.dead.Clear(node)
+				ref.dead.unset(node)
 			case op < 97:
 				d.ClearCache(node)
 				ref.clearCache(node)

@@ -432,24 +432,6 @@ func (f *Fabric) FetchLine(p *sim.Proc, homes []HomePages, bytesEach int, key ui
 	f.Obs.Since(p, tRemote, probe.OpFetch, int64(key), 0)
 }
 
-// RemoteWritePosted charges for a posted one-sided write of n bytes to
-// node home and guarantees its delivery: the issuer pays the injection
-// overhead and the wire occupancy at the target NIC, and on a lost post
-// pays the flush-side detection timeout before reissuing. Callers that can
-// defer loss detection to a fence (the coherence writeback path) should use
-// PostWrite directly instead.
-func (f *Fabric) RemoteWritePosted(p *sim.Proc, home, n int, key uint64) {
-	t0 := p.Now()
-	attempt := 0
-	for !f.PostWrite(p, home, n, key, attempt) {
-		p.Advance(f.FI.Plan().Timeout) // the flush notices the missing completion
-		f.CountRetries(p, fault.ClassPost, 1)
-		f.Backoff(p, attempt)
-		attempt++
-	}
-	f.recovered(p, t0, fault.ClassPost, attempt)
-}
-
 // PostWrite posts one attempt of a fire-and-forget one-sided write and
 // reports whether it was delivered. The issuer always pays the posting
 // overhead — a lost post looks exactly like a delivered one until a fence
@@ -734,18 +716,6 @@ func (f *Fabric) TryRemoteAtomic(p *sim.Proc, home int, key uint64, attempt int)
 		return false
 	}
 	return true
-}
-
-// IntraNodeAccess charges the cost of one shared-memory access between two
-// cores of the same node, used by the native lock models: same core is a
-// cache hit, same socket a local transfer, different socket a NUMA transfer.
-func (f *Fabric) IntraNodeAccess(p *sim.Proc, otherSocket int) {
-	switch {
-	case otherSocket == p.Socket:
-		p.Advance(f.P.LocalLatency)
-	default:
-		p.Advance(f.P.SocketLatency)
-	}
 }
 
 // HandoverCost returns the cost of transferring a contended cache line from

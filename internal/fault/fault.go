@@ -140,9 +140,9 @@ func (s SafePoint) String() string {
 	return strings.Join(parts, "+")
 }
 
-// ParseSafePoints parses a '+'-joined safe-point list. "barrier" is
+// parseSafePoints parses a '+'-joined safe-point list. "barrier" is
 // accepted and ignored (barrier entry is always armed).
-func ParseSafePoints(s string) (SafePoint, error) {
+func parseSafePoints(s string) (SafePoint, error) {
 	var out SafePoint
 	for _, tok := range strings.Split(s, "+") {
 		tok = strings.ToLower(strings.TrimSpace(tok))
@@ -561,7 +561,7 @@ func ParsePlan(spec string) (Plan, error) {
 		case "crashminepoch":
 			p.CrashMinEpoch, err = strconv.Atoi(v)
 		case "crashpoints":
-			p.CrashPoints, err = ParseSafePoints(v)
+			p.CrashPoints, err = parseSafePoints(v)
 		case "partition":
 			p.Partition, err = parseRate(v)
 		case "partdur":

@@ -30,11 +30,6 @@ type Snapshot struct {
 	Crashes     int64
 }
 
-// Total returns the number of injected fault events of all kinds.
-func (s Snapshot) Total() int64 {
-	return s.Drops + s.Delays + s.Stalls + s.AtomicFails + s.Crashes
-}
-
 // Injector hands out deterministic fault verdicts. A nil *Injector is valid
 // and never injects, so callers need no nil checks on hot paths beyond the
 // one pointer test.
@@ -68,9 +63,6 @@ func (in *Injector) Plan() Plan {
 	}
 	return in.plan
 }
-
-// Enabled reports whether the injector injects anything. Safe on nil.
-func (in *Injector) Enabled() bool { return in != nil }
 
 // Snapshot copies the event counters. Safe on nil.
 func (in *Injector) Snapshot() Snapshot {

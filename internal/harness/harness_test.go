@@ -10,7 +10,7 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"table1", "fig1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig11x",
+		"table1", "fig1", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13a", "fig13b", "fig13c", "fig13d", "fig13e", "fig13f",
 		"crash",
 	}

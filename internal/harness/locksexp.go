@@ -10,7 +10,6 @@ import (
 
 func init() {
 	register("fig11", "Figure 11: single-node lock throughput (QD vs Cohort vs Pthreads mutex)", unchecked(fig11))
-	register("fig11x", "Extension: all seven lock algorithms on one machine", unchecked(fig11x))
 	register("fig12", "Figure 12: DSM lock throughput (Argo HQDL vs Cohort)", unchecked(fig12))
 }
 
@@ -37,38 +36,6 @@ func fig11(w io.Writer, quick bool) {
 	Table(w, "Priority-queue throughput on one machine", headers, rows)
 	fmt.Fprintln(w, "Expected shape (Fig. 11): QD highest (sections batch on one core, data stays hot),")
 	fmt.Fprintln(w, "Cohort in between (socket-local handovers), Pthreads mutex lowest and degrading.")
-}
-
-// fig11x extends Figure 11 with every lock algorithm the paper surveys in
-// §2.2: the queue locks (MCS, CLH), the NUMA-aware family (HBO, HCLH,
-// Cohort) and delegation (QD).
-func fig11x(w io.Writer, quick bool) {
-	threads := []int{1, 2, 4, 8, 16}
-	p := pqbench.DefaultParams()
-	p.WorkUnits = 16
-	if quick {
-		threads = []int{1, 8}
-		p.OpsPerThread = 60
-	}
-	kinds := []pqbench.NativeLockKind{
-		pqbench.NativeQD, pqbench.NativeCohort, pqbench.NativeHCLH,
-		pqbench.NativeHBO, pqbench.NativeMCS, pqbench.NativeCLH, pqbench.NativePthread,
-	}
-	headers := []string{"Threads"}
-	for _, k := range kinds {
-		headers = append(headers, string(k))
-	}
-	var rows [][]string
-	for _, t := range threads {
-		row := []string{d(int64(t))}
-		for _, k := range kinds {
-			row = append(row, f3(pqbench.RunNative(k, t, p).OpsPerUs))
-		}
-		rows = append(rows, row)
-	}
-	Table(w, "All lock algorithms, ops/µs on one machine", headers, rows)
-	fmt.Fprintln(w, "Expected ordering at 16 threads: delegation (QD) > NUMA-aware (Cohort, HCLH,")
-	fmt.Fprintln(w, "HBO) > plain queue locks (MCS, CLH) > Pthreads mutex — §2.2's survey, measured.")
 }
 
 // fig12 reproduces the DSM throughput curves: 15 threads per node, the heap

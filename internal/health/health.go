@@ -73,36 +73,36 @@ func (c CrashSignal) Error() string {
 	return fmt.Sprintf("health: node %d crash-stopped at barrier episode %d", c.Node, c.Episode)
 }
 
-// State is a node's position in the suspect→dead→excised lifecycle. Suspect
+// state is a node's position in the suspect→dead→excised lifecycle. Suspect
 // and dead are one stored state (Crashed): what separates them is the
 // detection timeout the survivors wait out before they excise.
-type State int
+type state int
 
 const (
-	// Alive: a full member.
-	Alive State = iota
-	// Crashed: the node stopped at a safe point; survivors classify it as
+	// alive: a full member.
+	alive state = iota
+	// crashed: the node stopped at a safe point; survivors classify it as
 	// suspect until one detection timeout has passed, dead afterwards.
-	Crashed
-	// Excised: the membership view has dropped the node (epoch bumped,
+	crashed
+	// excised: the membership view has dropped the node (epoch bumped,
 	// directory bits scheduled for scrubbing).
-	Excised
-	// Partitioned: the node is alive but unreachable across a network cut.
+	excised
+	// partitioned: the node is alive but unreachable across a network cut.
 	// Survivors classify it as suspect, exactly like an undetected crash —
 	// the two are indistinguishable from the majority side until the cut
 	// heals (rejoin without excision) or the node really dies (excise).
-	Partitioned
+	partitioned
 )
 
-func (s State) String() string {
+func (s state) String() string {
 	switch s {
-	case Alive:
+	case alive:
 		return "alive"
-	case Crashed:
+	case crashed:
 		return "crashed"
-	case Excised:
+	case excised:
 		return "excised"
-	case Partitioned:
+	case partitioned:
 		return "partitioned"
 	default:
 		return fmt.Sprintf("State(%d)", int(s))
@@ -146,17 +146,15 @@ type Detector struct {
 	armedScript atomic.Bool // true once a crash has been scripted
 
 	mu        sync.Mutex
-	state     []State
+	state     []state
 	diedEp    []int64 // episode of the last Kill, for idempotence
 	epoch     atomic.Int64
 	live      atomic.Int64
 	history   []Transition
 	onExcise  []func(node int, at sim.Time)
 	onSuspect []func(node int, at sim.Time)
-	onHeal    []func(node int, at sim.Time)
 	scripted  map[int]scriptedCrash
 	scriptedP []scriptedPartition
-	hb        []int64 // heartbeats published per node
 	fi        *fault.Injector
 }
 
@@ -192,10 +190,9 @@ func New(nodes int, plan fault.Plan, fi *fault.Injector) *Detector {
 	d := &Detector{
 		nodes:    nodes,
 		plan:     plan.Normalized(),
-		state:    make([]State, nodes),
+		state:    make([]state, nodes),
 		diedEp:   make([]int64, nodes),
 		scripted: map[int]scriptedCrash{},
-		hb:       make([]int64, nodes),
 		fi:       fi,
 	}
 	for i := range d.diedEp {
@@ -293,18 +290,18 @@ func (d *Detector) CutAt(ep int64) Cut {
 	return Cut{}
 }
 
-// PartitionAt returns the sorted parked (minority-side) node set of the
+// partitionAt returns the sorted parked (minority-side) node set of the
 // partition active at the given barrier episode, or nil when the fabric is
 // whole — the Iso field of CutAt. For one-way cuts this is the source node
 // alone.
-func (d *Detector) PartitionAt(ep int64) []int {
+func (d *Detector) partitionAt(ep int64) []int {
 	return d.CutAt(ep).Iso
 }
 
-// IsolatedAt reports whether node is on the minority side of the partition
+// isolatedAt reports whether node is on the minority side of the partition
 // active at the given episode.
-func (d *Detector) IsolatedAt(node int, ep int64) bool {
-	for _, n := range d.PartitionAt(ep) {
+func (d *Detector) isolatedAt(node int, ep int64) bool {
+	for _, n := range d.partitionAt(ep) {
 		if n == node {
 			return true
 		}
@@ -312,10 +309,10 @@ func (d *Detector) IsolatedAt(node int, ep int64) bool {
 	return false
 }
 
-// DiesAt reports whether node crashes at the given barrier episode, and
+// diesAt reports whether node crashes at the given barrier episode, and
 // whether it restarts afterwards. Pure: scripted schedule first, then the
 // plan's hash draw.
-func (d *Detector) DiesAt(node int, episode int64) (dies, restart bool) {
+func (d *Detector) diesAt(node int, episode int64) (dies, restart bool) {
 	if d.armedScript.Load() {
 		d.mu.Lock()
 		sc, ok := d.scripted[node]
@@ -330,7 +327,7 @@ func (d *Detector) DiesAt(node int, episode int64) (dies, restart bool) {
 // Alive reports whether node is currently a live member.
 func (d *Detector) Alive(node int) bool {
 	d.mu.Lock()
-	ok := d.state[node] == Alive
+	ok := d.state[node] == alive
 	d.mu.Unlock()
 	return ok
 }
@@ -338,19 +335,6 @@ func (d *Detector) Alive(node int) bool {
 // LiveCount returns the number of live members (lock-free; for metrics and
 // quick checks).
 func (d *Detector) LiveCount() int { return int(d.live.Load()) }
-
-// Live returns the sorted list of live members.
-func (d *Detector) Live() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []int
-	for n, s := range d.state {
-		if s == Alive {
-			out = append(out, n)
-		}
-	}
-	return out
-}
 
 // Epoch returns the current membership epoch (0 until the first excision).
 func (d *Detector) Epoch() int64 { return d.epoch.Load() }
@@ -371,14 +355,6 @@ func (d *Detector) OnExcise(fn func(node int, at sim.Time)) {
 func (d *Detector) OnSuspect(fn func(node int, at sim.Time)) {
 	d.mu.Lock()
 	d.onSuspect = append(d.onSuspect, fn)
-	d.mu.Unlock()
-}
-
-// OnHeal registers a callback invoked (outside the detector lock) when a
-// partitioned node rejoins after the cut heals.
-func (d *Detector) OnHeal(fn func(node int, at sim.Time)) {
-	d.mu.Lock()
-	d.onHeal = append(d.onHeal, fn)
 	d.mu.Unlock()
 }
 
@@ -403,11 +379,11 @@ func (d *Detector) Kill(node int, at sim.Time, ep, point int64) bool {
 		d.mu.Unlock()
 		return false
 	}
-	if d.state[node] != Alive && d.state[node] != Partitioned {
+	if d.state[node] != alive && d.state[node] != partitioned {
 		d.mu.Unlock()
 		return false
 	}
-	d.state[node] = Crashed
+	d.state[node] = crashed
 	d.diedEp[node] = ep
 	d.live.Add(-1)
 	d.history = append(d.history, Transition{
@@ -425,7 +401,7 @@ func (d *Detector) Kill(node int, at sim.Time, ep, point int64) bool {
 // (lock lease recovery) can reassign resources without racing the dead.
 func (d *Detector) Excise(node int, at sim.Time, ep int64) {
 	d.mu.Lock()
-	d.state[node] = Excised
+	d.state[node] = excised
 	e := d.epoch.Add(1)
 	d.history = append(d.history, Transition{
 		Epoch: e, Node: node, Kind: "excise", Episode: ep, At: at,
@@ -441,7 +417,7 @@ func (d *Detector) Excise(node int, at sim.Time, ep int64) {
 // Rejoin readmits an excised node (crash-restart), bumping the epoch.
 func (d *Detector) Rejoin(node int, at sim.Time, ep int64) {
 	d.mu.Lock()
-	d.state[node] = Alive
+	d.state[node] = alive
 	d.live.Add(1)
 	e := d.epoch.Add(1)
 	d.history = append(d.history, Transition{
@@ -457,11 +433,11 @@ func (d *Detector) Rejoin(node int, at sim.Time, ep int64) {
 // membership change. Idempotent while the node stays partitioned.
 func (d *Detector) Suspect(node int, at sim.Time, ep int64) {
 	d.mu.Lock()
-	if d.state[node] != Alive {
+	if d.state[node] != alive {
 		d.mu.Unlock()
 		return
 	}
-	d.state[node] = Partitioned
+	d.state[node] = partitioned
 	d.history = append(d.history, Transition{
 		Epoch: d.epoch.Load(), Node: node, Kind: "suspect", Episode: ep, At: at,
 	})
@@ -478,38 +454,24 @@ func (d *Detector) Suspect(node int, at sim.Time, ep int64) {
 // node was never excised, so its volatile state survives intact).
 func (d *Detector) Heal(node int, at sim.Time, ep int64) {
 	d.mu.Lock()
-	if d.state[node] != Partitioned {
+	if d.state[node] != partitioned {
 		d.mu.Unlock()
 		return
 	}
-	d.state[node] = Alive
+	d.state[node] = alive
 	e := d.epoch.Add(1)
 	d.history = append(d.history, Transition{
 		Epoch: e, Node: node, Kind: "heal", Episode: ep, At: at,
 	})
-	cbs := append([]func(int, sim.Time){}, d.onHeal...)
 	d.mu.Unlock()
 	d.report(probe.Heal, node, at, ep, 0)
-	for _, fn := range cbs {
-		fn(node, at)
-	}
 }
 
-// Heartbeat counts one published heartbeat for node.
+// Heartbeat reports one published heartbeat of node.
 func (d *Detector) Heartbeat(node int) {
-	d.mu.Lock()
-	d.hb[node]++
-	d.mu.Unlock()
 	if d.Obs != nil {
 		d.Obs.Emit(probe.Event{Kind: probe.Heartbeat, Node: node})
 	}
-}
-
-// Heartbeats returns node's published heartbeat count.
-func (d *Detector) Heartbeats(node int) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.hb[node]
 }
 
 // History returns a copy of the membership transitions so far.
@@ -571,9 +533,8 @@ func (d *Detector) DecisionHistoryString() string {
 func (d *Detector) Reset() {
 	d.mu.Lock()
 	for i := range d.state {
-		d.state[i] = Alive
+		d.state[i] = alive
 		d.diedEp[i] = -1
-		d.hb[i] = 0
 	}
 	d.epoch.Store(0)
 	d.live.Store(int64(d.nodes))

@@ -18,18 +18,18 @@ func det(nodes int, seed int64) *Detector {
 func TestScheduledCrashVerdicts(t *testing.T) {
 	d := det(4, 1)
 	d.ScheduleCrash(2, 3, true)
-	if dies, _ := d.DiesAt(2, 2); dies {
+	if dies, _ := d.diesAt(2, 2); dies {
 		t.Fatal("node 2 dies before its scripted episode")
 	}
-	dies, restart := d.DiesAt(2, 3)
+	dies, restart := d.diesAt(2, 3)
 	if !dies || !restart {
 		t.Fatalf("DiesAt(2,3) = %v,%v, want true,true", dies, restart)
 	}
-	if dies, _ := d.DiesAt(1, 3); dies {
+	if dies, _ := d.diesAt(1, 3); dies {
 		t.Fatal("unscripted node dies under a scripted schedule")
 	}
 	d.Reset()
-	if dies, _ := d.DiesAt(2, 3); !dies {
+	if dies, _ := d.diesAt(2, 3); !dies {
 		t.Fatal("scripted crash lost across Reset")
 	}
 	if got := d.Fate(2, 3); got != Restarts {
@@ -61,7 +61,7 @@ func TestCutAtScriptedShapes(t *testing.T) {
 	if !c.OneWay || c.From != 4 || c.To != 0 || !reflect.DeepEqual(c.Iso, []int{4}) {
 		t.Fatalf("CutAt(5) = %+v, want one-way 4>0 parking {4}", c)
 	}
-	if !d.IsolatedAt(4, 5) || d.IsolatedAt(0, 5) {
+	if !d.isolatedAt(4, 5) || d.isolatedAt(0, 5) {
 		t.Fatal("one-way cut must isolate the source, never the target")
 	}
 	d.Reset()

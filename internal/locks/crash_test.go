@@ -16,7 +16,7 @@ import (
 )
 
 // queued reports how many acquirers are parked behind the holder.
-func (l *GlobalTicketLock) queued() int {
+func (l *globalTicketLock) queued() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.waiters.Len()
@@ -45,7 +45,7 @@ func crashLockCluster(nodes int) (*core.Cluster, *metrics.Suite) {
 func TestTicketLockDeadHolderExcised(t *testing.T) {
 	const nodes = 4
 	c, ms := crashLockCluster(nodes)
-	l := NewGlobalTicketLock(c, 0)
+	l := newGlobalTicketLock(c, 0)
 
 	var acquired atomic.Int64
 	// Host-side failure detector: once the dead holder has all survivors
@@ -106,7 +106,7 @@ func TestTicketLockDeadHolderExcised(t *testing.T) {
 // absorbed by the SPMD runner) and never enters the critical section.
 func TestTicketLockDeadWaiterPruned(t *testing.T) {
 	c, _ := crashLockCluster(3)
-	l := NewGlobalTicketLock(c, 0)
+	l := newGlobalTicketLock(c, 0)
 
 	var doomedRan, release atomic.Bool
 	go func() {
@@ -173,7 +173,7 @@ func TestTicketLockDeadWaiterPruned(t *testing.T) {
 // an ordinary one: no stale prune, no excision to pay.
 func TestTicketLockPrunedWaiterReused(t *testing.T) {
 	c, ms := crashLockCluster(3)
-	l := NewGlobalTicketLock(c, 0)
+	l := newGlobalTicketLock(c, 0)
 
 	var warmed, unwound, excised, doomedRan, survivorRan atomic.Bool
 	spin := func(until func() bool) {
@@ -250,7 +250,7 @@ func TestTicketLockHolderCrashAtUnlockSafePoint(t *testing.T) {
 	c := core.MustNewCluster(cfg)
 	c.BarrierFactory = vela.DefaultBarrier
 	c.Health.ScheduleCrash(1, 2, false)
-	l := NewGlobalTicketLock(c, 0)
+	l := newGlobalTicketLock(c, 0)
 
 	var acquired atomic.Int64
 	var pastUnlock atomic.Bool
@@ -322,7 +322,7 @@ func TestTicketLockHolderCrashAtUnlockSafePoint(t *testing.T) {
 func TestTicketLockPartitionedHolderFenced(t *testing.T) {
 	const nodes = 3
 	c, ms := crashLockCluster(nodes)
-	l := NewGlobalTicketLock(c, 0)
+	l := newGlobalTicketLock(c, 0)
 
 	var acquired, reacquired atomic.Int64
 	var fenced, healed atomic.Bool

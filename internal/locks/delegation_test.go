@@ -74,7 +74,7 @@ func (s *steadyAllocs) passage(lock, unlock func(), parked func() bool) func() {
 func TestAllocFreeTicketHandoff(t *testing.T) {
 	skipAllocTestUnderRace(t)
 	c := dsmCluster(2)
-	l := NewGlobalTicketLock(c, 0)
+	l := newGlobalTicketLock(c, 0)
 	var s steadyAllocs
 	c.Run(1, func(th *core.Thread) {
 		s.run(th.Node, s.passage(func() { l.Lock(th) }, func() { l.Unlock(th) }, func() bool { return l.queued() == 1 }), noDelegation)
@@ -86,7 +86,7 @@ func TestAllocFreeTicketHandoff(t *testing.T) {
 
 func TestAllocFreeFIFOHandoff(t *testing.T) {
 	skipAllocTestUnderRace(t)
-	l := NewMCSLock(testFab())
+	l := newMCS(testFab())
 	var s steadyAllocs
 	sim.NewGroup(procs(sim.Topology{Nodes: 1, Sockets: 1, CoresPerSocket: 2}, 2)).Run(func(i int, p *sim.Proc) {
 		s.run(i, s.passage(func() { l.Lock(p) }, func() { l.Unlock(p) }, l.c.hasWaiters), noDelegation)
@@ -311,7 +311,7 @@ func BenchmarkHQDLDelegate(b *testing.B) {
 
 func BenchmarkTicketHandoff(b *testing.B) {
 	c := dsmCluster(2)
-	l := NewGlobalTicketLock(c, 0)
+	l := newGlobalTicketLock(c, 0)
 	var s pair
 	c.Run(1, func(th *core.Thread) {
 		s.bench(b, th.Node, func() {

@@ -24,7 +24,7 @@ type DSMLock interface {
 // Global ticket lock (no fences — building block)
 // ---------------------------------------------------------------------------
 
-// GlobalTicketLock is a FIFO spin lock whose word lives at one home node and
+// globalTicketLock is a FIFO spin lock whose word lives at one home node and
 // is manipulated purely with one-sided operations: fetch-and-increment to
 // take a ticket, remote polling until the grant counter matches. It carries
 // no fence semantics of its own; it is the building block under the fenced
@@ -47,7 +47,7 @@ type DSMLock interface {
 // (suspect, not death), the lease is expired identically, except the fenced
 // node is alive: its eventual stale release is rejected by the holder
 // check, and healing the partition never resurrects the expired lease.
-type GlobalTicketLock struct {
+type globalTicketLock struct {
 	c    *core.Cluster
 	home int
 	key  uint64 // fault identity of the ticket/grant words, and the lock's name to observers
@@ -65,12 +65,12 @@ type GlobalTicketLock struct {
 	pendingDead   int
 }
 
-// NewGlobalTicketLock creates a ticket lock homed at node home. The lock's
+// newGlobalTicketLock creates a ticket lock homed at node home. The lock's
 // fault-identity key comes from the cluster's per-cluster sequence, so a
 // workload that builds its locks in setup order sees the same injected
 // schedule run after run.
-func NewGlobalTicketLock(c *core.Cluster, home int) *GlobalTicketLock {
-	l := &GlobalTicketLock{c: c, home: home, key: c.NextSyncKey(), holder: -1}
+func newGlobalTicketLock(c *core.Cluster, home int) *globalTicketLock {
+	l := &globalTicketLock{c: c, home: home, key: c.NextSyncKey(), holder: -1}
 	if c.Health != nil && c.Health.Armed() {
 		c.Health.OnExcise(l.onExcise)
 		c.Health.OnSuspect(l.onSuspect)
@@ -81,7 +81,7 @@ func NewGlobalTicketLock(c *core.Cluster, home int) *GlobalTicketLock {
 // onExcise recovers the lock from a dead node: parked waiters of the corpse
 // are pruned (their threads, if any remain, unwind with a CrashSignal), and
 // a lease held by the corpse is expired and handed to the head waiter.
-func (l *GlobalTicketLock) onExcise(node int, at sim.Time) {
+func (l *globalTicketLock) onExcise(node int, at sim.Time) {
 	l.mu.Lock()
 	l.waiters.Prune(node)
 	l.mu.Unlock()
@@ -95,7 +95,7 @@ func (l *GlobalTicketLock) onExcise(node int, at sim.Time) {
 // the stale holder's release finally lands (its grant write retries across
 // the cut until the heal), Unlock's holder check rejects it: a heal never
 // resurrects a fenced lease.
-func (l *GlobalTicketLock) onSuspect(node int, at sim.Time) {
+func (l *globalTicketLock) onSuspect(node int, at sim.Time) {
 	l.expireLease(node, at)
 }
 
@@ -104,7 +104,7 @@ func (l *GlobalTicketLock) onSuspect(node int, at sim.Time) {
 // an empty queue, the next acquirer) recovers the lock by paying the
 // excision CAS that swings the lock word past the stale ticket. No-op when
 // node does not hold the lease.
-func (l *GlobalTicketLock) expireLease(node int, at sim.Time) {
+func (l *globalTicketLock) expireLease(node int, at sim.Time) {
 	l.mu.Lock()
 	var grant *sim.Waiter
 	if l.locked && l.holder == node {
@@ -132,7 +132,7 @@ func (l *GlobalTicketLock) expireLease(node int, at sim.Time) {
 
 // payExcision charges the grantee the remote CAS that swings the lock word
 // past a dead holder and reports the recovery.
-func (l *GlobalTicketLock) payExcision(t *core.Thread, dead int) {
+func (l *globalTicketLock) payExcision(t *core.Thread, dead int) {
 	l.c.Fab.RemoteAtomic(t.P, l.home, l.key)
 	l.c.Obs.Sync(t.P, t.P.Now(), probe.LockExcision, l.key, int64(dead), 0)
 }
@@ -144,7 +144,7 @@ func (l *GlobalTicketLock) payExcision(t *core.Thread, dead int) {
 // fabric's capped exponential schedule instead of hammering the dead NIC —
 // a reissued fetch-and-increment is safe because the transient fails before
 // taking effect, so no ticket is ever burned.
-func (l *GlobalTicketLock) Lock(t *core.Thread) {
+func (l *globalTicketLock) Lock(t *core.Thread) {
 	// Safe point BEFORE the ticket atomic (crashpoints=lock): a dying
 	// acquirer unwinds while it holds nothing and owes nothing.
 	t.CrashSafePoint(fault.SafeLock)
@@ -198,7 +198,7 @@ func (l *GlobalTicketLock) Lock(t *core.Thread) {
 // Survivors parked in the queue could otherwise never reach the membership
 // barrier whose reconfiguration would expire the lease — the recovery must
 // not depend on the progress of the threads it unblocks.
-func (l *GlobalTicketLock) unlockSafePoint(t *core.Thread) {
+func (l *globalTicketLock) unlockSafePoint(t *core.Thread) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(health.CrashSignal); ok {
@@ -213,7 +213,7 @@ func (l *GlobalTicketLock) unlockSafePoint(t *core.Thread) {
 // Unlock bumps the grant counter (one remote write). A lost grant write
 // would wedge every waiter, so the release loops with backoff until the
 // write is delivered.
-func (l *GlobalTicketLock) Unlock(t *core.Thread) {
+func (l *globalTicketLock) Unlock(t *core.Thread) {
 	l.unlockSafePoint(t)
 	attempt := 0
 	for !l.c.Fab.TryRemoteWrite(t.P, l.home, 8, l.key, attempt) {
@@ -250,8 +250,8 @@ func (l *GlobalTicketLock) Unlock(t *core.Thread) {
 // announces the lock — a probe.Lock* algorithm, named by the ticket word's
 // key — to the cluster's observers, who then hear of each acquisition (call
 // to critical-section entry) and each release (time held, fence included).
-func newFencedTicket(c *core.Cluster, home int, algo int64) *GlobalTicketLock {
-	g := NewGlobalTicketLock(c, home)
+func newFencedTicket(c *core.Cluster, home int, algo int64) *globalTicketLock {
+	g := newGlobalTicketLock(c, home)
 	if c.Obs != nil {
 		c.Obs.Emit(probe.Event{Kind: probe.LockNew, Key: g.key, Arg: algo})
 	}
@@ -262,7 +262,7 @@ func newFencedTicket(c *core.Cluster, home int, algo int64) *GlobalTicketLock {
 // lock with an SI fence on every acquire and an SD fence on every release.
 // Every critical section pays both fences plus the misses the SI causes.
 type DSMMutex struct {
-	g      *GlobalTicketLock
+	g      *globalTicketLock
 	heldAt sim.Time // written and read only while holding the lock
 }
 
@@ -298,7 +298,7 @@ func (l *DSMMutex) Unlock(t *core.Thread) {
 // is the paper's Figure 12 baseline.
 type DSMCohortLock struct {
 	c      *core.Cluster
-	global *GlobalTicketLock
+	global *globalTicketLock
 	nodes  []*cohortSocket
 	heldAt sim.Time // written and read only while holding the lock
 

@@ -198,7 +198,7 @@ func TestHQDLFencesLessThanDSMMutex(t *testing.T) {
 func TestGlobalTicketLockNoFences(t *testing.T) {
 	// The building-block lock must not fence by itself.
 	c := dsmCluster(2)
-	l := NewGlobalTicketLock(c, 0)
+	l := newGlobalTicketLock(c, 0)
 	c.Run(2, func(th *core.Thread) {
 		for k := 0; k < 20; k++ {
 			l.Lock(th)

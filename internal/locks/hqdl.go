@@ -24,7 +24,7 @@ import (
 // wait — the insight of §5.3: delegating to a remote node saves nothing.
 type HQDLock struct {
 	c      *core.Cluster
-	global *GlobalTicketLock
+	global *globalTicketLock
 	nodes  []*delegQueue[*core.Thread]
 
 	// seq numbers delegation entries for the causal edges observers draw
@@ -42,12 +42,6 @@ type HQDLock struct {
 	DequeueCost sim.Time
 }
 
-// Delegating is the DSM delegation interface (HQDLock implements it).
-type Delegating interface {
-	Delegate(t *core.Thread, section func(h *core.Thread))
-	DelegateWait(t *core.Thread, section func(h *core.Thread))
-}
-
 // NewHQDLock creates a hierarchical QD lock whose global lock word is homed
 // at node 0.
 func NewHQDLock(c *core.Cluster) *HQDLock {
@@ -63,8 +57,6 @@ func NewHQDLock(c *core.Cluster) *HQDLock {
 	}
 	return l
 }
-
-var _ Delegating = (*HQDLock)(nil)
 
 // Delegate submits section and detaches.
 func (l *HQDLock) Delegate(t *core.Thread, section func(h *core.Thread)) {

@@ -6,8 +6,8 @@
 // charges the cache-line transfer between the previous and the next holder
 // (same core, same socket, cross socket), and critical-section data is
 // modeled as migratory (see MigratoryData). The family covers a plain
-// pthread-style mutex, the FIFO queue locks MCS and CLH, the NUMA-aware
-// Cohort lock, and Queue Delegation (QD) locking, where waiting threads
+// pthread-style mutex, the NUMA-aware Cohort lock over FIFO queue locks, and
+// Queue Delegation (QD) locking, where waiting threads
 // hand their critical sections to the current lock holder, which executes
 // them back to back while the data stays hot in its cache.
 //
@@ -34,15 +34,6 @@ import (
 type NativeLock interface {
 	Lock(p *sim.Proc)
 	Unlock(p *sim.Proc)
-}
-
-// NativeDelegating is the delegation interface of QD locking: a critical
-// section is submitted as a closure and may be executed by another thread
-// (the helper). Delegate detaches (fire and forget); DelegateWait blocks
-// until the section has executed.
-type NativeDelegating interface {
-	Delegate(p *sim.Proc, section func(h *sim.Proc))
-	DelegateWait(p *sim.Proc, section func(h *sim.Proc))
 }
 
 // holder tracks, under the protection of the lock it belongs to, when the

@@ -54,12 +54,31 @@ func TestPthreadMutexExclusion(t *testing.T) {
 	exclusionTest(t, func(f *fabric.Fabric) NativeLock { return NewPthreadMutex(f) })
 }
 
+// fifoLock is the queue core on its own. MCS and CLH are this one mechanism
+// at two cost points (how the queue is threaded through memory); the cohort
+// locks are its only non-test users, so the tests hold the two wrappers.
+type fifoLock struct{ c fifoCore }
+
+// newMCS: each waiter spins on its own queue node.
+func newMCS(f *fabric.Fabric) *fifoLock {
+	return &fifoLock{c: fifoCore{fab: f, enqCost: f.P.LocalLatency, hoCost: f.P.LocalLatency}}
+}
+
+// newCLH: each waiter spins on its predecessor's node — cheaper enqueue,
+// costlier handover.
+func newCLH(f *fabric.Fabric) *fifoLock {
+	return &fifoLock{c: fifoCore{fab: f, enqCost: f.P.CacheHit, hoCost: 2 * f.P.LocalLatency}}
+}
+
+func (l *fifoLock) Lock(p *sim.Proc)   { l.c.lock(p) }
+func (l *fifoLock) Unlock(p *sim.Proc) { l.c.unlock(p) }
+
 func TestMCSExclusion(t *testing.T) {
-	exclusionTest(t, func(f *fabric.Fabric) NativeLock { return NewMCSLock(f) })
+	exclusionTest(t, func(f *fabric.Fabric) NativeLock { return newMCS(f) })
 }
 
 func TestCLHExclusion(t *testing.T) {
-	exclusionTest(t, func(f *fabric.Fabric) NativeLock { return NewCLHLock(f) })
+	exclusionTest(t, func(f *fabric.Fabric) NativeLock { return newCLH(f) })
 }
 
 func TestCohortExclusion(t *testing.T) {
@@ -68,7 +87,7 @@ func TestCohortExclusion(t *testing.T) {
 
 func TestMCSIsFIFO(t *testing.T) {
 	f := testFab()
-	l := NewMCSLock(f)
+	l := newMCS(f)
 	topo := sim.Topology{Nodes: 1, Sockets: 1, CoresPerSocket: 8}
 	p0 := topo.NewProc(0, 0)
 	l.Lock(p0)

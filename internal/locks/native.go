@@ -53,13 +53,13 @@ func (l *PthreadMutex) Unlock(p *sim.Proc) {
 }
 
 // ---------------------------------------------------------------------------
-// FIFO queue core (shared by MCS and CLH)
+// FIFO queue core (under both cohort locks)
 // ---------------------------------------------------------------------------
 
 // fifoCore is a strict-FIFO queue lock: waiters are released in arrival
 // order. MCS and CLH differ in how the queue is threaded through memory;
-// at the level of this simulator they share the mechanism and differ in the
-// constant overhead of enqueueing and handover.
+// at the level of this simulator they are this one mechanism with different
+// constants for enqueueing and handover, which the cohort locks set.
 type fifoCore struct {
 	fab *fabric.Fabric
 
@@ -107,37 +107,6 @@ func (l *fifoCore) hasWaiters() bool {
 	defer l.mu.Unlock()
 	return l.waiters.Len() > 0
 }
-
-// MCSLock is the Mellor-Crummey/Scott queue lock: FIFO handover, each
-// waiter spinning on its own queue node.
-type MCSLock struct{ c fifoCore }
-
-// NewMCSLock creates an MCS lock over fabric f.
-func NewMCSLock(f *fabric.Fabric) *MCSLock {
-	return &MCSLock{c: fifoCore{fab: f, enqCost: f.P.LocalLatency, hoCost: f.P.LocalLatency}}
-}
-
-// Lock acquires the lock in FIFO order.
-func (l *MCSLock) Lock(p *sim.Proc) { l.c.lock(p) }
-
-// Unlock hands the lock to the oldest waiter.
-func (l *MCSLock) Unlock(p *sim.Proc) { l.c.unlock(p) }
-
-// CLHLock is the Craig/Landin-Hagersten queue lock: FIFO handover with each
-// waiter spinning on its predecessor's node. Slightly cheaper enqueue,
-// slightly costlier handover than MCS on this cost model.
-type CLHLock struct{ c fifoCore }
-
-// NewCLHLock creates a CLH lock over fabric f.
-func NewCLHLock(f *fabric.Fabric) *CLHLock {
-	return &CLHLock{c: fifoCore{fab: f, enqCost: f.P.CacheHit, hoCost: 2 * f.P.LocalLatency}}
-}
-
-// Lock acquires the lock in FIFO order.
-func (l *CLHLock) Lock(p *sim.Proc) { l.c.lock(p) }
-
-// Unlock hands the lock to the oldest waiter.
-func (l *CLHLock) Unlock(p *sim.Proc) { l.c.unlock(p) }
 
 // ---------------------------------------------------------------------------
 // Cohort lock

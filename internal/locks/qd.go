@@ -35,8 +35,6 @@ func NewQDLock(f *fabric.Fabric) *QDLock {
 	}
 }
 
-var _ NativeDelegating = (*QDLock)(nil)
-
 // Delegate submits section and detaches: the caller continues immediately
 // after a successful delegation, possibly before the section has executed.
 func (l *QDLock) Delegate(p *sim.Proc, section func(h *sim.Proc)) {

@@ -46,8 +46,8 @@ func FuzzDiffMerge(f *testing.F) {
 		if tx > 9*n {
 			t.Fatalf("diff transmitted %d bytes for %d-byte page", tx, n)
 		}
-		if DiffSize(update, base) != tx {
-			t.Fatal("DiffSize disagrees with ApplyDiff")
+		if diffScan(nil, update, base) != tx {
+			t.Fatal("the sizing scan disagrees with ApplyDiff")
 		}
 		// Page 1's home belongs to somebody else wherever the diff is silent.
 		want := bytes.Repeat([]byte{fill}, n)

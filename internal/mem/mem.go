@@ -121,13 +121,6 @@ func (s *Space) HomeOf(p int) int {
 // PageOf returns the global page containing address a.
 func (s *Space) PageOf(a Addr) int { return int(a >> s.pageShift) }
 
-// PageShift returns log2(PageSize) — page-number extraction by shift for
-// per-access hot paths (PageSize is validated to be a power of two).
-func (s *Space) PageShift() uint { return s.pageShift }
-
-// PageBase returns the first address of page p.
-func (s *Space) PageBase(p int) Addr { return Addr(p) * Addr(s.PageSize) }
-
 // Alloc reserves size bytes aligned to align (which must be a power of two;
 // 0 means 8) and returns the base address. It is safe for concurrent use.
 // Alloc panics when the space is exhausted — the simulator sizes the space
@@ -157,12 +150,6 @@ func (s *Space) Alloc(size int64, align int64) Addr {
 func (s *Space) AllocPageAligned(size int64) Addr {
 	return s.Alloc(size, int64(s.PageSize))
 }
-
-// Used returns the number of allocated bytes.
-func (s *Space) Used() int64 { return s.cursor.Load() }
-
-// ResetAlloc rewinds the allocator. Only for harnesses reusing a space.
-func (s *Space) ResetAlloc() { s.cursor.Store(0) }
 
 // lockHome write-locks page p and returns it with its backing storage, which
 // is allocated zeroed at the page's first write. The caller unlocks pg.mu.
@@ -266,8 +253,8 @@ const (
 
 // diffScan returns the wire size of the diff of data against twin and, when
 // home is non-nil, applies the changed bytes to it. It is the one scan behind
-// Writeback, ApplyDiff and DiffSize. The caller holds home's page lock
-// exclusively.
+// Writeback and ApplyDiff; tests size a diff without applying it (nil home).
+// The caller holds home's page lock exclusively.
 func diffScan(home, data, twin []byte) int {
 	n := len(data)
 	twin = twin[:n]
@@ -392,12 +379,6 @@ func (s *Space) ApplyDiff(p int, data, twin []byte) int {
 	tx := diffScan(home, data, twin)
 	pg.mu.Unlock()
 	return tx
-}
-
-// DiffSize returns the wire size of the diff between data and twin without
-// applying it (used to account the cost of a diff before transmission).
-func DiffSize(data, twin []byte) int {
-	return diffScan(nil, data, twin)
 }
 
 // HomeBytes exposes page p's backing slice for unlocked access, allocating

@@ -338,7 +338,7 @@ func TestDiffSizeMatchesApply(t *testing.T) {
 		for k := 0; k < rng.Intn(40); k++ {
 			data[rng.Intn(256)] ^= byte(rng.Intn(255) + 1)
 		}
-		return DiffSize(data, twin) == s.ApplyDiff(0, data, twin)
+		return diffScan(nil, data, twin) == s.ApplyDiff(0, data, twin)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -433,8 +433,8 @@ func TestDiffScanDirected(t *testing.T) {
 				}
 			}
 			want := refDiffRuns(nil, data, twin)
-			if got := DiffSize(data, twin); got != want {
-				t.Fatalf("DiffSize = %d, want %d", got, want)
+			if got := diffScan(nil, data, twin); got != want {
+				t.Fatalf("sized diff = %d, want %d", got, want)
 			}
 			homeA := bytes.Repeat([]byte{0xA5}, tc.n)
 			homeB := bytes.Repeat([]byte{0xA5}, tc.n)
@@ -488,7 +488,7 @@ func randomDiffPair(rng *rand.Rand) (data, twin []byte) {
 	return data, twin
 }
 
-// Property: on random page/twin pairs DiffSize and the applying scan agree
+// Property: on random page/twin pairs the sizing scan and the applying scan agree
 // with the byte-wise reference — same wire size, same bytes written, and,
 // home being a third random pattern, the same bytes left untouched.
 func TestDiffScanMatchesReference(t *testing.T) {
@@ -499,7 +499,7 @@ func TestDiffScanMatchesReference(t *testing.T) {
 		rng.Read(homeRef)
 		homeGot := append([]byte(nil), homeRef...)
 		want := refDiffRuns(homeRef, data, twin)
-		if DiffSize(data, twin) != want {
+		if diffScan(nil, data, twin) != want {
 			return false
 		}
 		if diffScan(homeGot, data, twin) != want {

@@ -51,7 +51,7 @@ func TestMatchesDenseSpace(t *testing.T) {
 				} else {
 					tx, _ = s.Writeback(p, data, twin, nil)
 				}
-				if want := DiffSize(data, twin); tx != want {
+				if want := diffScan(nil, data, twin); tx != want {
 					t.Fatalf("%+v step %d: diff of page %d sent %d bytes, want %d", g, step, p, tx, want)
 				}
 				for i := range data {

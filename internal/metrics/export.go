@@ -2,46 +2,19 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
-
-// Export quantiles reported for every histogram.
-var exportQuantiles = []struct {
-	q     float64
-	label string
-}{
-	{0.5, "0.5"}, {0.9, "0.9"}, {0.99, "0.99"}, {0.999, "0.999"},
-}
-
-func promLabels(labels []Label, extra ...Label) string {
-	all := append(append([]Label(nil), labels...), extra...)
-	if len(all) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range all {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Val)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
 
 type exportSeries struct {
 	key     seriesKey
 	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
+	gauge   *gauge
+	hist    *histogram
 }
 
 // snapshotSeries returns all series grouped by family, families and series
-// sorted by name for a stable exposition.
+// sorted by name for a stable dump.
 func (r *Registry) snapshotSeries() (fams []*family, byFam map[string][]exportSeries) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -63,53 +36,6 @@ func (r *Registry) snapshotSeries() (fams []*family, byFam map[string][]exportSe
 		sort.Slice(ss, func(i, j int) bool { return ss[i].key.labels < ss[j].key.labels })
 	}
 	return fams, byFam
-}
-
-// WritePrometheus writes the registry in Prometheus exposition text format.
-// Histograms are exported as summaries (quantile series + _sum and _count),
-// which matches how they are consumed: precomputed percentiles, mergeable
-// upstream only through the JSON dump.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	fams, byFam := r.snapshotSeries()
-	for _, f := range fams {
-		typ := "counter"
-		switch f.kind {
-		case kindGauge:
-			typ = "gauge"
-		case kindHistogram:
-			typ = "summary"
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, typ); err != nil {
-			return err
-		}
-		for _, s := range byFam[f.name] {
-			switch {
-			case s.counter != nil:
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, promLabels(s.counter.labels), s.counter.Value()); err != nil {
-					return err
-				}
-			case s.gauge != nil:
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, promLabels(s.gauge.labels), s.gauge.Value()); err != nil {
-					return err
-				}
-			case s.hist != nil:
-				snap := s.hist.Snapshot()
-				for _, q := range exportQuantiles {
-					if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name,
-						promLabels(s.hist.labels, L("quantile", q.label)), snap.Quantile(q.q)); err != nil {
-						return err
-					}
-				}
-				if _, err := fmt.Fprintf(w, "%s_sum%s %d\n", f.name, promLabels(s.hist.labels), snap.Sum); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, promLabels(s.hist.labels), snap.Count); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // JSON dump types (the machine-readable metrics.json the harness emits).
@@ -166,28 +92,20 @@ func (r *Registry) Dump() DumpJSON {
 			case s.counter != nil:
 				d.Counters = append(d.Counters, ScalarJSON{f.name, labelMap(s.counter.labels), s.counter.Value()})
 			case s.gauge != nil:
-				d.Gauges = append(d.Gauges, ScalarJSON{f.name, labelMap(s.gauge.labels), s.gauge.Value()})
+				d.Gauges = append(d.Gauges, ScalarJSON{f.name, labelMap(s.gauge.labels), s.gauge.value()})
 			case s.hist != nil:
-				snap := s.hist.Snapshot()
+				snap := s.hist.snapshot()
 				d.Histograms = append(d.Histograms, HistJSON{
 					Name: f.name, Labels: labelMap(s.hist.labels),
-					Count: snap.Count, Sum: snap.Sum, Mean: snap.Mean(),
+					Count: snap.Count, Sum: snap.Sum, Mean: snap.mean(),
 					Min: snap.Min, Max: snap.Max,
-					P50: snap.Quantile(0.5), P90: snap.Quantile(0.9),
-					P99: snap.Quantile(0.99), P999: snap.Quantile(0.999),
+					P50: snap.quantile(0.5), P90: snap.quantile(0.9),
+					P99: snap.quantile(0.99), P999: snap.quantile(0.999),
 				})
 			}
 		}
 	}
 	return d
-}
-
-// WriteJSON writes the registry dump (plus hot-spot profiles when called on
-// a Suite) as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Dump())
 }
 
 // WriteJSON writes the suite's registry dump including the hot-page and

@@ -3,98 +3,19 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"regexp"
-	"strings"
 	"testing"
 )
 
-// Prometheus exposition text format, line-level grammar. The value side is
-// restricted to what this registry actually emits (decimal integers).
-var (
-	promHelpRe   = regexp.MustCompile(`^# HELP [a-zA-Z_:][a-zA-Z0-9_:]* .+$`)
-	promTypeRe   = regexp.MustCompile(`^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|summary|histogram|untyped)$`)
-	promSampleRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? -?[0-9]+$`)
-)
-
-func buildTestRegistry() *Registry {
-	reg := NewRegistry()
-	reg.Counter("argo_test_ops_total", "ops by kind", L("op", "read")).Add(7)
-	reg.Counter("argo_test_ops_total", "ops by kind", L("op", "write")).Add(3)
-	reg.Gauge("argo_test_depth", "queue depth").Set(12)
-	h := reg.Histogram("argo_test_ns", "latency", L("op", "read"))
-	for v := int64(1); v <= 1000; v++ {
-		h.Record(int(v), v)
-	}
-	return reg
-}
-
-// TestPrometheusExpositionLint validates every line WritePrometheus emits
-// against the exposition line grammar: HELP/TYPE comments first per family,
-// every sample line parseable, no duplicate sample lines, and every sample's
-// family declared by a preceding TYPE.
-func TestPrometheusExpositionLint(t *testing.T) {
-	var buf bytes.Buffer
-	if err := buildTestRegistry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	typed := map[string]bool{}
-	seen := map[string]bool{}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) == 0 {
-		t.Fatal("empty exposition")
-	}
-	for _, line := range lines {
-		switch {
-		case strings.HasPrefix(line, "# HELP "):
-			if !promHelpRe.MatchString(line) {
-				t.Errorf("bad HELP line: %q", line)
-			}
-		case strings.HasPrefix(line, "# TYPE "):
-			if !promTypeRe.MatchString(line) {
-				t.Errorf("bad TYPE line: %q", line)
-			}
-			typed[strings.Fields(line)[2]] = true
-		default:
-			if !promSampleRe.MatchString(line) {
-				t.Errorf("bad sample line: %q", line)
-				continue
-			}
-			if seen[line] {
-				t.Errorf("duplicate sample line: %q", line)
-			}
-			seen[line] = true
-			name := line
-			if i := strings.IndexAny(line, "{ "); i >= 0 {
-				name = line[:i]
-			}
-			base := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
-			if !typed[name] && !typed[base] {
-				t.Errorf("sample %q has no preceding TYPE", line)
-			}
-		}
-	}
-	for _, want := range []string{
-		`argo_test_ops_total{op="read"} 7`,
-		`argo_test_depth 12`,
-		`argo_test_ns_count{op="read"} 1000`,
-		`argo_test_ns{op="read",quantile="0.5"}`,
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("exposition missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
 func TestJSONDumpRoundTrips(t *testing.T) {
 	s := NewSuite()
-	s.Reg.Counter("c_total", "c", L("k", "v")).Add(5)
-	s.Reg.Histogram("h_ns", "h").Record(0, 100)
-	s.Pages.ReadMiss(42)
-	s.Pages.ReadMiss(42)
-	s.Pages.Writeback(7)
-	ls := s.Locks.Register("test")
-	ls.Acquired(10)
-	ls.Released(4)
+	s.Reg.Counter("c_total", "c", L("k", "v")).add(5)
+	s.Reg.histogram("h_ns", "h").record(0, 100)
+	s.Pages.readMiss(42)
+	s.Pages.readMiss(42)
+	s.Pages.writeback(7)
+	ls := s.Locks.register("test")
+	ls.acquired(10)
+	ls.released(4)
 
 	var buf bytes.Buffer
 	if err := s.WriteJSON(&buf); err != nil {
@@ -119,7 +40,7 @@ func TestJSONDumpRoundTrips(t *testing.T) {
 }
 
 func TestRegistryIdempotentAndKindConflictPanics(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry()
 	a := reg.Counter("x_total", "x", L("a", "1"), L("b", "2"))
 	b := reg.Counter("x_total", "x", L("b", "2"), L("a", "1")) // label order irrelevant
 	if a != b {
@@ -130,21 +51,21 @@ func TestRegistryIdempotentAndKindConflictPanics(t *testing.T) {
 			t.Fatal("registering x_total as a gauge did not panic")
 		}
 	}()
-	reg.Gauge("x_total", "x")
+	reg.gauge("x_total", "x")
 }
 
 func TestTopKOrderAndTruncation(t *testing.T) {
-	pp := NewPageProfile()
+	pp := newPageProfile()
 	for p := 0; p < 10; p++ {
 		for i := 0; i <= p; i++ {
-			pp.ReadMiss(p)
+			pp.readMiss(p)
 		}
 	}
 	top := pp.TopK(3, TotalPageActivity)
 	if len(top) != 3 || top[0].Page != 9 || top[1].Page != 8 || top[2].Page != 7 {
 		t.Fatalf("top pages: %+v", top)
 	}
-	if pp.Len() != 10 {
-		t.Fatalf("len %d", pp.Len())
+	if len(pp.m) != 10 {
+		t.Fatalf("len %d", len(pp.m))
 	}
 }

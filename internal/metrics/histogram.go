@@ -22,10 +22,10 @@ const (
 	subBits  = 2
 	sub      = 1 << subBits // linear sub-buckets per power of two
 	nBuckets = 64 * sub
-	// NumShards is the number of independent recording shards per
+	// numShards is the number of independent recording shards per
 	// histogram. Callers pass a shard hint (node index); it is masked, so
 	// any int works.
-	NumShards = 16
+	numShards = 16
 )
 
 // bucketOf maps a non-negative value to its bucket index (monotone in v).
@@ -60,19 +60,19 @@ type histShard struct {
 	max    atomic.Int64
 }
 
-// Histogram is a lock-free sharded latency histogram. The zero value is not
-// usable; create through Registry.Histogram. A nil *Histogram ignores
+// histogram is a lock-free sharded latency histogram. The zero value is not
+// usable; create through Registry.histogram. A nil *histogram ignores
 // records, so probes can stay nil-check-only.
-type Histogram struct {
+type histogram struct {
 	name   string
 	labels []Label
-	shards [NumShards]histShard
+	shards [numShards]histShard
 }
 
 // newHistogram creates an empty histogram (shard minimums pre-set so the
 // min CAS loop in Record needs no "first value" special case).
-func newHistogram(name string, labels []Label) *Histogram {
-	h := &Histogram{name: name, labels: labels}
+func newHistogram(name string, labels []Label) *histogram {
+	h := &histogram{name: name, labels: labels}
 	for i := range h.shards {
 		h.shards[i].min.Store(math.MaxInt64)
 		h.shards[i].max.Store(math.MinInt64)
@@ -80,17 +80,17 @@ func newHistogram(name string, labels []Label) *Histogram {
 	return h
 }
 
-// Record adds one observation (negative values clamp to 0). shardHint
+// record adds one observation (negative values clamp to 0). shardHint
 // selects the recording shard (mask applied); pass the recording node or
 // thread index so concurrent recorders spread across shards.
-func (h *Histogram) Record(shardHint int, v int64) {
+func (h *histogram) record(shardHint int, v int64) {
 	if h == nil {
 		return
 	}
 	if v < 0 {
 		v = 0
 	}
-	s := &h.shards[shardHint&(NumShards-1)]
+	s := &h.shards[shardHint&(numShards-1)]
 	s.counts[bucketOf(v)].Add(1)
 	s.count.Add(1)
 	s.sum.Add(v)
@@ -108,8 +108,8 @@ func (h *Histogram) Record(shardHint int, v int64) {
 	}
 }
 
-// HistSnapshot is a plain-value copy of a histogram (or a merge of several).
-type HistSnapshot struct {
+// histSnapshot is a plain-value copy of a histogram (or a merge of several).
+type histSnapshot struct {
 	Counts []int64 // len nBuckets when non-empty
 	Count  int64
 	Sum    int64
@@ -117,30 +117,25 @@ type HistSnapshot struct {
 	Max    int64
 }
 
-// Snapshot merges all shards into one snapshot.
-func (h *Histogram) Snapshot() HistSnapshot {
-	var out HistSnapshot
+// snapshot merges all shards into one snapshot.
+func (h *histogram) snapshot() histSnapshot {
+	var out histSnapshot
 	for i := range h.shards {
-		out.Merge(h.shardSnapshot(i))
+		out.merge(h.shardSnapshot(i))
 	}
 	return out
 }
 
-// ShardSnapshot copies one shard (tests and shard-level analysis).
-func (h *Histogram) ShardSnapshot(i int) HistSnapshot {
-	return h.shardSnapshot(i & (NumShards - 1))
-}
-
-func (h *Histogram) shardSnapshot(i int) HistSnapshot {
+func (h *histogram) shardSnapshot(i int) histSnapshot {
 	s := &h.shards[i]
-	out := HistSnapshot{
+	out := histSnapshot{
 		Count: s.count.Load(),
 		Sum:   s.sum.Load(),
 		Min:   s.min.Load(),
 		Max:   s.max.Load(),
 	}
 	if out.Count == 0 {
-		return HistSnapshot{}
+		return histSnapshot{}
 	}
 	out.Counts = make([]int64, nBuckets)
 	for b := range s.counts {
@@ -149,8 +144,8 @@ func (h *Histogram) shardSnapshot(i int) HistSnapshot {
 	return out
 }
 
-// Merge accumulates o into s (bucket-wise addition; min/max combine).
-func (s *HistSnapshot) Merge(o HistSnapshot) {
+// merge accumulates o into s (bucket-wise addition; min/max combine).
+func (s *histSnapshot) merge(o histSnapshot) {
 	if o.Count == 0 {
 		return
 	}
@@ -175,10 +170,10 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 	}
 }
 
-// Quantile returns the value at quantile q in [0,1]: the upper edge of the
+// quantile returns the value at quantile q in [0,1]: the upper edge of the
 // bucket holding the q-th observation, clamped to the observed [Min, Max].
 // An empty snapshot returns 0.
-func (s HistSnapshot) Quantile(q float64) int64 {
+func (s histSnapshot) quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}
@@ -209,8 +204,8 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// Mean returns the exact arithmetic mean of the recorded values.
-func (s HistSnapshot) Mean() float64 {
+// mean returns the exact arithmetic mean of the recorded values.
+func (s histSnapshot) mean() float64 {
 	if s.Count == 0 {
 		return 0
 	}

@@ -46,10 +46,10 @@ func TestQuantileRelativeError(t *testing.T) {
 		// Mix of magnitudes: latencies from ns to tens of ms.
 		v := r.intn(1 << uint(4+r.intn(21)))
 		vals = append(vals, v)
-		h.Record(int(r.intn(NumShards)), v)
+		h.record(int(r.intn(numShards)), v)
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	s := h.Snapshot()
+	s := h.snapshot()
 	if s.Count != int64(len(vals)) {
 		t.Fatalf("count=%d want %d", s.Count, len(vals))
 	}
@@ -66,7 +66,7 @@ func TestQuantileRelativeError(t *testing.T) {
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		rank := int(math.Ceil(q*float64(len(vals)))) - 1
 		exact := vals[rank]
-		got := s.Quantile(q)
+		got := s.quantile(q)
 		if got < exact {
 			t.Errorf("q%.3f: got %d < exact %d", q, got, exact)
 		}
@@ -84,12 +84,12 @@ func TestMergedQuantilesBoundShardExtremes(t *testing.T) {
 	h := newHistogram("t", nil)
 	r := lcg(7)
 	for i := 0; i < 5000; i++ {
-		h.Record(int(r.intn(NumShards)), r.intn(1_000_000))
+		h.record(int(r.intn(numShards)), r.intn(1_000_000))
 	}
-	merged := h.Snapshot()
+	merged := h.snapshot()
 	var total int64
-	for sh := 0; sh < NumShards; sh++ {
-		ss := h.ShardSnapshot(sh)
+	for sh := 0; sh < numShards; sh++ {
+		ss := h.shardSnapshot(sh)
 		total += ss.Count
 		if ss.Count == 0 {
 			continue
@@ -101,7 +101,7 @@ func TestMergedQuantilesBoundShardExtremes(t *testing.T) {
 			t.Errorf("shard %d: merged max %d < shard max %d", sh, merged.Max, ss.Max)
 		}
 		for _, q := range []float64{0.5, 0.99} {
-			if v := ss.Quantile(q); v < merged.Min || v > merged.Max+merged.Max/4+1 {
+			if v := ss.quantile(q); v < merged.Min || v > merged.Max+merged.Max/4+1 {
 				t.Errorf("shard %d q%.2f=%d outside merged range [%d,%d]", sh, q, v, merged.Min, merged.Max)
 			}
 		}
@@ -111,12 +111,12 @@ func TestMergedQuantilesBoundShardExtremes(t *testing.T) {
 	}
 	qs := []float64{0.5, 0.9, 0.99, 0.999}
 	for i := 1; i < len(qs); i++ {
-		if merged.Quantile(qs[i]) < merged.Quantile(qs[i-1]) {
+		if merged.quantile(qs[i]) < merged.quantile(qs[i-1]) {
 			t.Fatalf("quantiles not monotone: q%v=%d < q%v=%d",
-				qs[i], merged.Quantile(qs[i]), qs[i-1], merged.Quantile(qs[i-1]))
+				qs[i], merged.quantile(qs[i]), qs[i-1], merged.quantile(qs[i-1]))
 		}
 	}
-	if p := merged.Quantile(0.999); p < merged.Min || p > merged.Max {
+	if p := merged.quantile(0.999); p < merged.Min || p > merged.Max {
 		t.Fatalf("p999=%d outside [min,max]=[%d,%d]", p, merged.Min, merged.Max)
 	}
 }
@@ -125,52 +125,52 @@ func TestHistogramMergeAddsAndEmptyIsNeutral(t *testing.T) {
 	a := newHistogram("t", nil)
 	b := newHistogram("t", nil)
 	for i := int64(1); i <= 100; i++ {
-		a.Record(0, i)
-		b.Record(1, i*1000)
+		a.record(0, i)
+		b.record(1, i*1000)
 	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
+	sa, sb := a.snapshot(), b.snapshot()
+	sa.merge(sb)
 	if sa.Count != 200 {
 		t.Fatalf("merged count %d", sa.Count)
 	}
 	if sa.Min != 1 || sa.Max < 100000 {
 		t.Fatalf("merged min/max %d/%d", sa.Min, sa.Max)
 	}
-	empty := HistSnapshot{}
+	empty := histSnapshot{}
 	before := sa
-	sa.Merge(empty)
+	sa.merge(empty)
 	if sa.Count != before.Count || sa.Min != before.Min || sa.Max != before.Max {
 		t.Fatalf("merging empty changed snapshot")
 	}
-	if q := (HistSnapshot{}).Quantile(0.5); q != 0 {
+	if q := (histSnapshot{}).quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %d", q)
 	}
-	if m := (HistSnapshot{}).Mean(); m != 0 {
+	if m := (histSnapshot{}).mean(); m != 0 {
 		t.Fatalf("empty mean = %v", m)
 	}
 }
 
 func TestNilSafety(t *testing.T) {
-	var h *Histogram
-	h.Record(3, 17) // must not panic
+	var h *histogram
+	h.record(3, 17) // must not panic
 	var c *Counter
-	c.Inc()
-	c.Add(5)
-	var g *Gauge
-	g.Set(2)
+	c.add(1)
+	c.add(5)
+	var g *gauge
+	g.set(2)
 	var p *PageProfile
-	p.ReadMiss(1)
-	p.Evict(2)
-	var ls *LockStat
-	ls.Acquired(10)
-	ls.Released(10)
+	p.readMiss(1)
+	p.evict(2)
+	var ls *lockCounters
+	ls.acquired(10)
+	ls.released(10)
 }
 
 // TestConcurrentRecording hammers one histogram and one counter from many
 // goroutines; meaningful under -race, and the totals must still balance.
 func TestConcurrentRecording(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("race_hist", "h")
+	reg := newRegistry()
+	h := reg.histogram("race_hist", "h")
 	c := reg.Counter("race_count", "c")
 	const workers, per = 8, 4000
 	var wg sync.WaitGroup
@@ -180,13 +180,13 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			r := lcg(w + 1)
 			for i := 0; i < per; i++ {
-				h.Record(w, r.intn(1<<20))
-				c.Inc()
+				h.record(w, r.intn(1<<20))
+				c.add(1)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Snapshot().Count; got != workers*per {
+	if got := h.snapshot().Count; got != workers*per {
 		t.Fatalf("histogram count %d, want %d", got, workers*per)
 	}
 	if got := c.Value(); got != workers*per {

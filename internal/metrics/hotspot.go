@@ -39,8 +39,8 @@ type PageProfile struct {
 	m  map[int]*PageStat
 }
 
-// NewPageProfile creates an empty page profile.
-func NewPageProfile() *PageProfile {
+// newPageProfile creates an empty page profile.
+func newPageProfile() *PageProfile {
 	return &PageProfile{m: map[int]*PageStat{}}
 }
 
@@ -58,30 +58,23 @@ func (pp *PageProfile) bump(page int, f func(*PageStat)) {
 	pp.mu.Unlock()
 }
 
-// ReadMiss attributes one read miss to page.
-func (pp *PageProfile) ReadMiss(page int) { pp.bump(page, func(s *PageStat) { s.ReadMisses++ }) }
+// readMiss attributes one read miss to page.
+func (pp *PageProfile) readMiss(page int) { pp.bump(page, func(s *PageStat) { s.ReadMisses++ }) }
 
-// WriteMiss attributes one write miss to page.
-func (pp *PageProfile) WriteMiss(page int) { pp.bump(page, func(s *PageStat) { s.WriteMisses++ }) }
+// writeMiss attributes one write miss to page.
+func (pp *PageProfile) writeMiss(page int) { pp.bump(page, func(s *PageStat) { s.WriteMisses++ }) }
 
-// Writeback attributes one downgrade to page.
-func (pp *PageProfile) Writeback(page int) { pp.bump(page, func(s *PageStat) { s.Writebacks++ }) }
+// writeback attributes one downgrade to page.
+func (pp *PageProfile) writeback(page int) { pp.bump(page, func(s *PageStat) { s.Writebacks++ }) }
 
-// Invalidate attributes one self-invalidation to page.
-func (pp *PageProfile) Invalidate(page int) { pp.bump(page, func(s *PageStat) { s.Invalidations++ }) }
+// invalidate attributes one self-invalidation to page.
+func (pp *PageProfile) invalidate(page int) { pp.bump(page, func(s *PageStat) { s.Invalidations++ }) }
 
-// Notify attributes one classification-transition notify to page.
-func (pp *PageProfile) Notify(page int) { pp.bump(page, func(s *PageStat) { s.Notifies++ }) }
+// notify attributes one classification-transition notify to page.
+func (pp *PageProfile) notify(page int) { pp.bump(page, func(s *PageStat) { s.Notifies++ }) }
 
-// Evict attributes one conflict/write-buffer eviction to page.
-func (pp *PageProfile) Evict(page int) { pp.bump(page, func(s *PageStat) { s.Evictions++ }) }
-
-// Len returns the number of distinct pages seen.
-func (pp *PageProfile) Len() int {
-	pp.mu.Lock()
-	defer pp.mu.Unlock()
-	return len(pp.m)
-}
+// evict attributes one conflict/write-buffer eviction to page.
+func (pp *PageProfile) evict(page int) { pp.bump(page, func(s *PageStat) { s.Evictions++ }) }
 
 // TopK returns the k highest-scoring pages, descending (ties by page).
 func (pp *PageProfile) TopK(k int, score func(PageStat) int64) []PageStat {
@@ -107,9 +100,9 @@ func (pp *PageProfile) TopK(k int, score func(PageStat) int64) []PageStat {
 	return views
 }
 
-// LockStat accumulates contention statistics for one lock instance, in
-// atomics; a nil *LockStat ignores updates.
-type LockStat struct {
+// lockCounters accumulates contention statistics for one lock instance, in
+// atomics; a nil *lockCounters ignores updates.
+type lockCounters struct {
 	Name      string
 	Acquires  atomic.Int64
 	WaitNs    atomic.Int64 // acquire call → lock held (incl. acquire fence)
@@ -119,8 +112,8 @@ type LockStat struct {
 	Delegated atomic.Int64 // sections executed by a helper
 }
 
-// Acquired records one acquisition that waited waitNs.
-func (s *LockStat) Acquired(waitNs int64) {
+// acquired records one acquisition that waited waitNs.
+func (s *lockCounters) acquired(waitNs int64) {
 	if s == nil {
 		return
 	}
@@ -128,8 +121,8 @@ func (s *LockStat) Acquired(waitNs int64) {
 	s.WaitNs.Add(waitNs)
 }
 
-// Released records heldNs of hold time.
-func (s *LockStat) Released(heldNs int64) {
+// released records heldNs of hold time.
+func (s *lockCounters) released(heldNs int64) {
 	if s != nil {
 		s.HeldNs.Add(heldNs)
 	}
@@ -153,23 +146,23 @@ func TotalLockActivity(s LockStatView) int64 { return s.WaitNs }
 // LockProfile registers lock instances and reports the most contended.
 type LockProfile struct {
 	mu    sync.Mutex
-	stats []*LockStat
+	stats []*lockCounters
 	seq   map[string]int
 }
 
-// NewLockProfile creates an empty lock profile.
-func NewLockProfile() *LockProfile {
+// newLockProfile creates an empty lock profile.
+func newLockProfile() *LockProfile {
 	return &LockProfile{seq: map[string]int{}}
 }
 
-// Register creates a LockStat named kind (suffixed #n to keep instances
+// register creates a LockStat named kind (suffixed #n to keep instances
 // distinct).
-func (lp *LockProfile) Register(kind string) *LockStat {
+func (lp *LockProfile) register(kind string) *lockCounters {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
 	n := lp.seq[kind]
 	lp.seq[kind] = n + 1
-	s := &LockStat{Name: fmt.Sprintf("%s#%d", kind, n)}
+	s := &lockCounters{Name: fmt.Sprintf("%s#%d", kind, n)}
 	lp.stats = append(lp.stats, s)
 	return s
 }

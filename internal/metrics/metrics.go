@@ -1,7 +1,7 @@
 // Package metrics is Argoscope's measurement substrate: a registry of
 // labeled counters, gauges and mergeable latency histograms, exportable as
-// Prometheus exposition text and as JSON, plus hot-spot profiles (top-K
-// pages and locks) for the protocol layers.
+// JSON, plus hot-spot profiles (top-K pages and locks) for the protocol
+// layers.
 //
 // A Suite is a sink of package probe: the protocol layers emit facts and
 // series.go — the one place that knows series names, help strings and labels
@@ -36,15 +36,8 @@ type Counter struct {
 	v      atomic.Int64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds d (d must be non-negative for Prometheus semantics).
-func (c *Counter) Add(d int64) {
+// add adds d (d must be non-negative: a counter only grows).
+func (c *Counter) add(d int64) {
 	if c != nil {
 		c.v.Add(d)
 	}
@@ -53,22 +46,22 @@ func (c *Counter) Add(d int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a labeled value that can go up and down; a nil one ignores updates.
-type Gauge struct {
+// gauge is a labeled value that can go up and down; a nil one ignores updates.
+type gauge struct {
 	name   string
 	labels []Label
 	v      atomic.Int64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) {
+// set stores v.
+func (g *gauge) set(v int64) {
 	if g != nil {
 		g.v.Store(v)
 	}
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+// value returns the current value.
+func (g *gauge) value() int64 { return g.v.Load() }
 
 type metricKind int
 
@@ -96,17 +89,17 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	counters map[seriesKey]*Counter
-	gauges   map[seriesKey]*Gauge
-	hists    map[seriesKey]*Histogram
+	gauges   map[seriesKey]*gauge
+	hists    map[seriesKey]*histogram
 }
 
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
+// newRegistry creates an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
 		families: map[string]*family{},
 		counters: map[seriesKey]*Counter{},
-		gauges:   map[seriesKey]*Gauge{},
-		hists:    map[seriesKey]*Histogram{},
+		gauges:   map[seriesKey]*gauge{},
+		hists:    map[seriesKey]*histogram{},
 	}
 }
 
@@ -152,8 +145,8 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return c
 }
 
-// Gauge returns (creating on first use) the gauge series name{labels}.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
+// gauge returns (creating on first use) the gauge series name{labels}.
+func (r *Registry) gauge(name, help string, labels ...Label) *gauge {
 	ls, enc := canonLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -161,15 +154,15 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	k := seriesKey{name, enc}
 	g, ok := r.gauges[k]
 	if !ok {
-		g = &Gauge{name: name, labels: ls}
+		g = &gauge{name: name, labels: ls}
 		r.gauges[k] = g
 	}
 	return g
 }
 
-// Histogram returns (creating on first use) the histogram series
+// histogram returns (creating on first use) the histogram series
 // name{labels}.
-func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
+func (r *Registry) histogram(name, help string, labels ...Label) *histogram {
 	ls, enc := canonLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -139,9 +139,9 @@ var families = []def{
 // a histogram records on the emitting node's shard.
 type instrument interface{ put(node int, v int64) }
 
-func (c *Counter) put(_ int, v int64)      { c.Add(v) }
-func (g *Gauge) put(_ int, v int64)        { g.Set(v) }
-func (h *Histogram) put(node int, v int64) { h.Record(node, v) }
+func (c *Counter) put(_ int, v int64)      { c.add(v) }
+func (g *gauge) put(_ int, v int64)        { g.set(v) }
+func (h *histogram) put(node int, v int64) { h.record(node, v) }
 
 // bound is a feed resolved against a registry: events whose Arg is when (any
 // Arg if when is negative) put val into to.
@@ -161,9 +161,9 @@ func (r *Registry) series(f def, label string) instrument {
 	case kindCounter:
 		return r.Counter(f.name, f.help, ls...)
 	case kindGauge:
-		return r.Gauge(f.name, f.help, ls...)
+		return r.gauge(f.name, f.help, ls...)
 	}
-	return r.Histogram(f.name, f.help, ls...)
+	return r.histogram(f.name, f.help, ls...)
 }
 
 // Suite bundles the registry with the hot-spot profiles; it is the sink a
@@ -184,7 +184,7 @@ type Suite struct {
 
 // NewSuite creates an empty observability suite.
 func NewSuite() *Suite {
-	return &Suite{Reg: NewRegistry(), Pages: NewPageProfile(), Locks: NewLockProfile()}
+	return &Suite{Reg: newRegistry(), Pages: newPageProfile(), Locks: newLockProfile()}
 }
 
 // register resolves every series of families in s.Reg and binds the feeds.
@@ -203,9 +203,9 @@ func (s *Suite) register() {
 
 // pageNotes says which kinds the page profile counts, and as what.
 var pageNotes = [probe.NumKinds]func(*PageProfile, int){
-	probe.ReadMiss: (*PageProfile).ReadMiss, probe.WriteMiss: (*PageProfile).WriteMiss,
-	probe.Writeback: (*PageProfile).Writeback, probe.Invalidate: (*PageProfile).Invalidate,
-	probe.Notify: (*PageProfile).Notify, probe.Evict: (*PageProfile).Evict,
+	probe.ReadMiss: (*PageProfile).readMiss, probe.WriteMiss: (*PageProfile).writeMiss,
+	probe.Writeback: (*PageProfile).writeback, probe.Invalidate: (*PageProfile).invalidate,
+	probe.Notify: (*PageProfile).notify, probe.Evict: (*PageProfile).evict,
 }
 
 // Observe feeds e into every series families binds to its kind, then into
@@ -224,12 +224,12 @@ func (s *Suite) Observe(e probe.Event) {
 	}
 	switch e.Kind {
 	case probe.LockNew:
-		s.lockStats.Store(e.Key, s.Locks.Register(lockAlgos[e.Arg]))
+		s.lockStats.Store(e.Key, s.Locks.register(lockAlgos[e.Arg]))
 	case probe.LockAcquire:
-		s.lockStat(e.Key).Acquired(e.Dur())
+		s.lockStat(e.Key).acquired(e.Dur())
 	case probe.LockRelease:
 		st := s.lockStat(e.Key)
-		st.Released(e.Dur())
+		st.released(e.Dur())
 		st.Local.Add(e.Arg)
 		st.Remote.Add(e.Aux)
 	case probe.DelegateDone:
@@ -238,9 +238,9 @@ func (s *Suite) Observe(e probe.Event) {
 }
 
 // lockStat returns the profile entry of the lock named key.
-func (s *Suite) lockStat(key uint64) *LockStat {
+func (s *Suite) lockStat(key uint64) *lockCounters {
 	if st, ok := s.lockStats.Load(key); ok {
-		return st.(*LockStat)
+		return st.(*lockCounters)
 	}
-	return new(LockStat) // a lock nobody announced is counted nowhere
+	return new(lockCounters) // a lock nobody announced is counted nowhere
 }

@@ -1,9 +1,8 @@
 // Package mpi is a small message-passing runtime over the simulated fabric —
-// the substrate for the paper's MPI baselines (and the transport role MPI
-// plays under the real Argo prototype). It provides eager point-to-point
-// sends, binomial-tree collectives and a ring allgather, all charged with
-// the same latency/bandwidth model the DSM uses, so Argo-vs-MPI comparisons
-// ride identical wires.
+// the substrate for the paper's MPI baselines. It provides eager
+// point-to-point sends, binomial-tree collectives and a ring allgather, all
+// charged with the same latency/bandwidth model the DSM uses, so Argo-vs-MPI
+// comparisons ride identical wires.
 package mpi
 
 import (
@@ -27,8 +26,6 @@ type World struct {
 
 type message struct {
 	data    []float64
-	ints    []int64
-	bytes   int
 	availAt sim.Time
 }
 
@@ -55,15 +52,15 @@ func NewWorld(fab *fabric.Fabric, ranksPerNode int) *World {
 	return w
 }
 
-// NodeOf returns the node rank r runs on.
-func (w *World) NodeOf(r int) int { return r / w.RanksPerNode }
+// nodeOf returns the node rank r runs on.
+func (w *World) nodeOf(r int) int { return r / w.RanksPerNode }
 
 // Run launches one goroutine per rank and returns the makespan.
 func (w *World) Run(body func(r *Rank)) sim.Time {
 	ranks := make([]*Rank, w.Size)
 	procs := make([]*sim.Proc, w.Size)
 	for i := 0; i < w.Size; i++ {
-		p := w.Fab.Topo.NewProc(w.NodeOf(i), i%w.RanksPerNode)
+		p := w.Fab.Topo.NewProc(w.nodeOf(i), i%w.RanksPerNode)
 		ranks[i] = &Rank{W: w, ID: i, P: p}
 		procs[i] = p
 	}
@@ -77,7 +74,7 @@ func (w *World) box(src, dst int) chan message { return w.mail[src*w.Size+dst] }
 // the virtual time at which the message is available at the receiver.
 func (r *Rank) sendCost(dst, bytes int) sim.Time {
 	pp := r.W.Fab.P
-	srcNode, dstNode := r.P.Node, r.W.NodeOf(dst)
+	srcNode, dstNode := r.P.Node, r.W.nodeOf(dst)
 	if srcNode == dstNode {
 		r.P.Advance(pp.DRAMLatency + pp.CopyCost(bytes))
 		return r.P.Now()
@@ -90,13 +87,7 @@ func (r *Rank) sendCost(dst, bytes int) sim.Time {
 // passes to the receiver).
 func (r *Rank) Send(dst int, data []float64) {
 	avail := r.sendCost(dst, len(data)*8)
-	r.W.box(r.ID, dst) <- message{data: data, bytes: len(data) * 8, availAt: avail}
-}
-
-// SendI64 transmits an int64 payload to dst.
-func (r *Rank) SendI64(dst int, data []int64) {
-	avail := r.sendCost(dst, len(data)*8)
-	r.W.box(r.ID, dst) <- message{ints: data, bytes: len(data) * 8, availAt: avail}
+	r.W.box(r.ID, dst) <- message{data: data, availAt: avail}
 }
 
 // Recv receives the next float64 payload from src (blocking, in-order).
@@ -105,14 +96,6 @@ func (r *Rank) Recv(src int) []float64 {
 	r.P.AdvanceTo(m.availAt)
 	r.P.Advance(r.W.Fab.P.CacheHit)
 	return m.data
-}
-
-// RecvI64 receives the next int64 payload from src.
-func (r *Rank) RecvI64(src int) []int64 {
-	m := <-r.W.box(src, r.ID)
-	r.P.AdvanceTo(m.availAt)
-	r.P.Advance(r.W.Fab.P.CacheHit)
-	return m.ints
 }
 
 // Barrier synchronizes all ranks (cost of a binomial dissemination barrier).

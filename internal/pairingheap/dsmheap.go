@@ -86,15 +86,6 @@ func (h *DSMHeap) Insert(t *core.Thread, key int64) {
 	t.SetI64(h.meta, mSize, t.GetI64(h.meta, mSize)+1)
 }
 
-// Min returns the minimum key without removing it.
-func (h *DSMHeap) Min(t *core.Thread) (int64, bool) {
-	root := t.GetI64(h.meta, mRoot)
-	if root == nilRef {
-		return 0, false
-	}
-	return h.key(t, root), true
-}
-
 // ExtractMin removes and returns the minimum key. The caller must hold the
 // protecting lock.
 func (h *DSMHeap) ExtractMin(t *core.Thread) (int64, bool) {

@@ -56,15 +56,15 @@ func NewWorld(fab *fabric.Fabric, ranksPerNode int) *World {
 	}
 }
 
-// NodeOf returns the node rank r runs on.
-func (w *World) NodeOf(r int) int { return r / w.RanksPerNode }
+// nodeOf returns the node rank r runs on.
+func (w *World) nodeOf(r int) int { return r / w.RanksPerNode }
 
 // Run launches one goroutine per rank and returns the makespan.
 func (w *World) Run(body func(r *Rank)) sim.Time {
 	ranks := make([]*Rank, w.Size)
 	procs := make([]*sim.Proc, w.Size)
 	for i := 0; i < w.Size; i++ {
-		p := w.Fab.Topo.NewProc(w.NodeOf(i), i%w.RanksPerNode)
+		p := w.Fab.Topo.NewProc(w.nodeOf(i), i%w.RanksPerNode)
 		ranks[i] = &Rank{W: w, ID: i, P: p}
 		procs[i] = p
 	}
@@ -122,11 +122,8 @@ func newShared[T int64 | float64](w *World, n int) *Shared[T] {
 	return s
 }
 
-// Len returns the array length.
-func (s *Shared[T]) Len() int { return s.n }
-
-// OwnerOf returns the rank owning element i.
-func (s *Shared[T]) OwnerOf(i int) int { return i / s.blk }
+// ownerOf returns the rank owning element i.
+func (s *Shared[T]) ownerOf(i int) int { return i / s.blk }
 
 // BlockRange returns the element range [lo,hi) owned by rank.
 func (s *Shared[T]) BlockRange(rank int) (lo, hi int) {
@@ -144,7 +141,7 @@ func (s *Shared[T]) BlockRange(rank int) (lo, hi int) {
 // remoteAccessCost charges a fine-grained relaxed access to owner's block.
 func (r *Rank) remoteAccessCost(owner int, bytes int) {
 	pp := r.W.Fab.P
-	ownNode := r.W.NodeOf(owner)
+	ownNode := r.W.nodeOf(owner)
 	if ownNode == r.P.Node {
 		r.P.Advance(pp.DRAMLatency)
 		return
@@ -160,7 +157,7 @@ func (r *Rank) remoteAccessCost(owner int, bytes int) {
 
 // Get reads element i (fine-grained; remote if not owned by r).
 func (s *Shared[T]) Get(r *Rank, i int) T {
-	o := s.OwnerOf(i)
+	o := s.ownerOf(i)
 	if o == r.ID {
 		r.P.Advance(r.W.Fab.P.CacheHit)
 	} else {
@@ -172,7 +169,7 @@ func (s *Shared[T]) Get(r *Rank, i int) T {
 
 // Put writes element i (fine-grained; remote if not owned by r).
 func (s *Shared[T]) Put(r *Rank, i int, v T) {
-	o := s.OwnerOf(i)
+	o := s.ownerOf(i)
 	if o == r.ID {
 		r.P.Advance(r.W.Fab.P.CacheHit)
 	} else {
@@ -195,7 +192,7 @@ func (s *Shared[T]) GetBlock(r *Rank, lo, hi int, dst []T) {
 	}
 	i := lo
 	for i < hi {
-		o := s.OwnerOf(i)
+		o := s.ownerOf(i)
 		blo, bhi := s.BlockRange(o)
 		end := bhi
 		if end > hi {
@@ -205,7 +202,7 @@ func (s *Shared[T]) GetBlock(r *Rank, lo, hi int, dst []T) {
 		if o == r.ID {
 			r.P.Advance(r.W.Fab.P.CopyCost(n * 8))
 		} else {
-			r.W.Fab.RemoteRead(r.P, r.W.NodeOf(o), n*8, uint64(o))
+			r.W.Fab.RemoteRead(r.P, r.W.nodeOf(o), n*8, uint64(o))
 		}
 		copy(dst[i-lo:], s.blocks[o][i-blo:end-blo])
 		i = end
@@ -217,7 +214,7 @@ func (s *Shared[T]) PutBlock(r *Rank, lo int, src []T) {
 	i := lo
 	hi := lo + len(src)
 	for i < hi {
-		o := s.OwnerOf(i)
+		o := s.ownerOf(i)
 		blo, bhi := s.BlockRange(o)
 		end := bhi
 		if end > hi {
@@ -227,7 +224,7 @@ func (s *Shared[T]) PutBlock(r *Rank, lo int, src []T) {
 		if o == r.ID {
 			r.P.Advance(r.W.Fab.P.CopyCost(n * 8))
 		} else {
-			r.W.Fab.RemoteWrite(r.P, r.W.NodeOf(o), n*8, uint64(o))
+			r.W.Fab.RemoteWrite(r.P, r.W.nodeOf(o), n*8, uint64(o))
 		}
 		copy(s.blocks[o][i-blo:end-blo], src[i-lo:i-lo+n])
 		i = end

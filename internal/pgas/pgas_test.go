@@ -21,7 +21,7 @@ func TestBlockDistribution(t *testing.T) {
 	// ceil(10/4)=3: blocks 3,3,3,1
 	wantOwners := []int{0, 0, 0, 1, 1, 1, 2, 2, 2, 3}
 	for i, want := range wantOwners {
-		if got := s.OwnerOf(i); got != want {
+		if got := s.ownerOf(i); got != want {
 			t.Fatalf("owner of %d = %d, want %d", i, got, want)
 		}
 	}

@@ -9,20 +9,20 @@ import (
 // per node, so the threads of different nodes do not contend, with a cap on
 // each lane beyond which records are counted and dropped. A nil *Lanes holds
 // nothing and ignores appends.
-type Lanes[T Ordered] struct {
+type Lanes[T ordered] struct {
 	mu    sync.Mutex
 	lanes map[int]*lane[T]
 	limit int
 }
 
-type lane[T Ordered] struct {
+type lane[T ordered] struct {
 	mu    sync.Mutex
 	recs  []T
 	drops int
 }
 
 // NewLanes creates a buffer keeping at most limit records per node.
-func NewLanes[T Ordered](limit int) *Lanes[T] {
+func NewLanes[T ordered](limit int) *Lanes[T] {
 	return &Lanes[T]{lanes: map[int]*lane[T]{}, limit: limit}
 }
 
@@ -103,12 +103,12 @@ func (b *Lanes[T]) Reset() {
 // then what tells two records of one instant on one lane apart.
 type Order [9]int64
 
-// Ordered is what a Lanes buffer holds.
-type Ordered interface{ Order() Order }
+// ordered is what a Lanes buffer holds.
+type ordered interface{ Order() Order }
 
 // Sort sorts recs into the canonical order. It is total up to records equal in
 // every field, so equal multisets sort to equal slices.
-func Sort[T Ordered](recs []T) {
+func Sort[T ordered](recs []T) {
 	slices.SortFunc(recs, func(a, b T) int {
 		x, y := a.Order(), b.Order()
 		return slices.Compare(x[:], y[:])

@@ -165,7 +165,7 @@ func TestPlanRejectsHopelessSchedules(t *testing.T) {
 		t.Fatalf("total loss inside an idle walk: err = %v", err)
 	}
 
-	forever := health.New(3, fault.NewBuilder(1).Partition(1, 1).MustPlan(), nil)
+	forever := health.New(3, mustPlan("partition=1,partdur=1,seed=1"), nil)
 	if _, err := Plan(forever, counters(2, 2)); err == nil || !strings.Contains(err.Error(), "not converging") {
 		t.Fatalf("a window on every episode: err = %v", err)
 	}
@@ -224,8 +224,8 @@ func runCounters(plan *fault.Plan, fail *bump) (counterRun, *core.Cluster, error
 // fault-free answer and a replayable decision history, through Replay.
 func TestRunAndReplayCounters(t *testing.T) {
 	for _, plan := range []fault.Plan{
-		fault.NewBuilder(3).Crash(0.05).MinEpoch(1).MustPlan(),
-		fault.NewBuilder(5).Drop(0.01).Crash(0.06).Restart().MinEpoch(1).Partition(0.15, 2).MustPlan(),
+		mustPlan("crash=0.05,crashminepoch=1,seed=3"),
+		mustPlan("drop=0.01,crash=0.06,crashrestart=on,crashminepoch=1,partition=0.15,partdur=2,seed=5"),
 	} {
 		run, err := Replay(func(p *fault.Plan) (counterRun, error) {
 			run, _, err := runCounters(p, nil)
@@ -247,7 +247,7 @@ func TestRunAndReplayCounters(t *testing.T) {
 // it keeps attending barriers with no further work, its peers finish, and the
 // cluster is left consistent.
 func TestRunReturnsTaskErrorAndTerminates(t *testing.T) {
-	plan := fault.NewBuilder(3).Crash(0.05).MinEpoch(1).MustPlan()
+	plan := mustPlan("crash=0.05,crashminepoch=1,seed=3")
 	for _, p := range []*fault.Plan{nil, &plan} {
 		_, c, err := runCounters(p, &bump{phase: 2, cell: 7})
 		if err == nil || !strings.Contains(err.Error(), "task {2 7} failed") {
@@ -292,4 +292,13 @@ func TestReplayVerdicts(t *testing.T) {
 			t.Errorf("runs %v: err = %v, want %q", tc.runs, err, tc.want)
 		}
 	}
+}
+
+// mustPlan parses a fault-plan spec the test wrote out itself.
+func mustPlan(spec string) fault.Plan {
+	plan, err := fault.ParsePlan(spec)
+	if err != nil {
+		panic(err)
+	}
+	return plan
 }

@@ -80,11 +80,8 @@ type Topology struct {
 	CoresPerSocket int
 }
 
-// CoresPerNode returns the number of cores in one node.
-func (t Topology) CoresPerNode() int { return t.Sockets * t.CoresPerSocket }
-
-// TotalCores returns the number of cores in the whole system.
-func (t Topology) TotalCores() int { return t.Nodes * t.CoresPerNode() }
+// coresPerNode returns the number of cores in one node.
+func (t Topology) coresPerNode() int { return t.Sockets * t.CoresPerSocket }
 
 // Validate reports whether the topology is usable.
 func (t Topology) Validate() error {
@@ -102,7 +99,7 @@ func (t Topology) Validate() error {
 // only after a socket is full (compact placement, like taskset on the
 // paper's Opteron nodes).
 func (t Topology) NewProc(n, lt int) *Proc {
-	core := lt % t.CoresPerNode()
+	core := lt % t.coresPerNode()
 	return &Proc{
 		Node:   n,
 		Socket: core / t.CoresPerSocket,
@@ -131,11 +128,11 @@ type Resource struct {
 	slack Time // idle time before the horizon available for backfill
 }
 
-// MaxSlack bounds the backfill window: it should cover the virtual-clock
+// maxSlack bounds the backfill window: it should cover the virtual-clock
 // skew between concurrently executing threads (so out-of-order arrivals do
 // not fabricate queueing) without letting a long-idle server absorb an
 // arbitrarily large burst at one instant.
-const MaxSlack Time = 200_000
+const maxSlack Time = 200_000
 
 // Occupy reserves the resource for service nanoseconds starting no earlier
 // than the caller's current virtual time, advances the caller's clock to the
@@ -153,8 +150,8 @@ func (r *Resource) OccupyAt(p *Proc, at, service Time) Time {
 	case at >= r.free:
 		// The server is idle at the arrival: the gap becomes slack.
 		r.slack += at - r.free
-		if r.slack > MaxSlack {
-			r.slack = MaxSlack
+		if r.slack > maxSlack {
+			r.slack = maxSlack
 		}
 		done = at + service
 		r.free = done
@@ -213,9 +210,6 @@ func NewBarrier(n int) *Barrier {
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
-
-// N returns the participant count.
-func (b *Barrier) N() int { return b.n }
 
 // Wait blocks until all n participants have called Wait, then releases all
 // of them with their clocks set to max(arrival) + exitCost.
@@ -298,6 +292,3 @@ func (g *Group) MaxNow() Time {
 	}
 	return max
 }
-
-// Procs returns the underlying procs.
-func (g *Group) Procs() []*Proc { return g.procs }

@@ -40,11 +40,8 @@ func TestTopologyPlacement(t *testing.T) {
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := topo.CoresPerNode(); got != 16 {
-		t.Fatalf("CoresPerNode = %d, want 16", got)
-	}
-	if got := topo.TotalCores(); got != 32 {
-		t.Fatalf("TotalCores = %d, want 32", got)
+	if got := topo.coresPerNode(); got != 16 {
+		t.Fatalf("coresPerNode = %d, want 16", got)
 	}
 	// Compact placement: threads 0..3 socket 0, 4..7 socket 1, ...
 	for lt := 0; lt < 16; lt++ {

@@ -29,17 +29,17 @@ type Step struct {
 	Cat Category `json:"cat"`
 	// ByCat is the full breakdown of a lane step (zero for edge steps,
 	// whose whole duration goes to Cat).
-	ByCat [NumCategories]int64 `json:"by_cat,omitempty"`
+	ByCat [numCategories]int64 `json:"by_cat,omitempty"`
 }
 
-// Dur is the step's length in virtual ns.
-func (s Step) Dur() int64 { return s.End - s.Start }
+// dur is the step's length in virtual ns.
+func (s Step) dur() int64 { return s.End - s.Start }
 
 // Report is the result of critical-path analysis: the longest weighted path
 // through the makespan, with every nanosecond attributed.
 type Report struct {
 	Makespan    int64                `json:"makespan"`
-	Attribution [NumCategories]int64 `json:"attribution"`
+	Attribution [numCategories]int64 `json:"attribution"`
 	Steps       []Step               `json:"steps"`
 
 	// MatchedEdges counts sub records across the whole DAG (not just the
@@ -50,9 +50,9 @@ type Report struct {
 	Spans         int `json:"spans"`
 }
 
-// AttributionTotal sums the attribution vector; by construction it equals
+// attributionTotal sums the attribution vector; by construction it equals
 // Makespan exactly.
-func (r *Report) AttributionTotal() int64 {
+func (r *Report) attributionTotal() int64 {
 	var t int64
 	for _, v := range r.Attribution {
 		t += v
@@ -60,13 +60,13 @@ func (r *Report) AttributionTotal() int64 {
 	return t
 }
 
-// TopSegments returns the k longest steps of the path, longest first, with
+// topSegments returns the k longest steps of the path, longest first, with
 // deterministic tie-breaking (earlier start, then lane order).
-func (r *Report) TopSegments(k int) []Step {
+func (r *Report) topSegments(k int) []Step {
 	out := append([]Step(nil), r.Steps...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		if d1, d2 := a.Dur(), b.Dur(); d1 != d2 {
+		if d1, d2 := a.dur(), b.dur(); d1 != d2 {
 			return d1 > d2
 		}
 		if a.Start != b.Start {
@@ -218,7 +218,7 @@ type lane struct {
 
 // accumulate adds the lane's paint over [a, b] into acc and byCat. Parts of
 // the interval beyond the paint's coverage count as Compute.
-func (l *lane) accumulate(a, b int64, acc *[NumCategories]int64) {
+func (l *lane) accumulate(a, b int64, acc *[numCategories]int64) {
 	if b <= a {
 		return
 	}
@@ -249,7 +249,7 @@ func (l *lane) accumulate(a, b int64, acc *[NumCategories]int64) {
 
 // dominant returns the category with the largest share of acc, lowest
 // category winning ties.
-func dominant(acc [NumCategories]int64) Category {
+func dominant(acc [numCategories]int64) Category {
 	best, bestV := Compute, int64(-1)
 	for c, v := range acc {
 		if v > bestV {
@@ -272,7 +272,7 @@ func Analyze(recs []Record, makespan int64) (*Report, error) {
 		return nil, errors.New("span: empty record set (no probes attached?)")
 	}
 	sorted := append([]Record(nil), recs...)
-	SortRecords(sorted)
+	sortRecords(sorted)
 
 	lanes := map[laneKey]*lane{}
 	pubs := map[pubKey][]Record{} // in canonical (time) order
@@ -386,7 +386,7 @@ func Analyze(recs []Record, makespan int64) (*Report, error) {
 		}
 		if !found {
 			// Head of the path: everything before t is this lane's paint.
-			var acc [NumCategories]int64
+			var acc [numCategories]int64
 			cur.accumulate(0, t, &acc)
 			steps = append(steps, Step{
 				Node: cur.key.node, Tid: cur.key.tid, Start: 0, End: t,
@@ -394,7 +394,7 @@ func Analyze(recs []Record, makespan int64) (*Report, error) {
 			})
 			break
 		}
-		var acc [NumCategories]int64
+		var acc [numCategories]int64
 		cur.accumulate(chosen.T, t, &acc)
 		steps = append(steps, Step{
 			Node: cur.key.node, Tid: cur.key.tid, Start: chosen.T, End: t,
@@ -422,7 +422,7 @@ func Analyze(recs []Record, makespan int64) (*Report, error) {
 	}
 	for _, s := range steps {
 		if s.Edge {
-			rep.Attribution[s.Cat] += s.Dur()
+			rep.Attribution[s.Cat] += s.dur()
 		} else {
 			for c, v := range s.ByCat {
 				rep.Attribution[c] += v
@@ -431,7 +431,7 @@ func Analyze(recs []Record, makespan int64) (*Report, error) {
 	}
 	rep.Steps = steps
 
-	if got := rep.AttributionTotal(); got != makespan {
+	if got := rep.attributionTotal(); got != makespan {
 		return rep, fmt.Errorf("span: attribution %d != makespan %d", got, makespan)
 	}
 	return rep, nil

@@ -13,7 +13,7 @@ import (
 // the analyzer can take.
 func Flows(recs []Record) []trace.Flow {
 	sorted := append([]Record(nil), recs...)
-	SortRecords(sorted)
+	sortRecords(sorted)
 	pubs := map[pubKey][]Record{}
 	var subs []Record
 	for _, r := range sorted {

@@ -17,7 +17,7 @@ func WriteReport(w io.Writer, rep *Report, k int) error {
 		rep.MatchedEdges, rep.UnmatchedSubs, rep.Spans)
 
 	fmt.Fprintf(w, "\nattribution (sums to makespan):\n")
-	for c := Category(0); int(c) < NumCategories; c++ {
+	for c := Category(0); c < numCategories; c++ {
 		v := rep.Attribution[c]
 		if v == 0 {
 			continue
@@ -25,17 +25,17 @@ func WriteReport(w io.Writer, rep *Report, k int) error {
 		fmt.Fprintf(w, "  %-12s %14d ns  %5.1f%%\n", c, v, 100*float64(v)/float64(rep.Makespan))
 	}
 	fmt.Fprintf(w, "  %-12s %14d ns  (makespan %d, Δ %d)\n", "total",
-		rep.AttributionTotal(), rep.Makespan, rep.Makespan-rep.AttributionTotal())
+		rep.attributionTotal(), rep.Makespan, rep.Makespan-rep.attributionTotal())
 
 	if k > 0 {
 		fmt.Fprintf(w, "\ntop %d path segments:\n", k)
-		for _, s := range rep.TopSegments(k) {
+		for _, s := range rep.topSegments(k) {
 			if s.Edge {
 				fmt.Fprintf(w, "  %10d ns  [%d:%d → %d:%d]  %-9s edge %s\n",
-					s.Dur(), s.FromNode, s.FromTid, s.Node, s.Tid, s.Cat, s.Kind)
+					s.dur(), s.FromNode, s.FromTid, s.Node, s.Tid, s.Cat, s.Kind)
 			} else {
 				fmt.Fprintf(w, "  %10d ns  [%d:%d]          %-9s lane\n",
-					s.Dur(), s.Node, s.Tid, s.Cat)
+					s.dur(), s.Node, s.Tid, s.Cat)
 			}
 		}
 	}

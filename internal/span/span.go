@@ -73,9 +73,6 @@ func (c Category) String() string {
 	return "category?"
 }
 
-// NumCategories is the size of the category vocabulary (for report arrays).
-const NumCategories = int(numCategories)
-
 // EdgeKind classifies a causal edge's synchronization mechanism.
 type EdgeKind uint8
 
@@ -150,8 +147,8 @@ func (r Record) Order() probe.Order {
 	return probe.Order{r.T, int64(r.Node), int64(r.Tid), int64(r.Type), int64(r.Kind), int64(r.Key), r.Start, int64(r.Cat), r.Arg}
 }
 
-// SortRecords sorts recs into the canonical order used by Records.
-func SortRecords(recs []Record) { probe.Sort(recs) }
+// sortRecords sorts recs into the canonical order used by Records.
+func sortRecords(recs []Record) { probe.Sort(recs) }
 
 // view is Pictor's projection of one probe kind. A fact that took virtual
 // time paints its thread's lane with cat over [Start, T), Arg riding along;

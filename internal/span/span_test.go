@@ -112,7 +112,7 @@ func TestAnalyzeHandoff(t *testing.T) {
 	if rep.Makespan != 100 || rep.MatchedEdges != 1 || rep.UnmatchedSubs != 0 {
 		t.Fatalf("report header: %+v", rep)
 	}
-	if got := rep.AttributionTotal(); got != 100 {
+	if got := rep.attributionTotal(); got != 100 {
 		t.Fatalf("attribution total %d != makespan 100", got)
 	}
 	if rep.Attribution[Remote] != 70 || rep.Attribution[LockWait] != 30 {
@@ -182,8 +182,8 @@ func TestAnalyzeUnmatchedSub(t *testing.T) {
 	if rep.MatchedEdges != 0 || rep.UnmatchedSubs != 1 {
 		t.Fatalf("edges: %+v", rep)
 	}
-	if rep.AttributionTotal() != 40 {
-		t.Fatalf("attribution total %d", rep.AttributionTotal())
+	if rep.attributionTotal() != 40 {
+		t.Fatalf("attribution total %d", rep.attributionTotal())
 	}
 }
 
@@ -203,8 +203,8 @@ func TestAnalyzeSelfEdgeTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.AttributionTotal() != 60 {
-		t.Fatalf("attribution total %d", rep.AttributionTotal())
+	if rep.attributionTotal() != 60 {
+		t.Fatalf("attribution total %d", rep.attributionTotal())
 	}
 }
 

@@ -36,8 +36,8 @@ func CrashKindName(kind int64) string {
 	return fmt.Sprintf("kind(%d)", kind)
 }
 
-// Format renders one event of Events as a line of the text trace.
-func Format(e probe.Event) string {
+// format renders one event of Events as a line of the text trace.
+func format(e probe.Event) string {
 	var dur string
 	if e.Dur() > 0 {
 		dur = fmt.Sprintf(" dur=%d", e.Dur())
@@ -113,7 +113,7 @@ func (t *Tracer) Summary() map[probe.Kind]int {
 // WriteText dumps the merged trace, one event per line.
 func (t *Tracer) WriteText(w io.Writer) error {
 	for _, e := range t.Events() {
-		if _, err := fmt.Fprintln(w, Format(e)); err != nil {
+		if _, err := fmt.Fprintln(w, format(e)); err != nil {
 			return err
 		}
 	}

@@ -107,11 +107,11 @@ func TestWriters(t *testing.T) {
 
 func TestEventStringDur(t *testing.T) {
 	e := probe.Event{Start: 7, T: 49, Node: 0, Kind: probe.SIFence}
-	if s := Format(e); !strings.Contains(s, "dur=42") {
+	if s := format(e); !strings.Contains(s, "dur=42") {
 		t.Fatalf("Format lost the duration: %q", s)
 	}
 	e.Start = e.T
-	if s := Format(e); strings.Contains(s, "dur=") {
+	if s := format(e); strings.Contains(s, "dur=") {
 		t.Fatalf("zero duration should be omitted: %q", s)
 	}
 }
@@ -150,7 +150,7 @@ func TestProjection(t *testing.T) {
 	if csv.String() != want {
 		t.Fatalf("csv:\n%s\nwant:\n%s", csv.String(), want)
 	}
-	if s := Format(tr.Events()[1]); !strings.Contains(s, "episode=7") || !strings.Contains(s, "point=lock") {
+	if s := format(tr.Events()[1]); !strings.Contains(s, "episode=7") || !strings.Contains(s, "point=lock") {
 		t.Fatalf("crash line: %q", s)
 	}
 }

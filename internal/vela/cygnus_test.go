@@ -83,7 +83,7 @@ func TestCrashStopSurvivorsReconfigure(t *testing.T) {
 			worst = d
 		}
 	}
-	b := NewHierBarrier(c, tpn)
+	b := newHierBarrier(c, tpn)
 	budget := 2*b.localCost + b.globalCost + c.Health.Timeout() + 20_000
 	if worst > budget {
 		t.Fatalf("crash episode took %d ns, budget %d ns (timeout %d)", worst, budget, c.Health.Timeout())
@@ -202,13 +202,13 @@ func TestFaultFreeBarrierUnchangedWhenUnarmed(t *testing.T) {
 	// A cluster with a plan but no crash rate must keep the plain
 	// fixed-count barrier (mem == nil), preserving fault-free timings.
 	c := crashCluster(2)
-	b := NewHierBarrier(c, 2)
+	b := newHierBarrier(c, 2)
 	if b.mem != nil {
 		t.Fatal("member barrier built without crash faults armed")
 	}
 	c2 := crashCluster(2)
 	c2.Health.ScheduleCrash(0, 99, true)
-	b2 := NewHierBarrier(c2, 2)
+	b2 := newHierBarrier(c2, 2)
 	if b2.mem == nil {
 		t.Fatal("member barrier not built after ScheduleCrash armed the detector")
 	}
@@ -572,7 +572,7 @@ func TestWalkStepsBesideMemberBarrier(t *testing.T) {
 		for e := 0; e < episodes; e++ {
 			th.Barrier()
 			if th.Rank == 0 {
-				seen[e] = th.Bar.(*HierBarrier).Members()
+				seen[e] = th.Bar.(*hierBarrier).Members()
 			}
 		}
 	})

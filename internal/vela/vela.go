@@ -20,10 +20,10 @@ import (
 	"argo/internal/sim"
 )
 
-// HierBarrier is the hierarchical DSM barrier. It also doubles as the
+// hierBarrier is the hierarchical DSM barrier. It also doubles as the
 // cluster's phase-reset collective (classification reset after program
 // initialization, and the decay-style adaptive reclassification extension).
-type HierBarrier struct {
+type hierBarrier struct {
 	c   *core.Cluster
 	tpn int
 
@@ -50,13 +50,13 @@ type HierBarrier struct {
 // DefaultBarrier is the default-barrier factory of every cluster
 // (core.Cluster.BarrierFactory): one hierarchical barrier per launch.
 func DefaultBarrier(c *core.Cluster, threadsPerNode int) core.BarrierWaiter {
-	return NewHierBarrier(c, threadsPerNode)
+	return newHierBarrier(c, threadsPerNode)
 }
 
-// NewHierBarrier builds the default barrier for a launch of threadsPerNode
+// newHierBarrier builds the default barrier for a launch of threadsPerNode
 // threads on every node of c.
-func NewHierBarrier(c *core.Cluster, threadsPerNode int) *HierBarrier {
-	b := &HierBarrier{
+func newHierBarrier(c *core.Cluster, threadsPerNode int) *hierBarrier {
+	b := &hierBarrier{
 		c:      c,
 		tpn:    threadsPerNode,
 		global: sim.NewBarrier(c.Cfg.Nodes),
@@ -77,18 +77,18 @@ func NewHierBarrier(c *core.Cluster, threadsPerNode int) *HierBarrier {
 	return b
 }
 
-var _ core.BarrierWaiter = (*HierBarrier)(nil)
+var _ core.BarrierWaiter = (*hierBarrier)(nil)
 
 // Wait performs one hierarchical barrier episode with full fence semantics
 // (SD before the global rendezvous, SI after).
-func (b *HierBarrier) Wait(t *core.Thread) { b.wait(t, false) }
+func (b *hierBarrier) Wait(t *core.Thread) { b.wait(t, false) }
 
 // WaitAndReset performs a barrier episode that additionally resets the data
 // classification cluster-wide: all page caches are flushed and dropped and
 // the Pyxis full-maps cleared. The paper performs exactly this at the end of
 // a program's initialization phase so init-time accesses do not pollute the
 // classification.
-func (b *HierBarrier) WaitAndReset(t *core.Thread) { b.wait(t, true) }
+func (b *hierBarrier) WaitAndReset(t *core.Thread) { b.wait(t, true) }
 
 // meet runs one rendezvous leg and returns the wait duration. The leg is
 // reported as an arrival (arrive is one of probe.ArriveLocal, ArriveGlobal,
@@ -97,7 +97,7 @@ func (b *HierBarrier) WaitAndReset(t *core.Thread) { b.wait(t, true) }
 // (node-local barriers use node+1, the global rendezvous 0, the reset
 // re-rendezvous 255) and the episode. Every participant arrives and departs,
 // so a departure joins to the last arrival — the causal source of the wake.
-func (b *HierBarrier) meet(t *core.Thread, arrive probe.Kind, point int, ep uint64, wait func()) sim.Time {
+func (b *hierBarrier) meet(t *core.Thread, arrive probe.Kind, point int, ep uint64, wait func()) sim.Time {
 	key := b.inst<<32 | uint64(point)<<24 | ep&0xffffff
 	a0 := t.P.Now()
 	b.c.Obs.Sync(t.P, a0, arrive, key, 0, 0)
@@ -106,7 +106,7 @@ func (b *HierBarrier) meet(t *core.Thread, arrive probe.Kind, point int, ep uint
 	return t.P.Now() - a0
 }
 
-func (b *HierBarrier) wait(t *core.Thread, forceReset bool) {
+func (b *hierBarrier) wait(t *core.Thread, forceReset bool) {
 	// The episode counter keys the barrier's rendezvous events and, under Cygnus,
 	// names the crash safe point; it advances whether or not faults are
 	// armed (nothing outside crash handling reads it, so fault-free runs
@@ -184,7 +184,7 @@ func (b *HierBarrier) wait(t *core.Thread, forceReset bool) {
 
 // Members returns the barrier's current membership view in ascending node
 // order (all nodes when crash faults are not armed).
-func (b *HierBarrier) Members() []int {
+func (b *hierBarrier) Members() []int {
 	if b.mem == nil {
 		out := make([]int, b.c.Cfg.Nodes)
 		for i := range out {
@@ -196,21 +196,21 @@ func (b *HierBarrier) Members() []int {
 }
 
 // Episodes returns the number of completed barrier episodes.
-func (b *HierBarrier) Episodes() int64 { return b.episodes.Load() }
+func (b *hierBarrier) Episodes() int64 { return b.episodes.Load() }
 
 // Resets returns the number of classification resets performed.
-func (b *HierBarrier) Resets() int64 { return b.resets.Load() }
+func (b *hierBarrier) Resets() int64 { return b.resets.Load() }
 
-var _ core.PhaseResetter = (*HierBarrier)(nil)
+var _ core.PhaseResetter = (*hierBarrier)(nil)
 
-var _ core.SafePointer = (*HierBarrier)(nil)
+var _ core.SafePointer = (*hierBarrier)(nil)
 
 // SafePoint delivers a pending crash verdict at a non-barrier safe point
 // (core.SafePointer). Locks and flags call it through Thread.CrashSafePoint;
 // it is a no-op unless Cygnus is armed AND the plan's crashpoints spec arms
 // this kind of point. See memberBarrier.safePoint for the schedule-identity
 // argument.
-func (b *HierBarrier) SafePoint(t *core.Thread, pt fault.SafePoint) {
+func (b *hierBarrier) SafePoint(t *core.Thread, pt fault.SafePoint) {
 	if b.mem != nil {
 		b.mem.safePoint(t, pt)
 	}

@@ -82,9 +82,9 @@ func TestWaitAndResetClearsClassification(t *testing.T) {
 
 func TestBarrierCountsEpisodes(t *testing.T) {
 	c := cluster(2)
-	var bar *HierBarrier
+	var bar *hierBarrier
 	c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-		bar = NewHierBarrier(c, tpn)
+		bar = newHierBarrier(c, tpn)
 		return bar
 	}
 	c.Run(2, func(th *core.Thread) {
@@ -154,9 +154,9 @@ func TestDecayResetHappens(t *testing.T) {
 	cfg.MemoryBytes = 4 << 20
 	cfg.DecayEpochs = 2
 	c := core.MustNewCluster(cfg)
-	var bar *HierBarrier
+	var bar *hierBarrier
 	c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
-		bar = NewHierBarrier(c, tpn)
+		bar = newHierBarrier(c, tpn)
 		return bar
 	}
 	xs := c.AllocI64(10)

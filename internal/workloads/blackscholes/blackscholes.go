@@ -25,12 +25,12 @@ type Params struct {
 // DefaultParams is the evaluation input.
 func DefaultParams() Params { return Params{Options: 1 << 17, Iters: 4} }
 
-// OpCost is the modeled computation time of pricing one option.
-const OpCost sim.Time = 250
+// opCost is the modeled computation time of pricing one option.
+const opCost sim.Time = 250
 
-// Input returns the deterministic parameters of option i, identical across
+// input returns the deterministic parameters of option i, identical across
 // all variants.
-func Input(i int) (s, k, r, v, t float64) {
+func input(i int) (s, k, r, v, t float64) {
 	h := func(m float64) float64 {
 		x := math.Mod(float64(i)*m+0.123456, 1)
 		return x
@@ -55,14 +55,14 @@ func table(n int) []float64 {
 		tab := make([]float64, n*6)
 		for i := 0; i < n; i++ {
 			o := tab[i*6 : i*6+6]
-			o[0], o[1], o[2], o[3], o[4] = Input(i)
+			o[0], o[1], o[2], o[3], o[4] = input(i)
 		}
 		return tab
 	})
 }
 
-// Price computes the Black-Scholes price of a European call.
-func Price(s, k, r, v, t float64) float64 {
+// price computes the Black-Scholes price of a European call.
+func price(s, k, r, v, t float64) float64 {
 	d1 := (math.Log(s/k) + (r+v*v/2)*t) / (v * math.Sqrt(t))
 	d2 := d1 - v*math.Sqrt(t)
 	cnd := func(x float64) float64 { return 0.5 * (1 + math.Erf(x/math.Sqrt2)) }
@@ -73,7 +73,7 @@ func Price(s, k, r, v, t float64) float64 {
 func Serial(p Params) []float64 {
 	out := make([]float64, p.Options)
 	for i := range out {
-		out[i] = Price(Input(i))
+		out[i] = price(input(i))
 	}
 	return out
 }
@@ -92,9 +92,9 @@ func RunLocal(p Params, threads int) wload.Result {
 		for it := 0; it < p.Iters; it++ {
 			for i := lo; i < hi; i++ {
 				o := tab[i*6 : i*6+6]
-				out[i] = Price(o[0], o[1], o[2], o[3], o[4])
+				out[i] = price(o[0], o[1], o[2], o[3], o[4])
 			}
-			lc.Compute(sim.Time(hi-lo) * OpCost)
+			lc.Compute(sim.Time(hi-lo) * opCost)
 			lc.Barrier()
 		}
 	})
@@ -125,9 +125,9 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 		for it := 0; it < p.Iters; it++ {
 			th.ReadF64s(data, lo*6, hi*6, buf)
 			for i := 0; i < cnt; i++ {
-				buf[i*6+5] = Price(buf[i*6], buf[i*6+1], buf[i*6+2], buf[i*6+3], buf[i*6+4])
+				buf[i*6+5] = price(buf[i*6], buf[i*6+1], buf[i*6+2], buf[i*6+3], buf[i*6+4])
 			}
-			th.Compute(sim.Time(cnt) * OpCost)
+			th.Compute(sim.Time(cnt) * opCost)
 			th.WriteF64s(data, lo*6, buf)
 			th.Barrier()
 		}
@@ -174,7 +174,7 @@ func RunMPI(nodes, rpn int, p Params) wload.Result {
 			base := r.ID * chunk
 			for i := 0; i < chunk; i++ {
 				if base+i < p.Options {
-					res[i] = Price(mine[0][i], mine[1][i], mine[2][i], mine[3][i], mine[4][i])
+					res[i] = price(mine[0][i], mine[1][i], mine[2][i], mine[3][i], mine[4][i])
 				}
 			}
 			cnt := chunk
@@ -184,7 +184,7 @@ func RunMPI(nodes, rpn int, p Params) wload.Result {
 					cnt = 0
 				}
 			}
-			r.Compute(sim.Time(cnt) * OpCost)
+			r.Compute(sim.Time(cnt) * opCost)
 			all = r.Gather(0, res)
 			r.Barrier()
 		}

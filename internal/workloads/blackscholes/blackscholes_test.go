@@ -12,22 +12,22 @@ func testParams() Params { return Params{Options: 4096, Iters: 2} }
 func TestPriceSanity(t *testing.T) {
 	// A call deep in the money is worth about S - K·e^{-rT}; far out of
 	// the money it is nearly worthless.
-	deep := Price(200, 50, 0.05, 0.2, 1)
+	deep := price(200, 50, 0.05, 0.2, 1)
 	if math.Abs(deep-(200-50*math.Exp(-0.05))) > 1 {
 		t.Fatalf("deep ITM price %v", deep)
 	}
-	if out := Price(10, 500, 0.05, 0.2, 0.5); out > 1e-6 {
+	if out := price(10, 500, 0.05, 0.2, 0.5); out > 1e-6 {
 		t.Fatalf("deep OTM price %v", out)
 	}
 	// Monotone in volatility.
-	if Price(100, 100, 0.03, 0.4, 1) <= Price(100, 100, 0.03, 0.1, 1) {
+	if price(100, 100, 0.03, 0.4, 1) <= price(100, 100, 0.03, 0.1, 1) {
 		t.Fatal("price not increasing in volatility")
 	}
 }
 
 func TestInputDeterministic(t *testing.T) {
-	s1, k1, r1, v1, t1 := Input(1234)
-	s2, k2, r2, v2, t2 := Input(1234)
+	s1, k1, r1, v1, t1 := input(1234)
+	s2, k2, r2, v2, t2 := input(1234)
 	if s1 != s2 || k1 != k2 || r1 != r2 || v1 != v2 || t1 != t2 {
 		t.Fatal("Input is not deterministic")
 	}

@@ -28,12 +28,12 @@ type Params struct {
 // DefaultParams is the evaluation input.
 func DefaultParams() Params { return Params{N: 65536, PerRow: 32, Iters: 8} }
 
-// FlopCost is the modeled cost of one sparse multiply-add.
-const FlopCost sim.Time = 5
+// flopCost is the modeled cost of one sparse multiply-add.
+const flopCost sim.Time = 5
 
-// UPCFlopFactor reflects the optimized NAS-UPC implementation's lower
+// upcFlopFactor reflects the optimized NAS-UPC implementation's lower
 // per-flop constant (the paper's single-node advantage).
-const UPCFlopFactor = 0.8
+const upcFlopFactor = 0.8
 
 // Sparse is a CSR matrix.
 type Sparse struct {
@@ -123,9 +123,9 @@ func buildMatrix(p Params) *Sparse {
 	return s
 }
 
-// RHS returns the deterministic right-hand side, shared and immutable like
+// rhs returns the deterministic right-hand side, shared and immutable like
 // the matrix: callers copy it before they update it.
-func RHS(n int) []float64 { return rhss.Get(n, buildRHS) }
+func rhs(n int) []float64 { return rhss.Get(n, buildRHS) }
 
 func buildRHS(n int) []float64 {
 	b := make([]float64, n)
@@ -162,7 +162,7 @@ func (s *Sparse) maxRow(lo, hi int) int {
 func Serial(p Params) []float64 {
 	s := BuildMatrix(p)
 	n := p.N
-	b := RHS(n)
+	b := rhs(n)
 	x := make([]float64, n)
 	r := append([]float64(nil), b...)
 	d := append([]float64(nil), b...)
@@ -201,7 +201,7 @@ func RunLocal(p Params, threads int) wload.Result {
 	sm := BuildMatrix(p)
 	n := p.N
 	m := wload.NewLocalMachine(wload.Net())
-	b := RHS(n)
+	b := rhs(n)
 	x := make([]float64, n)
 	r := append([]float64(nil), b...)
 	d := append([]float64(nil), b...)
@@ -230,7 +230,7 @@ func RunLocal(p Params, threads int) wload.Result {
 		}
 		for it := 0; it < p.Iters; it++ {
 			flops := sm.spmvRows(q, d, lo, hi)
-			lc.Compute(sim.Time(flops) * FlopCost)
+			lc.Compute(sim.Time(flops) * flopCost)
 			partsA[lc.ID] = pdot(d, q)
 			lc.Barrier()
 			var dq float64
@@ -306,7 +306,7 @@ func runArgo(cfg core.Config, p Params, tpn int, spmv func(s *Sparse, th *core.T
 	gx := c.AllocF64(n) // solution   (block-private pages)
 	gq := c.AllocF64(n) // A·d        (block-private pages)
 	gparts := c.AllocF64(2 * nt)
-	b := RHS(n)
+	b := rhs(n)
 	c.InitF64(gd, b)
 	c.InitF64(gr, b)
 
@@ -346,7 +346,7 @@ func runArgo(cfg core.Config, p Params, tpn int, spmv func(s *Sparse, th *core.T
 			// Own block of d, used by the dot products and updates below.
 			th.ReadF64s(gd, lo, hi, d)
 			flops := spmv(sm, th, gd, q, row, lo, hi)
-			th.Compute(sim.Time(flops) * FlopCost)
+			th.Compute(sim.Time(flops) * flopCost)
 			th.WriteF64s(gq, lo, q)
 			th.WriteF64(gparts.At(nt+th.Rank), pdotLocal(d, q))
 			th.Barrier()
@@ -390,8 +390,8 @@ func RunUPC(nodes, rpn int, p Params) wload.Result {
 	gd := w.NewSharedF64(n)
 	gx := w.NewSharedF64(n)
 	var check float64
-	flop := sim.Time(math.Round(float64(FlopCost) * UPCFlopFactor))
-	b := RHS(n)
+	flop := sim.Time(math.Round(float64(flopCost) * upcFlopFactor))
+	b := rhs(n)
 
 	t := w.Run(func(r0 *pgas.Rank) {
 		lo, hi := gd.BlockRange(r0.ID)

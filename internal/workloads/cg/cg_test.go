@@ -57,7 +57,7 @@ func TestCGConverges(t *testing.T) {
 	p := Params{N: 512, PerRow: 6, Iters: 25}
 	s := BuildMatrix(p)
 	x := Serial(p)
-	b := RHS(p.N)
+	b := rhs(p.N)
 	// Residual of the returned solution must be much smaller than |b|.
 	q := make([]float64, p.N)
 	s.spmvRows(q, x, 0, p.N)
@@ -252,7 +252,7 @@ func TestSpMVGatherBitIdentical(t *testing.T) {
 // inputDigest is an FNV-1a of every byte of the shared inputs of p.
 func inputDigest(p Params) uint64 {
 	s, h := BuildMatrix(p), fnv.New64a()
-	for _, arr := range []any{s.RowPtr, s.ColIdx, s.Val, RHS(p.N)} {
+	for _, arr := range []any{s.RowPtr, s.ColIdx, s.Val, rhs(p.N)} {
 		if err := binary.Write(h, binary.LittleEndian, arr); err != nil {
 			panic(err)
 		}
@@ -265,7 +265,7 @@ func inputDigest(p Params) uint64 {
 // byte of either — and what they share is still the oracle's matrix.
 func TestRunnersOnlyReadSharedInputs(t *testing.T) {
 	p := testParams()
-	sm, b, want := BuildMatrix(p), RHS(p.N), inputDigest(p)
+	sm, b, want := BuildMatrix(p), rhs(p.N), inputDigest(p)
 	for _, family := range []struct {
 		name string
 		run  func()
@@ -276,7 +276,7 @@ func TestRunnersOnlyReadSharedInputs(t *testing.T) {
 		{"RunUPC", func() { RunUPC(2, 2, p) }},
 	} {
 		family.run()
-		if BuildMatrix(p) != sm || &RHS(p.N)[0] != &b[0] {
+		if BuildMatrix(p) != sm || &rhs(p.N)[0] != &b[0] {
 			t.Fatalf("%s: the inputs were rebuilt for parameters that did not change", family.name)
 		}
 		if got := inputDigest(p); got != want {

@@ -25,18 +25,18 @@ type Params struct {
 // DefaultParams is the evaluation input.
 func DefaultParams() Params { return Params{Chunks: 4096, PairsPerChunk: 256} }
 
-// PairCost is the modeled cost of generating and classifying one pair.
-const PairCost sim.Time = 60
+// pairCost is the modeled cost of generating and classifying one pair.
+const pairCost sim.Time = 60
 
-// Partial is one chunk's contribution.
-type Partial struct {
+// partial is one chunk's contribution.
+type partial struct {
 	Q      [10]float64
 	Sx, Sy float64
 }
 
-// ChunkPartial computes chunk c's contribution (deterministic).
-func ChunkPartial(c, pairs int) Partial {
-	var out Partial
+// chunkPartial computes chunk c's contribution (deterministic).
+func chunkPartial(c, pairs int) partial {
+	var out partial
 	// NAS-style multiplicative LCG, seeded per chunk.
 	seed := uint64(271828183)*uint64(c+1) + 31415926535
 	next := func() float64 {
@@ -65,9 +65,9 @@ func ChunkPartial(c, pairs int) Partial {
 	return out
 }
 
-// Combine folds a set of partials in chunk order.
-func Combine(parts []Partial) Partial {
-	var tot Partial
+// combine folds a set of partials in chunk order.
+func combine(parts []partial) partial {
+	var tot partial
 	for _, p := range parts {
 		tot.Sx += p.Sx
 		tot.Sy += p.Sy
@@ -78,8 +78,8 @@ func Combine(parts []Partial) Partial {
 	return tot
 }
 
-// CheckOf folds a total into the verification scalar.
-func CheckOf(t Partial) float64 {
+// checkOf folds a total into the verification scalar.
+func checkOf(t partial) float64 {
 	s := t.Sx + 3*t.Sy
 	for l := 0; l < 10; l++ {
 		s += float64(l+1) * t.Q[l]
@@ -88,12 +88,12 @@ func CheckOf(t Partial) float64 {
 }
 
 // Serial computes the reference total.
-func Serial(p Params) Partial {
-	parts := make([]Partial, p.Chunks)
+func Serial(p Params) partial {
+	parts := make([]partial, p.Chunks)
 	for c := range parts {
-		parts[c] = ChunkPartial(c, p.PairsPerChunk)
+		parts[c] = chunkPartial(c, p.PairsPerChunk)
 	}
-	return Combine(parts)
+	return combine(parts)
 }
 
 // RunSerial measures one thread on the local machine.
@@ -102,17 +102,17 @@ func RunSerial(p Params) wload.Result { return RunLocal(p, 1) }
 // RunLocal is the OpenMP baseline.
 func RunLocal(p Params, threads int) wload.Result {
 	m := wload.NewLocalMachine(wload.Net())
-	parts := make([]Partial, p.Chunks)
+	parts := make([]partial, p.Chunks)
 	var check float64
 	t := m.Run(threads, func(lc *wload.LocalCtx) {
 		lo, hi := wload.BlockRange(p.Chunks, threads, lc.ID)
 		for c := lo; c < hi; c++ {
-			parts[c] = ChunkPartial(c, p.PairsPerChunk)
+			parts[c] = chunkPartial(c, p.PairsPerChunk)
 		}
-		lc.Compute(sim.Time(hi-lo) * sim.Time(p.PairsPerChunk) * PairCost)
+		lc.Compute(sim.Time(hi-lo) * sim.Time(p.PairsPerChunk) * pairCost)
 		lc.Barrier()
 		if lc.ID == 0 {
-			check = CheckOf(Combine(parts))
+			check = checkOf(combine(parts))
 			lc.Compute(sim.Time(p.Chunks) * 12)
 		}
 		lc.Barrier()
@@ -130,16 +130,16 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 
 	time := c.Run(tpn, func(th *core.Thread) {
 		lo, hi := wload.BlockRange(p.Chunks, nt, th.Rank)
-		var mine Partial
+		var mine partial
 		for ch := lo; ch < hi; ch++ {
-			pt := ChunkPartial(ch, p.PairsPerChunk)
+			pt := chunkPartial(ch, p.PairsPerChunk)
 			mine.Sx += pt.Sx
 			mine.Sy += pt.Sy
 			for l := 0; l < 10; l++ {
 				mine.Q[l] += pt.Q[l]
 			}
 		}
-		th.Compute(sim.Time(hi-lo) * sim.Time(p.PairsPerChunk) * PairCost)
+		th.Compute(sim.Time(hi-lo) * sim.Time(p.PairsPerChunk) * pairCost)
 		row := make([]float64, 12)
 		row[0], row[1] = mine.Sx, mine.Sy
 		copy(row[2:], mine.Q[:])
@@ -160,12 +160,12 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 		th.Barrier()
 	})
 	out := c.DumpF64(gout)
-	var tot Partial
+	var tot partial
 	tot.Sx, tot.Sy = out[0], out[1]
 	copy(tot.Q[:], out[2:])
 	return wload.Result{
 		System: "argo", Nodes: cfg.Nodes, Threads: nt, Time: time,
-		Check: CheckOf(tot), Stats: c.Stats(),
+		Check: checkOf(tot), Stats: c.Stats(),
 	}
 }
 
@@ -177,25 +177,25 @@ func RunUPC(nodes, rpn int, p Params) wload.Result {
 	var check float64
 	t := w.Run(func(r *pgas.Rank) {
 		lo, hi := wload.BlockRange(p.Chunks, size, r.ID)
-		var mine Partial
+		var mine partial
 		for ch := lo; ch < hi; ch++ {
-			pt := ChunkPartial(ch, p.PairsPerChunk)
+			pt := chunkPartial(ch, p.PairsPerChunk)
 			mine.Sx += pt.Sx
 			mine.Sy += pt.Sy
 			for l := 0; l < 10; l++ {
 				mine.Q[l] += pt.Q[l]
 			}
 		}
-		r.Compute(sim.Time(hi-lo) * sim.Time(p.PairsPerChunk) * PairCost)
+		r.Compute(sim.Time(hi-lo) * sim.Time(p.PairsPerChunk) * pairCost)
 		vec := make([]float64, 12)
 		vec[0], vec[1] = mine.Sx, mine.Sy
 		copy(vec[2:], mine.Q[:])
 		out := w.AllreduceVec(r, vec)
-		var tot Partial
+		var tot partial
 		tot.Sx, tot.Sy = out[0], out[1]
 		copy(tot.Q[:], out[2:])
 		if r.ID == 0 {
-			check = CheckOf(tot)
+			check = checkOf(tot)
 		}
 	})
 	return wload.Result{System: "upc", Nodes: nodes, Threads: size, Time: t, Check: check}

@@ -14,12 +14,12 @@ func approx(a, b float64) bool {
 }
 
 func TestChunkDeterministic(t *testing.T) {
-	a := ChunkPartial(7, 128)
-	b := ChunkPartial(7, 128)
+	a := chunkPartial(7, 128)
+	b := chunkPartial(7, 128)
 	if a != b {
 		t.Fatal("chunk partial not deterministic")
 	}
-	c := ChunkPartial(8, 128)
+	c := chunkPartial(8, 128)
 	if a == c {
 		t.Fatal("different chunks produced identical partials")
 	}
@@ -50,7 +50,7 @@ func TestGaussianCountsPlausible(t *testing.T) {
 
 func TestVariantsAgree(t *testing.T) {
 	p := testParams()
-	want := CheckOf(Serial(p))
+	want := checkOf(Serial(p))
 	if r := RunLocal(p, 4); !approx(r.Check, want) {
 		t.Fatalf("local check %v != serial %v", r.Check, want)
 	}

@@ -163,7 +163,7 @@ func RunCrash(p CrashParams) (CrashReport, error) {
 	}
 	ga := c.AllocF64(n * n)
 	c.InitF64(ga, input(n))
-	blockCost := sim.Time(b) * sim.Time(b) * sim.Time(b) * FlopCost
+	blockCost := sim.Time(b) * sim.Time(b) * sim.Time(b) * flopCost
 
 	makespan, out, err := recovery.Run(c, script, func(th *core.Thread) func(luTask) error {
 		get := func(dst []float64, bi, bj int) {

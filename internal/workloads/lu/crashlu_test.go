@@ -27,7 +27,7 @@ func TestCrashLUFaultFreeMatchesSerial(t *testing.T) {
 // Crash-stop deaths mid-factorization: repairs restore the bit-exact
 // fault-free matrix, and same-seed replays agree on everything.
 func TestCrashLUReplayCrashes(t *testing.T) {
-	plan := fault.NewBuilder(20150615).Crash(0.06).MinEpoch(1).MustPlan()
+	plan := mustPlan("crash=0.06,crashminepoch=1,seed=20150615")
 	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestCrashLUReplayCrashes(t *testing.T) {
 // Partial partitions: both sides idle through the cut, the minority heals
 // without excision, and the matrix still matches fault-free bit for bit.
 func TestCrashLUReplayPartitions(t *testing.T) {
-	plan := fault.NewBuilder(7).Partition(0.15, 2).MustPlan()
+	plan := mustPlan("partition=0.15,partdur=2,seed=7")
 	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestCrashLUReplayPartitions(t *testing.T) {
 // Crashes and partitions under one plan: heal-vs-excise decisions serialize
 // at the membership barrier and stay bit-identical across replays.
 func TestCrashLUReplayMixed(t *testing.T) {
-	plan := fault.NewBuilder(11).Crash(0.05).MinEpoch(1).Partition(0.12, 1).MustPlan()
+	plan := mustPlan("crash=0.05,crashminepoch=1,partition=0.12,partdur=1,seed=11")
 	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestCrashLUReplayMixed(t *testing.T) {
 // restart rendezvous serializes every rejoin past the in-flight reset —
 // same-seed runs agree on digests and the full decision history.
 func TestCrashLUReplayRestarts(t *testing.T) {
-	plan := fault.NewBuilder(20150615).Crash(0.06).Restart().MinEpoch(1).MustPlan()
+	plan := mustPlan("crash=0.06,crashrestart=on,crashminepoch=1,seed=20150615")
 	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestCrashLUReplayRestarts(t *testing.T) {
 // the target stays a full member, and the factorization still recovers the
 // bit-exact fault-free matrix with a deterministic decision history.
 func TestCrashLUReplayOneWayCut(t *testing.T) {
-	plan := fault.NewBuilder(7).Partition(0.15, 2).MustPlan()
+	plan := mustPlan("partition=0.15,partdur=2,seed=7")
 	plan.PartitionOneWay = true
 	plan.PartitionFrom, plan.PartitionTo = 1, 4
 	rep, err := ReplayCheck(DefaultCrashParams(), plan)
@@ -123,10 +123,7 @@ func TestCrashLUReplayOneWayCut(t *testing.T) {
 // fault-free image and bit-exact same-seed replay must survive the
 // composition.
 func TestCrashLUReplayRestartOneWayMixed(t *testing.T) {
-	plan := fault.NewBuilder(13).
-		Drop(0.005).
-		Crash(0.05).Restart().MinEpoch(1).At(fault.SafeLock|fault.SafeFlag).
-		Partition(0.1, 1).MustPlan()
+	plan := mustPlan("drop=0.005,crash=0.05,crashrestart=on,crashminepoch=1,crashpoints=lock+flag,partition=0.1,partdur=1,seed=13")
 	plan.PartitionOneWay = true
 	plan.PartitionFrom, plan.PartitionTo = 2, 0
 	rep, err := ReplayCheck(DefaultCrashParams(), plan)
@@ -136,4 +133,13 @@ func TestCrashLUReplayRestartOneWayMixed(t *testing.T) {
 	if rep.Deaths == 0 && rep.Partitions == 0 {
 		t.Fatal("mixed plan injected neither restarts nor cuts")
 	}
+}
+
+// mustPlan parses a fault-plan spec the test wrote out itself.
+func mustPlan(spec string) fault.Plan {
+	plan, err := fault.ParsePlan(spec)
+	if err != nil {
+		panic(err)
+	}
+	return plan
 }

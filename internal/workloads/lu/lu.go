@@ -24,8 +24,8 @@ type Params struct {
 // DefaultParams is the evaluation input.
 func DefaultParams() Params { return Params{N: 384, Block: 32} }
 
-// FlopCost is the modeled cost of one multiply-add in the block kernels.
-const FlopCost sim.Time = 6
+// flopCost is the modeled cost of one multiply-add in the block kernels.
+const flopCost sim.Time = 6
 
 // matrices holds the input of the last dimension asked for (wload.Memo),
 // shared by every runner, sweep point and repetition of that size.
@@ -35,9 +35,9 @@ var matrices wload.Memo[int, []float64]
 // only copy it into home memory.
 func input(n int) []float64 { return matrices.Get(n, buildMatrix) }
 
-// Matrix returns the deterministic, diagonally dominant input matrix, as a
+// matrix returns the deterministic, diagonally dominant input matrix, as a
 // copy the caller owns: Serial and RunLocal factor it in place.
-func Matrix(n int) []float64 { return append([]float64(nil), input(n)...) }
+func matrix(n int) []float64 { return append([]float64(nil), input(n)...) }
 
 func buildMatrix(n int) []float64 {
 	a := make([]float64, n*n)
@@ -138,7 +138,7 @@ func mulSub(c, a, bb []float64, b int) {
 // reference for the parallel variants).
 func Serial(p Params) []float64 {
 	n, b := p.N, p.Block
-	a := Matrix(n)
+	a := matrix(n)
 	nb := n / b
 	get := func(bi, bj int) []float64 {
 		blk := make([]float64, b*b)
@@ -190,7 +190,7 @@ func RunLocal(p Params, threads int) wload.Result {
 	}
 	nb := n / b
 	m := wload.NewLocalMachine(wload.Net())
-	a := Matrix(n)
+	a := matrix(n)
 	get := func(dst []float64, bi, bj int) {
 		for r := 0; r < b; r++ {
 			copy(dst[r*b:(r+1)*b], a[(bi*b+r)*n+bj*b:(bi*b+r)*n+bj*b+b])
@@ -202,7 +202,7 @@ func RunLocal(p Params, threads int) wload.Result {
 		}
 	}
 	owner := func(bi, bj int) int { return (bi*nb + bj) % threads }
-	blockCost := sim.Time(b) * sim.Time(b) * sim.Time(b) * FlopCost
+	blockCost := sim.Time(b) * sim.Time(b) * sim.Time(b) * flopCost
 
 	t := m.Run(threads, func(lc *wload.LocalCtx) {
 		diag := make([]float64, b*b)
@@ -282,7 +282,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 
 	nt := cfg.Nodes * tpn
 	owner := func(bi, bj int) int { return (bi*nb + bj) % nt }
-	blockCost := sim.Time(b) * sim.Time(b) * sim.Time(b) * FlopCost
+	blockCost := sim.Time(b) * sim.Time(b) * sim.Time(b) * flopCost
 
 	time := c.Run(tpn, func(th *core.Thread) {
 		get := func(dst []float64, bi, bj int) {

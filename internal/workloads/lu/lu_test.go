@@ -15,7 +15,7 @@ func testParams() Params { return Params{N: 64, Block: 16} }
 func TestFactorizationCorrect(t *testing.T) {
 	p := Params{N: 32, Block: 8}
 	n := p.N
-	a := Matrix(n)
+	a := matrix(n)
 	f := Serial(p)
 	// Rebuild L (unit lower) and U (upper) from the packed factor.
 	prod := make([]float64, n*n)
@@ -92,7 +92,7 @@ func TestArgoMigratoryTraffic(t *testing.T) {
 // lossyPlan makes RunCrash repair lost kernels, the path on which it re-reads
 // the most.
 func lossyPlan() *fault.Plan {
-	plan := fault.NewBuilder(20150615).Crash(0.06).MinEpoch(1).MustPlan()
+	plan := mustPlan("crash=0.06,crashminepoch=1,seed=20150615")
 	return &plan
 }
 
@@ -116,7 +116,7 @@ func TestRunnersOnlyReadSharedInput(t *testing.T) {
 			}
 		}
 	}
-	if m := Matrix(n); &m[0] == &shared[0] || wload.Digest(digestBasis, m) != want {
+	if m := matrix(n); &m[0] == &shared[0] || wload.Digest(digestBasis, m) != want {
 		t.Fatal("Matrix must return a copy of the shared input that the caller owns")
 	}
 	crash := DefaultCrashParams()

@@ -30,15 +30,15 @@ func SmallParams() Params { return Params{N: 96} }
 // LargeParams is the "5000×5000" role input (scaled to simulator size).
 func LargeParams() Params { return Params{N: 288} }
 
-// FlopCost is the modeled cost of one multiply-add of the naive algorithm.
-const FlopCost sim.Time = 8
+// flopCost is the modeled cost of one multiply-add of the naive algorithm.
+const flopCost sim.Time = 8
 
-// MPIFlopFactor scales the MPI port's compute cost (its blocked layout is
+// mpiFlopFactor scales the MPI port's compute cost (its blocked layout is
 // faster per flop, as in the paper's single-node comparison).
-const MPIFlopFactor = 0.7
+const mpiFlopFactor = 0.7
 
-// Element returns the deterministic A/B input values, identical everywhere.
-func Element(which, i, j, n int) float64 {
+// element returns the deterministic A/B input values, identical everywhere.
+func element(which, i, j, n int) float64 {
 	x := float64((i*131071+j*524287+which*8191)%1000)/1000.0 - 0.5
 	return x
 }
@@ -70,7 +70,7 @@ func makeMatrix(which, n int) []float64 {
 	m := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			m[i*n+j] = Element(which, i, j, n)
+			m[i*n+j] = element(which, i, j, n)
 		}
 	}
 	return m
@@ -103,7 +103,7 @@ func RunLocal(p Params, threads int) wload.Result {
 	t := m.Run(threads, func(lc *wload.LocalCtx) {
 		lo, hi := wload.BlockRange(n, threads, lc.ID)
 		mulRows(c, a, b, lo, hi, n)
-		lc.Compute(sim.Time(hi-lo) * sim.Time(n) * sim.Time(n) * FlopCost)
+		lc.Compute(sim.Time(hi-lo) * sim.Time(n) * sim.Time(n) * flopCost)
 		lc.Barrier()
 	})
 	return wload.Result{System: "local", Nodes: 1, Threads: threads, Time: t, Check: wload.Checksum(c)}
@@ -153,7 +153,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 				}
 				th.WriteF64s(gc, gi, crow)
 			}
-			th.Compute(sim.Time(rows) * sim.Time(n) * FlopCost)
+			th.Compute(sim.Time(rows) * sim.Time(n) * flopCost)
 		}
 		th.Barrier()
 	})
@@ -173,7 +173,7 @@ func RunMPI(nodes, rpn int, p Params) wload.Result {
 	rowsPer := (n + size - 1) / size
 	chunk := rowsPer * n
 	var check float64
-	flop := sim.Time(math.Round(float64(FlopCost) * MPIFlopFactor))
+	flop := sim.Time(math.Round(float64(flopCost) * mpiFlopFactor))
 	t := w.Run(func(r *mpi.Rank) {
 		var apad, bpad []float64
 		// Large-message broadcast of B: scatter + ring allgather.

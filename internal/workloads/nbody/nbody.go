@@ -25,16 +25,16 @@ type Params struct {
 // DefaultParams is the evaluation input.
 func DefaultParams() Params { return Params{Bodies: 2048, Steps: 3} }
 
-// InterCost is the modeled cost of one pairwise interaction.
-const InterCost sim.Time = 25
+// interCost is the modeled cost of one pairwise interaction.
+const interCost sim.Time = 25
 
 const (
 	dt  = 0.01
 	eps = 1e-2
 )
 
-// InitBody returns body i's deterministic initial state.
-func InitBody(i int) (px, py, vx, vy, mass float64) {
+// initBody returns body i's deterministic initial state.
+func initBody(i int) (px, py, vx, vy, mass float64) {
 	f := func(m float64) float64 { return math.Mod(float64(i)*m+0.5, 1) }
 	px = 10 * (f(0.6180339887) - 0.5)
 	py = 10 * (f(0.7548776662) - 0.5)
@@ -57,7 +57,7 @@ func initialState(n int) *bodies {
 	return initial.Get(n, func(n int) *bodies {
 		b := &bodies{make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)}
 		for i := 0; i < n; i++ {
-			b.px[i], b.py[i], b.vx[i], b.vy[i], b.mass[i] = InitBody(i)
+			b.px[i], b.py[i], b.vx[i], b.vy[i], b.mass[i] = initBody(i)
 		}
 		return b
 	})
@@ -90,7 +90,7 @@ func Serial(p Params) ([]float64, []float64) {
 	vy := make([]float64, n)
 	mass := make([]float64, n)
 	for i := 0; i < n; i++ {
-		px[i], py[i], vx[i], vy[i], mass[i] = InitBody(i)
+		px[i], py[i], vx[i], vy[i], mass[i] = initBody(i)
 	}
 	fx := make([]float64, n)
 	fy := make([]float64, n)
@@ -106,8 +106,8 @@ func Serial(p Params) ([]float64, []float64) {
 	return px, py
 }
 
-// CheckOf folds final positions into the verification scalar.
-func CheckOf(px, py []float64) float64 {
+// checkOf folds final positions into the verification scalar.
+func checkOf(px, py []float64) float64 {
 	return wload.Checksum(px) + 3*wload.Checksum(py)
 }
 
@@ -127,7 +127,7 @@ func RunLocal(p Params, threads int) wload.Result {
 		fy := make([]float64, hi-lo)
 		for s := 0; s < p.Steps; s++ {
 			forcesFor(fx, fy, px, py, mass, lo, hi)
-			lc.Compute(sim.Time(hi-lo) * sim.Time(n) * InterCost)
+			lc.Compute(sim.Time(hi-lo) * sim.Time(n) * interCost)
 			lc.Barrier()
 			for i := lo; i < hi; i++ {
 				vx[i] += dt * fx[i-lo]
@@ -138,7 +138,7 @@ func RunLocal(p Params, threads int) wload.Result {
 			lc.Barrier()
 		}
 	})
-	return wload.Result{System: "local", Nodes: 1, Threads: threads, Time: t, Check: CheckOf(px, py)}
+	return wload.Result{System: "local", Nodes: 1, Threads: threads, Time: t, Check: checkOf(px, py)}
 }
 
 // RunArgo runs the simulation on the DSM.
@@ -174,7 +174,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 			th.ReadF64s(gpx, 0, n, px)
 			th.ReadF64s(gpy, 0, n, py)
 			forcesFor(fx, fy, px, py, mass, lo, hi)
-			th.Compute(sim.Time(cnt) * sim.Time(n) * InterCost)
+			th.Compute(sim.Time(cnt) * sim.Time(n) * interCost)
 			th.Barrier()
 			// Velocities live in global memory too; their pages stay
 			// private to the owning node (exempt from SI under P/S3).
@@ -196,7 +196,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 	})
 	return wload.Result{
 		System: "argo", Nodes: cfg.Nodes, Threads: nt, Time: time,
-		Check: CheckOf(c.DumpF64(gpx), c.DumpF64(gpy)), Stats: c.Stats(),
+		Check: checkOf(c.DumpF64(gpx), c.DumpF64(gpy)), Stats: c.Stats(),
 	}
 }
 
@@ -229,7 +229,7 @@ func RunMPI(nodes, rpn int, p Params) wload.Result {
 		fy := make([]float64, cnt)
 		for s := 0; s < p.Steps; s++ {
 			forcesFor(fx, fy, px[:n], py[:n], in.mass, lo, hi)
-			r.Compute(sim.Time(cnt) * sim.Time(n) * InterCost)
+			r.Compute(sim.Time(cnt) * sim.Time(n) * interCost)
 			for i := 0; i < cnt; i++ {
 				vx[i] += dt * fx[i]
 				vy[i] += dt * fy[i]
@@ -243,7 +243,7 @@ func RunMPI(nodes, rpn int, p Params) wload.Result {
 			copy(py, r.AllgatherRing(myy))
 		}
 		if r.ID == 0 {
-			check = CheckOf(px[:n], py[:n])
+			check = checkOf(px[:n], py[:n])
 		}
 	})
 	return wload.Result{System: "mpi", Nodes: nodes, Threads: size, Time: t, Check: check}

@@ -23,7 +23,7 @@ func TestSerialConservesMomentumRoughly(t *testing.T) {
 func TestVariantsAgreeExactly(t *testing.T) {
 	p := testParams()
 	px, py := Serial(p)
-	want := CheckOf(px, py)
+	want := checkOf(px, py)
 	if r := RunLocal(p, 4); r.Check != want {
 		t.Fatalf("local check %v != serial %v", r.Check, want)
 	}
@@ -38,7 +38,7 @@ func TestVariantsAgreeExactly(t *testing.T) {
 func TestUnevenBodies(t *testing.T) {
 	p := Params{Bodies: 101, Steps: 2}
 	px, py := Serial(p)
-	want := CheckOf(px, py)
+	want := checkOf(px, py)
 	if r := RunLocal(p, 7); r.Check != want {
 		t.Fatalf("uneven local check %v != %v", r.Check, want)
 	}

@@ -34,16 +34,16 @@ func DefaultParams() Params {
 	return Params{OpsPerThread: 200, WorkUnits: 48, Preload: 512}
 }
 
-// WorkUnitCost is the modeled cost of one local work unit (two updates to
+// workUnitCost is the modeled cost of one local work unit (two updates to
 // a thread-local 64-integer array).
-const WorkUnitCost sim.Time = 8
+const workUnitCost sim.Time = 8
 
-// HeapOpCost is the modeled computation inside one heap operation
+// heapOpCost is the modeled computation inside one heap operation
 // (pointer chasing and comparisons, excluding data movement).
-const HeapOpCost sim.Time = 120
+const heapOpCost sim.Time = 120
 
-// HeapLines is how many migratory cache lines a heap operation touches.
-const HeapLines = 12
+// heapLines is how many migratory cache lines a heap operation touches.
+const heapLines = 12
 
 // Result of one microbenchmark run.
 type Result struct {
@@ -73,22 +73,17 @@ func localWork(p *sim.Proc, rng *rand.Rand, arr []int64, w int) {
 		arr[int(rng.Int63()>>32)&63]++
 		arr[int(rng.Int63()>>32)&63]--
 	}
-	p.Advance(sim.Time(w) * WorkUnitCost)
+	p.Advance(sim.Time(w) * workUnitCost)
 }
 
 // NativeLockKind names the Figure 11 contenders.
 type NativeLockKind string
 
-// The native lock algorithms under test (the paper's Figure 11 contenders
-// plus the other algorithms its §2.2 surveys).
+// The native lock algorithms under test (the paper's Figure 11 contenders).
 const (
 	NativePthread NativeLockKind = "pthreads"
-	NativeMCS     NativeLockKind = "mcs"
-	NativeCLH     NativeLockKind = "clh"
 	NativeCohort  NativeLockKind = "cohort"
 	NativeQD      NativeLockKind = "qd"
-	NativeHBO     NativeLockKind = "hbo"
-	NativeHCLH    NativeLockKind = "hclh"
 )
 
 // RunNative runs the single-machine benchmark (Figure 11) with the given
@@ -99,23 +94,15 @@ func RunNative(kind NativeLockKind, threads int, p Params) Result {
 	for i := 0; i < p.Preload; i++ {
 		heap.Insert(int64(i * 37 % p.Preload))
 	}
-	data := locks.NewMigratoryData(HeapLines, HeapOpCost)
+	data := locks.NewMigratoryData(heapLines, heapOpCost)
 
 	var qd *locks.QDLock
 	var plain locks.NativeLock
 	switch kind {
 	case NativePthread:
 		plain = locks.NewPthreadMutex(m.Fab)
-	case NativeMCS:
-		plain = locks.NewMCSLock(m.Fab)
-	case NativeCLH:
-		plain = locks.NewCLHLock(m.Fab)
 	case NativeCohort:
 		plain = locks.NewCohortLock(m.Fab, m.Topo.Sockets)
-	case NativeHBO:
-		plain = locks.NewHBOLock(m.Fab)
-	case NativeHCLH:
-		plain = locks.NewHCLHLock(m.Fab)
 	case NativeQD:
 		qd = locks.NewQDLock(m.Fab)
 	default:

@@ -14,7 +14,7 @@ func testParams() Params {
 
 func TestNativeAllLocksComplete(t *testing.T) {
 	p := testParams()
-	for _, kind := range []NativeLockKind{NativePthread, NativeMCS, NativeCLH, NativeCohort, NativeQD} {
+	for _, kind := range []NativeLockKind{NativePthread, NativeCohort, NativeQD} {
 		r := RunNative(kind, 8, p)
 		if r.Ops != int64(8*p.OpsPerThread) {
 			t.Fatalf("%s: ops = %d, want %d", kind, r.Ops, 8*p.OpsPerThread)
@@ -100,8 +100,8 @@ func TestLocalWorkStreamUnchanged(t *testing.T) {
 				t.Fatalf("seed %d: arr[%d] = %d, the Intn(64) loop leaves %d", seed, i, gotArr[i], wantArr[i])
 			}
 		}
-		if p.Now() != units*WorkUnitCost {
-			t.Fatalf("seed %d: charged %d ns, want %d", seed, p.Now(), units*WorkUnitCost)
+		if p.Now() != units*workUnitCost {
+			t.Fatalf("seed %d: charged %d ns, want %d", seed, p.Now(), units*workUnitCost)
 		}
 		if g, w := got.Int63(), want.Int63(); g != w {
 			t.Fatalf("seed %d: generator state diverged: next draw %d, want %d", seed, g, w)

@@ -110,17 +110,20 @@ func TestWithChaos(t *testing.T) {
 		t.Fatal("bad chaos spec accepted")
 	}
 
-	built := argo.NewChaosPlan(42).Crash(0.03).Partition(0.1, 2).Cut(2).MustPlan()
+	// The plan's two spellings meet: fields set on the default plan are what
+	// the spec parses to, and NewCluster takes either through Config.Faults.
+	built := argo.DefaultFaultPlan(42)
+	built.Crash, built.Partition, built.PartitionDur, built.PartitionCut = 0.03, 0.1, 2, 2
 	parsed, err := argo.ParseFaultPlan("crash=0.03,partition=0.1,partdur=2,partcut=2,seed=42")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if built != parsed {
-		t.Fatalf("builder plan %+v != parsed plan %+v", built, parsed)
+		t.Fatalf("struct plan %+v != parsed plan %+v", built, parsed)
 	}
 	cfg.Faults = &built
 	if _, err := argo.NewCluster(cfg); err != nil {
-		t.Fatalf("builder plan rejected by NewCluster: %v", err)
+		t.Fatalf("struct plan rejected by NewCluster: %v", err)
 	}
 }
 
