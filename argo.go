@@ -26,6 +26,7 @@
 //
 //	cfg := argo.DefaultConfig(4)            // 4 nodes × 16 cores
 //	cluster := argo.MustNewCluster(cfg)
+//	defer cluster.Close()                   // frames go to the next cluster
 //	xs := cluster.AllocF64(1 << 20)         // global array
 //	makespan := cluster.Run(15, func(t *argo.Thread) {
 //	    for i := t.Rank; i < xs.Len; i += t.NT {

@@ -29,6 +29,7 @@ func main() {
 	cfg := argo.DefaultConfig(3)
 	cfg.MemoryBytes = 16 << 20
 	cluster := argo.MustNewCluster(cfg)
+	defer cluster.Close()
 
 	raw := cluster.AllocF64(blocks * blockSize)      // stage 0 → 1
 	filtered := cluster.AllocF64(blocks * blockSize) // stage 1 → 2

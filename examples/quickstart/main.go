@@ -17,6 +17,7 @@ func main() {
 	cfg := argo.DefaultConfig(4) // 4 nodes × 16 cores, P/S3 classification
 	cfg.MemoryBytes = 16 << 20
 	cluster := argo.MustNewCluster(cfg)
+	defer cluster.Close()
 
 	const n = 1 << 16
 	xs := cluster.AllocF64(n)

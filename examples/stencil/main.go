@@ -48,6 +48,7 @@ func main() {
 	cfg := argo.DefaultConfig(4)
 	cfg.MemoryBytes = 8 << 20
 	cluster := argo.MustNewCluster(cfg)
+	defer cluster.Close()
 
 	grids := [2]argo.F64Slice{cluster.AllocF64(cells), cluster.AllocF64(cells)}
 	init := make([]float64, cells)

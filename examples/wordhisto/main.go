@@ -25,6 +25,7 @@ func main() {
 	cfg := argo.DefaultConfig(4)
 	cfg.MemoryBytes = 8 << 20
 	cluster := argo.MustNewCluster(cfg)
+	defer cluster.Close()
 
 	corpus := cluster.AllocPages(corpusBytes)
 	text := make([]byte, corpusBytes)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 
+	"argo/internal/mem"
 	"argo/internal/racetag"
 	"argo/internal/sim"
 	"argo/internal/sparse"
@@ -55,13 +56,16 @@ type Slot struct {
 	// speculative (always discarded) load into the buffer. PrepareRefill is
 	// its one reader (see tlb.go, pillar 2).
 	published bool
-	Data      []byte   // page content (lazily allocated, recycled across refills)
-	Twin      []byte   // pristine copy for diffing; non-nil only while Dirty
-	ReadyAt   sim.Time // virtual time at which the content became available
-	WBTries   int      // writeback attempts lost so far (Corvus fault identity)
+	// Data is the page content: a frame from mem's pool, taken at the slot's
+	// first refill and kept across refills until the cache's PutFrames.
+	Data    []byte
+	Twin    []byte   // pristine copy for diffing; non-nil only while Dirty
+	ReadyAt sim.Time // virtual time at which the content became available
+	WBTries int      // writeback attempts lost so far (Corvus fault identity)
 
-	// twinBuf is the slot's twin buffer, allocated at its first write miss
-	// and kept across DropTwin and Invalidate; Twin aliases it while Dirty.
+	// twinBuf is the slot's twin frame, taken at its first write miss and
+	// kept across DropTwin and Invalidate until PutFrames; Twin aliases it
+	// while Dirty.
 	twinBuf []byte
 }
 
@@ -228,36 +232,58 @@ func (c *Cache) LockLine(l int) *Line {
 // maps to; the slot may currently hold a different page (conflict) or none.
 func (c *Cache) SlotOf(ln *Line, page int) *Slot { return &ln.slots[page%c.PagesPerLine] }
 
-// PrepareRefill gives s a Data buffer the caller may overwrite with any
-// page's content. The caller holds the line lock and has bumped the line
-// generation. The slot's existing buffer is reused in place — whichever page
-// it last held — so a steady-state miss allocates nothing. The one exception
-// is a race-detector build refilling a published buffer: the speculative load
-// a stale TLB entry may still issue into it is discarded by the seqlock
-// re-check, but the detector would report it against the refill's plain
-// stores, so there the stale entries keep the old buffer and the refill gets
-// a fresh one (see tlb.go, pillar 2).
+// PrepareRefill gives s a Data buffer the caller must overwrite with a page's
+// whole content before the slot leaves Invalid: its bytes are another page's,
+// of this cluster or — for a frame fresh from the pool — of a closed one. The
+// caller holds the line lock and has bumped the line generation. The slot's
+// existing buffer is reused in place — whichever page it last held — so a
+// steady-state miss allocates nothing. The one exception is a race-detector
+// build refilling a published buffer: the speculative load a stale TLB entry
+// may still issue into it is discarded by the seqlock re-check, but the
+// detector would report it against the refill's plain stores, so there the
+// stale entries keep the old buffer and the refill gets another frame (see
+// tlb.go, pillar 2).
 func (c *Cache) PrepareRefill(s *Slot) {
 	if s.Data == nil || (racetag.Enabled && s.published) {
-		s.Data = make([]byte, c.PageSize)
+		s.Data = mem.GetFrame(c.PageSize)
 		s.published = false
 	}
 }
 
-// EnsureTwin snapshots the slot's current data into its twin buffer.
+// EnsureTwin snapshots the slot's current data into its twin buffer, which
+// the copy overwrites whole, so the frame is taken uncleared.
 func (c *Cache) EnsureTwin(s *Slot) {
 	if s.twinBuf == nil {
-		s.twinBuf = make([]byte, c.PageSize)
+		s.twinBuf = mem.GetFrame(c.PageSize)
 	}
 	s.Twin = s.twinBuf
 	copy(s.Twin, s.Data)
 }
 
+// PutFrames hands every slot's data and twin frame to mem's frame pool,
+// walking only the lines that ever came into being. The caller guarantees that
+// no thread runs and no TLB built over the cache is used again
+// (core.Cluster.Close): only then can no stale entry load from a frame another
+// cluster is refilling. A frame a race-detector refill left to stale entries
+// is no slot's any more, so it is never handed back.
+func (c *Cache) PutFrames() {
+	c.lines.Chunks(func(_ int, chunk []Line) {
+		for i := range chunk {
+			for j := range chunk[i].slots {
+				s := &chunk[i].slots[j]
+				mem.PutFrame(s.Data)
+				mem.PutFrame(s.twinBuf)
+				s.Data, s.Twin, s.twinBuf, s.published = nil, nil, nil, false
+			}
+		}
+	})
+}
+
 // DropTwin retires the twin (after a writeback made the page clean). The
-// buffer stays with the slot for its next write miss.
+// frame stays with the slot for its next write miss.
 func (s *Slot) DropTwin() { s.Twin = nil }
 
-// Invalidate empties the slot. The Data and twin buffers stay with it for the
+// Invalidate empties the slot. The Data and twin frames stay with it for the
 // next refill and write miss.
 func (s *Slot) Invalidate() {
 	s.Page = -1

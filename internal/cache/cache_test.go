@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -469,4 +470,66 @@ func TestUsedLinesSnapshotAndRetire(t *testing.T) {
 	if got := c.AppendUsedLines(nil); len(got) != 1 {
 		t.Fatalf("occupied line retired: %v", got)
 	}
+}
+
+// PutFrames hands back every slot's data and twin frame — whatever state the
+// slot is in — and creates no line on the way; a cache built afterwards takes
+// those frames for the same refills and write misses instead of allocating.
+func TestFramePutFramesEmptiesSlots(t *testing.T) {
+	fill := func(c *Cache) {
+		for _, page := range []int{0, 1, 5, 40} {
+			ln := c.LockLine(c.LineOf(page))
+			s := c.SlotOf(ln, page)
+			s.Page = page
+			c.PrepareRefill(s)
+			s.St = Clean
+			if page != 5 {
+				c.EnsureTwin(s)
+				s.St = Dirty
+			}
+			if page == 40 {
+				s.DropTwin()
+				s.Invalidate()
+			}
+			ln.Unlock()
+		}
+	}
+	c := testCache()
+	fill(c)
+	tb := c.NewTLB(1)
+	ln := c.LockLine(0)
+	ln.FillTLB(tb, c.SlotOf(ln, 0))
+	ln.Unlock()
+	lines := 0
+	c.ForEachLine(func(int, []Slot) { lines++ })
+	c.PutFrames()
+	after := 0
+	c.ForEachLine(func(_ int, slots []Slot) {
+		after++
+		for _, s := range slots {
+			if s.Data != nil || s.Twin != nil || s.twinBuf != nil || s.published {
+				t.Fatalf("page %d kept a frame (data %v, twin %v, twin buffer %v, published %v)", s.Page, s.Data != nil, s.Twin != nil, s.twinBuf != nil, s.published)
+			}
+		}
+	})
+	if after != lines {
+		t.Fatalf("PutFrames walked into being %d lines beyond the %d that existed", after-lines, lines)
+	}
+	if racetag.Enabled {
+		return // the race detector's pool drops a quarter of what it is given
+	}
+	c2 := New(0, 4096, 8, 4, 16)
+	c2.LockLine(0).Unlock() // the lines fill touches exist
+	if got := allocatedBy(func() { fill(c2) }); got >= 4096 {
+		t.Fatalf("refilling from the frames of a closed cache allocated %d bytes, want no frame", got)
+	}
+}
+
+// allocatedBy returns the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
 }

@@ -30,8 +30,10 @@ package coherence
 // page lock orders the apply, and DRF guarantees no remote reader consumes
 // the bytes before the fence (and the release it implements) completes.
 //
-// None of this allocates in steady state: every slice a fence needs lives in
-// a fenceScratch record taken from a pool on entry and returned on exit.
+// In steady state a fence allocates nothing but the goroutines of a parallel
+// sweep, one closure per worker spawn: every slice a fence needs, and the
+// records and wait group of its sweep workers, live in a fenceScratch record
+// taken from a pool on entry and returned on exit.
 
 import (
 	"cmp"
@@ -68,11 +70,15 @@ func (n *Node) sweepWorkers(nl int) int {
 }
 
 // fenceScratch holds the slices one fence — or one worker of a parallel
-// sweep — works in, so that a steady-state fence allocates nothing. The
-// fencing thread takes a record from fenceScratchPool when the fence starts
-// and owns it until the fence returns; a parallel sweep takes one more per
-// worker, which the worker owns until the fencing thread has merged its
-// results after the join. Records go back to the pool with their slices'
+// sweep — works in, so that a steady-state fence allocates nothing but its
+// workers' goroutines. The fencing thread takes a record from
+// fenceScratchPool when the fence starts and owns it until the fence returns;
+// a parallel sweep's workers each own one of the records in its workers list
+// until the fencing thread has merged their results after the join. Worker
+// records stay with their fencing record, so every record's slices grow for
+// one role only; records the pool handed out for either role grew the slices
+// of both, postBurst's and the merge's among them, and regrew them whenever a
+// collection emptied the pool. Records go back to the pool with their slices'
 // capacity intact and their contents dead: every user reslices to [:0].
 type fenceScratch struct {
 	lines   []int             // used-line snapshot (a worker: its strided share)
@@ -85,17 +91,25 @@ type fenceScratch struct {
 
 	inv, kept int64    // SI sweep: pages invalidated / exempted
 	proc      sim.Proc // a parallel sweep worker's clone of the fencing clock
+
+	workers []*fenceScratch // a parallel sweep's worker records
+	wg      sync.WaitGroup  // joins them
 }
 
 var fenceScratchPool = sync.Pool{New: func() any { return new(fenceScratch) }}
 
-// getFenceScratch returns a scratch record with an empty downgrade list and
-// zero SI counts; the other slices are resliced by whoever fills them.
+// getFenceScratch returns a scratch record, reset.
 func getFenceScratch() *fenceScratch {
 	sc := fenceScratchPool.Get().(*fenceScratch)
+	sc.reset()
+	return sc
+}
+
+// reset empties the downgrade list and zeroes the SI counts; the other slices
+// are resliced by whoever fills them.
+func (sc *fenceScratch) reset() {
 	sc.items = sc.items[:0]
 	sc.inv, sc.kept = 0, 0
-	return sc
 }
 
 // sweep runs shard over the used lines snapshotted in sc.lines and leaves the
@@ -114,32 +128,36 @@ func (n *Node) sweep(p *sim.Proc, sc *fenceScratch, shard func(n *Node, wp *sim.
 		shard(n, p, sc.lines, sc)
 		return
 	}
-	workers := make([]*fenceScratch, nw)
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := range workers {
-		ws := getFenceScratch()
-		workers[w] = ws
+	for len(sc.workers) < nw {
+		sc.workers = append(sc.workers, new(fenceScratch))
+	}
+	workers := sc.workers[:nw]
+	sc.wg.Add(nw)
+	for w, ws := range workers {
+		ws.reset()
 		ws.proc = sim.Proc{Node: p.Node, Socket: p.Socket, Core: p.Core}
 		ws.proc.SetNow(p.Now())
 		ws.lines = ws.lines[:0]
 		for i := w; i < len(sc.lines); i += nw {
 			ws.lines = append(ws.lines, sc.lines[i])
 		}
-		go func() {
-			defer wg.Done()
-			shard(n, &ws.proc, ws.lines, ws)
-		}()
+		go ws.runShard(n, shard, &sc.wg)
 	}
-	wg.Wait()
+	sc.wg.Wait()
 	for _, ws := range workers {
 		p.AdvanceTo(ws.proc.Now())
 		p.Hits += ws.proc.Hits
 		sc.items = append(sc.items, ws.items...)
 		sc.inv += ws.inv
 		sc.kept += ws.kept
-		fenceScratchPool.Put(ws)
 	}
+}
+
+// runShard is a sweep worker's goroutine: shard over the worker's own lines,
+// on its own clock and in its own record.
+func (ws *fenceScratch) runShard(n *Node, shard func(n *Node, wp *sim.Proc, lines []int, sc *fenceScratch), wg *sync.WaitGroup) {
+	defer wg.Done()
+	shard(n, &ws.proc, ws.lines, ws)
 }
 
 // burstItem is one functionally-downgraded page awaiting its virtual post.

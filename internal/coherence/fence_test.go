@@ -201,6 +201,48 @@ func TestAllocFreeFencePair(t *testing.T) {
 	}
 }
 
+// TestAllocFenceParallelSweep: the same steady state on a sweep that shards
+// — 4·fenceShardMin used lines, FenceWorkers 4 — allocates at most one object
+// per worker a fence spawns (the goroutine's closure): the worker records,
+// their wait group and the merged downgrade list all live in the fencing
+// scratch record.
+func TestAllocFenceParallelSweep(t *testing.T) {
+	skipAllocTestUnderRace(t)
+	const workers = 4
+	r := bigRig(t, Options{Mode: ModePS3, FenceWorkers: workers}, nil)
+	pages := manyPages(workers * fenceShardMin)
+	n, p := r.nodes[0], r.procs[0]
+	if nl := len(n.Cache.AppendUsedLines(nil)); nl != 0 {
+		t.Fatalf("%d lines used before the first write", nl)
+	}
+	v := byte(0)
+	cycle := func() {
+		v++
+		for _, pg := range pages {
+			r.write64(0, mem.Addr(pg*4096), v)
+		}
+		n.SDFence(p) // downgrades every page
+		n.SIFence(p) // keeps every page: node 0 is their only writer
+	}
+	cycle()
+	if nw := n.sweepWorkers(len(n.Cache.AppendUsedLines(nil))); nw != workers {
+		t.Fatalf("the sweep runs %d workers, want %d: not the path under test", nw, workers)
+	}
+	before := r.fab.NodeStats(0).Snapshot()
+	if a := testing.AllocsPerRun(50, cycle); a > 2*workers {
+		t.Fatalf("write + SD fence + SI fence allocated %.1f times per cycle, want at most %d (one per worker of each fence)", a, 2*workers)
+	}
+	d := r.fab.NodeStats(0).Snapshot().Sub(before)
+	if n := int64(51 * len(pages)); d.Writebacks != n || d.SIFiltered != n || d.SelfInvalidations != 0 {
+		t.Fatalf("51 cycles made %d writebacks, %d kept, %d invalidations: not the path under test", d.Writebacks, d.SIFiltered, d.SelfInvalidations)
+	}
+	for _, pg := range pages {
+		if got := r.space.HomeBytes(pg)[0]; got != v {
+			t.Fatalf("home of page %d = %d, want %d", pg, got, v)
+		}
+	}
+}
+
 func TestSDFenceRetriesUnderDrop(t *testing.T) {
 	plan := &fault.Plan{Seed: 3, Drop: 0.4}
 	r := bigRig(t, Options{Mode: ModePS3}, plan)

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -203,6 +204,7 @@ type Cluster struct {
 	Health *health.Detector
 
 	runMu    sync.Mutex
+	closed   atomic.Bool // set by Close, under runMu
 	hits     atomic.Int64
 	epochs   atomic.Int64 // default-barrier episodes (drives decay)
 	syncKeys atomic.Uint64
@@ -291,11 +293,51 @@ func MustNewCluster(cfg Config) *Cluster {
 	return c
 }
 
+// errClosed is what a closed cluster's Run, Init*, Dump* and Alloc* panic
+// with.
+var errClosed = errors.New("core: cluster closed")
+
+// Close hands the cluster's page frames — every home page, and every cache
+// slot's copy and twin on every node — back to the process's frame pool
+// (mem.GetFrame), where the next cluster built takes them instead of
+// allocating its simulated memory anew. It walks only what the cluster
+// touched. Call it once the cluster's answers have been read: afterwards Run,
+// Init*, Dump* and Alloc* panic with a "cluster closed" error, and a slice
+// Space.HomeBytes returned must not be used, while Stats, Hits, FaultStats
+// and Health stay readable. A second Close does nothing; a Close while a Run
+// is in progress panics.
+func (c *Cluster) Close() {
+	if !c.runMu.TryLock() {
+		panic("core: Close during Run")
+	}
+	defer c.runMu.Unlock()
+	if c.closed.Swap(true) {
+		return
+	}
+	c.Space.PutFrames()
+	for _, n := range c.Nodes {
+		n.Cache.PutFrames()
+	}
+}
+
+// mustBeOpen panics if the cluster has been closed.
+func (c *Cluster) mustBeOpen() {
+	if c.closed.Load() {
+		panic(errClosed)
+	}
+}
+
 // Alloc reserves size bytes of global memory (8-byte aligned).
-func (c *Cluster) Alloc(size int64) mem.Addr { return c.Space.Alloc(size, 8) }
+func (c *Cluster) Alloc(size int64) mem.Addr {
+	c.mustBeOpen()
+	return c.Space.Alloc(size, 8)
+}
 
 // AllocPages reserves size bytes starting on a page boundary.
-func (c *Cluster) AllocPages(size int64) mem.Addr { return c.Space.AllocPageAligned(size) }
+func (c *Cluster) AllocPages(size int64) mem.Addr {
+	c.mustBeOpen()
+	return c.Space.AllocPageAligned(size)
+}
 
 // ResetVirtualState clears virtual-time residue (NIC occupancy, fetch
 // gates) and all cached pages + classification, making the next Run start
@@ -388,6 +430,7 @@ func (c *Cluster) Run(threadsPerNode int, body func(t *Thread)) sim.Time {
 func (c *Cluster) RunSeeded(threadsPerNode int, seed int64, body func(t *Thread)) sim.Time {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
+	c.mustBeOpen()
 	c.ResetVirtualState()
 
 	var bar BarrierWaiter
@@ -537,6 +580,7 @@ func (t *Thread) InitDone() {
 // InitBytes writes src directly into home memory starting at a, allocating
 // the pages it touches (mem: home memory materialises on first write).
 func (c *Cluster) InitBytes(a mem.Addr, src []byte) {
+	c.mustBeOpen()
 	ps := c.Space.PageSize
 	for len(src) > 0 {
 		page := c.Space.PageOf(a)
@@ -553,6 +597,7 @@ func (c *Cluster) InitBytes(a mem.Addr, src []byte) {
 }
 
 func (c *Cluster) dumpBytes(a mem.Addr, dst []byte) {
+	c.mustBeOpen()
 	ps := c.Space.PageSize
 	for len(dst) > 0 {
 		page := c.Space.PageOf(a)

@@ -5,6 +5,7 @@ import (
 
 	"argo/internal/cache"
 	"argo/internal/mem"
+	"argo/internal/racetag"
 	"argo/internal/sparse"
 )
 
@@ -40,28 +41,29 @@ func TestClusterCostsWhatItTouches(t *testing.T) {
 	}
 
 	// Every node reads the same P pages, which initialisation wrote. What is
-	// allocated beyond the pages' own bytes — the buffer and the home copy at
-	// initialisation, a cached copy per node in the run — is the launch and a
-	// few chunks per structure and node (about 0.45 MB), where one whole Pyxis
-	// map is 0.5 MB, the home page table 0.75 MB and a node's lines 2.1 MB.
-	// The exact chunk counts are pinned where they can be seen, in the tests
-	// of internal/directory, internal/mem and internal/cache.
-	const pages = 300
+	// allocated beyond the pages' own bytes — the home copy at initialisation,
+	// a cached copy per node in the run — is the launch and a few chunks per
+	// structure and node (about 0.5 MB), where one whole Pyxis map is 0.5 MB,
+	// the home page table 0.75 MB and a node's lines 2.1 MB. The exact chunk
+	// counts are pinned where they can be seen, in the tests of
+	// internal/directory, internal/mem and internal/cache.
+	const pages = 600
 	ps := mem.Addr(c4.Cfg.PageSize)
 	data := uint64(pages * ps)
+	src := make([]byte, pages*ps)
 	base := c4.AllocPages(pages * ps)
-	if got := allocatedBy(func() { c4.InitBytes(base, make([]byte, pages*ps)) }); got > 2*data+mb/16 {
-		t.Errorf("initialising %d pages allocated %.2f MB beyond their bytes, budget 1/16 MB", pages, float64(got-2*data)/mb)
+	if got := allocatedBy(func() { c4.InitBytes(base, src) }); got > data+mb/16 {
+		t.Errorf("initialising %d pages allocated %.2f MB beyond their bytes, budget 1/16 MB", pages, float64(got-data)/mb)
 	}
 	nodes := uint64(len(c4.Nodes))
-	got := allocatedBy(func() {
-		c4.Run(2, func(th *Thread) {
+	read := func(c *Cluster, base mem.Addr) {
+		c.Run(2, func(th *Thread) {
 			for pg := mem.Addr(th.Local); pg < pages; pg += 2 {
 				th.ReadU64(base + pg*ps)
 			}
 		})
-	})
-	if got > nodes*data+3*mb/4 {
+	}
+	if got := allocatedBy(func() { read(c4, base) }); got > nodes*data+3*mb/4 {
 		t.Errorf("reading %d pages on every node allocated %.2f MB beyond their bytes, budget 3/4 MB", pages, float64(got-nodes*data)/mb)
 	}
 	chunksFor := func(n int) int { return (n+sparse.ChunkLen-1)/sparse.ChunkLen + 1 }
@@ -71,5 +73,23 @@ func TestClusterCostsWhatItTouches(t *testing.T) {
 		if max := chunksFor(pages/c4.Cfg.PagesPerLine) * sparse.ChunkLen; lines == 0 || lines > max {
 			t.Errorf("node %d: %d cache lines exist for %d pages, want 1 to %d", n.ID, lines, pages, max)
 		}
+	}
+
+	// Closing hands the home and cached frames to the next cluster: the same
+	// build, initialisation and read again costs the skeleton and the launch,
+	// under an eighth of the frames the first cycle took. (The race detector's
+	// pool drops a quarter of what it is given, and its refills take fresh
+	// frames by design.)
+	c4.Close()
+	frames := (1 + nodes) * data
+	again := allocatedBy(func() {
+		c := MustNewCluster(DefaultConfig(4))
+		base := c.AllocPages(pages * ps)
+		c.InitBytes(base, src)
+		read(c, base)
+		c.Close()
+	})
+	if !racetag.Enabled && again > frames/8 {
+		t.Errorf("a second build, initialisation and read allocated %.2f MB, budget %.2f MB (an eighth of the %.2f MB of frames the first took)", float64(again)/mb, float64(frames/8)/mb, float64(frames)/mb)
 	}
 }

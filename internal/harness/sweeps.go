@@ -73,6 +73,7 @@ func fig7(w io.Writer, quick bool) {
 			}
 			lineTime = (th.P.Now() - t0) / lines
 		})
+		c.Close() // the next size's cluster takes its frames
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", size),
 			f1(mbps(size, lineTime)),

@@ -11,13 +11,15 @@
 // reader/writer lock, which models the DMA serialization a real NIC provides
 // and keeps concurrent writeback/fetch pairs race-free. The slice exists only
 // once the page has been written: NewSpace allocates no backing storage, the
-// first WritePageFull, Writeback, ApplyDiff or HomeBytes of a page allocates
-// it zeroed under the page's write lock, and a page nobody has written reads
-// as zeros without ever being allocated — a run pays for the home memory it
-// touches, not for the capacity it reserved. The page table itself (lock and
-// slice header per page) appears the same way, sparse.ChunkLen pages at a time
-// at the first write into the chunk. All costs are charged through the fabric
-// by the callers (cache/coherence layers).
+// first WritePageFull, Writeback, ApplyDiff or HomeBytes of a page takes a
+// frame from the process's frame pool (frame.go) and clears it under the
+// page's write lock, and a page nobody has written reads as zeros without ever
+// getting a frame — a run pays for the home memory it touches, not for the
+// capacity it reserved. PutFrames hands the frames back when the cluster
+// closes. The page table itself (lock and slice header per page) appears the
+// same way, sparse.ChunkLen pages at a time at the first write into the chunk.
+// All costs are charged through the fabric by the callers (cache/coherence
+// layers).
 package mem
 
 import (
@@ -151,15 +153,18 @@ func (s *Space) AllocPageAligned(size int64) Addr {
 	return s.Alloc(size, int64(s.PageSize))
 }
 
-// lockHome write-locks page p and returns it with its backing storage, which
-// is allocated zeroed at the page's first write. The caller unlocks pg.mu.
+// lockHome write-locks page p and returns it with its backing storage: a
+// frame taken at the page's first write and cleared, because the writers
+// overwrite only part of it and the rest must read as the zeros it held
+// unwritten. The caller unlocks pg.mu.
 func (s *Space) lockHome(p int) (pg *page, home []byte) {
 	if pg = s.pages.Peek(p); pg == nil {
 		pg = s.pages.At(p)
 	}
 	pg.mu.Lock()
 	if pg.data == nil {
-		pg.data = make([]byte, s.PageSize)
+		pg.data = GetFrame(s.PageSize)
+		clear(pg.data)
 	}
 	return pg, pg.data
 }
@@ -384,7 +389,9 @@ func (s *Space) ApplyDiff(p int, data, twin []byte) int {
 // HomeBytes exposes page p's backing slice for unlocked access, allocating
 // it if the page has never been written. It is intended for tests, for
 // zero-cost initialization and for building verification snapshots: the
-// returned slice may only be used while all simulated threads are quiesced.
+// returned slice may only be used while all simulated threads are quiesced,
+// and only until PutFrames (core.Cluster.Close) — the frame then belongs to
+// whichever page, cache slot or twin of whichever cluster takes it next.
 func (s *Space) HomeBytes(p int) []byte {
 	pg, home := s.lockHome(p)
 	pg.mu.Unlock()

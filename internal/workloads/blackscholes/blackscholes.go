@@ -114,6 +114,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 		cfg.MemoryBytes = need
 	}
 	c := wload.MustCluster(cfg)
+	defer c.Close()
 	data := c.AllocF64(n * 6)
 	c.InitF64(data, table(n))
 

@@ -301,6 +301,7 @@ func runArgo(cfg core.Config, p Params, tpn int, spmv func(s *Sparse, th *core.T
 		cfg.MemoryBytes = need
 	}
 	c := wload.MustCluster(cfg)
+	defer c.Close()
 	gd := c.AllocF64(n) // direction vector (shared, rewritten per iter)
 	gr := c.AllocF64(n) // residual   (block-private pages)
 	gx := c.AllocF64(n) // solution   (block-private pages)

@@ -116,6 +116,7 @@ func RunReport(pr Params) (Report, error) {
 	cfg.Net = wload.Net()
 	cfg.Faults = pr.Faults
 	c := wload.MustCluster(cfg)
+	defer c.Close()
 
 	xs := c.AllocI64(pr.Elements)
 	owner := ownerTable(pr, nt)
@@ -201,6 +202,7 @@ func RunFlagsReport(pr Params) (Report, error) {
 	cfg.Net = wload.Net()
 	cfg.Faults = pr.Faults
 	c := wload.MustCluster(cfg)
+	defer c.Close()
 	xs := c.AllocI64(pr.Elements)
 	nt := pr.Nodes * pr.TPN
 	flags := make([]*vela.Flag, nt)

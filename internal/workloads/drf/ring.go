@@ -168,6 +168,7 @@ func RunRing(pr RingParams) (RingReport, error) {
 	cfg.Net = wload.Net()
 	cfg.Faults = pr.Faults
 	c := wload.MustCluster(cfg)
+	defer c.Close()
 	script, err := recovery.Plan(c.Health, ringTable(pr.Nodes, pr.Epochs))
 	if err != nil {
 		return RingReport{}, fmt.Errorf("drf: ring: %w", err)

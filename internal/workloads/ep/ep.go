@@ -124,6 +124,7 @@ func RunLocal(p Params, threads int) wload.Result {
 // global memory; rank 0 combines after a barrier.
 func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 	c := wload.MustCluster(cfg)
+	defer c.Close()
 	nt := cfg.Nodes * tpn
 	gp := c.AllocF64(nt * 12) // [sx sy q0..q9] per thread
 	gout := c.AllocF64(12)

@@ -157,6 +157,7 @@ func RunCrash(p CrashParams) (CrashReport, error) {
 	cfg.Net = wload.Net()
 	cfg.Faults = p.Faults
 	c := wload.MustCluster(cfg)
+	defer c.Close()
 	script, err := recovery.Plan(c.Health, crashTable(nb))
 	if err != nil {
 		return CrashReport{}, fmt.Errorf("lu: crash plan: %w", err)

@@ -277,6 +277,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 		cfg.MemoryBytes = need
 	}
 	c := wload.MustCluster(cfg)
+	defer c.Close()
 	ga := c.AllocF64(n * n)
 	c.InitF64(ga, input(n))
 

@@ -117,6 +117,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 		cfg.MemoryBytes = need
 	}
 	c := wload.MustCluster(cfg)
+	defer c.Close()
 	ga := c.AllocF64(n * n)
 	gb := c.AllocF64(n * n)
 	gc := c.AllocF64(n * n)

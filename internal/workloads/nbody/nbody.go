@@ -145,6 +145,7 @@ func RunLocal(p Params, threads int) wload.Result {
 func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 	n := p.Bodies
 	c := wload.MustCluster(cfg)
+	defer c.Close()
 	gpx := c.AllocF64(n)
 	gpy := c.AllocF64(n)
 	gvx := c.AllocF64(n)

@@ -161,6 +161,7 @@ const (
 // Argo's global memory, threads across all nodes contend on one lock.
 func RunDSM(kind DSMLockKind, cfg core.Config, tpn int, p Params) Result {
 	c := wload.MustCluster(cfg)
+	defer c.Close()
 	heap := pairingheap.NewDSMHeap(c, p.Preload+cfg.Nodes*tpn*p.OpsPerThread+16)
 
 	var hqdl *locks.HQDLock
