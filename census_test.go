@@ -490,3 +490,70 @@ func TestOrphanExports(t *testing.T) {
 		t.Errorf("%s: exported, and nothing outside its package but tests uses it — delete it, unexport it, or give it a row in DESIGN §21 and testdata/exports_kept.txt", name)
 	}
 }
+
+// TestOnlySimulatedThreadsSpawn keeps the one goroutine the library starts
+// the one sim.Group.Run starts per simulated thread: any other would be host
+// concurrency that no virtual clock orders, which the sequencer of ROADMAP
+// item 1 could not hook. It parses the non-test Go under internal/ and in the
+// root package (cmd/ and benchmark/ are tools) and needs no -census flag.
+func TestOnlySimulatedThreadsSpawn(t *testing.T) {
+	const allowed = "internal/sim/sim.go: Group.Run"
+	fset := token.NewFileSet()
+	var spawns []string
+	scan := func(path string) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if _, ok := n.(*ast.GoStmt); ok {
+					spawns = append(spawns, fmt.Sprintf("%s: %s", filepath.ToSlash(path), name))
+				}
+				return true
+			})
+		}
+	}
+	nonTest := func(name string) bool { return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") }
+	roots, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range roots {
+		if nonTest(path) {
+			scan(path)
+		}
+	}
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && nonTest(d.Name()) {
+			scan(path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spawns) != 1 || spawns[0] != allowed {
+		t.Fatalf("go statements in library code: %v; want exactly one, in %s", spawns, allowed)
+	}
+}

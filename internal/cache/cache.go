@@ -165,8 +165,8 @@ func (c *Cache) MarkLineUsed(ln *Line) {
 
 // AppendUsedLines appends the occupied line indices, in first-use order, to
 // buf and returns it — a snapshot in the caller's buffer, so a fence that
-// keeps one allocates nothing. Fence sweeps shard the snapshot across
-// workers and lock each line themselves.
+// keeps one allocates nothing. Fence sweeps cut the snapshot into shards and
+// lock each line themselves.
 func (c *Cache) AppendUsedLines(buf []int) []int {
 	c.usedMu.Lock()
 	buf = append(buf, c.usedList...)

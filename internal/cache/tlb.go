@@ -87,7 +87,7 @@ package cache
 // refill, which bumps the generation first and so kills the entry. And an
 // application thread's clock never runs backwards: Advance rejects negative
 // steps, AdvanceTo only moves forward, SetNow is called only on the fence
-// workers' private clones, and every Run builds fresh Procs and fresh TLBs.
+// sweep's private clones, and every Run builds fresh Procs and fresh TLBs.
 // Hence now >= ReadyAt on every later hit through the entry, which is why an
 // entry carries no ReadyAt at all.
 //

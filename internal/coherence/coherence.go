@@ -80,26 +80,19 @@ type Options struct {
 	// that is the sole writer of a page writes back the full page instead
 	// of creating and transmitting a diff (latency for bandwidth).
 	SWDiffSuppress bool
-	// FencePerPage is the bookkeeping cost a fence pays per examined
-	// cached page (the amortized mprotect/metadata sweep).
-	FencePerPage sim.Time
-	// CheckpointPageCost is the naive-P/S per-page checkpoint overhead at
-	// a synchronization point: write-protecting the page, taking the later
+}
+
+const (
+	// fencePerPage is the bookkeeping cost a fence pays per examined cached
+	// page (the amortized mprotect/metadata sweep).
+	fencePerPage sim.Time = 10
+	// checkpointPageCost is the naive-P/S per-page checkpoint overhead at a
+	// synchronization point: write-protecting the page, taking the later
 	// fault, and staging the copy where a P→S transition can be serviced,
 	// all synchronously at the fence. This cost is what makes the naive
 	// classification "no better than S" (§5.1).
-	CheckpointPageCost sim.Time
-	// FenceWorkers bounds the worker pool a fence sweep shards the used
-	// lines over (fence.go). It is a fixed configuration value, never
-	// derived from the host's CPU count, so virtual-time results are
-	// machine-independent. Values below 1 mean serial sweeps.
-	FenceWorkers int
-}
-
-// DefaultOptions returns Argo's default protocol configuration.
-func DefaultOptions() Options {
-	return Options{Mode: ModePS3, FencePerPage: 10, CheckpointPageCost: 3000, FenceWorkers: 4}
-}
+	checkpointPageCost sim.Time = 3000
+)
 
 // Node is the per-node coherence agent: it owns the node's page cache and
 // drives all Carina actions for the threads running on that node.
@@ -139,7 +132,7 @@ func NewNode(id int, fab *fabric.Fabric, space *mem.Space, dir *directory.Direct
 // ReadAt copies len(dst) bytes at global address addr into dst through the
 // page cache, faulting pages in as needed.
 func (n *Node) ReadAt(p *sim.Proc, addr mem.Addr, dst []byte) {
-	n.readSegs(p, addr, len(dst), func(off int, data []byte) {
+	n.readSegs(p, nil, addr, len(dst), func(off int, data []byte) {
 		copy(dst[off:], data)
 	})
 }
@@ -147,19 +140,18 @@ func (n *Node) ReadAt(p *sim.Proc, addr mem.Addr, dst []byte) {
 // WriteAt writes src to global address addr through the page cache,
 // faulting and write-missing pages as needed.
 func (n *Node) WriteAt(p *sim.Proc, addr mem.Addr, src []byte) {
-	n.writeSegs(p, addr, len(src), func(off int, data []byte) {
+	n.writeSegs(p, nil, addr, len(src), func(off int, data []byte) {
 		copy(data, src[off:])
 	})
 }
 
-// readSegs walks the page segments of [addr, addr+nbytes) and hands each
-// segment's in-cache bytes to fn under the line lock, faulting pages in as
-// needed. off is the segment's offset into the logical range. fn must only
-// read the bytes and must not retain the slice. Accounting (hit counters,
-// ReadyAt and access-cost advances) is exactly that of ReadAt — ReadAt is
-// this with a copy — but callers that can decode in place skip the bounce
-// through an intermediate buffer.
-func (n *Node) readSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int, data []byte)) {
+// readSegs is the line-locked read walk, the one read path below the TLB: it
+// walks the page segments of [addr, addr+nbytes) and hands each segment's
+// in-cache bytes to fn under the line lock, faulting pages in as needed, and
+// refills tb (nil for bulk accesses) so the thread's next access to the page
+// can go lock-free. off is the segment's offset into the logical range. fn
+// must only read the bytes and must not retain the slice.
+func (n *Node) readSegs(p *sim.Proc, tb *cache.TLB, addr mem.Addr, nbytes int, fn func(off int, data []byte)) {
 	ps := n.Space.PageSize
 	for done := 0; done < nbytes; {
 		page := n.Space.PageOf(addr)
@@ -178,18 +170,20 @@ func (n *Node) readSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int,
 		p.AdvanceTo(s.ReadyAt)
 		p.Advance(n.accessCost(seg))
 		fn(done, s.Data[off:off+seg])
+		ln.FillTLB(tb, s)
 		ln.Unlock()
 		done += seg
 		addr += mem.Addr(seg)
 	}
 }
 
-// writeSegs walks the page segments of [addr, addr+nbytes) and hands each
-// segment's in-cache bytes to fn under the line lock for in-place encoding,
-// faulting and write-missing pages as needed. off is the segment's offset
-// into the logical range; fn must fill the whole slice. Accounting is
-// exactly that of WriteAt (which is this with a copy).
-func (n *Node) writeSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int, data []byte)) {
+// writeSegs is the line-locked write walk: it walks the page segments of
+// [addr, addr+nbytes) and hands each segment's in-cache bytes to fn under
+// the line lock for in-place encoding, faulting and write-missing pages as
+// needed, and refills tb (nil for bulk accesses) — with the slot now dirty,
+// that arms the write fast path for the thread's next store. off is the
+// segment's offset into the logical range; fn must fill the whole slice.
+func (n *Node) writeSegs(p *sim.Proc, tb *cache.TLB, addr mem.Addr, nbytes int, fn func(off int, data []byte)) {
 	ps := n.Space.PageSize
 	for done := 0; done < nbytes; {
 		page := n.Space.PageOf(addr)
@@ -214,6 +208,7 @@ func (n *Node) writeSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int
 		}
 		p.Advance(n.accessCost(seg))
 		fn(done, s.Data[off:off+seg])
+		ln.FillTLB(tb, s)
 		ln.Unlock()
 
 		if evict {
@@ -253,83 +248,26 @@ func (n *Node) PublishHits(p *sim.Proc) {
 }
 
 // ReadWord reads the little-endian 64-bit word at addr through the page
-// cache on behalf of a thread whose TLB tb (possibly nil) missed: the
-// line-locked path, which refills tb, or the byte path for an address no TLB
-// can serve. Accounting is that of cache.TLB.Load on a hit.
+// cache on behalf of a thread whose TLB tb (possibly nil) missed, and refills
+// tb. Accounting is that of cache.TLB.Load on a hit (accessCost(8) is one
+// CacheHit).
 func (n *Node) ReadWord(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 {
-	if tb == nil || addr&7 != 0 {
-		var b [8]byte
-		n.ReadAt(p, addr, b[:])
-		return binary.LittleEndian.Uint64(b[:])
-	}
-	return n.readWordLocked(p, tb, addr)
-}
-
-// readWordLocked is the line-locked word read: the same protocol and
-// accounting as an 8-byte ReadAt (accessCost(8) is one CacheHit), plus a
-// TLB refill so the thread's next access to the page can go lock-free.
-func (n *Node) readWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 {
-	page := n.Space.PageOf(addr)
-	off := int(addr) & (n.Cache.PageSize - 1)
-	ln := n.Cache.LockLine(n.Cache.LineOf(page))
-	s := n.Cache.SlotOf(ln, page)
-	if s.Page != page || s.St == cache.Invalid {
-		s = n.missLocked(p, ln, page)
-	} else {
-		p.Hits++
-	}
-	p.AdvanceTo(s.ReadyAt)
-	p.Advance(n.Fab.P.CacheHit)
-	v := binary.LittleEndian.Uint64(s.Data[off:])
-	ln.FillTLB(tb, s)
-	ln.Unlock()
-	return v
+	var b [8]byte
+	n.readSegs(p, tb, addr, len(b), func(off int, data []byte) {
+		copy(b[off:], data)
+	})
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // WriteWord writes the little-endian 64-bit word v at addr through the page
 // cache on behalf of a thread whose TLB tb (possibly nil) missed — the page
 // is not resident, not dirty yet, or the entry went stale. See ReadWord.
 func (n *Node) WriteWord(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint64) {
-	if tb == nil || addr&7 != 0 {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		n.WriteAt(p, addr, b[:])
-		return
-	}
-	n.writeWordLocked(p, tb, addr, v)
-}
-
-// writeWordLocked is the line-locked word write: the same protocol and
-// accounting as an 8-byte WriteAt, plus a TLB refill (which, with the slot
-// now dirty, arms the write fast path for the thread's next store).
-func (n *Node) writeWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint64) {
-	page := n.Space.PageOf(addr)
-	off := int(addr) & (n.Cache.PageSize - 1)
-	ln := n.Cache.LockLine(n.Cache.LineOf(page))
-	s := n.Cache.SlotOf(ln, page)
-	if s.Page != page || s.St == cache.Invalid {
-		s = n.missLocked(p, ln, page) // write-allocate: fetch the page first
-	} else {
-		p.Hits++
-	}
-	p.AdvanceTo(s.ReadyAt)
-
-	victim, evict := -1, false
-	miss := s.St == cache.Clean
-	if miss {
-		victim, evict = n.writeMissLocked(p, s)
-	}
-	p.Advance(n.Fab.P.CacheHit)
-	binary.LittleEndian.PutUint64(s.Data[off:], v)
-	ln.FillTLB(tb, s)
-	ln.Unlock()
-
-	if evict {
-		n.writebackIfDirty(p, victim)
-	}
-	if miss {
-		maybeYield()
-	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	n.writeSegs(p, tb, addr, len(b), func(off int, data []byte) {
+		copy(data, b[off:])
+	})
 }
 
 // accessCost is the cost of a cache-hitting access of n bytes: a hardware
@@ -652,7 +590,7 @@ func (n *Node) writebackUntilDelivered(p *sim.Proc, ln *cache.Line, s *cache.Slo
 // and the consumer pays a full page fetch either way.
 func (n *Node) checkpointSlotLocked(p *sim.Proc, ln *cache.Line, s *cache.Slot) {
 	ln.BumpGen() // Dirty→Clean: drain fast writers
-	p.Advance(n.Opt.CheckpointPageCost + n.Fab.P.CopyCost(n.Cache.PageSize))
+	p.Advance(checkpointPageCost + n.Fab.P.CopyCost(n.Cache.PageSize))
 	n.St.Checkpoints.Add(1)
 	n.Obs.Page(p, probe.Checkpoint, s.Page, 0)
 	n.Space.WritePageFull(s.Page, s.Data)
@@ -688,7 +626,7 @@ func ShouldSelfInvalidate(m Mode, e directory.Entry, self int) bool {
 }
 
 // The SI and SD fence implementations live in fence.go (the Lyra fence
-// pipeline: parallel host-side sweeps and home-grouped burst downgrades).
+// pipeline: sharded sweeps and home-grouped burst downgrades).
 
 // ResetForPhase drops all cached state (after flushing it home so no data is
 // lost) without charging virtual time. Used by the collective classification

@@ -32,12 +32,6 @@ func newRigGeom(t *testing.T, opt Options, lines, perLine, wbPages int) *rig {
 	fab := fabric.MustNew(topo, fabric.DefaultParams())
 	space := mem.NewSpace(2, 64*4096, 4096, mem.Interleaved)
 	dir := directory.New(fab, space.NPages, space.HomeOf)
-	if opt.FencePerPage == 0 {
-		o := DefaultOptions()
-		o.Mode = opt.Mode
-		o.SWDiffSuppress = opt.SWDiffSuppress
-		opt = o
-	}
 	r := &rig{fab: fab, space: space, dir: dir}
 	for n := 0; n < 2; n++ {
 		c := cache.New(n, 4096, lines, perLine, wbPages)
@@ -268,7 +262,7 @@ func TestWriteBufferOverflowDowngrades(t *testing.T) {
 	fab := fabric.MustNew(topo, fabric.DefaultParams())
 	space := mem.NewSpace(1, 64*4096, 4096, mem.Interleaved)
 	dir := directory.New(fab, space.NPages, space.HomeOf)
-	opt := DefaultOptions()
+	opt := Options{Mode: ModePS3}
 	c := cache.New(0, 4096, 32, 1, 2) // write buffer of 2 pages
 	n := NewNode(0, fab, space, dir, c, opt)
 	p := &sim.Proc{Node: 0}

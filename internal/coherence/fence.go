@@ -5,15 +5,15 @@ package coherence
 // overhead, and every home paid a separate NIC occupancy. Here a fence runs
 // in three phases:
 //
-//  1. Sweep (parallel): the used lines are sharded over a small fixed worker
-//     pool. Each worker, under the line locks, classifies resident pages
-//     (batching the directory-cache lookups per worker with CachedMany),
-//     checkpoints naive-P/S private pages, and functionally downgrades dirty
-//     pages exactly as the unbatched path did — the diff (or full page) is
-//     applied to home memory under the home page lock and the slot turns
-//     clean. Workers run on clones of the fencing thread's virtual clock;
-//     their host-side work overlaps in real time and combines as the MAX of
-//     the worker clocks, not the sum.
+//  1. Sweep: the used lines are cut into a few strided shards. Each shard,
+//     under the line locks, classifies resident pages (batching the
+//     directory-cache lookups per shard with CachedMany), checkpoints naive-P/S
+//     private pages, and functionally downgrades dirty pages exactly as the
+//     unbatched path did — the diff (or full page) is applied to home memory
+//     under the home page lock and the slot turns clean. The shards run one
+//     after another on the fencing thread, each on its own clone of the
+//     fence's start clock; the clones combine as their MAX, not their sum, so
+//     the sweep is charged as if the shards ran side by side.
 //  2. Burst: the collected downgrades are sorted by (home, page) and posted
 //     as one home-grouped burst (fabric.PostWriteBurst): one post overhead
 //     and one NIC occupancy per home instead of per page.
@@ -25,15 +25,8 @@ package coherence
 //     reads the home bytes before this fence completes, so the retry loop
 //     is purely a virtual-time matter.
 //
-// Applying home-side data from sweep workers is safe for the same reason it
-// was safe from the fencing thread: the line lock pins the slot, the home
-// page lock orders the apply, and DRF guarantees no remote reader consumes
-// the bytes before the fence (and the release it implements) completes.
-//
-// In steady state a fence allocates nothing but the goroutines of a parallel
-// sweep, one closure per worker spawn: every slice a fence needs, and the
-// records and wait group of its sweep workers, live in a fenceScratch record
-// taken from a pool on entry and returned on exit.
+// In steady state a fence allocates nothing: every slice it needs lives in a
+// fenceScratch record taken from a pool on entry and returned on exit.
 
 import (
 	"cmp"
@@ -47,41 +40,28 @@ import (
 	"argo/internal/sim"
 )
 
-// fenceShardMin is the minimum number of used lines per sweep worker. Below
-// it a fence sweeps inline on the fencing thread: spawning goroutines for a
-// handful of lines costs more host time than the overlap saves.
+// fenceShardMin is the fewest used lines a sweep shard gets, and
+// fenceShards the most shards a sweep is cut into. The shard count depends
+// only on the number of used lines — never on the host — so virtual-time
+// results are machine-independent. fenceShards is a variable only so that
+// in-package tests can compare a sharded sweep with a one-shard one.
 const fenceShardMin = 32
 
-// sweepWorkers returns how many workers a sweep over nl used lines employs.
-// The count depends only on nl and the configured pool size — never on the
-// host's CPU count — so virtual-time results are machine-independent.
-func (n *Node) sweepWorkers(nl int) int {
-	w := n.Opt.FenceWorkers
-	if w < 1 {
-		w = 1
-	}
-	if cap := nl / fenceShardMin; w > cap {
-		w = cap
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+var fenceShards = 4
+
+// sweepShards returns how many shards a sweep over nl used lines is cut into.
+func sweepShards(nl int) int {
+	return max(1, min(fenceShards, nl/fenceShardMin))
 }
 
-// fenceScratch holds the slices one fence — or one worker of a parallel
-// sweep — works in, so that a steady-state fence allocates nothing but its
-// workers' goroutines. The fencing thread takes a record from
-// fenceScratchPool when the fence starts and owns it until the fence returns;
-// a parallel sweep's workers each own one of the records in its workers list
-// until the fencing thread has merged their results after the join. Worker
-// records stay with their fencing record, so every record's slices grow for
-// one role only; records the pool handed out for either role grew the slices
-// of both, postBurst's and the merge's among them, and regrew them whenever a
-// collection emptied the pool. Records go back to the pool with their slices'
-// capacity intact and their contents dead: every user reslices to [:0].
+// fenceScratch holds the slices one fence works in, so that a steady-state
+// fence allocates nothing. The fencing thread takes a record from
+// fenceScratchPool when the fence starts and owns it until the fence returns.
+// Records go back to the pool with their slices' capacity intact and their
+// contents dead: every user reslices to [:0].
 type fenceScratch struct {
-	lines   []int             // used-line snapshot (a worker: its strided share)
+	lines   []int             // used-line snapshot
+	shard   []int             // one shard's strided share of lines
 	refs    []siRef           // SI sweep: resident pages, in line order
 	pages   []int             // SI sweep: CachedMany input
 	entries []directory.Entry // SI sweep: CachedMany output
@@ -90,10 +70,7 @@ type fenceScratch struct {
 	retry   []fabric.PostItem // postBurst: the failed remainder of that pass
 
 	inv, kept int64    // SI sweep: pages invalidated / exempted
-	proc      sim.Proc // a parallel sweep worker's clone of the fencing clock
-
-	workers []*fenceScratch // a parallel sweep's worker records
-	wg      sync.WaitGroup  // joins them
+	proc      sim.Proc // the running shard's clone of the fencing clock
 }
 
 var fenceScratchPool = sync.Pool{New: func() any { return new(fenceScratch) }}
@@ -101,63 +78,33 @@ var fenceScratchPool = sync.Pool{New: func() any { return new(fenceScratch) }}
 // getFenceScratch returns a scratch record, reset.
 func getFenceScratch() *fenceScratch {
 	sc := fenceScratchPool.Get().(*fenceScratch)
-	sc.reset()
+	sc.items = sc.items[:0]
+	sc.inv, sc.kept = 0, 0
 	return sc
 }
 
-// reset empties the downgrade list and zeroes the SI counts; the other slices
-// are resliced by whoever fills them.
-func (sc *fenceScratch) reset() {
-	sc.items = sc.items[:0]
-	sc.inv, sc.kept = 0, 0
-}
-
 // sweep runs shard over the used lines snapshotted in sc.lines and leaves the
-// collected downgrades (and the SI counts) in sc. Up to sweepWorkers strided
-// shards run concurrently — shard w gets lines[w], lines[w+nw], …,
-// deterministic regardless of the host — each in its own scratch record and
-// on a clone of p's clock; the clones max-combine back into p and the results
-// are merged in worker order. With one worker the shard runs inline on p and
-// sc. Workers must do only local work (line-locked cache transitions,
-// home-memory applies, clock advances): anything that orders against other
-// nodes' clocks — NIC occupancy, posted writes — belongs to the burst phase
-// on p, or replay determinism is lost.
+// collected downgrades (and the SI counts) in sc. Shard w of ns gets
+// lines[w], lines[w+ns], … and runs on its own clone of p's clock at the
+// fence's start; the shards run in order on the fencing thread and their
+// clocks max-combine back into p. Shards must do only local work
+// (line-locked cache transitions, home-memory applies, clock advances):
+// anything that orders against other nodes' clocks — NIC occupancy, posted
+// writes — belongs to the burst phase on p.
 func (n *Node) sweep(p *sim.Proc, sc *fenceScratch, shard func(n *Node, wp *sim.Proc, lines []int, sc *fenceScratch)) {
-	nw := n.sweepWorkers(len(sc.lines))
-	if nw == 1 {
-		shard(n, p, sc.lines, sc)
-		return
-	}
-	for len(sc.workers) < nw {
-		sc.workers = append(sc.workers, new(fenceScratch))
-	}
-	workers := sc.workers[:nw]
-	sc.wg.Add(nw)
-	for w, ws := range workers {
-		ws.reset()
-		ws.proc = sim.Proc{Node: p.Node, Socket: p.Socket, Core: p.Core}
-		ws.proc.SetNow(p.Now())
-		ws.lines = ws.lines[:0]
-		for i := w; i < len(sc.lines); i += nw {
-			ws.lines = append(ws.lines, sc.lines[i])
+	ns := sweepShards(len(sc.lines))
+	start, end := p.Now(), p.Now()
+	for w := 0; w < ns; w++ {
+		sc.shard = sc.shard[:0]
+		for i := w; i < len(sc.lines); i += ns {
+			sc.shard = append(sc.shard, sc.lines[i])
 		}
-		go ws.runShard(n, shard, &sc.wg)
+		sc.proc = sim.Proc{Node: p.Node, Socket: p.Socket, Core: p.Core}
+		sc.proc.SetNow(start)
+		shard(n, &sc.proc, sc.shard, sc)
+		end = max(end, sc.proc.Now())
 	}
-	sc.wg.Wait()
-	for _, ws := range workers {
-		p.AdvanceTo(ws.proc.Now())
-		p.Hits += ws.proc.Hits
-		sc.items = append(sc.items, ws.items...)
-		sc.inv += ws.inv
-		sc.kept += ws.kept
-	}
-}
-
-// runShard is a sweep worker's goroutine: shard over the worker's own lines,
-// on its own clock and in its own record.
-func (ws *fenceScratch) runShard(n *Node, shard func(n *Node, wp *sim.Proc, lines []int, sc *fenceScratch), wg *sync.WaitGroup) {
-	defer wg.Done()
-	shard(n, &ws.proc, ws.lines, ws)
+	p.AdvanceTo(end)
 }
 
 // burstItem is one functionally-downgraded page awaiting its virtual post.
@@ -252,7 +199,7 @@ type siRef struct {
 // SIFence self-invalidates the node's page cache: every cached page that the
 // classification cannot exempt is dropped, downgrading dirty ones first.
 // Threads of one node share the cache, so one thread's SI fence affects all
-// of them (the paper's common-page-cache tradeoff). The sweep parallelizes
+// of them (the paper's common-page-cache tradeoff). The sweep is sharded
 // across used lines; the downgrades travel as one home-grouped burst.
 func (n *Node) SIFence(p *sim.Proc) {
 	n.St.SIFences.Add(1)
@@ -270,7 +217,7 @@ func (n *Node) SIFence(p *sim.Proc) {
 	n.Obs.Since(p, t0, probe.SIFence, inv, kept)
 }
 
-// siSweepShard sweeps one worker's share of the used lines: snapshot the
+// siSweepShard sweeps one shard of the used lines: snapshot the
 // resident pages, batch the classification lookups with one CachedMany, then
 // invalidate (downgrading first where dirty) the pages the classification
 // cannot exempt.
@@ -284,7 +231,7 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 			if s.Page < 0 || s.St == cache.Invalid {
 				continue
 			}
-			wp.Advance(n.Opt.FencePerPage)
+			wp.Advance(fencePerPage)
 			refs = append(refs, siRef{s, l, s.Page})
 			pages = append(pages, s.Page)
 		}
@@ -340,8 +287,8 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 
 // SDFence self-downgrades all dirty pages: the write buffer is flushed, and
 // in the naive P/S mode every modified private page is checkpointed on the
-// spot (the cost that motivates P/S3's private self-downgrade). The sweep
-// parallelizes across used lines; the downgrades travel as one home-grouped
+// spot (the cost that motivates P/S3's private self-downgrade). The sweep is
+// sharded across used lines; the downgrades travel as one home-grouped
 // burst, and lost posts are reissued from the burst loop.
 func (n *Node) SDFence(p *sim.Proc) {
 	n.St.SDFences.Add(1)
@@ -366,7 +313,7 @@ func (n *Node) SDFence(p *sim.Proc) {
 	n.Obs.Since(p, t0, probe.SDFence, downgraded, residue)
 }
 
-// sdSweepShard sweeps one worker's share of the used lines, downgrading
+// sdSweepShard sweeps one shard of the used lines, downgrading
 // every dirty page (checkpointing private ones in the naive P/S mode).
 func (n *Node) sdSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 	for _, l := range lines {

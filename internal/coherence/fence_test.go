@@ -14,8 +14,8 @@ import (
 	"argo/internal/stats"
 )
 
-// bigRig builds a 4-node rig with enough cache lines that the parallel
-// sweep actually shards (fenceShardMin lines per worker).
+// bigRig builds a 4-node rig with enough cache lines that the sweep actually
+// shards (fenceShardMin lines per shard).
 func bigRig(t *testing.T, opt Options, plan *fault.Plan) *rig {
 	t.Helper()
 	const nodes = 4
@@ -26,13 +26,6 @@ func bigRig(t *testing.T, opt Options, plan *fault.Plan) *rig {
 	}
 	space := mem.NewSpace(nodes, 2048*4096, 4096, mem.Interleaved)
 	dir := directory.New(fab, space.NPages, space.HomeOf)
-	if opt.FencePerPage == 0 {
-		o := DefaultOptions()
-		o.Mode = opt.Mode
-		o.SWDiffSuppress = opt.SWDiffSuppress
-		o.FenceWorkers = opt.FenceWorkers
-		opt = o
-	}
 	r := &rig{fab: fab, space: space, dir: dir}
 	for n := 0; n < nodes; n++ {
 		c := cache.New(n, 4096, 1024, 1, 4096)
@@ -81,21 +74,29 @@ func TestSDFenceBurstMultiHome(t *testing.T) {
 	}
 }
 
-// A sweep sharded over four workers (300 used lines) must leave exactly what
-// the serial sweep leaves — every counter, every home byte — over several
-// SD/SI fence pairs, so that worker scratch records come back out of the pool
+// setFenceShards makes sweeps of the rest of test t cut into at most k shards.
+func setFenceShards(t *testing.T, k int) {
+	old := fenceShards
+	fenceShards = k
+	t.Cleanup(func() { fenceShards = old })
+}
+
+// A sweep cut into four shards (300 used lines) must leave exactly what a
+// one-shard sweep leaves — every counter, every home byte — over several
+// SD/SI fence pairs, so that scratch records come back out of the pool
 // carrying an earlier fence's contents. Its virtual cost is by design not the
-// serial one (worker clocks max-combine instead of adding up): it must not
+// one-shard cost (shard clocks max-combine instead of adding up): it must not
 // exceed it, and must repeat bit for bit.
-func TestParallelSweepMatchesSerial(t *testing.T) {
+func TestShardedSweepMatchesOneShard(t *testing.T) {
 	pages := manyPages(300)
 	type outcome struct {
 		fences []sim.Time // SD, SI, SD, SI, …
 		stats  stats.Snapshot
 		home   [][]byte
 	}
-	run := func(workers int) outcome {
-		r := bigRig(t, Options{Mode: ModePS3, FenceWorkers: workers}, nil)
+	run := func(shards int) outcome {
+		setFenceShards(t, shards)
+		r := bigRig(t, Options{Mode: ModePS3}, nil)
 		// Node 1 writes every third page first: for node 0 those are
 		// multi-writer pages its SI fence must downgrade and drop, the rest
 		// stay private and are kept.
@@ -132,38 +133,41 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		}
 		return o
 	}
-	serial, par, again := run(1), run(4), run(4)
-	if serial.stats != par.stats {
-		t.Fatalf("counters differ between worker counts:\nserial   %+v\nparallel %+v", serial.stats, par.stats)
+	one, sharded, again := run(1), run(4), run(4)
+	if one.stats != sharded.stats {
+		t.Fatalf("counters differ between shard counts:\none     %+v\nsharded %+v", one.stats, sharded.stats)
 	}
-	if serial.stats.SelfInvalidations != 3*100 || serial.stats.SIFiltered != 3*200 {
-		t.Fatalf("test vacuous: %d invalidated, %d kept, want 300 and 600", serial.stats.SelfInvalidations, serial.stats.SIFiltered)
+	if one.stats.SelfInvalidations != 3*100 || one.stats.SIFiltered != 3*200 {
+		t.Fatalf("test vacuous: %d invalidated, %d kept, want 300 and 600", one.stats.SelfInvalidations, one.stats.SIFiltered)
 	}
 	for i := range pages {
-		if !bytes.Equal(serial.home[i], par.home[i]) {
-			t.Fatalf("page %d home image differs between worker counts", pages[i])
+		if !bytes.Equal(one.home[i], sharded.home[i]) {
+			t.Fatalf("page %d home image differs between shard counts", pages[i])
 		}
-		if want := byte(pages[i]%199) + 6; par.home[i][0] != want || (i%3 == 0) != (par.home[i][8] == 9) {
-			t.Fatalf("page %d home = %d/%d, want %d and node 1's byte kept", pages[i], par.home[i][0], par.home[i][8], want)
-		}
-	}
-	for i := range par.fences {
-		if par.fences[i] > serial.fences[i] {
-			t.Fatalf("fence %d: parallel sweep cost %d, serial %d", i, par.fences[i], serial.fences[i])
-		}
-		if par.fences[i] != again.fences[i] {
-			t.Fatalf("fence %d: parallel cost not deterministic: %d vs %d", i, par.fences[i], again.fences[i])
+		if want := byte(pages[i]%199) + 6; sharded.home[i][0] != want || (i%3 == 0) != (sharded.home[i][8] == 9) {
+			t.Fatalf("page %d home = %d/%d, want %d and node 1's byte kept", pages[i], sharded.home[i][0], sharded.home[i][8], want)
 		}
 	}
-	if par.stats != again.stats {
-		t.Fatal("parallel counters not deterministic")
+	for i := range sharded.fences {
+		if sharded.fences[i] > one.fences[i] {
+			t.Fatalf("fence %d: sharded sweep cost %d, one shard %d", i, sharded.fences[i], one.fences[i])
+		}
+		if sharded.fences[i] == one.fences[i] {
+			t.Fatalf("fence %d: sharded sweep cost %d, the same as one shard: not the path under test", i, sharded.fences[i])
+		}
+		if sharded.fences[i] != again.fences[i] {
+			t.Fatalf("fence %d: sharded cost not deterministic: %d vs %d", i, sharded.fences[i], again.fences[i])
+		}
+	}
+	if sharded.stats != again.stats {
+		t.Fatal("sharded counters not deterministic")
 	}
 }
 
 // TestAllocFreeFencePair: the steady-state release/acquire cycle of a lock
 // hand-off — store, SD fence (diff, burst), SI fence (classify, downgrade
 // what the SD fence's successor dirtied, invalidate) — allocates nothing on
-// the inline sweep: every slice comes from the pooled fence scratch. Page 3
+// a one-shard sweep: every slice comes from the pooled fence scratch. Page 3
 // is multi-writer (dropped by every SI fence, re-missed by the next store),
 // page 5 and the two prefetched line neighbours 2 and 4 are private (kept;
 // 5 is downgraded by every SD fence).
@@ -201,16 +205,14 @@ func TestAllocFreeFencePair(t *testing.T) {
 	}
 }
 
-// TestAllocFenceParallelSweep: the same steady state on a sweep that shards
-// — 4·fenceShardMin used lines, FenceWorkers 4 — allocates at most one object
-// per worker a fence spawns (the goroutine's closure): the worker records,
-// their wait group and the merged downgrade list all live in the fencing
-// scratch record.
+// TestAllocFenceParallelSweep: the same steady state on a sweep of
+// 4·fenceShardMin used lines, which is cut into fenceShards shards, allocates
+// nothing either: the shard clocks and the merged downgrade list live in the
+// fencing scratch record.
 func TestAllocFenceParallelSweep(t *testing.T) {
 	skipAllocTestUnderRace(t)
-	const workers = 4
-	r := bigRig(t, Options{Mode: ModePS3, FenceWorkers: workers}, nil)
-	pages := manyPages(workers * fenceShardMin)
+	r := bigRig(t, Options{Mode: ModePS3}, nil)
+	pages := manyPages(fenceShards * fenceShardMin)
 	n, p := r.nodes[0], r.procs[0]
 	if nl := len(n.Cache.AppendUsedLines(nil)); nl != 0 {
 		t.Fatalf("%d lines used before the first write", nl)
@@ -225,12 +227,12 @@ func TestAllocFenceParallelSweep(t *testing.T) {
 		n.SIFence(p) // keeps every page: node 0 is their only writer
 	}
 	cycle()
-	if nw := n.sweepWorkers(len(n.Cache.AppendUsedLines(nil))); nw != workers {
-		t.Fatalf("the sweep runs %d workers, want %d: not the path under test", nw, workers)
+	if ns := sweepShards(len(n.Cache.AppendUsedLines(nil))); ns != fenceShards {
+		t.Fatalf("the sweep runs %d shards, want %d: not the path under test", ns, fenceShards)
 	}
 	before := r.fab.NodeStats(0).Snapshot()
-	if a := testing.AllocsPerRun(50, cycle); a > 2*workers {
-		t.Fatalf("write + SD fence + SI fence allocated %.1f times per cycle, want at most %d (one per worker of each fence)", a, 2*workers)
+	if a := testing.AllocsPerRun(50, cycle); a != 0 {
+		t.Fatalf("write + SD fence + SI fence allocated %.1f times per cycle, want 0", a)
 	}
 	d := r.fab.NodeStats(0).Snapshot().Sub(before)
 	if n := int64(51 * len(pages)); d.Writebacks != n || d.SIFiltered != n || d.SelfInvalidations != 0 {
@@ -286,18 +288,17 @@ func TestSIFenceBurstDowngradesDoomedDirty(t *testing.T) {
 	}
 }
 
-func TestSweepWorkersBounds(t *testing.T) {
-	n := &Node{Opt: Options{FenceWorkers: 4}}
+func TestSweepShardsBounds(t *testing.T) {
 	for _, tc := range []struct{ nl, want int }{
 		{0, 1}, {1, 1}, {31, 1}, {32, 1}, {63, 1}, {64, 2}, {1000, 4},
 	} {
-		if got := n.sweepWorkers(tc.nl); got != tc.want {
-			t.Fatalf("sweepWorkers(%d) = %d, want %d", tc.nl, got, tc.want)
+		if got := sweepShards(tc.nl); got != tc.want {
+			t.Fatalf("sweepShards(%d) = %d, want %d", tc.nl, got, tc.want)
 		}
 	}
-	n.Opt.FenceWorkers = 0
-	if got := n.sweepWorkers(1000); got != 1 {
-		t.Fatalf("FenceWorkers=0 must sweep serially, got %d", got)
+	setFenceShards(t, 1)
+	if got := sweepShards(1000); got != 1 {
+		t.Fatalf("one shard at most: sweepShards(1000) = %d", got)
 	}
 }
 

@@ -229,7 +229,7 @@ func TestTinyPageSizeStaysOnLockedPath(t *testing.T) {
 	fab := fabric.MustNew(topo, fabric.DefaultParams())
 	space := mem.NewSpace(2, 64*4, 4, mem.Interleaved)
 	dir := directory.New(fab, space.NPages, space.HomeOf)
-	n := NewNode(0, fab, space, dir, cache.New(0, 4, 8, 2, 16), DefaultOptions())
+	n := NewNode(0, fab, space, dir, cache.New(0, 4, 8, 2, 16), Options{Mode: ModePS3})
 	p := &sim.Proc{Node: 0}
 	tb := n.NewTLB()
 	if tb != nil {

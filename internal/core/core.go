@@ -199,8 +199,8 @@ type Cluster struct {
 	FI *fault.Injector
 
 	// Health is the Cygnus failure detector and membership view. Always
-	// constructed; Health.Armed() is false (one atomic load) unless the
-	// fault plan carries a crash rate or a crash was scripted.
+	// constructed; Health.Armed() is false unless the fault plan carries a
+	// crash or partition rate or a crash or partition was scripted.
 	Health *health.Detector
 
 	runMu    sync.Mutex
@@ -256,9 +256,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	dir := directory.New(fab, space.NPages, space.HomeOf)
 	det := health.New(cfg.Nodes, hpl, fi)
 	cl := &Cluster{Cfg: cfg, Topo: topo, Fab: fab, Space: space, Dir: dir, FI: fi, Health: det}
-	opt := coherence.DefaultOptions()
-	opt.Mode = cfg.Mode
-	opt.SWDiffSuppress = cfg.SWDiffSuppress
+	opt := coherence.Options{Mode: cfg.Mode, SWDiffSuppress: cfg.SWDiffSuppress}
 	for n := 0; n < cfg.Nodes; n++ {
 		pc := cache.New(n, cfg.PageSize, cfg.CacheLines, cfg.PagesPerLine, cfg.WriteBufferPages)
 		cl.Nodes = append(cl.Nodes, coherence.NewNode(n, fab, space, dir, pc, opt))

@@ -5,8 +5,9 @@
 //
 // The fabric is purely a cost and accounting layer: it charges virtual time
 // to the issuing Proc and serializes transfers on the target node's NIC
-// (a sim.Resource), but it moves no bytes itself. Data movement is done by
-// the memory and directory layers, which call into the fabric to pay for it.
+// (a sim.Resource, occupied in one place: occupyNIC), but it moves no bytes
+// itself. Data movement is done by the memory and directory layers, which
+// call into the fabric to pay for it.
 // This split mirrors the paper's central design rule — all protocol actions
 // are one-sided operations paid for by the requester; no message handlers
 // run anywhere.
@@ -68,11 +69,6 @@ type Params struct {
 	// MemCopyPerKB is the local memory-copy cost per kilobyte (twin
 	// creation, checkpointing, diff application on the local side).
 	MemCopyPerKB sim.Time
-	// NICSerialize controls whether transfers serialize on the target
-	// node's NIC. The paper's prototype additionally allowed only one
-	// in-flight fetch per node (an MPI passive-RMA limitation), which the
-	// cache layer models separately.
-	NICSerialize bool
 }
 
 // DefaultParams returns the cost model used throughout the evaluation:
@@ -90,7 +86,6 @@ func DefaultParams() Params {
 		LocalLatency:  40,
 		CacheHit:      2,
 		MemCopyPerKB:  60,
-		NICSerialize:  true,
 	}
 }
 
@@ -251,17 +246,14 @@ func (f *Fabric) ResetNICs() {
 	}
 }
 
-// occupyNIC serializes a transfer of wire nanoseconds at node n's NIC,
-// applying the degraded-node multiplier if n is the plan's slow node.
-func (f *Fabric) occupyNIC(p *sim.Proc, n int, wire sim.Time) {
-	wire = f.FI.Scale(n, wire)
-	t0 := p.Now()
-	if f.P.NICSerialize {
-		f.nics[n].Occupy(p, wire)
-	} else {
-		p.Advance(wire)
-	}
-	f.Obs.Since(p, t0, probe.NIC, int64(n), 0)
+// occupyNIC is the NIC occupancy of every operation: service nanoseconds of
+// work arriving at node home's NIC at time at queue behind the NIC's earlier
+// occupants (scaled by the degraded-node multiplier if home is the plan's
+// slow node), and p waits until the work is done. The prototype's limit of
+// one in-flight fetch per node is the cache layer's (cache.Cache.FetchGate).
+func (f *Fabric) occupyNIC(p *sim.Proc, home int, at, service sim.Time) {
+	f.nics[home].OccupyAt(p, at, f.FI.Scale(home, service))
+	f.Obs.Since(p, at, probe.NIC, int64(home), 0)
 }
 
 // done completes a single remote operation p issued at t0: one network
@@ -288,7 +280,7 @@ func (f *Fabric) RemoteRead(p *sim.Proc, home, n int, key uint64) {
 		if v.Deliver {
 			f.noteInjected(p, v)
 			p.Advance(f.P.RemoteLatency + v.Delay) // request reaches the home NIC
-			f.occupyNIC(p, home, f.P.TransferCost(n)+v.Stall)
+			f.occupyNIC(p, home, p.Now(), f.P.TransferCost(n)+v.Stall)
 			p.Advance(f.P.RemoteLatency) // data returns
 			break
 		}
@@ -337,7 +329,7 @@ func (f *Fabric) TryRemoteWrite(p *sim.Proc, home, n int, key uint64, attempt in
 	t0 := p.Now()
 	f.noteInjected(p, v)
 	p.Advance(f.P.RemoteLatency + v.Delay)
-	f.occupyNIC(p, home, f.P.TransferCost(n)+v.Stall)
+	f.occupyNIC(p, home, p.Now(), f.P.TransferCost(n)+v.Stall)
 	f.nodes[p.Node].BytesSent.Add(int64(n))
 	f.nodes[home].BytesReceived.Add(int64(n))
 	f.done(p, t0, probe.OpWrite, int64(home))
@@ -403,26 +395,16 @@ func (f *Fabric) FetchLine(p *sim.Proc, homes []HomePages, bytesEach int, key ui
 	p.Advance(f.P.RemoteLatency + v.Delay)
 	arrival := p.Now()
 	wire := f.P.TransferCost(bytesEach)
-	stall := v.Stall // charged once, at the fault-target home
-	occupy := func(h int, service sim.Time) {
-		if h == target {
-			service += stall
-			stall = 0
-		}
-		service = f.FI.Scale(h, service)
-		if f.P.NICSerialize {
-			f.nics[h].OccupyAt(p, arrival, service)
-		} else {
-			p.AdvanceTo(arrival + service)
-		}
-		f.Obs.Since(p, arrival, probe.NIC, int64(h), 0)
-	}
 	for _, hp := range homes {
 		if hp.Home == p.Node {
 			continue
 		}
+		service := sim.Time(hp.Pages) * wire
+		if hp.Home == target {
+			service += v.Stall // charged once, at the fault-target home
+		}
 		n := hp.Pages * bytesEach
-		occupy(hp.Home, sim.Time(hp.Pages)*wire)
+		f.occupyNIC(p, hp.Home, arrival, service)
 		f.nodes[p.Node].Messages.Add(1)
 		f.nodes[hp.Home].BytesSent.Add(int64(n))
 		f.nodes[p.Node].BytesReceived.Add(int64(n))
@@ -453,7 +435,7 @@ func (f *Fabric) PostWrite(p *sim.Proc, home, n int, key uint64, attempt int) bo
 		return false
 	}
 	f.noteInjected(p, v)
-	f.occupyNIC(p, home, f.P.TransferCost(n)+v.Stall)
+	f.occupyNIC(p, home, p.Now(), f.P.TransferCost(n)+v.Stall)
 	f.nodes[p.Node].BytesSent.Add(int64(n))
 	f.nodes[home].BytesReceived.Add(int64(n))
 	f.done(p, t0, probe.OpPost, int64(home))
@@ -553,14 +535,7 @@ func (f *Fabric) PostWriteBurst(p *sim.Proc, items []PostItem) (failed []int) {
 			continue
 		}
 		delivered += sent
-		service = f.FI.Scale(h, service)
-		nicFrom := tPost + delayMax
-		if f.P.NICSerialize {
-			f.nics[h].OccupyAt(p, nicFrom, service)
-		} else {
-			p.AdvanceTo(tPost + delayMax + service)
-		}
-		f.Obs.Since(p, nicFrom, probe.NIC, int64(h), 0)
+		f.occupyNIC(p, h, tPost+delayMax, service)
 	}
 	if delivered > 0 {
 		f.Obs.Since(p, t0, probe.OpPostBurst, int64(delivered), 0)
@@ -653,14 +628,7 @@ func (f *Fabric) AtomicBurst(p *sim.Proc, items []AtomicItem) (failed []int) {
 			sent++
 		}
 		if service > 0 {
-			service = f.FI.Scale(h, service)
-			nicFrom := tPost + delayMax
-			if f.P.NICSerialize {
-				f.nics[h].OccupyAt(p, nicFrom, service)
-			} else {
-				p.AdvanceTo(tPost + delayMax + service)
-			}
-			f.Obs.Since(p, nicFrom, probe.NIC, int64(h), 0)
+			f.occupyNIC(p, h, tPost+delayMax, service)
 		}
 		delivered += sent
 	}
@@ -707,7 +675,7 @@ func (f *Fabric) TryRemoteAtomic(p *sim.Proc, home int, key uint64, attempt int)
 	t0 := p.Now()
 	f.noteInjected(p, v)
 	p.Advance(f.P.RemoteLatency + v.Delay)
-	f.occupyNIC(p, home, f.P.DirService+v.Stall)
+	f.occupyNIC(p, home, p.Now(), f.P.DirService+v.Stall)
 	p.Advance(f.P.RemoteLatency)
 	f.nodes[p.Node].DirOps.Add(1)
 	f.done(p, t0, probe.OpAtomic, int64(home))

@@ -106,19 +106,6 @@ func TestNICSerialization(t *testing.T) {
 	}
 }
 
-func TestNICSerializationDisabled(t *testing.T) {
-	prm := DefaultParams()
-	prm.NICSerialize = false
-	f := MustNew(testTopo(), prm)
-	a := &sim.Proc{Node: 0}
-	b := &sim.Proc{Node: 2}
-	f.RemoteRead(a, 1, 64<<10, 0)
-	f.RemoteRead(b, 1, 64<<10, 1)
-	if a.Now() != b.Now() {
-		t.Fatalf("without serialization both transfers should cost the same: %d vs %d", a.Now(), b.Now())
-	}
-}
-
 func TestLineFetchSharesLatency(t *testing.T) {
 	f := MustNew(testTopo(), DefaultParams())
 	// 4 pages (two from home 1, one each from homes 2 and 3) plus their

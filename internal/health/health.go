@@ -132,8 +132,9 @@ func (t Transition) Decision() string {
 }
 
 // Detector is the cluster's failure detector and membership view. One
-// instance per core.Cluster, always constructed (the fault-free fast path
-// is Armed() == false, one atomic load).
+// instance per core.Cluster, always constructed: the member barrier and the
+// lock leases consult it in fault-free runs too, where every verdict is
+// Lives.
 type Detector struct {
 	nodes int
 	plan  fault.Plan // normalized; Crash* and Timeout drive verdicts
@@ -206,7 +207,7 @@ func New(nodes int, plan fault.Plan, fi *fault.Injector) *Detector {
 func (d *Detector) Nodes() int { return d.nodes }
 
 // Armed reports whether crashes or partitions can occur at all. When false,
-// sync layers keep their exact fault-free fast paths (bit-identical timings).
+// barrier representatives publish no heartbeats.
 func (d *Detector) Armed() bool {
 	return d.plan.Crash > 0 || d.plan.Partition > 0 || d.armedScript.Load()
 }

@@ -71,10 +71,8 @@ type globalTicketLock struct {
 // schedule run after run.
 func newGlobalTicketLock(c *core.Cluster, home int) *globalTicketLock {
 	l := &globalTicketLock{c: c, home: home, key: c.NextSyncKey(), holder: -1}
-	if c.Health != nil && c.Health.Armed() {
-		c.Health.OnExcise(l.onExcise)
-		c.Health.OnSuspect(l.onSuspect)
-	}
+	c.Health.OnExcise(l.onExcise)
+	c.Health.OnSuspect(l.onSuspect)
 	return l
 }
 

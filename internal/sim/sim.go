@@ -197,8 +197,6 @@ type Barrier struct {
 	gen     int
 	maxT    Time
 	release Time
-	orAcc   bool
-	orOut   bool
 }
 
 // NewBarrier returns a barrier for n participants.
@@ -214,29 +212,16 @@ func NewBarrier(n int) *Barrier {
 // Wait blocks until all n participants have called Wait, then releases all
 // of them with their clocks set to max(arrival) + exitCost.
 func (b *Barrier) Wait(p *Proc, exitCost Time) {
-	b.WaitOr(p, exitCost, false)
-}
-
-// WaitOr is Wait with a combining flag: it returns the logical OR of the
-// flags contributed by all participants of this episode. The combined value
-// is delivered atomically with the release, so all participants of one
-// episode observe the same decision (used for collective phase resets).
-func (b *Barrier) WaitOr(p *Proc, exitCost Time, flag bool) bool {
 	b.mu.Lock()
 	gen := b.gen
 	if p.now > b.maxT {
 		b.maxT = p.now
 	}
-	if flag {
-		b.orAcc = true
-	}
 	b.arrived++
 	if b.arrived == b.n {
 		b.release = b.maxT + exitCost
-		b.orOut = b.orAcc
 		b.arrived = 0
 		b.maxT = 0
-		b.orAcc = false
 		b.gen++
 		b.cond.Broadcast()
 	} else {
@@ -245,10 +230,8 @@ func (b *Barrier) WaitOr(p *Proc, exitCost Time, flag bool) bool {
 		}
 	}
 	rel := b.release
-	out := b.orOut
 	b.mu.Unlock()
 	p.AdvanceTo(rel)
-	return out
 }
 
 // Group runs one goroutine per Proc and blocks until all bodies return.

@@ -201,28 +201,6 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
-func TestBarrierWaitOrCombines(t *testing.T) {
-	b := NewBarrier(2)
-	p1, p2 := &Proc{}, &Proc{}
-	results := make(chan bool, 2)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); results <- b.WaitOr(p1, 0, true) }()
-	go func() { defer wg.Done(); results <- b.WaitOr(p2, 0, false) }()
-	wg.Wait()
-	if !<-results || !<-results {
-		t.Fatal("WaitOr did not deliver the OR of contributed flags")
-	}
-	// Next episode must start clean.
-	wg.Add(2)
-	go func() { defer wg.Done(); results <- b.WaitOr(p1, 0, false) }()
-	go func() { defer wg.Done(); results <- b.WaitOr(p2, 0, false) }()
-	wg.Wait()
-	if <-results || <-results {
-		t.Fatal("OR flag leaked into the next episode")
-	}
-}
-
 func TestGroupRunMakespan(t *testing.T) {
 	procs := []*Proc{{}, {}, {}, {}}
 	g := NewGroup(procs)

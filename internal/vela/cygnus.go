@@ -1,9 +1,8 @@
-// Cygnus: the member-aware rendezvous behind HierBarrier when crash faults
-// are armed.
+// Cygnus: the member-aware rendezvous behind HierBarrier's global leg.
 //
-// The plain global barrier (sim.Barrier) has a fixed arrival count, so a
-// crash-stopped node would hang every survivor forever. memberBarrier
-// replaces it with an episode-keyed rendezvous over the *current membership*:
+// A fixed-count barrier (sim.Barrier) would hang every survivor of a
+// crash-stopped node forever. memberBarrier is instead an episode-keyed
+// rendezvous over the *current membership*:
 // each episode completes when every surviving representative has arrived AND
 // every thread of every node dying this episode has checked in (restarting
 // threads as observers, crash-stopping threads as final arrivals before they
@@ -13,6 +12,11 @@
 // point is what keeps crash runs bit-exact across replays: no survivor can
 // race the wipe of a dead node's directory cache, and the membership epoch
 // history is a pure function of (seed, plan, program).
+//
+// It is the one global rendezvous, armed or not: in a run where nothing can
+// crash or be cut off, every member arrives at every episode and the release
+// is the latest arrival plus the exit cost, what a fixed-count barrier would
+// give. Only heartbeats are kept to armed runs (see heartbeat).
 //
 // Timing model: a death adds one failure-detection timeout to the episode's
 // release (survivors wait out the detector before reconfiguring), and a
@@ -69,14 +73,15 @@ type epState struct {
 	orOut    bool
 }
 
-// memberBarrier is the crash-aware replacement for HierBarrier's global
-// sim.Barrier. It is built only when the cluster's crash faults are armed,
-// so fault-free runs keep the exact timing of the fixed-count barrier.
+// memberBarrier is HierBarrier's global rendezvous. Its episode records live
+// from an episode's first arrival to the completion of the next episode (see
+// maybeComplete), so a run of any length holds a few of them.
 type memberBarrier struct {
-	c    *core.Cluster
-	det  *health.Detector
-	cost sim.Time // global rendezvous exit cost (same as HierBarrier)
-	tpn  int
+	c     *core.Cluster
+	det   *health.Detector
+	cost  sim.Time // global rendezvous exit cost
+	tpn   int
+	armed bool // crashes or partitions can occur: representatives publish heartbeats
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -91,6 +96,7 @@ func newMemberBarrier(c *core.Cluster, tpn int, cost sim.Time) *memberBarrier {
 		det:     c.Health,
 		cost:    cost,
 		tpn:     tpn,
+		armed:   c.Health.Armed(),
 		walk:    c.Health.NewWalk(),
 		eps:     map[epKey]*epState{},
 		crashed: map[crashKey]crashCheckIns{},
@@ -431,12 +437,23 @@ func (m *memberBarrier) maybeComplete(ep int64, st *epState) {
 	st.complete = true
 	// Pre-size the post-reset rendezvous for the survivors of this episode.
 	m.state(epKey{ep, 1}).expected = st.arrived
+	// Nobody reads episode ep-1's records any more: each thread that could —
+	// a survivor at either rendezvous, a restart observer waiting for the
+	// post-reset one — has since arrived at or checked in for episode ep,
+	// which completion required.
+	delete(m.eps, epKey{ep - 1, 0})
+	delete(m.eps, epKey{ep - 1, 1})
+	for _, dn := range deaths {
+		delete(m.crashed, crashKey{ep, dn}) // every check-in preceded completion
+	}
 	m.cond.Broadcast()
 }
 
 // heartbeat publishes the node's liveness counter toward its successor (a
 // posted one-sided write, attempt 0; a dropped publish is a missed
-// heartbeat, not an error) and bumps the detector's count.
+// heartbeat, not an error) and bumps the detector's count — in an armed run
+// only: where nothing can fail there is nothing to detect, and no publish to
+// pay for.
 //
 // The publish deliberately does NOT occupy the successor's shared NIC
 // resource — in the model, heartbeats ride a dedicated shallow QP that never
@@ -447,6 +464,9 @@ func (m *memberBarrier) maybeComplete(ep int64, st *epState) {
 // to run. The issuer still pays the posting overhead, and the Corvus verdict
 // (a pure hash of the heartbeat's identity) still decides whether it lands.
 func (m *memberBarrier) heartbeat(t *core.Thread, ep int64) {
+	if !m.armed {
+		return
+	}
 	home := (t.Node + 1) % m.det.Nodes()
 	if home != t.Node && !m.c.Fab.Severed(t.Node, home) {
 		key := hbKeyBase | uint64(t.Node)<<32 | uint64(ep)&0xffffffff

@@ -3,6 +3,7 @@ package vela
 import (
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestCrashStopSurvivorsReconfigure(t *testing.T) {
 		}
 	}
 	b := newHierBarrier(c, tpn)
-	budget := 2*b.localCost + b.globalCost + c.Health.Timeout() + 20_000
+	budget := 2*b.localCost + b.mem.cost + c.Health.Timeout() + 20_000
 	if worst > budget {
 		t.Fatalf("crash episode took %d ns, budget %d ns (timeout %d)", worst, budget, c.Health.Timeout())
 	}
@@ -198,19 +199,108 @@ func TestCrashScheduleDeterminism(t *testing.T) {
 	}
 }
 
+// kindCounter is a probe sink that counts the events of each kind.
+type kindCounter struct{ n [256]atomic.Int64 }
+
+func (k *kindCounter) Observe(e probe.Event) { k.n[e.Kind].Add(1) }
+
+// A cluster whose plan can neither crash nor cut anything off publishes no
+// heartbeat, and its global leg releases every representative at the latest
+// arrival plus the exit cost, as a fixed-count barrier would.
 func TestFaultFreeBarrierUnchangedWhenUnarmed(t *testing.T) {
-	// A cluster with a plan but no crash rate must keep the plain
-	// fixed-count barrier (mem == nil), preserving fault-free timings.
-	c := crashCluster(2)
-	b := newHierBarrier(c, 2)
-	if b.mem != nil {
-		t.Fatal("member barrier built without crash faults armed")
+	heartbeats := func(arm func(c *core.Cluster)) int64 {
+		var k kindCounter
+		cfg := core.DefaultConfig(2)
+		cfg.MemoryBytes = 4 << 20
+		plan := fault.DefaultPlan(1)
+		cfg.Faults = &plan
+		cfg.Observers = []probe.Sink{&k}
+		c := core.MustNewCluster(cfg)
+		c.BarrierFactory = DefaultBarrier
+		arm(c)
+		c.Run(2, func(th *core.Thread) {
+			for e := 0; e < 3; e++ {
+				th.Barrier()
+			}
+		})
+		return k.n[probe.Heartbeat].Load()
 	}
-	c2 := crashCluster(2)
-	c2.Health.ScheduleCrash(0, 99, true)
-	b2 := newHierBarrier(c2, 2)
-	if b2.mem == nil {
-		t.Fatal("member barrier not built after ScheduleCrash armed the detector")
+	if n := heartbeats(func(*core.Cluster) {}); n != 0 {
+		t.Fatalf("unarmed run published %d heartbeats, want 0", n)
+	}
+	if n := heartbeats(func(c *core.Cluster) { c.Health.ScheduleCrash(0, 99, true) }); n != 2*3 {
+		t.Fatalf("armed run published %d heartbeats, want one per representative and episode (6)", n)
+	}
+
+	c := crashCluster(2)
+	b := newHierBarrier(c, 1)
+	if want := 2 * c.Fab.P.RemoteLatency; b.mem.cost != want {
+		t.Fatalf("global exit cost %d, want one round trip (%d) for two nodes", b.mem.cost, want)
+	}
+	procs := []*sim.Proc{{Node: 0}, {Node: 1}}
+	procs[0].Advance(100)
+	procs[1].Advance(700)
+	var wg sync.WaitGroup
+	for _, p := range procs {
+		wg.Add(1)
+		go func(p *sim.Proc) {
+			defer wg.Done()
+			b.mem.rendezvous(p, 1, 0, false)
+		}(p)
+	}
+	wg.Wait()
+	for i, p := range procs {
+		if want := 700 + b.mem.cost; p.Now() != want {
+			t.Fatalf("representative %d released at %d, want max arrival + exit cost = %d", i, p.Now(), want)
+		}
+	}
+}
+
+// The global leg OR-combines the representatives' reset votes in an unarmed
+// run too, and a vote does not leak into the next episode.
+func TestMemberBarrierOrCombinesUnarmed(t *testing.T) {
+	c := cluster(2)
+	b := newHierBarrier(c, 1)
+	vote := func(ep int64, votes ...bool) []bool {
+		out := make([]bool, len(votes))
+		var wg sync.WaitGroup
+		for i, v := range votes {
+			wg.Add(1)
+			go func(i int, v bool) {
+				defer wg.Done()
+				out[i] = b.mem.rendezvous(&sim.Proc{Node: i}, ep, 0, v)
+			}(i, v)
+		}
+		wg.Wait()
+		return out
+	}
+	if got := vote(1, true, false); !got[0] || !got[1] {
+		t.Fatalf("episode 1 delivered %v, want the OR of the votes to both", got)
+	}
+	if got := vote(2, false, false); got[0] || got[1] {
+		t.Fatalf("episode 2 delivered %v: the OR leaked from episode 1", got)
+	}
+}
+
+// A long fault-free run holds a few episode records, not two per episode.
+func TestMemberBarrierFreesEpisodeRecords(t *testing.T) {
+	const episodes = 10_000
+	c := cluster(2)
+	var bar *hierBarrier
+	c.BarrierFactory = func(c *core.Cluster, tpn int) core.BarrierWaiter {
+		bar = newHierBarrier(c, tpn)
+		return bar
+	}
+	c.Run(1, func(th *core.Thread) {
+		for e := 0; e < episodes; e++ {
+			th.Barrier()
+		}
+	})
+	if bar.Episodes() != episodes {
+		t.Fatalf("%d episodes, want %d", bar.Episodes(), episodes)
+	}
+	if n := len(bar.mem.eps); n > 2 {
+		t.Fatalf("%d episode records left after %d episodes, want at most 2", n, episodes)
 	}
 }
 

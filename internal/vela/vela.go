@@ -4,9 +4,10 @@
 // The hierarchical barrier follows §4.1 of the paper: threads of a node
 // first meet at a node-local barrier; one representative per node performs
 // the node's self-downgrade (the page cache is shared, so one SD covers all
-// local threads), the representatives meet at a global (MPI-like) barrier,
-// self-invalidate, and finally release their local threads through a second
-// node-local barrier.
+// local threads), the representatives meet at a global (MPI-like) barrier —
+// the member barrier of cygnus.go, the one global rendezvous, which also
+// survives crashes and partitions — self-invalidate, and finally release
+// their local threads through a second node-local barrier.
 package vela
 
 import (
@@ -24,24 +25,18 @@ import (
 // cluster's phase-reset collective (classification reset after program
 // initialization, and the decay-style adaptive reclassification extension).
 type hierBarrier struct {
-	c   *core.Cluster
-	tpn int
+	c *core.Cluster
 
-	local  []*sim.Barrier // first rendezvous, per node
-	final  []*sim.Barrier // release rendezvous, per node
-	global *sim.Barrier   // node representatives
+	local []*sim.Barrier // first rendezvous, per node
+	final []*sim.Barrier // release rendezvous, per node
+	mem   *memberBarrier // node representatives
 
-	localCost  sim.Time
-	globalCost sim.Time
+	localCost sim.Time
 
 	// inst is this barrier's instance in the key space of its rendezvous
 	// events (probe-only; does not consume sync keys, so fault identities are
 	// unchanged by observing).
 	inst uint64
-
-	// mem replaces the fixed-count global barrier when crash faults are
-	// armed (Cygnus). Nil otherwise, keeping fault-free runs bit-identical.
-	mem *memberBarrier
 
 	episodes atomic.Int64
 	resets   atomic.Int64
@@ -56,24 +51,15 @@ func DefaultBarrier(c *core.Cluster, threadsPerNode int) core.BarrierWaiter {
 // newHierBarrier builds the default barrier for a launch of threadsPerNode
 // threads on every node of c.
 func newHierBarrier(c *core.Cluster, threadsPerNode int) *hierBarrier {
-	b := &hierBarrier{
-		c:      c,
-		tpn:    threadsPerNode,
-		global: sim.NewBarrier(c.Cfg.Nodes),
-		inst:   c.NextSpanKey(),
-	}
+	b := &hierBarrier{c: c, inst: c.NextSpanKey()}
 	for n := 0; n < c.Cfg.Nodes; n++ {
 		b.local = append(b.local, sim.NewBarrier(threadsPerNode))
 		b.final = append(b.final, sim.NewBarrier(threadsPerNode))
 	}
 	p := c.Fab.P
 	b.localCost = p.SocketLatency * sim.Time(1+log2ceil(threadsPerNode))
-	if c.Cfg.Nodes > 1 {
-		b.globalCost = 2 * p.RemoteLatency * sim.Time(log2ceil(c.Cfg.Nodes))
-	}
-	if c.Health != nil && c.Health.Armed() {
-		b.mem = newMemberBarrier(c, threadsPerNode, b.globalCost)
-	}
+	globalCost := 2 * p.RemoteLatency * sim.Time(log2ceil(c.Cfg.Nodes))
+	b.mem = newMemberBarrier(c, threadsPerNode, globalCost)
 	return b
 }
 
@@ -107,18 +93,14 @@ func (b *hierBarrier) meet(t *core.Thread, arrive probe.Kind, point int, ep uint
 }
 
 func (b *hierBarrier) wait(t *core.Thread, forceReset bool) {
-	// The episode counter keys the barrier's rendezvous events and, under Cygnus,
-	// names the crash safe point; it advances whether or not faults are
-	// armed (nothing outside crash handling reads it, so fault-free runs
-	// stay bit-identical).
+	// The episode counter keys the barrier's rendezvous events and the
+	// member barrier's episodes, and names the crash safe point.
 	t.SyncEpoch++
-	if b.mem != nil {
-		// Cygnus: barrier entry is the crash safe point. Every thread of a
-		// crashing node is diverted here — restart observers return without
-		// running the episode, crash-stop threads unwind via CrashSignal.
-		if b.mem.crashPoint(t, t.SyncEpoch) {
-			return
-		}
+	// Cygnus: barrier entry is the crash safe point. Every thread of a
+	// crashing node is diverted here — restart observers return without
+	// running the episode, crash-stop threads unwind via CrashSignal.
+	if b.mem.crashPoint(t, t.SyncEpoch) {
+		return
 	}
 	n := t.Node
 	ep := uint64(t.SyncEpoch)
@@ -129,11 +111,8 @@ func (b *hierBarrier) wait(t *core.Thread, forceReset bool) {
 		// invalidate. The reset decision travels with the rendezvous so
 		// all representatives of one episode agree on it.
 		r0 := t.P.Now()
-		leader := t.Node == 0
-		if b.mem != nil {
-			b.mem.heartbeat(t, t.SyncEpoch)
-			leader = b.mem.leaderAt(t.SyncEpoch) == t.Node
-		}
+		b.mem.heartbeat(t, t.SyncEpoch)
+		leader := b.mem.leaderAt(t.SyncEpoch) == t.Node
 		t.Coh.SDFence(t.P)
 		want := forceReset
 		var counted, wiped int64 // the leader's: it counts the episode and wipes the directory
@@ -151,11 +130,7 @@ func (b *hierBarrier) wait(t *core.Thread, forceReset bool) {
 		}
 		var reset bool
 		waited += b.meet(t, probe.ArriveGlobal, 0, ep, func() {
-			if b.mem != nil {
-				reset = b.mem.rendezvous(t.P, t.SyncEpoch, 0, want)
-			} else {
-				reset = b.global.WaitOr(t.P, b.globalCost, want)
-			}
+			reset = b.mem.rendezvous(t.P, t.SyncEpoch, 0, want)
 		})
 		if reset {
 			t.Coh.ResetForPhase()
@@ -167,11 +142,7 @@ func (b *hierBarrier) wait(t *core.Thread, forceReset bool) {
 			// Second rendezvous: nobody may re-register pages while the
 			// directory wipe is in progress on the leader.
 			waited += b.meet(t, probe.ArriveGlobal, 255, ep, func() {
-				if b.mem != nil {
-					b.mem.rendezvous(t.P, t.SyncEpoch, 1, false)
-				} else {
-					b.global.Wait(t.P, b.globalCost)
-				}
+				b.mem.rendezvous(t.P, t.SyncEpoch, 1, false)
 			})
 		} else {
 			t.Coh.SIFence(t.P)
@@ -183,17 +154,8 @@ func (b *hierBarrier) wait(t *core.Thread, forceReset bool) {
 }
 
 // Members returns the barrier's current membership view in ascending node
-// order (all nodes when crash faults are not armed).
-func (b *hierBarrier) Members() []int {
-	if b.mem == nil {
-		out := make([]int, b.c.Cfg.Nodes)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	return b.mem.Members()
-}
+// order.
+func (b *hierBarrier) Members() []int { return b.mem.Members() }
 
 // Episodes returns the number of completed barrier episodes.
 func (b *hierBarrier) Episodes() int64 { return b.episodes.Load() }
@@ -207,14 +169,10 @@ var _ core.SafePointer = (*hierBarrier)(nil)
 
 // SafePoint delivers a pending crash verdict at a non-barrier safe point
 // (core.SafePointer). Locks and flags call it through Thread.CrashSafePoint;
-// it is a no-op unless Cygnus is armed AND the plan's crashpoints spec arms
-// this kind of point. See memberBarrier.safePoint for the schedule-identity
-// argument.
-func (b *hierBarrier) SafePoint(t *core.Thread, pt fault.SafePoint) {
-	if b.mem != nil {
-		b.mem.safePoint(t, pt)
-	}
-}
+// it is a no-op unless the plan's crashpoints spec arms this kind of point
+// and a crash verdict is pending. See memberBarrier.safePoint for the
+// schedule-identity argument.
+func (b *hierBarrier) SafePoint(t *core.Thread, pt fault.SafePoint) { b.mem.safePoint(t, pt) }
 
 // Flag is a signal/wait synchronization flag homed at one node. Signal has
 // release semantics (SD fence before the flag becomes visible); Wait has

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"argo"
+	"argo/internal/sim"
 )
 
 // NewCluster must return errors, never panic, on bad user input.
@@ -83,6 +84,29 @@ func TestOptionsCompose(t *testing.T) {
 	c.Run(1, func(th *argo.Thread) { th.Barrier() })
 	if !barrierBuilt {
 		t.Fatal("WithBarrier factory never invoked")
+	}
+}
+
+// A cost model written out field by field has no switch left to forget: two
+// readers of one home queue at its NIC.
+func TestHandWrittenFabricParamsQueueAtNIC(t *testing.T) {
+	net := argo.FabricParams{
+		RemoteLatency: 2500, NsPerKB: 400, DirService: 100, PostOverhead: 300,
+		DRAMLatency: 60, SocketLatency: 120, LocalLatency: 40, CacheHit: 2, MemCopyPerKB: 60,
+	}
+	cfg := argo.DefaultConfig(3)
+	cfg.MemoryBytes = 4 << 20
+	c := argo.MustNewCluster(cfg, argo.WithFabricParams(net))
+	defer c.Close()
+	a, b := &sim.Proc{Node: 0}, &sim.Proc{Node: 2}
+	c.Fab.RemoteRead(a, 1, 64<<10, 0)
+	c.Fab.RemoteRead(b, 1, 64<<10, 1)
+	alone := 2*net.RemoteLatency + net.TransferCost(64<<10)
+	if a.Now() != alone {
+		t.Fatalf("first reader took %d, want %d", a.Now(), alone)
+	}
+	if b.Now() <= a.Now() {
+		t.Fatalf("second reader of home 1 took %d, first %d: no queueing at the home NIC", b.Now(), a.Now())
 	}
 }
 
