@@ -22,6 +22,7 @@ import (
 
 	"argo/internal/coherence"
 	"argo/internal/fault"
+	"argo/internal/harness"
 	"argo/internal/mem"
 	"argo/internal/workloads/cg"
 	"argo/internal/workloads/drf"
@@ -30,7 +31,7 @@ import (
 	"argo/internal/workloads/wload"
 )
 
-var census = flag.Bool("census", false, "run the determinism census of the six ledger runner calls (report only; go test -run Census -census -cpu 1,2,4 -v .)")
+var census = flag.Bool("census", false, "run the determinism census of the six ledger runner calls and the fig8–13 -quick experiments (report only; go test -run Census -census -cpu 1,2,4 -v .)")
 
 // censusRuns is how often each runner call is repeated per GOMAXPROCS value.
 const censusRuns = 5
@@ -136,13 +137,146 @@ func TestCensus(t *testing.T) {
 	}
 }
 
-// spread renders the range of a set of integer values as ", lo…hi, x %" (the
-// distance between them over the larger), and as nothing if one is no integer.
+// censusFigures are the experiments of the fig8–13 -quick set.
+var censusFigures = []string{"fig8", "fig9", "fig10", "fig11", "fig12", "fig13a", "fig13b", "fig13c", "fig13d", "fig13e", "fig13f"}
+
+// TestFigureCensus is the same census over the figures: it runs each -quick
+// experiment censusRuns times and prints, per table, the columns whose every
+// cell repeated exactly and each cell that did not (with its range). Like
+// TestCensus it asserts nothing; its table is DESIGN §20's second one.
+func TestFigureCensus(t *testing.T) {
+	if !*census {
+		t.Skip("report only: give -census (with -cpu 1,2,4 -v) to take it")
+	}
+	fmt.Printf("figure census: GOMAXPROCS=%d, %d runs of each -quick experiment\n", runtime.GOMAXPROCS(0), censusRuns)
+	for _, id := range censusFigures {
+		e, ok := harness.Lookup(id)
+		if !ok {
+			t.Fatalf("no experiment %s", id)
+		}
+		var tables []*censusTable
+		for i := 0; i < censusRuns; i++ {
+			var out strings.Builder
+			if err := e.Run(&out, true); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			for j, tb := range parseTables(out.String()) {
+				if i == 0 {
+					tables = append(tables, &censusTable{title: tb.title, headers: tb.headers, seen: map[[2]int]map[string]bool{}})
+					for _, row := range tb.rows {
+						label := row[0]
+						if tb.headers[1] == "Threads" { // scaling rows: nodes × threads
+							label += "×" + row[1]
+						}
+						tables[j].labels = append(tables[j].labels, label)
+					}
+				}
+				for r, row := range tb.rows {
+					for c, v := range row {
+						k := [2]int{r, c}
+						if tables[j].seen[k] == nil {
+							tables[j].seen[k] = map[string]bool{}
+						}
+						tables[j].seen[k][v] = true
+					}
+				}
+			}
+		}
+		for _, tb := range tables {
+			tb.report(id)
+		}
+	}
+}
+
+// censusTable accumulates the values each cell of one table took.
+type censusTable struct {
+	title   string
+	headers []string
+	labels  []string                   // by row: the row's first cell(s) in the first run
+	seen    map[[2]int]map[string]bool // by (row, column)
+}
+
+func (tb *censusTable) report(id string) {
+	var same, varied []string
+	for c, h := range tb.headers {
+		all := true
+		for r, label := range tb.labels {
+			if vs := tb.seen[[2]int{r, c}]; len(vs) > 1 {
+				all = false
+				varied = append(varied, fmt.Sprintf("%s[%s] (%d values%s)", h, label, len(vs), spread(vs)))
+			}
+		}
+		if all {
+			same = append(same, h)
+		}
+	}
+	fmt.Printf("  %-7s %s\n          repeated: %s\n          varied:   %s\n", id, tb.title, orNone(same), orNone(varied))
+}
+
+// renderedTable is one harness.Table read back from an experiment's output.
+type renderedTable struct {
+	title   string
+	headers []string
+	rows    [][]string
+}
+
+// parseTables reads back every table in out: a "== title ==" line, the
+// header line, the dashed rule whose runs give the column offsets, and the
+// rows that fit the rule — prose after a table is wider or breaks a gap.
+func parseTables(out string) []renderedTable {
+	lines := strings.Split(out, "\n")
+	var tables []renderedTable
+	for i := 0; i+2 < len(lines); i++ {
+		if !strings.HasPrefix(lines[i], "== ") {
+			continue
+		}
+		rule := lines[i+2]
+		var starts []int
+		for j := range rule {
+			if rule[j] == '-' && (j == 0 || rule[j-1] == ' ') {
+				starts = append(starts, j)
+			}
+		}
+		cells := func(line string) []string {
+			row := make([]string, len(starts))
+			for c, s := range starts {
+				end := len(line)
+				if c+1 < len(starts) {
+					end = min(end, starts[c+1])
+				}
+				if s < end {
+					row[c] = strings.TrimSpace(line[s:end])
+				}
+			}
+			return row
+		}
+		tb := renderedTable{title: strings.Trim(lines[i], "= "), headers: cells(lines[i+1])}
+		fits := func(line string) bool {
+			if line == "" || len(line) > len(rule) {
+				return false
+			}
+			for _, s := range starts[1:] {
+				if s-2 < len(line) && strings.TrimSpace(line[s-2:min(s, len(line))]) != "" {
+					return false
+				}
+			}
+			return true
+		}
+		for i += 3; i < len(lines) && fits(lines[i]); i++ {
+			tb.rows = append(tb.rows, cells(lines[i]))
+		}
+		tables = append(tables, tb)
+	}
+	return tables
+}
+
+// spread renders the range of a set of numeric values as ", lo…hi, x %" (the
+// distance between them over the larger), and as nothing if one is no number.
 func spread(values map[string]bool) string {
-	lo, hi := int64(0), int64(0)
+	lo, hi := 0.0, 0.0
 	first := true
 	for v := range values {
-		n, err := strconv.ParseInt(v, 10, 64)
+		n, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return ""
 		}
@@ -154,7 +288,7 @@ func spread(values map[string]bool) string {
 		}
 		first = false
 	}
-	return fmt.Sprintf(", %d…%d, %.2f %%", lo, hi, 100*float64(hi-lo)/float64(hi))
+	return fmt.Sprintf(", %s…%s, %.2f %%", strconv.FormatFloat(lo, 'f', -1, 64), strconv.FormatFloat(hi, 'f', -1, 64), 100*(hi-lo)/hi)
 }
 
 func orNone(names []string) string {

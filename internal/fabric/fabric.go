@@ -16,11 +16,16 @@
 // operation can be dropped in flight, delayed, stalled at the target NIC, or
 // — for remote atomics — fail transiently after the round trip. Because
 // every protocol action is requester-paid and handler-free, recovery is
-// requester-side too: round-trip operations here retry with a detection
-// timeout and capped exponential backoff until the injector's escalation
-// guarantee delivers them; single-attempt variants (TryRemoteAtomic,
-// TryRemoteWrite, PostWrite) let the lock and coherence layers own their own
-// retry policy. Every operation carries a caller-chosen resource key (page
+// requester-side too, and who owns a reissue depends on who waits for it.
+// The fabric owns every operation its issuer waits on: RemoteRead,
+// RemoteWrite, RemoteAtomic and FetchLine draw until delivered (deliver),
+// paying a detection timeout and capped exponential backoff per loss, until
+// the injector's escalation guarantee delivers them, and report the
+// recovery; RemoteWrite and RemoteAtomic return the reissue count, which is
+// all the lock and flag words need. The coherence layer owns the reissue of
+// what nobody waits on at issue: posted writebacks (PostWrite,
+// PostWriteBurst) and registration bursts (AtomicBurst) return their losses,
+// which a fence finds per flush and a miss per burst pass. Every operation carries a caller-chosen resource key (page
 // number, lock id, flag id) that, together with the issuer, class, target
 // and attempt index, forms the deterministic identity the injector hashes —
 // so the injected schedule is reproducible across runs.
@@ -192,6 +197,21 @@ func (f *Fabric) draw(p *sim.Proc, cl fault.Class, home int, key uint64, attempt
 	return v
 }
 
+// deliver draws verdicts for an operation of class cl from p to home, from
+// attempt on, until one delivers: each loss charges the detection timeout
+// and a backoff. It returns the delivering verdict and its attempt index.
+func (f *Fabric) deliver(p *sim.Proc, cl fault.Class, home int, key uint64, attempt int) (fault.Verdict, int) {
+	for {
+		v := f.draw(p, cl, home, key, attempt)
+		if v.Deliver {
+			return v, attempt
+		}
+		f.lost(p, cl)
+		f.Backoff(p, attempt)
+		attempt++
+	}
+}
+
 // New creates a fabric for the given topology and cost model, with one
 // stats.Node per machine. Invalid topologies or parameters surface as
 // errors; MustNew panics instead for static configurations.
@@ -274,20 +294,11 @@ func (f *Fabric) RemoteRead(p *sim.Proc, home, n int, key uint64) {
 		return
 	}
 	t0 := p.Now()
-	attempt := 0
-	for {
-		v := f.draw(p, fault.ClassRead, home, key, attempt)
-		if v.Deliver {
-			f.noteInjected(p, v)
-			p.Advance(f.P.RemoteLatency + v.Delay) // request reaches the home NIC
-			f.occupyNIC(p, home, p.Now(), f.P.TransferCost(n)+v.Stall)
-			p.Advance(f.P.RemoteLatency) // data returns
-			break
-		}
-		f.lost(p, fault.ClassRead)
-		f.Backoff(p, attempt)
-		attempt++
-	}
+	v, attempt := f.deliver(p, fault.ClassRead, home, key, 0)
+	f.noteInjected(p, v)
+	p.Advance(f.P.RemoteLatency + v.Delay) // request reaches the home NIC
+	f.occupyNIC(p, home, p.Now(), f.P.TransferCost(n)+v.Stall)
+	p.Advance(f.P.RemoteLatency) // data returns
 	f.recovered(p, t0, fault.ClassRead, attempt)
 	f.nodes[home].BytesSent.Add(int64(n))
 	f.nodes[p.Node].BytesReceived.Add(int64(n))
@@ -295,45 +306,25 @@ func (f *Fabric) RemoteRead(p *sim.Proc, home, n int, key uint64) {
 }
 
 // RemoteWrite charges for an RDMA write of n bytes to node home, issued by
-// p, and retries until delivered. The paper's writebacks are fire-and-forget
-// until a fence; we charge the posting cost (latency + wire) to the issuer,
-// which is conservative.
-func (f *Fabric) RemoteWrite(p *sim.Proc, home, n int, key uint64) {
+// p, reissues it until delivered and returns the reissue count. The paper's
+// writebacks are fire-and-forget until a fence; we charge the posting cost
+// (latency + wire) to the issuer, which is conservative.
+func (f *Fabric) RemoteWrite(p *sim.Proc, home, n int, key uint64) int {
 	if home == p.Node {
 		p.Advance(f.P.DRAMLatency + f.P.CopyCost(n))
-		return
+		return 0
 	}
 	t0 := p.Now()
-	attempt := 0
-	for !f.TryRemoteWrite(p, home, n, key, attempt) {
-		f.Backoff(p, attempt)
-		attempt++
-	}
-	f.recovered(p, t0, fault.ClassWrite, attempt)
-}
-
-// TryRemoteWrite issues one attempt of a synchronous remote write and
-// reports whether it was delivered. A drop charges the detection timeout
-// and nothing else; the caller owns backoff and reissue. Loopback writes
-// always succeed.
-func (f *Fabric) TryRemoteWrite(p *sim.Proc, home, n int, key uint64, attempt int) bool {
-	if home == p.Node {
-		p.Advance(f.P.DRAMLatency + f.P.CopyCost(n))
-		return true
-	}
-	v := f.draw(p, fault.ClassWrite, home, key, attempt)
-	if !v.Deliver {
-		f.lost(p, fault.ClassWrite)
-		return false
-	}
-	t0 := p.Now()
+	v, attempt := f.deliver(p, fault.ClassWrite, home, key, 0)
+	t1 := p.Now()
 	f.noteInjected(p, v)
 	p.Advance(f.P.RemoteLatency + v.Delay)
 	f.occupyNIC(p, home, p.Now(), f.P.TransferCost(n)+v.Stall)
 	f.nodes[p.Node].BytesSent.Add(int64(n))
 	f.nodes[home].BytesReceived.Add(int64(n))
-	f.done(p, t0, probe.OpWrite, int64(home))
-	return true
+	f.done(p, t1, probe.OpWrite, int64(home))
+	f.recovered(p, t0, fault.ClassWrite, attempt)
+	return attempt
 }
 
 // HomePages counts a line fetch's page transfers from one home node.
@@ -380,17 +371,7 @@ func (f *Fabric) FetchLine(p *sim.Proc, homes []HomePages, bytesEach int, key ui
 		return
 	}
 	tRemote := p.Now()
-	attempt := 0
-	var v fault.Verdict
-	for {
-		v = f.draw(p, fault.ClassFetch, target, key, attempt)
-		if v.Deliver {
-			break
-		}
-		f.lost(p, fault.ClassFetch)
-		f.Backoff(p, attempt)
-		attempt++
-	}
+	v, attempt := f.deliver(p, fault.ClassFetch, target, key, 0)
 	f.noteInjected(p, v)
 	p.Advance(f.P.RemoteLatency + v.Delay)
 	arrival := p.Now()
@@ -639,51 +620,35 @@ func (f *Fabric) AtomicBurst(p *sim.Proc, items []AtomicItem) (failed []int) {
 }
 
 // RemoteAtomic charges for a remote atomic (fetch-and-or / fetch-and-add /
-// CAS) on a word homed at node home, issued by p, retrying until it takes
-// effect. The home NIC performs the operation; no remote CPU is involved.
-// key names the word for fault identity (page number, lock id).
-func (f *Fabric) RemoteAtomic(p *sim.Proc, home int, key uint64) {
+// CAS) on a word homed at node home, issued by p, reissues it until it takes
+// effect and returns the reissue count. The home NIC performs the operation;
+// no remote CPU is involved. key names the word for fault identity (page
+// number, lock id). A transient atomic failure charges the full round trip
+// and then backs off like a drop: it fails before the operation's effect,
+// which is what makes reissuing a non-idempotent atomic safe.
+func (f *Fabric) RemoteAtomic(p *sim.Proc, home int, key uint64) int {
 	if home == p.Node {
 		p.Advance(f.P.DRAMLatency)
-		return
+		return 0
 	}
 	t0 := p.Now()
-	attempt := 0
-	for !f.TryRemoteAtomic(p, home, key, attempt) {
-		f.Backoff(p, attempt)
-		attempt++
-	}
-	f.recovered(p, t0, fault.ClassAtomic, attempt)
-}
-
-// TryRemoteAtomic issues one attempt of a remote atomic and reports whether
-// it took effect. A drop charges the detection timeout; a transient atomic
-// failure charges the full round trip (the failure happens before the
-// operation's effect, which is what makes reissuing a non-idempotent atomic
-// safe). The caller owns backoff between attempts — lock acquisition loops
-// use this to back off instead of spinning a dead NIC.
-func (f *Fabric) TryRemoteAtomic(p *sim.Proc, home int, key uint64, attempt int) bool {
-	if home == p.Node {
-		p.Advance(f.P.DRAMLatency)
-		return true
-	}
-	v := f.draw(p, fault.ClassAtomic, home, key, attempt)
-	if !v.Deliver {
-		f.lost(p, fault.ClassAtomic)
-		return false
-	}
-	t0 := p.Now()
-	f.noteInjected(p, v)
-	p.Advance(f.P.RemoteLatency + v.Delay)
-	f.occupyNIC(p, home, p.Now(), f.P.DirService+v.Stall)
-	p.Advance(f.P.RemoteLatency)
-	f.nodes[p.Node].DirOps.Add(1)
-	f.done(p, t0, probe.OpAtomic, int64(home))
-	if v.AtomicFail {
+	for attempt := 0; ; attempt++ {
+		var v fault.Verdict
+		v, attempt = f.deliver(p, fault.ClassAtomic, home, key, attempt)
+		t1 := p.Now()
+		f.noteInjected(p, v)
+		p.Advance(f.P.RemoteLatency + v.Delay)
+		f.occupyNIC(p, home, p.Now(), f.P.DirService+v.Stall)
+		p.Advance(f.P.RemoteLatency)
+		f.nodes[p.Node].DirOps.Add(1)
+		f.done(p, t1, probe.OpAtomic, int64(home))
+		if !v.AtomicFail {
+			f.recovered(p, t0, fault.ClassAtomic, attempt)
+			return attempt
+		}
 		f.CountRetries(p, fault.ClassAtomic, 1)
-		return false
+		f.Backoff(p, attempt)
 	}
-	return true
 }
 
 // HandoverCost returns the cost of transferring a contended cache line from

@@ -9,13 +9,13 @@ import (
 )
 
 // This file holds the requester-side recovery machinery shared by the
-// fabric's retrying operations and exported to protocol layers that own
-// their own retry loops (locks, fences, flags).
+// fabric's reissuing operations and exported to the coherence layer, which
+// reissues posted writebacks and registration bursts itself.
 
 // Backoff charges p capped exponential backoff before a reissue:
-// min(base << attempt, cap) from the fault plan. Exported for protocol
-// layers — e.g. a lock acquisition that backs off instead of hammering a
-// dead NIC — so that their waiting shows up in the same counters.
+// min(base << attempt, cap) from the fault plan. Exported for the coherence
+// layer's writeback and registration reissues, so that their waiting shows
+// up in the same counters.
 func (f *Fabric) Backoff(p *sim.Proc, attempt int) {
 	b := f.backoffDelay(attempt)
 	t0 := p.Now()
@@ -62,8 +62,7 @@ func (f *Fabric) lost(p *sim.Proc, cl fault.Class) {
 
 // CountRetries counts k reissues that were not caused by a drop seen by lost
 // (transient atomic failure, writeback reissue from a flush). Exported for
-// protocol layers that reissue through single-attempt primitives (the SD/SI
-// fence writeback loops).
+// the coherence layer's writeback and registration reissue loops.
 func (f *Fabric) CountRetries(p *sim.Proc, cl fault.Class, k int) {
 	if k <= 0 {
 		return

@@ -38,6 +38,54 @@ func crashLockCluster(nodes int) (*core.Cluster, *metrics.Suite) {
 	return c, ms
 }
 
+// lockRetryReports counts the LockRetries reports: one per lock-word
+// operation the fabric had to reissue.
+type lockRetryReports struct{ n atomic.Int64 }
+
+func (s *lockRetryReports) Observe(e probe.Event) {
+	if e.Kind == probe.LockRetries {
+		s.n.Add(1)
+	}
+}
+
+// TestTicketReissuesReportRecovery: under drops and transient atomic
+// failures, a reissued ticket atomic or grant write is a recovered operation
+// like every other one a thread waits on — argo_fault_recovery_ns observes
+// one per lock-retry report.
+func TestTicketReissuesReportRecovery(t *testing.T) {
+	cfg := core.DefaultConfig(3)
+	cfg.MemoryBytes = 4 << 20
+	plan, err := fault.ParsePlan("drop=0.2,atomicfail=0.3,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &plan
+	ms, reports := metrics.NewSuite(), &lockRetryReports{}
+	cfg.Observers = append(cfg.Observers, ms, reports)
+	c := core.MustNewCluster(cfg)
+	defer c.Close()
+	mu := NewDSMMutex(c, 0)
+	c.Run(1, func(th *core.Thread) {
+		for i := 0; i < 40; i++ {
+			mu.Lock(th)
+			th.P.Advance(100)
+			mu.Unlock(th)
+		}
+	})
+	var recovered int64
+	for _, h := range ms.Reg.Dump().Histograms {
+		if op := h.Labels["op"]; h.Name == "argo_fault_recovery_ns" && (op == fault.ClassAtomic.String() || op == fault.ClassWrite.String()) {
+			recovered += h.Count
+		}
+	}
+	if reports.n.Load() == 0 {
+		t.Fatal("no ticket-word operation was reissued: not the path under test")
+	}
+	if recovered != reports.n.Load() {
+		t.Fatalf("argo_fault_recovery_ns observed %d recovered ticket-word operations, want one per lock-retry report (%d)", recovered, reports.n.Load())
+	}
+}
+
 // TestTicketLockDeadHolderExcised: node 1's thread takes the lock and dies
 // without releasing. Once the membership excises the corpse, the lease
 // expires, the head waiter is granted and pays the excision CAS, and every

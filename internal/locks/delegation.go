@@ -15,17 +15,20 @@ import (
 // *core.Thread): whoever finds the queue free becomes the helper, opens it,
 // runs its own section and then those other threads put in the ring meanwhile.
 //
-// The ring is the QD paper's fixed-size delegation buffer, BatchLimit
-// entries long, and BatchLimit bounds two things, neither of them the batch:
-// how many sections may be queued at once (a delegator that finds the ring
-// full spins) and how many the helper dequeues before it closes the queue.
-// What is still queued at the close runs too — its delegators may have
-// detached — so one opening executes up to 2·BatchLimit+1 sections.
+// The ring is the QD paper's fixed-size delegation buffer, sized once when
+// the lock is built (delegRing entries), and its length bounds two things,
+// neither of them the batch: how many sections may be queued at once (a
+// delegator that finds the ring full spins) and how many the helper dequeues
+// before it closes the queue. What is still queued at the close runs too —
+// its delegators may have detached — so one opening executes up to
+// 2·len(ring)+1 sections. Publishing a section costs its delegator, and
+// pulling one costs the helper, one same-socket transfer (LocalLatency: a
+// CAS and a cache-line push toward the helper, and the pull back).
 //
-// The ring, like every field below mu, is touched only under mu: written by
-// delegators while open is set, emptied by the helper before it clears held —
-// the one moment a changed BatchLimit resizes it. A warm queue allocates
-// nothing: waited sections complete through recycled slots.
+// The ring's entries, like every field below mu, are touched only under mu:
+// written by delegators while open is set, emptied by the helper before it
+// clears held. A warm queue allocates nothing: waited sections complete
+// through recycled slots.
 type delegQueue[H any] struct {
 	fab *fabric.Fabric
 
@@ -58,18 +61,18 @@ type delegSlot struct {
 	key uint64
 }
 
-// delegate hands section to the current helper, at the lock's EnqueueCost,
-// and returns the slot to await when wait is set. A caller that finds the
-// queue free becomes the helper instead, of a ring limit (the lock's
-// BatchLimit) long: it runs section itself through serve, then calls release.
-func (q *delegQueue[H]) delegate(p *sim.Proc, section func(h H), wait bool, limit int, enq sim.Time) (s *delegSlot, helper bool) {
+// delegRing is the delegation ring's length on every QD and HQDL queue.
+const delegRing = 128
+
+// delegate hands section to the current helper and returns the slot to
+// await when wait is set. A caller that finds the queue free becomes the
+// helper instead: it runs section itself through serve, then calls release.
+func (q *delegQueue[H]) delegate(p *sim.Proc, section func(h H), wait bool) (s *delegSlot, helper bool) {
+	enq := q.fab.P.LocalLatency
 	for {
 		q.mu.Lock()
 		if !q.held {
 			q.held, q.open = true, true
-			if n := max(limit, 0); n != len(q.ring) {
-				q.ring, q.head = make([]delegEntry[H], n), 0
-			}
 			q.h.acquired(p, q.fab)
 			q.mu.Unlock()
 			return nil, true
@@ -112,10 +115,10 @@ func (q *delegQueue[H]) await(p *sim.Proc, s *delegSlot) {
 	q.mu.Unlock()
 }
 
-// serve is the helper's turn: its own section, then the ring's, each at the
-// lock's DequeueCost. When the ring runs dry or BatchLimit sections have been
-// dequeued the queue closes; what it holds then still runs. Returns the count.
-func (q *delegQueue[H]) serve(h H, p *sim.Proc, own func(h H), deq sim.Time) int {
+// serve is the helper's turn: its own section, then the ring's. When the
+// ring runs dry or a ring's length of sections have been dequeued the queue
+// closes; what it holds then still runs. Returns the count.
+func (q *delegQueue[H]) serve(h H, p *sim.Proc, own func(h H)) int {
 	own(h)
 	sections := 1
 	for open := true; ; sections++ {
@@ -137,7 +140,7 @@ func (q *delegQueue[H]) serve(h H, p *sim.Proc, own func(h H), deq sim.Time) int
 		q.head = (q.head + 1) % len(q.ring)
 		q.n--
 		q.mu.Unlock()
-		p.Advance(deq)
+		p.Advance(q.fab.P.LocalLatency)
 		p.AdvanceTo(e.enqAt)
 		q.obs.Sync(p, p.Now(), probe.DelegateRun, e.key, 0, 0)
 		e.section(h)

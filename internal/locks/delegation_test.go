@@ -139,17 +139,15 @@ func TestAllocFreeHQDLDelegation(t *testing.T) {
 	}
 }
 
-// TestDelegationRingWrapsAcrossOpenings: one lock, its BatchLimit changed
-// between runs (the ring follows while the queue is closed), many openings
-// each: every section runs exactly once and each thread's sections run in
-// the order it issued them, whatever the ring's length and wherever its head
-// stood when an opening began.
+// TestDelegationRingWrapsAcrossOpenings: one lock per ring length, many
+// openings each: every section runs exactly once and each thread's sections
+// run in the order it issued them, whatever the ring's length and wherever
+// its head stood when an opening began.
 func TestDelegationRingWrapsAcrossOpenings(t *testing.T) {
-	l := NewQDLock(testFab())
 	topo := sim.Topology{Nodes: 1, Sockets: 2, CoresPerSocket: 4}
 	const workers, iters = 8, 300
-	for _, limit := range []int{128, 1, 3, 2} {
-		l.BatchLimit = limit
+	for _, limit := range []int{delegRing, 1, 3, 2} {
+		l := newQDLock(testFab(), limit)
 		var last [workers]int // serialized by the lock
 		executed := 0
 		sim.NewGroup(procs(topo, workers)).Run(func(i int, p *sim.Proc) {
@@ -157,7 +155,7 @@ func TestDelegationRingWrapsAcrossOpenings(t *testing.T) {
 				k := k
 				section := func(h *sim.Proc) {
 					if last[i] != k-1 {
-						t.Errorf("BatchLimit %d: thread %d's section %d ran after its section %d", limit, i, k, last[i])
+						t.Errorf("ring %d: thread %d's section %d ran after its section %d", limit, i, k, last[i])
 					}
 					last[i] = k
 					executed++
@@ -165,7 +163,7 @@ func TestDelegationRingWrapsAcrossOpenings(t *testing.T) {
 				if k%3 == 0 {
 					l.DelegateWait(p, section)
 					if last[i] != k {
-						t.Errorf("BatchLimit %d: DelegateWait returned before thread %d's section %d ran", limit, i, k)
+						t.Errorf("ring %d: DelegateWait returned before thread %d's section %d ran", limit, i, k)
 					}
 				} else {
 					l.Delegate(p, section)
@@ -173,24 +171,23 @@ func TestDelegationRingWrapsAcrossOpenings(t *testing.T) {
 			}
 		})
 		if executed != workers*iters {
-			t.Fatalf("BatchLimit %d: %d sections ran, want %d", limit, executed, workers*iters)
+			t.Fatalf("ring %d: %d sections ran, want %d", limit, executed, workers*iters)
 		}
 		if got := len(l.q.ring); got != limit || l.q.n != 0 || l.q.held {
-			t.Fatalf("BatchLimit %d: ring of %d with %d queued, held=%v", limit, got, l.q.n, l.q.held)
+			t.Fatalf("ring %d: ring of %d with %d queued, held=%v", limit, got, l.q.n, l.q.held)
 		}
 	}
 }
 
-// TestBatchLimitBoundsRingNotBatch pins what BatchLimit bounds (see
-// delegQueue): the ring's length and the dequeues before the close, so an
-// opening whose ring is kept full runs own + BatchLimit dequeued +
-// BatchLimit left at the close. The first helper's own section and every
+// TestBatchLimitBoundsRingNotBatch pins what the ring's length bounds (see
+// delegQueue): the sections queued at once and the dequeues before the
+// close, so an opening whose ring is kept full runs own + len(ring) dequeued
+// + len(ring) left at the close. The first helper's own section and every
 // section it runs hold it until the detached delegators have refilled the
 // ring.
 func TestBatchLimitBoundsRingNotBatch(t *testing.T) {
 	const limit, delegators = 4, 12
-	l := NewQDLock(testFab())
-	l.BatchLimit = limit
+	l := newQDLock(testFab(), limit)
 	topo := sim.Topology{Nodes: 1, Sockets: 4, CoresPerSocket: 4}
 	h0 := topo.NewProc(0, 0)
 	ringFullOrClosed := func() bool {
@@ -220,7 +217,7 @@ func TestBatchLimitBoundsRingNotBatch(t *testing.T) {
 	})
 	wg.Wait()
 	if onFirstHelper != 2*limit+1 {
-		t.Fatalf("the first opening ran %d sections, want 2·BatchLimit+1 = %d", onFirstHelper, 2*limit+1)
+		t.Fatalf("the first opening ran %d sections, want 2·len(ring)+1 = %d", onFirstHelper, 2*limit+1)
 	}
 }
 

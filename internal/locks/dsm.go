@@ -138,22 +138,16 @@ func (l *globalTicketLock) payExcision(t *core.Thread, dead int) {
 // Lock takes a ticket (one remote atomic) and waits for the grant. The
 // handover is observed by polling the remote grant word, which costs a
 // round trip after the previous holder releases. When the ticket atomic is
-// dropped or fails transiently (Corvus), the acquirer backs off with the
-// fabric's capped exponential schedule instead of hammering the dead NIC —
-// a reissued fetch-and-increment is safe because the transient fails before
+// dropped or fails transiently (Corvus), the fabric reissues it after its
+// capped exponential backoff — safe because the transient fails before
 // taking effect, so no ticket is ever burned.
 func (l *globalTicketLock) Lock(t *core.Thread) {
 	// Safe point BEFORE the ticket atomic (crashpoints=lock): a dying
 	// acquirer unwinds while it holds nothing and owes nothing.
 	t.CrashSafePoint(fault.SafeLock)
 	t0 := t.P.Now()
-	attempt := 0
-	for !l.c.Fab.TryRemoteAtomic(t.P, l.home, l.key, attempt) {
-		l.c.Fab.Backoff(t.P, attempt)
-		attempt++
-	}
-	if attempt > 0 {
-		l.c.Obs.Sync(t.P, t.P.Now(), probe.LockRetries, l.key, int64(attempt), 0)
+	if n := l.c.Fab.RemoteAtomic(t.P, l.home, l.key); n > 0 {
+		l.c.Obs.Sync(t.P, t.P.Now(), probe.LockRetries, l.key, int64(n), 0)
 	}
 	l.mu.Lock()
 	// A free lock may carry the excision a recovery with no waiter left pending.
@@ -209,17 +203,11 @@ func (l *globalTicketLock) unlockSafePoint(t *core.Thread) {
 }
 
 // Unlock bumps the grant counter (one remote write). A lost grant write
-// would wedge every waiter, so the release loops with backoff until the
-// write is delivered.
+// would wedge every waiter; the fabric reissues it until it is delivered.
 func (l *globalTicketLock) Unlock(t *core.Thread) {
 	l.unlockSafePoint(t)
-	attempt := 0
-	for !l.c.Fab.TryRemoteWrite(t.P, l.home, 8, l.key, attempt) {
-		l.c.Fab.Backoff(t.P, attempt)
-		attempt++
-	}
-	if attempt > 0 {
-		l.c.Obs.Sync(t.P, t.P.Now(), probe.LockRetries, l.key, int64(attempt), 0)
+	if n := l.c.Fab.RemoteWrite(t.P, l.home, 8, l.key); n > 0 {
+		l.c.Obs.Sync(t.P, t.P.Now(), probe.LockRetries, l.key, int64(n), 0)
 	}
 	l.mu.Lock()
 	if l.holder != t.Node {
@@ -299,18 +287,11 @@ type DSMCohortLock struct {
 	global *globalTicketLock
 	nodes  []*cohortSocket
 	heldAt sim.Time // written and read only while holding the lock
-
-	// BatchLimit bounds consecutive local handovers.
-	BatchLimit int
 }
 
 // NewDSMCohortLock creates a cohort lock over the cluster, homed at node 0.
 func NewDSMCohortLock(c *core.Cluster) *DSMCohortLock {
-	l := &DSMCohortLock{
-		c:          c,
-		global:     newFencedTicket(c, 0, probe.LockCohort),
-		BatchLimit: 64,
-	}
+	l := &DSMCohortLock{c: c, global: newFencedTicket(c, 0, probe.LockCohort)}
 	for i := 0; i < c.Cfg.Nodes; i++ {
 		l.nodes = append(l.nodes, &cohortSocket{
 			local: fifoCore{fab: c.Fab, enqCost: c.Fab.P.LocalLatency, hoCost: c.Fab.P.SocketLatency},
@@ -342,7 +323,7 @@ func (l *DSMCohortLock) Unlock(t *core.Thread) {
 	t.Coh.SDFence(t.P)
 	s := l.nodes[t.Node]
 	s.batch++
-	if s.local.hasWaiters() && s.batch < l.BatchLimit {
+	if s.local.hasWaiters() && s.batch < cohortBatchLimit {
 		l.c.Fab.NodeStats(t.Node).LockHandoversLocal.Add(1)
 		l.c.Obs.Sync(t.P, l.heldAt, probe.LockRelease, l.global.key, 1, 0)
 		s.local.unlock(t.P)

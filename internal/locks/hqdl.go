@@ -5,7 +5,6 @@ import (
 
 	"argo/internal/core"
 	"argo/internal/probe"
-	"argo/internal/sim"
 )
 
 // HQDLock is Vela's hierarchical queue delegation lock (§4.2 of the paper).
@@ -33,27 +32,17 @@ type HQDLock struct {
 	// queue; the counter is probe-only so it never shifts the fault
 	// identities NextSyncKey hands out.
 	seq atomic.Uint64
-
-	// BatchLimit is each node's delegation ring length (bounds: delegQueue).
-	BatchLimit int
-	// EnqueueCost is the intra-node delegation cost.
-	EnqueueCost sim.Time
-	// DequeueCost is the helper's per-section pull cost.
-	DequeueCost sim.Time
 }
 
 // NewHQDLock creates a hierarchical QD lock whose global lock word is homed
 // at node 0.
 func NewHQDLock(c *core.Cluster) *HQDLock {
-	l := &HQDLock{
-		c:           c,
-		global:      newFencedTicket(c, 0, probe.LockHQDL),
-		BatchLimit:  128,
-		EnqueueCost: c.Fab.P.LocalLatency,
-		DequeueCost: c.Fab.P.LocalLatency,
-	}
+	l := &HQDLock{c: c, global: newFencedTicket(c, 0, probe.LockHQDL)}
 	for i := 0; i < c.Cfg.Nodes; i++ {
-		l.nodes = append(l.nodes, &delegQueue[*core.Thread]{fab: c.Fab, obs: c.Obs, key: l.global.key, seq: &l.seq})
+		l.nodes = append(l.nodes, &delegQueue[*core.Thread]{
+			fab: c.Fab, obs: c.Obs, key: l.global.key, seq: &l.seq,
+			ring: make([]delegEntry[*core.Thread], delegRing),
+		})
 	}
 	return l
 }
@@ -87,7 +76,7 @@ func (l *HQDLock) DelegateAsync(t *core.Thread, section func(h *core.Thread)) fu
 
 func (l *HQDLock) delegate(t *core.Thread, section func(h *core.Thread), wait bool) *delegSlot {
 	nq := l.nodes[t.Node]
-	s, helper := nq.delegate(t.P, section, wait, l.BatchLimit, l.EnqueueCost)
+	s, helper := nq.delegate(t.P, section, wait)
 	if !helper {
 		return s
 	}
@@ -100,7 +89,7 @@ func (l *HQDLock) delegate(t *core.Thread, section func(h *core.Thread), wait bo
 	heldAt := t.P.Now()
 	l.c.Obs.Sync(t.P, t0, probe.LockAcquire, l.global.key, probe.LockHQDL, owned-t0)
 
-	sections := nq.serve(t, t.P, section, l.DequeueCost)
+	sections := nq.serve(t, t.P, section)
 
 	// One self-downgrade publishes the whole batch, then the global lock
 	// moves on. The batch size — own plus delegated sections under one global

@@ -67,20 +67,20 @@ func (h *holder) released(p *sim.Proc) {
 
 // MigratoryData models the working set of a critical section: a data
 // structure whose cache lines follow the lock around. Touch charges the
-// executing thread for pulling CacheLines lines from wherever they were
+// executing thread for pulling lines cache lines from wherever they were
 // last written, which is what makes distributed critical-section execution
 // expensive and consolidated (delegated) execution cheap.
 type MigratoryData struct {
-	mu         sync.Mutex
-	last       holder
-	CacheLines int
-	BaseCost   sim.Time
+	mu    sync.Mutex
+	last  holder
+	lines int
+	base  sim.Time
 }
 
 // NewMigratoryData creates a working-set model of lines cache lines with a
 // fixed base computation cost per touch.
 func NewMigratoryData(lines int, base sim.Time) *MigratoryData {
-	return &MigratoryData{CacheLines: lines, BaseCost: base}
+	return &MigratoryData{lines: lines, base: base}
 }
 
 // Touch charges p for one critical section's worth of accesses to the data.
@@ -101,5 +101,5 @@ func (m *MigratoryData) Touch(p *sim.Proc, f *fabric.Fabric) {
 	}
 	m.last.node, m.last.socket, m.last.core, m.last.valid = p.Node, p.Socket, p.Core, true
 	m.mu.Unlock()
-	p.Advance(m.BaseCost + sim.Time(m.CacheLines)*per)
+	p.Advance(m.base + sim.Time(m.lines)*per)
 }

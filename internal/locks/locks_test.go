@@ -184,7 +184,7 @@ func (m *streakMeter) check(t *testing.T, limit int) {
 func TestCohortBatchLimitBoundsUnfairness(t *testing.T) {
 	f := testFab()
 	l := NewCohortLock(f, 2)
-	l.BatchLimit = 4
+	l.batchLimit = 4
 	topo := sim.Topology{Nodes: 1, Sockets: 2, CoresPerSocket: 4}
 	const iters = 100
 	var m streakMeter
@@ -202,7 +202,7 @@ func TestCohortBatchLimitBoundsUnfairness(t *testing.T) {
 	})
 	// A socket may slightly exceed the limit when it reacquires the free
 	// global lock, but unbounded streaks mean the limit is broken.
-	m.check(t, l.BatchLimit)
+	m.check(t, l.batchLimit)
 }
 
 func TestQDAllSectionsExecuteExactlyOnce(t *testing.T) {

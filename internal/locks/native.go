@@ -23,15 +23,10 @@ type PthreadMutex struct {
 
 	waiters atomic.Int32
 	h       holder
-
-	// SpinPenalty is charged per concurrent waiter on each acquisition.
-	SpinPenalty sim.Time
 }
 
 // NewPthreadMutex creates a pthread-style mutex over fabric f.
-func NewPthreadMutex(f *fabric.Fabric) *PthreadMutex {
-	return &PthreadMutex{fab: f, SpinPenalty: f.P.SocketLatency / 2}
-}
+func NewPthreadMutex(f *fabric.Fabric) *PthreadMutex { return &PthreadMutex{fab: f} }
 
 // Lock acquires the mutex.
 func (l *PthreadMutex) Lock(p *sim.Proc) {
@@ -39,7 +34,7 @@ func (l *PthreadMutex) Lock(p *sim.Proc) {
 	l.mu.Lock()
 	w := l.waiters.Add(-1)
 	l.h.acquired(p, l.fab)
-	p.Advance(sim.Time(w) * l.SpinPenalty)
+	p.Advance(sim.Time(w) * (l.fab.P.SocketLatency / 2)) // half a cross-socket transfer per waiter
 	// Yield so contenders can arrive while the section "executes"; on a
 	// host with few CPUs, simulated threads would otherwise run their
 	// whole loops back to back and no queueing would ever form.
@@ -122,8 +117,12 @@ type CohortLock struct {
 	fab        *fabric.Fabric
 	global     fifoCore
 	socks      []*cohortSocket
-	BatchLimit int
+	batchLimit int // consecutive local handovers (cohortBatchLimit; tests lower it)
 }
+
+// cohortBatchLimit bounds consecutive local handovers (fairness) in both
+// cohort locks.
+const cohortBatchLimit = 64
 
 type cohortSocket struct {
 	local fifoCore
@@ -133,12 +132,12 @@ type cohortSocket struct {
 }
 
 // NewCohortLock creates a cohort lock for a machine with sockets NUMA
-// domains. BatchLimit bounds consecutive local handovers (fairness).
+// domains.
 func NewCohortLock(f *fabric.Fabric, sockets int) *CohortLock {
 	l := &CohortLock{
 		fab:        f,
 		global:     fifoCore{fab: f, enqCost: f.P.SocketLatency, hoCost: f.P.SocketLatency},
-		BatchLimit: 64,
+		batchLimit: cohortBatchLimit,
 	}
 	for i := 0; i < sockets; i++ {
 		l.socks = append(l.socks, &cohortSocket{
@@ -163,7 +162,7 @@ func (l *CohortLock) Lock(p *sim.Proc) {
 func (l *CohortLock) Unlock(p *sim.Proc) {
 	s := l.socks[p.Socket%len(l.socks)]
 	s.batch++
-	if s.local.hasWaiters() && s.batch < l.BatchLimit {
+	if s.local.hasWaiters() && s.batch < l.batchLimit {
 		l.fab.NodeStats(p.Node).LockHandoversLocal.Add(1)
 		s.local.unlock(p)
 		return

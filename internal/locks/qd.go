@@ -15,24 +15,14 @@ import (
 // threads that need the result wait for it (DelegateWait).
 type QDLock struct {
 	q delegQueue[*sim.Proc]
-
-	// BatchLimit is the delegation ring's length (bounds: delegQueue).
-	BatchLimit int
-	// EnqueueCost is the delegator's cost to publish a section (a CAS and
-	// a cache-line push toward the helper).
-	EnqueueCost sim.Time
-	// DequeueCost is the helper's cost to pull one delegated section.
-	DequeueCost sim.Time
 }
 
 // NewQDLock creates a QD lock over fabric f.
-func NewQDLock(f *fabric.Fabric) *QDLock {
-	return &QDLock{
-		q:           delegQueue[*sim.Proc]{fab: f},
-		BatchLimit:  128,
-		EnqueueCost: f.P.LocalLatency,
-		DequeueCost: f.P.LocalLatency,
-	}
+func NewQDLock(f *fabric.Fabric) *QDLock { return newQDLock(f, delegRing) }
+
+// newQDLock creates a QD lock whose delegation ring is ring entries long.
+func newQDLock(f *fabric.Fabric, ring int) *QDLock {
+	return &QDLock{q: delegQueue[*sim.Proc]{fab: f, ring: make([]delegEntry[*sim.Proc], ring)}}
 }
 
 // Delegate submits section and detaches: the caller continues immediately
@@ -64,9 +54,9 @@ func (l *QDLock) DelegateAsync(p *sim.Proc, section func(h *sim.Proc)) func(p *s
 }
 
 func (l *QDLock) delegate(p *sim.Proc, section func(h *sim.Proc), wait bool) *delegSlot {
-	s, helper := l.q.delegate(p, section, wait, l.BatchLimit, l.EnqueueCost)
+	s, helper := l.q.delegate(p, section, wait)
 	if helper {
-		l.q.serve(p, p, section, l.DequeueCost)
+		l.q.serve(p, p, section)
 		l.q.release(p)
 	}
 	return s

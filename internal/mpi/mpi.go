@@ -1,12 +1,12 @@
 // Package mpi is a small message-passing runtime over the simulated fabric —
 // the substrate for the paper's MPI baselines. It provides eager
-// point-to-point sends, binomial-tree collectives and a ring allgather, all
-// charged with the same latency/bandwidth model the DSM uses, so Argo-vs-MPI
-// comparisons ride identical wires.
+// point-to-point sends and the collectives the fig13 kernels use (scatter,
+// gather, a ring allgather and a barrier), all charged with the same
+// latency/bandwidth model the DSM uses, so Argo-vs-MPI comparisons ride
+// identical wires.
 package mpi
 
 import (
-	"fmt"
 	"math/bits"
 
 	"argo/internal/fabric"
@@ -107,59 +107,6 @@ func (r *Rank) Barrier() {
 	r.W.barrier.Wait(r.P, cost)
 }
 
-// Bcast distributes root's data to every rank along a binomial tree and
-// returns each rank's copy.
-func (r *Rank) Bcast(root int, data []float64) []float64 {
-	rel := (r.ID - root + r.W.Size) % r.W.Size
-	// Binomial tree on relative ranks: receive from parent, then forward
-	// to children.
-	if rel != 0 {
-		parent := (parentOf(rel) + root) % r.W.Size
-		data = r.Recv(parent)
-	}
-	for _, c := range childrenOf(rel, r.W.Size) {
-		dst := (c + root) % r.W.Size
-		r.Send(dst, data)
-	}
-	return data
-}
-
-// ReduceSum element-wise sums vals across ranks at root (binomial tree);
-// non-root ranks get nil.
-func (r *Rank) ReduceSum(root int, vals []float64) []float64 {
-	rel := (r.ID - root + r.W.Size) % r.W.Size
-	acc := append([]float64(nil), vals...)
-	for _, c := range childrenOf(rel, r.W.Size) {
-		src := (c + root) % r.W.Size
-		got := r.Recv(src)
-		if len(got) != len(acc) {
-			panic(fmt.Sprintf("mpi: reduce length mismatch %d vs %d", len(got), len(acc)))
-		}
-		for i := range acc {
-			acc[i] += got[i]
-		}
-		r.P.Advance(sim.Time(len(acc))) // ~1ns per element combine
-	}
-	if rel != 0 {
-		parent := (parentOf(rel) + root) % r.W.Size
-		r.Send(parent, acc)
-		return nil
-	}
-	return acc
-}
-
-// AllreduceSum is ReduceSum to rank 0 followed by a broadcast.
-func (r *Rank) AllreduceSum(vals []float64) []float64 {
-	acc := r.ReduceSum(0, vals)
-	if r.ID != 0 {
-		acc = nil
-	}
-	if r.ID == 0 {
-		return r.Bcast(0, acc)
-	}
-	return r.Bcast(0, nil)
-}
-
 // AllgatherRing concatenates every rank's mine (equal lengths) in rank
 // order using the standard ring algorithm: Size-1 steps, each shifting one
 // block to the right neighbour.
@@ -221,22 +168,3 @@ func (r *Rank) Gather(root int, mine []float64) []float64 {
 
 // Compute advances the rank's clock (local work).
 func (r *Rank) Compute(d sim.Time) { r.P.Advance(d) }
-
-// parentOf returns the binomial-tree parent of relative rank rel (rel > 0):
-// rel with its lowest set bit cleared.
-func parentOf(rel int) int { return rel & (rel - 1) }
-
-// childrenOf returns the binomial-tree children of relative rank rel:
-// rel + 2^k for every power of two below rel's lowest set bit (all powers
-// for the root), bounded by size.
-func childrenOf(rel, size int) []int {
-	limit := rel & -rel
-	if rel == 0 {
-		limit = size
-	}
-	var out []int
-	for k := 1; k < limit && rel+k < size; k <<= 1 {
-		out = append(out, rel+k)
-	}
-	return out
-}

@@ -14,27 +14,6 @@ func world(nodes, rpn int) *World {
 	return NewWorld(fab, rpn)
 }
 
-func TestBinomialTreeShape(t *testing.T) {
-	// parent/children must be mutually consistent for every size.
-	for size := 1; size <= 33; size++ {
-		seen := map[int]int{}
-		for rel := 1; rel < size; rel++ {
-			seen[rel] = parentOf(rel)
-		}
-		for rel := 0; rel < size; rel++ {
-			for _, c := range childrenOf(rel, size) {
-				if seen[c] != rel {
-					t.Fatalf("size %d: child %d of %d has parent %d", size, c, rel, seen[c])
-				}
-				delete(seen, c)
-			}
-		}
-		if len(seen) != 0 {
-			t.Fatalf("size %d: orphan ranks %v", size, seen)
-		}
-	}
-}
-
 func TestSendRecv(t *testing.T) {
 	w := world(2, 2)
 	w.Run(func(r *Rank) {
@@ -68,43 +47,6 @@ func TestSendRecvInOrder(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestBcast(t *testing.T) {
-	for _, nodes := range []int{1, 2, 5, 8} {
-		w := world(nodes, 3)
-		results := make([][]float64, w.Size)
-		w.Run(func(r *Rank) {
-			var data []float64
-			if r.ID == 2 {
-				data = []float64{42, 7}
-			}
-			results[r.ID] = r.Bcast(2, data)
-		})
-		for i, got := range results {
-			if len(got) != 2 || got[0] != 42 || got[1] != 7 {
-				t.Fatalf("nodes=%d rank %d got %v", nodes, i, got)
-			}
-		}
-	}
-}
-
-func TestReduceAndAllreduce(t *testing.T) {
-	w := world(3, 2)
-	results := make([][]float64, w.Size)
-	w.Run(func(r *Rank) {
-		vals := []float64{float64(r.ID), 1}
-		results[r.ID] = r.AllreduceSum(vals)
-	})
-	wantSum := 0.0
-	for i := 0; i < w.Size; i++ {
-		wantSum += float64(i)
-	}
-	for i, got := range results {
-		if len(got) != 2 || got[0] != wantSum || got[1] != float64(w.Size) {
-			t.Fatalf("rank %d allreduce = %v, want [%v %v]", i, got, wantSum, float64(w.Size))
-		}
-	}
 }
 
 func TestAllgatherRing(t *testing.T) {

@@ -1,10 +1,12 @@
 // Package pairingheap implements the pairing heap of Fredman, Sedgewick,
 // Sleator and Tarjan — the fast sequential priority queue the paper's
-// locking microbenchmark wraps in a lock (§5.3). Two variants exist: a
-// native in-process heap for the single-machine lock comparison (Figure 11)
-// and a DSM-resident heap whose nodes live in Argo's global memory and are
+// locking microbenchmark wraps in a lock (§5.3). The native in-process heap
+// serves the single-machine lock comparison (Figure 11) and is the tests'
+// reference. One index-arena algorithm (arena) runs over two word stores: a
+// DSM-resident heap whose nodes live in Argo's global memory and are
 // manipulated through the page cache (Figure 12), so critical-section data
-// really is migratory.
+// really is migratory, and a UPC heap in a PGAS shared array, where every
+// access is a fine-grained one-sided operation.
 package pairingheap
 
 // node is a native pairing-heap node.

@@ -26,10 +26,6 @@ type World struct {
 	Size         int
 	RanksPerNode int
 
-	// Overlap is how many independent relaxed remote accesses the runtime
-	// keeps in flight; the effective per-access latency divides by it.
-	Overlap int
-
 	barrier *sim.Barrier
 
 	redMu  sync.Mutex
@@ -51,7 +47,6 @@ func NewWorld(fab *fabric.Fabric, ranksPerNode int) *World {
 		Fab:          fab,
 		Size:         size,
 		RanksPerNode: ranksPerNode,
-		Overlap:      4,
 		barrier:      sim.NewBarrier(size),
 	}
 }
@@ -138,6 +133,10 @@ func (s *Shared[T]) BlockRange(rank int) (lo, hi int) {
 	return lo, hi
 }
 
+// overlap is how many independent relaxed remote accesses the runtime keeps
+// in flight; the effective per-access latency divides by it.
+const overlap = 4
+
 // remoteAccessCost charges a fine-grained relaxed access to owner's block.
 func (r *Rank) remoteAccessCost(owner int, bytes int) {
 	pp := r.W.Fab.P
@@ -146,11 +145,7 @@ func (r *Rank) remoteAccessCost(owner int, bytes int) {
 		r.P.Advance(pp.DRAMLatency)
 		return
 	}
-	ov := r.W.Overlap
-	if ov < 1 {
-		ov = 1
-	}
-	r.P.Advance(2*pp.RemoteLatency/sim.Time(ov) + pp.TransferCost(bytes))
+	r.P.Advance(2*pp.RemoteLatency/overlap + pp.TransferCost(bytes))
 	r.W.Fab.NodeStats(r.P.Node).Messages.Add(1)
 	r.W.Fab.NodeStats(r.P.Node).BytesSent.Add(int64(bytes))
 }

@@ -209,13 +209,11 @@ func NewFlag(c *core.Cluster, home int) *Flag {
 }
 
 // Signal downgrades the caller's node and raises the flag. A lost flag
-// publish would strand every waiter, so the write loops with the fabric's
-// backoff schedule until it is delivered (Corvus).
+// publish would strand every waiter; the fabric reissues it until it is
+// delivered (Corvus).
 func (f *Flag) Signal(t *core.Thread) {
 	t.Coh.SDFence(t.P)
-	for attempt := 0; !f.c.Fab.TryRemoteWrite(t.P, f.home, 8, f.key, attempt); attempt++ {
-		f.c.Fab.Backoff(t.P, attempt)
-	}
+	f.c.Fab.RemoteWrite(t.P, f.home, 8, f.key)
 	f.mu.Lock()
 	f.set = true
 	if t.P.Now() > f.when {
