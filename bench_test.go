@@ -20,9 +20,11 @@ func benchExperiment(b *testing.B, id string) {
 		b.Fatalf("experiment %q not registered", id)
 	}
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, true); err != nil {
+		tables, err := e.Run(true)
+		if err != nil {
 			b.Fatal(err)
 		}
+		harness.Fprint(io.Discard, tables...)
 	}
 }
 
@@ -30,8 +32,7 @@ func BenchmarkTable1Classification(b *testing.B) { benchExperiment(b, "table1") 
 func BenchmarkFig1Trends(b *testing.B)           { benchExperiment(b, "fig1") }
 func BenchmarkFig7Bandwidth(b *testing.B)        { benchExperiment(b, "fig7") }
 func BenchmarkFig8Classification(b *testing.B)   { benchExperiment(b, "fig8") }
-func BenchmarkFig9WriteBuffer(b *testing.B)      { benchExperiment(b, "fig9") }
-func BenchmarkFig10Writebacks(b *testing.B)      { benchExperiment(b, "fig10") }
+func BenchmarkFig9and10WriteBuffer(b *testing.B) { benchExperiment(b, "fig9-10") }
 func BenchmarkFig11LocksNative(b *testing.B)     { benchExperiment(b, "fig11") }
 func BenchmarkFig12LocksDSM(b *testing.B)        { benchExperiment(b, "fig12") }
 func BenchmarkFig13aLU(b *testing.B)             { benchExperiment(b, "fig13a") }

@@ -138,7 +138,7 @@ func TestCensus(t *testing.T) {
 }
 
 // censusFigures are the experiments of the fig8–13 -quick set.
-var censusFigures = []string{"fig8", "fig9", "fig10", "fig11", "fig12", "fig13a", "fig13b", "fig13c", "fig13d", "fig13e", "fig13f"}
+var censusFigures = []string{"fig8", "fig9-10", "fig11", "fig12", "fig13a", "fig13b", "fig13c", "fig13d", "fig13e", "fig13f"}
 
 // TestFigureCensus is the same census over the figures: it runs each -quick
 // experiment censusRuns times and prints, per table, the columns whose every
@@ -156,22 +156,22 @@ func TestFigureCensus(t *testing.T) {
 		}
 		var tables []*censusTable
 		for i := 0; i < censusRuns; i++ {
-			var out strings.Builder
-			if err := e.Run(&out, true); err != nil {
+			got, err := e.Run(true)
+			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
-			for j, tb := range parseTables(out.String()) {
+			for j, tb := range got {
 				if i == 0 {
-					tables = append(tables, &censusTable{title: tb.title, headers: tb.headers, seen: map[[2]int]map[string]bool{}})
-					for _, row := range tb.rows {
+					tables = append(tables, &censusTable{title: tb.Title, headers: tb.Headers, seen: map[[2]int]map[string]bool{}})
+					for _, row := range tb.Rows {
 						label := row[0]
-						if tb.headers[1] == "Threads" { // scaling rows: nodes × threads
+						if tb.Headers[1] == "Threads" { // scaling rows: nodes × threads
 							label += "×" + row[1]
 						}
 						tables[j].labels = append(tables[j].labels, label)
 					}
 				}
-				for r, row := range tb.rows {
+				for r, row := range tb.Rows {
 					for c, v := range row {
 						k := [2]int{r, c}
 						if tables[j].seen[k] == nil {
@@ -211,63 +211,6 @@ func (tb *censusTable) report(id string) {
 		}
 	}
 	fmt.Printf("  %-7s %s\n          repeated: %s\n          varied:   %s\n", id, tb.title, orNone(same), orNone(varied))
-}
-
-// renderedTable is one harness.Table read back from an experiment's output.
-type renderedTable struct {
-	title   string
-	headers []string
-	rows    [][]string
-}
-
-// parseTables reads back every table in out: a "== title ==" line, the
-// header line, the dashed rule whose runs give the column offsets, and the
-// rows that fit the rule — prose after a table is wider or breaks a gap.
-func parseTables(out string) []renderedTable {
-	lines := strings.Split(out, "\n")
-	var tables []renderedTable
-	for i := 0; i+2 < len(lines); i++ {
-		if !strings.HasPrefix(lines[i], "== ") {
-			continue
-		}
-		rule := lines[i+2]
-		var starts []int
-		for j := range rule {
-			if rule[j] == '-' && (j == 0 || rule[j-1] == ' ') {
-				starts = append(starts, j)
-			}
-		}
-		cells := func(line string) []string {
-			row := make([]string, len(starts))
-			for c, s := range starts {
-				end := len(line)
-				if c+1 < len(starts) {
-					end = min(end, starts[c+1])
-				}
-				if s < end {
-					row[c] = strings.TrimSpace(line[s:end])
-				}
-			}
-			return row
-		}
-		tb := renderedTable{title: strings.Trim(lines[i], "= "), headers: cells(lines[i+1])}
-		fits := func(line string) bool {
-			if line == "" || len(line) > len(rule) {
-				return false
-			}
-			for _, s := range starts[1:] {
-				if s-2 < len(line) && strings.TrimSpace(line[s-2:min(s, len(line))]) != "" {
-					return false
-				}
-			}
-			return true
-		}
-		for i += 3; i < len(lines) && fits(lines[i]); i++ {
-			tb.rows = append(tb.rows, cells(lines[i]))
-		}
-		tables = append(tables, tb)
-	}
-	return tables
 }
 
 // spread renders the range of a set of numeric values as ", lo…hi, x %" (the

@@ -126,5 +126,8 @@ func main() {
 			fmt.Sprintf("%d", r.Stats.BytesSent),
 		})
 	}
-	harness.Table(os.Stdout, fmt.Sprintf("%s: sweep of %s (%d nodes × %d threads)", *bench.Name, *knob, *bench.Nodes, *bench.TPN), headers, rows)
+	harness.Fprint(os.Stdout, harness.Table{
+		Title:   fmt.Sprintf("%s: sweep of %s (%d nodes × %d threads)", *bench.Name, *knob, *bench.Nodes, *bench.TPN),
+		Headers: headers, Rows: rows,
+	})
 }

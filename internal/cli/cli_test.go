@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"io"
 	"testing"
 
 	"argo/internal/core"
@@ -38,7 +37,7 @@ func TestHookConfigsSingleSeam(t *testing.T) {
 	if !ok {
 		t.Fatal("fig12 not registered")
 	}
-	if err := e.Run(io.Discard, true); err != nil {
+	if _, err := e.Run(true); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"argo_fabric_ops_total", "argo_lock_acquires_total", "argo_fault_injected_total"} {

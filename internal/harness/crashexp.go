@@ -9,7 +9,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"argo/internal/fault"
 	"argo/internal/workloads/drf"
@@ -19,7 +18,7 @@ func init() {
 	register("crash", "Cygnus: crash-stop/restart recovery on the deterministic ring", crashExp)
 }
 
-func crashExp(w io.Writer, quick bool) error {
+func crashExp(quick bool) ([]Table, error) {
 	pr := drf.RingParams{Nodes: 8, PerNode: 2048, Epochs: 6, PageSize: 1024}
 	rates := []float64{0.01, 0.03, 0.06}
 	if quick {
@@ -28,7 +27,7 @@ func crashExp(w io.Writer, quick bool) error {
 	}
 	base, err := drf.RunRing(pr)
 	if err != nil {
-		return fmt.Errorf("fault-free baseline: %w", err)
+		return nil, fmt.Errorf("fault-free baseline: %w", err)
 	}
 
 	var rows [][]string
@@ -60,10 +59,12 @@ func crashExp(w io.Writer, quick bool) error {
 			})
 		}
 	}
-	Table(w, fmt.Sprintf("Cygnus crash recovery on the ring (%d nodes, %d epochs; answers bit-identical, replay exact)",
-		pr.Nodes, pr.Epochs),
-		[]string{"mode", "rate", "deaths", "epochs", "makespan(ns)", "vs fault-free"}, rows)
-	fmt.Fprintf(w, "fault-free makespan %d ns; every cell ran 1 fault-free + 2 crashy runs and verified digests and schedules match\n",
-		base.Makespan)
-	return bad.err()
+	return []Table{{
+		Title: fmt.Sprintf("Cygnus crash recovery on the ring (%d nodes, %d epochs; answers bit-identical, replay exact)",
+			pr.Nodes, pr.Epochs),
+		Headers: []string{"mode", "rate", "deaths", "epochs", "makespan(ns)", "vs fault-free"},
+		Rows:    rows,
+		Note: fmt.Sprintf("fault-free makespan %d ns; every cell ran 1 fault-free + 2 crashy runs and verified digests and schedules match",
+			base.Makespan),
+	}}, bad.err()
 }

@@ -1,8 +1,9 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (§5). Each experiment is registered under the paper's label
-// (table1, fig1, fig7 … fig13f) and prints the same rows or series the
-// paper reports; cmd/argo-bench is the CLI front end and bench_test.go
-// wraps the same runners as testing.B benchmarks.
+// (table1, fig1, fig7 … fig13f) and returns the same rows or series the
+// paper reports as Table values; Fprint renders them. cmd/argo-bench is the
+// CLI front end and bench_test.go wraps the same runners as testing.B
+// benchmarks.
 //
 // Inputs are scaled to simulator size (documented in EXPERIMENTS.md); the
 // quantities of interest are shapes — who wins, by what factor, where
@@ -16,41 +17,50 @@ import (
 	"strings"
 )
 
-// Experiment is one reproducible table or figure. Run prints it and returns
+// Experiment is one reproducible table or figure. Run returns its tables and
 // an error naming every cell whose answer failed its check: the table shows
 // such a cell as BADCHECK (or FAIL), which nobody skimming fourteen figures is
 // sure to see, so the caller is told as well.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(w io.Writer, quick bool) error
+	Run   func(quick bool) ([]Table, error)
 }
 
 var registry = map[string]Experiment{}
 
-func register(id, title string, run func(w io.Writer, quick bool) error) {
+func register(id, title string, run func(quick bool) ([]Table, error)) {
 	registry[id] = Experiment{ID: id, Title: title, Run: run}
 }
 
-// unchecked adapts an experiment that computes no answer it could check.
-func unchecked(run func(w io.Writer, quick bool)) func(io.Writer, bool) error {
-	return func(w io.Writer, quick bool) error {
-		run(w, quick)
-		return nil
-	}
+// Table is one figure or table as values: the cells of Rows line up with
+// Headers, and Note (lines of prose, possibly several) reads under it.
+type Table struct {
+	Title   string
+	Headers []string
+	Rows    [][]string
+	Note    string
 }
 
 // badCells collects the cells of one experiment whose answer is not the
 // reference answer.
 type badCells []string
 
-// cell returns text, or BADCHECK — recording which system at which scale —
-// when got is not the reference answer ref.
-func (b *badCells) cell(text string, got, ref float64, system, scale string) string {
+// ok reports whether got is the reference answer ref, recording which system
+// at which scale when it is not.
+func (b *badCells) ok(got, ref float64, system, scale string) bool {
 	if got == ref || closeEnough(got, ref) {
-		return text
+		return true
 	}
 	*b = append(*b, system+" at "+scale)
+	return false
+}
+
+// cell returns text, or BADCHECK when got is not the reference answer ref.
+func (b *badCells) cell(text string, got, ref float64, system, scale string) string {
+	if b.ok(got, ref, system, scale) {
+		return text
+	}
 	return "BADCHECK"
 }
 
@@ -79,38 +89,44 @@ func All() []Experiment {
 	return out
 }
 
-// Table renders an aligned text table.
-func Table(w io.Writer, title string, headers []string, rows [][]string) {
-	fmt.Fprintf(w, "\n== %s ==\n", title)
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+// Fprint renders each table as aligned text under a "== title ==" line,
+// followed by its note.
+func Fprint(w io.Writer, tables ...Table) {
+	for _, t := range tables {
+		fmt.Fprintf(w, "\n== %s ==\n", t.Title)
+		widths := make([]int, len(t.Headers))
+		for i, h := range t.Headers {
+			widths[i] = len(h)
+		}
+		for _, r := range t.Rows {
+			for i, c := range r {
+				if i < len(widths) && len(c) > widths[i] {
+					widths[i] = len(c)
+				}
 			}
 		}
-	}
-	line := func(cells []string) {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
+		line := func(cells []string) {
+			var b strings.Builder
+			for i, c := range cells {
+				if i > 0 {
+					b.WriteString("  ")
+				}
+				fmt.Fprintf(&b, "%-*s", widths[i], c)
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
 		}
-		fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-	}
-	line(headers)
-	sep := make([]string, len(headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, r := range rows {
-		line(r)
+		line(t.Headers)
+		sep := make([]string, len(t.Headers))
+		for i := range sep {
+			sep[i] = strings.Repeat("-", widths[i])
+		}
+		line(sep)
+		for _, r := range t.Rows {
+			line(r)
+		}
+		if t.Note != "" {
+			fmt.Fprintln(w, t.Note)
+		}
 	}
 }
 

@@ -1,20 +1,17 @@
 package harness
 
 import (
-	"fmt"
-	"io"
-
 	"argo/internal/workloads/pqbench"
 	"argo/internal/workloads/wload"
 )
 
 func init() {
-	register("fig11", "Figure 11: single-node lock throughput (QD vs Cohort vs Pthreads mutex)", unchecked(fig11))
-	register("fig12", "Figure 12: DSM lock throughput (Argo HQDL vs Cohort)", unchecked(fig12))
+	register("fig11", "Figure 11: single-node lock throughput (QD vs Cohort vs Pthreads mutex)", fig11)
+	register("fig12", "Figure 12: DSM lock throughput (Argo HQDL vs Cohort)", fig12)
 }
 
 // fig11 reproduces the single-machine priority-queue throughput curves.
-func fig11(w io.Writer, quick bool) {
+func fig11(quick bool) ([]Table, error) {
 	threads := []int{1, 2, 4, 6, 8, 10, 12, 14, 16}
 	p := pqbench.DefaultParams()
 	p.WorkUnits = 16 // light local work: the lock is the bottleneck
@@ -33,14 +30,14 @@ func fig11(w io.Writer, quick bool) {
 		}
 		rows = append(rows, row)
 	}
-	Table(w, "Priority-queue throughput on one machine", headers, rows)
-	fmt.Fprintln(w, "Expected shape (Fig. 11): QD highest (sections batch on one core, data stays hot),")
-	fmt.Fprintln(w, "Cohort in between (socket-local handovers), Pthreads mutex lowest and degrading.")
+	return []Table{{Title: "Priority-queue throughput on one machine", Headers: headers, Rows: rows,
+		Note: "Expected shape (Fig. 11): QD highest (sections batch on one core, data stays hot),\n" +
+			"Cohort in between (socket-local handovers), Pthreads mutex lowest and degrading."}}, nil
 }
 
 // fig12 reproduces the DSM throughput curves: 15 threads per node, the heap
 // in global memory.
-func fig12(w io.Writer, quick bool) {
+func fig12(quick bool) ([]Table, error) {
 	nodes := []int{1, 2, 4, 8, 16, 32}
 	tpn := 15
 	p := pqbench.DefaultParams() // 48 work units, as in the paper
@@ -59,9 +56,9 @@ func fig12(w io.Writer, quick bool) {
 			d(int64(n)), d(int64(n * tpn)), f3(hq.OpsPerUs), f3(co.OpsPerUs), f3(up.OpsPerUs),
 		})
 	}
-	Table(w, "Priority-queue throughput over the DSM (15 threads/node)", headers, rows)
-	fmt.Fprintln(w, "Expected shape (Fig. 12): HQDL drops once going 1→2 nodes, then stays roughly")
-	fmt.Fprintln(w, "flat; the fenced Cohort port collapses — every critical section pays SI+SD and")
-	fmt.Fprintln(w, "the refetch misses the SI causes. The UPC column measures §2.1's observation:")
-	fmt.Fprintln(w, "with no caching, every critical-section access is a remote operation.")
+	return []Table{{Title: "Priority-queue throughput over the DSM (15 threads/node)", Headers: headers, Rows: rows,
+		Note: "Expected shape (Fig. 12): HQDL drops once going 1→2 nodes, then stays roughly\n" +
+			"flat; the fenced Cohort port collapses — every critical section pays SI+SD and\n" +
+			"the refetch misses the SI causes. The UPC column measures §2.1's observation:\n" +
+			"with no caching, every critical-section access is a remote operation."}}, nil
 }

@@ -1,8 +1,8 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
-	"io"
 
 	"argo/internal/workloads/blackscholes"
 	"argo/internal/workloads/cg"
@@ -33,9 +33,10 @@ type runner struct {
 	run  func(nodes int) wload.Result
 }
 
-// scalingTable prints speedup-vs-scale series, all normalized to the serial
-// (1-thread) run, and returns the cells whose answer is not the serial one.
-func scalingTable(w io.Writer, title string, serial wload.Result, nodeCounts []int, localThreads []int, rs []runner) error {
+// scalingTable is a table of speedup-vs-scale series, all normalized to the
+// serial (1-thread) run, and the error naming the cells whose answer is not
+// the serial one.
+func scalingTable(title string, serial wload.Result, nodeCounts []int, localThreads []int, rs []runner) ([]Table, error) {
 	headers := []string{"Nodes", "Threads"}
 	for _, r := range rs {
 		headers = append(headers, r.label)
@@ -68,8 +69,8 @@ func scalingTable(w io.Writer, title string, serial wload.Result, nodeCounts []i
 	for _, n := range nodeCounts {
 		line(false, n, n*scalingTPN)
 	}
-	Table(w, title+fmt.Sprintf(" — speedup over serial (%.3f virtual ms)", float64(serial.Time)/1e6), headers, rows)
-	return bad.err()
+	return []Table{{Title: title + fmt.Sprintf(" — speedup over serial (%.3f virtual ms)", float64(serial.Time)/1e6),
+		Headers: headers, Rows: rows}}, bad.err()
 }
 
 func closeEnough(a, b float64) bool {
@@ -109,13 +110,13 @@ func threadsFor(quick bool) []int {
 	return []int{1, 2, 4, 8, 16}
 }
 
-func fig13a(w io.Writer, quick bool) error {
+func fig13a(quick bool) ([]Table, error) {
 	p := lu.DefaultParams()
 	if quick {
 		p = lu.Params{N: 96, Block: 16}
 	}
 	serial := lu.RunSerial(p)
-	return scalingTable(w, "SPLASH-2 LU", serial, nodesFor(quick, 8), threadsFor(quick), []runner{
+	return scalingTable("SPLASH-2 LU", serial, nodesFor(quick, 8), threadsFor(quick), []runner{
 		{"Argo", "argo", func(n int) wload.Result {
 			return lu.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN)
 		}},
@@ -123,13 +124,13 @@ func fig13a(w io.Writer, quick bool) error {
 	})
 }
 
-func fig13b(w io.Writer, quick bool) error {
+func fig13b(quick bool) ([]Table, error) {
 	p := nbody.DefaultParams()
 	if quick {
 		p = nbody.Params{Bodies: 512, Steps: 2}
 	}
 	serial := nbody.RunSerial(p)
-	return scalingTable(w, "N-body", serial, nodesFor(quick, 32), threadsFor(quick), []runner{
+	return scalingTable("N-body", serial, nodesFor(quick, 32), threadsFor(quick), []runner{
 		{"Argo", "argo", func(n int) wload.Result {
 			return nbody.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN)
 		}},
@@ -138,13 +139,13 @@ func fig13b(w io.Writer, quick bool) error {
 	})
 }
 
-func fig13c(w io.Writer, quick bool) error {
+func fig13c(quick bool) ([]Table, error) {
 	p := blackscholes.DefaultParams()
 	if quick {
 		p = blackscholes.Params{Options: 16384, Iters: 2}
 	}
 	serial := blackscholes.RunSerial(p)
-	return scalingTable(w, "PARSEC blackscholes", serial, nodesFor(quick, 64), threadsFor(quick), []runner{
+	return scalingTable("PARSEC blackscholes", serial, nodesFor(quick, 64), threadsFor(quick), []runner{
 		{"Argo", "argo", func(n int) wload.Result {
 			return blackscholes.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN)
 		}},
@@ -153,54 +154,35 @@ func fig13c(w io.Writer, quick bool) error {
 	})
 }
 
-func fig13d(w io.Writer, quick bool) error {
+// fig13d runs the large input's table before the small one's, so each
+// input's operands are generated once (mm keeps the last).
+func fig13d(quick bool) ([]Table, error) {
 	small, large := mm.SmallParams(), mm.LargeParams()
 	if quick {
 		small, large = mm.Params{N: 48}, mm.Params{N: 96}
 	}
-	nodes, threads := nodesFor(quick, 32), threadsFor(quick)
-	var bad badCells
-	// series runs every cell of one input before the other input is touched,
-	// so each input's operands are generated once (mm keeps the last).
-	series := func(p mm.Params, tag string) (local, argo, mpi []string) {
-		serial := mm.RunSerial(p)
-		cell := func(res wload.Result, system string, nodes int) string {
-			return bad.cell(f2(res.Speedup(serial)), res.Check, serial.Check,
-				system+tag, fmt.Sprintf("%d nodes, %d threads", nodes, res.Threads))
-		}
-		for _, t := range threads {
-			local = append(local, cell(mm.RunLocal(p, t), "Pthread", 1))
-		}
-		for _, n := range nodes {
-			argo = append(argo, cell(mm.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN), "Argo", n))
-			mpi = append(mpi, cell(mm.RunMPI(n, 16, p), "MPI", n))
-		}
-		return
+	input := func(p mm.Params, tag string) ([]Table, error) {
+		return scalingTable(fmt.Sprintf("Matrix Multiply %d² (%s)", p.N, tag), mm.RunSerial(p),
+			nodesFor(quick, 32), threadsFor(quick), []runner{
+				{"Argo-" + tag, "argo", func(n int) wload.Result {
+					return mm.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN)
+				}},
+				{"Pthread-" + tag, "local", func(t int) wload.Result { return mm.RunLocal(p, t) }},
+				{"MPI-" + tag, "mpi", func(n int) wload.Result { return mm.RunMPI(n, 16, p) }},
+			})
 	}
-	localL, argoL, mpiL := series(large, "-L")
-	localS, argoS, mpiS := series(small, "-S")
-	headers := []string{"Nodes", "Threads",
-		"Argo-L", "MPI-L", "Argo-S", "MPI-S"}
-	var rows [][]string
-	for i, t := range threads {
-		rows = append(rows, []string{"1", d(int64(t)), "", "", localL[i], localS[i]})
-	}
-	for i, n := range nodes {
-		rows = append(rows, []string{d(int64(n)), d(int64(n * scalingTPN)), argoL[i], mpiL[i], argoS[i], mpiS[i]})
-	}
-	Table(w, fmt.Sprintf("Matrix Multiply %d² (L) and %d² (S) — speedup over serial", large.N, small.N), headers, rows)
-	fmt.Fprintln(w, "Pthread columns (rows with empty Argo/MPI cells) are per-thread-count baselines")
-	fmt.Fprintln(w, "of the small (Argo-S column) and large (Argo-L column) inputs respectively.")
-	return bad.err()
+	lt, lerr := input(large, "L")
+	st, serr := input(small, "S")
+	return append(lt, st...), errors.Join(lerr, serr)
 }
 
-func fig13e(w io.Writer, quick bool) error {
+func fig13e(quick bool) ([]Table, error) {
 	p := ep.DefaultParams()
 	if quick {
 		p = ep.Params{Chunks: 1024, PairsPerChunk: 128}
 	}
 	serial := ep.RunSerial(p)
-	return scalingTable(w, "NAS EP", serial, nodesFor(quick, 64), threadsFor(quick), []runner{
+	return scalingTable("NAS EP", serial, nodesFor(quick, 64), threadsFor(quick), []runner{
 		{"Argo", "argo", func(n int) wload.Result {
 			return ep.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN)
 		}},
@@ -209,13 +191,13 @@ func fig13e(w io.Writer, quick bool) error {
 	})
 }
 
-func fig13f(w io.Writer, quick bool) error {
+func fig13f(quick bool) ([]Table, error) {
 	p := cg.DefaultParams()
 	if quick {
 		p = cg.Params{N: 2048, PerRow: 12, Iters: 4}
 	}
 	serial := cg.RunSerial(p)
-	return scalingTable(w, "NAS CG", serial, nodesFor(quick, 32), threadsFor(quick), []runner{
+	return scalingTable("NAS CG", serial, nodesFor(quick, 32), threadsFor(quick), []runner{
 		{"Argo", "argo", func(n int) wload.Result {
 			return cg.RunArgo(wload.ArgoConfig(n, 64<<20), p, scalingTPN)
 		}},

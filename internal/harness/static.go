@@ -1,22 +1,19 @@
 package harness
 
 import (
-	"fmt"
-	"io"
-
 	"argo/internal/coherence"
 	"argo/internal/directory"
 )
 
 func init() {
-	register("table1", "Table 1: SI/SD actions per classification, derived from the live protocol", unchecked(table1))
-	register("fig1", "Figure 1: technology trends normalized to CPU cycles", unchecked(fig1))
+	register("table1", "Table 1: SI/SD actions per classification, derived from the live protocol", table1)
+	register("fig1", "Figure 1: technology trends normalized to CPU cycles", fig1)
 }
 
-// table1 prints Table 1 of the paper. Rather than restating the table, it
+// table1 is Table 1 of the paper. Rather than restating the table, it
 // derives the SI column from coherence.ShouldSelfInvalidate — the function
 // the fences actually execute — so the table is checked against the code.
-func table1(w io.Writer, _ bool) {
+func table1(bool) ([]Table, error) {
 	const self = 0
 	mkEntry := func(readers, writers []int) directory.Entry {
 		var e directory.Entry
@@ -41,9 +38,10 @@ func table1(w io.Writer, _ bool) {
 	}
 
 	// Mode S: no classification — everything is shared.
-	Table(w, "Classification S (no classification)", []string{"State", "SI", "SD", "Comment"}, [][]string{
+	headers := []string{"State", "SI", "SD", "Comment"}
+	tables := []Table{{Title: "Classification S (no classification)", Headers: headers, Rows: [][]string{
 		{"S", mark(coherence.ShouldSelfInvalidate(coherence.ModeS, mkEntry([]int{0, 1}, nil), self)), "X", "all pages shared"},
-	})
+	}}}
 
 	// Mode P/S.
 	ps := []state{
@@ -55,7 +53,7 @@ func table1(w io.Writer, _ bool) {
 		si := coherence.ShouldSelfInvalidate(coherence.ModePS, s.entry, self)
 		rows = append(rows, []string{s.label, mark(si), "X", s.comment})
 	}
-	Table(w, "Classification P/S (naive)", []string{"State", "SI", "SD", "Comment"}, rows)
+	tables = append(tables, Table{Title: "Classification P/S (naive)", Headers: headers, Rows: rows})
 
 	// Mode P/S3.
 	ps3 := []state{
@@ -70,8 +68,8 @@ func table1(w io.Writer, _ bool) {
 		si := coherence.ShouldSelfInvalidate(coherence.ModePS3, s.entry, self)
 		rows = append(rows, []string{s.label, mark(si), "X", s.comment})
 	}
-	Table(w, "Classification P/S3 (Argo)", []string{"State", "SI", "SD", "Comment"}, rows)
-	fmt.Fprintln(w, "SD is unconditional for cached dirty pages in every mode (write-through at sync).")
+	return append(tables, Table{Title: "Classification P/S3 (Argo)", Headers: headers, Rows: rows,
+		Note: "SD is unconditional for cached dirty pages in every mode (write-through at sync)."}), nil
 }
 
 // fig1Data is the technology-trend dataset of Figure 1 (adapted from
@@ -93,7 +91,7 @@ var fig1Data = []struct {
 	{2011, 3400, 170, 111, 1700},
 }
 
-func fig1(w io.Writer, _ bool) {
+func fig1(bool) ([]Table, error) {
 	rows := make([][]string, 0, len(fig1Data))
 	for _, r := range fig1Data {
 		rows = append(rows, []string{
@@ -102,8 +100,8 @@ func fig1(w io.Writer, _ bool) {
 			f1(float64(r.netLatCycles) / float64(r.dramLatCycles)),
 		})
 	}
-	Table(w, "Trends normalized to CPU cycles",
-		[]string{"Year", "CPU MHz", "DRAM lat (cyc)", "Net BW (cyc/KB)", "Net lat (cyc)", "Net/DRAM"}, rows)
-	fmt.Fprintln(w, "The Net/DRAM ratio fell from ~2500x to ~10x: message-handler overhead now dominates;")
-	fmt.Fprintln(w, "trading bandwidth for latency became the right design point (the premise of Argo).")
+	return []Table{{Title: "Trends normalized to CPU cycles",
+		Headers: []string{"Year", "CPU MHz", "DRAM lat (cyc)", "Net BW (cyc/KB)", "Net lat (cyc)", "Net/DRAM"}, Rows: rows,
+		Note: "The Net/DRAM ratio fell from ~2500x to ~10x: message-handler overhead now dominates;\n" +
+			"trading bandwidth for latency became the right design point (the premise of Argo)."}}, nil
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"argo/internal/coherence"
 	"argo/internal/core"
@@ -18,15 +17,14 @@ import (
 )
 
 func init() {
-	register("fig7", "Figure 7: read bandwidth, Argo cache-line fetch vs raw one-sided RMA", unchecked(fig7))
+	register("fig7", "Figure 7: read bandwidth, Argo cache-line fetch vs raw one-sided RMA", fig7)
 	register("fig8", "Figure 8: classification impact (S, P/S, P/S3) on execution time", fig8)
-	register("fig9", "Figure 9: runtime vs write-buffer size", fig9)
-	register("fig10", "Figure 10: writebacks vs write-buffer size", fig10)
+	register("fig9-10", "Figures 9 and 10: runtime and writebacks vs write-buffer size", fig9and10)
 }
 
 // fig7 measures the achievable read bandwidth of an Argo line fetch against
 // a raw one-sided read of the same size (the MPI-RMA curve of the paper).
-func fig7(w io.Writer, quick bool) {
+func fig7(quick bool) ([]Table, error) {
 	sizes := []int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10}
 	if quick {
 		sizes = sizes[:5]
@@ -80,12 +78,12 @@ func fig7(w io.Writer, quick bool) {
 			f1(rawBW),
 		})
 	}
-	Table(w, "Read bandwidth vs transfer size", []string{"Bytes", "Argo MB/s", "RMA MB/s"}, rows)
-	fmt.Fprintln(w, "Argo tracks the raw one-sided transfer rate as the line size grows (Fig. 7),")
-	fmt.Fprintln(w, "paying a small per-page toll for the passive directory registrations.")
+	return []Table{{Title: "Read bandwidth vs transfer size", Headers: []string{"Bytes", "Argo MB/s", "RMA MB/s"}, Rows: rows,
+		Note: "Argo tracks the raw one-sided transfer rate as the line size grows (Fig. 7),\n" +
+			"paying a small per-page toll for the passive directory registrations."}}, nil
 }
 
-// sweepBench is one of the six benchmarks of Figures 8-10, with the paper's
+// sweepBench is one of the six benchmarks of Figures 8–10, with the paper's
 // chosen write-buffer size and sweep-scale inputs.
 type sweepBench struct {
 	name   string
@@ -135,7 +133,7 @@ func sweepConfig(quick bool) (nodes, tpn int) {
 }
 
 // fig8 compares the three classification modes, normalized to S.
-func fig8(w io.Writer, quick bool) error {
+func fig8(quick bool) ([]Table, error) {
 	nodes, tpn := sweepConfig(quick)
 	modes := []coherenceMode{
 		{"S", coherence.ModeS},
@@ -168,9 +166,8 @@ func fig8(w io.Writer, quick bool) error {
 		row = append(row, f3(a/float64(len(benches))))
 	}
 	rows = append(rows, row)
-	Table(w, fmt.Sprintf("Execution time normalized to S (%d nodes, %d threads/node)", nodes, tpn),
-		[]string{"Benchmark", "S", "PS", "PS3"}, rows)
-	return bad.err()
+	return []Table{{Title: fmt.Sprintf("Execution time normalized to S (%d nodes, %d threads/node)", nodes, tpn),
+		Headers: []string{"Benchmark", "S", "PS", "PS3"}, Rows: rows}}, bad.err()
 }
 
 type coherenceMode struct {
@@ -185,15 +182,18 @@ func wbSizes(quick bool) []int {
 	return []int{8, 32, 128, 512, 2048, 8192, 32768}
 }
 
-// wbSweep runs every benchmark at every write-buffer size and prints one
-// table of what show makes of each run, a row per size.
-func wbSweep(w io.Writer, quick bool, title string, show func(wload.Result) string) error {
+// fig9and10 runs every benchmark once at every write-buffer size and fills
+// both figures from that one run: runtime (Figure 9) and writebacks (Figure
+// 10), a row per size and a column per benchmark.
+func fig9and10(quick bool) ([]Table, error) {
 	nodes, tpn := sweepConfig(quick)
 	sizes := wbSizes(quick)
 	headers := []string{"WB pages"}
-	rows := make([][]string, len(sizes))
+	times := make([][]string, len(sizes))
+	writebacks := make([][]string, len(sizes))
 	for si, wb := range sizes {
-		rows[si] = []string{d(int64(wb))}
+		times[si] = []string{d(int64(wb))}
+		writebacks[si] = []string{d(int64(wb))}
 	}
 	var bad badCells
 	for _, b := range sweepBenches(quick) {
@@ -203,19 +203,16 @@ func wbSweep(w io.Writer, quick bool, title string, show func(wload.Result) stri
 			cfg := wload.ArgoConfig(nodes, 64<<20)
 			cfg.WriteBufferPages = wb
 			r := b.run(cfg, tpn)
-			rows[si] = append(rows[si], bad.cell(show(r), r.Check, ref, b.name, fmt.Sprintf("%d write-buffer pages, %d nodes", wb, nodes)))
+			ms, n := f2(float64(r.Time)/1e6), d(r.Stats.Writebacks)
+			if !bad.ok(r.Check, ref, b.name, fmt.Sprintf("%d write-buffer pages, %d nodes", wb, nodes)) {
+				ms, n = "BADCHECK", "BADCHECK"
+			}
+			times[si] = append(times[si], ms)
+			writebacks[si] = append(writebacks[si], n)
 		}
 	}
-	Table(w, title, headers, rows)
-	return bad.err()
-}
-
-func fig9(w io.Writer, quick bool) error {
-	return wbSweep(w, quick, "Runtime (virtual ms) vs write-buffer size",
-		func(r wload.Result) string { return f2(float64(r.Time) / 1e6) })
-}
-
-func fig10(w io.Writer, quick bool) error {
-	return wbSweep(w, quick, "Writebacks vs write-buffer size",
-		func(r wload.Result) string { return d(r.Stats.Writebacks) })
+	return []Table{
+		{Title: "Runtime (virtual ms) vs write-buffer size", Headers: headers, Rows: times},
+		{Title: "Writebacks vs write-buffer size", Headers: headers, Rows: writebacks},
+	}, bad.err()
 }

@@ -4,7 +4,8 @@ import "fmt"
 
 // words is the memory a word-store heap lives in: its meta words and its
 // node words (three per node: key, child, sibling), reached through whoever
-// calls — an Argo thread's page cache or a UPC rank's fine-grained accesses.
+// calls — plain process memory, an Argo thread's page cache or a UPC rank's
+// fine-grained accesses.
 type words interface {
 	meta(i int) int64
 	setMeta(i int, v int64)
@@ -25,8 +26,8 @@ const nilRef = int64(-1)
 
 // arena is the pairing heap over a word store: nodes are indices into the
 // node words, freed nodes chain through their child word, and the order of
-// every word access is the algorithm's, whatever store it runs on. Like the
-// native heap it is sequential; callers serialize access with a lock.
+// every word access is the algorithm's, whatever store it runs on. It is
+// sequential; callers serialize access with a lock.
 type arena[W words] struct {
 	cap   int
 	pairs []int64 // mergePairs' scratch: the heap is only touched under its lock
@@ -97,7 +98,8 @@ func (a *arena[W]) meld(w W, x, y int64) int64 {
 	return x
 }
 
-// mergePairs is the native heap's two passes over node indices.
+// mergePairs performs the classic two-pass pairing over node indices: meld
+// siblings pairwise left to right, then meld the pair roots right to left.
 func (a *arena[W]) mergePairs(w W, first int64) int64 {
 	if first == nilRef {
 		return nilRef

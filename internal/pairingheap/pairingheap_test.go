@@ -3,7 +3,6 @@ package pairingheap
 import (
 	"container/heap"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -23,19 +22,19 @@ func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *intHeap) Push(x any)        { *h = append(*h, x.(int64)) }
 func (h *intHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
+// size is the heap's element count, read from its meta words.
+func (h *LocalHeap) size() int { return int(h.words[mSize]) }
+
 func TestNativeHeapBasics(t *testing.T) {
-	h := New()
+	h := NewLocalHeap(8)
 	if _, ok := h.ExtractMin(); ok {
 		t.Fatal("empty heap returned a min")
 	}
 	h.Insert(5)
 	h.Insert(1)
 	h.Insert(3)
-	if h.Len() != 3 {
-		t.Fatalf("len = %d", h.Len())
-	}
-	if m, _ := h.Min(); m != 1 {
-		t.Fatalf("min = %d", m)
+	if h.size() != 3 {
+		t.Fatalf("len = %d", h.size())
 	}
 	want := []int64{1, 3, 5}
 	for _, w := range want {
@@ -43,25 +42,25 @@ func TestNativeHeapBasics(t *testing.T) {
 			t.Fatalf("extract = %d,%v want %d", got, ok, w)
 		}
 	}
-	if h.Len() != 0 {
-		t.Fatalf("len = %d after drain", h.Len())
+	if h.size() != 0 {
+		t.Fatalf("len = %d after drain", h.size())
 	}
 }
 
 func TestNativeHeapSortsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	h := New()
-	var vals []int64
+	h := NewLocalHeap(5000)
+	var model intHeap
 	for i := 0; i < 5000; i++ {
 		v := rng.Int63n(1000) // duplicates likely
-		vals = append(vals, v)
+		heap.Push(&model, v)
 		h.Insert(v)
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	for i, w := range vals {
+	for i := 0; model.Len() > 0; i++ {
+		want := heap.Pop(&model).(int64)
 		got, ok := h.ExtractMin()
-		if !ok || got != w {
-			t.Fatalf("element %d: got %d,%v want %d", i, got, ok, w)
+		if !ok || got != want {
+			t.Fatalf("element %d: got %d,%v want %d", i, got, ok, want)
 		}
 	}
 }
@@ -69,9 +68,8 @@ func TestNativeHeapSortsRandom(t *testing.T) {
 // Property: any interleaving of inserts and extracts matches container/heap.
 func TestNativeHeapModelProperty(t *testing.T) {
 	f := func(ops []int16) bool {
-		h := New()
+		h := NewLocalHeap(len(ops))
 		var model intHeap
-		heap.Init(&model)
 		for _, op := range ops {
 			if op >= 0 {
 				h.Insert(int64(op))
@@ -85,7 +83,7 @@ func TestNativeHeapModelProperty(t *testing.T) {
 			} else if _, ok := h.ExtractMin(); ok {
 				return false
 			}
-			if h.Len() != model.Len() {
+			if h.size() != model.Len() {
 				return false
 			}
 		}
@@ -107,7 +105,7 @@ func dsmCluster() *core.Cluster {
 func TestDSMHeapMatchesNative(t *testing.T) {
 	c := dsmCluster()
 	h := NewDSMHeap(c, 4096)
-	ref := New()
+	var ref intHeap
 	rng := rand.New(rand.NewSource(7))
 	c.Run(1, func(th *core.Thread) {
 		if th.Node != 0 {
@@ -117,12 +115,11 @@ func TestDSMHeapMatchesNative(t *testing.T) {
 			if rng.Intn(3) != 0 || ref.Len() == 0 {
 				v := rng.Int63n(500)
 				h.Insert(th, v)
-				ref.Insert(v)
+				heap.Push(&ref, v)
 			} else {
 				got, ok := h.ExtractMin(th)
-				want, wok := ref.ExtractMin()
-				if ok != wok || got != want {
-					panic("DSM heap diverged from native heap")
+				if want := heap.Pop(&ref).(int64); !ok || got != want {
+					panic("DSM heap diverged from the reference heap")
 				}
 			}
 			if h.Len(th) != ref.Len() {
@@ -202,7 +199,7 @@ func TestPGASHeapMatchesNative(t *testing.T) {
 	fab := wloadFabric(2)
 	w := pgas.NewWorld(fab, 1)
 	h := NewPGASHeap(w, 2048)
-	ref := New()
+	var ref intHeap
 	w.Run(func(r *pgas.Rank) {
 		if r.ID != 0 {
 			return
@@ -213,12 +210,11 @@ func TestPGASHeapMatchesNative(t *testing.T) {
 			if rng.Intn(3) != 0 || ref.Len() == 0 {
 				v := rng.Int63n(400)
 				h.Insert(r, v)
-				ref.Insert(v)
+				heap.Push(&ref, v)
 			} else {
 				got, ok := h.ExtractMin(r)
-				want, wok := ref.ExtractMin()
-				if ok != wok || got != want {
-					panic("PGAS heap diverged from native heap")
+				if want := heap.Pop(&ref).(int64); !ok || got != want {
+					panic("PGAS heap diverged from the reference heap")
 				}
 			}
 			if h.Len(r) != ref.Len() {

@@ -90,7 +90,7 @@ const (
 // lock algorithm and thread count.
 func RunNative(kind NativeLockKind, threads int, p Params) Result {
 	m := wload.NewLocalMachine(wload.Net())
-	heap := pairingheap.New()
+	heap := pairingheap.NewLocalHeap(p.Preload + threads*p.OpsPerThread + 16)
 	for i := 0; i < p.Preload; i++ {
 		heap.Insert(int64(i * 37 % p.Preload))
 	}
