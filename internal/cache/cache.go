@@ -104,12 +104,13 @@ type Cache struct {
 	// the interconnect at a time.
 	FetchGate sim.Resource
 
-	// The write buffer is a fixed ring of wbCap+1 page numbers (one spare so
-	// a push can land before the overflow victim pops); entries may be stale.
+	// The write buffer is a ring of page numbers that grows with use, up to
+	// wbCap+1 (one spare so a push can land before the overflow victim pops);
+	// entries may be stale.
 	wbMu   sync.Mutex
 	wbCap  int
-	wbRing []int
-	wbHead int // index of the oldest entry
+	wbRing []int // nil until the first push
+	wbHead int   // index of the oldest entry
 	wbLen  int
 
 	// Occupied-line tracking: fences sweep only lines that ever held a
@@ -135,7 +136,6 @@ func New(node, pageSize, lines, pagesPerLine, wbCapacity int) *Cache {
 		Lines:        lines,
 		PagesPerLine: pagesPerLine,
 		wbCap:        wbCapacity,
-		wbRing:       make([]int, wbCapacity+1),
 	}
 	c.lines = sparse.Make(lines, func(base int, chunk []Line) {
 		syncs := make([]LineSync, len(chunk))
@@ -298,6 +298,9 @@ func (s *Slot) Invalidate() {
 func (c *Cache) WBPush(page int) (victim int, evict bool) {
 	c.wbMu.Lock()
 	defer c.wbMu.Unlock()
+	if c.wbLen == len(c.wbRing) {
+		c.growWB()
+	}
 	c.wbRing[c.wbIndex(c.wbLen)] = page
 	c.wbLen++
 	if c.wbLen > c.wbCap {
@@ -309,8 +312,22 @@ func (c *Cache) WBPush(page int) (victim int, evict bool) {
 	return 0, false
 }
 
-// wbIndex returns the ring index of the i-th oldest entry (0 <= i <= wbCap).
-// The caller holds wbMu.
+// wbMinRing is the ring's length at the first push: a buffer that never holds
+// more costs no more than this, whatever its capacity.
+const wbMinRing = 16
+
+// growWB replaces the full ring with one twice as long, from wbMinRing up to
+// wbCap+1, holding the same entries in the same places. A ring that can grow
+// has its oldest entry at index 0: the head moves only when a push overflows,
+// which takes a ring already wbCap+1 long. The caller holds wbMu.
+func (c *Cache) growWB() {
+	ring := make([]int, min(max(2*len(c.wbRing), wbMinRing), c.wbCap+1))
+	copy(ring, c.wbRing)
+	c.wbRing = ring
+}
+
+// wbIndex returns the ring index of the i-th oldest entry
+// (0 <= i < len(wbRing)). The caller holds wbMu.
 func (c *Cache) wbIndex(i int) int {
 	i += c.wbHead
 	if i >= len(c.wbRing) {

@@ -425,6 +425,51 @@ func TestWBRingWrapAround(t *testing.T) {
 	}
 }
 
+// TestWBRingGrowsWithUse: a new cache has no ring; pushes grow it through
+// its doublings, with every entry kept in FIFO order, up to capacity+1 and no
+// further, after which pushes overflow oldest first. Clearing keeps the ring
+// it grew. A capacity of 1 grows straight to its two entries.
+func TestWBRingGrowsWithUse(t *testing.T) {
+	for _, tc := range []struct {
+		capacity int
+		lens     []int // ring lengths seen, in order
+	}{
+		{1, []int{2}},
+		{100, []int{16, 32, 64, 101}},
+	} {
+		c := New(0, 4096, 8, 2, tc.capacity)
+		if c.wbRing != nil {
+			t.Fatalf("cap %d: ring of %d allocated before any push", tc.capacity, len(c.wbRing))
+		}
+		var model, lens []int
+		for page := 0; page < 3*tc.capacity+7; page++ {
+			victim, evict := c.WBPush(page)
+			model = append(model, page)
+			if len(model) > tc.capacity {
+				if !evict || victim != model[0] {
+					t.Fatalf("cap %d push %d: victim %d (%v), want %d", tc.capacity, page, victim, evict, model[0])
+				}
+				model = model[1:]
+			} else if evict {
+				t.Fatalf("cap %d push %d: eviction below capacity", tc.capacity, page)
+			}
+			if n := len(c.wbRing); len(lens) == 0 || lens[len(lens)-1] != n {
+				lens = append(lens, n)
+			}
+		}
+		if !slices.Equal(lens, tc.lens) {
+			t.Fatalf("cap %d: ring grew through lengths %v, want %v", tc.capacity, lens, tc.lens)
+		}
+		if got := c.WBDrain(); !slices.Equal(got, model) {
+			t.Fatalf("cap %d: drained %v, want %v", tc.capacity, got, model)
+		}
+		c.WBPush(7)
+		if c.WBClear() != 1 || len(c.wbRing) != tc.capacity+1 {
+			t.Fatalf("cap %d: WBClear lost the count or the ring (%d long)", tc.capacity, len(c.wbRing))
+		}
+	}
+}
+
 func TestWBPushZeroAlloc(t *testing.T) {
 	c := New(0, 4096, 8, 2, 4)
 	page := 0

@@ -26,7 +26,7 @@ func bulkRoundTrip[T Element](t *testing.T, g bulkGeom, gen func(i int) T, bits 
 	initSlice(c, s, vals)
 	for _, i := range []int{0, 1, n / 2, n - 1} {
 		var raw [8]byte
-		c.dumpBytes(s.At(i), raw[:])
+		dumpBytes(c, s.At(i), raw[:])
 		if got := binary.LittleEndian.Uint64(raw[:]); got != bits(vals[i]) {
 			t.Fatalf("element %d stored as %#x, want %#x little-endian", i, got, bits(vals[i]))
 		}

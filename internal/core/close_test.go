@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // mustPanic runs f and returns what it panicked with, failing the test if it
@@ -46,6 +48,7 @@ func TestClosedClusterPanics(t *testing.T) {
 		{"InitBytes", func() { c.InitBytes(0, []byte{1}) }},
 		{"DumpF64", func() { c.DumpF64(xs) }},
 		{"DumpI64", func() { c.DumpI64(is) }},
+		{"ViewHome", func() { ViewHome(c, xs, func([]float64) {}) }},
 		{"Alloc", func() { c.Alloc(8) }},
 		{"AllocPages", func() { c.AllocPages(8) }},
 		{"AllocF64", func() { c.AllocF64(1) }},
@@ -91,4 +94,63 @@ func TestClosedMidRunPanics(t *testing.T) {
 	}
 	c.Close()
 	mustPanic(t, "DumpF64", func() { c.DumpF64(xs) })
+}
+
+// TestViewHomeInPlace: ViewHome hands out the home frames themselves, in
+// element order; a page nobody wrote is seen as zeros — on 8 KiB pages, in
+// two 4 KiB segments where a written page comes as one — and the walk does
+// not give it a frame, so a second walk sees the same segments; the dump built
+// on the walk copies exactly what it shows; a slice off a word, or on pages
+// too small for one, is refused.
+func TestViewHomeInPlace(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.PageSize = 8192
+	c := MustNewCluster(cfg)
+	defer c.Close()
+	const perPage = 1024
+	xs := c.AllocF64(5*perPage + 3)
+	for _, pg := range []int{1, 3} { // pages 0, 2, 4 and the tail stay unwritten
+		vals := make([]float64, perPage)
+		for i := range vals {
+			vals[i] = float64(pg*perPage + i + 1)
+		}
+		c.InitF64(F64Slice{Base: xs.At(pg * perPage), Len: perPage}, vals)
+	}
+	frames := map[int]unsafe.Pointer{} // element index → its written page's frame
+	for _, pg := range []int{1, 3} {
+		frames[pg*perPage] = unsafe.Pointer(&c.Space.HomeBytes(c.Space.PageOf(xs.At(pg * perPage)))[0])
+	}
+	walk := func() (segs []int, got []float64) {
+		ViewHome(c, xs, func(seg []float64) {
+			if f, ok := frames[len(got)]; ok && unsafe.Pointer(&seg[0]) != f {
+				t.Fatalf("segment at %d is not its page's home frame", len(got))
+			}
+			segs, got = append(segs, len(seg)), append(got, seg...)
+		})
+		return segs, got
+	}
+	segs, got := walk()
+	if want := []int{512, 512, perPage, 512, 512, perPage, 512, 512, 3}; !slices.Equal(segs, want) {
+		t.Fatalf("segments %v, want %v", segs, want)
+	}
+	for i, v := range got {
+		want := 0.0
+		if pg := i / perPage; pg == 1 || pg == 3 {
+			want = float64(i + 1)
+		}
+		if v != want {
+			t.Fatalf("element %d seen as %v, want %v", i, v, want)
+		}
+	}
+	if again, _ := walk(); !slices.Equal(again, segs) {
+		t.Fatalf("second walk saw segments %v: the first gave an unwritten page a frame", again)
+	}
+	if !slices.Equal(c.DumpF64(xs), got) {
+		t.Fatal("DumpF64 differs from what ViewHome showed")
+	}
+	mustPanic(t, "ViewHome of an unaligned slice", func() { ViewHome(c, F64Slice{Base: xs.Base + 4, Len: 1}, func([]float64) {}) })
+	cfg.PageSize, cfg.MemoryBytes = 4, 4096
+	small := MustNewCluster(cfg)
+	defer small.Close()
+	mustPanic(t, "ViewHome on pages smaller than a word", func() { ViewHome(small, small.AllocF64(2), func([]float64) {}) })
 }

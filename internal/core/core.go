@@ -594,18 +594,18 @@ func (c *Cluster) InitBytes(a mem.Addr, src []byte) {
 	}
 }
 
-func (c *Cluster) dumpBytes(a mem.Addr, dst []byte) {
+// viewBytes hands fn the n bytes of home memory from a, page segment by page
+// segment in address order (mem.Space.ViewPageAt: in place, under each page's
+// read lock, zeros for a page nobody has written). It is the one walk over
+// home pages that reads: ViewHome and the dumps are built on it.
+func (c *Cluster) viewBytes(a mem.Addr, n int, fn func(b []byte)) {
 	c.mustBeOpen()
 	ps := c.Space.PageSize
-	for len(dst) > 0 {
-		page := c.Space.PageOf(a)
+	for n > 0 {
 		off := int(a) % ps
-		seg := ps - off
-		if seg > len(dst) {
-			seg = len(dst)
-		}
-		c.Space.ReadPageAt(page, off, dst[:seg])
-		dst = dst[seg:]
+		seg := min(ps-off, n)
+		c.Space.ViewPageAt(c.Space.PageOf(a), off, seg, fn)
+		n -= seg
 		a += mem.Addr(seg)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"argo/internal/coherence"
+	"argo/internal/mem"
 )
 
 func testConfig(nodes int) Config {
@@ -109,6 +110,13 @@ func TestInitAndDump(t *testing.T) {
 	}
 }
 
+// dumpBytes copies len(dst) bytes of home memory from a out, through the walk
+// ViewHome and the dumps are built on.
+func dumpBytes(c *Cluster, a mem.Addr, dst []byte) {
+	k := 0
+	c.viewBytes(a, len(dst), func(b []byte) { k += copy(dst[k:], b) })
+}
+
 // Property: arbitrary byte blobs survive Init → Dump across page and home
 // boundaries.
 func TestInitDumpProperty(t *testing.T) {
@@ -121,7 +129,7 @@ func TestInitDumpProperty(t *testing.T) {
 		off := int64(offU) % (1<<16 - int64(len(data)))
 		c.InitBytes(base+off, data)
 		got := make([]byte, len(data))
-		c.dumpBytes(base+off, got)
+		dumpBytes(c, base+off, got)
 		for i := range data {
 			if got[i] != data[i] {
 				return false

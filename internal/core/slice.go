@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"unsafe"
 
@@ -69,11 +70,31 @@ func initSlice[T Element](c *Cluster, s Slice[T], vals []T) {
 	c.InitBytes(s.Base, wordBytes(vals))
 }
 
-// dumpSlice reads the home-memory truth of s after all threads have
-// quiesced (verification helper; zero cost, no protocol activity).
+// ViewHome hands fn the home-memory truth of s in place, segment by segment in
+// element order, each segment the part of s on one page or a 4 KiB run of
+// zeros. Call it after all threads have quiesced and before Close, as a
+// verification read: zero cost, no protocol activity, no copy. fn gets a
+// read-only view taken under its page's read lock, and must not write to it,
+// keep it after it returns, or write home memory itself; a page nobody has
+// written is seen as zeros and gets no home frame. A checksum or digest folded
+// over the segments is the one folded over DumpF64/DumpI64's copy, without
+// making the copy. The pages must hold whole words (PageSize >= 8), and s
+// must start on a word.
+func ViewHome[T Element](c *Cluster, s Slice[T], fn func(seg []T)) {
+	if s.Base%8 != 0 || c.Space.PageSize < 8 {
+		panic(fmt.Sprintf("core: no word view of a slice at %#x on %d-byte pages", s.Base, c.Space.PageSize))
+	}
+	c.viewBytes(s.Base, s.Len*8, func(b []byte) {
+		fn(unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8))
+	})
+}
+
+// dumpSlice copies the home-memory truth of s out: the walk ViewHome takes,
+// byte by byte, so that it also serves pages too small to hold a word.
 func dumpSlice[T Element](c *Cluster, s Slice[T]) []T {
 	out := make([]T, s.Len)
-	c.dumpBytes(s.Base, wordBytes(out))
+	dst := wordBytes(out)
+	c.viewBytes(s.Base, len(dst), func(b []byte) { dst = dst[copy(dst, b):] })
 	return out
 }
 
@@ -134,8 +155,8 @@ func (c *Cluster) InitF64(s F64Slice, vals []float64) { initSlice(c, s, vals) }
 // InitI64 writes vals directly into home memory (see InitSlice).
 func (c *Cluster) InitI64(s I64Slice, vals []int64) { initSlice(c, s, vals) }
 
-// DumpF64 reads the home-memory truth of s (see DumpSlice).
+// DumpF64 copies the home-memory truth of s out (see ViewHome).
 func (c *Cluster) DumpF64(s F64Slice) []float64 { return dumpSlice(c, s) }
 
-// DumpI64 reads the home-memory truth of s (see DumpSlice).
+// DumpI64 copies the home-memory truth of s out (see ViewHome).
 func (c *Cluster) DumpI64(s I64Slice) []int64 { return dumpSlice(c, s) }

@@ -29,6 +29,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"argo/internal/sparse"
 )
@@ -169,15 +170,12 @@ func (s *Space) lockHome(p int) (pg *page, home []byte) {
 	return pg, pg.data
 }
 
-// ReadPage copies page p's home content into dst (len(dst) == PageSize).
-func (s *Space) ReadPage(p int, dst []byte) { s.ReadPageAt(p, 0, dst) }
-
-// ReadPageAt copies len(dst) bytes of page p's home content starting at byte
-// off into dst. A page nobody has written yet reads as zeros and stays
-// unallocated; where not even its table entry exists there is no lock to take
-// either — zeros are the page as it was before any write, and a reader that
-// synchronised with a writer (DRF) finds the entry that writer published.
-func (s *Space) ReadPageAt(p, off int, dst []byte) {
+// ReadPage copies page p's home content into dst (len(dst) == PageSize). A
+// page nobody has written yet reads as zeros and stays unallocated; where not
+// even its table entry exists there is no lock to take either — zeros are the
+// page as it was before any write, and a reader that synchronised with a
+// writer (DRF) finds the entry that writer published.
+func (s *Space) ReadPage(p int, dst []byte) {
 	pg := s.pages.Peek(p)
 	if pg == nil {
 		clear(dst)
@@ -185,11 +183,38 @@ func (s *Space) ReadPageAt(p, off int, dst []byte) {
 	}
 	pg.mu.RLock()
 	if pg.data != nil {
-		copy(dst, pg.data[off:])
+		copy(dst, pg.data)
 	} else {
 		clear(dst)
 	}
 	pg.mu.RUnlock()
+}
+
+// zeroWords is what a page nobody has written is seen through: zeros, 8-byte
+// aligned so that a view of words may be taken of it.
+var zeroWords [512]uint64
+
+// ViewPageAt hands fn bytes [off, off+n) of page p's home content in place,
+// under the page's read lock: fn must not write to the view nor keep it after
+// it returns. A page nobody has written is seen as zeros, in views of at most
+// 4 KiB, and gets no frame (as with ReadPage). The zeros and every frame of
+// 8 bytes or more are word-aligned, so on such pages a view is as aligned as
+// off.
+func (s *Space) ViewPageAt(p, off, n int, fn func(b []byte)) {
+	if pg := s.pages.Peek(p); pg != nil {
+		pg.mu.RLock()
+		defer pg.mu.RUnlock()
+		if pg.data != nil {
+			fn(pg.data[off : off+n])
+			return
+		}
+	}
+	zeros := unsafe.Slice((*byte)(unsafe.Pointer(&zeroWords)), len(zeroWords)*8)
+	for n > 0 {
+		k := min(n, len(zeros))
+		fn(zeros[:k])
+		n -= k
+	}
 }
 
 // WritePageFull overwrites page p's home content with src. Used for

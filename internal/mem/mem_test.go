@@ -123,12 +123,48 @@ func TestHomeNeverWrittenReadsZeros(t *testing.T) {
 		t.Fatal("never-written page did not read as zeros")
 	}
 	part := bytes.Repeat([]byte{0xFF}, 100)
-	s.ReadPageAt(5, 4000, part[:96])
+	readPageAt(s, 5, 4000, part[:96])
 	if !bytes.Equal(part[:96], make([]byte, 96)) || part[96] != 0xFF {
 		t.Fatalf("partial read of a never-written page: %v", part)
 	}
 	if allocated(s, 5) || s.Chunks() != 0 {
 		t.Fatal("reading a page materialised it or its table entry")
+	}
+}
+
+// ViewPageAt shows a written page in place — the view is the frame itself —
+// and a never-written one as zeros in views of at most 4 KiB, without giving
+// it a frame or a table entry.
+func TestViewPageAtInPlace(t *testing.T) {
+	s := NewSpace(2, 8*16384, 16384, Interleaved)
+	home := s.HomeBytes(2)
+	s.ViewPageAt(2, 64, 100, func(b []byte) {
+		if len(b) != 100 || &b[0] != &home[64] {
+			t.Fatal("the view of a written page is not its frame")
+		}
+	})
+	var views, n int
+	s.ViewPageAt(5, 8, 16000, func(b []byte) {
+		if len(b) > 4096 || !bytes.Equal(b, make([]byte, len(b))) {
+			t.Fatalf("never-written page seen as %d bytes, not all zero", len(b))
+		}
+		views, n = views+1, n+len(b)
+	})
+	if n != 16000 || views != 4 {
+		t.Fatalf("never-written page viewed as %d bytes in %d views, want 16000 in 4", n, views)
+	}
+	if allocated(s, 5) || s.Chunks() != 1 {
+		t.Fatal("viewing a never-written page gave it a frame or a table entry")
+	}
+}
+
+// readPageAt copies len(dst) bytes of page p from byte off through
+// ViewPageAt, checking that the views arrive in order and cover them exactly.
+func readPageAt(s *Space, p, off int, dst []byte) {
+	k := 0
+	s.ViewPageAt(p, off, len(dst), func(b []byte) { k += copy(dst[k:], b) })
+	if k != len(dst) {
+		panic(fmt.Sprintf("ViewPageAt(%d, %d, %d) viewed %d bytes", p, off, len(dst), k))
 	}
 }
 
@@ -167,9 +203,9 @@ func TestHomeFirstWriteMaterialises(t *testing.T) {
 			if h := s.HomeBytes(3); len(h) != 4096 || &h[0] != &s.HomeBytes(3)[0] {
 				t.Fatal("HomeBytes is not the page's one backing slice")
 			}
-			s.ReadPageAt(3, 8, got[:4])
+			readPageAt(s, 3, 8, got[:4])
 			if got[1] != 3 {
-				t.Fatalf("ReadPageAt(3, 8) = %v, want byte 1 = 3", got[:4])
+				t.Fatalf("ViewPageAt(3, 8) = %v, want byte 1 = 3", got[:4])
 			}
 		})
 	}

@@ -81,9 +81,9 @@ func TestMatchesDenseSpace(t *testing.T) {
 			default:
 				off := rng.Intn(g.pageSize)
 				got := bytes.Repeat([]byte{0xEE}, rng.Intn(g.pageSize-off)+1)
-				s.ReadPageAt(p, off, got)
+				readPageAt(s, p, off, got)
 				if !bytes.Equal(got, ref[p][off:off+len(got)]) {
-					t.Fatalf("%+v step %d: ReadPageAt(%d, %d) = %v, want %v", g, step, p, off, got, ref[p][off:off+len(got)])
+					t.Fatalf("%+v step %d: ViewPageAt(%d, %d) = %v, want %v", g, step, p, off, got, ref[p][off:off+len(got)])
 				}
 			}
 			if step%500 == 499 {

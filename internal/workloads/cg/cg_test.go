@@ -215,7 +215,7 @@ func TestSpMVGatherBitIdentical(t *testing.T) {
 	p := Params{N: 2048, PerRow: 8, Iters: 3}
 	for _, g := range []struct{ nodes, tpn int }{{1, 1}, {2, 2}} {
 		cfg := wload.ArgoConfig(g.nodes, 16<<20)
-		got, want := RunArgo(cfg, p, g.tpn), runArgo(cfg, p, g.tpn, (*Sparse).spmvScalar)
+		got, want := RunArgo(cfg, p, g.tpn), runArgo(cfg, p, g.tpn, (*Sparse).spmvScalar, wload.ChecksumOf)
 		if math.Float64bits(got.Check) != math.Float64bits(want.Check) {
 			t.Fatalf("%dx%d: gather check %x, scalar %x", g.nodes, g.tpn, math.Float64bits(got.Check), math.Float64bits(want.Check))
 		}
@@ -323,5 +323,24 @@ func BenchmarkBuildMatrix(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buildMatrix(p)
+	}
+}
+
+// TestInPlaceAnswerIsTheDumpFold: RunArgo's checksum of the solution is
+// read in place from the finished cluster and equals the fold over DumpF64's
+// copy bit for bit.
+func TestInPlaceAnswerIsTheDumpFold(t *testing.T) {
+	folds := 0
+	checksum := func(c *core.Cluster, s core.F64Slice) float64 {
+		folds++
+		in, dump := wload.ChecksumOf(c, s), wload.Checksum(c.DumpF64(s))
+		if math.Float64bits(in) != math.Float64bits(dump) {
+			t.Errorf("checksum in place %v, over the dump %v", in, dump)
+		}
+		return in
+	}
+	runArgo(wload.ArgoConfig(2, 16<<20), testParams(), 2, (*Sparse).spmvGather, checksum)
+	if folds != 1 {
+		t.Fatalf("%d answers folded, want 1", folds)
 	}
 }

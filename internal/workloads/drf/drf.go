@@ -99,7 +99,12 @@ func Run(pr Params) error {
 }
 
 // RunReport is Run returning the run's Report alongside the verdict.
-func RunReport(pr Params) (Report, error) {
+func RunReport(pr Params) (Report, error) { return runReport(pr, homeTruth) }
+
+// runReport is RunReport with the digest and the home-truth check taken by
+// home (the tests check it against the fold over a dump, and corrupt home
+// memory before it looks).
+func runReport(pr Params, home func(*core.Cluster, core.I64Slice, Params) (uint64, error)) (Report, error) {
 	nt := pr.Nodes * pr.TPN
 	if nt > math.MaxUint16 {
 		return Report{}, fmt.Errorf("drf: %d threads do not fit the owner table's 16-bit ranks", nt)
@@ -153,23 +158,37 @@ func RunReport(pr Params) (Report, error) {
 			th.Barrier()
 		}
 	})
-	final := c.DumpI64(xs)
-	rep := Report{Makespan: makespan, Digest: wload.Digest(digestBasis, final), Faults: c.FaultStats()}
+	digest, homeErr := home(c, xs, pr)
+	rep := Report{Makespan: makespan, Digest: digest, Faults: c.FaultStats()}
 	select {
 	case err := <-errCh:
 		return rep, err
 	default:
 	}
-	// Home truth must hold the final epoch.
-	for i, v := range final {
-		if want := val(pr.Epochs-1, i); v != want {
-			return rep, fmt.Errorf("home xs[%d]=%d, want %d (params %+v)", i, v, want, pr)
-		}
+	if homeErr != nil {
+		return rep, homeErr
 	}
 	if err := c.CheckInvariants(); err != nil {
 		return rep, fmt.Errorf("%v (params %+v)", err, pr)
 	}
 	return rep, nil
+}
+
+// homeTruth folds the final home memory of xs into the report's digest and,
+// in the same in-place walk (core.ViewHome), checks that it holds the final
+// epoch; the error names the first element that does not.
+func homeTruth(c *core.Cluster, xs core.I64Slice, pr Params) (digest uint64, err error) {
+	digest, i := digestBasis, 0
+	core.ViewHome(c, xs, func(seg []int64) {
+		for k, v := range seg {
+			if want := val(pr.Epochs-1, i+k); v != want && err == nil {
+				err = fmt.Errorf("home xs[%d]=%d, want %d (params %+v)", i+k, v, want, pr)
+			}
+		}
+		i += len(seg)
+		digest = wload.Digest(digest, seg)
+	})
+	return digest, err
 }
 
 // ownerTable draws the program: entry e*Elements+i is the rank, of nt, that
@@ -194,7 +213,11 @@ func RunFlags(pr Params) error {
 }
 
 // RunFlagsReport is RunFlags returning the run's Report.
-func RunFlagsReport(pr Params) (Report, error) {
+func RunFlagsReport(pr Params) (Report, error) { return runFlagsReport(pr, wload.DigestOf[int64]) }
+
+// runFlagsReport is RunFlagsReport with the digest taken by fold (the tests
+// check it against the fold over a dump).
+func runFlagsReport(pr Params, fold func(uint64, *core.Cluster, core.I64Slice) uint64) (Report, error) {
 	cfg := core.DefaultConfig(pr.Nodes)
 	cfg.MemoryBytes = int64(pr.Elements*8) + 1<<20
 	cfg.PageSize = pr.PageSize
@@ -231,7 +254,7 @@ func RunFlagsReport(pr Params) (Report, error) {
 			}
 		}
 	})
-	rep := Report{Makespan: makespan, Digest: wload.Digest(digestBasis, c.DumpI64(xs)), Faults: c.FaultStats()}
+	rep := Report{Makespan: makespan, Digest: fold(digestBasis, c, xs), Faults: c.FaultStats()}
 	select {
 	case err := <-errCh:
 		return rep, err

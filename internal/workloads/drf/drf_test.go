@@ -1,8 +1,10 @@
 package drf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"argo/internal/coherence"
@@ -191,5 +193,75 @@ func TestCompactOwnerTableIsTheSameProgram(t *testing.T) {
 func TestRejectsMoreRanksThanTheOwnerTableHolds(t *testing.T) {
 	if _, err := RunReport(Params{Nodes: 128, TPN: 512}); err == nil {
 		t.Fatal("65 536 threads accepted: their ranks do not fit 16 bits")
+	}
+}
+
+// digestChecked is wload.DigestOf, failing t unless it equals the digest over
+// DumpI64's copy bit for bit.
+func digestChecked(t *testing.T, folds *int) func(uint64, *core.Cluster, core.I64Slice) uint64 {
+	return func(basis uint64, c *core.Cluster, s core.I64Slice) uint64 {
+		*folds++
+		in, dump := wload.DigestOf(basis, c, s), wload.Digest(basis, c.DumpI64(s))
+		if in != dump {
+			t.Errorf("digest in place %016x, over the dump %016x", in, dump)
+		}
+		return in
+	}
+}
+
+// TestInPlaceDigestsAreTheDumpFolds: the digests RunReport (with its
+// home-truth check in the same walk), RunFlagsReport and RunRing report are
+// read in place from the finished cluster and equal the digests over
+// DumpI64's copy bit for bit.
+func TestInPlaceDigestsAreTheDumpFolds(t *testing.T) {
+	pr := Params{
+		Seed: 3, Nodes: 3, TPN: 2, Elements: 1500, Epochs: 3, Reads: 64,
+		PageSize: 512, CacheLine: 8, PerLine: 2, WBPages: 16,
+		Mode: coherence.ModePS3, Policy: mem.Interleaved,
+	}
+	folds := 0
+	fold := digestChecked(t, &folds)
+	home := func(c *core.Cluster, xs core.I64Slice, pr Params) (uint64, error) {
+		digest, err := homeTruth(c, xs, pr)
+		if want := fold(digestBasis, c, xs); digest != want {
+			t.Errorf("home-truth walk digest %016x, DigestOf %016x", digest, want)
+		}
+		return digest, err
+	}
+	if _, err := runReport(pr, home); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runFlagsReport(pr, fold); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runRing(RingParams{Nodes: 4, PerNode: 256, Epochs: 3, PageSize: 1024}, fold); err != nil {
+		t.Fatal(err)
+	}
+	if folds != 3 {
+		t.Fatalf("%d answers folded, want 3", folds)
+	}
+}
+
+// TestInPlaceHomeTruthNamesTheWrongWord: of two home words of a finished
+// program overwritten behind the protocol's back, the home-truth check, which
+// reads home memory in place, names the first.
+func TestInPlaceHomeTruthNamesTheWrongWord(t *testing.T) {
+	pr := Params{
+		Seed: 5, Nodes: 2, TPN: 2, Elements: 1000, Epochs: 2, Reads: 16,
+		PageSize: 512, CacheLine: 8, PerLine: 2, WBPages: 8,
+		Mode: coherence.ModeS, Policy: mem.Interleaved,
+	}
+	const bad = 777
+	_, err := runReport(pr, func(c *core.Cluster, xs core.I64Slice, pr Params) (uint64, error) {
+		for _, i := range []int{bad, bad + 100} {
+			a := xs.At(i)
+			home := c.Space.HomeBytes(c.Space.PageOf(a))
+			off := int(a) % c.Space.PageSize
+			binary.LittleEndian.PutUint64(home[off:], binary.LittleEndian.Uint64(home[off:])+1)
+		}
+		return homeTruth(c, xs, pr)
+	})
+	if want := fmt.Sprintf("home xs[%d]=%d, want %d", bad, val(pr.Epochs-1, bad)+1, val(pr.Epochs-1, bad)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("home-truth check said %v, want %q", err, want)
 	}
 }

@@ -151,7 +151,11 @@ func ringTable(nodes, epochs int) recovery.Table[ringTask] {
 // values the repair discipline guarantees, and returns the final memory
 // digest — which must match the fault-free digest — plus the membership
 // outcome.
-func RunRing(pr RingParams) (RingReport, error) {
+func RunRing(pr RingParams) (RingReport, error) { return runRing(pr, wload.DigestOf[int64]) }
+
+// runRing is RunRing with the digest taken by fold (the tests check it against
+// the fold over a dump).
+func runRing(pr RingParams, fold func(uint64, *core.Cluster, core.I64Slice) uint64) (RingReport, error) {
 	if pr.Nodes < 3 {
 		return RingReport{}, fmt.Errorf("drf: ring needs >= 3 nodes, got %d", pr.Nodes)
 	}
@@ -191,7 +195,7 @@ func RunRing(pr RingParams) (RingReport, error) {
 			return nil
 		}
 	})
-	return RingReport{Report{Makespan: makespan, Digest: wload.Digest(digestBasis, c.DumpI64(xs)), Faults: c.FaultStats()}, out}, err
+	return RingReport{Report{Makespan: makespan, Digest: fold(digestBasis, c, xs), Faults: c.FaultStats()}, out}, err
 }
 
 // ReplayCheck asserts the chaos contract on the ring in full (see

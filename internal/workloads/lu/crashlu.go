@@ -142,6 +142,12 @@ func crashTable(nb int) recovery.Table[luTask] {
 // repairs rewrite exactly the values the dead owners lost, and home memory
 // survives both crashes and cuts.
 func RunCrash(p CrashParams) (CrashReport, error) {
+	return runCrash(p, wload.DigestOf[float64])
+}
+
+// runCrash is RunCrash with the digest of the factored matrix taken by fold
+// (the tests check it against the fold over a dump).
+func runCrash(p CrashParams, fold func(uint64, *core.Cluster, core.F64Slice) uint64) (CrashReport, error) {
 	n, b := p.N, p.Block
 	if n%b != 0 {
 		return CrashReport{}, fmt.Errorf("lu: N %d not a multiple of block %d", n, b)
@@ -214,7 +220,7 @@ func RunCrash(p CrashParams) (CrashReport, error) {
 	})
 	return CrashReport{
 		Makespan:   makespan,
-		Digest:     wload.Digest(digestBasis, c.DumpF64(ga)),
+		Digest:     fold(digestBasis, c, ga),
 		Epoch:      out.Epoch,
 		Deaths:     out.Deaths,
 		Partitions: out.Suspects,

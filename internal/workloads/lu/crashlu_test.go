@@ -1,9 +1,11 @@
 package lu
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"argo/internal/core"
 	"argo/internal/fault"
 	"argo/internal/workloads/wload"
 )
@@ -142,4 +144,46 @@ func mustPlan(spec string) fault.Plan {
 		panic(err)
 	}
 	return plan
+}
+
+// TestInPlaceAnswersAreTheDumpFolds: RunArgo's checksum and RunCrash's
+// digest, fault-free and with crashes repaired, are read in place from the
+// finished cluster and equal the folds over DumpF64's copy of the same matrix
+// bit for bit.
+func TestInPlaceAnswersAreTheDumpFolds(t *testing.T) {
+	folds := 0
+	checksum := func(c *core.Cluster, s core.F64Slice) float64 {
+		folds++
+		in, dump := wload.ChecksumOf(c, s), wload.Checksum(c.DumpF64(s))
+		if math.Float64bits(in) != math.Float64bits(dump) {
+			t.Errorf("checksum in place %v, over the dump %v", in, dump)
+		}
+		return in
+	}
+	digest := func(basis uint64, c *core.Cluster, s core.F64Slice) uint64 {
+		folds++
+		in, dump := wload.DigestOf(basis, c, s), wload.Digest(basis, c.DumpF64(s))
+		if in != dump {
+			t.Errorf("digest in place %016x, over the dump %016x", in, dump)
+		}
+		return in
+	}
+	if r := runArgo(wload.ArgoConfig(2, 8<<20), testParams(), 2, checksum); r.Check != wload.Checksum(Serial(testParams())) {
+		t.Fatalf("RunArgo checksum %v, serial %v", r.Check, wload.Checksum(Serial(testParams())))
+	}
+	plan := mustPlan("crash=0.06,crashminepoch=1,seed=20150615")
+	for _, faults := range []*fault.Plan{nil, &plan} {
+		p := DefaultCrashParams()
+		p.Faults = faults
+		rep, err := runCrash(p, digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if faults != nil && rep.Deaths == 0 {
+			t.Fatal("the crashing plan crashed nobody")
+		}
+	}
+	if folds != 3 {
+		t.Fatalf("%d answers folded, want 3", folds)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"argo/internal/core"
 	"argo/internal/workloads/wload"
 )
 
@@ -80,5 +81,24 @@ func TestArgoBIsReadOnlyShared(t *testing.T) {
 	if r.Stats.SIFiltered <= r.Stats.SelfInvalidations {
 		t.Fatalf("classification filtered %d pages vs %d invalidated",
 			r.Stats.SIFiltered, r.Stats.SelfInvalidations)
+	}
+}
+
+// TestInPlaceAnswerIsTheDumpFold: RunArgo's checksum of the product is
+// read in place from the finished cluster and equals the fold over DumpF64's
+// copy bit for bit.
+func TestInPlaceAnswerIsTheDumpFold(t *testing.T) {
+	folds := 0
+	checksum := func(c *core.Cluster, s core.F64Slice) float64 {
+		folds++
+		in, dump := wload.ChecksumOf(c, s), wload.Checksum(c.DumpF64(s))
+		if math.Float64bits(in) != math.Float64bits(dump) {
+			t.Errorf("checksum in place %v, over the dump %v", in, dump)
+		}
+		return in
+	}
+	runArgo(wload.ArgoConfig(2, 8<<20), testParams(), 2, checksum)
+	if folds != 1 {
+		t.Fatalf("%d answers folded, want 1", folds)
 	}
 }

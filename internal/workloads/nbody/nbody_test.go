@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"argo/internal/core"
 	"argo/internal/workloads/wload"
 )
 
@@ -70,5 +71,24 @@ func TestArgoProducerConsumerClassification(t *testing.T) {
 	}
 	if r.Stats.SIFiltered == 0 {
 		t.Fatal("classification filtered nothing")
+	}
+}
+
+// TestInPlaceAnswerIsTheDumpFold: RunArgo's checksum of the final positions is
+// read in place from the finished cluster and equals the fold over DumpF64's
+// copy bit for bit.
+func TestInPlaceAnswerIsTheDumpFold(t *testing.T) {
+	folds := 0
+	checksum := func(c *core.Cluster, s core.F64Slice) float64 {
+		folds++
+		in, dump := wload.ChecksumOf(c, s), wload.Checksum(c.DumpF64(s))
+		if math.Float64bits(in) != math.Float64bits(dump) {
+			t.Errorf("checksum in place %v, over the dump %v", in, dump)
+		}
+		return in
+	}
+	runArgo(wload.ArgoConfig(2, 8<<20), testParams(), 2, checksum)
+	if folds != 2 {
+		t.Fatalf("%d answers folded, want 2", folds)
 	}
 }

@@ -177,25 +177,59 @@ func MaxAbsDiff(a, b []float64) float64 {
 // Checksum folds a float64 slice into a stable scalar for cross-variant
 // comparison.
 func Checksum(xs []float64) float64 {
-	var s float64
-	for i, v := range xs {
-		s += v * float64(i%97+1)
-	}
-	return s
+	var a checksum
+	a.add(xs)
+	return a.sum
 }
 
-// Digest folds a dumped array into an order-sensitive FNV-1a, started from
-// basis, over the little-endian bytes of its 64-bit words — on the
-// little-endian hosts the simulator runs on (package cache refuses to start
-// otherwise), the bytes the slice already occupies. The basis is the
-// caller's because the committed digests were not all started from the same
-// one (see lu.digestBasis).
+// ChecksumOf is Checksum of s's home-memory truth in c, read in place
+// (core.ViewHome) instead of dumped: the same bits, without the copy. Call it
+// where DumpF64 could be called: after Run, before Close.
+func ChecksumOf(c *core.Cluster, s core.F64Slice) float64 {
+	var a checksum
+	core.ViewHome(c, s, a.add)
+	return a.sum
+}
+
+// checksum is Checksum's accumulator: the sum so far and the index of the
+// next element, so that a slice folded segment by segment sums the same terms
+// in the same order as the slice folded whole.
+type checksum struct {
+	sum float64
+	i   int
+}
+
+func (a *checksum) add(xs []float64) {
+	sum, i := a.sum, a.i
+	for _, v := range xs {
+		sum += v * float64(i%97+1)
+		i++
+	}
+	a.sum, a.i = sum, i
+}
+
+// Digest folds xs into an order-sensitive FNV-1a, started from basis, over
+// the little-endian bytes of its 64-bit words — on the little-endian hosts the
+// simulator runs on (package cache refuses to start otherwise), the bytes the
+// slice already occupies. The basis is the caller's because the committed
+// digests were not all started from the same one (see lu.digestBasis). FNV-1a
+// carries nothing but the hash, so Digest is its own accumulator:
+// Digest(Digest(basis, a), b) is the digest of a followed by b.
 func Digest[T core.Element](basis uint64, xs []T) uint64 {
 	h := basis
 	for _, b := range unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*8) {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}
+	return h
+}
+
+// DigestOf is Digest of s's home-memory truth in c, read in place
+// (core.ViewHome) instead of dumped: the same bits, without the copy. Call it
+// where DumpF64/DumpI64 could be called: after Run, before Close.
+func DigestOf[T core.Element](basis uint64, c *core.Cluster, s core.Slice[T]) uint64 {
+	h := basis
+	core.ViewHome(c, s, func(seg []T) { h = Digest(h, seg) })
 	return h
 }
 

@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"argo/internal/core"
+	"argo/internal/racetag"
 )
 
 func TestBlockRangePartitions(t *testing.T) {
@@ -141,5 +144,64 @@ func TestLocalMachineRun(t *testing.T) {
 	}
 	if ms < 300 {
 		t.Fatalf("makespan %d below slowest thread", ms)
+	}
+}
+
+// inPlaceCluster builds a cluster of 512-byte pages holding a slice of n
+// words: every page written when full, otherwise every third page left
+// unwritten, so that the walk sees many segments, zeros among them.
+func inPlaceCluster(t *testing.T, n int, full bool) (*core.Cluster, core.F64Slice, core.I64Slice) {
+	cfg := ArgoConfig(2, 1<<20)
+	cfg.PageSize = 512
+	c := MustCluster(cfg)
+	t.Cleanup(c.Close)
+	xs := c.AllocF64(n)
+	vals := make([]float64, n)
+	for i := range vals {
+		if full || i/64%3 != 1 {
+			vals[i] = math.Sin(float64(i)) * 1e3
+		}
+	}
+	for i := 0; i < n; i += 64 {
+		if page := vals[i:min(i+64, n)]; full || i/64%3 != 1 {
+			c.InitF64(core.F64Slice{Base: xs.At(i), Len: len(page)}, page)
+		}
+	}
+	return c, xs, core.I64Slice(xs)
+}
+
+// TestFoldsInPlaceAreTheDumpFolds: ChecksumOf and DigestOf, which carry the
+// index and the hash from one page segment to the next, give the bits
+// Checksum and Digest give over DumpF64's and DumpI64's copies — over written
+// and never-written pages, and a slice that ends inside a page.
+func TestFoldsInPlaceAreTheDumpFolds(t *testing.T) {
+	for _, full := range []bool{true, false} {
+		c, xs, is := inPlaceCluster(t, 64*40+5, full)
+		if got, want := ChecksumOf(c, xs), Checksum(c.DumpF64(xs)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("full=%v: ChecksumOf = %v, over the dump %v", full, got, want)
+		}
+		const basis = 14695981039346656037
+		if got, want := DigestOf(basis, c, xs), Digest(basis, c.DumpF64(xs)); got != want {
+			t.Errorf("full=%v: DigestOf[float64] = %x, over the dump %x", full, got, want)
+		}
+		if got, want := DigestOf(basis, c, is), Digest(basis, c.DumpI64(is)); got != want {
+			t.Errorf("full=%v: DigestOf[int64] = %x, over the dump %x", full, got, want)
+		}
+	}
+}
+
+// TestFoldsInPlaceAllocateNothing: reading a fully written answer in place
+// makes no copy and no closure on the heap.
+func TestFoldsInPlaceAllocateNothing(t *testing.T) {
+	if racetag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	c, xs, _ := inPlaceCluster(t, 64*40+5, true)
+	var sink uint64
+	if a := testing.AllocsPerRun(20, func() { sink += math.Float64bits(ChecksumOf(c, xs)) }); a != 0 {
+		t.Errorf("ChecksumOf allocated %.1f times a call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { sink += DigestOf(7, c, xs) }); a != 0 {
+		t.Errorf("DigestOf allocated %.1f times a call, want 0", a)
 	}
 }
