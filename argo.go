@@ -106,11 +106,6 @@ type (
 // of the given number of nodes (see core.DefaultConfig).
 func DefaultConfig(nodes int) Config { return core.DefaultConfig(nodes) }
 
-// DefaultFaultPlan returns the default Corvus fault plan for seed: no
-// faults injected, default recovery knobs (timeout, retry budget, backoff).
-// Set rates on the result, or use ParseFaultPlan for the flag syntax.
-func DefaultFaultPlan(seed int64) FaultPlan { return fault.DefaultPlan(seed) }
-
 // ParseFaultPlan parses a fault-plan spec like
 // "drop=0.01,stall=5us,seed=42" (see fault.ParsePlan for the full syntax).
 func ParseFaultPlan(spec string) (FaultPlan, error) { return fault.ParsePlan(spec) }
@@ -178,8 +173,7 @@ func WithSpans(sr *SpanRecorder) Option { return observe(sr, sr != nil) }
 // in place). Programmatic callers set the plan's fields and point the config
 // at it instead:
 //
-//	plan := argo.DefaultFaultPlan(42)
-//	plan.Crash, plan.Partition, plan.PartitionDur = 0.03, 0.05, 2
+//	plan := argo.FaultPlan{Seed: 42, Crash: 0.03, Partition: 0.05, PartitionDur: 2}
 //	cfg.Faults = &plan
 func WithChaos(spec string) Option {
 	return func(o *clusterOptions) {

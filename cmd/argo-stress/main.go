@@ -54,7 +54,7 @@ import (
 )
 
 // scaled multiplies the plan's fault rates by s (capped at 1), leaving the
-// magnitudes, the recovery knobs and the seed alone.
+// magnitudes and the seed alone.
 func scaled(p fault.Plan, s float64) fault.Plan {
 	cap1 := func(r float64) float64 {
 		r *= s
@@ -166,7 +166,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "\nREPLAY FAIL at rate x%g: %v\n", s, err)
 				os.Exit(1)
 			}
-			fmt.Printf("  replay x%-4g ok: makespan=%d faults=%+v\n", s, rep.Makespan, rep.Faults)
+			fmt.Printf("  replay x%-4g ok: makespan=%d faults=%d retries=%d\n",
+				s, rep.Makespan, rep.Stats.FaultsInjected, rep.Stats.FaultRetries)
 		}
 	} else {
 		fmt.Printf("argo-stress: %d random DRF programs (seed %d)\n", *n, *seed)

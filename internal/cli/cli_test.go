@@ -48,7 +48,7 @@ func TestHookConfigsSingleSeam(t *testing.T) {
 
 	cfg := core.DefaultConfig(2)
 	cfg.MemoryBytes = 4 << 20
-	own := fault.DefaultPlan(99)
+	own := fault.Plan{Seed: 99}
 	cfg.Faults = &own
 	c := core.MustNewCluster(cfg)
 	if c.Cfg.Faults != &own {

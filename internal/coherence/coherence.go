@@ -480,7 +480,7 @@ func (n *Node) registerBurst(p *sim.Proc, items []fabric.AtomicItem) {
 			it.Attempt++
 			retry = append(retry, it)
 		}
-		p.Advance(n.Fab.DetectTimeout())
+		p.Advance(fault.Timeout)
 		n.Fab.Backoff(p, pass)
 		n.Fab.CountRetries(p, fault.ClassAtomic, len(failed))
 		items = retry
@@ -567,7 +567,7 @@ func (n *Node) writebackSlotLocked(p *sim.Proc, ln *cache.Line, s *cache.Slot) b
 // per pass (posted completions are checked together, so the penalty is per
 // flush, not per page), plus the retry accounting.
 func (n *Node) wbRetryPenalty(p *sim.Proc, failed, pass int) {
-	p.Advance(n.Fab.DetectTimeout())
+	p.Advance(fault.Timeout)
 	n.Fab.Backoff(p, pass)
 	n.St.WritebackRetries.Add(int64(failed))
 	n.Fab.CountRetries(p, fault.ClassPost, failed)

@@ -34,7 +34,7 @@ func TestClosedClusterPanics(t *testing.T) {
 		th.SetF64(xs, th.Rank*512/4, 1)
 		th.ReleaseFence()
 	})
-	stats, hits, faults := c.Stats(), c.Hits(), c.FaultStats()
+	stats, hits := c.Stats(), c.Hits()
 	c.Close()
 	c.Close()
 	for _, tc := range []struct {
@@ -59,7 +59,7 @@ func TestClosedClusterPanics(t *testing.T) {
 			t.Errorf("%s after Close panicked with %v, want the cluster-closed error", tc.what, v)
 		}
 	}
-	if c.Stats() != stats || c.Hits() != hits || c.FaultStats() != faults || c.Health == nil {
+	if c.Stats() != stats || c.Hits() != hits || c.Health == nil {
 		t.Error("Close changed what the run left in the counters")
 	}
 	if stats.WriteMisses == 0 || hits == 0 {

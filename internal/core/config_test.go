@@ -27,7 +27,6 @@ func TestValidateEdgeCases(t *testing.T) {
 		{"negative write buffer", Config{Nodes: 2, WriteBufferPages: -8}, "WriteBufferPages"},
 		{"negative decay epochs", Config{Nodes: 2, DecayEpochs: -1}, "DecayEpochs"},
 		{"bad fault rate", Config{Nodes: 2, Faults: &fault.Plan{Drop: 1.5}}, "outside [0,1]"},
-		{"bad fault retries", Config{Nodes: 2, Faults: &fault.Plan{MaxRetries: 65}}, "retries"},
 		{"good fault plan", Config{Nodes: 2, Faults: &fault.Plan{Drop: 0.01, Seed: 42}}, ""},
 		{"all defaults", Config{Nodes: 1}, ""},
 	}

@@ -225,9 +225,6 @@ func (c *Cluster) NextSyncKey() uint64 { return c.syncKeys.Add(1) }
 // fault replay.
 func (c *Cluster) NextSpanKey() uint64 { return c.spanKeys.Add(1) }
 
-// FaultStats returns the injector's event counters (zero when fault-free).
-func (c *Cluster) FaultStats() fault.Snapshot { return c.FI.Snapshot() }
-
 // NewCluster builds a cluster from cfg, observers and fault plan included:
 // everything that describes a cluster travels in the Config.
 func NewCluster(cfg Config) (*Cluster, error) {
@@ -245,16 +242,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building fabric: %w", err)
 	}
-	var fi *fault.Injector
-	hpl := fault.DefaultPlan(0)
+	var plan fault.Plan
 	if cfg.Faults != nil {
-		hpl = *cfg.Faults
-		fi = fault.NewInjector(hpl)
-		fab.SetFaults(fi)
+		plan = *cfg.Faults
 	}
+	fi := fault.NewInjector(plan)
+	fab.SetFaults(fi)
 	space := mem.NewSpace(cfg.Nodes, cfg.MemoryBytes, cfg.PageSize, cfg.Policy)
 	dir := directory.New(fab, space.NPages, space.HomeOf)
-	det := health.New(cfg.Nodes, hpl, fi)
+	det := health.New(cfg.Nodes, plan)
 	cl := &Cluster{Cfg: cfg, Topo: topo, Fab: fab, Space: space, Dir: dir, FI: fi, Health: det}
 	opt := coherence.Options{Mode: cfg.Mode, SWDiffSuppress: cfg.SWDiffSuppress}
 	for n := 0; n < cfg.Nodes; n++ {
@@ -301,9 +297,9 @@ var errClosed = errors.New("core: cluster closed")
 // allocating its simulated memory anew. It walks only what the cluster
 // touched. Call it once the cluster's answers have been read: afterwards Run,
 // Init*, Dump* and Alloc* panic with a "cluster closed" error, and a slice
-// Space.HomeBytes returned must not be used, while Stats, Hits, FaultStats
-// and Health stay readable. A second Close does nothing; a Close while a Run
-// is in progress panics.
+// Space.HomeBytes returned must not be used, while Stats, Hits and Health
+// stay readable. A second Close does nothing; a Close while a Run is in
+// progress panics.
 func (c *Cluster) Close() {
 	if !c.runMu.TryLock() {
 		panic("core: Close during Run")

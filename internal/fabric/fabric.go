@@ -268,11 +268,10 @@ func (f *Fabric) ResetNICs() {
 
 // occupyNIC is the NIC occupancy of every operation: service nanoseconds of
 // work arriving at node home's NIC at time at queue behind the NIC's earlier
-// occupants (scaled by the degraded-node multiplier if home is the plan's
-// slow node), and p waits until the work is done. The prototype's limit of
+// occupants, and p waits until the work is done. The prototype's limit of
 // one in-flight fetch per node is the cache layer's (cache.Cache.FetchGate).
 func (f *Fabric) occupyNIC(p *sim.Proc, home int, at, service sim.Time) {
-	f.nics[home].OccupyAt(p, at, f.FI.Scale(home, service))
+	f.nics[home].OccupyAt(p, at, service)
 	f.Obs.Since(p, at, probe.NIC, int64(home), 0)
 }
 

@@ -13,47 +13,33 @@ import (
 // reissues posted writebacks and registration bursts itself.
 
 // Backoff charges p capped exponential backoff before a reissue:
-// min(base << attempt, cap) from the fault plan. Exported for the coherence
+// min(fault.Backoff << attempt, fault.BackoffCap). Exported for the coherence
 // layer's writeback and registration reissues, so that their waiting shows
 // up in the same counters.
 func (f *Fabric) Backoff(p *sim.Proc, attempt int) {
-	b := f.backoffDelay(attempt)
+	b := backoffDelay(attempt)
 	t0 := p.Now()
 	p.Advance(b)
 	f.Obs.Since(p, t0, probe.Backoff, int64(attempt), 0)
 	f.nodes[p.Node].FaultBackoffNs.Add(int64(b))
 }
 
-func (f *Fabric) backoffDelay(attempt int) sim.Time {
-	pl := f.FI.Plan()
-	b, bc := pl.Backoff, pl.BackoffCap
-	if b <= 0 || b >= bc {
-		return bc
+// backoffDelay is the backoff before reissue attempt+1. The shift count is
+// clamped first: fault.Backoff << attempt overflows int64 (going negative,
+// sliding under the cap) long before large attempt counts.
+func backoffDelay(attempt int) sim.Time {
+	if attempt >= bits.Len64(uint64(fault.BackoffCap/fault.Backoff)) {
+		return fault.BackoffCap
 	}
-	// Clamp the shift count itself: b << attempt overflows int64 (going
-	// negative, sliding under the cap) long before large attempt counts,
-	// so compare against the number of leading zero bits instead of
-	// shifting first.
-	if attempt >= bits.LeadingZeros64(uint64(b))-1 {
-		return bc
-	}
-	if s := b << uint(attempt); s < bc {
-		return s
-	}
-	return bc
+	return min(fault.Backoff<<attempt, fault.BackoffCap)
 }
-
-// DetectTimeout is the requester-side time to conclude an operation was
-// lost. The coherence fences charge it when they find an undelivered
-// writeback.
-func (f *Fabric) DetectTimeout() sim.Time { return f.FI.Plan().Timeout }
 
 // lost charges the requester's detection timeout for an operation that
 // vanished in flight and counts the injected drop plus the forthcoming
 // reissue (the injector's escalation guarantee means one always follows).
 func (f *Fabric) lost(p *sim.Proc, cl fault.Class) {
 	t0 := p.Now()
-	p.Advance(f.FI.Plan().Timeout)
+	p.Advance(fault.Timeout)
 	st := f.nodes[p.Node]
 	st.FaultsInjected.Add(1)
 	st.FaultRetries.Add(1)

@@ -7,29 +7,17 @@ import (
 	"argo/internal/sim"
 )
 
-func backoffFabric(t *testing.T, base, cap sim.Time) *Fabric {
-	t.Helper()
-	f := MustNew(sim.Topology{Nodes: 2, Sockets: 1, CoresPerSocket: 1}, DefaultParams())
-	pl := fault.DefaultPlan(1)
-	pl.Drop = 0.5 // arm the injector so the plan's knobs are in effect
-	pl.Backoff = base
-	pl.BackoffCap = cap
-	f.SetFaults(fault.NewInjector(pl))
-	return f
-}
-
 // The shifted backoff must clamp to the cap for every attempt count — in
 // particular the shift may not overflow int64 and slide back under the cap
 // as a negative duration (which sim.Proc.Advance panics on).
 func TestBackoffDelayClampsLargeAttempts(t *testing.T) {
-	f := backoffFabric(t, 1_000, 64_000)
 	prev := sim.Time(0)
 	for attempt := 0; attempt <= 130; attempt++ {
-		d := f.backoffDelay(attempt)
+		d := backoffDelay(attempt)
 		if d < 0 {
 			t.Fatalf("attempt %d: negative backoff %d (shift overflow)", attempt, d)
 		}
-		if d > 64_000 {
+		if d > fault.BackoffCap {
 			t.Fatalf("attempt %d: backoff %d exceeds cap", attempt, d)
 		}
 		if d < prev {
@@ -37,41 +25,28 @@ func TestBackoffDelayClampsLargeAttempts(t *testing.T) {
 		}
 		prev = d
 	}
-	if got := f.backoffDelay(63); got != 64_000 {
-		t.Fatalf("attempt 63: got %d, want cap 64000", got)
+	if got := backoffDelay(0); got != fault.Backoff {
+		t.Fatalf("attempt 0: got %d, want the base %d", got, fault.Backoff)
 	}
-	if got := f.backoffDelay(1 << 20); got != 64_000 {
-		t.Fatalf("huge attempt: got %d, want cap 64000", got)
+	if got := backoffDelay(1); got != 2*fault.Backoff {
+		t.Fatalf("attempt 1: got %d, want twice the base %d", got, fault.Backoff)
 	}
-}
-
-// A base within one doubling of the cap used to overflow at moderate
-// attempts already; with base = 2^40 the old code produced negative values
-// from attempt 24 onward while still passing its attempt>30 guard.
-func TestBackoffDelayHugeBase(t *testing.T) {
-	f := backoffFabric(t, 1<<40, 1<<41)
-	for _, attempt := range []int{0, 1, 23, 24, 30, 63, 64, 1000} {
-		d := f.backoffDelay(attempt)
-		if d < 0 || d > 1<<41 {
-			t.Fatalf("attempt %d: backoff %d outside [0, cap]", attempt, d)
-		}
+	if got := backoffDelay(63); got != fault.BackoffCap {
+		t.Fatalf("attempt 63: got %d, want the cap %d", got, fault.BackoffCap)
 	}
-	if got := f.backoffDelay(0); got != 1<<40 {
-		t.Fatalf("attempt 0: got %d, want base", got)
-	}
-	if got := f.backoffDelay(1); got != 1<<41 {
-		t.Fatalf("attempt 1: got %d, want cap", got)
+	if got := backoffDelay(1 << 20); got != fault.BackoffCap {
+		t.Fatalf("huge attempt: got %d, want the cap %d", got, fault.BackoffCap)
 	}
 }
 
 // Backoff (the charging wrapper) must never panic on extreme attempts.
 func TestBackoffChargeAtAttempt63(t *testing.T) {
-	f := backoffFabric(t, 1_000, 64_000)
+	f := MustNew(sim.Topology{Nodes: 2, Sockets: 1, CoresPerSocket: 1}, DefaultParams())
 	p := f.Topo.NewProc(0, 0)
 	f.Backoff(p, 63)
 	f.Backoff(p, 64)
 	f.Backoff(p, 1<<30)
-	if p.Now() != 3*64_000 {
-		t.Fatalf("clock advanced %d, want %d", p.Now(), 3*64_000)
+	if p.Now() != 3*fault.BackoffCap {
+		t.Fatalf("clock advanced %d, want %d", p.Now(), 3*fault.BackoffCap)
 	}
 }

@@ -39,7 +39,7 @@ package fault
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -161,9 +161,9 @@ func parseSafePoints(s string) (SafePoint, error) {
 	return out, nil
 }
 
-// Plan describes what Corvus injects and how the requester recovers.
-// The zero value injects nothing; ParsePlan and DefaultPlan fill the
-// recovery knobs with usable defaults.
+// Plan describes what Corvus injects; the zero value injects nothing. How a
+// requester recovers is not part of a plan (see Timeout), so the spec a plan
+// renders to (String) names everything that drives its run.
 type Plan struct {
 	// Seed drives every injection decision. Same seed, same program ⇒
 	// same injected schedule.
@@ -188,10 +188,6 @@ type Plan struct {
 	// takes effect, which is what makes reissue safe for non-idempotent
 	// atomics like fetch-and-increment.
 	AtomicFail float64
-	// SlowFactor > 1 marks SlowNode as degraded: every NIC service on
-	// that node is multiplied by SlowFactor.
-	SlowNode   int
-	SlowFactor float64
 	// Crash is the per-(node, barrier episode) probability of a crash-stop
 	// failure, evaluated only at safe points (sync operations). The draw
 	// is a pure hash of (Seed, node, episode), so the crash schedule is
@@ -231,54 +227,25 @@ type Plan struct {
 	// lost across the cut) for the span — see PartitionCutAt.
 	PartitionOneWay            bool
 	PartitionFrom, PartitionTo int
-
-	// Timeout is the requester-side detection time for a lost operation.
-	Timeout sim.Time
-	// MaxRetries caps the reissue budget per operation identity. The
-	// attempt after the last retry always succeeds — the model's stand-in
-	// for the NIC driver escalating to a slow reliable path — so protocol
-	// progress is guaranteed and answers stay exact under any plan.
-	MaxRetries int
-	// Backoff is the base of the capped exponential backoff between
-	// reissues; BackoffCap bounds it.
-	Backoff    sim.Time
-	BackoffCap sim.Time
 }
 
-// DefaultPlan returns a plan with no injected faults and calibrated
-// recovery defaults (timeout of a few round trips, 8 retries, 1 µs base
-// backoff capped at 64 µs).
-func DefaultPlan(seed int64) Plan {
-	return Plan{
-		Seed:       seed,
-		SlowNode:   0,
-		SlowFactor: 1,
-		Timeout:    10_000,
-		MaxRetries: 8,
-		Backoff:    1_000,
-		BackoffCap: 64_000,
-	}
-}
+// Requester-side recovery is the same under every plan: a lost operation is
+// detected after Timeout, and the reissues between attempts back off
+// exponentially from Backoff, capped at BackoffCap. An operation identity is
+// reissued at most maxRetries times: the attempt after the last retry always
+// delivers — the model's stand-in for the NIC driver escalating to a slow
+// reliable path — so protocol progress is guaranteed and answers stay exact
+// under any plan.
+const (
+	Timeout    sim.Time = 10_000 // a few remote round trips
+	maxRetries          = 8
+	Backoff    sim.Time = 1_000
+	BackoffCap sim.Time = 64_000
+)
 
-// normalize fills zero-valued recovery knobs with the defaults so that a
-// hand-built Plan{Drop: 0.01} behaves sensibly.
+// normalize fills the partition defaults: a partition rate without partdur
+// or partcut lasts one episode and cuts one node.
 func (p *Plan) normalize() {
-	d := DefaultPlan(p.Seed)
-	if p.Timeout == 0 {
-		p.Timeout = d.Timeout
-	}
-	if p.MaxRetries == 0 {
-		p.MaxRetries = d.MaxRetries
-	}
-	if p.Backoff == 0 {
-		p.Backoff = d.Backoff
-	}
-	if p.BackoffCap == 0 {
-		p.BackoffCap = d.BackoffCap
-	}
-	if p.SlowFactor == 0 {
-		p.SlowFactor = 1
-	}
 	if p.Partition > 0 {
 		if p.PartitionDur == 0 {
 			p.PartitionDur = 1
@@ -299,17 +266,8 @@ func (p Plan) Validate() error {
 			return fmt.Errorf("fault: %s rate %g outside [0,1]", r.name, r.v)
 		}
 	}
-	if p.Jitter < 0 || p.Stall < 0 || p.Timeout < 0 || p.Backoff < 0 || p.BackoffCap < 0 {
+	if p.Jitter < 0 || p.Stall < 0 {
 		return fmt.Errorf("fault: negative duration in plan %+v", p)
-	}
-	if p.MaxRetries < 0 || p.MaxRetries > 64 {
-		return fmt.Errorf("fault: retries %d outside [0,64]", p.MaxRetries)
-	}
-	if p.SlowFactor < 0 || math.IsNaN(p.SlowFactor) || math.IsInf(p.SlowFactor, 0) {
-		return fmt.Errorf("fault: slowfactor %g is not a finite non-negative factor", p.SlowFactor)
-	}
-	if p.SlowNode < 0 {
-		return fmt.Errorf("fault: negative slownode %d", p.SlowNode)
 	}
 	if p.CrashMinEpoch < 0 {
 		return fmt.Errorf("fault: negative crashminepoch %d", p.CrashMinEpoch)
@@ -337,15 +295,7 @@ func (p Plan) Validate() error {
 // Enabled reports whether the plan injects anything at all.
 func (p Plan) Enabled() bool {
 	return p.Drop > 0 || p.Delay > 0 || (p.StallP > 0 && p.Stall > 0) ||
-		p.AtomicFail > 0 || p.SlowFactor > 1 || p.Crash > 0 || p.Partition > 0
-}
-
-// Normalized returns a copy of the plan with zero-valued recovery knobs
-// filled in (the exported face of normalize, for layers like health that
-// need the effective Timeout of a hand-built plan).
-func (p Plan) Normalized() Plan {
-	p.normalize()
-	return p
+		p.AtomicFail > 0 || p.Crash > 0 || p.Partition > 0
 }
 
 // CrashAt reports whether node crashes at the given barrier episode
@@ -462,10 +412,6 @@ func (p Plan) String() string {
 	if p.AtomicFail > 0 {
 		add("atomicfail", strconv.FormatFloat(p.AtomicFail, 'g', -1, 64))
 	}
-	if p.SlowFactor > 1 {
-		add("slownode", strconv.Itoa(p.SlowNode))
-		add("slowfactor", strconv.FormatFloat(p.SlowFactor, 'g', -1, 64))
-	}
 	if p.Crash > 0 {
 		add("crash", strconv.FormatFloat(p.Crash, 'g', -1, 64))
 		if p.CrashRestart {
@@ -505,24 +451,67 @@ func fmtDur(t sim.Time) string {
 	}
 }
 
+// specKey is one key of the spec grammar and how it sets the plan.
+type specKey struct {
+	name string
+	set  func(p *Plan, v string) error
+}
+
+// specKeys is the spec grammar: every key ParsePlan accepts, in the order its
+// doc comment and its unknown-key error list them. A test checks the doc
+// comment against it.
+var specKeys = []specKey{
+	{"drop", func(p *Plan, v string) (err error) { p.Drop, err = parseRate(v); return }},
+	{"delay", func(p *Plan, v string) (err error) { p.Delay, err = parseRate(v); return }},
+	{"jitter", func(p *Plan, v string) (err error) { p.Jitter, err = parseDur(v); return }},
+	{"stall", func(p *Plan, v string) (err error) { p.Stall, err = parseDur(v); return }},
+	{"stallp", func(p *Plan, v string) (err error) { p.StallP, err = parseRate(v); return }},
+	{"atomicfail", func(p *Plan, v string) (err error) { p.AtomicFail, err = parseRate(v); return }},
+	{"crash", func(p *Plan, v string) (err error) { p.Crash, err = parseRate(v); return }},
+	{"crashrestart", func(p *Plan, v string) (err error) { p.CrashRestart, err = parseBool(v); return }},
+	{"crashminepoch", func(p *Plan, v string) (err error) { p.CrashMinEpoch, err = strconv.Atoi(v); return }},
+	{"crashpoints", func(p *Plan, v string) (err error) { p.CrashPoints, err = parseSafePoints(v); return }},
+	{"partition", func(p *Plan, v string) (err error) { p.Partition, err = parseRate(v); return }},
+	{"partdur", func(p *Plan, v string) (err error) { p.PartitionDur, err = strconv.Atoi(v); return }},
+	{"partcut", func(p *Plan, v string) (err error) {
+		from, to, oneWay := strings.Cut(v, ">")
+		p.PartitionOneWay, p.PartitionCut = oneWay, 0
+		if !oneWay {
+			p.PartitionCut, err = strconv.Atoi(v)
+		} else if p.PartitionFrom, err = strconv.Atoi(strings.TrimSpace(from)); err == nil {
+			p.PartitionTo, err = strconv.Atoi(strings.TrimSpace(to))
+		}
+		return
+	}},
+	{"seed", func(p *Plan, v string) (err error) { p.Seed, err = strconv.ParseInt(v, 10, 64); return }},
+}
+
+// specKeyList renders the grammar's keys for the unknown-key error.
+func specKeyList() string {
+	names := make([]string, len(specKeys))
+	for i, k := range specKeys {
+		names[i] = k.name
+	}
+	return strings.Join(names, ", ")
+}
+
 // ParsePlan parses a chaos spec like
 //
 //	drop=0.01,stall=5us,stallp=0.02,seed=42
 //
-// Keys: drop, delay, jitter, stall, stallp, atomicfail, slownode,
-// slowfactor, crash, crashrestart, crashminepoch, crashpoints, partition,
-// partdur, partcut, seed, timeout, retries, backoff, backoffcap.
+// Keys: drop, delay, jitter, stall, stallp, atomicfail, crash, crashrestart,
+// crashminepoch, crashpoints, partition, partdur, partcut, seed.
 // Durations take an optional ns/us/ms/s suffix (bare numbers are virtual
 // nanoseconds); crashpoints takes a '+'-joined safe-point list
 // ("crashpoints=lock+flag"); partcut takes either a minority size
 // ("partcut=2", a symmetric cut) or a directed pair ("partcut=a>b", a
-// one-way cut severing only a's traffic toward b — Cygnus III). Unset
-// recovery knobs get DefaultPlan values; stall without stallp defaults
-// stallp to the drop rate or 0.01, whichever is larger; partition without
-// partdur/partcut defaults both to 1 (one-way cuts have no size to
-// default).
+// one-way cut severing only a's traffic toward b — Cygnus III). The seed
+// defaults to 0; stall without stallp defaults stallp to the drop rate or
+// 0.01, whichever is larger; delay without jitter defaults jitter to 2.5 µs;
+// partition without partdur/partcut defaults both to 1 (one-way cuts have
+// no size to default).
 func ParsePlan(spec string) (Plan, error) {
-	p := DefaultPlan(0)
+	var p Plan
 	stallPSet := false
 	for _, kv := range strings.Split(spec, ",") {
 		kv = strings.TrimSpace(kv)
@@ -534,83 +523,22 @@ func ParsePlan(spec string) (Plan, error) {
 			return Plan{}, fmt.Errorf("fault: %q is not key=value", kv)
 		}
 		k = strings.ToLower(strings.TrimSpace(k))
-		v = strings.TrimSpace(v)
-		var err error
-		switch k {
-		case "drop":
-			p.Drop, err = parseRate(v)
-		case "delay":
-			p.Delay, err = parseRate(v)
-		case "jitter":
-			p.Jitter, err = parseDur(v)
-		case "stall":
-			p.Stall, err = parseDur(v)
-		case "stallp":
-			p.StallP, err = parseRate(v)
-			stallPSet = true
-		case "atomicfail":
-			p.AtomicFail, err = parseRate(v)
-		case "slownode":
-			p.SlowNode, err = strconv.Atoi(v)
-		case "slowfactor":
-			p.SlowFactor, err = strconv.ParseFloat(v, 64)
-		case "crash":
-			p.Crash, err = parseRate(v)
-		case "crashrestart":
-			p.CrashRestart, err = parseBool(v)
-		case "crashminepoch":
-			p.CrashMinEpoch, err = strconv.Atoi(v)
-		case "crashpoints":
-			p.CrashPoints, err = parseSafePoints(v)
-		case "partition":
-			p.Partition, err = parseRate(v)
-		case "partdur":
-			p.PartitionDur, err = strconv.Atoi(v)
-		case "partcut":
-			if from, to, oneWay := strings.Cut(v, ">"); oneWay {
-				p.PartitionOneWay = true
-				p.PartitionCut = 0
-				if p.PartitionFrom, err = strconv.Atoi(strings.TrimSpace(from)); err == nil {
-					p.PartitionTo, err = strconv.Atoi(strings.TrimSpace(to))
-				}
-			} else {
-				p.PartitionOneWay = false
-				p.PartitionCut, err = strconv.Atoi(v)
-			}
-		case "seed":
-			p.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "timeout":
-			p.Timeout, err = parseDur(v)
-		case "retries":
-			p.MaxRetries, err = strconv.Atoi(v)
-		case "backoff":
-			p.Backoff, err = parseDur(v)
-		case "backoffcap":
-			p.BackoffCap, err = parseDur(v)
-		default:
-			return Plan{}, fmt.Errorf("fault: unknown key %q (want drop, delay, jitter, stall, stallp, atomicfail, slownode, slowfactor, crash, crashrestart, crashminepoch, crashpoints, partition, partdur, partcut, seed, timeout, retries, backoff, backoffcap)", k)
+		i := slices.IndexFunc(specKeys, func(e specKey) bool { return e.name == k })
+		if i < 0 {
+			return Plan{}, fmt.Errorf("fault: unknown key %q (want %s)", k, specKeyList())
 		}
-		if err != nil {
+		if err := specKeys[i].set(&p, strings.TrimSpace(v)); err != nil {
 			return Plan{}, fmt.Errorf("fault: bad value for %s: %v", k, err)
 		}
+		stallPSet = stallPSet || k == "stallp"
 	}
 	if p.Stall > 0 && !stallPSet {
-		p.StallP = p.Drop
-		if p.StallP < 0.01 {
-			p.StallP = 0.01
-		}
+		p.StallP = max(p.Drop, 0.01)
 	}
 	if p.Delay > 0 && p.Jitter == 0 {
 		p.Jitter = 2_500 // one default remote latency of jitter
 	}
-	if p.Partition > 0 {
-		if p.PartitionDur == 0 {
-			p.PartitionDur = 1
-		}
-		if !p.PartitionOneWay && p.PartitionCut == 0 {
-			p.PartitionCut = 1
-		}
-	}
+	p.normalize()
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}

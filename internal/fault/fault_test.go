@@ -20,9 +20,6 @@ func TestParsePlan(t *testing.T) {
 			if p.StallP != 0.01 {
 				t.Fatalf("stallp default: got %g want 0.01", p.StallP)
 			}
-			if p.Timeout == 0 || p.MaxRetries == 0 || p.Backoff == 0 || p.BackoffCap == 0 {
-				t.Fatalf("recovery defaults not filled: %+v", p)
-			}
 		}},
 		{spec: "delay=0.05,jitter=2us", check: func(t *testing.T, p Plan) {
 			if p.Delay != 0.05 || p.Jitter != 2000 {
@@ -34,17 +31,9 @@ func TestParsePlan(t *testing.T) {
 				t.Fatal("delay without jitter should default jitter")
 			}
 		}},
-		{spec: "atomicfail=0.1,retries=4,timeout=20us,backoff=500ns,backoffcap=8us", check: func(t *testing.T, p Plan) {
-			if p.AtomicFail != 0.1 || p.MaxRetries != 4 || p.Timeout != 20000 || p.Backoff != 500 || p.BackoffCap != 8000 {
+		{spec: "atomicfail=0.1", check: func(t *testing.T, p Plan) {
+			if p.AtomicFail != 0.1 || !p.Enabled() {
 				t.Fatalf("got %+v", p)
-			}
-		}},
-		{spec: "slownode=2,slowfactor=3", check: func(t *testing.T, p Plan) {
-			if p.SlowNode != 2 || p.SlowFactor != 3 {
-				t.Fatalf("got %+v", p)
-			}
-			if !p.Enabled() {
-				t.Fatal("slow node should enable the plan")
 			}
 		}},
 		{spec: "stall=1ms,stallp=0.5", check: func(t *testing.T, p Plan) {
@@ -61,9 +50,7 @@ func TestParsePlan(t *testing.T) {
 		{spec: "drop=-0.1", wantErr: true},
 		{spec: "bogus=1", wantErr: true},
 		{spec: "drop", wantErr: true},
-		{spec: "retries=99", wantErr: true},
 		{spec: "jitter=-5us", wantErr: true},
-		{spec: "slownode=-1", wantErr: true},
 	}
 	for _, c := range cases {
 		p, err := ParsePlan(c.spec)
@@ -84,7 +71,7 @@ func TestParsePlan(t *testing.T) {
 }
 
 func TestPlanStringRoundTrip(t *testing.T) {
-	p, err := ParsePlan("drop=0.02,delay=0.05,jitter=3us,stall=5us,stallp=0.01,atomicfail=0.1,slownode=1,slowfactor=2,seed=7")
+	p, err := ParsePlan("drop=0.02,delay=0.05,jitter=3us,stall=5us,stallp=0.01,atomicfail=0.1,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +87,7 @@ func TestPlanStringRoundTrip(t *testing.T) {
 func TestDrawDeterminism(t *testing.T) {
 	p, _ := ParsePlan("drop=0.1,delay=0.1,jitter=2us,stall=3us,stallp=0.05,atomicfail=0.2,seed=1234")
 	a, b := NewInjector(p), NewInjector(p)
+	faulty := 0
 	for issuer := 0; issuer < 4; issuer++ {
 		for cl := Class(0); cl < NumClasses; cl++ {
 			for target := 0; target < 4; target++ {
@@ -111,15 +99,15 @@ func TestDrawDeterminism(t *testing.T) {
 							t.Fatalf("verdict mismatch at (%d,%v,%d,%d,%d): %+v vs %+v",
 								issuer, cl, target, key, attempt, va, vb)
 						}
+						if va != (Verdict{Deliver: true}) {
+							faulty++
+						}
 					}
 				}
 			}
 		}
 	}
-	if a.Snapshot() != b.Snapshot() {
-		t.Fatalf("snapshot mismatch: %+v vs %+v", a.Snapshot(), b.Snapshot())
-	}
-	if (a.Snapshot() == Snapshot{}) {
+	if faulty == 0 {
 		t.Fatal("expected some injected events at these rates")
 	}
 }
@@ -159,15 +147,15 @@ func TestDrawDistribution(t *testing.T) {
 }
 
 func TestDrawEscalation(t *testing.T) {
-	// Even at drop=1, attempts at/after MaxRetries must deliver.
-	p, _ := ParsePlan("drop=1,atomicfail=1,retries=3,seed=5")
+	// Even at drop=1, attempts at/after maxRetries must deliver.
+	p, _ := ParsePlan("drop=1,atomicfail=1,seed=5")
 	in := NewInjector(p)
-	for a := 0; a < 3; a++ {
+	for a := 0; a < maxRetries; a++ {
 		if in.Draw(0, ClassRead, 1, 7, a).Deliver {
 			t.Fatalf("attempt %d delivered under drop=1", a)
 		}
 	}
-	v := in.Draw(0, ClassRead, 1, 7, 3)
+	v := in.Draw(0, ClassRead, 1, 7, maxRetries)
 	if !v.Deliver || v.AtomicFail || v.Delay != 0 || v.Stall != 0 {
 		t.Fatalf("escalation attempt not clean: %+v", v)
 	}
@@ -179,35 +167,15 @@ func TestNilInjector(t *testing.T) {
 	if !v.Deliver || v.AtomicFail || v.Delay != 0 || v.Stall != 0 {
 		t.Fatalf("nil injector must deliver cleanly, got %+v", v)
 	}
-	if in.Scale(0, 100) != 100 {
-		t.Fatal("nil injector must not scale")
-	}
-	if (in.Snapshot() != Snapshot{}) {
-		t.Fatal("nil injector has empty snapshot")
-	}
-	if in.Plan().MaxRetries == 0 {
-		t.Fatal("nil injector plan should carry recovery defaults")
-	}
 }
 
 func TestNewInjectorFaultFree(t *testing.T) {
-	if NewInjector(DefaultPlan(42)) != nil {
+	if NewInjector(Plan{Seed: 42}) != nil {
 		t.Fatal("fault-free plan should yield a nil injector")
 	}
 	p, _ := ParsePlan("drop=0.01,seed=1")
 	if NewInjector(p) == nil {
 		t.Fatal("lossy plan should yield an injector")
-	}
-}
-
-func TestScale(t *testing.T) {
-	p, _ := ParsePlan("slownode=2,slowfactor=3,seed=0")
-	in := NewInjector(p)
-	if got := in.Scale(2, 100); got != 300 {
-		t.Fatalf("slow node scale: got %d want 300", got)
-	}
-	if got := in.Scale(1, 100); got != 100 {
-		t.Fatalf("other node scale: got %d want 100", got)
 	}
 }
 
@@ -436,7 +404,7 @@ func TestPartitionSpecStringRoundTrip(t *testing.T) {
 	// The zero plan round-trips through its rendered form without growing
 	// spurious partition or safe-point keys.
 	var zero Plan
-	s := zero.Normalized().String()
+	s := zero.String()
 	for _, k := range []string{"partition", "partdur", "partcut", "crashpoints"} {
 		if strings.Contains(s, k) {
 			t.Fatalf("zero plan renders %q: %q", k, s)
@@ -620,10 +588,6 @@ func slicesEqual(a, b []int) bool {
 // strings that took the place of its chains in the lu, recovery and root
 // options tests: the same plans, so the same fault schedules.
 func TestSpecsThatReplacedBuilderChains(t *testing.T) {
-	knobs := func(p Plan) Plan {
-		p.SlowFactor, p.Timeout, p.MaxRetries, p.Backoff, p.BackoffCap = 1, 10000, 8, 1000, 64000
-		return p
-	}
 	for _, c := range []struct {
 		spec string
 		want Plan
@@ -646,8 +610,8 @@ func TestSpecsThatReplacedBuilderChains(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
-		if want := knobs(c.want); got != want {
-			t.Errorf("%s:\n  parsed   %+v\n  recorded %+v", c.spec, got, want)
+		if got != c.want {
+			t.Errorf("%s:\n  parsed   %+v\n  recorded %+v", c.spec, got, c.want)
 		}
 	}
 }

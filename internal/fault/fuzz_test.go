@@ -9,10 +9,11 @@ import (
 // "partcut=1>") must come back as errors — and any plan it accepts renders
 // to a canonical form that is a fixed point: re-parsing the rendered string
 // reproduces the identical rendering. String∘ParsePlan is idempotent rather
-// than the identity because some accepted keys deliberately never render:
-// the recovery knobs (timeout, retries, backoff, backoffcap) and inert
-// magnitudes whose rate is zero (stall without stallp, partdur without
-// partition, ...) are dropped from the canonical form.
+// than the identity because inert magnitudes whose rate is zero (stall
+// without stallp, partdur without partition, ...) are dropped from the
+// canonical form. The seeds that spell a removed key (slownode, slowfactor
+// and the recovery knobs timeout, retries, backoff, backoffcap) stay: they
+// exercise the unknown-key rejection path.
 func FuzzParsePlan(f *testing.F) {
 	for _, seed := range []string{
 		"",

@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"sync/atomic"
-
-	"argo/internal/sim"
-)
+import "argo/internal/sim"
 
 // Verdict is the injector's decision for one attempt of one operation.
 type Verdict struct {
@@ -21,71 +17,21 @@ type Verdict struct {
 	Stall sim.Time
 }
 
-// Snapshot is a point-in-time copy of the injector's event counters.
-type Snapshot struct {
-	Drops       int64
-	Delays      int64
-	Stalls      int64
-	AtomicFails int64
-	Crashes     int64
-}
-
 // Injector hands out deterministic fault verdicts. A nil *Injector is valid
 // and never injects, so callers need no nil checks on hot paths beyond the
-// one pointer test.
+// one pointer test. It counts nothing: the fabric counts the faults it
+// delivers in the issuing node's stats and on the probe spine.
 type Injector struct {
 	plan Plan
-
-	drops       atomic.Int64
-	delays      atomic.Int64
-	stalls      atomic.Int64
-	atomicFails atomic.Int64
-	crashes     atomic.Int64
 }
 
-// NewInjector builds an injector for the plan (recovery knobs are
-// normalized). It returns nil when the plan injects nothing, so the
-// fault-free fast path stays a nil check.
+// NewInjector builds an injector for the plan. It returns nil when the plan
+// injects nothing, so the fault-free fast path stays a nil check.
 func NewInjector(p Plan) *Injector {
-	p.normalize()
 	if !p.Enabled() {
 		return nil
 	}
 	return &Injector{plan: p}
-}
-
-// Plan returns the normalized plan. Safe on nil (returns a default plan):
-// recovery knobs like Timeout and MaxRetries are still meaningful when no
-// faults are injected.
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return DefaultPlan(0)
-	}
-	return in.plan
-}
-
-// Snapshot copies the event counters. Safe on nil.
-func (in *Injector) Snapshot() Snapshot {
-	if in == nil {
-		return Snapshot{}
-	}
-	return Snapshot{
-		Drops:       in.drops.Load(),
-		Delays:      in.delays.Load(),
-		Stalls:      in.stalls.Load(),
-		AtomicFails: in.atomicFails.Load(),
-		Crashes:     in.crashes.Load(),
-	}
-}
-
-// NoteCrash counts one injected crash-stop failure. Crash verdicts come
-// from Plan.CrashAt (a pure function, not a Draw), so the health layer
-// reports them here for the run's fault snapshot. Safe on nil.
-func (in *Injector) NoteCrash() {
-	if in == nil {
-		return
-	}
-	in.crashes.Add(1)
 }
 
 // Per-decision salts keep the drop / delay / stall / atomic-fail streams
@@ -107,50 +53,29 @@ const (
 // key, attempt): no counters, no host time, no scheduling dependence — the
 // injected schedule is identical across runs of the same program and seed.
 //
-// Attempts at or beyond the plan's retry budget always deliver cleanly (the
-// model's reliable escalation path), so every retry loop terminates and
+// Attempts at or beyond the retry budget (maxRetries) always deliver cleanly
+// (the model's reliable escalation path), so every retry loop terminates and
 // workload answers stay exact. Safe on nil (always a clean delivery).
 func (in *Injector) Draw(issuer int, cl Class, target int, key uint64, attempt int) Verdict {
-	if in == nil {
+	if in == nil || attempt >= maxRetries {
 		return Verdict{Deliver: true}
 	}
 	p := &in.plan
-	if attempt >= p.MaxRetries {
-		return Verdict{Deliver: true}
-	}
 	id := identity(p.Seed, issuer, cl, target, key, attempt)
-	v := Verdict{Deliver: true}
 	if p.Drop > 0 && unit(id^saltDrop) < p.Drop {
-		in.drops.Add(1)
-		v.Deliver = false
-		return v
+		return Verdict{}
 	}
+	v := Verdict{Deliver: true}
 	if p.AtomicFail > 0 && cl == ClassAtomic && unit(id^saltAtomic) < p.AtomicFail {
-		in.atomicFails.Add(1)
 		v.AtomicFail = true
 	}
 	if p.Delay > 0 && p.Jitter > 0 && unit(id^saltDelay) < p.Delay {
-		in.delays.Add(1)
 		v.Delay = sim.Time(unit(id^saltJitter) * float64(p.Jitter))
 	}
 	if p.StallP > 0 && p.Stall > 0 && unit(id^saltStall) < p.StallP {
-		in.stalls.Add(1)
 		v.Stall = p.Stall
 	}
 	return v
-}
-
-// Scale applies the degraded-node multiplier to a NIC service time.
-// Safe on nil.
-func (in *Injector) Scale(node int, service sim.Time) sim.Time {
-	if in == nil {
-		return service
-	}
-	p := &in.plan
-	if p.SlowFactor > 1 && node == p.SlowNode {
-		return sim.Time(float64(service) * p.SlowFactor)
-	}
-	return service
 }
 
 // identity mixes the decision coordinates into one 64-bit value using a

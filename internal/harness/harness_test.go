@@ -102,6 +102,27 @@ func (c *cells) last(ti int) string {
 	return ""
 }
 
+// nodes returns table ti's distinct row labels, in order. The fig13 tables
+// label every row by its node count and give one node several thread counts;
+// at reads the last row of a label, the node's full thread count.
+func (c *cells) nodes(ti int) []string {
+	return slices.Compact(c.labels(ti))
+}
+
+// rises reports whether the column under header grows at every node count of
+// table ti.
+func (c *cells) rises(ti int, header string) bool {
+	prev := math.Inf(-1)
+	for _, n := range c.nodes(ti) {
+		v := c.num(ti, n, header)
+		if !(v > prev) {
+			return false
+		}
+		prev = v
+	}
+	return true
+}
+
 // claim is one sentence of the paper's evaluation as a predicate over the
 // cells of one experiment's -quick tables.
 type claim struct {
@@ -122,6 +143,16 @@ func (cl claim) check(tables []Table) error {
 
 // claims is the paper's evaluation, row by row, in the testCase-matrix shape:
 // an experiment, its sentence, and the predicate that reads its cells.
+//
+// The fig13 rows read the -quick tables at 1, 2 and 4 nodes. Three of the
+// paper's fig9-13 claims need a mid-size input and have no row here, because
+// the -quick tables do not show them:
+//   - the fig9-10 writeback cliff: -quick MM writebacks read 6 at every
+//     write-buffer size from 8 to 32 768 pages;
+//   - fig13a's "multi-node Argo beats the best Pthreads": Argo reads 2.42 at
+//     2 nodes against Pthreads' 2.80;
+//   - fig13f's "UPC is the fastest single node": UPC reads 1.03 against
+//     Argo's 3.41.
 var claims = []claim{
 	// Table 1 (tables: S, P/S, P/S3).
 	{"table1", "P/S3 classifies shared pages as S,NW, S,SW and S,MW", func(c *cells) bool {
@@ -183,6 +214,50 @@ var claims = []claim{
 	{"fig12", "at the most nodes HQDL beats UPC's cache-less critical sections (§2.1)", func(c *cells) bool {
 		top := c.last(0)
 		return c.num(0, top, "Argo(HQDL) ops/µs") > c.num(0, top, "UPC ops/µs")
+	}},
+
+	{"fig13b", "N-body on Argo speeds up at every node count", func(c *cells) bool { return c.rises(0, "Argo") }},
+	{"fig13b", "N-body on MPI peaks before the most nodes and then falls", func(c *cells) bool {
+		ns := c.nodes(0)
+		if len(ns) < 2 {
+			return false
+		}
+		peak := 0.0
+		for _, n := range ns[:len(ns)-1] {
+			peak = max(peak, c.num(0, n, "MPI"))
+		}
+		return c.num(0, ns[len(ns)-1], "MPI") < peak
+	}},
+
+	{"fig13c", "blackscholes on Argo speeds up at every node count", func(c *cells) bool { return c.rises(0, "Argo") }},
+	{"fig13c", "at the most nodes blackscholes on Argo beats MPI", func(c *cells) bool {
+		top := c.last(0)
+		return c.num(0, top, "Argo") > c.num(0, top, "MPI")
+	}},
+
+	{"fig13d", "on one node MPI beats Argo on the large MM input", func(c *cells) bool {
+		return c.num(0, "1", "MPI-L") > c.num(0, "1", "Argo-L")
+	}},
+	{"fig13d", "at the most nodes Argo beats MPI on the small MM input", func(c *cells) bool {
+		top := c.last(1)
+		return c.num(1, top, "Argo-S") > c.num(1, top, "MPI-S")
+	}},
+
+	{"fig13e", "EP on Argo and on UPC speeds up at every node count", func(c *cells) bool {
+		return c.rises(0, "Argo") && c.rises(0, "UPC")
+	}},
+
+	{"fig13f", "CG on UPC is below Argo from 2 nodes on", func(c *cells) bool {
+		ns := c.nodes(0)
+		for _, n := range ns[min(1, len(ns)):] {
+			if !(c.num(0, n, "UPC") < c.num(0, n, "Argo")) {
+				return false
+			}
+		}
+		return len(ns) >= 2
+	}},
+	{"fig13f", "CG on UPC is slower at the most nodes than on one", func(c *cells) bool {
+		return c.num(0, c.last(0), "UPC") < c.num(0, "1", "UPC")
 	}},
 }
 

@@ -10,9 +10,9 @@
 //   - per-node heartbeat counters, published to home slots on the fabric by
 //     each node's barrier representative once per episode;
 //   - a deterministic failure detector driven by virtual time: a node that
-//     crashes at virtual time T is "suspect" until T+Timeout, "dead" after
-//     one detection timeout, and "excised" once the survivors' membership
-//     view has dropped it;
+//     crashes at virtual time T is "suspect" until T+fault.Timeout, "dead"
+//     after that one detection timeout, and "excised" once the survivors'
+//     membership view has dropped it;
 //   - a monotonically increasing membership epoch, bumped once per excision
 //     and once per rejoin, with a full transition history for replay
 //     comparison.
@@ -137,7 +137,7 @@ func (t Transition) Decision() string {
 // Lives.
 type Detector struct {
 	nodes int
-	plan  fault.Plan // normalized; Crash* and Timeout drive verdicts
+	plan  fault.Plan // Crash* and Partition* drive verdicts
 
 	// Obs, when non-nil, hears of every membership transition and of the
 	// view (epoch, live nodes) it leaves. A Crash is the source endpoint of
@@ -156,7 +156,6 @@ type Detector struct {
 	onSuspect []func(node int, at sim.Time)
 	scripted  map[int]scriptedCrash
 	scriptedP []scriptedPartition
-	fi        *fault.Injector
 }
 
 type scriptedCrash struct {
@@ -184,17 +183,14 @@ type Cut struct {
 	From, To int
 }
 
-// New builds a detector for nodes members under plan. The injector, when
-// non-nil, has its crash counter bumped on every kill (for the run's fault
-// snapshot).
-func New(nodes int, plan fault.Plan, fi *fault.Injector) *Detector {
+// New builds a detector for nodes members under plan.
+func New(nodes int, plan fault.Plan) *Detector {
 	d := &Detector{
 		nodes:    nodes,
-		plan:     plan.Normalized(),
+		plan:     plan,
 		state:    make([]state, nodes),
 		diedEp:   make([]int64, nodes),
 		scripted: map[int]scriptedCrash{},
-		fi:       fi,
 	}
 	for i := range d.diedEp {
 		d.diedEp[i] = -1
@@ -215,10 +211,6 @@ func (d *Detector) Armed() bool {
 // ArmsPoint reports whether crash verdicts fire early at the given safe
 // point (barrier entry is always armed).
 func (d *Detector) ArmsPoint(pt fault.SafePoint) bool { return d.plan.ArmsPoint(pt) }
-
-// Timeout returns the detection timeout: how long after a crash survivors
-// take to classify the node as dead and reconfigure.
-func (d *Detector) Timeout() sim.Time { return d.plan.Timeout }
 
 // ScheduleCrash scripts a deterministic crash of node at the given barrier
 // episode (episodes count from 1), overriding the plan's hash draw for that
@@ -391,7 +383,6 @@ func (d *Detector) Kill(node int, at sim.Time, ep, point int64) bool {
 		Epoch: d.epoch.Load(), Node: node, Kind: "crash", Episode: ep, At: at,
 	})
 	d.mu.Unlock()
-	d.fi.NoteCrash()
 	d.report(probe.Crash, node, at, ep, point)
 	return true
 }

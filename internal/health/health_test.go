@@ -10,7 +10,7 @@ import (
 )
 
 func det(nodes int, seed int64) *Detector {
-	return New(nodes, fault.DefaultPlan(seed), nil)
+	return New(nodes, fault.Plan{Seed: seed})
 }
 
 // Scripted crash schedules are pure and survive Reset, so planners and the
@@ -73,12 +73,12 @@ func TestCutAtScriptedShapes(t *testing.T) {
 // A one-way plan (partcut=a>b) flows through the hash-drawn schedule: every
 // window parks exactly the source node and carries the directed link.
 func TestCutAtOneWayPlan(t *testing.T) {
-	plan := fault.DefaultPlan(7)
+	plan := fault.Plan{Seed: 7}
 	plan.Partition = 0.4
 	plan.PartitionDur = 2
 	plan.PartitionOneWay = true
 	plan.PartitionFrom, plan.PartitionTo = 2, 0
-	d := New(4, plan, nil)
+	d := New(4, plan)
 	hits := 0
 	for ep := int64(1); ep <= 64; ep++ {
 		c := d.CutAt(ep)

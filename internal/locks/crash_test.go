@@ -28,7 +28,7 @@ func (l *globalTicketLock) queued() int {
 func crashLockCluster(nodes int) (*core.Cluster, *metrics.Suite) {
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = 4 << 20
-	plan := fault.DefaultPlan(1)
+	plan := fault.Plan{Seed: 1}
 	cfg.Faults = &plan
 	ms := metrics.NewSuite()
 	cfg.Observers = append(cfg.Observers, ms)
@@ -105,7 +105,7 @@ func TestTicketLockDeadHolderExcised(t *testing.T) {
 			holderDead := l.locked && l.holder == 1 && !c.Health.Alive(1)
 			l.mu.Unlock()
 			if holderDead && l.queued() == nodes-1 {
-				c.Health.Excise(1, 50_000+c.Health.Timeout(), 1)
+				c.Health.Excise(1, 50_000+fault.Timeout, 1)
 				return
 			}
 			time.Sleep(50 * time.Microsecond)
@@ -162,7 +162,7 @@ func TestTicketLockDeadWaiterPruned(t *testing.T) {
 			// Only node 1 can be parked yet: node 0 queues after the release.
 			if l.queued() == 1 {
 				c.Health.Kill(1, 10_000, 1, probe.CrashAtBarrier)
-				c.Health.Excise(1, 10_000+c.Health.Timeout(), 1)
+				c.Health.Excise(1, 10_000+fault.Timeout, 1)
 				release.Store(true)
 				return
 			}
@@ -245,7 +245,7 @@ func TestTicketLockPrunedWaiterReused(t *testing.T) {
 			l.Lock(th)
 			spin(onePark) // node 1 again, on its recycled waiter
 			c.Health.Kill(1, th.P.Now(), 1, probe.CrashAtBarrier)
-			c.Health.Excise(1, th.P.Now()+c.Health.Timeout(), 1)
+			c.Health.Excise(1, th.P.Now()+fault.Timeout, 1)
 			spin(unwound.Load) // the pruned waiter is back in the pool
 			excised.Store(true)
 			spin(onePark) // node 0, on the waiter node 1 left behind
@@ -290,7 +290,7 @@ func TestTicketLockHolderCrashAtUnlockSafePoint(t *testing.T) {
 	const nodes = 4
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = 4 << 20
-	plan := fault.DefaultPlan(1)
+	plan := fault.Plan{Seed: 1}
 	plan.CrashPoints = fault.SafeLock
 	cfg.Faults = &plan
 	ms, tr := metrics.NewSuite(), trace.New(0)

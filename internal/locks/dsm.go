@@ -194,7 +194,7 @@ func (l *globalTicketLock) unlockSafePoint(t *core.Thread) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(health.CrashSignal); ok {
-				l.expireLease(t.Node, t.P.Now()+l.c.Health.Timeout())
+				l.expireLease(t.Node, t.P.Now()+fault.Timeout)
 			}
 			panic(r)
 		}

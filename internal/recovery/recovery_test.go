@@ -43,7 +43,7 @@ func counters(phases, cells int) Table[bump] {
 	return tab
 }
 
-func detector(nodes int) *health.Detector { return health.New(nodes, fault.DefaultPlan(1), nil) }
+func detector(nodes int) *health.Detector { return health.New(nodes, fault.Plan{Seed: 1}) }
 
 // shape renders a script's body kinds, one letter each: Phase, Repair, reSet,
 // Idle.
@@ -165,7 +165,7 @@ func TestPlanRejectsHopelessSchedules(t *testing.T) {
 		t.Fatalf("total loss inside an idle walk: err = %v", err)
 	}
 
-	forever := health.New(3, mustPlan("partition=1,partdur=1,seed=1"), nil)
+	forever := health.New(3, mustPlan("partition=1,partdur=1,seed=1"))
 	if _, err := Plan(forever, counters(2, 2)); err == nil || !strings.Contains(err.Error(), "not converging") {
 		t.Fatalf("a window on every episode: err = %v", err)
 	}
@@ -262,7 +262,7 @@ func TestRunReturnsTaskErrorAndTerminates(t *testing.T) {
 // Replay's three verdicts, on canned runs.
 func TestReplayVerdicts(t *testing.T) {
 	type result struct{ answer, clock uint64 }
-	plan := fault.DefaultPlan(1)
+	plan := fault.Plan{Seed: 1}
 	check := func(runs ...result) error {
 		i := 0
 		_, err := Replay(func(p *fault.Plan) (result, error) {

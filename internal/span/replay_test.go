@@ -68,7 +68,7 @@ func TestReplayDeterminismFaults(t *testing.T) {
 }
 
 func TestReplayDeterminismCrash(t *testing.T) {
-	plan := fault.DefaultPlan(7)
+	plan := fault.Plan{Seed: 7}
 	plan.Crash = 0.2
 	plan.CrashRestart = true
 	a, deathsA := ringReport(t, 6, &plan)

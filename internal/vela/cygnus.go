@@ -322,7 +322,7 @@ func (m *memberBarrier) observe(p *sim.Proc, ep int64) {
 		m.cond.Wait()
 	}
 	rel := st.release
-	wake := rel + m.det.Timeout()
+	wake := rel + fault.Timeout
 	if st.orOut {
 		st1 := m.state(epKey{ep, 1})
 		for !st1.complete {
@@ -394,7 +394,7 @@ func (m *memberBarrier) maybeComplete(ep int64, st *epState) {
 	if len(deaths) > 0 || len(iso) > 0 {
 		// Survivors wait out one failure-detection timeout before they
 		// reconfigure around the dead or the unreachable.
-		st.recov = m.det.Timeout()
+		st.recov = fault.Timeout
 		release += st.recov
 	}
 	for _, dn := range deaths {

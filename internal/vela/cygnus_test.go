@@ -15,15 +15,15 @@ import (
 	"argo/internal/trace"
 )
 
-// crashCluster builds a cluster whose default plan carries recovery knobs
-// (timeout, backoff) so scripted crashes have a detection timeout to charge.
+// crashCluster builds a cluster under a fault-free plan; the tests script
+// its crashes on the detector.
 func crashCluster(nodes int) *core.Cluster { return crashClusterMX(nodes, nil) }
 
 // crashClusterMX is crashCluster reporting into the metrics suite ms.
 func crashClusterMX(nodes int, ms *metrics.Suite) *core.Cluster {
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = 4 << 20
-	plan := fault.DefaultPlan(1)
+	plan := fault.Plan{Seed: 1}
 	cfg.Faults = &plan
 	if ms != nil {
 		cfg.Observers = append(cfg.Observers, ms)
@@ -85,9 +85,9 @@ func TestCrashStopSurvivorsReconfigure(t *testing.T) {
 		}
 	}
 	b := newHierBarrier(c, tpn)
-	budget := 2*b.localCost + b.mem.cost + c.Health.Timeout() + 20_000
+	budget := 2*b.localCost + b.mem.cost + fault.Timeout + 20_000
 	if worst > budget {
-		t.Fatalf("crash episode took %d ns, budget %d ns (timeout %d)", worst, budget, c.Health.Timeout())
+		t.Fatalf("crash episode took %d ns, budget %d ns (timeout %d)", worst, budget, fault.Timeout)
 	}
 	// Post-crash episodes still complete and align survivor clocks.
 	var clocks []sim.Time
@@ -172,7 +172,7 @@ func TestCrashScheduleDeterminism(t *testing.T) {
 	run := func() (sim.Time, string) {
 		cfg := core.DefaultConfig(5)
 		cfg.MemoryBytes = 4 << 20
-		plan := fault.DefaultPlan(123)
+		plan := fault.Plan{Seed: 123}
 		plan.Crash = 0.08
 		plan.CrashRestart = true
 		cfg.Faults = &plan
@@ -212,7 +212,7 @@ func TestFaultFreeBarrierUnchangedWhenUnarmed(t *testing.T) {
 		var k kindCounter
 		cfg := core.DefaultConfig(2)
 		cfg.MemoryBytes = 4 << 20
-		plan := fault.DefaultPlan(1)
+		plan := fault.Plan{Seed: 1}
 		cfg.Faults = &plan
 		cfg.Observers = []probe.Sink{&k}
 		c := core.MustNewCluster(cfg)
@@ -395,7 +395,7 @@ func TestPartitionScheduleDeterminism(t *testing.T) {
 	run := func() (sim.Time, string) {
 		cfg := core.DefaultConfig(5)
 		cfg.MemoryBytes = 4 << 20
-		plan := fault.DefaultPlan(321)
+		plan := fault.Plan{Seed: 321}
 		plan.Partition = 0.25
 		plan.PartitionDur = 2
 		plan.PartitionCut = 2
@@ -430,7 +430,7 @@ func TestCrashAtFlagSafePoint(t *testing.T) {
 	const nodes = 3
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = 4 << 20
-	plan := fault.DefaultPlan(1)
+	plan := fault.Plan{Seed: 1}
 	plan.CrashPoints = fault.SafeFlag
 	cfg.Faults = &plan
 	tr := trace.New(0)
@@ -613,7 +613,7 @@ func TestOneWayCutScheduleDeterminism(t *testing.T) {
 	run := func() (sim.Time, string) {
 		cfg := core.DefaultConfig(5)
 		cfg.MemoryBytes = 4 << 20
-		plan := fault.DefaultPlan(99)
+		plan := fault.Plan{Seed: 99}
 		plan.Partition = 0.3
 		plan.PartitionDur = 2
 		plan.PartitionOneWay = true

@@ -42,7 +42,7 @@ func TestRingReplayDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if seed == 42 && rep.Faults == (fault.Snapshot{}) {
+		if seed == 42 && rep.Stats.FaultsInjected == 0 {
 			t.Fatalf("seed %d: plan injected nothing — ring too small to exercise recovery", seed)
 		}
 	}
@@ -87,7 +87,7 @@ func TestChaosBurstFencesLowDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Faults == (fault.Snapshot{}) {
+	if rep.Stats.FaultsInjected == 0 {
 		t.Fatal("plan injected nothing — drop=0.01 did not exercise the burst retry path")
 	}
 	// And random programs (fences from many threads, locks, flags) stay

@@ -27,6 +27,7 @@ import (
 	"argo/internal/fault"
 	"argo/internal/mem"
 	"argo/internal/sim"
+	"argo/internal/stats"
 	"argo/internal/vela"
 	"argo/internal/workloads/wload"
 )
@@ -54,14 +55,15 @@ type Params struct {
 }
 
 // Report is the observable outcome of one program run: the virtual
-// makespan, a digest of the final home-memory contents, and the injected
-// fault schedule. Two runs of the same program under the same fault plan
-// must produce identical Reports (determinism), and any run's Digest must
-// equal the fault-free Digest (recovery soundness).
+// makespan, a digest of the final home-memory contents, and the cluster's
+// counters, the faults injected and the reissues they cost among them. Any
+// run's Digest must equal the fault-free Digest (recovery soundness); on the
+// ring, two runs under the same fault plan produce identical Reports
+// (determinism, see chaos.go).
 type Report struct {
 	Makespan sim.Time
 	Digest   uint64
-	Faults   fault.Snapshot
+	Stats    stats.Snapshot
 }
 
 // digestBasis starts Report.Digest: the FNV-1a 64-bit offset basis.
@@ -159,7 +161,7 @@ func runReport(pr Params, home func(*core.Cluster, core.I64Slice, Params) (uint6
 		}
 	})
 	digest, homeErr := home(c, xs, pr)
-	rep := Report{Makespan: makespan, Digest: digest, Faults: c.FaultStats()}
+	rep := Report{Makespan: makespan, Digest: digest, Stats: c.Stats()}
 	select {
 	case err := <-errCh:
 		return rep, err
@@ -254,7 +256,7 @@ func runFlagsReport(pr Params, fold func(uint64, *core.Cluster, core.I64Slice) u
 			}
 		}
 	})
-	rep := Report{Makespan: makespan, Digest: fold(digestBasis, c, xs), Faults: c.FaultStats()}
+	rep := Report{Makespan: makespan, Digest: fold(digestBasis, c, xs), Stats: c.Stats()}
 	select {
 	case err := <-errCh:
 		return rep, err

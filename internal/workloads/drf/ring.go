@@ -195,7 +195,7 @@ func runRing(pr RingParams, fold func(uint64, *core.Cluster, core.I64Slice) uint
 			return nil
 		}
 	})
-	return RingReport{Report{Makespan: makespan, Digest: fold(digestBasis, c, xs), Faults: c.FaultStats()}, out}, err
+	return RingReport{Report{Makespan: makespan, Digest: fold(digestBasis, c, xs), Stats: c.Stats()}, out}, err
 }
 
 // ReplayCheck asserts the chaos contract on the ring in full (see

@@ -13,7 +13,7 @@ import (
 )
 
 func crashPlan(seed int64, rate float64, restart bool) fault.Plan {
-	p := fault.DefaultPlan(seed)
+	p := fault.Plan{Seed: seed}
 	p.Crash = rate
 	p.CrashRestart = restart
 	p.CrashMinEpoch = 1
@@ -58,7 +58,7 @@ func TestCrashRingWithTransientFaults(t *testing.T) {
 	if rep.Deaths == 0 {
 		t.Fatal("combined plan injected no crashes")
 	}
-	if rep.Faults == (fault.Snapshot{}) {
+	if rep.Stats.FaultsInjected == 0 {
 		t.Fatal("combined plan injected no transient faults")
 	}
 }
@@ -68,7 +68,7 @@ func TestCrashRingWithTransientFaults(t *testing.T) {
 // removes the node from later bodies.
 func TestPlanCrashRingMirrorsSchedule(t *testing.T) {
 	const nodes, epochs = 4, 3
-	det := health.New(nodes, fault.DefaultPlan(1), nil)
+	det := health.New(nodes, fault.Plan{Seed: 1})
 	// Node 2 crash-stops at the barrier after epoch 0's write phase (episode 1).
 	det.ScheduleCrash(2, 1, false)
 
@@ -100,7 +100,7 @@ func TestPlanCrashRingMirrorsSchedule(t *testing.T) {
 // An all-nodes crash schedule is rejected at planning time, not by a hang.
 func TestPlanCrashRingRejectsTotalLoss(t *testing.T) {
 	const nodes = 3
-	det := health.New(nodes, fault.DefaultPlan(1), nil)
+	det := health.New(nodes, fault.Plan{Seed: 1})
 	for n := 0; n < nodes; n++ {
 		det.ScheduleCrash(n, 1, false)
 	}
@@ -115,7 +115,7 @@ func TestPlanCrashRingRejectsTotalLoss(t *testing.T) {
 // across same-seed runs (ring NICs are single-client, so unlike LU even
 // virtual times replay exactly).
 func TestCrashRingReplayPartitions(t *testing.T) {
-	p := fault.DefaultPlan(9)
+	p := fault.Plan{Seed: 9}
 	p.Partition = 0.2
 	p.PartitionDur = 2
 	rep, err := ReplayCheck(RingParams{Nodes: 5, PerNode: 512, Epochs: 5, PageSize: 1024}, p)
@@ -139,7 +139,7 @@ func TestCrashRingReplayPartitions(t *testing.T) {
 // One-way cuts on the ring: only the source of the directed sever is parked
 // and suspected; the target stays a full member throughout.
 func TestCrashRingReplayOneWayCut(t *testing.T) {
-	p := fault.DefaultPlan(9)
+	p := fault.Plan{Seed: 9}
 	p.Partition = 0.2
 	p.PartitionDur = 2
 	p.PartitionOneWay = true
@@ -183,7 +183,7 @@ func TestCrashRingReplayRestartPartitionMixed(t *testing.T) {
 // episode after the heal.
 func TestPlanCrashRingIdlesThroughPartitions(t *testing.T) {
 	const nodes, epochs = 4, 3
-	det := health.New(nodes, fault.DefaultPlan(1), nil)
+	det := health.New(nodes, fault.Plan{Seed: 1})
 	det.SchedulePartition([]int{3}, 2, 2) // covers episodes 2 and 3
 	det.ScheduleOneWayCut(1, 0, 6, 1)     // covers episode 6
 	window := map[int]bool{2: true, 3: true, 6: true}

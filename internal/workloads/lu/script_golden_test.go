@@ -40,9 +40,9 @@ func scriptDetector(t *testing.T, spec string, seed int64, nodes int, episodes i
 		if err != nil {
 			t.Fatal(err)
 		}
-		return health.New(nodes, plan, nil)
+		return health.New(nodes, plan)
 	}
-	det := health.New(nodes, fault.DefaultPlan(seed), nil)
+	det := health.New(nodes, fault.Plan{Seed: seed})
 	rng := rand.New(rand.NewSource(seed))
 	for i := 1 + rng.Intn(2); i > 0; i-- {
 		det.ScheduleCrash(rng.Intn(nodes), 1+rng.Int63n(episodes), rng.Intn(2) == 0)

@@ -202,7 +202,7 @@ var chaosLitmusCases = []chaosLitmusCase{
 func chaosLitmusCluster(mode coherence.Mode, cc chaosLitmusCase, nodes, epPerRound int) (
 	*argo.Cluster, int, func(th *argo.Thread, round int)) {
 	cfg := smallConfig(nodes, mode)
-	plan := argo.DefaultFaultPlan(1)
+	plan := argo.FaultPlan{Seed: 1}
 	plan.CrashPoints = cc.points
 	cfg.Faults = &plan
 	c := argo.MustNewCluster(cfg)

@@ -120,7 +120,7 @@ func TestReplayIdenticalUnderCorvus(t *testing.T) {
 }
 
 func TestReplayIdenticalUnderCrashes(t *testing.T) {
-	plan := fault.DefaultPlan(7)
+	plan := fault.Plan{Seed: 7}
 	plan.Crash = 0.05
 	plan.CrashRestart = true
 	pr := drf.DefaultRing(6)
@@ -129,7 +129,7 @@ func TestReplayIdenticalUnderCrashes(t *testing.T) {
 }
 
 func TestReplayIdenticalChaosLU(t *testing.T) {
-	plan := fault.DefaultPlan(11)
+	plan := fault.Plan{Seed: 11}
 	plan.Crash = 0.03
 	plan.Partition = 0.1
 	plan.PartitionDur = 2
@@ -324,8 +324,8 @@ func TestLynxReplayIdenticalTinyCacheDRF(t *testing.T) {
 		if err != nil {
 			t.Fatalf("TLB off, faults %v: %v", faults != nil, err)
 		}
-		if faults != nil && (on.Faults.Drops == 0 || off.Faults.Drops == 0) {
-			t.Fatalf("chaos plan injected nothing: on %+v, off %+v", on.Faults, off.Faults)
+		if faults != nil && (on.Stats.FaultsInjected == 0 || off.Stats.FaultsInjected == 0) {
+			t.Fatalf("chaos plan injected nothing: on %d faults, off %d", on.Stats.FaultsInjected, off.Stats.FaultsInjected)
 		}
 		digests = append(digests, on.Digest, off.Digest)
 	}

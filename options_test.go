@@ -55,7 +55,7 @@ func TestOptionsCompose(t *testing.T) {
 	net = cfg.Net
 	net.RemoteLatency = 12345
 
-	plan := argo.DefaultFaultPlan(42)
+	plan := argo.FaultPlan{Seed: 42}
 	plan.Drop = 0.01
 	cfg.Faults = &plan
 
@@ -136,7 +136,7 @@ func TestWithChaos(t *testing.T) {
 
 	// The plan's two spellings meet: fields set on the default plan are what
 	// the spec parses to, and NewCluster takes either through Config.Faults.
-	built := argo.DefaultFaultPlan(42)
+	built := argo.FaultPlan{Seed: 42}
 	built.Crash, built.Partition, built.PartitionDur, built.PartitionCut = 0.03, 0.1, 2, 2
 	parsed, err := argo.ParseFaultPlan("crash=0.03,partition=0.1,partdur=2,partcut=2,seed=42")
 	if err != nil {
