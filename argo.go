@@ -44,8 +44,10 @@
 // the fault plan (Config.Faults) and the observers (Config.Observers) — and
 // NewCluster is the one place that builds it: the probe spine over the
 // observers is handed to every layer before NewCluster returns, so any lock,
-// flag or barrier built afterwards reports into them. The With* options are
-// spellings of those fields for callers composing a stock config.
+// flag or barrier built afterwards reports into them. There are two stock
+// sinks: a Tracer, the log of every event that the timelines and Pictor's
+// critical path read, and Metrics, the Argoscope series. The With* options
+// are spellings of those fields for callers composing a stock config.
 package argo
 
 import (
@@ -55,7 +57,6 @@ import (
 	"argo/internal/health"
 	"argo/internal/metrics"
 	"argo/internal/probe"
-	"argo/internal/span"
 	"argo/internal/trace"
 	"argo/internal/vela"
 )
@@ -79,13 +80,11 @@ type (
 
 	// FabricParams is the interconnect cost model (see WithFabricParams).
 	FabricParams = fabric.Params
-	// Tracer collects protocol events (see WithTracer).
+	// Tracer keeps the log of a run: every probe event, read by the
+	// timelines and by Pictor's critical path (see WithTracer).
 	Tracer = trace.Tracer
 	// Metrics is the Argoscope observability suite (see WithMetrics).
 	Metrics = metrics.Suite
-	// SpanRecorder collects Pictor causal spans and happens-before edges
-	// for critical-path attribution (see WithSpans and internal/span).
-	SpanRecorder = span.Recorder
 	// FaultPlan describes a deterministic fault-injection campaign
 	// (see Config.Faults, WithChaos and ParseFaultPlan).
 	FaultPlan = fault.Plan
@@ -110,17 +109,17 @@ func DefaultConfig(nodes int) Config { return core.DefaultConfig(nodes) }
 // "drop=0.01,stall=5us,seed=42" (see fault.ParsePlan for the full syntax).
 func ParseFaultPlan(spec string) (FaultPlan, error) { return fault.ParsePlan(spec) }
 
-// NewMetrics creates an empty Argoscope suite; like the tracer and the span
-// recorder it is attached by appending it to Config.Observers.
+// NewMetrics creates an empty Argoscope suite; like the tracer, the other of
+// the two stock sinks, it is attached by appending it to Config.Observers.
 func NewMetrics() *Metrics { return metrics.NewSuite() }
 
-// NewTracer creates a protocol-event tracer keeping at most limit events
-// per node (0 means the default cap).
+// NewTracer creates a tracer keeping at most limit events per node (0 means
+// the default cap).
 func NewTracer(limit int) *Tracer { return trace.New(limit) }
 
-// NewSpanRecorder creates a Pictor span recorder keeping at most limit
-// records per node (0 means the default cap).
-func NewSpanRecorder(limit int) *SpanRecorder { return span.NewRecorder(limit) }
+// NewSpanRecorder is NewTracer: Pictor reads the tracer's log. It stays as a
+// spelling only because the perf ledger's layer drivers name it.
+func NewSpanRecorder(limit int) *Tracer { return NewTracer(limit) }
 
 // Option adjusts the Config (or the default barrier) a cluster is built
 // from; NewCluster applies options in order on top of its cfg argument.
@@ -147,7 +146,9 @@ func observe(s probe.Sink, ok bool) Option {
 }
 
 // WithTracer appends t to Config.Observers (nil: nothing): t keeps every
-// node's protocol events.
+// event of every node. Emission sites are nil-checked and off by default: a
+// cluster built without observers runs bit-identically to one that never
+// heard of them.
 func WithTracer(t *Tracer) Option { return observe(t, t != nil) }
 
 // WithMetrics appends ms to Config.Observers (nil: nothing): every layer of
@@ -155,10 +156,9 @@ func WithTracer(t *Tracer) Option { return observe(t, t != nil) }
 // its series.
 func WithMetrics(ms *Metrics) Option { return observe(ms, ms != nil) }
 
-// WithSpans appends sr to Config.Observers (nil: nothing). Emission sites are
-// nil-checked and off by default: a cluster built without observers runs
-// bit-identically to one that never heard of them.
-func WithSpans(sr *SpanRecorder) Option { return observe(sr, sr != nil) }
+// WithSpans is WithTracer, kept as a spelling only because the perf ledger's
+// layer drivers name it.
+func WithSpans(t *Tracer) Option { return WithTracer(t) }
 
 // WithChaos sets Config.Faults from one composable spec string, arming the
 // whole chaos stack — transient Corvus faults, Cygnus crash-stops and

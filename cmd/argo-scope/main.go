@@ -1,6 +1,8 @@
 // Command argo-scope runs one benchmark once and shows any subset of the
 // three views of its probe spine — so "where did the time go", "which
-// events" and "which critical path" are answered by the same run:
+// events" and "which critical path" are answered by the same run. Two stock
+// sinks observe it: the Argoscope suite and the log of the run, every event
+// of it, which the timeline and the critical path both read.
 //
 //   - -top N: the Argoscope hot-spot report — the top-N pages by protocol
 //     traffic, the top-N locks by contention, and the latency distributions
@@ -18,6 +20,10 @@
 //     exactly and the path is a pure function of the seeded run. With
 //     -trace-out the Perfetto timeline carries the causal flow arrows;
 //     -pages N adds the biographies of the busiest pages.
+//   - -log-out FILE: the log itself, every event in canonical order with the
+//     drop count; -in FILE reads it back in place of a run, and every view
+//     of the log (-trace-out, -critpath, -pages) renders from it as it did
+//     online. -top and -metrics-out need the suite of a run.
 //
 // With no view flag nothing observes the run. The pq-* benchmarks exercise
 // the lock layer, the rest are the barrier-synchronized application kernels.
@@ -25,8 +31,8 @@
 //	argo-scope -bench lu -nodes 4 -tpn 4 -top 10 -trace-out lu.perfetto.json -critpath -
 //	argo-scope -bench pq-hqdl -top 20 -metrics-out metrics.json
 //	argo-scope -bench cg -trace-format csv -trace-out trace.csv
-//	argo-scope -bench lu -critpath - -spans-out lu.spans.json
-//	argo-scope -in lu.spans.json -k 20
+//	argo-scope -bench lu -critpath - -log-out lu.log.json
+//	argo-scope -in lu.log.json -critpath - -k 20 -pages 3
 package main
 
 import (

@@ -12,7 +12,7 @@ import (
 
 func counterSum(ms *metrics.Suite, name string) int64 {
 	var n int64
-	for _, c := range ms.Reg.Dump().Counters {
+	for _, c := range ms.Dump().Counters {
 		if c.Name == name {
 			n += c.Value
 		}

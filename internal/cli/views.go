@@ -15,24 +15,25 @@ import (
 	"argo/internal/trace"
 )
 
-// Views is the view-flag block: the three readers of the probe spine — the
+// Views is the view-flag block: the readers of the probe spine — the
 // Argoscope hot-spot tables, the event timeline and Pictor's critical path —
-// declared once for every tool that can show them. Sinks returns the
-// observers the parsed flags need, for Config.Observers or HookConfigs;
-// Render prints and writes what they hold once the run is over.
+// declared once for every tool that can show them, over the two stock sinks:
+// the Argoscope suite and the log of the run, which the timeline and the
+// critical path both read. Sinks returns the observers the parsed flags need,
+// for Config.Observers or HookConfigs; Render prints and writes what they
+// hold once the run is over.
 type Views struct {
-	top, k, pages                  *int
-	metricsOut, spansOut, critpath *string
-	traceOut, traceFormat          *string
-	in                             *string // nil where the tool has no offline mode
+	top, k, pages                *int
+	metricsOut, logOut, critpath *string
+	traceOut, traceFormat        *string
+	in                           *string // nil where the tool has no offline mode
 
 	ms *metrics.Suite
 	tr *trace.Tracer
-	sr *span.Recorder
 }
 
-// ViewFlags declares the view flags; offline adds -in, the span log of an
-// earlier run to analyze in place of a run.
+// ViewFlags declares the view flags; offline adds -in, the log of an earlier
+// run to read in place of a run.
 func ViewFlags(offline bool) *Views {
 	v := &Views{
 		top:         flag.Int("top", 0, "print the hot-spot report with N rows per table: hottest pages and locks, latency distributions, counters (0 = off)"),
@@ -42,10 +43,10 @@ func ViewFlags(offline bool) *Views {
 		critpath:    flag.String("critpath", "", "write the critical-path report to this file (- for standard output)"),
 		k:           flag.Int("k", 10, "longest critical-path segments the -critpath report lists"),
 		pages:       flag.Int("pages", 0, "print biographies of the N busiest pages (0 = off)"),
-		spansOut:    flag.String("spans-out", "", "write the raw span log (JSON) to this file"),
+		logOut:      flag.String("log-out", "", "write the log of the run (JSON: every event, and the drop count) to this file"),
 	}
 	if offline {
-		v.in = flag.String("in", "", "analyze a span log written by -spans-out instead of running a benchmark")
+		v.in = flag.String("in", "", "read the log written by -log-out instead of running a benchmark: every view but -top and -metrics-out renders from it")
 	}
 	return v
 }
@@ -62,17 +63,15 @@ func (v *Views) Sinks() []probe.Sink {
 		Usagef("unknown -trace-format %q (want csv|perfetto)", *v.traceFormat)
 	}
 	if v.Offline() {
-		// A span log holds pub, sub and span records: no protocol events, no
-		// series. -trace-out still has the flow arrows to draw.
+		// A suite's gauges and lock names follow the host order in which
+		// superimposed clusters reported; a log replayed in canonical order
+		// cannot reproduce that order.
 		for _, f := range []struct {
 			name string
 			set  bool
-		}{
-			{"-top", *v.top > 0}, {"-pages", *v.pages > 0}, {"-metrics-out", *v.metricsOut != ""},
-			{"-trace-format csv", *v.traceOut != "" && *v.traceFormat == "csv"},
-		} {
+		}{{"-top", *v.top > 0}, {"-metrics-out", *v.metricsOut != ""}} {
 			if f.set {
-				Usagef("%s with -in: %s needs the events of a run, and a span log holds none", f.name, f.name)
+				Usagef("%s with -in: %s needs the metrics suite of a run, and a log cannot rebuild it", f.name, f.name)
 			}
 		}
 		return nil
@@ -82,21 +81,17 @@ func (v *Views) Sinks() []probe.Sink {
 		v.ms = metrics.NewSuite()
 		sinks = append(sinks, v.ms)
 	}
-	if *v.traceOut != "" || *v.pages > 0 {
+	if *v.traceOut != "" || *v.pages > 0 || *v.critpath != "" || *v.logOut != "" {
 		v.tr = trace.New(0)
 		sinks = append(sinks, v.tr)
-	}
-	if *v.critpath != "" || *v.spansOut != "" {
-		v.sr = span.NewRecorder(0)
-		sinks = append(sinks, v.sr)
 	}
 	return sinks
 }
 
 // Render writes every view Sinks attached a sink for: the hot-spot tables
 // and the event summary to w, the critical-path report to w or its file, and
-// the metrics, timeline and span-log files. Offline, the span log named by
-// -in stands in for the recorder.
+// the metrics, timeline and log files. Offline, the log named by -in is read
+// back into the tracer, and every view of the log renders as it did online.
 func (v *Views) Render(w io.Writer) error {
 	if v.ms != nil {
 		if *v.top > 0 {
@@ -109,45 +104,40 @@ func (v *Views) Render(w io.Writer) error {
 			fmt.Fprintf(w, "\nmetrics dump written to %s\n", *v.metricsOut)
 		}
 	}
-	if v.tr != nil {
-		if d := v.tr.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "%s: %d trace events dropped (per-node buffer limit): the event counts, biographies and timeline below are lower bounds, short by that many records\n", tool(), d)
-		}
-		writeEventSummary(w, v.tr)
-	}
-
-	var log span.Log
-	switch {
-	case v.Offline():
+	if v.Offline() {
 		f, err := os.Open(*v.in)
 		if err != nil {
 			return err
 		}
-		log, err = span.ReadJSON(f)
+		v.tr, err = trace.ReadLog(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("%s: %w", *v.in, err)
 		}
-		fmt.Fprintf(w, "%s: %.3f virtual ms, %d span records\n", *v.in, float64(log.Makespan)/1e6, len(log.Records))
-	case v.sr != nil:
-		log = span.Log{Makespan: v.sr.Makespan(), Records: v.sr.Records()}
-		if d := v.sr.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "%s: %d span records dropped (per-node buffer limit): the critical path is computed over a log short by that many records\n", tool(), d)
-		}
+		fmt.Fprintf(w, "%s: %d events\n", *v.in, v.tr.Len())
 	}
+	if v.tr == nil {
+		return nil
+	}
+	if d := v.tr.Dropped(); d > 0 {
+		fmt.Fprintf(os.Stderr, "%s: %d trace events dropped (per-node buffer limit): the event counts, biographies and timeline below are lower bounds, and the critical path is computed over a log short by that many events\n", tool(), d)
+	}
+	if *v.traceOut != "" || *v.pages > 0 {
+		writeEventSummary(w, v.tr)
+	}
+
 	var flows []trace.Flow
-	if log.Records != nil {
-		flows = span.Flows(log.Records)
-		// Every matched edge must point backward in time. The recorder can
-		// only produce such edges; a violation means a corrupted span log.
+	if *v.critpath != "" {
+		recs, makespan := span.Records(v.tr.Events())
+		flows = span.Flows(recs)
+		// Every matched edge must point backward in time. The projection can
+		// only produce such edges; a violation means a corrupted log.
 		for _, fl := range flows {
 			if fl.FromT > fl.ToT {
 				return fmt.Errorf("non-causal edge %s: pub at %d after sub at %d", fl.Name, fl.FromT, fl.ToT)
 			}
 		}
-	}
-	if *v.critpath != "" || v.Offline() {
-		rep, err := span.Analyze(log.Records, log.Makespan)
+		rep, err := span.Analyze(recs, makespan)
 		if err != nil {
 			return err
 		}
@@ -155,7 +145,7 @@ func (v *Views) Render(w io.Writer) error {
 			return errors.New("edge set is empty: no sub record found a causal pub")
 		}
 		report := func(w io.Writer) error { return span.WriteReport(w, rep, *v.k) }
-		if *v.critpath == "" || *v.critpath == "-" {
+		if *v.critpath == "-" {
 			fmt.Fprintln(w)
 			err = report(w)
 		} else if err = writeFile(*v.critpath, report); err == nil {
@@ -171,20 +161,16 @@ func (v *Views) Render(w io.Writer) error {
 			return err
 		}
 	}
-	if *v.spansOut != "" {
-		if err := writeFile(*v.spansOut, func(w io.Writer) error { return span.WriteLog(w, log) }); err != nil {
+	if *v.logOut != "" {
+		if err := writeFile(*v.logOut, v.tr.WriteLog); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "span log written to %s\n", *v.spansOut)
+		fmt.Fprintf(w, "log written to %s\n", *v.logOut)
 	}
 	if *v.traceOut != "" {
-		tr := v.tr
-		if tr == nil {
-			tr = trace.New(0) // offline: the flow arrows alone
-		}
-		write := tr.WriteCSV
+		write := v.tr.WriteCSV
 		if *v.traceFormat == "perfetto" {
-			write = func(w io.Writer) error { return tr.WritePerfettoFlows(w, flows) }
+			write = func(w io.Writer) error { return v.tr.WritePerfettoFlows(w, flows) }
 		}
 		if err := writeFile(*v.traceOut, write); err != nil {
 			return err
@@ -219,7 +205,7 @@ func writeHotSpots(w io.Writer, ms *metrics.Suite, top int) {
 				l.Local, l.Remote, l.Delegated)
 		}
 	}
-	d := ms.Reg.Dump()
+	d := ms.Dump()
 	if len(d.Histograms) > 0 {
 		fmt.Fprintf(w, "\nlatency distributions (virtual ns):\n")
 		fmt.Fprintf(w, "  %-52s %9s %9s %9s %9s %9s %9s\n",

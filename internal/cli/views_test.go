@@ -15,7 +15,6 @@ import (
 	"argo/internal/fault"
 	"argo/internal/locks"
 	"argo/internal/probe"
-	"argo/internal/span"
 	"argo/internal/trace"
 	"argo/internal/workloads/drf"
 	"argo/internal/workloads/wload"
@@ -100,7 +99,7 @@ func threeReplayableRuns(t *testing.T) {
 }
 
 // TestViewsRenderWhatTheThreeToolsPrinted: with every view asked for, Sinks
-// is exactly the three stock sinks, and Render over the three replayable runs
+// is exactly the two stock sinks, and Render over the three replayable runs
 // prints the hot-spot rows argo-top printed, the event counts argo-trace
 // printed and the critical-path report argo-critpath printed — the golden was
 // rendered by those tools' code on the last commit that had them (81f57a9) —
@@ -109,10 +108,10 @@ func TestViewsRenderWhatTheThreeToolsPrinted(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string) string { return filepath.Join(dir, name) }
 	v := parseViews(false, "-top", "10", "-metrics-out", file("m.json"), "-trace-out", file("t.json"),
-		"-critpath", "-", "-pages", "2", "-spans-out", file("s.json"))
+		"-critpath", "-", "-pages", "2", "-log-out", file("l.json"))
 	sinks := v.Sinks()
-	if len(sinks) != 3 || sinks[0] != probe.Sink(v.ms) || sinks[1] != probe.Sink(v.tr) || sinks[2] != probe.Sink(v.sr) {
-		t.Fatalf("all views: Sinks() = %v, want the suite, the tracer and the recorder", sinks)
+	if len(sinks) != 2 || sinks[0] != probe.Sink(v.ms) || sinks[1] != probe.Sink(v.tr) {
+		t.Fatalf("all views: Sinks() = %v, want the suite and the tracer", sinks)
 	}
 	HookConfigs(sinks, nil)
 	threeReplayableRuns(t)
@@ -140,7 +139,7 @@ func TestViewsRenderWhatTheThreeToolsPrinted(t *testing.T) {
 		t.Errorf("-pages 2 printed no biography after the report:\n%s", rest)
 	}
 
-	for _, name := range []string{"m.json", "t.json", "s.json"} {
+	for _, name := range []string{"m.json", "t.json", "l.json"} {
 		data, err := os.ReadFile(file(name))
 		if err != nil {
 			t.Fatal(err)
@@ -154,19 +153,58 @@ func TestViewsRenderWhatTheThreeToolsPrinted(t *testing.T) {
 	if data, _ := os.ReadFile(file("t.json")); !bytes.Contains(data, []byte(`"ph":"s"`)) {
 		t.Error("timeline written with -critpath has no flow-start events")
 	}
+}
 
-	// Offline, the span log alone reproduces the report.
-	off := parseViews(true, "-in", file("s.json"))
-	if sinks := off.Sinks(); sinks != nil || !off.Offline() {
-		t.Fatalf("-in: Sinks() = %v, Offline() = %v", sinks, off.Offline())
+// TestViewsOfflineEqualsOnline: every view of the log renders from the saved
+// log what it rendered in the run that wrote it — the event summary, the
+// biographies, the critical-path report and both timelines, flow arrows
+// included — byte for byte; only the lines naming the files differ.
+func TestViewsOfflineEqualsOnline(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name string) string { return filepath.Join(dir, name) }
+	// render parses args, runs the three replayable runs unless -in is among
+	// them, and returns what Render printed, less the lines naming a file.
+	render := func(offline bool, args ...string) string {
+		v := parseViews(offline, args...)
+		if sinks := v.Sinks(); !offline {
+			HookConfigs(sinks, nil)
+			threeReplayableRuns(t)
+			core.ConfigHook = nil
+		}
+		var out bytes.Buffer
+		if err := v.Render(&out); err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if !strings.Contains(line, dir) {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
 	}
-	var again bytes.Buffer
-	if err := off.Render(&again); err != nil {
-		t.Fatal(err)
-	}
-	report := want[bytes.Index(want, []byte("critical path:")):]
-	if !strings.Contains(again.String(), string(report)) {
-		t.Fatalf("offline report differs from the run's:\n%s", again.String())
+	for _, format := range []string{"csv", "perfetto"} {
+		views := []string{"-pages", "2", "-critpath", "-", "-trace-format", format}
+		online := render(false, append(views, "-trace-out", file("on."+format), "-log-out", file(format+".log"))...)
+		offline := render(true, append(views, "-trace-out", file("off."+format), "-in", file(format+".log"))...)
+		if online != offline {
+			t.Fatalf("%s: offline printed\n%s\n\nonline\n%s", format, offline, online)
+		}
+		for _, want := range []string{"event counts:", "critical path:", "page 0: "} {
+			if !strings.Contains(online, want) {
+				t.Fatalf("%s: no %q in\n%s", format, want, online)
+			}
+		}
+		on, err := os.ReadFile(file("on." + format))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off, err := os.ReadFile(file("off." + format)); err != nil || !bytes.Equal(on, off) {
+			t.Fatalf("%s: the timeline from the log differs from the run's (err %v)", format, err)
+		}
+		if format == "perfetto" && !bytes.Contains(on, []byte(`"ph":"s"`)) {
+			t.Error("perfetto timeline with -critpath has no flow-start events")
+		}
 	}
 }
 
@@ -191,8 +229,8 @@ func TestViewsExitPaths(t *testing.T) {
 		os.Exit(0)
 	}
 	dir := t.TempDir()
-	spans := filepath.Join(dir, "s.json")
-	if err := writeFile(spans, span.NewRecorder(0).WriteJSON); err != nil {
+	log, dropped := filepath.Join(dir, "l.json"), filepath.Join(dir, "dropped.json")
+	if err := writeFile(log, trace.New(0).WriteLog); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -200,13 +238,13 @@ func TestViewsExitPaths(t *testing.T) {
 		status     int
 		stderr     []string
 	}{
-		{"run", "-in " + spans + " -pages 3", 2, []string{"-pages with -in"}},
-		{"run", "-in " + spans + " -top 5", 2, []string{"-top with -in"}},
-		{"run", "-in " + spans + " -metrics-out " + filepath.Join(dir, "m.json"), 2, []string{"-metrics-out with -in"}},
-		{"run", "-in " + spans + " -trace-format csv -trace-out " + filepath.Join(dir, "t.csv"), 2, []string{"-trace-format csv with -in"}},
+		{"run", "-in " + log + " -top 5", 2, []string{"-top with -in"}},
+		{"run", "-in " + log + " -metrics-out " + filepath.Join(dir, "m.json"), 2, []string{"-metrics-out with -in"}},
 		{"run", "-trace-format svg -trace-out " + filepath.Join(dir, "t.svg"), 2, []string{`unknown -trace-format "svg"`, "csv|perfetto"}},
 		{"run", "-in " + filepath.Join(dir, "missing.json"), 1, []string{"missing.json"}},
-		{"drop", "-trace-out " + filepath.Join(dir, "t.json"), 0, []string{"3 trace events dropped", "lower bounds", "short by that many"}},
+		{"drop", "-trace-out " + filepath.Join(dir, "t.json") + " -log-out " + dropped, 0, []string{"3 trace events dropped", "lower bounds", "short by that many"}},
+		// The log keeps its drop count: read back, it warns as the run did.
+		{"run", "-in " + dropped + " -trace-out " + filepath.Join(dir, "t2.json"), 0, []string{"3 trace events dropped", "lower bounds", "short by that many"}},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestViewsExitPaths$")
 		cmd.Env = append(os.Environ(), "ARGO_VIEWS_TOOL="+c.mode, "ARGO_VIEWS_ARGS="+c.args)

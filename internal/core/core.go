@@ -68,10 +68,11 @@ type Config struct {
 	// the cluster's fabric (see package fault). Nil means fault-free.
 	Faults *fault.Plan
 
-	// Observers are the sinks of the cluster's probe spine: a trace.Tracer
-	// (protocol events), a metrics.Suite (Argoscope histograms, counters, hot
-	// spots), a span.Recorder (Pictor spans and happens-before edges), or
-	// anything else with an Observe method. NewCluster hands the spine to
+	// Observers are the sinks of the cluster's probe spine: either of the
+	// two stock sinks — a trace.Tracer (the log of every event, which the
+	// timelines and Pictor's critical path read) and a metrics.Suite
+	// (Argoscope histograms, counters, hot spots) — or anything else with an
+	// Observe method. NewCluster hands the spine to
 	// every layer before it returns, so locks, flags and barriers built later
 	// report too. Clusters may share an observer. With none, every emission
 	// site costs one nil check.

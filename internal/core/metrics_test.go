@@ -34,7 +34,7 @@ func TestConfigMetricsWiring(t *testing.T) {
 		th.Coh.SDFence(th.P)
 	})
 
-	d := ms.Reg.Dump()
+	d := ms.Dump()
 	hists := map[string]int64{}
 	for _, h := range d.Histograms {
 		key := h.Name
@@ -111,7 +111,7 @@ func TestHitsProbeMatchesProcHits(t *testing.T) {
 	ms := metrics.NewSuite()
 	attached, detached := run(ms), run(nil)
 	var counter int64
-	for _, cs := range ms.Reg.Dump().Counters {
+	for _, cs := range ms.Dump().Counters {
 		if cs.Name == "argo_cache_events_total" && cs.Labels["event"] == "hit" {
 			counter += cs.Value
 		}

@@ -8,6 +8,7 @@ import (
 	"argo/internal/probe"
 	"argo/internal/sim"
 	"argo/internal/span"
+	"argo/internal/trace"
 )
 
 func testTopo() sim.Topology {
@@ -147,17 +148,18 @@ func TestLineFetchAllLocal(t *testing.T) {
 }
 
 // FetchLine charges NICs and paints their spans home by home in the order
-// given (ascending), so the span log of a fetch is the same on every run; the
+// given (ascending), so Pictor's records of a fetch are the same on every run; the
 // map adapter sorts its way to the same call.
 func TestFetchLineHomeOrderAndMapAdapter(t *testing.T) {
 	run := func(fetch func(f *Fabric, p *sim.Proc)) (sim.Time, []span.Record) {
 		f := MustNew(testTopo(), DefaultParams())
-		sr := span.NewRecorder(0)
-		f.Obs = probe.NewSpine([]probe.Sink{sr})
+		tr := trace.New(0)
+		f.Obs = probe.NewSpine([]probe.Sink{tr})
 		p := &sim.Proc{Node: 2}
 		fetch(f, p)
+		recs, _ := span.Records(tr.Events())
 		var nic []span.Record
-		for _, r := range sr.Records() {
+		for _, r := range recs {
 			if r.Cat == span.NIC {
 				nic = append(nic, r)
 			}

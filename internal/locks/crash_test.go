@@ -73,7 +73,7 @@ func TestTicketReissuesReportRecovery(t *testing.T) {
 		}
 	})
 	var recovered int64
-	for _, h := range ms.Reg.Dump().Histograms {
+	for _, h := range ms.Dump().Histograms {
 		if op := h.Labels["op"]; h.Name == "argo_fault_recovery_ns" && (op == fault.ClassAtomic.String() || op == fault.ClassWrite.String()) {
 			recovered += h.Count
 		}
@@ -137,7 +137,7 @@ func TestTicketLockDeadHolderExcised(t *testing.T) {
 	if got := acquired.Load(); got != nodes-1 {
 		t.Fatalf("%d survivors acquired the lock, want %d", got, nodes-1)
 	}
-	exc := ms.Reg.Counter("argo_crash_lock_excisions_total", "").Value()
+	exc := excisions(ms)
 	if exc != 1 {
 		t.Fatalf("argo_crash_lock_excisions_total = %d, want 1", exc)
 	}
@@ -270,7 +270,7 @@ func TestTicketLockPrunedWaiterReused(t *testing.T) {
 	if doomedRan.Load() || !survivorRan.Load() {
 		t.Fatalf("pruned waiter ran: %v, later acquirer ran: %v", doomedRan.Load(), survivorRan.Load())
 	}
-	if exc := ms.Reg.Counter("argo_crash_lock_excisions_total", "").Value(); exc != 0 {
+	if exc := excisions(ms); exc != 0 {
 		t.Fatalf("argo_crash_lock_excisions_total = %d: a reused waiter remembered an excision", exc)
 	}
 	l.mu.Lock()
@@ -334,7 +334,7 @@ func TestTicketLockHolderCrashAtUnlockSafePoint(t *testing.T) {
 	if c.Health.Alive(1) {
 		t.Fatal("node 1 still alive after its safe-point crash")
 	}
-	exc := ms.Reg.Counter("argo_crash_lock_excisions_total", "").Value()
+	exc := excisions(ms)
 	if exc != 1 {
 		t.Fatalf("argo_crash_lock_excisions_total = %d, want 1", exc)
 	}
@@ -433,7 +433,7 @@ func TestTicketLockPartitionedHolderFenced(t *testing.T) {
 	if reacquired.Load() != 1 {
 		t.Fatal("healed node never reacquired the lock")
 	}
-	exc := ms.Reg.Counter("argo_crash_lock_excisions_total", "").Value()
+	exc := excisions(ms)
 	if exc != 1 {
 		t.Fatalf("argo_crash_lock_excisions_total = %d, want 1", exc)
 	}
@@ -456,4 +456,14 @@ func TestTicketLockPartitionedHolderFenced(t *testing.T) {
 		t.Fatalf("lock not clean after heal: locked=%v holder=%d waiters=%d",
 			l.locked, l.holder, l.waiters.Len())
 	}
+}
+
+// excisions reads argo_crash_lock_excisions_total from the suite's dump.
+func excisions(ms *metrics.Suite) int64 {
+	for _, c := range ms.Dump().Counters {
+		if c.Name == "argo_crash_lock_excisions_total" {
+			return c.Value
+		}
+	}
+	return 0
 }

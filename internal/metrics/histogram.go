@@ -61,18 +61,15 @@ type histShard struct {
 }
 
 // histogram is a lock-free sharded latency histogram. The zero value is not
-// usable; create through Registry.histogram. A nil *histogram ignores
-// records, so probes can stay nil-check-only.
+// usable; create through newHistogram. A nil *histogram ignores records.
 type histogram struct {
-	name   string
-	labels []Label
 	shards [numShards]histShard
 }
 
 // newHistogram creates an empty histogram (shard minimums pre-set so the
 // min CAS loop in Record needs no "first value" special case).
-func newHistogram(name string, labels []Label) *histogram {
-	h := &histogram{name: name, labels: labels}
+func newHistogram() *histogram {
+	h := &histogram{}
 	for i := range h.shards {
 		h.shards[i].min.Store(math.MaxInt64)
 		h.shards[i].max.Store(math.MinInt64)

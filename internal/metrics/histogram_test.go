@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"argo/internal/probe"
 )
 
 // lcg is a deterministic pseudo-random source (no math/rand seeding drift
@@ -39,7 +41,7 @@ func TestBucketOfMonotonicAndBounded(t *testing.T) {
 // quantile is an upper bound on the exact order statistic and overshoots it
 // by at most one sub-bucket width (25% relative for values >= 4).
 func TestQuantileRelativeError(t *testing.T) {
-	h := newHistogram("t", nil)
+	h := newHistogram()
 	r := lcg(42)
 	var vals []int64
 	for i := 0; i < 20000; i++ {
@@ -81,7 +83,7 @@ func TestQuantileRelativeError(t *testing.T) {
 // must bound every per-shard snapshot's extremes, and quantiles must be
 // monotone in q.
 func TestMergedQuantilesBoundShardExtremes(t *testing.T) {
-	h := newHistogram("t", nil)
+	h := newHistogram()
 	r := lcg(7)
 	for i := 0; i < 5000; i++ {
 		h.record(int(r.intn(numShards)), r.intn(1_000_000))
@@ -122,8 +124,8 @@ func TestMergedQuantilesBoundShardExtremes(t *testing.T) {
 }
 
 func TestHistogramMergeAddsAndEmptyIsNeutral(t *testing.T) {
-	a := newHistogram("t", nil)
-	b := newHistogram("t", nil)
+	a := newHistogram()
+	b := newHistogram()
 	for i := int64(1); i <= 100; i++ {
 		a.record(0, i)
 		b.record(1, i*1000)
@@ -153,14 +155,9 @@ func TestHistogramMergeAddsAndEmptyIsNeutral(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var h *histogram
 	h.record(3, 17) // must not panic
-	var c *Counter
-	c.add(1)
-	c.add(5)
-	var g *gauge
-	g.set(2)
 	var p *PageProfile
-	p.readMiss(1)
-	p.evict(2)
+	p.bump(1, pageNotes[probe.ReadMiss])
+	p.bump(2, pageNotes[probe.Evict])
 	var ls *lockCounters
 	ls.acquired(10)
 	ls.released(10)
@@ -169,9 +166,7 @@ func TestNilSafety(t *testing.T) {
 // TestConcurrentRecording hammers one histogram and one counter from many
 // goroutines; meaningful under -race, and the totals must still balance.
 func TestConcurrentRecording(t *testing.T) {
-	reg := newRegistry()
-	h := reg.histogram("race_hist", "h")
-	c := reg.Counter("race_count", "c")
+	h, c := newHistogram(), new(counter)
 	const workers, per = 8, 4000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -181,7 +176,7 @@ func TestConcurrentRecording(t *testing.T) {
 			r := lcg(w + 1)
 			for i := 0; i < per; i++ {
 				h.record(w, r.intn(1<<20))
-				c.add(1)
+				c.put(w, 1)
 			}
 		}(w)
 	}
@@ -189,7 +184,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := h.snapshot().Count; got != workers*per {
 		t.Fatalf("histogram count %d, want %d", got, workers*per)
 	}
-	if got := c.Value(); got != workers*per {
+	if got := c.v.Load(); got != workers*per {
 		t.Fatalf("counter %d, want %d", got, workers*per)
 	}
 }

@@ -44,7 +44,8 @@ func newPageProfile() *PageProfile {
 	return &PageProfile{m: map[int]*PageStat{}}
 }
 
-func (pp *PageProfile) bump(page int, f func(*PageStat)) {
+// bump attributes one event to page, in the PageStat field field selects.
+func (pp *PageProfile) bump(page int, field func(*PageStat) *int64) {
 	if pp == nil {
 		return
 	}
@@ -54,27 +55,9 @@ func (pp *PageProfile) bump(page int, f func(*PageStat)) {
 		s = &PageStat{Page: page}
 		pp.m[page] = s
 	}
-	f(s)
+	*field(s)++
 	pp.mu.Unlock()
 }
-
-// readMiss attributes one read miss to page.
-func (pp *PageProfile) readMiss(page int) { pp.bump(page, func(s *PageStat) { s.ReadMisses++ }) }
-
-// writeMiss attributes one write miss to page.
-func (pp *PageProfile) writeMiss(page int) { pp.bump(page, func(s *PageStat) { s.WriteMisses++ }) }
-
-// writeback attributes one downgrade to page.
-func (pp *PageProfile) writeback(page int) { pp.bump(page, func(s *PageStat) { s.Writebacks++ }) }
-
-// invalidate attributes one self-invalidation to page.
-func (pp *PageProfile) invalidate(page int) { pp.bump(page, func(s *PageStat) { s.Invalidations++ }) }
-
-// notify attributes one classification-transition notify to page.
-func (pp *PageProfile) notify(page int) { pp.bump(page, func(s *PageStat) { s.Notifies++ }) }
-
-// evict attributes one conflict/write-buffer eviction to page.
-func (pp *PageProfile) evict(page int) { pp.bump(page, func(s *PageStat) { s.Evictions++ }) }
 
 // TopK returns the k highest-scoring pages, descending (ties by page).
 func (pp *PageProfile) TopK(k int, score func(PageStat) int64) []PageStat {

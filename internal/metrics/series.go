@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 
 	"argo/internal/fault"
@@ -63,9 +66,9 @@ func ops(val value) []feed {
 }
 
 // families is Argoscope's whole vocabulary: every series name, help string and
-// label, and the probe kinds behind each. A suite registers them all on its
-// first event: one that observed a cluster exports every series (a lock
-// algorithm nobody built reads zero), one that observed nothing exports none.
+// label, and the probe kinds behind each. A suite builds them all on its first
+// event: one that observed a cluster exports every series (a lock algorithm
+// nobody built reads zero), one that observed nothing exports none.
 var families = []def{
 	// Page cache. Hits are published in batches, at fences and at the end of
 	// a launch, from the threads' own counts: a hit itself emits nothing.
@@ -139,43 +142,35 @@ var families = []def{
 // a histogram records on the emitting node's shard.
 type instrument interface{ put(node int, v int64) }
 
-func (c *Counter) put(_ int, v int64)      { c.add(v) }
-func (g *gauge) put(_ int, v int64)        { g.set(v) }
+func (c *counter) put(_ int, v int64)      { c.v.Add(v) }
+func (g *gauge) put(_ int, v int64)        { g.v.Store(v) }
 func (h *histogram) put(node int, v int64) { h.record(node, v) }
 
-// bound is a feed resolved against a registry: events whose Arg is when (any
-// Arg if when is negative) put val into to.
+// bound is a feed resolved against a suite's series: events whose Arg is when
+// (any Arg if when is negative) put val into to.
 type bound struct {
 	val  value
 	when int64
 	to   instrument
 }
 
-// series returns f's series labelled label in r.
-func (r *Registry) series(f def, label string) instrument {
-	var ls []Label
-	if f.key != "" {
-		ls = []Label{{f.key, label}}
-	}
-	switch f.typ {
-	case kindCounter:
-		return r.Counter(f.name, f.help, ls...)
-	case kindGauge:
-		return r.gauge(f.name, f.help, ls...)
-	}
-	return r.histogram(f.name, f.help, ls...)
+// series is one series of a family: the one its label names.
+type series struct {
+	f     *def
+	label string
+	in    instrument
 }
 
-// Suite bundles the registry with the hot-spot profiles; it is the sink a
-// cluster reports into (core.Config.Observers). Several clusters may share
-// one: series are keyed by name and labels and accumulate.
+// Suite holds a series for every label of every family, and the hot-spot
+// profiles; it is the sink a cluster reports into (core.Config.Observers).
+// Several clusters may share one: their events accumulate in the same series.
 type Suite struct {
-	Reg   *Registry
 	Pages *PageProfile
 	Locks *LockProfile
 
-	bind  sync.Once // registers families, on the first event
-	feeds [probe.NumKinds][]bound
+	bind   sync.Once // builds the series, on the first event
+	series []series  // by family name, then label
+	feeds  [probe.NumKinds][]bound
 
 	// lockStats maps a lock's key to its *LockStat, from its LockNew on. Keys
 	// are per cluster: of two clusters' locks with one key the last built wins.
@@ -184,28 +179,50 @@ type Suite struct {
 
 // NewSuite creates an empty observability suite.
 func NewSuite() *Suite {
-	return &Suite{Reg: newRegistry(), Pages: newPageProfile(), Locks: newLockProfile()}
+	return &Suite{Pages: newPageProfile(), Locks: newLockProfile()}
 }
 
-// register resolves every series of families in s.Reg and binds the feeds.
-func (s *Suite) register() {
-	for _, f := range families {
+// build makes every series of families and binds the feeds to them.
+func (s *Suite) build() {
+	for i := range families {
+		f := &families[i]
+		of := map[string]instrument{}
+		at := func(label string) instrument {
+			if of[label] == nil {
+				switch f.typ {
+				case kindCounter:
+					of[label] = new(counter)
+				case kindGauge:
+					of[label] = new(gauge)
+				default:
+					of[label] = newHistogram()
+				}
+				s.series = append(s.series, series{f, label, of[label]})
+			}
+			return of[label]
+		}
 		for _, fd := range f.feeds {
 			if fd.by == nil {
-				s.feeds[fd.kind] = append(s.feeds[fd.kind], bound{fd.val, -1, s.Reg.series(f, fd.label)})
+				s.feeds[fd.kind] = append(s.feeds[fd.kind], bound{fd.val, -1, at(fd.label)})
 			}
 			for code, label := range fd.by {
-				s.feeds[fd.kind] = append(s.feeds[fd.kind], bound{fd.val, int64(code), s.Reg.series(f, label)})
+				s.feeds[fd.kind] = append(s.feeds[fd.kind], bound{fd.val, int64(code), at(label)})
 			}
 		}
 	}
+	slices.SortFunc(s.series, func(a, b series) int {
+		return cmp.Or(strings.Compare(a.f.name, b.f.name), strings.Compare(a.label, b.label))
+	})
 }
 
-// pageNotes says which kinds the page profile counts, and as what.
-var pageNotes = [probe.NumKinds]func(*PageProfile, int){
-	probe.ReadMiss: (*PageProfile).readMiss, probe.WriteMiss: (*PageProfile).writeMiss,
-	probe.Writeback: (*PageProfile).writeback, probe.Invalidate: (*PageProfile).invalidate,
-	probe.Notify: (*PageProfile).notify, probe.Evict: (*PageProfile).evict,
+// pageNotes says which kinds the page profile counts, and in which field.
+var pageNotes = [probe.NumKinds]func(*PageStat) *int64{
+	probe.ReadMiss:   func(s *PageStat) *int64 { return &s.ReadMisses },
+	probe.WriteMiss:  func(s *PageStat) *int64 { return &s.WriteMisses },
+	probe.Writeback:  func(s *PageStat) *int64 { return &s.Writebacks },
+	probe.Invalidate: func(s *PageStat) *int64 { return &s.Invalidations },
+	probe.Notify:     func(s *PageStat) *int64 { return &s.Notifies },
+	probe.Evict:      func(s *PageStat) *int64 { return &s.Evictions },
 }
 
 // Observe feeds e into every series families binds to its kind, then into
@@ -213,14 +230,14 @@ var pageNotes = [probe.NumKinds]func(*PageProfile, int){
 // events only — never on hits — so the profile's cost is proportional to
 // protocol traffic.
 func (s *Suite) Observe(e probe.Event) {
-	s.bind.Do(s.register)
+	s.bind.Do(s.build)
 	for _, b := range s.feeds[e.Kind] {
 		if b.when < 0 || b.when == e.Arg {
 			b.to.put(e.Node, b.val(e))
 		}
 	}
-	if note := pageNotes[e.Kind]; note != nil {
-		note(s.Pages, e.Page)
+	if field := pageNotes[e.Kind]; field != nil {
+		s.Pages.bump(e.Page, field)
 	}
 	switch e.Kind {
 	case probe.LockNew:

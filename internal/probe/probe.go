@@ -2,10 +2,12 @@
 // protocol action has exactly one issuer, so every observable fact has one
 // place where it becomes true; there it is emitted once, as one typed Event,
 // into the cluster's Spine, which fans it out to the sinks the cluster was
-// built with (core.Config.Observers). The tracer (package trace), Pictor
-// (package span) and Argoscope (package metrics) are such sinks, and each owns
-// its projection of the stream: which kinds it keeps and what it makes of
-// them. The protocol layers import this package and none of those.
+// built with (core.Config.Observers). The two stock sinks are the tracer
+// (package trace), which keeps the log of every event, and Argoscope (package
+// metrics), which feeds its series. The log's readers — the trace's timelines
+// and Pictor (package span) — each own their projection of it: which kinds
+// they read and what they make of them. The protocol layers import this
+// package and none of those.
 //
 // A layer holds one *Spine that is nil when nothing is attached, and an
 // emission site is one call behind one nil check: detached runs build no

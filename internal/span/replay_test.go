@@ -10,16 +10,17 @@ import (
 	"argo/internal/locks"
 	"argo/internal/metrics"
 	"argo/internal/span"
+	"argo/internal/trace"
 	"argo/internal/vela"
 	"argo/internal/workloads/drf"
 )
 
-// ringReport runs the ring workload once with a fresh span recorder attached
-// and returns the critical-path report and the run's death count.
+// ringReport runs the ring workload once with a fresh tracer attached and
+// returns the critical-path report of its log and the run's death count.
 func ringReport(t *testing.T, nodes int, plan *fault.Plan) (*span.Report, int) {
 	t.Helper()
-	sr := span.NewRecorder(0)
-	core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, sr) }
+	tr := trace.New(0)
+	core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, tr) }
 	defer func() { core.ConfigHook = nil }()
 	pr := drf.DefaultRing(nodes)
 	pr.Faults = plan
@@ -27,7 +28,7 @@ func ringReport(t *testing.T, nodes int, plan *fault.Plan) (*span.Report, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := span.Analyze(sr.Records(), sr.Makespan())
+	rep, err := span.Analyze(span.Records(tr.Events()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestWaitHistogramsRecorded(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	d := ms.Reg.Dump()
+	d := ms.Dump()
 	if n := histCount(d, "argo_lock_wait_ns"); n == 0 {
 		t.Fatal("argo_lock_wait_ns recorded no samples")
 	}

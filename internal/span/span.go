@@ -1,7 +1,7 @@
 // Package span is Pictor, the Argo simulator's causal tracing layer: it
-// records happens-before edges alongside the flat protocol events of
-// package trace, and turns them into a virtual-time critical path with
-// every nanosecond of the makespan attributed to a cost category.
+// reads happens-before edges out of the log of a run that package trace
+// keeps, and turns them into a virtual-time critical path with every
+// nanosecond of the makespan attributed to a cost category.
 //
 // Three record types cover the model:
 //
@@ -18,19 +18,14 @@
 //     not after it, which at a barrier selects exactly the serialization
 //     point (the last arrival).
 //
-// A Recorder is a sink of package probe: the protocol layers emit facts, and
-// the tables below say which kinds paint a lane and which are the endpoints
-// of an edge. Runs without a recorder among their observers stay
-// bit-identical. Records are buffered per node; analysis canonically re-sorts
-// them, so the record multiset — not the host interleaving — determines the
-// result.
+// Records reads them out of the events of package probe that a
+// trace.Tracer keeps: the protocol layers emit facts, and the table below
+// says which kinds paint a lane and which are the endpoints of an edge.
+// Its records come out canonically sorted, so the event multiset — not the
+// host interleaving — determines the analysis, online or from a saved log.
 package span
 
-import (
-	"sync/atomic"
-
-	"argo/internal/probe"
-)
+import "argo/internal/probe"
 
 // Category classifies where a nanosecond of lane time went.
 type Category uint8
@@ -120,28 +115,27 @@ const (
 	RSub
 )
 
-// Record is one span, pub or sub. One flat struct keeps the log trivially
-// serializable.
+// Record is one span, pub or sub.
 type Record struct {
-	Type RecType `json:"y"`
-	Node int     `json:"n"`
-	Tid  int     `json:"i"`
+	Type RecType
+	Node int
+	Tid  int
 	// T is the span end, pub time or sub time (virtual ns).
-	T int64 `json:"t"`
+	T int64
 	// Start is the span start (RSpan only).
-	Start int64 `json:"s,omitempty"`
+	Start int64
 	// Cat is the paint category (RSpan) or the wait category a matched
 	// edge's covered interval is attributed to (RSub).
-	Cat Category `json:"c,omitempty"`
+	Cat Category
 	// Kind and Key identify the edge (RPub/RSub); pubs and subs match on
 	// the pair.
-	Kind EdgeKind `json:"k,omitempty"`
-	Key  uint64   `json:"e,omitempty"`
+	Kind EdgeKind
+	Key  uint64
 	// Arg is kind-specific context (episode, dead node, pages…).
-	Arg int64 `json:"a,omitempty"`
+	Arg int64
 }
 
-// Order places r in the canonical order of a span log: T, Node, Tid, Type,
+// Order places r in the canonical order of Pictor's records: T, Node, Tid, Type,
 // Kind, Key, Start, Cat, Arg.
 func (r Record) Order() probe.Order {
 	return probe.Order{r.T, int64(r.Node), int64(r.Tid), int64(r.Type), int64(r.Kind), int64(r.Key), r.Start, int64(r.Cat), r.Arg}
@@ -194,80 +188,29 @@ var views = [probe.NumKinds]view{
 	probe.CrashWait:     {cat: Recovery, end: RSub, edge: Crash},
 }
 
-// Recorder collects records from all nodes of the clusters it observes. The
-// zero value is not usable; a nil *Recorder holds nothing and ignores events.
-type Recorder struct {
-	buf      *probe.Lanes[Record]
-	makespan atomic.Int64
-}
-
-// NewRecorder creates a recorder keeping at most limit records per node
-// (0 means 1<<21).
-func NewRecorder(limit int) *Recorder {
-	if limit <= 0 {
-		limit = 1 << 21
-	}
-	return &Recorder{buf: probe.NewLanes[Record](limit)}
-}
-
-func (r *Recorder) lanes() *probe.Lanes[Record] {
-	if r == nil {
-		return nil
-	}
-	return r.buf
-}
-
-// Observe projects e through views (probe.Sink): a span if the kind paints
-// and the interval is not empty or inverted (a start before 0 is clamped), a
-// pub or a sub if it is an edge endpoint. A launch's end leaves its makespan,
-// to which analysis extends the critical path; the largest one is kept.
-func (r *Recorder) Observe(e probe.Event) {
-	if r == nil {
-		return
-	}
-	if e.Kind == probe.RunEnd {
-		for m := r.makespan.Load(); e.T > m && !r.makespan.CompareAndSwap(m, e.T); {
-			m = r.makespan.Load()
+// Records is Pictor's reading of a run's log: every event projected through
+// views — a span if the kind paints and the interval is not empty or inverted
+// (a start before 0 is clamped), a pub or a sub if it is an edge endpoint — in
+// the canonical order of Record.Order, and the makespan, the latest launch's
+// end, to which analysis extends the critical path. The records are a
+// function of the event multiset, not of the order events come in.
+func Records(events []probe.Event) (recs []Record, makespan int64) {
+	for _, e := range events {
+		if e.Kind == probe.RunEnd {
+			makespan = max(makespan, e.T)
+			continue
 		}
-		return
+		v := views[e.Kind]
+		if v.cat != Compute && e.T > e.Start {
+			recs = append(recs, Record{Type: RSpan, Node: e.Node, Tid: e.Tid, T: e.T, Start: max(e.Start, 0), Cat: v.cat, Arg: e.Arg})
+		}
+		switch v.end {
+		case RPub:
+			recs = append(recs, Record{Type: RPub, Node: e.Node, Tid: e.Tid, T: e.T, Kind: v.edge, Key: e.Key, Arg: e.Arg})
+		case RSub:
+			recs = append(recs, Record{Type: RSub, Node: e.Node, Tid: e.Tid, T: e.T, Kind: v.edge, Key: e.Key, Cat: v.cat})
+		}
 	}
-	v := views[e.Kind]
-	if v.cat != Compute && e.T > e.Start {
-		r.buf.Append(e.Node, Record{Type: RSpan, Node: e.Node, Tid: e.Tid, T: e.T, Start: max(e.Start, 0), Cat: v.cat, Arg: e.Arg})
-	}
-	switch v.end {
-	case RPub:
-		r.buf.Append(e.Node, Record{Type: RPub, Node: e.Node, Tid: e.Tid, T: e.T, Kind: v.edge, Key: e.Key, Arg: e.Arg})
-	case RSub:
-		r.buf.Append(e.Node, Record{Type: RSub, Node: e.Node, Tid: e.Tid, T: e.T, Kind: v.edge, Key: e.Key, Cat: v.cat})
-	}
-}
-
-// Makespan returns the largest makespan noted so far.
-func (r *Recorder) Makespan() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.makespan.Load()
-}
-
-// Records returns all records in the canonical order of Record.Order. Within
-// one thread the append order is already virtual-time order; the canonical
-// sort makes the result independent of how the host interleaved different
-// threads' appends.
-func (r *Recorder) Records() []Record { return r.lanes().Sorted() }
-
-// Len reports the total number of buffered records.
-func (r *Recorder) Len() int { return r.lanes().Len() }
-
-// Dropped reports how many records were discarded due to the per-node limit.
-func (r *Recorder) Dropped() int { return r.lanes().Dropped() }
-
-// Reset discards all records and the noted makespan.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.buf.Reset()
-	r.makespan.Store(0)
+	sortRecords(recs)
+	return recs, makespan
 }

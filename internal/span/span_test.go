@@ -3,13 +3,15 @@ package span
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"argo/internal/probe"
+	"argo/internal/trace"
 )
 
-// The events these tests feed a recorder, named for what its projection makes
+// The events these tests feed Records, named for what its projection makes
 // of them: a remote read paints [start, end) Remote, a ticket release is a
 // Handoff pub, the end of a ticket wait (here an instant: it paints nothing)
 // a Handoff sub attributing to LockWait, a launch's end leaves the makespan.
@@ -26,38 +28,28 @@ func runEnd(makespan int64) probe.Event {
 	return probe.Event{Kind: probe.RunEnd, Start: makespan, T: makespan}
 }
 
-func TestNilRecorderSafe(t *testing.T) {
-	var r *Recorder
-	r.Observe(remote(0, 0, 0, 10, 0))
-	r.Observe(handoffPub(0, 0, 5, 1))
-	r.Observe(handoffSub(0, 0, 7, 1))
-	r.Observe(runEnd(100))
-	if r.Records() != nil || r.Len() != 0 || r.Dropped() != 0 || r.Makespan() != 0 {
-		t.Fatal("nil recorder misbehaved")
-	}
-	r.Reset()
+// records is what Records makes of events.
+func records(events ...probe.Event) []Record {
+	recs, _ := Records(events)
+	return recs
 }
 
-func TestRecorderLimitAndReset(t *testing.T) {
-	r := NewRecorder(2)
-	for i := 0; i < 5; i++ {
-		r.Observe(remote(0, 0, int64(i), int64(i+1), 0))
+func TestRecordsMakespanIsTheLatestRunEnd(t *testing.T) {
+	recs, makespan := Records([]probe.Event{runEnd(100), remote(0, 0, 0, 10, 0), runEnd(250), runEnd(40)})
+	if makespan != 250 || len(recs) != 1 {
+		t.Fatalf("makespan %d, records %+v", makespan, recs)
 	}
-	if r.Len() != 2 || r.Dropped() != 3 {
-		t.Fatalf("len=%d dropped=%d, want 2/3", r.Len(), r.Dropped())
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 || r.Makespan() != 0 {
-		t.Fatal("reset incomplete")
+	if recs, makespan := Records(nil); recs != nil || makespan != 0 {
+		t.Fatalf("no events: records %+v, makespan %d", recs, makespan)
 	}
 }
 
 func TestSpanIgnoresEmptyAndClamps(t *testing.T) {
-	r := NewRecorder(0)
-	r.Observe(remote(0, 0, 10, 10, 0)) // empty
-	r.Observe(remote(0, 0, 10, 5, 0))  // inverted
-	r.Observe(remote(0, 0, -5, 5, 0))  // clamped to 0
-	recs := r.Records()
+	recs := records(
+		remote(0, 0, 10, 10, 0), // empty
+		remote(0, 0, 10, 5, 0),  // inverted
+		remote(0, 0, -5, 5, 0),  // clamped to 0
+	)
 	if len(recs) != 1 || recs[0].Start != 0 || recs[0].T != 5 {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -95,13 +87,13 @@ func TestPaintGapsAreCompute(t *testing.T) {
 // until it publishes a lock handoff at 50; lane (1,0) subscribes at 80 and
 // works until the makespan at 100.
 func twoLaneHandoff() []Record {
-	r := NewRecorder(0)
-	r.Observe(remote(0, 0, 0, 50, 0))
-	r.Observe(handoffPub(0, 0, 50, 7))
-	r.Observe(handoffSub(1, 0, 80, 7))
-	r.Observe(remote(1, 0, 80, 100, 0))
-	r.Observe(runEnd(100))
-	return r.Records()
+	return records(
+		remote(0, 0, 0, 50, 0),
+		handoffPub(0, 0, 50, 7),
+		handoffSub(1, 0, 80, 7),
+		remote(1, 0, 80, 100, 0),
+		runEnd(100),
+	)
 }
 
 func TestAnalyzeHandoff(t *testing.T) {
@@ -173,9 +165,7 @@ func TestDigestSensitivity(t *testing.T) {
 }
 
 func TestAnalyzeUnmatchedSub(t *testing.T) {
-	r := NewRecorder(0)
-	r.Observe(handoffSub(0, 0, 30, 99)) // no pub anywhere
-	rep, err := Analyze(r.Records(), 40)
+	rep, err := Analyze(records(handoffSub(0, 0, 30, 99)), 40) // no pub anywhere
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +186,10 @@ func TestAnalyzeEmpty(t *testing.T) {
 func TestAnalyzeSelfEdgeTerminates(t *testing.T) {
 	// A sub whose only pub is at the same instant must be skipped, or the
 	// backward walk would loop forever.
-	r := NewRecorder(0)
-	r.Observe(probe.Event{Kind: probe.ArriveGlobal, Start: 50, T: 50, Key: 1})
-	r.Observe(probe.Event{Kind: probe.DepartGlobal, Start: 50, T: 50, Key: 1})
-	rep, err := Analyze(r.Records(), 60)
+	rep, err := Analyze(records(
+		probe.Event{Kind: probe.ArriveGlobal, Start: 50, T: 50, Key: 1},
+		probe.Event{Kind: probe.DepartGlobal, Start: 50, T: 50, Key: 1},
+	), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,28 +213,24 @@ func TestFlows(t *testing.T) {
 	}
 }
 
+// A log saved and read back gives Pictor the records it gave online.
 func TestIORoundTrip(t *testing.T) {
-	r := NewRecorder(0)
-	r.Observe(remote(0, 0, 0, 50, 3))
-	r.Observe(handoffPub(0, 0, 50, 7))
-	r.Observe(handoffSub(1, 2, 80, 7))
-	r.Observe(runEnd(90))
+	tr := trace.New(0)
+	for _, e := range []probe.Event{remote(0, 0, 0, 50, 3), handoffPub(0, 0, 50, 7), handoffSub(1, 2, 80, 7), runEnd(90)} {
+		tr.Observe(e)
+	}
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := tr.WriteLog(&buf); err != nil {
 		t.Fatal(err)
 	}
-	lg, err := ReadJSON(&buf)
+	back, err := trace.ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lg.Makespan != 90 || len(lg.Records) != r.Len() {
-		t.Fatalf("round trip: %+v", lg)
-	}
-	want := r.Records()
-	for i, rec := range lg.Records {
-		if rec != want[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, rec, want[i])
-		}
+	want, wantMakespan := Records(tr.Events())
+	got, makespan := Records(back.Events())
+	if makespan != 90 || wantMakespan != 90 || len(want) != 3 || !slices.Equal(got, want) {
+		t.Fatalf("read back: %+v (makespan %d), online %+v (makespan %d)", got, makespan, want, wantMakespan)
 	}
 }
 

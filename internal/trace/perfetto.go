@@ -54,7 +54,7 @@ func (t *Tracer) WritePerfetto(w io.Writer) error {
 // WritePerfettoFlows dumps the merged trace as Chrome trace-event JSON with
 // the given causal edges rendered as flow arrows between thread tracks.
 func (t *Tracer) WritePerfettoFlows(w io.Writer, flows []Flow) error {
-	events := t.Events()
+	events := t.shown()
 
 	// Metadata: name every (node) process and every (node, tid) thread
 	// track that appears in the trace.

@@ -82,17 +82,19 @@ func TestWritePerfetto(t *testing.T) {
 	}
 }
 
+// The log keeps every event; Summary counts the ones the timelines show, in
+// their shape.
 func TestSummaryMatchesEvents(t *testing.T) {
 	tr := New(0)
 	for i := 0; i < 50; i++ {
 		tr.Observe(probe.Event{Start: int64(i), T: int64(i), Node: i % 3, Kind: probe.Kind(i % int(probe.NumKinds))})
 	}
 	want := map[probe.Kind]int{}
-	for _, e := range tr.Events() {
+	for _, e := range tr.shown() {
 		want[e.Kind]++
 	}
 	got := tr.Summary()
-	if len(got) != len(want) {
+	if len(got) != len(want) || len(got) == 0 {
 		t.Fatalf("summary kinds %d, want %d", len(got), len(want))
 	}
 	for k, n := range want {
@@ -100,7 +102,7 @@ func TestSummaryMatchesEvents(t *testing.T) {
 			t.Errorf("kind %v: %d, want %d", k, got[k], n)
 		}
 	}
-	if tr.Len() != len(tr.Events()) || tr.Len() == 0 || tr.Len() >= 50 {
-		t.Errorf("Len = %d: want the traced kinds' share of 50 events", tr.Len())
+	if tr.Len() != 50 || len(tr.Events()) != 50 || len(tr.shown()) >= 50 {
+		t.Errorf("Len = %d, %d shown: want all 50 events logged and the traced kinds' share shown", tr.Len(), len(tr.shown()))
 	}
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -150,7 +152,45 @@ func TestProjection(t *testing.T) {
 	if csv.String() != want {
 		t.Fatalf("csv:\n%s\nwant:\n%s", csv.String(), want)
 	}
-	if s := format(tr.Events()[1]); !strings.Contains(s, "episode=7") || !strings.Contains(s, "point=lock") {
+	if s := format(tr.shown()[1]); !strings.Contains(s, "episode=7") || !strings.Contains(s, "point=lock") {
 		t.Fatalf("crash line: %q", s)
+	}
+}
+
+// A saved log loads back into a tracer holding the same events and drops, so
+// every view of it renders as it did online.
+func TestLogRoundTrip(t *testing.T) {
+	tr := New(2)
+	for i := 0; i < 3; i++ {
+		tr.Observe(probe.Event{Start: int64(i), T: int64(i + 5), Node: 1, Tid: probe.TidOf(1, 2), Kind: probe.OpRead, Arg: 3})
+	}
+	tr.Observe(probe.Event{Start: 2, T: 2, Kind: probe.Crash, Key: 7, Arg: 3, Aux: probe.CrashAtLock})
+	tr.Observe(probe.Event{Start: 9, T: 9, Kind: probe.RunEnd})
+	var buf bytes.Buffer
+	if err := tr.WriteLog(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"Kind":"run-end"`) || !strings.Contains(buf.String(), `"dropped":1`) {
+		t.Fatalf("log file: %s", buf.String())
+	}
+	back, err := ReadLog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back.Events(), tr.Events()) || back.Dropped() != 1 {
+		t.Fatalf("read back %+v (dropped %d), wrote %+v", back.Events(), back.Dropped(), tr.Events())
+	}
+	var again bytes.Buffer
+	if err := back.WriteLog(&again); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatalf("a log read back writes %s, err %v", again.String(), err)
+	}
+	back.Reset()
+	if back.Len() != 0 || back.Dropped() != 0 {
+		t.Fatal("reset kept the drops of the log it was read from")
+	}
+
+	bad := strings.Replace(buf.String(), `"Kind":"run-end"`, `"Kind":"run-stop"`, 1)
+	if _, err := ReadLog(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), `"run-stop"`) {
+		t.Fatalf("a log naming an unknown kind: err %v", err)
 	}
 }

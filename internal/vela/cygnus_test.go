@@ -103,7 +103,7 @@ func TestCrashStopSurvivorsReconfigure(t *testing.T) {
 		}
 	}
 	for _, ev := range []string{"crash", "excise"} {
-		got := ms.Reg.Counter("argo_crash_events_total", "", metrics.L("event", ev)).Value()
+		got := eventCount(ms, "argo_crash_events_total", ev)
 		if got != 1 {
 			t.Fatalf("argo_crash_events_total{event=%s} = %d, want 1", ev, got)
 		}
@@ -356,7 +356,7 @@ func TestPartitionSuspectHealCycle(t *testing.T) {
 		t.Fatal("fabric cut still standing after heal")
 	}
 	for _, ev := range []string{"suspect", "heal"} {
-		got := ms.Reg.Counter("argo_partition_events_total", "", metrics.L("event", ev)).Value()
+		got := eventCount(ms, "argo_partition_events_total", ev)
 		if got != 1 {
 			t.Fatalf("argo_crash_events_total{event=%s} = %d, want 1", ev, got)
 		}
@@ -707,4 +707,14 @@ func TestExciseNeverPredatesItsCrash(t *testing.T) {
 	if len(crashed) != nodes || c.Health.Epoch() != nodes {
 		t.Fatalf("want %d crashes and excisions: %s", nodes, c.Health.HistoryString())
 	}
+}
+
+// eventCount reads the series name{event=ev} from the suite's dump.
+func eventCount(ms *metrics.Suite, name, ev string) int64 {
+	for _, c := range ms.Dump().Counters {
+		if c.Name == name && c.Labels["event"] == ev {
+			return c.Value
+		}
+	}
+	return 0
 }

@@ -10,6 +10,7 @@ import (
 	"argo/internal/health"
 	"argo/internal/recovery"
 	"argo/internal/span"
+	"argo/internal/trace"
 )
 
 func crashPlan(seed int64, rate float64, restart bool) fault.Plan {
@@ -209,8 +210,8 @@ func TestPlanCrashRingIdlesThroughPartitions(t *testing.T) {
 // same attribution vector, same step sequence.
 func TestCrashRingCriticalPathDeterminism(t *testing.T) {
 	run := func() *span.Report {
-		sr := span.NewRecorder(0)
-		core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, sr) }
+		tr := trace.New(0)
+		core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, tr) }
 		defer func() { core.ConfigHook = nil }()
 		p := crashPlan(23, 0.06, true)
 		p.Partition = 0.1
@@ -224,7 +225,7 @@ func TestCrashRingCriticalPathDeterminism(t *testing.T) {
 		if rep.Deaths == 0 {
 			t.Fatal("plan injected no crashes — nothing recovery-attributed on the path")
 		}
-		out, err := span.Analyze(sr.Records(), sr.Makespan())
+		out, err := span.Analyze(span.Records(tr.Events()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func observed(t *testing.T, fn func() error) *metrics.Suite {
 func agree(t *testing.T, what string, st stats.Snapshot, ms *metrics.Suite) {
 	t.Helper()
 	sums := map[string]int64{}
-	for _, c := range ms.Reg.Dump().Counters {
+	for _, c := range ms.Dump().Counters {
 		sums[c.Name] += c.Value
 	}
 	if st.FaultsInjected == 0 {

@@ -9,6 +9,7 @@ import (
 	"argo/internal/locks"
 	"argo/internal/metrics"
 	"argo/internal/probe"
+	"argo/internal/span"
 	"argo/internal/workloads/wload"
 )
 
@@ -40,29 +41,30 @@ func TestOneDoorEquivalence(t *testing.T) {
 		trace   map[probe.Kind]int
 		spans   int
 	}
-	observe := func(build func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) *argo.Cluster) observed {
-		ms, tr, sr := argo.NewMetrics(), argo.NewTracer(0), argo.NewSpanRecorder(0)
+	observe := func(build func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer) *argo.Cluster) observed {
+		ms, tr := argo.NewMetrics(), argo.NewTracer(0)
 		cfg := argo.DefaultConfig(3)
 		cfg.MemoryBytes = 4 << 20
-		turnsProgram(build(cfg, ms, tr, sr))
+		turnsProgram(build(cfg, ms, tr))
 		var buf bytes.Buffer
 		if err := ms.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return observed{buf.Bytes(), tr.Summary(), len(sr.Records())}
+		spans, _ := span.Records(tr.Events())
+		return observed{buf.Bytes(), tr.Summary(), len(spans)}
 	}
-	withFields := func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) argo.Config {
-		cfg.Observers = append(cfg.Observers, ms, tr, sr)
+	withFields := func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer) argo.Config {
+		cfg.Observers = append(cfg.Observers, ms, tr)
 		return cfg
 	}
-	options := observe(func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) *argo.Cluster {
-		return argo.MustNewCluster(cfg, argo.WithMetrics(ms), argo.WithTracer(tr), argo.WithSpans(sr))
+	options := observe(func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer) *argo.Cluster {
+		return argo.MustNewCluster(cfg, argo.WithMetrics(ms), argo.WithTracer(tr))
 	})
-	fields := observe(func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) *argo.Cluster {
-		return argo.MustNewCluster(withFields(cfg, ms, tr, sr))
+	fields := observe(func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer) *argo.Cluster {
+		return argo.MustNewCluster(withFields(cfg, ms, tr))
 	})
-	runner := observe(func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) *argo.Cluster {
-		return wload.MustCluster(withFields(cfg, ms, tr, sr)) // what every workload runner calls
+	runner := observe(func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer) *argo.Cluster {
+		return wload.MustCluster(withFields(cfg, ms, tr)) // what every workload runner calls
 	})
 	if options.spans == 0 || options.trace[probe.SDFence] == 0 || !bytes.Contains(options.metrics, []byte("argo_lock_acquires_total")) {
 		t.Fatalf("observers saw too little: %d spans, trace %v", options.spans, options.trace)
@@ -111,7 +113,7 @@ func TestObserversReachLaterSyncObjects(t *testing.T) {
 		t.Fatalf("lock built after NewCluster did not report: %+v", hot)
 	}
 	ops := map[string]int64{}
-	for _, cs := range ms.Reg.Dump().Counters {
+	for _, cs := range ms.Dump().Counters {
 		if cs.Name == "argo_fabric_ops_total" {
 			ops[cs.Labels["op"]] += cs.Value
 		}

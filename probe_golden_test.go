@@ -26,9 +26,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/probe_gol
 const goldenCrashSpec = "drop=0.02,delay=0.05,jitter=2us,stall=5us,stallp=0.02,atomicfail=0.05,crash=0.05,crashrestart=on,seed=42"
 
 // attachGolden makes every cluster built until the returned function is
-// called report into the three observers.
-func attachGolden(ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) (detach func()) {
-	core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, ms, tr, sr) }
+// called report into the two stock sinks.
+func attachGolden(ms *argo.Metrics, tr *argo.Tracer) (detach func()) {
+	core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, ms, tr) }
 	return func() { core.ConfigHook = nil }
 }
 
@@ -90,10 +90,11 @@ func seriesID(name string, labels map[string]string) string {
 	return name + "{" + strings.Join(keys, ",") + "}"
 }
 
-// renderGolden prints what the three observers hold, one fact per line.
-func renderGolden(ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) string {
+// renderGolden prints what the suite holds and what the trace and Pictor read
+// in the log, one fact per line.
+func renderGolden(ms *argo.Metrics, tr *argo.Tracer) string {
 	var b strings.Builder
-	d := ms.Reg.Dump()
+	d := ms.Dump()
 	b.WriteString("# counters\n")
 	for _, c := range d.Counters {
 		fmt.Fprintf(&b, "%s %d\n", seriesID(c.Name, c.Labels), c.Value)
@@ -137,7 +138,8 @@ func renderGolden(ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) stri
 	b.WriteString("# span records\n")
 	counts := map[string]int{}
 	h = fnv.New64a()
-	for _, r := range sr.Records() {
+	spans, makespan := span.Records(tr.Events())
+	for _, r := range spans {
 		switch r.Type {
 		case span.RSpan:
 			counts["span/"+r.Cat.String()]++
@@ -154,25 +156,25 @@ func renderGolden(ms *argo.Metrics, tr *argo.Tracer, sr *argo.SpanRecorder) stri
 	}
 	sort.Strings(recs)
 	b.WriteString(strings.Join(recs, "\n") + "\n")
-	fmt.Fprintf(&b, "records: makespan %d, fnv %016x\n", sr.Makespan(), h.Sum64())
+	fmt.Fprintf(&b, "records: makespan %d, fnv %016x\n", makespan, h.Sum64())
 	return b.String()
 }
 
-// TestProbeGolden pins what the metrics suite, the tracer and the span
-// recorder see of three replayable runs — a crash-restart ring under every
-// transient fault, the same ring across a partition, and an uncontended pass
-// over the three DSM lock algorithms — against a file generated before the
-// probe spine existed. Every series, the page and lock profiles, the trace's
-// event multiset and the span log's exact contents are in it.
+// TestProbeGolden pins what the metrics suite sees of three replayable runs —
+// a crash-restart ring under every transient fault, the same ring across a
+// partition, and an uncontended pass over the three DSM lock algorithms — and
+// what the trace and Pictor read in their log, against a file generated
+// before the probe spine existed. Every series, the page and lock profiles,
+// the trace's event multiset and Pictor's exact records are in it.
 func TestProbeGolden(t *testing.T) {
-	ms, tr, sr := argo.NewMetrics(), argo.NewTracer(0), argo.NewSpanRecorder(0)
-	detach := attachGolden(ms, tr, sr)
+	ms, tr := argo.NewMetrics(), argo.NewTracer(0)
+	detach := attachGolden(ms, tr)
 	goldenRing(t, goldenCrashSpec)
 	goldenRing(t, "partition=0.15,partdur=2,seed=7")
 	goldenLocks()
 	detach()
 
-	got := renderGolden(ms, tr, sr)
+	got := renderGolden(ms, tr)
 	const path = "testdata/probe_golden.txt"
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -2,6 +2,7 @@ package argo_test
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 
@@ -31,30 +32,33 @@ func observing(fn func(), sinks ...probe.Sink) {
 	fn()
 }
 
-// TestTraceOrderIsTotal: the trace files of two same-seed runs are the same
-// bytes. The crash ring's line fetches and fences emit many events that tie
-// on (time, node, kind); an order that stops there leaves them in host order.
+// TestTraceOrderIsTotal: the trace files and the saved log of two same-seed
+// runs are the same bytes. The crash ring's line fetches and fences emit many
+// events that tie on (time, node, kind); an order that stops there leaves them
+// in host order.
 func TestTraceOrderIsTotal(t *testing.T) {
-	run := func() (text, csv []byte) {
+	run := func() (files [3][]byte) {
 		tr := argo.NewTracer(0)
 		observing(func() { goldenRing(t, goldenCrashSpec) }, tr)
-		var tb, cb bytes.Buffer
-		if err := tr.WriteText(&tb); err != nil {
-			t.Fatal(err)
+		for i, write := range []func(io.Writer) error{tr.WriteText, tr.WriteCSV, tr.WriteLog} {
+			var b bytes.Buffer
+			if err := write(&b); err != nil {
+				t.Fatal(err)
+			}
+			files[i] = b.Bytes()
 		}
-		if err := tr.WriteCSV(&cb); err != nil {
-			t.Fatal(err)
-		}
-		return tb.Bytes(), cb.Bytes()
+		return files
 	}
-	text, csv := run()
-	if len(text) == 0 {
+	first := run()
+	if len(first[0]) == 0 {
 		t.Fatal("empty trace")
 	}
 	for i := 0; i < 3; i++ {
-		if text2, csv2 := run(); !bytes.Equal(text, text2) || !bytes.Equal(csv, csv2) {
-			t.Fatalf("run %d: same seed, different trace file (text equal: %v, csv equal: %v)",
-				i+2, bytes.Equal(text, text2), bytes.Equal(csv, csv2))
+		again := run()
+		for f, name := range []string{"text", "csv", "log"} {
+			if !bytes.Equal(first[f], again[f]) {
+				t.Fatalf("run %d: same seed, different %s file", i+2, name)
+			}
 		}
 	}
 }
