@@ -26,7 +26,10 @@
 //     online. -top and -metrics-out need the suite of a run.
 //
 // With no view flag nothing observes the run. The pq-* benchmarks exercise
-// the lock layer, the rest are the barrier-synchronized application kernels.
+// the lock layer at Figure 12's input; the rest are the barrier-synchronized
+// application kernels at Figure 13's -quick input, and a kernel's answer is
+// checked against the serial one: a wrong one prints BADCHECK, is named on
+// standard error and makes the exit status 1.
 //
 //	argo-scope -bench lu -nodes 4 -tpn 4 -top 10 -trace-out lu.perfetto.json -critpath -
 //	argo-scope -bench pq-hqdl -top 20 -metrics-out metrics.json
@@ -36,28 +39,35 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
 
 	"argo/internal/cli"
+	"argo/internal/harness"
 )
 
 func main() {
-	bench := cli.BenchFlags(cli.Kernels, "lu", 4)
+	bench := cli.BenchFlags(harness.ScopeBenches(), "lu", 4)
 	views := cli.ViewFlags(true)
 	chaos := cli.ChaosFlag("unified chaos spec, e.g. drop=0.01,stall=5us,seed=42")
 	flag.Parse()
 
-	run := bench.Runner()
+	bench.Validate()
 	cfg := bench.Config()
 	cfg.Observers = views.Sinks()
 	cfg.Faults = chaos.Plan()
 	if !views.Offline() {
-		r := run(cfg, *bench.TPN)
-		fmt.Printf("%s on %d×%d: %.3f virtual ms\n", *bench.Name, *bench.Nodes, *bench.TPN, float64(r.Time)/1e6)
+		r, ok := bench.Run(cfg, cmp.Or(*chaos.Spec, "fault-free"))
+		ms := fmt.Sprintf("%.3f virtual ms", float64(r.Time)/1e6)
+		if !ok {
+			ms = "BADCHECK"
+		}
+		fmt.Printf("%s on %d×%d: %s\n", *bench.Name, *bench.Nodes, *bench.TPN, ms)
 	}
 	if err := views.Render(os.Stdout); err != nil {
 		cli.Fatal(err)
 	}
+	bench.Done()
 }

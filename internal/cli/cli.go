@@ -1,10 +1,11 @@
 // Package cli holds what the cmd tools would otherwise each re-declare: the
-// kernel table behind -bench, the -bench/-nodes/-tpn flag block with its
-// validation, the -chaos flag, the view flags with the views they render
-// (views.go), the -cpuprofile/-memprofile pair, the config hook that carries
-// observers and chaos into internally built clusters, and the small output
-// helpers. Every failure exits the process with the tool's name
-// in front of the message: 2 for a bad command line, 1 for a failed run.
+// -bench/-nodes/-tpn flag block over a benchmark list of harness, with its
+// validation and the record of every wrong answer, the -chaos flag, the view
+// flags with the views they render (views.go), the -cpuprofile/-memprofile
+// pair, the config hook that carries observers and chaos into internally
+// built clusters, and the small output helpers. Every failure exits the
+// process with the tool's name in front of the message: 2 for a bad command
+// line, 1 for a failed run or a wrong answer.
 package cli
 
 import (
@@ -16,114 +17,82 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"sort"
 	"strings"
 
 	"argo/internal/core"
 	"argo/internal/fault"
+	"argo/internal/harness"
 	"argo/internal/probe"
-	"argo/internal/workloads/blackscholes"
-	"argo/internal/workloads/cg"
-	"argo/internal/workloads/ep"
-	"argo/internal/workloads/lu"
-	"argo/internal/workloads/mm"
-	"argo/internal/workloads/nbody"
-	"argo/internal/workloads/pqbench"
 	"argo/internal/workloads/wload"
 )
 
-// Runner runs one kernel with tpn threads per node on the cluster cfg
-// describes — observers and fault plan included, since the runner hands cfg
-// to the one cluster constructor.
-type Runner func(cfg core.Config, tpn int) wload.Result
-
-func kernelTable(bsOptions, cgN, epChunks, mmN, bodies int) map[string]Runner {
-	return map[string]Runner{
-		"blackscholes": func(cfg core.Config, tpn int) wload.Result {
-			return blackscholes.RunArgo(cfg, blackscholes.Params{Options: bsOptions, Iters: 3}, tpn)
-		},
-		"cg": func(cfg core.Config, tpn int) wload.Result {
-			return cg.RunArgo(cfg, cg.Params{N: cgN, PerRow: 12, Iters: 4}, tpn)
-		},
-		"ep": func(cfg core.Config, tpn int) wload.Result {
-			return ep.RunArgo(cfg, ep.Params{Chunks: epChunks, PairsPerChunk: 128}, tpn)
-		},
-		"lu": func(cfg core.Config, tpn int) wload.Result {
-			return lu.RunArgo(cfg, lu.Params{N: 96, Block: 16}, tpn)
-		},
-		"mm": func(cfg core.Config, tpn int) wload.Result {
-			return mm.RunArgo(cfg, mm.Params{N: mmN}, tpn)
-		},
-		"nbody": func(cfg core.Config, tpn int) wload.Result {
-			return nbody.RunArgo(cfg, nbody.Params{Bodies: bodies, Steps: 3}, tpn)
-		},
+// Names returns the benchmarks' names, in table order, joined with sep.
+func Names(benches []harness.Bench, sep string) string {
+	names := make([]string, len(benches))
+	for i, b := range benches {
+		names[i] = b.Name
 	}
-}
-
-func pqKernel(kind pqbench.DSMLockKind) Runner {
-	return func(cfg core.Config, tpn int) wload.Result {
-		return wload.Result{Time: pqbench.RunDSM(kind, cfg, tpn, pqbench.DefaultParams()).Time}
-	}
-}
-
-// The kernel tables. Kernels holds the six barrier-synchronized application
-// kernels at the inputs argo-scope profiles, plus the three lock-layer rows
-// (their Result carries Time alone); SweepKernels the six at argo-sweep's
-// larger inputs (a knob's effect needs a working set that outgrows one cache
-// line set).
-var (
-	Kernels = func() map[string]Runner {
-		t := kernelTable(16384, 2048, 512, 64, 384)
-		t["pq-hqdl"] = pqKernel(pqbench.DSMHQDL)
-		t["pq-cohort"] = pqKernel(pqbench.DSMCohort)
-		t["pq-mutex"] = pqKernel(pqbench.DSMMutex)
-		return t
-	}()
-	SweepKernels = kernelTable(32768, 4096, 1024, 96, 512)
-)
-
-// Names returns the table's kernel names, sorted and joined with sep.
-func Names(table map[string]Runner, sep string) string {
-	names := make([]string, 0, len(table))
-	for n := range table {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	return strings.Join(names, sep)
 }
 
-// Bench is the -bench/-nodes/-tpn flag block over one kernel table.
+// Bench is the -bench/-nodes/-tpn flag block over one tool's benchmarks, and
+// the record of the wrong answers its runs gave.
 type Bench struct {
 	Name       *string
 	Nodes, TPN *int
-	table      map[string]Runner
+	benches    []harness.Bench
+	run        func(cfg core.Config, tpn int, variant string) (wload.Result, error)
+	bad        []error
 }
 
 // BenchFlags declares -bench, -nodes (default 4) and -tpn on the command
-// line. Call Runner after flag.Parse.
-func BenchFlags(table map[string]Runner, defBench string, defTPN int) *Bench {
+// line. Call Validate after flag.Parse.
+func BenchFlags(benches []harness.Bench, defBench string, defTPN int) *Bench {
 	return &Bench{
-		Name:  flag.String("bench", defBench, "benchmark: "+Names(table, "|")),
-		Nodes: flag.Int("nodes", 4, "cluster nodes"),
-		TPN:   flag.Int("tpn", defTPN, "threads per node"),
-		table: table,
+		Name:    flag.String("bench", defBench, "benchmark: "+Names(benches, "|")),
+		Nodes:   flag.Int("nodes", 4, "cluster nodes"),
+		TPN:     flag.Int("tpn", defTPN, "threads per node"),
+		benches: benches,
 	}
 }
 
-// Runner validates the parsed block and returns the selected kernel.
-func (b *Bench) Runner() Runner {
-	run, ok := b.table[*b.Name]
-	if !ok {
-		Usagef("unknown benchmark %q (want %s)", *b.Name, Names(b.table, "|"))
+// Validate checks the parsed block and selects the benchmark.
+func (b *Bench) Validate() {
+	i := slices.IndexFunc(b.benches, func(x harness.Bench) bool { return x.Name == *b.Name })
+	if i < 0 {
+		Usagef("unknown benchmark %q (want %s)", *b.Name, Names(b.benches, "|"))
 	}
 	if *b.Nodes <= 0 || *b.TPN <= 0 {
 		Usagef("-nodes and -tpn must be positive (got %d, %d)", *b.Nodes, *b.TPN)
 	}
-	return run
+	b.run = b.benches[i].Run
+}
+
+// Run runs the selected benchmark on the cluster cfg describes, -tpn threads
+// per node, and reports whether its answer is the serial one. A wrong answer
+// is kept, under variant, for Done to name; the caller prints BADCHECK in its
+// cell.
+func (b *Bench) Run(cfg core.Config, variant string) (wload.Result, bool) {
+	r, err := b.run(cfg, *b.TPN, variant)
+	if err != nil {
+		b.bad = append(b.bad, err)
+	}
+	return r, err == nil
+}
+
+// Done names every wrong answer of the runs on standard error and, if there
+// was one, exits with status 1.
+func (b *Bench) Done() {
+	for _, err := range b.bad {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tool(), err)
+	}
+	if len(b.bad) > 0 {
+		os.Exit(1)
+	}
 }
 
 // Config returns the workload-default configuration for -nodes machines;
-// tools set observers and a fault plan on it before handing it to a Runner.
+// tools set observers, a fault plan or a knob on it before handing it to Run.
 func (b *Bench) Config() core.Config { return wload.ArgoConfig(*b.Nodes, 64<<20) }
 
 // Chaos is the -chaos flag: one spec string for the whole fault stack.

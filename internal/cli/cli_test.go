@@ -1,6 +1,12 @@
 package cli
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"argo/internal/core"
@@ -8,6 +14,7 @@ import (
 	"argo/internal/harness"
 	"argo/internal/metrics"
 	"argo/internal/probe"
+	"argo/internal/workloads/wload"
 )
 
 func counterSum(ms *metrics.Suite, name string) int64 {
@@ -59,12 +66,68 @@ func TestHookConfigsSingleSeam(t *testing.T) {
 	}
 }
 
+// TestKernelTables: argo-scope's -bench names are the six kernels and the
+// three DSM locks, argo-sweep's the six kernels, both in the order -bench's
+// usage lists them.
 func TestKernelTables(t *testing.T) {
 	const six = "blackscholes|cg|ep|lu|mm|nbody"
-	if got := Names(SweepKernels, "|"); got != six {
-		t.Fatalf("SweepKernels = %s", got)
+	if got := Names(harness.SweepBenches(), "|"); got != six {
+		t.Fatalf("argo-sweep's benchmarks = %s", got)
 	}
-	if got := Names(Kernels, "|"); got != six+"|pq-cohort|pq-hqdl|pq-mutex" {
-		t.Fatalf("Kernels = %s", got)
+	if got := Names(harness.ScopeBenches(), "|"); got != six+"|pq-cohort|pq-hqdl|pq-mutex" {
+		t.Fatalf("argo-scope's benchmarks = %s", got)
+	}
+}
+
+// TestBadCheckExitsOne: a run whose answer is wrong prints BADCHECK in its
+// cell, the runs after it still happen, and the tool names the wrong one on
+// standard error — kernel and variant, as the check's error says — and exits
+// with status 1. Each case runs this test binary again as the tool.
+func TestBadCheckExitsOne(t *testing.T) {
+	if mode := os.Getenv("ARGO_BADCHECK_TOOL"); mode != "" {
+		flag.CommandLine = flag.NewFlagSet("argo-sweep", flag.ExitOnError)
+		answer := func(cfg core.Config, tpn int, variant string) (wload.Result, error) {
+			if mode == "wrong" && variant == "1 KB pages" {
+				return wload.Result{}, fmt.Errorf("lu %s at %d nodes, %d threads: answer 43, serial 42", variant, cfg.Nodes, cfg.Nodes*tpn)
+			}
+			return wload.Result{Time: 1000}, nil
+		}
+		b := BenchFlags([]harness.Bench{{Name: "lu", Run: answer}}, "lu", 2)
+		flag.CommandLine.Parse([]string{"-nodes", "2"})
+		b.Validate()
+		for _, v := range []string{"1 KB pages", "4 KB pages"} {
+			cell := "ok"
+			if _, ok := b.Run(b.Config(), v); !ok {
+				cell = "BADCHECK"
+			}
+			fmt.Println(v, cell)
+		}
+		b.Done()
+		os.Exit(0)
+	}
+	for _, c := range []struct {
+		mode   string
+		status int
+		stdout string
+		stderr string
+	}{
+		{"wrong", 1, "1 KB pages BADCHECK\n4 KB pages ok\n", "lu 1 KB pages at 2 nodes, 4 threads: answer 43, serial 42"},
+		{"right", 0, "1 KB pages ok\n4 KB pages ok\n", ""},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadCheckExitsOne$")
+		cmd.Env = append(os.Environ(), "ARGO_BADCHECK_TOOL="+c.mode)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		status := 0
+		if exit, ok := err.(*exec.ExitError); ok {
+			status = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if status != c.status || stdout.String() != c.stdout || !strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("%s answer: exit status %d, stdout %q, stderr %q; want %d, %q and a line naming %q",
+				c.mode, status, stdout.String(), stderr.String(), c.status, c.stdout, c.stderr)
+		}
 	}
 }

@@ -42,7 +42,7 @@ func crashExp(quick bool) ([]Table, error) {
 			if err != nil {
 				rows = append(rows, []string{mode.name, fmt.Sprintf("%g", rate),
 					"-", "-", "-", "FAIL: " + err.Error()})
-				bad = append(bad, fmt.Sprintf("%s at rate %g", mode.name, rate))
+				bad = append(bad, fmt.Errorf("%s at rate %g: %w", mode.name, rate, err))
 				continue
 			}
 			overhead := 100 * float64(rep.Makespan-base.Makespan) / float64(base.Makespan)

@@ -11,6 +11,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -42,25 +43,17 @@ type Table struct {
 	Note    string
 }
 
-// badCells collects the cells of one experiment whose answer is not the
-// reference answer.
-type badCells []string
+// badCells collects the errors of one experiment's cells whose answer is not
+// the reference answer.
+type badCells []error
 
-// ok reports whether got is the reference answer ref, recording which system
-// at which scale when it is not.
-func (b *badCells) ok(got, ref float64, system, scale string) bool {
-	if got == ref || closeEnough(got, ref) {
-		return true
-	}
-	*b = append(*b, system+" at "+scale)
-	return false
-}
-
-// cell returns text, or BADCHECK when got is not the reference answer ref.
-func (b *badCells) cell(text string, got, ref float64, system, scale string) string {
-	if b.ok(got, ref, system, scale) {
+// cell returns text, or BADCHECK when err names a wrong answer, which it
+// records.
+func (b *badCells) cell(text string, err error) string {
+	if err == nil {
 		return text
 	}
+	*b = append(*b, err)
 	return "BADCHECK"
 }
 
@@ -70,7 +63,7 @@ func (b badCells) err() error {
 	if len(b) == 0 {
 		return nil
 	}
-	return fmt.Errorf("bad checks (%d): %s", len(b), strings.Join(b, ", "))
+	return fmt.Errorf("bad checks (%d):\n%w", len(b), errors.Join(b...))
 }
 
 // Lookup returns the experiment registered under id.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"argo/internal/core"
 	"argo/internal/workloads/wload"
 )
 
@@ -352,7 +353,8 @@ func TestFig9and10OneSweep(t *testing.T) {
 // under that input's Pthread header: the thread-count rows fill only the
 // Pthread column, the node-count rows every column but it.
 func TestFig13dPthreadColumns(t *testing.T) {
-	tables, err := fig13d(true)
+	e, _ := Lookup("fig13d")
+	tables, err := e.Run(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,50 +374,75 @@ func TestFig13dPthreadColumns(t *testing.T) {
 	}
 }
 
-// A runner whose answer is wrong must not hide in the table: its cell reads
-// BADCHECK and the error names the system and the scale, which is what
-// argo-bench prints before it exits non-zero.
-func TestScalingTableReportsBadChecks(t *testing.T) {
-	serial := wload.Result{System: "serial", Threads: 1, Time: 1000, Check: 42}
-	right := func(int) wload.Result { return wload.Result{Time: 500, Check: 42 + 1e-9} }
-	corrupt := func(n int) wload.Result {
-		r := right(n)
-		if n == 4 {
+// fakeKernel is a kernel row over stub runners: every answer is 42 (give or
+// take closeEnough's tolerance) except the runs wrong picks, whose is 43.
+func fakeKernel(wrong func(system string, scale int) bool) (*kernel, *input) {
+	run := func(system string, scale int) wload.Result {
+		r := wload.Result{Time: 500, Check: 42 + 1e-9}
+		if wrong(system, scale) {
 			r.Check = 43
 		}
 		return r
 	}
-	badChecks := func(tables []Table) int {
+	in := &input{
+		argo:  func(cfg core.Config, tpn int) wload.Result { return run("Argo", cfg.Nodes) },
+		local: func(t int) wload.Result { return run("OpenMP", t) },
+		port:  func(n int) wload.Result { return run("UPC", n) },
+	}
+	in.once.Do(func() { in.ref = wload.Result{Time: 1000, Check: 42} })
+	return &kernel{name: "fake", table: "T", local: "OpenMP", port: "UPC"}, in
+}
+
+// A kernel's Argo run returns the error a wrong answer gives: it names the
+// kernel, the variant and the scale. An answer within closeEnough's tolerance
+// is the serial one.
+func TestArgoRunChecksItsAnswer(t *testing.T) {
+	k, in := fakeKernel(func(system string, nodes int) bool { return nodes == 4 })
+	if _, err := k.argo(in, wload.ArgoConfig(2, 4<<20), 3, "mode PS3"); err != nil {
+		t.Fatalf("an answer 1e-9 from the serial one is wrong: %v", err)
+	}
+	_, err := k.argo(in, wload.ArgoConfig(4, 4<<20), 3, "mode PS3")
+	if err == nil {
+		t.Fatal("an answer 1 from the serial one passed its check")
+	}
+	for _, want := range []string{"fake", "mode PS3", "4 nodes, 12 threads", "43", "42"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+}
+
+// A runner whose answer is wrong must not hide in the table: its cell reads
+// BADCHECK and the error names the kernel, the system and the scale, which is
+// what argo-bench prints before it exits non-zero.
+func TestScalingTableReportsBadChecks(t *testing.T) {
+	badChecks := func(tb Table) int {
 		n := 0
-		for _, tb := range tables {
-			for _, row := range tb.Rows {
-				for _, c := range row {
-					if c == "BADCHECK" {
-						n++
-					}
+		for _, row := range tb.Rows {
+			for _, c := range row {
+				if c == "BADCHECK" {
+					n++
 				}
 			}
 		}
 		return n
 	}
-	tables, err := scalingTable("T", serial, []int{2, 4}, []int{1, 4}, []runner{
-		{"Argo", "argo", right},
-		{"UPC", "upc", corrupt},
-		{"OpenMP", "local", corrupt},
-	})
-	if got := badChecks(tables); got != 2 {
-		t.Fatalf("table shows %d BADCHECK cells, want 2: %v", got, tables)
+	k, in := fakeKernel(func(system string, scale int) bool { return system != "Argo" && scale == 4 })
+	tb, err := k.scalingTable(in, []int{2, 4}, []int{1, 4})
+	if got := badChecks(tb); got != 2 {
+		t.Fatalf("table shows %d BADCHECK cells, want 2: %v", got, tb)
 	}
 	if err == nil {
 		t.Fatal("two bad cells and no error")
 	}
-	for _, want := range []string{"bad checks (2)", "UPC at 4 nodes, 60 threads", "OpenMP at 1 nodes, 4 threads"} {
+	for _, want := range []string{"bad checks (2)", "fake UPC at 4 nodes, 60 threads", "fake OpenMP at 1 nodes, 4 threads"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not say %q", err, want)
 		}
 	}
-	tables, err = scalingTable("T", serial, []int{2, 4}, []int{1}, []runner{{"Argo", "argo", right}})
-	if err != nil || badChecks(tables) != 0 {
-		t.Fatalf("a table of right answers reports %v: %v", err, tables)
+	k, in = fakeKernel(func(string, int) bool { return false })
+	tb, err = k.scalingTable(in, []int{2, 4}, []int{1})
+	if err != nil || badChecks(tb) != 0 {
+		t.Fatalf("a table of right answers reports %v: %v", err, tb)
 	}
 }

@@ -13,12 +13,10 @@ func init() {
 // fig11 reproduces the single-machine priority-queue throughput curves.
 func fig11(quick bool) ([]Table, error) {
 	threads := []int{1, 2, 4, 6, 8, 10, 12, 14, 16}
-	p := pqbench.DefaultParams()
-	p.WorkUnits = 16 // light local work: the lock is the bottleneck
 	if quick {
 		threads = []int{1, 4, 8, 16}
-		p.OpsPerThread = 80
 	}
+	p := fig11Input.at(quick)
 	kinds := []pqbench.NativeLockKind{pqbench.NativeQD, pqbench.NativeCohort, pqbench.NativePthread}
 	headers := []string{"Threads", "QD ops/µs", "Cohort ops/µs", "Pthreads ops/µs"}
 	var rows [][]string
@@ -40,12 +38,11 @@ func fig11(quick bool) ([]Table, error) {
 func fig12(quick bool) ([]Table, error) {
 	nodes := []int{1, 2, 4, 8, 16, 32}
 	tpn := 15
-	p := pqbench.DefaultParams() // 48 work units, as in the paper
 	if quick {
 		nodes = []int{1, 2, 4}
 		tpn = 4
-		p.OpsPerThread = 60
 	}
+	p := fig12Input.at(quick)
 	headers := []string{"Nodes", "Threads", "Argo(HQDL) ops/µs", "Cohort ops/µs", "UPC ops/µs"}
 	var rows [][]string
 	for _, n := range nodes {

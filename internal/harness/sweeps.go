@@ -7,12 +7,6 @@ import (
 	"argo/internal/core"
 	"argo/internal/mem"
 	"argo/internal/sim"
-	"argo/internal/workloads/blackscholes"
-	"argo/internal/workloads/cg"
-	"argo/internal/workloads/ep"
-	"argo/internal/workloads/lu"
-	"argo/internal/workloads/mm"
-	"argo/internal/workloads/nbody"
 	"argo/internal/workloads/wload"
 )
 
@@ -83,48 +77,6 @@ func fig7(quick bool) ([]Table, error) {
 			"paying a small per-page toll for the passive directory registrations."}}, nil
 }
 
-// sweepBench is one of the six benchmarks of Figures 8–10, with the paper's
-// chosen write-buffer size and sweep-scale inputs.
-type sweepBench struct {
-	name   string
-	wb     int // write-buffer pages chosen in §5.2
-	run    func(cfg core.Config, tpn int) wload.Result
-	serial func() wload.Result // the same input on one thread: the reference answer
-}
-
-func sweepBenches(quick bool) []sweepBench {
-	scale, luN, mmN := 1, 96, 192
-	if quick {
-		scale, luN, mmN = 4, 64, 48
-	}
-	bsP := blackscholes.Params{Options: 32768 / scale, Iters: 3}
-	cgP := cg.Params{N: 4096 / scale, PerRow: 12, Iters: 4}
-	epP := ep.Params{Chunks: 1024 / scale, PairsPerChunk: 128}
-	luP := lu.Params{N: luN, Block: 16}
-	mmP := mm.Params{N: mmN}
-	nbP := nbody.Params{Bodies: 512 / scale, Steps: 3}
-	return []sweepBench{
-		{"Blackscholes", 8192,
-			func(cfg core.Config, tpn int) wload.Result { return blackscholes.RunArgo(cfg, bsP, tpn) },
-			func() wload.Result { return blackscholes.RunSerial(bsP) }},
-		{"CG", 256,
-			func(cfg core.Config, tpn int) wload.Result { return cg.RunArgo(cfg, cgP, tpn) },
-			func() wload.Result { return cg.RunSerial(cgP) }},
-		{"EP", 32,
-			func(cfg core.Config, tpn int) wload.Result { return ep.RunArgo(cfg, epP, tpn) },
-			func() wload.Result { return ep.RunSerial(epP) }},
-		{"LU", 8192,
-			func(cfg core.Config, tpn int) wload.Result { return lu.RunArgo(cfg, luP, tpn) },
-			func() wload.Result { return lu.RunSerial(luP) }},
-		{"MM", 128,
-			func(cfg core.Config, tpn int) wload.Result { return mm.RunArgo(cfg, mmP, tpn) },
-			func() wload.Result { return mm.RunSerial(mmP) }},
-		{"Nbody", 8192,
-			func(cfg core.Config, tpn int) wload.Result { return nbody.RunArgo(cfg, nbP, tpn) },
-			func() wload.Result { return nbody.RunSerial(nbP) }},
-	}
-}
-
 func sweepConfig(quick bool) (nodes, tpn int) {
 	if quick {
 		return 2, 2
@@ -135,44 +87,36 @@ func sweepConfig(quick bool) (nodes, tpn int) {
 // fig8 compares the three classification modes, normalized to S.
 func fig8(quick bool) ([]Table, error) {
 	nodes, tpn := sweepConfig(quick)
-	modes := []coherenceMode{
-		{"S", coherence.ModeS},
-		{"PS", coherence.ModePS},
-		{"PS3", coherence.ModePS3},
-	}
+	modes := []coherence.Mode{coherence.ModeS, coherence.ModePS, coherence.ModePS3}
+	headers := []string{"Benchmark", "S", "PS", "PS3"}
 	var rows [][]string
 	var bad badCells
 	avg := make([]float64, len(modes))
-	benches := sweepBenches(quick)
-	for _, b := range benches {
-		ref := b.serial().Check
-		res := make([]wload.Result, len(modes))
+	for _, k := range kernels {
+		in := k.sweep.at(quick)
+		row := []string{k.label}
+		var s sim.Time
 		for mi, m := range modes {
 			cfg := wload.ArgoConfig(nodes, 64<<20)
-			cfg.WriteBufferPages = b.wb
-			cfg.Mode = m.mode
-			res[mi] = b.run(cfg, tpn)
-		}
-		row := []string{b.name}
-		for mi, r := range res {
-			norm := float64(r.Time) / float64(res[0].Time)
+			cfg.WriteBufferPages = k.wb
+			cfg.Mode = m
+			r, err := k.argo(in, cfg, tpn, "mode "+m.String())
+			if mi == 0 {
+				s = r.Time
+			}
+			norm := float64(r.Time) / float64(s)
 			avg[mi] += norm
-			row = append(row, bad.cell(f3(norm), r.Check, ref, b.name, fmt.Sprintf("mode %s, %d nodes", modes[mi].name, nodes)))
+			row = append(row, bad.cell(f3(norm), err))
 		}
 		rows = append(rows, row)
 	}
 	row := []string{"Average"}
 	for _, a := range avg {
-		row = append(row, f3(a/float64(len(benches))))
+		row = append(row, f3(a/float64(len(kernels))))
 	}
 	rows = append(rows, row)
 	return []Table{{Title: fmt.Sprintf("Execution time normalized to S (%d nodes, %d threads/node)", nodes, tpn),
-		Headers: []string{"Benchmark", "S", "PS", "PS3"}, Rows: rows}}, bad.err()
-}
-
-type coherenceMode struct {
-	name string
-	mode coherence.Mode
+		Headers: headers, Rows: rows}}, bad.err()
 }
 
 func wbSizes(quick bool) []int {
@@ -187,25 +131,25 @@ func wbSizes(quick bool) []int {
 // 10), a row per size and a column per benchmark.
 func fig9and10(quick bool) ([]Table, error) {
 	nodes, tpn := sweepConfig(quick)
-	sizes := wbSizes(quick)
+	wbs := wbSizes(quick)
 	headers := []string{"WB pages"}
-	times := make([][]string, len(sizes))
-	writebacks := make([][]string, len(sizes))
-	for si, wb := range sizes {
+	times := make([][]string, len(wbs))
+	writebacks := make([][]string, len(wbs))
+	for si, wb := range wbs {
 		times[si] = []string{d(int64(wb))}
 		writebacks[si] = []string{d(int64(wb))}
 	}
 	var bad badCells
-	for _, b := range sweepBenches(quick) {
-		headers = append(headers, b.name)
-		ref := b.serial().Check
-		for si, wb := range sizes {
+	for _, k := range kernels {
+		headers = append(headers, k.label)
+		in := k.sweep.at(quick)
+		for si, wb := range wbs {
 			cfg := wload.ArgoConfig(nodes, 64<<20)
 			cfg.WriteBufferPages = wb
-			r := b.run(cfg, tpn)
-			ms, n := f2(float64(r.Time)/1e6), d(r.Stats.Writebacks)
-			if !bad.ok(r.Check, ref, b.name, fmt.Sprintf("%d write-buffer pages, %d nodes", wb, nodes)) {
-				ms, n = "BADCHECK", "BADCHECK"
+			r, err := k.argo(in, cfg, tpn, fmt.Sprintf("%d write-buffer pages", wb))
+			ms, n := bad.cell(f2(float64(r.Time)/1e6), err), d(r.Stats.Writebacks)
+			if err != nil {
+				n = "BADCHECK"
 			}
 			times[si] = append(times[si], ms)
 			writebacks[si] = append(writebacks[si], n)

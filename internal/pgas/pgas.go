@@ -14,7 +14,6 @@ package pgas
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"argo/internal/fabric"
 	"argo/internal/sim"
@@ -28,8 +27,10 @@ type World struct {
 
 	barrier *sim.Barrier
 
-	redMu  sync.Mutex
-	redAcc [2][]float64
+	// redIn holds each rank's contribution to a reduction, one slot per rank;
+	// generations alternate between the two so back-to-back reductions cannot
+	// interfere.
+	redIn [2][][]float64
 }
 
 // Rank is one PGAS thread (a UPC "THREAD").
@@ -48,6 +49,7 @@ func NewWorld(fab *fabric.Fabric, ranksPerNode int) *World {
 		Size:         size,
 		RanksPerNode: ranksPerNode,
 		barrier:      sim.NewBarrier(size),
+		redIn:        [2][][]float64{make([][]float64, size), make([][]float64, size)},
 	}
 }
 
@@ -228,31 +230,26 @@ func (s *Shared[T]) PutBlock(r *Rank, lo int, src []T) {
 
 // AllreduceSum sums v across all ranks and returns the total to each — the
 // upc_all_reduce idiom. It has barrier semantics (two rendezvous: combine
-// and release), and generations alternate between two accumulator slots so
-// back-to-back reductions cannot interfere.
+// and release).
 func (w *World) AllreduceSum(r *Rank, v float64) float64 {
 	return w.AllreduceVec(r, []float64{v})[0]
 }
 
 // AllreduceVec element-wise sums vals across all ranks — one combining
 // collective regardless of the vector length, like upc_all_reduce over an
-// array.
+// array. Every rank adds the contributions in rank order, so the total's
+// bits do not depend on which rank arrived first.
 func (w *World) AllreduceVec(r *Rank, vals []float64) []float64 {
-	slot := r.redGen & 1
+	in := w.redIn[r.redGen&1]
 	r.redGen++
-	w.redMu.Lock()
-	if len(w.redAcc[slot]) < len(vals) {
-		w.redAcc[slot] = make([]float64, len(vals))
-	}
-	for i, v := range vals {
-		w.redAcc[slot][i] += v
-	}
-	w.redMu.Unlock()
+	in[r.ID] = vals
 	r.Barrier()
-	w.redMu.Lock()
-	total := append([]float64(nil), w.redAcc[slot][:len(vals)]...)
-	w.redAcc[1-slot] = nil // prepare the next generation's slot (idempotent)
-	w.redMu.Unlock()
+	total := make([]float64, len(vals))
+	for _, c := range in {
+		for i, v := range c {
+			total[i] += v
+		}
+	}
 	r.Barrier()
 	return total
 }

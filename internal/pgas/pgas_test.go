@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"argo/internal/fabric"
 	"argo/internal/racetag"
@@ -179,6 +180,33 @@ func TestAllreduceSum(t *testing.T) {
 	for i, got := range results {
 		if got != wantFirst*1000+float64(w.Size) {
 			t.Fatalf("rank %d reductions = %v, want %v", i, got, wantFirst*1000+float64(w.Size))
+		}
+	}
+}
+
+// TestAllreduceAddsInRankOrder: a reduction's total does not follow the host
+// scheduler. The contributions' float sum depends on their order (1e16 absorbs
+// a 1 it meets first), the ranks arrive in reverse order, and every rank must
+// read the rank-order sum.
+func TestAllreduceAddsInRankOrder(t *testing.T) {
+	w := world(2, 2)
+	vals := []float64{1e16, 1, -1e16, 1}
+	want := 0.0
+	for _, v := range vals {
+		want += v
+	}
+	if reverse := ((vals[3] + vals[2]) + vals[1]) + vals[0]; reverse == want {
+		t.Fatalf("the contributions sum to %v in either order; the test cannot tell", want)
+	}
+	got := make([]float64, w.Size)
+	w.Run(func(r *Rank) {
+		// Rank i contributes only after rank i+1 has entered the reduction.
+		time.Sleep(time.Duration(w.Size-1-r.ID) * 20 * time.Millisecond)
+		got[r.ID] = w.AllreduceSum(r, vals[r.ID])
+	})
+	for id, g := range got {
+		if g != want {
+			t.Errorf("rank %d read %v, want the rank-order sum %v", id, g, want)
 		}
 	}
 }

@@ -16,14 +16,11 @@ import (
 	"argo/internal/workloads/wload"
 )
 
-// Params sizes the benchmark.
+// Params sizes the benchmark (the evaluation's inputs: internal/harness/kernels.go).
 type Params struct {
 	Options int
 	Iters   int
 }
-
-// DefaultParams is the evaluation input.
-func DefaultParams() Params { return Params{Options: 1 << 17, Iters: 4} }
 
 // opCost is the modeled computation time of pricing one option.
 const opCost sim.Time = 250
@@ -77,9 +74,6 @@ func Serial(p Params) []float64 {
 	}
 	return out
 }
-
-// RunSerial measures one thread on the local machine.
-func RunSerial(p Params) wload.Result { return RunLocal(p, 1) }
 
 // RunLocal is the Pthreads baseline: threads of one machine, a barrier per
 // iteration.

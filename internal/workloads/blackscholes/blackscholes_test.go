@@ -56,7 +56,7 @@ func TestVariantsAgree(t *testing.T) {
 
 func TestParallelFasterThanSerial(t *testing.T) {
 	p := testParams()
-	serial := RunSerial(p)
+	serial := RunLocal(p, 1)
 	local := RunLocal(p, 8)
 	if local.Time >= serial.Time {
 		t.Fatalf("8 threads (%d) not faster than 1 (%d)", local.Time, serial.Time)

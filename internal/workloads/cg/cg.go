@@ -18,15 +18,12 @@ import (
 	"argo/internal/workloads/wload"
 )
 
-// Params sizes the benchmark.
+// Params sizes the benchmark (the evaluation's inputs: internal/harness/kernels.go).
 type Params struct {
 	N      int // unknowns
 	PerRow int // nonzeros per row (approximate; matrix is symmetrized)
 	Iters  int // CG iterations
 }
-
-// DefaultParams is the evaluation input.
-func DefaultParams() Params { return Params{N: 65536, PerRow: 32, Iters: 8} }
 
 // flopCost is the modeled cost of one sparse multiply-add.
 const flopCost sim.Time = 5

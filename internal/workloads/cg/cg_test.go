@@ -344,3 +344,16 @@ func TestInPlaceAnswerIsTheDumpFold(t *testing.T) {
 		t.Fatalf("%d answers folded, want 1", folds)
 	}
 }
+
+// TestUPCRepeats: the UPC port's answer does not follow the host scheduler —
+// repeated runs give one checksum bit pattern (its reductions add in rank
+// order), as CI checks at -cpu 2,4.
+func TestUPCRepeats(t *testing.T) {
+	p := Params{N: 512, PerRow: 12, Iters: 4}
+	first := math.Float64bits(RunUPC(4, 16, p).Check)
+	for i := 0; i < 10; i++ {
+		if got := math.Float64bits(RunUPC(4, 16, p).Check); got != first {
+			t.Fatalf("run %d: checksum bits %#x, first run %#x", i+1, got, first)
+		}
+	}
+}

@@ -16,14 +16,11 @@ import (
 	"argo/internal/workloads/wload"
 )
 
-// Params sizes the benchmark.
+// Params sizes the benchmark (the evaluation's inputs: internal/harness/kernels.go).
 type Params struct {
 	Chunks        int // fixed work units (independent RNG streams)
 	PairsPerChunk int
 }
-
-// DefaultParams is the evaluation input.
-func DefaultParams() Params { return Params{Chunks: 4096, PairsPerChunk: 256} }
 
 // pairCost is the modeled cost of generating and classifying one pair.
 const pairCost sim.Time = 60
@@ -95,9 +92,6 @@ func Serial(p Params) partial {
 	}
 	return combine(parts)
 }
-
-// RunSerial measures one thread on the local machine.
-func RunSerial(p Params) wload.Result { return RunLocal(p, 1) }
 
 // RunLocal is the OpenMP baseline.
 func RunLocal(p Params, threads int) wload.Result {

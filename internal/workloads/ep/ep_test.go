@@ -73,7 +73,7 @@ func TestThreadCountInvariance(t *testing.T) {
 
 func TestEPScalesNearLinearly(t *testing.T) {
 	p := Params{Chunks: 1024, PairsPerChunk: 128}
-	serial := RunSerial(p)
+	serial := RunLocal(p, 1)
 	par := RunLocal(p, 8)
 	sp := par.Speedup(serial)
 	if sp < 5 {

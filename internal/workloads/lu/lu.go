@@ -15,14 +15,11 @@ import (
 	"argo/internal/workloads/wload"
 )
 
-// Params sizes the benchmark.
+// Params sizes the benchmark (the evaluation's inputs: internal/harness/kernels.go).
 type Params struct {
 	N     int // matrix dimension
 	Block int // block size
 }
-
-// DefaultParams is the evaluation input.
-func DefaultParams() Params { return Params{N: 384, Block: 32} }
 
 // flopCost is the modeled cost of one multiply-add in the block kernels.
 const flopCost sim.Time = 6

@@ -19,16 +19,10 @@ import (
 	"argo/internal/workloads/wload"
 )
 
-// Params sizes the benchmark.
+// Params sizes the benchmark (the evaluation's inputs: internal/harness/kernels.go).
 type Params struct {
 	N int // matrix dimension
 }
-
-// SmallParams is the "2000×2000" role input (scaled to simulator size).
-func SmallParams() Params { return Params{N: 96} }
-
-// LargeParams is the "5000×5000" role input (scaled to simulator size).
-func LargeParams() Params { return Params{N: 288} }
 
 // flopCost is the modeled cost of one multiply-add of the naive algorithm.
 const flopCost sim.Time = 8
@@ -90,9 +84,6 @@ func mulRows(c, a, b []float64, lo, hi, n int) {
 		}
 	}
 }
-
-// RunSerial measures one thread on the local machine.
-func RunSerial(p Params) wload.Result { return RunLocal(p, 1) }
 
 // RunLocal is the Pthreads baseline.
 func RunLocal(p Params, threads int) wload.Result {

@@ -62,7 +62,7 @@ func TestUnevenPartition(t *testing.T) {
 
 func TestScalesWithThreads(t *testing.T) {
 	p := Params{N: 64}
-	serial := RunSerial(p)
+	serial := RunLocal(p, 1)
 	par := RunLocal(p, 8)
 	if par.Time >= serial.Time {
 		t.Fatalf("8 threads (%d) not faster than serial (%d)", par.Time, serial.Time)

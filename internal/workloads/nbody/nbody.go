@@ -16,14 +16,11 @@ import (
 	"argo/internal/workloads/wload"
 )
 
-// Params sizes the benchmark.
+// Params sizes the benchmark (the evaluation's inputs: internal/harness/kernels.go).
 type Params struct {
 	Bodies int
 	Steps  int
 }
-
-// DefaultParams is the evaluation input.
-func DefaultParams() Params { return Params{Bodies: 2048, Steps: 3} }
 
 // interCost is the modeled cost of one pairwise interaction.
 const interCost sim.Time = 25
@@ -113,9 +110,6 @@ func checkOf(px, py []float64) float64 {
 
 // check combines the checksums of the final x and y positions.
 func check(sx, sy float64) float64 { return sx + 3*sy }
-
-// RunSerial measures one thread on the local machine.
-func RunSerial(p Params) wload.Result { return RunLocal(p, 1) }
 
 // RunLocal is the Pthreads baseline.
 func RunLocal(p Params, threads int) wload.Result {

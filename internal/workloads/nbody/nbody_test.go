@@ -53,7 +53,7 @@ func TestUnevenBodies(t *testing.T) {
 
 func TestArgoScales(t *testing.T) {
 	p := testParams()
-	serial := RunSerial(p)
+	serial := RunLocal(p, 1)
 	ar := RunArgo(wload.ArgoConfig(4, 8<<20), p, 4)
 	if ar.Time >= serial.Time {
 		t.Fatalf("argo 16 threads (%d) not faster than serial (%d)", ar.Time, serial.Time)

@@ -22,16 +22,12 @@ import (
 	"argo/internal/workloads/wload"
 )
 
-// Params configures the microbenchmark.
+// Params configures the microbenchmark (the evaluation's inputs:
+// internal/harness/kernels.go).
 type Params struct {
 	OpsPerThread int
 	WorkUnits    int // thread-local work units between operations
 	Preload      int // initial heap elements
-}
-
-// DefaultParams follows the paper: 48 local work units.
-func DefaultParams() Params {
-	return Params{OpsPerThread: 200, WorkUnits: 48, Preload: 512}
 }
 
 // workUnitCost is the modeled cost of one local work unit (two updates to
