@@ -43,6 +43,15 @@ func run(useHQDL bool) (opsPerUs float64, siFences int64) {
 	}
 
 	var extracted atomic.Int64
+	// The delegated sections are built once: an insert's priority travels
+	// as DelegateArg's argument word, so delegating allocates nothing per
+	// operation (a closure capturing the priority would, every time).
+	insert := heap.Insert
+	extract := func(h *argo.Thread) {
+		if _, ok := heap.ExtractMin(h); ok {
+			extracted.Add(1)
+		}
+	}
 	makespan := cluster.Run(tpn, func(t *argo.Thread) {
 		if t.Rank == 0 {
 			for i := 0; i < 1024; i++ {
@@ -54,7 +63,7 @@ func run(useHQDL bool) (opsPerUs float64, siFences int64) {
 			priority := t.Rand().Int63n(1 << 20)
 			if k%2 == 0 {
 				if hqdl != nil {
-					hqdl.Delegate(t, func(h *argo.Thread) { heap.Insert(h, priority) })
+					hqdl.DelegateArg(t, insert, priority)
 				} else {
 					cohort.Lock(t)
 					heap.Insert(t, priority)
@@ -62,11 +71,7 @@ func run(useHQDL bool) (opsPerUs float64, siFences int64) {
 				}
 			} else {
 				if hqdl != nil {
-					hqdl.DelegateWait(t, func(h *argo.Thread) {
-						if _, ok := heap.ExtractMin(h); ok {
-							extracted.Add(1)
-						}
-					})
+					hqdl.DelegateWait(t, extract)
 				} else {
 					cohort.Lock(t)
 					if _, ok := heap.ExtractMin(t); ok {

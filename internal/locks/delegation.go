@@ -47,11 +47,26 @@ type delegQueue[H any] struct {
 	idle    []*delegSlot
 }
 
+// delegEntry is one critical section in the ring: a closure (section) or a
+// function and its argument word (fn, arg), the QD paper's function plus
+// arguments copied into the buffer. A caller that builds fn once delegates
+// per-operation data without allocating a closure for it.
 type delegEntry[H any] struct {
-	section func(h H)
+	section func(h H)            // nil when fn is set
+	fn      func(h H, arg int64) // runs as fn(h, arg)
+	arg     int64
 	enqAt   sim.Time
 	done    *delegSlot // nil when detached
 	key     uint64     // edge key for observers; zero when none are attached
+}
+
+// run executes the entry's section on helper h.
+func (e *delegEntry[H]) run(h H) {
+	if e.fn != nil {
+		e.fn(h, e.arg)
+		return
+	}
+	e.section(h)
 }
 
 // delegSlot carries one waited section's completion time from the helper to
@@ -64,10 +79,10 @@ type delegSlot struct {
 // delegRing is the delegation ring's length on every QD and HQDL queue.
 const delegRing = 128
 
-// delegate hands section to the current helper and returns the slot to
+// delegate hands e's section to the current helper and returns the slot to
 // await when wait is set. A caller that finds the queue free becomes the
-// helper instead: it runs section itself through serve, then calls release.
-func (q *delegQueue[H]) delegate(p *sim.Proc, section func(h H), wait bool) (s *delegSlot, helper bool) {
+// helper instead: it runs e itself through serve, then calls release.
+func (q *delegQueue[H]) delegate(p *sim.Proc, e delegEntry[H], wait bool) (s *delegSlot, helper bool) {
 	enq := q.fab.P.LocalLatency
 	for {
 		q.mu.Lock()
@@ -78,7 +93,7 @@ func (q *delegQueue[H]) delegate(p *sim.Proc, section func(h H), wait bool) (s *
 			return nil, true
 		}
 		if q.open && q.n < len(q.ring) {
-			e := delegEntry[H]{section: section, enqAt: p.Now() + enq}
+			e.enqAt = p.Now() + enq
 			if q.obs != nil {
 				e.key = q.key<<32 | q.seq.Add(1)
 				q.obs.Emit(probe.Event{Kind: probe.Delegate, Node: p.Node, Tid: probe.TidOf(p.Socket, p.Core), Start: e.enqAt, T: e.enqAt, Key: e.key})
@@ -118,8 +133,8 @@ func (q *delegQueue[H]) await(p *sim.Proc, s *delegSlot) {
 // serve is the helper's turn: its own section, then the ring's. When the
 // ring runs dry or a ring's length of sections have been dequeued the queue
 // closes; what it holds then still runs. Returns the count.
-func (q *delegQueue[H]) serve(h H, p *sim.Proc, own func(h H)) int {
-	own(h)
+func (q *delegQueue[H]) serve(h H, p *sim.Proc, own delegEntry[H]) int {
+	own.run(h)
 	sections := 1
 	for open := true; ; sections++ {
 		if open {
@@ -143,7 +158,7 @@ func (q *delegQueue[H]) serve(h H, p *sim.Proc, own func(h H)) int {
 		p.Advance(q.fab.P.LocalLatency)
 		p.AdvanceTo(e.enqAt)
 		q.obs.Sync(p, p.Now(), probe.DelegateRun, e.key, 0, 0)
-		e.section(h)
+		e.run(h)
 		q.fab.NodeStats(p.Node).DelegatedSections.Add(1)
 		q.obs.Sync(p, p.Now(), probe.DelegateDone, e.key, 0, int64(q.key))
 		if e.done != nil {

@@ -96,23 +96,38 @@ func TestAllocFreeFIFOHandoff(t *testing.T) {
 	}
 }
 
-// TestAllocFreeQDDelegation: detached and waited delegations between two
-// threads, closure hoisted out of the loop, allocate nothing once the ring
-// and the completion slots exist.
+// TestAllocFreeQDDelegation: detached, argument and waited delegations
+// between two threads, sections built once outside the loop, allocate
+// nothing once the ring and the completion slots exist. Each thread passes
+// its operation count as the argument; its section must receive that count,
+// which it still reads then: the thread waits on a later section before it
+// counts again.
 func TestAllocFreeQDDelegation(t *testing.T) {
 	skipAllocTestUnderRace(t)
 	f := testFab()
 	l := NewQDLock(f)
 	var s steadyAllocs
+	var ops [2]int64
+	var wrong atomic.Int64
 	sim.NewGroup(procs(sim.Topology{Nodes: 1, Sockets: 1, CoresPerSocket: 2}, 2)).Run(func(i int, p *sim.Proc) {
 		section := func(h *sim.Proc) { h.Advance(5) }
+		withArg := func(h *sim.Proc, arg int64) {
+			if arg != ops[i] {
+				wrong.Add(1)
+			}
+		}
 		s.run(i, func() {
+			ops[i]++
 			l.Delegate(p, section)
+			l.DelegateArg(p, withArg, ops[i])
 			l.DelegateWait(p, section)
 		}, f.NodeStats(0).DelegatedSections.Load)
 	})
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d DelegateArg sections received another argument than their delegator passed", n)
+	}
 	if s.allocs != 0 {
-		t.Fatalf("steady-state QD delegation allocated %.1f times per Delegate+DelegateWait, want 0", s.allocs)
+		t.Fatalf("steady-state QD delegation allocated %.1f times per Delegate+DelegateArg+DelegateWait, want 0", s.allocs)
 	}
 	if s.delegated == 0 {
 		t.Fatal("no section was delegated while measuring: not the path under test")
@@ -124,15 +139,27 @@ func TestAllocFreeHQDLDelegation(t *testing.T) {
 	c := dsmCluster(1)
 	l := NewHQDLock(c)
 	var s steadyAllocs
+	var ops [2]int64
+	var wrong atomic.Int64
 	c.Run(2, func(th *core.Thread) {
 		section := func(h *core.Thread) { h.P.Advance(5) }
+		withArg := func(h *core.Thread, arg int64) {
+			if arg != ops[th.Rank] {
+				wrong.Add(1)
+			}
+		}
 		s.run(th.Rank, func() {
+			ops[th.Rank]++
 			l.Delegate(th, section)
+			l.DelegateArg(th, withArg, ops[th.Rank])
 			l.DelegateWait(th, section)
 		}, c.Fab.NodeStats(0).DelegatedSections.Load)
 	})
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d DelegateArg sections received another argument than their delegator passed", n)
+	}
 	if s.allocs != 0 {
-		t.Fatalf("steady-state HQDL delegation allocated %.1f times per Delegate+DelegateWait, want 0", s.allocs)
+		t.Fatalf("steady-state HQDL delegation allocated %.1f times per Delegate+DelegateArg+DelegateWait, want 0", s.allocs)
 	}
 	if s.delegated == 0 {
 		t.Fatal("no section was delegated while measuring: not the path under test")

@@ -49,14 +49,21 @@ func NewHQDLock(c *core.Cluster) *HQDLock {
 
 // Delegate submits section and detaches.
 func (l *HQDLock) Delegate(t *core.Thread, section func(h *core.Thread)) {
-	l.delegate(t, section, false)
+	l.delegate(t, delegEntry[*core.Thread]{section: section}, false)
+}
+
+// DelegateArg is Delegate for a section that takes one argument word: the
+// helper runs fn(h, arg). Built once, fn carries per-operation data without
+// a closure allocated per call.
+func (l *HQDLock) DelegateArg(t *core.Thread, fn func(h *core.Thread, arg int64), arg int64) {
+	l.delegate(t, delegEntry[*core.Thread]{fn: fn, arg: arg}, false)
 }
 
 // DelegateWait submits section and blocks until it has executed. The wait
 // needs no fence of its own: results are observed through the node's shared
 // page cache, which the helper keeps coherent with its batch-level fences.
 func (l *HQDLock) DelegateWait(t *core.Thread, section func(h *core.Thread)) {
-	if s := l.delegate(t, section, true); s != nil {
+	if s := l.delegate(t, delegEntry[*core.Thread]{section: section}, true); s != nil {
 		l.nodes[t.Node].await(t.P, s)
 	}
 }
@@ -67,16 +74,16 @@ func (l *HQDLock) DelegateWait(t *core.Thread, section func(h *core.Thread)) {
 // return means the caller became the helper and the section already ran.
 // As with DelegateWait, no extra fence is needed on the wait.
 func (l *HQDLock) DelegateAsync(t *core.Thread, section func(h *core.Thread)) func(t *core.Thread) {
-	s := l.delegate(t, section, true)
+	s := l.delegate(t, delegEntry[*core.Thread]{section: section}, true)
 	if s == nil {
 		return nil
 	}
 	return func(t *core.Thread) { l.nodes[t.Node].await(t.P, s) }
 }
 
-func (l *HQDLock) delegate(t *core.Thread, section func(h *core.Thread), wait bool) *delegSlot {
+func (l *HQDLock) delegate(t *core.Thread, e delegEntry[*core.Thread], wait bool) *delegSlot {
 	nq := l.nodes[t.Node]
-	s, helper := nq.delegate(t.P, section, wait)
+	s, helper := nq.delegate(t.P, e, wait)
 	if !helper {
 		return s
 	}
@@ -89,7 +96,7 @@ func (l *HQDLock) delegate(t *core.Thread, section func(h *core.Thread), wait bo
 	heldAt := t.P.Now()
 	l.c.Obs.Sync(t.P, t0, probe.LockAcquire, l.global.key, probe.LockHQDL, owned-t0)
 
-	sections := nq.serve(t, t.P, section)
+	sections := nq.serve(t, t.P, e)
 
 	// One self-downgrade publishes the whole batch, then the global lock
 	// moves on. The batch size — own plus delegated sections under one global

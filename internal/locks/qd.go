@@ -12,7 +12,8 @@ import (
 // own section and then drains delegated sections back to back — the
 // migratory data stays in the helper's cache the whole time. Threads whose
 // sections need no result detach immediately after delegating (Delegate);
-// threads that need the result wait for it (DelegateWait).
+// threads that need the result wait for it (DelegateWait). DelegateArg is
+// the detached form for a section that takes one argument word.
 type QDLock struct {
 	q delegQueue[*sim.Proc]
 }
@@ -28,13 +29,20 @@ func newQDLock(f *fabric.Fabric, ring int) *QDLock {
 // Delegate submits section and detaches: the caller continues immediately
 // after a successful delegation, possibly before the section has executed.
 func (l *QDLock) Delegate(p *sim.Proc, section func(h *sim.Proc)) {
-	l.delegate(p, section, false)
+	l.delegate(p, delegEntry[*sim.Proc]{section: section}, false)
+}
+
+// DelegateArg is Delegate for a section that takes one argument word: the
+// helper runs fn(h, arg). Built once, fn carries per-operation data without
+// a closure allocated per call.
+func (l *QDLock) DelegateArg(p *sim.Proc, fn func(h *sim.Proc, arg int64), arg int64) {
+	l.delegate(p, delegEntry[*sim.Proc]{fn: fn, arg: arg}, false)
 }
 
 // DelegateWait submits section and blocks until it has executed; the
 // caller's clock is advanced to the section's completion time.
 func (l *QDLock) DelegateWait(p *sim.Proc, section func(h *sim.Proc)) {
-	if s := l.delegate(p, section, true); s != nil {
+	if s := l.delegate(p, delegEntry[*sim.Proc]{section: section}, true); s != nil {
 		l.q.await(p, s)
 	}
 }
@@ -46,17 +54,17 @@ func (l *QDLock) DelegateWait(p *sim.Proc, section func(h *sim.Proc)) {
 // The returned wait may be nil when the caller itself became the helper
 // and the section has already executed.
 func (l *QDLock) DelegateAsync(p *sim.Proc, section func(h *sim.Proc)) func(p *sim.Proc) {
-	s := l.delegate(p, section, true)
+	s := l.delegate(p, delegEntry[*sim.Proc]{section: section}, true)
 	if s == nil {
 		return nil
 	}
 	return func(p *sim.Proc) { l.q.await(p, s) }
 }
 
-func (l *QDLock) delegate(p *sim.Proc, section func(h *sim.Proc), wait bool) *delegSlot {
-	s, helper := l.q.delegate(p, section, wait)
+func (l *QDLock) delegate(p *sim.Proc, e delegEntry[*sim.Proc], wait bool) *delegSlot {
+	s, helper := l.q.delegate(p, e, wait)
 	if helper {
-		l.q.serve(p, p, section)
+		l.q.serve(p, p, e)
 		l.q.release(p)
 	}
 	return s

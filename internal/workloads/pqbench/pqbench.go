@@ -105,6 +105,16 @@ func RunNative(kind NativeLockKind, threads int, p Params) Result {
 		panic("pqbench: unknown native lock " + string(kind))
 	}
 
+	// The delegated sections, built once: the key travels as the ring's
+	// argument word, so delegating allocates nothing per operation.
+	insert := func(h *sim.Proc, key int64) {
+		data.Touch(h, m.Fab)
+		heap.Insert(key)
+	}
+	extract := func(h *sim.Proc) {
+		data.Touch(h, m.Fab)
+		heap.ExtractMin()
+	}
 	t := m.Run(threads, func(lc *wload.LocalCtx) {
 		rng := rand.New(rand.NewSource(int64(lc.ID)*2654435761 + 12345))
 		arr := make([]int64, 64)
@@ -114,15 +124,9 @@ func RunNative(kind NativeLockKind, threads int, p Params) Result {
 			key := rng.Int63n(1 << 20)
 			if qd != nil {
 				if ins {
-					qd.Delegate(lc.P, func(h *sim.Proc) {
-						data.Touch(h, m.Fab)
-						heap.Insert(key)
-					})
+					qd.DelegateArg(lc.P, insert, key)
 				} else {
-					qd.DelegateWait(lc.P, func(h *sim.Proc) {
-						data.Touch(h, m.Fab)
-						heap.ExtractMin()
-					})
+					qd.DelegateWait(lc.P, extract)
 				}
 			} else {
 				plain.Lock(lc.P)
@@ -173,6 +177,9 @@ func RunDSM(kind DSMLockKind, cfg core.Config, tpn int, p Params) Result {
 		panic("pqbench: unknown DSM lock " + string(kind))
 	}
 
+	// As in RunNative: the sections are built once per run.
+	insert := heap.Insert
+	extract := func(h *core.Thread) { heap.ExtractMin(h) }
 	t := c.Run(tpn, func(th *core.Thread) {
 		rng := th.Rand() // seeded here, not in the race for the lock behind InitDone
 		// Preload from thread 0 before everyone starts.
@@ -189,9 +196,9 @@ func RunDSM(kind DSMLockKind, cfg core.Config, tpn int, p Params) Result {
 			key := rng.Int63n(1 << 20)
 			if hqdl != nil {
 				if ins {
-					hqdl.Delegate(th, func(h *core.Thread) { heap.Insert(h, key) })
+					hqdl.DelegateArg(th, insert, key)
 				} else {
-					hqdl.DelegateWait(th, func(h *core.Thread) { heap.ExtractMin(h) })
+					hqdl.DelegateWait(th, extract)
 				}
 			} else {
 				plain.Lock(th)

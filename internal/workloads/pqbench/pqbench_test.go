@@ -2,8 +2,10 @@ package pqbench
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"argo/internal/racetag"
 	"argo/internal/sim"
 	"argo/internal/workloads/wload"
 )
@@ -111,6 +113,45 @@ func TestLocalWorkStreamUnchanged(t *testing.T) {
 			if g, w := int(got.Int63()>>32)&63, want.Intn(64); g != w {
 				t.Fatalf("seed %d: draw %d = %d, Intn(64) = %d", seed, d, g, w)
 			}
+		}
+	}
+}
+
+// TestAllocPerOpDelegation: the delegated paths of both families allocate
+// per run, not per operation — the key of an insert travels in the ring's
+// argument word and the extract section is built once. Objects allocated by
+// a run at 2 000 and at 8 000 operations per thread, after a warm-up at the
+// larger size, may differ by less than 0.01 per extra operation (a closure
+// per delegation reads about 1.0).
+func TestAllocPerOpDelegation(t *testing.T) {
+	if racetag.Enabled {
+		t.Skip("allocation counts are measured without the race detector")
+	}
+	const small, large = 2000, 8000
+	for _, c := range []struct {
+		name    string
+		threads int
+		run     func(p Params)
+	}{
+		{"RunDSM(argo-hqdl) 2x2", 4, func(p Params) { RunDSM(DSMHQDL, wload.ArgoConfig(2, 16<<20), 2, p) }},
+		{"RunNative(qd) 4", 4, func(p Params) { RunNative(NativeQD, 4, p) }},
+	} {
+		mallocs := func(ops int) uint64 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			c.run(Params{OpsPerThread: ops, WorkUnits: 8, Preload: 64})
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		mallocs(large) // warm-up: pools and caches reach their working size
+		lo, hi := mallocs(small), mallocs(large)
+		extra := float64(c.threads * (large - small))
+		if growth := (float64(hi) - float64(lo)) / extra; growth >= 0.01 {
+			t.Errorf("%s: %d objects at %d ops/thread, %d at %d: %.3f per extra operation, want < 0.01",
+				c.name, lo, small, hi, large, growth)
+		} else {
+			t.Logf("%s: %d objects at %d ops/thread, %d at %d", c.name, lo, small, hi, large)
 		}
 	}
 }

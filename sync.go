@@ -30,6 +30,8 @@ func NewCohortLock(c *Cluster) *CohortLock { return locks.NewDSMCohortLock(c) }
 // HQDL is Vela's hierarchical queue delegation lock: critical sections are
 // delegated to a helper on the caller's node and executed in batches with
 // one SI/SD pair per batch. Use Delegate for fire-and-forget sections,
+// DelegateArg for fire-and-forget sections that take one argument word (a
+// section built once then carries per-operation data without allocating),
 // DelegateWait when the result is needed, and DelegateAsync to overlap.
 type HQDL = locks.HQDLock
 
