@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"argo/internal/simd"
 )
 
 // diffPatterns are the page/twin pairs BenchmarkDiff scans: the two ledger
@@ -49,17 +51,32 @@ func diffPatterns() map[string][2][]byte {
 
 var diffSink int
 
+// BenchmarkDiff applies each pattern's diff to a home page with the Go scan
+// and with the SIMD kernel, side by side; simd is skipped where the kernel is
+// not selected (no AVX2, a -race build).
 func BenchmarkDiff(b *testing.B) {
 	pats := diffPatterns()
+	home := make([]byte, 4096)
 	for _, name := range []string{"sparse", "dense", "oneword", "floats", "floatrows"} {
 		data, twin := pats[name][0], pats[name][1]
 		b.Run(name, func(b *testing.B) {
-			s := NewSpace(1, 4096, 4096, Interleaved)
-			b.SetBytes(4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				diffSink += s.ApplyDiff(0, data, twin)
-			}
+			b.Run("go", func(b *testing.B) {
+				b.SetBytes(4096)
+				for i := 0; i < b.N; i++ {
+					diffSink += diffScanGo(home, data, twin)
+				}
+			})
+			b.Run("simd", func(b *testing.B) {
+				if _, ok := simd.Diff(home, data, twin); !ok {
+					b.Skip("the SIMD diff kernel is not selected in this build or on this host")
+				}
+				b.SetBytes(4096)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tx, _ := simd.Diff(home, data, twin)
+					diffSink += tx
+				}
+			})
 		})
 	}
 }

@@ -9,8 +9,10 @@ import (
 // twin/diff machinery. Against a home that equals the twin the merge must
 // reproduce the update; against a home holding a third pattern (other nodes'
 // bytes — false sharing) it must match the byte-wise reference exactly, in
-// wire size and in every byte written or left alone. The seeds put runs on
-// word and chunk edges and leave the length off both.
+// wire size and in every byte written or left alone. Both scans, the SIMD one
+// and the Go one, are held to the reference on the whole pattern and on its
+// longest prefix whose length is a multiple of 32. The seeds put runs on
+// word, block and chunk edges and leave the length off all three.
 func FuzzDiffMerge(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, []byte{1, 9, 3, 4}, byte(0))
 	f.Add([]byte{}, []byte{}, byte(0))
@@ -21,6 +23,15 @@ func FuzzDiffMerge(f *testing.F) {
 	}
 	f.Add(bytes.Repeat([]byte{7}, 3*diffChunk+13), edge, byte(0xA5))
 	f.Add(bytes.Repeat([]byte{7}, 2*diffChunk+5), bytes.Repeat([]byte{8}, 2*diffChunk+5), byte(0x5A))
+	block := bytes.Repeat([]byte{7}, 4*32)
+	for i := range block {
+		// A run carried out of block 0 into block 1, one carried into the
+		// all-changed block 2, and the last byte of block 3.
+		if 20 <= i && i < 34 || 63 <= i && i < 96 || i == 127 {
+			block[i] = 9
+		}
+	}
+	f.Add(bytes.Repeat([]byte{7}, 4*32), block, byte(0x3C))
 	f.Fuzz(func(t *testing.T, base, update []byte, fill byte) {
 		n := len(base)
 		if len(update) < n {
@@ -67,6 +78,19 @@ func FuzzDiffMerge(f *testing.F) {
 		for i := n; i < len(home); i++ {
 			if home[i] != fill {
 				t.Fatalf("byte %d past the diffed range clobbered", i)
+			}
+		}
+		for _, m := range []int{n, n &^ 31} {
+			ref := bytes.Repeat([]byte{fill}, m)
+			tx := refDiffRuns(ref, update[:m], base[:m])
+			for _, sc := range diffScans {
+				if got := sc.scan(nil, update[:m], base[:m]); got != tx {
+					t.Fatalf("%s scan of %d bytes sized %d, reference %d", sc.name, m, got, tx)
+				}
+				got := bytes.Repeat([]byte{fill}, m)
+				if w := sc.scan(got, update[:m], base[:m]); w != tx || !bytes.Equal(got, ref) {
+					t.Fatalf("%s scan of %d bytes sent %d (reference %d):\nhome %v\nwant %v", sc.name, m, w, tx, got, ref)
+				}
 			}
 		}
 	})

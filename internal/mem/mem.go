@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"argo/internal/simd"
 	"argo/internal/sparse"
 )
 
@@ -242,7 +243,9 @@ func (s *Space) Writeback(p int, data, twin []byte, preferFull func() bool) (tx 
 }
 
 // The diff scan. A release diffs every dirty page against its twin, so this
-// scan is the host cost of an SD fence. It works at three granularities:
+// scan is the host cost of an SD fence. On an AVX2 host most pages go to the
+// SIMD kernel (simd.Diff, see diffScan); the Go scan, diffScanGo, works at
+// three granularities:
 //
 //   - Chunks of diffChunk bytes are compared with bytes.Equal (the runtime's
 //     vectorised memequal) and skipped whole when identical. Most of a typical
@@ -285,7 +288,22 @@ const (
 // home is non-nil, applies the changed bytes to it. It is the one scan behind
 // Writeback and ApplyDiff; tests size a diff without applying it (nil home).
 // The caller holds home's page lock exclusively.
+//
+// On an AVX2 host a page whose length is a multiple of 32 goes to simd.Diff,
+// the same arithmetic on 32-byte blocks (DESIGN §29): one VPCMPEQB and
+// VPMOVMSKB give a block's changed-byte mask, whose popcounts size the block
+// exactly as nz's do here, and VPBLENDVB is the masked merge. Every other
+// page, and every page of a -race build, takes diffScanGo.
 func diffScan(home, data, twin []byte) int {
+	if tx, ok := simd.Diff(home, data, twin); ok {
+		return tx
+	}
+	return diffScanGo(home, data, twin)
+}
+
+// diffScanGo is the portable scan described above: the fallback of diffScan
+// and the reference its SIMD path is tested against.
+func diffScanGo(home, data, twin []byte) int {
 	n := len(data)
 	twin = twin[:n]
 	tx := 0

@@ -381,6 +381,15 @@ func TestDiffSizeMatchesApply(t *testing.T) {
 	}
 }
 
+// diffScans are the two scans the tests hold to refDiffRuns: diffScan, which
+// hands every length that is a multiple of 32 to the SIMD kernel wherever it
+// is selected (TestKernelsSelected in internal/simd checks that it is on an
+// AVX2 host), and the Go loop that is its fallback.
+var diffScans = []struct {
+	name string
+	scan func(home, data, twin []byte) int
+}{{"simd", diffScan}, {"go", diffScanGo}}
+
 // refDiffRuns is the scalar byte-at-a-time reference for the word-wise
 // run-scan: it returns the diff's wire size and applies changed runs to home
 // (when home is non-nil) exactly as the pre-vectorization loop did.
@@ -406,13 +415,15 @@ func refDiffRuns(home, data, twin []byte) int {
 	return tx
 }
 
-// Directed cases the scan must get exactly right: empty diffs, full-page
+// Directed cases both scans must get exactly right: empty diffs, full-page
 // diffs, runs that start and end on every byte offset of a word, runs that
-// straddle word and chunk edges, a run that ends flush with a chunk followed
-// by a skipped chunk and a run that opens the next one (the carry must not
-// leak across the skip and merge their headers), and lengths that are a
-// multiple of neither the word nor the chunk. Home starts as a third pattern:
-// whatever the diff does not name must survive (false sharing).
+// straddle word, 32-byte block and chunk edges, a run that ends flush with a
+// chunk followed by a skipped chunk and a run that opens the next one (the
+// carry must not leak across the skip and merge their headers), runs that
+// carry into and out of a 32-byte block, all-changed blocks, and lengths that
+// are a multiple of neither the word nor the chunk. Every case is sized alone
+// (nil home) and applied. Home starts as a third pattern: whatever the diff
+// does not name must survive (false sharing).
 func TestDiffScanDirected(t *testing.T) {
 	type run struct{ lo, hi int }
 	type tcase struct {
@@ -447,14 +458,31 @@ func TestDiffScanDirected(t *testing.T) {
 		{"tail-only-words-and-bytes", c - 3, []run{{0, 1}, {7, 9}, {c - 4, c - 3}}},
 		{"streak-then-mixed-word", 4 * c, []run{{8, 43}}},
 		{"streak-to-chunk-end-then-streak", 4 * c, []run{{c - 24, c + 24}}},
+		{"run-straddles-block-edge", 96, []run{{28, 36}}},
+		{"run-carries-in-and-out-of-block", 128, []run{{20, 76}}},
+		{"run-carries-out-then-equal-block", 128, []run{{24, 32}, {64, 70}}},
+		{"run-carries-out-one-gap", 96, []run{{24, 32}, {33, 40}}},
+		{"runs-either-side-of-block-edge", 96, []run{{31, 32}, {32, 33}}},
+		{"all-changed-block", 96, []run{{32, 64}}},
+		{"all-changed-first-and-last-block", 128, []run{{0, 32}, {96, 128}}},
+		{"all-changed-blocks-then-byte", 128, []run{{0, 64}, {65, 66}}},
+		{"one-block-page", 32, []run{{3, 29}}},
+		{"one-block-page-full", 32, []run{{0, 32}}},
 	}
-	// Every (start, end) pair over two words, at a chunk edge and inside one.
-	for _, base := range []int{c - 8, 40} {
+	// Every (start, end) pair over two words, at a chunk edge, at a block
+	// edge and inside both; and every run that reaches a block edge from
+	// either side.
+	for _, base := range []int{c - 8, 40, 56} {
 		for lo := 0; lo < 8; lo++ {
 			for hi := lo + 1; hi <= 16; hi++ {
 				cases = append(cases, tcase{fmt.Sprintf("word-offsets-%d+%d-%d", base, lo, hi), 2 * c, []run{{base + lo, base + hi}}})
 			}
 		}
+	}
+	for k := 1; k <= 32; k++ {
+		cases = append(cases,
+			tcase{fmt.Sprintf("run-ends-at-block-edge-%d", k), 96, []run{{64 - k, 64}}},
+			tcase{fmt.Sprintf("run-starts-at-block-edge-%d", k), 96, []run{{32, 32 + k}}})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -469,17 +497,19 @@ func TestDiffScanDirected(t *testing.T) {
 				}
 			}
 			want := refDiffRuns(nil, data, twin)
-			if got := diffScan(nil, data, twin); got != want {
-				t.Fatalf("sized diff = %d, want %d", got, want)
-			}
 			homeA := bytes.Repeat([]byte{0xA5}, tc.n)
-			homeB := bytes.Repeat([]byte{0xA5}, tc.n)
 			refDiffRuns(homeA, data, twin)
-			if got := diffScan(homeB, data, twin); got != want {
-				t.Fatalf("diffScan tx = %d, want %d", got, want)
-			}
-			if !bytes.Equal(homeA, homeB) {
-				t.Fatalf("apply diverged from byte-wise reference")
+			for _, sc := range diffScans {
+				if got := sc.scan(nil, data, twin); got != want {
+					t.Fatalf("%s: sized diff = %d, want %d", sc.name, got, want)
+				}
+				homeB := bytes.Repeat([]byte{0xA5}, tc.n)
+				if got := sc.scan(homeB, data, twin); got != want {
+					t.Fatalf("%s: applied diff tx = %d, want %d", sc.name, got, want)
+				}
+				if !bytes.Equal(homeA, homeB) {
+					t.Fatalf("%s: apply diverged from byte-wise reference", sc.name)
+				}
 			}
 		})
 	}
@@ -524,24 +554,31 @@ func randomDiffPair(rng *rand.Rand) (data, twin []byte) {
 	return data, twin
 }
 
-// Property: on random page/twin pairs the sizing scan and the applying scan agree
-// with the byte-wise reference — same wire size, same bytes written, and,
-// home being a third random pattern, the same bytes left untouched.
+// Property: on random page/twin pairs, and on their longest prefix whose
+// length is a multiple of 32 (the SIMD kernel's), both scans' sizing and
+// applying agree with the byte-wise reference — same wire size, same bytes
+// written, and, home being a third random pattern, the same bytes left
+// untouched.
 func TestDiffScanMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		data, twin := randomDiffPair(rng)
-		homeRef := make([]byte, len(data))
-		rng.Read(homeRef)
-		homeGot := append([]byte(nil), homeRef...)
-		want := refDiffRuns(homeRef, data, twin)
-		if diffScan(nil, data, twin) != want {
-			return false
+		home := make([]byte, len(data))
+		rng.Read(home)
+		for _, n := range []int{len(data), len(data) &^ 31} {
+			homeRef := append([]byte(nil), home[:n]...)
+			want := refDiffRuns(homeRef, data[:n], twin[:n])
+			for _, sc := range diffScans {
+				homeGot := append([]byte(nil), home[:n]...)
+				if sc.scan(nil, data[:n], twin[:n]) != want || sc.scan(homeGot, data[:n], twin[:n]) != want {
+					return false
+				}
+				if !bytes.Equal(homeRef, homeGot) {
+					return false
+				}
+			}
 		}
-		if diffScan(homeGot, data, twin) != want {
-			return false
-		}
-		return bytes.Equal(homeRef, homeGot)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

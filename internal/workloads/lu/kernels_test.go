@@ -7,6 +7,8 @@ import (
 	"os"
 	"strconv"
 	"testing"
+
+	"argo/internal/simd"
 )
 
 // The textbook triple loops the block kernels replaced. They define the
@@ -94,10 +96,11 @@ func sameBits(t *testing.T, kernel string, b int, got, want []float64) {
 
 // TestKernelsBitIdentical holds every block kernel to its triple-loop
 // reference, on block sizes that cover the empty, partial and full k-by-4
-// groups of mulSub.
+// groups of mulSubGo and one to four 16-column strips of the SIMD kernel
+// (b = 16, 32, 48, 64). mulSub is checked as dispatched and as its Go loop.
 func TestKernelsBitIdentical(t *testing.T) {
 	clone := func(x []float64) []float64 { return append([]float64(nil), x...) }
-	for _, b := range []int{1, 2, 3, 4, 5, 8, 31, 32, 33} {
+	for _, b := range []int{1, 2, 3, 4, 5, 8, 16, 31, 32, 33, 48, 64} {
 		rng := rand.New(rand.NewSource(int64(b) * 7919))
 		for rep := 0; rep < 3; rep++ {
 			diag, x, y, z := diagBlock(rng, b), kernelBlock(rng, b), kernelBlock(rng, b), kernelBlock(rng, b)
@@ -122,6 +125,10 @@ func TestKernelsBitIdentical(t *testing.T) {
 			mulSub(got, y, z, b)
 			refMulSub(want, y, z, b)
 			sameBits(t, "mulSub", b, got, want)
+
+			got = clone(x)
+			mulSubGo(got, y, z, b)
+			sameBits(t, "mulSubGo", b, got, want)
 		}
 	}
 }
@@ -165,9 +172,11 @@ func TestSerialChecksumIsTheLedgers(t *testing.T) {
 	}
 }
 
-// BenchmarkKernels reports ns per 32×32 block for the four kernels. The
-// operands are restored before every call so values stay finite; the copy is
-// a few percent of mulSub and is the same at every commit.
+// BenchmarkKernels reports ns per 32×32 block for the four kernels, mulSub as
+// its Go loop and as the SIMD kernel side by side (simd is skipped where the
+// kernel is not selected). The operands are restored before every call so
+// values stay finite; the copy is a few percent of mulSub/go and is the same
+// at every commit.
 func BenchmarkKernels(b *testing.B) {
 	const bs = 32
 	rng := rand.New(rand.NewSource(1))
@@ -183,9 +192,13 @@ func BenchmarkKernels(b *testing.B) {
 		{"factorDiag", diag, func() { factorDiag(work, bs) }},
 		{"solveRow", x, func() { solveRow(factored, work, bs) }},
 		{"solveCol", x, func() { solveCol(factored, work, bs) }},
-		{"mulSub", x, func() { mulSub(work, y, z, bs) }},
+		{"mulSub/go", x, func() { mulSubGo(work, y, z, bs) }},
+		{"mulSub/simd", x, func() { simd.MulSub(work, y, z, bs) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
+			if k.name == "mulSub/simd" && !simd.MulSub(work, y, z, bs) {
+				b.Skip("the SIMD block kernel is not selected in this build or on this host")
+			}
 			for i := 0; i < b.N; i++ {
 				copy(work, k.src)
 				k.run()

@@ -12,6 +12,7 @@ import (
 
 	"argo/internal/core"
 	"argo/internal/sim"
+	"argo/internal/simd"
 	"argo/internal/workloads/wload"
 )
 
@@ -103,10 +104,20 @@ func solveCol(diag, blk []float64, b int) {
 	}
 }
 
-// mulSub computes c -= a·bb for b×b blocks. k advances four at a time with
+// mulSub computes c -= a·bb for b×b blocks. On an AVX2 host a block whose b
+// is a multiple of 16 goes to simd.MulSub, which applies the same rounded
+// multiply and subtract per element in the same ascending k (DESIGN §29);
+// every other block takes mulSubGo.
+func mulSub(c, a, bb []float64, b int) {
+	if !simd.MulSub(c, a, bb, b) {
+		mulSubGo(c, a, bb, b)
+	}
+}
+
+// mulSubGo is the portable block update: k advances four at a time with
 // c(i,j) held in a register across the four updates, applied in ascending k
 // — the order of the one-at-a-time loop, which finishes the k%4 remainder.
-func mulSub(c, a, bb []float64, b int) {
+func mulSubGo(c, a, bb []float64, b int) {
 	for i := 0; i < b; i++ {
 		ci, ai := row(c, i, b), row(a, i, b)
 		k := 0
