@@ -61,7 +61,6 @@ type Slot struct {
 	Data    []byte
 	Twin    []byte   // pristine copy for diffing; non-nil only while Dirty
 	ReadyAt sim.Time // virtual time at which the content became available
-	WBTries int      // writeback attempts lost so far (Corvus fault identity)
 
 	// twinBuf is the slot's twin frame, taken at its first write miss and
 	// kept across DropTwin and Invalidate until PutFrames; Twin aliases it
@@ -289,7 +288,6 @@ func (s *Slot) Invalidate() {
 	s.Page = -1
 	s.St = Invalid
 	s.Twin = nil
-	s.WBTries = 0
 }
 
 // WBPush appends page to the write buffer FIFO. If the buffer exceeds its

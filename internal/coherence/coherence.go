@@ -373,7 +373,7 @@ func (n *Node) fetchLineLocked(p *sim.Proc, ln *cache.Line, page int) {
 			// Conflict eviction of a dirty page: downgrade it first. The
 			// slot is about to be reused, so loss detection cannot wait
 			// for the next fence — the downgrade is forced through here.
-			n.writebackUntilDelivered(p, ln, s)
+			n.evictSlotLocked(p, ln, s)
 		}
 		if s.Page >= 0 && s.St != cache.Invalid {
 			n.Obs.Page(p, probe.Evict, s.Page, 0)
@@ -453,7 +453,7 @@ func countHomePage(homes []fabric.HomePages, home int) []fabric.HomePages {
 // registerBurst delivers a line fetch's Pyxis fetch-and-or registrations as
 // home-grouped bursts, reissuing dropped or transiently failed items until
 // everything took effect (fetch-and-OR is idempotent, so reissue is safe).
-// Mirrors the SD fence's postBurst retry loop: each pass pays one detection
+// Mirrors the downgrade's postUntilDelivered loop: each pass pays one detection
 // timeout plus backoff, failed items carry their attempt count forward so
 // per-item Corvus fault identity — and with it the escalation guarantee —
 // is exactly that of the unbatched path.
@@ -508,78 +508,20 @@ func (n *Node) writebackIfDirty(p *sim.Proc, page int) {
 	ln := n.Cache.LockLine(n.Cache.LineOf(page))
 	s := n.Cache.SlotOf(ln, page)
 	if s.Page == page && s.St == cache.Dirty {
-		n.writebackUntilDelivered(p, ln, s)
+		n.evictSlotLocked(p, ln, s)
 	}
 	ln.Unlock()
 }
 
-// writebackSlotLocked transmits a dirty page to its home and, if the posted
-// write was delivered, marks it clean and reports true. With SWDiffSuppress,
-// a node that is still the page's only writer (checked under the home page
-// lock, which makes the race with a concurrent new writer benign — see
-// package directory) sends the full page and skips diff creation; otherwise
-// the changed bytes are diffed against the twin.
-//
-// On a lost post (Corvus drop) the slot stays dirty with its twin intact and
-// WBTries bumped — the next attempt forms a fresh fault identity, and the
-// injector's escalation guarantee bounds the reissues. The home-side diff
-// application is idempotent (same diff against the same twin), so reissuing
-// is safe; under DRF nobody else writes the same bytes between attempts.
-func (n *Node) writebackSlotLocked(p *sim.Proc, ln *cache.Line, s *cache.Slot) bool {
-	page := s.Page
-	home := n.Space.HomeOf(page)
-
-	// The page is about to turn clean and its data is about to be read for
-	// the diff: invalidate TLB entries and drain fast-path writers so every
-	// store that validated against the old generation is included.
-	ln.BumpGen()
-
-	var preferFull func() bool
-	if n.Opt.SWDiffSuppress && n.Opt.Mode == ModePS3 {
-		preferFull = func() bool {
-			e := n.Dir.Cached(n.ID, page)
-			return e.W.Only(n.ID)
-		}
-	}
-	tx, full := n.Space.Writeback(page, s.Data, s.Twin, preferFull)
-	if !full {
-		// Diff creation scans the page against its twin.
-		p.Advance(n.Fab.P.CopyCost(n.Cache.PageSize))
-	}
-	// Downgrades are posted one-sided writes: they pipeline with each
-	// other; fences wait for outstanding completions once, at the end.
-	if !n.Fab.PostWrite(p, home, tx, uint64(page), s.WBTries) {
-		s.WBTries++
-		n.Obs.Page(p, probe.WBRetry, page, int64(s.WBTries))
-		return false
-	}
-	n.St.Writebacks.Add(1)
-	n.St.WritebackBytes.Add(int64(tx))
-	n.Obs.Page(p, probe.Writeback, page, int64(tx))
-	s.St = cache.Clean
-	s.WBTries = 0
-	s.DropTwin()
-	return true
-}
-
-// wbRetryPenalty charges the requester side of failed lost downgrades
-// discovered at a flush point: one detection timeout and one backoff step
-// per pass (posted completions are checked together, so the penalty is per
-// flush, not per page), plus the retry accounting.
-func (n *Node) wbRetryPenalty(p *sim.Proc, failed, pass int) {
-	p.Advance(fault.Timeout)
-	n.Fab.Backoff(p, pass)
-	n.St.WritebackRetries.Add(int64(failed))
-	n.Fab.CountRetries(p, fault.ClassPost, failed)
-}
-
-// writebackUntilDelivered forces a downgrade through, paying detection and
-// backoff inline. Used where the slot is immediately reused (conflict
-// eviction) or delivery was promised (write-buffer overflow).
-func (n *Node) writebackUntilDelivered(p *sim.Proc, ln *cache.Line, s *cache.Slot) {
-	for pass := 0; !n.writebackSlotLocked(p, ln, s); pass++ {
-		n.wbRetryPenalty(p, 1, pass)
-	}
+// evictSlotLocked downgrades dirty slot s and posts the page home on p's
+// clock as a one-item burst, reissuing a lost post until it is delivered. Used
+// where the slot is immediately reused (conflict eviction) or delivery was
+// promised (write-buffer overflow), so loss detection cannot wait for the
+// next fence. An eviction emits no burst-shape event: wb-burst is the fences'.
+func (n *Node) evictSlotLocked(p *sim.Proc, ln *cache.Line, s *cache.Slot) {
+	var buf [2]fabric.PostItem // the post and its reissue, on the stack
+	buf[0] = n.downgradeSlotLocked(p, ln, s)
+	n.postUntilDelivered(p, buf[:1:1], buf[1:1])
 }
 
 // checkpointSlotLocked is the naive-P/S downgrade of a modified private

@@ -8,22 +8,25 @@ package coherence
 //  1. Sweep: the used lines are cut into a few strided shards. Each shard,
 //     under the line locks, classifies resident pages (batching the
 //     directory-cache lookups per shard with CachedMany), checkpoints naive-P/S
-//     private pages, and functionally downgrades dirty pages exactly as the
-//     unbatched path did — the diff (or full page) is applied to home memory
-//     under the home page lock and the slot turns clean. The shards run one
-//     after another on the fencing thread, each on its own clone of the
-//     fence's start clock; the clones combine as their MAX, not their sum, so
-//     the sweep is charged as if the shards ran side by side.
+//     private pages, and functionally downgrades dirty pages
+//     (downgradeSlotLocked) — the diff (or full page) is applied to home
+//     memory under the home page lock and the slot turns clean. The shards
+//     run one after another on the fencing thread, each on its own clone of
+//     the fence's start clock; the clones combine as their MAX, not their
+//     sum, so the sweep is charged as if the shards ran side by side.
 //  2. Burst: the collected downgrades are sorted by (home, page) and posted
 //     as one home-grouped burst (fabric.PostWriteBurst): one post overhead
 //     and one NIC occupancy per home instead of per page.
 //  3. Retry: dropped posts are reissued — with the per-page fault identity
-//     (seed, issuer, ClassPost, home, page, attempt) exactly as the serial
-//     flush-detect-reissue loop drew them — after the usual detection
-//     timeout and backoff, until everything is delivered. The functional
-//     writeback already happened in phase 1, and under DRF no other node
-//     reads the home bytes before this fence completes, so the retry loop
-//     is purely a virtual-time matter.
+//     (seed, issuer, ClassPost, home, page, attempt) — after the usual
+//     detection timeout and backoff, until everything is delivered. The
+//     functional writeback already happened in phase 1, and under DRF no
+//     other node reads the home bytes before this fence completes, so the
+//     retry loop is purely a virtual-time matter.
+//
+// Evictions use phases 1 and 3 on one page: a conflict eviction or a
+// write-buffer overflow downgrades the page with downgradeSlotLocked and
+// posts it alone through postUntilDelivered (evictSlotLocked).
 //
 // In steady state a fence allocates nothing: every slice it needs lives in a
 // fenceScratch record taken from a pool on entry and returned on exit.
@@ -36,6 +39,7 @@ import (
 	"argo/internal/cache"
 	"argo/internal/directory"
 	"argo/internal/fabric"
+	"argo/internal/fault"
 	"argo/internal/probe"
 	"argo/internal/sim"
 )
@@ -65,9 +69,8 @@ type fenceScratch struct {
 	refs    []siRef           // SI sweep: resident pages, in line order
 	pages   []int             // SI sweep: CachedMany input
 	entries []directory.Entry // SI sweep: CachedMany output
-	items   []burstItem       // downgrades awaiting the burst
-	post    []fabric.PostItem // postBurst: the pass being posted
-	retry   []fabric.PostItem // postBurst: the failed remainder of that pass
+	items   []fabric.PostItem // downgrades awaiting the burst
+	retry   []fabric.PostItem // postBurst: the failed remainder of a pass
 
 	inv, kept int64    // SI sweep: pages invalidated / exempted
 	proc      sim.Proc // the running shard's clone of the fencing clock
@@ -107,20 +110,13 @@ func (n *Node) sweep(p *sim.Proc, sc *fenceScratch, shard func(n *Node, wp *sim.
 	p.AdvanceTo(end)
 }
 
-// burstItem is one functionally-downgraded page awaiting its virtual post.
-type burstItem struct {
-	page    int
-	home    int
-	tx      int // bytes the post carries (diff size, or the full page)
-	attempt int // first fault-identity attempt (the slot's WBTries)
-}
-
 // downgradeSlotLocked functionally downgrades dirty slot s — applying the
 // diff (or, under SWDiffSuppress for a sole writer, the full page) to home
-// memory and marking the slot clean — and returns the burst item that will
-// pay for the wire transfer. The caller holds the line lock. This is
-// writebackSlotLocked with the posted write split off into the fence's burst.
-func (n *Node) downgradeSlotLocked(wp *sim.Proc, ln *cache.Line, s *cache.Slot) burstItem {
+// memory and marking the slot clean — and returns the post that will pay for
+// the wire transfer. The caller holds the line lock. This is the one
+// downgrade: fences collect its posts into their burst, evictions post each
+// on its own (evictSlotLocked).
+func (n *Node) downgradeSlotLocked(wp *sim.Proc, ln *cache.Line, s *cache.Slot) fabric.PostItem {
 	page := s.Page
 	// Dirty→Clean: invalidate the line's TLB entries and drain lock-free
 	// writers before the diff reads the data, so no fast-path store that
@@ -141,38 +137,42 @@ func (n *Node) downgradeSlotLocked(wp *sim.Proc, ln *cache.Line, s *cache.Slot) 
 	n.St.Writebacks.Add(1)
 	n.St.WritebackBytes.Add(int64(tx))
 	n.Obs.Page(wp, probe.Writeback, page, int64(tx))
-	it := burstItem{page: page, home: n.Space.HomeOf(page), tx: tx, attempt: s.WBTries}
 	s.St = cache.Clean
-	s.WBTries = 0
 	s.DropTwin()
-	return it
+	return fabric.PostItem{Home: n.Space.HomeOf(page), Bytes: tx, Key: uint64(page)}
 }
 
-// postBurst posts the sweep's downgrades home-grouped and loops the failed
-// remainder through detection, backoff and reissue until delivered. Runs on
-// the fencing thread's clock only.
+// postBurst posts the sweep's downgrades home-grouped, until delivered. Runs
+// on the fencing thread's clock only.
 func (n *Node) postBurst(p *sim.Proc, sc *fenceScratch) {
 	items := sc.items
-	slices.SortFunc(items, func(a, b burstItem) int {
-		if c := cmp.Compare(a.home, b.home); c != 0 {
+	slices.SortFunc(items, func(a, b fabric.PostItem) int {
+		if c := cmp.Compare(a.Home, b.Home); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.page, b.page)
+		return cmp.Compare(a.Key, b.Key)
 	})
-	post, spare := sc.post[:0], sc.retry
 	homes := 0
 	for i, it := range items {
-		post = append(post, fabric.PostItem{Home: it.home, Bytes: it.tx, Key: uint64(it.page), Attempt: it.attempt})
-		if i == 0 || it.home != items[i-1].home {
+		if i == 0 || it.Home != items[i-1].Home {
 			homes++
 		}
 	}
 	n.Obs.Since(p, p.Now(), probe.WBBurst, int64(len(items)), int64(homes))
+	sc.items, sc.retry = n.postUntilDelivered(p, items, sc.retry)
+}
+
+// postUntilDelivered posts items (grouped by home) as one burst and loops the
+// failed remainder through detection, backoff and reissue until everything is
+// delivered; each pass pays one detection timeout and one backoff step
+// (posted completions are checked together). spare holds the remainder; both
+// slices come back with whatever capacity they grew. The functional
+// writeback already happened, so the loop is purely a virtual-time matter.
+func (n *Node) postUntilDelivered(p *sim.Proc, post, spare []fabric.PostItem) ([]fabric.PostItem, []fabric.PostItem) {
 	for pass := 0; ; pass++ {
 		failed := n.Fab.PostWriteBurst(p, post)
 		if len(failed) == 0 {
-			sc.post, sc.retry = post, spare // keep whatever capacity they grew
-			return
+			return post, spare
 		}
 		spare = spare[:0]
 		for _, idx := range failed {
@@ -181,7 +181,10 @@ func (n *Node) postBurst(p *sim.Proc, sc *fenceScratch) {
 			n.Obs.Page(p, probe.WBRetry, int(it.Key), int64(it.Attempt))
 			spare = append(spare, it)
 		}
-		n.wbRetryPenalty(p, len(failed), pass)
+		p.Advance(fault.Timeout)
+		n.Fab.Backoff(p, pass)
+		n.St.WritebackRetries.Add(int64(len(failed)))
+		n.Fab.CountRetries(p, fault.ClassPost, len(failed))
 		post, spare = spare, post
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"argo/internal/cache"
 	"argo/internal/directory"
 	"argo/internal/fabric"
+	"argo/internal/fault"
 	"argo/internal/mem"
 	"argo/internal/racetag"
 	"argo/internal/sim"
@@ -343,6 +344,50 @@ func TestAllocFreeConflictEvictRefill(t *testing.T) {
 	n.SDFence(p)
 	if ga, gb := binary.LittleEndian.Uint64(r.space.HomeBytes(1)), binary.LittleEndian.Uint64(r.space.HomeBytes(3)[8:]); ga != v || gb != v {
 		t.Fatalf("home = %d, %d, want %d (store lost across a recycled buffer)", ga, gb, v)
+	}
+}
+
+// TestAllocFreeEvictionDowngrade: the eviction downgrade on its own — diff
+// against the twin, then the page posted home as a one-item burst — allocates
+// nothing in steady state: the post and its reissue live on the evicting
+// thread's stack. Under drops every lost post is reissued until the page is
+// home, with one writeback per eviction however many posts it took.
+func TestAllocFreeEvictionDowngrade(t *testing.T) {
+	skipAllocTestUnderRace(t)
+	r := newRig(t, Options{Mode: ModePS3})
+	n, p := r.nodes[0], r.procs[0]
+	tb := n.NewTLB()
+	const page = 3 // homed on node 1: a remote post
+	l := n.Cache.LineOf(page)
+	v := uint64(0)
+	cycle := func() {
+		v++
+		writeWord(n, p, tb, page*4096, v) // write miss on the clean page: a fresh twin
+		ln := n.Cache.LockLine(l)
+		n.evictSlotLocked(p, ln, n.Cache.SlotOf(ln, page))
+		ln.Unlock()
+		n.Cache.WBClear() // the stale entries would overflow into writebackIfDirty
+		if got := binary.LittleEndian.Uint64(r.space.HomeBytes(page)); got != v {
+			t.Fatalf("home of page %d = %d after its eviction, want %d", page, got, v)
+		}
+	}
+	cycle()
+	before := r.fab.NodeStats(0).Snapshot()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("eviction downgrade allocated %.1f times per cycle, want 0", a)
+	}
+	if d := r.fab.NodeStats(0).Snapshot().Sub(before); d.Writebacks != 101 || d.Messages != 101 || d.WriteMisses != 101 {
+		t.Fatalf("101 cycles made %d writebacks, %d messages, %d write misses: not the path under test", d.Writebacks, d.Messages, d.WriteMisses)
+	}
+
+	r.fab.SetFaults(fault.NewInjector(fault.Plan{Seed: 3, Drop: 0.3}))
+	before = r.fab.NodeStats(0).Snapshot()
+	for range 50 {
+		cycle()
+	}
+	d := r.fab.NodeStats(0).Snapshot().Sub(before)
+	if d.Writebacks != 50 || d.WritebackRetries == 0 || d.Messages != 50 || d.FaultsInjected != d.WritebackRetries {
+		t.Fatalf("50 evictions under drops made %d writebacks, %d reissues, %d delivered posts, %d drops", d.Writebacks, d.WritebackRetries, d.Messages, d.FaultsInjected)
 	}
 }
 

@@ -207,7 +207,6 @@ type Cluster struct {
 	runMu    sync.Mutex
 	closed   atomic.Bool // set by Close, under runMu
 	hits     atomic.Int64
-	epochs   atomic.Int64 // default-barrier episodes (drives decay)
 	syncKeys atomic.Uint64
 	spanKeys atomic.Uint64
 }
@@ -347,7 +346,6 @@ func (c *Cluster) ResetVirtualState() {
 	c.Dir.Reset()
 	c.Dir.ClearDead()
 	c.Health.Reset()
-	c.epochs.Store(0)
 }
 
 // Stats aggregates all node counters plus the thread-local hit counts of
@@ -356,10 +354,6 @@ func (c *Cluster) Stats() stats.Snapshot { return c.Fab.TotalStats() }
 
 // Hits returns the aggregated page-cache hit count of completed runs.
 func (c *Cluster) Hits() int64 { return c.hits.Load() }
-
-// NextEpoch advances and returns the default-barrier episode counter; the
-// Vela barrier uses it to drive decay-style classification resets.
-func (c *Cluster) NextEpoch() int64 { return c.epochs.Add(1) }
 
 // CheckInvariants verifies the protocol's structural invariants on every
 // node (see coherence.Node.CheckInvariants). Intended after a quiesce.

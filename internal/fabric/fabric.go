@@ -23,12 +23,13 @@
 // the injector's escalation guarantee delivers them, and report the
 // recovery; RemoteWrite and RemoteAtomic return the reissue count, which is
 // all the lock and flag words need. The coherence layer owns the reissue of
-// what nobody waits on at issue: posted writebacks (PostWrite,
-// PostWriteBurst) and registration bursts (AtomicBurst) return their losses,
-// which a fence finds per flush and a miss per burst pass. Every operation carries a caller-chosen resource key (page
-// number, lock id, flag id) that, together with the issuer, class, target
-// and attempt index, forms the deterministic identity the injector hashes —
-// so the injected schedule is reproducible across runs.
+// what nobody waits on at issue: posted writebacks (PostWriteBurst) and
+// registration bursts (AtomicBurst) return their losses, which a fence or an
+// eviction finds per flush and a miss per burst pass. Every operation carries
+// a caller-chosen resource key (page number, lock id, flag id) that, together
+// with the issuer, class, target and attempt index, forms the deterministic
+// identity the injector hashes — so the injected schedule is reproducible
+// across runs.
 package fabric
 
 import (
@@ -394,38 +395,10 @@ func (f *Fabric) FetchLine(p *sim.Proc, homes []HomePages, bytesEach int, key ui
 	f.Obs.Since(p, tRemote, probe.OpFetch, int64(key), 0)
 }
 
-// PostWrite posts one attempt of a fire-and-forget one-sided write and
-// reports whether it was delivered. The issuer always pays the posting
-// overhead — a lost post looks exactly like a delivered one until a fence
-// checks completions; the coherence layer owns that detection and reissue
-// (attempt numbers the reissues, so the escalation guarantee bounds them).
-func (f *Fabric) PostWrite(p *sim.Proc, home, n int, key uint64, attempt int) bool {
-	if home == p.Node {
-		p.Advance(f.P.DRAMLatency + f.P.CopyCost(n))
-		return true
-	}
-	t0 := p.Now()
-	// A write that cannot cross the cut still posts its descriptor.
-	v := f.draw(p, fault.ClassPost, home, key, attempt)
-	p.Advance(f.P.PostOverhead + v.Delay)
-	if !v.Deliver {
-		// The descriptor was injected but the write vanished: no NIC
-		// occupancy at the target, no bytes delivered.
-		f.injected(p, probe.FaultDrop)
-		return false
-	}
-	f.noteInjected(p, v)
-	f.occupyNIC(p, home, p.Now(), f.P.TransferCost(n)+v.Stall)
-	f.nodes[p.Node].BytesSent.Add(int64(n))
-	f.nodes[home].BytesReceived.Add(int64(n))
-	f.done(p, t0, probe.OpPost, int64(home))
-	return true
-}
-
-// PostItem is one page of a burst downgrade: a posted one-sided write of
-// Bytes bytes to node Home, carrying the same Corvus fault identity a lone
-// PostWrite of that page would (Key is the page number, Attempt the slot's
-// reissue count) — so chaos verdicts and replay schedules are unchanged by
+// PostItem is one page of a downgrade: a posted one-sided write of Bytes
+// bytes to node Home. Key (the page number) and Attempt (the reissue count)
+// make its Corvus fault identity, which does not depend on the burst it
+// rides in — so chaos verdicts and replay schedules are unchanged by
 // batching.
 type PostItem struct {
 	Home    int
@@ -434,8 +407,9 @@ type PostItem struct {
 	Attempt int
 }
 
-// PostWriteBurst posts a fence's collected downgrades as per-home pipelined
-// bursts (the downgrade-side symmetric of FetchLine). Items must be grouped
+// PostWriteBurst posts downgrades as per-home pipelined bursts (the
+// downgrade-side symmetric of FetchLine): a fence's collected pages, or one
+// evicted page. Items must be grouped
 // by home (the coherence layer sorts by home, then page, which also keeps
 // the issue order deterministic). The cost model per remote home: the issuer
 // pays one PostOverhead for the home's descriptor chain instead of one per
@@ -445,9 +419,9 @@ type PostItem struct {
 // only at their target NIC. Loopback items are one DRAM access plus the
 // summed copy cost.
 //
-// Faults are drawn per item with the exact (issuer, ClassPost, home, key,
-// attempt) identity of the unbatched path; a dropped item vanishes without
-// NIC occupancy, exactly like a lost PostWrite. The indices of dropped items
+// Faults are drawn per item with the (issuer, ClassPost, home, key, attempt)
+// identity; a dropped item vanishes without NIC occupancy, and its issuer
+// still paid the post overhead. The indices of dropped items
 // are returned; the caller owns detection, backoff and reissue (loopback
 // items always deliver).
 func (f *Fabric) PostWriteBurst(p *sim.Proc, items []PostItem) (failed []int) {
@@ -496,7 +470,7 @@ func (f *Fabric) PostWriteBurst(p *sim.Proc, items []PostItem) (failed []int) {
 			}
 			if !v.Deliver {
 				// The write vanished in flight: no NIC occupancy at the
-				// target, no bytes delivered (same accounting as PostWrite).
+				// target, no bytes delivered.
 				f.injected(p, probe.FaultDrop)
 				failed = append(failed, i)
 				continue

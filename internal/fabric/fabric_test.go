@@ -241,10 +241,12 @@ func TestPostWriteBurstCheaperThanSerialPosts(t *testing.T) {
 	if failed := f.PostWriteBurst(p, items); len(failed) != 0 {
 		t.Fatalf("fault-free burst failed %v", failed)
 	}
+	// The serial reference: each page posted on its own, as an eviction
+	// posts it — a one-item burst.
 	g := MustNew(testTopo(), DefaultParams())
 	q := &sim.Proc{Node: 0}
 	for _, it := range items {
-		if !g.PostWrite(q, it.Home, it.Bytes, it.Key, 0) {
+		if failed := g.PostWriteBurst(q, []PostItem{it}); len(failed) != 0 {
 			t.Fatal("fault-free post failed")
 		}
 	}
@@ -252,9 +254,9 @@ func TestPostWriteBurstCheaperThanSerialPosts(t *testing.T) {
 		t.Fatalf("burst (%d) not cheaper than serial posts (%d)", p.Now(), q.Now())
 	}
 	// Floor: one posting overhead per home plus one home's wire share.
-	min := 3*f.P.PostOverhead + 4*f.P.TransferCost(4096)
-	if p.Now() < min {
-		t.Fatalf("burst %d below physical floor %d", p.Now(), min)
+	floor := 3*f.P.PostOverhead + 4*f.P.TransferCost(4096)
+	if p.Now() < floor {
+		t.Fatalf("burst %d below physical floor %d", p.Now(), floor)
 	}
 	// Byte accounting matches the serial path.
 	if got, want := f.NodeStats(0).BytesSent.Load(), g.NodeStats(0).BytesSent.Load(); got != want {
@@ -278,8 +280,8 @@ func TestPostWriteBurstHomesOverlap(t *testing.T) {
 }
 
 func TestPostWriteBurstMatchesSerialFaultIdentity(t *testing.T) {
-	// Under a drop plan, the burst must fail exactly the items a serial
-	// PostWrite loop would fail: batching may not change Corvus verdicts.
+	// Under a drop plan, the burst must fail exactly the items a loop of
+	// one-item bursts would fail: batching may not change Corvus verdicts.
 	plan := fault.Plan{Seed: 7, Drop: 0.3}
 	fb := MustNew(testTopo(), DefaultParams())
 	fb.SetFaults(fault.NewInjector(plan))
@@ -298,7 +300,7 @@ func TestPostWriteBurstMatchesSerialFaultIdentity(t *testing.T) {
 	q := &sim.Proc{Node: 0}
 	var want []int
 	for i, it := range items {
-		if !fs.PostWrite(q, it.Home, it.Bytes, it.Key, it.Attempt) {
+		if failed := fs.PostWriteBurst(q, []PostItem{it}); len(failed) != 0 {
 			want = append(want, i)
 		}
 	}

@@ -57,9 +57,9 @@ func (f *Fabric) CountRetries(p *sim.Proc, cl fault.Class, k int) {
 	f.Obs.Since(p, p.Now(), probe.Retry, int64(cl), int64(k))
 }
 
-// injected counts one fault delivered to an operation of p. A posted write or
-// burst item that vanished is counted here and nowhere else: nobody waits out
-// a timeout for it, the caller's fence finds out.
+// injected counts one fault delivered to an operation of p. A burst item that
+// vanished is counted here and nowhere else: nobody waits out a timeout for
+// it, the caller's fence or eviction finds out.
 func (f *Fabric) injected(p *sim.Proc, code int64) {
 	f.nodes[p.Node].FaultsInjected.Add(1)
 	f.Obs.Since(p, p.Now(), probe.Fault, code, 0)
@@ -67,7 +67,7 @@ func (f *Fabric) injected(p *sim.Proc, code int64) {
 
 // noteInjected records delivered-but-faulty verdicts (delay, stall,
 // transient atomic failure) in the issuer's counters. Drops are counted at
-// the lost/PostWrite sites.
+// the lost and burst sites.
 func (f *Fabric) noteInjected(p *sim.Proc, v fault.Verdict) {
 	if f.FI == nil || (v.Delay == 0 && v.Stall == 0 && !v.AtomicFail) {
 		return

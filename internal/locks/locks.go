@@ -86,18 +86,9 @@ func NewMigratoryData(lines int, base sim.Time) *MigratoryData {
 // Touch charges p for one critical section's worth of accesses to the data.
 func (m *MigratoryData) Touch(p *sim.Proc, f *fabric.Fabric) {
 	m.mu.Lock()
-	var per sim.Time
-	switch {
-	case !m.last.valid:
-		per = f.P.DRAMLatency // cold
-	case m.last.node != p.Node:
-		per = 2 * f.P.RemoteLatency
-	case m.last.socket != p.Socket:
-		per = f.P.SocketLatency
-	case m.last.core != p.Core:
-		per = f.P.LocalLatency
-	default:
-		per = f.P.CacheHit
+	per := f.P.DRAMLatency // cold
+	if m.last.valid {
+		per = f.HandoverCost(p, m.last.node, m.last.socket, m.last.core)
 	}
 	m.last.node, m.last.socket, m.last.core, m.last.valid = p.Node, p.Socket, p.Core, true
 	m.mu.Unlock()

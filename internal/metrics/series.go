@@ -59,9 +59,8 @@ func init() {
 func ops(val value) []feed {
 	return []feed{
 		{probe.OpRead, "remote_read", nil, val}, {probe.OpWrite, "remote_write", nil, val},
-		{probe.OpPost, "posted_write", nil, val}, {probe.OpFetch, "line_fetch", nil, val},
-		{probe.OpAtomic, "remote_atomic", nil, val}, {probe.OpPostBurst, "posted_burst", nil, val},
-		{probe.OpRegBurst, "reg_burst", nil, val},
+		{probe.OpFetch, "line_fetch", nil, val}, {probe.OpAtomic, "remote_atomic", nil, val},
+		{probe.OpPostBurst, "posted_burst", nil, val}, {probe.OpRegBurst, "reg_burst", nil, val},
 	}
 }
 

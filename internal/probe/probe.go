@@ -61,7 +61,6 @@ const (
 	NIC         // [Start, T) occupancy, queueing included, at node Arg's NIC
 	OpRead      // [Start, T) issue to completion of a remote read; Arg home
 	OpWrite     // synchronous remote write; Arg home
-	OpPost      // posted write; Arg home
 	OpFetch     // line fetch; Arg the line's base page
 	OpAtomic    // remote atomic; Arg home
 	OpPostBurst // home-grouped posted-write burst; Arg items delivered
@@ -112,7 +111,7 @@ var kindNames = [NumKinds]string{
 	"keep", "notify", "class-transition", "wb-retry", "evict",
 	"si-fence", "sd-fence", "wb-burst", "hits", "wb-drain",
 	"crash", "excise", "rejoin", "suspect", "heal", "heartbeat", "membership",
-	"nic", "op-read", "op-write", "op-post", "op-fetch", "op-atomic", "op-post-burst",
+	"nic", "op-read", "op-write", "op-fetch", "op-atomic", "op-post-burst",
 	"op-reg-burst", "backoff", "op-lost", "retry", "fault", "recovered",
 	"lock-new", "lock-retries", "lock-excision", "lease-expired", "ticket-wait",
 	"ticket-recover", "ticket-release", "lock-acquire", "lock-release", "delegate",

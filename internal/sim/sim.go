@@ -255,23 +255,15 @@ func (g *Group) Run(body func(i int, p *Proc)) Time {
 		}(i, p)
 	}
 	wg.Wait()
-	var max Time
-	for _, p := range g.procs {
-		if p.now > max {
-			max = p.now
-		}
-	}
-	return max
+	return g.MaxNow()
 }
 
 // MaxNow returns the latest clock among the group's procs. Only meaningful
 // after Run has returned.
 func (g *Group) MaxNow() Time {
-	var max Time
+	var m Time
 	for _, p := range g.procs {
-		if p.now > max {
-			max = p.now
-		}
+		m = max(m, p.now)
 	}
-	return max
+	return m
 }

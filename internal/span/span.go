@@ -159,7 +159,6 @@ var views = [probe.NumKinds]view{
 	probe.NIC:         {cat: NIC},
 	probe.OpRead:      {cat: Remote},
 	probe.OpWrite:     {cat: Remote},
-	probe.OpPost:      {cat: Remote},
 	probe.OpFetch:     {cat: Remote},
 	probe.OpAtomic:    {cat: Remote},
 	probe.OpRegBurst:  {cat: Remote},

@@ -232,10 +232,3 @@ func DigestOf[T core.Element](basis uint64, c *core.Cluster, s core.Slice[T]) ui
 	core.ViewHome(c, s, func(seg []T) { h = Digest(h, seg) })
 	return h
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
