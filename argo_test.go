@@ -47,8 +47,8 @@ func TestProducerConsumerAcrossNodes(t *testing.T) {
 			xs := c.AllocI64(4096)
 			errs := make(chan string, 16)
 			c.Run(2, func(th *argo.Thread) {
-				if th.Node == 0 {
-					for i := 0; i < xs.Len; i++ {
+				if th.Node == 0 { // one writer per element: the program is DRF
+					for i := th.Local; i < xs.Len; i += 2 {
 						th.SetI64(xs, i, int64(i*i))
 					}
 				}

@@ -136,20 +136,62 @@ func New(node, pageSize, lines, pagesPerLine, wbCapacity int) *Cache {
 		PagesPerLine: pagesPerLine,
 		wbCap:        wbCapacity,
 	}
-	c.lines = sparse.Make(lines, func(base int, chunk []Line) {
-		syncs := make([]LineSync, len(chunk))
-		slots := make([]Slot, len(chunk)*pagesPerLine)
+	c.lines = sparse.Make(lines, linePool, c.initLines)
+	return c
+}
+
+// linePool recycles line chunks, LineSync and slot arrays included, from a
+// closed cluster's caches to the next cluster's (Free).
+var linePool = sparse.NewPool(resetLines)
+
+// initLines prepares a chunk of lines, new or recycled, for this cache: every
+// one of its ChunkLen lines gets its index, a LineSync and PagesPerLine slots,
+// so the chunk stays whole in whichever cache takes it next. A recycled chunk
+// keeps its LineSync array, and its slot array when that is wide enough.
+func (c *Cache) initLines(base int, chunk []Line) {
+	ppl := c.PagesPerLine
+	if chunk[0].sy == nil {
+		syncs := new([sparse.ChunkLen]LineSync)
+		for i := range chunk {
+			chunk[i].sy = &syncs[i]
+		}
+	}
+	if cap(chunk[0].slots) < ppl {
+		slots := make([]Slot, len(chunk)*ppl)
 		for i := range slots {
 			slots[i].Page = -1
 		}
 		for i := range chunk {
-			chunk[i].idx = base + i
-			chunk[i].sy = &syncs[i]
-			chunk[i].slots = slots[i*pagesPerLine : (i+1)*pagesPerLine : (i+1)*pagesPerLine]
+			chunk[i].slots = slots[i*ppl : (i+1)*ppl : (i+1)*ppl]
 		}
-	})
-	return c
+	}
+	for i := range chunk {
+		chunk[i].idx = base + i
+		chunk[i].slots = chunk[i].slots[:ppl]
+	}
 }
+
+// resetLines brings a freed chunk back to what initLines leaves: every slot,
+// up to the slot array's capacity, empty, frameless and unpublished, and the
+// line off the used list. Act is zero already: no thread runs once a cache is
+// freed. The generation moves on rather than back, so no TLB entry filled
+// before the reset could validate after it.
+func resetLines(chunk *[sparse.ChunkLen]Line) {
+	for i := range chunk {
+		ln := &chunk[i]
+		ln.used = false
+		ln.sy.Gen.Add(1)
+		slots := ln.slots[:cap(ln.slots)]
+		for j := range slots {
+			slots[j] = Slot{Page: -1}
+		}
+	}
+}
+
+// Free hands the cache's line chunks to the next cluster's caches. Call it
+// after PutFrames, once no thread runs and no TLB built over the cache is used
+// again (core.Cluster.Close); afterwards the cache holds no line.
+func (c *Cache) Free() { c.lines.Free() }
 
 // MarkLineUsed records that ln holds at least one page.
 func (c *Cache) MarkLineUsed(ln *Line) {

@@ -2,9 +2,13 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+
+	"argo/internal/sim"
+	"argo/internal/sparse"
 )
 
 // denseLines is the model the on-demand line table must match: every line's
@@ -198,4 +202,143 @@ func TestConcurrentFirstLock(t *testing.T) {
 			t.Fatalf("round %d: %d lines exist, want the 136 of chunks 0, 1 and 3", round, lines)
 		}
 	}
+}
+
+// emptyLinePool leaves linePool empty — a sync.Pool is emptied by two
+// collections — so the package's other tests build their caches from new
+// chunks, whose generations start at 0 as their models do.
+func emptyLinePool() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// fillLines gives every line of c some state a fresh line does not have: a
+// dirty page with data and twin frames, published to tb, a ReadyAt, the used
+// flag and a bumped generation.
+func fillLines(c *Cache, tb *TLB) {
+	for l := 0; l < c.Lines; l++ {
+		ln := c.LockLine(l)
+		ln.BumpGen()
+		for k := range ln.Slots() {
+			s := &ln.Slots()[k]
+			s.Page, s.St, s.ReadyAt = l*c.PagesPerLine+k, Clean, 99
+			c.PrepareRefill(s)
+			c.EnsureTwin(s)
+			s.St = Dirty
+			ln.FillTLB(tb, s)
+		}
+		c.MarkLineUsed(ln)
+		ln.Unlock()
+	}
+}
+
+// A line chunk freed by one cache and taken by another of a different line
+// count and PagesPerLine is fresh on all of its ChunkLen lines: each has its
+// own LineSync, no writer on it and a generation that did not go back, is off
+// the used list, and has exactly PagesPerLine slots of the new cache, every
+// one empty, frameless, unpublished and ready at 0. The first step is from a
+// short cache (one trimmed chunk) to a longer one with wider lines, the second
+// to narrower lines, which keep the slot array.
+func TestRecycledLineChunkIsFresh(t *testing.T) {
+	t.Cleanup(emptyLinePool)
+	emptyLinePool()
+	type geom struct{ lines, ppl int }
+	// freed records every LineSync of every chunk a cache freed, those past a
+	// short cache's end included (Chunks cuts them off): its chunk's serial
+	// number and its generation when freed.
+	type freedSync struct{ chunk, gen int }
+	freed := map[*LineSync]freedSync{}
+	chunks := 0
+	for _, step := range []struct{ from, to geom }{{geom{40, 2}, geom{200, 4}}, {geom{200, 4}, geom{100, 1}}} {
+		g := step.to
+		var c *Cache
+		for round := 0; round < 20 && c == nil; round++ {
+			prev := New(0, 64, step.from.lines, step.from.ppl, 8)
+			fillLines(prev, prev.NewTLB(1))
+			prev.lines.Chunks(func(_ int, chunk []Line) {
+				whole := chunk[:sparse.ChunkLen]
+				for i := range whole {
+					freed[whole[i].sy] = freedSync{chunks, int(whole[i].sy.Gen.Load())}
+				}
+				chunks++
+			})
+			prev.PutFrames()
+			prev.Free()
+			if prev.lines.Peek(0) != nil {
+				t.Fatal("a line survived Free")
+			}
+			c = New(0, 64, g.lines, g.ppl, 8)
+			ln := c.LockLine(0)
+			ln.Unlock()
+			if _, ok := freed[ln.sy]; !ok {
+				c = nil // a new chunk: the race detector's pool dropped ours
+			}
+		}
+		if c == nil {
+			t.Fatalf("%+v: no freed chunk came back in 20 rounds", step)
+		}
+		first := freed[c.lines.Peek(0).sy].chunk
+		for l := 0; l < sparse.ChunkLen; l++ {
+			ln := c.LockLine(l)
+			was, ok := freed[ln.sy]
+			switch {
+			case !ok || was.chunk != first:
+				t.Fatalf("%+v: line %d has a LineSync its freed chunk did not have", step, l)
+			case ln.idx != l || ln.used || len(ln.slots) != g.ppl:
+				t.Fatalf("%+v: line %d = {idx %d, used %v, %d slots}", step, l, ln.idx, ln.used, len(ln.slots))
+			case ln.sy.Act.Load() != 0 || int(ln.sy.Gen.Load()) < was.gen:
+				t.Fatalf("%+v: line %d at Act %d, generation %d after %d", step, l, ln.sy.Act.Load(), ln.sy.Gen.Load(), was.gen)
+			}
+			for k := range ln.slots {
+				if s := &ln.slots[k]; s.Page != -1 || s.St != Invalid || s.ReadyAt != 0 || s.Data != nil || s.Twin != nil || s.twinBuf != nil || s.published {
+					t.Fatalf("%+v: line %d slot %d = {page %d, %v, ready %d, data %v, twin %v, twin buffer %v, published %v}",
+						step, l, k, s.Page, s.St, s.ReadyAt, s.Data != nil, s.Twin != nil, s.twinBuf != nil, s.published)
+				}
+			}
+			if s := c.SlotOf(ln, l*g.ppl+g.ppl-1); s != &ln.slots[g.ppl-1] {
+				t.Fatalf("%+v: SlotOf maps the last page of line %d elsewhere", step, l)
+			}
+			ln.Unlock()
+		}
+	}
+}
+
+// A TLB handed back by Release comes out of NewTLB flushed and set to the new
+// cache's page geometry and hit cost: it misses on every page the old one
+// held. Releasing the nil TLB a page size without one gets does nothing.
+func TestPooledTLBMissesEverywhere(t *testing.T) {
+	New(0, 4, 4, 2, 16).NewTLB(1).Release()
+	for round := 0; round < 20; round++ {
+		c := New(0, 4096, 8, 4, 16)
+		old := c.NewTLB(1)
+		fillLines(c, old)
+		p := &sim.Proc{}
+		if _, ok := old.Load(p, 8); !ok {
+			t.Fatal("test vacuous: the filled TLB misses")
+		}
+		old.Release()
+		tb := New(0, 8192, 8, 4, 16).NewTLB(3)
+		if tb != old {
+			continue // dropped by the race detector's pool
+		}
+		if tb.shift != 13 || tb.mask != 8191 || tb.hit != 3 {
+			t.Fatalf("recycled TLB has shift %d, mask %d, hit %d", tb.shift, tb.mask, tb.hit)
+		}
+		for i := range tb.e {
+			if tb.e[i] != (TLBEntry{Page: -1}) {
+				t.Fatalf("recycled TLB entry %d = %+v", i, tb.e[i])
+			}
+		}
+		for page := 0; page < c.Lines*c.PagesPerLine; page++ {
+			a := int64(page) * 4096
+			if _, ok := tb.Load(p, a); ok || tb.Store(p, a, 1) {
+				t.Fatalf("recycled TLB hit page %d", page)
+			}
+		}
+		if p.Hits != 1 || p.Now() != 1 {
+			t.Fatalf("misses charged the proc: %d hits, now %d", p.Hits, p.Now())
+		}
+		return
+	}
+	t.Fatal("a released TLB never came back in 20 rounds")
 }

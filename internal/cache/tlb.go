@@ -87,9 +87,10 @@ package cache
 // refill, which bumps the generation first and so kills the entry. And an
 // application thread's clock never runs backwards: Advance rejects negative
 // steps, AdvanceTo only moves forward, SetNow is called only on the fence
-// sweep's private clones, and every Run builds fresh Procs and fresh TLBs.
-// Hence now >= ReadyAt on every later hit through the entry, which is why an
-// entry carries no ReadyAt at all.
+// sweep's private clones, and every Run builds fresh Procs and hands each
+// thread an empty TLB: a new one, or one a finished Run released, which
+// Release flushed. Hence now >= ReadyAt on every later hit through the entry,
+// which is why an entry carries no ReadyAt at all.
 //
 // The Argoscope hit counter is not bumped per hit either. Proc.Hits is the
 // per-hit count; the coherence layer publishes its growth to the cache's
@@ -102,6 +103,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -186,17 +188,35 @@ type TLB struct {
 	e [tlbSize]TLBEntry
 }
 
+// tlbPool holds the flushed TLBs that Release handed back, for the next
+// NewTLB of this cluster or another.
+var tlbPool sync.Pool
+
 // NewTLB returns an empty TLB for this cache's page geometry whose hits cost
-// hit virtual nanoseconds each. Word-granular lock-free access needs whole
-// words inside one page; for a page size that is not a multiple of 8 there is
-// no TLB (nil), which confines every access to the locked path.
+// hit virtual nanoseconds each: a released one when there is one, else a new
+// one. Word-granular lock-free access needs whole words inside one page; for a
+// page size that is not a multiple of 8 there is no TLB (nil), which confines
+// every access to the locked path.
 func (c *Cache) NewTLB(hit sim.Time) *TLB {
 	if c.PageSize&7 != 0 {
 		return nil
 	}
-	t := &TLB{shift: uint(bits.TrailingZeros(uint(c.PageSize))), mask: int64(c.PageSize - 1), hit: hit}
-	t.flush()
+	t, ok := tlbPool.Get().(*TLB)
+	if !ok {
+		t = new(TLB)
+		t.flush()
+	}
+	t.shift, t.mask, t.hit = uint(bits.TrailingZeros(uint(c.PageSize))), int64(c.PageSize-1), hit
 	return t
+}
+
+// Release flushes t and hands it back for a later NewTLB. The caller gives t
+// up: its thread has stopped and nothing uses t again. A nil t is ignored.
+func (t *TLB) Release() {
+	if t != nil {
+		t.flush()
+		tlbPool.Put(t)
+	}
 }
 
 // Entry returns the direct-mapped entry page falls into.

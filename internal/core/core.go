@@ -294,11 +294,13 @@ var errClosed = errors.New("core: cluster closed")
 // Close hands the cluster's page frames — every home page, and every cache
 // slot's copy and twin on every node — back to the process's frame pool
 // (mem.GetFrame), where the next cluster built takes them instead of
-// allocating its simulated memory anew. It walks only what the cluster
-// touched. Call it once the cluster's answers have been read: afterwards Run,
-// Init*, Dump* and Alloc* panic with a "cluster closed" error, and a slice
-// Space.HomeBytes returned must not be used, while Stats, Hits and Health
-// stay readable. A second Close does nothing; a Close while a Run is in
+// allocating its simulated memory anew; then it hands the skeleton those
+// frames hung from — the home page table, the Pyxis maps and every node's
+// cache lines — to the chunk pools the next cluster's skeleton comes from. It
+// walks only what the cluster touched. Call it once the cluster's answers
+// have been read: afterwards Run, Init*, Dump* and Alloc* panic with a
+// "cluster closed" error, and a slice Space.HomeBytes returned must not be
+// used, while Stats, Hits and Health stay readable. A second Close does nothing; a Close while a Run is in
 // progress panics.
 func (c *Cluster) Close() {
 	if !c.runMu.TryLock() {
@@ -311,6 +313,11 @@ func (c *Cluster) Close() {
 	c.Space.PutFrames()
 	for _, n := range c.Nodes {
 		n.Cache.PutFrames()
+	}
+	c.Space.Free()
+	c.Dir.Free()
+	for _, n := range c.Nodes {
+		n.Cache.Free()
 	}
 }
 
@@ -388,7 +395,8 @@ type Thread struct {
 
 	// tlb is the Lynx per-thread access-translation cache (nil when
 	// Config.NoAccessTLB): scalar accesses that hit in it never reach Coh.
-	// Like the Thread itself it is single-goroutine.
+	// Like the Thread itself it is single-goroutine. Run releases it when
+	// the launch ends (nil from then on), for the next launch's threads.
 	tlb *cache.TLB
 
 	// rng is the thread's random source, built by its first Rand call from
@@ -457,6 +465,10 @@ func (c *Cluster) RunSeeded(threadsPerNode int, seed int64, body func(t *Thread)
 		}()
 		body(threads[i])
 	})
+	for _, th := range threads {
+		th.tlb.Release()
+		th.tlb = nil
+	}
 	for _, p := range procs {
 		c.hits.Add(p.Hits)
 		c.Nodes[p.Node].PublishHits(p) // what the thread counted since its last fence

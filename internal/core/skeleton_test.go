@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"argo/internal/cache"
@@ -91,5 +92,47 @@ func TestClusterCostsWhatItTouches(t *testing.T) {
 	})
 	if !racetag.Enabled && again > frames/8 {
 		t.Errorf("a second build, initialisation and read allocated %.2f MB, budget %.2f MB (an eighth of the %.2f MB of frames the first took)", float64(again)/mb, float64(frames/8)/mb, float64(frames)/mb)
+	}
+}
+
+// A cluster built, run and closed a second time with the same configuration
+// takes its skeleton — home page table, Pyxis maps, cache lines — and its
+// threads' TLBs from what the first one closed, as it takes its frames: what
+// is left is the launch, the fixed-size headers and the write-buffer rings.
+// Every thread writes a word on pages a chunk apart and then reads every
+// other thread's, so each structure has chunks on every node. A collection
+// in the middle of a cycle may empty the pools, and a pool's item kept for
+// one P is out of reach of the others, so the bound is on the least of five
+// cycles. On amd64 that was 37–45 KB; with the skeleton and TLBs built anew it
+// was 3.4 MB, without freeing the page table and the Pyxis maps 0.92 MB, and
+// without releasing the TLBs 0.21 MB.
+func TestRecycledClusterAllocBound(t *testing.T) {
+	if racetag.Enabled {
+		t.Skip("the race detector's pools drop a quarter of what they are given")
+	}
+	const nodes, tpn, per = 4, 4, 4 // per: pages a thread writes
+	cycle := func() {
+		c := MustNewCluster(DefaultConfig(nodes))
+		words := c.Cfg.PageSize / 8 * sparse.ChunkLen // a chunk of pages
+		xs := c.AllocF64(nodes * tpn * per * words)
+		c.Run(tpn, func(th *Thread) {
+			for k := 0; k < per; k++ {
+				th.SetF64(xs, (th.Rank*per+k)*words, 1)
+			}
+			th.ReleaseFence()
+			th.AcquireFence()
+			for i := 0; i < th.NT*per; i++ {
+				th.GetF64(xs, i*words)
+			}
+		})
+		c.Close()
+	}
+	cycle()
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		least = min(least, allocatedBy(cycle))
+	}
+	if least > 128<<10 {
+		t.Errorf("a second build, run and close allocated %.1f KB, budget 128 KB", float64(least)/(1<<10))
 	}
 }

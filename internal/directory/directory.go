@@ -115,13 +115,29 @@ func New(fab *fabric.Fabric, npages int, homeOf func(int) int) *Directory {
 		fab:     fab,
 		npages:  npages,
 		homeOf:  homeOf,
-		entries: sparse.Make[Entry](npages, nil),
+		entries: sparse.Make(npages, entryPool, nil),
 		caches:  make([]sparse.Array[Entry], fab.Topo.Nodes),
 	}
 	for n := range d.caches {
-		d.caches[n] = sparse.Make[Entry](npages, nil)
+		d.caches[n] = sparse.Make(npages, entryPool, nil)
 	}
 	return d
+}
+
+// entryPool recycles the chunks of every directory's home-truth and cached
+// entries from a closed cluster to the next (Free). A zeroed Entry is a fresh
+// one.
+var entryPool = sparse.NewPool[Entry](nil)
+
+// Free hands the home-truth and every node's cached entries to the next
+// cluster's directory. The caller guarantees that nothing uses the directory
+// any more (core.Cluster.Close); afterwards every entry reads as never
+// registered.
+func (d *Directory) Free() {
+	d.entries.Free()
+	for n := range d.caches {
+		d.caches[n].Free()
+	}
 }
 
 func (d *Directory) lock(page int) *sync.Mutex { return &d.stripes[page%stripeCount] }

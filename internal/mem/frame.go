@@ -65,3 +65,8 @@ func (s *Space) PutFrames() {
 		}
 	})
 }
+
+// Free hands the page table's chunks to the next cluster's space. Call it
+// after PutFrames, once nothing uses the space any more: a page that still
+// held a frame would drop it.
+func (s *Space) Free() { s.pages.Free() }

@@ -17,7 +17,8 @@
 // getting a frame — a run pays for the home memory it touches, not for the
 // capacity it reserved. PutFrames hands the frames back when the cluster
 // closes. The page table itself (lock and slice header per page) appears the
-// same way, sparse.ChunkLen pages at a time at the first write into the chunk.
+// same way, sparse.ChunkLen pages at a time at the first write into the chunk,
+// and Free hands its chunks to the next cluster's space.
 // All costs are charged through the fabric by the callers (cache/coherence
 // layers).
 package mem
@@ -79,6 +80,10 @@ type page struct {
 	data []byte
 }
 
+// pagePool recycles page-table chunks from a closed cluster's space to the
+// next cluster's (Free). A zeroed page is a fresh one.
+var pagePool = sparse.NewPool[page](nil)
+
 // NewSpace creates a global address space of totalBytes bytes (rounded up to
 // whole pages) distributed over nodes homes. No page has backing storage yet.
 func NewSpace(nodes int, totalBytes int64, pageSize int, policy Policy) *Space {
@@ -98,7 +103,7 @@ func NewSpace(nodes int, totalBytes int64, pageSize int, policy Policy) *Space {
 		Nodes:     nodes,
 		Policy:    policy,
 		pageShift: uint(bits.TrailingZeros(uint(pageSize))),
-		pages:     sparse.Make[page](np, nil),
+		pages:     sparse.Make(np, pagePool, nil),
 		capacity:  int64(np) * int64(pageSize),
 	}
 	return s

@@ -37,7 +37,7 @@ func TestConcurrentFirstTouch(t *testing.T) {
 	const n, workers = 1000, 16
 	for round := 0; round < 20; round++ {
 		var hookRuns atomic.Int64
-		a := Make(n, func(base int, chunk []cell) {
+		a := Make(n, nil, func(base int, chunk []cell) {
 			hookRuns.Add(1)
 			initCells(base, chunk)
 		})
@@ -86,7 +86,7 @@ func TestConcurrentFirstTouch(t *testing.T) {
 }
 
 func TestPeekUntouchedIsNilAndFree(t *testing.T) {
-	a := Make[cell](300, nil)
+	a := Make[cell](300, nil, nil)
 	a.At(70)
 	for _, i := range []int{0, 63, 128, 299} {
 		if a.Peek(i) != nil {
@@ -108,7 +108,7 @@ func TestPeekUntouchedIsNilAndFree(t *testing.T) {
 }
 
 func TestChunksYieldsTouchedInOrder(t *testing.T) {
-	a := Make(1000, initCells)
+	a := Make(1000, nil, initCells)
 	for _, i := range []int{999, 5, 640, 6, 130} {
 		a.At(i)
 	}
@@ -132,7 +132,7 @@ func TestChunksYieldsTouchedInOrder(t *testing.T) {
 // Lengths below one chunk, one short of, equal to and one past a multiple.
 func TestAwkwardLengths(t *testing.T) {
 	for _, n := range []int{1, 3, 63, 64, 65, 128, 129} {
-		a := Make(n, initCells)
+		a := Make(n, nil, initCells)
 		for i := n - 1; i >= 0; i-- {
 			if c := a.At(i); c.idx != i {
 				t.Fatalf("n=%d: At(%d) carries index %d", n, i, c.idx)
@@ -154,9 +154,9 @@ func TestAwkwardLengths(t *testing.T) {
 			}
 		}
 	}
-	empty := Make[cell](0, nil)
+	empty := Make[cell](0, nil, nil)
 	empty.Chunks(func(int, []cell) { t.Fatal("an empty array has a chunk") })
-	if !panics(func() { Make[cell](-1, nil) }) {
+	if !panics(func() { Make[cell](-1, nil, nil) }) {
 		t.Fatal("Make accepted a negative length")
 	}
 }
@@ -165,4 +165,91 @@ func panics(f func()) (did bool) {
 	defer func() { did = recover() != nil }()
 	f()
 	return false
+}
+
+// recycledCells is a pool of cells whose reset empties v and keeps inits, so
+// a test can tell how often each element of a recycled chunk was prepared.
+func recycledCells() *Pool[cell] {
+	return NewPool(func(chunk *[ChunkLen]cell) {
+		for j := range chunk {
+			chunk[j].v.Store(0)
+		}
+	})
+}
+
+// chunkOf returns the chunk element i of a lives in, as its first element.
+func chunkOf(a *Array[cell], i int) *cell { return a.At(i - i%ChunkLen) }
+
+// A freed Array reads as untouched, and the chunks it held come back through
+// At — to it or to another Array of the same pool — in their fresh state:
+// prepared by init for their new place, emptied by the pool's reset, or
+// zeroed where the pool has none.
+func TestFreeRecyclesFresh(t *testing.T) {
+	for name, pool := range map[string]*Pool[cell]{"reset": recycledCells(), "zeroed": NewPool[cell](nil)} {
+		old := map[*cell]bool{}
+		recycled := false
+		for round := 0; round < 20 && !recycled; round++ {
+			a := Make(1000, pool, initCells)
+			idx := []int{5, 130, 999}
+			for _, i := range idx {
+				recycled = recycled || old[chunkOf(&a, i)]
+				old[chunkOf(&a, i)] = true
+			}
+			a.Chunks(func(base int, chunk []cell) {
+				for j := range chunk {
+					if chunk[j].idx != base+j || chunk[j].v.Load() != 0 {
+						t.Fatalf("%s round %d: element %d = {idx %d, v %d} before its first store", name, round, base+j, chunk[j].idx, chunk[j].v.Load())
+					}
+				}
+			})
+			for _, i := range idx {
+				a.At(i).v.Store(7)
+			}
+			a.Free()
+			for _, i := range append(idx, 0) {
+				if a.Peek(i) != nil {
+					t.Fatalf("%s round %d: element %d survived Free", name, round, i)
+				}
+			}
+			a.Chunks(func(base int, _ []cell) { t.Fatalf("%s round %d: chunk at %d survived Free", name, round, base) })
+		}
+		// The race detector's pools drop a quarter of what they are given, so
+		// a chunk may be lost in any one round, but not in all of them.
+		if !recycled {
+			t.Fatalf("%s: no freed chunk came back in 20 rounds", name)
+		}
+	}
+}
+
+// A chunk that was the short last chunk of one Array comes back as a whole
+// chunk of a longer one: init is handed all ChunkLen elements every time, so
+// the elements past the short Array's end were prepared as well and are ready
+// for their place in the longer one.
+func TestTrimmedChunkReusedWhole(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		pool := recycledCells()
+		short := Make(40, pool, func(base int, chunk []cell) {
+			if len(chunk) != ChunkLen {
+				t.Fatalf("init was handed %d elements of the short chunk, want %d", len(chunk), ChunkLen)
+			}
+			initCells(base, chunk)
+		})
+		first := short.At(39)
+		first.v.Store(3)
+		short.Free()
+		long := Make(1000, pool, initCells)
+		if e := long.At(64 + 39); e != first {
+			long.Free()
+			continue // dropped by the race detector's pool, or a new chunk won
+		}
+		long.Chunks(func(base int, chunk []cell) {
+			for j := range chunk {
+				if c := &chunk[j]; c.idx != base+j || c.inits != 2 || c.v.Load() != 0 {
+					t.Fatalf("recycled element %d = {idx %d, inits %d, v %d}, want {%d, 2, 0}", base+j, c.idx, c.inits, c.v.Load(), base+j)
+				}
+			}
+		})
+		return
+	}
+	t.Fatal("the short chunk never came back in 20 rounds")
 }
