@@ -300,8 +300,8 @@ var errClosed = errors.New("core: cluster closed")
 // walks only what the cluster touched. Call it once the cluster's answers
 // have been read: afterwards Run, Init*, Dump* and Alloc* panic with a
 // "cluster closed" error, and a slice Space.HomeBytes returned must not be
-// used, while Stats, Hits and Health stay readable. A second Close does nothing; a Close while a Run is in
-// progress panics.
+// used, while Stats, Hits and Health stay readable. A second Close does
+// nothing; a Close while a Run is in progress panics.
 func (c *Cluster) Close() {
 	if !c.runMu.TryLock() {
 		panic("core: Close during Run")

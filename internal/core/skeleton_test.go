@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"argo/internal/cache"
@@ -135,4 +136,51 @@ func TestRecycledClusterAllocBound(t *testing.T) {
 	if least > 128<<10 {
 		t.Errorf("a second build, run and close allocated %.1f KB, budget 128 KB", float64(least)/(1<<10))
 	}
+}
+
+// Clusters built, run and closed at once pass chunks and TLBs between them
+// while the others run: every cluster closes after each round, and the next
+// round's clusters — with other line counts and PagesPerLine — take what it
+// freed. Each thread writes a value no other cluster or round writes on pages
+// a chunk apart, and in a second launch every thread reads every other's, so
+// a recycled line, map entry or page-table entry that was not reset would
+// hand a thread another cluster's page. Run under -race.
+func TestRecycledSkeletonBetweenLiveClusters(t *testing.T) {
+	const clusters, rounds, tpn, per = 4, 5, 2, 3
+	var wg sync.WaitGroup
+	for k := range clusters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range rounds {
+				cfg := testConfig(2)
+				cfg.PagesPerLine = 1 << ((k + round) % 4)
+				cfg.CacheLines = 64 << ((k + round) % 3)
+				c := MustNewCluster(cfg)
+				words := cfg.PageSize / 8 * sparse.ChunkLen // a chunk of pages
+				xs := c.AllocI64(cfg.Nodes * tpn * per * words)
+				tag := func(i int) int64 { return int64(k*1_000_000 + round*1000 + i) }
+				c.Run(tpn, func(th *Thread) {
+					for j := 0; j < per; j++ {
+						i := th.Rank*per + j
+						th.SetI64(xs, i*words, tag(i))
+					}
+					th.ReleaseFence()
+				})
+				c.Run(tpn, func(th *Thread) {
+					th.AcquireFence()
+					for i := 0; i < th.NT*per; i++ {
+						if got := th.GetI64(xs, i*words); got != tag(i) {
+							t.Errorf("cluster %d round %d: thread %d read %d at page %d, want %d", k, round, th.Rank, got, i*sparse.ChunkLen, tag(i))
+						}
+					}
+				})
+				if err := c.CheckInvariants(); err != nil {
+					t.Errorf("cluster %d round %d: %v", k, round, err)
+				}
+				c.Close()
+			}
+		}()
+	}
+	wg.Wait()
 }

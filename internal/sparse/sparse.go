@@ -57,21 +57,16 @@ func NewPool[T any](reset func(chunk *[ChunkLen]T)) *Pool[T] {
 	return &Pool[T]{reset: reset}
 }
 
-// get returns a recycled chunk, or a zeroed new one. A nil pool has none.
+// get returns a recycled chunk, or a zeroed new one.
 func (p *Pool[T]) get() *[ChunkLen]T {
-	if p != nil {
-		if c, ok := p.p.Get().(*[ChunkLen]T); ok {
-			return c
-		}
+	if c, ok := p.p.Get().(*[ChunkLen]T); ok {
+		return c
 	}
 	return new([ChunkLen]T)
 }
 
-// put resets c and keeps it for a later get. A nil pool drops it.
+// put resets c and keeps it for a later get.
 func (p *Pool[T]) put(c *[ChunkLen]T) {
-	if p == nil {
-		return
-	}
 	if p.reset != nil {
 		p.reset(c)
 	} else {
@@ -80,12 +75,12 @@ func (p *Pool[T]) put(c *[ChunkLen]T) {
 	p.p.Put(c)
 }
 
-// Make returns an Array of n elements whose chunks come from pool (nil: new
-// chunks, dropped by Free). init, when non-nil, prepares each chunk before it
-// can be seen: chunk[j] is element base+j. It is given the whole chunk, the
-// elements past the Array's end included, and it may be given a recycled
-// chunk as well as a new one. It may run for a chunk that then loses the
-// publication race and goes back to the pool.
+// Make returns an Array of n elements whose chunks come from pool and go back
+// to it on Free. init, when non-nil, prepares each chunk before it can be
+// seen: chunk[j] is element base+j. It is given the whole chunk, the elements
+// past the Array's end included, and it may be given a recycled chunk as well
+// as a new one. It may run for a chunk that then loses the publication race
+// and goes back to the pool.
 func Make[T any](n int, pool *Pool[T], init func(base int, chunk []T)) Array[T] {
 	if n < 0 {
 		panic(fmt.Sprintf("sparse: negative length %d", n))

@@ -37,7 +37,7 @@ func TestConcurrentFirstTouch(t *testing.T) {
 	const n, workers = 1000, 16
 	for round := 0; round < 20; round++ {
 		var hookRuns atomic.Int64
-		a := Make(n, nil, func(base int, chunk []cell) {
+		a := Make(n, NewPool[cell](nil), func(base int, chunk []cell) {
 			hookRuns.Add(1)
 			initCells(base, chunk)
 		})
@@ -86,7 +86,7 @@ func TestConcurrentFirstTouch(t *testing.T) {
 }
 
 func TestPeekUntouchedIsNilAndFree(t *testing.T) {
-	a := Make[cell](300, nil, nil)
+	a := Make(300, NewPool[cell](nil), nil)
 	a.At(70)
 	for _, i := range []int{0, 63, 128, 299} {
 		if a.Peek(i) != nil {
@@ -108,7 +108,7 @@ func TestPeekUntouchedIsNilAndFree(t *testing.T) {
 }
 
 func TestChunksYieldsTouchedInOrder(t *testing.T) {
-	a := Make(1000, nil, initCells)
+	a := Make(1000, NewPool[cell](nil), initCells)
 	for _, i := range []int{999, 5, 640, 6, 130} {
 		a.At(i)
 	}
@@ -132,7 +132,7 @@ func TestChunksYieldsTouchedInOrder(t *testing.T) {
 // Lengths below one chunk, one short of, equal to and one past a multiple.
 func TestAwkwardLengths(t *testing.T) {
 	for _, n := range []int{1, 3, 63, 64, 65, 128, 129} {
-		a := Make(n, nil, initCells)
+		a := Make(n, NewPool[cell](nil), initCells)
 		for i := n - 1; i >= 0; i-- {
 			if c := a.At(i); c.idx != i {
 				t.Fatalf("n=%d: At(%d) carries index %d", n, i, c.idx)
@@ -154,9 +154,9 @@ func TestAwkwardLengths(t *testing.T) {
 			}
 		}
 	}
-	empty := Make[cell](0, nil, nil)
+	empty := Make(0, NewPool[cell](nil), nil)
 	empty.Chunks(func(int, []cell) { t.Fatal("an empty array has a chunk") })
-	if !panics(func() { Make[cell](-1, nil, nil) }) {
+	if !panics(func() { Make(-1, NewPool[cell](nil), nil) }) {
 		t.Fatal("Make accepted a negative length")
 	}
 }
