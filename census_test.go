@@ -18,12 +18,15 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"argo/internal/coherence"
+	"argo/internal/core"
 	"argo/internal/fault"
 	"argo/internal/harness"
 	"argo/internal/mem"
+	"argo/internal/probe"
 	"argo/internal/workloads/cg"
 	"argo/internal/workloads/drf"
 	"argo/internal/workloads/lu"
@@ -99,25 +102,54 @@ var censusCalls = []struct {
 	}},
 }
 
-// TestCensus is stage (a) of ROADMAP item 1: it makes each ledger runner call
-// censusRuns times and prints which of the facts it reports repeated exactly
-// and which did not (for a numeric fact, over what range). It asserts nothing
-// that is known to vary today — its table, committed in DESIGN §20, is the bug
-// list the sequencer has to empty, and inverted it is the acceptance test.
+// kindCounter is a probe sink that counts events by kind.
+type kindCounter [probe.NumKinds]atomic.Int64
+
+func (c *kindCounter) Observe(e probe.Event) { c[e.Kind].Add(1) }
+
+// interactionKinds are the spine's kinds that mark an interaction point: a
+// place where another thread's operation can change what this one sees.
+var interactionKinds = []probe.Kind{
+	probe.ReadMiss, probe.WriteMiss, probe.SIFence, probe.SDFence,
+	probe.OpRead, probe.OpWrite, probe.OpFetch, probe.OpAtomic, probe.OpPostBurst, probe.OpRegBurst,
+	probe.Delegate, probe.DelegateRun, probe.TicketWait, probe.TicketRelease,
+	probe.ArriveLocal, probe.DepartLocal, probe.ArriveGlobal, probe.DepartGlobal, probe.ArriveFinal, probe.DepartFinal,
+}
+
+// TestCensus is the determinism census of the ledger: it makes each ledger
+// runner call censusRuns times and prints which of the facts it reports
+// repeated exactly and which did not (for a numeric fact, over what range). It
+// asserts nothing that is known to vary today — its table, committed in
+// DESIGN §20, is the bug list a sequencer has to empty, and inverted it is the
+// acceptance test. A counting sink on every cluster adds, per call, the mean
+// count per run of each interaction-point kind and of the sim.Proc.Point calls
+// they imply (DESIGN §32): write misses open pages, DSM lock acquires are
+// Acquired points, and every priority-queue operation ends in an OpDone.
 func TestCensus(t *testing.T) {
 	if !*census {
 		t.Skip("report only, and a minute of runs: give -census (with -cpu 1,2,4 -v) to take it")
 	}
+	var counts kindCounter
+	defer func(hook func(*core.Config)) { core.ConfigHook = hook }(core.ConfigHook)
+	core.ConfigHook = func(cfg *core.Config) { cfg.Observers = append(cfg.Observers, &counts) }
 	fmt.Printf("census: GOMAXPROCS=%d, %d runs of each call\n", runtime.GOMAXPROCS(0), censusRuns)
 	for _, call := range censusCalls {
 		var names []string
 		seen := map[string]map[string]bool{}
+		for k := range counts {
+			counts[k].Store(0)
+		}
+		var ops int64
 		for i := 0; i < censusRuns; i++ {
 			facts, err := call.run()
 			if err != nil {
 				t.Fatalf("%s: %v", call.name, err)
 			}
 			for _, f := range facts {
+				if f.name == "ops" {
+					n, _ := strconv.ParseInt(f.value, 10, 64)
+					ops += n
+				}
 				if seen[f.name] == nil {
 					seen[f.name] = map[string]bool{}
 					names = append(names, f.name)
@@ -134,6 +166,15 @@ func TestCensus(t *testing.T) {
 			}
 		}
 		fmt.Printf("  %-12s repeated: %s\n  %-12s varied:   %s\n", call.name, orNone(same), "", orNone(varied))
+		perRun := func(n int64) int64 { return (n + censusRuns/2) / censusRuns }
+		var spine []string
+		for _, k := range interactionKinds {
+			if n := counts[k].Load(); n > 0 {
+				spine = append(spine, fmt.Sprintf("%s %d", k, perRun(n)))
+			}
+		}
+		fmt.Printf("  %-12s per run:  %s\n  %-12s points:   PageOpen %d, Acquired %d, OpDone %d\n", "", orNone(spine), "",
+			perRun(counts[probe.WriteMiss].Load()), perRun(counts[probe.LockAcquire].Load()), perRun(ops))
 	}
 }
 
@@ -568,15 +609,11 @@ func TestOrphanExports(t *testing.T) {
 	}
 }
 
-// TestOnlySimulatedThreadsSpawn keeps the one goroutine the library starts
-// the one sim.Group.Run starts per simulated thread: any other would be host
-// concurrency that no virtual clock orders, which the sequencer of ROADMAP
-// item 1 could not hook. It parses the non-test Go under internal/ and in the
-// root package (cmd/ and benchmark/ are tools) and needs no -census flag.
-func TestOnlySimulatedThreadsSpawn(t *testing.T) {
-	const allowed = "internal/sim/sim.go: Group.Run"
+// scanLibrary parses the non-test Go under internal/ and in the root package
+// (cmd/ and benchmark/ are tools) and hands visit every function declaration
+// with its file and its name ("Group.Run" for a method).
+func scanLibrary(t *testing.T, visit func(path, name string, fn *ast.FuncDecl)) {
 	fset := token.NewFileSet()
-	var spawns []string
 	scan := func(path string) {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
@@ -597,12 +634,7 @@ func TestOnlySimulatedThreadsSpawn(t *testing.T) {
 					name = id.Name + "." + name
 				}
 			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				if _, ok := n.(*ast.GoStmt); ok {
-					spawns = append(spawns, fmt.Sprintf("%s: %s", filepath.ToSlash(path), name))
-				}
-				return true
-			})
+			visit(filepath.ToSlash(path), name, fn)
 		}
 	}
 	nonTest := func(name string) bool { return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") }
@@ -630,7 +662,70 @@ func TestOnlySimulatedThreadsSpawn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOnlySimulatedThreadsSpawn keeps the one goroutine the library starts
+// the one sim.Group.Run starts per simulated thread: any other would be host
+// concurrency that no virtual clock orders, which a sequencer behind
+// sim.Proc.Point could not hook. It needs no -census flag.
+func TestOnlySimulatedThreadsSpawn(t *testing.T) {
+	const allowed = "internal/sim/sim.go: Group.Run"
+	var spawns []string
+	scanLibrary(t, func(path, name string, fn *ast.FuncDecl) {
+		ast.Inspect(fn, func(n ast.Node) bool {
+			if _, ok := n.(*ast.GoStmt); ok {
+				spawns = append(spawns, fmt.Sprintf("%s: %s", path, name))
+			}
+			return true
+		})
+	})
 	if len(spawns) != 1 || spawns[0] != allowed {
 		t.Fatalf("go statements in library code: %v; want exactly one, in %s", spawns, allowed)
+	}
+}
+
+// seamPoints is how many sim.Proc.Point calls of each kind library code
+// makes (DESIGN §32). Each one moves virtual makespans, so a new one is a
+// row reviewers see here.
+var seamPoints = map[string]int{"PageOpen": 1, "Acquired": 4, "Serve": 1, "Retry": 1, "OpDone": 3}
+
+// TestOneSchedulerSeam keeps the host scheduler behind one seam: library code
+// yields only in sim.Proc.Point, whose policy decides what a point does, and
+// in the TLB spin guard, which waits on a host-level writer and is no
+// simulated interaction. The Point calls are counted by kind against
+// seamPoints.
+func TestOneSchedulerSeam(t *testing.T) {
+	allowed := []string{"internal/cache/tlb.go: Line.BumpGen", "internal/sim/sched.go: Proc.Point"}
+	var yields []string
+	points := map[string]int{}
+	scanLibrary(t, func(path, name string, fn *ast.FuncDecl) {
+		ast.Inspect(fn, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "runtime" && n.Sel.Name == "Gosched" {
+					yields = append(yields, fmt.Sprintf("%s: %s", path, name))
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Point" {
+					kind := "?"
+					if len(n.Args) == 1 {
+						if arg, ok := n.Args[0].(*ast.SelectorExpr); ok {
+							if x, ok := arg.X.(*ast.Ident); ok && x.Name == "sim" {
+								kind = arg.Sel.Name
+							}
+						}
+					}
+					points[kind]++
+				}
+			}
+			return true
+		})
+	})
+	sort.Strings(yields)
+	if !reflect.DeepEqual(yields, allowed) {
+		t.Errorf("runtime.Gosched in library code: %v; want exactly %v (a simulated thread yields through sim.Proc.Point)", yields, allowed)
+	}
+	if !reflect.DeepEqual(points, seamPoints) {
+		t.Errorf("sim.Proc.Point calls by kind: %v; want %v (a new one is a row of seamPoints)", points, seamPoints)
 	}
 }

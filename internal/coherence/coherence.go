@@ -34,7 +34,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
 
 	"argo/internal/cache"
@@ -217,19 +216,12 @@ func (n *Node) writeSegs(p *sim.Proc, tb *cache.TLB, addr mem.Addr, nbytes int, 
 			n.writebackIfDirty(p, victim)
 		}
 		if miss {
-			maybeYield()
+			p.Point(sim.PageOpen)
 		}
 		done += seg
 		addr += mem.Addr(seg)
 	}
 }
-
-// maybeYield yields the host scheduler at page-open points so the write
-// streams of a node's threads interleave as they would under preemptive
-// scheduling (on few-CPU hosts simulated threads otherwise run their whole
-// loops back to back and the write buffer never sees concurrent streams).
-// No semantic effect.
-func maybeYield() { runtime.Gosched() }
 
 // NewTLB builds the Lynx access-translation cache of one thread running on
 // this node: the node's page geometry and hit cost are copied into it, so the

@@ -1,7 +1,6 @@
 package locks
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -112,10 +111,9 @@ func (q *delegQueue[H]) delegate(p *sim.Proc, e delegEntry[H], wait bool) (s *de
 			p.Advance(enq)
 			return e.done, false
 		}
-		// Queue closed or full: spin and retry (the helper will release
-		// the queue soon and someone becomes the next helper).
+		// Queue closed or full: retry once the helper has had the turn.
 		q.mu.Unlock()
-		runtime.Gosched()
+		p.Point(sim.Retry)
 	}
 }
 
@@ -138,9 +136,7 @@ func (q *delegQueue[H]) serve(h H, p *sim.Proc, own delegEntry[H]) int {
 	sections := 1
 	for open := true; ; sections++ {
 		if open {
-			// Yield before each queue inspection so delegators get a chance
-			// to enqueue while the helper is "busy" (few-CPU interleaving).
-			runtime.Gosched()
+			p.Point(sim.Serve)
 		}
 		q.mu.Lock()
 		if open && (q.n == 0 || sections > len(q.ring)) {

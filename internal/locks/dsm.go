@@ -1,7 +1,6 @@
 package locks
 
 import (
-	"runtime"
 	"sync"
 
 	"argo/internal/core"
@@ -178,9 +177,7 @@ func (l *globalTicketLock) Lock(t *core.Thread) {
 	if waited || g.Excise {
 		l.c.Obs.Sync(t.P, t0, won, l.key, int64(l.key), 0)
 	}
-	// Yield so contenders arrive and queue while the section runs
-	// (interleaving aid for few-CPU hosts; no semantic effect).
-	runtime.Gosched()
+	t.P.Point(sim.Acquired)
 }
 
 // unlockSafePoint delivers a pending crash verdict at the release point

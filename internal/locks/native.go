@@ -1,7 +1,6 @@
 package locks
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -35,10 +34,7 @@ func (l *PthreadMutex) Lock(p *sim.Proc) {
 	w := l.waiters.Add(-1)
 	l.h.acquired(p, l.fab)
 	p.Advance(sim.Time(w) * (l.fab.P.SocketLatency / 2)) // half a cross-socket transfer per waiter
-	// Yield so contenders can arrive while the section "executes"; on a
-	// host with few CPUs, simulated threads would otherwise run their
-	// whole loops back to back and no queueing would ever form.
-	runtime.Gosched()
+	p.Point(sim.Acquired)
 }
 
 // Unlock releases the mutex.
@@ -81,9 +77,7 @@ func (l *fifoCore) lock(p *sim.Proc) {
 		p.Advance(l.hoCost)
 	}
 	l.mu.Unlock()
-	// Yield so contenders can arrive and queue while the critical
-	// section "executes" (see PthreadMutex.Lock).
-	runtime.Gosched()
+	p.Point(sim.Acquired)
 }
 
 func (l *fifoCore) unlock(p *sim.Proc) {

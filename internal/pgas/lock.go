@@ -1,7 +1,6 @@
 package pgas
 
 import (
-	"runtime"
 	"sync"
 
 	"argo/internal/sim"
@@ -44,7 +43,7 @@ func (l *Lock) Lock(r *Rank) {
 	if parked {
 		l.w.Fab.RemoteRead(r.P, l.home, 8, l.key)
 	}
-	runtime.Gosched()
+	r.P.Point(sim.Acquired)
 }
 
 // Unlock releases (upc_unlock): one remote write of the grant word.

@@ -9,12 +9,12 @@
 // resource became free, which is how queueing delay appears in results
 // without any discrete-event scheduler.
 //
-// The design deliberately separates functional synchronization (real mutexes
-// and condition variables keep the protocol race-free) from temporal
-// modeling (virtual clocks max-combine across synchronization points). The
-// consequence is that functional results are exact while virtual timings are
-// reproducible up to scheduling-dependent lock acquisition order — the same
-// property a run on real hardware has.
+// The design separates functional synchronization (real mutexes and condition
+// variables keep the protocol race-free) from temporal modeling (virtual
+// clocks max-combine across synchronization points): functional results are
+// exact, and virtual timings follow the order of lock acquisitions, as on real
+// hardware. That order is set at one seam, Proc.Point, the only place where a
+// simulated thread offers the host the turn.
 package sim
 
 import (

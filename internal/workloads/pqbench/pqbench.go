@@ -12,7 +12,6 @@ package pqbench
 
 import (
 	"math/rand"
-	"runtime"
 
 	"argo/internal/core"
 	"argo/internal/locks"
@@ -138,7 +137,7 @@ func RunNative(kind NativeLockKind, threads int, p Params) Result {
 				}
 				plain.Unlock(lc.P)
 			}
-			runtime.Gosched()
+			lc.P.Point(sim.OpDone)
 		}
 	})
 	ops := int64(threads * p.OpsPerThread)
@@ -209,7 +208,7 @@ func RunDSM(kind DSMLockKind, cfg core.Config, tpn int, p Params) Result {
 				}
 				plain.Unlock(th)
 			}
-			runtime.Gosched()
+			th.P.Point(sim.OpDone)
 		}
 		th.Barrier()
 	})
@@ -249,7 +248,7 @@ func RunUPC(nodes, rpn int, p Params) Result {
 				heap.ExtractMin(r)
 			}
 			l.Unlock(r)
-			runtime.Gosched()
+			r.P.Point(sim.OpDone)
 		}
 		r.Barrier()
 	})
