@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -204,13 +203,10 @@ func TestConcurrentFirstLock(t *testing.T) {
 	}
 }
 
-// emptyLinePool leaves linePool empty — a sync.Pool is emptied by two
-// collections — so the package's other tests build their caches from new
-// chunks, whose generations start at 0 as their models do.
-func emptyLinePool() {
-	runtime.GC()
-	runtime.GC()
-}
+// emptyLinePool leaves linePool empty, so the package's other tests build
+// their caches from new chunks, whose generations start at 0 as their models
+// do.
+func emptyLinePool() { linePool = sparse.NewPool(resetLines) }
 
 // fillLines gives every line of c some state a fresh line does not have: a
 // dirty page with data and twin frames, published to tb, a ReadyAt, the used
@@ -251,31 +247,25 @@ func TestRecycledLineChunkIsFresh(t *testing.T) {
 	chunks := 0
 	for _, step := range []struct{ from, to geom }{{geom{40, 2}, geom{200, 4}}, {geom{200, 4}, geom{100, 1}}} {
 		g := step.to
-		var c *Cache
-		for round := 0; round < 20 && c == nil; round++ {
-			prev := New(0, 64, step.from.lines, step.from.ppl, 8)
-			fillLines(prev, prev.NewTLB(1))
-			prev.lines.Chunks(func(_ int, chunk []Line) {
-				whole := chunk[:sparse.ChunkLen]
-				for i := range whole {
-					freed[whole[i].sy] = freedSync{chunks, int(whole[i].sy.Gen.Load())}
-				}
-				chunks++
-			})
-			prev.PutFrames()
-			prev.Free()
-			if prev.lines.Peek(0) != nil {
-				t.Fatal("a line survived Free")
+		prev := New(0, 64, step.from.lines, step.from.ppl, 8)
+		fillLines(prev, prev.NewTLB(1))
+		prev.lines.Chunks(func(_ int, chunk []Line) {
+			whole := chunk[:sparse.ChunkLen]
+			for i := range whole {
+				freed[whole[i].sy] = freedSync{chunks, int(whole[i].sy.Gen.Load())}
 			}
-			c = New(0, 64, g.lines, g.ppl, 8)
-			ln := c.LockLine(0)
-			ln.Unlock()
-			if _, ok := freed[ln.sy]; !ok {
-				c = nil // a new chunk: the race detector's pool dropped ours
-			}
+			chunks++
+		})
+		prev.PutFrames()
+		prev.Free()
+		if prev.lines.Peek(0) != nil {
+			t.Fatal("a line survived Free")
 		}
-		if c == nil {
-			t.Fatalf("%+v: no freed chunk came back in 20 rounds", step)
+		c := New(0, 64, g.lines, g.ppl, 8)
+		ln := c.LockLine(0)
+		ln.Unlock()
+		if _, ok := freed[ln.sy]; !ok {
+			t.Fatalf("%+v: line 0 is a new chunk, not a freed one", step)
 		}
 		first := freed[c.lines.Peek(0).sy].chunk
 		for l := 0; l < sparse.ChunkLen; l++ {
@@ -308,37 +298,33 @@ func TestRecycledLineChunkIsFresh(t *testing.T) {
 // held. Releasing the nil TLB a page size without one gets does nothing.
 func TestPooledTLBMissesEverywhere(t *testing.T) {
 	New(0, 4, 4, 2, 16).NewTLB(1).Release()
-	for round := 0; round < 20; round++ {
-		c := New(0, 4096, 8, 4, 16)
-		old := c.NewTLB(1)
-		fillLines(c, old)
-		p := &sim.Proc{}
-		if _, ok := old.Load(p, 8); !ok {
-			t.Fatal("test vacuous: the filled TLB misses")
-		}
-		old.Release()
-		tb := New(0, 8192, 8, 4, 16).NewTLB(3)
-		if tb != old {
-			continue // dropped by the race detector's pool
-		}
-		if tb.shift != 13 || tb.mask != 8191 || tb.hit != 3 {
-			t.Fatalf("recycled TLB has shift %d, mask %d, hit %d", tb.shift, tb.mask, tb.hit)
-		}
-		for i := range tb.e {
-			if tb.e[i] != (TLBEntry{Page: -1}) {
-				t.Fatalf("recycled TLB entry %d = %+v", i, tb.e[i])
-			}
-		}
-		for page := 0; page < c.Lines*c.PagesPerLine; page++ {
-			a := int64(page) * 4096
-			if _, ok := tb.Load(p, a); ok || tb.Store(p, a, 1) {
-				t.Fatalf("recycled TLB hit page %d", page)
-			}
-		}
-		if p.Hits != 1 || p.Now() != 1 {
-			t.Fatalf("misses charged the proc: %d hits, now %d", p.Hits, p.Now())
-		}
-		return
+	c := New(0, 4096, 8, 4, 16)
+	old := c.NewTLB(1)
+	fillLines(c, old)
+	p := &sim.Proc{}
+	if _, ok := old.Load(p, 8); !ok {
+		t.Fatal("test vacuous: the filled TLB misses")
 	}
-	t.Fatal("a released TLB never came back in 20 rounds")
+	old.Release()
+	tb := New(0, 8192, 8, 4, 16).NewTLB(3)
+	if tb != old {
+		t.Fatal("the released TLB did not come back")
+	}
+	if tb.shift != 13 || tb.mask != 8191 || tb.hit != 3 {
+		t.Fatalf("recycled TLB has shift %d, mask %d, hit %d", tb.shift, tb.mask, tb.hit)
+	}
+	for i := range tb.e {
+		if tb.e[i] != (TLBEntry{Page: -1}) {
+			t.Fatalf("recycled TLB entry %d = %+v", i, tb.e[i])
+		}
+	}
+	for page := 0; page < c.Lines*c.PagesPerLine; page++ {
+		a := int64(page) * 4096
+		if _, ok := tb.Load(p, a); ok || tb.Store(p, a, 1) {
+			t.Fatalf("recycled TLB hit page %d", page)
+		}
+	}
+	if p.Hits != 1 || p.Now() != 1 {
+		t.Fatalf("misses charged the proc: %d hits, now %d", p.Hits, p.Now())
+	}
 }

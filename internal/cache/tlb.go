@@ -103,11 +103,11 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"argo/internal/sim"
+	"argo/internal/sparse"
 )
 
 // Global memory is little-endian 8-byte words (the locked paths and the byte
@@ -190,7 +190,7 @@ type TLB struct {
 
 // tlbPool holds the flushed TLBs that Release handed back, for the next
 // NewTLB of this cluster or another.
-var tlbPool sync.Pool
+var tlbPool sparse.FreeList[TLB]
 
 // NewTLB returns an empty TLB for this cache's page geometry whose hits cost
 // hit virtual nanoseconds each: a released one when there is one, else a new
@@ -201,8 +201,8 @@ func (c *Cache) NewTLB(hit sim.Time) *TLB {
 	if c.PageSize&7 != 0 {
 		return nil
 	}
-	t, ok := tlbPool.Get().(*TLB)
-	if !ok {
+	t := tlbPool.Get()
+	if t == nil {
 		t = new(TLB)
 		t.flush()
 	}

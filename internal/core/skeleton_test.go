@@ -102,7 +102,7 @@ func TestClusterCostsWhatItTouches(t *testing.T) {
 // is left is the launch, the fixed-size headers and the write-buffer rings.
 // Every thread writes a word on pages a chunk apart and then reads every
 // other thread's, so each structure has chunks on every node. A collection
-// in the middle of a cycle may empty the pools, and a pool's item kept for
+// in the middle of a cycle may empty the frame pools, and a frame kept for
 // one P is out of reach of the others, so the bound is on the least of five
 // cycles. On amd64 that was 37–45 KB; with the skeleton and TLBs built anew it
 // was 3.4 MB, without freeing the page table and the Pyxis maps 0.92 MB, and

@@ -37,15 +37,42 @@ type Array[T any] struct {
 	chunks []atomic.Pointer[[ChunkLen]T]
 }
 
+// FreeList keeps what is handed back to it for a later Get, last in first
+// out, under a mutex. A sync.Pool would keep one item per P that only that
+// P's Get finds, so what a run allocates would depend on where the host
+// scheduler put it. A collection does not empty a FreeList: the process keeps
+// the largest skeleton it has built (about 1 MB for the ledger's lu_bulk).
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// Get returns the value handed back last, or nil when there is none.
+func (l *FreeList[T]) Get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return nil
+	}
+	x := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return x
+}
+
+// Put keeps x for a later Get.
+func (l *FreeList[T]) Put(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	l.mu.Unlock()
+}
+
 // Pool recycles chunks between the Arrays that take it. Declare one as a
 // package-level variable of the package that owns the element type: only that
 // package knows what a fresh element holds.
-//
-// It is a sync.Pool, so the garbage collector may take chunks back: a chunk
-// nobody has asked for survives one collection (in the pool's victim cache)
-// and is freed by the second, as mem's frames are.
 type Pool[T any] struct {
-	p     sync.Pool
+	free  FreeList[[ChunkLen]T]
 	reset func(chunk *[ChunkLen]T)
 }
 
@@ -59,7 +86,7 @@ func NewPool[T any](reset func(chunk *[ChunkLen]T)) *Pool[T] {
 
 // get returns a recycled chunk, or a zeroed new one.
 func (p *Pool[T]) get() *[ChunkLen]T {
-	if c, ok := p.p.Get().(*[ChunkLen]T); ok {
+	if c := p.free.Get(); c != nil {
 		return c
 	}
 	return new([ChunkLen]T)
@@ -72,7 +99,7 @@ func (p *Pool[T]) put(c *[ChunkLen]T) {
 	} else {
 		clear(c[:])
 	}
-	p.p.Put(c)
+	p.free.Put(c)
 }
 
 // Make returns an Array of n elements whose chunks come from pool and go back
