@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -610,9 +611,10 @@ func TestOrphanExports(t *testing.T) {
 }
 
 // scanLibrary parses the non-test Go under internal/ and in the root package
-// (cmd/ and benchmark/ are tools) and hands visit every function declaration
-// with its file and its name ("Group.Run" for a method).
-func scanLibrary(t *testing.T, visit func(path, name string, fn *ast.FuncDecl)) {
+// (cmd/ and benchmark/ are tools) and hands visit every top-level declaration
+// with its file and its name ("Group.Run" for a method, the first name a type,
+// var or const declaration declares).
+func scanLibrary(t *testing.T, visit func(path, name string, d ast.Decl)) {
 	fset := token.NewFileSet()
 	scan := func(path string) {
 		f, err := parser.ParseFile(fset, path, nil, 0)
@@ -620,21 +622,33 @@ func scanLibrary(t *testing.T, visit func(path, name string, fn *ast.FuncDecl)) 
 			t.Fatal(err)
 		}
 		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			name := fn.Name.Name
-			if fn.Recv != nil {
-				recv := fn.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
+			name := ""
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				name = d.Name.Name
+				if d.Recv != nil {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if gen, ok := recv.(*ast.IndexExpr); ok { // delegQueue[H]
+						recv = gen.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						name = id.Name + "." + name
+					}
 				}
-				if id, ok := recv.(*ast.Ident); ok {
-					name = id.Name + "." + name
+			case *ast.GenDecl:
+				switch spec := d.Specs[0].(type) {
+				case *ast.TypeSpec:
+					name = spec.Name.Name
+				case *ast.ValueSpec:
+					name = spec.Names[0].Name
+				default:
+					continue // imports
 				}
 			}
-			visit(filepath.ToSlash(path), name, fn)
+			visit(filepath.ToSlash(path), name, d)
 		}
 	}
 	nonTest := func(name string) bool { return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") }
@@ -671,8 +685,8 @@ func scanLibrary(t *testing.T, visit func(path, name string, fn *ast.FuncDecl)) 
 func TestOnlySimulatedThreadsSpawn(t *testing.T) {
 	const allowed = "internal/sim/sim.go: Group.Run"
 	var spawns []string
-	scanLibrary(t, func(path, name string, fn *ast.FuncDecl) {
-		ast.Inspect(fn, func(n ast.Node) bool {
+	scanLibrary(t, func(path, name string, d ast.Decl) {
+		ast.Inspect(d, func(n ast.Node) bool {
 			if _, ok := n.(*ast.GoStmt); ok {
 				spawns = append(spawns, fmt.Sprintf("%s: %s", path, name))
 			}
@@ -687,7 +701,7 @@ func TestOnlySimulatedThreadsSpawn(t *testing.T) {
 // seamPoints is how many sim.Proc.Point calls of each kind library code
 // makes (DESIGN §32). Each one moves virtual makespans, so a new one is a
 // row reviewers see here.
-var seamPoints = map[string]int{"PageOpen": 1, "Acquired": 4, "Serve": 1, "Retry": 1, "OpDone": 3}
+var seamPoints = map[string]int{"PageOpen": 1, "Acquired": 4, "Serve": 1, "OpDone": 3}
 
 // TestOneSchedulerSeam keeps the host scheduler behind one seam: library code
 // yields only in sim.Proc.Point, whose policy decides what a point does, and
@@ -698,8 +712,8 @@ func TestOneSchedulerSeam(t *testing.T) {
 	allowed := []string{"internal/cache/tlb.go: Line.BumpGen", "internal/sim/sched.go: Proc.Point"}
 	var yields []string
 	points := map[string]int{}
-	scanLibrary(t, func(path, name string, fn *ast.FuncDecl) {
-		ast.Inspect(fn, func(n ast.Node) bool {
+	scanLibrary(t, func(path, name string, d ast.Decl) {
+		ast.Inspect(d, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok && x.Name == "runtime" && n.Sel.Name == "Gosched" {
@@ -727,5 +741,71 @@ func TestOneSchedulerSeam(t *testing.T) {
 	}
 	if !reflect.DeepEqual(points, seamPoints) {
 		t.Errorf("sim.Proc.Point calls by kind: %v; want %v (a new one is a row of seamPoints)", points, seamPoints)
+	}
+}
+
+// sleepSites are the functions of library code that block on a channel
+// (DESIGN §32). A simulated thread that waits for another parks on a
+// sim.WaitQueue, whose Park and Wake are two of them; the other four are two
+// of the three sleeps outside the seam: the delegation completion slot, a
+// one-shot channel that carries a time (awaited, and sent by the helper), and
+// MPI's per-pair mailboxes, whose full buffer is the sender's backpressure.
+// The third, PthreadMutex's unfair host sync.Mutex, is the lock being
+// modelled and no channel operation.
+var sleepSites = []string{
+	"internal/locks/delegation.go: delegQueue.await",
+	"internal/locks/delegation.go: delegQueue.serve",
+	"internal/mpi/mpi.go: Rank.Recv",
+	"internal/mpi/mpi.go: Rank.Send",
+	"internal/sim/waitq.go: WaitQueue.Park",
+	"internal/sim/waitq.go: Waiter.Wake",
+}
+
+// TestOneWayToSleep keeps one way to sleep: library code declares no
+// sync.Cond, and blocks on a channel only at sleepSites. A select with a
+// default case does not block, so its cases are no sleep. A range over a
+// channel is not seen (the walk has no types); there is none.
+func TestOneWayToSleep(t *testing.T) {
+	var conds []string
+	sleeps := map[string]bool{}
+	scanLibrary(t, func(path, name string, d ast.Decl) {
+		site := fmt.Sprintf("%s: %s", path, name)
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "sync" && (n.Sel.Name == "Cond" || n.Sel.Name == "NewCond") {
+					conds = append(conds, site)
+				}
+			case *ast.SelectStmt:
+				if slices.ContainsFunc(n.Body.List, func(c ast.Stmt) bool { return c.(*ast.CommClause).Comm == nil }) {
+					for _, c := range n.Body.List {
+						for _, st := range c.(*ast.CommClause).Body {
+							ast.Inspect(st, visit)
+						}
+					}
+					return false
+				}
+			case *ast.SendStmt:
+				sleeps[site] = true
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW {
+					sleeps[site] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(d, visit)
+	})
+	if len(conds) > 0 {
+		t.Errorf("sync.Cond in library code: %v; a simulated thread that waits for another parks on a sim.WaitQueue", conds)
+	}
+	var got []string
+	for site := range sleeps {
+		got = append(got, site)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, sleepSites) {
+		t.Errorf("blocking channel operations in library code: %v; want exactly %v (a simulated thread sleeps on sim.WaitQueue)", got, sleepSites)
 	}
 }

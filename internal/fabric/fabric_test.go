@@ -1,7 +1,12 @@
 package fabric
 
 import (
+	"os"
+	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"argo/internal/fault"
@@ -18,6 +23,44 @@ func testTopo() sim.Topology {
 func TestDefaultParamsValid(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDesignDefaults holds DESIGN.md §4 to the code: every bold default
+// there ("**2 500 ns**") is the value of the fabric.Params field named in
+// backticks after it, and the §4 bullets name every field they quote.
+func TestDesignDefaults(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := string(doc)
+	start := strings.Index(sec, "\n## 4. Cost model")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no §4 cost model section")
+	}
+	sec = sec[start+1:]
+	sec = sec[:strings.Index(sec, "\n## ")]
+	const value = `\*\*([0-9][0-9 ]*) ns(?:/KB)?\*\*`
+	bold := regexp.MustCompile(value).FindAllString(sec, -1)
+	pairs := regexp.MustCompile(value+"[^*]*?\\(`(\\w+)`\\)").FindAllStringSubmatch(sec, -1)
+	if len(bold) == 0 || len(pairs) != len(bold) {
+		t.Fatalf("§4 has %d bold defaults and %d of them name their field: %q", len(bold), len(pairs), bold)
+	}
+	def := reflect.ValueOf(DefaultParams())
+	for _, m := range pairs {
+		want, err := strconv.ParseInt(strings.ReplaceAll(m[1], " ", ""), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := def.FieldByName(m[2])
+		if !f.IsValid() {
+			t.Errorf("§4 names %s, which is no field of fabric.Params", m[2])
+			continue
+		}
+		if got := f.Int(); got != want {
+			t.Errorf("§4 gives %s as %d, DefaultParams has %d", m[2], want, got)
+		}
 	}
 }
 

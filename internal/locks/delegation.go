@@ -17,7 +17,7 @@ import (
 // The ring is the QD paper's fixed-size delegation buffer, sized once when
 // the lock is built (delegRing entries), and its length bounds two things,
 // neither of them the batch: how many sections may be queued at once (a
-// delegator that finds the ring full spins) and how many the helper dequeues
+// delegator that finds the ring full parks) and how many the helper dequeues
 // before it closes the queue. What is still queued at the close runs too —
 // its delegators may have detached — so one opening executes up to
 // 2·len(ring)+1 sections. Publishing a section costs its delegator, and
@@ -44,6 +44,7 @@ type delegQueue[H any] struct {
 	head, n int
 	h       holder
 	idle    []*delegSlot
+	waiters sim.WaitQueue // delegators that found the ring closed or full
 }
 
 // delegEntry is one critical section in the ring: a closure (section) or a
@@ -80,41 +81,38 @@ const delegRing = 128
 
 // delegate hands e's section to the current helper and returns the slot to
 // await when wait is set. A caller that finds the queue free becomes the
-// helper instead: it runs e itself through serve, then calls release.
+// helper instead: it runs e itself through serve, then calls release; one
+// that finds it closed or full parks until release or a dequeue wakes it.
 func (q *delegQueue[H]) delegate(p *sim.Proc, e delegEntry[H], wait bool) (s *delegSlot, helper bool) {
-	enq := q.fab.P.LocalLatency
-	for {
-		q.mu.Lock()
-		if !q.held {
-			q.held, q.open = true, true
-			q.h.acquired(p, q.fab)
-			q.mu.Unlock()
-			return nil, true
-		}
-		if q.open && q.n < len(q.ring) {
-			e.enqAt = p.Now() + enq
-			if q.obs != nil {
-				e.key = q.key<<32 | q.seq.Add(1)
-				q.obs.Emit(probe.Event{Kind: probe.Delegate, Node: p.Node, Tid: probe.TidOf(p.Socket, p.Core), Start: e.enqAt, T: e.enqAt, Key: e.key})
-			}
-			if wait {
-				if n := len(q.idle); n > 0 {
-					e.done, q.idle = q.idle[n-1], q.idle[:n-1]
-				} else {
-					e.done = &delegSlot{at: make(chan sim.Time, 1)}
-				}
-				e.done.key = e.key
-			}
-			q.ring[(q.head+q.n)%len(q.ring)] = e
-			q.n++
-			q.mu.Unlock()
-			p.Advance(enq)
-			return e.done, false
-		}
-		// Queue closed or full: retry once the helper has had the turn.
-		q.mu.Unlock()
-		p.Point(sim.Retry)
+	q.mu.Lock()
+	for q.held && (!q.open || q.n == len(q.ring)) {
+		q.waiters.Park(&q.mu, 0)
 	}
+	if !q.held {
+		q.held, q.open = true, true
+		q.h.acquired(p, q.fab)
+		q.mu.Unlock()
+		return nil, true
+	}
+	enq := q.fab.P.LocalLatency
+	e.enqAt = p.Now() + enq
+	if q.obs != nil {
+		e.key = q.key<<32 | q.seq.Add(1)
+		q.obs.Emit(probe.Event{Kind: probe.Delegate, Node: p.Node, Tid: probe.TidOf(p.Socket, p.Core), Start: e.enqAt, T: e.enqAt, Key: e.key})
+	}
+	if wait {
+		if n := len(q.idle); n > 0 {
+			e.done, q.idle = q.idle[n-1], q.idle[:n-1]
+		} else {
+			e.done = &delegSlot{at: make(chan sim.Time, 1)}
+		}
+		e.done.key = e.key
+	}
+	q.ring[(q.head+q.n)%len(q.ring)] = e
+	q.n++
+	q.mu.Unlock()
+	p.Advance(enq)
+	return e.done, false
 }
 
 // await blocks until the section behind s has run and advances p to its
@@ -150,6 +148,9 @@ func (q *delegQueue[H]) serve(h H, p *sim.Proc, own delegEntry[H]) int {
 		q.ring[q.head] = delegEntry[H]{} // the ring must not keep the section's captures alive
 		q.head = (q.head + 1) % len(q.ring)
 		q.n--
+		if open {
+			q.waiters.Pop().Wake() // a slot is free: the oldest delegator that found the ring full takes it
+		}
 		q.mu.Unlock()
 		p.Advance(q.fab.P.LocalLatency)
 		p.AdvanceTo(e.enqAt)
@@ -163,11 +164,12 @@ func (q *delegQueue[H]) serve(h H, p *sim.Proc, own delegEntry[H]) int {
 	}
 }
 
-// release ends the helper's turn: the next thread to find the queue free
-// becomes the next helper.
+// release ends the helper's turn and wakes every parked delegator: the next
+// thread to find the queue free becomes the next helper.
 func (q *delegQueue[H]) release(p *sim.Proc) {
 	q.mu.Lock()
 	q.held = false
 	q.h.released(p)
+	q.waiters.WakeAll(0)
 	q.mu.Unlock()
 }

@@ -2,9 +2,11 @@ package locks
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"argo/internal/core"
 	"argo/internal/racetag"
@@ -245,6 +247,75 @@ func TestBatchLimitBoundsRingNotBatch(t *testing.T) {
 	wg.Wait()
 	if onFirstHelper != 2*limit+1 {
 		t.Fatalf("the first opening ran %d sections, want 2·len(ring)+1 = %d", onFirstHelper, 2*limit+1)
+	}
+}
+
+// TestOneEntryRingWakesParkedDelegators: on a one-entry ring, a delegator
+// that finds the ring full is woken by the helper's next dequeue, and one
+// that finds the queue closed is woken by release and becomes the next
+// helper. Each waits inside a section the helper runs, so a missing wake
+// shows as a wait that times out, not as a slow pass. Every section runs
+// once, in enqueue order, and nobody is left parked.
+func TestOneEntryRingWakesParkedDelegators(t *testing.T) {
+	l := newQDLock(testFab(), 1)
+	topo := sim.Topology{Nodes: 1, Sockets: 1, CoresPerSocket: 4}
+	locked := func(f func() bool) func() bool {
+		return func() bool {
+			l.q.mu.Lock()
+			defer l.q.mu.Unlock()
+			return f()
+		}
+	}
+	parked := locked(func() bool { return l.q.waiters.Len() == 1 })
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Errorf("timed out waiting for %s", what)
+				return
+			}
+		}
+	}
+	var ran []string // appended by whoever is the helper
+	var wg sync.WaitGroup
+	delegate := func(name string, lt int, section func(h *sim.Proc)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.Delegate(topo.NewProc(0, lt), func(h *sim.Proc) {
+				ran = append(ran, name)
+				section(h)
+			})
+		}()
+	}
+	l.Delegate(topo.NewProc(0, 0), func(h *sim.Proc) {
+		ran = append(ran, "own")
+		l.Delegate(topo.NewProc(0, 1), func(h *sim.Proc) { // fills the ring
+			ran = append(ran, "full")
+			// Dequeued while the ring is open: that dequeue woke the
+			// parked delegator, whose section now fills the ring.
+			waitFor("the full ring's delegator to be woken by the dequeue", locked(func() bool { return l.q.n == 1 }))
+		})
+		delegate("woken by dequeue", 2, func(h *sim.Proc) {
+			// Dequeued after the close: the next delegator finds the
+			// queue closed, and only release wakes it.
+			delegate("woken by release", 3, func(h *sim.Proc) {})
+			waitFor("a delegator to park on the closed queue", parked)
+		})
+		waitFor("a delegator to park on the full ring", parked)
+	})
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a parked delegator was never woken")
+	}
+	want := []string{"own", "full", "woken by dequeue", "woken by release"}
+	if !slices.Equal(ran, want) {
+		t.Errorf("sections ran as %q, want %q", ran, want)
+	}
+	if l.q.held || l.q.n != 0 || l.q.waiters.Len() != 0 {
+		t.Errorf("queue not clean: held=%v queued=%d parked=%d", l.q.held, l.q.n, l.q.waiters.Len())
 	}
 }
 

@@ -80,7 +80,7 @@ func newGlobalTicketLock(c *core.Cluster, home int) *globalTicketLock {
 // a lease held by the corpse is expired and handed to the head waiter.
 func (l *globalTicketLock) onExcise(node int, at sim.Time) {
 	l.mu.Lock()
-	l.waiters.Prune(node)
+	l.waiters.WakeAll(node)
 	l.mu.Unlock()
 	l.expireLease(node, at)
 }

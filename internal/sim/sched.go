@@ -14,7 +14,6 @@ const (
 	PageOpen PointKind = iota // a write miss opened a page: the node's other write streams interleave (lu_bulk 134.4–135.7 → 209.2–210.1, drf_scatter 383.5–384.1 → 421–660)
 	Acquired                  // a native, DSM-ticket or UPC lock was taken: contenders arrive and queue while the section runs
 	Serve                     // a delegation helper is about to inspect its ring: delegators enqueue while it is busy
-	Retry                     // the delegation ring was closed or full: the helper drains it (a spin at constant virtual time)
 	OpDone                    // a priority-queue benchmark operation ended: the other threads take their turn (pq_hqdl 52.8–57.4 → 248–277, pq_mutex 126.8–127.0 → 127.4–127.7)
 )
 

@@ -17,7 +17,7 @@ func TestPointYields(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		k    PointKind
-	}{{"PageOpen", PageOpen}, {"Acquired", Acquired}, {"Serve", Serve}, {"Retry", Retry}, {"OpDone", OpDone}} {
+	}{{"PageOpen", PageOpen}, {"Acquired", Acquired}, {"Serve", Serve}, {"OpDone", OpDone}} {
 		var mu sync.Mutex
 		var log []int
 		NewGroup([]*Proc{{}, {}}).Run(func(i int, p *Proc) {

@@ -9,12 +9,12 @@
 // resource became free, which is how queueing delay appears in results
 // without any discrete-event scheduler.
 //
-// The design separates functional synchronization (real mutexes and condition
-// variables keep the protocol race-free) from temporal modeling (virtual
-// clocks max-combine across synchronization points): functional results are
-// exact, and virtual timings follow the order of lock acquisitions, as on real
-// hardware. That order is set at one seam, Proc.Point, the only place where a
-// simulated thread offers the host the turn.
+// The design separates functional synchronization (real mutexes keep the
+// protocol race-free) from temporal modeling (virtual clocks max-combine across
+// synchronization points): functional results are exact, and virtual timings
+// follow the order of lock acquisitions, as on real hardware. That order is set
+// at one seam: a simulated thread offers the host the turn only at Proc.Point,
+// and sleeps until another thread acts only on a WaitQueue.
 package sim
 
 import (
@@ -191,10 +191,9 @@ func (r *Resource) Reset() {
 // leaves at max(arrival times) + exit cost).
 type Barrier struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	q       WaitQueue
 	n       int
 	arrived int
-	gen     int
 	maxT    Time
 	release Time
 }
@@ -204,16 +203,13 @@ func NewBarrier(n int) *Barrier {
 	if n <= 0 {
 		panic("sim: barrier participant count must be positive")
 	}
-	b := &Barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	return &Barrier{n: n}
 }
 
 // Wait blocks until all n participants have called Wait, then releases all
 // of them with their clocks set to max(arrival) + exitCost.
 func (b *Barrier) Wait(p *Proc, exitCost Time) {
 	b.mu.Lock()
-	gen := b.gen
 	if p.now > b.maxT {
 		b.maxT = p.now
 	}
@@ -222,12 +218,9 @@ func (b *Barrier) Wait(p *Proc, exitCost Time) {
 		b.release = b.maxT + exitCost
 		b.arrived = 0
 		b.maxT = 0
-		b.gen++
-		b.cond.Broadcast()
+		b.q.WakeAll(0)
 	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
+		b.q.Park(&b.mu, 0) // only this episode's completion wakes a parked thread
 	}
 	rel := b.release
 	b.mu.Unlock()

@@ -1,9 +1,13 @@
 package sim
 
-import "sync"
+import (
+	"sync"
+
+	"argo/internal/sparse"
+)
 
 // Grant is what a waker leaves for the waiter it wakes. The zero value is
-// "woken without the lock" (pruned); plain FIFO locks never look at it.
+// "woken without the lock" (by WakeAll); plain FIFO locks never look at it.
 type Grant struct {
 	Granted bool // the lock was handed to the waiter
 	Excise  bool // the grant expired a dead or fenced holder's lease
@@ -17,6 +21,10 @@ type Waiter struct {
 	token chan struct{} // capacity 1: Wake never blocks, and the waiter is reusable
 }
 
+// waiters keeps the Waiters of every WaitQueue between parks: one list for the
+// process, not one per queue, since barriers and flags die with their cluster.
+var waiters sparse.FreeList[Waiter]
+
 // Wake releases a waiter Pop returned, once its Grant is filled in. The
 // waker must not touch w afterwards: the waiter recycles it. Waking the nil
 // Waiter of an empty queue does nothing.
@@ -26,14 +34,13 @@ func (w *Waiter) Wake() {
 	}
 }
 
-// WaitQueue is the FIFO of parked acquirers under a queue lock. It has no
-// lock of its own: every method runs under the mutex of the lock it serves,
-// which also guards the pool of idle waiters — woken by a token where a
-// closed channel could not be reused, so a warmed-up lock parks and hands
-// over without allocating. The zero value is an empty queue.
+// WaitQueue is where a simulated thread sleeps until another acts: the FIFO
+// under a queue lock, a barrier's episode, a flag's waiters. It has no lock of
+// its own: every method runs under the mutex of what it serves. A waiter is
+// woken by a token where a closed channel could not be reused, so a warm queue
+// parks and hands over without allocating. The zero value is an empty queue.
 type WaitQueue struct {
 	parked []*Waiter // oldest first
-	idle   []*Waiter
 }
 
 // Len returns the number of parked waiters.
@@ -42,19 +49,18 @@ func (q *WaitQueue) Len() int { return len(q.parked) }
 // Park appends the caller to the queue under tag, sleeps with mu released
 // and returns, mu held again as with sync.Cond.Wait, the Grant its waker left.
 func (q *WaitQueue) Park(mu *sync.Mutex, tag int) Grant {
-	var w *Waiter
-	if n := len(q.idle); n > 0 {
-		w, q.idle = q.idle[n-1], q.idle[:n-1]
-	} else {
+	w := waiters.Get()
+	if w == nil {
 		w = &Waiter{token: make(chan struct{}, 1)}
 	}
 	w.Grant, w.tag = Grant{}, tag
 	q.parked = append(q.parked, w)
 	mu.Unlock()
 	<-w.token
+	g := w.Grant
+	waiters.Put(w)
 	mu.Lock()
-	q.idle = append(q.idle, w)
-	return w.Grant
+	return g
 }
 
 // Pop removes and returns the oldest waiter, nil when the queue is empty.
@@ -69,9 +75,11 @@ func (q *WaitQueue) Pop() *Waiter {
 	return w
 }
 
-// Prune removes every waiter parked under tag and wakes it with a zero
-// Grant; the others keep their order.
-func (q *WaitQueue) Prune(tag int) {
+// WakeAll removes every waiter parked under tag and wakes it, oldest first,
+// with a zero Grant; the others keep their order. A barrier or a flag parks
+// all its waiters under one tag and wakes them as sync.Cond.Broadcast would,
+// each to re-check what it waits for; a lock prunes a dead node's waiters.
+func (q *WaitQueue) WakeAll(tag int) {
 	kept := q.parked[:0]
 	for _, w := range q.parked {
 		if w.tag == tag {

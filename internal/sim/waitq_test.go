@@ -79,27 +79,29 @@ func TestWaitQueueFIFO(t *testing.T) {
 	nilWaiter.Wake() // what unlock just did with an empty queue
 }
 
-// TestWaitQueuePruneKeepsOrderAndRecycles: pruning wakes exactly the tagged
-// waiters, ungranted; the others keep their order; and a waiter that was
-// recycled, parked again, pruned and recycled again serves a later acquirer
-// with a clean Grant.
+// TestWaitQueuePruneKeepsOrderAndRecycles: WakeAll wakes exactly the tagged
+// waiters, ungranted, as a lock prunes a dead node's; the others keep their
+// order; parks take their Waiters from the free list, last handed back first;
+// and a recycled Waiter that last carried a grant carries none when WakeAll
+// wakes it.
 func TestWaitQueuePruneKeepsOrderAndRecycles(t *testing.T) {
 	g := &gate{}
 	g.lock(-1)
 	out := parkN(g, 1)
-	g.unlock() // waiter 0 granted: its Waiter is now in the pool
+	g.unlock() // waiter 0 granted: its Waiter is now the free list's last
 	if got := <-out; got != [2]int{0, 1} {
 		t.Fatalf("warm-up hand-off: %v", got)
 	}
-	w := g.q.idle[0]
+	w := waiters.Get()
+	waiters.Put(w)
 
 	out = parkN(g, 4) // tags 0..3 behind waiter 0's hold; tag 0 reuses w
 	if g.q.parked[0] != w {
-		t.Fatal("the pooled waiter was not reused")
+		t.Fatal("the free list's last waiter was not reused")
 	}
 	g.mu.Lock()
 	g.q.parked[2].tag = 0 // two waiters of the doomed tag, not adjacent
-	g.q.Prune(0)
+	g.q.WakeAll(0)
 	g.mu.Unlock()
 	for i := 0; i < 2; i++ {
 		if got := <-out; got[1] != 0 || (got[0] != 0 && got[0] != 2) {
@@ -109,37 +111,48 @@ func TestWaitQueuePruneKeepsOrderAndRecycles(t *testing.T) {
 	if g.parked() != 2 {
 		t.Fatalf("%d waiters left parked, want 2", g.parked())
 	}
+	granted := map[*Waiter]bool{}
 	for _, want := range []int{1, 3} {
+		g.mu.Lock()
+		granted[g.q.parked[0]] = true
+		g.mu.Unlock()
 		g.unlock()
 		if got := <-out; got != [2]int{want, 1} {
 			t.Fatalf("after prune the hand-off went to %v, want waiter %d granted", got, want)
 		}
 	}
-	// All four are back in the pool (a waiter recycles itself before its
-	// lock call returns); the pruned w among them is handed to a later
-	// acquirer, whose grant must not remember the prune.
-	pooled := false
-	for _, p := range g.q.idle {
-		pooled = pooled || p == w
-	}
-	if !pooled || len(g.q.idle) != 4 {
-		t.Fatalf("pool holds %d waiters (the pruned one among them: %v), want 4", len(g.q.idle), pooled)
-	}
+	// All four Waiters are the free list's last four now (a waiter hands its
+	// Waiter back before its lock call returns), two of them last granted:
+	// the next four parks reuse them, and waking them all, as a barrier does,
+	// wakes them ungranted.
 	out = parkN(g, 4)
-	for want := 0; want < 4; want++ {
-		g.unlock()
-		if got := <-out; got != [2]int{want, 1} {
-			t.Fatalf("reused waiters: hand-off went to %v, want waiter %d granted", got, want)
+	g.mu.Lock()
+	reused := 0
+	for _, p := range g.q.parked {
+		if granted[p] {
+			reused++
+		}
+		p.tag = 0
+	}
+	g.q.WakeAll(0)
+	g.mu.Unlock()
+	if reused != 2 {
+		t.Fatalf("%d of the two granted Waiters were parked again, want both", reused)
+	}
+	for i := 0; i < 4; i++ {
+		if got := <-out; got[1] != 0 {
+			t.Fatalf("WakeAll woke waiter %d granted: a recycled Waiter kept its Grant", got[0])
 		}
 	}
-	if len(g.q.idle) != 4 {
-		t.Fatalf("pool holds %d waiters, want the same 4", len(g.q.idle))
+	if g.parked() != 0 {
+		t.Fatalf("%d waiters left parked after WakeAll", g.parked())
 	}
 }
 
 // TestAllocFreeWaitQueueHandoff: two goroutines pass the gate back and
 // forth, each releasing only once the other is parked behind it, so every
-// passage parks, pops and wakes — on recycled waiters, allocating nothing.
+// passage parks, pops and wakes — on Waiters from the free list, allocating
+// nothing.
 func TestAllocFreeWaitQueueHandoff(t *testing.T) {
 	g := &gate{}
 	var stop atomic.Bool

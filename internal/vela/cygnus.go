@@ -84,8 +84,8 @@ type memberBarrier struct {
 	armed bool // crashes or partitions can occur: representatives publish heartbeats
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	walk    *health.Walk // membership view; stands past the highest fully-completed sub=0 episode
+	q       sim.WaitQueue // threads parked until their episode completes
+	walk    *health.Walk  // membership view; stands past the highest fully-completed sub=0 episode
 	eps     map[epKey]*epState
 	crashed map[crashKey]crashCheckIns
 }
@@ -101,7 +101,6 @@ func newMemberBarrier(c *core.Cluster, tpn int, cost sim.Time) *memberBarrier {
 		eps:     map[epKey]*epState{},
 		crashed: map[crashKey]crashCheckIns{},
 	}
-	m.cond = sync.NewCond(&m.mu)
 	// Bootstrap: if a partition already covers episode 1 there is no prior
 	// episode completion to install it, so the cut goes up at launch
 	// (RunSeeded builds the barrier single-threaded, before any thread
@@ -276,10 +275,10 @@ func (m *memberBarrier) rendezvous(p *sim.Proc, ep int64, sub int, vote bool) bo
 	} else if st.arrived == st.expected {
 		st.release = st.maxT + m.cost
 		st.complete = true
-		m.cond.Broadcast()
+		m.q.WakeAll(0)
 	}
 	for !st.complete {
-		m.cond.Wait()
+		m.q.Park(&m.mu, 0)
 	}
 	rel, out, recov := st.release, st.orOut, st.recov
 	m.mu.Unlock()
@@ -319,14 +318,14 @@ func (m *memberBarrier) observe(p *sim.Proc, ep int64) {
 	st.observed++
 	m.maybeComplete(ep, st)
 	for !st.complete {
-		m.cond.Wait()
+		m.q.Park(&m.mu, 0)
 	}
 	rel := st.release
 	wake := rel + fault.Timeout
 	if st.orOut {
 		st1 := m.state(epKey{ep, 1})
 		for !st1.complete {
-			m.cond.Wait()
+			m.q.Park(&m.mu, 0)
 		}
 		if st1.release > wake {
 			wake = st1.release
@@ -351,7 +350,7 @@ func (m *memberBarrier) observePartition(p *sim.Proc, ep int64) {
 	st.parted++
 	m.maybeComplete(ep, st)
 	for !st.complete {
-		m.cond.Wait()
+		m.q.Park(&m.mu, 0)
 	}
 	rel, recov := st.release, st.recov
 	m.mu.Unlock()
@@ -446,7 +445,7 @@ func (m *memberBarrier) maybeComplete(ep int64, st *epState) {
 	for _, dn := range deaths {
 		delete(m.crashed, crashKey{ep, dn}) // every check-in preceded completion
 	}
-	m.cond.Broadcast()
+	m.q.WakeAll(0)
 }
 
 // heartbeat publishes the node's liveness counter toward its successor (a

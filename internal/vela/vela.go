@@ -185,7 +185,7 @@ type Flag struct {
 	key  uint64 // fault identity of the flag word
 
 	mu   sync.Mutex
-	cond *sync.Cond
+	q    sim.WaitQueue
 	set  bool
 	when sim.Time
 }
@@ -203,9 +203,7 @@ type Flag struct {
 // Programs must not depend on a signal that only a node dying *before* the
 // signal would send.
 func NewFlag(c *core.Cluster, home int) *Flag {
-	f := &Flag{c: c, home: home, key: c.NextSyncKey()}
-	f.cond = sync.NewCond(&f.mu)
-	return f
+	return &Flag{c: c, home: home, key: c.NextSyncKey()}
 }
 
 // Signal downgrades the caller's node and raises the flag. A lost flag
@@ -219,7 +217,7 @@ func (f *Flag) Signal(t *core.Thread) {
 	if t.P.Now() > f.when {
 		f.when = t.P.Now()
 	}
-	f.cond.Broadcast()
+	f.q.WakeAll(0)
 	f.mu.Unlock()
 	// Safe point AFTER the flag is raised and waiters woken: a dying
 	// signaler's flag still lands, so arming flags never strands a waiter.
@@ -234,7 +232,7 @@ func (f *Flag) Wait(t *core.Thread) {
 	t.CrashSafePoint(fault.SafeFlag)
 	f.mu.Lock()
 	for !f.set {
-		f.cond.Wait()
+		f.q.Park(&f.mu, 0)
 	}
 	when := f.when
 	f.mu.Unlock()
