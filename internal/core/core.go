@@ -405,16 +405,21 @@ type Thread struct {
 	seed int64
 }
 
-// Rand returns the thread's private random source, seeded from the launch's
-// seed base (RunSeeded) and the thread's rank. It is built on first use:
-// seeding a source costs more than the rest of launching a thread, and few
-// programs draw from it.
+// Rand returns the thread's private random source, seeded with
+// ThreadSeed(launch seed base, rank). It is built on first use: seeding a
+// source costs more than the rest of launching a thread, and few programs
+// draw from it.
 func (t *Thread) Rand() *rand.Rand {
 	if t.rng == nil {
-		t.rng = rand.New(rand.NewSource(t.seed + int64(t.Rank)*1_000_003))
+		t.rng = rand.New(rand.NewSource(ThreadSeed(t.seed, t.Rank)))
 	}
 	return t.rng
 }
+
+// ThreadSeed is the seed of rank's Rand in a launch with seed base base (1
+// for Run, RunSeeded's argument otherwise). An input generated outside the
+// run calls it to draw what that thread's Rand would have drawn.
+func ThreadSeed(base int64, rank int) int64 { return base + int64(rank)*1_000_003 }
 
 // Run launches threadsPerNode simulated threads on every node, runs body on
 // each, and returns the makespan (the maximum final virtual clock). Each Run

@@ -2,7 +2,9 @@
 // (§5.3, Figures 11 and 12): N threads repeatedly perform thread-local work
 // followed by a 50/50 mix of insert and extract_min on a shared pairing-heap
 // priority queue protected by the lock under test. insert needs no result,
-// so delegating threads detach; extract_min waits for its value.
+// so delegating threads detach; extract_min waits for its value. Each
+// thread's operations are an input drawn before the run, and its local work
+// is charged in virtual time, not run.
 //
 // The native family (Figure 11) runs on one machine with the heap's cache
 // lines modeled as migratory data; the DSM family (Figure 12) runs the heap
@@ -30,7 +32,8 @@ type Params struct {
 }
 
 // workUnitCost is the modeled cost of one local work unit (two updates to
-// a thread-local 64-integer array).
+// a thread-local 64-integer array). The work is charged, not run: nothing
+// reads the array, and the index draws it took are skipped by the streams.
 const workUnitCost sim.Time = 8
 
 // heapOpCost is the modeled computation inside one heap operation
@@ -60,15 +63,88 @@ func mkResult(lock string, threads, nodes int, ops int64, t sim.Time) Result {
 	return r
 }
 
-// localWork performs w work units for thread state arr and charges p. Each
-// index is what rng.Intn(64) returns, bit for bit and one source draw each,
-// without the four calls Intn makes on the way to that draw.
-func localWork(p *sim.Proc, rng *rand.Rand, arr []int64, w int) {
-	for u := 0; u < w; u++ {
-		arr[int(rng.Int63()>>32)&63]++
-		arr[int(rng.Int63()>>32)&63]--
+// An op is one operation of a thread's stream: the key of an insert (keys
+// are below 1<<20), or extractOp.
+type op int32
+
+const extractOp op = -1
+
+// streamKey names the streams of a launch: its threads, the local work units
+// before each operation, and the operations per thread.
+type streamKey struct{ threads, workUnits, ops int }
+
+func keyOf(threads int, p Params) streamKey {
+	return streamKey{threads, p.WorkUnits, p.OpsPerThread}
+}
+
+// covers reports whether held's streams serve k: a thread's source and draw
+// order depend on neither count, so a launch with no more threads and no more
+// operations per thread, at the same work, reads a prefix of each stream. The
+// ledger's pq_hqdl and pq_mutex rows (4 000 and 400 operations) share one
+// build that way.
+func covers(held, k streamKey) bool {
+	return held.workUnits == k.workUnits && held.threads >= k.threads && held.ops >= k.ops
+}
+
+// streams holds every thread's operations of a launch, thread-major,
+// perThread each.
+type streams struct {
+	ops       []op
+	perThread int
+}
+
+// of is thread id's first n operations.
+func (s streams) of(id, n int) []op { return s.ops[id*s.perThread:][:n] }
+
+// A family is one runner family's operation streams: how its threads are
+// seeded and draw, and the streams of the largest launch it last asked for
+// (wload.Memo, DESIGN §20), shared read-only by every lock, sweep point and
+// repetition that launch covers.
+type family struct {
+	seed        func(id int) int64
+	keyOnInsert bool // RunUPC draws a key only for an insert
+	memo        wload.Memo[streamKey, streams]
+}
+
+// The runner families. RunDSM's threads drew from Thread.Rand under
+// Cluster.Run, whose seed base is 1.
+var (
+	nativeStreams = &family{seed: func(id int) int64 { return int64(id)*2654435761 + 12345 }}
+	dsmStreams    = &family{seed: func(id int) int64 { return core.ThreadSeed(1, id) }}
+	upcStreams    = &family{seed: func(id int) int64 { return int64(id)*2654435761 + 977 }, keyOnInsert: true}
+)
+
+// get returns streams that cover a launch of threads threads with p.
+func (f *family) get(threads int, p Params) streams {
+	return f.memo.GetCovering(keyOf(threads, p), covers, f.draw)
+}
+
+// draw draws every thread's operations from a source seeded with seed(id), in
+// the order the threads once drew them inside the run. Per operation: two
+// index draws per local work unit (skipped: the work is only charged), the
+// insert/extract coin, then the key — of every operation, or, with
+// keyOnInsert, of an insert only.
+func (f *family) draw(k streamKey) streams {
+	s := streams{ops: make([]op, k.threads*k.ops), perThread: k.ops}
+	for id := 0; id < k.threads; id++ {
+		rng := rand.New(rand.NewSource(f.seed(id)))
+		ops := s.of(id, k.ops)
+		for j := range ops {
+			for u := 0; u < 2*k.workUnits; u++ {
+				rng.Int63()
+			}
+			ins := rng.Intn(2) == 0
+			var key int64
+			if ins || !f.keyOnInsert {
+				key = rng.Int63n(1 << 20)
+			}
+			ops[j] = extractOp
+			if ins {
+				ops[j] = op(key)
+			}
+		}
 	}
-	p.Advance(sim.Time(w) * workUnitCost)
+	return s
 }
 
 // NativeLockKind names the Figure 11 contenders.
@@ -114,24 +190,21 @@ func RunNative(kind NativeLockKind, threads int, p Params) Result {
 		data.Touch(h, m.Fab)
 		heap.ExtractMin()
 	}
+	stream, work := nativeStreams.get(threads, p), sim.Time(p.WorkUnits)*workUnitCost
 	t := m.Run(threads, func(lc *wload.LocalCtx) {
-		rng := rand.New(rand.NewSource(int64(lc.ID)*2654435761 + 12345))
-		arr := make([]int64, 64)
-		for k := 0; k < p.OpsPerThread; k++ {
-			localWork(lc.P, rng, arr, p.WorkUnits)
-			ins := rng.Intn(2) == 0
-			key := rng.Int63n(1 << 20)
+		for _, o := range stream.of(lc.ID, p.OpsPerThread) {
+			lc.P.Advance(work)
 			if qd != nil {
-				if ins {
-					qd.DelegateArg(lc.P, insert, key)
+				if o != extractOp {
+					qd.DelegateArg(lc.P, insert, int64(o))
 				} else {
 					qd.DelegateWait(lc.P, extract)
 				}
 			} else {
 				plain.Lock(lc.P)
 				data.Touch(lc.P, m.Fab)
-				if ins {
-					heap.Insert(key)
+				if o != extractOp {
+					heap.Insert(int64(o))
 				} else {
 					heap.ExtractMin()
 				}
@@ -179,8 +252,8 @@ func RunDSM(kind DSMLockKind, cfg core.Config, tpn int, p Params) Result {
 	// As in RunNative: the sections are built once per run.
 	insert := heap.Insert
 	extract := func(h *core.Thread) { heap.ExtractMin(h) }
+	stream, work := dsmStreams.get(cfg.Nodes*tpn, p), sim.Time(p.WorkUnits)*workUnitCost
 	t := c.Run(tpn, func(th *core.Thread) {
-		rng := th.Rand() // seeded here, not in the race for the lock behind InitDone
 		// Preload from thread 0 before everyone starts.
 		if th.Rank == 0 {
 			for i := 0; i < p.Preload; i++ {
@@ -188,21 +261,18 @@ func RunDSM(kind DSMLockKind, cfg core.Config, tpn int, p Params) Result {
 			}
 		}
 		th.InitDone()
-		arr := make([]int64, 64)
-		for k := 0; k < p.OpsPerThread; k++ {
-			localWork(th.P, rng, arr, p.WorkUnits)
-			ins := rng.Intn(2) == 0
-			key := rng.Int63n(1 << 20)
+		for _, o := range stream.of(th.Rank, p.OpsPerThread) {
+			th.P.Advance(work)
 			if hqdl != nil {
-				if ins {
-					hqdl.DelegateArg(th, insert, key)
+				if o != extractOp {
+					hqdl.DelegateArg(th, insert, int64(o))
 				} else {
 					hqdl.DelegateWait(th, extract)
 				}
 			} else {
 				plain.Lock(th)
-				if ins {
-					heap.Insert(th, key)
+				if o != extractOp {
+					heap.Insert(th, int64(o))
 				} else {
 					heap.ExtractMin(th)
 				}
@@ -229,6 +299,7 @@ func RunUPC(nodes, rpn int, p Params) Result {
 	w := pgas.NewWorld(wload.NewFabric(nodes), rpn)
 	heap := pairingheap.NewPGASHeap(w, p.Preload+w.Size*p.OpsPerThread+16)
 	l := w.NewLock(0)
+	stream, work := upcStreams.get(w.Size, p), sim.Time(p.WorkUnits)*workUnitCost
 	t := w.Run(func(r *pgas.Rank) {
 		if r.ID == 0 {
 			heap.Init(r)
@@ -237,13 +308,11 @@ func RunUPC(nodes, rpn int, p Params) Result {
 			}
 		}
 		r.Barrier()
-		rng := rand.New(rand.NewSource(int64(r.ID)*2654435761 + 977))
-		arr := make([]int64, 64)
-		for k := 0; k < p.OpsPerThread; k++ {
-			localWork(r.P, rng, arr, p.WorkUnits)
+		for _, o := range stream.of(r.ID, p.OpsPerThread) {
+			r.P.Advance(work)
 			l.Lock(r)
-			if rng.Intn(2) == 0 {
-				heap.Insert(r, rng.Int63n(1<<20))
+			if o != extractOp {
+				heap.Insert(r, int64(o))
 			} else {
 				heap.ExtractMin(r)
 			}

@@ -133,9 +133,18 @@ type Memo[K comparable, V any] struct {
 // build must not call Get on the same Memo. Every caller is handed the same
 // value and must not write to it.
 func (m *Memo[K, V]) Get(k K, build func(K) V) V {
+	return m.GetCovering(k, func(held, k K) bool { return held == k }, build)
+}
+
+// GetCovering is Get for an input whose value for one key also serves
+// smaller ones: it returns the held value when covers(held key, k), and
+// otherwise build(k), which replaces it. Consumers that alternate two keys one
+// covers, such as a long and a short run of one generator, then share one
+// build.
+func (m *Memo[K, V]) GetCovering(k K, covers func(held, k K) bool, build func(K) V) V {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.valid || m.key != k {
+	if !m.valid || !covers(m.key, k) {
 		m.val, m.key, m.valid = build(k), k, true
 	}
 	return m.val

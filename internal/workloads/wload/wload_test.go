@@ -87,6 +87,28 @@ func TestMemo(t *testing.T) {
 	}
 }
 
+// GetCovering serves every key the held one covers from its one build, with
+// no allocation, and replaces it for a key it does not cover.
+func TestMemoCovering(t *testing.T) {
+	var m Memo[int, []int]
+	builds := 0
+	build := func(n int) []int {
+		builds++
+		return make([]int, n)
+	}
+	atLeast := func(held, k int) bool { return held >= k }
+	a, b := m.GetCovering(8, atLeast, build), m.GetCovering(3, atLeast, build)
+	if builds != 1 || len(b) != 8 || &a[0] != &b[0] {
+		t.Fatalf("covered key: %d builds, len %d", builds, len(b))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.GetCovering(5, atLeast, build) }); allocs != 0 {
+		t.Fatalf("a covered hit allocates %v times", allocs)
+	}
+	if c := m.GetCovering(9, atLeast, build); builds != 2 || len(c) != 9 {
+		t.Fatalf("uncovered key: %d builds, len %d", builds, len(c))
+	}
+}
+
 // Concurrent Gets of two keys each get their own key's value, never the one
 // the other key just replaced it with.
 func TestMemoConcurrentKeys(t *testing.T) {
