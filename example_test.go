@@ -36,11 +36,11 @@ func Example() {
 	// Output: sum: 999000
 }
 
-// ExampleThread_GatherF64 reads a shared vector through an index list, the
-// access pattern of a sparse matrix-vector product: one call per CSR row
-// instead of one GetF64 per nonzero, with the same values, hits, misses and
-// virtual time.
-func ExampleThread_GatherF64() {
+// ExampleThread_SpMVF64 multiplies a sparse matrix by a shared vector read
+// element-wise through the page cache, the access pattern of CG's matvec: one
+// call per block of CSR rows instead of one GetF64 per nonzero, with the same
+// sums, hits, misses and virtual time.
+func ExampleThread_SpMVF64() {
 	cfg := argo.DefaultConfig(2)
 	cfg.MemoryBytes = 4 << 20
 	cluster := argo.MustNewCluster(cfg)
@@ -52,20 +52,17 @@ func ExampleThread_GatherF64() {
 	}
 	cluster.InitF64(xs, vals)
 
-	// Row 0 of a sparse matrix: column indices and coefficients.
-	cols, coef := []int32{7, 2048, 7, 4095}, []float64{1, 0.5, -1, 2}
+	// Three CSR rows: row 0 has four nonzeros, row 1 none, row 2 one.
+	rowPtr := []int32{0, 4, 4, 5}
+	cols, coef := []int32{7, 2048, 7, 4095, 1}, []float64{1, 0.5, -1, 2, 3}
 	cluster.Run(1, func(t *argo.Thread) {
-		row := make([]float64, len(cols)) // reusable scratch, one row long
-		t.GatherF64(xs, cols, row)
-		dot := 0.0
-		for k, v := range coef {
-			dot += v * row[k]
-		}
+		q := make([]float64, 3)
+		t.SpMVF64(xs, rowPtr, cols, coef, 0, 3, q)
 		if t.Rank == 0 {
-			fmt.Println("row:", row, "dot:", dot)
+			fmt.Println("q:", q)
 		}
 	})
-	// Output: row: [7 2048 7 4095] dot: 9214
+	// Output: q: [9214 0 3]
 }
 
 // ExampleHQDL shows queue delegation: critical sections are shipped to a

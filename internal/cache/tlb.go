@@ -15,30 +15,36 @@ package cache
 //     runs fences under line locks. A validated hit therefore reads or
 //     writes bytes no other thread is touching; the lock the slow path took
 //     only ever protected protocol metadata for such accesses.
-//  2. Generation counter. Readers load the generation, load the word, and
-//     load the generation again (all atomics); mutators bump the generation
-//     before touching anything. Only a load bracketed by two equal
-//     generations is ever returned, and for such a load no refill store can
+//  2. Generation counter. Readers load the word and then the generation
+//     (both atomics); mutators bump the generation before touching anything.
+//     A word is returned only when the generation read after its load still
+//     equals the entry's fill-time G, and for such a load no refill store can
 //     have reached the buffer: Gen.Add is a full barrier that precedes the
 //     first refill store, so a load that observed one would also observe the
-//     bumped generation at its re-check.
+//     bumped generation at the re-check. The re-check alone decides because
+//     Gen only grows: the generation at the instant of the load lies between
+//     G, read at fill time, and the re-check's value, so a re-check that
+//     reads G means the generation was G throughout — what a bracket of two
+//     generation loads that both read G accepts, with one load fewer.
 //
 //     That is what lets a refill be a plain memmove into the slot's existing
 //     buffer, whichever page it held before (PrepareRefill). The published
 //     bit, set by FillTLB under the line lock, separates two cases. A buffer
 //     no TLB entry has ever captured cannot be loaded from lock-free, so
 //     refilling or rebinding it in place needs no argument at all. A
-//     published buffer may still receive the speculative load of a reader
-//     that validated Gen just before the bump; that load races the memmove,
+//     published buffer may still receive a speculative load: from a reader
+//     whose bump lands between its load and its re-check, or from a reader
+//     whose entry went stale before the load but still names the page (the
+//     load precedes the only generation check). That load races the memmove,
 //     and it is harmless: an aligned word read observes some value that was
 //     written to the word (the Go memory model's guarantee for word-sized
 //     reads — no invented value, no fault), the entry's Base keeps the old
 //     buffer reachable, and the re-check discards whatever was read. So
 //     ordinary builds refill and rebind published buffers in place too. A
-//     race-detector build does the one thing differently: it leaves a
-//     published buffer to the stale entries and refills a fresh one, so the
-//     detector never sees the discarded load beside a plain store. Nothing
-//     else depends on the build.
+//     race-detector build does the one thing differently: it never refills a
+//     published buffer in place, but leaves it to the stale entries and
+//     refills a fresh one, so the detector never sees a discarded load beside
+//     a plain refill store. Nothing else depends on the build.
 //
 //     Frames also outlive their cluster (mem.GetFrame/PutFrame), and that
 //     keeps the pillar sound as well. A frame leaves its slot only in
@@ -70,16 +76,16 @@ package cache
 //     application data race, which pillar 1 excludes. An atomic store would buy nothing and costs a third locked
 //     instruction per hit (Go compiles it to XCHG).
 //
-// What a hit touches. Load, Gather and Store read the TLB header (page shift,
+// What a hit touches. Load, SpMV and Store read the TLB header (page shift,
 // page mask and the CacheHit cost, all copied in when the TLB is built), the
 // direct-mapped entry, the line's LineSync, the data word and the thread's
 // Proc — and nothing else: no Node, Space, Cache, Fabric or Probes. The
 // coherence layer is entered only when they report a miss.
 //
 // The virtual-time cost model is unchanged by construction: a hit performs
-// exactly the clock advance and hit count of a locked hit (Gather adds up a
-// run's and charges them when the run ends). A locked hit also
-// does p.AdvanceTo(slot.ReadyAt); a TLB hit has no such step, and needs none,
+// exactly the clock advance and hit count of a locked hit (SpMV adds up those
+// of the rows it completes and charges them when it returns). A locked hit
+// also does p.AdvanceTo(slot.ReadyAt); a TLB hit has no such step, and needs none,
 // because it could never fire. An entry is private to one thread and is only
 // written by FillTLB, on the locked path, after that same thread has done
 // p.AdvanceTo(s.ReadyAt) under the line lock — so at fill time the thread's
@@ -230,21 +236,19 @@ func (t *TLB) flush() {
 	}
 }
 
-// load is the validated word load Load and Gather share: the direct-mapped
-// probe and the seqlock — two generation loads bracketing one atomic word
-// load — for the 8-byte-aligned global address addr. When ok, the generation
-// was stable across the load, so v is the page content a locked hit would
-// have copied; ok is false when the thread holds no valid entry for addr's
-// page. The caller charges the hit.
+// load is the validated word load Load and SpMV share: the direct-mapped
+// probe, one atomic word load, and one generation load after it, for the
+// 8-byte-aligned global address addr. When ok, the line's generation still
+// equals the entry's fill-time G after the load, so v is the page content a
+// locked hit would have copied (pillar 2); ok is false when the thread holds
+// no valid entry for addr's page. The caller charges the hit.
 func (t *TLB) load(addr int64) (v uint64, ok bool) {
 	page := int(addr >> (t.shift & 63))
 	e := &t.e[page&(tlbSize-1)]
 	if e.Page == page {
-		if g := e.Sync.Gen.Load(); g == e.G {
-			v = atomic.LoadUint64((*uint64)(unsafe.Add(e.Base, addr&t.mask)))
-			if e.Sync.Gen.Load() == g {
-				return v, true
-			}
+		v = atomic.LoadUint64((*uint64)(unsafe.Add(e.Base, addr&t.mask)))
+		if e.Sync.Gen.Load() == e.G {
+			return v, true
 		}
 	}
 	return 0, false
@@ -266,28 +270,75 @@ func (t *TLB) Load(p *sim.Proc, addr int64) (v uint64, ok bool) {
 	return 0, false
 }
 
-// Gather is the run form of Load: for each idx[k] in order it loads the word
-// at base+8*idx[k] exactly as Load would and stores it in dst[k]
-// (len(dst) >= len(idx)), stops at the first element that does not validate,
-// and only then charges p the n hits it served, in one step. It returns n;
-// dst[n:] is not written. Hits only add to a clock nothing else reads before
-// the run ends, so p is where n Loads would have left it.
-func (t *TLB) Gather(p *sim.Proc, base int64, idx []int32, dst []float64) int {
+// SpMV is the fused run form of Load for a CSR sparse product: for rows
+// i = lo, lo+1, … it sets q[i-lo] to the sum over k in [rowPtr[i], rowPtr[i+1])
+// of val[k]·x[colIdx[k]], x being the float64 array at base, each x word loaded
+// exactly as Load would, and each row summed left to right from zero — the
+// bits of the one-row loop. Rows go in pairs, each row in its own add chain,
+// the two interleaved (an odd last row goes alone). The first pair that meets
+// an element that does not validate is discarded whole: SpMV returns its first
+// row, leaves q from that row on unwritten, and only then charges p the hits
+// of the rows it completed, in one step. It returns hi when every row
+// completed. Hits only add to a clock nothing else reads before the call ends,
+// so p is where one Load per completed element would have left it.
+func (t *TLB) SpMV(p *sim.Proc, base int64, rowPtr, colIdx []int32, val []float64, lo, hi int, q []float64) int {
 	if t == nil || base&7 != 0 {
-		return 0
+		return lo
 	}
-	dst = dst[:len(idx)]
-	n := 0
-	for ; n < len(idx); n++ {
-		v, ok := t.load(base + int64(idx[n])*8)
+	i, n := lo, 0
+	for ; i < hi; i += 2 {
+		a, b, c := rowPtr[i], rowPtr[i+1], rowPtr[i+1]
+		if i+1 < hi {
+			c = rowPtr[i+2]
+		}
+		sa, sb, ok := t.pair(base, colIdx[a:b], val[a:b], colIdx[b:c], val[b:c])
 		if !ok {
 			break
 		}
-		dst[n] = math.Float64frombits(v)
+		q[i-lo] = sa
+		if i+1 < hi {
+			q[i+1-lo] = sb
+		}
+		n += int(c - a)
 	}
 	p.Hits += int64(n)
 	p.Advance(sim.Time(n) * t.hit)
-	return n
+	return min(i, hi)
+}
+
+// pair is SpMV's kernel for one pair of rows, a (column indices ca,
+// coefficients va) and b: it returns their sums, each taken left to right in
+// its own chain, or ok false at the first element that does not validate.
+func (t *TLB) pair(base int64, ca []int32, va []float64, cb []int32, vb []float64) (sa, sb float64, ok bool) {
+	va, vb = va[:len(ca)], vb[:len(cb)]
+	k := 0
+	for m := min(len(ca), len(cb)); k < m; k++ {
+		xa, ok := t.load(base + int64(ca[k])*8)
+		if !ok {
+			return 0, 0, false
+		}
+		xb, ok := t.load(base + int64(cb[k])*8)
+		if !ok {
+			return 0, 0, false
+		}
+		sa += va[k] * math.Float64frombits(xa)
+		sb += vb[k] * math.Float64frombits(xb)
+	}
+	for ; k < len(ca); k++ {
+		x, ok := t.load(base + int64(ca[k])*8)
+		if !ok {
+			return 0, 0, false
+		}
+		sa += va[k] * math.Float64frombits(x)
+	}
+	for ; k < len(cb); k++ {
+		x, ok := t.load(base + int64(cb[k])*8)
+		if !ok {
+			return 0, 0, false
+		}
+		sb += vb[k] * math.Float64frombits(x)
+	}
+	return sa, sb, true
 }
 
 // Store is the write fast path: it stores v at the 8-byte-aligned global

@@ -181,64 +181,98 @@ func TestTLBLoadStore(t *testing.T) {
 	if p.Now() != 2*hit || p.Hits != 2 || ln.sy.Act.Load() != 0 || binary.LittleEndian.Uint64(s.Data[16:]) != 78 {
 		t.Fatal("a stale-entry miss moved the proc, stored, or left Act raised")
 	}
+}
 
-	// Gather is Load in runs: it serves idx in order up to the first element
-	// Load would miss, leaves p where that many Loads leave it, and writes
-	// nothing behind the stop. Page 5 is resident, page 6 is not, and word i
-	// of page 5 holds i.
+// TestTLBSpMV drives the fused product directly: rows go in pairs, each
+// summed left to right from zero with the bits of a one-row loop over Load; a
+// pair that meets an element Load would miss is discarded whole — SpMV returns
+// its first row, charges nothing for it and writes nothing from it on — and p
+// is left where one Load per element of the completed rows leaves it.
+func TestTLBSpMV(t *testing.T) {
+	const hit = 7
+	c := New(0, 4096, 4, 2, 16)
+	tb := c.NewTLB(hit)
+	// Page 5 is resident with word i holding float64(i); page 6 is not. Page
+	// 7, in another line (and another TLB entry), holds 1024 in its word 0:
+	// index 1024 from page 5's base.
+	ln := c.LockLine(c.LineOf(5))
+	defer ln.Unlock()
+	s := c.SlotOf(ln, 5)
+	s.Page, s.St = 5, Clean
+	c.PrepareRefill(s)
 	for i := 0; i < 512; i++ {
-		binary.LittleEndian.PutUint64(s.Data[8*i:], uint64(i))
+		binary.LittleEndian.PutUint64(s.Data[8*i:], math.Float64bits(float64(i)))
 	}
 	ln.FillTLB(tb, s)
-	const mark = -1.5
-	gather := func(what string, tb *TLB, base int64, idx []int32, want int) {
-		t.Helper()
-		dst := make([]float64, len(idx)+1)
-		for k := range dst {
-			dst[k] = mark
-		}
-		gp, lp := &sim.Proc{}, &sim.Proc{}
-		n := tb.Gather(gp, base, idx, dst)
-		if n != want {
-			t.Fatalf("%s: Gather served %d of %d, want %d", what, n, len(idx), want)
-		}
-		for k, i := range idx[:n] {
-			v, ok := tb.Load(lp, base+8*int64(i))
-			if !ok || math.Float64bits(dst[k]) != v || v != uint64(i) {
-				t.Fatalf("%s: dst[%d] = %#x, Load = %#x, %v, want %#x", what, k, math.Float64bits(dst[k]), v, ok, uint64(i))
-			}
-		}
-		if gp.Hits != lp.Hits || gp.Now() != lp.Now() || gp.Hits != int64(n) || gp.Now() != sim.Time(n)*hit {
-			t.Fatalf("%s: Gather left hits %d, now %d; %d Loads leave %d, %d", what, gp.Hits, gp.Now(), n, lp.Hits, lp.Now())
-		}
-		for k := n; k < len(dst); k++ {
-			if dst[k] != mark {
-				t.Fatalf("%s: dst[%d] written behind the stop at %d", what, k, n)
-			}
-		}
-	}
-	base := int64(5 * 4096)
-	gather("full run", tb, base, []int32{3, 511, 0, 3, 200}, 5)
-	gather("empty list", tb, base, nil, 0)
-	gather("foreign page", tb, base, []int32{1, 2, 512, 3}, 2)
-	gather("foreign page first", tb, base, []int32{-1, 2}, 0)
-	gather("nil TLB", nil, base, []int32{1, 2}, 0)
-	gather("unaligned base", tb, base+4, []int32{1, 2}, 0)
-	ln.BumpGen()
-	gather("stale generation", tb, base, []int32{1, 2}, 0)
-	// A generation that goes stale inside a run: page 7, in another line
-	// (and another TLB entry), is filled and then bumped.
 	ln7 := c.LockLine(c.LineOf(7))
 	defer ln7.Unlock()
 	s7 := c.SlotOf(ln7, 7)
 	s7.Page, s7.St = 7, Clean
 	c.PrepareRefill(s7)
-	binary.LittleEndian.PutUint64(s7.Data, 1024) // index 1024 from page 5's base
-	ln.FillTLB(tb, s)
+	binary.LittleEndian.PutUint64(s7.Data, math.Float64bits(1024))
 	ln7.FillTLB(tb, s7)
-	gather("two pages", tb, base, []int32{1, 1024, 2}, 3)
+
+	const mark = -1.5
+	spmv := func(what string, tb *TLB, base int64, rows [][]int32, lo, want int) {
+		t.Helper()
+		rowPtr, colIdx, val := []int32{0}, []int32(nil), []float64(nil)
+		for _, r := range rows {
+			for _, j := range r {
+				colIdx = append(colIdx, j)
+				val = append(val, 1/float64(3+len(val))) // inexact, so add order shows
+			}
+			rowPtr = append(rowPtr, int32(len(colIdx)))
+		}
+		q := make([]float64, len(rows)-lo+1)
+		for k := range q {
+			q[k] = mark
+		}
+		gp, lp := &sim.Proc{}, &sim.Proc{}
+		done := tb.SpMV(gp, base, rowPtr, colIdx, val, lo, len(rows), q)
+		if done != want {
+			t.Fatalf("%s: SpMV completed rows [%d,%d), want [%d,%d)", what, lo, done, lo, want)
+		}
+		for i := lo; i < done; i++ {
+			var acc float64
+			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+				v, ok := tb.Load(lp, base+8*int64(colIdx[k]))
+				if !ok || v != math.Float64bits(float64(colIdx[k])) {
+					t.Fatalf("%s: row %d: Load of %d = %#x, %v", what, i, colIdx[k], v, ok)
+				}
+				acc += val[k] * math.Float64frombits(v)
+			}
+			if math.Float64bits(q[i-lo]) != math.Float64bits(acc) {
+				t.Fatalf("%s: row %d = %x, the one-row loop over Load %x", what, i, math.Float64bits(q[i-lo]), math.Float64bits(acc))
+			}
+		}
+		if gp.Hits != lp.Hits || gp.Now() != lp.Now() || gp.Now() != sim.Time(gp.Hits)*hit || gp.Hits != int64(rowPtr[done]-rowPtr[lo]) {
+			t.Fatalf("%s: SpMV left hits %d, now %d; Loads of the completed rows leave %d, %d", what, gp.Hits, gp.Now(), lp.Hits, lp.Now())
+		}
+		for k := done - lo; k < len(q); k++ {
+			if q[k] != mark {
+				t.Fatalf("%s: q[%d] written behind the stop at row %d", what, k, done)
+			}
+		}
+	}
+	base := int64(5 * 4096)
+	spmv("one pair", tb, base, [][]int32{{3, 511, 0}, {3, 200}}, 0, 2)
+	spmv("odd row count", tb, base, [][]int32{{3, 1}, {2}, {4, 5, 6}}, 0, 3)
+	spmv("unequal and empty rows", tb, base, [][]int32{{1, 2, 3, 4}, {}, {}, {5}, {6, 7}, {}, {8}}, 0, 7)
+	spmv("from row lo", tb, base, [][]int32{{9}, {1, 2}, {3}, {4}}, 1, 4)
+	spmv("no rows", tb, base, [][]int32{{1}, {2}}, 2, 2)
+	spmv("two pages", tb, base, [][]int32{{1, 1024}, {2, 1024, 3}}, 0, 2)
+	spmv("miss in the first row", tb, base, [][]int32{{1, 512, 3}, {2}}, 0, 0)
+	spmv("miss in the second row", tb, base, [][]int32{{1, 2}, {3, 512}}, 0, 0)
+	spmv("miss in the longer row's tail", tb, base, [][]int32{{1}, {2, 3, 4, 512}}, 0, 0)
+	spmv("miss in the first row's tail", tb, base, [][]int32{{2, 3, 4, 512}, {1}}, 0, 0)
+	spmv("miss in the second pair", tb, base, [][]int32{{1}, {2}, {3, 512}, {4}}, 0, 2)
+	spmv("miss in a lone last row", tb, base, [][]int32{{1}, {2}, {-1}}, 0, 2)
+	spmv("nil TLB", nil, base, [][]int32{{1}, {2}}, 0, 0)
+	spmv("unaligned base", tb, base+4, [][]int32{{1}, {2}}, 0, 0)
 	ln7.BumpGen()
-	gather("stale generation mid-run", tb, base, []int32{1, 2, 1024, 3}, 2)
+	spmv("stale generation in the second pair", tb, base, [][]int32{{1}, {2}, {3, 1024}, {4}}, 0, 2)
+	ln.BumpGen()
+	spmv("stale generation", tb, base, [][]int32{{1}, {2}}, 0, 0)
 }
 
 // TestLittleEndianHostOnly is the byte-order contract in one place: a word the
@@ -267,11 +301,12 @@ func TestLittleEndianHostOnly(t *testing.T) {
 }
 
 // benchGatherRig is CG's row shape at the ledger size: 128 resident pages (a
-// 65536-element vector) behind one TLB, and 256 lists of 32 random indices.
-func benchGatherRig(b *testing.B) (*TLB, [][]int32) {
-	const pages = 128
+// 65536-element vector) behind one TLB, and a CSR matrix of 256 rows of 32
+// random column indices.
+func benchGatherRig(b *testing.B) (tb *TLB, rowPtr, colIdx []int32, val []float64) {
+	const pages, rows, perRow = 128, 256, 32
 	c := New(0, 4096, pages/2, 2, 16)
-	tb := c.NewTLB(1)
+	tb = c.NewTLB(1)
 	for pg := 0; pg < pages; pg++ {
 		ln := c.LockLine(c.LineOf(pg))
 		s := c.SlotOf(ln, pg)
@@ -281,47 +316,54 @@ func benchGatherRig(b *testing.B) (*TLB, [][]int32) {
 		ln.Unlock()
 	}
 	rng := rand.New(rand.NewSource(1))
-	lists := make([][]int32, 256)
-	for i := range lists {
-		lists[i] = make([]int32, 32)
-		for k := range lists[i] {
-			lists[i][k] = int32(rng.Intn(pages * 512))
-		}
+	rowPtr = make([]int32, rows+1)
+	colIdx, val = make([]int32, rows*perRow), make([]float64, rows*perRow)
+	for i := range colIdx {
+		colIdx[i], val[i] = int32(rng.Intn(pages*512)), rng.Float64()
 	}
-	return tb, lists
+	for i := range rowPtr {
+		rowPtr[i] = int32(i * perRow)
+	}
+	return tb, rowPtr, colIdx, val
 }
 
 var benchSink float64
 
-// BenchmarkTLBLoad is the scalar form of BenchmarkTLBGather: one Load per
-// index. Both report ns per gathered word.
+// BenchmarkTLBLoad is the scalar form of BenchmarkTLBSpMV: the same pair of
+// rows per iteration, summed one Load per nonzero. Both report ns per word.
 func BenchmarkTLBLoad(b *testing.B) {
-	tb, lists := benchGatherRig(b)
-	p, dst := &sim.Proc{}, make([]float64, 32)
+	tb, rowPtr, colIdx, val := benchGatherRig(b)
+	p, q := &sim.Proc{}, make([]float64, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k, j := range lists[i&255] {
-			v, _ := tb.Load(p, int64(j)*8)
-			dst[k] = math.Float64frombits(v)
+		lo := 2 * (i & 127)
+		for r := range q {
+			var acc float64
+			for k := rowPtr[lo+r]; k < rowPtr[lo+r+1]; k++ {
+				v, _ := tb.Load(p, int64(colIdx[k])*8)
+				acc += val[k] * math.Float64frombits(v)
+			}
+			q[r] = acc
 		}
 	}
-	benchSink = dst[0]
-	if p.Hits != int64(b.N)*32 {
-		b.Fatalf("%d hits in %d lists of 32", p.Hits, b.N)
+	benchSink = q[0]
+	if p.Hits != int64(b.N)*64 {
+		b.Fatalf("%d hits in %d pairs of rows of 32", p.Hits, b.N)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/word")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/word")
 }
 
-func BenchmarkTLBGather(b *testing.B) {
-	tb, lists := benchGatherRig(b)
-	p, dst := &sim.Proc{}, make([]float64, 32)
+func BenchmarkTLBSpMV(b *testing.B) {
+	tb, rowPtr, colIdx, val := benchGatherRig(b)
+	p, q := &sim.Proc{}, make([]float64, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb.Gather(p, 0, lists[i&255], dst)
+		lo := 2 * (i & 127)
+		tb.SpMV(p, 0, rowPtr, colIdx, val, lo, lo+2, q)
 	}
-	benchSink = dst[0]
-	if p.Hits != int64(b.N)*32 {
-		b.Fatalf("%d hits in %d lists of 32", p.Hits, b.N)
+	benchSink = q[0]
+	if p.Hits != int64(b.N)*64 {
+		b.Fatalf("%d hits in %d pairs of rows of 32", p.Hits, b.N)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/word")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/word")
 }

@@ -40,13 +40,20 @@ func writeWord(n *Node, p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint64) {
 	}
 }
 
-// gatherWords is a thread's indexed read (core.Thread.GatherF64): runs of TLB
-// hits, the node's locked path for the element each run stops at.
+// gatherWords reads the words at idx through a thread's sparse product
+// (core.Thread.SpMVF64) over rows of one element with coefficient 1, which
+// carries each word's bits into dst[k] unchanged (the words under test are
+// positive and finite): pairs of rows through the TLB, the node's locked path for a row a
+// pair stopped at.
 func gatherWords(n *Node, p *sim.Proc, tb *cache.TLB, base mem.Addr, idx []int32, dst []float64) {
+	rowPtr, ones := make([]int32, len(idx)+1), make([]float64, len(idx))
+	for k := range idx {
+		rowPtr[k+1], ones[k] = int32(k+1), 1
+	}
 	for i := 0; i < len(idx); i++ {
-		i += tb.Gather(p, base, idx[i:], dst[i:])
+		i = tb.SpMV(p, base, rowPtr, idx, ones, i, len(idx), dst[i:])
 		if i < len(idx) {
-			dst[i] = math.Float64frombits(n.ReadWord(p, tb, base+mem.Addr(idx[i])*8))
+			dst[i] = math.Float64frombits(readWord(n, p, tb, base+mem.Addr(idx[i])*8))
 		}
 	}
 }

@@ -115,18 +115,26 @@ func (t *Thread) GetF64(s F64Slice, i int) float64 { return math.Float64frombits
 // SetF64 writes element i.
 func (t *Thread) SetF64(s F64Slice, i int, v float64) { t.WriteU64(s.At(i), math.Float64bits(v)) }
 
-// GatherF64 reads element idx[k] of s into dst[k] for every k, in order
-// (len(dst) >= len(idx)): an indexed read for the access pattern a range
-// cannot describe. It is len(idx) GetF64 calls — the same hits and misses in
-// the same order, the same counters, the same clock at every miss — served in
-// runs: the TLB validates hit after hit in one call and charges them together
-// (cache.TLB.Gather), the element a run stops at takes the miss path, which
-// refills the TLB, and the next run resumes behind it.
-func (t *Thread) GatherF64(s F64Slice, idx []int32, dst []float64) {
-	for i := 0; i < len(idx); i++ {
-		i += t.tlb.Gather(t.P, s.Base, idx[i:], dst[i:])
-		if i < len(idx) { // the run stopped at i: a miss
-			dst[i] = math.Float64frombits(t.Coh.ReadWord(t.P, t.tlb, s.At(int(idx[i]))))
+// SpMVF64 computes rows [lo,hi) of the sparse product A·x into q (row i in
+// q[i-lo], len(q) >= hi-lo), A being the CSR matrix rowPtr, colIdx, val and x
+// read element-wise through the page cache: q[i-lo] is the sum over k in
+// [rowPtr[i], rowPtr[i+1]) of val[k]*GetF64(x, colIdx[k]), summed left to
+// right from zero. It is that loop — the same elements in the same order, the
+// same hits and misses, the same counters, the same clock at every miss and
+// the same bits in q — served two rows at a time: the TLB validates, multiplies
+// and adds a pair of rows in one call and charges their hits together
+// (cache.TLB.SpMV). The first row of a pair that meets an element that does
+// not validate goes element by element through GetF64, whose miss path
+// refills the TLB, and pairing resumes behind it.
+func (t *Thread) SpMVF64(x F64Slice, rowPtr, colIdx []int32, val []float64, lo, hi int, q []float64) {
+	for i := lo; i < hi; i++ {
+		i = t.tlb.SpMV(t.P, x.Base, rowPtr, colIdx, val, i, hi, q[i-lo:])
+		if i < hi { // the pair at row i stopped: row i in element order
+			var acc float64
+			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+				acc += val[k] * t.GetF64(x, int(colIdx[k]))
+			}
+			q[i-lo] = acc
 		}
 	}
 }

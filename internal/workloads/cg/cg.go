@@ -133,26 +133,36 @@ func buildRHS(n int) []float64 {
 }
 
 // spmvRows computes q[lo:hi] = (A·p)[lo:hi] and returns the real flop count.
+// Rows go two at a time, each in its own add chain and summed left to right
+// from zero (an odd last row goes alone): the one-row loop's bits, with two
+// chains of adds in flight instead of one.
 func (s *Sparse) spmvRows(q, p []float64, lo, hi int) int {
-	flops := 0
-	for i := lo; i < hi; i++ {
-		var acc float64
-		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-			acc += s.Val[k] * p[s.ColIdx[k]]
+	for i := lo; i < hi; i += 2 {
+		a, b, c := s.RowPtr[i], s.RowPtr[i+1], s.RowPtr[i+1]
+		if i+1 < hi {
+			c = s.RowPtr[i+2]
 		}
-		q[i] = acc
-		flops += int(s.RowPtr[i+1] - s.RowPtr[i])
+		ca, cb := s.ColIdx[a:b], s.ColIdx[b:c]
+		va, vb := s.Val[a:b], s.Val[b:c]
+		va, vb = va[:len(ca)], vb[:len(cb)]
+		var sa, sb float64
+		k := 0
+		for m := min(len(ca), len(cb)); k < m; k++ {
+			sa += va[k] * p[ca[k]]
+			sb += vb[k] * p[cb[k]]
+		}
+		for ; k < len(ca); k++ {
+			sa += va[k] * p[ca[k]]
+		}
+		for ; k < len(cb); k++ {
+			sb += vb[k] * p[cb[k]]
+		}
+		q[i] = sa
+		if i+1 < hi {
+			q[i+1] = sb
+		}
 	}
-	return flops
-}
-
-// maxRow returns the length of the longest of rows [lo,hi).
-func (s *Sparse) maxRow(lo, hi int) int {
-	m := 0
-	for i := lo; i < hi; i++ {
-		m = max(m, int(s.RowPtr[i+1]-s.RowPtr[i]))
-	}
-	return m
+	return int(s.RowPtr[hi] - s.RowPtr[lo])
 }
 
 // Serial runs the reference CG and returns the solution vector.
@@ -262,20 +272,11 @@ func RunLocal(p Params, threads int) wload.Result {
 // spmvGather computes q = (A·d)[lo:hi] on a DSM thread and returns the real
 // flop count. It reads the direction vector gd element-wise through the page
 // cache, as the Pthreads original reads a shared array (pages fault in on
-// demand), a row per call: GatherF64 is one GetF64 per nonzero, in order,
-// into row, a scratch at least as long as the longest row.
-func (s *Sparse) spmvGather(th *core.Thread, gd core.F64Slice, q, row []float64, lo, hi int) int {
-	for i := lo; i < hi; i++ {
-		a, b := s.RowPtr[i], s.RowPtr[i+1]
-		val := s.Val[a:b]
-		g := row[:len(val)] // same length: no bounds check in the loop below
-		th.GatherF64(gd, s.ColIdx[a:b], g)
-		var acc float64
-		for k, v := range val {
-			acc += v * g[k]
-		}
-		q[i-lo] = acc
-	}
+// demand): SpMVF64 is one GetF64 per nonzero, in order, each row summed as
+// spmvRows sums it, with the multiply-adds fused into the TLB's validated
+// loads two rows at a time.
+func (s *Sparse) spmvGather(th *core.Thread, gd core.F64Slice, q []float64, lo, hi int) int {
+	th.SpMVF64(gd, s.RowPtr, s.ColIdx, s.Val, lo, hi, q)
 	return int(s.RowPtr[hi] - s.RowPtr[lo])
 }
 
@@ -289,7 +290,7 @@ func RunArgo(cfg core.Config, p Params, tpn int) wload.Result {
 // runArgo is RunArgo over the given sparse matvec, with the checksum of the
 // solution taken by fold (the tests keep the scalar matvec as the reference,
 // and check fold against the fold over a dump).
-func runArgo(cfg core.Config, p Params, tpn int, spmv func(s *Sparse, th *core.Thread, gd core.F64Slice, q, row []float64, lo, hi int) int, fold func(*core.Cluster, core.F64Slice) float64) wload.Result {
+func runArgo(cfg core.Config, p Params, tpn int, spmv func(s *Sparse, th *core.Thread, gd core.F64Slice, q []float64, lo, hi int) int, fold func(*core.Cluster, core.F64Slice) float64) wload.Result {
 	sm := BuildMatrix(p)
 	n := p.N
 	nt := cfg.Nodes * tpn
@@ -321,7 +322,6 @@ func runArgo(cfg core.Config, p Params, tpn int, spmv func(s *Sparse, th *core.T
 		d := make([]float64, cnt) // own block of the direction vector
 		upd := make([]float64, cnt)
 		all := make([]float64, nt)
-		row := make([]float64, sm.maxRow(lo, hi)) // one row of gathered d
 		pdotLocal := func(a, bb []float64) float64 {
 			var s float64
 			for i := range a {
@@ -344,7 +344,7 @@ func runArgo(cfg core.Config, p Params, tpn int, spmv func(s *Sparse, th *core.T
 		for it := 0; it < p.Iters; it++ {
 			// Own block of d, used by the dot products and updates below.
 			th.ReadF64s(gd, lo, hi, d)
-			flops := spmv(sm, th, gd, q, row, lo, hi)
+			flops := spmv(sm, th, gd, q, lo, hi)
 			th.Compute(sim.Time(flops) * flopCost)
 			th.WriteF64s(gq, lo, q)
 			th.WriteF64(gparts.At(nt+th.Rank), pdotLocal(d, q))

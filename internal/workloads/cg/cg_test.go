@@ -186,8 +186,8 @@ func TestRunArgoSizesItsOwnMemory(t *testing.T) {
 }
 
 // spmvScalar is the sparse matvec spmvGather replaced: one GetF64 per nonzero.
-// Kept as the reference the row-at-a-time gather must reproduce bit for bit.
-func (s *Sparse) spmvScalar(th *core.Thread, gd core.F64Slice, q, _ []float64, lo, hi int) int {
+// Kept as the reference the fused two-row product must reproduce bit for bit.
+func (s *Sparse) spmvScalar(th *core.Thread, gd core.F64Slice, q []float64, lo, hi int) int {
 	flops := 0
 	for i := lo; i < hi; i++ {
 		var acc float64
@@ -200,13 +200,63 @@ func (s *Sparse) spmvScalar(th *core.Thread, gd core.F64Slice, q, _ []float64, l
 	return flops
 }
 
+// spmvRowsOneByOne is the native matvec spmvRows replaced: one row at a time,
+// one add chain. Kept as the reference the two-row loop must reproduce bit for
+// bit.
+func (s *Sparse) spmvRowsOneByOne(q, p []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var acc float64
+		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
+			acc += s.Val[k] * p[s.ColIdx[k]]
+		}
+		q[i] = acc
+	}
+}
+
+// TestSpMVRowsBitIdentical: the two-row spmvRows sets every row to the bits of
+// the one-row loop — over the ledger's matrix (benchmark/workloads.go,
+// prepareCG) with a vector whose magnitudes span sixty binades, so any other
+// order of the adds shows, on even and odd row ranges; and over a matrix
+// with empty and unequal rows. It writes nothing outside q[lo:hi] and returns
+// the range's nonzero count.
+func TestSpMVRowsBitIdentical(t *testing.T) {
+	ragged := &Sparse{N: 6, RowPtr: []int32{0, 3, 3, 4, 9, 9, 11},
+		ColIdx: []int32{0, 5, 2, 4, 1, 1, 3, 0, 5, 2, 2},
+		Val:    []float64{1.5, -2, 1e-9, 3, 7, -1, 0.25, 1e12, 5, -3, 2}}
+	for _, m := range []*Sparse{BuildMatrix(Params{N: 65536, PerRow: 32}), ragged} {
+		p := make([]float64, m.N)
+		seed := uint64(1)
+		for i := range p {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			p[i] = math.Ldexp(float64(seed>>11)/(1<<53)-0.5, int(seed%61)-30)
+		}
+		for _, r := range [][2]int{{0, m.N}, {1, m.N}, {0, m.N - 1}, {3, 4}, {2, 2}} {
+			lo, hi := r[0], r[1]
+			got, want := make([]float64, m.N), make([]float64, m.N)
+			for i := range got {
+				got[i], want[i] = -0.5, -0.5
+			}
+			flops := m.spmvRows(got, p, lo, hi)
+			m.spmvRowsOneByOne(want, p, lo, hi)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d rows [%d,%d): row %d is %x, the one-row loop's %x", m.N, lo, hi, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+			if want := int(m.RowPtr[hi] - m.RowPtr[lo]); flops != want {
+				t.Fatalf("n=%d rows [%d,%d): %d flops, want %d", m.N, lo, hi, flops, want)
+			}
+		}
+	}
+}
+
 // Operands whose product needs more than 53 bits: x·y = 1 + 2⁻²⁹ + 2⁻⁶⁰, so
 // x*y + z is nonzero only on a build that contracts it into one rounding
 // (arm64, GOAMD64=v3; see lu's fusesMulAdd). Variables, so the compiler cannot
 // fold the arithmetic exactly.
 var fuseX, fuseY, fuseZ = 1 + 0x1p-30, 1 + 0x1p-30, -(1 + 0x1p-29)
 
-// TestSpMVGatherBitIdentical: RunArgo over GatherF64 is RunArgo over GetF64 —
+// TestSpMVGatherBitIdentical: RunArgo over SpMVF64 is RunArgo over GetF64 —
 // the same checksum bits, and on one thread (where nothing depends on host
 // arrival order) the same counters and the same makespan to the nanosecond.
 // The ledger's cg_gather run must carry exactly the checksum bits
@@ -217,10 +267,10 @@ func TestSpMVGatherBitIdentical(t *testing.T) {
 		cfg := wload.ArgoConfig(g.nodes, 16<<20)
 		got, want := RunArgo(cfg, p, g.tpn), runArgo(cfg, p, g.tpn, (*Sparse).spmvScalar, wload.ChecksumOf)
 		if math.Float64bits(got.Check) != math.Float64bits(want.Check) {
-			t.Fatalf("%dx%d: gather check %x, scalar %x", g.nodes, g.tpn, math.Float64bits(got.Check), math.Float64bits(want.Check))
+			t.Fatalf("%dx%d: fused check %x, scalar %x", g.nodes, g.tpn, math.Float64bits(got.Check), math.Float64bits(want.Check))
 		}
 		if g.nodes*g.tpn == 1 && (got.Time != want.Time || got.Stats != want.Stats) {
-			t.Fatalf("1x1: gather makespan %d stats %+v\nscalar makespan %d stats %+v", got.Time, got.Stats, want.Time, want.Stats)
+			t.Fatalf("1x1: fused makespan %d stats %+v\nscalar makespan %d stats %+v", got.Time, got.Stats, want.Time, want.Stats)
 		}
 	}
 

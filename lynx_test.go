@@ -57,8 +57,8 @@ func withTLBDisabled(t *testing.T, fn func()) {
 
 // TestAllocFreeScalarHits: read hits and dirty-write hits through the four
 // typed scalar accessors allocate nothing (the generic Get/Set they used to
-// forward to boxed every value through any), and neither does a gather over
-// resident pages.
+// forward to boxed every value through any), and neither does a sparse
+// product over resident pages.
 func TestAllocFreeScalarHits(t *testing.T) {
 	if racetag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -71,13 +71,13 @@ func TestAllocFreeScalarHits(t *testing.T) {
 	c.Run(1, func(th *argo.Thread) {
 		th.SetF64(xs, 0, 1) // warm: pages resident and dirty, TLB filled
 		th.SetI64(ks, 0, 1)
-		idx, dst := []int32{0, 1, 511, 1}, make([]float64, 4)
+		rowPtr, cols, coef, q := []int32{0, 3, 4}, []int32{0, 1, 511, 1}, []float64{1, 2, 3, 4}, make([]float64, 2)
 		allocs = testing.AllocsPerRun(200, func() {
 			v := th.GetF64(xs, 0)
 			th.SetF64(xs, 1, v+1)
 			k := th.GetI64(ks, 0)
 			th.SetI64(ks, 1, k+1)
-			th.GatherF64(xs, idx, dst)
+			th.SpMVF64(xs, rowPtr, cols, coef, 0, 2, q)
 		})
 	})
 	if allocs != 0 {
@@ -188,11 +188,12 @@ type gatherRun struct {
 
 // gatherProgram is the one seeded program of TestLynxGatherReplayIdentical:
 // the owners rewrite their blocks of an array twice the size of a node's page
-// cache, and between barriers every thread reads seeded index lists of 1 to 48
-// elements all over it — with one GatherF64 per list, or one GetF64 per
-// element. Lists span resident, evicted and invalidated pages, so runs of
-// hits stop at misses throughout.
-func gatherProgram(t *testing.T, cfg core.Config, tpn int, gather bool) gatherRun {
+// cache, and between barriers every thread multiplies seeded sparse matrices
+// of 1 to 5 rows of 0 to 20 nonzeros, columns all over the array, by it —
+// with one SpMVF64 per matrix, or one GetF64 per nonzero. The rows span
+// resident, evicted and invalidated pages, so pairs of rows stop at misses
+// throughout.
+func gatherProgram(t *testing.T, cfg core.Config, tpn int, fused bool) gatherRun {
 	t.Helper()
 	const pages, rounds, reads = 64, 3, 2048
 	cfg.CacheLines, cfg.PagesPerLine, cfg.MemoryBytes = 16, 2, 1<<20
@@ -205,47 +206,62 @@ func gatherProgram(t *testing.T, cfg core.Config, tpn int, gather bool) gatherRu
 	out.makespan = c.RunSeeded(tpn, 7, func(th *argo.Thread) {
 		lo, hi := wload.BlockRange(n, nt, th.Rank)
 		blk := make([]float64, hi-lo)
-		idx, dst := make([]int32, 48), make([]float64, 48)
+		rowPtr, q := make([]int32, 1, 6), make([]float64, 5)
+		var cols []int32
+		var coef []float64
 		for round := 0; round < rounds; round++ {
 			for i := range blk {
 				blk[i] = value(round, lo+i)
 			}
 			th.WriteF64s(xs, lo, blk)
 			th.Barrier()
-			for done := 0; done < reads; done += len(idx) {
-				idx = idx[:1+th.Rand().Intn(cap(idx))]
-				for k := range idx {
-					idx[k] = int32(th.Rand().Intn(n))
+			for done := 0; done < reads; done += len(cols) + 1 {
+				rowPtr, cols, coef = rowPtr[:1], cols[:0], coef[:0]
+				for range 1 + th.Rand().Intn(5) {
+					for range th.Rand().Intn(21) {
+						cols = append(cols, int32(th.Rand().Intn(n)))
+						coef = append(coef, 1/float64(1+th.Rand().Intn(9))) // inexact, so add order shows
+					}
+					rowPtr = append(rowPtr, int32(len(cols)))
 				}
-				if gather {
-					th.GatherF64(xs, idx, dst)
+				rows := len(rowPtr) - 1
+				if fused {
+					th.SpMVF64(xs, rowPtr, cols, coef, 0, rows, q)
 				} else {
-					for k, i := range idx {
-						dst[k] = th.GetF64(xs, int(i))
+					for i := range rows {
+						var acc float64
+						for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+							acc += coef[k] * th.GetF64(xs, int(cols[k]))
+						}
+						q[i] = acc
 					}
 				}
-				for k, i := range idx {
-					if dst[k] != value(round, int(i)) {
+				for i := range rows {
+					var want float64
+					for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+						want += coef[k] * value(round, int(cols[k]))
+					}
+					if math.Float64bits(q[i]) != math.Float64bits(want) {
 						wrong[th.Rank]++
 					}
 				}
-				out.vals[th.Rank] = append(out.vals[th.Rank], dst[:len(idx)]...)
+				out.vals[th.Rank] = append(out.vals[th.Rank], q[:rows]...)
 			}
 			th.Barrier()
 		}
 	})
 	for rank, w := range wrong {
 		if w != 0 {
-			t.Fatalf("gather %v: rank %d read %d stale or foreign values", gather, rank, w)
+			t.Fatalf("fused %v: rank %d summed %d rows over stale or foreign values", fused, rank, w)
 		}
 	}
 	out.stats, out.hits = c.Stats(), c.Hits()
 	return out
 }
 
-// TestLynxGatherReplayIdentical: GatherF64 is len(idx) GetF64 calls. In every
-// classification mode, with the TLB and without it, the two forms of
-// gatherProgram read the same values; on one thread they also leave the same
+// TestLynxGatherReplayIdentical: SpMVF64 is one GetF64 per nonzero, row after
+// row. In every classification mode, with the TLB and without it, the two
+// forms of gatherProgram compute the same bits; on one thread they also leave the same
 // counters, the same hit count and the same makespan to the nanosecond. On
 // 2x2 — fault-free and under a chaos plan — which thread of a node faults a
 // page first is a host race (see TestLynxReplayIdenticalCG), so there the
@@ -265,11 +281,11 @@ func TestLynxGatherReplayIdentical(t *testing.T) {
 			faults     *fault.Plan
 		}{{1, 1, nil}, {2, 2, nil}, {2, 2, &plan}} {
 			var ref gatherRun
-			for i, v := range []struct{ gather, noTLB bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+			for i, v := range []struct{ fused, noTLB bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 				cfg := argo.DefaultConfig(g.nodes)
 				cfg.Mode, cfg.Faults, cfg.NoAccessTLB = mode, g.faults, v.noTLB
-				got := gatherProgram(t, cfg, g.tpn, v.gather)
-				what := fmt.Sprintf("mode %v, %dx%d, faults %v: gather %v, NoAccessTLB %v", mode, g.nodes, g.tpn, g.faults != nil, v.gather, v.noTLB)
+				got := gatherProgram(t, cfg, g.tpn, v.fused)
+				what := fmt.Sprintf("mode %v, %dx%d, faults %v: fused %v, NoAccessTLB %v", mode, g.nodes, g.tpn, g.faults != nil, v.fused, v.noTLB)
 				if i == 0 {
 					ref = got
 					if g.nodes*g.tpn == 1 && (ref.hits == 0 || ref.stats.ReadMisses == 0) {
@@ -279,7 +295,7 @@ func TestLynxGatherReplayIdentical(t *testing.T) {
 				}
 				for rank := range ref.vals {
 					if !slices.Equal(got.vals[rank], ref.vals[rank]) {
-						t.Fatalf("%s: rank %d read other values than the scalar TLB run", what, rank)
+						t.Fatalf("%s: rank %d computed other bits than the scalar TLB run", what, rank)
 					}
 				}
 				if g.nodes*g.tpn == 1 {
@@ -290,6 +306,95 @@ func TestLynxGatherReplayIdentical(t *testing.T) {
 				} else if pinned(got.stats) != pinned(ref.stats) {
 					t.Fatalf("%s: write misses, writebacks, writeback bytes, SI fences, SD fences %v, want %v", what, pinned(got.stats), pinned(ref.stats))
 				}
+			}
+		}
+	}
+}
+
+// TestLynxSpMVMatchesGetF64Walk: on one thread, SpMVF64 leaves exactly what
+// the GetF64 walk it replaces leaves — the bits of every row, Stats(), Hits()
+// and the makespan — wherever the pairs of rows meet their misses. Pages 0 and
+// 1 of x are touched first (resident, in the TLB); page 3 is not, and on a
+// two-line cache of one-page lines it shares page 1's line, so its miss
+// bumps page 1's generation under the thread's entry.
+func TestLynxSpMVMatchesGetF64Walk(t *testing.T) {
+	epp := int32(argo.DefaultConfig(1).PageSize / 8)
+	at := func(page, off int32) int32 { return page*epp + off }
+	for _, tc := range []struct {
+		name  string
+		rows  [][]int32
+		noTLB bool
+	}{
+		{"pairs of resident rows", [][]int32{{at(0, 1), at(1, 2)}, {at(1, 3), at(0, 4), at(0, 1)}, {at(1, 5)}, {at(0, 6)}}, false},
+		{"odd row count", [][]int32{{at(0, 1)}, {at(1, 2), at(1, 9)}, {at(0, 3), at(1, 4)}}, false},
+		{"unequal and empty rows", [][]int32{{}, {at(0, 1), at(0, 2), at(1, 3), at(0, 4)}, {at(1, 5)}, {}, {}, {at(0, 7), at(1, 8)}, {}}, false},
+		{"miss in the first row", [][]int32{{at(0, 1), at(3, 2), at(0, 3)}, {at(1, 4)}, {at(3, 5)}, {at(0, 6)}}, false},
+		{"miss in the second row", [][]int32{{at(0, 1), at(1, 2)}, {at(1, 3), at(3, 4)}, {at(0, 5)}, {at(3, 6)}}, false},
+		{"miss in the longer row's tail", [][]int32{{at(0, 1)}, {at(1, 2), at(0, 3), at(0, 4), at(3, 5)}, {at(1, 6)}}, false},
+		{"generation bump between two pairs", [][]int32{{at(1, 1)}, {at(0, 2)}, {at(3, 3)}, {at(0, 4)}, {at(1, 5), at(0, 6)}, {at(1, 7)}}, false},
+		{"nil TLB", [][]int32{{at(0, 1), at(3, 2)}, {at(1, 3)}, {}, {at(0, 4), at(1, 5)}, {at(3, 6)}}, true},
+	} {
+		rowPtr, cols, coef := []int32{0}, []int32(nil), []float64(nil)
+		for _, r := range tc.rows {
+			for _, j := range r {
+				cols, coef = append(cols, j), append(coef, 1/float64(3+len(coef))) // inexact, so add order shows
+			}
+			rowPtr = append(rowPtr, int32(len(cols)))
+		}
+		rows := len(tc.rows)
+		var ref gatherRun
+		for _, fused := range []bool{false, true} {
+			cfg := argo.DefaultConfig(1)
+			cfg.CacheLines, cfg.PagesPerLine, cfg.MemoryBytes, cfg.NoAccessTLB = 2, 1, 1<<20, tc.noTLB
+			c := argo.MustNewCluster(cfg)
+			xs := c.AllocF64(int(4 * epp))
+			init := make([]float64, xs.Len)
+			for i := range init {
+				init[i] = math.Sqrt(float64(i + 2))
+			}
+			c.InitF64(xs, init)
+			q := make([]float64, rows)
+			got := gatherRun{makespan: c.Run(1, func(th *argo.Thread) {
+				th.GetF64(xs, 0)
+				th.GetF64(xs, int(epp))
+				if fused {
+					th.SpMVF64(xs, rowPtr, cols, coef, 0, rows, q)
+					return
+				}
+				for i := range rows {
+					var acc float64
+					for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+						acc += coef[k] * th.GetF64(xs, int(cols[k]))
+					}
+					q[i] = acc
+				}
+			})}
+			got.vals, got.stats, got.hits = [][]float64{q}, c.Stats(), c.Hits()
+			c.Close()
+			if !fused {
+				ref = got
+				if !tc.noTLB && ref.hits == 0 {
+					t.Fatalf("%s: the walk made no TLB hits", tc.name)
+				}
+				for i := range rows {
+					var want float64
+					for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+						want += coef[k] * init[cols[k]]
+					}
+					if math.Float64bits(q[i]) != math.Float64bits(want) {
+						t.Fatalf("%s: the walk's row %d is %v, want %v", tc.name, i, q[i], want)
+					}
+				}
+				continue
+			}
+			for i := range rows {
+				if math.Float64bits(got.vals[0][i]) != math.Float64bits(ref.vals[0][i]) {
+					t.Fatalf("%s: row %d is %x, the GetF64 walk's %x", tc.name, i, math.Float64bits(got.vals[0][i]), math.Float64bits(ref.vals[0][i]))
+				}
+			}
+			if got.stats != ref.stats || got.hits != ref.hits || got.makespan != ref.makespan {
+				t.Fatalf("%s:\n got: makespan %d hits %d %+v\nwant: makespan %d hits %d %+v",
+					tc.name, got.makespan, got.hits, got.stats, ref.makespan, ref.hits, ref.stats)
 			}
 		}
 	}
