@@ -745,19 +745,12 @@ func TestOneSchedulerSeam(t *testing.T) {
 }
 
 // sleepSites are the functions of library code that block on a channel
-// (DESIGN §32). A simulated thread that waits for another parks on a
-// sim.WaitQueue, whose Park and Wake are two of them; the other four are two
-// of the three sleeps outside the seam: the delegation completion slot, a
-// one-shot channel that carries a time (awaited, and sent by the helper), and
-// MPI's per-pair mailboxes, whose full buffer is the sender's backpressure.
-// The third, PthreadMutex's unfair host sync.Mutex, is the lock being
-// modelled and no channel operation.
+// (DESIGN §32): a simulated thread sleeps on a sim.Waiter, whose Sleep and
+// Wake are the whole of it. A WaitQueue parks its waiters there, and a thread
+// that waits outside a queue (a delegator awaiting its section) sleeps on a
+// Waiter it handed its waker.
 var sleepSites = []string{
-	"internal/locks/delegation.go: delegQueue.await",
-	"internal/locks/delegation.go: delegQueue.serve",
-	"internal/mpi/mpi.go: Rank.Recv",
-	"internal/mpi/mpi.go: Rank.Send",
-	"internal/sim/waitq.go: WaitQueue.Park",
+	"internal/sim/waitq.go: Waiter.Sleep",
 	"internal/sim/waitq.go: Waiter.Wake",
 }
 

@@ -34,7 +34,6 @@ import (
 
 	"argo/internal/cli"
 	"argo/internal/core"
-	"argo/internal/fabric"
 	"argo/internal/harness"
 )
 
@@ -52,7 +51,7 @@ func list() {
 	fmt.Printf("  write buffer:       %d pages\n", cfg.WriteBufferPages)
 	fmt.Printf("  classification:     %v\n", cfg.Mode)
 
-	p := fabric.DefaultParams()
+	p := cfg.Net
 	fmt.Println("\nInterconnect cost model (virtual ns)")
 	fmt.Printf("  remote latency:     %d (one-way, incl. one-sided MPI software path)\n", p.RemoteLatency)
 	fmt.Printf("  wire:               %d ns/KB (≈ %.2f GB/s saturated)\n", p.NsPerKB, 1024/float64(p.NsPerKB))

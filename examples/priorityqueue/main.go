@@ -29,7 +29,6 @@ const (
 
 func run(useHQDL bool) (opsPerUs float64, siFences int64) {
 	cfg := argo.DefaultConfig(nodes)
-	cfg.MemoryBytes = 64 << 20
 	cluster := argo.MustNewCluster(cfg)
 	defer cluster.Close()
 	heap := pairingheap.NewDSMHeap(cluster, 4096+nodes*tpn*opsPerThread)

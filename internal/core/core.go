@@ -8,6 +8,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -127,30 +128,15 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: %s must not be negative, got %d", f.name, f.v)
 		}
 	}
-	if c.SocketsPerNode == 0 {
-		c.SocketsPerNode = 4
-	}
-	if c.CoresPerSocket == 0 {
-		c.CoresPerSocket = 4
-	}
-	if c.PageSize == 0 {
-		c.PageSize = 4096
-	}
-	if c.MemoryBytes == 0 {
-		c.MemoryBytes = 64 << 20
-	}
-	if c.CacheLines == 0 {
-		c.CacheLines = 4096
-	}
-	if c.PagesPerLine == 0 {
-		c.PagesPerLine = 4
-	}
-	if c.WriteBufferPages == 0 {
-		c.WriteBufferPages = 8192
-	}
-	if c.Net == (fabric.Params{}) {
-		c.Net = fabric.DefaultParams()
-	}
+	d := DefaultConfig(c.Nodes)
+	c.SocketsPerNode = cmp.Or(c.SocketsPerNode, d.SocketsPerNode)
+	c.CoresPerSocket = cmp.Or(c.CoresPerSocket, d.CoresPerSocket)
+	c.PageSize = cmp.Or(c.PageSize, d.PageSize)
+	c.MemoryBytes = cmp.Or(c.MemoryBytes, d.MemoryBytes)
+	c.CacheLines = cmp.Or(c.CacheLines, d.CacheLines)
+	c.PagesPerLine = cmp.Or(c.PagesPerLine, d.PagesPerLine)
+	c.WriteBufferPages = cmp.Or(c.WriteBufferPages, d.WriteBufferPages)
+	c.Net = cmp.Or(c.Net, d.Net)
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
 			return err

@@ -26,8 +26,8 @@ import (
 //
 // The ring's entries, like every field below mu, are touched only under mu:
 // written by delegators while open is set, emptied by the helper before it
-// clears held. A warm queue allocates nothing: waited sections complete
-// through recycled slots.
+// clears held. A warm queue allocates nothing: a waited section's delegator
+// sleeps on a recycled sim.Waiter.
 type delegQueue[H any] struct {
 	fab *fabric.Fabric
 
@@ -43,7 +43,6 @@ type delegQueue[H any] struct {
 	ring    []delegEntry[H]
 	head, n int
 	h       holder
-	idle    []*delegSlot
 	waiters sim.WaitQueue // delegators that found the ring closed or full
 }
 
@@ -56,8 +55,8 @@ type delegEntry[H any] struct {
 	fn      func(h H, arg int64) // runs as fn(h, arg)
 	arg     int64
 	enqAt   sim.Time
-	done    *delegSlot // nil when detached
-	key     uint64     // edge key for observers; zero when none are attached
+	done    *sim.Waiter // woken with the completion time; nil when detached
+	key     uint64      // edge key for observers; zero when none are attached
 }
 
 // run executes the entry's section on helper h.
@@ -69,21 +68,14 @@ func (e *delegEntry[H]) run(h H) {
 	e.section(h)
 }
 
-// delegSlot carries one waited section's completion time from the helper to
-// its delegator, who puts the slot back in the queue's pool once it has it.
-type delegSlot struct {
-	at  chan sim.Time // capacity 1: the helper never blocks on a late waiter
-	key uint64
-}
-
 // delegRing is the delegation ring's length on every QD and HQDL queue.
 const delegRing = 128
 
-// delegate hands e's section to the current helper and returns the slot to
-// await when wait is set. A caller that finds the queue free becomes the
+// delegate hands e's section to the current helper and returns the entry as
+// queued, to await when wait is set. A caller that finds the queue free becomes the
 // helper instead: it runs e itself through serve, then calls release; one
 // that finds it closed or full parks until release or a dequeue wakes it.
-func (q *delegQueue[H]) delegate(p *sim.Proc, e delegEntry[H], wait bool) (s *delegSlot, helper bool) {
+func (q *delegQueue[H]) delegate(p *sim.Proc, e delegEntry[H], wait bool) (queued delegEntry[H], helper bool) {
 	q.mu.Lock()
 	for q.held && (!q.open || q.n == len(q.ring)) {
 		q.waiters.Park(&q.mu, 0)
@@ -92,7 +84,7 @@ func (q *delegQueue[H]) delegate(p *sim.Proc, e delegEntry[H], wait bool) (s *de
 		q.held, q.open = true, true
 		q.h.acquired(p, q.fab)
 		q.mu.Unlock()
-		return nil, true
+		return queued, true
 	}
 	enq := q.fab.P.LocalLatency
 	e.enqAt = p.Now() + enq
@@ -101,29 +93,21 @@ func (q *delegQueue[H]) delegate(p *sim.Proc, e delegEntry[H], wait bool) (s *de
 		q.obs.Emit(probe.Event{Kind: probe.Delegate, Node: p.Node, Tid: probe.TidOf(p.Socket, p.Core), Start: e.enqAt, T: e.enqAt, Key: e.key})
 	}
 	if wait {
-		if n := len(q.idle); n > 0 {
-			e.done, q.idle = q.idle[n-1], q.idle[:n-1]
-		} else {
-			e.done = &delegSlot{at: make(chan sim.Time, 1)}
-		}
-		e.done.key = e.key
+		e.done = sim.NewWaiter()
 	}
 	q.ring[(q.head+q.n)%len(q.ring)] = e
 	q.n++
 	q.mu.Unlock()
 	p.Advance(enq)
-	return e.done, false
+	return e, false
 }
 
-// await blocks until the section behind s has run and advances p to its
-// completion time. A slot nobody awaits is garbage, not a leak in the pool.
-func (q *delegQueue[H]) await(p *sim.Proc, s *delegSlot) {
+// await sleeps until the queued entry e has run and advances p to its
+// completion time. A wait nobody redeems leaves its Waiter to the collector.
+func (q *delegQueue[H]) await(p *sim.Proc, e delegEntry[H]) {
 	t0 := p.Now()
-	p.AdvanceTo(<-s.at)
-	q.obs.Sync(p, t0, probe.DelegateWait, s.key, int64(s.key), 0)
-	q.mu.Lock()
-	q.idle = append(q.idle, s)
-	q.mu.Unlock()
+	p.AdvanceTo(e.done.Sleep().At)
+	q.obs.Sync(p, t0, probe.DelegateWait, e.key, int64(e.key), 0)
 }
 
 // serve is the helper's turn: its own section, then the ring's. When the
@@ -159,7 +143,8 @@ func (q *delegQueue[H]) serve(h H, p *sim.Proc, own delegEntry[H]) int {
 		q.fab.NodeStats(p.Node).DelegatedSections.Add(1)
 		q.obs.Sync(p, p.Now(), probe.DelegateDone, e.key, 0, int64(q.key))
 		if e.done != nil {
-			e.done.at <- p.Now()
+			e.done.At = p.Now()
+			e.done.Wake()
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"argo/internal/core"
+	"argo/internal/probe"
 	"argo/internal/racetag"
 	"argo/internal/sim"
 )
@@ -321,9 +322,8 @@ func TestOneEntryRingWakesParkedDelegators(t *testing.T) {
 
 // TestDelegateAsyncOutOfOrderAndAbandoned: one thread holds three waits at
 // once, redeems the third, then the first, and never the second. Each wait
-// delivers its own section's completion time; the abandoned slot is simply
-// not recycled — the helper did not block on it and the pool does not miss
-// it.
+// delivers its own section's completion time; the abandoned Waiter is
+// simply not recycled — the helper did not block on it.
 func TestDelegateAsyncOutOfOrderAndAbandoned(t *testing.T) {
 	l := NewQDLock(testFab())
 	topo := sim.Topology{Nodes: 1, Sockets: 1, CoresPerSocket: 4}
@@ -368,9 +368,6 @@ func TestDelegateAsyncOutOfOrderAndAbandoned(t *testing.T) {
 	waits[0](p) // completed earlier: max-combining leaves the clock alone
 	if p.Now() != doneAt[2] || doneAt[0] >= doneAt[2] {
 		t.Fatalf("wait 0 moved the clock to %d (sections done at %v)", p.Now(), doneAt)
-	}
-	if got := len(l.q.idle); got != 2 {
-		t.Fatalf("%d slots back in the pool, want 2 (the abandoned one stays out)", got)
 	}
 	ran := false
 	l.DelegateWait(p, func(h *sim.Proc) { ran = true })
@@ -428,4 +425,81 @@ func (s *pair) bench(b *testing.B, id int, op func()) {
 	}
 	b.StopTimer()
 	s.stop.Store(true)
+}
+
+// waitQueued spins until q is open with n sections in its ring.
+func waitQueued[H any](q *delegQueue[H], n int) {
+	for {
+		q.mu.Lock()
+		ok := q.open && q.n == n
+		q.mu.Unlock()
+		if ok {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// edgeLog is a probe sink keeping the delegation events of a run.
+type edgeLog struct {
+	mu     sync.Mutex
+	events []probe.Event
+}
+
+func (l *edgeLog) Observe(e probe.Event) {
+	if e.Kind == probe.Delegate || e.Kind == probe.DelegateDone || e.Kind == probe.DelegateWait {
+		l.mu.Lock()
+		l.events = append(l.events, e)
+		l.mu.Unlock()
+	}
+}
+
+// TestHQDLDelegateWaitLandsOnCompletion: a delegator that waits for its
+// section sleeps until the helper has run it and wakes with its clock at
+// exactly the helper's completion time, which lies ahead of its own. Its
+// DelegateWait event carries the edge key its Delegate event opened and ends
+// where DelegateDone does.
+func TestHQDLDelegateWaitLandsOnCompletion(t *testing.T) {
+	var log edgeLog
+	cfg := core.DefaultConfig(1)
+	cfg.MemoryBytes = 4 << 20
+	cfg.Observers = append(cfg.Observers, &log)
+	c := core.MustNewCluster(cfg)
+	defer c.Close()
+	l := NewHQDLock(c)
+	q := l.nodes[0]
+	var doneAt, woke sim.Time
+	c.Run(2, func(th *core.Thread) {
+		if th.Rank == 0 {
+			l.Delegate(th, func(h *core.Thread) {
+				waitQueued(q, 1)
+				h.P.Advance(10000)
+			})
+			return
+		}
+		waitQueued(q, 0)
+		l.DelegateWait(th, func(h *core.Thread) {
+			h.P.Advance(1000)
+			doneAt = h.P.Now()
+		})
+		woke = th.P.Now()
+	})
+	if doneAt < 11000 || woke != doneAt {
+		t.Fatalf("delegator woke at %d, want its section's completion %d (≥ 11000)", woke, doneAt)
+	}
+	byKind := map[probe.Kind]probe.Event{}
+	for _, e := range log.events {
+		byKind[e.Kind] = e
+	}
+	if len(log.events) != 3 || len(byKind) != 3 {
+		t.Fatalf("want one Delegate, DelegateDone and DelegateWait event, got %+v", log.events)
+	}
+	key := byKind[probe.Delegate].Key
+	w := byKind[probe.DelegateWait]
+	if key == 0 || byKind[probe.DelegateDone].Key != key || w.Key != key || w.Arg != int64(key) {
+		t.Fatalf("edge keys do not match: %+v", log.events)
+	}
+	if w.T != doneAt || byKind[probe.DelegateDone].T != doneAt {
+		t.Fatalf("DelegateWait ends at %d and DelegateDone at %d, want %d", w.T, byKind[probe.DelegateDone].T, doneAt)
+	}
 }

@@ -63,8 +63,8 @@ func (l *HQDLock) DelegateArg(t *core.Thread, fn func(h *core.Thread, arg int64)
 // needs no fence of its own: results are observed through the node's shared
 // page cache, which the helper keeps coherent with its batch-level fences.
 func (l *HQDLock) DelegateWait(t *core.Thread, section func(h *core.Thread)) {
-	if s := l.delegate(t, delegEntry[*core.Thread]{section: section}, true); s != nil {
-		l.nodes[t.Node].await(t.P, s)
+	if e := l.delegate(t, delegEntry[*core.Thread]{section: section}, true); e.done != nil {
+		l.nodes[t.Node].await(t.P, e)
 	}
 }
 
@@ -74,18 +74,18 @@ func (l *HQDLock) DelegateWait(t *core.Thread, section func(h *core.Thread)) {
 // return means the caller became the helper and the section already ran.
 // As with DelegateWait, no extra fence is needed on the wait.
 func (l *HQDLock) DelegateAsync(t *core.Thread, section func(h *core.Thread)) func(t *core.Thread) {
-	s := l.delegate(t, delegEntry[*core.Thread]{section: section}, true)
-	if s == nil {
+	e := l.delegate(t, delegEntry[*core.Thread]{section: section}, true)
+	if e.done == nil {
 		return nil
 	}
-	return func(t *core.Thread) { l.nodes[t.Node].await(t.P, s) }
+	return func(t *core.Thread) { l.nodes[t.Node].await(t.P, e) }
 }
 
-func (l *HQDLock) delegate(t *core.Thread, e delegEntry[*core.Thread], wait bool) *delegSlot {
+func (l *HQDLock) delegate(t *core.Thread, e delegEntry[*core.Thread], wait bool) delegEntry[*core.Thread] {
 	nq := l.nodes[t.Node]
-	s, helper := nq.delegate(t.P, e, wait)
+	queued, helper := nq.delegate(t.P, e, wait)
 	if !helper {
-		return s
+		return queued
 	}
 	// The node becomes the active node: acquire the global lock and
 	// self-invalidate once for the whole batch.
@@ -106,5 +106,5 @@ func (l *HQDLock) delegate(t *core.Thread, e delegEntry[*core.Thread], wait bool
 	l.c.Obs.Sync(t.P, t.P.Now(), probe.HQDLBatch, l.global.key, int64(sections), 0)
 	l.global.Unlock(t)
 	nq.release(t.P)
-	return nil
+	return queued
 }

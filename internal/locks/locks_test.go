@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"argo/internal/fabric"
 	"argo/internal/sim"
@@ -346,5 +347,53 @@ func TestPthreadMutexContentionPenalty(t *testing.T) {
 	high := run(16)
 	if high <= low {
 		t.Fatalf("per-op cost did not grow with contention: 2w=%d 16w=%d", low, high)
+	}
+}
+
+// TestPthreadMutexBarging pins the mutex's unfairness rule: Unlock wakes the
+// oldest waiter to re-check, and a thread that finds the lock free takes it
+// ahead of the woken waiter, which parks again. On one CPU the releaser
+// re-locks before the woken waiter runs, so it barges every time; on more,
+// either may win, and the loser still gets the lock.
+func TestPthreadMutexBarging(t *testing.T) {
+	l := NewPthreadMutex(testFab())
+	topo := sim.Topology{Nodes: 1, Sockets: 1, CoresPerSocket: 2}
+	a, b := topo.NewProc(0, 0), topo.NewProc(0, 1)
+	parked := func() int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.waiters.Len()
+	}
+	var took atomic.Bool
+	done := make(chan struct{})
+	l.Lock(a)
+	go func() {
+		defer close(done)
+		l.Lock(b)
+		took.Store(true)
+		l.Unlock(b)
+	}()
+	for parked() != 1 {
+		runtime.Gosched()
+	}
+	l.Unlock(a) // wakes b
+	l.Lock(a)   // finds the lock free
+	if runtime.GOMAXPROCS(0) == 1 {
+		if took.Load() {
+			t.Fatal("the woken waiter took the lock ahead of the thread that found it free")
+		}
+		// Lock's Acquired point let b run: it re-checked and parked again.
+		if n := parked(); n != 1 {
+			t.Fatalf("%d waiters parked after the barge, want the woken one back in the queue", n)
+		}
+	}
+	l.Unlock(a)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiter that lost to a barger never got the lock")
+	}
+	if l.locked || l.waiters.Len() != 0 {
+		t.Fatalf("mutex not clean: locked=%v parked=%d", l.locked, l.waiters.Len())
 	}
 }

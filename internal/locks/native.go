@@ -2,7 +2,6 @@ package locks
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"argo/internal/fabric"
 	"argo/internal/sim"
@@ -15,12 +14,15 @@ import (
 // PthreadMutex models a plain pthread mutex: no queue, no locality. Under
 // contention every waiter hammers the lock word, so a handover additionally
 // costs a penalty proportional to the number of waiters (the invalidation
-// storm that makes test-and-set locks collapse on NUMA machines).
+// storm that makes test-and-set locks collapse on NUMA machines). It is
+// unfair: Unlock wakes the oldest waiter to re-check, and a thread that finds
+// the lock free takes it first (barging); the loser parks again at the back.
 type PthreadMutex struct {
 	fab *fabric.Fabric
-	mu  sync.Mutex
 
-	waiters atomic.Int32
+	mu      sync.Mutex // held while the state changes, never across the section
+	locked  bool
+	waiters sim.WaitQueue
 	h       holder
 }
 
@@ -29,18 +31,26 @@ func NewPthreadMutex(f *fabric.Fabric) *PthreadMutex { return &PthreadMutex{fab:
 
 // Lock acquires the mutex.
 func (l *PthreadMutex) Lock(p *sim.Proc) {
-	l.waiters.Add(1)
 	l.mu.Lock()
-	w := l.waiters.Add(-1)
+	for l.locked {
+		l.waiters.Park(&l.mu, 0)
+	}
+	l.locked = true
 	l.h.acquired(p, l.fab)
-	p.Advance(sim.Time(w) * (l.fab.P.SocketLatency / 2)) // half a cross-socket transfer per waiter
+	w := sim.Time(l.waiters.Len())
+	l.mu.Unlock()
+	p.Advance(w * (l.fab.P.SocketLatency / 2)) // half a cross-socket transfer per waiter
 	p.Point(sim.Acquired)
 }
 
-// Unlock releases the mutex.
+// Unlock releases the mutex and wakes the oldest waiter to re-check.
 func (l *PthreadMutex) Unlock(p *sim.Proc) {
+	l.mu.Lock()
 	l.h.released(p)
+	l.locked = false
+	next := l.waiters.Pop()
 	l.mu.Unlock()
+	next.Wake()
 }
 
 // ---------------------------------------------------------------------------

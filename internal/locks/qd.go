@@ -42,8 +42,8 @@ func (l *QDLock) DelegateArg(p *sim.Proc, fn func(h *sim.Proc, arg int64), arg i
 // DelegateWait submits section and blocks until it has executed; the
 // caller's clock is advanced to the section's completion time.
 func (l *QDLock) DelegateWait(p *sim.Proc, section func(h *sim.Proc)) {
-	if s := l.delegate(p, delegEntry[*sim.Proc]{section: section}, true); s != nil {
-		l.q.await(p, s)
+	if e := l.delegate(p, delegEntry[*sim.Proc]{section: section}, true); e.done != nil {
+		l.q.await(p, e)
 	}
 }
 
@@ -54,18 +54,18 @@ func (l *QDLock) DelegateWait(p *sim.Proc, section func(h *sim.Proc)) {
 // The returned wait may be nil when the caller itself became the helper
 // and the section has already executed.
 func (l *QDLock) DelegateAsync(p *sim.Proc, section func(h *sim.Proc)) func(p *sim.Proc) {
-	s := l.delegate(p, delegEntry[*sim.Proc]{section: section}, true)
-	if s == nil {
+	e := l.delegate(p, delegEntry[*sim.Proc]{section: section}, true)
+	if e.done == nil {
 		return nil
 	}
-	return func(p *sim.Proc) { l.q.await(p, s) }
+	return func(p *sim.Proc) { l.q.await(p, e) }
 }
 
-func (l *QDLock) delegate(p *sim.Proc, e delegEntry[*sim.Proc], wait bool) *delegSlot {
-	s, helper := l.q.delegate(p, e, wait)
+func (l *QDLock) delegate(p *sim.Proc, e delegEntry[*sim.Proc], wait bool) delegEntry[*sim.Proc] {
+	queued, helper := l.q.delegate(p, e, wait)
 	if helper {
 		l.q.serve(p, p, e)
 		l.q.release(p)
 	}
-	return s
+	return queued
 }

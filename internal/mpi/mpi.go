@@ -8,6 +8,7 @@ package mpi
 
 import (
 	"math/bits"
+	"sync"
 
 	"argo/internal/fabric"
 	"argo/internal/sim"
@@ -20,13 +21,22 @@ type World struct {
 	Size         int
 	RanksPerNode int
 
-	mail    []chan message // per (src,dst) pair
+	inbox   []inbox // per destination rank
 	barrier *sim.Barrier
 }
 
 type message struct {
 	data    []float64
 	availAt sim.Time
+}
+
+// inbox is one rank's mail: a FIFO per source, made by that source's first
+// Send, and the rank itself parked under the source it waits on. Sends are
+// eager and unbounded, so only Recv sleeps.
+type inbox struct {
+	mu     sync.Mutex
+	from   map[int][]message // oldest first
+	waiter sim.WaitQueue     // tagged by source
 }
 
 // Rank is one MPI process.
@@ -39,17 +49,13 @@ type Rank struct {
 // NewWorld creates a world of ranksPerNode ranks on every node of fab.
 func NewWorld(fab *fabric.Fabric, ranksPerNode int) *World {
 	size := fab.Topo.Nodes * ranksPerNode
-	w := &World{
+	return &World{
 		Fab:          fab,
 		Size:         size,
 		RanksPerNode: ranksPerNode,
-		mail:         make([]chan message, size*size),
+		inbox:        make([]inbox, size),
 		barrier:      sim.NewBarrier(size),
 	}
-	for i := range w.mail {
-		w.mail[i] = make(chan message, 64)
-	}
-	return w
 }
 
 // nodeOf returns the node rank r runs on.
@@ -68,8 +74,6 @@ func (w *World) Run(body func(r *Rank)) sim.Time {
 	return g.Run(func(i int, p *sim.Proc) { body(ranks[i]) })
 }
 
-func (w *World) box(src, dst int) chan message { return w.mail[src*w.Size+dst] }
-
 // sendCost charges the sender for injecting bytes toward dst and returns
 // the virtual time at which the message is available at the receiver.
 func (r *Rank) sendCost(dst, bytes int) sim.Time {
@@ -83,16 +87,33 @@ func (r *Rank) sendCost(dst, bytes int) sim.Time {
 	return r.P.Now() + pp.RemoteLatency
 }
 
-// Send transmits a float64 payload to dst (eager; ownership of the slice
-// passes to the receiver).
+// Send transmits a float64 payload to dst (eager and never blocking;
+// ownership of the slice passes to the receiver).
 func (r *Rank) Send(dst int, data []float64) {
 	avail := r.sendCost(dst, len(data)*8)
-	r.W.box(r.ID, dst) <- message{data: data, availAt: avail}
+	in := &r.W.inbox[dst]
+	in.mu.Lock()
+	if in.from == nil {
+		in.from = map[int][]message{}
+	}
+	in.from[r.ID] = append(in.from[r.ID], message{data: data, availAt: avail})
+	in.waiter.WakeAll(r.ID)
+	in.mu.Unlock()
 }
 
 // Recv receives the next float64 payload from src (blocking, in-order).
 func (r *Rank) Recv(src int) []float64 {
-	m := <-r.W.box(src, r.ID)
+	in := &r.W.inbox[r.ID]
+	in.mu.Lock()
+	for len(in.from[src]) == 0 {
+		in.waiter.Park(&in.mu, src)
+	}
+	q := in.from[src]
+	m := q[0]
+	n := copy(q, q[1:]) // shift down, not reslice: the array is the FIFO's for good
+	q[n] = message{}    // and must not keep a payload alive
+	in.from[src] = q[:n]
+	in.mu.Unlock()
 	r.P.AdvanceTo(m.availAt)
 	r.P.Advance(r.W.Fab.P.CacheHit)
 	return m.data

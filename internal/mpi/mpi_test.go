@@ -2,8 +2,10 @@ package mpi
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"argo/internal/fabric"
 	"argo/internal/sim"
@@ -147,5 +149,46 @@ func TestIntraNodeSendIsCheaper(t *testing.T) {
 	}
 	if math.IsNaN(float64(local)) {
 		t.Fatal("unreachable")
+	}
+}
+
+// TestNewWorldAllocatesPerRank: a world's mail is one inbox per rank, its
+// FIFOs made by the first Send, not a buffered channel per pair of ranks (635
+// MB at 32 nodes × 16 ranks).
+func TestNewWorldAllocatesPerRank(t *testing.T) {
+	fab := fabric.MustNew(sim.Topology{Nodes: 32, Sockets: 4, CoresPerSocket: 4}, fabric.DefaultParams())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := NewWorld(fab, 16)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 10<<20 {
+		t.Fatalf("NewWorld of %d ranks allocated %d bytes, want under 10 MB", w.Size, got)
+	}
+}
+
+// TestEagerExchange: two ranks each send the other 100 messages before their
+// first Recv. Sends never block, so both finish; with a bounded mailbox both
+// would fill it and wait for each other for ever.
+func TestEagerExchange(t *testing.T) {
+	const n = 100
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		world(2, 1).Run(func(r *Rank) {
+			peer := 1 - r.ID
+			for i := 0; i < n; i++ {
+				r.Send(peer, []float64{float64(i)})
+			}
+			for i := 0; i < n; i++ {
+				if got := r.Recv(peer); got[0] != float64(i) {
+					panic("messages reordered")
+				}
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("two ranks that send before they receive deadlocked")
 	}
 }

@@ -14,7 +14,7 @@
 // synchronization points): functional results are exact, and virtual timings
 // follow the order of lock acquisitions, as on real hardware. That order is set
 // at one seam: a simulated thread offers the host the turn only at Proc.Point,
-// and sleeps until another thread acts only on a WaitQueue.
+// and sleeps until another thread acts only on a Waiter, as WaitQueue.Park does.
 package sim
 
 import (

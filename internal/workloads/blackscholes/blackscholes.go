@@ -78,7 +78,7 @@ func Serial(p Params) []float64 {
 // RunLocal is the Pthreads baseline: threads of one machine, a barrier per
 // iteration.
 func RunLocal(p Params, threads int) wload.Result {
-	m := wload.NewLocalMachine(wload.Net())
+	m := wload.NewLocalMachine()
 	out := make([]float64, p.Options)
 	tab := table(p.Options)
 	t := m.Run(threads, func(lc *wload.LocalCtx) {

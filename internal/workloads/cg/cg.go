@@ -207,7 +207,7 @@ func RunSerial(p Params) wload.Result { return RunLocal(p, 1) }
 func RunLocal(p Params, threads int) wload.Result {
 	sm := BuildMatrix(p)
 	n := p.N
-	m := wload.NewLocalMachine(wload.Net())
+	m := wload.NewLocalMachine()
 	b := rhs(n)
 	x := make([]float64, n)
 	r := append([]float64(nil), b...)

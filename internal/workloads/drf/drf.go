@@ -120,7 +120,6 @@ func runReport(pr Params, home func(*core.Cluster, core.I64Slice, Params) (uint6
 	cfg.Mode = pr.Mode
 	cfg.Policy = pr.Policy
 	cfg.SWDiffSuppress = pr.Suppress
-	cfg.Net = wload.Net()
 	cfg.Faults = pr.Faults
 	c := wload.MustCluster(cfg)
 	defer c.Close()
@@ -224,7 +223,6 @@ func runFlagsReport(pr Params, fold func(uint64, *core.Cluster, core.I64Slice) u
 	cfg.MemoryBytes = int64(pr.Elements*8) + 1<<20
 	cfg.PageSize = pr.PageSize
 	cfg.Mode = pr.Mode
-	cfg.Net = wload.Net()
 	cfg.Faults = pr.Faults
 	c := wload.MustCluster(cfg)
 	defer c.Close()

@@ -100,7 +100,6 @@ func runReportOracle(pr Params) (Report, error) {
 	cfg.Mode = pr.Mode
 	cfg.Policy = pr.Policy
 	cfg.SWDiffSuppress = pr.Suppress
-	cfg.Net = wload.Net()
 	cfg.Faults = pr.Faults
 	c := wload.MustCluster(cfg)
 	xs := c.AllocI64(pr.Elements)

@@ -169,7 +169,6 @@ func runRing(pr RingParams, fold func(uint64, *core.Cluster, core.I64Slice) uint
 	cfg.MemoryBytes = int64(pr.Nodes) * bytesPerNode
 	cfg.PageSize = pr.PageSize
 	cfg.Policy = mem.Blocked
-	cfg.Net = wload.Net()
 	cfg.Faults = pr.Faults
 	c := wload.MustCluster(cfg)
 	defer c.Close()

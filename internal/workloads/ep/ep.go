@@ -95,7 +95,7 @@ func Serial(p Params) partial {
 
 // RunLocal is the OpenMP baseline.
 func RunLocal(p Params, threads int) wload.Result {
-	m := wload.NewLocalMachine(wload.Net())
+	m := wload.NewLocalMachine()
 	parts := make([]partial, p.Chunks)
 	var check float64
 	t := m.Run(threads, func(lc *wload.LocalCtx) {

@@ -160,7 +160,6 @@ func runCrash(p CrashParams, fold func(uint64, *core.Cluster, core.F64Slice) uin
 	if need := int64(n*n*8) + 1<<20; cfg.MemoryBytes < need {
 		cfg.MemoryBytes = need
 	}
-	cfg.Net = wload.Net()
 	cfg.Faults = p.Faults
 	c := wload.MustCluster(cfg)
 	defer c.Close()

@@ -197,7 +197,7 @@ func RunLocal(p Params, threads int) wload.Result {
 		panic(fmt.Sprintf("lu: N %d not a multiple of block %d", n, b))
 	}
 	nb := n / b
-	m := wload.NewLocalMachine(wload.Net())
+	m := wload.NewLocalMachine()
 	a := matrix(n)
 	get := func(dst []float64, bi, bj int) {
 		for r := 0; r < b; r++ {

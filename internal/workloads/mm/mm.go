@@ -88,7 +88,7 @@ func mulRows(c, a, b []float64, lo, hi, n int) {
 // RunLocal is the Pthreads baseline.
 func RunLocal(p Params, threads int) wload.Result {
 	n := p.N
-	m := wload.NewLocalMachine(wload.Net())
+	m := wload.NewLocalMachine()
 	a, b := inputs(n)
 	c := make([]float64, n*n)
 	t := m.Run(threads, func(lc *wload.LocalCtx) {

@@ -114,7 +114,7 @@ func check(sx, sy float64) float64 { return sx + 3*sy }
 // RunLocal is the Pthreads baseline.
 func RunLocal(p Params, threads int) wload.Result {
 	n := p.Bodies
-	m := wload.NewLocalMachine(wload.Net())
+	m := wload.NewLocalMachine()
 	in := initialState(n)
 	px, py, mass := slices.Clone(in.px), slices.Clone(in.py), in.mass
 	vx, vy := slices.Clone(in.vx), slices.Clone(in.vy)

@@ -160,7 +160,7 @@ const (
 // RunNative runs the single-machine benchmark (Figure 11) with the given
 // lock algorithm and thread count.
 func RunNative(kind NativeLockKind, threads int, p Params) Result {
-	m := wload.NewLocalMachine(wload.Net())
+	m := wload.NewLocalMachine()
 	heap := pairingheap.NewLocalHeap(p.Preload + threads*p.OpsPerThread + 16)
 	for i := 0; i < p.Preload; i++ {
 		heap.Insert(int64(i * 37 % p.Preload))
@@ -173,7 +173,7 @@ func RunNative(kind NativeLockKind, threads int, p Params) Result {
 	case NativePthread:
 		plain = locks.NewPthreadMutex(m.Fab)
 	case NativeCohort:
-		plain = locks.NewCohortLock(m.Fab, m.Topo.Sockets)
+		plain = locks.NewCohortLock(m.Fab, m.Fab.Topo.Sockets)
 	case NativeQD:
 		qd = locks.NewQDLock(m.Fab)
 	default:

@@ -21,15 +21,12 @@ import (
 	"argo/internal/stats"
 )
 
-// Net returns the evaluation cost model (one source of truth for every
-// variant of every workload).
-func Net() fabric.Params { return fabric.DefaultParams() }
-
-// NewFabric builds a fabric for an MPI/UPC world over the standard node
-// type (4 sockets × 4 cores).
+// NewFabric builds a fabric for an MPI/UPC world of nodes machines of the
+// evaluation's node type and cost model, both core.DefaultConfig's.
 func NewFabric(nodes int) *fabric.Fabric {
-	topo := sim.Topology{Nodes: nodes, Sockets: 4, CoresPerSocket: 4}
-	return fabric.MustNew(topo, Net())
+	cfg := core.DefaultConfig(nodes)
+	topo := sim.Topology{Nodes: nodes, Sockets: cfg.SocketsPerNode, CoresPerSocket: cfg.CoresPerSocket}
+	return fabric.MustNew(topo, cfg.Net)
 }
 
 // ArgoConfig is the workload-default cluster configuration: the evaluation
@@ -37,7 +34,6 @@ func NewFabric(nodes int) *fabric.Fabric {
 func ArgoConfig(nodes int, memBytes int64) core.Config {
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = memBytes
-	cfg.Net = Net()
 	return cfg
 }
 
@@ -71,15 +67,11 @@ func (r Result) String() string {
 // LocalMachine is a single shared-memory machine (the paper's node type:
 // four NUMA domains of four cores) used for the Pthreads/OpenMP baselines.
 type LocalMachine struct {
-	Topo sim.Topology
-	Fab  *fabric.Fabric
+	Fab *fabric.Fabric
 }
 
-// NewLocalMachine builds the baseline machine with the given cost model.
-func NewLocalMachine(p fabric.Params) *LocalMachine {
-	topo := sim.Topology{Nodes: 1, Sockets: 4, CoresPerSocket: 4}
-	return &LocalMachine{Topo: topo, Fab: fabric.MustNew(topo, p)}
-}
+// NewLocalMachine builds the baseline machine: one node of NewFabric's.
+func NewLocalMachine() *LocalMachine { return &LocalMachine{Fab: NewFabric(1)} }
 
 // LocalCtx is the per-thread context of a local (non-DSM) run.
 type LocalCtx struct {
@@ -108,7 +100,7 @@ func (m *LocalMachine) Run(threads int, body func(lc *LocalCtx)) sim.Time {
 	procs := make([]*sim.Proc, threads)
 	ctxs := make([]*LocalCtx, threads)
 	for i := 0; i < threads; i++ {
-		procs[i] = m.Topo.NewProc(0, i)
+		procs[i] = m.Fab.Topo.NewProc(0, i)
 		ctxs[i] = &LocalCtx{ID: i, Threads: threads, P: procs[i], bar: bar, barCost: barCost}
 	}
 	g := sim.NewGroup(procs)

@@ -154,7 +154,7 @@ func TestResultSpeedupAndString(t *testing.T) {
 }
 
 func TestLocalMachineRun(t *testing.T) {
-	m := NewLocalMachine(Net())
+	m := NewLocalMachine()
 	var total atomic.Int64
 	ms := m.Run(4, func(lc *LocalCtx) {
 		lc.Compute(int64(lc.ID) * 100)
