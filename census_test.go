@@ -802,3 +802,25 @@ func TestOneWayToSleep(t *testing.T) {
 		t.Errorf("blocking channel operations in library code: %v; want exactly %v (a simulated thread sleeps on sim.WaitQueue)", got, sleepSites)
 	}
 }
+
+// TestOneRecycler keeps one way to recycle (DESIGN §31): what library code
+// keeps for reuse — frames, chunks, TLBs, waiters, fence scratch — goes to a
+// sparse.FreeList, never to a sync.Pool, whose per-P items and collections
+// would make what a run allocates depend on the host scheduler and the
+// collector.
+func TestOneRecycler(t *testing.T) {
+	var pools []string
+	scanLibrary(t, func(path, name string, d ast.Decl) {
+		ast.Inspect(d, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sync" && sel.Sel.Name == "Pool" {
+					pools = append(pools, fmt.Sprintf("%s: %s", path, name))
+				}
+			}
+			return true
+		})
+	})
+	if len(pools) > 0 {
+		t.Errorf("sync.Pool in library code: %v; recycle through a sparse.FreeList", pools)
+	}
+}

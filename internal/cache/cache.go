@@ -56,15 +56,15 @@ type Slot struct {
 	// speculative (always discarded) load into the buffer. PrepareRefill is
 	// its one reader (see tlb.go, pillar 2).
 	published bool
-	// Data is the page content: a frame from mem's pool, taken at the slot's
-	// first refill and kept across refills until the cache's PutFrames.
+	// Data is the page content: a frame from mem's free frames, taken at the
+	// slot's first refill and kept across refills until the cache's Free.
 	Data    []byte
 	Twin    []byte   // pristine copy for diffing; non-nil only while Dirty
 	ReadyAt sim.Time // virtual time at which the content became available
 
 	// twinBuf is the slot's twin frame, taken at its first write miss and
-	// kept across DropTwin and Invalidate until PutFrames; Twin aliases it
-	// while Dirty.
+	// kept across DropTwin and Invalidate until Free; Twin aliases it while
+	// Dirty.
 	twinBuf []byte
 }
 
@@ -172,10 +172,11 @@ func (c *Cache) initLines(base int, chunk []Line) {
 }
 
 // resetLines brings a freed chunk back to what initLines leaves: every slot,
-// up to the slot array's capacity, empty, frameless and unpublished, and the
-// line off the used list. Act is zero already: no thread runs once a cache is
-// freed. The generation moves on rather than back, so no TLB entry filled
-// before the reset could validate after it.
+// up to the slot array's capacity, empty, unpublished and frameless — its data
+// and twin frames handed back (mem.PutFrame) — and the line off the used list.
+// Act is zero already: no thread runs once a cache is freed. The generation
+// moves on rather than back, so no TLB entry filled before the reset could
+// validate after it.
 func resetLines(chunk *[sparse.ChunkLen]Line) {
 	for i := range chunk {
 		ln := &chunk[i]
@@ -183,14 +184,20 @@ func resetLines(chunk *[sparse.ChunkLen]Line) {
 		ln.sy.Gen.Add(1)
 		slots := ln.slots[:cap(ln.slots)]
 		for j := range slots {
+			mem.PutFrame(slots[j].Data)
+			mem.PutFrame(slots[j].twinBuf)
 			slots[j] = Slot{Page: -1}
 		}
 	}
 }
 
-// Free hands the cache's line chunks to the next cluster's caches. Call it
-// after PutFrames, once no thread runs and no TLB built over the cache is used
-// again (core.Cluster.Close); afterwards the cache holds no line.
+// Free hands every slot's data and twin frame back, whatever state the slot
+// is in, and the cache's line chunks to the next cluster's caches, walking
+// only the lines that ever came into being; afterwards the cache holds no
+// line. The caller guarantees that no thread runs and no TLB built over the
+// cache is used again (core.Cluster.Close): only then can no stale entry load
+// from a frame another cluster is refilling. A frame a race-detector refill
+// left to stale entries is no slot's any more, so it is never handed back.
 func (c *Cache) Free() { c.lines.Free() }
 
 // MarkLineUsed records that ln holds at least one page.
@@ -275,7 +282,7 @@ func (c *Cache) SlotOf(ln *Line, page int) *Slot { return &ln.slots[page%c.Pages
 
 // PrepareRefill gives s a Data buffer the caller must overwrite with a page's
 // whole content before the slot leaves Invalid: its bytes are another page's,
-// of this cluster or — for a frame fresh from the pool — of a closed one. The
+// of this cluster or — for a recycled frame — of a closed one. The
 // caller holds the line lock and has bumped the line generation. The slot's
 // existing buffer is reused in place — whichever page it last held — so a
 // steady-state miss allocates nothing. The one exception is a race-detector
@@ -299,25 +306,6 @@ func (c *Cache) EnsureTwin(s *Slot) {
 	}
 	s.Twin = s.twinBuf
 	copy(s.Twin, s.Data)
-}
-
-// PutFrames hands every slot's data and twin frame to mem's frame pool,
-// walking only the lines that ever came into being. The caller guarantees that
-// no thread runs and no TLB built over the cache is used again
-// (core.Cluster.Close): only then can no stale entry load from a frame another
-// cluster is refilling. A frame a race-detector refill left to stale entries
-// is no slot's any more, so it is never handed back.
-func (c *Cache) PutFrames() {
-	c.lines.Chunks(func(_ int, chunk []Line) {
-		for i := range chunk {
-			for j := range chunk[i].slots {
-				s := &chunk[i].slots[j]
-				mem.PutFrame(s.Data)
-				mem.PutFrame(s.twinBuf)
-				s.Data, s.Twin, s.twinBuf, s.published = nil, nil, nil, false
-			}
-		}
-	})
 }
 
 // DropTwin retires the twin (after a writeback made the page clean). The

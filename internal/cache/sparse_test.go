@@ -256,7 +256,6 @@ func TestRecycledLineChunkIsFresh(t *testing.T) {
 			}
 			chunks++
 		})
-		prev.PutFrames()
 		prev.Free()
 		if prev.lines.Peek(0) != nil {
 			t.Fatal("a line survived Free")

@@ -47,14 +47,14 @@ package cache
 //     a plain refill store. Nothing else depends on the build.
 //
 //     Frames also outlive their cluster (mem.GetFrame/PutFrame), and that
-//     keeps the pillar sound as well. A frame leaves its slot only in
-//     PutFrames, which core.Cluster.Close calls after Run has returned:
-//     every thread of the run, and every TLB that could hold an entry into
-//     the frame, is gone, so another cluster's refill of the frame has no
-//     speculative reader at all. And a race-detector refill's abandoned
-//     published buffer is never handed back, because PutFrames returns only
-//     the frames slots hold: the stale entries that keep it reachable never
-//     share it with anyone's plain stores.
+//     keeps the pillar sound as well. A frame leaves its slot only when the
+//     cache's Free resets the slot's line chunk, and core.Cluster.Close calls
+//     Free after Run has returned: every thread of the run, and every TLB
+//     that could hold an entry into the frame, is gone, so another cluster's
+//     refill of the frame has no speculative reader at all. And a
+//     race-detector refill's abandoned published buffer is never handed back,
+//     because the reset returns only the frames slots hold: the stale entries
+//     that keep it reachable never share it with anyone's plain stores.
 //  3. Active-writer drain. A fast-path dirty write announces itself on the
 //     line's Act counter before validating and retracts after storing.
 //     BumpGen spins until Act is zero after bumping, so by the time a

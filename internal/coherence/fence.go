@@ -34,7 +34,6 @@ package coherence
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"argo/internal/cache"
 	"argo/internal/directory"
@@ -42,6 +41,7 @@ import (
 	"argo/internal/fault"
 	"argo/internal/probe"
 	"argo/internal/sim"
+	"argo/internal/sparse"
 )
 
 // fenceShardMin is the fewest used lines a sweep shard gets, and
@@ -60,8 +60,8 @@ func sweepShards(nl int) int {
 
 // fenceScratch holds the slices one fence works in, so that a steady-state
 // fence allocates nothing. The fencing thread takes a record from
-// fenceScratchPool when the fence starts and owns it until the fence returns.
-// Records go back to the pool with their slices' capacity intact and their
+// fenceScratches when the fence starts and owns it until the fence returns.
+// Records go back to the list with their slices' capacity intact and their
 // contents dead: every user reslices to [:0].
 type fenceScratch struct {
 	lines   []int             // used-line snapshot
@@ -76,11 +76,16 @@ type fenceScratch struct {
 	proc      sim.Proc // the running shard's clone of the fencing clock
 }
 
-var fenceScratchPool = sync.Pool{New: func() any { return new(fenceScratch) }}
+// fenceScratches keeps the records of fences that have returned. It never
+// shrinks: the process keeps one record per fence it ever ran at once.
+var fenceScratches sparse.FreeList[fenceScratch]
 
 // getFenceScratch returns a scratch record, reset.
 func getFenceScratch() *fenceScratch {
-	sc := fenceScratchPool.Get().(*fenceScratch)
+	sc := fenceScratches.Get()
+	if sc == nil {
+		sc = new(fenceScratch)
+	}
 	sc.items = sc.items[:0]
 	sc.inv, sc.kept = 0, 0
 	return sc
@@ -216,7 +221,7 @@ func (n *Node) SIFence(p *sim.Proc) {
 		n.postBurst(p, sc)
 	}
 	inv, kept := sc.inv, sc.kept
-	fenceScratchPool.Put(sc)
+	fenceScratches.Put(sc)
 	n.Obs.Since(p, t0, probe.SIFence, inv, kept)
 }
 
@@ -280,7 +285,7 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, sc *fenceScratch) {
 		n.Cache.RetireLineIfEmpty(ln)
 		ln.Unlock()
 	}
-	// A pooled record must not pin this cluster's cache once the run is over.
+	// A kept record must not pin this cluster's cache once the run is over.
 	clear(refs)
 }
 
@@ -312,7 +317,7 @@ func (n *Node) SDFence(p *sim.Proc) {
 		// completes (the flush that makes the writes globally visible).
 		p.Advance(n.Fab.P.RemoteLatency)
 	}
-	fenceScratchPool.Put(sc)
+	fenceScratches.Put(sc)
 	n.Obs.Since(p, t0, probe.SDFence, downgraded, residue)
 }
 

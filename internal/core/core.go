@@ -277,13 +277,13 @@ func MustNewCluster(cfg Config) *Cluster {
 // with.
 var errClosed = errors.New("core: cluster closed")
 
-// Close hands the cluster's page frames — every home page, and every cache
-// slot's copy and twin on every node — back to the process's frame pool
-// (mem.GetFrame), where the next cluster built takes them instead of
-// allocating its simulated memory anew; then it hands the skeleton those
-// frames hung from — the home page table, the Pyxis maps and every node's
-// cache lines — to the chunk pools the next cluster's skeleton comes from. It
-// walks only what the cluster touched. Call it once the cluster's answers
+// Close hands the cluster's skeleton — the home page table, the Pyxis maps and
+// every node's cache lines — to the chunk pools the next cluster's skeleton
+// comes from, and with it the page frames it holds — every home page, and
+// every cache slot's copy and twin on every node — to the process's free
+// frames (mem.GetFrame), where the next cluster built takes them instead of
+// allocating its simulated memory anew. It walks only what the cluster
+// touched. Call it once the cluster's answers
 // have been read: afterwards Run, Init*, Dump* and Alloc* panic with a
 // "cluster closed" error, and a slice Space.HomeBytes returned must not be
 // used, while Stats, Hits and Health stay readable. A second Close does
@@ -295,10 +295,6 @@ func (c *Cluster) Close() {
 	defer c.runMu.Unlock()
 	if c.closed.Swap(true) {
 		return
-	}
-	c.Space.PutFrames()
-	for _, n := range c.Nodes {
-		n.Cache.PutFrames()
 	}
 	c.Space.Free()
 	c.Dir.Free()

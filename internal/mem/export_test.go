@@ -6,3 +6,12 @@ func (s *Space) Chunks() (n int) {
 	s.pages.Chunks(func(int, []page) { n++ })
 	return n
 }
+
+// EmptyFrames drops every frame handed back so far, of every size: until the
+// next PutFrame, GetFrame makes each frame anew, zero.
+func EmptyFrames() {
+	for i := range frames {
+		for frames[i].Get() != nil {
+		}
+	}
+}

@@ -12,13 +12,13 @@
 // and keeps concurrent writeback/fetch pairs race-free. The slice exists only
 // once the page has been written: NewSpace allocates no backing storage, the
 // first WritePageFull, Writeback, ApplyDiff or HomeBytes of a page takes a
-// frame from the process's frame pool (frame.go) and clears it under the
+// frame from the process's free frames (frame.go) and clears it under the
 // page's write lock, and a page nobody has written reads as zeros without ever
 // getting a frame — a run pays for the home memory it touches, not for the
-// capacity it reserved. PutFrames hands the frames back when the cluster
-// closes. The page table itself (lock and slice header per page) appears the
-// same way, sparse.ChunkLen pages at a time at the first write into the chunk,
-// and Free hands its chunks to the next cluster's space.
+// capacity it reserved. The page table itself (lock and slice header per page)
+// appears the same way, sparse.ChunkLen pages at a time at the first write
+// into the chunk, and Free hands its chunks, and the frames they hold, back
+// when the cluster closes.
 // All costs are charged through the fabric by the callers (cache/coherence
 // layers).
 package mem
@@ -81,8 +81,14 @@ type page struct {
 }
 
 // pagePool recycles page-table chunks from a closed cluster's space to the
-// next cluster's (Free). A zeroed page is a fresh one.
-var pagePool = sparse.NewPool[page](nil)
+// next cluster's (Free). Its reset hands each page's frame back; a zeroed page
+// is a fresh one.
+var pagePool = sparse.NewPool(func(chunk *[sparse.ChunkLen]page) {
+	for i := range chunk {
+		PutFrame(chunk[i].data)
+	}
+	clear(chunk[:])
+})
 
 // NewSpace creates a global address space of totalBytes bytes (rounded up to
 // whole pages) distributed over nodes homes. No page has backing storage yet.
@@ -438,7 +444,7 @@ func (s *Space) ApplyDiff(p int, data, twin []byte) int {
 // it if the page has never been written. It is intended for tests, for
 // zero-cost initialization and for building verification snapshots: the
 // returned slice may only be used while all simulated threads are quiesced,
-// and only until PutFrames (core.Cluster.Close) — the frame then belongs to
+// and only until Free (core.Cluster.Close) — the frame then belongs to
 // whichever page, cache slot or twin of whichever cluster takes it next.
 func (s *Space) HomeBytes(p int) []byte {
 	pg, home := s.lockHome(p)

@@ -41,7 +41,9 @@ type Array[T any] struct {
 // out, under a mutex. A sync.Pool would keep one item per P that only that
 // P's Get finds, so what a run allocates would depend on where the host
 // scheduler put it. A collection does not empty a FreeList: the process keeps
-// the largest skeleton it has built (about 1 MB for the ledger's lu_bulk).
+// the largest skeleton it has built (about 1 MB for the ledger's lu_bulk) and
+// the most page frames it ever had handed back at once (about 60 MB once the
+// ledger has run lu_chaos).
 type FreeList[T any] struct {
 	mu   sync.Mutex
 	free []*T
