@@ -93,19 +93,16 @@ func main() {
 	if chaos {
 		plan = *chaosFlag.Plan()
 	}
-	// The full plan (crash, partition, safe points) runs only on the
-	// crash-tolerant planner workloads below: random DRF programs are
+	// The full plan (crash, partition, scripts, safe points) runs only on
+	// the crash-tolerant planner workloads below: random DRF programs are
 	// neither crash- nor partition-tolerant (a dead writer's epoch is simply
 	// gone), so their sweeps see the transient rates alone.
 	crashRate := plan.Crash
 	luPlan := plan
-	plan.Crash = 0
-	plan.Partition = 0
-	plan.PartitionOneWay = false
-	plan.PartitionFrom, plan.PartitionTo = 0, 0
-	plan.CrashPoints = 0
+	plan = fault.Plan{Seed: plan.Seed, Drop: plan.Drop, Delay: plan.Delay, Jitter: plan.Jitter,
+		StallP: plan.StallP, Stall: plan.Stall, AtomicFail: plan.AtomicFail}
 
-	if crashRate > 0 || luPlan.Partition > 0 {
+	if luPlan.Armed() {
 		// Crash sweep: the crash-tolerant ring under crash-stop and
 		// crash-restart, at fractions and multiples of the requested rate,
 		// stacked on top of the full spec — transient rates, partitions
@@ -131,13 +128,12 @@ func main() {
 		}
 	}
 
-	if crashRate > 0 || luPlan.Partition > 0 {
+	if luPlan.Armed() {
 		// Chaos LU: mid-factorization crash-stops, crash-restarts and healing
 		// partial partitions under the full spec, on the repair-planner LU.
 		p := luPlan
 		p.Crash = crashRate
-		fmt.Printf("argo-stress: chaos LU, crash=%g restart=%v partition=%g partdur=%d (seed %d)\n",
-			p.Crash, p.CrashRestart, p.Partition, p.PartitionDur, *seed)
+		fmt.Printf("argo-stress: chaos LU, plan %s (seed %d)\n", p.String(), *seed)
 		rep, err := lu.ReplayCheck(lu.DefaultCrashParams(), p)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "\nCHAOS LU FAIL: %v\n", err)

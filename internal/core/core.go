@@ -186,8 +186,8 @@ type Cluster struct {
 	FI *fault.Injector
 
 	// Health is the Cygnus failure detector and membership view. Always
-	// constructed; Health.Armed() is false unless the fault plan carries a
-	// crash or partition rate or a crash or partition was scripted.
+	// constructed; Health.Armed() is false unless the fault plan can crash
+	// or cut, by a rate or a scripted entry.
 	Health *health.Detector
 
 	runMu    sync.Mutex

@@ -74,8 +74,7 @@ const (
 	// ClassPartition is a partial network partition: fabric reachability
 	// between two node subsets is severed for a span of barrier episodes
 	// while both sides stay alive. Like ClassCrash the verdict is a pure
-	// hash of (seed, episode) — see Plan.PartitionSpan and
-	// Plan.PartitionCutAt.
+	// hash of (seed, episode) — see Plan.CutAt.
 	ClassPartition
 
 	// NumClasses is the number of operation classes.
@@ -163,7 +162,8 @@ func parseSafePoints(s string) (SafePoint, error) {
 
 // Plan describes what Corvus injects; the zero value injects nothing. How a
 // requester recovers is not part of a plan (see Timeout), so the spec a plan
-// renders to (String) names everything that drives its run.
+// renders to (String) names everything that drives its run: its rates and
+// its scripts alike.
 type Plan struct {
 	// Seed drives every injection decision. Same seed, same program ⇒
 	// same injected schedule.
@@ -196,9 +196,6 @@ type Plan struct {
 	// CrashRestart makes crashed nodes rejoin (with empty caches) at the
 	// barrier episode after their death instead of staying down.
 	CrashRestart bool
-	// CrashMinEpoch suppresses crashes before the given barrier episode
-	// (episodes count from 1), letting programs survive initialization.
-	CrashMinEpoch int
 	// CrashPoints arms additional safe points for crash delivery beyond
 	// barrier entry (which is always armed): SafeLock fires the verdict at
 	// ticket-lock acquire/release, SafeFlag at flag wait/signal. An early
@@ -215,7 +212,7 @@ type Plan struct {
 	PartitionDur int
 	// PartitionCut is how many nodes the cut isolates on the minority
 	// side (default 1, clamped to nodes-1). The isolated set is a hash-
-	// chosen run of consecutive node ids — see PartitionCutAt.
+	// chosen run of consecutive node ids — see CutAt.
 	PartitionCut int
 	// PartitionOneWay selects the asymmetric cut shape (Cygnus III,
 	// spec "partcut=a>b"): instead of isolating a hash-chosen minority
@@ -224,9 +221,48 @@ type Plan struct {
 	// the target still hears the source's targets while the source's own
 	// traffic toward the target is dropped; the cluster conservatively
 	// parks the source node (the only node whose released writes could be
-	// lost across the cut) for the span — see PartitionCutAt.
+	// lost across the cut) for the span — see CutAt.
 	PartitionOneWay            bool
 	PartitionFrom, PartitionTo int
+
+	// Crashes scripts deaths (keys crashat, restartat): a listed node dies as
+	// its entry says and ignores the Crash draws. One entry per node, in node
+	// order.
+	Crashes []ScriptedCrash
+	// Cuts scripts partitions (key cutat). They override the drawn ones while
+	// active; of two that overlap, the first listed wins.
+	Cuts []ScriptedCut
+}
+
+// ScriptedCrash is one scripted death: Node crash-stops at barrier episode
+// Episode and, with Restart, rejoins within it.
+type ScriptedCrash struct {
+	Node    int
+	Episode int64
+	Restart bool
+}
+
+// ScriptedCut is one scripted partition over barrier episodes [Start,
+// Start+Dur-1]: a symmetric cut isolating Nodes or, when OneWay, the
+// directed sever From→To.
+type ScriptedCut struct {
+	Start, Dur int64
+	Nodes      []int
+	OneWay     bool
+	From, To   int
+}
+
+// Cut is the partition shape active at one episode: the parked
+// (minority-side) member set, and — for a one-way cut — the directed severed
+// link. For a symmetric cut OneWay is false and Iso is the full minority; for
+// a one-way cut Iso is the source node alone (the only node whose released
+// writes could be lost across the cut; the target still hears everyone and
+// stays a full member, which is what prevents the asymmetric-suspicion
+// double-excise: only the source is ever suspected).
+type Cut struct {
+	Iso      []int
+	OneWay   bool
+	From, To int
 }
 
 // Requester-side recovery is the same under every plan: a lost operation is
@@ -243,8 +279,9 @@ const (
 	BackoffCap sim.Time = 64_000
 )
 
-// normalize fills the partition defaults: a partition rate without partdur
-// or partcut lasts one episode and cuts one node.
+// normalize fills the partition defaults — a partition rate without partdur
+// or partcut lasts one episode and cuts one node — and orders the scripted
+// crashes by node, whichever of crashat and restartat listed them.
 func (p *Plan) normalize() {
 	if p.Partition > 0 {
 		if p.PartitionDur == 0 {
@@ -254,6 +291,7 @@ func (p *Plan) normalize() {
 			p.PartitionCut = 1
 		}
 	}
+	slices.SortFunc(p.Crashes, func(a, b ScriptedCrash) int { return a.Node - b.Node })
 }
 
 // Validate reports whether the plan is usable.
@@ -268,9 +306,6 @@ func (p Plan) Validate() error {
 	}
 	if p.Jitter < 0 || p.Stall < 0 {
 		return fmt.Errorf("fault: negative duration in plan %+v", p)
-	}
-	if p.CrashMinEpoch < 0 {
-		return fmt.Errorf("fault: negative crashminepoch %d", p.CrashMinEpoch)
 	}
 	if p.CrashPoints&^(SafeBarrier|SafeLock|SafeFlag) != 0 {
 		return fmt.Errorf("fault: unknown crashpoints bits %#x", int(p.CrashPoints))
@@ -289,26 +324,87 @@ func (p Plan) Validate() error {
 			return fmt.Errorf("fault: one-way cut %d>%d severs a node from itself", p.PartitionFrom, p.PartitionTo)
 		}
 	}
+	for i, c := range p.Crashes {
+		switch {
+		case c.Node < 0 || c.Episode < 0:
+			return fmt.Errorf("fault: negative field in scripted crash %s", c)
+		case slices.ContainsFunc(p.Crashes[:i], func(o ScriptedCrash) bool { return o.Node == c.Node }):
+			return fmt.Errorf("fault: node %d has two scripted crashes", c.Node)
+		}
+	}
+	for _, c := range p.Cuts {
+		switch {
+		case c.Start < 0 || c.From < 0 || c.To < 0 || slices.ContainsFunc(c.Nodes, func(n int) bool { return n < 0 }):
+			return fmt.Errorf("fault: negative field in scripted cut %s", c)
+		case c.Dur < 1 || (c.OneWay && c.From == c.To) || (!c.OneWay && len(c.Nodes) == 0):
+			return fmt.Errorf("fault: scripted cut %s cuts nothing", c)
+		}
+	}
 	return nil
 }
 
-// Enabled reports whether the plan injects anything at all.
+// Enabled reports whether the plan injects anything at all: the injector's
+// switch, which reads the rates only (scripts need no injector).
 func (p Plan) Enabled() bool {
 	return p.Drop > 0 || p.Delay > 0 || (p.StallP > 0 && p.Stall > 0) ||
 		p.AtomicFail > 0 || p.Crash > 0 || p.Partition > 0
 }
 
+// Armed reports whether the plan can crash a node or cut the fabric, by a
+// rate or by a script.
+func (p Plan) Armed() bool {
+	return p.Crash > 0 || p.Partition > 0 || len(p.Crashes) > 0 || len(p.Cuts) > 0
+}
+
 // CrashAt reports whether node crashes at the given barrier episode
-// (episodes count from 1). The verdict is a pure hash of (Seed, node,
+// (episodes count from 1), and whether it restarts afterwards. A scripted
+// node dies as its entry says; any other draws a pure hash of (Seed, node,
 // episode) — no counters, no host randomness — so a chaos run's crash
 // schedule replays bit-exactly, and adding unrelated operations to a
 // program never perturbs it.
-func (p Plan) CrashAt(node int, episode int64) bool {
-	if p.Crash <= 0 || episode < int64(p.CrashMinEpoch) {
-		return false
+func (p Plan) CrashAt(node int, episode int64) (dies, restart bool) {
+	for _, c := range p.Crashes {
+		if c.Node == node {
+			return c.Episode == episode, c.Restart
+		}
 	}
-	id := identity(p.Seed, node, ClassCrash, node, uint64(episode), 0)
-	return unit(id^saltCrash) < p.Crash
+	return p.Crash > 0 && unit(identity(p.Seed, node, ClassCrash, node, uint64(episode), 0)^saltCrash) < p.Crash, p.CrashRestart
+}
+
+// CutAt returns the shape of the partition active at the given barrier
+// episode on a cluster of nodes members, or a zero Cut (nil Iso) when the
+// fabric is whole: the first active scripted cut, else the drawn schedule.
+// Pure, so host-side planners and the member barrier agree bit-exactly.
+func (p Plan) CutAt(episode int64, nodes int) Cut {
+	for _, c := range p.Cuts {
+		if c.Start <= episode && episode < c.Start+c.Dur {
+			if cut := c.on(nodes); len(cut.Iso) > 0 {
+				return cut
+			}
+		}
+	}
+	start, ok := p.partitionSpan(episode)
+	switch {
+	case !ok:
+		return Cut{}
+	case p.PartitionOneWay:
+		return ScriptedCut{OneWay: true, From: p.PartitionFrom, To: p.PartitionTo}.on(nodes)
+	}
+	return Cut{Iso: p.partitionCutAt(start, nodes)}
+}
+
+// on is the cut's shape on a cluster of nodes members: nodes outside it are
+// left out, and a one-way cut with an endpoint outside it cuts nothing.
+func (c ScriptedCut) on(nodes int) Cut {
+	if c.OneWay {
+		if c.From >= nodes || c.To >= nodes {
+			return Cut{}
+		}
+		return Cut{Iso: []int{c.From}, OneWay: true, From: c.From, To: c.To}
+	}
+	iso := slices.DeleteFunc(slices.Clone(c.Nodes), func(n int) bool { return n >= nodes })
+	slices.Sort(iso)
+	return Cut{Iso: slices.Compact(iso)}
 }
 
 // ArmsPoint reports whether crash verdicts may be delivered early at the
@@ -319,69 +415,35 @@ func (p Plan) ArmsPoint(pt SafePoint) bool {
 	return pt == SafeBarrier || p.CrashPoints&pt != 0
 }
 
-// partitionStarts reports whether a fresh partition would begin at the
-// given episode, ignoring any partition already in flight.
-func (p Plan) partitionStarts(episode int64) bool {
-	id := identity(p.Seed, 0, ClassPartition, 0, uint64(episode), 0)
-	return unit(id^saltPartition) < p.Partition
-}
-
-// PartitionSpan reports whether a partition is active at the given barrier
-// episode and, if so, at which episode it started. At most one partition
-// is in flight at a time: while episodes [s, s+dur-1] are partitioned, the
-// per-episode start draws are ignored, and a new partition can begin no
-// earlier than s+dur. Like CrashAt this is a pure function of (Seed,
-// episode), so host-side planners and the runtime detector agree
-// bit-exactly on the schedule.
-func (p Plan) PartitionSpan(episode int64) (start int64, active bool) {
-	if p.Partition <= 0 || episode < 1 {
+// partitionSpan reports whether a drawn partition is active at the given
+// barrier episode and, if so, at which episode it started. At most one
+// partition is in flight at a time: while episodes [s, s+dur-1] are
+// partitioned, the per-episode start draws are ignored, and a new partition
+// can begin no earlier than s+dur.
+func (p Plan) partitionSpan(episode int64) (start int64, active bool) {
+	if p.Partition <= 0 {
 		return 0, false
 	}
-	dur := int64(p.PartitionDur)
-	if dur < 1 {
-		dur = 1
-	}
+	dur := max(int64(p.PartitionDur), 1)
 	var s int64 // start of the partition currently in flight; 0 = none
 	for e := int64(1); e <= episode; e++ {
 		if s > 0 && e >= s+dur {
 			s = 0
 		}
-		if s == 0 && p.partitionStarts(e) {
+		if s == 0 && unit(identity(p.Seed, 0, ClassPartition, 0, uint64(e), 0)^saltPartition) < p.Partition {
 			s = e
 		}
 	}
-	if s > 0 {
-		return s, true
-	}
-	return 0, false
+	return s, s > 0
 }
 
-// PartitionCutAt returns the isolated (minority-side) node set of the
-// partition that started at the given episode: PartitionCut consecutive
-// node ids beginning at a hash-chosen base, clamped to leave at least one
-// node on the majority side. Sorted ascending; nil when the cluster is
-// too small to cut.
-//
-// For a one-way plan (partcut=a>b) the "isolated" set is the cut's source
-// node alone: only a's traffic toward b is dropped, so a is the one node
-// whose released writes could be lost across the cut and the one the
-// cluster parks for the span, while b — which a still hears — stays a full
-// member. Nil when either endpoint is outside the cluster.
-func (p Plan) PartitionCutAt(start int64, nodes int) []int {
-	if p.PartitionOneWay {
-		if p.PartitionFrom >= nodes || p.PartitionTo >= nodes ||
-			p.PartitionFrom < 0 || p.PartitionTo < 0 || p.PartitionFrom == p.PartitionTo {
-			return nil
-		}
-		return []int{p.PartitionFrom}
-	}
-	k := p.PartitionCut
-	if k < 1 {
-		k = 1
-	}
-	if k > nodes-1 {
-		k = nodes - 1
-	}
+// partitionCutAt returns the isolated (minority-side) node set of the drawn
+// symmetric partition that started at the given episode: PartitionCut
+// consecutive node ids beginning at a hash-chosen base, clamped to leave at
+// least one node on the majority side. Sorted ascending; nil when the
+// cluster is too small to cut.
+func (p Plan) partitionCutAt(start int64, nodes int) []int {
+	k := min(max(p.PartitionCut, 1), nodes-1)
 	if k < 1 {
 		return nil
 	}
@@ -417,9 +479,20 @@ func (p Plan) String() string {
 		if p.CrashRestart {
 			add("crashrestart", "on")
 		}
-		if p.CrashMinEpoch > 0 {
-			add("crashminepoch", strconv.Itoa(p.CrashMinEpoch))
+	}
+	scripts := map[string][]string{} // each key's entries in listed order
+	for _, c := range p.Crashes {
+		k := "crashat"
+		if c.Restart {
+			k = "restartat"
 		}
+		scripts[k] = append(scripts[k], c.String())
+	}
+	for _, c := range p.Cuts {
+		scripts["cutat"] = append(scripts["cutat"], c.String())
+	}
+	for k, entries := range scripts {
+		add(k, strings.Join(entries, "+"))
 	}
 	if p.CrashPoints != 0 {
 		add("crashpoints", p.CrashPoints.String())
@@ -438,6 +511,23 @@ func (p Plan) String() string {
 	add("seed", strconv.FormatInt(p.Seed, 10))
 	sort.Strings(parts[:len(parts)-1]) // keep seed last for readability
 	return strings.Join(parts, ",")
+}
+
+// String renders the crash as one crashat or restartat entry.
+func (c ScriptedCrash) String() string { return fmt.Sprintf("%d@%d", c.Node, c.Episode) }
+
+// String renders the cut as one cutat entry: "1.5@5:2" isolates nodes 1
+// and 5 for episodes 5 and 6, "3>0@8:1" severs 3→0 for episode 8.
+func (c ScriptedCut) String() string {
+	what := strconv.Itoa(c.From) + ">" + strconv.Itoa(c.To)
+	if !c.OneWay {
+		nodes := make([]string, len(c.Nodes))
+		for i, n := range c.Nodes {
+			nodes[i] = strconv.Itoa(n)
+		}
+		what = strings.Join(nodes, ".")
+	}
+	return what + "@" + strconv.FormatInt(c.Start, 10) + ":" + strconv.FormatInt(c.Dur, 10)
 }
 
 func fmtDur(t sim.Time) string {
@@ -469,8 +559,9 @@ var specKeys = []specKey{
 	{"atomicfail", func(p *Plan, v string) (err error) { p.AtomicFail, err = parseRate(v); return }},
 	{"crash", func(p *Plan, v string) (err error) { p.Crash, err = parseRate(v); return }},
 	{"crashrestart", func(p *Plan, v string) (err error) { p.CrashRestart, err = parseBool(v); return }},
-	{"crashminepoch", func(p *Plan, v string) (err error) { p.CrashMinEpoch, err = strconv.Atoi(v); return }},
 	{"crashpoints", func(p *Plan, v string) (err error) { p.CrashPoints, err = parseSafePoints(v); return }},
+	{"crashat", func(p *Plan, v string) error { return p.addCrashes(v, false) }},
+	{"restartat", func(p *Plan, v string) error { return p.addCrashes(v, true) }},
 	{"partition", func(p *Plan, v string) (err error) { p.Partition, err = parseRate(v); return }},
 	{"partdur", func(p *Plan, v string) (err error) { p.PartitionDur, err = strconv.Atoi(v); return }},
 	{"partcut", func(p *Plan, v string) (err error) {
@@ -483,6 +574,7 @@ var specKeys = []specKey{
 		}
 		return
 	}},
+	{"cutat", (*Plan).addCuts},
 	{"seed", func(p *Plan, v string) (err error) { p.Seed, err = strconv.ParseInt(v, 10, 64); return }},
 }
 
@@ -500,12 +592,17 @@ func specKeyList() string {
 //	drop=0.01,stall=5us,stallp=0.02,seed=42
 //
 // Keys: drop, delay, jitter, stall, stallp, atomicfail, crash, crashrestart,
-// crashminepoch, crashpoints, partition, partdur, partcut, seed.
+// crashpoints, crashat, restartat, partition, partdur, partcut, cutat, seed.
 // Durations take an optional ns/us/ms/s suffix (bare numbers are virtual
 // nanoseconds); crashpoints takes a '+'-joined safe-point list
 // ("crashpoints=lock+flag"); partcut takes either a minority size
 // ("partcut=2", a symmetric cut) or a directed pair ("partcut=a>b", a
-// one-way cut severing only a's traffic toward b — Cygnus III). The seed
+// one-way cut severing only a's traffic toward b — Cygnus III). The three
+// script keys take '+'-joined entries and add to the plan's scripts:
+// crashat and restartat take node@episode ("crashat=1@2+4@6" crash-stops
+// node 1 at episode 2 and node 4 at episode 6; restartat's nodes rejoin),
+// cutat takes nodes@start:dur with the isolated nodes '.'-joined or a
+// directed pair ("cutat=1.5@5:2+3>0@8:1"; see ScriptedCut.String). The seed
 // defaults to 0; stall without stallp defaults stallp to the drop rate or
 // 0.01, whichever is larger; delay without jitter defaults jitter to 2.5 µs;
 // partition without partdur/partcut defaults both to 1 (one-way cuts have
@@ -543,6 +640,43 @@ func ParsePlan(spec string) (Plan, error) {
 		return Plan{}, err
 	}
 	return p, nil
+}
+
+// addCrashes appends the entries of a crashat or restartat value. Each must
+// be spelled as ScriptedCrash.String renders it, so the spec round-trips.
+func (p *Plan) addCrashes(v string, restart bool) error {
+	for _, e := range strings.Split(v, "+") {
+		c := ScriptedCrash{Restart: restart}
+		if _, err := fmt.Sscanf(e, "%d@%d", &c.Node, &c.Episode); err != nil || c.String() != e {
+			return fmt.Errorf("scripted crash %q is not node@episode", e)
+		}
+		p.Crashes = append(p.Crashes, c)
+	}
+	return nil
+}
+
+// addCuts appends the entries of a cutat value. Each must be spelled as
+// ScriptedCut.String renders it, which also rejects any field that does not
+// parse: it stays zero, and zero renders as "0".
+func (p *Plan) addCuts(v string) error {
+	for _, e := range strings.Split(v, "+") {
+		var c ScriptedCut
+		what, when, _ := strings.Cut(e, "@")
+		fmt.Sscanf(when, "%d:%d", &c.Start, &c.Dur)
+		if c.OneWay = strings.Contains(what, ">"); c.OneWay {
+			fmt.Sscanf(what, "%d>%d", &c.From, &c.To)
+		} else {
+			for _, n := range strings.Split(what, ".") {
+				x, _ := strconv.Atoi(n)
+				c.Nodes = append(c.Nodes, x)
+			}
+		}
+		if c.String() != e {
+			return fmt.Errorf("scripted cut %q is not nodes@start:dur", e)
+		}
+		p.Cuts = append(p.Cuts, c)
+	}
+	return nil
 }
 
 func parseBool(s string) (bool, error) {

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -79,7 +80,7 @@ func TestPlanStringRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parsing %q: %v", p.String(), err)
 	}
-	if p != q {
+	if !reflect.DeepEqual(p, q) {
 		t.Fatalf("round trip mismatch:\n  p=%+v\n  q=%+v", p, q)
 	}
 }
@@ -186,15 +187,15 @@ func TestParseCrashSpec(t *testing.T) {
 		check   func(t *testing.T, p Plan)
 	}{
 		{spec: "crash=0.05", check: func(t *testing.T, p Plan) {
-			if p.Crash != 0.05 || p.CrashRestart || p.CrashMinEpoch != 0 {
+			if p.Crash != 0.05 || p.CrashRestart {
 				t.Fatalf("got %+v", p)
 			}
 			if !p.Enabled() {
 				t.Fatal("crash rate should enable the plan")
 			}
 		}},
-		{spec: "crash=0.02,crashrestart=on,crashminepoch=3", check: func(t *testing.T, p Plan) {
-			if p.Crash != 0.02 || !p.CrashRestart || p.CrashMinEpoch != 3 {
+		{spec: "crash=0.02,crashrestart=on", check: func(t *testing.T, p Plan) {
+			if p.Crash != 0.02 || !p.CrashRestart {
 				t.Fatalf("got %+v", p)
 			}
 		}},
@@ -216,8 +217,6 @@ func TestParseCrashSpec(t *testing.T) {
 		{spec: "crash=1.5", wantErr: true},
 		{spec: "crash=-0.1", wantErr: true},
 		{spec: "crashrestart=maybe", wantErr: true},
-		{spec: "crashminepoch=-1", wantErr: true},
-		{spec: "crashminepoch=x", wantErr: true},
 	}
 	for _, c := range cases {
 		p, err := ParsePlan(c.spec)
@@ -240,7 +239,7 @@ func TestParseCrashSpec(t *testing.T) {
 func TestCrashSpecStringRoundTrip(t *testing.T) {
 	for _, spec := range []string{
 		"crash=0.05,seed=3",
-		"crash=0.02,crashrestart=on,crashminepoch=2,seed=7",
+		"crash=0.02,crashrestart=on,seed=7",
 		"drop=0.01,crash=0.1,crashrestart=on,seed=1",
 	} {
 		p, err := ParsePlan(spec)
@@ -251,7 +250,7 @@ func TestCrashSpecStringRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-parsing %q: %v", p.String(), err)
 		}
-		if p != q {
+		if !reflect.DeepEqual(p, q) {
 			t.Fatalf("round trip mismatch for %q:\n  p=%+v\n  q=%+v", spec, p, q)
 		}
 	}
@@ -259,10 +258,11 @@ func TestCrashSpecStringRoundTrip(t *testing.T) {
 
 func TestCrashAtDeterminism(t *testing.T) {
 	p, _ := ParsePlan("crash=0.2,seed=99")
+	dies := func(p Plan, node int, ep int64) bool { d, _ := p.CrashAt(node, ep); return d }
 	hits := 0
 	for node := 0; node < 8; node++ {
 		for ep := int64(1); ep <= 50; ep++ {
-			a, b := p.CrashAt(node, ep), p.CrashAt(node, ep)
+			a, b := dies(p, node, ep), dies(p, node, ep)
 			if a != b {
 				t.Fatalf("CrashAt(%d,%d) not deterministic", node, ep)
 			}
@@ -281,7 +281,7 @@ func TestCrashAtDeterminism(t *testing.T) {
 	same := true
 	for node := 0; node < 8 && same; node++ {
 		for ep := int64(1); ep <= 50; ep++ {
-			if p.CrashAt(node, ep) != q.CrashAt(node, ep) {
+			if dies(p, node, ep) != dies(q, node, ep) {
 				same = false
 				break
 			}
@@ -289,18 +289,6 @@ func TestCrashAtDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("crash schedule insensitive to seed")
-	}
-}
-
-func TestCrashAtMinEpoch(t *testing.T) {
-	p, _ := ParsePlan("crash=1,crashminepoch=5,seed=1")
-	for ep := int64(0); ep < 5; ep++ {
-		if p.CrashAt(0, ep) {
-			t.Fatalf("crash at episode %d below crashminepoch=5", ep)
-		}
-	}
-	if !p.CrashAt(0, 5) {
-		t.Fatal("rate-1 crash did not fire at crashminepoch")
 	}
 }
 
@@ -329,7 +317,7 @@ func TestParsePartitionSpec(t *testing.T) {
 			if p.Partition != 0 || p.Enabled() {
 				t.Fatalf("got %+v", p)
 			}
-			if _, active := p.PartitionSpan(10); active {
+			if _, active := p.partitionSpan(10); active {
 				t.Fatal("rate-0 plan has an active partition")
 			}
 		}},
@@ -397,7 +385,7 @@ func TestPartitionSpecStringRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-parsing %q: %v", p.String(), err)
 		}
-		if p != q {
+		if !reflect.DeepEqual(p, q) {
 			t.Fatalf("round trip mismatch for %q:\n  p=%+v\n  q=%+v", spec, p, q)
 		}
 	}
@@ -442,7 +430,7 @@ func TestParseSafePoints(t *testing.T) {
 			t.Errorf("ParseSafePoints(%q): %v", c.in, err)
 			continue
 		}
-		if got != c.want {
+		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("ParseSafePoints(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
@@ -482,10 +470,10 @@ func TestPartitionSpanSchedule(t *testing.T) {
 	var starts, active int
 	prevStart := int64(0)
 	for e := int64(1); e <= horizon; e++ {
-		s, on := p.PartitionSpan(e)
-		s2, on2 := p.PartitionSpan(e)
+		s, on := p.partitionSpan(e)
+		s2, on2 := p.partitionSpan(e)
 		if s != s2 || on != on2 {
-			t.Fatalf("PartitionSpan(%d) not deterministic", e)
+			t.Fatalf("partitionSpan(%d) not deterministic", e)
 		}
 		if !on {
 			prevStart = 0
@@ -517,8 +505,8 @@ func TestPartitionSpanSchedule(t *testing.T) {
 	q.Seed = 43
 	same := true
 	for e := int64(1); e <= horizon; e++ {
-		_, a := p.PartitionSpan(e)
-		_, b := q.PartitionSpan(e)
+		_, a := p.partitionSpan(e)
+		_, b := q.partitionSpan(e)
 		if a != b {
 			same = false
 			break
@@ -532,15 +520,15 @@ func TestPartitionSpanSchedule(t *testing.T) {
 func TestPartitionCutAt(t *testing.T) {
 	p, _ := ParsePlan("partition=0.5,partcut=2,seed=5")
 	const nodes = 6
-	cut := p.PartitionCutAt(3, nodes)
+	cut := p.partitionCutAt(3, nodes)
 	if len(cut) != 2 {
 		t.Fatalf("cut size %d, want 2: %v", len(cut), cut)
 	}
 	if !sort.IntsAreSorted(cut) {
 		t.Fatalf("cut not sorted: %v", cut)
 	}
-	if got := p.PartitionCutAt(3, nodes); !slicesEqual(got, cut) {
-		t.Fatalf("PartitionCutAt not deterministic: %v vs %v", got, cut)
+	if got := p.partitionCutAt(3, nodes); !slicesEqual(got, cut) {
+		t.Fatalf("partitionCutAt not deterministic: %v vs %v", got, cut)
 	}
 	for _, n := range cut {
 		if n < 0 || n >= nodes {
@@ -549,19 +537,19 @@ func TestPartitionCutAt(t *testing.T) {
 	}
 	// The cut is clamped to leave a majority-side survivor.
 	p.PartitionCut = 99
-	if got := p.PartitionCutAt(3, 4); len(got) != 3 {
+	if got := p.partitionCutAt(3, 4); len(got) != 3 {
 		t.Fatalf("oversized cut not clamped to nodes-1: %v", got)
 	}
 	// A one-node cluster cannot be cut at all.
-	if got := p.PartitionCutAt(3, 1); got != nil {
+	if got := p.partitionCutAt(3, 1); got != nil {
 		t.Fatalf("one-node cluster produced a cut: %v", got)
 	}
 	// Different start episodes move the cut around (hash-chosen base).
 	p.PartitionCut = 1
 	varies := false
-	first := p.PartitionCutAt(1, nodes)
+	first := p.partitionCutAt(1, nodes)
 	for s := int64(2); s <= 20; s++ {
-		if !slicesEqual(p.PartitionCutAt(s, nodes), first) {
+		if !slicesEqual(p.partitionCutAt(s, nodes), first) {
 			varies = true
 			break
 		}
@@ -586,31 +574,33 @@ func slicesEqual(a, b []int) bool {
 // TestSpecsThatReplacedBuilderChains pins, as Plan literals recorded from the
 // fluent builder's output on the last commit that had one (81f57a9), the spec
 // strings that took the place of its chains in the lu, recovery and root
-// options tests: the same plans, so the same fault schedules.
+// options tests: the same plans, so the same fault schedules. The builder
+// also set crashminepoch=1, which the spec grammar no longer has: episodes
+// count from 1, so it suppressed nothing.
 func TestSpecsThatReplacedBuilderChains(t *testing.T) {
 	for _, c := range []struct {
 		spec string
 		want Plan
 	}{
-		{"crash=0.06,crashminepoch=1,seed=20150615", Plan{Seed: 20150615, Crash: 0.06, CrashMinEpoch: 1}},
+		{"crash=0.06,seed=20150615", Plan{Seed: 20150615, Crash: 0.06}},
 		{"partition=0.15,partdur=2,seed=7", Plan{Seed: 7, Partition: 0.15, PartitionDur: 2, PartitionCut: 1}},
-		{"crash=0.05,crashminepoch=1,partition=0.12,partdur=1,seed=11",
-			Plan{Seed: 11, Crash: 0.05, CrashMinEpoch: 1, Partition: 0.12, PartitionDur: 1, PartitionCut: 1}},
-		{"crash=0.06,crashrestart=on,crashminepoch=1,seed=20150615", Plan{Seed: 20150615, Crash: 0.06, CrashRestart: true, CrashMinEpoch: 1}},
-		{"drop=0.005,crash=0.05,crashrestart=on,crashminepoch=1,crashpoints=lock+flag,partition=0.1,partdur=1,seed=13",
-			Plan{Seed: 13, Drop: 0.005, Crash: 0.05, CrashRestart: true, CrashMinEpoch: 1, CrashPoints: SafeLock | SafeFlag,
+		{"crash=0.05,partition=0.12,partdur=1,seed=11",
+			Plan{Seed: 11, Crash: 0.05, Partition: 0.12, PartitionDur: 1, PartitionCut: 1}},
+		{"crash=0.06,crashrestart=on,seed=20150615", Plan{Seed: 20150615, Crash: 0.06, CrashRestart: true}},
+		{"drop=0.005,crash=0.05,crashrestart=on,crashpoints=lock+flag,partition=0.1,partdur=1,seed=13",
+			Plan{Seed: 13, Drop: 0.005, Crash: 0.05, CrashRestart: true, CrashPoints: SafeLock | SafeFlag,
 				Partition: 0.1, PartitionDur: 1, PartitionCut: 1}},
 		{"partition=1,partdur=1,seed=1", Plan{Seed: 1, Partition: 1, PartitionDur: 1, PartitionCut: 1}},
-		{"crash=0.05,crashminepoch=1,seed=3", Plan{Seed: 3, Crash: 0.05, CrashMinEpoch: 1}},
-		{"drop=0.01,crash=0.06,crashrestart=on,crashminepoch=1,partition=0.15,partdur=2,seed=5",
-			Plan{Seed: 5, Drop: 0.01, Crash: 0.06, CrashRestart: true, CrashMinEpoch: 1, Partition: 0.15, PartitionDur: 2, PartitionCut: 1}},
+		{"crash=0.05,seed=3", Plan{Seed: 3, Crash: 0.05}},
+		{"drop=0.01,crash=0.06,crashrestart=on,partition=0.15,partdur=2,seed=5",
+			Plan{Seed: 5, Drop: 0.01, Crash: 0.06, CrashRestart: true, Partition: 0.15, PartitionDur: 2, PartitionCut: 1}},
 		{"crash=0.03,partition=0.1,partdur=2,partcut=2,seed=42", Plan{Seed: 42, Crash: 0.03, Partition: 0.1, PartitionDur: 2, PartitionCut: 2}},
 	} {
 		got, err := ParsePlan(c.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
-		if got != c.want {
+		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s:\n  parsed   %+v\n  recorded %+v", c.spec, got, c.want)
 		}
 	}
@@ -686,7 +676,7 @@ func TestOneWayCutSpecStringRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-parsing %q: %v", p.String(), err)
 		}
-		if p != q {
+		if !reflect.DeepEqual(p, q) {
 			t.Fatalf("round trip mismatch for %q:\n  p=%+v\n  q=%+v", spec, p, q)
 		}
 	}
@@ -697,14 +687,119 @@ func TestPartitionCutAtOneWay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ep := int64(1)
+	for ; ep < 64; ep++ {
+		if _, on := p.partitionSpan(ep); on {
+			break
+		}
+	}
 	// The parked set of a one-way cut is the source node alone — the only
 	// node whose released writes could be lost across the cut.
-	if got := p.PartitionCutAt(5, 6); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("PartitionCutAt = %v, want [1]", got)
+	if got := p.CutAt(ep, 6); !reflect.DeepEqual(got, Cut{Iso: []int{1}, OneWay: true, From: 1, To: 4}) {
+		t.Fatalf("CutAt(%d, 6) = %+v, want 1>4 parking [1]", ep, got)
 	}
 	// Endpoints outside the cluster leave the fabric whole rather than
 	// parking a phantom node.
-	if got := p.PartitionCutAt(5, 3); got != nil {
-		t.Fatalf("PartitionCutAt on a 3-node cluster = %v, want nil", got)
+	if got := p.CutAt(ep, 3); got.Iso != nil {
+		t.Fatalf("CutAt on a 3-node cluster = %+v, want the whole fabric", got)
+	}
+}
+
+// Scripted entries parse into the plan's lists, render back in the order they
+// are listed — overlapping cuts in either order, since the first listed wins —
+// and parse back to the same plan.
+func TestScriptedSpecRoundTrip(t *testing.T) {
+	p, err := ParsePlan("restartat=2@4,crashat=1@2+4@6,cutat=1.5@5:2+3>0@8:1,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Plan{Seed: 3,
+		Crashes: []ScriptedCrash{{Node: 1, Episode: 2}, {Node: 2, Episode: 4, Restart: true}, {Node: 4, Episode: 6}},
+		Cuts:    []ScriptedCut{{Start: 5, Dur: 2, Nodes: []int{1, 5}}, {Start: 8, Dur: 1, OneWay: true, From: 3, To: 0}}}
+	if !reflect.DeepEqual(p, want) {
+		t.Fatalf("parsed %+v\nwant   %+v", p, want)
+	}
+	if got := p.String(); got != "crashat=1@2+4@6,cutat=1.5@5:2+3>0@8:1,restartat=2@4,seed=3" {
+		t.Fatalf("rendered %q", got)
+	}
+	for _, spec := range []string{
+		p.String(),
+		"cutat=2@3:3+0>1@4:2,crash=0.1,partition=0.2,seed=9",
+		"cutat=0>1@4:2+2@3:3,crash=0.1,partition=0.2,seed=9",
+		"cutat=4.0.2@1:1,restartat=0@1+9@2,drop=0.01",
+	} {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q): %v", spec, err)
+		}
+		q, err := ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("re-parsing %q: %v", p.String(), err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip mismatch for %q:\n  p=%+v\n  q=%+v", spec, p, q)
+		}
+		if !p.Armed() || p.Enabled() != (p.Crash > 0 || p.Partition > 0 || p.Drop > 0) {
+			t.Fatalf("%q: armed %v, enabled %v", spec, p.Armed(), p.Enabled())
+		}
+	}
+	if p, _ := ParsePlan("crashpoints=lock,seed=1"); p.Crashes != nil || p.Cuts != nil || p.Armed() {
+		t.Fatalf("a plan without scripts has lists %v %v, armed %v", p.Crashes, p.Cuts, p.Armed())
+	}
+}
+
+func TestScriptedSpecRejected(t *testing.T) {
+	for _, spec := range []string{
+		"crashat=1@2,restartat=1@5", // two crashes of one node
+		"crashat=1@2+1@3",
+		"crashat=-1@2", "restartat=1@-2", "cutat=-1@2:1", "cutat=1@-2:1", "cutat=-1>0@2:1",
+		"cutat=1@2:0",   // shorter than an episode
+		"cutat=3>3@2:1", // a node severed from itself
+		"crashat=1", "crashat=1@x", "crashat=", "cutat=1@2", "cutat=1:2@3", "cutat=@2:1", "cutat=1.@2:1", "cutat=1>@2:1",
+	} {
+		if p, err := ParsePlan(spec); err == nil {
+			t.Errorf("ParsePlan(%q) = %+v, want an error", spec, p)
+		}
+	}
+}
+
+// A scripted node dies as its entry says whatever the draws say; an active
+// scripted cut wins over the drawn schedule, the first listed over a later
+// overlapping one, and nodes outside the cluster are left out of it.
+func TestScriptedVerdicts(t *testing.T) {
+	p, err := ParsePlan("crash=1,crashrestart=on,partition=1,partdur=1,restartat=2@3,crashat=5@1,cutat=3.1@2:2+4>0@3:2+9@7:1+8>0@8:1,seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		node          int
+		ep            int64
+		dies, restart bool
+	}{{2, 2, false, true}, {2, 3, true, true}, {5, 1, true, false}, {5, 2, false, false}, {0, 2, true, true}} {
+		if dies, restart := p.CrashAt(c.node, c.ep); dies != c.dies || (dies && restart != c.restart) {
+			t.Errorf("CrashAt(%d, %d) = %v, %v; want %v, %v", c.node, c.ep, dies, restart, c.dies, c.restart)
+		}
+	}
+	drawn := func(ep int64) Cut { // the drawn cut of episode ep on five nodes
+		start, _ := p.partitionSpan(ep)
+		return Cut{Iso: p.partitionCutAt(start, 5)}
+	}
+	for _, c := range []struct {
+		ep   int64
+		want Cut
+	}{
+		{2, Cut{Iso: []int{1, 3}}},
+		{3, Cut{Iso: []int{1, 3}}}, // overlaps 4>0: the first listed wins
+		{4, Cut{Iso: []int{4}, OneWay: true, From: 4, To: 0}},
+		{1, drawn(1)},
+		{7, drawn(7)}, // node 9 is outside: the draws decide
+		{8, drawn(8)}, // so is one endpoint of 8>0
+	} {
+		if got := p.CutAt(c.ep, 5); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("CutAt(%d, 5) = %+v, want %+v", c.ep, got, c.want)
+		}
+	}
+	if got := p.CutAt(7, 10); !reflect.DeepEqual(got, Cut{Iso: []int{9}}) {
+		t.Errorf("CutAt(7, 10) = %+v, want node 9 isolated", got)
 	}
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -13,12 +14,23 @@ import (
 // without stallp, partdur without partition, ...) are dropped from the
 // canonical form. The seeds that spell a removed key (slownode, slowfactor
 // and the recovery knobs timeout, retries, backoff, backoffcap) stay: they
-// exercise the unknown-key rejection path.
+// exercise the unknown-key rejection path, as does crashminepoch.
 func FuzzParsePlan(f *testing.F) {
 	for _, seed := range []string{
 		"",
 		"drop=0.01,delay=0.02,jitter=1ms,stall=5us,stallp=0.1",
-		"crash=0.05,crashrestart=on,crashminepoch=2,crashpoints=lock+flag",
+		"crash=0.05,crashrestart=on,crashpoints=lock+flag",
+		"crashat=1@2+4@6,restartat=2@4,seed=3",
+		"restartat=3@1+0@9,crashat=2@2",
+		"cutat=1.5@5:2+3>0@8:1,partition=0.1",
+		"cutat=3>0@8:1+2.1@7:3",
+		"crashat=1@2,restartat=1@3",
+		"cutat=1>1@2:1",
+		"cutat=1@2:0",
+		"cutat=@1:1",
+		"crashat=1@",
+		"cutat=1.@2:1",
+		"crashminepoch=2",
 		"partition=0.1,partdur=2,partcut=2,seed=9",
 		"partition=0.2,partcut=1>4,seed=7",
 		"slownode=1,slowfactor=2.5,atomicfail=0.01",
@@ -55,7 +67,8 @@ func FuzzParsePlan(f *testing.F) {
 			t.Fatalf("round trip changed Enabled for %q: %v -> %v", spec, p.Enabled(), q.Enabled())
 		}
 		if p.Crash != q.Crash || p.Partition != q.Partition ||
-			p.CrashPoints != q.CrashPoints || p.Seed != q.Seed {
+			p.CrashPoints != q.CrashPoints || p.Seed != q.Seed ||
+			!reflect.DeepEqual(p.Crashes, q.Crashes) || !reflect.DeepEqual(p.Cuts, q.Cuts) {
 			t.Fatalf("round trip changed the fault schedule for %q:\n  %s\n  %s", spec, s1, q.String())
 		}
 		// Sub-keys render only under their armed rate (an inert

@@ -5,16 +5,18 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 )
 
-// The keys the grammar dropped — the slow-node mode and the recovery knobs,
-// now constants — are refused, not silently ignored.
+// The keys the grammar dropped — the slow-node mode, the recovery knobs,
+// now constants, and crashminepoch, which no run needed — are refused, not
+// silently ignored.
 func TestRemovedKeysRefused(t *testing.T) {
 	for _, spec := range []string{
-		"slownode=1", "slowfactor=2", "timeout=20us", "retries=3", "backoff=1us", "backoffcap=64us",
+		"slownode=1", "slowfactor=2", "timeout=20us", "retries=3", "backoff=1us", "backoffcap=64us", "crashminepoch=1",
 	} {
 		if p, err := ParsePlan(spec); err == nil || !strings.Contains(err.Error(), "unknown key") {
 			t.Errorf("ParsePlan(%q) = %+v, %v; want an unknown-key error", spec, p, err)
@@ -105,7 +107,7 @@ func TestRepoSpecsRoundTrip(t *testing.T) {
 			t.Errorf("%q renders as %q, which does not parse: %v", spec, p.String(), err)
 			continue
 		}
-		if p != q {
+		if !reflect.DeepEqual(p, q) {
 			t.Errorf("%q renders as %q, which parses to another plan:\n  ran     %+v\n  printed %+v", spec, p.String(), p, q)
 		}
 	}

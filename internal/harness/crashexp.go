@@ -37,7 +37,7 @@ func crashExp(quick bool) ([]Table, error) {
 		restart bool
 	}{{"crash-stop", false}, {"crash-restart", true}} {
 		for _, rate := range rates {
-			plan := fault.Plan{Seed: 7, Crash: rate, CrashRestart: mode.restart, CrashMinEpoch: 1}
+			plan := fault.Plan{Seed: 7, Crash: rate, CrashRestart: mode.restart}
 			rep, err := drf.ReplayCheck(pr, plan)
 			if err != nil {
 				rows = append(rows, []string{mode.name, fmt.Sprintf("%g", rate),

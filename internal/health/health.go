@@ -38,20 +38,20 @@
 // double-excise — and the restart rendezvous that serializes a rejoining
 // node against in-flight membership-epoch barriers (package vela).
 //
-// Determinism: a crash verdict is fault.Plan.CrashAt(node, episode) and a
-// partition span is fault.Plan.PartitionSpan(episode) — pure hashes of
-// (seed, node, episode). Scripted crashes (ScheduleCrash) and partitions
-// (SchedulePartition) are equally schedule-independent. All detector state
-// transitions are driven by the virtual clocks of the threads that discover
-// them, so two runs of the same program produce identical crash schedules,
-// membership-epoch histories and makespans.
+// Determinism: the detector holds membership state only — node states, the
+// epoch, the transition history and the callbacks. Every verdict is the
+// plan's: fault.Plan.CrashAt(node, episode) and fault.Plan.CutAt(episode,
+// nodes) read its scripted entries first and draw pure hashes of (seed,
+// node, episode) second, so a run's whole fault schedule is its plan. All
+// state transitions are driven by the virtual clocks of the threads that
+// discover them, so two runs of the same program produce identical crash
+// schedules, membership-epoch histories and makespans.
 package health
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,14 +137,12 @@ func (t Transition) Decision() string {
 // Lives.
 type Detector struct {
 	nodes int
-	plan  fault.Plan // Crash* and Partition* drive verdicts
+	plan  fault.Plan // the schedule every verdict reads
 
 	// Obs, when non-nil, hears of every membership transition and of the
 	// view (epoch, live nodes) it leaves. A Crash is the source endpoint of
 	// the causal edge to the survivors' reconfiguration wait.
 	Obs *probe.Spine
-
-	armedScript atomic.Bool // true once a crash has been scripted
 
 	mu        sync.Mutex
 	state     []state
@@ -154,43 +152,15 @@ type Detector struct {
 	history   []Transition
 	onExcise  []func(node int, at sim.Time)
 	onSuspect []func(node int, at sim.Time)
-	scripted  map[int]scriptedCrash
-	scriptedP []scriptedPartition
-}
-
-type scriptedCrash struct {
-	episode int64
-	restart bool
-}
-
-type scriptedPartition struct {
-	start, dur int64
-	nodes      []int
-	oneWay     bool
-	from, to   int
-}
-
-// Cut describes the partition shape active at one episode: the parked
-// (minority-side) member set, and — for a one-way cut — the directed
-// severed link. For a symmetric cut OneWay is false and Iso is the full
-// minority; for a one-way cut Iso is the source node alone (the only node
-// whose released writes could be lost across the cut; the target still
-// hears everyone and stays a full member, which is what prevents the
-// asymmetric-suspicion double-excise: only the source is ever suspected).
-type Cut struct {
-	Iso      []int
-	OneWay   bool
-	From, To int
 }
 
 // New builds a detector for nodes members under plan.
 func New(nodes int, plan fault.Plan) *Detector {
 	d := &Detector{
-		nodes:    nodes,
-		plan:     plan,
-		state:    make([]state, nodes),
-		diedEp:   make([]int64, nodes),
-		scripted: map[int]scriptedCrash{},
+		nodes:  nodes,
+		plan:   plan,
+		state:  make([]state, nodes),
+		diedEp: make([]int64, nodes),
 	}
 	for i := range d.diedEp {
 		d.diedEp[i] = -1
@@ -204,118 +174,16 @@ func (d *Detector) Nodes() int { return d.nodes }
 
 // Armed reports whether crashes or partitions can occur at all. When false,
 // barrier representatives publish no heartbeats.
-func (d *Detector) Armed() bool {
-	return d.plan.Crash > 0 || d.plan.Partition > 0 || d.armedScript.Load()
-}
+func (d *Detector) Armed() bool { return d.plan.Armed() }
 
 // ArmsPoint reports whether crash verdicts fire early at the given safe
 // point (barrier entry is always armed).
 func (d *Detector) ArmsPoint(pt fault.SafePoint) bool { return d.plan.ArmsPoint(pt) }
 
-// ScheduleCrash scripts a deterministic crash of node at the given barrier
-// episode (episodes count from 1), overriding the plan's hash draw for that
-// node. Call before the run starts; scripted crashes survive Reset so
-// replays repeat them.
-func (d *Detector) ScheduleCrash(node int, episode int64, restart bool) {
-	d.mu.Lock()
-	d.scripted[node] = scriptedCrash{episode: episode, restart: restart}
-	d.mu.Unlock()
-	d.armedScript.Store(true)
-}
-
-// SchedulePartition scripts a deterministic partition isolating the given
-// nodes for episodes [start, start+dur-1], overriding the plan's hash draw
-// while active. Call before the run starts; like scripted crashes it
-// survives Reset so replays repeat it.
-func (d *Detector) SchedulePartition(nodes []int, start, dur int64) {
-	if dur < 1 {
-		dur = 1
-	}
-	iso := append([]int{}, nodes...)
-	sort.Ints(iso)
-	d.mu.Lock()
-	d.scriptedP = append(d.scriptedP, scriptedPartition{start: start, dur: dur, nodes: iso})
-	d.mu.Unlock()
-	d.armedScript.Store(true)
-}
-
-// ScheduleOneWayCut scripts a deterministic asymmetric cut severing only
-// the directed link from→to for episodes [start, start+dur-1] (Cygnus
-// III). The source node is parked for the span exactly like a symmetric
-// minority; the target keeps running with the majority. Call before the
-// run starts; survives Reset like every scripted schedule.
-func (d *Detector) ScheduleOneWayCut(from, to int, start, dur int64) {
-	if dur < 1 {
-		dur = 1
-	}
-	d.mu.Lock()
-	d.scriptedP = append(d.scriptedP, scriptedPartition{
-		start: start, dur: dur, nodes: []int{from}, oneWay: true, from: from, to: to,
-	})
-	d.mu.Unlock()
-	d.armedScript.Store(true)
-}
-
-// CutAt returns the full shape of the partition active at the given
-// barrier episode, or a zero Cut (nil Iso) when the fabric is whole.
-// Pure: scripted partitions first, then the plan's hash schedule —
-// host-side planners and the member barrier agree bit-exactly.
-func (d *Detector) CutAt(ep int64) Cut {
-	d.mu.Lock()
-	for _, sp := range d.scriptedP {
-		if sp.start <= ep && ep < sp.start+sp.dur {
-			out := Cut{Iso: append([]int{}, sp.nodes...), OneWay: sp.oneWay, From: sp.from, To: sp.to}
-			d.mu.Unlock()
-			return out
-		}
-	}
-	d.mu.Unlock()
-	if start, ok := d.plan.PartitionSpan(ep); ok {
-		iso := d.plan.PartitionCutAt(start, d.nodes)
-		if len(iso) == 0 {
-			return Cut{}
-		}
-		if d.plan.PartitionOneWay {
-			return Cut{Iso: iso, OneWay: true, From: d.plan.PartitionFrom, To: d.plan.PartitionTo}
-		}
-		return Cut{Iso: iso}
-	}
-	return Cut{}
-}
-
-// partitionAt returns the sorted parked (minority-side) node set of the
-// partition active at the given barrier episode, or nil when the fabric is
-// whole — the Iso field of CutAt. For one-way cuts this is the source node
-// alone.
-func (d *Detector) partitionAt(ep int64) []int {
-	return d.CutAt(ep).Iso
-}
-
-// isolatedAt reports whether node is on the minority side of the partition
-// active at the given episode.
-func (d *Detector) isolatedAt(node int, ep int64) bool {
-	for _, n := range d.partitionAt(ep) {
-		if n == node {
-			return true
-		}
-	}
-	return false
-}
-
-// diesAt reports whether node crashes at the given barrier episode, and
-// whether it restarts afterwards. Pure: scripted schedule first, then the
-// plan's hash draw.
-func (d *Detector) diesAt(node int, episode int64) (dies, restart bool) {
-	if d.armedScript.Load() {
-		d.mu.Lock()
-		sc, ok := d.scripted[node]
-		d.mu.Unlock()
-		if ok {
-			return sc.episode == episode, sc.restart
-		}
-	}
-	return d.plan.CrashAt(node, episode), d.plan.CrashRestart
-}
+// CutAt returns the shape of the partition active at the given barrier
+// episode, or a zero Cut (nil Iso) when the fabric is whole: the plan's
+// verdict for this cluster.
+func (d *Detector) CutAt(ep int64) fault.Cut { return d.plan.CutAt(ep, d.nodes) }
 
 // Alive reports whether node is currently a live member.
 func (d *Detector) Alive(node int) bool {
@@ -520,8 +388,9 @@ func (d *Detector) DecisionHistoryString() string {
 }
 
 // Reset returns the detector to the all-alive, epoch-zero state (between
-// seeded runs of one cluster). Scripted crashes persist so a replayed run
-// repeats them; callbacks persist with the structures they guard.
+// seeded runs of one cluster). The plan, scripts included, and the callbacks
+// persist, so a replayed run repeats its schedule over the structures the
+// callbacks guard.
 func (d *Detector) Reset() {
 	d.mu.Lock()
 	for i := range d.state {

@@ -13,27 +13,35 @@ func det(nodes int, seed int64) *Detector {
 	return New(nodes, fault.Plan{Seed: seed})
 }
 
+// scripted builds a detector under a plan spelled as a spec.
+func scripted(t *testing.T, nodes int, spec string) *Detector {
+	t.Helper()
+	plan, err := fault.ParsePlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(nodes, plan)
+}
+
 // Scripted crash schedules are pure and survive Reset, so planners and the
 // member barrier evaluate identical verdicts on every replay.
 func TestScheduledCrashVerdicts(t *testing.T) {
-	d := det(4, 1)
-	d.ScheduleCrash(2, 3, true)
-	if dies, _ := d.diesAt(2, 2); dies {
-		t.Fatal("node 2 dies before its scripted episode")
+	d := scripted(t, 4, "restartat=2@3,seed=1")
+	if !d.Armed() {
+		t.Fatal("a scripted crash does not arm the detector")
 	}
-	dies, restart := d.diesAt(2, 3)
-	if !dies || !restart {
-		t.Fatalf("DiesAt(2,3) = %v,%v, want true,true", dies, restart)
-	}
-	if dies, _ := d.diesAt(1, 3); dies {
-		t.Fatal("unscripted node dies under a scripted schedule")
+	for _, c := range []struct {
+		node int
+		ep   int64
+		want Fate
+	}{{2, 2, Lives}, {2, 3, Restarts}, {1, 3, Lives}} {
+		if got := d.Fate(c.node, c.ep); got != c.want {
+			t.Fatalf("Fate(%d,%d) = %v, want %v", c.node, c.ep, got, c.want)
+		}
 	}
 	d.Reset()
-	if dies, _ := d.diesAt(2, 3); !dies {
-		t.Fatal("scripted crash lost across Reset")
-	}
 	if got := d.Fate(2, 3); got != Restarts {
-		t.Fatalf("Fate(2,3) = %v, want Restarts", got)
+		t.Fatalf("scripted crash lost across Reset: Fate(2,3) = %v", got)
 	}
 }
 
@@ -41,9 +49,7 @@ func TestScheduledCrashVerdicts(t *testing.T) {
 // symmetric cut, the source alone — with the directed link — for a one-way
 // cut, and the zero Cut outside every window.
 func TestCutAtScriptedShapes(t *testing.T) {
-	d := det(5, 1)
-	d.SchedulePartition([]int{3, 1}, 2, 2)
-	d.ScheduleOneWayCut(4, 0, 5, 1)
+	d := scripted(t, 5, "cutat=3.1@2:2+4>0@5:1,seed=1")
 
 	if c := d.CutAt(1); c.Iso != nil || c.OneWay {
 		t.Fatalf("CutAt(1) = %+v, want whole fabric", c)
@@ -61,7 +67,7 @@ func TestCutAtScriptedShapes(t *testing.T) {
 	if !c.OneWay || c.From != 4 || c.To != 0 || !reflect.DeepEqual(c.Iso, []int{4}) {
 		t.Fatalf("CutAt(5) = %+v, want one-way 4>0 parking {4}", c)
 	}
-	if !d.isolatedAt(4, 5) || d.isolatedAt(0, 5) {
+	if d.Fate(4, 5) != Parked || d.Fate(0, 5) != Lives {
 		t.Fatal("one-way cut must isolate the source, never the target")
 	}
 	d.Reset()
@@ -176,11 +182,7 @@ func TestHistoryRenderingIgnoresRecordingOrderOfConcurrentCrashes(t *testing.T) 
 // Fate is the one place the verdicts combine: crash wins over isolation, and
 // a restart is told apart from a stop.
 func TestFateCrashWinsOverIsolation(t *testing.T) {
-	d := det(5, 1)
-	d.SchedulePartition([]int{1, 2, 3}, 2, 1)
-	d.ScheduleCrash(2, 2, false)
-	d.ScheduleCrash(3, 2, true)
-	d.ScheduleCrash(4, 2, true)
+	d := scripted(t, 5, "cutat=1.2.3@2:1,crashat=2@2,restartat=3@2+4@2,seed=1")
 	for n, want := range []Fate{Lives, Parked, Stops, Restarts, Restarts} {
 		if got := d.Fate(n, 2); got != want {
 			t.Errorf("Fate(%d, 2) = %v, want %v", n, got, want)
@@ -195,10 +197,7 @@ func TestFateCrashWinsOverIsolation(t *testing.T) {
 // stop leaves at its death episode, a cut removes nobody — and a window
 // stays a window when the node it isolates is already gone.
 func TestWalkMembership(t *testing.T) {
-	d := det(4, 1)
-	d.ScheduleCrash(1, 1, true)
-	d.ScheduleCrash(3, 2, false)
-	d.SchedulePartition([]int{3}, 2, 3) // episodes 2-4; node 3 dies at the first
+	d := scripted(t, 4, "restartat=1@1,crashat=3@2,cutat=3@2:3,seed=1") // the cut spans episodes 2-4; node 3 dies at the first
 
 	w := d.NewWalk()
 	all := []int{0, 1, 2, 3}

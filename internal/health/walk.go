@@ -28,12 +28,12 @@ const (
 // Fate returns node's fate at barrier episode ep. Pure, like the verdicts it
 // combines.
 func (d *Detector) Fate(node int, ep int64) Fate {
-	switch dies, restart := d.diesAt(node, ep); {
+	switch dies, restart := d.plan.CrashAt(node, ep); {
 	case dies && restart:
 		return Restarts
 	case dies:
 		return Stops
-	case d.isolatedAt(node, ep):
+	case slices.Contains(d.CutAt(ep).Iso, node):
 		return Parked
 	}
 	return Lives
@@ -69,12 +69,12 @@ func (w *Walk) Members() []int { return w.members }
 
 // InWindow reports whether the next episode lies inside a partition window,
 // whether or not any node the cut isolates is still a member.
-func (w *Walk) InWindow() bool { return len(w.det.partitionAt(w.ep+1)) > 0 }
+func (w *Walk) InWindow() bool { return len(w.det.CutAt(w.ep+1).Iso) > 0 }
 
 // Parked returns the members the next episode's cut isolates, ascending.
 func (w *Walk) Parked() []int {
 	var out []int
-	for _, n := range w.det.partitionAt(w.ep + 1) {
+	for _, n := range w.det.CutAt(w.ep + 1).Iso {
 		if _, ok := slices.BinarySearch(w.members, n); ok {
 			out = append(out, n)
 		}
@@ -89,7 +89,7 @@ func (w *Walk) Step() (died, left []int) {
 	for _, n := range w.members {
 		// Fate's death rows: a death strikes whatever the cut says, so the
 		// cut (a scan of the partition schedule) is not consulted.
-		if dies, restart := w.det.diesAt(n, w.ep); dies {
+		if dies, restart := w.det.plan.CrashAt(n, w.ep); dies {
 			died = append(died, n)
 			if !restart {
 				left = append(left, n)

@@ -22,19 +22,18 @@ func (l *globalTicketLock) queued() int {
 	return l.waiters.Len()
 }
 
-// crashLockCluster builds a crash-armed cluster (scripted crash far beyond
+// crashLockCluster builds a crash-armed cluster (a scripted crash far beyond
 // the test's episodes, just to arm the detector) with a metrics suite so
 // lock excisions are counted.
 func crashLockCluster(nodes int) (*core.Cluster, *metrics.Suite) {
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = 4 << 20
-	plan := fault.Plan{Seed: 1}
+	plan := fault.Plan{Seed: 1, Crashes: []fault.ScriptedCrash{{Node: 0, Episode: 1 << 30}}}
 	cfg.Faults = &plan
 	ms := metrics.NewSuite()
 	cfg.Observers = append(cfg.Observers, ms)
 	c := core.MustNewCluster(cfg)
 	c.BarrierFactory = vela.DefaultBarrier
-	c.Health.ScheduleCrash(0, 1<<30, false) // arm, never fires
 	return c, ms
 }
 
@@ -290,14 +289,12 @@ func TestTicketLockHolderCrashAtUnlockSafePoint(t *testing.T) {
 	const nodes = 4
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = 4 << 20
-	plan := fault.Plan{Seed: 1}
-	plan.CrashPoints = fault.SafeLock
+	plan := fault.Plan{Seed: 1, CrashPoints: fault.SafeLock, Crashes: []fault.ScriptedCrash{{Node: 1, Episode: 2}}}
 	cfg.Faults = &plan
 	ms, tr := metrics.NewSuite(), trace.New(0)
 	cfg.Observers = append(cfg.Observers, ms, tr)
 	c := core.MustNewCluster(cfg)
 	c.BarrierFactory = vela.DefaultBarrier
-	c.Health.ScheduleCrash(1, 2, false)
 	l := newGlobalTicketLock(c, 0)
 
 	var acquired atomic.Int64

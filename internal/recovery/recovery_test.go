@@ -43,7 +43,10 @@ func counters(phases, cells int) Table[bump] {
 	return tab
 }
 
-func detector(nodes int) *health.Detector { return health.New(nodes, fault.Plan{Seed: 1}) }
+// detector builds a detector under the scripts a test spells as a spec.
+func detector(nodes int, script string) *health.Detector {
+	return health.New(nodes, mustPlan(script+",seed=1"))
+}
 
 // shape renders a script's body kinds, one letter each: Phase, Repair, reSet,
 // Idle.
@@ -67,9 +70,8 @@ func shape[T any](script []Body[T]) string {
 // A repairer dying mid-repair loses exactly its share of the repair, which is
 // repaired again after another reset; the dead take no further work.
 func TestPlanRepairerDiesMidRepair(t *testing.T) {
-	det := detector(4)
-	det.ScheduleCrash(1, 1, false) // loses its share of phase 0
-	det.ScheduleCrash(2, 3, false) // episode 3 is the repair of that share
+	// Node 1 loses its share of phase 0; episode 3 is the repair of that share.
+	det := detector(4, "crashat=1@1+2@3")
 	script, err := Plan(det, counters(2, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +98,7 @@ func TestPlanRepairerDiesMidRepair(t *testing.T) {
 // A node that dies and restarts keeps its slot: its tasks are lost like any
 // death's, and it repairs its share of them itself.
 func TestPlanRestartKeepsItsSlot(t *testing.T) {
-	det := detector(3)
-	det.ScheduleCrash(1, 1, true)
+	det := detector(3, "restartat=1@1")
 	script, err := Plan(det, counters(2, 6))
 	if err != nil {
 		t.Fatal(err)
@@ -117,10 +118,8 @@ func TestPlanRestartKeepsItsSlot(t *testing.T) {
 // member attends resets every cache — and a death at the reset episode itself
 // re-arms it.
 func TestPlanResetDeferredAndRearmed(t *testing.T) {
-	det := detector(4)
-	det.ScheduleCrash(1, 1, false)
-	det.SchedulePartition([]int{3}, 2, 2) // episodes 2 and 3
-	det.ScheduleCrash(2, 4, true)         // episode 4 is the deferred reset
+	// The cut spans episodes 2 and 3; episode 4 is the deferred reset.
+	det := detector(4, "crashat=1@1,cutat=3@2:2,restartat=2@4")
 	script, err := Plan(det, counters(2, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +132,7 @@ func TestPlanResetDeferredAndRearmed(t *testing.T) {
 // A workload that owes no reset (static roles moved by Handover) repairs at
 // once, and hears of each crash-stop with the members that remain.
 func TestPlanHandoverWithoutReset(t *testing.T) {
-	det := detector(4)
-	det.ScheduleCrash(0, 1, false)
-	det.ScheduleCrash(2, 1, false)
-	det.ScheduleCrash(3, 1, true)
+	det := detector(4, "crashat=0@1+2@1,restartat=3@1")
 	tab := counters(1, 4)
 	tab.Reset = false
 	var heard []string
@@ -157,10 +153,7 @@ func TestPlanHandoverWithoutReset(t *testing.T) {
 // survivor dies — a partition idle walk included — and so is one that never
 // lets the program finish.
 func TestPlanRejectsHopelessSchedules(t *testing.T) {
-	det := detector(2)
-	det.SchedulePartition([]int{1}, 2, 4)
-	det.ScheduleCrash(0, 2, false)
-	det.ScheduleCrash(1, 3, false)
+	det := detector(2, "cutat=1@2:4,crashat=0@2+1@3")
 	if _, err := Plan(det, counters(2, 2)); err == nil || !strings.Contains(err.Error(), "every node is dead") {
 		t.Fatalf("total loss inside an idle walk: err = %v", err)
 	}
@@ -171,9 +164,7 @@ func TestPlanRejectsHopelessSchedules(t *testing.T) {
 	}
 
 	// Everybody dying at the last barrier owes nobody anything.
-	last := detector(2)
-	last.ScheduleCrash(0, 2, false)
-	last.ScheduleCrash(1, 2, false)
+	last := detector(2, "crashat=0@2+1@2")
 	tab := counters(2, 2)
 	tab.Reset, tab.Phases[1].Losable = false, false
 	if _, err := Plan(last, tab); err != nil {
@@ -224,8 +215,8 @@ func runCounters(plan *fault.Plan, fail *bump) (counterRun, *core.Cluster, error
 // fault-free answer and a replayable decision history, through Replay.
 func TestRunAndReplayCounters(t *testing.T) {
 	for _, plan := range []fault.Plan{
-		mustPlan("crash=0.05,crashminepoch=1,seed=3"),
-		mustPlan("drop=0.01,crash=0.06,crashrestart=on,crashminepoch=1,partition=0.15,partdur=2,seed=5"),
+		mustPlan("crash=0.05,seed=3"),
+		mustPlan("drop=0.01,crash=0.06,crashrestart=on,partition=0.15,partdur=2,seed=5"),
 	} {
 		run, err := Replay(func(p *fault.Plan) (counterRun, error) {
 			run, _, err := runCounters(p, nil)
@@ -247,7 +238,7 @@ func TestRunAndReplayCounters(t *testing.T) {
 // it keeps attending barriers with no further work, its peers finish, and the
 // cluster is left consistent.
 func TestRunReturnsTaskErrorAndTerminates(t *testing.T) {
-	plan := mustPlan("crash=0.05,crashminepoch=1,seed=3")
+	plan := mustPlan("crash=0.05,seed=3")
 	for _, p := range []*fault.Plan{nil, &plan} {
 		_, c, err := runCounters(p, &bump{phase: 2, cell: 7})
 		if err == nil || !strings.Contains(err.Error(), "task {2 7} failed") {

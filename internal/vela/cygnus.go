@@ -116,7 +116,7 @@ func newMemberBarrier(c *core.Cluster, tpn int, cost sim.Time) *memberBarrier {
 
 // installCut raises the fabric cut: a directed one-way sever for an
 // asymmetric cut, a minority mask otherwise.
-func (m *memberBarrier) installCut(cut health.Cut) {
+func (m *memberBarrier) installCut(cut fault.Cut) {
 	if cut.OneWay {
 		m.c.Fab.SetOneWayCut(cut.From, cut.To)
 		return
@@ -426,7 +426,7 @@ func (m *memberBarrier) maybeComplete(ep int64, st *epState) {
 		} else {
 			// Mask only current members: a dead node's home memory stays
 			// remotely readable across any cut.
-			m.installCut(health.Cut{Iso: next})
+			m.installCut(fault.Cut{Iso: next})
 		}
 	} else if len(iso) > 0 {
 		m.c.Fab.ClearCut()

@@ -15,16 +15,15 @@ import (
 	"argo/internal/trace"
 )
 
-// crashCluster builds a cluster under a fault-free plan; the tests script
-// its crashes on the detector.
-func crashCluster(nodes int) *core.Cluster { return crashClusterMX(nodes, nil) }
+// crashCluster builds a cluster under a plan of scripted crashes and cuts,
+// spelled as spec keys ("crashat=0@3"; "" scripts nothing).
+func crashCluster(nodes int, script string) *core.Cluster { return crashClusterMX(nodes, nil, script) }
 
 // crashClusterMX is crashCluster reporting into the metrics suite ms.
-func crashClusterMX(nodes int, ms *metrics.Suite) *core.Cluster {
+func crashClusterMX(nodes int, ms *metrics.Suite, script string) *core.Cluster {
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = 4 << 20
-	plan := fault.Plan{Seed: 1}
-	cfg.Faults = &plan
+	cfg.Faults = mustPlan(script + ",seed=1")
 	if ms != nil {
 		cfg.Observers = append(cfg.Observers, ms)
 	}
@@ -36,10 +35,9 @@ func crashClusterMX(nodes int, ms *metrics.Suite) *core.Cluster {
 func TestCrashStopSurvivorsReconfigure(t *testing.T) {
 	const nodes, tpn, episodes = 4, 2, 6
 	ms := metrics.NewSuite()
-	c := crashClusterMX(nodes, ms)
 	// Node 0 dies at episode 3: this also exercises leader failover (the
 	// decay/reset duties move to the lowest surviving member).
-	c.Health.ScheduleCrash(0, 3, false)
+	c := crashClusterMX(nodes, ms, "crashat=0@3")
 
 	var survived atomic.Int64
 	var preCrash, postCrash [nodes * tpn]sim.Time
@@ -112,8 +110,7 @@ func TestCrashStopSurvivorsReconfigure(t *testing.T) {
 
 func TestCrashRestartRejoins(t *testing.T) {
 	const nodes, tpn, episodes = 3, 2, 5
-	c := crashCluster(nodes)
-	c.Health.ScheduleCrash(1, 2, true)
+	c := crashCluster(nodes, "restartat=1@2")
 
 	var finished atomic.Int64
 	c.Run(tpn, func(th *core.Thread) {
@@ -144,8 +141,7 @@ func TestCrashFlagSignalFromDyingNode(t *testing.T) {
 	// The signaler's node crash-restarts at the barrier *after* the signal:
 	// waiters on other nodes must still observe it, and the run completes.
 	const nodes = 3
-	c := crashCluster(nodes)
-	c.Health.ScheduleCrash(0, 1, true)
+	c := crashCluster(nodes, "restartat=0@1")
 	f := NewFlag(c, 0)
 
 	var got atomic.Int64
@@ -208,16 +204,14 @@ func (k *kindCounter) Observe(e probe.Event) { k.n[e.Kind].Add(1) }
 // heartbeat, and its global leg releases every representative at the latest
 // arrival plus the exit cost, as a fixed-count barrier would.
 func TestFaultFreeBarrierUnchangedWhenUnarmed(t *testing.T) {
-	heartbeats := func(arm func(c *core.Cluster)) int64 {
+	heartbeats := func(script string) int64 {
 		var k kindCounter
 		cfg := core.DefaultConfig(2)
 		cfg.MemoryBytes = 4 << 20
-		plan := fault.Plan{Seed: 1}
-		cfg.Faults = &plan
+		cfg.Faults = mustPlan(script + ",seed=1")
 		cfg.Observers = []probe.Sink{&k}
 		c := core.MustNewCluster(cfg)
 		c.BarrierFactory = DefaultBarrier
-		arm(c)
 		c.Run(2, func(th *core.Thread) {
 			for e := 0; e < 3; e++ {
 				th.Barrier()
@@ -225,14 +219,14 @@ func TestFaultFreeBarrierUnchangedWhenUnarmed(t *testing.T) {
 		})
 		return k.n[probe.Heartbeat].Load()
 	}
-	if n := heartbeats(func(*core.Cluster) {}); n != 0 {
+	if n := heartbeats(""); n != 0 {
 		t.Fatalf("unarmed run published %d heartbeats, want 0", n)
 	}
-	if n := heartbeats(func(c *core.Cluster) { c.Health.ScheduleCrash(0, 99, true) }); n != 2*3 {
+	if n := heartbeats("restartat=0@99"); n != 2*3 {
 		t.Fatalf("armed run published %d heartbeats, want one per representative and episode (6)", n)
 	}
 
-	c := crashCluster(2)
+	c := crashCluster(2, "")
 	b := newHierBarrier(c, 1)
 	if want := 2 * c.Fab.P.RemoteLatency; b.mem.cost != want {
 		t.Fatalf("global exit cost %d, want one round trip (%d) for two nodes", b.mem.cost, want)
@@ -312,8 +306,7 @@ func TestMemberBarrierFreesEpisodeRecords(t *testing.T) {
 func TestPartitionSuspectHealCycle(t *testing.T) {
 	const nodes, tpn, episodes = 3, 2, 6
 	ms := metrics.NewSuite()
-	c := crashClusterMX(nodes, ms)
-	c.Health.SchedulePartition([]int{2}, 2, 2)
+	c := crashClusterMX(nodes, ms, "cutat=2@2:2")
 
 	var finished atomic.Int64
 	var clocks [nodes * tpn]sim.Time
@@ -368,8 +361,7 @@ func TestPartitionSuspectHealCycle(t *testing.T) {
 // it at construction. The run must still complete and heal.
 func TestPartitionFromEpisodeOne(t *testing.T) {
 	const nodes, tpn, episodes = 3, 1, 4
-	c := crashCluster(nodes)
-	c.Health.SchedulePartition([]int{1}, 1, 1)
+	c := crashCluster(nodes, "cutat=1@1:1")
 
 	var finished atomic.Int64
 	c.Run(tpn, func(th *core.Thread) {
@@ -430,14 +422,11 @@ func TestCrashAtFlagSafePoint(t *testing.T) {
 	const nodes = 3
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = 4 << 20
-	plan := fault.Plan{Seed: 1}
-	plan.CrashPoints = fault.SafeFlag
-	cfg.Faults = &plan
+	cfg.Faults = mustPlan("crashpoints=flag,crashat=2@1,seed=1")
 	tr := trace.New(0)
 	cfg.Observers = append(cfg.Observers, tr)
 	c := core.MustNewCluster(cfg)
 	c.BarrierFactory = DefaultBarrier
-	c.Health.ScheduleCrash(2, 1, false)
 	f := NewFlag(c, 0)
 
 	var got atomic.Int64
@@ -489,8 +478,7 @@ func TestCrashAtFlagSafePoint(t *testing.T) {
 func TestRestartRendezvousAtResetEpisode(t *testing.T) {
 	const nodes, tpn, episodes = 3, 2, 5
 	run := func() (sim.Time, string) {
-		c := crashCluster(nodes)
-		c.Health.ScheduleCrash(1, 2, true)
+		c := crashCluster(nodes, "restartat=1@2")
 		ms := c.Run(tpn, func(th *core.Thread) {
 			for e := 1; e <= episodes; e++ {
 				th.Compute(int64(100 * (th.Rank + 1)))
@@ -526,10 +514,7 @@ func TestRestartRendezvousAtResetEpisode(t *testing.T) {
 // is why observe folds observer clocks into the episode's maxT.
 func TestAllRestartAtResetEpisode(t *testing.T) {
 	const nodes, tpn, episodes = 3, 2, 4
-	c := crashCluster(nodes)
-	for n := 0; n < nodes; n++ {
-		c.Health.ScheduleCrash(n, 2, true)
-	}
+	c := crashCluster(nodes, "restartat=0@2+1@2+2@2")
 	var finished atomic.Int64
 	c.Run(tpn, func(th *core.Thread) {
 		for e := 1; e <= episodes; e++ {
@@ -560,8 +545,7 @@ func TestAllRestartAtResetEpisode(t *testing.T) {
 // asymmetric-suspicion double-excise — and nobody is excised.
 func TestOneWayCutSuspectsOnlySource(t *testing.T) {
 	const nodes, tpn, episodes = 3, 2, 5
-	c := crashCluster(nodes)
-	c.Health.ScheduleOneWayCut(1, 0, 2, 2)
+	c := crashCluster(nodes, "cutat=1>0@2:2")
 
 	var sev10, sev01, sev12 atomic.Bool
 	var finished atomic.Int64
@@ -648,12 +632,9 @@ func TestOneWayCutScheduleDeterminism(t *testing.T) {
 // barrier reports.
 func TestWalkStepsBesideMemberBarrier(t *testing.T) {
 	const nodes, tpn, episodes = 6, 2, 9
-	c := crashCluster(nodes)
-	c.Health.ScheduleCrash(4, 2, false)
-	c.Health.ScheduleCrash(2, 4, true)
-	c.Health.ScheduleCrash(5, 6, false) // inside node 1's cut: crash wins, and strikes
-	c.Health.SchedulePartition([]int{1, 5}, 5, 2)
-	c.Health.ScheduleOneWayCut(3, 0, 8, 1)
+	// Node 5's death at episode 6 lies inside its own cut: crash wins, and
+	// strikes.
+	c := crashCluster(nodes, "crashat=4@2+5@6,restartat=2@4,cutat=1.5@5:2+3>0@8:1")
 
 	// Node 0 lives through every episode unparked, so its thread is back from
 	// barrier e before anything of episode e+1 can complete.
@@ -683,10 +664,7 @@ func TestWalkStepsBesideMemberBarrier(t *testing.T) {
 // before them.
 func TestExciseNeverPredatesItsCrash(t *testing.T) {
 	const nodes = 3
-	c := crashCluster(nodes)
-	for n := 0; n < nodes; n++ {
-		c.Health.ScheduleCrash(n, 2, false)
-	}
+	c := crashCluster(nodes, "crashat=0@2+1@2+2@2")
 	c.Run(2, func(th *core.Thread) {
 		th.Compute(int64(50_000 * (th.Rank + 1)))
 		th.Barrier()
@@ -717,4 +695,13 @@ func eventCount(ms *metrics.Suite, name, ev string) int64 {
 		}
 	}
 	return 0
+}
+
+// mustPlan parses a fault-plan spec the test wrote out itself.
+func mustPlan(spec string) *fault.Plan {
+	plan, err := fault.ParsePlan(spec)
+	if err != nil {
+		panic(err)
+	}
+	return &plan
 }

@@ -17,7 +17,6 @@ func crashPlan(seed int64, rate float64, restart bool) fault.Plan {
 	p := fault.Plan{Seed: seed}
 	p.Crash = rate
 	p.CrashRestart = restart
-	p.CrashMinEpoch = 1
 	return p
 }
 
@@ -51,7 +50,6 @@ func TestCrashRingWithTransientFaults(t *testing.T) {
 	p := testPlan(7)
 	p.Crash = 0.04
 	p.CrashRestart = false
-	p.CrashMinEpoch = 1
 	rep, err := ReplayCheck(RingParams{Nodes: 5, PerNode: 512, Epochs: 4, PageSize: 1024}, p)
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +67,8 @@ func TestCrashRingWithTransientFaults(t *testing.T) {
 // removes the node from later bodies.
 func TestPlanCrashRingMirrorsSchedule(t *testing.T) {
 	const nodes, epochs = 4, 3
-	det := health.New(nodes, fault.Plan{Seed: 1})
 	// Node 2 crash-stops at the barrier after epoch 0's write phase (episode 1).
-	det.ScheduleCrash(2, 1, false)
+	det := health.New(nodes, fault.Plan{Seed: 1, Crashes: []fault.ScriptedCrash{{Node: 2, Episode: 1}}})
 
 	script, err := recovery.Plan(det, ringTable(nodes, epochs))
 	if err != nil {
@@ -101,10 +98,11 @@ func TestPlanCrashRingMirrorsSchedule(t *testing.T) {
 // An all-nodes crash schedule is rejected at planning time, not by a hang.
 func TestPlanCrashRingRejectsTotalLoss(t *testing.T) {
 	const nodes = 3
-	det := health.New(nodes, fault.Plan{Seed: 1})
+	plan := fault.Plan{Seed: 1}
 	for n := 0; n < nodes; n++ {
-		det.ScheduleCrash(n, 1, false)
+		plan.Crashes = append(plan.Crashes, fault.ScriptedCrash{Node: n, Episode: 1})
 	}
+	det := health.New(nodes, plan)
 	if _, err := recovery.Plan(det, ringTable(nodes, 2)); err == nil {
 		t.Fatal("planner accepted a schedule that kills every node")
 	}
@@ -163,6 +161,25 @@ func TestCrashRingReplayOneWayCut(t *testing.T) {
 	}
 }
 
+// A scripted plan — a crash-stop, a crash-restart, a symmetric cut and a
+// one-way cut, no rates — runs through the one door like a drawn one: its
+// spec names the whole schedule, and the ring repairs and replays under it.
+func TestCrashRingReplayScriptedPlan(t *testing.T) {
+	p, err := fault.ParsePlan("crashat=2@3,restartat=4@5,cutat=1@7:2+3>0@10:1,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayCheck(DefaultRing(6), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "ep0:crash(n2)@e3 ep1:excise(n2)@e3 ep1:crash(n4)@e5 ep2:excise(n4)@e5 ep3:rejoin(n4)@e5 " +
+		"ep3:suspect(n1)@e7 ep4:heal(n1)@e8 ep4:suspect(n3)@e10 ep5:heal(n3)@e10"
+	if rep.Deaths != 2 || rep.Suspects != 2 || rep.Decisions != want {
+		t.Fatalf("deaths %d suspects %d, decisions\n  %s\nwant\n  %s", rep.Deaths, rep.Suspects, rep.Decisions, want)
+	}
+}
+
 // Crash-restarts and partitions under one ring plan: the restart rendezvous
 // and the idle walk compose, and the full RingReport — timestamps included
 // — replays bit-exactly.
@@ -184,9 +201,9 @@ func TestCrashRingReplayRestartPartitionMixed(t *testing.T) {
 // episode after the heal.
 func TestPlanCrashRingIdlesThroughPartitions(t *testing.T) {
 	const nodes, epochs = 4, 3
-	det := health.New(nodes, fault.Plan{Seed: 1})
-	det.SchedulePartition([]int{3}, 2, 2) // covers episodes 2 and 3
-	det.ScheduleOneWayCut(1, 0, 6, 1)     // covers episode 6
+	det := health.New(nodes, fault.Plan{Seed: 1, Cuts: []fault.ScriptedCut{
+		{Start: 2, Dur: 2, Nodes: []int{3}},                // covers episodes 2 and 3
+		{Start: 6, Dur: 1, OneWay: true, From: 1, To: 0}}}) // covers episode 6
 	window := map[int]bool{2: true, 3: true, 6: true}
 
 	script, err := recovery.Plan(det, ringTable(nodes, epochs))

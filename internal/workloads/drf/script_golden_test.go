@@ -19,17 +19,17 @@ var updateScripts = flag.Bool("update-scripts", false, "rewrite testdata/ring_sc
 
 // scriptKinds is the fault matrix of the script golden: every crash and
 // partition shape alone and stacked, plus a cell of scripted schedules
-// (ScheduleCrash, SchedulePartition, ScheduleOneWayCut drawn from the seed).
+// (fault.Plan's Crashes and Cuts, drawn from the seed).
 // lu/script_golden_test.go runs the same matrix over LU's table.
 var scriptKinds = []struct{ name, spec string }{
-	{"stop", "crash=0.06,crashminepoch=1"},
-	{"restart", "crash=0.06,crashrestart=on,crashminepoch=1"},
+	{"stop", "crash=0.06"},
+	{"restart", "crash=0.06,crashrestart=on"},
 	{"part", "partition=0.15,partdur=2"},
 	{"cut", "partition=0.15,partdur=2,partcut=1>2"},
-	{"stop+part", "crash=0.06,crashminepoch=1,partition=0.15,partdur=2"},
-	{"stop+cut", "crash=0.06,crashminepoch=1,partition=0.15,partdur=2,partcut=1>2"},
-	{"restart+part", "crash=0.06,crashrestart=on,crashminepoch=1,partition=0.15,partdur=2"},
-	{"restart+cut", "crash=0.06,crashrestart=on,crashminepoch=1,partition=0.15,partdur=2,partcut=1>2"},
+	{"stop+part", "crash=0.06,partition=0.15,partdur=2"},
+	{"stop+cut", "crash=0.06,partition=0.15,partdur=2,partcut=1>2"},
+	{"restart+part", "crash=0.06,crashrestart=on,partition=0.15,partdur=2"},
+	{"restart+cut", "crash=0.06,crashrestart=on,partition=0.15,partdur=2,partcut=1>2"},
 	{"scripted", ""},
 }
 
@@ -44,15 +44,24 @@ func scriptDetector(t *testing.T, spec string, seed int64, nodes int, episodes i
 		}
 		return health.New(nodes, plan)
 	}
-	det := health.New(nodes, fault.Plan{Seed: seed})
+	// The draws are those of the scripts this cell was generated with: a
+	// second crash of a node already listed replaces the first, and the
+	// symmetric cut is listed first, so it wins where the two overlap.
+	plan := fault.Plan{Seed: seed}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 1 + rng.Intn(2); i > 0; i-- {
-		det.ScheduleCrash(rng.Intn(nodes), 1+rng.Int63n(episodes), rng.Intn(2) == 0)
+		c := fault.ScriptedCrash{Node: rng.Intn(nodes), Episode: 1 + rng.Int63n(episodes), Restart: rng.Intn(2) == 0}
+		plan.Crashes = append(slices.DeleteFunc(plan.Crashes, func(o fault.ScriptedCrash) bool { return o.Node == c.Node }), c)
 	}
-	det.SchedulePartition([]int{rng.Intn(nodes)}, 1+rng.Int63n(episodes), 1+rng.Int63n(3))
+	iso := rng.Intn(nodes)
+	plan.Cuts = append(plan.Cuts, fault.ScriptedCut{Nodes: []int{iso}, Start: 1 + rng.Int63n(episodes), Dur: 1 + rng.Int63n(3)})
 	from := rng.Intn(nodes)
-	det.ScheduleOneWayCut(from, (from+1+rng.Intn(nodes-1))%nodes, 1+rng.Int63n(episodes), 1+rng.Int63n(2))
-	return det
+	to := (from + 1 + rng.Intn(nodes-1)) % nodes
+	plan.Cuts = append(plan.Cuts, fault.ScriptedCut{OneWay: true, From: from, To: to, Start: 1 + rng.Int63n(episodes), Dur: 1 + rng.Int63n(2)})
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return health.New(nodes, plan)
 }
 
 // scriptLine is one script's golden line: its seed, then either the body
@@ -193,7 +202,7 @@ func TestRingScriptGolden(t *testing.T) {
 func TestRingRejectsTotalLossInIdleWalk(t *testing.T) {
 	for _, cut := range []string{"", ",partcut=1>2"} {
 		for _, nodes := range []int{5, 6} {
-			plan, err := fault.ParsePlan("crash=0.06,crashminepoch=1,partition=0.15,partdur=2,seed=102" + cut)
+			plan, err := fault.ParsePlan("crash=0.06,partition=0.15,partdur=2,seed=102" + cut)
 			if err != nil {
 				t.Fatal(err)
 			}

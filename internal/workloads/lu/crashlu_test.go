@@ -29,7 +29,7 @@ func TestCrashLUFaultFreeMatchesSerial(t *testing.T) {
 // Crash-stop deaths mid-factorization: repairs restore the bit-exact
 // fault-free matrix, and same-seed replays agree on everything.
 func TestCrashLUReplayCrashes(t *testing.T) {
-	plan := mustPlan("crash=0.06,crashminepoch=1,seed=20150615")
+	plan := mustPlan("crash=0.06,seed=20150615")
 	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestCrashLUReplayPartitions(t *testing.T) {
 // Crashes and partitions under one plan: heal-vs-excise decisions serialize
 // at the membership barrier and stay bit-identical across replays.
 func TestCrashLUReplayMixed(t *testing.T) {
-	plan := mustPlan("crash=0.05,crashminepoch=1,partition=0.12,partdur=1,seed=11")
+	plan := mustPlan("crash=0.05,partition=0.12,partdur=1,seed=11")
 	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestCrashLUReplayMixed(t *testing.T) {
 // restart rendezvous serializes every rejoin past the in-flight reset —
 // same-seed runs agree on digests and the full decision history.
 func TestCrashLUReplayRestarts(t *testing.T) {
-	plan := mustPlan("crash=0.06,crashrestart=on,crashminepoch=1,seed=20150615")
+	plan := mustPlan("crash=0.06,crashrestart=on,seed=20150615")
 	rep, err := ReplayCheck(DefaultCrashParams(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -120,12 +120,28 @@ func TestCrashLUReplayOneWayCut(t *testing.T) {
 	}
 }
 
+// A scripted plan — a crash-stop, a crash-restart, a symmetric cut and a
+// one-way cut, no rates — is a spec like any other: the factorization
+// repairs to the fault-free matrix and replays its decisions under it.
+func TestCrashLUReplayScriptedPlan(t *testing.T) {
+	plan := mustPlan("crashat=2@3,restartat=4@5,cutat=1@7:2+3>0@10:1,seed=7")
+	rep, err := ReplayCheck(DefaultCrashParams(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "ep0:crash(n2)@e3 ep1:excise(n2)@e3 ep1:crash(n4)@e5 ep2:excise(n4)@e5 ep3:rejoin(n4)@e5 " +
+		"ep3:suspect(n1)@e7 ep4:heal(n1)@e8 ep4:suspect(n3)@e10 ep5:heal(n3)@e10"
+	if rep.Deaths != 2 || rep.Partitions != 2 || rep.History != want {
+		t.Fatalf("deaths %d partitions %d, decisions\n  %s\nwant\n  %s", rep.Deaths, rep.Partitions, rep.History, want)
+	}
+}
+
 // The full Cygnus III chaos stack under one plan: crash-restarts at lock
 // and flag safe points, one-way cuts, transient faults — recovery to the
 // fault-free image and bit-exact same-seed replay must survive the
 // composition.
 func TestCrashLUReplayRestartOneWayMixed(t *testing.T) {
-	plan := mustPlan("drop=0.005,crash=0.05,crashrestart=on,crashminepoch=1,crashpoints=lock+flag,partition=0.1,partdur=1,seed=13")
+	plan := mustPlan("drop=0.005,crash=0.05,crashrestart=on,crashpoints=lock+flag,partition=0.1,partdur=1,seed=13")
 	plan.PartitionOneWay = true
 	plan.PartitionFrom, plan.PartitionTo = 2, 0
 	rep, err := ReplayCheck(DefaultCrashParams(), plan)
@@ -171,7 +187,7 @@ func TestInPlaceAnswersAreTheDumpFolds(t *testing.T) {
 	if r := runArgo(wload.ArgoConfig(2, 8<<20), testParams(), 2, checksum); r.Check != wload.Checksum(Serial(testParams())) {
 		t.Fatalf("RunArgo checksum %v, serial %v", r.Check, wload.Checksum(Serial(testParams())))
 	}
-	plan := mustPlan("crash=0.06,crashminepoch=1,seed=20150615")
+	plan := mustPlan("crash=0.06,seed=20150615")
 	for _, faults := range []*fault.Plan{nil, &plan} {
 		p := DefaultCrashParams()
 		p.Faults = faults

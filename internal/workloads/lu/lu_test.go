@@ -92,7 +92,7 @@ func TestArgoMigratoryTraffic(t *testing.T) {
 // lossyPlan makes RunCrash repair lost kernels, the path on which it re-reads
 // the most.
 func lossyPlan() *fault.Plan {
-	plan := mustPlan("crash=0.06,crashminepoch=1,seed=20150615")
+	plan := mustPlan("crash=0.06,seed=20150615")
 	return &plan
 }
 

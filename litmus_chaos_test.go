@@ -27,7 +27,6 @@ import (
 	"argo"
 	"argo/internal/coherence"
 	"argo/internal/fault"
-	"argo/internal/health"
 )
 
 const (
@@ -38,17 +37,17 @@ const (
 	chaosRound  = 2
 )
 
-// chaosLitmusCase is one fault shape of the matrix. arm scripts the
-// schedule on the cluster's detector before Run; ep is the episode of the
-// victim's first barrier in round chaosRound (patterns with several
-// barriers per round strike later in absolute episodes, same round). aux,
+// chaosLitmusCase is one fault shape of the matrix. arm is the plan's
+// scripted entry, a spec key whose value takes the victim and ep, the
+// episode of the victim's first barrier in round chaosRound (patterns with
+// several barriers per round strike later in absolute episodes, same round). aux,
 // when set, builds the victim's per-round side operation — the sync op
 // that delivers a lock or flag safe-point crash.
 type chaosLitmusCase struct {
 	name   string
 	points fault.SafePoint
-	dies   bool // victim's thread never finishes (crash-stop)
-	arm    func(h *health.Detector, victim int, ep int64)
+	dies   bool   // victim's thread never finishes (crash-stop)
+	arm    string // format of a script key: victim, then ep
 	aux    func(c *argo.Cluster) func(th *argo.Thread, round int)
 	check  func(t *testing.T, c *argo.Cluster, victim, nodes int)
 }
@@ -98,18 +97,14 @@ func wantVictimHealed(t *testing.T, c *argo.Cluster, victim, nodes int) {
 
 var chaosLitmusCases = []chaosLitmusCase{
 	{
-		name: "crash-stop-at-barrier",
-		dies: true,
-		arm: func(h *health.Detector, victim int, ep int64) {
-			h.ScheduleCrash(victim, ep, false)
-		},
+		name:  "crash-stop-at-barrier",
+		dies:  true,
+		arm:   "crashat=%d@%d",
 		check: wantVictimDead,
 	},
 	{
 		name: "crash-restart-at-barrier",
-		arm: func(h *health.Detector, victim int, ep int64) {
-			h.ScheduleCrash(victim, ep, true)
-		},
+		arm:  "restartat=%d@%d",
 		check: func(t *testing.T, c *argo.Cluster, victim, nodes int) {
 			t.Helper()
 			if !c.Health.Alive(victim) || c.Health.LiveCount() != nodes {
@@ -137,9 +132,7 @@ var chaosLitmusCases = []chaosLitmusCase{
 		name:   "crash-stop-at-lock",
 		points: fault.SafeLock,
 		dies:   true,
-		arm: func(h *health.Detector, victim int, ep int64) {
-			h.ScheduleCrash(victim, ep, false)
-		},
+		arm:    "crashat=%d@%d",
 		aux: func(c *argo.Cluster) func(th *argo.Thread, round int) {
 			mu := argo.NewMutex(c, 0)
 			return func(th *argo.Thread, round int) {
@@ -157,9 +150,7 @@ var chaosLitmusCases = []chaosLitmusCase{
 		name:   "crash-stop-at-flag",
 		points: fault.SafeFlag,
 		dies:   true,
-		arm: func(h *health.Detector, victim int, ep int64) {
-			h.ScheduleCrash(victim, ep, false)
-		},
+		arm:    "crashat=%d@%d",
 		aux: func(c *argo.Cluster) func(th *argo.Thread, round int) {
 			f := argo.NewFlag(c, 0)
 			return func(th *argo.Thread, round int) {
@@ -172,10 +163,8 @@ var chaosLitmusCases = []chaosLitmusCase{
 		check: wantVictimDead,
 	},
 	{
-		name: "symmetric-partition",
-		arm: func(h *health.Detector, victim int, ep int64) {
-			h.SchedulePartition([]int{victim}, ep, 2)
-		},
+		name:  "symmetric-partition",
+		arm:   "cutat=%d@%d:2",
 		check: wantVictimHealed,
 	},
 	{
@@ -183,9 +172,7 @@ var chaosLitmusCases = []chaosLitmusCase{
 		// only the source parks and is suspected; the target must appear
 		// nowhere in the membership history.
 		name: "one-way-cut",
-		arm: func(h *health.Detector, victim int, ep int64) {
-			h.ScheduleOneWayCut(victim, 0, ep, 2)
-		},
+		arm:  "cutat=%d>0@%d:2",
 		check: func(t *testing.T, c *argo.Cluster, victim, nodes int) {
 			t.Helper()
 			wantVictimHealed(t, c, victim, nodes)
@@ -202,12 +189,14 @@ var chaosLitmusCases = []chaosLitmusCase{
 func chaosLitmusCluster(mode coherence.Mode, cc chaosLitmusCase, nodes, epPerRound int) (
 	*argo.Cluster, int, func(th *argo.Thread, round int)) {
 	cfg := smallConfig(nodes, mode)
-	plan := argo.FaultPlan{Seed: 1}
+	victim := nodes - 1
+	plan, err := argo.ParseFaultPlan(fmt.Sprintf(cc.arm, victim, epPerRound*chaosRound+1) + ",seed=1")
+	if err != nil {
+		panic(err)
+	}
 	plan.CrashPoints = cc.points
 	cfg.Faults = &plan
 	c := argo.MustNewCluster(cfg)
-	victim := nodes - 1
-	cc.arm(c.Health, victim, int64(epPerRound*chaosRound+1))
 	aux := func(*argo.Thread, int) {}
 	if cc.aux != nil {
 		aux = cc.aux(c)

@@ -1,6 +1,7 @@
 package argo_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestWithChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built != parsed {
+	if !reflect.DeepEqual(built, parsed) {
 		t.Fatalf("struct plan %+v != parsed plan %+v", built, parsed)
 	}
 	cfg.Faults = &built

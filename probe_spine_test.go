@@ -109,8 +109,7 @@ func deadHolder(sinks ...probe.Sink) {
 	cfg := argo.DefaultConfig(3)
 	cfg.MemoryBytes = 4 << 20
 	cfg.Observers = append(cfg.Observers, sinks...)
-	c := argo.MustNewCluster(cfg, argo.WithChaos("crashpoints=lock,seed=1"))
-	c.Health.ScheduleCrash(1, 2, false)
+	c := argo.MustNewCluster(cfg, argo.WithChaos("crashat=1@2,crashpoints=lock,seed=1"))
 	slot := c.AllocI64(1)         // homed at node 0,
 	mu := locks.NewDSMMutex(c, 2) // the lock word at node 2: every passage goes remote
 	c.Run(1, func(th *argo.Thread) {
