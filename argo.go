@@ -95,10 +95,6 @@ type (
 	// MembershipTransition is one membership event — crash, excise or
 	// rejoin — from Cluster.Health.History().
 	MembershipTransition = health.Transition
-	// Barrier is the interface of a launch's default barrier.
-	Barrier = core.BarrierWaiter
-	// BarrierFactory builds the default barrier for each SPMD launch.
-	BarrierFactory = func(c *Cluster, threadsPerNode int) Barrier
 )
 
 // DefaultConfig returns the evaluation-baseline configuration for a cluster
@@ -121,14 +117,13 @@ func NewTracer(limit int) *Tracer { return trace.New(limit) }
 // spelling only because the perf ledger's layer drivers name it.
 func NewSpanRecorder(limit int) *Tracer { return NewTracer(limit) }
 
-// Option adjusts the Config (or the default barrier) a cluster is built
-// from; NewCluster applies options in order on top of its cfg argument.
+// Option adjusts the Config a cluster is built from; NewCluster applies
+// options in order on top of its cfg argument.
 type Option func(*clusterOptions)
 
 type clusterOptions struct {
-	cfg     Config
-	barrier BarrierFactory
-	err     error // a malformed WithChaos spec
+	cfg Config
+	err error // a malformed WithChaos spec
 }
 
 // WithFabricParams sets Config.Net, the interconnect cost model.
@@ -189,31 +184,20 @@ func WithChaos(spec string) Option {
 	}
 }
 
-// WithBarrier overrides the default-barrier factory (the hierarchical Vela
-// barrier) for every launch on the cluster.
-func WithBarrier(f BarrierFactory) Option {
-	return func(o *clusterOptions) { o.barrier = f }
-}
-
 // NewCluster builds the cluster cfg describes, with the options applied to
-// it in order and Vela's hierarchical barrier as the default barrier. Invalid
-// configurations (non-positive node counts, negative geometry, bad fault
-// plans, inconsistent fabric parameters) surface as errors; MustNewCluster
-// is the only panicking entry point.
+// it in order (core.NewCluster over the result). Invalid configurations
+// (non-positive node counts, negative geometry, bad fault plans,
+// inconsistent fabric parameters) surface as errors; MustNewCluster is the
+// only panicking entry point.
 func NewCluster(cfg Config, opts ...Option) (*Cluster, error) {
-	o := clusterOptions{cfg: cfg, barrier: vela.DefaultBarrier}
+	o := clusterOptions{cfg: cfg}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	if o.err != nil {
 		return nil, o.err
 	}
-	c, err := core.NewCluster(o.cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.BarrierFactory = o.barrier
-	return c, nil
+	return core.NewCluster(o.cfg)
 }
 
 // MustNewCluster is NewCluster that panics on error.

@@ -824,3 +824,33 @@ func TestOneRecycler(t *testing.T) {
 		t.Errorf("sync.Pool in library code: %v; recycle through a sparse.FreeList", pools)
 	}
 }
+
+// TestInternalImportsNoRoot keeps the layers pointing one way: the module
+// root re-exports internal/, so nothing under internal/ — tests included —
+// imports the root package argo. What a package there needs of the cluster
+// it takes from internal/core, the one constructor both build through.
+func TestInternalImportsNoRoot(t *testing.T) {
+	fset := token.NewFileSet()
+	var importers []string
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"argo"` {
+				importers = append(importers, filepath.ToSlash(path))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(importers) > 0 {
+		t.Errorf("internal packages import the module root argo: %v; take the cluster from internal/core", importers)
+	}
+}

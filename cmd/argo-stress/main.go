@@ -106,10 +106,16 @@ func main() {
 		// Crash sweep: the crash-tolerant ring under crash-stop and
 		// crash-restart, at fractions and multiples of the requested rate,
 		// stacked on top of the full spec — transient rates, partitions
-		// (symmetric or one-way) and all.
+		// (symmetric or one-way) and all. The sweep scales only the rate,
+		// and crashrestart decides only drawn deaths: with no rate every
+		// cell is one schedule, so the ring runs once.
+		scales, restarts := []float64{0.5, 1, 2}, []bool{false, true}
+		if crashRate == 0 {
+			scales, restarts = []float64{1}, []bool{false}
+		}
 		fmt.Printf("argo-stress: crash mode, ring sweep at base rate %g (seed %d)\n", crashRate, *seed)
-		for _, s := range []float64{0.5, 1, 2} {
-			for _, restart := range []bool{false, true} {
+		for _, s := range scales {
+			for _, restart := range restarts {
 				p := luPlan
 				p.Crash = crashRate * s
 				if p.Crash > 1 {

@@ -1,7 +1,9 @@
 // Package core assembles the Argo DSM system: it glues the global address
 // space, the Pyxis directory, the per-node Carina coherence agents and the
-// simulated fabric into a Cluster, and gives simulated threads a typed API
-// onto the shared global memory.
+// simulated fabric into a Cluster, gives simulated threads a typed API onto
+// the shared global memory, and synchronizes each launch's threads with
+// Vela's hierarchical barrier (barrier.go) over the Cygnus member barrier
+// (member.go), which survives crashes and partitions.
 //
 // The public entry point of the repository (package argo at the module root)
 // re-exports the types defined here.
@@ -50,7 +52,7 @@ type Config struct {
 	// Protocol.
 	Mode           coherence.Mode
 	SWDiffSuppress bool
-	DecayEpochs    int // if >0, reset classification every that many default-barrier episodes
+	DecayEpochs    int // if >0, reset classification every that many barrier episodes
 	// Paranoia makes every barrier episode verify the protocol's
 	// structural invariants on every node (tests and debugging; the sweep
 	// is host-time only).
@@ -154,13 +156,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// BarrierWaiter is the hook through which the Vela hierarchical barrier is
-// attached to threads (the implementation lives in package vela to keep the
-// dependency direction coherent).
-type BarrierWaiter interface {
-	Wait(t *Thread)
-}
-
 // Cluster is a simulated Argo DSM installation.
 type Cluster struct {
 	Cfg   Config
@@ -169,12 +164,6 @@ type Cluster struct {
 	Space *mem.Space
 	Dir   *directory.Directory
 	Nodes []*coherence.Node
-
-	// BarrierFactory builds the default barrier for each SPMD launch; the
-	// root argo package wires it to Vela's hierarchical barrier.
-	// Mutate only via argo.WithBarrier (construction-time option); direct
-	// assignment is deprecated outside internal packages.
-	BarrierFactory func(c *Cluster, threadsPerNode int) BarrierWaiter
 
 	// Obs fans every layer's events out to Cfg.Observers; nil when there
 	// are none. Locks, flags and barriers built over this cluster emit into
@@ -194,6 +183,10 @@ type Cluster struct {
 	closed   atomic.Bool // set by Close, under runMu
 	hits     atomic.Int64
 	syncKeys atomic.Uint64
+	// spanKeys hands out barrier instances, edge keys for observers only. It
+	// is deliberately a separate counter from syncKeys: sharing the
+	// fault-identity counter would shift every lock's Corvus identity
+	// whenever a barrier is built, breaking seeded fault replay.
 	spanKeys atomic.Uint64
 }
 
@@ -203,13 +196,6 @@ type Cluster struct {
 // counter would shift identities between repeated runs and break
 // deterministic fault replay.
 func (c *Cluster) NextSyncKey() uint64 { return c.syncKeys.Add(1) }
-
-// NextSpanKey hands out a cluster-unique edge key for observers (barrier
-// instances and the like). It is deliberately a separate counter
-// from NextSyncKey: sharing the fault-identity counter would shift every
-// lock's Corvus identity whenever a barrier is built, breaking seeded
-// fault replay.
-func (c *Cluster) NextSpanKey() uint64 { return c.spanKeys.Add(1) }
 
 // NewCluster builds a cluster from cfg, observers and fault plan included:
 // everything that describes a cluster travels in the Config.
@@ -367,7 +353,7 @@ type Thread struct {
 	P   *sim.Proc
 	C   *Cluster
 	Coh *coherence.Node
-	Bar BarrierWaiter
+	bar *hierBarrier // the launch's barrier, shared by its threads
 
 	// SyncEpoch counts the barrier episodes this thread has entered (the
 	// Vela barrier bumps it at episode entry). Under the SPMD model every
@@ -404,7 +390,8 @@ func (t *Thread) Rand() *rand.Rand {
 func ThreadSeed(base int64, rank int) int64 { return base + int64(rank)*1_000_003 }
 
 // Run launches threadsPerNode simulated threads on every node, runs body on
-// each, and returns the makespan (the maximum final virtual clock). Each Run
+// each (their Barrier is one hierarchical barrier built for the launch), and
+// returns the makespan (the maximum final virtual clock). Each Run
 // starts from cold caches and zeroed clocks; home memory persists.
 func (c *Cluster) Run(threadsPerNode int, body func(t *Thread)) sim.Time {
 	return c.RunSeeded(threadsPerNode, 1, body)
@@ -417,10 +404,7 @@ func (c *Cluster) RunSeeded(threadsPerNode int, seed int64, body func(t *Thread)
 	c.mustBeOpen()
 	c.ResetVirtualState()
 
-	var bar BarrierWaiter
-	if c.BarrierFactory != nil {
-		bar = c.BarrierFactory(c, threadsPerNode)
-	}
+	bar := newHierBarrier(c, threadsPerNode)
 	nt := c.Cfg.Nodes * threadsPerNode
 	threads := make([]*Thread, nt)
 	procs := make([]*sim.Proc, nt)
@@ -430,7 +414,7 @@ func (c *Cluster) RunSeeded(threadsPerNode int, seed int64, body func(t *Thread)
 			p := c.Topo.NewProc(node, l)
 			threads[r] = &Thread{
 				Rank: r, Node: node, Local: l, NT: nt, TPN: threadsPerNode,
-				P: p, C: c, Coh: c.Nodes[node], Bar: bar, seed: seed,
+				P: p, C: c, Coh: c.Nodes[node], bar: bar, seed: seed,
 			}
 			if !c.Cfg.NoAccessTLB {
 				threads[r].tlb = c.Nodes[node].NewTLB()
@@ -516,50 +500,23 @@ func (t *Thread) AcquireFence() { t.Coh.SIFence(t.P) }
 // ReleaseFence is Carina's SD fence (release semantics).
 func (t *Thread) ReleaseFence() { t.Coh.SDFence(t.P) }
 
-// Barrier waits on the launch's default hierarchical barrier.
-func (t *Thread) Barrier() {
-	if t.Bar == nil {
-		panic("core: no default barrier configured for this cluster")
-	}
-	t.Bar.Wait(t)
-}
-
-// PhaseResetter is implemented by barriers that can perform a collective
-// classification reset (Vela's hierarchical barrier does).
-type PhaseResetter interface {
-	WaitAndReset(t *Thread)
-}
-
-// SafePointer is implemented by barriers that arm crash safe points beyond
-// barrier entry (Vela's member-aware barrier does). Sync layers call it at
-// their own safe points — lock acquire/release, flag wait/signal — so a
-// pending crash verdict can fire mid-interval instead of waiting for the
-// barrier backstop.
-type SafePointer interface {
-	SafePoint(t *Thread, pt fault.SafePoint)
-}
+// Barrier waits on the launch's hierarchical barrier (SD, global
+// rendezvous, SI).
+func (t *Thread) Barrier() { t.bar.wait(t, false) }
 
 // CrashSafePoint offers the pending crash verdict (if any) a chance to fire
-// at a non-barrier safe point. A no-op unless the launch barrier implements
-// SafePointer and the fault plan arms the point; when the verdict fires,
-// the call panics with health.CrashSignal and never returns.
-func (t *Thread) CrashSafePoint(pt fault.SafePoint) {
-	if sp, ok := t.Bar.(SafePointer); ok {
-		sp.SafePoint(t, pt)
-	}
-}
+// at a non-barrier safe point: sync layers call it at their own safe points —
+// lock acquire/release, flag wait/signal — so a verdict can fire mid-interval
+// instead of waiting for the barrier backstop. A no-op unless the fault plan
+// arms the point; when the verdict fires, the call panics with
+// health.CrashSignal and never returns.
+func (t *Thread) CrashSafePoint(pt fault.SafePoint) { t.bar.mem.safePoint(t, pt) }
 
 // InitDone marks the end of the program's initialization phase: a collective
 // barrier that flushes and drops all cached pages and clears the Pyxis
 // full-maps, so initialization accesses do not pollute the classification.
 // Every thread of the launch must call it (it is a barrier).
-func (t *Thread) InitDone() {
-	r, ok := t.Bar.(PhaseResetter)
-	if !ok {
-		panic("core: default barrier cannot reset classification")
-	}
-	r.WaitAndReset(t)
-}
+func (t *Thread) InitDone() { t.bar.wait(t, true) }
 
 // ---------------------------------------------------------------------------
 // Zero-cost initialization (outside the measured parallel section)

@@ -195,22 +195,6 @@ func TestRunResetsBetweenLaunches(t *testing.T) {
 	}
 }
 
-func TestBarrierPanicsWithoutFactory(t *testing.T) {
-	c := MustNewCluster(testConfig(1))
-	panicked := false
-	c.Run(1, func(th *Thread) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		th.Barrier()
-	})
-	if !panicked {
-		t.Fatal("Barrier without a factory did not panic")
-	}
-}
-
 func TestHitsAggregated(t *testing.T) {
 	c := MustNewCluster(testConfig(1))
 	xs := c.AllocF64(10)

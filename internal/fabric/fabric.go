@@ -140,7 +140,7 @@ type Fabric struct {
 	// including target→source — keeps flowing. A severed operation behaves
 	// exactly like an injected drop, except that no retry budget escalates
 	// it; it cannot deliver until the cut clears. Installed and cleared only
-	// at member-barrier episode completions (package vela), so every issue
+	// at member-barrier episode completions (package core), so every issue
 	// site observes a deterministic cut state. Fault-free runs never touch
 	// it: the fast path is one atomic nil load.
 	cut atomic.Pointer[cutState]

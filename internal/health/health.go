@@ -36,7 +36,7 @@
 // is severed, so b suspects a while a still hears b; the cluster parks the
 // source alone, never both endpoints, so asymmetric suspicion cannot
 // double-excise — and the restart rendezvous that serializes a rejoining
-// node against in-flight membership-epoch barriers (package vela).
+// node against in-flight membership-epoch barriers (package core).
 //
 // Determinism: the detector holds membership state only — node states, the
 // epoch, the transition history and the callbacks. Every verdict is the

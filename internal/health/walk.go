@@ -4,7 +4,7 @@ import "slices"
 
 // Fate is what one barrier episode holds for one member: the single place
 // the crash and partition verdicts are combined. The member barrier (package
-// vela) classifies every thread and every expectation through it; Walk.Step,
+// core) classifies every thread and every expectation through it; Walk.Step,
 // which advances the barrier's membership and the recovery planner's alike,
 // needs only its death rows, which do not depend on the cut.
 //

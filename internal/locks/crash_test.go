@@ -12,7 +12,6 @@ import (
 	"argo/internal/metrics"
 	"argo/internal/probe"
 	"argo/internal/trace"
-	"argo/internal/vela"
 )
 
 // queued reports how many acquirers are parked behind the holder.
@@ -33,7 +32,6 @@ func crashLockCluster(nodes int) (*core.Cluster, *metrics.Suite) {
 	ms := metrics.NewSuite()
 	cfg.Observers = append(cfg.Observers, ms)
 	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = vela.DefaultBarrier
 	return c, ms
 }
 
@@ -294,7 +292,6 @@ func TestTicketLockHolderCrashAtUnlockSafePoint(t *testing.T) {
 	ms, tr := metrics.NewSuite(), trace.New(0)
 	cfg.Observers = append(cfg.Observers, ms, tr)
 	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = vela.DefaultBarrier
 	l := newGlobalTicketLock(c, 0)
 
 	var acquired atomic.Int64

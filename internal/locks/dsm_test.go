@@ -6,15 +6,12 @@ import (
 
 	"argo/internal/core"
 	"argo/internal/probe"
-	"argo/internal/vela"
 )
 
 func dsmCluster(nodes int) *core.Cluster {
 	cfg := core.DefaultConfig(nodes)
 	cfg.MemoryBytes = 4 << 20
-	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = vela.DefaultBarrier
-	return c
+	return core.MustNewCluster(cfg)
 }
 
 // counterTest increments a counter that lives in DSM global memory under the

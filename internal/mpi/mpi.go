@@ -7,22 +7,17 @@
 package mpi
 
 import (
-	"math/bits"
 	"sync"
 
 	"argo/internal/fabric"
 	"argo/internal/sim"
 )
 
-// World is one MPI job: Size ranks placed round-robin-compactly over the
-// fabric's nodes.
+// World is one MPI job: Size ranks placed compactly over the fabric's nodes
+// (fabric.Job).
 type World struct {
-	Fab          *fabric.Fabric
-	Size         int
-	RanksPerNode int
-
-	inbox   []inbox // per destination rank
-	barrier *sim.Barrier
+	fabric.Job
+	inbox []inbox // per destination rank
 }
 
 type message struct {
@@ -48,37 +43,21 @@ type Rank struct {
 
 // NewWorld creates a world of ranksPerNode ranks on every node of fab.
 func NewWorld(fab *fabric.Fabric, ranksPerNode int) *World {
-	size := fab.Topo.Nodes * ranksPerNode
-	return &World{
-		Fab:          fab,
-		Size:         size,
-		RanksPerNode: ranksPerNode,
-		inbox:        make([]inbox, size),
-		barrier:      sim.NewBarrier(size),
-	}
+	w := &World{Job: fabric.NewJob(fab, ranksPerNode)}
+	w.inbox = make([]inbox, w.Size)
+	return w
 }
 
-// nodeOf returns the node rank r runs on.
-func (w *World) nodeOf(r int) int { return r / w.RanksPerNode }
-
-// Run launches one goroutine per rank and returns the makespan.
+// Run launches one simulated thread per rank and returns the makespan.
 func (w *World) Run(body func(r *Rank)) sim.Time {
-	ranks := make([]*Rank, w.Size)
-	procs := make([]*sim.Proc, w.Size)
-	for i := 0; i < w.Size; i++ {
-		p := w.Fab.Topo.NewProc(w.nodeOf(i), i%w.RanksPerNode)
-		ranks[i] = &Rank{W: w, ID: i, P: p}
-		procs[i] = p
-	}
-	g := sim.NewGroup(procs)
-	return g.Run(func(i int, p *sim.Proc) { body(ranks[i]) })
+	return w.Job.Run(func(i int, p *sim.Proc) { body(&Rank{W: w, ID: i, P: p}) })
 }
 
 // sendCost charges the sender for injecting bytes toward dst and returns
 // the virtual time at which the message is available at the receiver.
 func (r *Rank) sendCost(dst, bytes int) sim.Time {
 	pp := r.W.Fab.P
-	srcNode, dstNode := r.P.Node, r.W.nodeOf(dst)
+	srcNode, dstNode := r.P.Node, r.W.NodeOf(dst)
 	if srcNode == dstNode {
 		r.P.Advance(pp.DRAMLatency + pp.CopyCost(bytes))
 		return r.P.Now()
@@ -120,13 +99,7 @@ func (r *Rank) Recv(src int) []float64 {
 }
 
 // Barrier synchronizes all ranks (cost of a binomial dissemination barrier).
-func (r *Rank) Barrier() {
-	cost := sim.Time(0)
-	if r.W.Size > 1 {
-		cost = 2 * r.W.Fab.P.RemoteLatency * sim.Time(bits.Len(uint(r.W.Size-1)))
-	}
-	r.W.barrier.Wait(r.P, cost)
-}
+func (r *Rank) Barrier() { r.W.Job.Barrier(r.P) }
 
 // AllgatherRing concatenates every rank's mine (equal lengths) in rank
 // order using the standard ring algorithm: Size-1 steps, each shifting one

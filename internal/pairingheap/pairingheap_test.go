@@ -10,7 +10,6 @@ import (
 	"argo/internal/fabric"
 	"argo/internal/pgas"
 	"argo/internal/sim"
-	"argo/internal/vela"
 )
 
 // intHeap is the container/heap reference model.
@@ -97,9 +96,7 @@ func TestNativeHeapModelProperty(t *testing.T) {
 func dsmCluster() *core.Cluster {
 	cfg := core.DefaultConfig(2)
 	cfg.MemoryBytes = 4 << 20
-	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = vela.DefaultBarrier
-	return c
+	return core.MustNewCluster(cfg)
 }
 
 func TestDSMHeapMatchesNative(t *testing.T) {

@@ -25,7 +25,7 @@ type Lock struct {
 
 // NewLock creates a lock with affinity to rank owner.
 func (w *World) NewLock(owner int) *Lock {
-	return &Lock{w: w, home: w.nodeOf(owner), key: uint64(owner)}
+	return &Lock{w: w, home: w.NodeOf(owner), key: uint64(owner)}
 }
 
 // Lock acquires (upc_lock): one remote atomic to take a ticket, a polling

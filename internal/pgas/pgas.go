@@ -13,19 +13,15 @@ package pgas
 
 import (
 	"fmt"
-	"math/bits"
 
 	"argo/internal/fabric"
 	"argo/internal/sim"
 )
 
-// World is one PGAS job: Size ranks placed compactly over the fabric nodes.
+// World is one PGAS job: Size ranks placed compactly over the fabric nodes
+// (fabric.Job).
 type World struct {
-	Fab          *fabric.Fabric
-	Size         int
-	RanksPerNode int
-
-	barrier *sim.Barrier
+	fabric.Job
 
 	// redIn holds each rank's contribution to a reduction, one slot per rank;
 	// generations alternate between the two so back-to-back reductions cannot
@@ -43,40 +39,18 @@ type Rank struct {
 
 // NewWorld creates a PGAS world with ranksPerNode ranks per node.
 func NewWorld(fab *fabric.Fabric, ranksPerNode int) *World {
-	size := fab.Topo.Nodes * ranksPerNode
-	return &World{
-		Fab:          fab,
-		Size:         size,
-		RanksPerNode: ranksPerNode,
-		barrier:      sim.NewBarrier(size),
-		redIn:        [2][][]float64{make([][]float64, size), make([][]float64, size)},
-	}
+	w := &World{Job: fabric.NewJob(fab, ranksPerNode)}
+	w.redIn = [2][][]float64{make([][]float64, w.Size), make([][]float64, w.Size)}
+	return w
 }
 
-// nodeOf returns the node rank r runs on.
-func (w *World) nodeOf(r int) int { return r / w.RanksPerNode }
-
-// Run launches one goroutine per rank and returns the makespan.
+// Run launches one simulated thread per rank and returns the makespan.
 func (w *World) Run(body func(r *Rank)) sim.Time {
-	ranks := make([]*Rank, w.Size)
-	procs := make([]*sim.Proc, w.Size)
-	for i := 0; i < w.Size; i++ {
-		p := w.Fab.Topo.NewProc(w.nodeOf(i), i%w.RanksPerNode)
-		ranks[i] = &Rank{W: w, ID: i, P: p}
-		procs[i] = p
-	}
-	g := sim.NewGroup(procs)
-	return g.Run(func(i int, p *sim.Proc) { body(ranks[i]) })
+	return w.Job.Run(func(i int, p *sim.Proc) { body(&Rank{W: w, ID: i, P: p}) })
 }
 
 // Barrier is upc_barrier.
-func (r *Rank) Barrier() {
-	cost := sim.Time(0)
-	if r.W.Size > 1 {
-		cost = 2 * r.W.Fab.P.RemoteLatency * sim.Time(bits.Len(uint(r.W.Size-1)))
-	}
-	r.W.barrier.Wait(r.P, cost)
-}
+func (r *Rank) Barrier() { r.W.Job.Barrier(r.P) }
 
 // Compute advances the rank's clock (local work).
 func (r *Rank) Compute(d sim.Time) { r.P.Advance(d) }
@@ -142,7 +116,7 @@ const overlap = 4
 // remoteAccessCost charges a fine-grained relaxed access to owner's block.
 func (r *Rank) remoteAccessCost(owner int, bytes int) {
 	pp := r.W.Fab.P
-	ownNode := r.W.nodeOf(owner)
+	ownNode := r.W.NodeOf(owner)
 	if ownNode == r.P.Node {
 		r.P.Advance(pp.DRAMLatency)
 		return
@@ -199,7 +173,7 @@ func (s *Shared[T]) GetBlock(r *Rank, lo, hi int, dst []T) {
 		if o == r.ID {
 			r.P.Advance(r.W.Fab.P.CopyCost(n * 8))
 		} else {
-			r.W.Fab.RemoteRead(r.P, r.W.nodeOf(o), n*8, uint64(o))
+			r.W.Fab.RemoteRead(r.P, r.W.NodeOf(o), n*8, uint64(o))
 		}
 		copy(dst[i-lo:], s.blocks[o][i-blo:end-blo])
 		i = end
@@ -221,7 +195,7 @@ func (s *Shared[T]) PutBlock(r *Rank, lo int, src []T) {
 		if o == r.ID {
 			r.P.Advance(r.W.Fab.P.CopyCost(n * 8))
 		} else {
-			r.W.Fab.RemoteWrite(r.P, r.W.nodeOf(o), n*8, uint64(o))
+			r.W.Fab.RemoteWrite(r.P, r.W.NodeOf(o), n*8, uint64(o))
 		}
 		copy(s.blocks[o][i-blo:end-blo], src[i-lo:i-lo+n])
 		i = end

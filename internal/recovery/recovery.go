@@ -5,7 +5,7 @@
 // Crash and partition verdicts are pure functions of (seed, node, episode),
 // so the whole schedule can be read before the run. Plan steps a health.Walk —
 // the same membership view the member barrier steps at runtime (package
-// vela) — through the program's barrier episodes and emits one body per
+// core) — through the program's barrier episodes and emits one body per
 // episode: a program phase, a repair of the kernels a death lost, a
 // classification reset, or an idle body. Threads just execute their slice of
 // each body; the barrier after it is where crashes and cuts strike.

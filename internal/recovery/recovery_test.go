@@ -11,7 +11,6 @@ import (
 	"argo/internal/core"
 	"argo/internal/fault"
 	"argo/internal/health"
-	"argo/internal/vela"
 )
 
 // The walker's own client: an array of counters, every phase adding its
@@ -186,7 +185,6 @@ func runCounters(plan *fault.Plan, fail *bump) (counterRun, *core.Cluster, error
 	cfg.PageSize = 64 // eight cells a page: every page multi-writer
 	cfg.Faults = plan
 	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = vela.DefaultBarrier
 	script, err := Plan(c.Health, counters(phases, cells))
 	if err != nil {
 		return counterRun{}, c, err

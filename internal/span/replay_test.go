@@ -11,7 +11,6 @@ import (
 	"argo/internal/metrics"
 	"argo/internal/span"
 	"argo/internal/trace"
-	"argo/internal/vela"
 	"argo/internal/workloads/drf"
 )
 
@@ -101,7 +100,6 @@ func TestWaitHistogramsRecorded(t *testing.T) {
 	ms := metrics.NewSuite()
 	cfg.Observers = append(cfg.Observers, ms)
 	c := core.MustNewCluster(cfg)
-	c.BarrierFactory = vela.DefaultBarrier
 	slot := c.AllocI64(1)
 	l := locks.NewDSMMutex(c, 0)
 	c.Run(2, func(th *core.Thread) {

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"argo"
 	"argo/internal/core"
 	"argo/internal/fabric"
 	"argo/internal/sim"
@@ -37,9 +36,9 @@ func ArgoConfig(nodes int, memBytes int64) core.Config {
 	return cfg
 }
 
-// MustCluster builds the cluster cfg describes through the public
-// constructor (default barrier included) and panics on an invalid config.
-func MustCluster(cfg core.Config) *core.Cluster { return argo.MustNewCluster(cfg) }
+// MustCluster builds the cluster cfg describes and panics on an invalid
+// config.
+func MustCluster(cfg core.Config) *core.Cluster { return core.MustNewCluster(cfg) }
 
 // Result is the outcome of one workload run.
 type Result struct {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"argo"
+	"argo/internal/core"
 	"argo/internal/locks"
 	"argo/internal/metrics"
 	"argo/internal/probe"
@@ -31,10 +32,11 @@ func turnsProgram(c *argo.Cluster) {
 	})
 }
 
-// TestOneDoorEquivalence: options, Config fields and a workload-style runner
-// handed the Config are three spellings of one construction — the same
-// program leaves the same metrics dump, trace summary and span record count
-// behind whichever built the cluster.
+// TestOneDoorEquivalence: options, Config fields, a workload-style runner
+// handed the Config and core.MustNewCluster are four spellings of one
+// construction — the same program, barrier included, leaves the same metrics
+// dump, trace summary and span record count behind whichever built the
+// cluster.
 func TestOneDoorEquivalence(t *testing.T) {
 	type observed struct {
 		metrics []byte
@@ -66,10 +68,13 @@ func TestOneDoorEquivalence(t *testing.T) {
 	runner := observe(func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer) *argo.Cluster {
 		return wload.MustCluster(withFields(cfg, ms, tr)) // what every workload runner calls
 	})
+	internal := observe(func(cfg argo.Config, ms *argo.Metrics, tr *argo.Tracer) *argo.Cluster {
+		return core.MustNewCluster(withFields(cfg, ms, tr))
+	})
 	if options.spans == 0 || options.trace[probe.SDFence] == 0 || !bytes.Contains(options.metrics, []byte("argo_lock_acquires_total")) {
 		t.Fatalf("observers saw too little: %d spans, trace %v", options.spans, options.trace)
 	}
-	for name, got := range map[string]observed{"Config fields": fields, "workload runner": runner} {
+	for name, got := range map[string]observed{"Config fields": fields, "workload runner": runner, "core.MustNewCluster": internal} {
 		if !bytes.Equal(got.metrics, options.metrics) {
 			t.Errorf("%s: metrics dump differs from the With* options build", name)
 		}

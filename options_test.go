@@ -60,15 +60,10 @@ func TestOptionsCompose(t *testing.T) {
 	plan.Drop = 0.01
 	cfg.Faults = &plan
 
-	barrierBuilt := false
 	c, err := argo.NewCluster(cfg,
 		argo.WithFabricParams(net),
 		argo.WithMetrics(ms),
 		argo.WithTracer(tr),
-		argo.WithBarrier(func(c *argo.Cluster, tpn int) argo.Barrier {
-			barrierBuilt = true
-			return nopBarrier{}
-		}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +76,6 @@ func TestOptionsCompose(t *testing.T) {
 	}
 	if c.FI == nil {
 		t.Fatal("cfg.Faults did not build an injector")
-	}
-	c.Run(1, func(th *argo.Thread) { th.Barrier() })
-	if !barrierBuilt {
-		t.Fatal("WithBarrier factory never invoked")
 	}
 }
 
@@ -110,10 +101,6 @@ func TestHandWrittenFabricParamsQueueAtNIC(t *testing.T) {
 		t.Fatalf("second reader of home 1 took %d, first %d: no queueing at the home NIC", b.Now(), a.Now())
 	}
 }
-
-type nopBarrier struct{}
-
-func (nopBarrier) Wait(t *argo.Thread) {}
 
 // WithChaos is the one-stop chaos option: a spec string arms the same
 // injector cfg.Faults would, a bad spec surfaces as a NewCluster error
