@@ -181,12 +181,8 @@ func main() {
 		if *verbose {
 			fmt.Printf("  #%d: %+v\n", i, pr)
 		}
-		run := drf.RunReport
-		if pr.UseFlags {
-			run = drf.RunFlagsReport
-		}
 		pr.Faults = nil
-		rep, err := run(pr)
+		rep, err := drf.RunReport(pr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "\nFAIL at program %d: %v\n", i, err)
 			fmt.Fprintf(os.Stderr, "reproduce with: argo-stress -n %d -seed %d\n", i+1, *seed)
@@ -196,7 +192,7 @@ func main() {
 			for _, s := range sweep {
 				p := scaled(plan, s)
 				pr.Faults = &p
-				frep, err := run(pr)
+				frep, err := drf.RunReport(pr)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "\nFAIL at program %d under %s: %v\n", i, p.String(), err)
 					fmt.Fprintf(os.Stderr, "reproduce with: argo-stress -n %d -seed %d -chaos %s\n", i+1, *seed, spec)

@@ -22,7 +22,7 @@ func bigRig(t *testing.T, opt Options, plan *fault.Plan) *rig {
 	topo := sim.Topology{Nodes: nodes, Sockets: 1, CoresPerSocket: 2}
 	fab := fabric.MustNew(topo, fabric.DefaultParams())
 	if plan != nil {
-		fab.SetFaults(fault.NewInjector(*plan))
+		fab.FI = fault.NewInjector(*plan)
 	}
 	space := mem.NewSpace(nodes, 2048*4096, 4096, mem.Interleaved)
 	dir := directory.New(fab, space.NPages, space.HomeOf)

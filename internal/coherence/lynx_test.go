@@ -387,7 +387,7 @@ func TestAllocFreeEvictionDowngrade(t *testing.T) {
 		t.Fatalf("101 cycles made %d writebacks, %d messages, %d write misses: not the path under test", d.Writebacks, d.Messages, d.WriteMisses)
 	}
 
-	r.fab.SetFaults(fault.NewInjector(fault.Plan{Seed: 3, Drop: 0.3}))
+	r.fab.FI = fault.NewInjector(fault.Plan{Seed: 3, Drop: 0.3})
 	before = r.fab.NodeStats(0).Snapshot()
 	for range 50 {
 		cycle()

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
+	"argo/internal/health"
 	"argo/internal/probe"
 	"argo/internal/sim"
 )
@@ -12,7 +14,7 @@ import (
 // launch: threads of a node first meet at a node-local barrier; one
 // representative per node performs the node's self-downgrade (the page cache
 // is shared, so one SD covers all local threads), the representatives meet at
-// the member barrier of member.go — the one global rendezvous, which also
+// the member rendezvous of member.go — the one global rendezvous, which also
 // survives crashes and partitions — self-invalidate, and finally release
 // their local threads through a second node-local barrier. It also doubles as
 // the cluster's phase-reset collective (classification reset after program
@@ -22,9 +24,11 @@ type hierBarrier struct {
 
 	local []*sim.Barrier // first rendezvous, per node
 	final []*sim.Barrier // release rendezvous, per node
-	mem   *memberBarrier // node representatives
 
 	localCost sim.Time
+	cost      sim.Time // global rendezvous exit cost
+	tpn       int
+	armed     bool // crashes or partitions can occur: representatives publish heartbeats
 
 	// inst is this barrier's instance in the key space of its rendezvous
 	// events (probe-only; does not consume sync keys, so fault identities are
@@ -33,20 +37,46 @@ type hierBarrier struct {
 
 	episodes atomic.Int64 // completed episodes
 	resets   atomic.Int64 // classification resets performed
+
+	// The member rendezvous (member.go). Its episode records live from an
+	// episode's first arrival to the completion of the next episode (see
+	// maybeComplete), so a run of any length holds a few of them.
+	mu      sync.Mutex
+	q       sim.WaitQueue // threads parked until their episode completes
+	walk    *health.Walk  // membership view; stands past the highest fully-completed sub=0 episode
+	eps     map[epKey]*epState
+	crashed map[crashKey]crashCheckIns
 }
 
 // newHierBarrier builds the barrier for a launch of threadsPerNode threads on
 // every node of c.
 func newHierBarrier(c *Cluster, threadsPerNode int) *hierBarrier {
-	b := &hierBarrier{c: c, inst: c.spanKeys.Add(1)}
+	p := c.Fab.P
+	b := &hierBarrier{
+		c:         c,
+		localCost: p.SocketLatency * sim.Time(1+log2ceil(threadsPerNode)),
+		cost:      2 * p.RemoteLatency * sim.Time(log2ceil(c.Cfg.Nodes)),
+		tpn:       threadsPerNode,
+		armed:     c.Health.Armed(),
+		inst:      c.spanKeys.Add(1),
+		walk:      c.Health.NewWalk(),
+		eps:       map[epKey]*epState{},
+		crashed:   map[crashKey]crashCheckIns{},
+	}
 	for n := 0; n < c.Cfg.Nodes; n++ {
 		b.local = append(b.local, sim.NewBarrier(threadsPerNode))
 		b.final = append(b.final, sim.NewBarrier(threadsPerNode))
 	}
-	p := c.Fab.P
-	b.localCost = p.SocketLatency * sim.Time(1+log2ceil(threadsPerNode))
-	globalCost := 2 * p.RemoteLatency * sim.Time(log2ceil(c.Cfg.Nodes))
-	b.mem = newMemberBarrier(c, threadsPerNode, globalCost)
+	// Bootstrap: if a partition already covers episode 1 there is no prior
+	// episode completion to install it, so the cut goes up at launch
+	// (RunSeeded builds the barrier single-threaded, before any thread
+	// starts, and ResetVirtualState has just cleared the previous cut).
+	if cut := c.Health.CutAt(1); len(cut.Iso) > 0 {
+		c.Fab.SetCut(cut)
+		for _, n := range cut.Iso {
+			c.Health.Suspect(n, 0, 1)
+		}
+	}
 	return b
 }
 
@@ -71,12 +101,12 @@ func (b *hierBarrier) meet(t *Thread, arrive probe.Kind, point int, ep uint64, w
 // data classification cluster-wide (Thread.InitDone).
 func (b *hierBarrier) wait(t *Thread, forceReset bool) {
 	// The episode counter keys the barrier's rendezvous events and the
-	// member barrier's episodes, and names the crash safe point.
+	// member rendezvous' episodes, and names the crash safe point.
 	t.SyncEpoch++
 	// Cygnus: barrier entry is the crash safe point. Every thread of a
 	// crashing node is diverted here — restart observers return without
 	// running the episode, crash-stop threads unwind via CrashSignal.
-	if b.mem.crashPoint(t, t.SyncEpoch) {
+	if b.crashPoint(t, t.SyncEpoch) {
 		return
 	}
 	n := t.Node
@@ -88,8 +118,8 @@ func (b *hierBarrier) wait(t *Thread, forceReset bool) {
 		// invalidate. The reset decision travels with the rendezvous so
 		// all representatives of one episode agree on it.
 		r0 := t.P.Now()
-		b.mem.heartbeat(t, t.SyncEpoch)
-		leader := b.mem.leaderAt(t.SyncEpoch) == t.Node
+		b.heartbeat(t, t.SyncEpoch)
+		leader := b.leaderAt(t.SyncEpoch) == t.Node
 		t.Coh.SDFence(t.P)
 		want := forceReset
 		var counted, wiped int64 // the leader's: it counts the episode and wipes the directory
@@ -107,7 +137,7 @@ func (b *hierBarrier) wait(t *Thread, forceReset bool) {
 		}
 		var reset bool
 		waited += b.meet(t, probe.ArriveGlobal, 0, ep, func() {
-			reset = b.mem.rendezvous(t.P, t.SyncEpoch, 0, want)
+			reset = b.rendezvous(t.P, t.SyncEpoch, 0, want)
 		})
 		if reset {
 			t.Coh.ResetForPhase()
@@ -119,7 +149,7 @@ func (b *hierBarrier) wait(t *Thread, forceReset bool) {
 			// Second rendezvous: nobody may re-register pages while the
 			// directory wipe is in progress on the leader.
 			waited += b.meet(t, probe.ArriveGlobal, 255, ep, func() {
-				b.mem.rendezvous(t.P, t.SyncEpoch, 1, false)
+				b.rendezvous(t.P, t.SyncEpoch, 1, false)
 			})
 		} else {
 			t.Coh.SIFence(t.P)

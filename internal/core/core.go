@@ -170,10 +170,6 @@ type Cluster struct {
 	// it too.
 	Obs *probe.Spine
 
-	// FI is the Corvus fault injector built from Cfg.Faults (nil when
-	// fault-free). It is shared with the fabric.
-	FI *fault.Injector
-
 	// Health is the Cygnus failure detector and membership view. Always
 	// constructed; Health.Armed() is false unless the fault plan can crash
 	// or cut, by a rate or a scripted entry.
@@ -218,12 +214,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Faults != nil {
 		plan = *cfg.Faults
 	}
-	fi := fault.NewInjector(plan)
-	fab.SetFaults(fi)
+	fab.FI = fault.NewInjector(plan)
 	space := mem.NewSpace(cfg.Nodes, cfg.MemoryBytes, cfg.PageSize, cfg.Policy)
 	dir := directory.New(fab, space.NPages, space.HomeOf)
 	det := health.New(cfg.Nodes, plan)
-	cl := &Cluster{Cfg: cfg, Topo: topo, Fab: fab, Space: space, Dir: dir, FI: fi, Health: det}
+	cl := &Cluster{Cfg: cfg, Topo: topo, Fab: fab, Space: space, Dir: dir, Health: det}
 	opt := coherence.Options{Mode: cfg.Mode, SWDiffSuppress: cfg.SWDiffSuppress}
 	for n := 0; n < cfg.Nodes; n++ {
 		pc := cache.New(n, cfg.PageSize, cfg.CacheLines, cfg.PagesPerLine, cfg.WriteBufferPages)
@@ -313,7 +308,7 @@ func (c *Cluster) AllocPages(size int64) mem.Addr {
 // cold. Home memory contents are preserved.
 func (c *Cluster) ResetVirtualState() {
 	c.Fab.ResetNICs()
-	c.Fab.ClearCut()
+	c.Fab.SetCut(fault.Cut{})
 	for _, n := range c.Nodes {
 		n.ResetForPhase()
 		n.Cache.FetchGate.Reset()
@@ -510,7 +505,7 @@ func (t *Thread) Barrier() { t.bar.wait(t, false) }
 // instead of waiting for the barrier backstop. A no-op unless the fault plan
 // arms the point; when the verdict fires, the call panics with
 // health.CrashSignal and never returns.
-func (t *Thread) CrashSafePoint(pt fault.SafePoint) { t.bar.mem.safePoint(t, pt) }
+func (t *Thread) CrashSafePoint(pt fault.SafePoint) { t.bar.safePoint(t, pt) }
 
 // InitDone marks the end of the program's initialization phase: a collective
 // barrier that flushes and drops all cached pages and clears the Pyxis

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -78,7 +79,7 @@ func TestCrashStopSurvivorsReconfigure(t *testing.T) {
 		}
 	}
 	b := newHierBarrier(c, tpn)
-	budget := 2*b.localCost + b.mem.cost + fault.Timeout + 20_000
+	budget := 2*b.localCost + b.cost + fault.Timeout + 20_000
 	if worst > budget {
 		t.Fatalf("crash episode took %d ns, budget %d ns (timeout %d)", worst, budget, fault.Timeout)
 	}
@@ -135,8 +136,8 @@ func TestFaultFreeBarrierUnchangedWhenUnarmed(t *testing.T) {
 
 	c := crashCluster(2, "")
 	b := newHierBarrier(c, 1)
-	if want := 2 * c.Fab.P.RemoteLatency; b.mem.cost != want {
-		t.Fatalf("global exit cost %d, want one round trip (%d) for two nodes", b.mem.cost, want)
+	if want := 2 * c.Fab.P.RemoteLatency; b.cost != want {
+		t.Fatalf("global exit cost %d, want one round trip (%d) for two nodes", b.cost, want)
 	}
 	procs := []*sim.Proc{{Node: 0}, {Node: 1}}
 	procs[0].Advance(100)
@@ -146,12 +147,12 @@ func TestFaultFreeBarrierUnchangedWhenUnarmed(t *testing.T) {
 		wg.Add(1)
 		go func(p *sim.Proc) {
 			defer wg.Done()
-			b.mem.rendezvous(p, 1, 0, false)
+			b.rendezvous(p, 1, 0, false)
 		}(p)
 	}
 	wg.Wait()
 	for i, p := range procs {
-		if want := 700 + b.mem.cost; p.Now() != want {
+		if want := 700 + b.cost; p.Now() != want {
 			t.Fatalf("representative %d released at %d, want max arrival + exit cost = %d", i, p.Now(), want)
 		}
 	}
@@ -169,7 +170,7 @@ func TestMemberBarrierOrCombinesUnarmed(t *testing.T) {
 			wg.Add(1)
 			go func(i int, v bool) {
 				defer wg.Done()
-				out[i] = b.mem.rendezvous(&sim.Proc{Node: i}, ep, 0, v)
+				out[i] = b.rendezvous(&sim.Proc{Node: i}, ep, 0, v)
 			}(i, v)
 		}
 		wg.Wait()
@@ -199,7 +200,7 @@ func TestMemberBarrierFreesEpisodeRecords(t *testing.T) {
 	if n := bar.episodes.Load(); n != episodes {
 		t.Fatalf("%d episodes, want %d", n, episodes)
 	}
-	if n := len(bar.mem.eps); n > 2 {
+	if n := len(bar.eps); n > 2 {
 		t.Fatalf("%d episode records left after %d episodes, want at most 2", n, episodes)
 	}
 }
@@ -221,7 +222,7 @@ func TestWalkStepsBesideMemberBarrier(t *testing.T) {
 		for e := 0; e < episodes; e++ {
 			th.Barrier()
 			if th.Rank == 0 {
-				seen[e] = th.bar.mem.Members()
+				seen[e] = th.bar.Members()
 			}
 		}
 	})
@@ -234,6 +235,124 @@ func TestWalkStepsBesideMemberBarrier(t *testing.T) {
 	}
 	if want := []int{0, 1, 2, 3}; !slices.Equal(walk.Members(), want) {
 		t.Fatalf("final members %v, want %v (restart keeps its slot, cuts remove nobody)", walk.Members(), want)
+	}
+}
+
+// globalLeg is a probe sink that keeps the global rendezvous events of one
+// episode: representatives' arrivals and departures.
+type globalLeg struct {
+	ep     uint64
+	mu     sync.Mutex
+	events []probe.Event
+}
+
+func (g *globalLeg) Observe(e probe.Event) {
+	// Key: barrier instance, meeting point (0 = the global rendezvous), episode.
+	if (e.Kind == probe.ArriveGlobal || e.Kind == probe.ArriveGlobal+1) && e.Key>>24&0xff == 0 && e.Key&0xffffff == g.ep {
+		g.mu.Lock()
+		g.events = append(g.events, e)
+		g.mu.Unlock()
+	}
+}
+
+// One episode completes with all four fates at once: nodes 0 and 4 live,
+// node 1 stops, node 2 restarts and node 3 is parked by a one-episode cut.
+// Its release is the latest non-stopping check-in — representatives,
+// rejoiners and parked threads alike — plus the exit cost and one
+// failure-detection timeout; a stopping thread's clock does not time it.
+func TestEveryFateInOneEpisode(t *testing.T) {
+	const nodes, tpn, ep = 5, 2, 2
+	// Before episode 2 each node works a different while, the dying node
+	// longest, so every kind of check-in could be the latest.
+	work := [nodes]sim.Time{0: 3_000, 1: 900_000, 2: 50_000, 3: 40_000, 4: 7_000}
+	type outcome struct {
+		history string
+		members []int
+		entry   [nodes * tpn]sim.Time // clock at episode 2's entry
+		exit    [nodes * tpn]sim.Time // clock leaving episode 2 (0: unwound)
+		legs    []probe.Event
+		cost    sim.Time
+	}
+	run := func() outcome {
+		var o outcome
+		leg := &globalLeg{ep: ep}
+		cfg := testConfig(nodes)
+		cfg.Faults = mustPlan("crashat=1@2,restartat=2@2,cutat=3@2:1,seed=1")
+		cfg.Observers = []probe.Sink{leg}
+		c := MustNewCluster(cfg)
+		defer c.Close()
+		var bar *hierBarrier
+		c.Run(tpn, func(th *Thread) {
+			if th.Rank == 0 {
+				bar = th.bar
+			}
+			th.Barrier()
+			th.Compute(work[th.Node] + sim.Time(th.Local)*100)
+			o.entry[th.Rank] = th.P.Now()
+			th.Barrier()
+			o.exit[th.Rank] = th.P.Now()
+			th.Barrier()
+		})
+		o.history = c.Health.DecisionHistoryString()
+		o.members = bar.Members()
+		o.cost = bar.cost
+		o.legs = leg.events
+		slices.SortFunc(o.legs, func(a, b probe.Event) int {
+			x, y := a.Order(), b.Order()
+			return slices.Compare(x[:], y[:])
+		})
+		return o
+	}
+	o := run()
+
+	if want := []int{0, 2, 3, 4}; !slices.Equal(o.members, want) {
+		t.Fatalf("members %v, want %v (the stopped node leaves, the rejoiner keeps its slot)", o.members, want)
+	}
+	if want := "ep0:suspect(n3)@e2 ep0:crash(n1)@e2 ep0:crash(n2)@e2 ep1:excise(n1)@e2 ep2:excise(n2)@e2 ep3:rejoin(n2)@e2 ep4:heal(n3)@e2"; o.history != want {
+		t.Fatalf("decision history\n%q, want\n%q", o.history, want)
+	}
+
+	// The latest non-stopping check-in: representatives check in at their
+	// global arrival, parked and restarting threads at the episode's entry.
+	var latest sim.Time
+	arrivals := 0
+	for _, e := range o.legs {
+		if e.Kind == probe.ArriveGlobal {
+			latest = max(latest, sim.Time(e.T))
+			arrivals++
+		}
+	}
+	if arrivals != 2 {
+		t.Fatalf("%d representatives arrived at episode %d's global rendezvous, want 2", arrivals, ep)
+	}
+	for _, n := range []int{2, 3} {
+		for l := 0; l < tpn; l++ {
+			latest = max(latest, o.entry[n*tpn+l])
+		}
+	}
+	release := latest + o.cost + fault.Timeout
+	if stopper := o.entry[1*tpn+1]; stopper <= release {
+		t.Fatalf("the stopping node checks in at %d, before the release %d: the test does not show that its clock is left out", stopper, release)
+	}
+	for _, e := range o.legs {
+		if e.Kind == probe.ArriveGlobal+1 && sim.Time(e.T) != release {
+			t.Fatalf("representative of node %d left the global rendezvous at %d, want %d", e.Node, e.T, release)
+		}
+	}
+	for l := 0; l < tpn; l++ {
+		if got := o.exit[3*tpn+l]; got != release {
+			t.Fatalf("parked thread %d left the episode at %d, want the release %d", l, got, release)
+		}
+		if got := o.exit[2*tpn+l]; got != release+fault.Timeout {
+			t.Fatalf("rejoining thread %d left the episode at %d, want the release plus one timeout (%d)", l, got, release+fault.Timeout)
+		}
+		if got := o.exit[1*tpn+l]; got != 0 {
+			t.Fatalf("stopping thread %d left the episode at %d, want it unwound", l, got)
+		}
+	}
+
+	if again := run(); !reflect.DeepEqual(o, again) {
+		t.Fatalf("two runs differ:\n%+v\n%+v", o, again)
 	}
 }
 

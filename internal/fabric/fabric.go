@@ -154,26 +154,25 @@ type cutState struct {
 	from, to int
 }
 
-// SetCut installs a symmetric partition cut: isolated[n] puts node n on
-// the minority side. A nil slice is equivalent to ClearCut.
-func (f *Fabric) SetCut(isolated []bool) {
-	if isolated == nil {
+// SetCut installs c as fault.Plan.CutAt shapes it: a one-way cut severs only
+// the directed link From→To (every issue site already passes (issuer,
+// target) to Severed, so the reverse direction and every other pair flow), a
+// symmetric cut puts the nodes of Iso on the minority side, and the zero Cut
+// heals the partition: full reachability is restored.
+func (f *Fabric) SetCut(c fault.Cut) {
+	switch {
+	case c.OneWay:
+		f.cut.Store(&cutState{oneWay: true, from: c.From, to: c.To})
+	case len(c.Iso) > 0:
+		iso := make([]bool, f.Topo.Nodes)
+		for _, n := range c.Iso {
+			iso[n] = true
+		}
+		f.cut.Store(&cutState{iso: iso})
+	default:
 		f.cut.Store(nil)
-		return
 	}
-	f.cut.Store(&cutState{iso: append([]bool{}, isolated...)})
 }
-
-// SetOneWayCut installs an asymmetric cut severing only the directed link
-// from→to. Every issue site already passes (issuer, target) to Severed, so
-// direction-awareness needs no per-path changes: ops issued by from toward
-// to are dropped, the reverse direction and every other pair flow.
-func (f *Fabric) SetOneWayCut(from, to int) {
-	f.cut.Store(&cutState{oneWay: true, from: from, to: to})
-}
-
-// ClearCut heals the partition: full reachability is restored.
-func (f *Fabric) ClearCut() { f.cut.Store(nil) }
 
 // Severed reports whether an operation issued by node a toward node b
 // crosses the active cut. Symmetric cuts sever both directions; a one-way
@@ -244,9 +243,6 @@ func MustNew(topo sim.Topology, p Params) *Fabric {
 	}
 	return f
 }
-
-// SetFaults attaches a fault injector. A nil injector disables injection.
-func (f *Fabric) SetFaults(in *fault.Injector) { f.FI = in }
 
 // NodeStats returns the counters of node n.
 func (f *Fabric) NodeStats(n int) *stats.Node { return f.nodes[n] }

@@ -327,9 +327,9 @@ func TestPostWriteBurstMatchesSerialFaultIdentity(t *testing.T) {
 	// one-item bursts would fail: batching may not change Corvus verdicts.
 	plan := fault.Plan{Seed: 7, Drop: 0.3}
 	fb := MustNew(testTopo(), DefaultParams())
-	fb.SetFaults(fault.NewInjector(plan))
+	fb.FI = fault.NewInjector(plan)
 	fs := MustNew(testTopo(), DefaultParams())
-	fs.SetFaults(fault.NewInjector(plan))
+	fs.FI = fault.NewInjector(plan)
 
 	var items []PostItem
 	for h := 1; h <= 3; h++ {
@@ -391,9 +391,9 @@ func TestCutSeveredDirections(t *testing.T) {
 		t.Fatal("fresh fabric reports severed links")
 	}
 
-	// Symmetric cut: isolated={1} severs every link crossing the mask, in
-	// both directions, and nothing inside either side.
-	f.SetCut([]bool{false, true, false, false})
+	// Symmetric cut: Iso={1} severs every link crossing the mask, in both
+	// directions, and nothing inside either side.
+	f.SetCut(fault.Cut{Iso: []int{1}})
 	for _, c := range []struct {
 		a, b int
 		want bool
@@ -406,9 +406,10 @@ func TestCutSeveredDirections(t *testing.T) {
 		}
 	}
 
-	// One-way cut: exactly the directed link from→to is severed; the
-	// reverse direction and every other pair stay connected.
-	f.SetOneWayCut(2, 0)
+	// One-way cut, shaped as fault.Plan.CutAt shapes it (its source in Iso):
+	// exactly the directed link from→to is severed; the reverse direction and
+	// every other pair stay connected.
+	f.SetCut(fault.Cut{Iso: []int{2}, OneWay: true, From: 2, To: 0})
 	for _, c := range []struct {
 		a, b int
 		want bool
@@ -421,15 +422,14 @@ func TestCutSeveredDirections(t *testing.T) {
 		}
 	}
 
-	f.ClearCut()
+	// The zero Cut heals either shape.
+	f.SetCut(fault.Cut{})
 	if f.Severed(2, 0) {
-		t.Fatal("cut survives ClearCut")
+		t.Fatal("one-way cut survives the zero Cut")
 	}
-
-	// SetCut(nil) is the documented tear-down alias.
-	f.SetOneWayCut(1, 3)
-	f.SetCut(nil)
-	if f.Severed(1, 3) {
-		t.Fatal("cut survives SetCut(nil)")
+	f.SetCut(fault.Cut{Iso: []int{1}})
+	f.SetCut(fault.Cut{})
+	if f.Severed(0, 1) {
+		t.Fatal("symmetric cut survives the zero Cut")
 	}
 }

@@ -30,13 +30,9 @@ import (
 // program's Report that replays). The returned Report is the first faulty
 // run's.
 func RunChaos(pr Params, plan fault.Plan) (Report, error) {
-	run := RunReport
-	if pr.UseFlags {
-		run = RunFlagsReport
-	}
 	rep, err := recovery.Replay(func(p *fault.Plan) (Report, error) {
 		pr.Faults = p
-		return run(pr)
+		return RunReport(pr)
 	}, plan, func(r Report) uint64 { return r.Digest }, func(r Report) Report { return Report{Digest: r.Digest} })
 	if err != nil {
 		return rep, fmt.Errorf("%w (params %+v)", err, pr)

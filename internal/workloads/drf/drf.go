@@ -93,15 +93,15 @@ func Random(rng *rand.Rand) Params {
 	}
 }
 
-// Run executes one random program and returns an error describing the
-// first coherence violation, if any.
-func Run(pr Params) error {
-	_, err := RunReport(pr)
-	return err
+// RunReport executes one random program — the flag chain of runFlagsReport
+// when pr.UseFlags is set — and returns its Report and an error describing
+// the first coherence violation, if any.
+func RunReport(pr Params) (Report, error) {
+	if pr.UseFlags {
+		return runFlagsReport(pr, wload.DigestOf[int64])
+	}
+	return runReport(pr, homeTruth)
 }
-
-// RunReport is Run returning the run's Report alongside the verdict.
-func RunReport(pr Params) (Report, error) { return runReport(pr, homeTruth) }
 
 // runReport is RunReport with the digest and the home-truth check taken by
 // home (the tests check it against the fold over a dump, and corrupt home
@@ -205,19 +205,11 @@ func ownerTable(pr Params, nt int) []uint16 {
 	return owner
 }
 
-// RunFlags executes a producer-consumer chain synchronized with Vela flags
-// instead of barriers: thread 0 writes, signals; each consumer waits and
-// verifies. Exercises the acquire/release fence pairing of signal/wait.
-func RunFlags(pr Params) error {
-	_, err := RunFlagsReport(pr)
-	return err
-}
-
-// RunFlagsReport is RunFlags returning the run's Report.
-func RunFlagsReport(pr Params) (Report, error) { return runFlagsReport(pr, wload.DigestOf[int64]) }
-
-// runFlagsReport is RunFlagsReport with the digest taken by fold (the tests
-// check it against the fold over a dump).
+// runFlagsReport executes a producer-consumer chain synchronized with Vela
+// flags instead of barriers: thread 0 writes, signals; each consumer waits
+// and verifies. Exercises the acquire/release fence pairing of signal/wait.
+// The digest is taken by fold (the tests check it against the fold over a
+// dump).
 func runFlagsReport(pr Params, fold func(uint64, *core.Cluster, core.I64Slice) uint64) (Report, error) {
 	cfg := core.DefaultConfig(pr.Nodes)
 	cfg.MemoryBytes = int64(pr.Elements*8) + 1<<20

@@ -21,7 +21,7 @@ func TestRandomProgramsPass(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		pr := Random(rng)
-		if err := Run(pr); err != nil {
+		if _, err := RunReport(pr); err != nil {
 			t.Fatalf("program %d: %v", i, err)
 		}
 	}
@@ -31,7 +31,8 @@ func TestFlagChainsPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 6; i++ {
 		pr := Random(rng)
-		if err := RunFlags(pr); err != nil {
+		pr.UseFlags = true
+		if _, err := RunReport(pr); err != nil {
 			t.Fatalf("flag program %d: %v", i, err)
 		}
 	}
@@ -45,7 +46,7 @@ func TestWorstCaseGeometry(t *testing.T) {
 		PageSize: 256, CacheLine: 4, PerLine: 1, WBPages: 1,
 		Mode: coherence.ModeS, Policy: mem.Blocked,
 	}
-	if err := Run(pr); err != nil {
+	if _, err := RunReport(pr); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -56,7 +57,7 @@ func TestSuppressionUnderFalseSharing(t *testing.T) {
 		PageSize: 512, CacheLine: 8, PerLine: 2, WBPages: 64,
 		Mode: coherence.ModePS3, Policy: mem.Interleaved, Suppress: true,
 	}
-	if err := Run(pr); err != nil {
+	if _, err := RunReport(pr); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -209,7 +210,7 @@ func digestChecked(t *testing.T, folds *int) func(uint64, *core.Cluster, core.I6
 }
 
 // TestInPlaceDigestsAreTheDumpFolds: the digests RunReport (with its
-// home-truth check in the same walk), RunFlagsReport and RunRing report are
+// home-truth check in the same walk), its flag chain and RunRing report are
 // read in place from the finished cluster and equal the digests over
 // DumpI64's copy bit for bit.
 func TestInPlaceDigestsAreTheDumpFolds(t *testing.T) {

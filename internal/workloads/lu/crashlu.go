@@ -34,7 +34,7 @@ package lu
 // those kernels safe. The races that used to make the planner reject
 // restart plans — a rejoiner re-registering its reads concurrently with
 // the survivors' reset rendezvous — are closed at runtime by the restart
-// rendezvous (core.memberBarrier.observe): when a reset is in flight, the
+// rendezvous (core.hierBarrier.sitOut): when a reset is in flight, the
 // rejoiner is admitted only after the post-reset rendezvous completes.
 
 import (

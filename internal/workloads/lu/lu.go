@@ -187,6 +187,77 @@ func Serial(p Params) []float64 {
 	return a
 }
 
+// worker is what the step schedule needs of a thread: *wload.LocalCtx on
+// the local machine, *core.Thread on the DSM.
+type worker interface {
+	Compute(d sim.Time)
+	Barrier()
+}
+
+// factor is thread id's share of the blocked factorization of an nb×nb grid
+// of b×b blocks, owned round-robin by nt threads: every step factors the
+// diagonal block, then the perimeter, then the interior, each phase closed
+// by a barrier. get copies block (bi, bj) into dst, put writes blk back.
+func factor(w worker, id, nt, nb, b int, get func(dst []float64, bi, bj int), put func(bi, bj int, blk []float64)) {
+	owner := func(bi, bj int) int { return (bi*nb + bj) % nt }
+	blockCost := sim.Time(b) * sim.Time(b) * sim.Time(b) * flopCost
+	diag := make([]float64, b*b)
+	blk := make([]float64, b*b)
+	left := make([]float64, b*b)
+	up := make([]float64, b*b)
+	for k := 0; k < nb; k++ {
+		if owner(k, k) == id {
+			get(diag, k, k)
+			factorDiag(diag, b)
+			put(k, k, diag)
+			w.Compute(blockCost / 3)
+		}
+		w.Barrier()
+		get(diag, k, k)
+		for j := k + 1; j < nb; j++ {
+			if owner(k, j) == id {
+				get(blk, k, j)
+				solveRow(diag, blk, b)
+				put(k, j, blk)
+				w.Compute(blockCost / 2)
+			}
+		}
+		for i := k + 1; i < nb; i++ {
+			if owner(i, k) == id {
+				get(blk, i, k)
+				solveCol(diag, blk, b)
+				put(i, k, blk)
+				w.Compute(blockCost / 2)
+			}
+		}
+		w.Barrier()
+		for i := k + 1; i < nb; i++ {
+			mine := false
+			for j := k + 1; j < nb; j++ {
+				if owner(i, j) == id {
+					mine = true
+					break
+				}
+			}
+			if !mine {
+				continue
+			}
+			get(left, i, k)
+			for j := k + 1; j < nb; j++ {
+				if owner(i, j) != id {
+					continue
+				}
+				get(up, k, j)
+				get(blk, i, j)
+				mulSub(blk, left, up, b)
+				put(i, j, blk)
+				w.Compute(blockCost)
+			}
+		}
+		w.Barrier()
+	}
+}
+
 // RunSerial measures one thread on the local machine.
 func RunSerial(p Params) wload.Result { return RunLocal(p, 1) }
 
@@ -209,66 +280,7 @@ func RunLocal(p Params, threads int) wload.Result {
 			copy(a[(bi*b+r)*n+bj*b:(bi*b+r)*n+bj*b+b], blk[r*b:(r+1)*b])
 		}
 	}
-	owner := func(bi, bj int) int { return (bi*nb + bj) % threads }
-	blockCost := sim.Time(b) * sim.Time(b) * sim.Time(b) * flopCost
-
-	t := m.Run(threads, func(lc *wload.LocalCtx) {
-		diag := make([]float64, b*b)
-		blk := make([]float64, b*b)
-		left := make([]float64, b*b)
-		up := make([]float64, b*b)
-		for k := 0; k < nb; k++ {
-			if owner(k, k) == lc.ID {
-				get(diag, k, k)
-				factorDiag(diag, b)
-				put(k, k, diag)
-				lc.Compute(blockCost / 3)
-			}
-			lc.Barrier()
-			get(diag, k, k)
-			for j := k + 1; j < nb; j++ {
-				if owner(k, j) == lc.ID {
-					get(blk, k, j)
-					solveRow(diag, blk, b)
-					put(k, j, blk)
-					lc.Compute(blockCost / 2)
-				}
-			}
-			for i := k + 1; i < nb; i++ {
-				if owner(i, k) == lc.ID {
-					get(blk, i, k)
-					solveCol(diag, blk, b)
-					put(i, k, blk)
-					lc.Compute(blockCost / 2)
-				}
-			}
-			lc.Barrier()
-			for i := k + 1; i < nb; i++ {
-				mine := false
-				for j := k + 1; j < nb; j++ {
-					if owner(i, j) == lc.ID {
-						mine = true
-						break
-					}
-				}
-				if !mine {
-					continue
-				}
-				get(left, i, k)
-				for j := k + 1; j < nb; j++ {
-					if owner(i, j) != lc.ID {
-						continue
-					}
-					get(up, k, j)
-					get(blk, i, j)
-					mulSub(blk, left, up, b)
-					put(i, j, blk)
-					lc.Compute(blockCost)
-				}
-			}
-			lc.Barrier()
-		}
-	})
+	t := m.Run(threads, func(lc *wload.LocalCtx) { factor(lc, lc.ID, threads, nb, b, get, put) })
 	return wload.Result{System: "local", Nodes: 1, Threads: threads, Time: t, Check: wload.Checksum(a)}
 }
 
@@ -296,9 +308,6 @@ func runArgo(cfg core.Config, p Params, tpn int, fold func(*core.Cluster, core.F
 	c.InitF64(ga, input(n))
 
 	nt := cfg.Nodes * tpn
-	owner := func(bi, bj int) int { return (bi*nb + bj) % nt }
-	blockCost := sim.Time(b) * sim.Time(b) * sim.Time(b) * flopCost
-
 	time := c.Run(tpn, func(th *core.Thread) {
 		get := func(dst []float64, bi, bj int) {
 			for r := 0; r < b; r++ {
@@ -312,61 +321,7 @@ func runArgo(cfg core.Config, p Params, tpn int, fold func(*core.Cluster, core.F
 				th.WriteF64s(ga, off, blk[r*b:(r+1)*b])
 			}
 		}
-		diag := make([]float64, b*b)
-		blk := make([]float64, b*b)
-		left := make([]float64, b*b)
-		up := make([]float64, b*b)
-		for k := 0; k < nb; k++ {
-			if owner(k, k) == th.Rank {
-				get(diag, k, k)
-				factorDiag(diag, b)
-				put(k, k, diag)
-				th.Compute(blockCost / 3)
-			}
-			th.Barrier()
-			get(diag, k, k)
-			for j := k + 1; j < nb; j++ {
-				if owner(k, j) == th.Rank {
-					get(blk, k, j)
-					solveRow(diag, blk, b)
-					put(k, j, blk)
-					th.Compute(blockCost / 2)
-				}
-			}
-			for i := k + 1; i < nb; i++ {
-				if owner(i, k) == th.Rank {
-					get(blk, i, k)
-					solveCol(diag, blk, b)
-					put(i, k, blk)
-					th.Compute(blockCost / 2)
-				}
-			}
-			th.Barrier()
-			for i := k + 1; i < nb; i++ {
-				mine := false
-				for j := k + 1; j < nb; j++ {
-					if owner(i, j) == th.Rank {
-						mine = true
-						break
-					}
-				}
-				if !mine {
-					continue
-				}
-				get(left, i, k)
-				for j := k + 1; j < nb; j++ {
-					if owner(i, j) != th.Rank {
-						continue
-					}
-					get(up, k, j)
-					get(blk, i, j)
-					mulSub(blk, left, up, b)
-					put(i, j, blk)
-					th.Compute(blockCost)
-				}
-			}
-			th.Barrier()
-		}
+		factor(th, th.Rank, nt, nb, b, get, put)
 	})
 	return wload.Result{
 		System: "argo", Nodes: cfg.Nodes, Threads: nt, Time: time,

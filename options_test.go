@@ -74,7 +74,7 @@ func TestOptionsCompose(t *testing.T) {
 	if obs := c.Cfg.Observers; len(obs) != 2 || obs[0] != ms || obs[1] != tr || c.Obs == nil {
 		t.Fatalf("WithMetrics and WithTracer not applied: observers %v", obs)
 	}
-	if c.FI == nil {
+	if c.Fab.FI == nil {
 		t.Fatal("cfg.Faults did not build an injector")
 	}
 }
@@ -113,7 +113,7 @@ func TestWithChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.FI == nil {
+	if c.Fab.FI == nil {
 		t.Fatal("WithChaos did not build an injector")
 	}
 	c.Run(1, func(th *argo.Thread) { th.Barrier() })
