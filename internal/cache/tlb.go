@@ -79,8 +79,9 @@ package cache
 // What a hit touches. Load, SpMV and Store read the TLB header (page shift,
 // page mask and the CacheHit cost, all copied in when the TLB is built), the
 // direct-mapped entry, the line's LineSync, the data word and the thread's
-// Proc — and nothing else: no Node, Space, Cache, Fabric or Probes. The
-// coherence layer is entered only when they report a miss.
+// Proc (SpMV also its own stack table of page bases) — and nothing else: no
+// Node, Space, Cache, Fabric or Probes. The coherence layer is entered only
+// when they report a miss.
 //
 // The virtual-time cost model is unchanged by construction: a hit performs
 // exactly the clock advance and hit count of a locked hit (SpMV adds up those
@@ -236,12 +237,12 @@ func (t *TLB) flush() {
 	}
 }
 
-// load is the validated word load Load and SpMV share: the direct-mapped
-// probe, one atomic word load, and one generation load after it, for the
-// 8-byte-aligned global address addr. When ok, the line's generation still
-// equals the entry's fill-time G after the load, so v is the page content a
-// locked hit would have copied (pillar 2); ok is false when the thread holds
-// no valid entry for addr's page. The caller charges the hit.
+// load is Load's validated word load: the direct-mapped probe, one atomic
+// word load, and one generation load after it, for the 8-byte-aligned global
+// address addr. When ok, the line's generation still equals the entry's
+// fill-time G after the load, so v is the page content a locked hit would
+// have copied (pillar 2); ok is false when the thread holds no valid entry for
+// addr's page. The caller charges the hit.
 func (t *TLB) load(addr int64) (v uint64, ok bool) {
 	page := int(addr >> (t.shift & 63))
 	e := &t.e[page&(tlbSize-1)]
@@ -272,73 +273,110 @@ func (t *TLB) Load(p *sim.Proc, addr int64) (v uint64, ok bool) {
 
 // SpMV is the fused run form of Load for a CSR sparse product: for rows
 // i = lo, lo+1, … it sets q[i-lo] to the sum over k in [rowPtr[i], rowPtr[i+1])
-// of val[k]·x[colIdx[k]], x being the float64 array at base, each x word loaded
-// exactly as Load would, and each row summed left to right from zero — the
-// bits of the one-row loop. Rows go in pairs, each row in its own add chain,
-// the two interleaved (an odd last row goes alone). The first pair that meets
-// an element that does not validate is discarded whole: SpMV returns its first
-// row, leaves q from that row on unwritten, and only then charges p the hits
-// of the rows it completed, in one step. It returns hi when every row
-// completed. Hits only add to a clock nothing else reads before the call ends,
-// so p is where one Load per completed element would have left it.
-func (t *TLB) SpMV(p *sim.Proc, base int64, rowPtr, colIdx []int32, val []float64, lo, hi int, q []float64) int {
+// of val[k]·x[colIdx[k]], x being the n float64 words at base, each row summed
+// left to right from zero — the bits of the one-row loop over Load. It checks
+// each page of x once per call, not once per word. A table on the call's stack
+// holds the buffers of the pages the call has opened; a row that reads a page
+// not in it opens, from their TLB entries, every page the rest of the row
+// reads, and the call stops at the first row that reads a page whose entry is
+// vacant, holds another page or is stale, or an index outside x's pages. That
+// row and the rows behind it are left unwritten. Before it charges anything,
+// SpMV re-loads every opened page's generation. Gen only grows, so a re-check
+// that still reads the entry's G covers every word loaded from the page before
+// it (pillar 2 applied once per call). If one does not, a line was invalidated
+// during the call, and SpMV discards the call whole: it returns lo, charges
+// nothing, and q from lo on may hold discarded sums. Otherwise it charges p the
+// hits of the rows it completed, in one step, and returns the first row it did
+// not complete (hi when every row completed). Hits only add to a clock nothing
+// else reads before the call ends, so p is where one Load per completed element
+// would have left it. When x spans more than tlbSize pages the call completes
+// nothing, and every row takes the caller's exact path.
+func (t *TLB) SpMV(p *sim.Proc, base int64, n int, rowPtr, colIdx []int32, val []float64, lo, hi int, q []float64) int {
 	if t == nil || base&7 != 0 {
 		return lo
 	}
-	i, n := lo, 0
-	for ; i < hi; i += 2 {
-		a, b, c := rowPtr[i], rowPtr[i+1], rowPtr[i+1]
-		if i+1 < hi {
-			c = rowPtr[i+2]
-		}
-		sa, sb, ok := t.pair(base, colIdx[a:b], val[a:b], colIdx[b:c], val[b:c])
-		if !ok {
-			break
-		}
-		q[i-lo] = sa
-		if i+1 < hi {
-			q[i+1-lo] = sb
-		}
-		n += int(c - a)
+	// In words: x[0] is word w0 of page first, and a page holds wm+1 words.
+	ws, wm := (t.shift-3)&63, int(t.mask>>3)
+	first, w0 := int(base>>(t.shift&63)), int(base&t.mask)>>3
+	np := (w0 + n + wm) >> ws
+	if uint(np) > tlbSize {
+		return lo
 	}
-	p.Hits += int64(n)
-	p.Advance(sim.Time(n) * t.hit)
-	return min(i, hi)
+	// pages[j] is the buffer of page first+j once the call has opened it.
+	// Only x's np pages are ever opened, so the slots behind them stay nil.
+	var pages [tlbSize]unsafe.Pointer
+	tab, i := pages[:np], lo
+	for ; i < hi; i++ {
+		cs, vs := colIdx[rowPtr[i]:rowPtr[i+1]], val[rowPtr[i]:rowPtr[i+1]]
+		s, k := sum(&pages, w0, ws, wm, cs, vs, 0)
+		if k < len(cs) {
+			// The row reads a page the call has not opened: open every page
+			// the rest of the row reads, and the rest sums without a stop.
+			if !t.openAll(tab, first, w0, ws, cs[k:]) {
+				break
+			}
+			s, _ = sum(&pages, w0, ws, wm, cs[k:], vs[k:], s)
+		}
+		q[i-lo] = s
+	}
+	for pi, b := range tab {
+		if b != nil && t.open(first+pi) == nil {
+			return lo
+		}
+	}
+	hits := int64(rowPtr[i] - rowPtr[lo])
+	p.Hits += hits
+	p.Advance(sim.Time(hits) * t.hit)
+	return i
 }
 
-// pair is SpMV's kernel for one pair of rows, a (column indices ca,
-// coefficients va) and b: it returns their sums, each taken left to right in
-// its own chain, or ok false at the first element that does not validate.
-func (t *TLB) pair(base int64, ca []int32, va []float64, cb []int32, vb []float64) (sa, sb float64, ok bool) {
-	va, vb = va[:len(ca)], vb[:len(cb)]
-	k := 0
-	for m := min(len(ca), len(cb)); k < m; k++ {
-		xa, ok := t.load(base + int64(ca[k])*8)
-		if !ok {
-			return 0, 0, false
+// sum is SpMV's kernel: it adds vs[k]·x[cs[k]] to s for k = 0, 1, … while the
+// word's page is open in pages, and returns the sum and the number of words
+// it added. x[0] is word w0 of the page in pages[0], and a page holds wm+1
+// words, 1<<ws. It is kept out of line: inlined into SpMV's row loop, k and
+// the word's index went through the stack on every step.
+//
+//go:noinline
+func sum(pages *[tlbSize]unsafe.Pointer, w0 int, ws uint, wm int, cs []int32, vs []float64, s float64) (float64, int) {
+	tab, vs := pages[:], vs[:len(cs)]
+	for k, c := range cs {
+		w := w0 + int(c)
+		pi := uint(w) >> (ws & 63)
+		if pi >= uint(len(tab)) || tab[pi] == nil {
+			return s, k
 		}
-		xb, ok := t.load(base + int64(cb[k])*8)
-		if !ok {
-			return 0, 0, false
-		}
-		sa += va[k] * math.Float64frombits(xa)
-		sb += vb[k] * math.Float64frombits(xb)
+		s += vs[k] * math.Float64frombits(atomic.LoadUint64((*uint64)(unsafe.Add(tab[pi], (w&wm)*8))))
 	}
-	for ; k < len(ca); k++ {
-		x, ok := t.load(base + int64(ca[k])*8)
-		if !ok {
-			return 0, 0, false
+	return s, len(cs)
+}
+
+// openAll opens into tab every page the words at cs read that it does not
+// hold yet, and reports whether it could: it cannot at an index outside tab's
+// pages or at a page open refuses. Slot j of tab is page first+j, x[0] is word
+// w0 of page first, and a page holds 1<<ws words.
+func (t *TLB) openAll(tab []unsafe.Pointer, first, w0 int, ws uint, cs []int32) bool {
+	for _, c := range cs {
+		pi := uint(w0+int(c)) >> (ws & 63)
+		if pi >= uint(len(tab)) {
+			return false
 		}
-		sa += va[k] * math.Float64frombits(x)
-	}
-	for ; k < len(cb); k++ {
-		x, ok := t.load(base + int64(cb[k])*8)
-		if !ok {
-			return 0, 0, false
+		if tab[pi] == nil {
+			if tab[pi] = t.open(first + int(pi)); tab[pi] == nil {
+				return false
+			}
 		}
-		sb += vb[k] * math.Float64frombits(x)
 	}
-	return sa, sb, true
+	return true
+}
+
+// open returns the buffer of page's TLB entry if the entry holds page at its
+// fill-time generation, and nil otherwise: SpMV's check of a page, made when
+// the call opens the page and again after its last load.
+func (t *TLB) open(page int) unsafe.Pointer {
+	if e := &t.e[page&(tlbSize-1)]; e.Page == page && e.Sync.Gen.Load() == e.G {
+		return e.Base
+	}
+	return nil
 }
 
 // Store is the write fast path: it stores v at the 8-byte-aligned global

@@ -183,11 +183,14 @@ func TestTLBLoadStore(t *testing.T) {
 	}
 }
 
-// TestTLBSpMV drives the fused product directly: rows go in pairs, each
-// summed left to right from zero with the bits of a one-row loop over Load; a
-// pair that meets an element Load would miss is discarded whole — SpMV returns
-// its first row, charges nothing for it and writes nothing from it on — and p
-// is left where one Load per element of the completed rows leaves it.
+// TestTLBSpMV drives the fused product directly: each row is summed left to
+// right from zero with the bits of a one-row loop over Load; the first row
+// that reads a page whose entry Load would miss on, or an index outside x's
+// pages, stops the call — SpMV returns that row, charges nothing for it and,
+// with no generation moving during the call (none does here), writes nothing
+// from it on — and p is left where one Load per element of the completed rows
+// leaves it. The discarded call of a generation that moves mid-call is the
+// seqlock hammer's (TestSeqlockConflictRefillHammer in internal/coherence).
 func TestTLBSpMV(t *testing.T) {
 	const hit = 7
 	c := New(0, 4096, 4, 2, 16)
@@ -213,7 +216,7 @@ func TestTLBSpMV(t *testing.T) {
 	ln7.FillTLB(tb, s7)
 
 	const mark = -1.5
-	spmv := func(what string, tb *TLB, base int64, rows [][]int32, lo, want int) {
+	spmv := func(what string, tb *TLB, base int64, n int, rows [][]int32, lo, want int) {
 		t.Helper()
 		rowPtr, colIdx, val := []int32{0}, []int32(nil), []float64(nil)
 		for _, r := range rows {
@@ -228,7 +231,7 @@ func TestTLBSpMV(t *testing.T) {
 			q[k] = mark
 		}
 		gp, lp := &sim.Proc{}, &sim.Proc{}
-		done := tb.SpMV(gp, base, rowPtr, colIdx, val, lo, len(rows), q)
+		done := tb.SpMV(gp, base, n, rowPtr, colIdx, val, lo, len(rows), q)
 		if done != want {
 			t.Fatalf("%s: SpMV completed rows [%d,%d), want [%d,%d)", what, lo, done, lo, want)
 		}
@@ -254,25 +257,39 @@ func TestTLBSpMV(t *testing.T) {
 			}
 		}
 	}
-	base := int64(5 * 4096)
-	spmv("one pair", tb, base, [][]int32{{3, 511, 0}, {3, 200}}, 0, 2)
-	spmv("odd row count", tb, base, [][]int32{{3, 1}, {2}, {4, 5, 6}}, 0, 3)
-	spmv("unequal and empty rows", tb, base, [][]int32{{1, 2, 3, 4}, {}, {}, {5}, {6, 7}, {}, {8}}, 0, 7)
-	spmv("from row lo", tb, base, [][]int32{{9}, {1, 2}, {3}, {4}}, 1, 4)
-	spmv("no rows", tb, base, [][]int32{{1}, {2}}, 2, 2)
-	spmv("two pages", tb, base, [][]int32{{1, 1024}, {2, 1024, 3}}, 0, 2)
-	spmv("miss in the first row", tb, base, [][]int32{{1, 512, 3}, {2}}, 0, 0)
-	spmv("miss in the second row", tb, base, [][]int32{{1, 2}, {3, 512}}, 0, 0)
-	spmv("miss in the longer row's tail", tb, base, [][]int32{{1}, {2, 3, 4, 512}}, 0, 0)
-	spmv("miss in the first row's tail", tb, base, [][]int32{{2, 3, 4, 512}, {1}}, 0, 0)
-	spmv("miss in the second pair", tb, base, [][]int32{{1}, {2}, {3, 512}, {4}}, 0, 2)
-	spmv("miss in a lone last row", tb, base, [][]int32{{1}, {2}, {-1}}, 0, 2)
-	spmv("nil TLB", nil, base, [][]int32{{1}, {2}}, 0, 0)
-	spmv("unaligned base", tb, base+4, [][]int32{{1}, {2}}, 0, 0)
+	base, n := int64(5*4096), 3*512 // x is pages 5, 6 and 7
+	spmv("two rows", tb, base, n, [][]int32{{3, 511, 0}, {3, 200}}, 0, 2)
+	spmv("odd row count", tb, base, n, [][]int32{{3, 1}, {2}, {4, 5, 6}}, 0, 3)
+	spmv("unequal and empty rows", tb, base, n, [][]int32{{1, 2, 3, 4}, {}, {}, {5}, {6, 7}, {}, {8}}, 0, 7)
+	spmv("from row lo", tb, base, n, [][]int32{{9}, {1, 2}, {3}, {4}}, 1, 4)
+	spmv("no rows", tb, base, n, [][]int32{{1}, {2}}, 2, 2)
+	spmv("two pages", tb, base, n, [][]int32{{1, 1024}, {2, 1024, 3}}, 0, 2)
+	spmv("a new page in mid-row", tb, base, n, [][]int32{{1}, {2, 3, 1024, 4}}, 0, 2)
+	spmv("all of x resident", tb, base, 512, [][]int32{{1, 511}, {2}, {}, {3, 4, 5}}, 0, 4)
+	spmv("every page touched resident", tb, base, n,
+		[][]int32{{1024, 1}, {2}, {1024}, {3, 1024, 4}, {}, {5, 6, 7, 8, 1024}, {9}, {1024, 1024}, {10}}, 0, 9)
+	spmv("x of tlbSize pages", tb, base, tlbSize*512, [][]int32{{1, 1024}, {2}}, 0, 2)
+	spmv("x wider than tlbSize pages", tb, base, tlbSize*512+1, [][]int32{{1, 1024}, {2}}, 0, 0)
+	spmv("x wider than tlbSize pages from inside its first", tb, base+8, tlbSize*512, [][]int32{{1}, {2}}, 0, 0)
+	spmv("miss in the first row", tb, base, n, [][]int32{{1, 512, 3}, {2}}, 0, 0)
+	spmv("miss in the second row", tb, base, n, [][]int32{{1, 2}, {3, 512}}, 0, 1)
+	spmv("miss in a later row's tail", tb, base, n, [][]int32{{1}, {2, 3, 4, 512}}, 0, 1)
+	spmv("miss in the first row's tail", tb, base, n, [][]int32{{2, 3, 4, 512}, {1}}, 0, 0)
+	spmv("miss in the third row", tb, base, n, [][]int32{{1}, {2}, {3, 512}, {4}}, 0, 2)
+	spmv("index below x", tb, base, n, [][]int32{{1}, {2}, {-1}}, 0, 2)
+	spmv("index beyond x", tb, base, 2*512, [][]int32{{1}, {2}, {1024}}, 0, 2)
+	spmv("nil TLB", nil, base, n, [][]int32{{1}, {2}}, 0, 0)
+	spmv("unaligned base", tb, base+4, n, [][]int32{{1}, {2}}, 0, 0)
+	// The table of opened pages is on the stack: a call allocates nothing.
+	rowPtr, colIdx, val, q, p := []int32{0, 2, 3}, []int32{1, 1024, 2}, []float64{1, 2, 3}, make([]float64, 2), &sim.Proc{}
+	if a := testing.AllocsPerRun(100, func() { tb.SpMV(p, base, n, rowPtr, colIdx, val, 0, 2, q) }); a != 0 || p.Hits != 3*101 {
+		t.Fatalf("SpMV allocated %v times a call, left %d hits", a, p.Hits)
+	}
 	ln7.BumpGen()
-	spmv("stale generation in the second pair", tb, base, [][]int32{{1}, {2}, {3, 1024}, {4}}, 0, 2)
+	spmv("stale entry in the third row", tb, base, n, [][]int32{{1}, {2}, {3, 1024}, {4}}, 0, 2)
+	spmv("stale entry reached only in a later row", tb, base, n, [][]int32{{1, 2}, {3}, {4, 5}, {1024}, {6}}, 0, 3)
 	ln.BumpGen()
-	spmv("stale generation", tb, base, [][]int32{{1}, {2}}, 0, 0)
+	spmv("stale generation", tb, base, n, [][]int32{{1}, {2}}, 0, 0)
 }
 
 // TestLittleEndianHostOnly is the byte-order contract in one place: a word the
@@ -304,7 +321,7 @@ func TestLittleEndianHostOnly(t *testing.T) {
 // 65536-element vector) behind one TLB, and a CSR matrix of 256 rows of 32
 // random column indices.
 func benchGatherRig(b *testing.B) (tb *TLB, rowPtr, colIdx []int32, val []float64) {
-	const pages, rows, perRow = 128, 256, 32
+	const pages, rows, perRow = benchWords / 512, 256, 32
 	c := New(0, 4096, pages/2, 2, 16)
 	tb = c.NewTLB(1)
 	for pg := 0; pg < pages; pg++ {
@@ -329,8 +346,12 @@ func benchGatherRig(b *testing.B) (tb *TLB, rowPtr, colIdx []int32, val []float6
 
 var benchSink float64
 
+// benchWords is the length of benchGatherRig's vector in words.
+const benchWords = 128 * 512
+
 // BenchmarkTLBLoad is the scalar form of BenchmarkTLBSpMV: the same pair of
-// rows per iteration, summed one Load per nonzero. Both report ns per word.
+// rows per iteration, summed one Load per nonzero. The three TLB benchmarks
+// report ns per word.
 func BenchmarkTLBLoad(b *testing.B) {
 	tb, rowPtr, colIdx, val := benchGatherRig(b)
 	p, q := &sim.Proc{}, make([]float64, 2)
@@ -353,17 +374,35 @@ func BenchmarkTLBLoad(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/word")
 }
 
+// BenchmarkTLBSpMV is the partially resident shape: one call per pair of
+// rows, so each call opens the ≤64 pages its two rows read.
 func BenchmarkTLBSpMV(b *testing.B) {
 	tb, rowPtr, colIdx, val := benchGatherRig(b)
 	p, q := &sim.Proc{}, make([]float64, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := 2 * (i & 127)
-		tb.SpMV(p, 0, rowPtr, colIdx, val, lo, lo+2, q)
+		tb.SpMV(p, 0, benchWords, rowPtr, colIdx, val, lo, lo+2, q)
 	}
 	benchSink = q[0]
 	if p.Hits != int64(b.N)*64 {
 		b.Fatalf("%d hits in %d pairs of rows of 32", p.Hits, b.N)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/word")
+}
+
+// BenchmarkTLBSpMVBlock is CG's call shape (cg.spmvGather makes one call per
+// thread block): one call over all 256 rows, every page of x resident.
+func BenchmarkTLBSpMVBlock(b *testing.B) {
+	tb, rowPtr, colIdx, val := benchGatherRig(b)
+	p, q := &sim.Proc{}, make([]float64, 256)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb.SpMV(p, 0, benchWords, rowPtr, colIdx, val, 0, 256, q)
+	}
+	benchSink = q[0]
+	if p.Hits != int64(b.N)*256*32 {
+		b.Fatalf("%d hits in %d calls of 256 rows of 32", p.Hits, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*256*32), "ns/word")
 }

@@ -40,22 +40,25 @@ func writeWord(n *Node, p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint64) {
 	}
 }
 
-// gatherWords reads the words at idx through a thread's sparse product
-// (core.Thread.SpMVF64) over rows of one element with coefficient 1, which
-// carries each word's bits into dst[k] unchanged (the words under test are
-// positive and finite): pairs of rows through the TLB, the node's locked path for a row a
-// pair stopped at.
-func gatherWords(n *Node, p *sim.Proc, tb *cache.TLB, base mem.Addr, idx []int32, dst []float64) {
+// gatherWords reads the words at idx of the 4 KB page at base through a thread's
+// sparse product (core.Thread.SpMVF64) over rows of one element with
+// coefficient 1, which carries each word's bits into dst[k] unchanged (the
+// words under test are positive and finite): runs of rows through the TLB, the
+// node's locked path for a row a call stopped at. It returns the number of
+// rows the TLB completed.
+func gatherWords(n *Node, p *sim.Proc, tb *cache.TLB, base mem.Addr, idx []int32, dst []float64) (fused int) {
 	rowPtr, ones := make([]int32, len(idx)+1), make([]float64, len(idx))
 	for k := range idx {
 		rowPtr[k+1], ones[k] = int32(k+1), 1
 	}
 	for i := 0; i < len(idx); i++ {
-		i = tb.SpMV(p, base, rowPtr, idx, ones, i, len(idx), dst[i:])
-		if i < len(idx) {
+		j := tb.SpMV(p, base, 4096/8, rowPtr, idx, ones, i, len(idx), dst[i:])
+		fused += j - i
+		if i = j; i < len(idx) {
 			dst[i] = math.Float64frombits(readWord(n, p, tb, base+mem.Addr(idx[i])*8))
 		}
 	}
+	return fused
 }
 
 func TestWordHitTakesFastPath(t *testing.T) {
@@ -404,8 +407,11 @@ func TestAllocFreeEvictionDowngrade(t *testing.T) {
 // the buffer the readers' TLB entries point into is rebound to Q over and
 // over. Every word of a page carries that page's number, so a read served
 // from the wrong page's bytes — a speculative load that escaped the seqlock
-// re-check — is recognizable. A third reader gathers 16 words of P per call,
-// so rebinds also land inside runs of hits. Run with -cpu 1,2,4; under -race
+// re-check — is recognizable. A third reader gathers 16 words of P per call
+// through the sparse product, which checks P's generation when it opens the
+// page and once more after the call's last load, so rebinds also land inside
+// runs of hits; the test fails if that reader's TLB never completes a row.
+// Run with -cpu 1,2,4; under -race
 // the same test checks that the discarded loads stay invisible to the
 // detector.
 func TestSeqlockConflictRefillHammer(t *testing.T) {
@@ -446,6 +452,7 @@ func TestSeqlockConflictRefillHammer(t *testing.T) {
 		}(g)
 	}
 
+	var fused atomic.Int64 // rows the gatherer's TLB completed
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -461,7 +468,7 @@ func TestSeqlockConflictRefillHammer(t *testing.T) {
 			for k := range idx {
 				idx[k] = int32((i*16 + k) * 11 & 511)
 			}
-			gatherWords(n, p, tb, pageP*4096, idx, dst)
+			fused.Add(int64(gatherWords(n, p, tb, pageP*4096, idx, dst)))
 			for k, w := range idx {
 				if got := math.Float64bits(dst[k]); got != word(pageP, int(w)) {
 					t.Errorf("gatherer: word %d of page %d read %#x, want %#x", w, pageP, got, word(pageP, int(w)))
@@ -475,7 +482,10 @@ func TestSeqlockConflictRefillHammer(t *testing.T) {
 	p := &sim.Proc{Node: 0}
 	tb := r.nodes[0].NewTLB()
 	var buf [8]byte
-	for i := 0; i < 4000 && !t.Failed(); i++ {
+	// At least 4000 rounds, and more until the gatherer's TLB has completed a
+	// row (a bounded wait: the check after the loop names a kernel that never
+	// completes one).
+	for i := 0; i < 1<<20 && !t.Failed() && (i < 4000 || fused.Load() == 0); i++ {
 		w := (i * 13) & 511
 		addr := mem.Addr(pageQ*4096 + 8*w)
 		switch i & 3 {
@@ -495,6 +505,9 @@ func TestSeqlockConflictRefillHammer(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if fused.Load() == 0 && !t.Failed() {
+		t.Fatal("the gatherer's TLB completed no row: the kernel under test never ran")
+	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -121,15 +121,15 @@ func (t *Thread) SetF64(s F64Slice, i int, v float64) { t.WriteU64(s.At(i), math
 // [rowPtr[i], rowPtr[i+1]) of val[k]*GetF64(x, colIdx[k]), summed left to
 // right from zero. It is that loop — the same elements in the same order, the
 // same hits and misses, the same counters, the same clock at every miss and
-// the same bits in q — served two rows at a time: the TLB validates, multiplies
-// and adds a pair of rows in one call and charges their hits together
-// (cache.TLB.SpMV). The first row of a pair that meets an element that does
-// not validate goes element by element through GetF64, whose miss path
-// refills the TLB, and pairing resumes behind it.
+// the same bits in q — served a run of rows at a time: the TLB checks each
+// page of x once per call, multiplies and adds the rows, and charges their
+// hits together (cache.TLB.SpMV). The row a call stopped at goes element by
+// element through GetF64, whose miss path refills the TLB, and the next call
+// resumes behind it.
 func (t *Thread) SpMVF64(x F64Slice, rowPtr, colIdx []int32, val []float64, lo, hi int, q []float64) {
 	for i := lo; i < hi; i++ {
-		i = t.tlb.SpMV(t.P, x.Base, rowPtr, colIdx, val, i, hi, q[i-lo:])
-		if i < hi { // the pair at row i stopped: row i in element order
+		i = t.tlb.SpMV(t.P, x.Base, x.Len, rowPtr, colIdx, val, i, hi, q[i-lo:])
+		if i < hi { // the call stopped at row i: row i in element order
 			var acc float64
 			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
 				acc += val[k] * t.GetF64(x, int(colIdx[k]))

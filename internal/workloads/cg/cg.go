@@ -274,7 +274,7 @@ func RunLocal(p Params, threads int) wload.Result {
 // cache, as the Pthreads original reads a shared array (pages fault in on
 // demand): SpMVF64 is one GetF64 per nonzero, in order, each row summed as
 // spmvRows sums it, with the multiply-adds fused into the TLB's validated
-// loads two rows at a time.
+// loads, whose pages it checks once per call.
 func (s *Sparse) spmvGather(th *core.Thread, gd core.F64Slice, q []float64, lo, hi int) int {
 	th.SpMVF64(gd, s.RowPtr, s.ColIdx, s.Val, lo, hi, q)
 	return int(s.RowPtr[hi] - s.RowPtr[lo])

@@ -111,17 +111,7 @@ func runReport(pr Params, home func(*core.Cluster, core.I64Slice, Params) (uint6
 	if nt > math.MaxUint16 {
 		return Report{}, fmt.Errorf("drf: %d threads do not fit the owner table's 16-bit ranks", nt)
 	}
-	cfg := core.DefaultConfig(pr.Nodes)
-	cfg.MemoryBytes = int64(pr.Elements*8) + 1<<20
-	cfg.PageSize = pr.PageSize
-	cfg.CacheLines = pr.CacheLine
-	cfg.PagesPerLine = pr.PerLine
-	cfg.WriteBufferPages = pr.WBPages
-	cfg.Mode = pr.Mode
-	cfg.Policy = pr.Policy
-	cfg.SWDiffSuppress = pr.Suppress
-	cfg.Faults = pr.Faults
-	c := wload.MustCluster(cfg)
+	c := wload.MustCluster(config(pr))
 	defer c.Close()
 
 	xs := c.AllocI64(pr.Elements)
@@ -175,6 +165,22 @@ func runReport(pr Params, home func(*core.Cluster, core.I64Slice, Params) (uint6
 	return rep, nil
 }
 
+// config is the cluster a program of either shape runs on: the geometry,
+// mode, home policy and diff suppression pr draws, and its fault plan.
+func config(pr Params) core.Config {
+	cfg := core.DefaultConfig(pr.Nodes)
+	cfg.MemoryBytes = int64(pr.Elements*8) + 1<<20
+	cfg.PageSize = pr.PageSize
+	cfg.CacheLines = pr.CacheLine
+	cfg.PagesPerLine = pr.PerLine
+	cfg.WriteBufferPages = pr.WBPages
+	cfg.Mode = pr.Mode
+	cfg.Policy = pr.Policy
+	cfg.SWDiffSuppress = pr.Suppress
+	cfg.Faults = pr.Faults
+	return cfg
+}
+
 // homeTruth folds the final home memory of xs into the report's digest and,
 // in the same in-place walk (core.ViewHome), checks that it holds the final
 // epoch; the error names the first element that does not.
@@ -211,12 +217,7 @@ func ownerTable(pr Params, nt int) []uint16 {
 // The digest is taken by fold (the tests check it against the fold over a
 // dump).
 func runFlagsReport(pr Params, fold func(uint64, *core.Cluster, core.I64Slice) uint64) (Report, error) {
-	cfg := core.DefaultConfig(pr.Nodes)
-	cfg.MemoryBytes = int64(pr.Elements*8) + 1<<20
-	cfg.PageSize = pr.PageSize
-	cfg.Mode = pr.Mode
-	cfg.Faults = pr.Faults
-	c := wload.MustCluster(cfg)
+	c := wload.MustCluster(config(pr))
 	defer c.Close()
 	xs := c.AllocI64(pr.Elements)
 	nt := pr.Nodes * pr.TPN

@@ -38,6 +38,43 @@ func TestFlagChainsPass(t *testing.T) {
 	}
 }
 
+// TestFlagProgramsRunTheirGeometry: a flag program's cluster, read through
+// core.ConfigHook, has the cache geometry, home policy and diff suppression
+// the program drew, as a barrier program's has; and a flag program passes on
+// the smallest cache and write buffer: 4 lines, 1 page.
+func TestFlagProgramsRunTheirGeometry(t *testing.T) {
+	var built []core.Config
+	core.ConfigHook = func(cfg *core.Config) { built = append(built, *cfg) }
+	defer func() { core.ConfigHook = nil }()
+	run := func(pr Params) {
+		t.Helper()
+		built = built[:0]
+		if _, err := RunReport(pr); err != nil {
+			t.Fatalf("flag program: %v", err)
+		}
+		if len(built) != 1 {
+			t.Fatalf("flag program built %d clusters, want 1", len(built))
+		}
+		c := built[0]
+		if c.PageSize != pr.PageSize || c.CacheLines != pr.CacheLine || c.PagesPerLine != pr.PerLine ||
+			c.WriteBufferPages != pr.WBPages || c.Mode != pr.Mode || c.Policy != pr.Policy || c.SWDiffSuppress != pr.Suppress {
+			t.Fatalf("flag program drew %+v, its cluster has page %d, %d lines of %d pages, %d-page write buffer, mode %v, policy %v, suppress %v",
+				pr, c.PageSize, c.CacheLines, c.PagesPerLine, c.WriteBufferPages, c.Mode, c.Policy, c.SWDiffSuppress)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 4; i++ {
+		pr := Random(rng)
+		pr.UseFlags = true
+		run(pr)
+	}
+	run(Params{
+		Seed: 5, Nodes: 3, TPN: 2, Elements: 700, Epochs: 2, Reads: 32,
+		PageSize: 256, CacheLine: 4, PerLine: 1, WBPages: 1,
+		Mode: coherence.ModeS, Policy: mem.Blocked, Suppress: true, UseFlags: true,
+	})
+}
+
 func TestWorstCaseGeometry(t *testing.T) {
 	// The most hostile deterministic corner: 1-page write buffer, 4-line
 	// cache, tiny pages, multiple writers per page, mode S.

@@ -191,8 +191,8 @@ type gatherRun struct {
 // cache, and between barriers every thread multiplies seeded sparse matrices
 // of 1 to 5 rows of 0 to 20 nonzeros, columns all over the array, by it —
 // with one SpMVF64 per matrix, or one GetF64 per nonzero. The rows span
-// resident, evicted and invalidated pages, so pairs of rows stop at misses
-// throughout.
+// resident, evicted and invalidated pages, so the fused product's calls stop
+// at misses throughout.
 func gatherProgram(t *testing.T, cfg core.Config, tpn int, fused bool) gatherRun {
 	t.Helper()
 	const pages, rounds, reads = 64, 3, 2048
@@ -313,10 +313,10 @@ func TestLynxGatherReplayIdentical(t *testing.T) {
 
 // TestLynxSpMVMatchesGetF64Walk: on one thread, SpMVF64 leaves exactly what
 // the GetF64 walk it replaces leaves — the bits of every row, Stats(), Hits()
-// and the makespan — wherever the pairs of rows meet their misses. Pages 0 and
-// 1 of x are touched first (resident, in the TLB); page 3 is not, and on a
-// two-line cache of one-page lines it shares page 1's line, so its miss
-// bumps page 1's generation under the thread's entry.
+// and the makespan — wherever the fused product's calls meet their misses.
+// Pages 0 and 1 of x are touched first (resident, in the TLB); page 3 is not,
+// and on a two-line cache of one-page lines it shares page 1's line, so its
+// miss bumps page 1's generation under the thread's entry.
 func TestLynxSpMVMatchesGetF64Walk(t *testing.T) {
 	epp := int32(argo.DefaultConfig(1).PageSize / 8)
 	at := func(page, off int32) int32 { return page*epp + off }
