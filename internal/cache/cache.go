@@ -54,7 +54,7 @@ type Slot struct {
 	// published is set by FillTLB once some thread's TLB entry holds Data: a
 	// lock-free reader validating a stale entry may from then on issue a
 	// speculative (always discarded) load into the buffer. PrepareRefill is
-	// its one reader (see tlb.go, pillar 2).
+	// its one reader, in race-detector builds only (see tlb.go, pillar 2).
 	published bool
 	// Data is the page content: a frame from mem's free frames, taken at the
 	// slot's first refill and kept across refills until the cache's Free.
@@ -66,6 +66,31 @@ type Slot struct {
 	// kept across DropTwin and Invalidate until Free; Twin aliases it while
 	// Dirty.
 	twinBuf []byte
+
+	// held names the home copy Data holds, untouched since Refill made or
+	// kept it; the slot forgets it when it turns dirty (EnsureTwin) and on a
+	// crash wipe (Reset). spare is a second frame, taken at the slot's first
+	// conflict refill and kept until Free, and spareHeld names what it holds:
+	// a conflict swaps the two frames (PrepareRefill), so the evicted page's
+	// copy waits in the spare for the page's return.
+	held      homeCopy
+	spare     []byte
+	spareHeld homeCopy
+}
+
+// homeCopy names a frame's content: page at home version ver
+// (mem.Space.Refill). The zero homeCopy names nothing.
+type homeCopy struct {
+	page int
+	ver  uint64
+}
+
+// of returns the version of page the frame holds, 0 when it holds none.
+func (h homeCopy) of(page int) uint64 {
+	if h.page != page {
+		return 0
+	}
+	return h.ver
 }
 
 // Line is everything the cache keeps per line. Its seqlock state sits apart,
@@ -172,8 +197,9 @@ func (c *Cache) initLines(base int, chunk []Line) {
 }
 
 // resetLines brings a freed chunk back to what initLines leaves: every slot,
-// up to the slot array's capacity, empty, unpublished and frameless — its data
-// and twin frames handed back (mem.PutFrame) — and the line off the used list.
+// up to the slot array's capacity, empty, unpublished and frameless — its
+// data, twin and spare frames handed back (mem.PutFrame) — and the line off
+// the used list.
 // Act is zero already: no thread runs once a cache is freed. The generation
 // moves on rather than back, so no TLB entry filled before the reset could
 // validate after it.
@@ -186,15 +212,16 @@ func resetLines(chunk *[sparse.ChunkLen]Line) {
 		for j := range slots {
 			mem.PutFrame(slots[j].Data)
 			mem.PutFrame(slots[j].twinBuf)
+			mem.PutFrame(slots[j].spare)
 			slots[j] = Slot{Page: -1}
 		}
 	}
 }
 
-// Free hands every slot's data and twin frame back, whatever state the slot
-// is in, and the cache's line chunks to the next cluster's caches, walking
-// only the lines that ever came into being; afterwards the cache holds no
-// line. The caller guarantees that no thread runs and no TLB built over the
+// Free hands every slot's data, twin and spare frame back, whatever state the
+// slot is in, and the cache's line chunks to the next cluster's caches,
+// walking only the lines that ever came into being; afterwards the cache
+// holds no line. The caller guarantees that no thread runs and no TLB built over the
 // cache is used again (core.Cluster.Close): only then can no stale entry load
 // from a frame another cluster is refilling. A frame a race-detector refill
 // left to stale entries is no slot's any more, so it is never handed back.
@@ -280,32 +307,65 @@ func (c *Cache) LockLine(l int) *Line {
 // maps to; the slot may currently hold a different page (conflict) or none.
 func (c *Cache) SlotOf(ln *Line, page int) *Slot { return &ln.slots[page%c.PagesPerLine] }
 
-// PrepareRefill gives s a Data buffer the caller must overwrite with a page's
-// whole content before the slot leaves Invalid: its bytes are another page's,
-// of this cluster or — for a recycled frame — of a closed one. The
-// caller holds the line lock and has bumped the line generation. The slot's
-// existing buffer is reused in place — whichever page it last held — so a
-// steady-state miss allocates nothing. The one exception is a race-detector
-// build refilling a published buffer: the speculative load a stale TLB entry
-// may still issue into it is discarded by the seqlock re-check, but the
-// detector would report it against the refill's plain stores, so there the
-// stale entries keep the old buffer and the refill gets another frame (see
-// tlb.go, pillar 2).
+// PrepareRefill gives s, whose Page the caller has just set, the Data frame
+// Refill then brings up to that page's home content: its bytes may be another
+// page's, of this cluster or — for a recycled frame — of a closed one. The
+// caller holds the line lock and has bumped the line generation. Frames are
+// reused in place — whichever page they last held — so a steady-state miss
+// allocates nothing, and a frame that still holds the page at its current
+// version is not copied again:
+//
+//   - On a conflict — Data holds a copy of another page, or the spare holds
+//     one of this page — Data and the spare swap, the spare taken from mem's
+//     free frames at the slot's first conflict. The evicted page's copy waits
+//     in the spare, and a slot that alternates between two pages copies
+//     neither while their homes stand still.
+//   - Otherwise Data is refilled in place.
+//
+// A race-detector build never swaps, and it never refills a published buffer
+// in place: the speculative load a stale TLB entry may still issue into it is
+// discarded by the seqlock re-check, but the detector would report it against
+// the refill's plain stores, so there the stale entries keep the old buffer
+// and the refill gets another frame (see tlb.go, pillar 2).
 func (c *Cache) PrepareRefill(s *Slot) {
-	if s.Data == nil || (racetag.Enabled && s.published) {
+	switch {
+	case racetag.Enabled:
+		if s.Data == nil || s.published {
+			s.Data, s.held = mem.GetFrame(c.PageSize), homeCopy{}
+			s.published = false
+		}
+	case s.held.ver != 0 && s.held.page != s.Page || s.spareHeld.of(s.Page) != 0:
+		if s.spare == nil {
+			s.spare = mem.GetFrame(c.PageSize)
+		}
+		s.Data, s.spare = s.spare, s.Data
+		s.held, s.spareHeld = s.spareHeld, s.held
+	case s.Data == nil:
 		s.Data = mem.GetFrame(c.PageSize)
-		s.published = false
 	}
 }
 
+// Refill brings Data, which PrepareRefill readied, up to page s.Page's home
+// content in sp, copying only when Data does not already hold the page's
+// current version, and reports whether it copied.
+func (s *Slot) Refill(sp *mem.Space) (copied bool) {
+	have := s.held.of(s.Page)
+	v := sp.Refill(s.Page, s.Data, have)
+	s.held = homeCopy{s.Page, v}
+	return v != have
+}
+
 // EnsureTwin snapshots the slot's current data into its twin buffer, which
-// the copy overwrites whole, so the frame is taken uncleared.
+// the copy overwrites whole, so the frame is taken uncleared. It is the one
+// Clean→Dirty step, so it is where the slot forgets which home copy Data
+// held: local writes follow.
 func (c *Cache) EnsureTwin(s *Slot) {
 	if s.twinBuf == nil {
 		s.twinBuf = mem.GetFrame(c.PageSize)
 	}
 	s.Twin = s.twinBuf
 	copy(s.Twin, s.Data)
+	s.held = homeCopy{}
 }
 
 // DropTwin retires the twin (after a writeback made the page clean). The
@@ -430,9 +490,16 @@ func (c *Cache) InvalidateAll(flush func(s *Slot)) {
 }
 
 // Reset drops every cached page unflushed and clears the write buffer and the
-// fetch gate (Cygnus crash wipes: the volatile state a node loses).
+// fetch gate (Cygnus crash wipes: the volatile state a node loses). Every
+// frame, on a used line or not, forgets the home copy it held, so the first
+// refill of each page after the wipe copies it.
 func (c *Cache) Reset() {
 	c.InvalidateAll(nil)
+	c.ForEachLine(func(_ int, slots []Slot) {
+		for i := range slots {
+			slots[i].held, slots[i].spareHeld = homeCopy{}, homeCopy{}
+		}
+	})
 	c.wbMu.Lock()
 	c.wbHead, c.wbLen = 0, 0
 	c.wbMu.Unlock()

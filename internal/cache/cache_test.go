@@ -1,11 +1,13 @@
 package cache
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
+	"argo/internal/mem"
 	"argo/internal/racetag"
 )
 
@@ -132,6 +134,74 @@ func TestPrepareRefillRecyclesBuffer(t *testing.T) {
 	}
 	if (*byte)(tb.Entry(32).Base) != buf {
 		t.Fatal("stale TLB entry lost its buffer")
+	}
+}
+
+// TestRefillCopiesOnlyAChange: a slot that alternates between two pages
+// keeps the one it evicts in its spare and copies neither again while their
+// homes stand still (a race-detector build, which has no spare, copies at
+// each alternation); a home write, a write miss and a crash wipe each make
+// the next refill copy. Every refill leaves Data equal to the home page, and
+// Free hands the spare back.
+func TestRefillCopiesOnlyAChange(t *testing.T) {
+	sp := mem.NewSpace(1, 4*4096, 4096, mem.Interleaved)
+	sp.WritePageFull(0, bytes.Repeat([]byte{10}, 4096))
+	sp.WritePageFull(1, bytes.Repeat([]byte{11}, 4096))
+	c := New(0, 4096, 1, 1, 16) // pages 0 and 1 share the one slot
+	ln := c.LockLine(0)
+	s := c.SlotOf(ln, 0)
+	ln.Unlock()
+	refill := func(page int, wantCopy bool) {
+		t.Helper()
+		ln := c.LockLine(0)
+		defer ln.Unlock()
+		ln.BumpGen()
+		s.Invalidate()
+		s.Page = page
+		c.PrepareRefill(s)
+		if copied := s.Refill(sp); copied != wantCopy {
+			t.Fatalf("refill of page %d copied = %v, want %v", page, copied, wantCopy)
+		}
+		home := make([]byte, 4096)
+		sp.ReadPage(page, home)
+		if !bytes.Equal(s.Data, home) {
+			t.Fatalf("refill of page %d does not hold the home page", page)
+		}
+		s.St = Clean
+	}
+	refill(0, true)
+	refill(1, true)
+	if racetag.Enabled != (s.spare == nil) {
+		t.Fatalf("spare taken = %v in a race build = %v", s.spare != nil, racetag.Enabled)
+	}
+	refill(0, racetag.Enabled)
+	refill(1, racetag.Enabled)
+	sp.WritePageFull(0, bytes.Repeat([]byte{20}, 4096))
+	refill(0, true)
+	refill(0, false) // in the current frame, as after an SI fence: no build copies
+	ln = c.LockLine(0)
+	c.EnsureTwin(s)
+	s.Data[0] = 99 // a local write the wipe loses: home does not move
+	ln.Unlock()
+	refill(0, true)
+	refill(1, racetag.Enabled)
+	refill(0, racetag.Enabled)
+	c.Reset()
+	refill(1, true)
+	refill(0, true)
+	// Free hands the spare back with the data and twin frames.
+	t.Cleanup(emptyLinePool)
+	var held []*byte
+	for _, f := range [][]byte{s.Data, s.twinBuf, s.spare} {
+		if f != nil {
+			held = append(held, &f[0])
+		}
+	}
+	c.Free()
+	for range held {
+		if f := &mem.GetFrame(4096)[0]; !slices.Contains(held, f) {
+			t.Fatalf("frame %p after Free, want one of the slot's %v", f, held)
+		}
 	}
 }
 

@@ -44,11 +44,28 @@ package cache
 //     race-detector build does the one thing differently: it never refills a
 //     published buffer in place, but leaves it to the stale entries and
 //     refills a fresh one, so the detector never sees a discarded load beside
-//     a plain refill store. Nothing else depends on the build.
+//     a plain refill store. Only the spare frame below also depends on the
+//     build.
+//
+//     A refill may also store nothing at all (Slot.Refill): a frame that
+//     still holds the page at its current home version is not copied again
+//     (mem.Space.Refill). A version that has not moved means no writer has
+//     taken the page's home lock since the frame's copy was made, for every
+//     home writer moves it under that lock before it writes; and a frame with
+//     a version has not been written since, for the slot forgets the version
+//     at its one Clean→Dirty step (EnsureTwin), before any local store, and
+//     on a crash wipe. A conflict refill of a slot whose frame holds another
+//     page swaps Data with the slot's spare frame instead of overwriting it,
+//     so the evicted copy stays whole for the page's return. Stale TLB
+//     entries may therefore name either frame; the generation bump still
+//     comes before the swap, so a stale entry's load is discarded by its
+//     re-check, and a store through a stale entry never lands (pillar 3).
+//     A race-detector build never swaps, so it keeps the rule above.
 //
 //     Frames also outlive their cluster (mem.GetFrame/PutFrame), and that
 //     keeps the pillar sound as well. A frame leaves its slot only when the
-//     cache's Free resets the slot's line chunk, and core.Cluster.Close calls
+//     cache's Free resets the slot's line chunk — its data, twin and spare
+//     frames alike — and core.Cluster.Close calls
 //     Free after Run has returned: every thread of the run, and every TLB
 //     that could hold an entry into the frame, is gone, so another cluster's
 //     refill of the frame has no speculative reader at all. And a

@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"argo/internal/cache"
 	"argo/internal/directory"
@@ -408,10 +409,13 @@ func (n *Node) fetchLineLocked(p *sim.Proc, ln *cache.Line, page int) {
 	n.registerBurst(p, regs)
 	n.Fab.FetchLine(p, homes, n.Cache.PageSize, uint64(base))
 	for _, s := range fetched {
-		// A plain memmove into the recycled buffer: the generation bump
+		// A plain memmove into the recycled buffer, or none when the buffer
+		// still holds the page's current home version: the generation bump
 		// above already fenced off every lock-free reader and writer (see
 		// cache/tlb.go, pillars 2 and 3).
-		n.Space.ReadPage(s.Page, s.Data)
+		if s.Refill(n.Space) && refillCopies != nil {
+			refillCopies.Add(1)
+		}
 		s.St = cache.Clean
 		s.ReadyAt = p.Now()
 	}
@@ -424,6 +428,10 @@ func (n *Node) fetchLineLocked(p *sim.Proc, ln *cache.Line, page int) {
 	// limitation): serialize the span of this fetch on the node gate.
 	n.Cache.FetchGate.OccupyAt(p, t0, p.Now()-t0)
 }
+
+// refillCopies, when a test sets it (export_test.go), counts the pages line
+// fetches copied from home.
+var refillCopies *atomic.Int64
 
 // countHomePage adds one page transfer from home to a line fetch's per-home
 // tally, which it keeps in ascending home order (what Fabric.FetchLine takes).

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"argo/internal/directory"
 	"argo/internal/fabric"
 	"argo/internal/mem"
+	"argo/internal/racetag"
 	"argo/internal/sim"
 )
 
@@ -319,5 +321,67 @@ func TestCountHomePageKeepsAscendingHomes(t *testing.T) {
 	want := []fabric.HomePages{{Home: 0, Pages: 1}, {Home: 2, Pages: 2}, {Home: 5, Pages: 3}, {Home: 7, Pages: 1}}
 	if !slices.Equal(homes, want) {
 		t.Fatalf("tally %v, want %v", homes, want)
+	}
+}
+
+// TestRefillCopiesOnlyChangedPages: node 0's cache is one line of two pages,
+// and it reads the pages of two lines that share it, alternately, so every
+// read of a line refills both slots. Between rounds node 1 writes one of the
+// four pages, or none, and releases it; node 0 acquires before it reads.
+// Every read returns the last value written, and a line fetch copies exactly
+// the pages written since node 0 last copied them: a slot's spare keeps the
+// page it evicted. Under the race detector there is no spare, and every
+// refill copies. After a local write that a crash wipe loses, the refill
+// copies again and reads the home value.
+func TestRefillCopiesOnlyChangedPages(t *testing.T) {
+	r := newRigGeom(t, Options{Mode: ModePS3}, 1, 2, 16)
+	copies := countRefillCopies(t)
+	rng := rand.New(rand.NewSource(5))
+	var vals, writes [4]int        // per page: word 0's value, the writes node 1 released
+	seen := [4]int{-1, -1, -1, -1} // per page: writes when node 0 last copied it
+	fetch := func(line int) {
+		t.Helper()
+		before := copies.Load()
+		want := int64(0)
+		for pg := 2 * line; pg < 2*line+2; pg++ {
+			if got := int(r.read64(0, mem.Addr(pg*4096))); got != vals[pg] {
+				t.Fatalf("page %d reads %d, want %d", pg, got, vals[pg])
+			}
+			if racetag.Enabled || seen[pg] != writes[pg] {
+				want++
+			}
+			seen[pg] = writes[pg]
+		}
+		if got := copies.Load() - before; got != want {
+			t.Fatalf("the fetch of line %d copied %d pages, want %d (writes %v, seen %v)", line, got, want, writes, seen)
+		}
+	}
+	line := 0
+	for round := 0; round < 40; round++ {
+		if pg := rng.Intn(5); pg < 4 {
+			vals[pg] = 1 + round
+			r.write64(1, mem.Addr(pg*4096), byte(vals[pg]))
+			r.nodes[1].SDFence(r.procs[1])
+			writes[pg]++
+		}
+		r.nodes[0].SIFence(r.procs[0])
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			line ^= 1
+			fetch(line)
+		}
+	}
+	// Node 0 writes a page of the resident line and crashes before it
+	// releases: the next fetch of that line copies both pages, whose homes did
+	// not move, and reads the home values.
+	r.write64(0, mem.Addr(2*line*4096), 0xEE)
+	r.nodes[0].CrashWipe()
+	before := copies.Load()
+	for pg := 2 * line; pg < 2*line+2; pg++ {
+		if got := int(r.read64(0, mem.Addr(pg*4096))); got != vals[pg] {
+			t.Fatalf("after the wipe page %d reads %d, want %d", pg, got, vals[pg])
+		}
+	}
+	if got := copies.Load() - before; got != 2 {
+		t.Fatalf("the first fetch after a crash wipe copied %d pages, want 2", got)
 	}
 }

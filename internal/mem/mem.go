@@ -74,10 +74,14 @@ type Space struct {
 	capacity int64
 }
 
-// page is one home page: its lock and its content, nil until first written.
+// page is one home page: its lock, its content, nil until first written, and
+// the count of write-lock holds, which lockHome bumps before any write: a copy
+// of the page that was made at a count the page still has holds its current
+// content (Refill).
 type page struct {
-	mu   sync.RWMutex
-	data []byte
+	mu     sync.RWMutex
+	data   []byte
+	writes atomic.Uint64
 }
 
 // pagePool recycles page-table chunks from a closed cluster's space to the
@@ -166,15 +170,19 @@ func (s *Space) AllocPageAligned(size int64) Addr {
 	return s.Alloc(size, int64(s.PageSize))
 }
 
-// lockHome write-locks page p and returns it with its backing storage: a
-// frame taken at the page's first write and cleared, because the writers
-// overwrite only part of it and the rest must read as the zeros it held
-// unwritten. The caller unlocks pg.mu.
+// lockHome write-locks page p, moves its version on, and returns it with its
+// backing storage: a frame taken at the page's first write and cleared,
+// because the writers overwrite only part of it and the rest must read as the
+// zeros it held unwritten. It is the one door to a home frame for writing —
+// WritePageFull, Writeback, ApplyDiff and HomeBytes all come through it — so
+// no write reaches a page whose version Refill still reads as a copy's. The
+// caller unlocks pg.mu.
 func (s *Space) lockHome(p int) (pg *page, home []byte) {
 	if pg = s.pages.Peek(p); pg == nil {
 		pg = s.pages.At(p)
 	}
 	pg.mu.Lock()
+	pg.writes.Add(1)
 	if pg.data == nil {
 		pg.data = GetFrame(s.PageSize)
 		clear(pg.data)
@@ -182,24 +190,46 @@ func (s *Space) lockHome(p int) (pg *page, home []byte) {
 	return pg, pg.data
 }
 
-// ReadPage copies page p's home content into dst (len(dst) == PageSize). A
-// page nobody has written yet reads as zeros and stays unallocated; where not
-// even its table entry exists there is no lock to take either — zeros are the
-// page as it was before any write, and a reader that synchronised with a
-// writer (DRF) finds the entry that writer published.
-func (s *Space) ReadPage(p int, dst []byte) {
+// ReadPage copies page p's home content into dst (len(dst) == PageSize),
+// whatever dst held: a Refill from no version. A page nobody has written yet
+// reads as zeros and stays unallocated; where not even its table entry exists
+// there is no lock to take either — zeros are the page as it was before any
+// write, and a reader that synchronised with a writer (DRF) finds the entry
+// that writer published.
+func (s *Space) ReadPage(p int, dst []byte) { s.Refill(p, dst, 0) }
+
+// Refill brings dst, a copy of page p at version have, up to the page's
+// current home content and returns the version dst then holds. have is what an
+// earlier Refill of p into dst returned, or 0 when dst holds no version of p
+// (a version is never 0). When have is current, Refill returns after one
+// atomic load: no lock and no copy, because no writer has taken the page's
+// lock since dst's copy was made (lockHome moves the version first). Otherwise
+// it copies under the page's read lock and returns the version it copied. The
+// caller must not have written dst since it was filled at have.
+//
+// A reader that synchronised with the page's last writer (DRF) sees that
+// writer's version move, so a copy Refill keeps is the copy it would have
+// made; a write racing the load is a write the read may order before.
+func (s *Space) Refill(p int, dst []byte, have uint64) uint64 {
 	pg := s.pages.Peek(p)
 	if pg == nil {
-		clear(dst)
-		return
+		if have != 1 {
+			clear(dst)
+		}
+		return 1 // unwritten: zeros, as after writes count 0
+	}
+	if have != 0 && pg.writes.Load()+1 == have {
+		return have
 	}
 	pg.mu.RLock()
+	v := pg.writes.Load() + 1
 	if pg.data != nil {
 		copy(dst, pg.data)
 	} else {
 		clear(dst)
 	}
 	pg.mu.RUnlock()
+	return v
 }
 
 // zeroWords is what a page nobody has written is seen through: zeros, 8-byte
@@ -445,7 +475,10 @@ func (s *Space) ApplyDiff(p int, data, twin []byte) int {
 // zero-cost initialization and for building verification snapshots: the
 // returned slice may only be used while all simulated threads are quiesced,
 // and only until Free (core.Cluster.Close) — the frame then belongs to
-// whichever page, cache slot or twin of whichever cluster takes it next.
+// whichever page, cache slot or twin of whichever cluster takes it next. It
+// moves the page's version as every writer does, so a write through the slice
+// must come before the page's next refill: a refill in between holds the
+// version the write did not move.
 func (s *Space) HomeBytes(p int) []byte {
 	pg, home := s.lockHome(p)
 	pg.mu.Unlock()

@@ -593,3 +593,72 @@ func TestPolicyString(t *testing.T) {
 		t.Fatal("unknown policy name wrong")
 	}
 }
+
+// Every home writer moves the page's version, so Refill copies again after
+// any of them and skips the copy only while the page stands still; ReadPage
+// copies whatever its destination held.
+func TestEveryHomeWriterMovesTheVersion(t *testing.T) {
+	s := NewSpace(2, 8*4096, 4096, Interleaved)
+	page := bytes.Repeat([]byte{7}, 4096)
+	twin := make([]byte, 4096)
+	writers := []struct {
+		name  string
+		write func()
+	}{
+		{"WritePageFull", func() { s.WritePageFull(3, page) }},
+		{"Writeback full", func() { s.Writeback(3, page, twin, func() bool { return true }) }},
+		{"Writeback diff", func() { s.Writeback(3, page, twin, func() bool { return false }) }},
+		{"ApplyDiff", func() { s.ApplyDiff(3, page, twin) }},
+		{"HomeBytes", func() { s.HomeBytes(3)[9] = 9 }},
+	}
+	dst := make([]byte, 4096)
+	v := s.Refill(3, dst, 0)
+	if v == 0 || !bytes.Equal(dst, make([]byte, 4096)) {
+		t.Fatalf("first refill of an unwritten page: version %d, zeros %v", v, bytes.Equal(dst, make([]byte, 4096)))
+	}
+	home := make([]byte, 4096)
+	for _, w := range writers {
+		w.write()
+		dst[0] = 0xEE // what the refill must overwrite
+		got := s.Refill(3, dst, v)
+		if got <= v {
+			t.Fatalf("%s: version %d after %d", w.name, got, v)
+		}
+		s.ReadPage(3, home)
+		if !bytes.Equal(dst, home) {
+			t.Fatalf("%s: the refill after the write does not hold the home page", w.name)
+		}
+		v = got
+		dst[1] = 0xEE // a copy Refill keeps is never looked at again
+		if s.Refill(3, dst, v) != v || dst[1] != 0xEE {
+			t.Fatalf("%s: a refill at the current version copied", w.name)
+		}
+		dst[1] = home[1]
+	}
+	junk := bytes.Repeat([]byte{0xEE}, 4096)
+	s.ReadPage(3, junk)
+	if !bytes.Equal(junk, s.HomeBytes(3)) {
+		t.Fatal("ReadPage did not copy the whole page over what its destination held")
+	}
+}
+
+// BenchmarkRefill reports ns per page of a line fetch's refill: "unchanged"
+// when the destination already holds the page's current version (one atomic
+// load, no copy), "changed" when it holds none (the read lock and the copy).
+func BenchmarkRefill(b *testing.B) {
+	s := NewSpace(1, 4096, 4096, Interleaved)
+	s.WritePageFull(0, bytes.Repeat([]byte{1}, 4096))
+	dst := make([]byte, 4096)
+	v := s.Refill(0, dst, 0)
+	b.Run("unchanged", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.Refill(0, dst, v)
+		}
+	})
+	b.Run("changed", func(b *testing.B) {
+		b.SetBytes(4096)
+		for i := 0; i < b.N; i++ {
+			s.Refill(0, dst, 0)
+		}
+	})
+}

@@ -5,7 +5,8 @@
 // cache's refill decision (cache.PrepareRefill): a refill overwrites a buffer
 // that a lock-free reader may still load from speculatively — sound, because
 // the seqlock re-check discards the value, but a data race the detector would
-// report — so a -race build hands the refill a fresh buffer instead. And the
+// report — so a -race build hands the refill a fresh buffer instead, and never
+// swaps in the slot's spare frame. And the
 // kernel selection of internal/simd: the detector cannot see what assembly
 // reads and writes, so a -race build runs the Go loops.
 package racetag

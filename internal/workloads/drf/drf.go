@@ -234,6 +234,12 @@ func runFlagsReport(pr Params, fold func(uint64, *core.Cluster, core.I64Slice) u
 			for _, f := range flags[1:] {
 				f.Signal(th)
 			}
+			if len(flags) == 1 {
+				// No consumer to signal, and so no fence from Signal: release
+				// the writes home, or the digest would fold only the pages the
+				// write buffer and the cache happened to write back.
+				th.ReleaseFence()
+			}
 			return
 		}
 		flags[th.Rank].Wait(th)

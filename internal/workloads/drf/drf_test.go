@@ -75,6 +75,30 @@ func TestFlagProgramsRunTheirGeometry(t *testing.T) {
 	})
 }
 
+// TestOneThreadFlagProgramDigestIgnoresGeometry: a flag program on one thread
+// has no consumer to signal, yet its writes reach home, so its digest is a
+// function of the values alone: the same on the smallest cache and write
+// buffer as on a cache that holds every page.
+func TestOneThreadFlagProgramDigestIgnoresGeometry(t *testing.T) {
+	pr := Params{
+		Seed: 3, Nodes: 1, TPN: 1, Elements: 1000, Epochs: 2, Reads: 32,
+		PageSize: 256, CacheLine: 4, PerLine: 1, WBPages: 1,
+		Mode: coherence.ModePS3, Policy: mem.Interleaved, UseFlags: true,
+	}
+	small, err := RunReport(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.CacheLine, pr.PerLine, pr.WBPages = 4096, 4, 8192
+	large, err := RunReport(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.Digest != large.Digest {
+		t.Fatalf("digest %016x on 4 lines and a 1-page write buffer, %016x on 4096 lines and 8192 pages", small.Digest, large.Digest)
+	}
+}
+
 func TestWorstCaseGeometry(t *testing.T) {
 	// The most hostile deterministic corner: 1-page write buffer, 4-line
 	// cache, tiny pages, multiple writers per page, mode S.
